@@ -151,49 +151,6 @@ func MicroNegotiationAnd(b *testing.B) {
 	}
 }
 
-// MicroNegotiationAndBatched measures the same two-phase
-// negotiation-and as MicroNegotiationAnd, but with all three entities
-// co-located on one remote node — the fleet shape the per-node
-// batching path collapses into a single MarkBatch/CommitBatch RPC pair
-// instead of three Marks and three Commits.
-func MicroNegotiationAndBatched(b *testing.B) {
-	ctx := context.Background()
-	users := workload.Users(2)
-	w, err := experiments.NewWorld(users, sim.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	day := "2003-04-21"
-	targets := []links.EntityRef{
-		{User: "u01", Entity: calendar.Slot{Day: day, Hour: 9}.Entity()},
-		{User: "u01", Entity: calendar.Slot{Day: day, Hour: 10}.Entity()},
-		{User: "u01", Entity: calendar.Slot{Day: day, Hour: 11}.Entity()},
-	}
-	lm := w.Cals["u00"].Links()
-	eng := w.Nodes["u00"].Engine
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		meeting := fmt.Sprintf("bench-%d", i)
-		if _, err := lm.Negotiate(ctx, links.Spec{
-			Action:     calendar.ActionReserve,
-			Args:       wire.Args{"meeting": meeting, "priority": 0},
-			Targets:    targets,
-			Constraint: links.And,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		for _, tgt := range targets {
-			if err := eng.Invoke(ctx, links.ServiceFor(tgt.User), "Apply", wire.Args{
-				"entity": tgt.Entity, "action": calendar.ActionRelease,
-				"args": map[string]any{"meeting": meeting},
-			}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // replayReader serves the same byte sequence forever — an endless
 // stream of identical frames for decoder benchmarks.
 type replayReader struct {
@@ -496,7 +453,6 @@ func Trajectory() []Def {
 		{Name: "Micro_DirectoryLookupSharded", Run: MicroDirectoryLookupSharded},
 		{Name: "Micro_GroupInvoke", Run: MicroGroupInvoke},
 		{Name: "Micro_NegotiationAnd", Run: MicroNegotiationAnd},
-		{Name: "Micro_NegotiationAndBatched", Run: MicroNegotiationAndBatched},
 		{Name: "Micro_WireCodecV3", Run: MicroWireCodecV3},
 		{Name: "Micro_MeetingLifecycle", Run: MicroMeetingLifecycle},
 		{Name: "F1_LayeredInvocation", Run: func(b *testing.B) { Experiment(b, "F1") }},

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -36,32 +34,6 @@ var BestEffort = QoS{}
 // retries starting at 50 ms.
 var Guaranteed = QoS{Retries: 3, Backoff: 50 * time.Millisecond}
 
-// qosClock lets tests drive backoff waits deterministically.
-var (
-	qosClockMu sync.RWMutex
-	qosClock   clock.Clock = clock.System
-)
-
-// SetQoSClock overrides the backoff clock (tests). It returns a
-// restore function.
-func SetQoSClock(c clock.Clock) (restore func()) {
-	qosClockMu.Lock()
-	old := qosClock
-	qosClock = c
-	qosClockMu.Unlock()
-	return func() {
-		qosClockMu.Lock()
-		qosClock = old
-		qosClockMu.Unlock()
-	}
-}
-
-func getQoSClock() clock.Clock {
-	qosClockMu.RLock()
-	defer qosClockMu.RUnlock()
-	return qosClock
-}
-
 // RetryInterceptor turns transient unavailability into bounded,
 // backed-off retries — the interceptor form of the engine's QoS
 // support. Only transient failures (unreachable device, lost message,
@@ -69,8 +41,8 @@ func getQoSClock() clock.Clock {
 // auth, bad args) surface immediately. Routing state is reset between
 // attempts, so each retry re-resolves through the chain's cache and
 // resolver stages (a device that re-registered at a new address, or
-// fell back to its proxy, is found).
-func RetryInterceptor(qos QoS) Interceptor {
+// fell back to its proxy, is found). Backoff waits run on clk.
+func RetryInterceptor(qos QoS, clk clock.Clock) Interceptor {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call, out any) error {
 			attempts := qos.Retries + 1
@@ -82,7 +54,7 @@ func RetryInterceptor(qos QoS) Interceptor {
 					*call = orig // drop per-attempt routing state
 					if backoff > 0 {
 						select {
-						case <-getQoSClock().After(backoff):
+						case <-clk.After(backoff):
 						case <-ctx.Done():
 							return ctx.Err()
 						}
@@ -115,9 +87,10 @@ func RetryInterceptor(qos QoS) Interceptor {
 }
 
 // InvokeQoS is Invoke with retry-on-unavailability semantics: the
-// engine's chain wrapped, for this call, in RetryInterceptor(qos).
+// engine's chain wrapped, for this call, in RetryInterceptor(qos)
+// backing off on the system clock.
 func (e *Engine) InvokeQoS(ctx context.Context, qos QoS, service, method string, args wire.Args, out any) error {
-	inv := RetryInterceptor(qos)(e.invoker())
+	inv := RetryInterceptor(qos, clock.System)(e.invoker())
 	return inv(ctx, e.newCall(ctx, "", service, method, args), out)
 }
 
@@ -127,14 +100,4 @@ func retryable(err error) bool {
 		return true // the attempt timed out; the next may succeed
 	}
 	return isUnavailable(err)
-}
-
-// GroupInvokeQoS is GroupInvoke with per-member QoS, bounded by the
-// same fan-out limit.
-func (e *Engine) GroupInvokeQoS(ctx context.Context, qos QoS, services []string, method string, args wire.Args) []GroupResult {
-	return e.groupRun(services, func(svc string) GroupResult {
-		var raw json.RawMessage
-		err := e.InvokeQoS(ctx, qos, svc, method, args, &raw)
-		return GroupResult{Service: svc, Err: err, Raw: raw}
-	})
 }

@@ -144,11 +144,9 @@ func TestInvokeQoSRecoversAcrossReRegistration(t *testing.T) {
 }
 
 func TestInvokeQoSBackoffUsesClock(t *testing.T) {
-	// With a fake QoS clock, retries block until the clock advances —
-	// proving the backoff waits (and doubles) rather than spinning.
+	// With a fake backoff clock, retries block until the clock advances
+	// — proving the backoff waits (and doubles) rather than spinning.
 	fake := clock.NewFake(time.Unix(0, 0))
-	restore := SetQoSClock(fake)
-	defer restore()
 
 	w := newWorld(t)
 	attempts := w.addFlakyNode("phil", 2)
@@ -156,8 +154,9 @@ func TestInvokeQoSBackoffUsesClock(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- e.InvokeQoS(context.Background(), QoS{Retries: 2, Backoff: time.Minute},
-			"flaky.phil", "Ping", nil, nil)
+		ctx := context.Background()
+		inv := RetryInterceptor(QoS{Retries: 2, Backoff: time.Minute}, fake)(e.invoker())
+		done <- inv(ctx, e.newCall(ctx, "", "flaky.phil", "Ping", nil), nil)
 	}()
 
 	// First attempt happens immediately; then the retry waits on the
@@ -195,21 +194,6 @@ func TestInvokeQoSBackoffUsesClock(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("InvokeQoS never returned")
-	}
-}
-
-func TestGroupInvokeQoS(t *testing.T) {
-	w := newWorld(t)
-	aAttempts := w.addFlakyNode("a", 1)
-	bAttempts := w.addFlakyNode("b", 0)
-	e := New(w.net, w.dir, "x")
-	results := e.GroupInvokeQoS(context.Background(), QoS{Retries: 2},
-		[]string{"flaky.a", "flaky.b"}, "Ping", nil)
-	if !AllOK(results) {
-		t.Fatalf("results = %+v", results)
-	}
-	if aAttempts.Load() != 2 || bAttempts.Load() != 1 {
-		t.Fatalf("attempts a=%d b=%d", aAttempts.Load(), bAttempts.Load())
+		t.Fatal("retrying invoke never returned")
 	}
 }

@@ -1,0 +1,120 @@
+package links_test
+
+import (
+	"context"
+	"maps"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/links"
+	"repro/internal/listener"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// rpcCensus counts the links.* requests participants' listeners serve,
+// by method — every one of them crossed the sim network.
+type rpcCensus struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *rpcCensus) middleware(next listener.Method) listener.Method {
+	return func(ctx context.Context, call *listener.Call) (any, error) {
+		if strings.HasPrefix(call.Service, links.ServicePrefix) {
+			c.mu.Lock()
+			c.n[call.Method]++
+			c.mu.Unlock()
+		}
+		return next(ctx, call)
+	}
+}
+
+func (c *rpcCensus) want(t *testing.T, want map[string]int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !maps.Equal(c.n, want) {
+		t.Fatalf("links RPC census = %v, want %v", c.n, want)
+	}
+}
+
+// newCensusHarness is a traced harness whose every node also feeds one
+// rpcCensus.
+func newCensusHarness(t *testing.T, users ...string) (*harness, *rpcCensus, *trace.Collector) {
+	t.Helper()
+	col := trace.NewCollector()
+	census := &rpcCensus{n: make(map[string]int)}
+	h := newHarness(t)
+	for _, u := range users {
+		h.addNode(u, core.WithTracer(col.Tracer(u, trace.WithSampleRate(1))), core.WithMiddleware(census.middleware))
+	}
+	return h, census, col
+}
+
+// negotiationSpans counts the coordinator-side protocol spans of the
+// one negotiation the collector holds.
+func negotiationSpans(t *testing.T, col *trace.Collector) map[string]int {
+	t.Helper()
+	tree := findTree(col.Trees(), "links.Negotiate")
+	if tree == nil {
+		t.Fatal("no trace rooted at links.Negotiate")
+	}
+	got := make(map[string]int)
+	for name, n := range spanNames(tree) {
+		switch name {
+		case "links.Mark", "links.Commit", "links.Abort":
+			got[name] = n
+		}
+	}
+	return got
+}
+
+// TestRPCCensusAnd pins the protocol's wire cost: an And over N remote
+// targets is exactly N Mark + N Commit requests and N links.Mark + N
+// links.Commit spans, whether or not targets share a node.
+func TestRPCCensusAnd(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		targets []links.EntityRef
+	}{
+		{"one entity per node", refs("b", "s", "c", "s", "d", "s")},
+		{"co-located", refs("b", "s1", "b", "s2", "c", "s1")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, census, col := newCensusHarness(t, "a", "b", "c", "d")
+			n := len(tc.targets)
+			if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
+				Action: "reserve", Args: wire.Args{"meeting": "M"},
+				Targets: tc.targets, Constraint: links.And,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			census.want(t, map[string]int{"Mark": n, "Commit": n})
+			if got, want := negotiationSpans(t, col), map[string]int{"links.Mark": n, "links.Commit": n}; !maps.Equal(got, want) {
+				t.Fatalf("spans = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestRPCCensusAndFailure: a failed And sends no Mark past the first
+// failure and exactly one Abort per mark it holds.
+func TestRPCCensusAndFailure(t *testing.T) {
+	h, census, col := newCensusHarness(t, "a", "b", "c", "d", "e")
+	h.nodes["d"].setStatus("s", "OTHER")
+	_, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
+		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Targets: refs("b", "s", "c", "s", "d", "s", "e", "s"), Constraint: links.And,
+	})
+	if wire.CodeOf(err) != wire.CodeConflict {
+		t.Fatalf("err = %v, want conflict", err)
+	}
+	// b and c marked, d refused, e never asked.
+	census.want(t, map[string]int{"Mark": 3, "Abort": 2})
+	if got, want := negotiationSpans(t, col), map[string]int{"links.Mark": 3, "links.Abort": 2}; !maps.Equal(got, want) {
+		t.Fatalf("spans = %v, want %v", got, want)
+	}
+}

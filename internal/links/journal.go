@@ -403,10 +403,7 @@ func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
 			}
 		}
 	}
-	// One CommitBatch per owning node (commitGrouped fans the node
-	// groups out concurrently), so a redrive round still costs roughly
-	// one QoS round trip — now O(nodes) sends instead of O(entities).
-	errs := m.commitGrouped(ctx, rec.ID, rec.Pending, rec.Action, rec.Args, true)
+	errs := m.commitTargets(ctx, rec.ID, rec.Pending, rec.Action, rec.Args, true)
 	var still []journalTarget
 	for i, tgt := range rec.Pending {
 		err := errs[i]

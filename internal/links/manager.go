@@ -81,11 +81,6 @@ type Manager struct {
 	// mid-protocol, or to interleave sweeps with a live phase 1.
 	commitFault func(nid string, ref EntityRef) error
 	markFault   func(nid string, ref EntityRef) error
-
-	// batchOff disables the per-node MarkBatch/CommitBatch/AbortBatch
-	// RPCs (see batch.go); outcomes are identical either way, so this
-	// exists for equivalence tests, not operation.
-	batchOff bool
 }
 
 // NewManager creates the links manager for user self, creating the

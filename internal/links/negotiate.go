@@ -296,7 +296,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			marked = append(marked, journalTarget{Ref: mr.ref, Token: mr.token})
 		}
 	}
-	commitErrs := m.commitGrouped(ctx, res.NID, marked, spec.Action, spec.Args, false)
+	commitErrs := m.commitTargets(ctx, res.NID, marked, spec.Action, spec.Args, false)
 	var pendingRefs, failedRefs []EntityRef
 	var stillPending []journalTarget
 	for i, tgt := range marked {
@@ -362,68 +362,73 @@ func errDetail(err error) string {
 	return err.Error()
 }
 
-// markSequential marks targets in the given (user-major sorted) order,
-// stopping at the first failure (And semantics: any failure already
-// dooms the constraint). Contiguous same-node runs ride one MarkBatch
-// each; the run boundaries preserve the global entity order, so
-// overlapping negotiations still acquire locks in the same order as
-// the per-entity protocol and cannot deadlock.
+// errSkippedMark is the And-semantics skip: once any mark fails the
+// constraint is doomed, so later targets are not marked at all.
+var errSkippedMark = errors.New("links: skipped after earlier mark failure")
+
+// markSequential marks targets one at a time in the given (globally
+// sorted) order, so overlapping negotiations acquire locks in the same
+// order and cannot deadlock. Targets after the first failure are
+// skipped (And semantics: any failure already dooms the constraint).
 func (m *Manager) markSequential(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
-	marks := make([]markResult, 0, len(targets))
+	marks := make([]markResult, len(targets))
 	failed := false
-	for start := 0; start < len(targets); {
-		end := start + 1
-		for end < len(targets) && targets[end].User == targets[start].User {
-			end++
+	for i, ref := range targets {
+		mr := markResult{ref: ref, err: errSkippedMark}
+		if !failed {
+			mr.token, mr.err = m.markTarget(ctx, nid, ref, action, args)
+			failed = mr.err != nil
 		}
-		if failed {
-			for _, ref := range targets[start:end] {
-				marks = append(marks, markResult{ref: ref, err: errSkippedMark()})
-			}
-			start = end
-			continue
-		}
-		for _, mr := range m.markRun(ctx, nid, targets[start:end], action, args, true) {
-			marks = append(marks, mr)
-			if mr.err != nil {
-				failed = true
-			}
-		}
-		start = end
-	}
-	for _, mr := range marks {
-		res.appendMark(mr.ref, mr.err)
+		marks[i] = mr
+		res.appendMark(ref, mr.err)
 	}
 	return marks
 }
 
-// markParallel marks all targets concurrently (Or/Xor semantics), one
-// goroutine — and for co-located targets, one MarkBatch — per node.
+// markParallel marks all targets concurrently (Or/Xor semantics).
 func (m *Manager) markParallel(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
 	marks := make([]markResult, len(targets))
-	groups := make(map[string][]int, len(targets))
-	for i, ref := range targets {
-		groups[ref.User] = append(groups[ref.User], i)
-	}
 	var wg sync.WaitGroup
-	for _, idxs := range groups {
+	for i, ref := range targets {
 		wg.Add(1)
-		go func(idxs []int) {
+		go func() {
 			defer wg.Done()
-			run := make([]EntityRef, len(idxs))
-			for j, i := range idxs {
-				run[j] = targets[i]
-			}
-			for j, mr := range m.markRun(ctx, nid, run, action, args, false) {
-				marks[idxs[j]] = mr
-			}
-		}(idxs)
+			tok, err := m.markTarget(ctx, nid, ref, action, args)
+			marks[i] = markResult{ref: ref, token: tok, err: err}
+		}()
 	}
 	wg.Wait()
 	for _, mr := range marks {
 		res.appendMark(mr.ref, mr.err)
 	}
 	return marks
+}
+
+// commitTargets runs the commit phase for tgts concurrently, one
+// Commit per target. The returned errors align with tgts.
+func (m *Manager) commitTargets(ctx context.Context, nid string, tgts []journalTarget, action string, args wire.Args, qos bool) []error {
+	errs := make([]error, len(tgts))
+	var wg sync.WaitGroup
+	for i, t := range tgts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = m.commitTarget(ctx, nid, t.Ref, t.Token, action, args, qos)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// abortMarked releases every successfully marked target. Errors are
+// ignored: an unreachable participant resolves the doubt itself via
+// the pending-mark sweep.
+func (m *Manager) abortMarked(ctx context.Context, nid string, marks []markResult) {
+	for _, mr := range marks {
+		if mr.err == nil {
+			m.abortTarget(ctx, nid, mr.ref, mr.token)
+		}
+	}
 }
 
 func (r *Result) appendMark(ref EntityRef, err error) {

@@ -145,10 +145,6 @@ func (m *Manager) Object() *listener.Object {
 		return true, nil
 	})
 
-	// MarkBatch/CommitBatch/AbortBatch: the per-node batched forms of
-	// the three RPCs above (see batch.go).
-	m.registerBatch(obj, argsOf)
-
 	// Abort: release without change; duplicates are no-ops and later
 	// Commits for the token are rejected.
 	obj.Handle("Abort", func(ctx context.Context, call *listener.Call) (any, error) {

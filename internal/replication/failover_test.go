@@ -475,6 +475,13 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 		t.Fatalf("pre-expiry call: %+v", resp)
 	}
 
+	// The lease lapses because x cannot reach the directory. Without the
+	// cut, the node's own renewal loop wakes on the same Advance and
+	// races this test for the expired lease.
+	dirShards := []string{"dir0", "dir1", "dir2", "dir3"}
+	for _, d := range dirShards {
+		fx.net.Partition("x", d)
+	}
 	fx.clk.Advance(leaseTTL + time.Second)
 	if x.Repl.LeaseValid() {
 		t.Fatal("lease should have lapsed locally")
@@ -488,10 +495,14 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 		t.Fatalf("repl status through fence: %+v", resp)
 	}
 
-	// A rival takes the expired lease; the old primary's next renewal
-	// fences it for good.
+	// A rival takes the expired lease while x is still cut off; once x
+	// is back, its next renewal — this one or the loop's, whichever
+	// lands first — fences it for good.
 	if _, err := fx.dirClient().RenewLease(ctx, "x", "rival", leaseTTL, nil); err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range dirShards {
+		fx.net.Heal("x", d)
 	}
 	if err := x.Repl.Renew(ctx); !errors.Is(err, replication.ErrFenced) {
 		t.Fatalf("renew after rival takeover = %v, want ErrFenced", err)
