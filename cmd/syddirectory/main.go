@@ -3,22 +3,24 @@
 // (§5.2): user/service/group registry and proxy bindings for a SyD
 // deployment.
 //
-//	syddirectory -addr 127.0.0.1:7000 [-state /var/lib/syd/dir.json]
+//	syddirectory -addr 127.0.0.1:7000 [-data-dir /var/lib/syd/dir]
 //
-// With -state, the registry is loaded at startup (if the file exists)
-// and saved on shutdown and periodically, so a directory restart does
-// not force every device to re-register.
+// With -data-dir, every registration, proxy binding and replication
+// lease goes through a write-ahead log under that directory before its
+// RPC is acknowledged, and startup recovers checkpoint + log tail from
+// it: a directory restart — or crash — does not force every device to
+// re-register, and does not forget a lease the directory has granted.
 //
 // With -shards N (N > 1) the process runs a sharded directory: the
 // control plane binds -addr and publishes the epoch-versioned shard
 // map, and N shard servers bind -shard-addrs (comma-separated; when
 // omitted, consecutive ports above -addr). Clients point -control-plane
-// at -addr instead of -dir. Each shard persists its own slice of the
-// registry to <state>.shardK:
+// at -addr instead of -dir. Each shard logs its own slice of the
+// registry under <data-dir>/shardK:
 //
 //	syddirectory -addr 127.0.0.1:7000 -shards 4 \
 //	    -shard-addrs 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003,127.0.0.1:7004 \
-//	    -state /var/lib/syd/dir.json
+//	    -data-dir /var/lib/syd/dir
 package main
 
 import (
@@ -29,6 +31,7 @@ import (
 	stdnet "net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -38,14 +41,19 @@ import (
 	"repro/internal/directory"
 	"repro/internal/replication"
 	"repro/internal/transport"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
+
+// checkpointEvery is how often a durable registry is snapshotted and
+// its log trimmed: it bounds both the log a restart replays and the
+// disk that heartbeat rows, logged like any other mutation, take up.
+const checkpointEvery = time.Minute
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7000", "address to bind (the control plane's address when -shards > 1)")
 	ttl := flag.Duration("ttl", directory.DefaultHeartbeatTTL, "heartbeat TTL before a silent device counts as offline")
-	statePath := flag.String("state", "", "optional path to persist the registry across restarts")
-	saveEvery := flag.Duration("save-every", 30*time.Second, "periodic save interval when -state is set")
+	dataDir := flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints; one subdirectory per shard); the registry and leases survive crashes")
 	poolSize := flag.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
 	shards := flag.Int("shards", 1, "number of directory shards (1 = single unsharded server)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard bind addresses (defaults to consecutive ports above -addr)")
@@ -61,14 +69,14 @@ func main() {
 
 	if *shards <= 1 {
 		// Single-server mode: exactly the pre-shard deployment.
-		srv := loadOrNew(*statePath, *ttl)
+		srv, dur := openServer(*dataDir, *ttl)
 		ln, err := net.Listen(*addr, srv.Handler())
 		if err != nil {
 			log.Fatalf("syddirectory: %v", err)
 		}
 		log.Printf("syddirectory: serving on %s (heartbeat TTL %v)", ln.Addr(), *ttl)
 		startSweeper(net, directory.NewClient(net, ln.Addr()), *healthSweep)
-		run([]saver{{srv, *statePath}}, *saveEvery, ln.Close)
+		serve(dur, ln.Close)
 		return
 	}
 
@@ -78,19 +86,22 @@ func main() {
 	}
 	shardList := make([]controlplane.Shard, *shards)
 	servers := make([]*directory.Server, *shards)
-	savers := make([]saver, 0, *shards)
+	var durables []*wal.Durable
 	var closers []func() error
 	for i := 0; i < *shards; i++ {
 		id := fmt.Sprintf("shard%d", i)
-		path := shardStatePath(*statePath, i)
-		srv := loadOrNew(path, *ttl, directory.WithShard(id))
+		dir := *dataDir
+		if dir != "" {
+			dir = filepath.Join(dir, id)
+		}
+		srv, dur := openServer(dir, *ttl, directory.WithShard(id))
 		ln, err := net.Listen(binds[i], srv.Handler())
 		if err != nil {
 			log.Fatalf("syddirectory: shard %s: %v", id, err)
 		}
 		shardList[i] = controlplane.Shard{ID: id, Addr: ln.Addr()}
 		servers[i] = srv
-		savers = append(savers, saver{srv, path})
+		durables = append(durables, dur...)
 		closers = append(closers, ln.Close)
 	}
 	ctl := controlplane.NewController(shardList)
@@ -107,7 +118,7 @@ func main() {
 	for _, s := range shardList {
 		log.Printf("syddirectory: %s on %s", s.ID, s.Addr)
 	}
-	run(savers, *saveEvery, func() error {
+	serve(durables, func() error {
 		var first error
 		for _, c := range closers {
 			if err := c(); err != nil && first == nil {
@@ -136,52 +147,56 @@ func startSweeper(net transport.Network, dir *directory.Client, every time.Durat
 	log.Printf("syddirectory: replication health sweeper every %v", every)
 }
 
-// saver pairs a shard server with its persistence path ("" = none).
-type saver struct {
-	srv  *directory.Server
-	path string
+// openServer builds one directory server: on the database recovered
+// from dataDir when set (returned so serve can checkpoint and close
+// it), in memory otherwise.
+func openServer(dataDir string, ttl time.Duration, opts ...directory.Option) (*directory.Server, []*wal.Durable) {
+	opts = append(opts, directory.WithTTL(ttl))
+	if dataDir == "" {
+		return directory.NewServer(opts...), nil
+	}
+	dur, err := wal.Open(dataDir, wal.Options{Sync: wal.SyncGroup})
+	if err != nil {
+		log.Fatalf("syddirectory: %v", err)
+	}
+	srv, err := directory.NewServerOn(dur.DB, opts...)
+	if err != nil {
+		log.Fatalf("syddirectory: %s: %v", dataDir, err)
+	}
+	st := dur.Stats()
+	log.Printf("syddirectory: registry recovered from %s (checkpoint LSN %d, %d log records replayed)",
+		dataDir, st.CheckpointLSN, st.ReplayedRecords)
+	return srv, []*wal.Durable{dur}
 }
 
-// run drives the periodic-save loop until SIGINT/SIGTERM, then saves
-// once more and closes the listeners.
-func run(savers []saver, saveEvery time.Duration, closeAll func() error) {
-	saveAll := func() {
-		for _, s := range savers {
-			if s.path != "" {
-				save(s.srv, s.path)
-			}
-		}
-	}
-	persisting := false
-	for _, s := range savers {
-		if s.path != "" {
-			persisting = true
-		}
-	}
-	stopSave := make(chan struct{})
-	if persisting {
-		go func() {
-			t := time.NewTicker(saveEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					saveAll()
-				case <-stopSave:
-					return
-				}
-			}
-		}()
-	}
-
+// serve checkpoints the durable registries on a timer until
+// SIGINT/SIGTERM, then closes the listeners and, after them, the logs
+// (each with a final checkpoint, so a clean restart replays nothing).
+func serve(durables []*wal.Durable, closeAll func() error) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
+	tick := time.NewTicker(checkpointEvery)
+	defer tick.Stop()
+	for running := true; running; {
+		select {
+		case <-tick.C:
+			for _, d := range durables {
+				if err := d.Checkpoint(); err != nil {
+					log.Printf("syddirectory: checkpoint: %v", err)
+				}
+			}
+		case <-sig:
+			running = false
+		}
+	}
 	log.Printf("syddirectory: shutting down")
-	close(stopSave)
-	saveAll()
 	if err := closeAll(); err != nil {
 		log.Printf("syddirectory: close: %v", err)
+	}
+	for _, d := range durables {
+		if err := d.Close(); err != nil {
+			log.Printf("syddirectory: close log: %v", err)
+		}
 	}
 }
 
@@ -212,53 +227,4 @@ func shardBinds(cpAddr, list string, n int) ([]string, error) {
 		binds[i] = stdnet.JoinHostPort(host, strconv.Itoa(port+1+i))
 	}
 	return binds, nil
-}
-
-// shardStatePath derives shard i's persistence path ("" stays "").
-func shardStatePath(base string, i int) string {
-	if base == "" {
-		return ""
-	}
-	return fmt.Sprintf("%s.shard%d", base, i)
-}
-
-// loadOrNew restores the registry from statePath when possible.
-func loadOrNew(statePath string, ttl time.Duration, opts ...directory.Option) *directory.Server {
-	opts = append([]directory.Option{directory.WithTTL(ttl)}, opts...)
-	if statePath != "" {
-		if f, err := os.Open(statePath); err == nil {
-			defer f.Close()
-			srv, rerr := directory.RestoreServer(f, opts...)
-			if rerr == nil {
-				log.Printf("syddirectory: restored registry from %s", statePath)
-				return srv
-			}
-			log.Printf("syddirectory: restore %s failed (%v); starting fresh", statePath, rerr)
-		}
-	}
-	return directory.NewServer(opts...)
-}
-
-// save snapshots the registry atomically.
-func save(srv *directory.Server, path string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Printf("syddirectory: save: %v", err)
-		return
-	}
-	if err := srv.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		log.Printf("syddirectory: save: %v", err)
-		return
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		log.Printf("syddirectory: save: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		log.Printf("syddirectory: save: %v", err)
-	}
 }

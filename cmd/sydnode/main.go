@@ -27,6 +27,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
@@ -40,7 +41,6 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/links"
 	"repro/internal/metrics"
 	"repro/internal/notify"
 	"repro/internal/offline"
@@ -107,255 +107,211 @@ func splitList(s string) []string {
 	return out
 }
 
-func main() {
-	user := flag.String("user", "", "SyD user id (required unless -replica-of)")
-	dirAddr := flag.String("dir", "127.0.0.1:7000", "directory server address")
-	cpAddr := flag.String("control-plane", "", "sharded-directory control plane address (overrides -dir; use syddirectory -shards N)")
-	addr := flag.String("addr", "127.0.0.1:0", "address to bind")
-	priority := flag.Int("priority", 0, "user priority (§6)")
-	statePath := flag.String("state", "", "optional path to persist the device database across restarts (legacy whole-DB snapshot; prefer -data-dir)")
-	dataDir := flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); the device database survives crashes")
-	checkpointEvery := flag.Duration("checkpoint-interval", time.Minute, "with -data-dir: snapshot the database and trim the log this often (0 = only at shutdown)")
-	fsyncPolicy := flag.String("fsync", "group", "with -data-dir: fsync policy — group (batched group commit), always (fsync per commit), none")
-	introspect := flag.Bool("introspect", true, "publish the sys.<user> introspection service (Services/Methods/Metrics)")
-	routeCacheTTL := flag.Duration("route-cache", 2*time.Second, "engine directory route cache TTL (0 disables)")
-	poolSize := flag.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
-	lockTTL := flag.Duration("lock-ttl", 0, "negotiation mark (phase-1 lock) TTL before an unresolved lock may be stolen (0 = links default)")
-	commitRetry := flag.Duration("commit-retry", 0, "base backoff between commit-retry sweeper rounds for in-doubt negotiations (0 = links default)")
-	commitRetryMax := flag.Int("commit-retry-max", 0, "commit-retry rounds before a journaled negotiation is expired as a permanent failure (0 = links default)")
-	presumeAbort := flag.Duration("presume-abort-after", 0, "how long an in-doubt participant pins a mark while its coordinator is unreachable before presuming abort (0 = links default)")
-	traceSample := flag.Float64("trace-sample", 0, "head-sample this fraction of traces (0..1; slow and in-doubt traces are always kept when tracing is on)")
-	traceSlow := flag.Duration("trace-slow", 0, "retain any trace containing a span at least this slow; enables tracing when set (0 disables slow retention)")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof, /traces and /replication on this address (e.g. 127.0.0.1:6060; empty disables)")
-	replicaOf := flag.String("replica-of", "", "run as a WAL-shipping follower for this user (requires -data-dir and -lease-ttl; promotes to primary when the lease expires)")
-	replicasFlag := flag.String("replicas", "", "comma-separated follower addresses advertised on every lease renewal (the promotion candidate set)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "replication lease TTL; with -data-dir the node serves as a lease-holding primary (0 = replication off)")
-	wireCodec := flag.String("wire-codec", "json", "frame body codec to send: json or v3 (negotiated per connection; json stays the fallback)")
-	offlineQueue := flag.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; 0 disables)")
-	offlineOverflow := flag.String("offline-overflow", "drop-oldest", "with -offline-queue: at-capacity policy — drop-oldest or reject-new")
-	syncRelevance := flag.Bool("sync-relevance", true, "with -offline-queue: serve reconnect Pulls relevance-filtered (false ships full state — baseline for comparison)")
-	flag.Parse()
+// parseFlags turns the command line into the one node configuration:
+// the primary boots from it, and a follower boots from the same one
+// when it promotes, so a failover changes who serves and nothing about
+// how. follower reports -replica-of, whose user cfg.User then names.
+func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string, err error) {
+	fs := flag.NewFlagSet("sydnode", flag.ExitOnError)
+	user := fs.String("user", "", "SyD user id (required unless -replica-of)")
+	dirAddr := fs.String("dir", "127.0.0.1:7000", "directory server address")
+	cpAddr := fs.String("control-plane", "", "sharded-directory control plane address (overrides -dir; use syddirectory -shards N)")
+	addr := fs.String("addr", "127.0.0.1:0", "address to bind")
+	priority := fs.Int("priority", 0, "user priority (§6)")
+	dataDir := fs.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); the device database survives crashes")
+	checkpointEvery := fs.Duration("checkpoint-interval", time.Minute, "with -data-dir: snapshot the database and trim the log this often (0 = only at shutdown)")
+	fsyncPolicy := fs.String("fsync", "group", "with -data-dir: fsync policy — group (batched group commit), always (fsync per commit), none")
+	routeCacheTTL := fs.Duration("route-cache", 2*time.Second, "engine directory route cache TTL (0 disables)")
+	poolSize := fs.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
+	traceSample := fs.Float64("trace-sample", 0, "head-sample this fraction of traces (0..1; slow and in-doubt traces are always kept when tracing is on)")
+	traceSlow := fs.Duration("trace-slow", 0, "retain any trace containing a span at least this slow; enables tracing when set (0 disables slow retention)")
+	fs.StringVar(&debugAddr, "debug-addr", "", "serve net/http/pprof, /traces and /replication on this address (e.g. 127.0.0.1:6060; empty disables)")
+	replicaOf := fs.String("replica-of", "", "run as a WAL-shipping follower for this user (requires -data-dir and -lease-ttl; promotes to primary when the lease expires)")
+	replicasFlag := fs.String("replicas", "", "comma-separated follower addresses advertised on every lease renewal (the promotion candidate set)")
+	leaseTTL := fs.Duration("lease-ttl", 0, "replication lease TTL; with -data-dir the node serves as a lease-holding primary (0 = replication off)")
+	wireCodec := fs.String("wire-codec", "json", "frame body codec to send: json or v3 (negotiated per connection; json stays the fallback)")
+	offlineQueue := fs.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; 0 disables)")
+	offlineOverflow := fs.String("offline-overflow", "drop-oldest", "with -offline-queue: at-capacity policy — drop-oldest or reject-new")
+	syncRelevance := fs.Bool("sync-relevance", true, "with -offline-queue: serve reconnect Pulls relevance-filtered (false ships full state — baseline for comparison)")
+	_ = fs.Parse(args) // ExitOnError
 
 	codec, err := wire.ParseCodec(*wireCodec)
 	if err != nil {
-		log.Fatal(err)
-	}
-	net := transport.NewTCP(transport.WithPoolSize(*poolSize), transport.WithWireCodec(codec))
-	var replStatus atomic.Value // func() (replication.Status, bool)
-	replStatus.Store(func() (replication.Status, bool) { return replication.Status{}, false })
-	statusFn := func() (replication.Status, bool) {
-		return replStatus.Load().(func() (replication.Status, bool))()
-	}
-
-	if *replicaOf != "" {
-		runFollower(net, &replStatus, statusFn, followerParams{
-			user: *replicaOf, dirAddr: *dirAddr, cpAddr: *cpAddr, addr: *addr,
-			dataDir: *dataDir, leaseTTL: *leaseTTL, replicas: splitList(*replicasFlag),
-			debugAddr: *debugAddr, priority: *priority,
-			introspect: *introspect, routeCacheTTL: *routeCacheTTL,
-		})
-		return
-	}
-
-	if *user == "" {
-		log.Fatal("sydnode: -user is required")
+		return cfg, false, "", err
 	}
 	sync, err := wal.ParseSyncPolicy(*fsyncPolicy)
 	if err != nil {
-		log.Fatalf("sydnode: %v", err)
+		return cfg, false, "", err
 	}
-
-	opts := []core.Option{
-		core.WithMetrics(metrics.Default()),
-		core.WithRouteCache(*routeCacheTTL),
+	cfg = core.Config{
+		User:                 *user,
+		Priority:             *priority,
+		Net:                  transport.NewTCP(transport.WithPoolSize(*poolSize), transport.WithWireCodec(codec)),
+		DirAddr:              *dirAddr,
+		ControlPlaneAddr:     *cpAddr,
+		ListenAddr:           *addr,
+		HeartbeatEvery:       5 * time.Second,
+		ExpireEvery:          30 * time.Second,
+		DirCacheTTL:          2 * time.Second,
+		RouteCacheTTL:        *routeCacheTTL,
+		Metrics:              metrics.Default(),
+		PublishIntrospection: true,
+		DataDir:              *dataDir,
+		WALSync:              sync,
+		CheckpointEvery:      *checkpointEvery,
+		LeaseTTL:             *leaseTTL,
+		Replicas:             splitList(*replicasFlag),
 	}
-	if *introspect {
-		opts = append(opts, core.WithIntrospection())
+	if follower = *replicaOf != ""; follower {
+		cfg.User = *replicaOf
+		if cfg.DataDir == "" {
+			return cfg, false, "", fmt.Errorf("-replica-of requires -data-dir")
+		}
+		if cfg.LeaseTTL <= 0 {
+			return cfg, false, "", fmt.Errorf("-replica-of requires -lease-ttl (must match the primary's)")
+		}
 	}
-	if *dataDir != "" {
-		opts = append(opts, core.WithDurability(*dataDir, sync, *checkpointEvery))
-	}
-	if *leaseTTL > 0 {
-		opts = append(opts, core.WithReplication(*leaseTTL, splitList(*replicasFlag)...))
+	if cfg.User == "" {
+		return cfg, false, "", fmt.Errorf("-user is required")
 	}
 	if *offlineQueue > 0 {
-		policy := offline.Overflow(*offlineOverflow)
-		if policy != offline.DropOldest && policy != offline.RejectNew {
-			log.Fatalf("sydnode: bad -offline-overflow %q (want drop-oldest or reject-new)", *offlineOverflow)
+		cfg.OfflineMode = true
+		cfg.OfflineQueueCap = *offlineQueue
+		cfg.OfflineOverflow = offline.Overflow(*offlineOverflow)
+		cfg.SyncFullPull = !*syncRelevance
+		if cfg.OfflineOverflow != offline.DropOldest && cfg.OfflineOverflow != offline.RejectNew {
+			return cfg, false, "", fmt.Errorf("bad -offline-overflow %q (want drop-oldest or reject-new)", *offlineOverflow)
 		}
-		opts = append(opts, core.WithOfflineMode(*offlineQueue, policy, *syncRelevance))
 	}
-	var tracer *trace.Tracer
 	if *traceSample > 0 || *traceSlow > 0 {
-		tracer = trace.New(*user,
+		cfg.Tracer = trace.New(cfg.User,
 			trace.WithSampleRate(*traceSample), trace.WithSlowThreshold(*traceSlow))
-		opts = append(opts, core.WithTracer(tracer))
 	}
+	return cfg, follower, debugAddr, nil
+}
+
+func main() {
+	cfg, follower, debugAddr, err := parseFlags(os.Args[1:])
+	if err != nil {
+		log.Fatalf("sydnode: %v", err)
+	}
+	var replStatus atomic.Value // func() (replication.Status, bool)
+	replStatus.Store(func() (replication.Status, bool) { return replication.Status{}, false })
+	if debugAddr != "" {
+		go serveDebug(debugAddr, cfg.Tracer, func() (replication.Status, bool) {
+			return replStatus.Load().(func() (replication.Status, bool))()
+		})
+	}
+	if follower {
+		runFollower(cfg, &replStatus)
+		return
+	}
+
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	node, err := core.Start(ctx, core.Config{
-		User:             *user,
-		Priority:         *priority,
-		Net:              net,
-		DirAddr:          *dirAddr,
-		ControlPlaneAddr: *cpAddr,
-		ListenAddr:       *addr,
-		HeartbeatEvery:   5 * time.Second,
-		ExpireEvery:      30 * time.Second,
-		DirCacheTTL:      2 * time.Second,
-		LockTTL:          *lockTTL,
-		LinkTuning: links.Tuning{
-			RetryBase:         *commitRetry,
-			MaxAttempts:       *commitRetryMax,
-			PresumeAbortAfter: *presumeAbort,
-		},
-	}, opts...)
+	node, err := bootNode(ctx, cfg, &replStatus)
 	cancel()
 	if err != nil {
 		log.Fatalf("sydnode: %v", err)
 	}
-	if node.Repl != nil {
-		repl := node.Repl
-		replStatus.Store(func() (replication.Status, bool) { return repl.Status(), true })
-	}
-	cal, err := calendar.New(context.Background(), node, calendar.WithNotifier(notify.NewWriter(os.Stdout)))
-	if err != nil {
-		log.Fatalf("sydnode: calendar: %v", err)
-	}
-	if node.Offline != nil {
-		cal.EnableSync(node.Offline)
-	}
-	if *statePath != "" && *dataDir != "" {
-		log.Printf("sydnode: -data-dir set; ignoring legacy -state %s", *statePath)
-		*statePath = ""
-	}
-	if *statePath != "" {
-		if data, rerr := os.ReadFile(*statePath); rerr == nil {
-			if err := cal.Restore(data); err != nil {
-				log.Printf("sydnode: restore %s failed (%v); starting fresh", *statePath, err)
-			} else {
-				log.Printf("sydnode: restored device state from %s", *statePath)
-			}
-		}
-	}
-	if *debugAddr != "" {
-		go serveDebug(*debugAddr, tracer, statusFn)
-	}
-	dirDesc := "directory " + *dirAddr
-	if *cpAddr != "" {
-		dirDesc = "sharded directory via control plane " + *cpAddr
+	dirDesc := "directory " + cfg.DirAddr
+	if cfg.ControlPlaneAddr != "" {
+		dirDesc = "sharded directory via control plane " + cfg.ControlPlaneAddr
 	}
 	role := ""
 	if node.Repl != nil {
 		role = ", replicated primary"
 	}
-	log.Printf("sydnode: %s serving on %s (%s%s)", *user, node.Addr(), dirDesc, role)
+	log.Printf("sydnode: %s serving on %s (%s%s)", cfg.User, node.Addr(), dirDesc, role)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	log.Printf("sydnode: %s shutting down", *user)
-	if *statePath != "" {
-		if snap, serr := cal.Checkpoint(); serr == nil {
-			if werr := os.WriteFile(*statePath, snap, 0o644); werr != nil {
-				log.Printf("sydnode: save state: %v", werr)
-			}
-		} else {
-			log.Printf("sydnode: checkpoint: %v", serr)
-		}
+	awaitSignal()
+	log.Printf("sydnode: %s shutting down", cfg.User)
+	closeNode(node)
+}
+
+// bootNode starts a serving node from cfg with the calendar application
+// on it — the primary's boot and a promoted follower's alike.
+func bootNode(ctx context.Context, cfg core.Config, replStatus *atomic.Value) (*core.Node, error) {
+	node, err := core.Start(ctx, cfg)
+	if err != nil {
+		return nil, err
 	}
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shutCancel()
-	if err := node.Close(shutCtx); err != nil {
+	cal, err := calendar.New(ctx, node, calendar.WithNotifier(notify.NewWriter(os.Stdout)))
+	if err != nil {
+		closeNode(node)
+		return nil, fmt.Errorf("calendar: %w", err)
+	}
+	if node.Offline != nil {
+		cal.EnableSync(node.Offline)
+	}
+	if repl := node.Repl; repl != nil {
+		replStatus.Store(func() (replication.Status, bool) { return repl.Status(), true })
+	}
+	return node, nil
+}
+
+// promote boots the serving node a follower becomes: the follower's own
+// configuration, renewing the lease under the holder id it just won
+// with. The follower's replication listener on ListenAddr is closed by
+// the time this runs, so the promoted node serves at the address the
+// operator already advertised in -replicas.
+func promote(ctx context.Context, cfg core.Config, holder string, replStatus *atomic.Value) (*core.Node, error) {
+	cfg.LeaseHolder = holder
+	return bootNode(ctx, cfg, replStatus)
+}
+
+func closeNode(node *core.Node) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := node.Close(ctx); err != nil {
 		log.Printf("sydnode: close: %v", err)
 	}
 }
 
-type followerParams struct {
-	user, dirAddr, cpAddr, addr, dataDir, debugAddr string
-	leaseTTL                                        time.Duration
-	replicas                                        []string
-	priority                                        int
-	introspect                                      bool
-	routeCacheTTL                                   time.Duration
+func awaitSignal() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	<-sig
 }
 
 // runFollower runs the node as a warm standby: pull WAL frames, watch
 // the lease, and on expiry promote into a full serving node over the
 // replicated data directory.
-func runFollower(net transport.Network, replStatus *atomic.Value, statusFn func() (replication.Status, bool), p followerParams) {
-	if p.dataDir == "" {
-		log.Fatal("sydnode: -replica-of requires -data-dir")
-	}
-	if p.leaseTTL <= 0 {
-		log.Fatal("sydnode: -replica-of requires -lease-ttl (must match the primary's)")
-	}
+func runFollower(cfg core.Config, replStatus *atomic.Value) {
 	var dir *directory.Client
-	if p.cpAddr != "" {
-		dir = directory.NewShardedClient(net, p.cpAddr)
+	if cfg.ControlPlaneAddr != "" {
+		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr)
 	} else {
-		dir = directory.NewClient(net, p.dirAddr)
+		dir = directory.NewClient(cfg.Net, cfg.DirAddr)
 	}
-	pullEvery := p.leaseTTL / 10
+	pullEvery := cfg.LeaseTTL / 10
 	if pullEvery < 100*time.Millisecond {
 		pullEvery = 100 * time.Millisecond
 	}
-	checkEvery := p.leaseTTL / 4
+	checkEvery := cfg.LeaseTTL / 4
 	if checkEvery < 250*time.Millisecond {
 		checkEvery = 250 * time.Millisecond
 	}
 
 	promoted := make(chan *core.Node, 1)
 	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
-		User:             p.user,
-		Net:              net,
+		User:             cfg.User,
+		Net:              cfg.Net,
 		Dir:              dir,
-		DataDir:          p.dataDir,
-		ListenAddr:       p.addr,
-		LeaseTTL:         p.leaseTTL,
-		ControlPlaneAddr: p.cpAddr,
-		Metrics:          metrics.Default(),
+		DataDir:          cfg.DataDir,
+		ListenAddr:       cfg.ListenAddr,
+		LeaseTTL:         cfg.LeaseTTL,
+		ControlPlaneAddr: cfg.ControlPlaneAddr,
+		Metrics:          cfg.Metrics,
 		PullEvery:        pullEvery,
 		LeaseCheckEvery:  checkEvery,
 		Logf:             log.Printf,
 		Promote: func(ctx context.Context, holder string) (string, error) {
-			opts := []core.Option{
-				core.WithMetrics(metrics.Default()),
-				core.WithRouteCache(p.routeCacheTTL),
-				core.WithDurability(p.dataDir, wal.SyncGroup, time.Minute),
-			}
-			if p.introspect {
-				opts = append(opts, core.WithIntrospection())
-			}
-			node, err := core.Start(ctx, core.Config{
-				User:             p.user,
-				Priority:         p.priority,
-				Net:              net,
-				DirAddr:          p.dirAddr,
-				ControlPlaneAddr: p.cpAddr,
-				// The follower's replication listener on p.addr is closed
-				// by the time Promote runs, so the promoted node serves at
-				// the address the operator already advertised in -replicas.
-				ListenAddr:     p.addr,
-				HeartbeatEvery: 5 * time.Second,
-				ExpireEvery:    30 * time.Second,
-				DirCacheTTL:    2 * time.Second,
-				LeaseTTL:       p.leaseTTL,
-				LeaseHolder:    holder,
-				Replicas:       p.replicas,
-			}, opts...)
+			node, err := promote(ctx, cfg, holder, replStatus)
 			if err != nil {
 				return "", err
 			}
-			if _, err := calendar.New(ctx, node, calendar.WithNotifier(notify.NewWriter(os.Stdout))); err != nil {
-				shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				_ = node.Close(shutCtx)
-				return "", err
-			}
-			repl := node.Repl
-			replStatus.Store(func() (replication.Status, bool) { return repl.Status(), true })
 			promoted <- node
-			log.Printf("sydnode: promoted to primary for %s, serving on %s", p.user, node.Addr())
+			log.Printf("sydnode: promoted to primary for %s, serving on %s", cfg.User, node.Addr())
 			return node.Addr(), nil
 		},
 	})
@@ -363,25 +319,16 @@ func runFollower(net transport.Network, replStatus *atomic.Value, statusFn func(
 		log.Fatalf("sydnode: follower: %v", err)
 	}
 	replStatus.Store(func() (replication.Status, bool) { return f.Status(), true })
-	if p.debugAddr != "" {
-		go serveDebug(p.debugAddr, nil, statusFn)
-	}
-	log.Printf("sydnode: follower for %s on %s (pull %v, lease check %v)", p.user, f.Addr(), pullEvery, checkEvery)
+	log.Printf("sydnode: follower for %s on %s (pull %v, lease check %v)", cfg.User, f.Addr(), pullEvery, checkEvery)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	log.Printf("sydnode: follower for %s shutting down", p.user)
+	awaitSignal()
+	log.Printf("sydnode: follower for %s shutting down", cfg.User)
 	if err := f.Close(); err != nil {
 		log.Printf("sydnode: close follower: %v", err)
 	}
 	select {
 	case node := <-promoted:
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := node.Close(shutCtx); err != nil {
-			log.Printf("sydnode: close: %v", err)
-		}
+		closeNode(node)
 	default:
 	}
 }

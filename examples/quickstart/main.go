@@ -40,8 +40,8 @@ func main() {
 	mail := notify.NewMailbox()
 	cals := map[string]*calendar.Calendar{}
 	for _, user := range []string{"phil", "andy", "suzy"} {
-		node, err := core.Start(ctx, core.Config{User: user, Net: net, DirAddr: "dir", Clock: clk},
-			core.WithMetrics(reg), core.WithRouteCache(30*time.Second))
+		node, err := core.Start(ctx, core.Config{User: user, Net: net, DirAddr: "dir", Clock: clk,
+			Metrics: reg, RouteCacheTTL: 30 * time.Second})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -105,7 +105,7 @@ func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engin
 		o(c)
 	}
 	var err error
-	c.slots, err = getOrCreate(db, store.Schema{
+	c.slots, err = db.EnsureTable(store.Schema{
 		Name: "cal_slots",
 		Columns: []store.Column{
 			{Name: "day", Type: store.String},
@@ -121,7 +121,7 @@ func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engin
 	if err := c.slots.CreateIndex("meeting"); err != nil {
 		return nil, err
 	}
-	c.meetings, err = getOrCreate(db, store.Schema{
+	c.meetings, err = db.EnsureTable(store.Schema{
 		Name: "cal_meetings",
 		Columns: []store.Column{
 			{Name: "id", Type: store.String},
@@ -136,15 +136,6 @@ func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engin
 	c.registerActions()
 	lm.SetEventHook(c.linkHook)
 	return c, nil
-}
-
-// getOrCreate fetches an existing table (snapshot-restored) or creates
-// it fresh.
-func getOrCreate(db *store.DB, s store.Schema) (*store.Table, error) {
-	if t, err := db.Table(s.Name); err == nil {
-		return t, nil
-	}
-	return db.CreateTable(s)
 }
 
 // User returns the calendar owner's user id.

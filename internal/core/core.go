@@ -134,81 +134,6 @@ type Config struct {
 	OfflineFailureThreshold int
 }
 
-// Option mutates a Config before the node boots — the functional-
-// option surface for wiring the interceptor and middleware chains.
-type Option func(*Config)
-
-// WithMetrics records client and server metrics into reg.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(c *Config) { c.Metrics = reg }
-}
-
-// WithTracer records trace spans into t across the node's layers.
-func WithTracer(t *trace.Tracer) Option {
-	return func(c *Config) { c.Tracer = t }
-}
-
-// WithRouteCache enables the engine's directory route cache with ttl.
-func WithRouteCache(ttl time.Duration) Option {
-	return func(c *Config) { c.RouteCacheTTL = ttl }
-}
-
-// WithControlPlane routes directory traffic through the sharded
-// directory published by the control plane at addr.
-func WithControlPlane(addr string) Option {
-	return func(c *Config) { c.ControlPlaneAddr = addr }
-}
-
-// WithInterceptors appends client interceptors to the engine chain.
-func WithInterceptors(ics ...engine.Interceptor) Option {
-	return func(c *Config) { c.Interceptors = append(c.Interceptors, ics...) }
-}
-
-// WithMiddleware appends server middleware to the listener chain.
-func WithMiddleware(mw ...listener.Middleware) Option {
-	return func(c *Config) { c.Middleware = append(c.Middleware, mw...) }
-}
-
-// WithIntrospection publishes the sys.<user> introspection service.
-func WithIntrospection() Option {
-	return func(c *Config) { c.PublishIntrospection = true }
-}
-
-// WithDurability stores the device database durably under dataDir with
-// the given fsync policy, checkpointing every checkpointEvery (0
-// disables periodic checkpoints; Close still takes a final one).
-func WithDurability(dataDir string, sync wal.SyncPolicy, checkpointEvery time.Duration) Option {
-	return func(c *Config) {
-		c.DataDir = dataDir
-		c.WALSync = sync
-		c.CheckpointEvery = checkpointEvery
-	}
-}
-
-// WithOfflineMode enables disconnected operation: writes queue in a
-// durable bounded op queue while partitioned (capacity queueCap,
-// overflow policy at capacity), and reconnect sessions pull
-// relevance-filtered state (relevance=false pulls everything — the
-// comparative baseline).
-func WithOfflineMode(queueCap int, overflow offline.Overflow, relevance bool) Option {
-	return func(c *Config) {
-		c.OfflineMode = true
-		c.OfflineQueueCap = queueCap
-		c.OfflineOverflow = overflow
-		c.SyncFullPull = !relevance
-	}
-}
-
-// WithReplication turns on WAL shipping and lease-based failover:
-// the node holds the directory lease for its user, renewing every
-// leaseTTL/3, and ships its log to the followers at replicas.
-func WithReplication(leaseTTL time.Duration, replicas ...string) Option {
-	return func(c *Config) {
-		c.LeaseTTL = leaseTTL
-		c.Replicas = replicas
-	}
-}
-
 // Node is a running SyD device node.
 type Node struct {
 	User string
@@ -238,12 +163,8 @@ type Node struct {
 
 // Start boots a node: creates its database and kernel modules, binds
 // the listener, registers the user with the directory, and publishes
-// the kernel services. opts are applied to cfg first, so callers can
-// mix a literal Config with functional options for the chains.
-func Start(ctx context.Context, cfg Config, opts ...Option) (*Node, error) {
-	for _, o := range opts {
-		o(&cfg)
-	}
+// the kernel services.
+func Start(ctx context.Context, cfg Config) (*Node, error) {
 	if cfg.User == "" {
 		return nil, fmt.Errorf("core: Config.User is required")
 	}

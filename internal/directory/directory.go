@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,8 +80,8 @@ type ServiceInfo struct {
 
 // Server is the directory server state: either the whole directory
 // (the unsharded default) or one shard of it (WithShard + SetTable).
-// Create with NewServer and register its Handler with a transport
-// listener.
+// Create with NewServer (in memory) or NewServerOn (a durable DB) and
+// register its Handler with a transport listener.
 type Server struct {
 	clock clock.Clock
 	ttl   time.Duration
@@ -140,14 +139,39 @@ func (s *Server) Epoch() uint64 {
 	return 0
 }
 
-// NewServer creates a directory server.
+// NewServer creates a directory server whose registry lives in memory
+// only.
 func NewServer(opts ...Option) *Server {
-	db := store.NewDB()
+	s, err := NewServerOn(store.NewDB(), opts...)
+	if err != nil {
+		panic(err) // fixed schemas on a fresh unlogged DB: only a bug fails here
+	}
+	return s
+}
+
+// NewServerOn creates a directory server whose registry is db. Hand it
+// the DB of a wal.Durable and every registration, binding and lease is
+// logged before its RPC is acknowledged. A DB recovered from that log
+// already holds the tables and the server resumes on them as they
+// stand: devices need not re-register after a directory restart, and
+// a lease granted before a crash still fences its rival after it.
+func NewServerOn(db *store.DB, opts ...Option) (*Server, error) {
+	var err error
+	ensure := func(schema store.Schema, index string) *store.Table {
+		if err != nil {
+			return nil
+		}
+		var t *store.Table
+		if t, err = db.EnsureTable(schema); err == nil && index != "" {
+			err = t.CreateIndex(index)
+		}
+		return t
+	}
 	s := &Server{
 		clock: clock.System,
 		ttl:   DefaultHeartbeatTTL,
 		db:    db,
-		users: db.MustCreateTable(store.Schema{
+		users: ensure(store.Schema{
 			Name: "users",
 			Columns: []store.Column{
 				{Name: "id", Type: store.String},
@@ -158,8 +182,8 @@ func NewServer(opts ...Option) *Server {
 				{Name: "lastSeen", Type: store.Time},
 			},
 			Key: []string{"id"},
-		}),
-		services: db.MustCreateTable(store.Schema{
+		}, ""),
+		services: ensure(store.Schema{
 			Name: "services",
 			Columns: []store.Column{
 				{Name: "name", Type: store.String},
@@ -168,35 +192,32 @@ func NewServer(opts ...Option) *Server {
 				{Name: "methods", Type: store.String}, // comma-joined
 			},
 			Key: []string{"name"},
-		}),
-		members: db.MustCreateTable(store.Schema{
+		}, "owner"),
+		members: ensure(store.Schema{
 			Name: "members",
 			Columns: []store.Column{
 				{Name: "group", Type: store.String},
 				{Name: "member", Type: store.String},
 			},
 			Key: []string{"group", "member"},
-		}),
-		proxies: db.MustCreateTable(store.Schema{
+		}, "group"),
+		proxies: ensure(store.Schema{
 			Name: "proxies",
 			Columns: []store.Column{
 				{Name: "id", Type: store.String},
 				{Name: "addr", Type: store.String},
 			},
 			Key: []string{"id"},
-		}),
-		leases: db.MustCreateTable(leaseSchema),
+		}, ""),
+		leases: ensure(leaseSchema, ""),
 	}
-	if err := s.members.CreateIndex("group"); err != nil {
-		panic(err)
-	}
-	if err := s.services.CreateIndex("owner"); err != nil {
-		panic(err)
+	if err != nil {
+		return nil, fmt.Errorf("directory: %w", err)
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	return s
+	return s, nil
 }
 
 // --- server-side operations ------------------------------------------------
@@ -447,45 +468,6 @@ func (s *Server) registerProxy(id, addr string) error {
 		s.mu.Unlock()
 	}
 	return err
-}
-
-// Snapshot persists the directory's full state (users, services,
-// groups, proxies) so a restarted name server can resume with its
-// registrations intact — without it every device would have to
-// re-register after a directory restart.
-func (s *Server) Snapshot(w io.Writer) error {
-	return s.db.Snapshot(w)
-}
-
-// RestoreServer builds a directory server from a Snapshot.
-func RestoreServer(r io.Reader, opts ...Option) (*Server, error) {
-	db := store.NewDB()
-	if err := db.Restore(r); err != nil {
-		return nil, err
-	}
-	s := &Server{clock: clock.System, ttl: DefaultHeartbeatTTL, db: db}
-	var err error
-	if s.users, err = db.Table("users"); err != nil {
-		return nil, err
-	}
-	if s.services, err = db.Table("services"); err != nil {
-		return nil, err
-	}
-	if s.members, err = db.Table("members"); err != nil {
-		return nil, err
-	}
-	if s.proxies, err = db.Table("proxies"); err != nil {
-		return nil, err
-	}
-	// Snapshots written before replication existed have no leases
-	// table — create it rather than refusing the restore.
-	if s.leases, err = db.Table("leases"); err != nil {
-		s.leases = db.MustCreateTable(leaseSchema)
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s, nil
 }
 
 // --- transport handler -----------------------------------------------------

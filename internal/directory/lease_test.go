@@ -1,12 +1,10 @@
 package directory
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -145,54 +143,5 @@ func TestRepointRebindsUserAndServices(t *testing.T) {
 
 	if err := c.Repoint(ctx, "ghost", "nowhere"); wire.CodeOf(err) != wire.CodeNoService {
 		t.Fatalf("repoint unknown user err = %v", err)
-	}
-}
-
-// TestLeaseSurvivesSnapshotRestore covers both directions: leases are
-// in the snapshot, and a pre-replication snapshot (no leases table)
-// still restores.
-func TestLeaseSurvivesSnapshotRestore(t *testing.T) {
-	c, clk, _ := newDirectory(t)
-	ctx := ctxT(t)
-	if _, err := c.RenewLease(ctx, "phil", "node-1", 30*time.Second, []string{"r1"}); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := lastServer.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreServer(&buf, WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.getLease("phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Holder != "node-1" || !reflect.DeepEqual(got.Replicas, []string{"r1"}) {
-		t.Fatalf("restored lease = %+v", got)
-	}
-
-	// A snapshot from a server that predates replication: a DB holding
-	// the four original tables but no leases table.
-	old := store.NewDB()
-	for _, name := range []string{"users", "services", "members", "proxies"} {
-		old.MustCreateTable(store.Schema{
-			Name:    name,
-			Columns: []store.Column{{Name: "id", Type: store.String}},
-			Key:     []string{"id"},
-		})
-	}
-	buf.Reset()
-	if err := old.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err = RestoreServer(&buf, WithClock(clk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.renewLease("zoe", "n", time.Second, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -410,95 +409,6 @@ func TestShardedProxyBroadcastAndAssignment(t *testing.T) {
 		if info.Proxy != "proxy-1" {
 			t.Fatalf("user %s proxy = %q", u, info.Proxy)
 		}
-	}
-}
-
-func TestShardedSnapshotRestorePerShard(t *testing.T) {
-	d := newShardedDirectory(t, 4)
-	ctx := ctxT(t)
-	if err := d.client.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
-	var members []string
-	for i := 0; i < 16; i++ {
-		u := fmt.Sprintf("u%02d", i)
-		if err := d.client.RegisterUser(ctx, u, "node-"+u, i); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.client.RegisterService(ctx, "cal."+u, u, "node-"+u, []string{"A", "B"}); err != nil {
-			t.Fatal(err)
-		}
-		members = append(members, u)
-	}
-	if err := d.client.CreateGroup(ctx, "team", members); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.client.SetOffline(ctx, "u03", true); err != nil {
-		t.Fatal(err)
-	}
-
-	// Each shard snapshots independently; a new deployment restores
-	// shard-for-shard and serves the same bindings.
-	net2 := sim.New(sim.Config{})
-	shards2 := make([]controlplane.Shard, len(d.servers))
-	restored := make([]*Server, len(d.servers))
-	total := 0
-	for i, srv := range d.servers {
-		var buf bytes.Buffer
-		if err := srv.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		srv2, err := RestoreServer(&buf, WithClock(d.fake), WithTTL(10*time.Second), WithShard(srv.ShardID()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net2.Listen(fmt.Sprintf("dir%d", i), srv2.Handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards2[i] = controlplane.Shard{ID: srv.ShardID(), Addr: ln.Addr()}
-		restored[i] = srv2
-		total += len(srv2.users.Select(nil))
-	}
-	if total != 16 {
-		t.Fatalf("restored shards hold %d users, want 16", total)
-	}
-	ctl2 := controlplane.NewController(shards2)
-	for _, srv := range restored {
-		ctl2.Subscribe(srv.SetTable)
-	}
-	if _, err := net2.Listen("cp", ctl2.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewShardedClient(net2, "cp")
-
-	// Proxy bindings, offline flags, and priorities survived.
-	for i := 0; i < 16; i++ {
-		u := fmt.Sprintf("u%02d", i)
-		info, err := c2.LookupUser(ctx, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Proxy != "proxy-1" || info.Priority != i {
-			t.Fatalf("restored %s = %+v", u, info)
-		}
-		if u == "u03" && info.Online {
-			t.Fatal("offline flag lost in restore")
-		}
-		svc, err := c2.LookupService(ctx, "cal."+u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(svc.Methods) != 2 || svc.Addr != "node-"+u {
-			t.Fatalf("restored service cal.%s = %+v", u, svc)
-		}
-	}
-	got, err := c2.GroupMembers(ctx, "team")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 16 {
-		t.Fatalf("restored group has %d members", len(got))
 	}
 }
 

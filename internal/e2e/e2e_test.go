@@ -5,6 +5,7 @@ package e2e_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"os"
@@ -13,6 +14,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/directory"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // buildBinaries compiles the three deployment binaries once per test
@@ -110,9 +115,8 @@ func TestBinariesEndToEnd(t *testing.T) {
 	nodeBin := filepath.Join(bins, "sydnode")
 	calBin := filepath.Join(bins, "sydcal")
 
-	statePath := filepath.Join(t.TempDir(), "dir-state.json")
 	dirAddr := freePort(t)
-	start(t, dirBin, "-addr", dirAddr, "-state", statePath)
+	start(t, dirBin, "-addr", dirAddr, "-data-dir", filepath.Join(t.TempDir(), "dir"))
 	waitTCP(t, dirAddr)
 
 	philAddr := freePort(t)
@@ -199,6 +203,41 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 }
 
+// sigkill ends a process the way a crash does: no handler runs, so
+// nothing is saved that was not already on disk.
+func sigkill(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = cmd.Process.Wait()
+}
+
+// waitUsers polls `sydcal users` until its output contains every want.
+func waitUsers(t *testing.T, calBin string, dirFlag []string, want ...string) string {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		out := run(t, calBin, append(dirFlag, "users")...)
+		missing := ""
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				missing = w
+			}
+		}
+		if missing == "" {
+			return out
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("users never listed %q:\n%s", missing, out)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// TestNodeStatePersistsAcrossRestart: a meeting booked on a -data-dir
+// node survives SIGKILL — the slot stays taken, the meeting is listed,
+// and its links still work (cancelling it frees the other attendee).
 func TestNodeStatePersistsAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
@@ -211,105 +250,168 @@ func TestNodeStatePersistsAcrossRestart(t *testing.T) {
 	dirAddr := freePort(t)
 	start(t, dirBin, "-addr", dirAddr, "-ttl", "1h")
 	waitTCP(t, dirAddr)
+	dirFlag := []string{"-dir", dirAddr}
+	cal := func(args ...string) string { return run(t, calBin, append(dirFlag, args...)...) }
 
-	nodeState := filepath.Join(t.TempDir(), "phil-state.json")
-	nodeAddr := freePort(t)
-	first := start(t, nodeBin, "-user", "phil", "-dir", dirAddr, "-addr", nodeAddr, "-state", nodeState)
-	waitTCP(t, nodeAddr)
+	dataDir := filepath.Join(t.TempDir(), "phil")
+	philAddr, andyAddr := freePort(t), freePort(t)
+	first := start(t, nodeBin, "-user", "phil", "-dir", dirAddr, "-addr", philAddr, "-data-dir", dataDir)
+	start(t, nodeBin, "-user", "andy", "-dir", dirAddr, "-addr", andyAddr)
+	waitUsers(t, calBin, dirFlag, philAddr, andyAddr)
 
-	// Wait for registration, then no way to mutate slots via the CLI
-	// yet — instead verify an empty then non-empty free count across
-	// restart via the snapshot: stop the node (writes empty state),
-	// check the state file exists, and confirm the second life serves.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		out := run(t, calBin, "-dir", dirAddr, "users")
-		if strings.Contains(out, "phil") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("node never registered")
-		}
-		time.Sleep(100 * time.Millisecond)
+	out := cal("schedule", "-user", "phil", "-title", "standup",
+		"-from", "2003-04-21", "-to", "2003-04-21", "-must", "andy")
+	if !strings.Contains(out, "confirmed") {
+		t.Fatalf("schedule:\n%s", out)
 	}
-	if err := first.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Process.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(nodeState); err != nil {
-		t.Fatalf("node state not written: %v", err)
-	}
+	meetingID := strings.Fields(out)[1]
+	sigkill(t, first)
 
-	// Second life: restores without error and serves free slots.
-	nodeAddr2 := freePort(t)
-	start(t, nodeBin, "-user", "phil", "-dir", dirAddr, "-addr", nodeAddr2, "-state", nodeState)
-	waitTCP(t, nodeAddr2)
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		out := run(t, calBin, "-dir", dirAddr, "users")
-		if strings.Contains(out, nodeAddr2) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restarted node never re-registered")
-		}
-		time.Sleep(100 * time.Millisecond)
+	// Second life, at a fresh port, over the same data dir.
+	philAddr2 := freePort(t)
+	start(t, nodeBin, "-user", "phil", "-dir", dirAddr, "-addr", philAddr2, "-data-dir", dataDir)
+	waitUsers(t, calBin, dirFlag, philAddr2)
+	out = cal("meetings", "-user", "phil")
+	if !strings.Contains(out, meetingID) || !strings.Contains(out, "confirmed") {
+		t.Fatalf("booked meeting lost across SIGKILL:\n%s", out)
 	}
-	out := run(t, calBin, "-dir", dirAddr, "free", "-user", "phil", "-from", "2003-04-21", "-to", "2003-04-21")
-	if !strings.Contains(out, "2003-04-21") {
-		t.Fatalf("restored node does not serve:\n%s", out)
+	out = cal("free", "-user", "phil", "-from", "2003-04-21", "-to", "2003-04-21")
+	if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != 8 {
+		t.Fatalf("phil free slots after restart = %d lines, want 8:\n%s", lines, out)
+	}
+	out = cal("cancel", "-user", "phil", "-as", "phil", "-id", meetingID)
+	if !strings.Contains(out, "cancelled") {
+		t.Fatalf("cancel after restart:\n%s", out)
+	}
+	out = cal("free", "-user", "andy", "-from", "2003-04-21", "-to", "2003-04-21")
+	if lines := strings.Count(strings.TrimSpace(out), "\n") + 1; lines != 9 {
+		t.Fatalf("andy free slots after cancel = %d lines, want 9:\n%s", lines, out)
 	}
 }
 
+// TestDirectoryStatePersistsAcrossRestart: a directory killed with
+// SIGKILL and restarted on the same -data-dir still has every user,
+// service, group, proxy binding and lease it acknowledged, and a lease
+// granted before the kill still fences a rival after it.
 func TestDirectoryStatePersistsAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and spawns real processes")
 	}
 	bins := buildBinaries(t)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			testDirectoryRestart(t, bins, shards)
+		})
+	}
+}
+
+func testDirectoryRestart(t *testing.T, bins string, shards int) {
 	dirBin := filepath.Join(bins, "syddirectory")
-	calBin := filepath.Join(bins, "sydcal")
-
-	statePath := filepath.Join(t.TempDir(), "dir-state.json")
-	dirAddr := freePort(t)
-
-	// First life: register a node, then stop the directory gracefully.
-	first := start(t, dirBin, "-addr", dirAddr, "-state", statePath, "-ttl", "1h")
-	waitTCP(t, dirAddr)
 	nodeBin := filepath.Join(bins, "sydnode")
-	nodeAddr := freePort(t)
-	start(t, nodeBin, "-user", "phil", "-dir", dirAddr, "-addr", nodeAddr)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		out := run(t, calBin, "-dir", dirAddr, "users")
-		if strings.Contains(out, "phil") {
-			break
+	calBin := filepath.Join(bins, "sydcal")
+	dataDir := filepath.Join(t.TempDir(), "dir")
+	tcp := transport.NewTCP()
+	t.Cleanup(func() { _ = tcp.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+
+	// boot starts one life of the directory at fresh ports.
+	boot := func() (*exec.Cmd, []string, *directory.Client) {
+		addr := freePort(t)
+		args := []string{"-addr", addr, "-data-dir", dataDir, "-ttl", "1h"}
+		if shards == 1 {
+			cmd := start(t, dirBin, args...)
+			waitTCP(t, addr)
+			return cmd, []string{"-dir", addr}, directory.NewClient(tcp, addr)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node never registered:\n%s", out)
+		shardAddrs := make([]string, shards)
+		for i := range shardAddrs {
+			shardAddrs[i] = freePort(t)
 		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if err := first.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Process.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(statePath); err != nil {
-		t.Fatalf("state file not written: %v", err)
+		cmd := start(t, dirBin, append(args, "-shards", fmt.Sprint(shards),
+			"-shard-addrs", strings.Join(shardAddrs, ","))...)
+		for _, a := range append(shardAddrs, addr) {
+			waitTCP(t, a)
+		}
+		return cmd, []string{"-control-plane", addr}, directory.NewShardedClient(tcp, addr)
 	}
 
-	// Second life at a fresh port: the registry is still there.
-	dirAddr2 := freePort(t)
-	start(t, dirBin, "-addr", dirAddr2, "-state", statePath, "-ttl", "1h")
-	waitTCP(t, dirAddr2)
-	out := run(t, calBin, "-dir", dirAddr2, "users")
-	if !strings.Contains(out, "phil") {
-		t.Fatalf("registry lost across restart:\n%s", out)
+	// First life: a real node registers itself and its services; the
+	// rest of the registry is written through a directory client.
+	first, dirFlag, c := boot()
+	nodeAddr := freePort(t)
+	node := start(t, nodeBin, append([]string{"-user", "phil", "-addr", nodeAddr}, dirFlag...)...)
+	waitUsers(t, calBin, dirFlag, nodeAddr)
+	if err := c.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
+		t.Fatal(err)
 	}
-	fmt.Println("restart output:", strings.TrimSpace(out))
+	users := []string{"phil"}
+	for i := 0; i < 8; i++ {
+		u := fmt.Sprintf("u%02d", i)
+		users = append(users, u)
+		if err := c.RegisterUser(ctx, u, "node-"+u, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RegisterService(ctx, "cal."+u, u, "node-"+u, []string{"A", "B"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RenewLease(ctx, u, "holder-"+u, time.Hour, []string{"replica-" + u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateGroup(ctx, "team", users); err != nil {
+		t.Fatal(err)
+	}
+	philServices, err := c.ServicesOf(ctx, "phil")
+	if err != nil || len(philServices) < 3 {
+		t.Fatalf("phil's services before the kill = %v, %v", philServices, err)
+	}
+	// The node dies first so that its heartbeats cannot re-register
+	// anything with the second life: what that life lists, it recovered.
+	sigkill(t, node)
+	sigkill(t, first)
+
+	_, dirFlag2, c2 := boot()
+	out := run(t, calBin, append(dirFlag2, "users")...)
+	for _, u := range users {
+		if !strings.Contains(out, u+" ") {
+			t.Fatalf("user %s lost across SIGKILL:\n%s", u, out)
+		}
+	}
+	if !strings.Contains(out, nodeAddr) {
+		t.Fatalf("phil's address lost across SIGKILL:\n%s", out)
+	}
+	got, err := c2.ServicesOf(ctx, "phil")
+	if err != nil || strings.Join(got, ",") != strings.Join(philServices, ",") {
+		t.Fatalf("phil's services after restart = %v, %v; before: %v", got, err, philServices)
+	}
+	for _, u := range users[1:] {
+		info, err := c2.LookupUser(ctx, u)
+		if err != nil || info.Proxy != "proxy-1" || info.Addr != "node-"+u {
+			t.Fatalf("user %s after restart = %+v, %v", u, info, err)
+		}
+		svc, err := c2.LookupService(ctx, "cal."+u)
+		if err != nil || svc.Addr != "node-"+u || len(svc.Methods) != 2 {
+			t.Fatalf("service cal.%s after restart = %+v, %v", u, svc, err)
+		}
+		if _, err := c2.RenewLease(ctx, u, "rival", time.Hour, nil); wire.CodeOf(err) != wire.CodeConflict {
+			t.Fatalf("rival took %s's lease after the directory restart: err = %v", u, err)
+		}
+		if _, err := c2.RenewLease(ctx, u, "holder-"+u, time.Hour, nil); err != nil {
+			t.Fatalf("holder of %s's lease cannot renew after restart: %v", u, err)
+		}
+		if lease, err := c2.GetLease(ctx, u); err != nil || len(lease.Replicas) != 1 || lease.Replicas[0] != "replica-"+u {
+			t.Fatalf("lease on %s after restart = %+v, %v", u, lease, err)
+		}
+	}
+	leases, err := c2.ListLeases(ctx)
+	if err != nil || len(leases) != len(users)-1 {
+		t.Fatalf("leases after restart = %+v, %v", leases, err)
+	}
+	members, err := c2.GroupMembers(ctx, "team")
+	if err != nil || len(members) != len(users) {
+		t.Fatalf("group after restart = %v, %v", members, err)
+	}
 }
 
 // TestShardedDirectoryEndToEnd drives the full meeting lifecycle over
@@ -327,9 +429,8 @@ func TestShardedDirectoryEndToEnd(t *testing.T) {
 
 	cpAddr := freePort(t)
 	shardAddrs := []string{freePort(t), freePort(t), freePort(t), freePort(t)}
-	statePath := filepath.Join(t.TempDir(), "dir-state.json")
 	start(t, dirBin, "-addr", cpAddr, "-shards", "4",
-		"-shard-addrs", strings.Join(shardAddrs, ","), "-state", statePath)
+		"-shard-addrs", strings.Join(shardAddrs, ","), "-data-dir", filepath.Join(t.TempDir(), "dir"))
 	waitTCP(t, cpAddr)
 	for _, a := range shardAddrs {
 		waitTCP(t, a)

@@ -187,7 +187,8 @@ func (w *World) AddUser(user string, priority int) error {
 		User: user, Net: w.Net, DirAddr: "dir", ControlPlaneAddr: w.CPAddr,
 		Clock: w.Clk, Priority: priority,
 		RouteCacheTTL: 2 * time.Second,
-	}, core.WithMetrics(metrics.Default()))
+		Metrics:       metrics.Default(),
+	})
 	if err != nil {
 		return err
 	}

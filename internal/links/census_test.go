@@ -49,7 +49,10 @@ func newCensusHarness(t *testing.T, users ...string) (*harness, *rpcCensus, *tra
 	census := &rpcCensus{n: make(map[string]int)}
 	h := newHarness(t)
 	for _, u := range users {
-		h.addNode(u, core.WithTracer(col.Tracer(u, trace.WithSampleRate(1))), core.WithMiddleware(census.middleware))
+		h.addNode(u, func(c *core.Config) {
+			c.Tracer = col.Tracer(u, trace.WithSampleRate(1))
+			c.Middleware = []listener.Middleware{census.middleware}
+		})
 	}
 	return h, census, col
 }

@@ -124,16 +124,20 @@ func newShardedHarness(t *testing.T, users ...string) (*harness, *controlplane.C
 	return h, ctl
 }
 
-func (h *harness) addNode(user string, opts ...core.Option) *tnode {
+func (h *harness) addNode(user string, with ...func(*core.Config)) *tnode {
 	h.t.Helper()
 	ctx := context.Background()
-	n, err := core.Start(ctx, core.Config{
+	cfg := core.Config{
 		User:             user,
 		Net:              h.net,
 		DirAddr:          "dir",
 		ControlPlaneAddr: h.cpAddr,
 		Clock:            h.clk,
-	}, opts...)
+	}
+	for _, w := range with {
+		w(&cfg)
+	}
+	n, err := core.Start(ctx, cfg)
 	if err != nil {
 		h.t.Fatal(err)
 	}

@@ -36,16 +36,10 @@ const (
 // created when he/she installs a SyD application with link-enabled
 // features". Idempotent.
 func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, decided *store.Table, err error) {
-	get := func(name string, s store.Schema) (*store.Table, error) {
-		if t, err := db.Table(name); err == nil {
-			return t, nil
-		}
-		return db.CreateTable(s)
-	}
 	fail := func(err error) (*store.Table, *store.Table, *store.Table, *store.Table, *store.Table, *store.Table, error) {
 		return nil, nil, nil, nil, nil, nil, err
 	}
-	links, err = get(LinkTable, store.Schema{
+	links, err = db.EnsureTable(store.Schema{
 		Name: LinkTable,
 		Columns: []store.Column{
 			{Name: "id", Type: store.String},
@@ -71,7 +65,7 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err = links.CreateIndex("owner_entity"); err != nil {
 		return fail(err)
 	}
-	waiting, err = get(WaitingLinkTable, store.Schema{
+	waiting, err = db.EnsureTable(store.Schema{
 		Name: WaitingLinkTable,
 		Columns: []store.Column{
 			{Name: "id", Type: store.String}, // waiting link id
@@ -87,7 +81,7 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err = waiting.CreateIndex("waiting_on"); err != nil {
 		return fail(err)
 	}
-	methods, err = get(LinkMethodTable, store.Schema{
+	methods, err = db.EnsureTable(store.Schema{
 		Name: LinkMethodTable,
 		Columns: []store.Column{
 			{Name: "service", Type: store.String},     // local service
@@ -104,7 +98,7 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err = methods.CreateIndex("src_method"); err != nil {
 		return fail(err)
 	}
-	pending, err = get(PendingDeleteTable, store.Schema{
+	pending, err = db.EnsureTable(store.Schema{
 		Name: PendingDeleteTable,
 		Columns: []store.Column{
 			{Name: "id", Type: store.String},   // link id to delete
@@ -115,7 +109,7 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err != nil {
 		return fail(err)
 	}
-	journal, err = get(NegotiationJournal, store.Schema{
+	journal, err = db.EnsureTable(store.Schema{
 		Name: NegotiationJournal,
 		Columns: []store.Column{
 			{Name: "id", Type: store.String}, // negotiation id
@@ -132,7 +126,7 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err != nil {
 		return fail(err)
 	}
-	decided, err = get(NegotiationDecided, store.Schema{
+	decided, err = db.EnsureTable(store.Schema{
 		Name: NegotiationDecided,
 		Columns: []store.Column{
 			{Name: "token", Type: store.String}, // lock token the decision is keyed on

@@ -19,7 +19,7 @@ func newTracedHarness(t *testing.T, col *trace.Collector, rate float64, users ..
 	t.Helper()
 	h := newHarness(t)
 	for _, u := range users {
-		h.addNode(u, core.WithTracer(col.Tracer(u, trace.WithSampleRate(rate))))
+		h.addNode(u, func(c *core.Config) { c.Tracer = col.Tracer(u, trace.WithSampleRate(rate)) })
 	}
 	return h
 }

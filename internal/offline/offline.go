@@ -122,11 +122,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	pv, err := cfg.DB.Table(peerVersionsSchema.Name)
+	pv, err := cfg.DB.EnsureTable(peerVersionsSchema)
 	if err != nil {
-		if pv, err = cfg.DB.CreateTable(peerVersionsSchema); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	m := &Manager{
 		user:      cfg.User,

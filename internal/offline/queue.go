@@ -35,7 +35,7 @@ const (
 )
 
 // opsSchema is the durable op-queue table. It lives in the node's own
-// store DB, so with core.WithDurability every enqueue/ack is logged to
+// store DB, so with core.Config.DataDir every enqueue/ack is logged to
 // the WAL and the queue survives a crash mid-disconnect.
 var opsSchema = store.Schema{
 	Name: "SyD_OfflineOps",
@@ -93,11 +93,9 @@ func NewQueue(db *store.DB, user string, capacity int, policy Overflow, met *met
 	default:
 		return nil, fmt.Errorf("offline: unknown overflow policy %q", policy)
 	}
-	t, err := db.Table(opsSchema.Name)
+	t, err := db.EnsureTable(opsSchema)
 	if err != nil {
-		if t, err = db.CreateTable(opsSchema); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	q := &Queue{user: user, t: t, met: met, cap: capacity, policy: policy}
 	for _, r := range t.Select(nil) {

@@ -55,7 +55,8 @@ func (w *world) addUser(t *testing.T, user string) {
 	n, err := core.Start(ctx, core.Config{
 		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk,
 		OfflineMode: true, OfflineQueueCap: 128,
-	}, core.WithMetrics(w.met))
+		Metrics: w.met,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,11 +41,9 @@ type Versions struct {
 
 // NewVersions opens (or creates) the version table in db.
 func NewVersions(db *store.DB) (*Versions, error) {
-	t, err := db.Table(versionsSchema.Name)
+	t, err := db.EnsureTable(versionsSchema)
 	if err != nil {
-		if t, err = db.CreateTable(versionsSchema); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return &Versions{t: t}, nil
 }

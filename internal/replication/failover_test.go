@@ -73,16 +73,23 @@ func (fx *fixture) dirClient() *directory.Client {
 	return directory.NewShardedClient(fx.net, "cp")
 }
 
-// addNode boots a plain (or, with extra options, replicated) node and
-// registers the store-backed slot actions on it.
-func (fx *fixture) addNode(user string, opts ...core.Option) *core.Node {
+// addNode boots a plain node or, with a lease TTL, a durable replicated
+// primary advertising replicas, and registers the store-backed slot
+// actions on it.
+func (fx *fixture) addNode(user string, leaseTTL time.Duration, replicas ...string) *core.Node {
 	fx.t.Helper()
-	n, err := core.Start(context.Background(), core.Config{
+	cfg := core.Config{
 		User:             user,
 		Net:              fx.net,
 		ControlPlaneAddr: "cp",
 		Clock:            fx.clk,
-	}, opts...)
+	}
+	if leaseTTL > 0 {
+		cfg.DataDir = fx.t.TempDir()
+		cfg.LeaseTTL = leaseTTL
+		cfg.Replicas = replicas
+	}
+	n, err := core.Start(context.Background(), cfg)
 	if err != nil {
 		fx.t.Fatal(err)
 	}
@@ -219,17 +226,15 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	fx := newFixture(t)
 	ctx := context.Background()
 
-	a := fx.addNode("a")
-	b := fx.addNode("b")
-	y := fx.addNode("y")
+	a := fx.addNode("a", 0)
+	b := fx.addNode("b", 0)
+	y := fx.addNode("y", 0)
 	tun := links.Tuning{RetryBase: 100 * time.Millisecond, PresumeAbortAfter: 30 * time.Second}
 	for _, n := range []*core.Node{a, b, y} {
 		n.Links.SetTuning(tun)
 	}
 
-	x := fx.addNode("x",
-		core.WithDurability(t.TempDir(), 0, 0),
-		core.WithReplication(leaseTTL, "repl-x-1", "repl-x-2"))
+	x := fx.addNode("x", leaseTTL, "repl-x-1", "repl-x-2")
 	x.Links.SetTuning(tun)
 
 	promoted := make(chan *core.Node, 2)
@@ -382,11 +387,9 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 func TestFailoverSweeperPromotesBestFollower(t *testing.T) {
 	fx := newFixture(t)
 	ctx := context.Background()
-	y := fx.addNode("y")
+	y := fx.addNode("y", 0)
 
-	x := fx.addNode("x",
-		core.WithDurability(t.TempDir(), 0, 0),
-		core.WithReplication(leaseTTL, "repl-x-1", "repl-x-2"))
+	x := fx.addNode("x", leaseTTL, "repl-x-1", "repl-x-2")
 
 	promoted := make(chan *core.Node, 2)
 	f1 := fx.startFollower("repl-x-1", t.TempDir(), promoted)
@@ -455,9 +458,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	fx := newFixture(t)
 	ctx := context.Background()
 
-	x := fx.addNode("x",
-		core.WithDurability(t.TempDir(), 0, 0),
-		core.WithReplication(leaseTTL))
+	x := fx.addNode("x", leaseTTL)
 	if !x.Repl.LeaseValid() {
 		t.Fatal("fresh primary should hold a valid lease")
 	}

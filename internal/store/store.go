@@ -176,6 +176,21 @@ func (db *DB) createTable(s Schema, logit bool) (*Table, error) {
 	return t, nil
 }
 
+// EnsureTable returns the table named s.Name, creating (and logging)
+// it when the database does not have it yet. It is how every module
+// attaches to a database that may have been recovered from a
+// write-ahead log: a recovered table is reused as it stands, with its
+// rows and indexes, and no DDL is logged a second time.
+func (db *DB) EnsureTable(s Schema) (*Table, error) {
+	db.mu.RLock()
+	t, ok := db.tables[s.Name]
+	db.mu.RUnlock()
+	if ok {
+		return t, nil
+	}
+	return db.CreateTable(s)
+}
+
 // MustCreateTable is CreateTable panicking on error; for package init
 // of fixed schemas.
 func (db *DB) MustCreateTable(s Schema) *Table {

@@ -1,12 +1,9 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
-
-	"repro/internal/trace"
 )
 
 // Tx is a device-local multi-table transaction. The SyD linking module
@@ -248,24 +245,6 @@ func (tx *Tx) Commit() error {
 			err = ferr
 		}
 	}
-	return err
-}
-
-// CommitCtx is Commit under a trace: when ctx carries a span a
-// "store.commit" child covers validation, apply, and the durability
-// ack, annotated with the op count. Commit itself has no context
-// parameter, so callers on a traced path use this variant.
-func (tx *Tx) CommitCtx(ctx context.Context) error {
-	_, span := trace.Start(ctx, "store.commit")
-	if span == nil {
-		return tx.Commit()
-	}
-	tx.mu.Lock()
-	n := len(tx.ops)
-	tx.mu.Unlock()
-	span.Annotate(trace.Int("ops", n))
-	err := tx.Commit()
-	span.FinishErr(err)
 	return err
 }
 
