@@ -272,19 +272,39 @@ func (c *Calendar) ReleaseSlot(ctx context.Context, s Slot) error {
 
 // --- meeting records -----------------------------------------------------------
 
+// encodeMeeting renders a meeting record in its one encoding: what the
+// meetings table stores is also what travels, inside a Commit or a
+// MeetingUpdate, and a receiver stores the text it was sent. A Meeting
+// holds strings, ints and slices of them, which Marshal cannot refuse.
+func encodeMeeting(m *Meeting) string {
+	doc, _ := json.Marshal(m)
+	return string(doc)
+}
+
+// decodeMeeting is the one decode a received record gets.
+func decodeMeeting(doc string) (*Meeting, error) {
+	var m Meeting
+	if err := json.Unmarshal([]byte(doc), &m); err != nil || m.ID == "" {
+		return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad meeting"}
+	}
+	return &m, nil
+}
+
 // putMeeting upserts a meeting record.
 func (c *Calendar) putMeeting(m *Meeting) error {
-	doc, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	if _, ok := c.meetings.Get(m.ID); ok {
-		err = c.meetings.Update(store.Row{"doc": string(doc)}, m.ID)
+	return c.storeMeeting(m.ID, encodeMeeting(m))
+}
+
+// storeMeeting upserts an encoded meeting record.
+func (c *Calendar) storeMeeting(id, doc string) error {
+	var err error
+	if c.meetings.Has(id) {
+		err = c.meetings.Update(store.Row{"doc": doc}, id)
 	} else {
-		err = c.meetings.Insert(store.Row{"id": m.ID, "doc": string(doc)})
+		err = c.meetings.Insert(store.Row{"id": id, "doc": doc})
 	}
 	if err == nil && c.syncVers != nil {
-		c.syncVers.Bump(meetingEntity(m.ID))
+		c.syncVers.Bump(meetingEntity(id))
 	}
 	return err
 }
@@ -344,6 +364,15 @@ func (c *Calendar) registerActions() {
 			if err != nil {
 				return err
 			}
+			// A Commit carries the meeting record as decided (reserve);
+			// a bad one must leave slot, link and record all untouched.
+			var decided *Meeting
+			doc := args.String("doc")
+			if doc != "" {
+				if decided, err = decodeMeeting(doc); err != nil {
+					return err
+				}
+			}
 			meeting := args.String("meeting")
 			prio := args.Int("priority")
 			info := c.slotInfo(s)
@@ -357,7 +386,12 @@ func (c *Calendar) registerActions() {
 			if bumped != "" {
 				c.handleBumpedMeeting(bumped, s, meeting)
 			}
-			return nil
+			if decided == nil {
+				return nil
+			}
+			// After the bump handling, whose blocker lookup must not see
+			// this meeting's own back link yet.
+			return c.acceptDecided(decided, doc, args)
 		},
 	})
 	c.lm.RegisterAction(ActionRelease, links.Action{
@@ -396,8 +430,12 @@ func (c *Calendar) linkHook(kind string, l *links.Link, _ wire.Args) {
 			_ = c.setSlot(s, "", 0)
 			freed = true
 		}
-		if m, ok := c.Meeting(meetingID); ok && m.Status != StatusCancelled {
+		// The retraction of the meeting's link is the cancellation (§4.4):
+		// write the record the initiator writes, no message follows. A link
+		// the record has moved on from (ChangeMeetingSlot) cancels nothing.
+		if m, ok := c.Meeting(meetingID); ok && m.Status != StatusCancelled && (m.LinkID == "" || m.LinkID == l.ID) {
 			m.Status = StatusCancelled
+			m.Reserved = nil
 			_ = c.putMeeting(m)
 		}
 		if freed {
@@ -423,6 +461,34 @@ func (c *Calendar) linkHook(kind string, l *links.Link, _ wire.Args) {
 			_ = c.setSlot(s, meetingID, prio)
 		}
 	}
+}
+
+// acceptDecided finishes a reservation whose Commit carried the meeting
+// record: the permanent back link to the initiator goes in (a tentative
+// row queued here earlier is promoted instead) and the record is stored
+// as sent. It runs under the slot's entity lock; running it again (a
+// redriven Commit, a retried reserve) leaves one link row, one record.
+func (c *Calendar) acceptDecided(m *Meeting, doc string, args wire.Args) error {
+	if m.Initiator == c.user {
+		// TryConfirm re-reserving the initiator's own bumped slot: its
+		// forward link turns permanent again, the caller stores the record.
+		_ = c.lm.PromoteLink(m.LinkID)
+		return nil
+	}
+	back := backLink(m, c.user)
+	if _, ok := args["expires"]; ok {
+		if err := args.Decode("expires", &back.Expires); err != nil {
+			return &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "calendar: bad link expiry in reserve"}
+		}
+	}
+	err := c.lm.AddLink(&back)
+	if wire.CodeOf(err) == wire.CodeConflict {
+		err = c.lm.PromoteLink(m.LinkID)
+	}
+	if err != nil {
+		return err
+	}
+	return c.storeMeeting(m.ID, doc)
 }
 
 // handleBumpedMeeting runs on the device whose slot was just taken by

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/links"
+	"repro/internal/listener"
 	"repro/internal/notify"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -28,11 +29,19 @@ type world struct {
 	mail  *notify.Mailbox
 	cals  map[string]*calendar.Calendar
 	nodes map[string]*core.Node
+	// mw, when set before addUser, wraps every handler of the user's node.
+	mw []listener.Middleware
 }
 
 func newWorld(t *testing.T, users ...string) *world {
 	t.Helper()
-	net := sim.New(sim.Config{})
+	return newWorldOn(t, sim.Config{}, users...)
+}
+
+// newWorldOn is newWorld over a sim network of the given configuration.
+func newWorldOn(t *testing.T, cfg sim.Config, users ...string) *world {
+	t.Helper()
+	net := sim.New(cfg)
 	clk := clock.NewFake(time.Date(2003, 4, 21, 8, 0, 0, 0, time.UTC))
 	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
 	if _, err := net.Listen("dir", srv.Handler()); err != nil {
@@ -53,7 +62,7 @@ func (w *world) addUser(user string, priority int) *calendar.Calendar {
 	w.t.Helper()
 	ctx := context.Background()
 	n, err := core.Start(ctx, core.Config{
-		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk, Priority: priority,
+		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk, Priority: priority, Middleware: w.mw,
 	})
 	if err != nil {
 		w.t.Fatal(err)

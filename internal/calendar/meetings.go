@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/links"
@@ -191,65 +192,63 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 
 	// Reserve musts and supervisors: try them all, keep whoever can
 	// be reserved (failures make the meeting tentative, §5).
-	others := append(append([]string{}, m.Must...), m.Supervisors...)
-	if len(others) > 0 {
-		res, nerr := c.lm.Negotiate(ctx, links.Spec{
-			Action: ActionReserve, Args: args,
-			Targets:    slotRefs(others, m.Slot),
-			Constraint: links.Or, K: 1,
-		})
-		// An in-doubt outcome is not a rejection: the targets in
-		// res.Accepted did commit their reservations (only stragglers
-		// are still being re-driven), so they count as reserved either
-		// way.
-		if nerr == nil || links.IsInDoubt(nerr) {
-			for _, ref := range res.Accepted {
-				m.Reserved = append(m.Reserved, ref.User)
-			}
-		}
-		for _, u := range others {
-			if !m.isReserved(u) {
-				m.Missing = append(m.Missing, u)
-			}
-		}
+	sent := map[string]string{}
+	m.Missing = append(append([]string(nil), m.Must...), m.Supervisors...)
+	if len(m.Missing) > 0 {
+		m = c.reserve(ctx, m, links.Spec{
+			Args: args, Targets: slotRefs(m.Missing, m.Slot), Constraint: links.Or, K: 1,
+		}, req.Expires, sent)
 	}
 
 	// Reserve each or-group under its quorum; a group that cannot
 	// meet its quorum reserves nobody (atomic k-of-n, §4.3).
 	for _, g := range m.OrGroups {
-		members := excludeReserved(g.Members, m)
-		if len(members) == 0 {
-			continue
-		}
-		res, gerr := c.lm.Negotiate(ctx, links.Spec{
-			Action: ActionReserve, Args: args,
-			Targets:    slotRefs(members, m.Slot),
-			Constraint: links.Or, K: g.K,
-		})
-		if gerr == nil || links.IsInDoubt(gerr) {
-			for _, ref := range res.Accepted {
-				m.Reserved = append(m.Reserved, ref.User)
-			}
+		if members := excludeReserved(g.Members, m); len(members) > 0 {
+			m = c.reserve(ctx, m, links.Spec{
+				Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: g.K,
+			}, req.Expires, sent)
 		}
 	}
-
-	if m.satisfied() {
-		m.Status = StatusConfirmed
-	} else {
-		m.Status = StatusTentative
-	}
+	m.Status = m.standing()
 
 	if err := c.installMeetingLinks(ctx, m, req); err != nil {
 		return nil, err
 	}
-	if err := c.putMeeting(m); err != nil {
+	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
 		return nil, err
 	}
-	c.pushMeetingUpdate(ctx, m)
 	c.notifyParticipants(ctx, m,
 		fmt.Sprintf("Meeting %s (%s) %s", m.ID, m.Title, m.Status),
 		fmt.Sprintf("%s at %s, initiated by %s.", m.Title, m.Slot, m.Initiator))
 	return m, nil
+}
+
+// reserve negotiates m's slot with spec's targets and returns the record
+// as it stands afterwards. Every Commit carries the record as decided
+// (the marked targets reserved too) and the link expiry; the participant's
+// ActionReserve Apply installs its back link and stores that record, so
+// Mark and Commit are all a reserved participant is sent. sent notes the
+// record each acknowledged Commit carried. An in-doubt outcome is not a
+// rejection: the accepted targets did commit (only stragglers are still
+// being re-driven), so they count as reserved either way.
+func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) *Meeting {
+	var doc string
+	spec.Action = ActionReserve
+	spec.Decide = func(marked []links.EntityRef) wire.Args {
+		doc = encodeMeeting(m.holding(marked))
+		if expires.IsZero() {
+			return wire.Args{"doc": doc}
+		}
+		return wire.Args{"doc": doc, "expires": expires}
+	}
+	res, err := c.lm.Negotiate(ctx, spec)
+	if err != nil && !links.IsInDoubt(err) {
+		return m
+	}
+	for _, ref := range res.Accepted {
+		sent[ref.User] = doc
+	}
+	return m.holding(res.Accepted)
 }
 
 // slotRefs maps users to their slot entity refs.
@@ -273,63 +272,50 @@ func excludeReserved(users []string, m *Meeting) []string {
 	return out
 }
 
-// installMeetingLinks installs the link topology of §5:
-//
-//   - a forward negotiation-and link at the initiator over every
-//     reserved participant's slot;
-//   - negotiation back links at reserved musts / or-members;
-//   - subscription back links at supervisors;
-//   - tentative back links (waiting on whatever blocks the slot) at
-//     unreserved participants.
-func (c *Calendar) installMeetingLinks(ctx context.Context, m *Meeting, req Request) error {
-	aRef := links.EntityRef{User: m.Initiator, Entity: m.Slot.Entity()}
-	common := links.Link{
-		ID:       m.LinkID,
-		Group:    m.ID,
-		Priority: m.Priority,
-		Expires:  req.Expires,
+// backLink is the permanent back link of a reserved participant: a
+// negotiation link for a must or or-member, a subscription link for a
+// supervisor (§5).
+func backLink(m *Meeting, user string) links.Link {
+	l := links.Link{
+		ID: m.LinkID, Group: m.ID, Priority: m.Priority, Subtype: links.Permanent,
+		Owner:   links.EntityRef{User: user, Entity: m.Slot.Entity()},
+		Targets: []links.EntityRef{{User: m.Initiator, Entity: m.Slot.Entity()}},
+		Type:    links.Negotiation, Constraint: links.And, Triggers: backLinkTriggers(m.ID, user),
 	}
+	if containsString(m.Supervisors, user) {
+		l.Type, l.Constraint, l.Triggers = links.Subscription, "", supervisorTriggers(m.ID, user)
+	}
+	return l
+}
 
-	// Forward link at the initiator. It targets *every* participant
-	// (reserved or still missing) so the §4.4 cancel cascade reaches
-	// users who joined after setup (a tentative participant who
-	// confirmed later) and clears queued tentative links.
-	fwd := common
-	fwd.Type = links.Negotiation
-	fwd.Subtype = links.Permanent
-	fwd.Constraint = links.And
-	fwd.Owner = aRef
+// installMeetingLinks installs what of the §5 link topology the
+// negotiation did not: the forward negotiation-and link at the
+// initiator, and tentative back links (waiting on whatever blocks the
+// slot) at unreserved participants. A reserved participant installed its
+// own back link when its Commit applied (acceptDecided).
+func (c *Calendar) installMeetingLinks(ctx context.Context, m *Meeting, req Request) error {
+	// The forward link targets *every* participant (reserved or still
+	// missing) so the §4.4 cancel cascade reaches users who joined after
+	// setup (a tentative participant who confirmed later) and clears
+	// queued tentative links.
+	fwd := links.Link{
+		ID:         m.LinkID,
+		Group:      m.ID,
+		Priority:   m.Priority,
+		Expires:    req.Expires,
+		Type:       links.Negotiation,
+		Subtype:    links.Permanent,
+		Constraint: links.And,
+		Owner:      links.EntityRef{User: m.Initiator, Entity: m.Slot.Entity()},
+		Triggers:   []links.Trigger{{Event: "change", Action: ActionReserve, Args: reserveArgs(m, false)}},
+	}
 	for _, u := range m.Participants() {
 		if u != m.Initiator {
 			fwd.Targets = append(fwd.Targets, links.EntityRef{User: u, Entity: m.Slot.Entity()})
 		}
 	}
-	fwd.Triggers = []links.Trigger{{Event: "change", Action: ActionReserve, Args: reserveArgs(m, false)}}
 	if err := c.lm.AddLink(&fwd); err != nil {
 		return err
-	}
-
-	// Back links at reserved participants.
-	for _, u := range m.Reserved {
-		if u == m.Initiator {
-			continue
-		}
-		back := common
-		back.Owner = links.EntityRef{User: u, Entity: m.Slot.Entity()}
-		back.Targets = []links.EntityRef{aRef}
-		if containsString(m.Supervisors, u) {
-			back.Type = links.Subscription
-			back.Subtype = links.Permanent
-			back.Triggers = supervisorTriggers(m.ID, u)
-		} else {
-			back.Type = links.Negotiation
-			back.Subtype = links.Permanent
-			back.Constraint = links.And
-			back.Triggers = backLinkTriggers(m.ID, u)
-		}
-		if err := c.lm.InstallAt(ctx, u, &back); err != nil {
-			return fmt.Errorf("calendar: back link at %s: %w", u, err)
-		}
 	}
 
 	// Tentative back links at everyone not reserved.
@@ -341,8 +327,10 @@ func (c *Calendar) installMeetingLinks(ctx context.Context, m *Meeting, req Requ
 			// A disconnected participant cannot host the tentative link
 			// yet. The meeting stays tentative with them missing; their
 			// reconnect sync pulls the meeting record, and a later
-			// TryConfirm renegotiates for real.
-			if code := wire.CodeOf(err); code == wire.CodeUnavailable || code == wire.CodeNoService {
+			// TryConfirm renegotiates for real. One that holds the link
+			// already (its Commit applied, only the ack was lost) keeps it.
+			switch wire.CodeOf(err) {
+			case wire.CodeUnavailable, wire.CodeNoService, wire.CodeConflict:
 				continue
 			}
 			return fmt.Errorf("calendar: tentative link at %s: %w", u, err)
@@ -392,34 +380,43 @@ func (c *Calendar) findBlockingLink(ctx context.Context, user, entity, excludeGr
 	return ""
 }
 
-// pushMeetingUpdate best-effort distributes the meeting record to all
-// participants so each device can display it.
-func (c *Calendar) pushMeetingUpdate(ctx context.Context, m *Meeting) {
-	doc := meetingDoc(m)
+// publish stores the meeting record and best-effort sends it, in the
+// same encoding, to every participant but those has(user, doc) reports
+// as holding it already (nil: nobody does).
+func (c *Calendar) publish(ctx context.Context, m *Meeting, has func(user, doc string) bool) error {
+	doc := encodeMeeting(m)
+	if err := c.storeMeeting(m.ID, doc); err != nil {
+		return err
+	}
 	for _, u := range m.Participants() {
-		if u == c.user {
-			continue
+		if u != c.user && (has == nil || !has(u, doc)) {
+			_ = c.eng.Invoke(ctx, ServiceFor(u), "MeetingUpdate", wire.Args{"doc": doc}, nil)
 		}
-		_ = c.eng.Invoke(ctx, ServiceFor(u), "MeetingUpdate", wire.Args{"meeting": doc}, nil)
 	}
+	return nil
 }
 
-func meetingDoc(m *Meeting) map[string]any {
-	// Round-trip through JSON to get a plain map for wire.Args.
-	raw, _ := wireMarshalMeeting(m)
-	return raw
+// sentExactly is the publish filter after a negotiation: a participant
+// whose acknowledged Commit carried exactly the final record is skipped;
+// one whose commit-time record has gone stale since (a later or-group
+// changed Reserved, another participant's Commit was rejected) is not.
+func sentExactly(sent map[string]string) func(user, doc string) bool {
+	return func(user, doc string) bool { return sent[user] == doc }
 }
 
-func wireMarshalMeeting(m *Meeting) (map[string]any, error) {
-	b, err := wire.Marshal(m)
-	if err != nil {
-		return nil, err
+// reachedBy is the publish filter after the cancel cascade of linkID. A
+// participant the cascade reached wrote the cancelled record itself when
+// its link row went (linkHook); one it could not reach is tombstoned in
+// PendingDeletes and still gets the best-effort push, which a proxy
+// standing in for it can queue.
+func (c *Calendar) reachedBy(linkID string) func(user, doc string) bool {
+	var unreached []string
+	for _, pd := range c.lm.PendingDeletes() {
+		if pd[0] == linkID {
+			unreached = append(unreached, pd[1])
+		}
 	}
-	var out map[string]any
-	if err := wire.Unmarshal(b, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return func(user, _ string) bool { return !containsString(unreached, user) }
 }
 
 // CancelMeeting cancels a meeting this user administers (§4.4): the
@@ -450,10 +447,9 @@ func (c *Calendar) cancelMeetingAs(ctx context.Context, m *Meeting, byUser strin
 	}
 	m.Status = StatusCancelled
 	m.Reserved = nil
-	if err := c.putMeeting(m); err != nil {
+	if err := c.publish(ctx, m, c.reachedBy(m.LinkID)); err != nil {
 		return err
 	}
-	c.pushMeetingUpdate(ctx, m)
 	c.notifyParticipants(ctx, m,
 		fmt.Sprintf("Meeting %s (%s) cancelled", m.ID, m.Title),
 		fmt.Sprintf("%s at %s was cancelled by %s.", m.Title, m.Slot, byUser))
@@ -477,80 +473,44 @@ func (c *Calendar) TryConfirm(ctx context.Context, meetingID string) (*Meeting, 
 		return m, nil
 	}
 	args := reserveArgs(m, false)
+	prev := m.Status
+	sent := map[string]string{}
 
-	// Missing musts/supervisors one by one (each independently
-	// useful even if others stay missing).
-	still := append([]string(nil), m.Missing...)
-	for _, u := range still {
-		res, err := c.lm.Negotiate(ctx, links.Spec{
-			Action: ActionReserve, Args: args,
-			Targets:    slotRefs([]string{u}, m.Slot),
-			Constraint: links.And,
-		})
-		// Only an acknowledged commit counts: a plain failure or an
-		// in-doubt outcome whose ack never arrived leaves u missing
-		// (a later TryConfirm round retries; the participant side is
-		// idempotent, so a retried reserve that already landed acks).
-		if err != nil && !links.IsInDoubt(err) {
-			continue
-		}
-		if !res.OK && !containsRef(res.Accepted, u) {
-			continue
-		}
-		m.Missing = removeString(m.Missing, u)
-		m.Reserved = append(m.Reserved, u)
-		c.solidifyBackLink(ctx, m, u)
+	// Missing musts/supervisors one by one (each independently useful
+	// even if others stay missing). Only an acknowledged commit counts:
+	// a plain failure or an in-doubt outcome whose ack never arrived
+	// leaves u missing (a later TryConfirm round retries; the
+	// participant side is idempotent, so a retried reserve that already
+	// landed acks). The Commit that reserves u also promotes its
+	// tentative back link.
+	for _, u := range append([]string(nil), m.Missing...) {
+		m = c.reserve(ctx, m, links.Spec{
+			Args: args, Targets: slotRefs([]string{u}, m.Slot), Constraint: links.And,
+		}, time.Time{}, sent)
 	}
 
 	// Or-group shortfalls.
-	for gi, short := range m.quorumShortfall() {
-		if short == 0 {
-			continue
-		}
+	for gi := range m.OrGroups {
+		short := m.quorumShortfall()[gi]
 		members := excludeReserved(m.OrGroups[gi].Members, m)
-		if len(members) < short {
+		if short == 0 || len(members) < short {
 			continue
 		}
-		res, err := c.lm.Negotiate(ctx, links.Spec{
-			Action: ActionReserve, Args: args,
-			Targets:    slotRefs(members, m.Slot),
-			Constraint: links.Or, K: short,
-		})
-		if err != nil {
-			continue
-		}
-		for _, ref := range res.Accepted {
-			m.Reserved = append(m.Reserved, ref.User)
-			c.solidifyBackLink(ctx, m, ref.User)
-		}
+		m = c.reserve(ctx, m, links.Spec{
+			Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: short,
+		}, time.Time{}, sent)
 	}
+	m.Status = m.standing()
 
-	prev := m.Status
-	if m.satisfied() {
-		m.Status = StatusConfirmed
-	} else {
-		m.Status = StatusTentative
-	}
-	if err := c.putMeeting(m); err != nil {
+	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
 		return m, err
 	}
-	c.pushMeetingUpdate(ctx, m)
 	if prev != m.Status && m.Status == StatusConfirmed {
 		c.notifyParticipants(ctx, m,
 			fmt.Sprintf("Meeting %s (%s) confirmed", m.ID, m.Title),
 			fmt.Sprintf("%s at %s is now confirmed.", m.Title, m.Slot))
 	}
 	return m, nil
-}
-
-// solidifyBackLink converts a participant's tentative back link to a
-// permanent negotiation back link after their slot was reserved.
-func (c *Calendar) solidifyBackLink(ctx context.Context, m *Meeting, user string) {
-	if user == c.user {
-		_ = c.lm.PromoteLink(m.LinkID)
-		return
-	}
-	_ = c.eng.Invoke(ctx, links.ServiceFor(user), "PromoteLink", wire.Args{"id": m.LinkID}, nil)
 }
 
 // DropOut removes this user from a meeting they participate in: the
@@ -607,10 +567,9 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 		// dropped participant frees up again.
 		_ = c.installTentativeBackLink(ctx, m, user)
 	}
-	if err := c.putMeeting(m); err != nil {
+	if err := c.publish(ctx, m, nil); err != nil {
 		return err
 	}
-	c.pushMeetingUpdate(ctx, m)
 	if prev != m.Status {
 		c.notifyParticipants(ctx, m,
 			fmt.Sprintf("Meeting %s (%s) now tentative", m.ID, m.Title),
@@ -652,12 +611,20 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 	}
 	old := *m
 	m.Slot = newSlot
+	// The new link id is minted before the negotiation, because the
+	// Commit that reserves a participant's new slot also installs its
+	// new back link and stores the moved record.
+	m.LinkID = links.NewLinkID()
+	m.Status = m.standing()
 	args := reserveArgs(m, false)
+	doc := encodeMeeting(m)
 
 	var others []string
+	sent := map[string]string{}
 	for _, u := range old.Reserved {
 		if u != m.Initiator {
 			others = append(others, u)
+			sent[u] = doc
 		}
 	}
 	sort.Strings(others)
@@ -666,30 +633,23 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 		Targets:    slotRefs(others, newSlot),
 		Constraint: links.And,
 		Local:      &links.LocalChange{Entity: newSlot.Entity(), Action: ActionReserve, Args: args},
+		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{"doc": doc} },
 	})
 	if err != nil {
 		return fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)
 	}
 
 	// All agreed: tear down the old link graph (releasing old slots
-	// and promoting their waiters) and rebuild on the new slot.
-	oldLinkID := m.LinkID
-	m.LinkID = links.NewLinkID()
-	if _, err := c.lm.DeleteLink(ctx, oldLinkID, nil); err != nil {
+	// and promoting their waiters) and finish the new one.
+	if _, err := c.lm.DeleteLink(ctx, old.LinkID, nil); err != nil {
 		return err
 	}
 	if err := c.installMeetingLinks(ctx, m, Request{}); err != nil {
 		return err
 	}
-	if m.satisfied() {
-		m.Status = StatusConfirmed
-	} else {
-		m.Status = StatusTentative
-	}
-	if err := c.putMeeting(m); err != nil {
+	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
 		return err
 	}
-	c.pushMeetingUpdate(ctx, m)
 	c.notifyParticipants(ctx, m,
 		fmt.Sprintf("Meeting %s (%s) moved", m.ID, m.Title),
 		fmt.Sprintf("%s moved from %s to %s.", m.Title, old.Slot, newSlot))
@@ -714,8 +674,7 @@ func (c *Calendar) meetingBumpedLocally(ctx context.Context, meetingID, user str
 		m.Missing = append(m.Missing, user)
 	}
 	m.Status = StatusTentative
-	_ = c.putMeeting(m)
-	c.pushMeetingUpdate(ctx, m)
+	_ = c.publish(ctx, m, nil)
 	c.notifyParticipants(ctx, m,
 		fmt.Sprintf("Meeting %s (%s) bumped", m.ID, m.Title),
 		fmt.Sprintf("%s was bumped off %s by a higher-priority meeting; %s is now tentative.", user, m.Slot, m.Title))
@@ -735,11 +694,7 @@ func (c *Calendar) Delegate(ctx context.Context, meetingID, user string) error {
 	if !containsString(m.Delegates, user) {
 		m.Delegates = append(m.Delegates, user)
 	}
-	if err := c.putMeeting(m); err != nil {
-		return err
-	}
-	c.pushMeetingUpdate(ctx, m)
-	return nil
+	return c.publish(ctx, m, nil)
 }
 
 // Engine exposes the node engine (experiments).

@@ -184,13 +184,13 @@ func (c *Calendar) ReplayOp(ctx context.Context, op offline.Op) error {
 		// The local record is already StatusCancelled (CancelOrQueue), so
 		// cancelMeetingAs would return before the cascade. Run the remote
 		// teardown directly: deleting the coordination link releases every
-		// participant's slot and promotes waiting tentative meetings, and
-		// the doc push propagates the cancelled record. DeleteLink is
-		// idempotent, so a duplicate drain is safe.
+		// participant's slot, cancels its copy of the record and promotes
+		// waiting tentative meetings. DeleteLink is idempotent, so a
+		// duplicate drain is safe.
 		if _, err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
 			return err
 		}
-		c.pushMeetingUpdate(ctx, m)
+		_ = c.publish(ctx, m, c.reachedBy(m.LinkID))
 		c.notifyParticipants(ctx, m,
 			fmt.Sprintf("Meeting %s (%s) cancelled", m.ID, m.Title),
 			fmt.Sprintf("%s at %s was cancelled by %s.", m.Title, m.Slot, c.user))

@@ -2,7 +2,6 @@ package calendar
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/listener"
@@ -71,17 +70,15 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	})
 
 	// MeetingUpdate: the initiator pushes the authoritative meeting
-	// record to participants.
+	// record, as the text it stores; it is decoded once, to check it,
+	// and stored as sent.
 	obj.Handle("MeetingUpdate", func(ctx context.Context, call *listener.Call) (any, error) {
-		raw, err := json.Marshal(call.Args["meeting"])
+		doc := call.Args.String("doc")
+		m, err := decodeMeeting(doc)
 		if err != nil {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad meeting"}
+			return nil, err
 		}
-		var m Meeting
-		if err := json.Unmarshal(raw, &m); err != nil || m.ID == "" {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad meeting"}
-		}
-		if err := c.putMeeting(&m); err != nil {
+		if err := c.storeMeeting(m.ID, doc); err != nil {
 			return nil, err
 		}
 		return true, nil
@@ -136,11 +133,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 				m.Missing = append(m.Missing, user)
 			}
 			m.Status = StatusTentative
-			if err := c.putMeeting(m); err != nil {
-				return err
-			}
-			c.pushMeetingUpdate(ctx, m)
-			return nil
+			return c.publish(ctx, m, nil)
 		}()
 		if err != nil {
 			return nil, err

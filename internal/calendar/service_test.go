@@ -98,13 +98,21 @@ func TestServiceGetMeetingAndUpdateValidation(t *testing.T) {
 		t.Fatalf("unknown meeting: %v", err)
 	}
 	// MeetingUpdate rejects garbage.
-	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"meeting": "not-an-object"}, nil)
+	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"doc": "not-an-object"}, nil)
 	if wire.CodeOf(err) != wire.CodeBadArgs {
 		t.Fatalf("garbage update: %v", err)
 	}
-	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"meeting": map[string]any{"title": "no id"}}, nil)
+	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"doc": `{"title":"no id"}`}, nil)
 	if wire.CodeOf(err) != wire.CodeBadArgs {
 		t.Fatalf("update without id: %v", err)
+	}
+	// ... and stores a record as the text it was sent.
+	doc := `{"id":"M-x","title":"sent","initiator":"andy","slot":{"day":"2003-04-22","hour":9},"status":"tentative","priority":0}`
+	if err := invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"doc": doc}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := w.cals["phil"].Meeting("M-x"); !ok || got.Title != "sent" {
+		t.Fatalf("stored update = %+v, %v", got, ok)
 	}
 }
 

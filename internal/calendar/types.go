@@ -8,6 +8,7 @@ package calendar
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -215,6 +216,32 @@ func (m *Meeting) satisfied() bool {
 	return true
 }
 
+// standing is the status the meeting's constraints give it.
+func (m *Meeting) standing() string {
+	if m.satisfied() {
+		return StatusConfirmed
+	}
+	return StatusTentative
+}
+
+// holding returns the record as it stands once refs' users hold the slot
+// as well: they join Reserved, leave Missing, and the status follows.
+func (m *Meeting) holding(refs []links.EntityRef) *Meeting {
+	d := *m
+	d.Reserved = append([]string(nil), m.Reserved...)
+	for _, r := range refs {
+		d.Reserved = append(d.Reserved, r.User)
+	}
+	d.Missing = nil
+	for _, u := range m.Missing {
+		if !slices.ContainsFunc(refs, func(r links.EntityRef) bool { return r.User == u }) {
+			d.Missing = append(d.Missing, u)
+		}
+	}
+	d.Status = d.standing()
+	return &d
+}
+
 // Satisfied reports whether the meeting's constraints are all met —
 // every must-attendee reserved and every or-group at quorum.
 func (m *Meeting) Satisfied() bool { return m.satisfied() }
@@ -228,16 +255,6 @@ func (m *Meeting) canAdminister(user string) bool {
 	}
 	for _, d := range m.Delegates {
 		if d == user {
-			return true
-		}
-	}
-	return false
-}
-
-// containsRef reports whether refs includes an entry for user.
-func containsRef(refs []links.EntityRef, user string) bool {
-	for _, r := range refs {
-		if r.User == user {
 			return true
 		}
 	}

@@ -1,0 +1,267 @@
+package calendar_test
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/calendar"
+	"repro/internal/links"
+	"repro/internal/listener"
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
+
+// rpcCensus counts the requests the nodes' listeners serve, as
+// "links.<Method>" and "cal.<Method>" — every one of them crossed the
+// sim network. Directory lookups go to the directory's own handler and
+// are not counted.
+type rpcCensus struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *rpcCensus) middleware(next listener.Method) listener.Method {
+	return func(ctx context.Context, call *listener.Call) (any, error) {
+		kind, _, _ := strings.Cut(call.Service, ".")
+		c.mu.Lock()
+		c.n[kind+"."+call.Method]++
+		c.mu.Unlock()
+		return next(ctx, call)
+	}
+}
+
+// take checks the census since the last take and resets it.
+func (c *rpcCensus) take(t *testing.T, step string, want map[string]int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !maps.Equal(c.n, want) {
+		t.Errorf("%s: RPC census = %v, want %v", step, c.n, want)
+	}
+	c.n = map[string]int{}
+}
+
+func newCensusWorld(t *testing.T, users ...string) (*world, *rpcCensus) {
+	t.Helper()
+	census := &rpcCensus{n: map[string]int{}}
+	w := newWorld(t)
+	w.mw = []listener.Middleware{census.middleware}
+	for _, u := range users {
+		w.addUser(u, 0)
+	}
+	return w, census
+}
+
+// deviceState renders what users' devices hold: every row of the slot,
+// meeting, link and waiting-link tables, keys sorted, with the run's
+// random meeting and link ids replaced by ids[id].
+func deviceState(t *testing.T, w *world, ids map[string]string, users ...string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, u := range users {
+		fmt.Fprintf(&b, "== %s\n", u)
+		for _, name := range []string{"cal_slots", "cal_meetings", links.LinkTable, links.WaitingLinkTable} {
+			tab, err := w.nodes[u].DB.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []string
+			for _, r := range tab.Select(nil) {
+				raw, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = append(rows, string(raw))
+			}
+			sort.Strings(rows)
+			for _, r := range rows {
+				fmt.Fprintf(&b, "%s %s\n", name, r)
+			}
+		}
+	}
+	out := b.String()
+	for id, name := range ids {
+		out = strings.ReplaceAll(out, id, name)
+	}
+	return out
+}
+
+// wantState holds got to testdata/<name>.golden. The golden files were
+// written by this same rendering on the commit before reserved
+// participants were installed by their Commit (PR 14): the devices must
+// end up holding byte for byte what the message-per-step flow left.
+func wantState(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: device state differs from the golden file\n--- got\n%s--- want\n%s", name, got, want)
+	}
+}
+
+func meetingIDs(ms ...*calendar.Meeting) map[string]string {
+	ids := map[string]string{}
+	for i, m := range ms {
+		ids[m.ID] = fmt.Sprintf("M%d", i+1)
+		ids[m.LinkID] = fmt.Sprintf("L%d", i+1)
+	}
+	return ids
+}
+
+// TestWireCostSetupAndCancel: a conflict-free schedule costs each
+// reserved participant one Mark and one Commit, its cancel one
+// DeleteLink — no link install, record push or promotion follows.
+func TestWireCostSetupAndCancel(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b", "c", "d")
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Supervisors: []string{"d"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "setup", map[string]int{"links.Mark": 3, "links.Commit": 3})
+	wantState(t, "setup", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
+
+	if err := w.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "cancel", map[string]int{"links.DeleteLink": 3})
+	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
+}
+
+// TestWireCostTentative: an unreserved participant has no Commit to
+// ride, so it still costs LinksOn + AddLink + MeetingUpdate; when its
+// slot frees up, the Commit that reserves it promotes its tentative link
+// and only the participant whose record went stale is pushed one.
+func TestWireCostTentative(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b", "c")
+	if err := w.cals["b"].MarkBusy(slot(day1, 10), "dentist", 0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Status != calendar.StatusTentative {
+		t.Fatalf("status = %s", m.Status)
+	}
+	census.take(t, "setup", map[string]int{
+		"links.Mark": 2, "links.Commit": 1,
+		"links.LinksOn": 1, "links.AddLink": 1, "cal.MeetingUpdate": 1,
+	})
+	wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
+
+	if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := w.cals["a"].Meeting(m.ID); got.Status != calendar.StatusConfirmed {
+		t.Fatalf("status after release = %s", got.Status)
+	}
+	census.take(t, "confirm", map[string]int{
+		"cal.SlotAvailable": 1, "links.Mark": 1, "links.Commit": 1, "cal.MeetingUpdate": 1,
+	})
+	wantState(t, "confirmed", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
+}
+
+// TestWireCostOrGroup: the must's Commit is decided before the or-group
+// is reserved, so its record is stale and it alone gets a follow-up
+// MeetingUpdate; the group's Commits carry the final record.
+func TestWireCostOrGroup(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b", "c", "d", "e")
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "board", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"},
+		OrGroups: []calendar.OrGroup{{Name: "g", Members: []string{"c", "d", "e"}, K: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "setup", map[string]int{"links.Mark": 4, "links.Commit": 4, "cal.MeetingUpdate": 1})
+	wantState(t, "orgroup", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d", "e"))
+}
+
+// TestWireCostChangeSlot: moving a meeting reserves the new slot with a
+// Mark and a Commit per participant — the Commit installs the new back
+// link and the moved record — and tears the old graph down with one
+// DeleteLink each.
+func TestWireCostChangeSlot(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b", "c")
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "m", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 2})
+	if err := w.cals["a"].ChangeMeetingSlot(ctxBg(), m.ID, slot(day1, 14)); err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "change", map[string]int{"links.Mark": 2, "links.Commit": 2, "links.DeleteLink": 2})
+	moved, _ := w.cals["a"].Meeting(m.ID)
+	wantState(t, "changeslot", deviceState(t, w, meetingIDs(moved), "a", "b", "c"))
+}
+
+// TestBumpLeavesParentState: the bump path (Commit applies over a
+// lower-priority meeting, re-queues it, tells its initiator) leaves every
+// device as the message-per-step flow did.
+func TestBumpLeavesParentState(t *testing.T) {
+	w, _ := newCensusWorld(t, "a", "b", "x")
+	low, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "low", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"}, Priority: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	high, err := w.cals["x"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "high", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"}, Priority: 9, AllowBump: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantState(t, "bump", deviceState(t, w, meetingIDs(low, high), "a", "b", "x"))
+}
+
+// TestReservedBackLinkCarriesExpiry: the link expiry rides the Commit
+// with the record, whatever encodes the frame, and the participant's
+// back link expires with the initiator's forward link.
+func TestReservedBackLinkCarriesExpiry(t *testing.T) {
+	for name, cfg := range map[string]sim.Config{
+		"pointer": {},
+		"json":    {EncodeFrames: true, FrameCodec: wire.CodecJSON},
+		"v3":      {EncodeFrames: true, FrameCodec: wire.CodecV3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorldOn(t, cfg, "a", "b")
+			expires := w.clk.Now().Add(90 * time.Minute)
+			m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+				Title: "short-lived", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"}, Expires: expires,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, ok := w.nodes["b"].Links.GetLink(m.LinkID)
+			if !ok || !l.Expires.Equal(expires) {
+				t.Fatalf("b back link = %+v, want expiry %s", l, expires)
+			}
+			w.clk.Advance(2 * time.Hour)
+			if ids := w.nodes["b"].Links.ExpireSweep(ctxBg(), w.clk.Now()); len(ids) != 1 {
+				t.Fatalf("expired %v, want the back link", ids)
+			}
+			if got := w.slotMeeting("b", m.Slot); got != "" {
+				t.Fatalf("b slot after expiry = %q", got)
+			}
+		})
+	}
+}

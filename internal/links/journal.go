@@ -224,27 +224,29 @@ func (m *Manager) JournalPending() []string {
 // can still be asking about it). A coordinator that crashed mid-flight
 // restarts with an empty in-flight set, and answering abort for its
 // unjournaled negotiations is safe: journalBegin strictly precedes the
-// first Commit, so nothing was ever applied.
-func (m *Manager) Outcome(nid, token string) string {
+// first Commit, so nothing was ever applied. With "commit" come the
+// journaled arguments — the Mark-time ones with the decision's merged
+// over them — which are what the asking participant must apply.
+func (m *Manager) Outcome(nid, token string) (string, wire.Args) {
 	if m.isInflight(nid) {
-		return OutcomeUnknown
+		return OutcomeUnknown, nil
 	}
 	rec, ok := m.journalGet(nid)
 	if !ok {
-		return OutcomeAbort
+		return OutcomeAbort, nil
 	}
 	if token == "" {
-		return OutcomeCommit
+		return OutcomeCommit, rec.Args
 	}
 	for _, t := range rec.Pending {
 		if t.Token == token {
-			return OutcomeCommit
+			return OutcomeCommit, rec.Args
 		}
 	}
 	// A token the journal does not list was never part of the decided
 	// set (e.g. the Mark response was lost and the coordinator gave up
 	// on that target) — presume abort for it.
-	return OutcomeAbort
+	return OutcomeAbort, nil
 }
 
 // commitQoS is the per-attempt QoS the sweeper uses when re-sending

@@ -277,7 +277,8 @@ func (m *Manager) action(name string) (Action, error) {
 // --- local link CRUD --------------------------------------------------------
 
 // AddLink stores a link row locally, registering it in the waiting
-// table when it is tentative and waiting on another link.
+// table when it is tentative and waiting on another link. A row already
+// stored under the id is a CodeConflict.
 func (m *Manager) AddLink(l *Link) error {
 	if l.Created.IsZero() {
 		l.Created = m.clk.Now()
@@ -290,6 +291,9 @@ func (m *Manager) AddLink(l *Link) error {
 		return err
 	}
 	if err := m.linksT.Insert(row); err != nil {
+		if errors.Is(err, store.ErrDupKey) {
+			return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: link %s is already installed on %s", l.ID, m.self)}
+		}
 		return err
 	}
 	if l.WaitingOn != "" {
@@ -846,8 +850,13 @@ func (m *Manager) applyRemote(ctx context.Context, tgt EntityRef, action string,
 	}, nil)
 }
 
-// installRemote adds a link row at a remote participant.
-func (m *Manager) installRemote(ctx context.Context, user string, l *Link) error {
+// InstallAt adds a link row at the given user's link database (local
+// or remote) — the building block for tentative back links and
+// subscriptions.
+func (m *Manager) InstallAt(ctx context.Context, user string, l *Link) error {
+	if err := l.Validate(); err != nil {
+		return err
+	}
 	if user == m.self {
 		return m.AddLink(l)
 	}
@@ -855,18 +864,5 @@ func (m *Manager) installRemote(ctx context.Context, user string, l *Link) error
 	if err != nil {
 		return err
 	}
-	var linkMap map[string]any
-	if err := json.Unmarshal(raw, &linkMap); err != nil {
-		return err
-	}
-	return m.eng.Invoke(ctx, ServiceFor(user), "AddLink", wire.Args{"link": linkMap}, nil)
-}
-
-// InstallAt adds a link row at the given user's link database (local
-// or remote) — the building block for back links and subscriptions.
-func (m *Manager) InstallAt(ctx context.Context, user string, l *Link) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	return m.installRemote(ctx, user, l)
+	return m.eng.Invoke(ctx, ServiceFor(user), "AddLink", wire.Args{"link": string(raw)}, nil)
 }

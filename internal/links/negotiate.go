@@ -24,6 +24,14 @@ type Spec struct {
 	Constraint Constraint
 	K          int // k for k-of-n (0 means 1)
 
+	// Decide, if set, runs once the constraint holds, with the marked
+	// targets in mark order. What it returns is merged over Args for the
+	// change at every marked target, so the Commit carries what only the
+	// decision knows. It is journaled with the COMMIT decision: a redriven
+	// Commit and a QueryOutcome answer apply exactly the same thing. Mark
+	// sees Args alone, and so does Local.
+	Decide func(marked []EntityRef) wire.Args
+
 	// Local, if set, is the activator's own change.
 	Local *LocalChange
 }
@@ -194,14 +202,15 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		marks = m.markParallel(ctx, res.NID, targets, spec.Action, spec.Args, res)
 	}
 
-	locked := 0
+	marked := make([]journalTarget, 0, len(marks))
 	for _, mr := range marks {
 		if mr.err == nil {
-			locked++
+			marked = append(marked, journalTarget{Ref: mr.ref, Token: mr.token})
 		} else {
 			res.Rejected = append(res.Rejected, mr.ref)
 		}
 	}
+	locked := len(marked)
 
 	satisfied := false
 	switch spec.Constraint {
@@ -228,6 +237,18 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		return res, errConstraint(spec.Constraint, k, locked, len(targets))
 	}
 
+	commitArgs := spec.Args
+	if spec.Decide != nil && locked > 0 {
+		refs := make([]EntityRef, len(marked))
+		for i, t := range marked {
+			refs[i] = t.Ref
+		}
+		commitArgs = spec.Args.Clone()
+		for k, v := range spec.Decide(refs) {
+			commitArgs[k] = v
+		}
+	}
+
 	// The constraint holds: the decision is COMMIT. Persist it — with
 	// every marked target and its lock token — before changing
 	// anything, so a crash or lost Commit from here on is recoverable
@@ -238,19 +259,15 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		// driven right now, and the sweeper must not redrive the same
 		// row concurrently with it.
 		rec = &journalRec{
-			ID: res.NID, Action: spec.Action, Args: spec.Args,
+			ID: res.NID, Action: spec.Action, Args: commitArgs,
 			Local: spec.Local, Created: m.clk.Now(),
 			NextRetry: m.clk.Now().Add(backoffAfter(m.tune(), 1)),
+			Pending:   marked,
 		}
 		if span != nil {
 			// The row carries the trace identity so recovery sweeps —
 			// possibly after a restart — rejoin this negotiation's trace.
 			rec.TraceID, rec.SpanID = span.TraceID, span.SpanID
-		}
-		for _, mr := range marks {
-			if mr.err == nil {
-				rec.Pending = append(rec.Pending, journalTarget{Ref: mr.ref, Token: mr.token})
-			}
 		}
 		if err := m.journalBegin(rec); err != nil {
 			// Without a journal row recovery is impossible; abort
@@ -290,13 +307,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		}
 	}
 
-	marked := make([]journalTarget, 0, locked)
-	for _, mr := range marks {
-		if mr.err == nil {
-			marked = append(marked, journalTarget{Ref: mr.ref, Token: mr.token})
-		}
-	}
-	commitErrs := m.commitTargets(ctx, res.NID, marked, spec.Action, spec.Args, false)
+	commitErrs := m.commitTargets(ctx, res.NID, marked, spec.Action, commitArgs, false)
 	var pendingRefs, failedRefs []EntityRef
 	var stillPending []journalTarget
 	for i, tgt := range marked {

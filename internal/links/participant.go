@@ -152,26 +152,26 @@ func (m *Manager) gcDecided(now time.Time, ttl time.Duration) {
 	}
 }
 
-// queryOutcome asks a negotiation's coordinator whether it committed.
-func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token string) (string, error) {
+// queryOutcome asks a negotiation's coordinator whether it committed
+// and, if so, with which arguments.
+func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token string) (string, wire.Args, error) {
 	ctx, span := trace.Start(ctx, "links.QueryOutcome")
 	if span != nil {
 		span.Annotate(trace.String("coordinator", coordinator), trace.String("nid", nid))
 		defer span.Finish()
 	}
 	if coordinator == m.self {
-		return m.Outcome(nid, token), nil
+		outcome, args := m.Outcome(nid, token)
+		return outcome, args, nil
 	}
 	var out struct {
-		Outcome string `json:"outcome"`
+		Outcome string    `json:"outcome"`
+		Args    wire.Args `json:"args"`
 	}
 	err := m.eng.InvokeQoS(ctx, commitQoS(m.tune()), ServiceFor(coordinator), "QueryOutcome", wire.Args{
 		"nid": nid, "token": token,
 	}, &out)
-	if err != nil {
-		return "", err
-	}
-	return out.Outcome, nil
+	return out.Outcome, out.Args, err
 }
 
 // ResolvePendingMarks is the participant half of the recovery sweep:
@@ -232,7 +232,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		span.Annotate(trace.String("outcome", "presume-abort"))
 		return true
 	}
-	outcome, err := m.queryOutcome(ctx, p.Coordinator, p.NID, p.Token)
+	outcome, args, err := m.queryOutcome(ctx, p.Coordinator, p.NID, p.Token)
 	if err != nil {
 		if now.Sub(p.Created) > tun.PresumeAbortAfter {
 			m.Locks.Unlock(lockKey(p.Entity), p.Token)
@@ -248,8 +248,9 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 	}
 	switch outcome {
 	case OutcomeCommit:
-		// Decision was COMMIT: apply under the still-held lock.
-		applyErr := m.applyLocal(p.Entity, p.Action, p.Args)
+		// Decision was COMMIT: apply, under the still-held lock, what
+		// the coordinator journaled with it.
+		applyErr := m.applyLocal(p.Entity, p.Action, args)
 		m.Locks.Unlock(lockKey(p.Entity), p.Token)
 		m.noteDecided(p.Token, p.NID, applyErr == nil)
 		m.count("resolve", wire.CodeOK)

@@ -167,7 +167,8 @@ func (m *Manager) Object() *listener.Object {
 		if nid == "" {
 			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "QueryOutcome needs nid"}
 		}
-		return map[string]string{"outcome": m.Outcome(nid, call.Args.String("token"))}, nil
+		outcome, args := m.Outcome(nid, call.Args.String("token"))
+		return map[string]any{"outcome": outcome, "args": args}, nil
 	})
 
 	// Apply: unlocked check+apply (subscription information flow).
@@ -209,14 +210,11 @@ func (m *Manager) Object() *listener.Object {
 		return true, nil
 	})
 
-	// AddLink: install a link row in this node's link database.
+	// AddLink: install a link row in this node's link database. The row
+	// travels as the JSON text InstallAt encoded, decoded here once.
 	obj.Handle("AddLink", func(ctx context.Context, call *listener.Call) (any, error) {
-		raw, err := json.Marshal(call.Args["link"])
-		if err != nil {
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "AddLink needs a link"}
-		}
 		var l Link
-		if err := json.Unmarshal(raw, &l); err != nil {
+		if err := json.Unmarshal([]byte(call.Args.String("link")), &l); err != nil {
 			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: fmt.Sprintf("bad link: %v", err)}
 		}
 		if err := m.AddLink(&l); err != nil {
@@ -251,14 +249,6 @@ func (m *Manager) Object() *listener.Object {
 			ids = append(ids, p.Link.ID)
 		}
 		return map[string]any{"promoted": ids}, nil
-	})
-
-	// PromoteLink: tentative -> permanent on this node.
-	obj.Handle("PromoteLink", func(ctx context.Context, call *listener.Call) (any, error) {
-		if err := m.PromoteLink(call.Args.String("id")); err != nil {
-			return nil, err
-		}
-		return true, nil
 	})
 
 	// TriggerLink: fire a specific link's triggers remotely.

@@ -235,10 +235,12 @@ func (n *Net) Heal(a, b string) {
 
 // FlapPartition alternately partitions and heals the a↔b pair every
 // period, starting partitioned immediately. It returns a stop function
-// (idempotent) that halts the flapping and heals the pair. Chaos tests
-// script an intermittently-connected device with this.
+// (idempotent) that halts the flapping and heals the pair — after the
+// flapper has exited, so a toggle already under way cannot cut the pair
+// again behind the heal. Chaos tests script an intermittently-connected
+// device with this.
 func (n *Net) FlapPartition(a, b string, period time.Duration) (stop func()) {
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	n.Partition(a, b)
 	// Flap periods are timed through the network's clock; on an
 	// auto-advancing clock the flapper registers — before its goroutine
@@ -249,6 +251,7 @@ func (n *Net) FlapPartition(a, b string, period time.Duration) (stop func()) {
 		ar.RegisterGoroutine()
 	}
 	go func() {
+		defer close(exited)
 		cut := true
 		for {
 			ch := n.clk.After(period)
@@ -272,6 +275,7 @@ func (n *Net) FlapPartition(a, b string, period time.Duration) (stop func()) {
 	return func() {
 		once.Do(func() {
 			close(done)
+			<-exited
 			n.Heal(a, b)
 		})
 	}
