@@ -43,7 +43,6 @@ func main() {
 	dirAddr := flag.String("dir", "127.0.0.1:7000", "directory server address")
 	cpAddr := flag.String("control-plane", "", "sharded-directory control plane address (overrides -dir)")
 	poolSize := flag.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
-	wireCodec := flag.String("wire-codec", "json", "frame body codec to send: json or v3 (negotiated per connection; json stays the fallback)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -65,11 +64,7 @@ func main() {
 		usage()
 	}
 
-	codec, err := wire.ParseCodec(*wireCodec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net := transport.NewTCP(transport.WithPoolSize(*poolSize), transport.WithWireCodec(codec))
+	net := transport.NewTCP(transport.WithPoolSize(*poolSize))
 	var dir *directory.Client
 	if *cpAddr != "" {
 		dir = directory.NewShardedClient(net, *cpAddr)

@@ -42,7 +42,6 @@ import (
 	"repro/internal/replication"
 	"repro/internal/transport"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // checkpointEvery is how often a durable registry is snapshotted and
@@ -58,14 +57,9 @@ func main() {
 	shards := flag.Int("shards", 1, "number of directory shards (1 = single unsharded server)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard bind addresses (defaults to consecutive ports above -addr)")
 	healthSweep := flag.Duration("health-sweep", 0, "run the replication health sweeper this often: expired leases whose primary is gone get the best follower promoted (0 = off)")
-	wireCodec := flag.String("wire-codec", "json", "frame body codec to send: json or v3 (negotiated per connection; json stays the fallback)")
 	flag.Parse()
 
-	codec, err := wire.ParseCodec(*wireCodec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net := transport.NewTCP(transport.WithPoolSize(*poolSize), transport.WithWireCodec(codec))
+	net := transport.NewTCP(transport.WithPoolSize(*poolSize))
 
 	if *shards <= 1 {
 		// Single-server mode: exactly the pre-shard deployment.

@@ -48,7 +48,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // serveDebug exposes the stock net/http/pprof handlers plus a
@@ -129,16 +128,11 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	replicaOf := fs.String("replica-of", "", "run as a WAL-shipping follower for this user (requires -data-dir and -lease-ttl; promotes to primary when the lease expires)")
 	replicasFlag := fs.String("replicas", "", "comma-separated follower addresses advertised on every lease renewal (the promotion candidate set)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "replication lease TTL; with -data-dir the node serves as a lease-holding primary (0 = replication off)")
-	wireCodec := fs.String("wire-codec", "json", "frame body codec to send: json or v3 (negotiated per connection; json stays the fallback)")
 	offlineQueue := fs.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; 0 disables)")
 	offlineOverflow := fs.String("offline-overflow", "drop-oldest", "with -offline-queue: at-capacity policy — drop-oldest or reject-new")
 	syncRelevance := fs.Bool("sync-relevance", true, "with -offline-queue: serve reconnect Pulls relevance-filtered (false ships full state — baseline for comparison)")
 	_ = fs.Parse(args) // ExitOnError
 
-	codec, err := wire.ParseCodec(*wireCodec)
-	if err != nil {
-		return cfg, false, "", err
-	}
 	sync, err := wal.ParseSyncPolicy(*fsyncPolicy)
 	if err != nil {
 		return cfg, false, "", err
@@ -146,7 +140,7 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	cfg = core.Config{
 		User:                 *user,
 		Priority:             *priority,
-		Net:                  transport.NewTCP(transport.WithPoolSize(*poolSize), transport.WithWireCodec(codec)),
+		Net:                  transport.NewTCP(transport.WithPoolSize(*poolSize)),
 		DirAddr:              *dirAddr,
 		ControlPlaneAddr:     *cpAddr,
 		ListenAddr:           *addr,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -82,8 +83,9 @@ func TestTCPEndToEnd(t *testing.T) {
 }
 
 // TestTCPMixedCodecFleet runs the full stack over real sockets with a
-// mixed-codec fleet: phil and andy prefer wire codec v3, suzy and the
-// directory speak only JSON. This is the rolling-upgrade shape — v3
+// mixed-codec fleet: phil and andy run the default (v3-preferring)
+// transport, suzy and the directory stand in for an older build that
+// speaks only JSON. This is the rolling-upgrade shape — v3
 // pairs latch to the binary codec while every v3↔JSON pair stays on
 // JSON — and a full meeting lifecycle must come out byte-for-byte
 // equivalent to a uniform fleet's.
@@ -91,9 +93,9 @@ func TestTCPMixedCodecFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	netV3 := transport.NewTCP(transport.WithWireCodec(wire.CodecV3))
+	netV3 := transport.NewTCP()
 	defer netV3.Close()
-	netJSON := transport.NewTCP()
+	netJSON := transport.NewTCP(transport.WithWireCodec(wire.CodecJSON))
 	defer netJSON.Close()
 
 	srv := directory.NewServer(directory.WithTTL(time.Hour))
@@ -155,6 +157,78 @@ func TestTCPMixedCodecFleet(t *testing.T) {
 			t.Fatalf("%s slot after cancel = %q", c.User(), got)
 		}
 	}
+}
+
+// TestTCPDefaultWireCost holds the deployment default to its measured
+// cost: three nodes, each on its own default-constructed transport as
+// sydnode and sydload build it, all counting into one WireStats. Once
+// every pooled connection has had its handshake exchange, a 3-party
+// schedule + cancel is one Mark, one Commit and one DeleteLink per
+// participant — 12 frames — in v3: about 2100 B, where JSON frames
+// cost 3270 B.
+func TestTCPDefaultWireCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	stats := &metrics.WireStats{}
+	dirNet := transport.NewTCP(transport.WithWireStats(stats))
+	defer dirNet.Close()
+	srv := directory.NewServer(directory.WithTTL(time.Hour))
+	dirLn, err := dirNet.Listen("127.0.0.1:0", srv.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirLn.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	cals := map[string]*calendar.Calendar{}
+	for _, user := range []string{"phil", "andy", "suzy"} {
+		net := transport.NewTCP(transport.WithWireStats(stats))
+		defer net.Close()
+		node, err := core.Start(ctx, core.Config{
+			User: user, Net: net, DirAddr: dirLn.Addr(),
+			ListenAddr: "127.0.0.1:0", RouteCacheTTL: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Close(context.Background())
+		if cals[user], err = calendar.New(ctx, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	meet := func(hour int) {
+		t.Helper()
+		m, err := cals["phil"].SetupMeeting(ctx, calendar.Request{
+			Title: "cost", Day: "2003-04-22", Hour: hour, PinSlot: true,
+			Must: []string{"andy", "suzy"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Status != calendar.StatusConfirmed {
+			t.Fatalf("status = %s missing=%v", m.Status, m.Missing)
+		}
+		if err := cals["phil"].CancelMeeting(ctx, m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A meeting is three calls to each participant, round-robin over a
+	// pool of at most four connections: two meetings put a first
+	// exchange — the handshake, and the route lookup — behind every one.
+	meet(9)
+	meet(10)
+	before := stats.Snapshot()
+	meet(11)
+	after := stats.Snapshot()
+	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
+	if frames != 12 || bytes > 2200 {
+		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= 2200 B", frames, bytes)
+	}
+	t.Logf("schedule + cancel: %d frames, %d B", frames, bytes)
 }
 
 // TestTCPAuthenticatedService exercises the §5.4 auth path over real

@@ -3,7 +3,6 @@ package links_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -54,28 +53,15 @@ type harness struct {
 	cpAddr string // set on sharded harnesses; nodes route via the control plane
 }
 
-// simConfig honors SYD_CHAOS_CODEC: when set to "json" or "v3", every
-// simulated delivery rides a full frame encode→decode round trip with
-// that codec, so the whole links suite — the chaos harness above all —
-// proves its invariants under the real wire encodings. CI runs the
-// chaos job once per codec; unset means the default pointer delivery.
-func simConfig(t *testing.T) sim.Config {
-	t.Helper()
-	cfg := sim.Config{}
-	if v := os.Getenv("SYD_CHAOS_CODEC"); v != "" {
-		c, err := wire.ParseCodec(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.EncodeFrames = true
-		cfg.FrameCodec = c
-	}
-	return cfg
-}
+// simConfig: every simulated delivery rides a full frame encode→decode
+// round trip in wire.DefaultCodec, so the whole links suite — the chaos
+// harness above all — proves its invariants on what a socket peer
+// receives, not on the sender's pointers.
+var simConfig = sim.Config{EncodeFrames: true}
 
 func newHarness(t *testing.T, users ...string) *harness {
 	t.Helper()
-	net := sim.New(simConfig(t))
+	net := sim.New(simConfig)
 	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
 	_, err := net.Listen("dir", srv.Handler())
@@ -96,7 +82,7 @@ func newHarness(t *testing.T, users ...string) *harness {
 func newShardedHarness(t *testing.T, users ...string) (*harness, *controlplane.Controller) {
 	t.Helper()
 	const shards = 4
-	net := sim.New(simConfig(t))
+	net := sim.New(simConfig)
 	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	list := make([]controlplane.Shard, shards)
 	servers := make([]*directory.Server, shards)

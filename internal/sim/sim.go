@@ -51,8 +51,8 @@ type Config struct {
 	// number widening, v3's tagged scalars — so chaos and idempotency
 	// suites can prove protocol semantics under each wire encoding.
 	EncodeFrames bool
-	// FrameCodec selects the encoding EncodeFrames uses
-	// (wire.CodecJSON by default).
+	// FrameCodec selects the encoding EncodeFrames uses; unset, it is
+	// wire.DefaultCodec, what two real transports negotiate.
 	FrameCodec wire.Codec
 	// Clock times latency sleeps and FlapPartition periods; nil = system
 	// clock. The scale harness injects its auto-advancing fake clock so
@@ -111,6 +111,9 @@ func New(cfg Config) *Net {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System
+	}
+	if cfg.FrameCodec == 0 {
+		cfg.FrameCodec = wire.DefaultCodec
 	}
 	return &Net{
 		cfg:         cfg,
@@ -414,7 +417,7 @@ func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: encode: %v", err)}
 	}
-	out, err := wire.NewFrameReader(bytes.NewReader(f.Bytes())).Read()
+	out, err := wire.ReadFrame(bytes.NewReader(f.Bytes()))
 	f.Release()
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: decode: %v", err)}

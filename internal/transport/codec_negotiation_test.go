@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/wire"
@@ -26,7 +27,7 @@ func newTCPPairCodec(t *testing.T, h Handler, codec wire.Codec) (*TCP, string) {
 
 // clientConnsV3 reports the negotiated state of every live pooled
 // client connection to addr: total live conns and how many have
-// latched peerV3.
+// latched to v3.
 func clientConnsV3(t *testing.T, tn *TCP, addr string) (live, v3 int) {
 	t.Helper()
 	tn.mu.Lock()
@@ -42,20 +43,21 @@ func clientConnsV3(t *testing.T, tn *TCP, addr string) (live, v3 int) {
 			continue
 		}
 		live++
-		if c.peerV3.Load() {
+		if codec, _ := c.sendCodec(); codec == wire.CodecV3 {
 			v3++
 		}
 	}
 	return live, v3
 }
 
-// TestCodecNegotiationUpgradesToV3: a v3 client talking to a v3 server
-// starts in JSON carrying the advertisement, receives a v3 response,
-// and flips every pooled connection to v3 sends — while every call's
-// payload round-trips intact.
+// TestCodecNegotiationUpgradesToV3: two default-constructed networks —
+// the deployment shape — start each connection in JSON carrying the
+// advertisement, receive a v3 response, and flip every pooled
+// connection to v3 sends, while every call's payload round-trips
+// intact.
 func TestCodecNegotiationUpgradesToV3(t *testing.T) {
 	h := &echoHandler{}
-	tn, addr := newTCPPairCodec(t, h, wire.CodecV3)
+	tn, addr := newTCPPair(t, h)
 	ctx := context.Background()
 
 	// Enough sequential calls to cycle through every pool slot twice:
@@ -81,13 +83,29 @@ func TestCodecNegotiationUpgradesToV3(t *testing.T) {
 	}
 }
 
-// TestCodecMixedFleetV3ClientJSONServer: a v3-configured client against
-// a JSON-only server (old fleet member) must negotiate down cleanly —
-// all calls succeed over JSON and no connection ever upgrades.
+// advertCounter echoes like echoHandler and counts the requests that
+// carried the v3 advertisement.
+type advertCounter struct {
+	echoHandler
+	adverts atomic.Int64
+}
+
+func (h *advertCounter) HandleRequest(ctx context.Context, req *Request) *Response {
+	if _, ok := req.Meta[wire.MetaWireCodec]; ok {
+		h.adverts.Add(1)
+	}
+	return h.echoHandler.HandleRequest(ctx, req)
+}
+
+// TestCodecMixedFleetV3ClientJSONServer: a default (v3-preferring)
+// client against a JSON-only server (old fleet member) must negotiate
+// down cleanly — all calls succeed over JSON, no connection ever
+// upgrades, and each connection advertises only until the server's
+// first JSON answer: the calls are sequential, so that is one advert
+// per pooled connection however many calls follow.
 func TestCodecMixedFleetV3ClientJSONServer(t *testing.T) {
-	h := &echoHandler{}
-	// Server role: default JSON-only config.
-	server := NewTCP()
+	h := &advertCounter{}
+	server := NewTCP(WithWireCodec(wire.CodecJSON))
 	ln, err := server.Listen("127.0.0.1:0", h)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +113,7 @@ func TestCodecMixedFleetV3ClientJSONServer(t *testing.T) {
 	defer ln.Close()
 	defer server.Close()
 
-	client := NewTCP(WithWireCodec(wire.CodecV3))
+	client := NewTCP()
 	defer client.Close()
 	ctx := context.Background()
 	for i := 0; i < 2*client.poolSize+2; i++ {
@@ -114,14 +132,17 @@ func TestCodecMixedFleetV3ClientJSONServer(t *testing.T) {
 	if live == 0 || v3 != 0 {
 		t.Fatalf("JSON-only server must keep the fleet on JSON: %d/%d conns upgraded", v3, live)
 	}
+	if got := h.adverts.Load(); got != int64(live) {
+		t.Fatalf("%d requests carried the %s advert over %d connections; only each connection's first may", got, wire.MetaWireCodec, live)
+	}
 }
 
 // TestCodecMixedFleetJSONClientV3Server: the inverse — an old JSON
-// client against a v3-configured server. The client never advertises,
-// so the server must answer in JSON.
+// client against a default server. The client never advertises, so the
+// server must answer in JSON.
 func TestCodecMixedFleetJSONClientV3Server(t *testing.T) {
 	h := &echoHandler{}
-	server := NewTCP(WithWireCodec(wire.CodecV3))
+	server := NewTCP()
 	ln, err := server.Listen("127.0.0.1:0", h)
 	if err != nil {
 		t.Fatal(err)
@@ -160,10 +181,10 @@ func TestCodecMixedFleetJSONClientV3Server(t *testing.T) {
 // TestCodecAdvertisementTriggersV3Response pins the server half of the
 // handshake at the frame level: a JSON request that carries the
 // MetaWireCodec advertisement gets a v3-encoded response from a
-// v3-configured server.
+// default server.
 func TestCodecAdvertisementTriggersV3Response(t *testing.T) {
 	h := &echoHandler{}
-	server := NewTCP(WithWireCodec(wire.CodecV3))
+	server := NewTCP()
 	ln, err := server.Listen("127.0.0.1:0", h)
 	if err != nil {
 		t.Fatal(err)

@@ -66,12 +66,12 @@ func WithWireStats(s *metrics.WireStats) TCPOption {
 	return func(t *TCP) { t.stats = s }
 }
 
-// WithWireCodec selects the frame body encoding this network prefers
-// to send (-wire-codec). The default is wire.CodecJSON. CodecV3 is
-// negotiated per connection and never assumed: a client advertises v3
-// support in request metadata, a v3-configured server answers such a
-// client in v3, and each side switches its own sends to v3 only after
-// it has received a v3 frame (or the advertisement) from the peer.
+// WithWireCodec overrides the frame body encoding this network prefers
+// to send, wire.DefaultCodec (v3): wire.CodecJSON makes it stand in for
+// an older JSON-only build (tests). v3 is negotiated per connection
+// and never assumed: a client's first request goes out as JSON
+// advertising v3 in its metadata, a v3-preferring server answers such a
+// client in v3, and the client sends v3 once it has received a v3 frame.
 // Decoding always auto-detects per frame, so mixed-version fleets and
 // JSON-only peers interoperate unchanged.
 func WithWireCodec(c wire.Codec) TCPOption {
@@ -83,6 +83,7 @@ func NewTCP(opts ...TCPOption) *TCP {
 	t := &TCP{
 		poolSize: DefaultPoolSize(),
 		stats:    metrics.Wire(),
+		codec:    wire.DefaultCodec,
 		pools:    make(map[string]*connPool),
 	}
 	for _, o := range opts {
@@ -170,7 +171,7 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 	// peerV3 records the codec handshake for this connection: it
 	// latches once the client has proven it decodes v3 — either by
 	// sending a v3 frame or by advertising MetaWireCodec — and a
-	// v3-configured listener answers such a client in v3 from then
+	// v3-preferring listener answers such a client in v3 from then
 	// on. JSON-only clients never trip it and get JSON forever.
 	var peerV3 atomic.Bool
 	var readBytes int64
@@ -245,16 +246,29 @@ type tcpClientConn struct {
 	w     *coalescer
 	stats *metrics.WireStats
 	codec wire.Codec
-	// peerV3 latches when the server sends this connection a v3
-	// frame — proof it runs a v3-capable stack — after which a
-	// v3-configured client encodes its own sends in v3. Until then
-	// requests go out as JSON carrying the MetaWireCodec advert.
-	peerV3 atomic.Bool
+	// peer is the codec handshake: the encoding of the first frame the
+	// server sent on this connection, the zero Codec until then. A
+	// v3-preferring server latches on the first request's advert before
+	// it answers, so its first answer is v3; a JSON one is an older build.
+	peer atomic.Uint32
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan *Response
 	dead    bool
+}
+
+// sendCodec returns the encoding this connection's next frame goes out
+// in, and whether a request must carry the v3 advert: only while a
+// v3-preferring client still waits for the server's first answer.
+func (c *tcpClientConn) sendCodec() (codec wire.Codec, advertise bool) {
+	if c.codec != wire.CodecV3 {
+		return wire.CodecJSON, false
+	}
+	if peer := wire.Codec(c.peer.Load()); peer != 0 {
+		return peer, false
+	}
+	return wire.CodecJSON, true
 }
 
 func (c *tcpClientConn) isDead() bool {
@@ -362,8 +376,8 @@ func (c *tcpClientConn) readLoop() {
 		}
 		c.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
-		if fr.LastCodec == wire.CodecV3 {
-			c.peerV3.Store(true)
+		if c.peer.Load() == 0 { // readLoop is the only writer
+			c.peer.Store(uint32(fr.LastCodec))
 		}
 		if env.Kind != wire.KindResponse || env.Response == nil {
 			continue
@@ -414,18 +428,11 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 
 	r := *req
 	r.ID = id
-	codec := wire.CodecJSON
-	if c.codec == wire.CodecV3 {
-		if c.peerV3.Load() {
-			codec = wire.CodecV3
-		} else {
-			// Not yet negotiated: send JSON but advertise that we
-			// decode v3. A v3-configured server answers in v3, which
-			// flips peerV3 for the rest of this connection; a
-			// JSON-only server ignores the key and nothing changes.
-			r.Meta = r.Meta.Clone()
-			r.Meta[wire.MetaWireCodec] = wire.WireCodecV3
-		}
+	codec, advertise := c.sendCodec()
+	if advertise {
+		// A JSON-only server ignores the key and answers in JSON.
+		r.Meta = r.Meta.Clone()
+		r.Meta[wire.MetaWireCodec] = wire.WireCodecV3
 	}
 	flushed, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}, codec)
 	if err != nil {
@@ -475,10 +482,7 @@ func (c *tcpClientConn) send(ev *Event) error {
 		return ErrUnreachable
 	}
 	c.mu.Unlock()
-	codec := wire.CodecJSON
-	if c.codec == wire.CodecV3 && c.peerV3.Load() {
-		codec = wire.CodecV3
-	}
+	codec, _ := c.sendCodec() // an event carries no advert: JSON until a response settles the handshake
 	_, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}, codec)
 	if err != nil {
 		c.fail()

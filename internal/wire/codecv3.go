@@ -12,10 +12,11 @@ import (
 // for the hot envelope types. The frame layout is unchanged — 4-byte
 // big-endian length prefix — but the body starts with the magic byte
 // 0xB3 instead of '{', so a FrameReader distinguishes v3 and JSON
-// bodies per frame with no out-of-band state. JSON remains the wire
-// default and the permanent fallback: every decoder accepts both, and
-// a sender only emits v3 after the peer has shown it can decode it
-// (see internal/transport codec negotiation).
+// bodies per frame with no out-of-band state. v3 is what a sender
+// prefers (DefaultCodec); JSON is the handshake and the fallback for
+// older peers: every decoder accepts both, and a sender only emits v3
+// after the peer has shown it can decode it (see internal/transport
+// codec negotiation).
 //
 // Values that the tagged Args encoding cannot represent natively fall
 // back to an embedded JSON blob, so v3 is semantically lossless with
@@ -28,29 +29,22 @@ const magicV3 = 0xB3
 // Codec selects the frame body encoding a sender uses.
 type Codec uint8
 
-// Codecs.
+// Codecs. The zero Codec names none: a configuration field left at it
+// means DefaultCodec.
 const (
-	CodecJSON Codec = iota // JSON body — wire default, universal fallback
-	CodecV3                // binary v3 body — negotiated per connection
+	CodecJSON Codec = iota + 1 // JSON body — the handshake, and all an older peer speaks
+	CodecV3                    // binary v3 body — negotiated per connection
 )
 
-// String returns the flag-friendly codec name.
+// DefaultCodec is the body encoding every transport prefers to send.
+const DefaultCodec = CodecV3
+
+// String returns the codec name.
 func (c Codec) String() string {
 	if c == CodecV3 {
 		return "v3"
 	}
 	return "json"
-}
-
-// ParseCodec parses a -wire-codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "json":
-		return CodecJSON, nil
-	case "v3":
-		return CodecV3, nil
-	}
-	return CodecJSON, fmt.Errorf("wire: unknown codec %q (want json or v3)", s)
 }
 
 // MetaWireCodec is the metadata key a client stamps on requests to
@@ -272,7 +266,17 @@ func appendV3Zigzag(b []byte, v int64) []byte {
 type v3dec struct {
 	b   []byte
 	pos int
+	// names interns map keys and method names across the frames of one
+	// connection; nil (a one-off decode) copies every string.
+	names map[string]string
 }
+
+// An intern table holds short strings only and a fixed number of them,
+// so a peer sending ever-new keys cannot grow it.
+const (
+	internMaxLen     = 32
+	internMaxEntries = 128
+)
 
 func (d *v3dec) fail() error { return ErrBadV3Frame }
 
@@ -312,29 +316,42 @@ func (d *v3dec) take(n uint64) ([]byte, error) {
 	return p, nil
 }
 
-func (d *v3dec) string() (string, error) {
+// field returns the next length-prefixed field, aliasing like take.
+func (d *v3dec) field() ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	p, err := d.take(n)
-	if err != nil {
-		return "", err
+	return d.take(n)
+}
+
+func (d *v3dec) string() (string, error) {
+	p, err := d.field()
+	return string(p), err
+}
+
+// name decodes a string that repeats from frame to frame — an Args or
+// Meta key, a method name — through the intern table: a hit returns
+// the string stored on an earlier frame and allocates nothing.
+func (d *v3dec) name() (string, error) {
+	p, err := d.field()
+	if err != nil || d.names == nil || len(p) > internMaxLen {
+		return string(p), err
 	}
-	return string(p), nil
+	if s, ok := d.names[string(p)]; ok { // the conversion in a map index does not allocate
+		return s, nil
+	}
+	s := string(p)
+	if len(d.names) < internMaxEntries {
+		d.names[s] = s
+	}
+	return s, nil
 }
 
 func (d *v3dec) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
+	p, err := d.field()
+	if err != nil || len(p) == 0 {
 		return nil, err
-	}
-	p, err := d.take(n)
-	if err != nil {
-		return nil, err
-	}
-	if len(p) == 0 {
-		return nil, nil
 	}
 	out := make([]byte, len(p))
 	copy(out, p)
@@ -354,7 +371,7 @@ func (d *v3dec) meta() (Metadata, error) {
 	}
 	m := make(Metadata, n)
 	for i := uint64(0); i < n; i++ {
-		k, err := d.string()
+		k, err := d.name()
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +397,7 @@ func (d *v3dec) args() (Args, error) {
 	}
 	a := make(Args, n)
 	for i := uint64(0); i < n; i++ {
-		k, err := d.string()
+		k, err := d.name()
 		if err != nil {
 			return nil, err
 		}
@@ -456,11 +473,7 @@ func (d *v3dec) value() (any, error) {
 		}
 		return map[string]any(a), nil
 	case v3ValJSON:
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		p, err := d.take(n)
+		p, err := d.field()
 		if err != nil {
 			return nil, err
 		}
@@ -474,12 +487,13 @@ func (d *v3dec) value() (any, error) {
 }
 
 // decodeV3 decodes a v3 body (including the leading magic byte) into a
-// fresh Envelope that does not alias body.
-func decodeV3(body []byte) (*Envelope, error) {
+// fresh Envelope that does not alias body. names is the caller's intern
+// table (see v3dec.names), nil for none.
+func decodeV3(body []byte, names map[string]string) (*Envelope, error) {
 	if len(body) < 2 || body[0] != magicV3 {
 		return nil, ErrBadV3Frame
 	}
-	d := &v3dec{b: body, pos: 2}
+	d := &v3dec{b: body, pos: 2, names: names}
 	env := new(Envelope)
 	var err error
 	switch body[1] {
@@ -513,7 +527,7 @@ func (d *v3dec) request() (*Request, error) {
 	if r.Service, err = d.string(); err != nil {
 		return nil, err
 	}
-	if r.Method, err = d.string(); err != nil {
+	if r.Method, err = d.name(); err != nil {
 		return nil, err
 	}
 	if r.Caller, err = d.string(); err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"testing"
 )
 
@@ -228,12 +229,12 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 	body := append([]byte(nil), f.Bytes()[4:]...)
 	f.Release()
 	for n := 0; n < len(body); n++ {
-		if _, err := decodeV3(body[:n]); err == nil {
+		if _, err := decodeV3(body[:n], nil); err == nil {
 			t.Fatalf("truncated body of %d bytes decoded without error", n)
 		}
 	}
 	// Trailing garbage must be rejected too.
-	if _, err := decodeV3(append(body, 0xFF)); err == nil {
+	if _, err := decodeV3(append(body, 0xFF), nil); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
@@ -292,7 +293,7 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 		// panic: a torn frame is a decode error, not a crash.
 		body := vframe[4:]
 		for n := 0; n < len(body); n++ {
-			if _, err := decodeV3(body[:n]); err == nil {
+			if _, err := decodeV3(body[:n], nil); err == nil {
 				t.Fatalf("truncated v3 body (%d/%d bytes) decoded without error", n, len(body))
 			}
 		}
@@ -330,4 +331,77 @@ func BenchmarkFrameReaderV3(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// repeatReader serves the same bytes over and over, as a connection
+// that carries the same kind of request all day does.
+type repeatReader struct {
+	b   []byte
+	pos int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.pos:])
+	r.pos = (r.pos + n) % len(r.b)
+	return n, nil
+}
+
+// TestFrameReaderV3InternsRepeatedNames decodes the Mark request a
+// participant receives for one slot reservation (links.markTargetInner
+// over calendar.reserveArgs, with the metadata the engine stamps) and
+// holds the steady-state allocation count: the twelve map keys and the
+// method name come out of the connection's intern table, so what is
+// left (23) is the envelope, the request, three maps and the string
+// values. Copying every name, as before the table, costs 36.
+func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
+	f, err := EncodeFrameV3(&Envelope{Kind: KindRequest, Request: &Request{
+		ID: 7, Service: "links.andy", Method: "Mark", Caller: "phil",
+		Meta: Metadata{MetaRequestID: "phil-42", MetaHops: "1", MetaDeadline: "29998"},
+		Args: Args{
+			"entity": "slot/2003-04-22/10",
+			"action": "reserve",
+			"nid":    "N-phil-17",
+			"args": map[string]any{
+				"meeting": "M-phil-9", "priority": 0, "allowBump": false,
+				"day": "2003-04-22", "hour": 10,
+			},
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := NewFrameReader(&repeatReader{b: append([]byte(nil), f.Bytes()...)})
+	f.Release()
+	read := func() {
+		env, err := fr.Read()
+		if err != nil || env.Request.Method != "Mark" || env.Request.Args.String("nid") != "N-phil-17" {
+			t.Fatalf("read: %+v, %v", env, err)
+		}
+	}
+	read() // the first frame fills the table
+	if got := testing.AllocsPerRun(200, read); got > 24 {
+		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 24", got)
+	}
+
+	// The table is bounded: a peer cannot grow it with ever-new keys.
+	d := &v3dec{names: fr.names}
+	for i := 0; i < 4*internMaxEntries; i++ {
+		d.b = appendV3String(d.b[:0], "key-"+strconv.Itoa(i))
+		d.pos = 0
+		if _, err := d.name(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fr.names) > internMaxEntries {
+		t.Fatalf("intern table holds %d entries, cap is %d", len(fr.names), internMaxEntries)
+	}
+	long := string(bytes.Repeat([]byte{'k'}, internMaxLen+1))
+	d.b, d.pos = appendV3String(d.b[:0], long), 0
+	if s, err := d.name(); err != nil || s != long {
+		t.Fatalf("long name: %q, %v", s, err)
+	}
+	if _, ok := fr.names[long]; ok {
+		t.Fatal("a name longer than internMaxLen was interned")
+	}
+	read() // and a full table still decodes
 }

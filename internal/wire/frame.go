@@ -88,6 +88,7 @@ func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 type FrameReader struct {
 	r       *bufio.Reader
 	scratch []byte
+	names   map[string]string // v3 intern table, see v3dec.names
 
 	// Frames and Bytes count everything successfully read; the
 	// transport layer feeds them into metrics.
@@ -107,7 +108,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 32<<10)
 	}
-	return &FrameReader{r: br}
+	return &FrameReader{r: br, names: make(map[string]string)}
 }
 
 // Read decodes the next frame. The returned Envelope does not alias
@@ -140,24 +141,27 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 		// copies what it needs.
 		fr.scratch = make([]byte, poolBufCap)
 	}
-	var env *Envelope
-	if n > 0 && body[0] == magicV3 {
-		// v3 binary body — auto-detected per frame, no connection
-		// state needed (a JSON body always starts with '{').
-		var err error
-		env, err = decodeV3(body)
-		if err != nil {
-			return nil, err
-		}
-		fr.LastCodec = CodecV3
-	} else {
-		fr.LastCodec = CodecJSON
-		env = new(Envelope)
-		if err := json.Unmarshal(body, env); err != nil {
-			return nil, fmt.Errorf("wire: unmarshal: %w", err)
-		}
+	env, codec, err := decodeBody(body, fr.names)
+	if err != nil {
+		return nil, err
 	}
+	fr.LastCodec = codec
 	fr.Frames++
 	fr.Bytes += int64(4 + n)
 	return env, nil
+}
+
+// decodeBody decodes one frame body, telling v3 from JSON by its first
+// byte (a JSON body always starts with '{'), so no connection state is
+// needed. names is the reader's v3 intern table, nil for none.
+func decodeBody(body []byte, names map[string]string) (*Envelope, Codec, error) {
+	if len(body) > 0 && body[0] == magicV3 {
+		env, err := decodeV3(body, names)
+		return env, CodecV3, err
+	}
+	env := new(Envelope)
+	if err := json.Unmarshal(body, env); err != nil {
+		return nil, CodecJSON, fmt.Errorf("wire: unmarshal: %w", err)
+	}
+	return env, CodecJSON, nil
 }

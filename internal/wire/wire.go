@@ -4,9 +4,10 @@
 //
 // The paper's prototype used "TCP Sockets for small foot-print and
 // maximum flexibility" (§3.1). We keep the same spirit: a frame is a
-// 4-byte big-endian length followed by a JSON-encoded message. JSON is
-// the only stdlib codec that is self-describing enough for the
-// heterogeneous argument maps SyD services exchange.
+// 4-byte big-endian length followed by the message body: the binary v3
+// encoding (codecv3.go, DefaultCodec) once two peers have shaken hands,
+// and JSON, self-describing enough for the heterogeneous argument maps
+// SyD services exchange, for the handshake and for older peers.
 package wire
 
 import (
@@ -179,14 +180,8 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 		}
 		return nil, err
 	}
-	if n > 0 && body[0] == magicV3 {
-		return decodeV3(body)
-	}
-	env := new(Envelope)
-	if err := json.Unmarshal(body, env); err != nil {
-		return nil, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return env, nil
+	env, _, err := decodeBody(body, nil)
+	return env, err
 }
 
 // Marshal encodes v into a json.RawMessage for a Response result.
