@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/links"
 	"repro/internal/listener"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -68,7 +69,7 @@ func NewPlayer(ctx context.Context, node *core.Node, wallet int, strategy Strate
 			}
 			return nil
 		},
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			p.wallet -= args.Int("amount")
@@ -114,7 +115,7 @@ func NewHost(node *core.Node, inventory int) *Host {
 			}
 			return nil
 		},
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			h.mu.Lock()
 			defer h.mu.Unlock()
 			h.inventory--

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -106,7 +105,7 @@ func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engin
 	}
 	var err error
 	c.slots, err = db.EnsureTable(store.Schema{
-		Name: "cal_slots",
+		Name: slotTable,
 		Columns: []store.Column{
 			{Name: "day", Type: store.String},
 			{Name: "hour", Type: store.Int},
@@ -122,7 +121,7 @@ func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engin
 		return nil, err
 	}
 	c.meetings, err = db.EnsureTable(store.Schema{
-		Name: "cal_meetings",
+		Name: meetingTable,
 		Columns: []store.Column{
 			{Name: "id", Type: store.String},
 			{Name: "doc", Type: store.String}, // JSON Meeting
@@ -175,34 +174,49 @@ type SlotInfo struct {
 	Priority int    `json:"priority,omitempty"`
 }
 
+// The calendar's two tables.
+const (
+	slotTable    = "cal_slots"
+	meetingTable = "cal_meetings"
+)
+
 // slotInfo reads a slot row ("" meeting = free).
 func (c *Calendar) slotInfo(s Slot) SlotInfo {
 	info := SlotInfo{Slot: s}
 	// View, not Get: slot probes run inside every negotiation check and
 	// free-slot scan, and cloning the row just to read two columns is
 	// measurable there.
-	c.slots.View(func(r store.Row) {
-		info.Meeting = r["meeting"].(string)
-		info.Priority = int(r["priority"].(int64))
-	}, s.Day, int64(s.Hour))
+	c.slots.View(info.fromRow, s.Day, int64(s.Hour))
 	return info
+}
+
+// slotInfoIn is slotInfo as the step's unit u sees the slot. A step
+// that has written the slot must ask through its unit: the "delete" hook
+// of a bumped link asks who holds the slot the bumping Commit just took,
+// and the stored row would say the bumped meeting still does.
+func (c *Calendar) slotInfoIn(u *store.Tx, s Slot) SlotInfo {
+	info := SlotInfo{Slot: s}
+	u.View(slotTable, info.fromRow, s.Day, int64(s.Hour))
+	return info
+}
+
+func (i *SlotInfo) fromRow(r store.Row) {
+	i.Meeting = r["meeting"].(string)
+	i.Priority = int(r["priority"].(int64))
 }
 
 // Slot reports the occupancy of one slot.
 func (c *Calendar) Slot(s Slot) SlotInfo { return c.slotInfo(s) }
 
-// setSlot writes slot occupancy (meeting "" frees the slot).
-func (c *Calendar) setSlot(s Slot, meeting string, priority int) error {
-	if meeting == "" {
-		if c.slots.Has(s.Day, int64(s.Hour)) {
-			return c.slots.Delete(s.Day, int64(s.Hour))
-		}
-		return nil
+// setSlot writes slot occupancy in u (meeting "" frees the slot).
+func (c *Calendar) setSlot(u *store.Tx, s Slot, meeting string, priority int) error {
+	switch {
+	case meeting == "":
+		return u.Remove(slotTable, s.Day, int64(s.Hour))
+	case u.Has(slotTable, s.Day, int64(s.Hour)):
+		return u.Update(slotTable, store.Row{"meeting": meeting, "priority": int64(priority)}, s.Day, int64(s.Hour))
 	}
-	if c.slots.Has(s.Day, int64(s.Hour)) {
-		return c.slots.Update(store.Row{"meeting": meeting, "priority": int64(priority)}, s.Day, int64(s.Hour))
-	}
-	return c.slots.Insert(store.Row{"day": s.Day, "hour": int64(s.Hour), "meeting": meeting, "priority": int64(priority)})
+	return u.Insert(slotTable, store.Row{"day": s.Day, "hour": int64(s.Hour), "meeting": meeting, "priority": int64(priority)})
 }
 
 // FreeSlots lists this user's free slots in [fromDay, toDay] at the
@@ -234,10 +248,12 @@ func (c *Calendar) MarkBusy(s Slot, label string, priority int) error {
 	if label == "" {
 		label = "busy"
 	}
-	if info := c.slotInfo(s); info.Meeting != "" {
-		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s already holds %s", s, info.Meeting)}
-	}
-	return c.setSlot(s, "personal:"+label, priority)
+	return c.db.Unit(context.TODO(), func(u *store.Tx) error {
+		if info := c.slotInfoIn(u, s); info.Meeting != "" {
+			return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s already holds %s", s, info.Meeting)}
+		}
+		return c.setSlot(u, s, "personal:"+label, priority)
+	})
 }
 
 // isPersonal reports whether a slot occupancy is a personal
@@ -259,7 +275,7 @@ func (c *Calendar) ReleaseSlot(ctx context.Context, s Slot) error {
 		return &wire.RemoteError{Code: wire.CodeConflict,
 			Msg: fmt.Sprintf("calendar: %s is held by meeting %s; use DropOut or CancelMeeting", s, info.Meeting)}
 	}
-	if err := c.setSlot(s, "", 0); err != nil {
+	if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.setSlot(u, s, "", 0) }); err != nil {
 		return err
 	}
 	// Fire availability triggers: the highest-priority tentative
@@ -290,21 +306,27 @@ func decodeMeeting(doc string) (*Meeting, error) {
 	return &m, nil
 }
 
-// putMeeting upserts a meeting record.
-func (c *Calendar) putMeeting(m *Meeting) error {
-	return c.storeMeeting(m.ID, encodeMeeting(m))
+// putMeeting upserts a meeting record in u.
+func (c *Calendar) putMeeting(u *store.Tx, m *Meeting) error {
+	return c.storeMeeting(u, m.ID, encodeMeeting(m))
 }
 
-// storeMeeting upserts an encoded meeting record.
-func (c *Calendar) storeMeeting(id, doc string) error {
+// storeMeeting upserts an encoded meeting record in u. A record that
+// already reads doc is left alone: the cancel cascade's hook and the
+// publish that follows it write the same text, and one row says it.
+func (c *Calendar) storeMeeting(u *store.Tx, id, doc string) error {
+	var cur string
 	var err error
-	if c.meetings.Has(id) {
-		err = c.meetings.Update(store.Row{"doc": doc}, id)
-	} else {
-		err = c.meetings.Insert(store.Row{"id": id, "doc": doc})
+	switch has := u.View(meetingTable, func(r store.Row) { cur = r["doc"].(string) }, id); {
+	case has && cur == doc:
+		return nil
+	case has:
+		err = u.Update(meetingTable, store.Row{"doc": doc}, id)
+	default:
+		err = u.Insert(meetingTable, store.Row{"id": id, "doc": doc})
 	}
 	if err == nil && c.syncVers != nil {
-		c.syncVers.Bump(meetingEntity(id))
+		u.AfterCommit(func(context.Context) { c.syncVers.Bump(meetingEntity(id)) })
 	}
 	return err
 }
@@ -315,6 +337,16 @@ func (c *Calendar) Meeting(id string) (*Meeting, bool) {
 	if !ok {
 		return nil, false
 	}
+	return meetingFromRow(r)
+}
+
+// meetingIn is Meeting as the step's unit u sees the record.
+func (c *Calendar) meetingIn(u *store.Tx, id string) (m *Meeting, ok bool) {
+	u.View(meetingTable, func(r store.Row) { m, ok = meetingFromRow(r) }, id)
+	return m, ok
+}
+
+func meetingFromRow(r store.Row) (*Meeting, bool) {
 	var m Meeting
 	if err := json.Unmarshal([]byte(r["doc"].(string)), &m); err != nil {
 		return nil, false
@@ -359,7 +391,7 @@ func (c *Calendar) registerActions() {
 					Msg: fmt.Sprintf("calendar: %s/%s holds %s (prio %d)", c.user, s, info.Meeting, info.Priority)}
 			}
 		},
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(u *store.Tx, entity string, args wire.Args) error {
 			s, err := SlotFromEntity(entity)
 			if err != nil {
 				return err
@@ -375,104 +407,105 @@ func (c *Calendar) registerActions() {
 			}
 			meeting := args.String("meeting")
 			prio := args.Int("priority")
-			info := c.slotInfo(s)
+			info := c.slotInfoIn(u, s)
 			bumped := ""
 			if info.Meeting != "" && info.Meeting != meeting {
 				bumped = info.Meeting
 			}
-			if err := c.setSlot(s, meeting, prio); err != nil {
+			if err := c.setSlot(u, s, meeting, prio); err != nil {
 				return err
 			}
 			if bumped != "" {
-				c.handleBumpedMeeting(bumped, s, meeting)
+				if err := c.handleBumpedMeeting(u, bumped, s, meeting); err != nil {
+					return err
+				}
 			}
 			if decided == nil {
 				return nil
 			}
 			// After the bump handling, whose blocker lookup must not see
 			// this meeting's own back link yet.
-			return c.acceptDecided(decided, doc, args)
+			return c.acceptDecided(u, decided, doc, args)
 		},
 	})
 	c.lm.RegisterAction(ActionRelease, links.Action{
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(u *store.Tx, entity string, args wire.Args) error {
 			s, err := SlotFromEntity(entity)
 			if err != nil {
 				return err
 			}
 			meeting := args.String("meeting")
-			info := c.slotInfo(s)
-			if meeting != "" && info.Meeting != meeting {
+			if meeting != "" && c.slotInfoIn(u, s).Meeting != meeting {
 				return nil // slot has moved on; nothing to release
 			}
-			return c.setSlot(s, "", 0)
+			return c.setSlot(u, s, "", 0)
 		},
 	})
 }
 
-// linkHook reacts to link lifecycle events on this node. Link groups
-// carry the meeting id, so a deleted link means "this meeting released
-// my slot" and a promoted link means "my tentative reservation may
-// become real".
-func (c *Calendar) linkHook(kind string, l *links.Link, _ wire.Args) {
+// linkHook reacts to link lifecycle events on this node, in the unit u
+// that changes the link row. Link groups carry the meeting id, so a
+// deleted link means "this meeting released my slot" and a promoted link
+// means "my tentative reservation may become real".
+func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args) error {
 	meetingID := l.Group
-	if meetingID == "" {
-		return
+	s, err := SlotFromEntity(l.Owner.Entity)
+	if meetingID == "" || err != nil {
+		return nil
 	}
 	switch kind {
 	case "delete", "expire":
-		s, err := SlotFromEntity(l.Owner.Entity)
-		if err != nil {
-			return
-		}
-		freed := false
-		if info := c.slotInfo(s); info.Meeting == meetingID {
-			_ = c.setSlot(s, "", 0)
-			freed = true
+		freed := c.slotInfoIn(u, s).Meeting == meetingID
+		if freed {
+			if err := c.setSlot(u, s, "", 0); err != nil {
+				return err
+			}
 		}
 		// The retraction of the meeting's link is the cancellation (§4.4):
 		// write the record the initiator writes, no message follows. A link
 		// the record has moved on from (ChangeMeetingSlot) cancels nothing.
-		if m, ok := c.Meeting(meetingID); ok && m.Status != StatusCancelled && (m.LinkID == "" || m.LinkID == l.ID) {
+		if m, ok := c.meetingIn(u, meetingID); ok && m.Status != StatusCancelled && (m.LinkID == "" || m.LinkID == l.ID) {
 			m.Status = StatusCancelled
 			m.Reserved = nil
-			_ = c.putMeeting(m)
+			if err := c.putMeeting(u, m); err != nil {
+				return err
+			}
 		}
 		if freed {
 			// Wake tentative links queued at the freed slot that are
 			// not tracked by the waiting table (their blocker was
 			// unknown when they were queued — e.g. bump re-queues).
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_, _ = c.lm.TriggerEntity(ctx, l.Owner.Entity, "avail", wire.Args{
+			c.lm.TriggerEntityAfter(u, l.Owner.Entity, "avail", wire.Args{
 				"user": c.user, "day": s.Day, "hour": s.Hour,
 			})
 		}
 	case "promote":
-		s, err := SlotFromEntity(l.Owner.Entity)
-		if err != nil {
-			return
-		}
-		if info := c.slotInfo(s); info.Meeting == "" {
+		if c.slotInfoIn(u, s).Meeting == "" {
 			prio := l.Priority
-			if m, ok := c.Meeting(meetingID); ok {
+			if m, ok := c.meetingIn(u, meetingID); ok {
 				prio = m.Priority
 			}
-			_ = c.setSlot(s, meetingID, prio)
+			return c.setSlot(u, s, meetingID, prio)
 		}
 	}
+	return nil
 }
 
 // acceptDecided finishes a reservation whose Commit carried the meeting
-// record: the permanent back link to the initiator goes in (a tentative
-// row queued here earlier is promoted instead) and the record is stored
-// as sent. It runs under the slot's entity lock; running it again (a
-// redriven Commit, a retried reserve) leaves one link row, one record.
-func (c *Calendar) acceptDecided(m *Meeting, doc string, args wire.Args) error {
+// record, in the Commit's unit u: the permanent back link to the
+// initiator goes in (a tentative row queued here earlier is promoted
+// instead) and the record is stored as sent. It runs under the slot's
+// entity lock; running it again (a redriven Commit, a retried reserve)
+// leaves one link row, one record.
+func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.Args) error {
 	if m.Initiator == c.user {
 		// TryConfirm re-reserving the initiator's own bumped slot: its
-		// forward link turns permanent again, the caller stores the record.
-		_ = c.lm.PromoteLink(m.LinkID)
+		// forward link turns permanent again, the caller stores the
+		// record. ChangeMeetingSlot comes this way too, before its new
+		// forward link exists, and has nothing to promote.
+		if err := c.lm.PromoteLink(u, m.LinkID); err != nil && wire.CodeOf(err) != wire.CodeNoService {
+			return err
+		}
 		return nil
 	}
 	back := backLink(m, c.user)
@@ -481,40 +514,39 @@ func (c *Calendar) acceptDecided(m *Meeting, doc string, args wire.Args) error {
 			return &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "calendar: bad link expiry in reserve"}
 		}
 	}
-	err := c.lm.AddLink(&back)
+	err := c.lm.AddLink(u, &back)
 	if wire.CodeOf(err) == wire.CodeConflict {
-		err = c.lm.PromoteLink(m.LinkID)
+		err = c.lm.PromoteLink(u, m.LinkID)
 	}
 	if err != nil {
 		return err
 	}
-	return c.storeMeeting(m.ID, doc)
+	return c.storeMeeting(u, m.ID, doc)
 }
 
 // handleBumpedMeeting runs on the device whose slot was just taken by
-// a higher-priority meeting: re-queue a tentative back link for the
-// bumped meeting and tell its initiator (§6: "a low priority meeting
-// can be bumped ... and is then automatically rescheduled").
-func (c *Calendar) handleBumpedMeeting(bumpedMeeting string, s Slot, byMeeting string) {
+// a higher-priority meeting, in the unit u of the Commit that took it:
+// re-queue a tentative back link for the bumped meeting and, once u is
+// logged, tell its initiator (§6: "a low priority meeting can be bumped
+// ... and is then automatically rescheduled").
+func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot, byMeeting string) error {
 	if isPersonal(bumpedMeeting) {
-		return // personal appointments are simply overwritten
+		return nil // personal appointments are simply overwritten
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
 	initiator := ""
-	if m, ok := c.Meeting(bumpedMeeting); ok {
+	if m, ok := c.meetingIn(u, bumpedMeeting); ok {
 		initiator = m.Initiator
 	}
 	// Replace the bumped meeting's back link (if any) with a
 	// tentative one waiting on the bumping meeting's link.
+	onSlot := c.lm.LinksOn(s.Entity())
 	var blockerID string
-	for _, l := range c.lm.LinksOn(s.Entity()) {
+	for _, l := range onSlot {
 		if l.Group == byMeeting && l.Subtype == links.Permanent {
 			blockerID = l.ID
 		}
 	}
-	for _, l := range c.lm.LinksOn(s.Entity()) {
+	for _, l := range onSlot {
 		if l.Group != bumpedMeeting {
 			continue
 		}
@@ -525,27 +557,40 @@ func (c *Calendar) handleBumpedMeeting(bumpedMeeting string, s Slot, byMeeting s
 		nl.Subtype = links.Tentative
 		nl.WaitingOn = blockerID
 		nl.Triggers = tentativeTriggers(bumpedMeeting, c.user)
-		_, _ = c.lm.DeleteLinkLocal(ctx, l.ID)
-		_ = c.lm.AddLink(&nl)
+		if _, err := c.lm.RemoveLink(u, l.ID); err != nil {
+			return err
+		}
+		if err := c.lm.AddLink(u, &nl); err != nil {
+			return err
+		}
 	}
 	// The delete hook marks the local meeting record cancelled; the
 	// meeting is only bumped, so restore it to tentative.
-	if m, ok := c.Meeting(bumpedMeeting); ok && m.Status == StatusCancelled {
+	if m, ok := c.meetingIn(u, bumpedMeeting); ok && m.Status == StatusCancelled {
 		m.Status = StatusTentative
-		_ = c.putMeeting(m)
+		if err := c.putMeeting(u, m); err != nil {
+			return err
+		}
 	}
-	// The initiator notification runs inline inside the bumping
-	// negotiation's commit. This cannot deadlock against the meeting
-	// locks: any holder of the bumped meeting's lock only ever
-	// *try-locks* entities, so it fails fast instead of waiting on
-	// the bumping negotiation's entity locks.
-	if initiator != "" && initiator != c.user {
-		_ = c.eng.Invoke(ctx, ServiceFor(initiator), "MeetingBumped", wire.Args{
-			"meeting": bumpedMeeting, "user": c.user, "by": byMeeting,
-		}, nil)
-	} else if initiator == c.user {
-		c.meetingBumpedLocally(ctx, bumpedMeeting, c.user)
+	// The initiator hears of it inside the bumping negotiation's commit,
+	// with the slot's entity lock still held. This cannot deadlock
+	// against the meeting locks: any holder of the bumped meeting's lock
+	// only ever *try-locks* entities, so it fails fast instead of
+	// waiting on the bumping negotiation's entity locks.
+	switch initiator {
+	case "":
+	case c.user:
+		u.AfterCommit(func(ctx context.Context) { c.meetingBumpedLocally(ctx, bumpedMeeting, c.user) })
+	default:
+		u.AfterCommit(func(ctx context.Context) {
+			// Best effort: an initiator that cannot be told now finds
+			// the participant missing at its next TryConfirm.
+			_ = c.eng.Invoke(ctx, ServiceFor(initiator), "MeetingBumped", wire.Args{
+				"meeting": bumpedMeeting, "user": c.user, "by": byMeeting,
+			}, nil)
+		})
 	}
+	return nil
 }
 
 // notifyParticipants sends the §5.1 e-mail notification.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/links"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -211,10 +212,7 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	}
 	m.Status = m.standing()
 
-	if err := c.installMeetingLinks(ctx, m, req); err != nil {
-		return nil, err
-	}
-	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
+	if err := c.linkAndPublish(ctx, m, req.Expires, sentExactly(sent)); err != nil {
 		return nil, err
 	}
 	c.notifyParticipants(ctx, m,
@@ -288,12 +286,15 @@ func backLink(m *Meeting, user string) links.Link {
 	return l
 }
 
-// installMeetingLinks installs what of the §5 link topology the
-// negotiation did not: the forward negotiation-and link at the
-// initiator, and tentative back links (waiting on whatever blocks the
-// slot) at unreserved participants. A reserved participant installed its
-// own back link when its Commit applied (acceptDecided).
-func (c *Calendar) installMeetingLinks(ctx context.Context, m *Meeting, req Request) error {
+// linkAndPublish is the step that makes a negotiated meeting stand at
+// its initiator: the forward negotiation-and link and the meeting record
+// are one commit unit. Once it is logged, what of the §5 link topology
+// the negotiation did not install follows — tentative back links
+// (waiting on whatever blocks the slot) at unreserved participants; a
+// reserved one installed its own back link when its Commit applied
+// (acceptDecided) — and then the record is pushed to whoever has(user,
+// doc) does not report as holding it.
+func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, expires time.Time, has func(user, doc string) bool) error {
 	// The forward link targets *every* participant (reserved or still
 	// missing) so the §4.4 cancel cascade reaches users who joined after
 	// setup (a tentative participant who confirmed later) and clears
@@ -302,28 +303,43 @@ func (c *Calendar) installMeetingLinks(ctx context.Context, m *Meeting, req Requ
 		ID:         m.LinkID,
 		Group:      m.ID,
 		Priority:   m.Priority,
-		Expires:    req.Expires,
+		Expires:    expires,
 		Type:       links.Negotiation,
 		Subtype:    links.Permanent,
 		Constraint: links.And,
 		Owner:      links.EntityRef{User: m.Initiator, Entity: m.Slot.Entity()},
 		Triggers:   []links.Trigger{{Event: "change", Action: ActionReserve, Args: reserveArgs(m, false)}},
 	}
-	for _, u := range m.Participants() {
-		if u != m.Initiator {
-			fwd.Targets = append(fwd.Targets, links.EntityRef{User: u, Entity: m.Slot.Entity()})
+	var unreserved []string
+	for _, p := range m.Participants() {
+		if p != m.Initiator {
+			fwd.Targets = append(fwd.Targets, links.EntityRef{User: p, Entity: m.Slot.Entity()})
+		}
+		if !m.isReserved(p) {
+			unreserved = append(unreserved, p)
 		}
 	}
-	if err := c.lm.AddLink(&fwd); err != nil {
+	var linkErr error
+	err := c.db.Unit(ctx, func(u *store.Tx) error {
+		if err := c.lm.AddLink(u, &fwd); err != nil {
+			return err
+		}
+		if len(unreserved) > 0 {
+			u.AfterCommit(func(ctx context.Context) { linkErr = c.installTentativeBackLinks(ctx, m, unreserved) })
+		}
+		return c.publishIn(u, m, has)
+	})
+	if err != nil {
 		return err
 	}
+	return linkErr
+}
 
-	// Tentative back links at everyone not reserved.
-	for _, u := range m.Participants() {
-		if m.isReserved(u) {
-			continue
-		}
-		if err := c.installTentativeBackLink(ctx, m, u); err != nil {
+// installTentativeBackLinks queues a tentative back link at each of
+// users, the participants the negotiation could not reserve.
+func (c *Calendar) installTentativeBackLinks(ctx context.Context, m *Meeting, users []string) error {
+	for _, p := range users {
+		if err := c.installTentativeBackLink(ctx, m, p); err != nil {
 			// A disconnected participant cannot host the tentative link
 			// yet. The meeting stays tentative with them missing; their
 			// reconnect sync pulls the meeting record, and a later
@@ -333,7 +349,7 @@ func (c *Calendar) installMeetingLinks(ctx context.Context, m *Meeting, req Requ
 			case wire.CodeUnavailable, wire.CodeNoService, wire.CodeConflict:
 				continue
 			}
-			return fmt.Errorf("calendar: tentative link at %s: %w", u, err)
+			return fmt.Errorf("calendar: tentative link at %s: %w", p, err)
 		}
 	}
 	return nil
@@ -380,18 +396,34 @@ func (c *Calendar) findBlockingLink(ctx context.Context, user, entity, excludeGr
 	return ""
 }
 
-// publish stores the meeting record and best-effort sends it, in the
-// same encoding, to every participant but those has(user, doc) reports
-// as holding it already (nil: nobody does).
+// publish stores the meeting record, as a step of its own, and
+// best-effort sends it, in the same encoding, to every participant but
+// those has(user, doc) reports as holding it already (nil: nobody does).
 func (c *Calendar) publish(ctx context.Context, m *Meeting, has func(user, doc string) bool) error {
+	return c.db.Unit(ctx, func(u *store.Tx) error { return c.publishIn(u, m, has) })
+}
+
+// publishIn is publish inside the step's unit u: the record is written
+// with the step's other rows and the sends follow its commit.
+func (c *Calendar) publishIn(u *store.Tx, m *Meeting, has func(user, doc string) bool) error {
 	doc := encodeMeeting(m)
-	if err := c.storeMeeting(m.ID, doc); err != nil {
+	if err := c.storeMeeting(u, m.ID, doc); err != nil {
 		return err
 	}
-	for _, u := range m.Participants() {
-		if u != c.user && (has == nil || !has(u, doc)) {
-			_ = c.eng.Invoke(ctx, ServiceFor(u), "MeetingUpdate", wire.Args{"doc": doc}, nil)
+	var to []string
+	for _, p := range m.Participants() {
+		if p != c.user && (has == nil || !has(p, doc)) {
+			to = append(to, p)
 		}
+	}
+	if len(to) > 0 {
+		u.AfterCommit(func(ctx context.Context) {
+			for _, p := range to {
+				// Best effort: a participant that misses the push pulls
+				// the record when it next syncs.
+				_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", wire.Args{"doc": doc}, nil)
+			}
+		})
 	}
 	return nil
 }
@@ -644,10 +676,7 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 	if _, err := c.lm.DeleteLink(ctx, old.LinkID, nil); err != nil {
 		return err
 	}
-	if err := c.installMeetingLinks(ctx, m, Request{}); err != nil {
-		return err
-	}
-	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
+	if err := c.linkAndPublish(ctx, m, time.Time{}, sentExactly(sent)); err != nil {
 		return err
 	}
 	c.notifyParticipants(ctx, m,

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/offline"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -109,13 +110,19 @@ func (c *Calendar) ScheduleOrQueue(ctx context.Context, req Request) (m *Meeting
 		OrGroups:    append([]OrGroup(nil), req.OrGroups...),
 		Missing:     append([]string(nil), req.Must...),
 	}
-	if req.PinSlot || req.Day != "" {
+	pinned := req.PinSlot || req.Day != ""
+	if pinned {
 		m.Slot = Slot{Day: req.Day, Hour: req.Hour}
-		if err := c.setSlot(m.Slot, m.ID, m.Priority); err != nil {
-			return nil, false, err
-		}
 	}
-	if err := c.putMeeting(m); err != nil {
+	err = c.db.Unit(ctx, func(u *store.Tx) error {
+		if pinned {
+			if err := c.setSlot(u, m.Slot, m.ID, m.Priority); err != nil {
+				return err
+			}
+		}
+		return c.putMeeting(u, m)
+	})
+	if err != nil {
 		return nil, false, err
 	}
 	return m, true, nil
@@ -138,15 +145,9 @@ func (c *Calendar) CancelOrQueue(ctx context.Context, meetingID string) (queued 
 	if _, err := c.offline.EnqueueOp(opCancel, meetingID, nil); err != nil {
 		return false, err
 	}
-	if info := c.slotInfo(m.Slot); info.Meeting == meetingID {
-		_ = c.setSlot(m.Slot, "", 0)
-	}
 	m.Status = StatusCancelled
 	m.Reserved = nil
-	if err := c.putMeeting(m); err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, c.db.Unit(ctx, func(u *store.Tx) error { return c.putReleased(u, m) })
 }
 
 // ReplayOp drains one queued op during the reconnect push phase (the
@@ -250,10 +251,21 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 		// copy must not roll back what the push phase just negotiated.
 		return nil
 	}
-	if m.Status == StatusCancelled {
-		if info := a.c.slotInfo(m.Slot); info.Meeting == m.ID {
-			_ = a.c.setSlot(m.Slot, "", 0)
+	return a.c.db.Unit(context.TODO(), func(u *store.Tx) error {
+		if m.Status == StatusCancelled {
+			return a.c.putReleased(u, &m)
+		}
+		return a.c.putMeeting(u, &m)
+	})
+}
+
+// putReleased stores a cancelled meeting's record in u and frees the
+// slot it held here, if it still holds it.
+func (c *Calendar) putReleased(u *store.Tx, m *Meeting) error {
+	if c.slotInfoIn(u, m.Slot).Meeting == m.ID {
+		if err := c.setSlot(u, m.Slot, "", 0); err != nil {
+			return err
 		}
 	}
-	return a.c.putMeeting(&m)
+	return c.putMeeting(u, m)
 }

@@ -31,51 +31,41 @@ func (c *Calendar) Checkpoint() ([]byte, error) {
 // Restore replaces the calendar's state from a checkpoint produced by
 // the proxy during adoption. Because store snapshots restore into a
 // fresh DB, Restore copies rows table-by-table into the live tables.
-func (c *Calendar) Restore(snapshot []byte) error {
+func (c *Calendar) Restore(ctx context.Context, snapshot []byte) error {
 	restored := store.NewDB()
 	if err := restored.Restore(bytes.NewReader(snapshot)); err != nil {
 		return err
 	}
-	for _, name := range restored.TableNames() {
-		src, err := restored.Table(name)
-		if err != nil {
-			return err
-		}
-		dst, err := c.db.Table(name)
-		if err != nil {
-			continue // table this device does not keep
-		}
-		// Clear and refill.
-		for _, r := range dst.Select(nil) {
-			keyVals, kerr := keyValsFor(dst, r)
-			if kerr != nil {
-				return kerr
-			}
-			if err := dst.Delete(keyVals...); err != nil {
+	// Clear and refill, as one unit: a crash leaves the device with the
+	// state it had or the state the proxy kept for it.
+	return c.db.Unit(ctx, func(u *store.Tx) error {
+		for _, name := range restored.TableNames() {
+			src, err := restored.Table(name)
+			if err != nil {
 				return err
 			}
-		}
-		for _, r := range src.Select(nil) {
-			if err := dst.Insert(r); err != nil {
-				return fmt.Errorf("calendar: restore %s: %w", name, err)
+			dst, err := c.db.Table(name)
+			if err != nil {
+				continue // table this device does not keep
+			}
+			key := dst.Schema().Key
+			for _, r := range dst.Select(nil) {
+				keyVals := make([]any, len(key))
+				for i, k := range key {
+					keyVals[i] = r[k]
+				}
+				if err := u.Delete(name, keyVals...); err != nil {
+					return err
+				}
+			}
+			for _, r := range src.Select(nil) {
+				if err := u.Insert(name, r); err != nil {
+					return fmt.Errorf("calendar: restore %s: %w", name, err)
+				}
 			}
 		}
-	}
-	return nil
-}
-
-// keyValsFor extracts a row's primary key values in schema order.
-func keyValsFor(t *store.Table, r store.Row) ([]any, error) {
-	schema := t.Schema()
-	out := make([]any, len(schema.Key))
-	for i, k := range schema.Key {
-		v, ok := r[k]
-		if !ok {
-			return nil, fmt.Errorf("calendar: row missing key %q", k)
-		}
-		out[i] = v
-	}
-	return out, nil
+		return nil
+	})
 }
 
 // NewProxyAdopter returns a proxy.Adopter that reconstructs a user's
@@ -134,7 +124,7 @@ func (c *Calendar) ComeBack(ctx context.Context, net transport.Network, dir *dir
 	if err != nil {
 		return err
 	}
-	if err := c.Restore(snap); err != nil {
+	if err := c.Restore(ctx, snap); err != nil {
 		return err
 	}
 	return dir.SetOffline(ctx, c.user, false)

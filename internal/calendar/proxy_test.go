@@ -46,7 +46,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if c.Slot(slot(day1, 9)).Meeting != "" {
 		t.Fatal("precondition failed")
 	}
-	if err := c.Restore(snap); err != nil {
+	if err := c.Restore(ctxBg(), snap); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Slot(slot(day1, 9)).Meeting; got != "personal:x" {

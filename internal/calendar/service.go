@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/listener"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -78,7 +79,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.storeMeeting(m.ID, doc); err != nil {
+		if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.storeMeeting(u, m.ID, doc) }); err != nil {
 			return nil, err
 		}
 		return true, nil

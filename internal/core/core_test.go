@@ -140,7 +140,7 @@ func TestExpireSweepSchedule(t *testing.T) {
 		Owner:   links.EntityRef{User: "phil", Entity: "slot9"},
 		Expires: clk.Now().Add(30 * time.Second),
 	}
-	if err := n.Links.AddLink(l); err != nil {
+	if err := n.Links.InstallAt(context.Background(), n.User, l); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

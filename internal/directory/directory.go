@@ -317,23 +317,16 @@ func (s *Server) setOffline(id string, offline bool) error {
 // sync session starting right after Touch cannot race a stale proxy
 // redirect. The pre-touch info is returned so the device learns which
 // proxy (if any) was holding state it still has to drain.
-func (s *Server) touch(id string) (UserInfo, error) {
+func (s *Server) touch(ctx context.Context, id string) (UserInfo, error) {
 	r, ok := s.users.Get(id)
 	if !ok {
 		return UserInfo{}, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
 	}
 	prev := s.userInfo(r)
-	tx := s.db.Begin()
-	if err := tx.Update("users", store.Row{
-		"offline": false, "lastSeen": s.clock.Now(), "proxy": "",
-	}, id); err != nil {
-		tx.Rollback()
-		return UserInfo{}, err
-	}
-	if err := tx.Commit(); err != nil {
-		return UserInfo{}, err
-	}
-	return prev, nil
+	err := s.db.Unit(ctx, func(u *store.Tx) error {
+		return u.Update("users", store.Row{"offline": false, "lastSeen": s.clock.Now(), "proxy": ""}, id)
+	})
+	return prev, err
 }
 
 func (s *Server) registerService(name, owner, addr string, methods []string) error {
@@ -564,7 +557,7 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 		}
 		return ok(true)
 	case "Touch":
-		info, err := s.touch(a.String("id"))
+		info, err := s.touch(ctx, a.String("id"))
 		if err != nil {
 			return fail(err)
 		}

@@ -177,7 +177,7 @@ func RunA2() (*Result, error) {
 		observed := 0
 		var mu sync.Mutex
 		w.Cals["u01"].Links().RegisterAction("audit", links.Action{
-			Apply: func(entity string, args wire.Args) error {
+			Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 				mu.Lock()
 				observed++
 				mu.Unlock()
@@ -191,7 +191,7 @@ func RunA2() (*Result, error) {
 			Targets:  []links.EntityRef{{User: "u01", Entity: "audit-log"}},
 			Triggers: []links.Trigger{{Event: "change", Action: "audit"}},
 		}
-		if err := lm.AddLink(l); err != nil {
+		if err := lm.InstallAt(ctx, lm.Self(), l); err != nil {
 			return nil, err
 		}
 		start := time.Now()

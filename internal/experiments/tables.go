@@ -236,7 +236,7 @@ func RunT2() (*Result, error) {
 				Owner:   links.EntityRef{User: "u00", Entity: "slot:2003-04-21:9"},
 				Targets: []links.EntityRef{{User: "u01", Entity: "slot:2003-04-21:9"}},
 			}
-			if err := lm.AddLink(l); err != nil {
+			if err := lm.InstallAt(ctx, lm.Self(), l); err != nil {
 				return nil, err
 			}
 		}
@@ -345,7 +345,7 @@ func RunT2() (*Result, error) {
 				Owner:   links.EntityRef{User: "u00", Entity: fmt.Sprintf("slot:2003-04-21:%d", i%24)},
 				Expires: w.Clk.Now().Add(time.Duration(i%2+1) * time.Hour),
 			}
-			if err := lm.AddLink(l); err != nil {
+			if err := lm.InstallAt(ctx, lm.Self(), l); err != nil {
 				return nil, err
 			}
 		}

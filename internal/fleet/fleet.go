@@ -122,7 +122,7 @@ func (v *Vehicle) WatchGeofence(depot string, lat, lon, radius float64) error {
 			Args: wire.Args{"vehicle": v.ID},
 		}},
 	}
-	return v.node.Links.AddLink(l)
+	return v.node.Links.InstallAt(context.TODO(), v.ID, l)
 }
 
 // MoveTo updates the vehicle's position and fires the geofence link
@@ -160,7 +160,7 @@ type Depot struct {
 func NewDepot(node *core.Node) *Depot {
 	d := &Depot{node: node, alerts: make(chan Alert, 64)}
 	node.Links.RegisterAction(alertAction, links.Action{
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			a := Alert{Vehicle: args.String("vehicle")}
 			if f, ok := args["lat"].(float64); ok {
 				a.Lat = f

@@ -196,7 +196,7 @@ func TestPromotionPropertyHighestGroupWins(t *testing.T) {
 		h := newHarness(t, "a", "b")
 		lm := h.nodes["a"].Links
 		owner := links.EntityRef{User: "a", Entity: "s"}
-		if err := lm.AddLink(newLink("BLOCK", links.Negotiation, links.Permanent, owner, refs("b", "s"))); err != nil {
+		if err := lm.InstallAt(context.Background(), lm.Self(), newLink("BLOCK", links.Negotiation, links.Permanent, owner, refs("b", "s"))); err != nil {
 			return false
 		}
 		bestPrio := -1
@@ -209,7 +209,7 @@ func TestPromotionPropertyHighestGroupWins(t *testing.T) {
 			l.WaitingOn = "BLOCK"
 			l.Priority = prio
 			l.Group = fmt.Sprintf("G%d", prio) // group == priority class
-			if err := lm.AddLink(l); err != nil {
+			if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 				return false
 			}
 		}

@@ -140,12 +140,9 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-func (r *journalRec) row() store.Row {
-	return store.Row{
-		"id":         r.ID,
-		"rec":        mustJSON(r),
-		"next_retry": r.NextRetry,
-	}
+// body is the row's non-key columns: what an update rewrites.
+func (r *journalRec) body() store.Row {
+	return store.Row{"rec": mustJSON(r), "next_retry": r.NextRetry}
 }
 
 func journalFromRow(row store.Row) (*journalRec, error) {
@@ -165,25 +162,42 @@ func journalFromRow(row store.Row) (*journalRec, error) {
 	return r, nil
 }
 
-// journalBegin persists the COMMIT decision before phase 2 touches
-// anything. The row lands in the store (and therefore the WAL when
-// durability is on) before the first Commit leaves the coordinator.
-func (m *Manager) journalBegin(rec *journalRec) error {
-	err := m.journalT.Insert(rec.row())
-	if errors.Is(err, store.ErrDupKey) {
-		return m.journalT.Update(rec.row(), rec.ID)
+// journalBegin persists the COMMIT decision, in the unit u that also
+// holds the coordinator's own change if it has one, before phase 2
+// touches anything else. The row lands in the store (and therefore the
+// WAL when durability is on) before the first Commit leaves the
+// coordinator.
+func (m *Manager) journalBegin(u *store.Tx, rec *journalRec) error {
+	row := rec.body()
+	row["id"] = rec.ID
+	return u.Insert(NegotiationJournal, row)
+}
+
+// journalSettle records how a commit round left rec, as one unit: the
+// row is retired once no target and no local change is outstanding,
+// and rewritten with the round's progress otherwise. A row that cannot
+// be written stays as it was; the next sweep re-drives it, and targets
+// that already applied ack the repeat as a duplicate.
+func (m *Manager) journalSettle(ctx context.Context, rec *journalRec) (retired bool) {
+	retired = len(rec.Pending) == 0 && (rec.Local == nil || rec.LocalDone)
+	if retired {
+		m.journalRetire(ctx, rec.ID)
+		return true
 	}
-	return err
+	err := m.db.Unit(ctx, func(u *store.Tx) error { return u.Update(NegotiationJournal, rec.body(), rec.ID) })
+	if err != nil {
+		m.count("journal-write", wire.CodeInternal)
+	}
+	return false
 }
 
-// journalUpdate rewrites a journal row after progress.
-func (m *Manager) journalUpdate(rec *journalRec) {
-	_ = m.journalT.Update(rec.row(), rec.ID)
-}
-
-// journalRetire removes a resolved negotiation's row.
-func (m *Manager) journalRetire(id string) {
-	_ = m.journalT.Delete(id)
+// journalRetire removes a resolved negotiation's row; one a concurrent
+// round already removed is as retired as it gets.
+func (m *Manager) journalRetire(ctx context.Context, id string) {
+	err := m.db.Unit(ctx, func(u *store.Tx) error { return u.Remove(NegotiationJournal, id) })
+	if err != nil {
+		m.count("journal-write", wire.CodeInternal)
+	}
 }
 
 // journalGet fetches and decodes one journal row.
@@ -317,17 +331,18 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 		rec, err := journalFromRow(row)
 		if err != nil {
 			// Undecodable row: expire it loudly rather than spin.
-			m.journalRetire(row["id"].(string))
+			m.journalRetire(ctx, row["id"].(string))
 			m.count("journal-expire", wire.CodeInternal)
 			resolved.Add(1)
 			continue
 		}
 		rec.Attempts++
+		rec.NextRetry = now.Add(backoffAfter(tun, rec.Attempts))
 		if rec.Attempts > tun.MaxAttempts {
 			// Give up: the negotiation stays divergent. Count it where
 			// operators will see it; the row itself is dropped so the
 			// sweep does not grind on a dead deployment forever.
-			m.journalRetire(rec.ID)
+			m.journalRetire(ctx, rec.ID)
 			m.count("journal-expire", wire.CodeUnavailable)
 			resolved.Add(1)
 			continue
@@ -346,10 +361,7 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 			}
 			if m.redriveJournal(rctx, rec) {
 				resolved.Add(1)
-				return
 			}
-			rec.NextRetry = now.Add(backoffAfter(tun, rec.Attempts))
-			m.journalUpdate(rec)
 		}(rec)
 	}
 	wg.Wait()
@@ -366,7 +378,7 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 // definitive state (applied or rejected) and failed=true when that
 // state is a rejection; done=false means the entity is locked by a
 // live negotiation and the redrive should retry next sweep.
-func (m *Manager) redriveLocal(lc *LocalChange) (done, failed bool) {
+func (m *Manager) redriveLocal(ctx context.Context, lc *LocalChange) (done, failed bool) {
 	tok, ok := m.Locks.TryLock(lockKey(lc.Entity), m.self)
 	if !ok {
 		return false, false
@@ -383,7 +395,8 @@ func (m *Manager) redriveLocal(lc *LocalChange) (done, failed bool) {
 			return true, true
 		}
 	}
-	if err := m.applyLocal(lc.Entity, lc.Action, lc.Args); err != nil {
+	err = m.db.Unit(ctx, func(u *store.Tx) error { return m.applyLocal(u, lc.Entity, lc.Action, lc.Args) })
+	if err != nil {
 		m.count("redrive-local", wire.CodeOf(err))
 		return true, true
 	}
@@ -392,12 +405,13 @@ func (m *Manager) redriveLocal(lc *LocalChange) (done, failed bool) {
 }
 
 // redriveJournal re-runs the commit phase for one journal row: the
-// local change first (a recovered coordinator may have crashed before
-// applying its own side), then every pending target, fanned out
-// concurrently. Reports true when the row was retired.
+// local change first (a row journaled by a build that wrote the
+// decision before, not with, its own change may have it outstanding),
+// then every pending target, fanned out concurrently, and writes the
+// row back once. Reports true when the row was retired.
 func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
 	if rec.Local != nil && !rec.LocalDone {
-		done, failed := m.redriveLocal(rec.Local)
+		done, failed := m.redriveLocal(ctx, rec.Local)
 		if done {
 			rec.LocalDone = true
 			if failed {
@@ -424,17 +438,15 @@ func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
 		}
 	}
 	rec.Pending = still
-	if len(rec.Pending) == 0 && (rec.Local == nil || rec.LocalDone) {
-		m.journalRetire(rec.ID)
-		if len(rec.Failed) > 0 {
-			m.count("outcome", wire.CodeConflict) // resolved partial: divergence is permanent
-		} else {
-			m.count("outcome-recovered", wire.CodeOK)
-		}
-		return true
+	if !m.journalSettle(ctx, rec) {
+		return false
 	}
-	m.journalUpdate(rec)
-	return false
+	if len(rec.Failed) > 0 {
+		m.count("outcome", wire.CodeConflict) // resolved partial: divergence is permanent
+	} else {
+		m.count("outcome-recovered", wire.CodeOK)
+	}
+	return true
 }
 
 // FaultSweep runs every periodic recovery duty in one call: link

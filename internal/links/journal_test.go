@@ -1,0 +1,126 @@
+package links_test
+
+import (
+	"encoding/json"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/links"
+	"repro/internal/metrics"
+	"repro/internal/wire"
+)
+
+// storedJournal decodes the one journal row on a's device, as the table
+// holds it — what a restart would find.
+func storedJournal(t *testing.T, h *harness) (attempts int, pending []string, nextRetry time.Time) {
+	t.Helper()
+	tab, err := h.nodes["a"].DB.Table(links.NegotiationJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := tab.Select(nil)
+	if len(rows) != 1 {
+		t.Fatalf("journal holds %d rows, want 1", len(rows))
+	}
+	var rec struct {
+		Attempts int
+		Pending  []struct {
+			Ref links.EntityRef `json:"ref"`
+		}
+	}
+	if err := json.Unmarshal([]byte(rows[0]["rec"].(string)), &rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rec.Pending {
+		pending = append(pending, p.Ref.User)
+	}
+	return rec.Attempts, pending, rows[0]["next_retry"].(time.Time)
+}
+
+// TestJournalRowRecordsSweepProgress: a partial phase 2 leaves a journal
+// row, and every sweep writes what it achieved back into it — the
+// attempt count, the backed-off next retry, the targets still owed a
+// Commit — so an acknowledged target is not sent Commit again, the
+// backoff grows, and a row whose target never returns expires after
+// MaxAttempts instead of being re-driven every sweep for ever. (The
+// update used to carry the key column among its changes; the store
+// refused it and the error was dropped, so the row never changed.)
+func TestJournalRowRecordsSweepProgress(t *testing.T) {
+	h := newHarness(t, "a", "x", "y")
+	lm := h.nodes["a"].Links
+	reg := metrics.NewRegistry()
+	lm.SetMetrics(reg)
+	lm.SetTuning(links.Tuning{RetryBase: time.Second, RetryCap: time.Minute, MaxAttempts: 3})
+
+	// The fault runs on the goroutine of each Commit send.
+	var mu sync.Mutex
+	down := map[string]bool{"x": true, "y": true}
+	sent := map[string]int{}
+	lm.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		mu.Lock()
+		defer mu.Unlock()
+		sent[ref.User]++
+		if down[ref.User] {
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+		}
+		return nil
+	})
+	setDown := func(user string, v bool) { mu.Lock(); down[user] = v; mu.Unlock() }
+	sentTo := func(user string) int { mu.Lock(); defer mu.Unlock(); return sent[user] }
+	_, err := lm.Negotiate(ctxBg(), links.Spec{
+		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
+	})
+	if !links.IsInDoubt(err) {
+		t.Fatalf("err = %v, want in-doubt", err)
+	}
+	attempts, pending, retry1 := storedJournal(t, h)
+	if attempts != 1 || len(pending) != 2 {
+		t.Fatalf("after the inline round: attempts %d, pending %v; want 1, [x y]", attempts, pending)
+	}
+
+	// Sweep 1: x is back and acknowledges; y is still away.
+	setDown("x", false)
+	h.clk.Advance(2 * time.Second)
+	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
+		t.Fatalf("sweep 1 resolved %d rows, want 0", n)
+	}
+	attempts, pending, retry2 := storedJournal(t, h)
+	if attempts != 2 || len(pending) != 1 || pending[0] != "y" {
+		t.Fatalf("after sweep 1: attempts %d, pending %v; want 2, [y]", attempts, pending)
+	}
+	if !retry2.After(retry1) || retry2.Sub(h.clk.Now()) != 2*time.Second {
+		t.Fatalf("next retry went from %s to %s at %s, want now + the doubled backoff", retry1, retry2, h.clk.Now())
+	}
+	if h.nodes["x"].status("s") != "M" {
+		t.Fatalf("x = %q after its redriven Commit", h.nodes["x"].status("s"))
+	}
+
+	// Sweep 2: only y is owed a Commit, so only y is sent one.
+	xSends := sentTo("x")
+	h.clk.Advance(3 * time.Second)
+	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
+		t.Fatalf("sweep 2 resolved %d rows, want 0", n)
+	}
+	if sentTo("x") != xSends {
+		t.Fatalf("x acknowledged in sweep 1 and was sent Commit again in sweep 2")
+	}
+	attempts, _, retry3 := storedJournal(t, h)
+	if attempts != 3 || retry3.Sub(h.clk.Now()) != 4*time.Second {
+		t.Fatalf("after sweep 2: attempts %d, next retry in %s; want 3, 4s", attempts, retry3.Sub(h.clk.Now()))
+	}
+
+	// Sweep 3 is the fourth attempt: over MaxAttempts, the row expires.
+	h.clk.Advance(5 * time.Second)
+	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 1 {
+		t.Fatalf("sweep 3 resolved %d rows, want the expired one", n)
+	}
+	if p := lm.JournalPending(); len(p) != 0 {
+		t.Fatalf("journal after expiry = %v", p)
+	}
+	e := reg.Snapshot().Find(metrics.LayerLinks, "negotiate", "journal-expire", wire.CodeUnavailable)
+	if e == nil || e.Count != 1 {
+		t.Fatalf("journal-expire count = %+v, want 1", e)
+	}
+}

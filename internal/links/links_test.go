@@ -14,6 +14,7 @@ import (
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -137,19 +138,19 @@ func (h *harness) addNode(user string, with ...func(*core.Config)) *tnode {
 			}
 			return nil
 		},
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			tn.setStatus(entity, args.String("meeting"))
 			return nil
 		},
 	})
 	n.Links.RegisterAction("release", links.Action{
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			tn.setStatus(entity, "")
 			return nil
 		},
 	})
 	n.Links.RegisterAction("note", links.Action{
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			tn.mu.Lock()
 			tn.notes = append(tn.notes, entity+":"+args.String("text"))
 			tn.mu.Unlock()
@@ -451,10 +452,10 @@ func TestAddGetLinksOn(t *testing.T) {
 	l1.Priority = 1
 	l2 := newLink("L2", links.Subscription, links.Permanent, owner, refs("c", "slot9"))
 	l2.Priority = 9
-	if err := lm.AddLink(l1); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l1); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.AddLink(l2); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l2); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := lm.GetLink("L1")
@@ -488,7 +489,7 @@ func TestLinkValidation(t *testing.T) {
 		{ID: "x", Type: links.Negotiation, Subtype: links.Permanent, Owner: owner, Constraint: links.And, K: -1}, // bad k
 	}
 	for i, l := range bad {
-		if err := lm.AddLink(l); err == nil {
+		if err := lm.InstallAt(context.Background(), lm.Self(), l); err == nil {
 			t.Fatalf("bad link %d accepted", i)
 		}
 	}
@@ -500,19 +501,20 @@ func TestWaitingLinkPromotionOnDelete(t *testing.T) {
 	owner := links.EntityRef{User: "a", Entity: "slot9"}
 
 	perm := newLink("L0", links.Negotiation, links.Permanent, owner, refs("b", "slot9"))
-	if err := lm.AddLink(perm); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), perm); err != nil {
 		t.Fatal(err)
 	}
 	tent := newLink("L1", links.Negotiation, links.Tentative, owner, refs("b", "slot10"))
 	tent.WaitingOn = "L0"
 	tent.Priority = 3
-	if err := lm.AddLink(tent); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), tent); err != nil {
 		t.Fatal(err)
 	}
 
 	var hookEvents []string
-	lm.SetEventHook(func(kind string, l *links.Link, args wire.Args) {
+	lm.SetEventHook(func(_ *store.Tx, kind string, l *links.Link, args wire.Args) error {
 		hookEvents = append(hookEvents, kind+":"+l.ID)
+		return nil
 	})
 
 	promoted, err := lm.DeleteLink(ctxBg(), "L0", nil)
@@ -546,7 +548,7 @@ func TestPromotionPicksHighestPriorityGroup(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	lm := h.nodes["a"].Links
 	owner := links.EntityRef{User: "a", Entity: "slot9"}
-	if err := lm.AddLink(newLink("L0", links.Negotiation, links.Permanent, owner, refs("b", "slot9"))); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), newLink("L0", links.Negotiation, links.Permanent, owner, refs("b", "slot9"))); err != nil {
 		t.Fatal(err)
 	}
 	mk := func(id string, prio int, grp string) {
@@ -554,7 +556,7 @@ func TestPromotionPicksHighestPriorityGroup(t *testing.T) {
 		l.WaitingOn = "L0"
 		l.Priority = prio
 		l.Group = grp
-		if err := lm.AddLink(l); err != nil {
+		if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -633,11 +635,11 @@ func TestExpireSweep(t *testing.T) {
 	owner := links.EntityRef{User: "a", Entity: "slot9"}
 	expiring := newLink("L-exp", links.Negotiation, links.Permanent, owner, refs("b", "slot9"))
 	expiring.Expires = h.clk.Now().Add(time.Hour)
-	if err := lm.AddLink(expiring); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), expiring); err != nil {
 		t.Fatal(err)
 	}
 	keeper := newLink("L-keep", links.Negotiation, links.Permanent, owner, refs("b", "slot9"))
-	if err := lm.AddLink(keeper); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), keeper); err != nil {
 		t.Fatal(err)
 	}
 
@@ -665,7 +667,7 @@ func TestTriggerEntityNegotiationVeto(t *testing.T) {
 	l := newLink("L1", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9", "c", "slot9"))
 	l.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{"meeting": "M1"}}}
-	if err := lm.AddLink(l); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
 
@@ -696,7 +698,7 @@ func TestTriggerEntitySubscriptionBestEffort(t *testing.T) {
 	l := newLink("L1", links.Subscription, links.Permanent,
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "inbox", "c", "inbox"))
 	l.Triggers = []links.Trigger{{Event: "change", Action: "note", Args: wire.Args{"text": "a changed slot9"}}}
-	if err := lm.AddLink(l); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
 	// c is unreachable; subscription must still deliver to b and not veto.
@@ -734,7 +736,7 @@ func TestTriggerMethodInvocation(t *testing.T) {
 		Event: "delete", Service: "meetings.%s", Method: "Notify",
 		Args: wire.Args{"reason": "cancelled"},
 	}}
-	if err := lm.AddLink(l); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lm.DeleteLink(ctxBg(), "L1", nil); err != nil {
@@ -758,7 +760,7 @@ func TestTentativeOnlyHighestPriorityFires(t *testing.T) {
 		l := newLink(id, links.Subscription, links.Tentative, owner, refs("b", "inbox"))
 		l.Priority = prio
 		l.Triggers = []links.Trigger{{Event: "avail", Action: "note", Args: wire.Args{"text": text}}}
-		if err := lm.AddLink(l); err != nil {
+		if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -811,7 +813,9 @@ func TestMethodForwarding(t *testing.T) {
 	if res := lm.ForwardMethod(ctxBg(), "cal.a", "Other", nil); len(res) != 0 {
 		t.Fatalf("unexpected forward: %+v", res)
 	}
-	lm.RemoveMethodLink("cal.a", "ReserveSlot", "b", "Notify")
+	if err := lm.RemoveMethodLink("cal.a", "ReserveSlot", "b", "Notify"); err != nil {
+		t.Fatal(err)
+	}
 	if res := lm.ForwardMethod(ctxBg(), "cal.a", "ReserveSlot", nil); len(res) != 0 {
 		t.Fatalf("forward after removal: %+v", res)
 	}

@@ -26,29 +26,36 @@ func ServiceFor(user string) string { return ServicePrefix + user }
 // Action is an application-registered entity action: Check validates
 // that the action could apply to an entity (the "condition" of the ECA
 // rule, and the availability test of §4.2 op 2); Apply performs it.
-// Both run under the entity's lock during negotiation.
+// Both run under the entity's lock during negotiation. Apply writes
+// through u, the commit unit of the protocol step it is part of (a
+// participant's Commit, the activator's own change), and queues what it
+// has to tell other devices with u.AfterCommit; the step commits the
+// unit before it releases the lock.
 type Action struct {
 	Check func(entity string, args wire.Args) error
-	Apply func(entity string, args wire.Args) error
+	Apply func(u *store.Tx, entity string, args wire.Args) error
 }
 
 // EventHook observes link lifecycle events ("promote", "delete",
 // "expire") so the application can react (the calendar converts
-// tentative meetings when it sees a promote).
-type EventHook func(kind string, l *Link, args wire.Args)
+// tentative meetings when it sees a promote). It reads and writes
+// through u, the unit that changes the link row, so the row and what
+// follows from it are one record on the device's log; an error fails
+// the step.
+type EventHook func(u *store.Tx, kind string, l *Link, args wire.Args) error
 
 // Manager is a node's SyDLinks module (paper §3.1e): it "enables an
 // application to create and enforce interdependencies, constraints
 // and automatic updates among groups of SyD entities".
 type Manager struct {
 	self string
+	db   *store.DB
 	eng  *engine.Engine
 	clk  clock.Clock
 
 	Locks *LockTable
 
 	linksT   *store.Table
-	waitingT *store.Table
 	methodsT *store.Table
 	pendingT *store.Table
 	journalT *store.Table
@@ -89,17 +96,17 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 	if clk == nil {
 		clk = clock.System
 	}
-	lt, wt, mt, pt, jt, dt, err := createLinkDB(db)
+	lt, mt, pt, jt, dt, err := createLinkDB(db)
 	if err != nil {
 		return nil, err
 	}
 	return &Manager{
 		self:     self,
+		db:       db,
 		eng:      eng,
 		clk:      clk,
 		Locks:    NewLockTable(clk, 0),
 		linksT:   lt,
-		waitingT: wt,
 		methodsT: mt,
 		pendingT: pt,
 		journalT: jt,
@@ -255,13 +262,14 @@ func (m *Manager) SetEventHook(h EventHook) {
 	m.hook = h
 }
 
-func (m *Manager) fireHook(kind string, l *Link, args wire.Args) {
+func (m *Manager) fireHook(u *store.Tx, kind string, l *Link, args wire.Args) error {
 	m.mu.RLock()
 	h := m.hook
 	m.mu.RUnlock()
-	if h != nil {
-		h(kind, l, args)
+	if h == nil {
+		return nil
 	}
+	return h(u, kind, l, args)
 }
 
 func (m *Manager) action(name string) (Action, error) {
@@ -276,10 +284,11 @@ func (m *Manager) action(name string) (Action, error) {
 
 // --- local link CRUD --------------------------------------------------------
 
-// AddLink stores a link row locally, registering it in the waiting
-// table when it is tentative and waiting on another link. A row already
-// stored under the id is a CodeConflict.
-func (m *Manager) AddLink(l *Link) error {
+// AddLink stores a link row locally, in the step's unit u, registering
+// it in the waiting table when it is tentative and waiting on another
+// link. A row already stored under the id is a CodeConflict. Outside a
+// step, InstallAt(ctx, m.Self(), l) is the one-row unit.
+func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 	if l.Created.IsZero() {
 		l.Created = m.clk.Now()
 	}
@@ -290,14 +299,14 @@ func (m *Manager) AddLink(l *Link) error {
 	if err != nil {
 		return err
 	}
-	if err := m.linksT.Insert(row); err != nil {
+	if err := u.Insert(LinkTable, row); err != nil {
 		if errors.Is(err, store.ErrDupKey) {
 			return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: link %s is already installed on %s", l.ID, m.self)}
 		}
 		return err
 	}
 	if l.WaitingOn != "" {
-		return m.waitingT.Insert(store.Row{
+		return u.Insert(WaitingLinkTable, store.Row{
 			"id": l.ID, "waiting_on": l.WaitingOn,
 			"priority": int64(l.Priority), "grp": l.Group,
 		})
@@ -312,17 +321,27 @@ func (m *Manager) GetLink(id string) (*Link, bool) {
 		return nil, false
 	}
 	l, err := rowToLink(r)
-	if err != nil {
-		return nil, false
-	}
-	return l, true
+	return l, err == nil
+}
+
+// getLink is GetLink as the unit u sees the link table.
+func (m *Manager) getLink(u *store.Tx, id string) (l *Link, ok bool) {
+	u.View(LinkTable, func(r store.Row) {
+		var err error
+		l, err = rowToLink(r)
+		ok = err == nil
+	}, id)
+	return l, ok
 }
 
 // LinksOn returns all local links attached to entity, sorted by
 // priority descending then id (so "highest priority" selections are
 // deterministic).
 func (m *Manager) LinksOn(entity string) []*Link {
-	rows := m.linksT.SelectEq("owner_entity", entity)
+	return linksByPriority(m.linksT.SelectEq("owner_entity", entity))
+}
+
+func linksByPriority(rows []store.Row) []*Link {
 	out := make([]*Link, 0, len(rows))
 	for _, r := range rows {
 		if l, err := rowToLink(r); err == nil {
@@ -351,32 +370,35 @@ func (m *Manager) AllLinks() []*Link {
 	return out
 }
 
-// removeLocal deletes the local row (and any waiting entry) without
-// cascading.
-func (m *Manager) removeLocal(id string) {
-	_ = m.linksT.Delete(id)
-	_ = m.waitingT.Delete(id)
-}
-
 // --- §4.2 op 3: tentative → permanent promotion -----------------------------
 
 // Promoted describes one promotion performed during a delete.
 type Promoted struct {
 	Link *Link
-	// TriggerErrs holds best-effort errors from firing the promoted
-	// link's "promote" triggers.
-	TriggerErrs []error
+}
+
+// promote turns the tentative link l permanent, row in u and value
+// alike, and runs the application hook on the result.
+func (m *Manager) promote(u *store.Tx, l *Link) error {
+	if err := u.Update(LinkTable, store.Row{"subtype": string(Permanent), "waiting_on": ""}, l.ID); err != nil {
+		return err
+	}
+	if err := u.Remove(WaitingLinkTable, l.ID); err != nil {
+		return err
+	}
+	l.Subtype, l.WaitingOn = Permanent, ""
+	return m.fireHook(u, "promote", l, nil)
 }
 
 // promoteWaiters converts the highest-priority waiting group blocked
-// on blockerID from tentative to permanent and fires their "promote"
-// triggers. Remaining waiters are re-pointed at the first promoted
-// link (the entity is now held by the promoted party — a design
-// decision documented in DESIGN.md).
-func (m *Manager) promoteWaiters(ctx context.Context, blockerID string) []Promoted {
-	rows := m.waitingT.SelectEq("waiting_on", blockerID)
+// on blockerID from tentative to permanent in u and queues their
+// "promote" triggers behind the unit's commit. Remaining waiters are
+// re-pointed at the first promoted link (the entity is now held by the
+// promoted party — a design decision documented in DESIGN.md).
+func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) ([]Promoted, error) {
+	rows := u.SelectEq(WaitingLinkTable, "waiting_on", blockerID)
 	if len(rows) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Highest priority wins; its whole group converts together.
 	best := rows[0]
@@ -387,73 +409,60 @@ func (m *Manager) promoteWaiters(ctx context.Context, blockerID string) []Promot
 	}
 	bestGroup := best["grp"].(string)
 
-	var winners, losers []store.Row
+	var winners, losers []string
 	for _, r := range rows {
 		sameGroup := bestGroup != "" && r["grp"].(string) == bestGroup
 		if r["id"] == best["id"] || sameGroup {
-			winners = append(winners, r)
+			winners = append(winners, r["id"].(string))
 		} else {
-			losers = append(losers, r)
+			losers = append(losers, r["id"].(string))
 		}
 	}
-	sort.Slice(winners, func(i, j int) bool { return winners[i]["id"].(string) < winners[j]["id"].(string) })
+	sort.Strings(winners)
 
 	var promoted []Promoted
-	var firstID string
-	for _, r := range winners {
-		id := r["id"].(string)
-		if err := m.linksT.Update(store.Row{"subtype": string(Permanent), "waiting_on": ""}, id); err != nil {
-			continue
-		}
-		_ = m.waitingT.Delete(id)
-		l, ok := m.GetLink(id)
+	for _, id := range winners {
+		l, ok := m.getLink(u, id)
 		if !ok {
-			continue
+			continue // a waiting entry whose link row is gone
 		}
-		if firstID == "" {
-			firstID = id
+		if err := m.promote(u, l); err != nil {
+			return nil, err
 		}
-		p := Promoted{Link: l}
-		for _, res := range m.fireTriggers(ctx, l, "promote", nil) {
-			if res.Err != nil {
-				p.TriggerErrs = append(p.TriggerErrs, res.Err)
-			}
-		}
-		m.fireHook("promote", l, nil)
-		promoted = append(promoted, p)
+		u.AfterCommit(func(ctx context.Context) { m.fireTriggers(ctx, l, "promote", nil) })
+		promoted = append(promoted, Promoted{Link: l})
 	}
 	// Losers now wait on the winner instead of the deleted blocker.
-	if firstID != "" {
-		for _, r := range losers {
-			id := r["id"].(string)
-			_ = m.waitingT.Update(store.Row{"waiting_on": firstID}, id)
-			_ = m.linksT.Update(store.Row{"waiting_on": firstID}, id)
+	if len(promoted) > 0 {
+		next := store.Row{"waiting_on": promoted[0].Link.ID}
+		for _, id := range losers {
+			if err := u.Update(WaitingLinkTable, next, id); err != nil {
+				return nil, err
+			}
+			if u.Has(LinkTable, id) {
+				if err := u.Update(LinkTable, next, id); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-	return promoted
+	return promoted, nil
 }
 
-// PromoteLink converts a local tentative link to permanent outside a
-// deletion (used when a tentative participant becomes available and
-// the renegotiation succeeds, §5). Unlike waiting-table promotion this
-// does not fire "promote" triggers — the caller just completed the
-// work those triggers would start.
-func (m *Manager) PromoteLink(id string) error {
-	l, ok := m.GetLink(id)
+// PromoteLink converts a local tentative link to permanent, in the
+// step's unit u, outside a deletion (used when a tentative participant
+// becomes available and the renegotiation succeeds, §5). Unlike
+// waiting-table promotion this does not fire "promote" triggers — the
+// caller just completed the work those triggers would start.
+func (m *Manager) PromoteLink(u *store.Tx, id string) error {
+	l, ok := m.getLink(u, id)
 	if !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("links: no link %q on %s", id, m.self)}
 	}
 	if l.Subtype == Permanent {
 		return nil
 	}
-	if err := m.linksT.Update(store.Row{"subtype": string(Permanent), "waiting_on": ""}, id); err != nil {
-		return err
-	}
-	_ = m.waitingT.Delete(id)
-	l.Subtype = Permanent
-	l.WaitingOn = ""
-	m.fireHook("promote", l, nil)
-	return nil
+	return m.promote(u, l)
 }
 
 // --- §4.2 op 4 / §4.4: cascading deletion ------------------------------------
@@ -464,6 +473,14 @@ func (m *Manager) PromoteLink(id string) error {
 // other participating user. visited carries the users already
 // processed to terminate the cascade on cyclic link graphs.
 //
+// What the deletion itself changes on this device — the link row and
+// what the application hook releases — is one commit unit, and the
+// triggers it fires are sent once that is logged. Promoting the waiters
+// (§4.4 steps 1-2) is the step after it, not part of it: an "avail"
+// trigger of the first step may start a renegotiation that comes back
+// to this device and promotes the waiting link itself, and then there
+// is nothing left to promote, and no second announcement to make.
+//
 // Note on ordering: the paper lists "convert waiting links" before
 // "delete the local link / update the calendar database". We release
 // the application state (delete triggers + hook) *before* promoting,
@@ -472,60 +489,112 @@ func (m *Manager) PromoteLink(id string) error {
 // meeting's slot is grabbed by the highest-priority tentative
 // meeting); promoting first would find the slot still occupied.
 func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) ([]Promoted, error) {
-	for _, v := range visited {
-		if v == m.self {
-			return nil, nil
+	if contains(visited, m.self) {
+		return nil, nil
+	}
+	return m.deleteSteps(ctx, id, append(visited, m.self), true, "")
+}
+
+// deleteSteps runs one deletion on this device: the unit that removes
+// the link, the unit that promotes its waiters, then, if cascade is
+// set, the cascade to the participants not in visited. hook, if set, is
+// a lifecycle event the application hears about the link before its row
+// goes ("expire").
+func (m *Manager) deleteSteps(ctx context.Context, id string, visited []string, cascade bool, hook string) ([]Promoted, error) {
+	var l *Link
+	err := m.db.Unit(ctx, func(u *store.Tx) error {
+		var ok bool
+		if l, ok = m.getLink(u, id); !ok {
+			// No local row, but local waiters may still reference the
+			// id (the blocker lived elsewhere).
+			return nil
 		}
+		if hook != "" {
+			if err := m.fireHook(u, hook, l, nil); err != nil {
+				return err
+			}
+		}
+		return m.removeLink(u, l)
+	})
+	if err != nil {
+		return nil, err
 	}
-	visited = append(visited, m.self)
-
-	l, ok := m.GetLink(id)
-	if !ok {
-		// No local row, but local waiters may still reference the
-		// id (the blocker lived elsewhere).
-		return m.promoteWaiters(ctx, id), nil
+	var promoted []Promoted
+	err = m.db.Unit(ctx, func(u *store.Tx) error {
+		promoted, err = m.promoteWaiters(u, id)
+		return err
+	})
+	if err != nil || l == nil || !cascade {
+		return promoted, err
 	}
-	m.removeLocal(id)
-
-	// "Delete" triggers and the hook update the local database
-	// (§4.4 step 5: "update the calendar database of the user").
-	for _, res := range m.fireTriggers(ctx, l, "delete", nil) {
-		_ = res // best effort; errors already recorded in result
-	}
-	m.fireHook("delete", l, nil)
-
-	// §4.4 steps 1-2: waiting links convert, highest priority first.
-	promoted := m.promoteWaiters(ctx, id)
-
 	// §4.4 steps 4/6-7: cascade to the other participants via SyDEngine.
+	return promoted, m.cascadeDelete(ctx, l, visited)
+}
+
+// removeLink deletes l's local row (and any waiting entry) in u, queues
+// the link's "delete" triggers behind the commit and lets the
+// application hook release what the link held (§4.4 step 5: "update the
+// calendar database of the user").
+func (m *Manager) removeLink(u *store.Tx, l *Link) error {
+	if err := u.Delete(LinkTable, l.ID); err != nil {
+		return err
+	}
+	if err := u.Remove(WaitingLinkTable, l.ID); err != nil {
+		return err
+	}
+	if len(l.TriggersFor("delete")) > 0 {
+		u.AfterCommit(func(ctx context.Context) { m.fireTriggers(ctx, l, "delete", nil) })
+	}
+	return m.fireHook(u, "delete", l, nil)
+}
+
+// RemoveLink takes this node's row of link id out inside another step's
+// unit u — the Commit that bumps a meeting off its slot re-queues the
+// meeting's link this way. The row goes, the hook runs and the link's
+// waiters are promoted in u; no trigger of this removal announces
+// availability, so nothing can come between the two halves.
+func (m *Manager) RemoveLink(u *store.Tx, id string) ([]Promoted, error) {
+	l, ok := m.getLink(u, id)
+	if !ok {
+		return nil, nil
+	}
+	if err := m.removeLink(u, l); err != nil {
+		return nil, err
+	}
+	return m.promoteWaiters(u, id)
+}
+
+// cascadeDelete sends the deletion of l to every participant not yet
+// visited. An unreachable one is tombstoned for the periodic sweep.
+func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) error {
 	var firstErr error
-	for _, u := range l.participants() {
-		if u == m.self || contains(visited, u) {
+	for _, p := range l.participants() {
+		if p == m.self || contains(visited, p) {
 			continue
 		}
-		err := m.eng.Invoke(ctx, ServiceFor(u), "DeleteLink", wire.Args{
-			"id": id, "visited": visited,
+		err := m.eng.Invoke(ctx, ServiceFor(p), "DeleteLink", wire.Args{
+			"id": l.ID, "visited": visited,
 		}, nil)
 		if err != nil && wire.CodeOf(err) == wire.CodeUnavailable {
 			// The participant's device is off; leave a tombstone so
 			// the periodic sweep retries once it returns.
-			m.recordPendingDelete(id, u)
-			continue
+			err = m.recordPendingDelete(ctx, l.ID, p)
 		}
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("links: cascade delete %s at %s: %w", id, u, err)
+			firstErr = fmt.Errorf("links: cascade delete %s at %s: %w", l.ID, p, err)
 		}
 	}
-	return promoted, firstErr
+	return firstErr
 }
 
 // recordPendingDelete remembers an undeliverable cascade deletion.
-func (m *Manager) recordPendingDelete(id, user string) {
-	err := m.pendingT.Insert(store.Row{"id": id, "user": user})
-	if err != nil && !errors.Is(err, store.ErrDupKey) {
-		// A full pending table is diagnosable via PendingDeletes.
-		return
-	}
+func (m *Manager) recordPendingDelete(ctx context.Context, id, user string) error {
+	return m.db.Unit(ctx, func(u *store.Tx) error {
+		if u.Has(PendingDeleteTable, id, user) {
+			return nil
+		}
+		return u.Insert(PendingDeleteTable, store.Row{"id": id, "user": user})
+	})
 }
 
 // PendingDeletes lists tombstoned (link id, user) pairs, sorted.
@@ -546,7 +615,8 @@ func (m *Manager) PendingDeletes() [][2]string {
 
 // RetryPendingDeletes re-issues tombstoned cascade deletions; called
 // by the same periodic schedule as the expiry sweep. Still-unreachable
-// participants stay tombstoned.
+// participants stay tombstoned, and so does one whose tombstone could
+// not be cleared (the re-sent deletion is a no-op where it landed).
 func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 	done := 0
 	for _, pd := range m.PendingDeletes() {
@@ -559,8 +629,10 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 		}
 		// Success or a permanent error (e.g. the row is already
 		// gone): drop the tombstone either way.
-		_ = m.pendingT.Delete(id, user)
-		done++
+		err = m.db.Unit(ctx, func(u *store.Tx) error { return u.Delete(PendingDeleteTable, id, user) })
+		if err == nil {
+			done++
+		}
 	}
 	return done
 }
@@ -571,22 +643,10 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 // participant leaves a link (dropout, bump re-queue) while the logical
 // link lives on elsewhere.
 func (m *Manager) DeleteLinkLocal(ctx context.Context, id string) ([]Promoted, error) {
-	l, ok := m.GetLink(id)
-	if !ok {
+	if !m.linksT.Has(id) {
 		return nil, nil
 	}
-	visited := l.participants() // mark everyone visited -> no cascade
-	if !contains(visited, m.self) {
-		visited = append(visited, m.self)
-	}
-	// Strip self back out so DeleteLink processes the local row.
-	var others []string
-	for _, u := range visited {
-		if u != m.self {
-			others = append(others, u)
-		}
-	}
-	return m.DeleteLink(ctx, id, others)
+	return m.deleteSteps(ctx, id, nil, false, "")
 }
 
 // participants lists the distinct users referenced by the link
@@ -625,10 +685,10 @@ func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
 	var expired []string
 	for _, r := range rows {
 		id := r["id"].(string)
-		if l, ok := m.GetLink(id); ok {
-			m.fireHook("expire", l, nil)
-		}
-		_, _ = m.DeleteLink(ctx, id, nil)
+		// Best effort: a participant the cascade could not reach is
+		// tombstoned, and a link that failed to go is found again by
+		// the next sweep.
+		_, _ = m.deleteSteps(ctx, id, []string{m.self}, true, "expire")
 		expired = append(expired, id)
 	}
 	sort.Strings(expired)
@@ -640,19 +700,22 @@ func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
 // AddMethodLink records that executing srcMethod on the local service
 // must also execute destMethod on destService at targetUser.
 func (m *Manager) AddMethodLink(service, srcMethod, targetUser, destService, destMethod string) error {
-	err := m.methodsT.Insert(store.Row{
-		"service": service, "src_method": srcMethod,
-		"target_user": targetUser, "dest_service": destService, "dest_method": destMethod,
+	return m.db.Unit(context.TODO(), func(u *store.Tx) error {
+		if u.Has(LinkMethodTable, service, srcMethod, targetUser, destMethod) {
+			return nil
+		}
+		return u.Insert(LinkMethodTable, store.Row{
+			"service": service, "src_method": srcMethod,
+			"target_user": targetUser, "dest_service": destService, "dest_method": destMethod,
+		})
 	})
-	if err != nil && errors.Is(err, store.ErrDupKey) {
-		return nil
-	}
-	return err
 }
 
-// RemoveMethodLink removes a method forwarding entry.
-func (m *Manager) RemoveMethodLink(service, srcMethod, targetUser, destMethod string) {
-	_ = m.methodsT.Delete(service, srcMethod, targetUser, destMethod)
+// RemoveMethodLink removes a method forwarding entry, if there is one.
+func (m *Manager) RemoveMethodLink(service, srcMethod, targetUser, destMethod string) error {
+	return m.db.Unit(context.TODO(), func(u *store.Tx) error {
+		return u.Remove(LinkMethodTable, service, srcMethod, targetUser, destMethod)
+	})
 }
 
 // ForwardResult is one method-forwarding outcome.
@@ -704,7 +767,24 @@ type TriggerResult struct {
 // highest-priority one fires (§5: "if the tentative link back to A is
 // of highest priority, it will get triggered").
 func (m *Manager) TriggerEntity(ctx context.Context, entity, event string, args wire.Args) ([]TriggerResult, error) {
-	linksOn := m.LinksOn(entity)
+	return m.fireAll(ctx, triggered(m.LinksOn(entity), event), entity, event, args)
+}
+
+// TriggerEntityAfter is TriggerEntity for a change made inside the
+// step's unit u: the links are chosen as u sees them now and fire once
+// u has committed. Nothing waits for the outcome, so it suits
+// announcements ("avail"), not changes a negotiation link may veto.
+func (m *Manager) TriggerEntityAfter(u *store.Tx, entity, event string, args wire.Args) {
+	toFire := triggered(linksByPriority(u.SelectEq(LinkTable, "owner_entity", entity)), event)
+	if len(toFire) > 0 {
+		u.AfterCommit(func(ctx context.Context) { _, _ = m.fireAll(ctx, toFire, entity, event, args) })
+	}
+}
+
+// triggered picks, from the links on an entity, the ones event fires:
+// every permanent link with a matching trigger and the highest-priority
+// tentative one.
+func triggered(linksOn []*Link, event string) []*Link {
 	var toFire []*Link
 	var bestTentative *Link
 	for _, l := range linksOn {
@@ -722,7 +802,11 @@ func (m *Manager) TriggerEntity(ctx context.Context, entity, event string, args 
 	if bestTentative != nil {
 		toFire = append(toFire, bestTentative)
 	}
+	return toFire
+}
 
+// fireAll fires event on each of toFire and sorts vetoes from doubts.
+func (m *Manager) fireAll(ctx context.Context, toFire []*Link, entity, event string, args wire.Args) ([]TriggerResult, error) {
 	var results []TriggerResult
 	var veto, inDoubt error
 	for _, l := range toFire {
@@ -831,23 +915,29 @@ func containsPercent(s string) bool {
 // without negotiation locking.
 func (m *Manager) applyRemote(ctx context.Context, tgt EntityRef, action string, args wire.Args) error {
 	if tgt.User == m.self {
-		a, err := m.action(action)
-		if err != nil {
-			return err
-		}
-		if a.Check != nil {
-			if err := a.Check(tgt.Entity, args); err != nil {
-				return err
-			}
-		}
-		if a.Apply != nil {
-			return a.Apply(tgt.Entity, args)
-		}
-		return nil
+		return m.checkAndApply(ctx, tgt.Entity, action, args)
 	}
 	return m.eng.Invoke(ctx, ServiceFor(tgt.User), "Apply", wire.Args{
 		"entity": tgt.Entity, "action": action, "args": map[string]any(args),
 	}, nil)
+}
+
+// checkAndApply runs an entity action on a local entity without
+// negotiation locking, as one commit unit.
+func (m *Manager) checkAndApply(ctx context.Context, entity, action string, args wire.Args) error {
+	a, err := m.action(action)
+	if err != nil {
+		return err
+	}
+	if a.Check != nil {
+		if err := a.Check(entity, args); err != nil {
+			return err
+		}
+	}
+	if a.Apply == nil {
+		return nil
+	}
+	return m.db.Unit(ctx, func(u *store.Tx) error { return a.Apply(u, entity, args) })
 }
 
 // InstallAt adds a link row at the given user's link database (local
@@ -858,7 +948,7 @@ func (m *Manager) InstallAt(ctx context.Context, user string, l *Link) error {
 		return err
 	}
 	if user == m.self {
-		return m.AddLink(l)
+		return m.db.Unit(ctx, func(u *store.Tx) error { return m.AddLink(u, l) })
 	}
 	raw, err := json.Marshal(l)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -250,9 +251,11 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	}
 
 	// The constraint holds: the decision is COMMIT. Persist it — with
-	// every marked target and its lock token — before changing
-	// anything, so a crash or lost Commit from here on is recoverable
-	// by the retry sweeper instead of silently divergent.
+	// every marked target and its lock token — before changing anything
+	// elsewhere, so a crash or lost Commit from here on is recoverable
+	// by the retry sweeper instead of silently divergent. The decision
+	// and the activator's own change ("Change A") are one commit unit:
+	// the row is written once, with the local change done, or not at all.
 	var rec *journalRec
 	if locked > 0 {
 		// NextRetry starts one backoff out: the inline phase 2 is being
@@ -260,7 +263,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		// row concurrently with it.
 		rec = &journalRec{
 			ID: res.NID, Action: spec.Action, Args: commitArgs,
-			Local: spec.Local, Created: m.clk.Now(),
+			Local: spec.Local, LocalDone: spec.Local != nil, Created: m.clk.Now(),
 			NextRetry: m.clk.Now().Add(backoffAfter(m.tune(), 1)),
 			Pending:   marked,
 		}
@@ -269,13 +272,36 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			// possibly after a restart — rejoin this negotiation's trace.
 			rec.TraceID, rec.SpanID = span.TraceID, span.SpanID
 		}
-		if err := m.journalBegin(rec); err != nil {
-			// Without a journal row recovery is impossible; abort
-			// while nothing has changed rather than risk divergence.
+	}
+	if rec != nil || spec.Local != nil {
+		var localErr error
+		err := m.db.Unit(ctx, func(u *store.Tx) error {
+			if rec != nil {
+				if err := m.journalBegin(u, rec); err != nil {
+					return err
+				}
+			}
+			if spec.Local != nil {
+				localErr = m.applyLocal(u, spec.Local.Entity, spec.Local.Action, spec.Local.Args)
+			}
+			return localErr
+		})
+		if err != nil {
+			// Nothing is journaled and nothing has changed anywhere, so
+			// the decision can still be flipped to abort everywhere:
+			// without a journal row recovery is impossible, and a local
+			// apply that failed after its own check passed under lock
+			// leaves nothing to commit to.
 			m.abortMarked(ctx, res.NID, marks)
 			m.count("outcome", wire.CodeInternal)
+			if localErr != nil {
+				res.Trace = append(res.Trace, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity, Detail: errDetail(err)})
+				return res, fmt.Errorf("links: activator change failed: %w", err)
+			}
 			return res, fmt.Errorf("links: journal negotiation intent: %w", err)
 		}
+	}
+	if rec != nil {
 		res.Trace = append(res.Trace, Step{Phase: "journal", Detail: res.NID, OK: true})
 		if span != nil {
 			attrs := []trace.Attr{trace.Int("targets", len(rec.Pending))}
@@ -285,26 +311,8 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			span.AddEvent("journal.begin", attrs...)
 		}
 	}
-
-	// Change A; change the locked entities; unlock.
 	if spec.Local != nil {
-		err := m.applyLocal(spec.Local.Entity, spec.Local.Action, spec.Local.Args)
-		res.Trace = append(res.Trace, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity, OK: err == nil, Detail: errDetail(err)})
-		if err != nil {
-			// Local apply failed after its own check passed under
-			// lock — nothing has been committed anywhere yet, so the
-			// decision can still be flipped to abort everywhere.
-			m.abortMarked(ctx, res.NID, marks)
-			if rec != nil {
-				m.journalRetire(rec.ID)
-			}
-			m.count("outcome", wire.CodeInternal)
-			return res, fmt.Errorf("links: activator change failed: %w", err)
-		}
-		if rec != nil {
-			rec.LocalDone = true
-			m.journalUpdate(rec)
-		}
+		res.Trace = append(res.Trace, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity, OK: true})
 	}
 
 	commitErrs := m.commitTargets(ctx, res.NID, marked, spec.Action, commitArgs, false)
@@ -334,14 +342,11 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		rec.Committed = res.Accepted
 		rec.Failed = failedRefs
 		rec.Pending = stillPending
-		if len(stillPending) == 0 {
-			m.journalRetire(rec.ID)
+		rec.Attempts = 1
+		rec.NextRetry = m.clk.Now().Add(backoffAfter(m.tune(), 1))
+		if m.journalSettle(ctx, rec) {
 			span.AddEvent("journal.retire")
 		} else {
-			tun := m.tune()
-			rec.Attempts = 1
-			rec.NextRetry = m.clk.Now().Add(backoffAfter(tun, 1))
-			m.journalUpdate(rec)
 			span.AddEvent("journal.pending", trace.Int("targets", len(stillPending)))
 		}
 	}
@@ -468,15 +473,16 @@ func (m *Manager) markLocal(entity, action string, args wire.Args) (string, erro
 	return tok, nil
 }
 
-// applyLocal applies an action to a local entity (lock already held by
-// the negotiation).
-func (m *Manager) applyLocal(entity, action string, args wire.Args) error {
+// applyLocal applies an action to a local entity in the step's unit u
+// (lock already held by the negotiation, and released only once u has
+// committed).
+func (m *Manager) applyLocal(u *store.Tx, entity, action string, args wire.Args) error {
 	a, err := m.action(action)
 	if err != nil {
 		return err
 	}
 	if a.Apply != nil {
-		return a.Apply(entity, args)
+		return a.Apply(u, entity, args)
 	}
 	return nil
 }

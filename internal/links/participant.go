@@ -2,6 +2,7 @@ package links
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"repro/internal/store"
@@ -74,35 +75,82 @@ func (m *Manager) dropPendingMark(token string) {
 	m.partMu.Unlock()
 }
 
-// noteDecided records a token's outcome for duplicate-delivery
-// detection, in memory and in the durable SyD_NegotiationDecided table
-// (an applied-but-unacked Commit must survive a participant crash, or
-// the re-sent Commit would re-run Check/Apply against the already
-// applied state). The first decision wins — a Commit that raced a
-// presumed abort must not flip the recorded outcome, including a
-// decision persisted before a restart.
-func (m *Manager) noteDecided(token, nid string, committed bool) {
-	if _, known := m.decidedOutcome(token); known {
-		m.dropPendingMark(token)
-		return
-	}
-	m.partMu.Lock()
-	_, exists := m.decided[token]
-	if !exists {
-		m.decided[token] = decision{committed: committed, at: m.clk.Now()}
-	}
-	delete(m.pendMark, token)
-	m.partMu.Unlock()
-	if exists {
-		return
+// errDecided stops a Commit step that finds its token already decided:
+// a duplicate delivery won the race for it.
+var errDecided = errors.New("links: token already decided")
+
+// recordDecided writes a token's outcome into the durable
+// SyD_NegotiationDecided table, in the unit u of the step that decided
+// it: an applied-but-unacked Commit must survive a participant crash
+// together with what it applied, or the re-sent Commit would re-run
+// Check/Apply against the already applied state. The first decision
+// wins — a Commit that raced a presumed abort must not flip the
+// recorded outcome, including a decision persisted before a restart —
+// so a token already on record is errDecided.
+func (m *Manager) recordDecided(u *store.Tx, token, nid string, committed bool) error {
+	if u.Has(NegotiationDecided, token) {
+		return errDecided
 	}
 	c := int64(0)
 	if committed {
 		c = 1
 	}
-	// ErrDupKey means an earlier (possibly pre-restart) decision is
-	// already on record; it wins.
-	_ = m.decidedT.Insert(store.Row{"token": token, "nid": nid, "committed": c, "at": m.clk.Now()})
+	return u.Insert(NegotiationDecided, store.Row{"token": token, "nid": nid, "committed": c, "at": m.clk.Now()})
+}
+
+// cacheDecided notes a decided token in memory for duplicate-delivery
+// detection, once its row is committed, and forgets its pending mark.
+func (m *Manager) cacheDecided(token string, committed bool) {
+	m.partMu.Lock()
+	if _, exists := m.decided[token]; !exists {
+		m.decided[token] = decision{committed: committed, at: m.clk.Now()}
+	}
+	delete(m.pendMark, token)
+	m.partMu.Unlock()
+}
+
+// noteAborted decides a token aborted, as a unit of its own, unless it
+// is decided already.
+func (m *Manager) noteAborted(ctx context.Context, token, nid string) {
+	err := m.db.Unit(ctx, func(u *store.Tx) error { return m.recordDecided(u, token, nid, false) })
+	if errors.Is(err, errDecided) {
+		m.decidedOutcome(token) // the earlier decision stands: warm the cache with it
+		m.dropPendingMark(token)
+		return
+	}
+	if err != nil {
+		// Not on the log: the cache still rejects a late Commit until a
+		// restart, after which the late-commit path re-checks the entity.
+		m.count("decided-write", wire.CodeInternal)
+	}
+	m.cacheDecided(token, false)
+}
+
+// applyDecided is the participant's Commit step: the action's change
+// and the token's decided row are one commit unit, committed before the
+// caller releases the entity lock it holds. A change that fails leaves
+// nothing behind and decides the token aborted; a token a duplicate
+// delivery decided first is answered as that decision.
+func (m *Manager) applyDecided(ctx context.Context, entity, token, nid, action string, args wire.Args) error {
+	err := m.db.Unit(ctx, func(u *store.Tx) error {
+		// The token first: a step re-run after a duplicate delivery beat
+		// it to the commit must find that out before it applies anything.
+		if err := m.recordDecided(u, token, nid, true); err != nil {
+			return err
+		}
+		return m.applyLocal(u, entity, action, args)
+	})
+	switch {
+	case err == nil:
+		m.cacheDecided(token, true)
+	case errors.Is(err, errDecided):
+		committed, _ := m.decidedOutcome(token)
+		m.dropPendingMark(token)
+		return m.alreadyDecided(ctx, entity, committed)
+	default:
+		m.noteAborted(ctx, token, nid)
+	}
+	return err
 }
 
 // decidedOutcome looks a token up in the decided cache, falling back to
@@ -137,7 +185,7 @@ func (m *Manager) PendingMarks() int {
 
 // gcDecided drops decided entries older than the tuning's DecidedTTL,
 // from the cache and from the durable table.
-func (m *Manager) gcDecided(now time.Time, ttl time.Duration) {
+func (m *Manager) gcDecided(ctx context.Context, now time.Time, ttl time.Duration) {
 	m.partMu.Lock()
 	for tok, d := range m.decided {
 		if now.Sub(d.at) > ttl {
@@ -145,10 +193,24 @@ func (m *Manager) gcDecided(now time.Time, ttl time.Duration) {
 		}
 	}
 	m.partMu.Unlock()
-	for _, r := range m.decidedT.Select(func(r store.Row) bool {
+	old := m.decidedT.Select(func(r store.Row) bool {
 		return now.Sub(r["at"].(time.Time)) > ttl
-	}) {
-		_ = m.decidedT.Delete(r["token"].(string))
+	})
+	if len(old) == 0 {
+		return
+	}
+	// One unit for the sweep; a row that is already gone fails it, and
+	// the next sweep finds what is left.
+	err := m.db.Unit(ctx, func(u *store.Tx) error {
+		for _, r := range old {
+			if err := u.Delete(NegotiationDecided, r["token"].(string)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		m.count("decided-write", wire.CodeInternal)
 	}
 }
 
@@ -188,7 +250,7 @@ func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token stri
 // number of marks resolved.
 func (m *Manager) ResolvePendingMarks(ctx context.Context, now time.Time) int {
 	tun := m.tune()
-	m.gcDecided(now, tun.DecidedTTL)
+	m.gcDecided(ctx, now, tun.DecidedTTL)
 
 	m.partMu.Lock()
 	marks := make([]*pendingMark, 0, len(m.pendMark))
@@ -227,7 +289,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		// The lock is gone (stolen after a real expiry): the
 		// entity may already belong to another negotiation, so
 		// this mark can only resolve to abort.
-		m.noteDecided(p.Token, p.NID, false)
+		m.noteAborted(ctx, p.Token, p.NID)
 		m.count("presume-abort", wire.CodeConflict)
 		span.Annotate(trace.String("outcome", "presume-abort"))
 		return true
@@ -236,7 +298,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 	if err != nil {
 		if now.Sub(p.Created) > tun.PresumeAbortAfter {
 			m.Locks.Unlock(lockKey(p.Entity), p.Token)
-			m.noteDecided(p.Token, p.NID, false)
+			m.noteAborted(ctx, p.Token, p.NID)
 			m.count("presume-abort", wire.CodeUnavailable)
 			span.Annotate(trace.String("outcome", "presume-abort"))
 			return true
@@ -250,9 +312,9 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 	case OutcomeCommit:
 		// Decision was COMMIT: apply, under the still-held lock, what
 		// the coordinator journaled with it.
-		applyErr := m.applyLocal(p.Entity, p.Action, args)
+		// A change that fails decides the token aborted (applyDecided).
+		_ = m.applyDecided(ctx, p.Entity, p.Token, p.NID, p.Action, args)
 		m.Locks.Unlock(lockKey(p.Entity), p.Token)
-		m.noteDecided(p.Token, p.NID, applyErr == nil)
 		m.count("resolve", wire.CodeOK)
 		span.Annotate(trace.String("outcome", OutcomeCommit))
 	case OutcomeUnknown:
@@ -265,7 +327,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		// comfortably exceeds any live negotiation's duration.
 		if now.Sub(p.Created) > tun.PresumeAbortAfter {
 			m.Locks.Unlock(lockKey(p.Entity), p.Token)
-			m.noteDecided(p.Token, p.NID, false)
+			m.noteAborted(ctx, p.Token, p.NID)
 			m.count("presume-abort", wire.CodeConflict)
 			span.Annotate(trace.String("outcome", "presume-abort"))
 			return true
@@ -274,7 +336,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		return false
 	default:
 		m.Locks.Unlock(lockKey(p.Entity), p.Token)
-		m.noteDecided(p.Token, p.NID, false)
+		m.noteAborted(ctx, p.Token, p.NID)
 		m.count("resolve", wire.CodeConflict)
 		span.Annotate(trace.String("outcome", OutcomeAbort))
 	}

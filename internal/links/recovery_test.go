@@ -2,10 +2,12 @@ package links_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/links"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -187,10 +189,12 @@ func TestSweepDuringPhase1DoesNotPresumeAbort(t *testing.T) {
 	}
 }
 
-// TestRedriveRechecksRebookedEntity: the coordinator journals a COMMIT
-// decision and crashes before applying its own local change; while the
-// row waits for redrive, another negotiation books the same entity.
-// The redrive must re-lock and re-run Check — definitively failing the
+// TestRedriveRechecksRebookedEntity: a journal row says COMMIT with the
+// coordinator's own change still outstanding — what a build that
+// journaled the decision before applying its own side (rather than in
+// one unit with it) leaves behind when it crashes in between. While the
+// row waits for redrive, another negotiation books the same entity. The
+// redrive must re-lock and re-run Check — definitively failing the
 // stale local change — instead of blindly applying it over the new
 // booking.
 func TestRedriveRechecksRebookedEntity(t *testing.T) {
@@ -198,38 +202,37 @@ func TestRedriveRechecksRebookedEntity(t *testing.T) {
 	ctx := context.Background()
 	lm := h.nodes["a"].Links
 
-	// Crash model: the local Apply panics after journalBegin, so the
-	// journal row survives with the local change still undone.
-	crashed := false
-	lm.RegisterAction("crashy", links.Action{
-		Check: func(entity string, args wire.Args) error {
-			if cur := h.nodes["a"].status(entity); cur != "" && cur != args.String("meeting") {
-				return &wire.RemoteError{Code: wire.CodeConflict, Msg: "reserved"}
-			}
-			return nil
-		},
-		Apply: func(entity string, args wire.Args) error {
-			panic("injected crash between journal write and local apply")
-		},
+	// Crash model: the coordinator loses the network at its first Commit
+	// send and then dies, with the decision journaled. This build wrote
+	// the row and the local change as one unit, so the test then takes
+	// the local change back out of both, which is the state the older
+	// ordering crashed into.
+	lm.SetCommitFault(func(string, links.EntityRef) error {
+		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: network gone"}
 	})
-	func() {
-		defer func() {
-			if recover() != nil {
-				crashed = true
-			}
-		}()
-		_, _ = lm.Negotiate(ctx, links.Spec{
-			Action: "reserve", Args: wire.Args{"meeting": "OLD"},
-			Local:   &links.LocalChange{Entity: "s", Action: "crashy", Args: wire.Args{"meeting": "OLD"}},
-			Targets: refs("y", "s2"), Constraint: links.And,
-		})
-	}()
-	if !crashed {
-		t.Fatal("injected crash never fired")
+	_, err := lm.Negotiate(ctx, links.Spec{
+		Action: "reserve", Args: wire.Args{"meeting": "OLD"},
+		Local:   &links.LocalChange{Entity: "s", Action: "reserve", Args: wire.Args{"meeting": "OLD"}},
+		Targets: refs("y", "s2"), Constraint: links.And,
+	})
+	if !links.IsInDoubt(err) {
+		t.Fatalf("negotiation with an undeliverable Commit = %v, want in doubt", err)
 	}
-	if got := h.nodes["a"].status("s"); got != "" {
-		t.Fatalf("pre-crash status = %q, want empty", got)
+	journal, err := h.nodes["a"].DB.Table(links.NegotiationJournal)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, row := range journal.Select(nil) {
+		rec := row["rec"].(string)
+		undone := strings.Replace(rec, `"LocalDone":true`, `"LocalDone":false`, 1)
+		if undone == rec {
+			t.Fatalf("journal row does not carry the local change as done: %s", rec)
+		}
+		if err := journal.Update(store.Row{"rec": undone}, row["id"]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.nodes["a"].setStatus("s", "")
 
 	// "Restart": fresh manager over the same device database. The
 	// journal row survives; the in-memory lock table does not.
@@ -240,18 +243,6 @@ func TestRedriveRechecksRebookedEntity(t *testing.T) {
 	if p := lm2.JournalPending(); len(p) != 1 {
 		t.Fatalf("journal after restart = %v, want 1 row", p)
 	}
-	lm2.RegisterAction("crashy", links.Action{
-		Check: func(entity string, args wire.Args) error {
-			if cur := h.nodes["a"].status(entity); cur != "" && cur != args.String("meeting") {
-				return &wire.RemoteError{Code: wire.CodeConflict, Msg: "reserved"}
-			}
-			return nil
-		},
-		Apply: func(entity string, args wire.Args) error {
-			h.nodes["a"].setStatus(entity, args.String("meeting"))
-			return nil
-		},
-	})
 	lm2.RegisterAction("reserve", links.Action{
 		Check: func(entity string, args wire.Args) error {
 			if cur := h.nodes["a"].status(entity); cur != "" && cur != args.String("meeting") {
@@ -259,7 +250,7 @@ func TestRedriveRechecksRebookedEntity(t *testing.T) {
 			}
 			return nil
 		},
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			h.nodes["a"].setStatus(entity, args.String("meeting"))
 			return nil
 		},
@@ -325,7 +316,7 @@ func TestDecidedOutcomeSurvivesRestart(t *testing.T) {
 	}
 	applied := 0
 	lm2.RegisterAction("note", links.Action{
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			applied++
 			return nil
 		},
@@ -360,10 +351,10 @@ func TestInDoubtDoesNotMaskVeto(t *testing.T) {
 		links.EntityRef{User: "a", Entity: "e"}, refs("y", "s"))
 	l2.Priority = 1
 	l2.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{"meeting": "T2"}}}
-	if err := lm.AddLink(l1); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l1); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.AddLink(l2); err != nil {
+	if err := lm.InstallAt(context.Background(), lm.Self(), l2); err != nil {
 		t.Fatal(err)
 	}
 

@@ -28,24 +28,18 @@ import (
 //     and only when — the entity is still compatible with it.
 func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, action string, args wire.Args, caller string) error {
 	if committed, known := m.decidedOutcome(token); known {
-		if committed {
-			m.count("commit-dup", wire.CodeOK)
-			trace.EventCtx(ctx, "links.decided", trace.String("kind", "duplicate-commit"))
-			return nil
-		}
-		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: negotiation already aborted on %s", entity)}
+		return m.alreadyDecided(ctx, entity, committed)
 	}
 	if m.Locks.Holds(lockKey(entity), token) {
-		err := m.applyLocal(entity, action, args)
+		err := m.applyDecided(ctx, entity, token, nid, action, args)
 		m.Locks.Unlock(lockKey(entity), token)
-		m.noteDecided(token, nid, err == nil)
 		trace.EventCtx(ctx, "links.decided", trace.String("kind", "commit"), trace.Bool("ok", err == nil))
 		return err
 	}
 	if holder, live := m.Locks.Holder(lockKey(entity)); live && holder != token {
 		// The mark's TTL lapsed and another negotiation took the
 		// entity: the stale token must not clobber it.
-		m.noteDecided(token, nid, false)
+		m.noteAborted(ctx, token, nid)
 		m.count("commit-stale", wire.CodeConflict)
 		trace.EventCtx(ctx, "links.decided", trace.String("kind", "stale-token"))
 		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: stale token: lock on %s was re-granted", entity)}
@@ -64,21 +58,32 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 	if a.Check != nil {
 		if err := a.Check(entity, args); err != nil {
 			m.Locks.Unlock(lockKey(entity), tok)
-			m.noteDecided(token, nid, false)
+			m.noteAborted(ctx, token, nid)
 			m.count("commit-late", wire.CodeConflict)
 			trace.EventCtx(ctx, "links.decided", trace.String("kind", "late-commit-rejected"))
 			return err
 		}
 	}
-	err = m.applyLocal(entity, action, args)
+	err = m.applyDecided(ctx, entity, token, nid, action, args)
 	m.Locks.Unlock(lockKey(entity), tok)
-	m.noteDecided(token, nid, err == nil)
 	trace.EventCtx(ctx, "links.decided", trace.String("kind", "late-commit"), trace.Bool("ok", err == nil))
 	if err != nil {
 		return err
 	}
 	m.count("commit-late", wire.CodeOK)
 	return nil
+}
+
+// alreadyDecided answers a Commit for a decided token: a duplicate of
+// the Commit that applied acks again, one for an aborted token is
+// refused.
+func (m *Manager) alreadyDecided(ctx context.Context, entity string, committed bool) error {
+	if committed {
+		m.count("commit-dup", wire.CodeOK)
+		trace.EventCtx(ctx, "links.decided", trace.String("kind", "duplicate-commit"))
+		return nil
+	}
+	return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: negotiation already aborted on %s", entity)}
 }
 
 // Object returns the listener object exposing this manager to remote
@@ -152,7 +157,7 @@ func (m *Manager) Object() *listener.Object {
 		token := call.Args.String("token")
 		m.Locks.Unlock(lockKey(entity), token)
 		if token != "" {
-			m.noteDecided(token, call.Args.String("nid"), false)
+			m.noteAborted(ctx, token, call.Args.String("nid"))
 			trace.EventCtx(ctx, "links.decided", trace.String("kind", "abort"))
 		}
 		return true, nil
@@ -175,20 +180,8 @@ func (m *Manager) Object() *listener.Object {
 	obj.Handle("Apply", func(ctx context.Context, call *listener.Call) (any, error) {
 		entity := call.Args.String("entity")
 		action := call.Args.String("action")
-		a, err := m.action(action)
-		if err != nil {
+		if err := m.checkAndApply(ctx, entity, action, argsOf(call)); err != nil {
 			return nil, err
-		}
-		args := argsOf(call)
-		if a.Check != nil {
-			if err := a.Check(entity, args); err != nil {
-				return nil, err
-			}
-		}
-		if a.Apply != nil {
-			if err := a.Apply(entity, args); err != nil {
-				return nil, err
-			}
 		}
 		return true, nil
 	})
@@ -217,7 +210,7 @@ func (m *Manager) Object() *listener.Object {
 		if err := json.Unmarshal([]byte(call.Args.String("link")), &l); err != nil {
 			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: fmt.Sprintf("bad link: %v", err)}
 		}
-		if err := m.AddLink(&l); err != nil {
+		if err := m.InstallAt(ctx, m.self, &l); err != nil {
 			return nil, err
 		}
 		return map[string]string{"id": l.ID}, nil

@@ -142,12 +142,12 @@ func registerSlotActions(n *core.Node) {
 			}
 			return nil
 		},
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			return set(entity, args.String("meeting"))
 		},
 	})
 	n.Links.RegisterAction("release", links.Action{
-		Apply: func(entity string, args wire.Args) error {
+		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			return set(entity, "")
 		},
 	})

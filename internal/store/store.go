@@ -332,6 +332,19 @@ func appendKeyVal(b []byte, v any) []byte {
 	}
 }
 
+// keyValsOf extracts the primary key values of r in schema order.
+func (t *Table) keyValsOf(r Row) ([]any, error) {
+	out := make([]any, len(t.schema.Key))
+	for i, kc := range t.schema.Key {
+		v, ok := r[kc]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrMissingKey, kc)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 // KeyOf exposes the encoded key for diagnostics and tests.
 func (t *Table) KeyOf(r Row) (string, error) {
 	k, err := t.keyOf(r)
@@ -463,6 +476,11 @@ func (t *Table) fire(timing Timing, op Op, old, new Row) error {
 func (t *Table) hasTrigger(timing Timing, op Op) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.hasTriggerLocked(timing, op)
+}
+
+// hasTriggerLocked is hasTrigger for a caller that holds t.mu.
+func (t *Table) hasTriggerLocked(timing Timing, op Op) bool {
 	for _, tr := range t.triggers[timing] {
 		if tr.op == op {
 			return true
@@ -660,11 +678,7 @@ func (t *Table) update(changes Row, keyVals []any, fire, logit bool) error {
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, t.schema.Name, k)
 	}
 	if fire && t.hasTrigger(Before, OpUpdate) {
-		next := old.Clone()
-		for c, v := range changes {
-			next[c] = v
-		}
-		if err := t.fire(Before, OpUpdate, old.Clone(), next); err != nil {
+		if err := t.fire(Before, OpUpdate, old.Clone(), merged(old, changes)); err != nil {
 			return err
 		}
 	}
@@ -677,10 +691,7 @@ func (t *Table) update(changes Row, keyVals []any, fire, logit bool) error {
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, t.schema.Name, k)
 	}
 	t.indexRemove(k, cur)
-	stored := cur.Clone()
-	for c, v := range changes {
-		stored[c] = v
-	}
+	stored := merged(cur, changes)
 	t.rows[k] = stored
 	t.indexAdd(k, stored)
 	var ack Ack
@@ -792,32 +803,25 @@ func (t *Table) SelectEq(col string, v any) []Row {
 	return t.Select(func(r Row) bool { return r[col] == v })
 }
 
-// applyOpLocked applies one already-validated op directly to the
-// table's maps; the caller holds t.mu (Tx.Commit applies its whole
-// buffer under the locks of every involved table). Returns the old and
-// new row for After triggers.
-func (t *Table) applyOpLocked(op LoggedOp) (old, new Row) {
+// applyOpLocked applies one already-validated op, whose encoded key is
+// k, directly to the table's maps; the caller holds t.mu (Tx.Commit
+// applies its whole buffer under the locks of every involved table). An
+// inserted row is stored as it stands: the Tx cloned it at record time.
+// Returns the stored old and new row for After triggers.
+func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
+	cur := t.rows[k]
 	switch op.Op {
 	case OpInsert:
-		row := op.Row.Clone()
-		k, _ := t.keyOf(row)
-		t.rows[k] = row
-		t.indexAdd(k, row)
-		return nil, row.Clone()
+		t.rows[k] = op.Row
+		t.indexAdd(k, op.Row)
+		return nil, op.Row
 	case OpUpdate:
-		k, _ := t.keyFromVals(op.Key)
-		cur := t.rows[k]
 		t.indexRemove(k, cur)
-		stored := cur.Clone()
-		for c, v := range op.Row {
-			stored[c] = v
-		}
+		stored := merged(cur, op.Row)
 		t.rows[k] = stored
 		t.indexAdd(k, stored)
-		return cur, stored.Clone()
+		return cur, stored
 	case OpDelete:
-		k, _ := t.keyFromVals(op.Key)
-		cur := t.rows[k]
 		delete(t.rows, k)
 		t.indexRemove(k, cur)
 		return cur, nil

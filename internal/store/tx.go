@@ -1,85 +1,235 @@
 package store
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/trace"
 )
 
-// Tx is a device-local multi-table transaction. The SyD linking module
-// uses it to make "update my calendar + update my link table" atomic on
-// one device; cross-device atomicity is the job of negotiation links,
-// not of this type.
+// Tx is a device-local multi-table commit unit. internal/links and
+// internal/calendar write every protocol step through one — the paper's
+// device ran such a step as one stored procedure (§5.3) — so "update my
+// calendar + update my link table + remember the decision" is atomic on
+// one device and one record in its log; the directory uses one for its
+// reconnect handshake. Cross-device atomicity is the job of negotiation
+// links, not of this type.
 //
 // A Tx buffers its mutations: nothing touches the database until
 // Commit. Each op validates at call time against the table state
-// combined with the tx's own buffered ops (read-your-writes), so an
-// insert-then-update of the same row inside one tx works and a
-// duplicate insert fails immediately. Commit locks every involved
-// table (in sorted name order), re-validates the buffer against the
-// then-current state, applies every op, and hands the buffer to the
-// DB's MutationLogger as ONE atomic unit while still holding the
-// locks — the unit's log position therefore matches its apply position
-// for every row it touched, and a checkpoint snapshot can never
-// observe a half-applied transaction that is not also fully in the
-// log. If a concurrent mutation invalidated the buffer (a row the tx
-// updates was deleted, a key it inserts was taken), Commit applies
-// NOTHING and returns the conflict. Rollback simply discards the
-// buffer, so a rolled-back tx leaves no trace in memory or in the log.
+// combined with the tx's own buffered ops (read-your-writes, also
+// offered to the caller as Get/Has/View), so an insert-then-update of
+// the same row inside one tx works and a duplicate insert fails
+// immediately. Commit locks every involved table (in sorted name
+// order), re-validates the buffer against the then-current state,
+// applies every op, and hands the buffer to the DB's MutationLogger as
+// ONE atomic unit while still holding the locks — the unit's log
+// position therefore matches its apply position for every row it
+// touched, and a checkpoint snapshot can never observe a half-applied
+// transaction that is not also fully in the log. If a concurrent
+// mutation invalidated the buffer (a row the tx updates was deleted, a
+// key it inserts was taken), Commit applies NOTHING and returns the
+// conflict (ErrConflict). Rollback simply discards the buffer, so a
+// rolled-back tx leaves no trace in memory or in the log.
 //
 // Before triggers fire at op-record time (and may veto the op); After
-// triggers fire once Commit has applied the unit.
+// triggers fire once Commit has applied the unit. What a step decides
+// to send to other devices is queued with AfterCommit and runs, in
+// order, only once the unit is applied and logged: nothing is announced
+// that is not on the log.
+//
+// The buffer is two small slices scanned linearly — a step writes a
+// handful of rows, and a map per table costs more than it saves there.
 type Tx struct {
 	db   *DB
 	mu   sync.Mutex
 	done bool
-	ops  []LoggedOp
-	// overlay is the read-your-writes view: per table, encoded key →
-	// pending row (nil = deleted by this tx, absent = untouched).
-	overlay map[string]map[rowKey]Row
-	tables  map[string]*Table
+	// ops is what Commit logs; at[i] is ops[i]'s table and encoded key.
+	ops   []LoggedOp
+	at    []txAt
+	after []func(context.Context)
+
+	opsBuf   [4]LoggedOp
+	atBuf    [4]txAt
+	afterBuf [2]func(context.Context)
 }
+
+type txAt struct {
+	t *Table
+	k rowKey
+}
+
+// ErrConflict marks a Commit refused because a concurrent mutation
+// invalidated the buffer; the error also wraps the ErrNoRow or
+// ErrDupKey that says how.
+var ErrConflict = errors.New("store: commit conflict")
 
 // Begin starts a transaction.
 func (db *DB) Begin() *Tx {
-	return &Tx{
-		db:      db,
-		overlay: make(map[string]map[rowKey]Row),
-		tables:  make(map[string]*Table),
-	}
+	tx := &Tx{db: db}
+	tx.ops, tx.at, tx.after = tx.opsBuf[:0], tx.atBuf[:0], tx.afterBuf[:0]
+	return tx
 }
 
-// effective returns the row at key k as this tx sees it: the buffered
-// state when the tx already touched it, the committed row otherwise.
-func (tx *Tx) effective(t *Table, k rowKey) (Row, bool) {
-	if ov, ok := tx.overlay[t.schema.Name]; ok {
-		if r, touched := ov[k]; touched {
-			if r == nil {
-				return nil, false
-			}
-			return r.Clone(), true
+// unitAttempts bounds how often Unit re-runs a step whose commit
+// conflicted.
+const unitAttempts = 3
+
+// Unit runs step as one commit unit: its writes are buffered, applied
+// and logged as one record, then its AfterCommit sends run. A step that
+// returns an error leaves no trace. A commit-time conflict re-runs the
+// step against the state that beat it, so step must keep its side
+// effects in the unit (writes and AfterCommit) until Unit returns.
+func (db *DB) Unit(ctx context.Context, step func(u *Tx) error) error {
+	for attempt := 1; ; attempt++ {
+		u := db.Begin()
+		if err := step(u); err != nil {
+			return err
+		}
+		err := u.Commit(ctx)
+		if attempt == unitAttempts || !errors.Is(err, ErrConflict) {
+			return err
 		}
 	}
-	t.mu.RLock()
-	r, ok := t.rows[k]
-	t.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return r.Clone(), true
 }
 
-// record buffers one validated op and its overlay effect.
-func (tx *Tx) record(t *Table, k rowKey, pending Row, op LoggedOp) {
-	name := t.schema.Name
-	ov := tx.overlay[name]
-	if ov == nil {
-		ov = make(map[rowKey]Row)
-		tx.overlay[name] = ov
+// last returns the index of the newest of the first n buffered ops that
+// touches (t, k), or -1.
+func (tx *Tx) last(t *Table, k rowKey, n int) int {
+	for i := n - 1; i >= 0; i-- {
+		if tx.at[i].t == t && tx.at[i].k == k {
+			return i
+		}
 	}
-	ov[k] = pending
-	tx.tables[name] = t
+	return -1
+}
+
+// exists reports whether the tx sees a row at (t, k).
+func (tx *Tx) exists(t *Table, k rowKey) bool {
+	if i := tx.last(t, k, len(tx.ops)); i >= 0 {
+		return tx.ops[i].Op != OpDelete
+	}
+	t.mu.RLock()
+	_, ok := t.rows[k]
+	t.mu.RUnlock()
+	return ok
+}
+
+// effective returns the row at (t, k) as the first n buffered ops leave
+// it: the buffered state when the tx touched it, the committed row
+// otherwise. The result may be the stored or the buffered map itself;
+// stored rows are replaced, never changed, so reading one after the
+// lock is released is safe, but the caller must not modify it.
+func (tx *Tx) effective(t *Table, k rowKey, n int) (Row, bool) {
+	i := tx.last(t, k, n)
+	if i < 0 {
+		t.mu.RLock()
+		r, ok := t.rows[k]
+		t.mu.RUnlock()
+		return r, ok
+	}
+	switch op := tx.ops[i]; op.Op {
+	case OpInsert:
+		return op.Row, true
+	case OpUpdate:
+		base, _ := tx.effective(t, k, i)
+		return merged(base, op.Row), true
+	}
+	return nil, false
+}
+
+// merged returns a copy of base with changes laid over it.
+func merged(base, changes Row) Row {
+	next := make(Row, len(base))
+	for c, v := range base {
+		next[c] = v
+	}
+	for c, v := range changes {
+		next[c] = v
+	}
+	return next
+}
+
+// locate resolves a read or keyed write: the table and the encoded key.
+func (tx *Tx) locate(table string, keyVals []any) (*Table, rowKey, error) {
+	if tx.done {
+		return nil, "", ErrTxDone
+	}
+	t, err := tx.db.Table(table)
+	if err != nil {
+		return nil, "", err
+	}
+	k, err := t.keyFromVals(keyVals)
+	return t, k, err
+}
+
+// View calls fn with the row for keyVals as the tx sees it — its own
+// buffered writes included — and reports whether there is one. fn must
+// not modify the row or keep it.
+func (tx *Tx) View(table string, fn func(Row), keyVals ...any) bool {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	t, k, err := tx.locate(table, keyVals)
+	if err != nil {
+		return false
+	}
+	r, ok := tx.effective(t, k, len(tx.ops))
+	if ok {
+		fn(r)
+	}
+	return ok
+}
+
+// Get returns a copy of the row for keyVals as the tx sees it.
+func (tx *Tx) Get(table string, keyVals ...any) (row Row, ok bool) {
+	ok = tx.View(table, func(r Row) { row = r.Clone() }, keyVals...)
+	return row, ok
+}
+
+// Has reports whether the tx sees a row for keyVals.
+func (tx *Tx) Has(table string, keyVals ...any) bool {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	t, k, err := tx.locate(table, keyVals)
+	return err == nil && tx.exists(t, k)
+}
+
+// SelectEq returns copies of the rows with row[col] == v as the tx sees
+// them, in primary-key order: the committed rows, with every key the tx
+// touched taken out and put back as the tx leaves it if it still matches.
+func (tx *Tx) SelectEq(table, col string, v any) []Row {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	t, err := tx.db.Table(table)
+	if err != nil || tx.done {
+		return nil
+	}
+	rows := t.SelectEq(col, v)
+	keyOf := func(r Row) rowKey { k, _ := t.keyOf(r); return k }
+	resort := false
+	for i, a := range tx.at {
+		if a.t != t || tx.last(t, a.k, len(tx.ops)) != i {
+			continue // another table's op, or not the newest on its key
+		}
+		rows = slices.DeleteFunc(rows, func(r Row) bool { return keyOf(r) == a.k })
+		if r, ok := tx.effective(t, a.k, len(tx.ops)); ok && r[col] == v {
+			rows, resort = append(rows, r.Clone()), true
+		}
+	}
+	if resort {
+		sort.Slice(rows, func(i, j int) bool { return keyOf(rows[i]) < keyOf(rows[j]) })
+	}
+	return rows
+}
+
+// record buffers one validated op.
+func (tx *Tx) record(t *Table, k rowKey, op LoggedOp) {
 	tx.ops = append(tx.ops, op)
+	tx.at = append(tx.at, txAt{t: t, k: k})
 }
 
 // Insert buffers an insert of r into the named table.
@@ -96,29 +246,30 @@ func (tx *Tx) Insert(table string, r Row) error {
 	if err := t.checkTypes(r, true); err != nil {
 		return err
 	}
+	// The clone is the row the table will store and the log will read.
 	row := r.Clone()
 	k, err := t.keyOf(row)
 	if err != nil {
 		return err
 	}
-	if _, exists := tx.effective(t, k); exists {
+	if tx.exists(t, k) {
 		return fmt.Errorf("%w: %s[%s]", ErrDupKey, t.schema.Name, k)
 	}
-	if err := t.fire(Before, OpInsert, nil, row.Clone()); err != nil {
-		return err
+	if t.hasTrigger(Before, OpInsert) {
+		if err := t.fire(Before, OpInsert, nil, row.Clone()); err != nil {
+			return err
+		}
 	}
-	tx.record(t, k, row, LoggedOp{Table: table, Op: OpInsert, Row: row.Clone()})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpInsert, Row: row})
 	return nil
 }
 
-// Update buffers an update of the row identified by keyVals.
+// Update buffers an update of the row identified by keyVals. changes
+// belongs to the tx from here on: it is what Commit applies and logs.
 func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if tx.done {
-		return ErrTxDone
-	}
-	t, err := tx.db.Table(table)
+	t, k, err := tx.locate(table, keyVals)
 	if err != nil {
 		return err
 	}
@@ -130,49 +281,61 @@ func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 			return fmt.Errorf("%w: %q", ErrKeyImmutable, kc)
 		}
 	}
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return err
+	if !tx.exists(t, k) {
+		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
 	}
-	old, ok := tx.effective(t, k)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRow, table)
+	if t.hasTrigger(Before, OpUpdate) {
+		old, _ := tx.effective(t, k, len(tx.ops))
+		if err := t.fire(Before, OpUpdate, old.Clone(), merged(old, changes)); err != nil {
+			return err
+		}
 	}
-	next := old.Clone()
-	for c, v := range changes {
-		next[c] = v
-	}
-	if err := t.fire(Before, OpUpdate, old, next.Clone()); err != nil {
-		return err
-	}
-	tx.record(t, k, next, LoggedOp{Table: table, Op: OpUpdate, Row: changes.Clone(), Key: append([]any(nil), keyVals...)})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpUpdate, Row: changes, Key: append([]any(nil), keyVals...)})
 	return nil
 }
 
 // Delete buffers a delete of the row identified by keyVals.
 func (tx *Tx) Delete(table string, keyVals ...any) error {
+	return tx.delete(table, keyVals, true)
+}
+
+// Remove is Delete for a row that may not be there: it buffers the
+// delete if the tx sees the row and does nothing otherwise.
+func (tx *Tx) Remove(table string, keyVals ...any) error {
+	return tx.delete(table, keyVals, false)
+}
+
+func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if tx.done {
-		return ErrTxDone
-	}
-	t, err := tx.db.Table(table)
+	t, k, err := tx.locate(table, keyVals)
 	if err != nil {
 		return err
 	}
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return err
+	if !tx.exists(t, k) {
+		if !must {
+			return nil
+		}
+		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
 	}
-	old, ok := tx.effective(t, k)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRow, table)
+	if t.hasTrigger(Before, OpDelete) {
+		old, _ := tx.effective(t, k, len(tx.ops))
+		if err := t.fire(Before, OpDelete, old.Clone(), nil); err != nil {
+			return err
+		}
 	}
-	if err := t.fire(Before, OpDelete, old, nil); err != nil {
-		return err
-	}
-	tx.record(t, k, nil, LoggedOp{Table: table, Op: OpDelete, Key: append([]any(nil), keyVals...)})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete, Key: append([]any(nil), keyVals...)})
 	return nil
+}
+
+// AfterCommit queues fn to run once Commit has applied and logged the
+// unit, after the fns queued before it; a unit that rolls back or
+// conflicts runs none. It is where a step puts what it sends to other
+// devices, so a unit never spans an outgoing call.
+func (tx *Tx) AfterCommit(fn func(ctx context.Context)) {
+	tx.mu.Lock()
+	tx.after = append(tx.after, fn)
+	tx.mu.Unlock()
 }
 
 // firedOp remembers what a committed op did, for After triggers.
@@ -184,124 +347,131 @@ type firedOp struct {
 
 // Commit applies the buffered ops atomically and hands them to the
 // DB's mutation logger as one unit, all under the locks of every
-// involved table. On a conflict with a concurrent mutation nothing is
-// applied and the conflict is returned. A logging (durability) error
-// is returned but the in-memory changes stand — the caller decides
-// whether lost durability is fatal.
-func (tx *Tx) Commit() error {
+// involved table, then runs the AfterCommit queue with ctx. On a
+// conflict with a concurrent mutation nothing is applied or sent and
+// the conflict is returned. A logging (durability) error is returned
+// and nothing is sent, but the in-memory changes stand — the caller
+// decides whether lost durability is fatal. A non-empty unit is a
+// "store.commit" span under the span in ctx.
+func (tx *Tx) Commit(ctx context.Context) error {
+	after, err := tx.commit(ctx)
+	for _, fn := range after {
+		fn(ctx)
+	}
+	return err
+}
+
+func (tx *Tx) commit(ctx context.Context) ([]func(context.Context), error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.done {
-		return ErrTxDone
+		return nil, ErrTxDone
 	}
 	tx.done = true
-	ops := tx.ops
-	tx.ops, tx.overlay = nil, nil
+	ops, at, after := tx.ops, tx.at, tx.after
 	if len(ops) == 0 {
-		return nil
+		return after, nil
 	}
+	_, span := trace.Start(ctx, "store.commit")
 
 	// Fixed lock order (sorted table names) so concurrent commits
 	// cannot deadlock.
-	names := make([]string, 0, len(tx.tables))
-	for n := range tx.tables {
-		names = append(names, n)
+	var tabBuf [4]*Table
+	tabs := tabBuf[:0]
+	for _, a := range at {
+		i := 0
+		for i < len(tabs) && tabs[i].schema.Name < a.t.schema.Name {
+			i++
+		}
+		if i < len(tabs) && tabs[i] == a.t {
+			continue
+		}
+		tabs = append(tabs, nil)
+		copy(tabs[i+1:], tabs[i:])
+		tabs[i] = a.t
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		tx.tables[n].mu.Lock()
+	for _, t := range tabs {
+		t.mu.Lock()
 	}
 	unlock := func() {
-		for i := len(names) - 1; i >= 0; i-- {
-			tx.tables[names[i]].mu.Unlock()
+		for i := len(tabs) - 1; i >= 0; i-- {
+			tabs[i].mu.Unlock()
 		}
 	}
 
-	if err := validateOpsLocked(tx.tables, ops); err != nil {
+	if err := tx.validateLocked(); err != nil {
 		unlock()
-		return fmt.Errorf("store: commit conflict: %w", err)
+		err = fmt.Errorf("%w: %w", ErrConflict, err)
+		span.FinishErr(err)
+		return nil, err
 	}
-	fired := make([]firedOp, 0, len(ops))
-	for _, op := range ops {
-		t := tx.tables[op.Table]
-		old, new := t.applyOpLocked(op)
-		fired = append(fired, firedOp{t: t, op: op.Op, old: old, new: new})
+	var fired []firedOp
+	for i, op := range ops {
+		t := at[i].t
+		old, new := t.applyOpLocked(op, at[i].k)
+		if t.hasTriggerLocked(After, op.Op) {
+			if new != nil {
+				new = new.Clone()
+			}
+			fired = append(fired, firedOp{t: t, op: op.Op, old: old, new: new})
+		}
 	}
 	// Enqueue the unit while the table locks are still held: the log
 	// order of these rows is now exactly their apply order relative to
 	// any concurrent direct mutation.
 	var ack Ack
-	if l := tx.db.currentLogger(); l != nil {
+	l := tx.db.currentLogger()
+	if l != nil {
 		ack = l.LogTx(ops)
+	}
+	if span != nil {
+		span.Annotate(trace.Int("ops", len(ops)), trace.Int("tables", len(tabs)))
+		if p, ok := l.(interface{ LastLSN() uint64 }); ok {
+			span.Annotate(trace.Int64("lsn", int64(p.LastLSN())))
+		}
 	}
 	unlock()
 
 	var err error
 	if ack != nil {
-		err = ack()
+		if err = ack(); err != nil {
+			after = nil
+		}
 	}
+	span.FinishErr(err)
 	for _, f := range fired {
 		if ferr := f.t.fire(After, f.op, f.old, f.new); ferr != nil && err == nil {
 			err = ferr
 		}
 	}
-	return err
+	return after, err
 }
 
-// validateOpsLocked replays the buffer against the current (locked)
-// table state without mutating anything, so Commit is all-or-nothing
-// even when concurrent mutations ran between op record time and
-// Commit. Caller holds every involved table's write lock.
-func validateOpsLocked(tables map[string]*Table, ops []LoggedOp) error {
-	view := make(map[string]map[rowKey]Row)
-	for _, op := range ops {
-		t := tables[op.Table]
-		ov := view[op.Table]
-		if ov == nil {
-			ov = make(map[rowKey]Row)
-			view[op.Table] = ov
-		}
-		var k rowKey
-		var err error
-		if op.Op == OpInsert {
-			k, err = t.keyOf(op.Row)
+// validateLocked replays the buffer against the current (locked) table
+// state without mutating anything, so Commit is all-or-nothing even
+// when concurrent mutations ran between op record time and Commit.
+// Caller holds every involved table's write lock.
+func (tx *Tx) validateLocked() error {
+	for i, op := range tx.ops {
+		t, k := tx.at[i].t, tx.at[i].k
+		var exists bool
+		if j := tx.last(t, k, i); j >= 0 {
+			exists = tx.ops[j].Op != OpDelete
 		} else {
-			k, err = t.keyFromVals(op.Key)
+			_, exists = t.rows[k]
 		}
-		if err != nil {
-			return err
-		}
-		cur, touched := ov[k]
-		if !touched {
-			cur = t.rows[k]
-		}
-		switch op.Op {
-		case OpInsert:
-			if cur != nil {
-				return fmt.Errorf("%w: %s[%s]", ErrDupKey, op.Table, k)
-			}
-			ov[k] = op.Row
-		case OpUpdate:
-			if cur == nil {
-				return fmt.Errorf("%w: %s[%s]", ErrNoRow, op.Table, k)
-			}
-			next := cur.Clone()
-			for c, v := range op.Row {
-				next[c] = v
-			}
-			ov[k] = next
-		case OpDelete:
-			if cur == nil {
-				return fmt.Errorf("%w: %s[%s]", ErrNoRow, op.Table, k)
-			}
-			ov[k] = nil
+		switch {
+		case op.Op == OpInsert && exists:
+			return fmt.Errorf("%w: %s[%s]", ErrDupKey, op.Table, k)
+		case op.Op != OpInsert && !exists:
+			return fmt.Errorf("%w: %s[%s]", ErrNoRow, op.Table, k)
 		}
 	}
 	return nil
 }
 
-// Rollback discards the buffered mutations. Nothing was applied and
-// nothing is logged.
+// Rollback discards the buffered mutations and queued sends. Nothing
+// was applied and nothing is logged.
 func (tx *Tx) Rollback() error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -309,19 +479,6 @@ func (tx *Tx) Rollback() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	tx.ops, tx.overlay = nil, nil
+	tx.ops, tx.at, tx.after = nil, nil, nil
 	return nil
-}
-
-// keyValsOf extracts the primary key values of r in schema order.
-func (t *Table) keyValsOf(r Row) ([]any, error) {
-	out := make([]any, len(t.schema.Key))
-	for i, kc := range t.schema.Key {
-		v, ok := r[kc]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrMissingKey, kc)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

@@ -2,9 +2,14 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func twoTableDB(t *testing.T) (*DB, *Table, *Table) {
@@ -32,13 +37,13 @@ func TestTxCommit(t *testing.T) {
 	if err := tx.Insert("links", Row{"id": "L1", "kind": "negotiation-and", "prio": int64(5)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if cal.Count() != 1 || links.Count() != 1 {
 		t.Fatalf("counts = %d, %d", cal.Count(), links.Count())
 	}
-	if err := tx.Commit(); !errors.Is(err, ErrTxDone) {
+	if err := tx.Commit(context.Background()); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("double commit: %v", err)
 	}
 }
@@ -103,7 +108,7 @@ func TestTxRollbackReverseOrder(t *testing.T) {
 func TestTxOperationsAfterDone(t *testing.T) {
 	db, _, _ := twoTableDB(t)
 	tx := db.Begin()
-	if err := tx.Commit(); err != nil {
+	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Insert("calendar", slotRow("d", 9, "free")); !errors.Is(err, ErrTxDone) {
@@ -165,7 +170,7 @@ func TestTxReadYourWrites(t *testing.T) {
 	if cal.Count() != 0 {
 		t.Fatalf("buffered ops leaked: %d rows", cal.Count())
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := cal.Get("d", int64(9))
@@ -191,7 +196,7 @@ func TestTxCommitConflictAppliesNothing(t *testing.T) {
 	if err := cal.Delete("d", int64(8)); err != nil { // concurrent writer wins
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); !errors.Is(err, ErrNoRow) {
+	if err := tx.Commit(context.Background()); !errors.Is(err, ErrNoRow) {
 		t.Fatalf("conflicted commit: %v", err)
 	}
 	if _, ok := links.Get("L9"); ok {
@@ -272,5 +277,236 @@ func TestRestoreIntoNonEmptyDBConflicts(t *testing.T) {
 	}
 	if err := db.Restore(&buf); !errors.Is(err, ErrDupTable) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestTxUnitAllocs holds a commit unit to the direct path's per-row cost
+// plus a small constant: four inserts into four tables cost two
+// allocations each as Table.Insert calls (8), and the issue that made Tx
+// the write unit of links and calendar set 14 as the bound for the unit
+// (it cost 70 when Tx kept map-of-maps overlays and cloned every row
+// three times).
+func TestTxUnitAllocs(t *testing.T) {
+	db := NewDB()
+	names := [4]string{"t0", "t1", "t2", "t3"}
+	for _, n := range names {
+		db.MustCreateTable(Schema{
+			Name:    n,
+			Columns: []Column{{Name: "id", Type: String}, {Name: "v", Type: String}, {Name: "n", Type: Int}},
+			Key:     []string{"id"},
+		})
+	}
+	const runs = 200
+	rows := make([]Row, 0, 2*(runs+1)*len(names))
+	for i := 0; i < cap(rows); i++ {
+		rows = append(rows, Row{"id": fmt.Sprintf("k%06d", i), "v": "x", "n": int64(7)})
+	}
+	next := func() Row { r := rows[0]; rows = rows[1:]; return r }
+	ctx := context.Background()
+	direct := testing.AllocsPerRun(runs, func() {
+		for _, n := range names {
+			tab, _ := db.Table(n)
+			if err := tab.Insert(next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	unit := testing.AllocsPerRun(runs, func() {
+		tx := db.Begin()
+		for _, n := range names {
+			if err := tx.Insert(n, next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("4 inserts into 4 tables: %.0f allocs direct, %.0f in one unit", direct, unit)
+	if unit > 14 {
+		t.Fatalf("a 4-row unit costs %.0f allocs (direct inserts: %.0f), want at most 14", unit, direct)
+	}
+}
+
+// TestTxReadsSeeTheBuffer: Get, Has, View and SelectEq answer as the tx
+// leaves the rows, not as the table still holds them.
+func TestTxReadsSeeTheBuffer(t *testing.T) {
+	db, cal, _ := twoTableDB(t)
+	if err := cal.CreateIndex("status"); err != nil {
+		t.Fatal(err)
+	}
+	for h, st := range map[int64]string{8: "busy", 9: "busy", 10: "free"} {
+		if err := cal.Insert(slotRow("d", h, st)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := db.Begin()
+	if err := tx.Update("calendar", Row{"status": "free"}, "d", int64(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("calendar", "d", int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("calendar", slotRow("d", 7, "busy")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tx.Get("calendar", "d", int64(8)); !ok || got["status"] != "free" || got["hour"] != int64(8) {
+		t.Fatalf("Get of an updated row = %v, %v", got, ok)
+	}
+	if tx.Has("calendar", "d", int64(9)) || !tx.Has("calendar", "d", int64(7)) || !tx.Has("calendar", "d", int64(10)) {
+		t.Fatal("Has does not follow the buffer")
+	}
+	if err := tx.Remove("calendar", "d", int64(9)); err != nil {
+		t.Fatalf("Remove of a row the tx already deleted: %v", err)
+	}
+	if err := tx.Delete("calendar", "d", int64(9)); !errors.Is(err, ErrNoRow) {
+		t.Fatalf("Delete of a row the tx already deleted: %v", err)
+	}
+	var seen string
+	if !tx.View("calendar", func(r Row) { seen = r["status"].(string) }, "d", int64(7)) || seen != "busy" {
+		t.Fatalf("View of an inserted row saw %q", seen)
+	}
+	hours := func(rows []Row) (out []int64) {
+		for _, r := range rows {
+			out = append(out, r["hour"].(int64))
+		}
+		return out
+	}
+	if got := hours(tx.SelectEq("calendar", "status", "busy")); !reflect.DeepEqual(got, []int64{7}) {
+		t.Fatalf("busy hours in the tx = %v, want [7]", got)
+	}
+	if got := hours(tx.SelectEq("calendar", "status", "free")); !reflect.DeepEqual(got, []int64{10, 8}) {
+		t.Fatalf("free hours in the tx = %v, want [10 8] (key order)", got)
+	}
+	if got := hours(cal.SelectEq("status", "busy")); !reflect.DeepEqual(got, []int64{8, 9}) {
+		t.Fatalf("busy hours in the table before commit = %v", got)
+	}
+	if err := tx.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := hours(cal.SelectEq("status", "busy")); !reflect.DeepEqual(got, []int64{7}) {
+		t.Fatalf("busy hours after commit = %v", got)
+	}
+}
+
+// TestTxAfterCommit: what a unit queued runs in order once the unit is
+// applied, with Commit's context, and not at all when the unit conflicts
+// or rolls back.
+func TestTxAfterCommit(t *testing.T) {
+	db, cal, _ := twoTableDB(t)
+	type key struct{}
+	ctx := context.WithValue(context.Background(), key{}, "step")
+	var ran []string
+	queue := func(tx *Tx, name string) {
+		tx.AfterCommit(func(ctx context.Context) {
+			if _, ok := cal.Get("d", int64(9)); !ok {
+				t.Errorf("%s ran before the unit was applied", name)
+			}
+			ran = append(ran, name+":"+ctx.Value(key{}).(string))
+		})
+	}
+	tx := db.Begin()
+	queue(tx, "first")
+	if err := tx.Insert("calendar", slotRow("d", 9, "free")); err != nil {
+		t.Fatal(err)
+	}
+	queue(tx, "second")
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, []string{"first:step", "second:step"}) {
+		t.Fatalf("ran %v", ran)
+	}
+
+	ran = nil
+	conflicted := db.Begin()
+	queue(conflicted, "conflicted")
+	if err := conflicted.Update("calendar", Row{"status": "x"}, "d", int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cal.Delete("d", int64(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conflicted.Commit(ctx); !errors.Is(err, ErrConflict) || !errors.Is(err, ErrNoRow) {
+		t.Fatalf("conflicted commit: %v", err)
+	}
+	rolled := db.Begin()
+	queue(rolled, "rolled back")
+	if err := rolled.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != nil {
+		t.Fatalf("a unit that did not commit ran %v", ran)
+	}
+}
+
+// TestUnitRerunsOnConflict: a step whose commit loses to a concurrent
+// write runs again on the state that beat it, and only the run that
+// commits sends anything.
+func TestUnitRerunsOnConflict(t *testing.T) {
+	db, cal, _ := twoTableDB(t)
+	runs, sent := 0, 0
+	err := db.Unit(context.Background(), func(u *Tx) error {
+		runs++
+		u.AfterCommit(func(context.Context) { sent++ })
+		if u.Has("calendar", "d", int64(9)) {
+			return u.Update("calendar", Row{"status": "second"}, "d", int64(9))
+		}
+		if err := u.Insert("calendar", slotRow("d", 9, "first")); err != nil {
+			return err
+		}
+		// A rival takes the key between this step's read and its commit.
+		return cal.Insert(slotRow("d", 9, "rival"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := cal.Get("d", int64(9)); runs != 2 || sent != 1 || got["status"] != "second" {
+		t.Fatalf("runs %d, sends %d, row %v; want 2, 1, status second", runs, sent, got)
+	}
+	stepErr := errors.New("step refused")
+	if err := db.Unit(context.Background(), func(u *Tx) error {
+		_ = u.Delete("calendar", "d", int64(9))
+		return stepErr
+	}); err != stepErr || cal.Count() != 1 {
+		t.Fatalf("failed step: err %v, %d rows", err, cal.Count())
+	}
+}
+
+// TestCommitSpan: a non-empty unit is one store.commit span under the
+// step's span; an empty one is none.
+func TestCommitSpan(t *testing.T) {
+	db, _, _ := twoTableDB(t)
+	tr := trace.New("n", trace.WithSampleRate(1))
+	ctx, root := tr.StartSpan(context.Background(), "step")
+	if err := db.Begin().Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if err := tx.Insert("calendar", slotRow("d", 9, "free")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("links", Row{"id": "L1", "kind": "k", "prio": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	root.Finish()
+	var commits []*trace.Span
+	for _, s := range tr.Snapshot() {
+		if s.Name == "store.commit" {
+			commits = append(commits, s)
+		}
+	}
+	if len(commits) != 1 || commits[0].ParentID != root.SpanID {
+		t.Fatalf("store.commit spans = %+v, want one under the step", commits)
+	}
+	attrs := map[string]string{}
+	for _, a := range commits[0].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["ops"] != "2" || attrs["tables"] != "2" {
+		t.Fatalf("store.commit attrs = %v", attrs)
 	}
 }

@@ -85,21 +85,17 @@ func Open(dir string, opt Options) (*Durable, error) {
 
 // LogDDLTable implements store.MutationLogger.
 func (d *Durable) LogDDLTable(s store.Schema) store.Ack {
-	return store.Ack(d.wal.append(record{Kind: kindTable, Schema: schemaToDoc(s)}))
+	return store.Ack(d.wal.append(ddlBody(record{Kind: kindTable, Schema: schemaToDoc(s)})))
 }
 
 // LogDDLIndex implements store.MutationLogger.
 func (d *Durable) LogDDLIndex(table, col string) store.Ack {
-	return store.Ack(d.wal.append(record{Kind: kindIndex, Table: table, Col: col}))
+	return store.Ack(d.wal.append(ddlBody(record{Kind: kindIndex, Table: table, Col: col})))
 }
 
 // LogTx implements store.MutationLogger.
 func (d *Durable) LogTx(ops []store.LoggedOp) store.Ack {
-	rec := record{Kind: kindTx, Ops: make([]opDoc, 0, len(ops))}
-	for _, op := range ops {
-		rec.Ops = append(rec.Ops, opToDoc(op))
-	}
-	return store.Ack(d.wal.append(rec))
+	return store.Ack(d.wal.append(txBody(ops)))
 }
 
 // checkpointName returns the snapshot file name for lsn.

@@ -1,0 +1,191 @@
+package wal
+
+import (
+	"encoding/json"
+	"slices"
+	"strconv"
+	"time"
+	"unicode/utf8"
+
+	"repro/internal/store"
+)
+
+// A tx record is encoded by appending to one buffer. The bytes are the
+// ones json.Marshal gives for record{LSN, Kind: kindTx, Ops: …} — decode,
+// replay, shipping and a log written before this encoder existed all read
+// the same format — without the []opDoc of map[string]any that Marshal
+// needs built first (FuzzTxRecordEncoding holds the two equal).
+//
+// A record body is the payload with room in front for its LSN instead of
+// the LSN itself: `,"kind":…}` starting at lsnRoom. The body is built
+// before the log's mutex is taken; only the LSN is written under it.
+
+const (
+	lsnKey  = `{"lsn":`
+	lsnRoom = len(lsnKey) + 20 // a uint64 has at most 20 digits
+)
+
+// withLSN completes a record body into its payload.
+func withLSN(body []byte, lsn uint64) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], lsn, 10)
+	start := lsnRoom - len(d) - len(lsnKey)
+	copy(body[start:], lsnKey)
+	copy(body[start+len(lsnKey):], d)
+	return body[start:]
+}
+
+// ddlBody is the record body of a DDL record, by way of json.Marshal.
+func ddlBody(r record) ([]byte, error) {
+	r.LSN = 0
+	raw, err := encodeRecord(r)
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, lsnRoom, lsnRoom+len(raw)), raw[len(lsnKey)+1:]...), nil
+}
+
+// txBody is the record body of one atomic unit of row mutations.
+func txBody(ops []store.LoggedOp) ([]byte, error) {
+	size := lsnRoom + 32
+	for _, op := range ops {
+		size += 48 + len(op.Table) + 24*len(op.Key)
+		for c, v := range op.Row {
+			size += len(c) + 28
+			if s, ok := v.(string); ok {
+				size += len(s) + len(s)/8
+			}
+		}
+	}
+	b := append(make([]byte, lsnRoom, size), `,"kind":"tx"`...)
+	var err error
+	for i, op := range ops {
+		if i == 0 {
+			b = append(b, `,"ops":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = append(b, `{"table":`...)
+		b = appendString(b, op.Table)
+		b = append(b, `,"op":`...)
+		b = strconv.AppendInt(b, int64(op.Op), 10)
+		if len(op.Row) > 0 {
+			b = append(b, `,"row":{`...)
+			var colBuf [16]string
+			cols := colBuf[:0]
+			for c := range op.Row {
+				cols = append(cols, c)
+			}
+			slices.Sort(cols)
+			for j, c := range cols {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = appendString(b, c)
+				b = append(b, ':')
+				if b, err = appendValue(b, op.Row[c]); err != nil {
+					return nil, err
+				}
+			}
+			b = append(b, '}')
+		}
+		if len(op.Key) > 0 {
+			b = append(b, `,"key":[`...)
+			for j, v := range op.Key {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				if b, err = appendValue(b, v); err != nil {
+					return nil, err
+				}
+			}
+			b = append(b, ']')
+		}
+		b = append(b, '}')
+	}
+	if len(ops) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendValue appends one row or key value: the store's column types
+// directly, a float (whose shortest form is encoding/json's business) and
+// anything unexpected through json.Marshal, errors included.
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case string:
+		return appendString(b, x), nil
+	case int64:
+		return strconv.AppendInt(b, x, 10), nil
+	case bool:
+		return strconv.AppendBool(b, x), nil
+	case time.Time:
+		b = append(b, '"')
+		b = x.AppendFormat(b, time.RFC3339Nano)
+		return append(b, '"'), nil
+	}
+	raw, err := json.Marshal(store.EncodeValue(v))
+	return append(b, raw...), err
+}
+
+// appendString appends s as the JSON string json.Marshal writes for it:
+// `"`, `\`, newline, return and tab escaped short, `<`, `>`, `&`, U+2028
+// and U+2029 as \u escapes, invalid UTF-8 as \ufffd. The other control
+// characters, which Go releases have spelled differently, go through
+// json.Marshal itself.
+func appendString(b []byte, s string) []byte {
+	mark := len(b)
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			i++
+			continue
+		}
+		var esc string
+		size := 1
+		switch {
+		case c == '"':
+			esc = `\"`
+		case c == '\\':
+			esc = `\\`
+		case c == '\n':
+			esc = `\n`
+		case c == '\r':
+			esc = `\r`
+		case c == '\t':
+			esc = `\t`
+		case c == '<':
+			esc = `\u003c`
+		case c == '>':
+			esc = `\u003e`
+		case c == '&':
+			esc = `\u0026`
+		case c < 0x20:
+			raw, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(b[:mark], raw...)
+		default:
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				esc = `\ufffd`
+			case r == '\u2028':
+				esc = `\u2028`
+			case r == '\u2029':
+				esc = `\u2029`
+			default:
+				i += size
+				continue
+			}
+		}
+		b = append(b, s[start:i]...)
+		b = append(b, esc...)
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}

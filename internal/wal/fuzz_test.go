@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,7 +46,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	tx := d.DB.Begin()
 	_ = tx.Insert("t", store.Row{"id": int64(9), "val": "tx", "ts": ts})
-	_ = tx.Commit()
+	_ = tx.Commit(context.Background())
 	d.DB.SetLogger(nil)
 	if err := d.wal.Close(); err != nil {
 		f.Fatal(err)

@@ -83,21 +83,6 @@ func docToSchema(doc *schemaDoc) store.Schema {
 	return s
 }
 
-// opToDoc encodes a committed mutation with JSON-safe values.
-func opToDoc(op store.LoggedOp) opDoc {
-	doc := opDoc{Table: op.Table, Op: int(op.Op)}
-	if op.Row != nil {
-		doc.Row = make(map[string]any, len(op.Row))
-		for c, v := range op.Row {
-			doc.Row[c] = store.EncodeValue(v)
-		}
-	}
-	for _, v := range op.Key {
-		doc.Key = append(doc.Key, store.EncodeValue(v))
-	}
-	return doc
-}
-
 // docToOp decodes a mutation against the schemas in db (the table must
 // exist by the time its ops replay — its DDL record or the checkpoint
 // snapshot precedes them in the log).

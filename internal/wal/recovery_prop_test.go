@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -157,7 +158,7 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 							return err
 						}
 					}
-					return tx.Commit()
+					return tx.Commit(context.Background())
 				},
 			})
 			continue
@@ -222,7 +223,7 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 					tx.Rollback()
 					return err
 				}
-				return tx.Commit()
+				return tx.Commit(context.Background())
 			},
 		})
 	}

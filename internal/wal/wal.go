@@ -292,23 +292,23 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// append enqueues one record and returns an ack that blocks until it
-// is durable per the sync policy. It never blocks on I/O itself, so it
-// is safe to call under store locks.
-func (w *WAL) append(rec record) func() error {
+// append enqueues one record, given as its body (see encode.go) or the
+// error that kept it from being encoded, and returns an ack that blocks
+// until it is durable per the sync policy. It never blocks on I/O itself,
+// so it is safe to call under store locks.
+func (w *WAL) append(body []byte, err error) func() error {
+	if err != nil {
+		return func() error { return err }
+	}
+	p := &pending{start: time.Now(), done: make(chan error, 1)}
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return func() error { return ErrClosed }
 	}
-	rec.LSN = w.nextLSN
+	p.lsn = w.nextLSN
 	w.nextLSN++
-	payload, err := encodeRecord(rec)
-	if err != nil {
-		w.mu.Unlock()
-		return func() error { return err }
-	}
-	p := &pending{lsn: rec.LSN, payload: payload, start: time.Now(), done: make(chan error, 1)}
+	p.payload = withLSN(body, p.lsn)
 	w.queue = append(w.queue, p)
 	w.mu.Unlock()
 	w.stats.appends.Add(1)

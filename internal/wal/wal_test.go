@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -165,7 +166,7 @@ func TestTxUnitIsAtomicAcrossCrash(t *testing.T) {
 	if err := tx.Insert("t", store.Row{"id": int64(2), "val": "b", "ts": ts}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, segmentName(1))
