@@ -90,13 +90,15 @@ func main() {
 	case "free":
 		requireUser(*user)
 		eng := engine.New(net, dir, *caller)
-		var slots []calendar.Slot
-		err := eng.Invoke(ctx, calendar.ServiceFor(*user), "GetFreeSlots",
-			wire.Args{"from": *from, "to": *to}, &slots)
+		w, err := calendar.NewWindow(*from, *to, nil)
 		if err != nil {
 			log.Fatalf("sydcal: %v", err)
 		}
-		for _, s := range slots {
+		avail, errs := calendar.QueryAvailability(ctx, eng, w, []string{*user})
+		if errs[0] != nil {
+			log.Fatalf("sydcal: %v", errs[0])
+		}
+		for _, s := range avail[0].Slots() {
 			fmt.Println(s)
 		}
 	case "slots":

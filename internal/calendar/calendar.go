@@ -220,22 +220,14 @@ func (c *Calendar) setSlot(u *store.Tx, s Slot, meeting string, priority int) er
 }
 
 // FreeSlots lists this user's free slots in [fromDay, toDay] at the
-// given hours (nil = DefaultHours), sorted by day then hour.
+// given hours (none = DefaultHours), sorted by day then hour. A window
+// NewWindow refuses has no slots.
 func (c *Calendar) FreeSlots(fromDay, toDay string, hours []int) []Slot {
-	if hours == nil {
-		hours = append([]int(nil), DefaultHours...)
+	w, err := NewWindow(fromDay, toDay, hours)
+	if err != nil {
+		return nil
 	}
-	sort.Ints(hours)
-	var out []Slot
-	for _, day := range DaysBetween(fromDay, toDay) {
-		for _, h := range hours {
-			s := Slot{Day: day, Hour: h}
-			if c.slotInfo(s).Meeting == "" {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
+	return c.availability(w).Slots()
 }
 
 // SlotCount reports how many slot rows this user stores — their own

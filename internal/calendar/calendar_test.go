@@ -2,6 +2,7 @@ package calendar_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,8 @@ type world struct {
 	nodes map[string]*core.Node
 	// mw, when set before addUser, wraps every handler of the user's node.
 	mw []listener.Middleware
+	// routeTTL, when set before addUser, gives the user's engine a route cache.
+	routeTTL time.Duration
 }
 
 func newWorld(t *testing.T, users ...string) *world {
@@ -38,11 +41,13 @@ func newWorld(t *testing.T, users ...string) *world {
 	return newWorldOn(t, sim.Config{}, users...)
 }
 
-// newWorldOn is newWorld over a sim network of the given configuration.
+// newWorldOn is newWorld over a sim network of the given configuration;
+// a latency it injects passes on the world's fake clock.
 func newWorldOn(t *testing.T, cfg sim.Config, users ...string) *world {
 	t.Helper()
-	net := sim.New(cfg)
 	clk := clock.NewFake(time.Date(2003, 4, 21, 8, 0, 0, 0, time.UTC))
+	cfg.Clock = clk
+	net := sim.New(cfg)
 	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
 	if _, err := net.Listen("dir", srv.Handler()); err != nil {
 		t.Fatal(err)
@@ -63,6 +68,7 @@ func (w *world) addUser(user string, priority int) *calendar.Calendar {
 	ctx := context.Background()
 	n, err := core.Start(ctx, core.Config{
 		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk, Priority: priority, Middleware: w.mw,
+		RouteCacheTTL: w.routeTTL,
 	})
 	if err != nil {
 		w.t.Fatal(err)
@@ -102,6 +108,103 @@ func TestFreeSlotsDefaults(t *testing.T) {
 	}
 	if err := c.MarkBusy(slot(day1, 9), "double", 0); wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("double busy: %v", err)
+	}
+}
+
+// TestFreeSlotsAllocs: a scan of the benchmark's 5 × 9 window is 45
+// point reads that allocate nothing; what is left is the bitset, the
+// slot list and a day string per day, each formatted once for the scan
+// and once for the list. The probe-per-slot scan cost two per slot.
+func TestFreeSlotsAllocs(t *testing.T) {
+	w := newWorld(t, "phil")
+	c := w.cals["phil"]
+	days := calendar.DaysBetween("2003-04-21", "2003-04-25")
+	for i := 0; i < 13; i++ {
+		if err := c.MarkBusy(slot(days[i%5], 9+i%9), "appt", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var free []calendar.Slot
+	allocs := testing.AllocsPerRun(100, func() { free = c.FreeSlots(days[0], days[4], nil) })
+	if len(free) != 5*9-13 {
+		t.Fatalf("free = %d slots, want %d", len(free), 5*9-13)
+	}
+	if allocs > 12 {
+		t.Fatalf("FreeSlots over 5 x 9 slots: %.0f allocs, want at most 12", allocs)
+	}
+}
+
+// TestHoursAreNormalised: an hour set may come unsorted and repeated; it
+// is read, not sorted in place, and answers each hour once. An hour that
+// is none fails the find and is bad-args at the handler, where the set
+// travels as one int.
+func TestHoursAreNormalised(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b")
+	hours := []int{17, 9, 9, 12}
+	want := []calendar.Slot{slot(day1, 9), slot(day1, 12), slot(day1, 17)}
+	got, err := w.cals["a"].FindCommonSlots(ctxBg(), calendar.Request{FromDay: day1, ToDay: day1, Hours: hours, Must: []string{"b"}})
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("find at %v = %v, %v; want %v", hours, got, err, want)
+	}
+	if got := w.cals["a"].FreeSlots(day1, day1, hours); !slices.Equal(got, want) {
+		t.Fatalf("FreeSlots at %v = %v, want %v", hours, got, want)
+	}
+	if !slices.Equal(hours, []int{17, 9, 9, 12}) {
+		t.Fatalf("the caller's hours were rearranged: %v", hours)
+	}
+	census.take(t, "find", map[string]int{"cal.GetFreeSlots": 1})
+
+	_, err = w.cals["a"].FindCommonSlots(ctxBg(), calendar.Request{FromDay: day1, ToDay: day1, Hours: []int{9, 9, 99}, Must: []string{"b"}})
+	if wire.CodeOf(err) != wire.CodeBadArgs {
+		t.Fatalf("find at hour 99: %v, want bad-args", err)
+	}
+	if got := w.cals["a"].FreeSlots(day1, day1, []int{9, 9, 99}); got != nil {
+		t.Fatalf("FreeSlots at hour 99 = %v", got)
+	}
+	census.take(t, "find at hour 99", map[string]int{})
+	for _, bad := range []any{1<<24 | 1<<9, 0, -1, []int{9, 9, 99}, "9"} {
+		err := invoke(w, "a", "b", "GetFreeSlots", wire.Args{"from": day1, "to": day1, "hours": bad}, nil)
+		if wire.CodeOf(err) != wire.CodeBadArgs {
+			t.Errorf("GetFreeSlots with hours %v: %v, want bad-args", bad, err)
+		}
+	}
+}
+
+// TestWindowIsBounded: a window must be two days in order spanning at
+// most MaxWindowSlots slots. Anything else is bad-args — at the handler,
+// and at the initiator before it sends anything — not an empty answer
+// that reads as "no common free slot".
+func TestWindowIsBounded(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b")
+	for name, win := range map[string][2]string{
+		"oversize":  {"0001-01-01", "9999-12-31"},
+		"one over":  {"2003-01-01", "2004-04-01"}, // 457 days x 9 hours
+		"inverted":  {day2, day1},
+		"malformed": {"garbage", day1},
+		"empty":     {"", ""},
+	} {
+		req := calendar.Request{Title: name, FromDay: win[0], ToDay: win[1], Must: []string{"b"}}
+		if _, err := w.cals["a"].FindCommonSlots(ctxBg(), req); wire.CodeOf(err) != wire.CodeBadArgs {
+			t.Errorf("%s window: find: %v, want bad-args", name, err)
+		}
+		if _, err := w.cals["a"].SetupMeeting(ctxBg(), req); wire.CodeOf(err) != wire.CodeBadArgs {
+			t.Errorf("%s window: setup: %v, want bad-args", name, err)
+		}
+		if _, err := calendar.NewCommittee(w.cals["a"], "b").FreeBusyMatrix(ctxBg(), win[0], win[1], nil); wire.CodeOf(err) != wire.CodeBadArgs {
+			t.Errorf("%s window: free/busy matrix: %v, want bad-args", name, err)
+		}
+		census.take(t, name, map[string]int{})
+		err := invoke(w, "a", "b", "GetFreeSlots", wire.Args{"from": win[0], "to": win[1]}, nil)
+		if wire.CodeOf(err) != wire.CodeBadArgs {
+			t.Errorf("%s window: GetFreeSlots: %v, want bad-args", name, err)
+		}
+		census.take(t, name, map[string]int{"cal.GetFreeSlots": 1})
+	}
+	// The largest window there is: 256 days at 16 hours.
+	hours := []int{6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
+	got, err := w.cals["a"].FindCommonSlots(ctxBg(), calendar.Request{FromDay: "2003-01-01", ToDay: "2003-09-13", Hours: hours, Must: []string{"b"}})
+	if err != nil || len(got) != calendar.MaxWindowSlots {
+		t.Fatalf("find over the largest window: %d slots, %v", len(got), err)
 	}
 }
 

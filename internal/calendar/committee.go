@@ -3,7 +3,6 @@ package calendar
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/wire"
@@ -128,13 +127,7 @@ func (cc *Committee) ChangeMeetingTimeToNextAvailable(ctx context.Context, meeti
 	if err != nil {
 		return Slot{}, err
 	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Day != candidates[j].Day {
-			return candidates[i].Day < candidates[j].Day
-		}
-		return candidates[i].Hour < candidates[j].Hour
-	})
-	for _, s := range candidates {
+	for _, s := range candidates { // sorted by day, then hour
 		if s.Day == m.Slot.Day && s.Hour <= m.Slot.Hour {
 			continue // only strictly later slots
 		}
@@ -150,20 +143,18 @@ func (cc *Committee) ChangeMeetingTimeToNextAvailable(ctx context.Context, meeti
 // the aggregated committee view a GUI would render (§5's "a list of
 // open slots common to all the participants appears").
 func (cc *Committee) FreeBusyMatrix(ctx context.Context, fromDay, toDay string, hours []int) (map[string][]Slot, error) {
-	out := make(map[string][]Slot, len(cc.members))
-	for _, u := range cc.members {
-		if u == cc.cal.User() {
-			out[u] = cc.cal.FreeSlots(fromDay, toDay, hours)
-			continue
+	w, err := NewWindow(fromDay, toDay, hours)
+	if err != nil {
+		return nil, err
+	}
+	others := cc.others()
+	avail, errs := QueryAvailability(ctx, cc.cal.eng, w, others)
+	out := map[string][]Slot{cc.cal.user: cc.cal.availability(w).Slots()}
+	for i, u := range others {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("calendar: free/busy of %s: %w", u, errs[i])
 		}
-		var slots []Slot
-		err := cc.cal.Engine().Invoke(ctx, ServiceFor(u), "GetFreeSlots", wire.Args{
-			"from": fromDay, "to": toDay, "hours": hours,
-		}, &slots)
-		if err != nil {
-			return nil, fmt.Errorf("calendar: free/busy of %s: %w", u, err)
-		}
-		out[u] = slots
+		out[u] = avail[i].Slots()
 	}
 	return out, nil
 }
@@ -171,9 +162,9 @@ func (cc *Committee) FreeBusyMatrix(ctx context.Context, fromDay, toDay string, 
 // addDays shifts a YYYY-MM-DD day string by n days (returns the input
 // unchanged if it does not parse).
 func addDays(day string, n int) string {
-	t, err := time.Parse("2006-01-02", day)
+	t, err := time.Parse(dayLayout, day)
 	if err != nil {
 		return day
 	}
-	return t.AddDate(0, 0, n).Format("2006-01-02")
+	return t.AddDate(0, 0, n).Format(dayLayout)
 }

@@ -1,0 +1,20 @@
+package calendar
+
+import "time"
+
+// DaysBetween enumerates the days from fromDay to toDay inclusive
+// (both YYYY-MM-DD). Returns nil if the range is malformed or inverted.
+// It is how the slot search walked a window before availability became a
+// bitset; the per-slot oracle of search_test.go still walks it this way.
+func DaysBetween(fromDay, toDay string) []string {
+	from, err1 := time.Parse(dayLayout, fromDay)
+	to, err2 := time.Parse(dayLayout, toDay)
+	if err1 != nil || err2 != nil || to.Before(from) {
+		return nil
+	}
+	var out []string
+	for d := from; !d.After(to); d = d.AddDate(0, 0, 1) {
+		out = append(out, d.Format(dayLayout))
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package calendar
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,90 +56,54 @@ func tentativeTriggers(meetingID, user string) []links.Trigger {
 	}
 }
 
-// FindCommonSlots implements the §5 slot search: query every
-// participant's calendar for free slots in the window, intersect the
-// musts' and supervisors' availability, and keep slots where every
-// or-group can still meet its quorum.
+// FindCommonSlots implements the §5 slot search: ask every participant's
+// calendar for its availability over the window in one group round trip,
+// intersect the musts' and supervisors' with the initiator's own, and
+// keep the slots where every or-group can still meet its quorum. A
+// required participant that cannot answer fails the search; an or-group
+// member that cannot merely counts as unavailable.
 func (c *Calendar) FindCommonSlots(ctx context.Context, req Request) ([]Slot, error) {
-	hours := req.Hours
-	if hours == nil {
-		hours = DefaultHours
-	}
-	required := append([]string{}, req.Must...)
-	required = append(required, req.Supervisors...)
-
-	freeOf := make(map[string]map[Slot]bool)
-	collect := func(user string) error {
-		if _, done := freeOf[user]; done {
-			return nil
-		}
-		set := make(map[Slot]bool)
-		if user == c.user {
-			for _, s := range c.FreeSlots(req.FromDay, req.ToDay, hours) {
-				set[s] = true
-			}
-			freeOf[user] = set
-			return nil
-		}
-		var slots []Slot
-		err := c.eng.Invoke(ctx, ServiceFor(user), "GetFreeSlots", wire.Args{
-			"from": req.FromDay, "to": req.ToDay, "hours": hours,
-		}, &slots)
-		if err != nil {
-			return fmt.Errorf("calendar: free slots of %s: %w", user, err)
-		}
-		for _, s := range slots {
-			set[s] = true
-		}
-		freeOf[user] = set
-		return nil
-	}
-
-	if err := collect(c.user); err != nil {
+	w, err := NewWindow(req.FromDay, req.ToDay, req.Hours)
+	if err != nil {
 		return nil, err
 	}
-	for _, u := range required {
-		if err := collect(u); err != nil {
-			return nil, err
+	// Everyone else, asked once each: the required in request order,
+	// then the or-group members.
+	var users []string
+	ask := func(list []string) {
+		for _, u := range list {
+			if u != c.user && !slices.Contains(users, u) {
+				users = append(users, u)
+			}
 		}
 	}
-	// Or-group members are optional per-member; a member we cannot
-	// reach simply counts as unavailable.
+	ask(req.Must)
+	ask(req.Supervisors)
+	required := len(users)
 	for _, g := range req.OrGroups {
-		for _, u := range g.Members {
-			_ = collect(u)
-		}
+		ask(g.Members)
 	}
+	avail, errs := QueryAvailability(ctx, c.eng, w, users)
 
-	var out []Slot
-	for _, day := range DaysBetween(req.FromDay, req.ToDay) {
-		for _, h := range hours {
-			s := Slot{Day: day, Hour: h}
-			ok := freeOf[c.user][s]
-			for _, u := range required {
-				ok = ok && freeOf[u][s]
-			}
-			if !ok {
-				continue
-			}
-			for _, g := range req.OrGroups {
-				free := 0
-				for _, u := range g.Members {
-					if freeOf[u][s] {
-						free++
-					}
-				}
-				if free < g.K {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, s)
+	common := c.availability(w)
+	for i, u := range users[:required] {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("calendar: free slots of %s: %w", u, errs[i])
+		}
+		common.and(avail[i])
+	}
+	for _, g := range req.OrGroups {
+		k, members := g.K, make([]Availability, 0, len(g.Members))
+		for _, u := range g.Members {
+			if u == c.user {
+				k-- // free at every slot still common
+			} else if i := slices.Index(users, u); errs[i] == nil {
+				members = append(members, avail[i])
 			}
 		}
+		common.requireQuorum(k, members)
 	}
-	return out, nil
+	return common.Slots(), nil
 }
 
 // SetupMeeting implements the §5 meeting setup: find (or take) a slot,

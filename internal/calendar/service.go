@@ -16,14 +16,15 @@ import (
 func (c *Calendar) ServiceObject() *listener.Object {
 	obj := listener.NewObject()
 
+	// GetFreeSlots: the window travels as from, to and the hour set (one
+	// int, bit h = hour h, absent = DefaultHours); the answer is the
+	// availability's words and nothing else.
 	obj.Handle("GetFreeSlots", func(ctx context.Context, call *listener.Call) (any, error) {
-		var hours []int
-		if raw, ok := call.Args["hours"]; ok && raw != nil {
-			if err := call.Args.Decode("hours", &hours); err != nil {
-				return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad hours"}
-			}
+		w, err := windowFromArgs(call.Args)
+		if err != nil {
+			return nil, err
 		}
-		return c.FreeSlots(call.Args.String("from"), call.Args.String("to"), hours), nil
+		return c.availability(w).words, nil
 	})
 
 	obj.Handle("SlotInfo", func(ctx context.Context, call *listener.Call) (any, error) {

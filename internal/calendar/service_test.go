@@ -19,19 +19,33 @@ func TestServiceGetFreeSlotsAndSlotInfo(t *testing.T) {
 	if err := w.cals["phil"].MarkBusy(slot(day1, 9), "x", 3); err != nil {
 		t.Fatal(err)
 	}
-	var slots []calendar.Slot
-	if err := invoke(w, "andy", "phil", "GetFreeSlots", wire.Args{"from": day1, "to": day1}, &slots); err != nil {
-		t.Fatal(err)
+	free := func(hours []int) []calendar.Slot {
+		t.Helper()
+		win, err := calendar.NewWindow(day1, day1, hours)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avail, errs := calendar.QueryAvailability(ctxBg(), w.cals["andy"].Engine(), win, []string{"phil"})
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		return avail[0].Slots()
 	}
-	if len(slots) != len(calendar.DefaultHours)-1 {
+	if slots := free(nil); len(slots) != len(calendar.DefaultHours)-1 {
 		t.Fatalf("slots = %d", len(slots))
 	}
 	// Restricted hours.
-	if err := invoke(w, "andy", "phil", "GetFreeSlots", wire.Args{"from": day1, "to": day1, "hours": []int{9, 10}}, &slots); err != nil {
+	if slots := free([]int{10, 9}); len(slots) != 1 || slots[0].Hour != 10 {
+		t.Fatalf("restricted slots = %v", slots)
+	}
+	// The reply is the availability's words and nothing else: eight free
+	// hours of nine, hour 9 (bit 0) taken.
+	var words []uint64
+	if err := invoke(w, "andy", "phil", "GetFreeSlots", wire.Args{"from": day1, "to": day1}, &words); err != nil {
 		t.Fatal(err)
 	}
-	if len(slots) != 1 || slots[0].Hour != 10 {
-		t.Fatalf("restricted slots = %v", slots)
+	if len(words) != 1 || words[0] != 0b111111110 {
+		t.Fatalf("reply words = %b", words)
 	}
 	var info calendar.SlotInfo
 	if err := invoke(w, "andy", "phil", "SlotInfo", wire.Args{"day": day1, "hour": 9}, &info); err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/listener"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -159,6 +160,43 @@ func TestTCPMixedCodecFleet(t *testing.T) {
 	}
 }
 
+// newTCPWorld boots a directory and one node per user over real sockets,
+// each on its own default-constructed transport as sydnode and sydload
+// build it, route cache on, all counting into one WireStats; mw wraps
+// every node's handlers. Everything closes with the test.
+func newTCPWorld(t *testing.T, mw []listener.Middleware, users ...string) (map[string]*calendar.Calendar, *metrics.WireStats) {
+	t.Helper()
+	stats := &metrics.WireStats{}
+	dirNet := transport.NewTCP(transport.WithWireStats(stats))
+	t.Cleanup(func() { dirNet.Close() })
+	srv := directory.NewServer(directory.WithTTL(time.Hour))
+	dirLn, err := dirNet.Listen("127.0.0.1:0", srv.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dirLn.Close() })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cals := map[string]*calendar.Calendar{}
+	for _, user := range users {
+		net := transport.NewTCP(transport.WithWireStats(stats))
+		t.Cleanup(func() { net.Close() })
+		node, err := core.Start(ctx, core.Config{
+			User: user, Net: net, DirAddr: dirLn.Addr(),
+			ListenAddr: "127.0.0.1:0", RouteCacheTTL: time.Hour, Middleware: mw,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close(context.Background()) })
+		if cals[user], err = calendar.New(ctx, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cals, stats
+}
+
 // TestTCPDefaultWireCost holds the deployment default to its measured
 // cost: three nodes, each on its own default-constructed transport as
 // sydnode and sydload build it, all counting into one WireStats. Once
@@ -170,35 +208,9 @@ func TestTCPDefaultWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	stats := &metrics.WireStats{}
-	dirNet := transport.NewTCP(transport.WithWireStats(stats))
-	defer dirNet.Close()
-	srv := directory.NewServer(directory.WithTTL(time.Hour))
-	dirLn, err := dirNet.Listen("127.0.0.1:0", srv.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dirLn.Close()
-
+	cals, stats := newTCPWorld(t, nil, "phil", "andy", "suzy")
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	cals := map[string]*calendar.Calendar{}
-	for _, user := range []string{"phil", "andy", "suzy"} {
-		net := transport.NewTCP(transport.WithWireStats(stats))
-		defer net.Close()
-		node, err := core.Start(ctx, core.Config{
-			User: user, Net: net, DirAddr: dirLn.Addr(),
-			ListenAddr: "127.0.0.1:0", RouteCacheTTL: time.Hour,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close(context.Background())
-		if cals[user], err = calendar.New(ctx, node); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	meet := func(hour int) {
 		t.Helper()

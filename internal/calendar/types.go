@@ -54,23 +54,8 @@ func (s Slot) Valid() bool {
 	if s.Hour < 0 || s.Hour > 23 {
 		return false
 	}
-	_, err := time.Parse("2006-01-02", s.Day)
+	_, err := time.Parse(dayLayout, s.Day)
 	return err == nil
-}
-
-// DaysBetween enumerates the days from fromDay to toDay inclusive
-// (both YYYY-MM-DD). Returns nil if the range is malformed or inverted.
-func DaysBetween(fromDay, toDay string) []string {
-	from, err1 := time.Parse("2006-01-02", fromDay)
-	to, err2 := time.Parse("2006-01-02", toDay)
-	if err1 != nil || err2 != nil || to.Before(from) {
-		return nil
-	}
-	var out []string
-	for d := from; !d.After(to); d = d.AddDate(0, 0, 1) {
-		out = append(out, d.Format("2006-01-02"))
-	}
-	return out
 }
 
 // OrGroup is a quorum group: at least K of Members must attend (§5's

@@ -140,6 +140,51 @@ func TestWireCostSetupAndCancel(t *testing.T) {
 	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
 }
 
+// TestWireCostFind: a find over the benchmark's 5 × 9 window asks each
+// of its three participants once, at the same time, and each answers
+// with one word: 3 GetFreeSlots, 6 frames, and on warm default
+// transports 400 B at most, where the replies alone used to spell 1200 B
+// of slots.
+func TestWireCostFind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	census := &rpcCensus{n: map[string]int{}}
+	cals, stats := newTCPWorld(t, []listener.Middleware{census.middleware}, "a", "b", "c", "d")
+	for _, u := range []string{"b", "c", "d"} {
+		for _, h := range []int{9, 12, 16} {
+			if err := cals[u].MarkBusy(slot("2003-04-23", h), "appt", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	find := func() {
+		t.Helper()
+		got, err := cals["a"].FindCommonSlots(ctxBg(), calendar.Request{
+			FromDay: "2003-04-21", ToDay: "2003-04-25", Must: []string{"b", "c", "d"},
+		})
+		if err != nil || len(got) != 5*9-3 {
+			t.Fatalf("find: %d slots, %v", len(got), err)
+		}
+	}
+	// One call per participant and find, round-robin over a pool of at
+	// most four connections: four finds put the first exchange — the
+	// handshake, and the route lookup — behind every one.
+	for i := 0; i < 4; i++ {
+		find()
+	}
+	census.take(t, "warm-up", map[string]int{"cal.GetFreeSlots": 12})
+	before := stats.Snapshot()
+	find()
+	after := stats.Snapshot()
+	census.take(t, "find", map[string]int{"cal.GetFreeSlots": 3})
+	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
+	if frames != 6 || bytes > 400 {
+		t.Fatalf("find on warm default transports: %d frames, %d B; want 6 frames, <= 400 B", frames, bytes)
+	}
+	t.Logf("find: %d frames, %d B", frames, bytes)
+}
+
 // TestWireCostTentative: an unreserved participant has no Commit to
 // ride, so it still costs LinksOn + AddLink + MeetingUpdate; when its
 // slot frees up, the Commit that reserves it promotes its tentative link

@@ -292,14 +292,9 @@ func (t *Table) Schema() Schema { return t.schema }
 // keyOf builds the encoded primary key for a row.
 func (t *Table) keyOf(r Row) (rowKey, error) {
 	if len(t.schema.Key) == 1 {
-		v, ok := r[t.schema.Key[0]]
-		if !ok {
-			return "", fmt.Errorf("%w: %q", ErrMissingKey, t.schema.Key[0])
-		}
 		// Single string keys (the common shape: users by id, services
-		// by name) encode as themselves — skip the builder and the %v
-		// formatting round-trip.
-		if s, ok := v.(string); ok {
+		// by name) encode as themselves: no buffer, no copy.
+		if s, ok := r[t.schema.Key[0]].(string); ok {
 			return rowKey(s), nil
 		}
 	}
@@ -310,26 +305,35 @@ func (t *Table) keyOf(r Row) (rowKey, error) {
 		if !ok {
 			return "", fmt.Errorf("%w: %q", ErrMissingKey, k)
 		}
-		if i > 0 {
-			b = append(b, 0x1f)
+		if b, ok = appendKeyVal(b, i, v); !ok {
+			return "", fmt.Errorf("%w: key column %s.%s, got %T", ErrBadType, t.schema.Name, k, v)
 		}
-		b = appendKeyVal(b, v)
 	}
 	return rowKey(b), nil
 }
 
-// appendKeyVal encodes one key value. The typed cases must encode
-// exactly as fmt's %v does — keyOf and keyFromVals both rely on this
-// function so stored keys and probe keys always agree.
-func appendKeyVal(b []byte, v any) []byte {
+// appendKeyVal appends the encoding of the i-th key value to b, and
+// reports false for a value of no column type: no stored key holds one.
+// keyOf and appendKey both encode through it, so stored keys and probe
+// keys always agree. It formats without fmt, which would move every
+// probe's key values to the heap.
+func appendKeyVal(b []byte, i int, v any) ([]byte, bool) {
+	if i > 0 {
+		b = append(b, 0x1f)
+	}
 	switch x := v.(type) {
 	case string:
-		return append(b, x...)
+		return append(b, x...), true
 	case int64:
-		return strconv.AppendInt(b, x, 10)
-	default:
-		return fmt.Appendf(b, "%v", v)
+		return strconv.AppendInt(b, x, 10), true
+	case bool:
+		return strconv.AppendBool(b, x), true
+	case float64:
+		return strconv.AppendFloat(b, x, 'g', -1, 64), true
+	case time.Time:
+		return x.UTC().AppendFormat(b, time.RFC3339Nano), true
 	}
+	return b, false
 }
 
 // keyValsOf extracts the primary key values of r in schema order.
@@ -351,28 +355,57 @@ func (t *Table) KeyOf(r Row) (string, error) {
 	return string(k), err
 }
 
-// keyFromVals builds the encoded primary key from key values given in
-// schema key order.
-func (t *Table) keyFromVals(keyVals []any) (rowKey, error) {
-	if len(t.schema.Key) == 1 && len(keyVals) == 1 {
-		// Same single-string fast path as keyOf (the encodings must
-		// stay identical).
-		if s, ok := keyVals[0].(string); ok {
-			return rowKey(s), nil
+// appendKey appends to b the encoded primary key for key values given in
+// schema key order. keyVals does not escape, so a point read that builds
+// its key in a stack buffer allocates nothing.
+func (t *Table) appendKey(b []byte, keyVals []any) ([]byte, error) {
+	if len(keyVals) < len(t.schema.Key) {
+		return b, fmt.Errorf("%w: need %d key values", ErrMissingKey, len(t.schema.Key))
+	}
+	for i := range t.schema.Key {
+		var ok bool
+		if b, ok = appendKeyVal(b, i, keyVals[i]); !ok {
+			return b, fmt.Errorf("%w: key column %s.%s", ErrBadType, t.schema.Name, t.schema.Key[i])
 		}
 	}
-	if len(keyVals) < len(t.schema.Key) {
-		return "", fmt.Errorf("%w: need %d key values", ErrMissingKey, len(t.schema.Key))
+	return b, nil
+}
+
+// soleStringKey returns the probe value of a single-column string key,
+// which encodes as itself (the same fast path as keyOf).
+func (t *Table) soleStringKey(keyVals []any) (string, bool) {
+	if len(t.schema.Key) != 1 || len(keyVals) != 1 {
+		return "", false
+	}
+	s, ok := keyVals[0].(string)
+	return s, ok
+}
+
+// keyFromVals is appendKey for a caller that keeps the key.
+func (t *Table) keyFromVals(keyVals []any) (rowKey, error) {
+	if s, ok := t.soleStringKey(keyVals); ok {
+		return rowKey(s), nil
 	}
 	var buf [64]byte
-	b := buf[:0]
-	for i := range t.schema.Key {
-		if i > 0 {
-			b = append(b, 0x1f)
-		}
-		b = appendKeyVal(b, keyVals[i])
+	b, err := t.appendKey(buf[:0], keyVals)
+	return rowKey(b), err
+}
+
+// lookup returns the stored row for keyVals. The key is built on the
+// stack and the row map indexed with it directly, so a point read
+// allocates nothing; the caller holds t.mu.
+func (t *Table) lookup(keyVals []any) (Row, bool) {
+	if s, ok := t.soleStringKey(keyVals); ok {
+		r, ok := t.rows[rowKey(s)]
+		return r, ok
 	}
-	return rowKey(b), nil
+	var buf [64]byte
+	k, err := t.appendKey(buf[:0], keyVals)
+	if err != nil {
+		return nil, false
+	}
+	r, ok := t.rows[rowKey(k)]
+	return r, ok
 }
 
 func (t *Table) checkTypes(r Row, requireKey bool) error {
@@ -600,13 +633,9 @@ func (t *Table) insert(r Row, fire, logit bool) error {
 // Get fetches the row whose primary-key columns equal keyVals (in
 // schema key order).
 func (t *Table) Get(keyVals ...any) (Row, bool) {
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return nil, false
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, ok := t.rows[k]
+	r, ok := t.lookup(keyVals)
 	if !ok {
 		return nil, false
 	}
@@ -617,32 +646,24 @@ func (t *Table) Get(keyVals ...any) (Row, bool) {
 // table's read lock, returning false when no row matches. fn sees the
 // live row, not a clone — it must not mutate it or retain a reference
 // past the call. Read-heavy infrastructure (directory lookups on the
-// invocation hot path) uses View to skip Get's defensive copy.
+// invocation hot path, the calendar's free-slot scan) uses View to skip
+// Get's defensive copy.
 func (t *Table) View(fn func(Row), keyVals ...any) bool {
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return false
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, ok := t.rows[k]
-	if !ok {
-		return false
+	r, ok := t.lookup(keyVals)
+	if ok {
+		fn(r)
 	}
-	fn(r)
-	return true
+	return ok
 }
 
 // Has reports whether a row exists for keyVals, without cloning it the
 // way Get would.
 func (t *Table) Has(keyVals ...any) bool {
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return false
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.rows[k]
+	_, ok := t.lookup(keyVals)
 	return ok
 }
 

@@ -456,6 +456,42 @@ func TestCompositeKeyOrdering(t *testing.T) {
 	}
 }
 
+// TestPointReadsDoNotAllocate: View and Has build a two-column key on the
+// stack and index the row map with it, so neither the key string nor the
+// boxed key values reach the heap, for a row that is there or not. The
+// days are built at run time: a constant string boxes for free anyway.
+func TestPointReadsDoNotAllocate(t *testing.T) {
+	tab := newCalTable(t)
+	days := []string{fmt.Sprint("2003-04-", 21), fmt.Sprint("2003-04-", 22)}
+	if err := tab.Insert(slotRow(days[0], 9, "busy")); err != nil {
+		t.Fatal(err)
+	}
+	found, seen := 0, ""
+	read := func(r Row) { seen = r["status"].(string) }
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, day := range days {
+			for hour := int64(9); hour < 18; hour++ {
+				if tab.View(read, day, hour) && tab.Has(day, hour) {
+					found++
+				}
+			}
+		}
+	})
+	if found != 101 || seen != "busy" { // AllocsPerRun warms up with one run of its own
+		t.Fatalf("found the row %d times with status %q, want 101 and busy", found, seen)
+	}
+	if allocs != 0 {
+		t.Fatalf("18 View + 18 Has on a two-column key: %.0f allocs, want 0", allocs)
+	}
+	// A probe of no column type matches nothing, as it stored nothing.
+	if tab.Has(days[0], 9) || tab.Has(days[0]) {
+		t.Fatal("a key of the wrong type or length found a row")
+	}
+	if err := tab.Delete(days[0], 9); !errors.Is(err, ErrBadType) {
+		t.Fatalf("delete by an int key: %v, want ErrBadType", err)
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	db := NewDB()
 	tab := db.MustCreateTable(calendarSchema())
