@@ -516,6 +516,39 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.
 	return c.storeMeeting(u, m.ID, doc)
 }
 
+// acceptRecord is where a meeting record sent to this device lands (a
+// MeetingUpdate push, a pulled copy), in the step's unit u: it is stored
+// as sent, and the record is the install. A live record that wants this
+// user and does not hold them reserved makes the user queue its own
+// tentative back link (§4.2 op 3), waiting on the first permanent link
+// of another meeting on the slot as u sees it, or queued at the slot when
+// nothing link-managed holds it: blocker lookup and waiting row are one
+// local step. A row already here under the link id — queued by an earlier
+// push or a bump, or the permanent one a Commit installed — is left as it
+// is; an offline stub (no link id yet) queues nothing.
+func (c *Calendar) acceptRecord(u *store.Tx, m *Meeting, doc string) error {
+	if err := c.storeMeeting(u, m.ID, doc); err != nil {
+		return err
+	}
+	if m.Status == StatusCancelled || m.LinkID == "" || m.Initiator == c.user || m.isReserved(c.user) ||
+		u.Has(links.LinkTable, m.LinkID) || !containsString(m.Participants(), c.user) {
+		return nil
+	}
+	l := links.Link{
+		ID: m.LinkID, Group: m.ID, Priority: m.Priority, Subtype: links.Tentative,
+		Owner:   links.EntityRef{User: c.user, Entity: m.Slot.Entity()},
+		Targets: []links.EntityRef{{User: m.Initiator, Entity: m.Slot.Entity()}},
+		Type:    links.Negotiation, Constraint: links.And, Triggers: tentativeTriggers(m.ID, c.user),
+	}
+	for _, on := range c.lm.LinksOnIn(u, l.Owner.Entity) {
+		if on.Subtype == links.Permanent && on.Group != m.ID && on.Group != "" {
+			l.WaitingOn = on.ID
+			break
+		}
+	}
+	return c.lm.AddLink(u, &l)
+}
+
 // handleBumpedMeeting runs on the device whose slot was just taken by
 // a higher-priority meeting, in the unit u of the Commit that took it:
 // re-queue a tentative back link for the bumped meeting and, once u is
@@ -531,7 +564,7 @@ func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot
 	}
 	// Replace the bumped meeting's back link (if any) with a
 	// tentative one waiting on the bumping meeting's link.
-	onSlot := c.lm.LinksOn(s.Entity())
+	onSlot := c.lm.LinksOnIn(u, s.Entity())
 	var blockerID string
 	for _, l := range onSlot {
 		if l.Group == byMeeting && l.Subtype == links.Permanent {

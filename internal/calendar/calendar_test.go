@@ -86,6 +86,23 @@ func (w *world) slotMeeting(user string, s calendar.Slot) string {
 	return w.cals[user].Slot(s).Meeting
 }
 
+// flyLegs passes simulated time one one-way trip per entry of legs, each
+// once exactly that many messages are in flight on top of the idle
+// waiters: how long an exchange takes on a network of fixed latency.
+func (w *world) flyLegs(idle int, oneWay time.Duration, legs ...int) {
+	w.t.Helper()
+	for leg, inFlight := range legs {
+		deadline := time.Now().Add(5 * time.Second)
+		for w.clk.PendingWaiters() != idle+inFlight {
+			if time.Now().After(deadline) {
+				w.t.Fatalf("leg %d: %d messages in flight at once, want %d", leg, w.clk.PendingWaiters()-idle, inFlight)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		w.clk.Advance(oneWay)
+	}
+}
+
 func ctxBg() context.Context { return context.Background() }
 
 func slot(day string, hour int) calendar.Slot { return calendar.Slot{Day: day, Hour: hour} }

@@ -253,12 +253,13 @@ func backLink(m *Meeting, user string) links.Link {
 
 // linkAndPublish is the step that makes a negotiated meeting stand at
 // its initiator: the forward negotiation-and link and the meeting record
-// are one commit unit. Once it is logged, what of the §5 link topology
-// the negotiation did not install follows — tentative back links
-// (waiting on whatever blocks the slot) at unreserved participants; a
-// reserved one installed its own back link when its Commit applied
-// (acceptDecided) — and then the record is pushed to whoever has(user,
-// doc) does not report as holding it.
+// are one commit unit. Once it is logged the record is pushed to whoever
+// has(user, doc) does not report as holding it, and that push is all of
+// the §5 link topology the negotiation did not install: a reserved
+// participant installed its back link when its Commit applied
+// (acceptDecided), an unreserved one queues its tentative back link when
+// the record reaches it (acceptRecord), by push now or by pull once it is
+// back.
 func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, expires time.Time, has func(user, doc string) bool) error {
 	// The forward link targets *every* participant (reserved or still
 	// missing) so the §4.4 cancel cascade reaches users who joined after
@@ -275,90 +276,17 @@ func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, expires time.
 		Owner:      links.EntityRef{User: m.Initiator, Entity: m.Slot.Entity()},
 		Triggers:   []links.Trigger{{Event: "change", Action: ActionReserve, Args: reserveArgs(m, false)}},
 	}
-	var unreserved []string
 	for _, p := range m.Participants() {
 		if p != m.Initiator {
 			fwd.Targets = append(fwd.Targets, links.EntityRef{User: p, Entity: m.Slot.Entity()})
 		}
-		if !m.isReserved(p) {
-			unreserved = append(unreserved, p)
-		}
 	}
-	var linkErr error
-	err := c.db.Unit(ctx, func(u *store.Tx) error {
+	return c.db.Unit(ctx, func(u *store.Tx) error {
 		if err := c.lm.AddLink(u, &fwd); err != nil {
 			return err
 		}
-		if len(unreserved) > 0 {
-			u.AfterCommit(func(ctx context.Context) { linkErr = c.installTentativeBackLinks(ctx, m, unreserved) })
-		}
 		return c.publishIn(u, m, has)
 	})
-	if err != nil {
-		return err
-	}
-	return linkErr
-}
-
-// installTentativeBackLinks queues a tentative back link at each of
-// users, the participants the negotiation could not reserve.
-func (c *Calendar) installTentativeBackLinks(ctx context.Context, m *Meeting, users []string) error {
-	for _, p := range users {
-		if err := c.installTentativeBackLink(ctx, m, p); err != nil {
-			// A disconnected participant cannot host the tentative link
-			// yet. The meeting stays tentative with them missing; their
-			// reconnect sync pulls the meeting record, and a later
-			// TryConfirm renegotiates for real. One that holds the link
-			// already (its Commit applied, only the ack was lost) keeps it.
-			switch wire.CodeOf(err) {
-			case wire.CodeUnavailable, wire.CodeNoService, wire.CodeConflict:
-				continue
-			}
-			return fmt.Errorf("calendar: tentative link at %s: %w", p, err)
-		}
-	}
-	return nil
-}
-
-// installTentativeBackLink queues a tentative back link at an
-// unavailable participant, waiting on whatever permanent link holds
-// their slot (or queued at the slot when the conflict is not
-// link-managed).
-func (c *Calendar) installTentativeBackLink(ctx context.Context, m *Meeting, user string) error {
-	aRef := links.EntityRef{User: m.Initiator, Entity: m.Slot.Entity()}
-	blocker := c.findBlockingLink(ctx, user, m.Slot.Entity(), m.ID)
-	l := links.Link{
-		ID:         m.LinkID,
-		Group:      m.ID,
-		Priority:   m.Priority,
-		Type:       links.Negotiation,
-		Subtype:    links.Tentative,
-		Constraint: links.And,
-		Owner:      links.EntityRef{User: user, Entity: m.Slot.Entity()},
-		Targets:    []links.EntityRef{aRef},
-		WaitingOn:  blocker,
-		Triggers:   tentativeTriggers(m.ID, user),
-	}
-	return c.lm.InstallAt(ctx, user, &l)
-}
-
-// findBlockingLink asks user's link manager for a permanent link of a
-// different meeting occupying entity; returns "" when none.
-func (c *Calendar) findBlockingLink(ctx context.Context, user, entity, excludeGroup string) string {
-	var ls []*links.Link
-	if user == c.user {
-		ls = c.lm.LinksOn(entity)
-	} else {
-		if err := c.eng.Invoke(ctx, links.ServiceFor(user), "LinksOn", wire.Args{"entity": entity}, &ls); err != nil {
-			return ""
-		}
-	}
-	for _, l := range ls {
-		if l.Subtype == links.Permanent && l.Group != excludeGroup && l.Group != "" {
-			return l.ID
-		}
-	}
-	return ""
 }
 
 // publish stores the meeting record, as a step of its own, and
@@ -560,10 +488,10 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 	prev := m.Status
 	if !m.satisfied() {
 		m.Status = StatusTentative
-		// Queue a tentative back link so the meeting can heal if the
-		// dropped participant frees up again.
-		_ = c.installTentativeBackLink(ctx, m, user)
 	}
+	// The push tells user it is no longer reserved, and user queues a
+	// tentative back link on it, so the meeting can heal if they free up
+	// again.
 	if err := c.publish(ctx, m, nil); err != nil {
 		return err
 	}

@@ -255,7 +255,7 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 		if m.Status == StatusCancelled {
 			return a.c.putReleased(u, &m)
 		}
-		return a.c.putMeeting(u, &m)
+		return a.c.acceptRecord(u, &m, encodeMeeting(&m))
 	})
 }
 

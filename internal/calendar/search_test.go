@@ -253,16 +253,7 @@ func TestFindIsOneRoundTrip(t *testing.T) {
 		done <- err
 	}()
 	// Three requests in flight, then three replies: two one-way trips.
-	for leg := 0; leg < 2; leg++ {
-		deadline := time.Now().Add(5 * time.Second)
-		for w.clk.PendingWaiters() != idle+3 {
-			if time.Now().After(deadline) {
-				t.Fatalf("leg %d: %d messages in flight at once, want 3", leg, w.clk.PendingWaiters()-idle)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		w.clk.Advance(oneWay)
-	}
+	w.flyLegs(idle, oneWay, 3, 3)
 	select {
 	case err := <-done:
 		if err != nil {

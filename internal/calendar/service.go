@@ -72,15 +72,16 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	})
 
 	// MeetingUpdate: the initiator pushes the authoritative meeting
-	// record, as the text it stores; it is decoded once, to check it,
-	// and stored as sent.
+	// record, as the text it stores; it is decoded once, to check it and
+	// to see whether it leaves this user a tentative link to queue, and
+	// stored as sent.
 	obj.Handle("MeetingUpdate", func(ctx context.Context, call *listener.Call) (any, error) {
 		doc := call.Args.String("doc")
 		m, err := decodeMeeting(doc)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.storeMeeting(u, m.ID, doc) }); err != nil {
+		if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.acceptRecord(u, m, doc) }); err != nil {
 			return nil, err
 		}
 		return true, nil

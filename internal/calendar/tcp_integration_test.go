@@ -9,6 +9,7 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -241,6 +242,53 @@ func TestTCPDefaultWireCost(t *testing.T) {
 		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= 2200 B", frames, bytes)
 	}
 	t.Logf("schedule + cancel: %d frames, %d B", frames, bytes)
+}
+
+// TestTCPTentativeWireCost holds the tentative path to its measured cost
+// on the same deployment: a must that cannot give its slot is sent its
+// refused Mark and one record push, on which it queues its own link, so a
+// 3-party schedule with one busy must is 2 Marks, 1 Commit and 1
+// MeetingUpdate — 8 frames, about 1610 B — where asking the busy device
+// for its links and sending it one to add made it 12 frames and 2500 B.
+func TestTCPTentativeWireCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	cals, stats := newTCPWorld(t, nil, "phil", "andy", "suzy")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	schedule := func(hour int) *calendar.Meeting {
+		t.Helper()
+		if err := cals["andy"].MarkBusy(slot("2003-04-22", hour), "dentist", 0); err != nil {
+			t.Fatal(err)
+		}
+		m, err := cals["phil"].SetupMeeting(ctx, calendar.Request{
+			Title: "cost", Day: "2003-04-22", Hour: hour, PinSlot: true,
+			Must: []string{"andy", "suzy"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l, ok := cals["andy"].Links().GetLink(m.LinkID); m.Status != calendar.StatusTentative || !ok || l.Subtype != links.Tentative {
+			t.Fatalf("status = %s, andy's link = %+v; want a tentative meeting and link", m.Status, l)
+		}
+		return m
+	}
+	// As in TestTCPDefaultWireCost: two meetings warm every pooled connection.
+	for _, hour := range []int{9, 10} {
+		if err := cals["phil"].CancelMeeting(ctx, schedule(hour).ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := stats.Snapshot()
+	schedule(11)
+	after := stats.Snapshot()
+	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
+	if frames != 8 || bytes > 1680 {
+		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= 1680 B", frames, bytes)
+	}
+	t.Logf("tentative schedule: %d frames, %d B", frames, bytes)
 }
 
 // TestTCPAuthenticatedService exercises the §5.4 auth path over real

@@ -110,9 +110,9 @@ func TestUnitCostScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// b: the tentative link a queued (nothing link-managed blocks the
-		// slot, so no waiting row), then the record a pushed.
-		units.take(t, "setup", map[string]string{"a": "4/5", "b": "2/2", "c": "1/4"})
+		// b: the record a pushed and the tentative link b queues on it, one
+		// unit (nothing link-managed blocks the slot, so no waiting row).
+		units.take(t, "setup", map[string]string{"a": "4/5", "b": "1/2", "c": "1/4"})
 		wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 
 		if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {

@@ -186,9 +186,10 @@ func TestWireCostFind(t *testing.T) {
 }
 
 // TestWireCostTentative: an unreserved participant has no Commit to
-// ride, so it still costs LinksOn + AddLink + MeetingUpdate; when its
-// slot frees up, the Commit that reserves it promotes its tentative link
-// and only the participant whose record went stale is pushed one.
+// ride, so it is pushed the record, and that one MeetingUpdate is all it
+// costs: it queues its tentative link itself. When its slot frees up, the
+// Commit that reserves it promotes that link and only the participant
+// whose record went stale is pushed one.
 func TestWireCostTentative(t *testing.T) {
 	w, census := newCensusWorld(t, "a", "b", "c")
 	if err := w.cals["b"].MarkBusy(slot(day1, 10), "dentist", 0); err != nil {
@@ -203,10 +204,7 @@ func TestWireCostTentative(t *testing.T) {
 	if m.Status != calendar.StatusTentative {
 		t.Fatalf("status = %s", m.Status)
 	}
-	census.take(t, "setup", map[string]int{
-		"links.Mark": 2, "links.Commit": 1,
-		"links.LinksOn": 1, "links.AddLink": 1, "cal.MeetingUpdate": 1,
-	})
+	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 1, "cal.MeetingUpdate": 1})
 	wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 
 	if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {
@@ -219,6 +217,112 @@ func TestWireCostTentative(t *testing.T) {
 		"cal.SlotAvailable": 1, "links.Mark": 1, "links.Commit": 1, "cal.MeetingUpdate": 1,
 	})
 	wantState(t, "confirmed", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
+}
+
+// TestWireCostTentativeBehindMeeting: the slot the unreserved participant
+// could not give is held by another meeting's link, so the link it queues
+// waits on that one, found and registered in the step the push lands in.
+// Cancelling the blocker reaches it with one DeleteLink, and the meeting
+// confirms as it does after a release.
+func TestWireCostTentativeBehindMeeting(t *testing.T) {
+	w, census := newCensusWorld(t, "a", "b", "c", "x")
+	blocker, err := w.cals["x"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "offsite", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "blocker", map[string]int{"links.Mark": 1, "links.Commit": 1})
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 1, "cal.MeetingUpdate": 1})
+	l, ok := w.nodes["b"].Links.GetLink(m.LinkID)
+	if !ok || l.Subtype != links.Tentative || l.WaitingOn != blocker.LinkID {
+		t.Fatalf("b's link = %+v, want tentative waiting on %s", l, blocker.LinkID)
+	}
+	waiting, err := w.nodes["b"].DB.Table(links.WaitingLinkTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := waiting.Get(m.LinkID); !ok || r["waiting_on"] != blocker.LinkID {
+		t.Fatalf("b's waiting row = %v, want one on %s", r, blocker.LinkID)
+	}
+
+	if err := w.cals["x"].CancelMeeting(ctxBg(), blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := w.cals["a"].Meeting(m.ID); got.Status != calendar.StatusConfirmed {
+		t.Fatalf("status after the blocker's cancel = %s", got.Status)
+	}
+	census.take(t, "cancel", map[string]int{
+		"links.DeleteLink": 1, "cal.SlotAvailable": 1, "links.Mark": 1, "links.Commit": 1, "cal.MeetingUpdate": 1,
+	})
+	if l, ok := w.nodes["b"].Links.GetLink(m.LinkID); !ok || l.Subtype != links.Permanent || waiting.Count() != 0 {
+		t.Fatalf("b after the cancel: link %+v, %d waiting rows; want it permanent and none", l, waiting.Count())
+	}
+}
+
+// TestTentativeScheduleIsThreeRoundTrips puts TestWireCostTentative's
+// schedule on a clock: with a fixed one-way latency the initiator is back
+// after the Mark wave, the Commit wave and the push — three round trips of
+// simulated time. Looking up the busy must's links and sending it one,
+// each in turn before the push, made it five.
+func TestTentativeScheduleIsThreeRoundTrips(t *testing.T) {
+	const oneWay = 20 * time.Millisecond
+	w := newWorld(t)
+	w.routeTTL = time.Hour
+	for _, u := range []string{"a", "b", "c"} {
+		w.addUser(u, 0)
+	}
+	schedule := func(hour int) (*calendar.Meeting, error) {
+		return w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+			Title: "review", Day: day1, Hour: hour, PinSlot: true, Must: []string{"b", "c"},
+		})
+	}
+	for _, hour := range []int{10, 11} {
+		if err := w.cals["b"].MarkBusy(slot(day1, hour), "dentist", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill a's route cache, which keeps a route once a call on it succeeds:
+	// b's link service by a Mark b accepts, b's calendar by a record push.
+	for _, hour := range []int{9, 11} {
+		if _, err := schedule(hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.net.SetLatency(oneWay, 0)
+	idle, start := w.clk.PendingWaiters(), w.clk.Now()
+	type outcome struct {
+		m   *calendar.Meeting
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		m, err := schedule(10)
+		done <- outcome{m, err}
+	}()
+	// Messages in flight per one-way trip: both Marks and their replies,
+	// c's Commit and its ack, b's record and its ack.
+	w.flyLegs(idle, oneWay, 2, 2, 1, 1, 1, 1)
+	select {
+	case got := <-done:
+		if got.err != nil || got.m.Status != calendar.StatusTentative {
+			t.Fatalf("schedule: %+v, %v", got.m, got.err)
+		}
+		if l, ok := w.nodes["b"].Links.GetLink(got.m.LinkID); !ok || l.Subtype != links.Tentative {
+			t.Fatalf("b's link = %+v, want a tentative one", l)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("schedule still waiting after three round trips, %d messages in flight", w.clk.PendingWaiters()-idle)
+	}
+	if took := w.clk.Now().Sub(start); took != 6*oneWay {
+		t.Fatalf("schedule took %s of simulated time, want three round trips (%s)", took, 6*oneWay)
+	}
 }
 
 // TestWireCostOrGroup: the must's Commit is decided before the or-group

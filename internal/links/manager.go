@@ -341,13 +341,13 @@ func (m *Manager) LinksOn(entity string) []*Link {
 	return linksByPriority(m.linksT.SelectEq("owner_entity", entity))
 }
 
+// LinksOnIn is LinksOn as the step's unit u sees the link table.
+func (m *Manager) LinksOnIn(u *store.Tx, entity string) []*Link {
+	return linksByPriority(u.SelectEq(LinkTable, "owner_entity", entity))
+}
+
 func linksByPriority(rows []store.Row) []*Link {
-	out := make([]*Link, 0, len(rows))
-	for _, r := range rows {
-		if l, err := rowToLink(r); err == nil {
-			out = append(out, l)
-		}
-	}
+	out := decodeLinks(rows)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Priority != out[j].Priority {
 			return out[i].Priority > out[j].Priority
@@ -357,18 +357,20 @@ func linksByPriority(rows []store.Row) []*Link {
 	return out
 }
 
-// AllLinks returns every local link (diagnostics and tests).
-func (m *Manager) AllLinks() []*Link {
-	rows := m.linksT.Select(nil)
+// decodeLinks decodes link rows, in the order given.
+func decodeLinks(rows []store.Row) []*Link {
 	out := make([]*Link, 0, len(rows))
 	for _, r := range rows {
 		if l, err := rowToLink(r); err == nil {
 			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
+
+// AllLinks returns every local link in id order, the link table's key
+// order (diagnostics and tests).
+func (m *Manager) AllLinks() []*Link { return decodeLinks(m.linksT.Select(nil)) }
 
 // --- §4.2 op 3: tentative → permanent promotion -----------------------------
 
@@ -775,7 +777,7 @@ func (m *Manager) TriggerEntity(ctx context.Context, entity, event string, args 
 // u has committed. Nothing waits for the outcome, so it suits
 // announcements ("avail"), not changes a negotiation link may veto.
 func (m *Manager) TriggerEntityAfter(u *store.Tx, entity, event string, args wire.Args) {
-	toFire := triggered(linksByPriority(u.SelectEq(LinkTable, "owner_entity", entity)), event)
+	toFire := triggered(m.LinksOnIn(u, entity), event)
 	if len(toFire) > 0 {
 		u.AfterCommit(func(ctx context.Context) { _, _ = m.fireAll(ctx, toFire, entity, event, args) })
 	}
@@ -941,7 +943,7 @@ func (m *Manager) checkAndApply(ctx context.Context, entity, action string, args
 }
 
 // InstallAt adds a link row at the given user's link database (local
-// or remote) — the building block for tentative back links and
+// or remote) — the building block for negotiated links and
 // subscriptions.
 func (m *Manager) InstallAt(ctx context.Context, user string, l *Link) error {
 	if err := l.Validate(); err != nil {

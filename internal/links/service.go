@@ -218,30 +218,12 @@ func (m *Manager) Object() *listener.Object {
 
 	// DeleteLink: the cascading §4.4 deletion.
 	obj.Handle("DeleteLink", func(ctx context.Context, call *listener.Call) (any, error) {
-		id := call.Args.String("id")
-		visited := call.Args.Strings("visited")
-		promoted, err := m.DeleteLink(ctx, id, visited)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]string, 0, len(promoted))
-		for _, p := range promoted {
-			ids = append(ids, p.Link.ID)
-		}
-		return map[string]any{"promoted": ids}, nil
+		return promotedReply(m.DeleteLink(ctx, call.Args.String("id"), call.Args.Strings("visited")))
 	})
 
 	// DeleteLinkLocal: remove only this node's row (dropout, bump).
 	obj.Handle("DeleteLinkLocal", func(ctx context.Context, call *listener.Call) (any, error) {
-		promoted, err := m.DeleteLinkLocal(ctx, call.Args.String("id"))
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]string, 0, len(promoted))
-		for _, p := range promoted {
-			ids = append(ids, p.Link.ID)
-		}
-		return map[string]any{"promoted": ids}, nil
+		return promotedReply(m.DeleteLinkLocal(ctx, call.Args.String("id")))
 	})
 
 	// TriggerLink: fire a specific link's triggers remotely.
@@ -276,4 +258,16 @@ func (m *Manager) Object() *listener.Object {
 	})
 
 	return obj
+}
+
+// promotedReply is what a deletion answers: the ids of the links it promoted.
+func promotedReply(promoted []Promoted, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, 0, len(promoted))
+	for _, p := range promoted {
+		ids = append(ids, p.Link.ID)
+	}
+	return map[string]any{"promoted": ids}, nil
 }

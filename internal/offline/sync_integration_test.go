@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/links"
 	"repro/internal/metrics"
 	"repro/internal/offline"
 	"repro/internal/sim"
@@ -190,6 +191,63 @@ func TestReconnectSessionPushesQueuedOpsAndPulls(t *testing.T) {
 	}
 	if e := snap.Find(metrics.LayerSync, offline.ServiceFor("mob"), "Pull", ""); e == nil {
 		t.Fatal("missing Pull metric")
+	}
+}
+
+// TestPulledTentativeRecordQueuesItsLink: a participant that was away
+// when a meeting went tentative over it was never sent a link, and the
+// record it pulls on reconnect is the install, as a pushed one would have
+// been: it queues its own tentative link behind whatever holds its slot,
+// so the blocker's cancellation confirms the meeting.
+func TestPulledTentativeRecordQueuesItsLink(t *testing.T) {
+	w := newWorld(t, "andy", "phil", "mob")
+	ctx := context.Background()
+	mob, phil, andy := w.cals["mob"], w.cals["phil"], w.cals["andy"]
+	at := calendar.Slot{Day: "2003-04-23", Hour: 10}
+
+	// andy must be a sync peer of mob; phil's offsite holds mob's slot.
+	if _, err := andy.SetupMeeting(ctx, pinned("kickoff", "2003-04-22", 9, 1, "mob")); err != nil {
+		t.Fatal(err)
+	}
+	offsite, err := phil.SetupMeeting(ctx, pinned("offsite", at.Day, at.Hour, 1, "mob"))
+	if err != nil || !offsite.Satisfied() {
+		t.Fatalf("offsite = %+v, %v", offsite, err)
+	}
+
+	w.cut("mob")
+	w.nodes["mob"].Offline.GoOffline(ctx)
+	review, err := andy.SetupMeeting(ctx, pinned("review", at.Day, at.Hour, 1, "mob"))
+	if err != nil || review.Satisfied() {
+		t.Fatalf("review while mob is away = %+v, %v; want it tentative", review, err)
+	}
+	if _, ok := mob.Meeting(review.ID); ok {
+		t.Fatal("the partition let andy's push through")
+	}
+
+	w.heal("mob")
+	if err := w.nodes["mob"].Offline.TryReconnect(ctx); err != nil {
+		t.Fatalf("TryReconnect: %v", err)
+	}
+	l, ok := mob.Links().GetLink(review.LinkID)
+	if !ok || l.Subtype != links.Tentative || l.WaitingOn != offsite.LinkID {
+		t.Fatalf("mob's link after the pull = %+v, want tentative waiting on the offsite's %s", l, offsite.LinkID)
+	}
+	waiting, err := w.nodes["mob"].DB.Table(links.WaitingLinkTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := waiting.Get(review.LinkID); !ok || r["waiting_on"] != offsite.LinkID {
+		t.Fatalf("mob's waiting row = %v, want one on %s", r, offsite.LinkID)
+	}
+
+	if err := phil.CancelMeeting(ctx, offsite.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := andy.Meeting(review.ID); got.Status != calendar.StatusConfirmed {
+		t.Fatalf("review after the offsite's cancel = %+v, want confirmed", got)
+	}
+	if info := mob.Slot(at); info.Meeting != review.ID {
+		t.Fatalf("mob's slot = %+v, want %s", info, review.ID)
 	}
 }
 
