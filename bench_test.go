@@ -6,30 +6,46 @@
 //
 // The F/E/T benchmarks wrap the experiment runners (which also verify
 // the paper-shape assertions on every iteration); the Micro benchmarks
-// isolate the kernel primitives the experiments are built from.
+// isolate kernel primitives no sydload workload reaches yet. These are
+// numbers for looking at: nothing is committed from them and nothing
+// gates on them (benchmarks/ holds the judged ledger).
 package repro
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/calendar"
+	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/listener"
+	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
-// benchExperiment runs one registered experiment per iteration. The
-// bodies live in internal/bench so sydbench -bench-json measures the
-// exact same code.
+// benchExperiment runs one registered experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	bench.Experiment(b, id)
+	reg, _ := experiments.All()
+	run, ok := reg[id]
+	if !ok {
+		b.Fatalf("unknown experiment %s", id)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // Figure-equivalents (paper Figs. 1-4).
@@ -39,10 +55,84 @@ func BenchmarkF3_DirectoryOps(b *testing.B)         { benchExperiment(b, "F3") }
 func BenchmarkF3s_DirectoryOpsSharded(b *testing.B) { benchExperiment(b, "F3s") }
 func BenchmarkF4_NegotiationOr(b *testing.B)        { benchExperiment(b, "F4") }
 
-// BenchmarkF4_FailoverRecovery measures a complete replication
-// failover round: primary dies, the follower wins the expired lease,
-// boots over the shipped WAL, and the directory re-points.
-func BenchmarkF4_FailoverRecovery(b *testing.B) { bench.F4FailoverRecovery(b) }
+// BenchmarkF4_FailoverRecovery measures a complete failover round: a
+// replicated primary with acked state dies, its follower wins the
+// expired lease, boots a full node over the shipped WAL, and the
+// directory re-points — the end-to-end recovery cost of the
+// replication subsystem (the lease wait itself is skipped via a manual
+// clock; what is measured is the machinery, not the configured TTL).
+func BenchmarkF4_FailoverRecovery(b *testing.B) {
+	ctx := context.Background()
+	const ttl = 30 * time.Second
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net := sim.New(sim.Config{})
+		clk := clock.NewFake(time.Date(2003, 4, 21, 9, 0, 0, 0, time.UTC))
+		srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(100*time.Hour))
+		if _, err := net.Listen("dir", srv.Handler()); err != nil {
+			b.Fatal(err)
+		}
+		x, err := core.Start(ctx, core.Config{
+			User: "x", Net: net, DirAddr: "dir", Clock: clk,
+			DataDir: b.TempDir(), LeaseTTL: ttl, Replicas: []string{"r1"},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl := x.DB.MustCreateTable(slotSchema)
+		if err := tbl.Insert(store.Row{"entity": "s0", "holder": "M0"}); err != nil {
+			b.Fatal(err)
+		}
+		promoted := make(chan *core.Node, 1)
+		fdir := b.TempDir()
+		f, err := replication.StartFollower(ctx, replication.FollowerConfig{
+			User: "x", Net: net, Dir: directory.NewClient(net, "dir"),
+			DataDir: fdir, ListenAddr: "r1", LeaseTTL: ttl, Clock: clk,
+			Promote: func(pctx context.Context, holder string) (string, error) {
+				n, err := core.Start(pctx, core.Config{
+					User: "x", Net: net, DirAddr: "dir", Clock: clk,
+					DataDir: fdir, LeaseTTL: ttl, LeaseHolder: holder,
+				})
+				if err != nil {
+					return "", err
+				}
+				promoted <- n
+				return n.Addr(), nil
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for f.AppliedLSN() < x.Durable.LastLSN() {
+			if err := f.PullOnce(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		x.Events.Close()
+		net.SetDown("node-x", true)
+		clk.Advance(ttl + time.Second)
+		did, err := f.CheckLease(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !did {
+			b.Fatal("follower did not promote")
+		}
+		x2 := <-promoted
+		t2, err := x2.DB.Table("slots")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, ok := t2.Get("s0"); !ok || r["holder"].(string) != "M0" {
+			b.Fatalf("replicated slot lost: %v", r)
+		}
+		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_ = x2.Close(cctx)
+		cancel()
+		_ = f.Close()
+		_ = x.Durable.Close()
+	}
+}
 
 // Scenario-equivalents (paper §4.4 and §5).
 func BenchmarkE1_CancelCascade(b *testing.B)      { benchExperiment(b, "E1") }
@@ -64,32 +154,199 @@ func BenchmarkA2_TriggerPlacement(b *testing.B) { benchExperiment(b, "A2") }
 
 // BenchmarkMicro_EngineInvoke measures one directory-resolved remote
 // invocation on an ideal network.
-func BenchmarkMicro_EngineInvoke(b *testing.B) { bench.MicroEngineInvoke(b) }
+func BenchmarkMicro_EngineInvoke(b *testing.B) {
+	ctx := context.Background()
+	w, err := experiments.NewWorld(workload.Users(2), sim.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := w.Nodes["u00"].Engine
+	svc := calendar.ServiceFor("u01")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Invoke(ctx, svc, "ListMeetings", nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkMicro_DirectoryLookupSharded measures one route-only
-// resolution against a 4-shard directory behind the control plane.
-func BenchmarkMicro_DirectoryLookupSharded(b *testing.B) { bench.MicroDirectoryLookupSharded(b) }
+// directory resolution against a 4-shard directory behind the control
+// plane — the uncached data-plane hop a cold engine pays per
+// invocation, including the shard-map routing and the epoch check on
+// the reply.
+func BenchmarkMicro_DirectoryLookupSharded(b *testing.B) {
+	ctx := context.Background()
+	users := workload.Users(4)
+	w, err := experiments.NewShardedWorld(users, sim.Config{}, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, len(users))
+	for i, u := range users {
+		names[i] = calendar.ServiceFor(u)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Dir.ResolveService(ctx, names[i%len(names)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkMicro_GroupInvoke measures a fan-out over 8 members.
-func BenchmarkMicro_GroupInvoke(b *testing.B) { bench.MicroGroupInvoke(b) }
+func BenchmarkMicro_GroupInvoke(b *testing.B) {
+	ctx := context.Background()
+	users := workload.Users(9)
+	w, err := experiments.NewWorld(users, sim.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	services := make([]string, 8)
+	for i, u := range users[1:] {
+		services[i] = calendar.ServiceFor(u)
+	}
+	eng := w.Nodes[users[0]].Engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results := eng.GroupInvoke(ctx, services, "ListMeetings", nil)
+		if !engine.AllOK(results) {
+			b.Fatal(engine.FirstError(results))
+		}
+	}
+}
 
-// BenchmarkMicro_NegotiationAnd measures a full two-phase
-// negotiation-and over three remote entities (reserve + release).
-func BenchmarkMicro_NegotiationAnd(b *testing.B) { bench.MicroNegotiationAnd(b) }
-
-// BenchmarkMicro_MeetingLifecycle measures setup + cancel of a
-// three-party meeting (the full link topology install and cascade).
-func BenchmarkMicro_MeetingLifecycle(b *testing.B) { bench.MicroMeetingLifecycle(b) }
+// slotSchema is the replicated table the replication benchmarks write.
+var slotSchema = store.Schema{
+	Name: "slots",
+	Columns: []store.Column{
+		{Name: "entity", Type: store.String},
+		{Name: "holder", Type: store.String},
+	},
+	Key: []string{"entity"},
+}
 
 // BenchmarkMicro_WALShip measures one replication shipping round: a
-// logged mutation read back as WAL frames and applied by a follower
-// receiver.
-func BenchmarkMicro_WALShip(b *testing.B) { bench.MicroWALShip(b) }
+// logged store mutation on the primary's durable database, read back
+// as raw WAL frames and verified-then-applied by a follower receiver.
+// The figure grows with b.N, so compare runs at one -benchtime Nx only:
+// wal.ReadFrames re-reads the live segment and decodes the LSN of every
+// frame below the pull's start, on every pull.
+func BenchmarkMicro_WALShip(b *testing.B) {
+	prim, err := wal.Open(b.TempDir(), wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer prim.Close()
+	tbl := prim.DB.MustCreateTable(slotSchema)
+	recv, err := wal.OpenReceiver(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer recv.Close()
+	ship := func() {
+		batch, err := prim.ReadFrames(recv.AppliedLSN()+1, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(batch.Frames) > 0 {
+			if _, err := recv.AppendFrames(batch.Frames); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	ship() // drain the DDL record before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tbl.Insert(store.Row{"entity": fmt.Sprintf("e%d", i), "holder": "bench"}); err != nil {
+			b.Fatal(err)
+		}
+		ship()
+	}
+	b.StopTimer()
+	if recv.AppliedLSN() != prim.LastLSN() {
+		b.Fatalf("follower at %d, primary at %d", recv.AppliedLSN(), prim.LastLSN())
+	}
+}
 
 // BenchmarkMicro_SyncReconnect measures one disconnected-operation
-// round trip: directory Touch, offline queue push through the real
-// negotiation path, and the relevance pull.
-func BenchmarkMicro_SyncReconnect(b *testing.B) { bench.MicroSyncReconnect(b) }
+// round trip: a device in local mode with queued bookings (and one
+// queued cancellation) reconnects — directory Touch, queue push through
+// the real negotiation path, and the relevance pull are all inside the
+// timed region. World construction and the offline queuing itself are
+// excluded.
+func BenchmarkMicro_SyncReconnect(b *testing.B) {
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		net := sim.New(sim.Config{})
+		clk := clock.NewFake(time.Date(2003, 4, 21, 8, 0, 0, 0, time.UTC))
+		srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
+		if _, err := net.Listen("dir", srv.Handler()); err != nil {
+			b.Fatal(err)
+		}
+		nodes := map[string]*core.Node{}
+		cals := map[string]*calendar.Calendar{}
+		for _, u := range []string{"mob", "phil"} {
+			n, err := core.Start(ctx, core.Config{
+				User: u, Net: net, DirAddr: "dir", Clock: clk,
+				OfflineMode: true, OfflineQueueCap: 64,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := calendar.New(ctx, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.EnableSync(n.Offline)
+			nodes[u], cals[u] = n, c
+		}
+		// A shared meeting makes phil a sync peer and gives the pull
+		// phase state to scan.
+		if _, err := cals["phil"].SetupMeeting(ctx, calendar.Request{
+			Title: "seed", Day: "2003-04-22", Hour: 9, PinSlot: true, Priority: 1,
+			Must: []string{"mob"},
+		}); err != nil {
+			b.Fatal(err)
+		}
+		mob := cals["mob"]
+		nodes["mob"].Offline.GoOffline(ctx)
+		var last string
+		for k := 0; k < 4; k++ {
+			m, queued, err := mob.ScheduleOrQueue(ctx, calendar.Request{
+				Title: "offline", Day: "2003-04-23", Hour: 9 + k, PinSlot: true, Priority: 1,
+				Must: []string{"phil"},
+			})
+			if err != nil || !queued {
+				b.Fatalf("queue op %d: queued=%v err=%v", k, queued, err)
+			}
+			last = m.ID
+		}
+		if _, err := mob.CancelOrQueue(ctx, last); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := nodes["mob"].Offline.TryReconnect(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := nodes["mob"].Offline.Queue().Len(); got != 0 {
+			b.Fatalf("queue not drained: %d", got)
+		}
+		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		for _, n := range nodes {
+			_ = n.Close(cctx)
+		}
+		cancel()
+		b.StartTimer()
+	}
+}
 
 // BenchmarkDirectoryCache contrasts the Invoke hot path with and
 // without the client-side route cache: "uncached" pays a directory

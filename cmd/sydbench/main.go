@@ -7,21 +7,17 @@
 //	sydbench -list                # list experiment ids and titles
 //	sydbench -metrics             # also print the per-method RPC metrics snapshot
 //	sydbench -trace 5             # trace the runs, print the 5 slowest flame trees
-//	sydbench -bench-json out.json # run the benchmark trajectory suite instead,
-//	                              # writing ns/op, allocs/op, B/op per benchmark
-//	sydbench -bench-json out.json -bench Micro  # filter by name prefix
 //
 //	sydbench -scale storm -devices 10000          # time-compressed fleet run
-//	sydbench -scale all -scale-json BENCH_scale.json  # full catalog, write report
 //	sydbench -scale churn -topo sharded4          # one scenario × one topology
+//	sydbench -scale all -topo single -devices 256 -seed 1 -scale-json BENCH_scale.json
 //
-// The trajectory suite (internal/bench) is the same set of bodies
-// `go test -bench` measures; committing its output as BENCH_rpc.json
-// tracks the RPC hot path's cost across PRs. The scale suite
-// (internal/scale) boots thousands of simulated devices under an
-// auto-advancing fake clock; its reports are deterministic for a given
-// seed, so the committed BENCH_scale.json is gated exactly by
-// cmd/benchgate.
+// The scale suite (internal/scale) boots thousands of simulated devices
+// under an auto-advancing fake clock; its reports are deterministic for
+// a given seed. The last command above is the only writer of the
+// committed BENCH_scale.json, a golden file: TestScaleBaseline in
+// internal/scale re-runs every report in it and requires each to come
+// out equal in every field but wall_ms.
 package main
 
 import (
@@ -33,57 +29,15 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/scale"
 	"repro/internal/trace"
 )
 
-// trajectoryFile is the JSON document -bench-json writes.
-type trajectoryFile struct {
-	Date       string         `json:"date"`
-	GoOS       string         `json:"goos"`
-	GoArch     string         `json:"goarch"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	Benchmarks []bench.Result `json:"benchmarks"`
-}
-
-func runBenchJSON(path, filter string) int {
-	var out trajectoryFile
-	out.Date = time.Now().UTC().Format(time.RFC3339)
-	out.GoOS = runtime.GOOS
-	out.GoArch = runtime.GOARCH
-	out.GoMaxProcs = runtime.GOMAXPROCS(0)
-	for _, def := range bench.Trajectory() {
-		if filter != "" && !strings.HasPrefix(def.Name, filter) {
-			continue
-		}
-		r := bench.Run(def)
-		fmt.Printf("%-24s %10d iters  %12.0f ns/op  %8d B/op  %6d allocs/op\n",
-			r.Name, r.Iterations, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		out.Benchmarks = append(out.Benchmarks, r)
-	}
-	if len(out.Benchmarks) == 0 {
-		fmt.Fprintf(os.Stderr, "no benchmark matches -bench %q\n", filter)
-		return 2
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sydbench: encode results: %v\n", err)
-		return 1
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "sydbench: write %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Printf("wrote %d benchmark results to %s\n", len(out.Benchmarks), path)
-	return 0
-}
-
-// scaleFile is the JSON document -scale-json writes (and benchgate
-// gates as BENCH_scale.json). Only Reports matters to the gate; the
-// header records provenance.
+// scaleFile is the JSON document -scale-json writes (BENCH_scale.json).
+// Only Reports is checked by TestScaleBaseline; the header records
+// provenance.
 type scaleFile struct {
 	Date    string          `json:"date"`
 	GoOS    string          `json:"goos"`
@@ -109,6 +63,7 @@ func runScale(scenario, topo string, devices int, seed int64, outPath string) in
 		Devices: devices,
 		Seed:    seed,
 	}
+	fmt.Println("p50/p95/p99: modelled (5 ms + 12 ms × RPCs + seeded jitter, per-device FIFO)")
 	for _, scn := range scns {
 		for _, tp := range topos {
 			r, err := scale.Run(scale.Config{Scenario: scn, Topology: tp, Devices: devices, Seed: seed})
@@ -143,8 +98,6 @@ func main() {
 	runFilter := flag.String("run", "", "experiment id or id prefix to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	showMetrics := flag.Bool("metrics", false, "print the per-service/method metrics snapshot after the runs")
-	benchJSON := flag.String("bench-json", "", "run the benchmark trajectory suite and write JSON results to this file")
-	benchFilter := flag.String("bench", "", "with -bench-json: benchmark name prefix filter")
 	traceN := flag.Int("trace", 0, "trace the experiments and print the N slowest stitched traces as flame trees")
 	scaleScn := flag.String("scale", "", "run the time-compressed scale harness: a scenario name or 'all'")
 	scaleTopo := flag.String("topo", "all", "with -scale: topology (single, sharded4, replicated) or 'all'")
@@ -153,9 +106,6 @@ func main() {
 	scaleJSON := flag.String("scale-json", "", "with -scale: write the reports as JSON to this file")
 	flag.Parse()
 
-	if *benchJSON != "" {
-		os.Exit(runBenchJSON(*benchJSON, *benchFilter))
-	}
 	if *scaleScn != "" {
 		os.Exit(runScale(*scaleScn, *scaleTopo, *scaleDevices, *scaleSeed, *scaleJSON))
 	}

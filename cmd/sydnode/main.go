@@ -130,7 +130,6 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	leaseTTL := fs.Duration("lease-ttl", 0, "replication lease TTL; with -data-dir the node serves as a lease-holding primary (0 = replication off)")
 	offlineQueue := fs.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; 0 disables)")
 	offlineOverflow := fs.String("offline-overflow", "drop-oldest", "with -offline-queue: at-capacity policy — drop-oldest or reject-new")
-	syncRelevance := fs.Bool("sync-relevance", true, "with -offline-queue: serve reconnect Pulls relevance-filtered (false ships full state — baseline for comparison)")
 	_ = fs.Parse(args) // ExitOnError
 
 	sync, err := wal.ParseSyncPolicy(*fsyncPolicy)
@@ -172,7 +171,6 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 		cfg.OfflineMode = true
 		cfg.OfflineQueueCap = *offlineQueue
 		cfg.OfflineOverflow = offline.Overflow(*offlineOverflow)
-		cfg.SyncFullPull = !*syncRelevance
 		if cfg.OfflineOverflow != offline.DropOldest && cfg.OfflineOverflow != offline.RejectNew {
 			return cfg, false, "", fmt.Errorf("bad -offline-overflow %q (want drop-oldest or reject-new)", *offlineOverflow)
 		}

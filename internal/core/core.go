@@ -74,9 +74,6 @@ type Config struct {
 	// (trace.EnableDefault), a per-node tracer is created and attached
 	// to trace.Default() automatically.
 	Tracer *trace.Tracer
-	// Interceptors are appended to the engine's client chain,
-	// outermost first.
-	Interceptors []engine.Interceptor
 	// Middleware is appended to the listener's server chain,
 	// outermost first.
 	Middleware []listener.Middleware
@@ -93,16 +90,6 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// WALSync is the log's fsync policy (group commit by default).
 	WALSync wal.SyncPolicy
-	// WALFlushEvery widens group-commit batches; see wal.Options.
-	WALFlushEvery time.Duration
-	// LockTTL overrides the negotiation lock table's mark TTL when > 0
-	// (how long a phase-1 lock survives without Commit/Abort before it
-	// may be stolen).
-	LockTTL time.Duration
-	// LinkTuning overrides the negotiation recovery schedule (commit
-	// retry backoff, attempts, presumed-abort horizon). Zero fields
-	// keep the links defaults.
-	LinkTuning links.Tuning
 	// LeaseTTL, when > 0, turns on replication: the node acquires the
 	// directory lease for User at boot (failing Start if a rival holds
 	// it — the split-brain check), renews it on a LeaseTTL/3 cadence,
@@ -126,12 +113,6 @@ type Config struct {
 	OfflineQueueCap int
 	// OfflineOverflow selects the queue's at-capacity policy.
 	OfflineOverflow offline.Overflow
-	// SyncFullPull disables the relevance predicate on served Pulls
-	// (full-state baseline; leave false in production).
-	SyncFullPull bool
-	// OfflineFailureThreshold overrides how many consecutive
-	// unavailable sends flip the node to local mode.
-	OfflineFailureThreshold int
 }
 
 // Node is a running SyD device node.
@@ -192,11 +173,9 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	if cfg.DataDir != "" {
 		var err error
 		durable, err = wal.Open(cfg.DataDir, wal.Options{
-			Sync:       cfg.WALSync,
-			FlushEvery: cfg.WALFlushEvery,
-			Metrics:    cfg.Metrics,
-			Tracer:     tracer,
-			Clock:      clk,
+			Sync:    cfg.WALSync,
+			Metrics: cfg.Metrics,
+			Tracer:  tracer,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: open data dir: %w", err)
@@ -247,15 +226,11 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	} else {
 		dir = directory.NewClient(cfg.Net, cfg.DirAddr, dirOpts...)
 	}
-	// Client chain mirrors the server: metrics outermost, then user
-	// interceptors, then the engine's stock credential/cache/resolver
-	// stages.
+	// Client chain mirrors the server: metrics outermost, then the
+	// engine's stock credential/cache/resolver stages.
 	var engOpts []engine.Option
 	if cfg.Metrics != nil {
 		engOpts = append(engOpts, engine.WithInterceptors(engine.MetricsInterceptor(cfg.Metrics)))
-	}
-	if len(cfg.Interceptors) > 0 {
-		engOpts = append(engOpts, engine.WithInterceptors(cfg.Interceptors...))
 	}
 	if cfg.RouteCacheTTL > 0 {
 		dc := engine.NewDirCache(cfg.RouteCacheTTL)
@@ -275,22 +250,20 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	lis.SetEventSink(events.Dispatch)
 
 	// Disconnected operation: the manager's interceptor sits innermost
-	// in the client chain (metrics and user interceptors still observe
-	// the local-mode fast-fails it returns).
+	// in the client chain (the metrics interceptor still observes the
+	// local-mode fast-fails it returns).
 	var om *offline.Manager
 	if cfg.OfflineMode {
 		om, err = offline.NewManager(offline.Config{
-			User:             cfg.User,
-			DB:               db,
-			Engine:           eng,
-			Dir:              dir,
-			Clock:            clk,
-			QueueCap:         cfg.OfflineQueueCap,
-			Overflow:         cfg.OfflineOverflow,
-			FullPull:         cfg.SyncFullPull,
-			FailureThreshold: cfg.OfflineFailureThreshold,
-			Metrics:          cfg.Metrics,
-			Tracer:           tracer,
+			User:     cfg.User,
+			DB:       db,
+			Engine:   eng,
+			Dir:      dir,
+			Clock:    clk,
+			QueueCap: cfg.OfflineQueueCap,
+			Overflow: cfg.OfflineOverflow,
+			Metrics:  cfg.Metrics,
+			Tracer:   tracer,
 		})
 		if err != nil {
 			ln.Close()
@@ -314,12 +287,6 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 		if durable != nil {
 			lm.SetLSNSource(durable.LastLSN)
 		}
-	}
-	if cfg.LockTTL > 0 {
-		lm.Locks.SetTTL(cfg.LockTTL)
-	}
-	if cfg.LinkTuning != (links.Tuning{}) {
-		lm.SetTuning(cfg.LinkTuning)
 	}
 
 	// Replication: acquire the lease BEFORE registering with the

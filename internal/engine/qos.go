@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/wire"
 )
 
 // QoS describes the delivery guarantees for an invocation. The paper
@@ -84,14 +83,6 @@ func RetryInterceptor(qos QoS, clk clock.Clock) Interceptor {
 			return lastErr
 		}
 	}
-}
-
-// InvokeQoS is Invoke with retry-on-unavailability semantics: the
-// engine's chain wrapped, for this call, in RetryInterceptor(qos)
-// backing off on the system clock.
-func (e *Engine) InvokeQoS(ctx context.Context, qos QoS, service, method string, args wire.Args, out any) error {
-	inv := RetryInterceptor(qos, clock.System)(e.invoker())
-	return inv(ctx, e.newCall(ctx, "", service, method, args), out)
 }
 
 // retryable reports whether an error is transient.

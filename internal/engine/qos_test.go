@@ -2,11 +2,11 @@ package engine
 
 import (
 	"context"
-	"repro/internal/clock"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/listener"
 	"repro/internal/wire"
 )
@@ -43,13 +43,21 @@ func (w *testWorld) addFlakyNode(user string, failFirst int) *atomic.Int64 {
 	return &attempts
 }
 
+// invokeQoS sends one call through e's chain behind
+// RetryInterceptor(qos), backing off on clk — how links.Manager wires
+// its redrive sends.
+func invokeQoS(ctx context.Context, e *Engine, qos QoS, clk clock.Clock, service, method string, out any) error {
+	inv := RetryInterceptor(qos, clk)(e.invoker())
+	return inv(ctx, e.newCall(ctx, "", service, method, nil), out)
+}
+
 func TestInvokeQoSRetriesTransientFailures(t *testing.T) {
 	w := newWorld(t)
 	attempts := w.addFlakyNode("phil", 2)
 	e := New(w.net, w.dir, "andy")
 
 	var out string
-	err := e.InvokeQoS(context.Background(), QoS{Retries: 3}, "flaky.phil", "Ping", nil, &out)
+	err := invokeQoS(context.Background(), e, QoS{Retries: 3}, clock.System, "flaky.phil", "Ping", &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +70,7 @@ func TestInvokeQoSExhaustsRetries(t *testing.T) {
 	w := newWorld(t)
 	attempts := w.addFlakyNode("phil", 100)
 	e := New(w.net, w.dir, "andy")
-	err := e.InvokeQoS(context.Background(), QoS{Retries: 2}, "flaky.phil", "Ping", nil, nil)
+	err := invokeQoS(context.Background(), e, QoS{Retries: 2}, clock.System, "flaky.phil", "Ping", nil)
 	if wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("err = %v", err)
 	}
@@ -75,7 +83,7 @@ func TestInvokeQoSDoesNotRetryPermanentErrors(t *testing.T) {
 	w := newWorld(t)
 	attempts := w.addFlakyNode("phil", 0)
 	e := New(w.net, w.dir, "andy")
-	err := e.InvokeQoS(context.Background(), QoS{Retries: 5}, "flaky.phil", "Conflict", nil, nil)
+	err := invokeQoS(context.Background(), e, QoS{Retries: 5}, clock.System, "flaky.phil", "Conflict", nil)
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("err = %v", err)
 	}
@@ -88,7 +96,7 @@ func TestInvokeQoSBestEffortIsSingleAttempt(t *testing.T) {
 	w := newWorld(t)
 	attempts := w.addFlakyNode("phil", 1)
 	e := New(w.net, w.dir, "andy")
-	err := e.InvokeQoS(context.Background(), BestEffort, "flaky.phil", "Ping", nil, nil)
+	err := invokeQoS(context.Background(), e, BestEffort, clock.System, "flaky.phil", "Ping", nil)
 	if wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("err = %v", err)
 	}
@@ -104,7 +112,7 @@ func TestInvokeQoSRespectsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- e.InvokeQoS(ctx, QoS{Retries: 100, Backoff: time.Hour}, "flaky.phil", "Ping", nil, nil)
+		done <- invokeQoS(ctx, e, QoS{Retries: 100, Backoff: time.Hour}, clock.System, "flaky.phil", "Ping", nil)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
@@ -114,7 +122,7 @@ func TestInvokeQoSRespectsContextCancel(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("InvokeQoS hung on cancelled context")
+		t.Fatal("retrying invoke hung on cancelled context")
 	}
 }
 
@@ -128,8 +136,8 @@ func TestInvokeQoSRecoversAcrossReRegistration(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- e.InvokeQoS(context.Background(), QoS{Retries: 20, Backoff: 5 * time.Millisecond},
-			"cal.phil", "WhoAmI", nil, nil)
+		done <- invokeQoS(context.Background(), e, QoS{Retries: 20, Backoff: 5 * time.Millisecond}, clock.System,
+			"cal.phil", "WhoAmI", nil)
 	}()
 	time.Sleep(15 * time.Millisecond)
 	w.net.SetDown("node-phil", false)
@@ -154,9 +162,7 @@ func TestInvokeQoSBackoffUsesClock(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		ctx := context.Background()
-		inv := RetryInterceptor(QoS{Retries: 2, Backoff: time.Minute}, fake)(e.invoker())
-		done <- inv(ctx, e.newCall(ctx, "", "flaky.phil", "Ping", nil), nil)
+		done <- invokeQoS(context.Background(), e, QoS{Retries: 2, Backoff: time.Minute}, fake, "flaky.phil", "Ping", nil)
 	}()
 
 	// First attempt happens immediately; then the retry waits on the

@@ -204,9 +204,11 @@ func runChaos(t *testing.T, h *harness, ctl *controlplane.Controller, seed int64
 				time.Sleep(time.Millisecond)
 			}
 		}()
-		wg.Wait()
-		close(sweepStop)
-		sweepWG.Wait()
+		h.releasingBackoffs(tun.RetryBase/8, func() {
+			wg.Wait()
+			close(sweepStop)
+			sweepWG.Wait()
+		})
 
 		heal(r)
 		drain(i)

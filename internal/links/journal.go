@@ -91,9 +91,22 @@ func (t Tuning) normalize() Tuning {
 
 // SetTuning installs a recovery schedule (zero fields keep defaults).
 func (m *Manager) SetTuning(t Tuning) {
+	t = t.normalize()
+	retry := engine.RetryInterceptor(commitQoS(t), m.clk)(func(ctx context.Context, call *engine.Call, out any) error {
+		return m.eng.Invoke(ctx, call.Service, call.Method, call.Args, out)
+	})
 	m.mu.Lock()
-	m.tuning = t.normalize()
+	m.tuning, m.retry = t, retry
 	m.mu.Unlock()
+}
+
+// invokeRetry is eng.Invoke for the recovery sweeps: commitQoS's quick
+// in-attempt retry, its backoff waiting on the manager's clock.
+func (m *Manager) invokeRetry(ctx context.Context, service, method string, args wire.Args, out any) error {
+	m.mu.RLock()
+	retry := m.retry
+	m.mu.RUnlock()
+	return retry(ctx, &engine.Call{Service: service, Method: method, Args: args}, out)
 }
 
 func (m *Manager) tune() Tuning {
@@ -263,9 +276,9 @@ func (m *Manager) Outcome(nid, token string) (string, wire.Args) {
 	return OutcomeAbort, nil
 }
 
-// commitQoS is the per-attempt QoS the sweeper uses when re-sending
-// Commit: one quick in-attempt retry; the sweep's own exponential
-// backoff paces the rounds.
+// commitQoS is the per-attempt QoS the sweeps use when re-sending
+// Commit or asking for an outcome: one quick in-attempt retry; the
+// sweep's own exponential backoff paces the rounds.
 func commitQoS(t Tuning) engine.QoS {
 	return engine.QoS{Retries: 1, Backoff: t.RetryBase / 8, AttemptTimeout: 5 * time.Second}
 }

@@ -124,3 +124,61 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 		t.Fatalf("journal-expire count = %+v, want 1", e)
 	}
 }
+
+// TestRedriveBackoffWaitsOnManagerClock: the wait between a redrive's
+// two Commit attempts is a timer on the manager's clock. A sweep whose
+// first attempt finds the target unreachable parks on the fake clock
+// and finishes only once the clock is advanced past RetryBase/8: a node
+// on a fake clock has no wall-clock wait left in its sweeps.
+func TestRedriveBackoffWaitsOnManagerClock(t *testing.T) {
+	h := newHarness(t, "a", "x")
+	lm := h.nodes["a"].Links
+	lm.SetTuning(links.Tuning{RetryBase: 800 * time.Millisecond})
+
+	// The inline Commit is lost, leaving a journal row to redrive.
+	lm.SetCommitFault(func(string, links.EntityRef) error {
+		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+	})
+	_, err := lm.Negotiate(ctxBg(), links.Spec{
+		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Targets: refs("x", "s"), Constraint: links.And,
+	})
+	if !links.IsInDoubt(err) {
+		t.Fatalf("err = %v, want in-doubt", err)
+	}
+	lm.SetCommitFault(nil)
+
+	h.net.SetDown("node-x", true)
+	h.clk.Advance(time.Second)
+	now := h.clk.Now()
+	done := make(chan int, 1)
+	go func() { done <- lm.RetryCommits(ctxBg(), now) }()
+	for deadline := time.Now().Add(5 * time.Second); h.clk.PendingWaiters() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the redrive never parked on the manager's clock after its failed first attempt")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	h.net.SetDown("node-x", false)
+	select {
+	case n := <-done:
+		t.Fatalf("sweep returned %d while its backoff was still pending", n)
+	default:
+	}
+
+	h.clk.Advance(100 * time.Millisecond)
+	select {
+	case n := <-done:
+		if n != 1 {
+			t.Fatalf("sweep resolved %d rows, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the redrive did not finish after the clock passed its backoff")
+	}
+	if got := h.nodes["x"].status("s"); got != "M" {
+		t.Fatalf("x = %q after the redriven Commit", got)
+	}
+	if p := lm.JournalPending(); len(p) != 0 {
+		t.Fatalf("journal after the redrive = %v", p)
+	}
+}

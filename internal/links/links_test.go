@@ -161,6 +161,29 @@ func (h *harness) addNode(user string, with ...func(*core.Config)) *tnode {
 	return tn
 }
 
+// releasingBackoffs runs fn — recovery sweeps that may find a peer
+// unreachable — and advances the fake clock by d whenever a sweep has
+// parked on it: the wait between a redrive's two attempts (commitQoS,
+// RetryBase/8) is a manager timer, and under a manual clock nothing
+// else moves it.
+func (h *harness) releasingBackoffs(d time.Duration, fn func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		case <-time.After(100 * time.Microsecond):
+			if h.clk.PendingWaiters() > 0 {
+				h.clk.Advance(d)
+			}
+		}
+	}
+}
+
 func refs(pairs ...string) []links.EntityRef {
 	var out []links.EntityRef
 	for i := 0; i+1 < len(pairs); i += 2 {

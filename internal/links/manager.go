@@ -67,6 +67,7 @@ type Manager struct {
 	tracer  *trace.Tracer
 	lsnSrc  func() uint64 // WAL position source for journal trace events
 	tuning  Tuning
+	retry   engine.Invoker // eng.Invoke behind commitQoS(tuning), backing off on clk
 
 	// Participant-side fault-tolerance state (see participant.go).
 	partMu   sync.Mutex
@@ -100,7 +101,7 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 	if err != nil {
 		return nil, err
 	}
-	return &Manager{
+	m := &Manager{
 		self:     self,
 		db:       db,
 		eng:      eng,
@@ -112,11 +113,12 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 		journalT: jt,
 		decidedT: dt,
 		actions:  make(map[string]Action),
-		tuning:   DefaultTuning(),
 		pendMark: make(map[string]*pendingMark),
 		decided:  make(map[string]decision),
 		inflight: make(map[string]struct{}),
-	}, nil
+	}
+	m.SetTuning(DefaultTuning())
+	return m, nil
 }
 
 // SetMetrics wires negotiation outcome/retry counters into reg (nil

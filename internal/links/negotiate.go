@@ -521,7 +521,7 @@ func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef
 
 // commitTarget applies the change at a marked target and releases its
 // lock. With qos set (the retry sweeper's path) the Commit rides
-// engine.InvokeQoS so one sweep absorbs short transient blips; the
+// invokeRetry so one sweep absorbs short transient blips; the
 // first in-line attempt uses a plain Invoke — a failure there is
 // journaled, not blocking.
 func (m *Manager) commitTarget(ctx context.Context, nid string, ref EntityRef, token, action string, args wire.Args, qos bool) error {
@@ -553,7 +553,7 @@ func (m *Manager) commitTargetInner(ctx context.Context, nid string, ref EntityR
 		"entity": ref.Entity, "token": token, "action": action, "args": map[string]any(args), "nid": nid,
 	}
 	if qos {
-		return m.eng.InvokeQoS(ctx, commitQoS(m.tune()), ServiceFor(ref.User), "Commit", callArgs, nil)
+		return m.invokeRetry(ctx, ServiceFor(ref.User), "Commit", callArgs, nil)
 	}
 	return m.eng.Invoke(ctx, ServiceFor(ref.User), "Commit", callArgs, nil)
 }

@@ -230,7 +230,7 @@ func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token stri
 		Outcome string    `json:"outcome"`
 		Args    wire.Args `json:"args"`
 	}
-	err := m.eng.InvokeQoS(ctx, commitQoS(m.tune()), ServiceFor(coordinator), "QueryOutcome", wire.Args{
+	err := m.invokeRetry(ctx, ServiceFor(coordinator), "QueryOutcome", wire.Args{
 		"nid": nid, "token": token,
 	}, &out)
 	return out.Outcome, out.Args, err

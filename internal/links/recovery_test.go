@@ -402,10 +402,17 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	// The coordinator dies without a journaled commit.
 	h.net.SetDown("node-a", true)
 
+	// The coordinator is unreachable, so each sweep waits out its
+	// in-attempt retry backoff on the clock.
+	sweep := func() {
+		now := h.clk.Now()
+		h.releasingBackoffs(links.DefaultRetryBase/8, func() { h.nodes["b"].Links.ResolvePendingMarks(ctx, now) })
+	}
+
 	// Inside the horizon the mark stays pinned: the sweep keeps the
 	// lock alive (even across the nominal TTL) and resolves nothing.
 	h.clk.Advance(30 * time.Second)
-	h.nodes["b"].Links.ResolvePendingMarks(ctx, h.clk.Now())
+	sweep()
 	if n := h.nodes["b"].Links.PendingMarks(); n != 1 {
 		t.Fatalf("mark resolved inside horizon: pending = %d", n)
 	}
@@ -418,7 +425,7 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 
 	// Past the horizon: presume abort, release the lock.
 	h.clk.Advance(time.Minute)
-	h.nodes["b"].Links.ResolvePendingMarks(ctx, h.clk.Now())
+	sweep()
 	if n := h.nodes["b"].Links.PendingMarks(); n != 0 {
 		t.Fatalf("mark not resolved past horizon: pending = %d", n)
 	}

@@ -60,10 +60,6 @@ type Config struct {
 	QueueCap int
 	// Overflow selects the at-capacity policy (default DropOldest).
 	Overflow Overflow
-	// FullPull disables the server-side relevance predicate on Pull —
-	// the full-state baseline the comparative sync test measures
-	// against. Leave false in production.
-	FullPull bool
 	// FailureThreshold is how many consecutive unavailable sends flip
 	// the device to local mode (default 3).
 	FailureThreshold int
@@ -84,7 +80,6 @@ type Manager struct {
 	clock     clock.Clock
 	met       *metrics.Registry
 	tracer    *trace.Tracer
-	fullPull  bool
 	threshold int32
 	onState   func(State)
 
@@ -133,7 +128,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		clock:     cfg.Clock,
 		met:       cfg.Metrics,
 		tracer:    cfg.Tracer,
-		fullPull:  cfg.FullPull,
 		threshold: int32(cfg.FailureThreshold),
 		onState:   cfg.OnState,
 		q:         q,
@@ -404,7 +398,6 @@ func (m *Manager) pull(ctx context.Context) error {
 		err := m.eng.Invoke(ctx, ServiceFor(p), "Pull", wire.Args{
 			"subscriber": m.user,
 			"versions":   m.knownVersions(p),
-			"all":        m.fullPull,
 		}, &res)
 		if err != nil {
 			continue

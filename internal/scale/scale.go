@@ -88,8 +88,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LatencyStats are exact percentiles over the modeled operation
-// latencies, in milliseconds of virtual time.
+// LatencyStats are exact percentiles over operation latencies that are
+// modelled (5 ms + 12 ms × RPCs + seeded jitter, per-device FIFO), not
+// measured: an RPC-count cost model in milliseconds of virtual time,
+// the same on every topology.
 type LatencyStats struct {
 	P50MS  float64 `json:"p50_ms"`
 	P95MS  float64 `json:"p95_ms"`
@@ -131,8 +133,8 @@ type NetStats struct {
 }
 
 // Report is one scenario×topology run's result — the unit
-// BENCH_scale.json stores and cmd/benchgate gates. Every field except
-// WallMS is deterministic for a given (Config, code) pair.
+// BENCH_scale.json stores and TestScaleBaseline reproduces. Every field
+// except WallMS is deterministic for a given (Config, code) pair.
 type Report struct {
 	Scenario  string          `json:"scenario"`
 	Topology  Topology        `json:"topology"`

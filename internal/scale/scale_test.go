@@ -2,7 +2,10 @@ package scale
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -22,6 +25,139 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// jsonTree is v as encoding/json's generic tree of its own encoding.
+func jsonTree(t *testing.T, v any) map[string]any {
+	t.Helper()
+	var tree map[string]any
+	if err := json.Unmarshal([]byte(mustJSON(t, v)), &tree); err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// leaf is one scalar of a report's JSON tree, addressable in place.
+type leaf struct {
+	path string // dotted JSON keys, e.g. "net.requests"
+	in   map[string]any
+	key  string
+}
+
+// leaves flattens tree into its scalars, sorted by path.
+func leaves(prefix string, tree map[string]any) []leaf {
+	var out []leaf
+	for k, v := range tree {
+		if sub, ok := v.(map[string]any); ok {
+			out = append(out, leaves(prefix+k+".", sub)...)
+		} else {
+			out = append(out, leaf{prefix + k, tree, k})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].path < out[j].path })
+	return out
+}
+
+// reportDiff lists every field in which got differs from want, wall_ms
+// aside, as "path: want -> got"; empty means the reports are equal.
+func reportDiff(t *testing.T, want, got *Report) []string {
+	t.Helper()
+	// Both sides encode the same struct: same paths, same order.
+	a, b := leaves("", jsonTree(t, stripWall(want))), leaves("", jsonTree(t, stripWall(got)))
+	var diffs []string
+	for i := range a {
+		if va, vb := a[i].in[a[i].key], b[i].in[b[i].key]; va != vb {
+			diffs = append(diffs, fmt.Sprintf("%s: %v -> %v", a[i].path, va, vb))
+		}
+	}
+	return diffs
+}
+
+// scaleBaseline is the committed golden file at the repo root.
+const scaleBaseline = "../../BENCH_scale.json"
+
+func loadScaleBaseline(t *testing.T) []*Report {
+	t.Helper()
+	data, err := os.ReadFile(scaleBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Reports []*Report `json:"reports"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatalf("%s: %v", scaleBaseline, err)
+	}
+	if len(file.Reports) == 0 {
+		t.Fatalf("%s holds no reports", scaleBaseline)
+	}
+	return file.Reports
+}
+
+// TestScaleBaseline is the exact gate: every report committed in
+// BENCH_scale.json, re-run from its own scenario, topology, fleet size,
+// op count and seed, must come out equal in every field but wall_ms.
+// The file defines what is checked; sydbench is its only writer.
+func TestScaleBaseline(t *testing.T) {
+	for _, want := range loadScaleBaseline(t) {
+		want := want
+		t.Run(want.Scenario+"/"+string(want.Topology), func(t *testing.T) {
+			got, err := Run(Config{
+				Scenario: want.Scenario, Topology: want.Topology,
+				Devices: want.Devices, Ops: want.Ops, Seed: want.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diffs := reportDiff(t, want, got); len(diffs) > 0 {
+				t.Fatalf("report differs from %s (committed -> now):\n  %s\nif the change is intended, refresh the file and commit it:\n  go run ./cmd/sydbench -scale all -topo single -devices 256 -seed 1 -scale-json BENCH_scale.json",
+					scaleBaseline, strings.Join(diffs, "\n  "))
+			}
+		})
+	}
+}
+
+// TestScaleBaselineSeesDrift holds the gate to every field: one
+// committed report with any single field changed — a request, an
+// outcome, a lock conflict, a timer fire — is reported as differing in
+// exactly that field, and a different wall_ms alone is not a difference.
+func TestScaleBaselineSeesDrift(t *testing.T) {
+	want := loadScaleBaseline(t)[0]
+	seen := map[string]bool{}
+	for i := range leaves("", jsonTree(t, want)) {
+		// Drift the one leaf in a fresh tree, decode it back into a Report.
+		tree := jsonTree(t, want)
+		l := leaves("", tree)[i]
+		switch v := l.in[l.key].(type) {
+		case float64:
+			l.in[l.key] = v + 1
+		case string:
+			l.in[l.key] = v + "x"
+		default:
+			t.Fatalf("%s: unexpected %T in a report", l.path, v)
+		}
+		var drifted Report
+		if err := json.Unmarshal([]byte(mustJSON(t, tree)), &drifted); err != nil {
+			t.Fatalf("%s: %v", l.path, err)
+		}
+		diffs := reportDiff(t, want, &drifted)
+		seen[l.path] = true
+		if l.path == "wall_ms" {
+			if len(diffs) != 0 {
+				t.Errorf("wall_ms alone reported as drift: %v", diffs)
+			}
+			continue
+		}
+		if len(diffs) != 1 || !strings.HasPrefix(diffs[0], l.path+": ") {
+			t.Errorf("%s off by one: diff = %v, want that field alone", l.path, diffs)
+		}
+	}
+	// The counts a gate on latency percentiles and abort rate cannot see.
+	for _, path := range []string{"net.requests", "outcomes.committed", "outcomes.tentative", "locks.conflicts", "clock_fired", "wall_ms"} {
+		if !seen[path] {
+			t.Errorf("%s was never drifted: not a report field?", path)
+		}
+	}
 }
 
 // TestScaleSmoke is the CI scale gate's inner loop: 500 devices, two
@@ -63,7 +199,10 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestRunAllTopologies sweeps the full scenario × topology catalog at a
-// small fleet size — the shape BENCH_scale.json is generated from.
+// small fleet size, and holds what the sharded4 and replicated rows of
+// BENCH_scale.json used to show by eye: the topology changes no
+// outcome, modelled latency, queue depth or lock count — only how many
+// requests the control plane and log shipping add.
 func TestRunAllTopologies(t *testing.T) {
 	reports, err := RunAll(48, 7)
 	if err != nil {
@@ -88,6 +227,23 @@ func TestRunAllTopologies(t *testing.T) {
 		}
 		if r.VirtualMS != (8 * time.Hour).Milliseconds() {
 			t.Errorf("%s: virtual span %d", key, r.VirtualMS)
+		}
+	}
+	for i := 0; i < len(reports); i += 3 { // catalog order: single, sharded4, replicated
+		single, sharded, replicated := reports[i], reports[i+1], reports[i+2]
+		for _, r := range []*Report{sharded, replicated} {
+			if r.Latency != single.Latency || r.Outcomes != single.Outcomes || r.Queue != single.Queue || r.Locks != single.Locks {
+				t.Errorf("%s: %s differs from single beyond its traffic:\n%s\n%s", r.Scenario, r.Topology,
+					mustJSON(t, stripWall(single)), mustJSON(t, stripWall(r)))
+			}
+		}
+		// One shard-map fetch per booting node.
+		if got := sharded.Net.Requests - single.Net.Requests; got != int64(single.Devices) {
+			t.Errorf("%s: sharded4 issued %d more requests than single, want %d", single.Scenario, got, single.Devices)
+		}
+		// Lease renewals and follower pulls come on top.
+		if replicated.Net.Requests < sharded.Net.Requests {
+			t.Errorf("%s: replicated issued %d requests, sharded4 %d", single.Scenario, replicated.Net.Requests, sharded.Net.Requests)
 		}
 	}
 }

@@ -279,8 +279,8 @@ func ReadJSONL(r io.Reader) ([]*Span, error) {
 // --- process-global default -------------------------------------------------
 
 // The default collector mirrors metrics.Default(): harnesses that
-// construct nodes deep inside library code (the experiments World, the
-// sydbench trajectory suite) flip tracing on process-wide and every
+// construct nodes deep inside library code (the experiments World
+// behind sydbench -trace) flip tracing on process-wide and every
 // subsequently started node attaches a tracer automatically.
 
 var (

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -78,11 +77,6 @@ type Options struct {
 	// SegmentBytes rotates to a new segment file once the current one
 	// reaches this size. Default 4 MiB.
 	SegmentBytes int64
-	// FlushEvery, when > 0 under SyncGroup, waits this long after the
-	// first enqueue before flushing, trading commit latency for larger
-	// fsync batches. 0 flushes as soon as the flusher is free (batches
-	// still form naturally while an fsync is in flight).
-	FlushEvery time.Duration
 	// Sync is the fsync policy.
 	Sync SyncPolicy
 	// Metrics, when set, receives wal-layer commit/fsync/batch series.
@@ -90,18 +84,11 @@ type Options struct {
 	// Tracer, when set, records one "wal.flush" span per group-commit
 	// flush (batch size and LSN range annotated).
 	Tracer *trace.Tracer
-	// Clock times the FlushEvery batching wait; nil = system clock. A
-	// fake clock lets a simulated deployment compress group-commit
-	// windows along with the rest of its timers.
-	Clock clock.Clock
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.Clock == nil {
-		o.Clock = clock.System
 	}
 	return o
 }
@@ -346,9 +333,6 @@ func (w *WAL) flushLoop() {
 		case <-w.closeCh:
 			w.flushOnce() // final drain
 			return
-		}
-		if w.opt.Sync == SyncGroup && w.opt.FlushEvery > 0 {
-			w.opt.Clock.Sleep(w.opt.FlushEvery) // widen the batch
 		}
 		w.flushOnce()
 	}
