@@ -91,8 +91,8 @@ func TestAcceptRecord(t *testing.T) {
 			if got.Created.Equal(w.clk.Now()) {
 				t.Errorf("link created at the second push (%s), want the first one's row kept", got.Created)
 			}
-			if len(got.TriggersFor("promote")) != 1 || len(got.TriggersFor("avail")) != 1 {
-				t.Errorf("triggers = %+v, want one promote and one avail", got.Triggers)
+			if tr := got.Triggers; len(tr) != 1 || tr[0].Event != "avail" || tr[0].Action != calendar.ActionReserve || tr[0].Method != "SlotAvailable" {
+				t.Errorf("triggers = %+v, want the one avail trigger that votes", tr)
 			}
 			got.Created, got.Triggers = time.Time{}, nil
 			if a, b := mustJSON(t, got), mustJSON(t, want); a != b {

@@ -270,12 +270,10 @@ func (c *Calendar) ReleaseSlot(ctx context.Context, s Slot) error {
 	if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.setSlot(u, s, "", 0) }); err != nil {
 		return err
 	}
-	// Fire availability triggers: the highest-priority tentative
-	// back link queued at this slot informs its meeting's initiator.
-	_, err := c.lm.TriggerEntity(ctx, s.Entity(), "avail", wire.Args{
-		"user": c.user, "day": s.Day, "hour": s.Hour,
-	})
-	return err
+	// The highest-priority tentative back link queued at this slot votes
+	// it to its meeting's initiator.
+	c.lm.Offer(ctx, s.Entity())
+	return nil
 }
 
 // --- meeting records -----------------------------------------------------------
@@ -437,48 +435,26 @@ func (c *Calendar) registerActions() {
 
 // linkHook reacts to link lifecycle events on this node, in the unit u
 // that changes the link row. Link groups carry the meeting id, so a
-// deleted link means "this meeting released my slot" and a promoted link
-// means "my tentative reservation may become real".
+// deleted link means "this meeting released my slot". No slot is written
+// for a meeting here: only a Commit's reserve does that, under its lock.
 func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args) error {
 	meetingID := l.Group
 	s, err := SlotFromEntity(l.Owner.Entity)
-	if meetingID == "" || err != nil {
+	if meetingID == "" || err != nil || (kind != "delete" && kind != "expire") {
 		return nil
 	}
-	switch kind {
-	case "delete", "expire":
-		freed := c.slotInfoIn(u, s).Meeting == meetingID
-		if freed {
-			if err := c.setSlot(u, s, "", 0); err != nil {
-				return err
-			}
+	if c.slotInfoIn(u, s).Meeting == meetingID {
+		if err := c.setSlot(u, s, "", 0); err != nil {
+			return err
 		}
-		// The retraction of the meeting's link is the cancellation (§4.4):
-		// write the record the initiator writes, no message follows. A link
-		// the record has moved on from (ChangeMeetingSlot) cancels nothing.
-		if m, ok := c.meetingIn(u, meetingID); ok && m.Status != StatusCancelled && (m.LinkID == "" || m.LinkID == l.ID) {
-			m.Status = StatusCancelled
-			m.Reserved = nil
-			if err := c.putMeeting(u, m); err != nil {
-				return err
-			}
-		}
-		if freed {
-			// Wake tentative links queued at the freed slot that are
-			// not tracked by the waiting table (their blocker was
-			// unknown when they were queued — e.g. bump re-queues).
-			c.lm.TriggerEntityAfter(u, l.Owner.Entity, "avail", wire.Args{
-				"user": c.user, "day": s.Day, "hour": s.Hour,
-			})
-		}
-	case "promote":
-		if c.slotInfoIn(u, s).Meeting == "" {
-			prio := l.Priority
-			if m, ok := c.meetingIn(u, meetingID); ok {
-				prio = m.Priority
-			}
-			return c.setSlot(u, s, meetingID, prio)
-		}
+	}
+	// The retraction of the meeting's link is the cancellation (§4.4):
+	// write the record the initiator writes, no message follows. A link
+	// the record has moved on from (ChangeMeetingSlot) cancels nothing.
+	if m, ok := c.meetingIn(u, meetingID); ok && m.Status != StatusCancelled && (m.LinkID == "" || m.LinkID == l.ID) {
+		m.Status = StatusCancelled
+		m.Reserved = nil
+		return c.putMeeting(u, m)
 	}
 	return nil
 }
@@ -582,7 +558,7 @@ func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot
 		nl.Subtype = links.Tentative
 		nl.WaitingOn = blockerID
 		nl.Triggers = tentativeTriggers(bumpedMeeting, c.user)
-		if _, err := c.lm.RemoveLink(u, l.ID); err != nil {
+		if err := c.lm.RemoveLink(u, l.ID); err != nil {
 			return err
 		}
 		if err := c.lm.AddLink(u, &nl); err != nil {

@@ -44,16 +44,16 @@ func supervisorTriggers(meetingID, user string) []links.Trigger {
 	}}
 }
 
-// tentativeTriggers are the rules on a tentative back link queued at an
-// unavailable participant: when the link is promoted (blocking link
-// deleted) or the slot becomes available, tell the initiator (§5:
-// "whenever C becomes available ... informing A of C's availability").
+// tentativeTriggers is the rule on a tentative back link queued at an
+// unavailable participant: when the slot becomes available, reserve it
+// and tell the initiator so (§5: "whenever C becomes available ...
+// informing A of C's availability"). Naming both the action and the
+// method makes the link vote (links.Manager.Offer).
 func tentativeTriggers(meetingID, user string) []links.Trigger {
-	args := wire.Args{"meeting": meetingID, "user": user}
-	return []links.Trigger{
-		{Event: "promote", Service: ServicePrefix + "%s", Method: "SlotAvailable", Args: args},
-		{Event: "avail", Service: ServicePrefix + "%s", Method: "SlotAvailable", Args: args},
-	}
+	return []links.Trigger{{
+		Event: "avail", Action: ActionReserve, Service: ServicePrefix + "%s", Method: "SlotAvailable",
+		Args: wire.Args{"meeting": meetingID, "user": user},
+	}}
 }
 
 // FindCommonSlots implements the §5 slot search: ask every participant's
@@ -161,7 +161,7 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	sent := map[string]string{}
 	m.Missing = append(append([]string(nil), m.Must...), m.Supervisors...)
 	if len(m.Missing) > 0 {
-		m = c.reserve(ctx, m, links.Spec{
+		m, _ = c.reserve(ctx, m, links.Spec{
 			Args: args, Targets: slotRefs(m.Missing, m.Slot), Constraint: links.Or, K: 1,
 		}, req.Expires, sent)
 	}
@@ -170,7 +170,7 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	// meet its quorum reserves nobody (atomic k-of-n, §4.3).
 	for _, g := range m.OrGroups {
 		if members := excludeReserved(g.Members, m); len(members) > 0 {
-			m = c.reserve(ctx, m, links.Spec{
+			m, _ = c.reserve(ctx, m, links.Spec{
 				Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: g.K,
 			}, req.Expires, sent)
 		}
@@ -193,8 +193,9 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 // Mark and Commit are all a reserved participant is sent. sent notes the
 // record each acknowledged Commit carried. An in-doubt outcome is not a
 // rejection: the accepted targets did commit (only stragglers are still
-// being re-driven), so they count as reserved either way.
-func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) *Meeting {
+// being re-driven), so they count as reserved either way; any other
+// failure leaves the record as it was and is returned with it.
+func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) (*Meeting, error) {
 	var doc string
 	spec.Action = ActionReserve
 	spec.Decide = func(marked []links.EntityRef) wire.Args {
@@ -206,12 +207,12 @@ func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, exp
 	}
 	res, err := c.lm.Negotiate(ctx, spec)
 	if err != nil && !links.IsInDoubt(err) {
-		return m
+		return m, err
 	}
 	for _, ref := range res.Accepted {
 		sent[ref.User] = doc
 	}
-	return m.holding(res.Accepted)
+	return m.holding(res.Accepted), nil
 }
 
 // slotRefs maps users to their slot entity refs.
@@ -367,7 +368,7 @@ func (c *Calendar) cancelMeetingAs(ctx context.Context, m *Meeting, byUser strin
 	if m.Status == StatusCancelled {
 		return nil
 	}
-	if _, err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
+	if err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
 		return err
 	}
 	m.Status = StatusCancelled
@@ -386,47 +387,72 @@ func (c *Calendar) cancelMeetingAs(ctx context.Context, m *Meeting, byUser strin
 // (§5's "another round of negotiations"). Safe to call repeatedly; it
 // runs at the initiator.
 func (c *Calendar) TryConfirm(ctx context.Context, meetingID string) (*Meeting, error) {
+	return c.tryConfirm(ctx, meetingID, nil)
+}
+
+// tryConfirm is TryConfirm, asking every missing participant, or, with
+// a vote (a missing participant's slot came free and is locked for this
+// meeting already), reserving the voter and only the voter, without a
+// Mark: every other missing participant holds a tentative link of its
+// own and votes when its own slot frees. An error declines the vote.
+func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links.Vote) (*Meeting, error) {
 	defer c.lockMeeting(meetingID)()
-	m, ok := c.Meeting(meetingID)
-	if !ok {
+	var stored string
+	c.meetings.View(func(r store.Row) { stored = r["doc"].(string) }, meetingID)
+	m, err := decodeMeeting(stored)
+	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
 	if m.Status == StatusCancelled {
 		return m, &wire.RemoteError{Code: wire.CodeConflict, Msg: "calendar: meeting is cancelled"}
 	}
-	if m.Status == StatusConfirmed && m.satisfied() {
-		return m, nil
-	}
 	args := reserveArgs(m, false)
 	prev := m.Status
 	sent := map[string]string{}
 
-	// Missing musts/supervisors one by one (each independently useful
-	// even if others stay missing). Only an acknowledged commit counts:
-	// a plain failure or an in-doubt outcome whose ack never arrived
-	// leaves u missing (a later TryConfirm round retries; the
-	// participant side is idempotent, so a retried reserve that already
-	// landed acks). The Commit that reserves u also promotes its
-	// tentative back link.
-	for _, u := range append([]string(nil), m.Missing...) {
-		m = c.reserve(ctx, m, links.Spec{
-			Args: args, Targets: slotRefs([]string{u}, m.Slot), Constraint: links.And,
-		}, time.Time{}, sent)
-	}
-
-	// Or-group shortfalls.
-	for gi := range m.OrGroups {
-		short := m.quorumShortfall()[gi]
-		members := excludeReserved(m.OrGroups[gi].Members, m)
-		if short == 0 || len(members) < short {
-			continue
+	switch {
+	case vote != nil:
+		spec, err := m.voteSpec(vote, args)
+		if err == nil {
+			m, err = c.reserve(ctx, m, spec, time.Time{}, sent)
 		}
-		m = c.reserve(ctx, m, links.Spec{
-			Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: short,
-		}, time.Time{}, sent)
+		if err != nil {
+			return m, err
+		}
+	case m.Status == StatusConfirmed && m.satisfied():
+		return m, nil
+	default:
+		// Missing musts/supervisors one by one (each independently useful
+		// even if others stay missing). Only an acknowledged commit counts:
+		// a plain failure or an in-doubt outcome whose ack never arrived
+		// leaves u missing (a later TryConfirm round retries; the
+		// participant side is idempotent, so a retried reserve that already
+		// landed acks). The Commit that reserves u also promotes its
+		// tentative back link.
+		for _, u := range append([]string(nil), m.Missing...) {
+			m, _ = c.reserve(ctx, m, links.Spec{
+				Args: args, Targets: slotRefs([]string{u}, m.Slot), Constraint: links.And,
+			}, time.Time{}, sent)
+		}
+
+		// Or-group shortfalls.
+		for gi := range m.OrGroups {
+			short := m.quorumShortfall()[gi]
+			members := excludeReserved(m.OrGroups[gi].Members, m)
+			if short == 0 || len(members) < short {
+				continue
+			}
+			m, _ = c.reserve(ctx, m, links.Spec{
+				Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: short,
+			}, time.Time{}, sent)
+		}
 	}
 	m.Status = m.standing()
 
+	// A round that changed nothing has nothing to store and nobody to tell.
+	if encodeMeeting(m) == stored {
+		return m, nil
+	}
 	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
 		return m, err
 	}
@@ -436,6 +462,30 @@ func (c *Calendar) TryConfirm(ctx context.Context, meetingID string) (*Meeting, 
 			fmt.Sprintf("%s at %s is now confirmed.", m.Title, m.Slot))
 	}
 	return m, nil
+}
+
+// voteSpec is the negotiation a vote for m's slot gets: the voter alone
+// when it is a missing must or supervisor; as an or-group member, under
+// the group's shortfall, with the other unreserved members asked as well
+// when that wants more than one. A voter m holds already or has no use
+// for, or one that locked another slot than m's, is declined.
+func (m *Meeting) voteSpec(v *links.Vote, args wire.Args) (links.Spec, error) {
+	u, spec := v.Ref.User, links.Spec{Vote: v, Args: args, Constraint: links.And}
+	wanted := containsString(m.Missing, u)
+	for gi, short := range m.quorumShortfall() {
+		members := excludeReserved(m.OrGroups[gi].Members, m)
+		if wanted || short == 0 || len(members) < short || !containsString(members, u) {
+			continue
+		}
+		wanted, spec.Constraint, spec.K = true, links.Or, short
+		if short > 1 {
+			spec.Targets = slotRefs(removeString(members, u), m.Slot)
+		}
+	}
+	if !wanted || m.isReserved(u) || v.Ref.Entity != m.Slot.Entity() {
+		return spec, &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s has no use for %s at %s", m.ID, u, v.Ref.Entity)}
+	}
+	return spec, nil
 }
 
 // DropOut removes this user from a meeting they participate in: the
@@ -474,7 +524,7 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 	relArgs := wire.Args{"meeting": meetingID}
 	_ = c.applyAt(ctx, user, m.Slot.Entity(), ActionRelease, relArgs)
 	if user == c.user {
-		_, _ = c.lm.DeleteLinkLocal(ctx, m.LinkID)
+		_ = c.lm.DeleteLinkLocal(ctx, m.LinkID)
 	} else {
 		_ = c.eng.Invoke(ctx, links.ServiceFor(user), "DeleteLinkLocal", wire.Args{"id": m.LinkID}, nil)
 	}
@@ -566,7 +616,7 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 
 	// All agreed: tear down the old link graph (releasing old slots
 	// and promoting their waiters) and finish the new one.
-	if _, err := c.lm.DeleteLink(ctx, old.LinkID, nil); err != nil {
+	if err := c.lm.DeleteLink(ctx, old.LinkID, nil); err != nil {
 		return err
 	}
 	if err := c.linkAndPublish(ctx, m, time.Time{}, sentExactly(sent)); err != nil {

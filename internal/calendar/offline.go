@@ -188,7 +188,7 @@ func (c *Calendar) ReplayOp(ctx context.Context, op offline.Op) error {
 		// participant's slot, cancels its copy of the record and promotes
 		// waiting tentative meetings. DeleteLink is idempotent, so a
 		// duplicate drain is safe.
-		if _, err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
+		if err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
 			return err
 		}
 		_ = c.publish(ctx, m, c.reachedBy(m.LinkID))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -88,10 +89,17 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	})
 
 	// SlotAvailable: a tentative participant's slot freed up — try to
-	// confirm the meeting (fired by tentative back-link triggers).
+	// confirm the meeting. With a token it is the participant's vote: its
+	// slot is locked for the meeting under it, and an error declines it.
 	obj.Handle("SlotAvailable", func(ctx context.Context, call *listener.Call) (any, error) {
-		meetingID := call.Args.String("meeting")
-		m, err := c.TryConfirm(ctx, meetingID)
+		var vote *links.Vote
+		if token := call.Args.String("token"); token != "" {
+			vote = &links.Vote{
+				Ref:   links.EntityRef{User: call.Args.String("user"), Entity: call.Args.String("targetEntity")},
+				Token: token, NID: call.Args.String("nid"),
+			}
+		}
+		m, err := c.tryConfirm(ctx, call.Args.String("meeting"), vote)
 		if err != nil {
 			return nil, err
 		}

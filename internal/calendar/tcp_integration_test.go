@@ -250,6 +250,9 @@ func TestTCPDefaultWireCost(t *testing.T) {
 // 3-party schedule with one busy must is 2 Marks, 1 Commit and 1
 // MeetingUpdate — 8 frames, about 1610 B — where asking the busy device
 // for its links and sending it one to add made it 12 frames and 2500 B.
+// When the busy must's slot frees, its vote, the Commit and the record
+// pushed to the third party are 6 frames; the Mark the initiator used to
+// send the device that had just told it made them 8.
 func TestTCPTentativeWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -275,20 +278,40 @@ func TestTCPTentativeWireCost(t *testing.T) {
 		}
 		return m
 	}
+	confirm := func(m *calendar.Meeting) {
+		t.Helper()
+		if err := cals["andy"].ReleaseSlot(ctx, m.Slot); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := cals["phil"].Meeting(m.ID); got.Status != calendar.StatusConfirmed {
+			t.Fatalf("status after andy's release = %s", got.Status)
+		}
+	}
 	// As in TestTCPDefaultWireCost: two meetings warm every pooled connection.
 	for _, hour := range []int{9, 10} {
-		if err := cals["phil"].CancelMeeting(ctx, schedule(hour).ID); err != nil {
+		m := schedule(hour)
+		confirm(m)
+		if err := cals["phil"].CancelMeeting(ctx, m.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := stats.Snapshot()
-	schedule(11)
+	m := schedule(11)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
 	if frames != 8 || bytes > 1680 {
 		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= 1680 B", frames, bytes)
 	}
 	t.Logf("tentative schedule: %d frames, %d B", frames, bytes)
+
+	before = after
+	confirm(m)
+	after = stats.Snapshot()
+	frames, bytes = after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
+	if frames != 6 || bytes > 1320 {
+		t.Fatalf("confirm on warm default transports: %d frames, %d B; want 6 frames, <= 1320 B", frames, bytes)
+	}
+	t.Logf("confirm: %d frames, %d B", frames, bytes)
 }
 
 // TestTCPAuthenticatedService exercises the §5.4 auth path over real

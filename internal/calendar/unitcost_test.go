@@ -72,6 +72,16 @@ func (c *unitCensus) take(t *testing.T, step string, want map[string]string) {
 	c.units = map[string][]string{}
 }
 
+// lastOf returns the tables of the last unit user has logged.
+func (c *unitCensus) lastOf(user string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if u := c.units[user]; len(u) > 0 {
+		return u[len(u)-1]
+	}
+	return ""
+}
+
 // TestUnitCostSetupAndCancel: every protocol step is one commit unit.
 // A conflict-free schedule is four units at the initiator (own slot |
 // COMMIT decision | decision retired | forward link + record) and one at
@@ -122,6 +132,33 @@ func TestUnitCostScenarios(t *testing.T) {
 		// promoted, record, token). c: the record pushed because its copy went stale.
 		units.take(t, "confirm", map[string]string{"a": "3/3", "b": "2/5", "c": "1/1"})
 		wantState(t, "confirmed", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
+	})
+
+	t.Run("tentative behind a meeting, then its cancel", func(t *testing.T) {
+		w, units := newUnitWorld(t, "a", "b", "c", "x")
+		blocker, err := w.cals["x"].SetupMeeting(ctxBg(), calendar.Request{
+			Title: "offsite", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+			Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// b: the record and the tentative link waiting on the blocker's.
+		units.take(t, "setup", map[string]string{"a": "4/5", "b": "2/7", "c": "1/4", "x": "4/5"})
+		if err := w.cals["x"].CancelMeeting(ctxBg(), blocker.ID); err != nil {
+			t.Fatal(err)
+		}
+		// b: the blocker's link, slot and record go | the Commit of its vote is
+		// the whole promotion: token, slot, link row permanent, waiting row
+		// gone, record. a: decision | retired | record. c: the stale record.
+		if got := units.lastOf("b"); got != "SyD_NegotiationDecided+cal_slots+SyD_Link+SyD_WaitingLink+cal_meetings" {
+			t.Errorf("b's promotion was logged as %q", got)
+		}
+		units.take(t, "cancel", map[string]string{"a": "3/3", "b": "2/8", "c": "1/1", "x": "1/3"})
 	})
 
 	t.Run("or-group", func(t *testing.T) {

@@ -187,9 +187,10 @@ func TestWireCostFind(t *testing.T) {
 
 // TestWireCostTentative: an unreserved participant has no Commit to
 // ride, so it is pushed the record, and that one MeetingUpdate is all it
-// costs: it queues its tentative link itself. When its slot frees up, the
-// Commit that reserves it promotes that link and only the participant
-// whose record went stale is pushed one.
+// costs: it queues its tentative link itself. When its slot frees up it
+// locks it and says so (SlotAvailable is its vote), the initiator goes
+// straight to the Commit, which promotes that link, and only the
+// participant whose record went stale is pushed one.
 func TestWireCostTentative(t *testing.T) {
 	w, census := newCensusWorld(t, "a", "b", "c")
 	if err := w.cals["b"].MarkBusy(slot(day1, 10), "dentist", 0); err != nil {
@@ -207,15 +208,21 @@ func TestWireCostTentative(t *testing.T) {
 	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 1, "cal.MeetingUpdate": 1})
 	wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 
+	// A round of negotiations while b is still busy asks b, is refused and
+	// changes nothing: nothing is stored and nobody is sent the same record.
+	if got, err := w.cals["a"].TryConfirm(ctxBg(), m.ID); err != nil || got.Status != calendar.StatusTentative {
+		t.Fatalf("TryConfirm with b busy: %+v, %v", got, err)
+	}
+	census.take(t, "try while busy", map[string]int{"links.Mark": 1})
+	wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
+
 	if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := w.cals["a"].Meeting(m.ID); got.Status != calendar.StatusConfirmed {
 		t.Fatalf("status after release = %s", got.Status)
 	}
-	census.take(t, "confirm", map[string]int{
-		"cal.SlotAvailable": 1, "links.Mark": 1, "links.Commit": 1, "cal.MeetingUpdate": 1,
-	})
+	census.take(t, "confirm", map[string]int{"cal.SlotAvailable": 1, "links.Commit": 1, "cal.MeetingUpdate": 1})
 	wantState(t, "confirmed", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 }
 
@@ -259,7 +266,7 @@ func TestWireCostTentativeBehindMeeting(t *testing.T) {
 		t.Fatalf("status after the blocker's cancel = %s", got.Status)
 	}
 	census.take(t, "cancel", map[string]int{
-		"links.DeleteLink": 1, "cal.SlotAvailable": 1, "links.Mark": 1, "links.Commit": 1, "cal.MeetingUpdate": 1,
+		"links.DeleteLink": 1, "cal.SlotAvailable": 1, "links.Commit": 1, "cal.MeetingUpdate": 1,
 	})
 	if l, ok := w.nodes["b"].Links.GetLink(m.LinkID); !ok || l.Subtype != links.Permanent || waiting.Count() != 0 {
 		t.Fatalf("b after the cancel: link %+v, %d waiting rows; want it permanent and none", l, waiting.Count())

@@ -243,7 +243,7 @@ func RunT2() (*Result, error) {
 		addRate := float64(ops) / time.Since(start).Seconds()
 		start = time.Now()
 		for i := 0; i < ops; i++ {
-			if _, err := lm.DeleteLinkLocal(ctx, fmt.Sprintf("T2b-%d", i)); err != nil {
+			if err := lm.DeleteLinkLocal(ctx, fmt.Sprintf("T2b-%d", i)); err != nil {
 				return nil, err
 			}
 		}

@@ -540,12 +540,8 @@ func TestWaitingLinkPromotionOnDelete(t *testing.T) {
 		return nil
 	})
 
-	promoted, err := lm.DeleteLink(ctxBg(), "L0", nil)
-	if err != nil {
+	if err := lm.DeleteLink(ctxBg(), "L0", nil); err != nil {
 		t.Fatal(err)
-	}
-	if len(promoted) != 1 || promoted[0].Link.ID != "L1" {
-		t.Fatalf("promoted = %+v", promoted)
 	}
 	got, ok := lm.GetLink("L1")
 	if !ok || got.Subtype != links.Permanent || got.WaitingOn != "" {
@@ -587,13 +583,12 @@ func TestPromotionPicksHighestPriorityGroup(t *testing.T) {
 	mk("W-high-1", 5, "meetHigh")
 	mk("W-high-2", 5, "meetHigh")
 
-	promoted, err := lm.DeleteLink(ctxBg(), "L0", nil)
-	if err != nil {
+	if err := lm.DeleteLink(ctxBg(), "L0", nil); err != nil {
 		t.Fatal(err)
 	}
 	ids := map[string]bool{}
-	for _, p := range promoted {
-		ids[p.Link.ID] = true
+	for _, l := range lm.AllLinks() {
+		ids[l.ID] = l.Subtype == links.Permanent
 	}
 	if !ids["W-high-1"] || !ids["W-high-2"] || ids["W-low"] {
 		t.Fatalf("promoted = %v", ids)
@@ -626,7 +621,7 @@ func TestDeleteCascadesAcrossUsers(t *testing.T) {
 			t.Fatalf("link missing at %s", u)
 		}
 	}
-	if _, err := h.nodes["a"].Links.DeleteLink(ctxBg(), "LX", nil); err != nil {
+	if err := h.nodes["a"].Links.DeleteLink(ctxBg(), "LX", nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range []string{"a", "b", "c"} {
@@ -762,7 +757,7 @@ func TestTriggerMethodInvocation(t *testing.T) {
 	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lm.DeleteLink(ctxBg(), "L1", nil); err != nil {
+	if err := lm.DeleteLink(ctxBg(), "L1", nil); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

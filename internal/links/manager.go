@@ -37,11 +37,10 @@ type Action struct {
 }
 
 // EventHook observes link lifecycle events ("promote", "delete",
-// "expire") so the application can react (the calendar converts
-// tentative meetings when it sees a promote). It reads and writes
-// through u, the unit that changes the link row, so the row and what
-// follows from it are one record on the device's log; an error fails
-// the step.
+// "expire") so the application can react (the calendar frees the slot a
+// deleted link held). It reads and writes through u, the unit that
+// changes the link row, so the row and what follows from it are one
+// record on the device's log; an error fails the step.
 type EventHook func(u *store.Tx, kind string, l *Link, args wire.Args) error
 
 // Manager is a node's SyDLinks module (paper §3.1e): it "enables an
@@ -56,6 +55,7 @@ type Manager struct {
 	Locks *LockTable
 
 	linksT   *store.Table
+	waitingT *store.Table
 	methodsT *store.Table
 	pendingT *store.Table
 	journalT *store.Table
@@ -97,7 +97,7 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 	if clk == nil {
 		clk = clock.System
 	}
-	lt, mt, pt, jt, dt, err := createLinkDB(db)
+	lt, wt, mt, pt, jt, dt, err := createLinkDB(db)
 	if err != nil {
 		return nil, err
 	}
@@ -108,6 +108,7 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 		clk:      clk,
 		Locks:    NewLockTable(clk, 0),
 		linksT:   lt,
+		waitingT: wt,
 		methodsT: mt,
 		pendingT: pt,
 		journalT: jt,
@@ -313,6 +314,9 @@ func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 			"priority": int64(l.Priority), "grp": l.Group,
 		})
 	}
+	if l.Subtype == Permanent && m.waitingT.Count() > 0 {
+		return m.repoint(u, l)
+	}
 	return nil
 }
 
@@ -376,13 +380,9 @@ func (m *Manager) AllLinks() []*Link { return decodeLinks(m.linksT.Select(nil)) 
 
 // --- §4.2 op 3: tentative → permanent promotion -----------------------------
 
-// Promoted describes one promotion performed during a delete.
-type Promoted struct {
-	Link *Link
-}
-
 // promote turns the tentative link l permanent, row in u and value
-// alike, and runs the application hook on the result.
+// alike, runs the application hook on the result and makes it the link
+// the entity's other waiters wait on.
 func (m *Manager) promote(u *store.Tx, l *Link) error {
 	if err := u.Update(LinkTable, store.Row{"subtype": string(Permanent), "waiting_on": ""}, l.ID); err != nil {
 		return err
@@ -391,18 +391,51 @@ func (m *Manager) promote(u *store.Tx, l *Link) error {
 		return err
 	}
 	l.Subtype, l.WaitingOn = Permanent, ""
-	return m.fireHook(u, "promote", l, nil)
+	if err := m.fireHook(u, "promote", l, nil); err != nil {
+		return err
+	}
+	return m.repoint(u, l)
 }
 
-// promoteWaiters converts the highest-priority waiting group blocked
-// on blockerID from tentative to permanent in u and queues their
-// "promote" triggers behind the unit's commit. Remaining waiters are
-// re-pointed at the first promoted link (the entity is now held by the
-// promoted party — a design decision documented in DESIGN.md).
-func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) ([]Promoted, error) {
+// repoint makes l, whose row has just turned permanent in u, the link
+// the waiters on its entity wait on: a waiter never waits on a link that
+// is gone or is itself tentative (a deleted blocker, a bumped link
+// re-queued under its own id), so every tentative link there that names
+// one names l from here on. One queued without a blocker stays as it is.
+func (m *Manager) repoint(u *store.Tx, l *Link) error {
+	for _, r := range u.SelectEq(LinkTable, "owner_entity", l.Owner.Entity) {
+		id, on := r["id"].(string), r["waiting_on"].(string)
+		if on == "" || id == l.ID {
+			continue
+		}
+		held := false
+		u.View(LinkTable, func(b store.Row) { held = b["subtype"] == string(Permanent) }, on)
+		if held {
+			continue
+		}
+		if err := u.Update(LinkTable, store.Row{"waiting_on": l.ID}, id); err != nil {
+			return err
+		}
+		if err := u.Update(WaitingLinkTable, store.Row{"waiting_on": l.ID}, id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// promoteWaiters converts the highest-priority waiting group blocked on
+// the deleted blockerID from tentative to permanent in u and queues
+// their "promote" triggers behind the unit's commit; the rest wait on
+// the first of them from then on. A winner that votes (voteTrigger) is
+// left as it is: the offer that follows the deletion marks the entity
+// for it, and the Commit of that vote turns its row permanent.
+func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
+	if m.waitingT.Count() == 0 {
+		return nil
+	}
 	rows := u.SelectEq(WaitingLinkTable, "waiting_on", blockerID)
 	if len(rows) == 0 {
-		return nil, nil
+		return nil
 	}
 	// Highest priority wins; its whole group converts together.
 	best := rows[0]
@@ -412,45 +445,23 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) ([]Promoted, err
 		}
 	}
 	bestGroup := best["grp"].(string)
-
-	var winners, losers []string
 	for _, r := range rows {
-		sameGroup := bestGroup != "" && r["grp"].(string) == bestGroup
-		if r["id"] == best["id"] || sameGroup {
-			winners = append(winners, r["id"].(string))
-		} else {
-			losers = append(losers, r["id"].(string))
+		if r["id"] != best["id"] && (bestGroup == "" || r["grp"] != bestGroup) {
+			continue
 		}
-	}
-	sort.Strings(winners)
-
-	var promoted []Promoted
-	for _, id := range winners {
-		l, ok := m.getLink(u, id)
+		l, ok := m.getLink(u, r["id"].(string))
 		if !ok {
 			continue // a waiting entry whose link row is gone
 		}
+		if _, votes := l.voteTrigger(); votes {
+			continue
+		}
 		if err := m.promote(u, l); err != nil {
-			return nil, err
+			return err
 		}
 		u.AfterCommit(func(ctx context.Context) { m.fireTriggers(ctx, l, "promote", nil) })
-		promoted = append(promoted, Promoted{Link: l})
 	}
-	// Losers now wait on the winner instead of the deleted blocker.
-	if len(promoted) > 0 {
-		next := store.Row{"waiting_on": promoted[0].Link.ID}
-		for _, id := range losers {
-			if err := u.Update(WaitingLinkTable, next, id); err != nil {
-				return nil, err
-			}
-			if u.Has(LinkTable, id) {
-				if err := u.Update(LinkTable, next, id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return promoted, nil
+	return nil
 }
 
 // PromoteLink converts a local tentative link to permanent, in the
@@ -472,67 +483,68 @@ func (m *Manager) PromoteLink(u *store.Tx, id string) error {
 // --- §4.2 op 4 / §4.4: cascading deletion ------------------------------------
 
 // DeleteLink implements SyD_deleteLink() (§4.2 op 4, §4.4): delete the
-// local row and update the application state, promote the
-// highest-priority waiting group, and cascade the deletion to every
-// other participating user. visited carries the users already
-// processed to terminate the cascade on cyclic link graphs.
-//
-// What the deletion itself changes on this device — the link row and
-// what the application hook releases — is one commit unit, and the
-// triggers it fires are sent once that is logged. Promoting the waiters
-// (§4.4 steps 1-2) is the step after it, not part of it: an "avail"
-// trigger of the first step may start a renegotiation that comes back
-// to this device and promotes the waiting link itself, and then there
-// is nothing left to promote, and no second announcement to make.
+// local row and update the application state, hand what the link held
+// to the best of its waiters, and cascade the deletion to every other
+// participating user. visited carries the users already processed to
+// terminate the cascade on cyclic link graphs.
 //
 // Note on ordering: the paper lists "convert waiting links" before
 // "delete the local link / update the calendar database". We release
-// the application state (delete triggers + hook) *before* promoting,
-// because a promoted link's triggers immediately try to take over the
-// resource the deleted link held (the §5 scenario: a cancelled
-// meeting's slot is grabbed by the highest-priority tentative
-// meeting); promoting first would find the slot still occupied.
-func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) ([]Promoted, error) {
+// the application state (delete triggers + hook) first, in the same
+// unit, because a waiter takes over the resource the deleted link held
+// (the §5 scenario: a cancelled meeting's slot is grabbed by the
+// highest-priority tentative meeting) and must find it free.
+func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) error {
 	if contains(visited, m.self) {
-		return nil, nil
+		return nil
 	}
 	return m.deleteSteps(ctx, id, append(visited, m.self), true, "")
 }
 
 // deleteSteps runs one deletion on this device: the unit that removes
-// the link, the unit that promotes its waiters, then, if cascade is
-// set, the cascade to the participants not in visited. hook, if set, is
-// a lifecycle event the application hears about the link before its row
+// the link and converts the waiters that convert at once, the offer of
+// what it freed to the ones that vote, then, if cascade is set, the
+// cascade to the participants not in visited. hook, if set, is a
+// lifecycle event the application hears about the link before its row
 // goes ("expire").
-func (m *Manager) deleteSteps(ctx context.Context, id string, visited []string, cascade bool, hook string) ([]Promoted, error) {
+func (m *Manager) deleteSteps(ctx context.Context, id string, visited []string, cascade bool, hook string) error {
+	// With someone queued on the entity, take its lock before the unit
+	// that frees it, if it can be had: no newcomer's Mark comes between
+	// "freed" and "offered". A negotiation that holds it offers on release.
+	var entity, tok string
+	m.linksT.View(func(r store.Row) { entity = r["owner_entity"].(string) }, id)
+	if entity != "" && m.queuedOn(entity, id) {
+		tok, _ = m.Locks.TryLock(lockKey(entity), m.self)
+	}
 	var l *Link
 	err := m.db.Unit(ctx, func(u *store.Tx) error {
 		var ok bool
-		if l, ok = m.getLink(u, id); !ok {
-			// No local row, but local waiters may still reference the
-			// id (the blocker lived elsewhere).
-			return nil
-		}
-		if hook != "" {
-			if err := m.fireHook(u, hook, l, nil); err != nil {
+		if l, ok = m.getLink(u, id); ok {
+			if hook != "" {
+				if err := m.fireHook(u, hook, l, nil); err != nil {
+					return err
+				}
+			}
+			if err := m.removeLink(u, l); err != nil {
 				return err
 			}
 		}
-		return m.removeLink(u, l)
+		// Without a local row local waiters may still reference the id
+		// (the blocker lived elsewhere).
+		return m.promoteWaiters(u, id)
 	})
 	if err != nil {
-		return nil, err
-	}
-	var promoted []Promoted
-	err = m.db.Unit(ctx, func(u *store.Tx) error {
-		promoted, err = m.promoteWaiters(u, id)
+		m.Locks.Unlock(lockKey(entity), tok)
 		return err
-	})
-	if err != nil || l == nil || !cascade {
-		return promoted, err
+	}
+	if entity != "" {
+		m.offer(ctx, entity, tok, "")
+	}
+	if l == nil || !cascade {
+		return nil
 	}
 	// §4.4 steps 4/6-7: cascade to the other participants via SyDEngine.
-	return promoted, m.cascadeDelete(ctx, l, visited)
+	return m.cascadeDelete(ctx, l, visited)
 }
 
 // removeLink deletes l's local row (and any waiting entry) in u, queues
@@ -554,16 +566,16 @@ func (m *Manager) removeLink(u *store.Tx, l *Link) error {
 
 // RemoveLink takes this node's row of link id out inside another step's
 // unit u — the Commit that bumps a meeting off its slot re-queues the
-// meeting's link this way. The row goes, the hook runs and the link's
-// waiters are promoted in u; no trigger of this removal announces
-// availability, so nothing can come between the two halves.
-func (m *Manager) RemoveLink(u *store.Tx, id string) ([]Promoted, error) {
+// meeting's link this way. The row goes and the hook runs; the entity
+// passes to that step, which holds its lock, so nobody is offered it and
+// the link's voting waiters wait on the link the step installs (AddLink).
+func (m *Manager) RemoveLink(u *store.Tx, id string) error {
 	l, ok := m.getLink(u, id)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	if err := m.removeLink(u, l); err != nil {
-		return nil, err
+		return err
 	}
 	return m.promoteWaiters(u, id)
 }
@@ -641,14 +653,13 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 	return done
 }
 
-// DeleteLinkLocal removes only this node's row of a link — promotion
-// of local waiters and local "delete" triggers still run, but the
-// deletion does not cascade to other participants. Used when a single
-// participant leaves a link (dropout, bump re-queue) while the logical
-// link lives on elsewhere.
-func (m *Manager) DeleteLinkLocal(ctx context.Context, id string) ([]Promoted, error) {
+// DeleteLinkLocal removes only this node's row of a link — the offer to
+// local waiters and local "delete" triggers still run, but the deletion
+// does not cascade to other participants. Used when a single participant
+// leaves a link (dropout) while the logical link lives on elsewhere.
+func (m *Manager) DeleteLinkLocal(ctx context.Context, id string) error {
 	if !m.linksT.Has(id) {
-		return nil, nil
+		return nil
 	}
 	return m.deleteSteps(ctx, id, nil, false, "")
 }
@@ -692,7 +703,7 @@ func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
 		// Best effort: a participant the cascade could not reach is
 		// tombstoned, and a link that failed to go is found again by
 		// the next sweep.
-		_, _ = m.deleteSteps(ctx, id, []string{m.self}, true, "expire")
+		_ = m.deleteSteps(ctx, id, []string{m.self}, true, "expire")
 		expired = append(expired, id)
 	}
 	sort.Strings(expired)
@@ -771,49 +782,9 @@ type TriggerResult struct {
 // highest-priority one fires (§5: "if the tentative link back to A is
 // of highest priority, it will get triggered").
 func (m *Manager) TriggerEntity(ctx context.Context, entity, event string, args wire.Args) ([]TriggerResult, error) {
-	return m.fireAll(ctx, triggered(m.LinksOn(entity), event), entity, event, args)
-}
-
-// TriggerEntityAfter is TriggerEntity for a change made inside the
-// step's unit u: the links are chosen as u sees them now and fire once
-// u has committed. Nothing waits for the outcome, so it suits
-// announcements ("avail"), not changes a negotiation link may veto.
-func (m *Manager) TriggerEntityAfter(u *store.Tx, entity, event string, args wire.Args) {
-	toFire := triggered(m.LinksOnIn(u, entity), event)
-	if len(toFire) > 0 {
-		u.AfterCommit(func(ctx context.Context) { _, _ = m.fireAll(ctx, toFire, entity, event, args) })
-	}
-}
-
-// triggered picks, from the links on an entity, the ones event fires:
-// every permanent link with a matching trigger and the highest-priority
-// tentative one.
-func triggered(linksOn []*Link, event string) []*Link {
-	var toFire []*Link
-	var bestTentative *Link
-	for _, l := range linksOn {
-		if len(l.TriggersFor(event)) == 0 {
-			continue
-		}
-		if l.Subtype == Tentative {
-			if bestTentative == nil || l.Priority > bestTentative.Priority {
-				bestTentative = l
-			}
-			continue
-		}
-		toFire = append(toFire, l)
-	}
-	if bestTentative != nil {
-		toFire = append(toFire, bestTentative)
-	}
-	return toFire
-}
-
-// fireAll fires event on each of toFire and sorts vetoes from doubts.
-func (m *Manager) fireAll(ctx context.Context, toFire []*Link, entity, event string, args wire.Args) ([]TriggerResult, error) {
 	var results []TriggerResult
 	var veto, inDoubt error
-	for _, l := range toFire {
+	for _, l := range triggered(m.LinksOn(entity), event) {
 		res := m.fireTriggers(ctx, l, event, args)
 		results = append(results, res...)
 		if l.Type == Negotiation {
@@ -841,13 +812,28 @@ func (m *Manager) fireAll(ctx context.Context, toFire []*Link, entity, event str
 	return results, inDoubt
 }
 
-// TriggerLink fires a specific link's triggers for event.
-func (m *Manager) TriggerLink(ctx context.Context, id, event string, args wire.Args) ([]TriggerResult, error) {
-	l, ok := m.GetLink(id)
-	if !ok {
-		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("links: no link %q on %s", id, m.self)}
+// triggered picks, from the links on an entity, the ones event fires:
+// every permanent link with a matching trigger and the highest-priority
+// tentative one.
+func triggered(linksOn []*Link, event string) []*Link {
+	var toFire []*Link
+	var bestTentative *Link
+	for _, l := range linksOn {
+		if len(l.TriggersFor(event)) == 0 {
+			continue
+		}
+		if l.Subtype == Tentative {
+			if bestTentative == nil || l.Priority > bestTentative.Priority {
+				bestTentative = l
+			}
+			continue
+		}
+		toFire = append(toFire, l)
 	}
-	return m.fireTriggers(ctx, l, event, args), nil
+	if bestTentative != nil {
+		toFire = append(toFire, bestTentative)
+	}
+	return toFire
 }
 
 // fireTriggers executes every trigger of l matching event.
@@ -861,6 +847,14 @@ func (m *Manager) fireTriggers(ctx context.Context, l *Link, event string, args 
 			span.Annotate(trace.String("link", l.ID), trace.String("event", event), trace.String("type", string(l.Type)))
 		}
 		switch {
+		case t.Method != "":
+			// A voter's trigger fired from here is the plain announcement:
+			// only the offer of a freed entity marks it first (offer).
+			for _, tgt := range l.Targets {
+				if err := m.invokeTrigger(tctx, l, t, tgt, merged.Clone()); err != nil && res.Err == nil {
+					res.Err = err
+				}
+			}
 		case t.Action != "" && l.Type == Negotiation:
 			r, err := m.Negotiate(tctx, Spec{
 				Action:     t.Action,
@@ -879,24 +873,6 @@ func (m *Manager) fireTriggers(ctx context.Context, l *Link, event string, args 
 					res.Err = err
 				}
 			}
-		case t.Method != "":
-			for _, tgt := range l.Targets {
-				svc := t.Service
-				if svc == "" {
-					svc = "cal.%s"
-				}
-				if containsPercent(svc) {
-					svc = fmt.Sprintf(svc, tgt.User)
-				}
-				callArgs := merged.Clone()
-				callArgs["link"] = l.ID
-				callArgs["source"] = m.self
-				callArgs["targetEntity"] = tgt.Entity
-				err := m.eng.Invoke(tctx, svc, t.Method, callArgs, nil)
-				if err != nil && res.Err == nil {
-					res.Err = err
-				}
-			}
 		default:
 			res.Err = fmt.Errorf("links: trigger on %s has neither action nor method", l.ID)
 		}
@@ -904,6 +880,22 @@ func (m *Manager) fireTriggers(ctx context.Context, l *Link, event string, args 
 		out = append(out, res)
 	}
 	return out
+}
+
+// invokeTrigger calls trigger t's method at tgt, one of l's targets,
+// with args, which it takes over, plus who is calling about what.
+func (m *Manager) invokeTrigger(ctx context.Context, l *Link, t Trigger, tgt EntityRef, callArgs wire.Args) error {
+	svc := t.Service
+	if svc == "" {
+		svc = "cal.%s"
+	}
+	if containsPercent(svc) {
+		svc = fmt.Sprintf(svc, tgt.User)
+	}
+	callArgs["link"] = l.ID
+	callArgs["source"] = m.self
+	callArgs["targetEntity"] = tgt.Entity
+	return m.eng.Invoke(ctx, svc, t.Method, callArgs, nil)
 }
 
 func containsPercent(s string) bool {

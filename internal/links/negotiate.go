@@ -35,6 +35,20 @@ type Spec struct {
 
 	// Local, if set, is the activator's own change.
 	Local *LocalChange
+
+	// Vote, if set, is one more target, which marked itself before it was
+	// asked (see Manager.offer): no Mark is sent to it, the negotiation runs
+	// under the id the voter minted, where its QueryOutcome will look, and
+	// an abort sends it nothing: it lets go on the answer its vote gets.
+	Vote *Vote
+}
+
+// Vote is an entity locked for a negotiation nobody has started yet: the
+// mark's token and the negotiation id its holder will ask Outcome about.
+type Vote struct {
+	Ref   EntityRef
+	Token string
+	NID   string
 }
 
 // LocalChange is the activating entity's own mark/change.
@@ -125,11 +139,13 @@ func errConstraint(c Constraint, k, locked, n int) error {
 	}
 }
 
-// markResult is a phase-1 outcome for one target.
+// markResult is a phase-1 outcome for one target. voted marks the one
+// that came as a Vote.
 type markResult struct {
 	ref   EntityRef
 	token string
 	err   error
+	voted bool
 }
 
 // Negotiate runs the two-phase mark-and-lock protocol of §4.3.
@@ -160,7 +176,12 @@ func (m *Manager) Negotiate(ctx context.Context, spec Spec) (*Result, error) {
 }
 
 func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*Result, error) {
-	res := &Result{NID: NewNegotiationID(), State: StateAborted}
+	res := &Result{State: StateAborted}
+	if spec.Vote != nil {
+		res.NID = spec.Vote.NID
+	} else {
+		res.NID = NewNegotiationID()
+	}
 	// Register the negotiation as in flight before the first Mark goes
 	// out: a participant fault sweep that asks about it while no
 	// journal row exists yet must hear "unknown", not a presumed abort
@@ -202,6 +223,12 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	} else {
 		marks = m.markParallel(ctx, res.NID, targets, spec.Action, spec.Args, res)
 	}
+	n := len(targets)
+	if v := spec.Vote; v != nil {
+		marks = append(marks, markResult{ref: v.Ref, token: v.Token, voted: true})
+		res.appendMark(v.Ref, nil)
+		n++
+	}
 
 	marked := make([]journalTarget, 0, len(marks))
 	for _, mr := range marks {
@@ -216,7 +243,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	satisfied := false
 	switch spec.Constraint {
 	case And:
-		satisfied = locked == len(targets)
+		satisfied = locked == n
 	case Or:
 		satisfied = locked >= k
 	case Xor:
@@ -224,7 +251,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	}
 	res.Trace = append(res.Trace, Step{
 		Phase: "constraint", OK: satisfied,
-		Detail: fmt.Sprintf("%s k=%d locked=%d n=%d", spec.Constraint, k, locked, len(targets)),
+		Detail: fmt.Sprintf("%s k=%d locked=%d n=%d", spec.Constraint, k, locked, n),
 	})
 
 	if !satisfied {
@@ -235,7 +262,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			}
 		}
 		m.count("outcome", wire.CodeConflict)
-		return res, errConstraint(spec.Constraint, k, locked, len(targets))
+		return res, errConstraint(spec.Constraint, k, locked, n)
 	}
 
 	commitArgs := spec.Args
@@ -436,12 +463,12 @@ func (m *Manager) commitTargets(ctx context.Context, nid string, tgts []journalT
 	return errs
 }
 
-// abortMarked releases every successfully marked target. Errors are
-// ignored: an unreachable participant resolves the doubt itself via
-// the pending-mark sweep.
+// abortMarked releases every successfully marked target but a voter,
+// which lets go itself. Errors are ignored: an unreachable participant
+// resolves the doubt itself via the pending-mark sweep.
 func (m *Manager) abortMarked(ctx context.Context, nid string, marks []markResult) {
 	for _, mr := range marks {
-		if mr.err == nil {
+		if mr.err == nil && !mr.voted {
 			m.abortTarget(ctx, nid, mr.ref, mr.token)
 		}
 	}
@@ -588,14 +615,7 @@ func (m *Manager) CheckAvailable(ctx context.Context, ref EntityRef, action stri
 
 func (m *Manager) checkAvailableInner(ctx context.Context, ref EntityRef, action string, args wire.Args) error {
 	if ref.User == m.self {
-		a, err := m.action(action)
-		if err != nil {
-			return err
-		}
-		if a.Check != nil {
-			return a.Check(ref.Entity, args)
-		}
-		return nil
+		return m.check(ref.Entity, action, args)
 	}
 	return m.eng.Invoke(ctx, ServiceFor(ref.User), "IsAvailable", wire.Args{
 		"entity": ref.Entity, "action": action, "args": map[string]any(args),

@@ -273,6 +273,14 @@ func (m *Manager) ResolvePendingMarks(ctx context.Context, now time.Time) int {
 	return resolved
 }
 
+// letGo resolves the pending mark p to abort: lock released, token
+// decided, and the entity offered to whoever is queued on it.
+func (m *Manager) letGo(ctx context.Context, p *pendingMark) {
+	m.Locks.Unlock(lockKey(p.Entity), p.Token)
+	m.noteAborted(ctx, p.Token, p.NID)
+	m.offer(ctx, p.Entity, "", p.Coordinator)
+}
+
 // resolveMark drives one in-doubt mark through the resolution protocol,
 // reporting whether it reached a decision. A "links.Resolve" span joins
 // the negotiation's trace (always retained — resolution only runs when
@@ -297,8 +305,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 	outcome, args, err := m.queryOutcome(ctx, p.Coordinator, p.NID, p.Token)
 	if err != nil {
 		if now.Sub(p.Created) > tun.PresumeAbortAfter {
-			m.Locks.Unlock(lockKey(p.Entity), p.Token)
-			m.noteAborted(ctx, p.Token, p.NID)
+			m.letGo(ctx, p)
 			m.count("presume-abort", wire.CodeUnavailable)
 			span.Annotate(trace.String("outcome", "presume-abort"))
 			return true
@@ -313,8 +320,11 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		// Decision was COMMIT: apply, under the still-held lock, what
 		// the coordinator journaled with it.
 		// A change that fails decides the token aborted (applyDecided).
-		_ = m.applyDecided(ctx, p.Entity, p.Token, p.NID, p.Action, args)
+		err := m.applyDecided(ctx, p.Entity, p.Token, p.NID, p.Action, args)
 		m.Locks.Unlock(lockKey(p.Entity), p.Token)
+		if err != nil {
+			m.offer(ctx, p.Entity, "", p.Coordinator)
+		}
 		m.count("resolve", wire.CodeOK)
 		span.Annotate(trace.String("outcome", OutcomeCommit))
 	case OutcomeUnknown:
@@ -326,8 +336,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		// wedged coordinator cannot pin the entity forever — it
 		// comfortably exceeds any live negotiation's duration.
 		if now.Sub(p.Created) > tun.PresumeAbortAfter {
-			m.Locks.Unlock(lockKey(p.Entity), p.Token)
-			m.noteAborted(ctx, p.Token, p.NID)
+			m.letGo(ctx, p)
 			m.count("presume-abort", wire.CodeConflict)
 			span.Annotate(trace.String("outcome", "presume-abort"))
 			return true
@@ -335,8 +344,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		span.Annotate(trace.String("outcome", "pinned"))
 		return false
 	default:
-		m.Locks.Unlock(lockKey(p.Entity), p.Token)
-		m.noteAborted(ctx, p.Token, p.NID)
+		m.letGo(ctx, p)
 		m.count("resolve", wire.CodeConflict)
 		span.Annotate(trace.String("outcome", OutcomeAbort))
 	}

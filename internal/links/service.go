@@ -34,6 +34,10 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		err := m.applyDecided(ctx, entity, token, nid, action, args)
 		m.Locks.Unlock(lockKey(entity), token)
 		trace.EventCtx(ctx, "links.decided", trace.String("kind", "commit"), trace.Bool("ok", err == nil))
+		if err != nil {
+			// The entity is as it was: whoever is queued on it is next.
+			m.offer(ctx, entity, "", caller)
+		}
 		return err
 	}
 	if holder, live := m.Locks.Holder(lockKey(entity)); live && holder != token {
@@ -155,10 +159,13 @@ func (m *Manager) Object() *listener.Object {
 	obj.Handle("Abort", func(ctx context.Context, call *listener.Call) (any, error) {
 		entity := call.Args.String("entity")
 		token := call.Args.String("token")
-		m.Locks.Unlock(lockKey(entity), token)
+		released := m.Locks.Unlock(lockKey(entity), token)
 		if token != "" {
 			m.noteAborted(ctx, token, call.Args.String("nid"))
 			trace.EventCtx(ctx, "links.decided", trace.String("kind", "abort"))
+		}
+		if released {
+			m.offer(ctx, entity, "", call.Caller)
 		}
 		return true, nil
 	})
@@ -189,16 +196,8 @@ func (m *Manager) Object() *listener.Object {
 	// IsAvailable: condition check only (§4.2 op 2 availability
 	// negotiation).
 	obj.Handle("IsAvailable", func(ctx context.Context, call *listener.Call) (any, error) {
-		entity := call.Args.String("entity")
-		action := call.Args.String("action")
-		a, err := m.action(action)
-		if err != nil {
+		if err := m.check(call.Args.String("entity"), call.Args.String("action"), argsOf(call)); err != nil {
 			return nil, err
-		}
-		if a.Check != nil {
-			if err := a.Check(entity, argsOf(call)); err != nil {
-				return nil, err
-			}
 		}
 		return true, nil
 	})
@@ -218,31 +217,12 @@ func (m *Manager) Object() *listener.Object {
 
 	// DeleteLink: the cascading §4.4 deletion.
 	obj.Handle("DeleteLink", func(ctx context.Context, call *listener.Call) (any, error) {
-		return promotedReply(m.DeleteLink(ctx, call.Args.String("id"), call.Args.Strings("visited")))
+		return true, m.DeleteLink(ctx, call.Args.String("id"), call.Args.Strings("visited"))
 	})
 
-	// DeleteLinkLocal: remove only this node's row (dropout, bump).
+	// DeleteLinkLocal: remove only this node's row (dropout).
 	obj.Handle("DeleteLinkLocal", func(ctx context.Context, call *listener.Call) (any, error) {
-		return promotedReply(m.DeleteLinkLocal(ctx, call.Args.String("id")))
-	})
-
-	// TriggerLink: fire a specific link's triggers remotely.
-	obj.Handle("TriggerLink", func(ctx context.Context, call *listener.Call) (any, error) {
-		results, err := m.TriggerLink(ctx, call.Args.String("id"), call.Args.String("event"), argsOf(call))
-		if err != nil {
-			return nil, err
-		}
-		ok := true
-		var firstErr string
-		for _, r := range results {
-			if r.Err != nil {
-				ok = false
-				if firstErr == "" {
-					firstErr = r.Err.Error()
-				}
-			}
-		}
-		return map[string]any{"ok": ok, "error": firstErr, "fired": len(results)}, nil
+		return true, m.DeleteLinkLocal(ctx, call.Args.String("id"))
 	})
 
 	// GetLink / LinksOn: remote inspection.
@@ -258,16 +238,4 @@ func (m *Manager) Object() *listener.Object {
 	})
 
 	return obj
-}
-
-// promotedReply is what a deletion answers: the ids of the links it promoted.
-func promotedReply(promoted []Promoted, err error) (any, error) {
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, len(promoted))
-	for _, p := range promoted {
-		ids = append(ids, p.Link.ID)
-	}
-	return map[string]any{"promoted": ids}, nil
 }

@@ -35,9 +35,9 @@ const (
 // maintained in a link database that is stored locally by the user...
 // created when he/she installs a SyD application with link-enabled
 // features". Idempotent.
-func createLinkDB(db *store.DB) (links, methods, pending, journal, decided *store.Table, err error) {
-	fail := func(err error) (*store.Table, *store.Table, *store.Table, *store.Table, *store.Table, error) {
-		return nil, nil, nil, nil, nil, err
+func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, decided *store.Table, err error) {
+	fail := func(err error) (_, _, _, _, _, _ *store.Table, _ error) {
+		return nil, nil, nil, nil, nil, nil, err
 	}
 	links, err = db.EnsureTable(store.Schema{
 		Name: LinkTable,
@@ -65,7 +65,7 @@ func createLinkDB(db *store.DB) (links, methods, pending, journal, decided *stor
 	if err = links.CreateIndex("owner_entity"); err != nil {
 		return fail(err)
 	}
-	waiting, err := db.EnsureTable(store.Schema{
+	waiting, err = db.EnsureTable(store.Schema{
 		Name: WaitingLinkTable,
 		Columns: []store.Column{
 			{Name: "id", Type: store.String}, // waiting link id
@@ -139,7 +139,7 @@ func createLinkDB(db *store.DB) (links, methods, pending, journal, decided *stor
 	if err != nil {
 		return fail(err)
 	}
-	return links, methods, pending, journal, decided, nil
+	return links, waiting, methods, pending, journal, decided, nil
 }
 
 // linkToRow encodes a Link as a store row.

@@ -80,19 +80,20 @@ func (e EntityRef) Less(o EntityRef) bool {
 }
 
 // Trigger is the ECA rule attached to a link (§4.1: "triggers
-// associated with each reference"). Event selects when it fires;
-// exactly one of Action or Method says what it does.
+// associated with each reference"). Event selects when it fires; Action
+// or Method says what it does. An "avail" trigger that names both makes
+// its tentative link a voter (Manager.offer): when the link's own entity
+// comes free, it is marked with Action and Method tells the target so.
 type Trigger struct {
-	// Event is the firing event: "change", "delete", "promote", or
-	// an application-defined name.
+	// Event is the firing event: "change", "delete", "promote",
+	// "avail", or an application-defined name.
 	Event string `json:"event"`
 	// Action, when set, is an entity action (registered with the
 	// Manager) executed on the link's targets — under negotiation
 	// for negotiation links, best-effort for subscription links.
 	Action string `json:"action,omitempty"`
-	// Service/Method, when set, invoke a SyD service method instead
-	// of an entity action. Service may contain "%s", replaced with
-	// the target's user id.
+	// Service/Method, when set, invoke a SyD service method. Service
+	// may contain "%s", replaced with the target's user id.
 	Service string `json:"service,omitempty"`
 	Method  string `json:"method,omitempty"`
 	// Args are static arguments merged under the runtime event args
@@ -182,6 +183,20 @@ func (l *Link) TriggersFor(event string) []Trigger {
 		}
 	}
 	return out
+}
+
+// voteTrigger returns the trigger that makes a tentative link a voter:
+// the "avail" one naming the action to mark its own entity with and the
+// method that carries the mark to its target.
+func (l *Link) voteTrigger() (Trigger, bool) {
+	if l.Subtype == Tentative && len(l.Targets) > 0 {
+		for _, t := range l.Triggers {
+			if t.Event == "avail" && t.Action != "" && t.Method != "" {
+				return t, true
+			}
+		}
+	}
+	return Trigger{}, false
 }
 
 // MergedArgs merges a trigger's static args under runtime args.
