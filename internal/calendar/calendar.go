@@ -64,7 +64,16 @@ type Calendar struct {
 }
 
 // lockMeeting serializes mutations of one meeting record and returns
-// the unlock function.
+// the unlock function. A meeting lock guards a record, never a deletion:
+// it covers reading the record, deciding (for a confirm or a move, the
+// negotiation) and the one unit that logs the decision, with the record
+// pushes that unit queues, and it is released before a link is deleted
+// on another device. Such a deletion offers the slot it frees to a
+// waiter, whose vote makes that waiter's initiator take its own meeting
+// lock (SlotAvailable), and two initiators deleting under theirs would
+// wait on each other. So every op that deletes is a decide… function,
+// which holds the lock by defer and deletes nothing remotely, and a caller
+// that never locks and sends the deletion itself.
 func (c *Calendar) lockMeeting(id string) func() {
 	mi, _ := c.meetMu.LoadOrStore(id, &sync.Mutex{})
 	mu := mi.(*sync.Mutex)
@@ -302,8 +311,8 @@ func (c *Calendar) putMeeting(u *store.Tx, m *Meeting) error {
 }
 
 // storeMeeting upserts an encoded meeting record in u. A record that
-// already reads doc is left alone: the cancel cascade's hook and the
-// publish that follows it write the same text, and one row says it.
+// already reads doc is left alone (a push of what a Commit carried, a
+// delegation granted twice): no row, no version bump.
 func (c *Calendar) storeMeeting(u *store.Tx, id, doc string) error {
 	var cur string
 	var err error
@@ -440,7 +449,7 @@ func (c *Calendar) registerActions() {
 func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args) error {
 	meetingID := l.Group
 	s, err := SlotFromEntity(l.Owner.Entity)
-	if meetingID == "" || err != nil || (kind != "delete" && kind != "expire") {
+	if meetingID == "" || err != nil || kind != "delete" {
 		return nil
 	}
 	if c.slotInfoIn(u, s).Meeting == meetingID {

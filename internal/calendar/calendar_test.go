@@ -15,6 +15,7 @@ import (
 	"repro/internal/listener"
 	"repro/internal/notify"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -34,6 +35,8 @@ type world struct {
 	mw []listener.Middleware
 	// routeTTL, when set before addUser, gives the user's engine a route cache.
 	routeTTL time.Duration
+	// wrapNet, when set before addUser, stands between the user's node and net.
+	wrapNet func(transport.Network) transport.Network
 }
 
 func newWorld(t *testing.T, users ...string) *world {
@@ -66,8 +69,12 @@ func newWorldOn(t *testing.T, cfg sim.Config, users ...string) *world {
 func (w *world) addUser(user string, priority int) *calendar.Calendar {
 	w.t.Helper()
 	ctx := context.Background()
+	var net transport.Network = w.net
+	if w.wrapNet != nil {
+		net = w.wrapNet(net)
+	}
 	n, err := core.Start(ctx, core.Config{
-		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk, Priority: priority, Middleware: w.mw,
+		User: user, Net: net, DirAddr: "dir", Clock: w.clk, Priority: priority, Middleware: w.mw,
 		RouteCacheTTL: w.routeTTL,
 	})
 	if err != nil {

@@ -38,19 +38,6 @@ func NewCommittee(cal *Calendar, others ...string) *Committee {
 	return &Committee{cal: cal, members: members}
 }
 
-// NewCommitteeFromGroup resolves a SyDDirectory group into a Committee
-// (the "formation and maintenance of dynamic groups" of the abstract).
-func NewCommitteeFromGroup(ctx context.Context, cal *Calendar, group string) (*Committee, error) {
-	members, err := cal.Engine().Directory().GroupMembers(ctx, group)
-	if err != nil {
-		return nil, err
-	}
-	if len(members) == 0 {
-		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: group %q is empty or unknown", group)}
-	}
-	return NewCommittee(cal, members...), nil
-}
-
 // Members returns the committee membership (coordinator first).
 func (cc *Committee) Members() []string {
 	return append([]string(nil), cc.members...)

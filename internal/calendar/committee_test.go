@@ -19,23 +19,6 @@ func TestCommitteeNameAndMembers(t *testing.T) {
 	}
 }
 
-func TestCommitteeFromGroup(t *testing.T) {
-	w := newWorld(t, "phil", "andy", "suzy")
-	if err := w.cals["phil"].Engine().Directory().CreateGroup(ctxBg(), "committee", []string{"andy", "suzy"}); err != nil {
-		t.Fatal(err)
-	}
-	cc, err := calendar.NewCommitteeFromGroup(ctxBg(), w.cals["phil"], "committee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cc.Members()) != 3 {
-		t.Fatalf("members = %v", cc.Members())
-	}
-	if _, err := calendar.NewCommitteeFromGroup(ctxBg(), w.cals["phil"], "ghost-group"); err == nil {
-		t.Fatal("empty group accepted")
-	}
-}
-
 func TestFindEarliestMeetingTime(t *testing.T) {
 	w := newWorld(t, "phil", "andy", "suzy")
 	// Block the first candidate hours across the members.

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/links"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -266,5 +269,65 @@ func TestRedeliveryAfterCrashConverges(t *testing.T) {
 	if n := w.nodes["a"].Links.RetryPendingDeletes(ctxBg()); n != 1 {
 		t.Fatalf("RetryPendingDeletes delivered %d, want 1", n)
 	}
+	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
+}
+
+// answerLost is a network on which the answer to method from addr does
+// not come back while on is set: the request is delivered and handled, and
+// the caller waits out its deadline. (sim.PartitionOneWay cannot say this:
+// it refuses the request, and what it refuses was never handled.)
+type answerLost struct {
+	transport.Network
+	addr, method string
+	on           *atomic.Bool
+}
+
+func (n answerLost) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	resp, err := n.Network.Call(ctx, addr, req)
+	if n.on.Load() && addr == n.addr && req.Method == n.method {
+		return nil, context.DeadlineExceeded
+	}
+	return resp, err
+}
+
+// TestCascadeAnswerLostIsRetried: the cancel cascade reaches b and b's
+// answer is lost. The cancel stands, b is tombstoned like a participant
+// that was out of reach, the sweep keeps the tombstone for as long as
+// answers are lost and clears it with the first one that arrives (the
+// deletion it re-sends finds nothing left to do), and every device holds
+// the rows of testdata/cancel.golden.
+func TestCascadeAnswerLostIsRetried(t *testing.T) {
+	w := newWorld(t, "b", "c", "d")
+	var lost atomic.Bool
+	w.wrapNet = func(n transport.Network) transport.Network {
+		return answerLost{Network: n, addr: "node-b", method: "DeleteLink", on: &lost}
+	}
+	w.addUser("a", 0)
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Supervisors: []string{"d"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost.Store(true)
+	if err := w.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
+		t.Fatalf("cancel with b's answer lost: %v", err)
+	}
+	tombstones := func(want ...[2]string) {
+		t.Helper()
+		if pd := w.nodes["a"].Links.PendingDeletes(); !slices.Equal(pd, want) {
+			t.Fatalf("tombstones = %v, want %v", pd, want)
+		}
+	}
+	tombstones([2]string{m.LinkID, "b"})
+	if n := w.nodes["a"].Links.RetryPendingDeletes(ctxBg()); n != 0 {
+		t.Fatalf("RetryPendingDeletes delivered %d with the answer still lost", n)
+	}
+	tombstones([2]string{m.LinkID, "b"})
+	lost.Store(false)
+	if n := w.nodes["a"].Links.RetryPendingDeletes(ctxBg()); n != 1 {
+		t.Fatalf("RetryPendingDeletes delivered %d, want 1", n)
+	}
+	tombstones()
 	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
 }

@@ -311,15 +311,17 @@ func (c *Calendar) publishIn(u *store.Tx, m *Meeting, has func(user, doc string)
 		}
 	}
 	if len(to) > 0 {
-		u.AfterCommit(func(ctx context.Context) {
-			for _, p := range to {
-				// Best effort: a participant that misses the push pulls
-				// the record when it next syncs.
-				_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", wire.Args{"doc": doc}, nil)
-			}
-		})
+		u.AfterCommit(func(ctx context.Context) { c.push(ctx, doc, to) })
 	}
 	return nil
+}
+
+// push sends the encoded record doc to each of to. Best effort: a
+// participant that misses the push pulls the record when it next syncs.
+func (c *Calendar) push(ctx context.Context, doc string, to []string) {
+	for _, p := range to {
+		_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", wire.Args{"doc": doc}, nil)
+	}
 }
 
 // sentExactly is the publish filter after a negotiation: a participant
@@ -330,50 +332,63 @@ func sentExactly(sent map[string]string) func(user, doc string) bool {
 	return func(user, doc string) bool { return sent[user] == doc }
 }
 
-// reachedBy is the publish filter after the cancel cascade of linkID. A
-// participant the cascade reached wrote the cancelled record itself when
-// its link row went (linkHook); one it could not reach is tombstoned in
-// PendingDeletes and still gets the best-effort push, which a proxy
-// standing in for it can queue.
-func (c *Calendar) reachedBy(linkID string) func(user, doc string) bool {
-	var unreached []string
-	for _, pd := range c.lm.PendingDeletes() {
-		if pd[0] == linkID {
-			unreached = append(unreached, pd[1])
-		}
-	}
-	return func(user, _ string) bool { return !containsString(unreached, user) }
-}
-
 // CancelMeeting cancels a meeting this user administers (§4.4): the
 // link cascade releases every participant's slot and promotes the
 // highest-priority tentative meetings waiting on those slots.
 func (c *Calendar) CancelMeeting(ctx context.Context, meetingID string) error {
-	m, ok := c.Meeting(meetingID)
-	if !ok {
-		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
-	}
-	return c.cancelMeetingAs(ctx, m, c.user)
+	return c.cancelMeetingAs(ctx, meetingID, c.user)
 }
 
-func (c *Calendar) cancelMeetingAs(ctx context.Context, m *Meeting, byUser string) error {
-	defer c.lockMeeting(m.ID)()
-	if cur, ok := c.Meeting(m.ID); ok {
-		m = cur // re-read under the lock
+// cancelMeetingAs is a cancel by byUser: the decision, then, with the
+// meeting lock released, its retraction.
+func (c *Calendar) cancelMeetingAs(ctx context.Context, id, byUser string) error {
+	m, d, err := c.decideCancel(ctx, id, byUser)
+	if err != nil || m == nil {
+		return err
+	}
+	return c.retract(ctx, m, d, byUser)
+}
+
+// decideCancel cancels meeting id at its initiator, in one unit: the
+// forward link goes, and its "delete" hook frees the initiator's slot and
+// writes the cancelled record (linkHook). It returns that record and what
+// is left to retract, or no record when the meeting is cancelled already.
+func (c *Calendar) decideCancel(ctx context.Context, id, byUser string) (m *Meeting, d links.Unlinked, err error) {
+	defer c.lockMeeting(id)()
+	m, ok := c.Meeting(id)
+	if !ok {
+		return nil, d, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", id)}
 	}
 	if !m.canAdminister(byUser) {
-		return &wire.RemoteError{Code: wire.CodeAuth,
+		return nil, d, &wire.RemoteError{Code: wire.CodeAuth,
 			Msg: fmt.Sprintf("calendar: %s may not cancel %s (initiator %s)", byUser, m.ID, m.Initiator)}
 	}
 	if m.Status == StatusCancelled {
-		return nil
+		return nil, d, nil
 	}
-	if err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
-		return err
+	d, err = c.lm.Unlink(ctx, m.LinkID)
+	m.Status, m.Reserved = StatusCancelled, nil
+	if err == nil && d.Link == nil {
+		// No forward link to delete (a meeting queued offline and never set
+		// up): the record is all there is to cancel.
+		err = c.db.Unit(ctx, func(u *store.Tx) error { return c.putReleased(u, m) })
 	}
-	m.Status = StatusCancelled
-	m.Reserved = nil
-	if err := c.publish(ctx, m, c.reachedBy(m.LinkID)); err != nil {
+	return m, d, err
+}
+
+// retract is the second half of a cancel, run under no lock: straight
+// after decideCancel, or, for a cancel decided offline (CancelOrQueue),
+// when its queued op drains. The slot the forward link held is offered to
+// its waiters and the deletion cascades; a participant the cascade reached
+// wrote the cancelled record m itself when its link row went (linkHook),
+// one it could not reach is tombstoned and still gets the best-effort
+// push, which a proxy standing in for it can queue.
+func (c *Calendar) retract(ctx context.Context, m *Meeting, d links.Unlinked, byUser string) error {
+	unreached, err := c.lm.Retract(ctx, d, nil)
+	if len(unreached) > 0 {
+		c.push(ctx, encodeMeeting(m), unreached)
+	}
+	if err != nil {
 		return err
 	}
 	c.notifyParticipants(ctx, m,
@@ -506,29 +521,48 @@ func (c *Calendar) DropOut(ctx context.Context, meetingID string) error {
 	}, nil)
 }
 
-// dropParticipant runs at the initiator: release user's slot, remove
-// their link row (promoting whatever waits on it), and downgrade the
-// meeting if constraints no longer hold.
+// dropParticipant runs at the initiator: user leaves the meeting, which
+// is downgraded if its constraints no longer hold. user's link row goes
+// first, under no lock, its "delete" hook freeing the slot before any
+// waiter is offered it; the decision follows the deletion, not the other
+// way round, because a record that lists user missing while user still
+// holds the slot lets a concurrent TryConfirm reserve user again just
+// before the deletion lands. Then the record is pushed, on which user
+// queues a tentative back link, so the meeting can heal if they free up
+// again.
 func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) error {
-	defer c.lockMeeting(meetingID)()
 	m, ok := c.Meeting(meetingID)
 	if !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
-	if !m.isReserved(user) || user == m.Initiator {
-		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s is not a droppable participant of %s", user, meetingID)}
-	}
-
-	// Release the slot first so promoted waiters find it free, then
-	// remove the participant's link row locally (no cascade).
-	relArgs := wire.Args{"meeting": meetingID}
-	_ = c.applyAt(ctx, user, m.Slot.Entity(), ActionRelease, relArgs)
-	if user == c.user {
-		_ = c.lm.DeleteLinkLocal(ctx, m.LinkID)
-	} else {
+	if m.droppable(user) {
 		_ = c.eng.Invoke(ctx, links.ServiceFor(user), "DeleteLinkLocal", wire.Args{"id": m.LinkID}, nil)
 	}
+	m, prev, err := c.decideDrop(ctx, meetingID, user)
+	if err != nil {
+		return err
+	}
+	c.push(ctx, encodeMeeting(m), removeString(m.Participants(), c.user))
+	if prev != m.Status {
+		c.notifyParticipants(ctx, m,
+			fmt.Sprintf("Meeting %s (%s) now tentative", m.ID, m.Title),
+			fmt.Sprintf("%s dropped out of %s at %s.", user, m.Title, m.Slot))
+	}
+	return nil
+}
 
+// droppable reports whether user holds the slot and is not the initiator,
+// who cancels.
+func (m *Meeting) droppable(user string) bool { return m.isReserved(user) && user != m.Initiator }
+
+// decideDrop moves user from reserved to missing in the record of
+// meetingID, in one unit, and returns the record and the status it had.
+func (c *Calendar) decideDrop(ctx context.Context, meetingID, user string) (*Meeting, string, error) {
+	defer c.lockMeeting(meetingID)()
+	m, ok := c.Meeting(meetingID)
+	if !ok || !m.droppable(user) {
+		return nil, "", &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s is not a droppable participant of %s", user, meetingID)}
+	}
 	m.Reserved = removeString(m.Reserved, user)
 	if containsString(m.Must, user) || containsString(m.Supervisors, user) {
 		if !containsString(m.Missing, user) {
@@ -539,33 +573,7 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 	if !m.satisfied() {
 		m.Status = StatusTentative
 	}
-	// The push tells user it is no longer reserved, and user queues a
-	// tentative back link on it, so the meeting can heal if they free up
-	// again.
-	if err := c.publish(ctx, m, nil); err != nil {
-		return err
-	}
-	if prev != m.Status {
-		c.notifyParticipants(ctx, m,
-			fmt.Sprintf("Meeting %s (%s) now tentative", m.ID, m.Title),
-			fmt.Sprintf("%s dropped out of %s at %s.", user, m.Title, m.Slot))
-	}
-	return nil
-}
-
-// applyAt runs an unlocked entity action at a (possibly remote) user.
-func (c *Calendar) applyAt(ctx context.Context, user, entity, action string, args wire.Args) error {
-	if user == c.user {
-		// Local: reuse the links service surface for symmetry.
-		_, err := c.lm.Negotiate(ctx, links.Spec{
-			Action: action, Args: args, Constraint: links.And,
-			Local: &links.LocalChange{Entity: entity, Action: action, Args: args},
-		})
-		return err
-	}
-	return c.eng.Invoke(ctx, links.ServiceFor(user), "Apply", wire.Args{
-		"entity": entity, "action": action, "args": map[string]any(args),
-	}, nil)
+	return m, prev, c.db.Unit(ctx, func(u *store.Tx) error { return c.putMeeting(u, m) })
 }
 
 // ChangeMeetingSlot moves a meeting to a new slot: the new slot is
@@ -573,18 +581,36 @@ func (c *Calendar) applyAt(ctx context.Context, user, entity, action string, arg
 // is the old slot released (§5: "if not all can agree, then D would be
 // unable to change the schedule of the meeting").
 func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newSlot Slot) error {
+	old, m, err := c.decideMove(ctx, meetingID, newSlot)
+	if err != nil {
+		return err
+	}
+	// All agreed and the moved meeting stands: tear down the old link graph,
+	// releasing the old slots to their waiters. The record has moved on from
+	// the old link, whose deletion cancels nothing (linkHook).
+	err = c.lm.DeleteLink(ctx, old.LinkID, nil)
+	c.notifyParticipants(ctx, m,
+		fmt.Sprintf("Meeting %s (%s) moved", m.ID, m.Title),
+		fmt.Sprintf("%s moved from %s to %s.", m.Title, old.Slot, newSlot))
+	return err
+}
+
+// decideMove negotiates newSlot for meetingID and, all agreeing, makes
+// the moved meeting stand (linkAndPublish). It returns the record as it
+// was and as it is.
+func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slot) (old, m *Meeting, err error) {
 	defer c.lockMeeting(meetingID)()
 	m, ok := c.Meeting(meetingID)
 	if !ok {
-		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
+		return nil, nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
 	if !m.canAdminister(c.user) {
-		return &wire.RemoteError{Code: wire.CodeAuth, Msg: fmt.Sprintf("calendar: %s may not change %s", c.user, m.ID)}
+		return nil, nil, &wire.RemoteError{Code: wire.CodeAuth, Msg: fmt.Sprintf("calendar: %s may not change %s", c.user, m.ID)}
 	}
 	if !newSlot.Valid() {
-		return &wire.RemoteError{Code: wire.CodeBadArgs, Msg: fmt.Sprintf("calendar: bad slot %v", newSlot)}
+		return nil, nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: fmt.Sprintf("calendar: bad slot %v", newSlot)}
 	}
-	old := *m
+	was := *m
 	m.Slot = newSlot
 	// The new link id is minted before the negotiation, because the
 	// Commit that reserves a participant's new slot also installs its
@@ -596,14 +622,14 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 
 	var others []string
 	sent := map[string]string{}
-	for _, u := range old.Reserved {
+	for _, u := range was.Reserved {
 		if u != m.Initiator {
 			others = append(others, u)
 			sent[u] = doc
 		}
 	}
 	sort.Strings(others)
-	_, err := c.lm.Negotiate(ctx, links.Spec{
+	_, err = c.lm.Negotiate(ctx, links.Spec{
 		Action: ActionReserve, Args: args,
 		Targets:    slotRefs(others, newSlot),
 		Constraint: links.And,
@@ -611,21 +637,9 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{"doc": doc} },
 	})
 	if err != nil {
-		return fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)
+		return nil, nil, fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)
 	}
-
-	// All agreed: tear down the old link graph (releasing old slots
-	// and promoting their waiters) and finish the new one.
-	if err := c.lm.DeleteLink(ctx, old.LinkID, nil); err != nil {
-		return err
-	}
-	if err := c.linkAndPublish(ctx, m, time.Time{}, sentExactly(sent)); err != nil {
-		return err
-	}
-	c.notifyParticipants(ctx, m,
-		fmt.Sprintf("Meeting %s (%s) moved", m.ID, m.Title),
-		fmt.Sprintf("%s moved from %s to %s.", m.Title, old.Slot, newSlot))
-	return nil
+	return &was, m, c.linkAndPublish(ctx, m, time.Time{}, sentExactly(sent))
 }
 
 // meetingBumpedLocally records a bump at the initiator: the bumped

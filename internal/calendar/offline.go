@@ -182,20 +182,14 @@ func (c *Calendar) ReplayOp(ctx context.Context, op offline.Op) error {
 		if m.LinkID == "" {
 			return nil // offline-only stub: cancelled before it was ever pushed
 		}
-		// The local record is already StatusCancelled (CancelOrQueue), so
-		// cancelMeetingAs would return before the cascade. Run the remote
-		// teardown directly: deleting the coordination link releases every
-		// participant's slot, cancels its copy of the record and promotes
-		// waiting tentative meetings. DeleteLink is idempotent, so a
-		// duplicate drain is safe.
-		if err := c.lm.DeleteLink(ctx, m.LinkID, nil); err != nil {
+		// The cancel was decided when it was queued (CancelOrQueue); what
+		// is left is the forward link's row and the second half of any
+		// cancel. Both are idempotent, so a duplicate drain is safe.
+		d, err := c.lm.Unlink(ctx, m.LinkID)
+		if err != nil {
 			return err
 		}
-		_ = c.publish(ctx, m, c.reachedBy(m.LinkID))
-		c.notifyParticipants(ctx, m,
-			fmt.Sprintf("Meeting %s (%s) cancelled", m.ID, m.Title),
-			fmt.Sprintf("%s at %s was cancelled by %s.", m.Title, m.Slot, c.user))
-		return nil
+		return c.retract(ctx, m, d, c.user)
 	default:
 		return fmt.Errorf("calendar: unknown offline op kind %q", op.Kind)
 	}

@@ -176,11 +176,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	// delegate (checked against the claimed caller identity; with
 	// RequireAuth the listener substitutes the authenticated one).
 	obj.Handle("CancelMeeting", func(ctx context.Context, call *listener.Call) (any, error) {
-		m, ok := c.Meeting(call.Args.String("meeting"))
-		if !ok {
-			return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: "unknown meeting"}
-		}
-		if err := c.cancelMeetingAs(ctx, m, call.Caller); err != nil {
+		if err := c.cancelMeetingAs(ctx, call.Args.String("meeting"), call.Caller); err != nil {
 			return nil, err
 		}
 		return true, nil

@@ -2,10 +2,12 @@ package calendar_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/calendar"
+	"repro/internal/listener"
 	"repro/internal/workload"
 )
 
@@ -136,10 +138,28 @@ func TestSchedulingStorm(t *testing.T) {
 // TestConcurrentMutationsOfOneMeeting hammers a single meeting with
 // concurrent dropouts, re-confirms, and delegations; the per-meeting
 // lock must keep the record consistent (reserved/missing disjoint, no
-// lost participants).
+// lost participants). Then a cancel races a vote for the same meeting: the
+// vote is committed before the cancel is decided, or declined because it
+// is, and either way the voter is left holding nothing of the meeting.
 func TestConcurrentMutationsOfOneMeeting(t *testing.T) {
 	users := []string{"a", "b", "c", "d", "e"}
-	w := newWorld(t, users...)
+	w := newWorld(t)
+	var voteMu sync.Mutex
+	var votes []error
+	w.mw = []listener.Middleware{func(next listener.Method) listener.Method {
+		return func(ctx context.Context, call *listener.Call) (any, error) {
+			out, err := next(ctx, call)
+			if call.Method == "SlotAvailable" && call.Args.String("token") != "" {
+				voteMu.Lock()
+				votes = append(votes, err)
+				voteMu.Unlock()
+			}
+			return out, err
+		}
+	}}
+	for _, u := range users {
+		w.addUser(u, 0)
+	}
 	ctx := context.Background()
 	m, err := w.cals["a"].SetupMeeting(ctx, calendar.Request{
 		Title: "contested", Day: day1, Hour: 10, PinSlot: true,
@@ -208,6 +228,52 @@ func TestConcurrentMutationsOfOneMeeting(t *testing.T) {
 	for _, u := range users {
 		if n := w.cals[u].Links().Locks.Len(); n != 0 {
 			t.Fatalf("%s leaked %d locks", u, n)
+		}
+	}
+
+	// d drops out and is busy; its slot comes free, which is d's vote, as
+	// the meeting is cancelled.
+	if containsStr(final.Reserved, "d") {
+		if err := w.cals["d"].DropOut(ctx, m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.cals["d"].MarkBusy(m.Slot, "errand", 0); err != nil {
+		t.Fatal(err)
+	}
+	voteMu.Lock()
+	votes = nil
+	voteMu.Unlock()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := w.cals["d"].ReleaseSlot(ctx, m.Slot); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if err := w.cals["a"].CancelMeeting(ctx, m.ID); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+	// No vote at all when the cascade took d's link before the slot freed.
+	if len(votes) > 1 || len(votes) == 1 && votes[0] != nil && !strings.Contains(votes[0].Error(), "meeting is cancelled") {
+		t.Errorf("d's vote was answered %v, want it committed or declined as cancelled", votes)
+	}
+	for _, u := range users {
+		if rec, ok := w.cals[u].Meeting(m.ID); !ok || rec.Status != calendar.StatusCancelled {
+			t.Errorf("%s record = %+v, want it cancelled", u, rec)
+		}
+		if got := w.slotMeeting(u, m.Slot); got != "" {
+			t.Errorf("%s slot = %q after the cancel", u, got)
+		}
+		if all := w.nodes[u].Links.AllLinks(); len(all) != 0 {
+			t.Errorf("%s link rows after the cancel: %+v", u, all)
+		}
+		if n, p := w.nodes[u].Links.Locks.Len(), w.nodes[u].Links.PendingMarks(); n != 0 || p != 0 {
+			t.Errorf("%s has %d locks and %d pending marks left", u, n, p)
 		}
 	}
 }

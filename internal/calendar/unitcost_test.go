@@ -189,9 +189,10 @@ func TestUnitCostScenarios(t *testing.T) {
 			t.Fatal(err)
 		}
 		// a: decision + own new slot (one unit, the journal row written once) |
-		// retired | old link, old slot, record | new link + record.
+		// retired | new link + record | old link and slot (the record has
+		// moved on from the old link: its deletion writes no cancelled one).
 		// b, c: the Commit on the new slot | the old link and slot.
-		units.take(t, "change", map[string]string{"a": "4/8", "b": "2/6", "c": "2/6"})
+		units.take(t, "change", map[string]string{"a": "4/7", "b": "2/6", "c": "2/6"})
 		moved, _ := w.cals["a"].Meeting(m.ID)
 		wantState(t, "changeslot", deviceState(t, w, meetingIDs(moved), "a", "b", "c"))
 	})

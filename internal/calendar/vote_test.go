@@ -168,11 +168,17 @@ func TestDoubleBookingPromoteVsMark(t *testing.T) {
 	}
 }
 
-// TestPromotionRacesSchedules: one canceller against four schedulers on
-// three users' one day. After every round no (user, slot) is held by two
-// live meetings, every slot row is its meeting's, and every user a
-// tentative meeting misses holds that meeting's tentative link.
+// TestPromotionRacesSchedules: one canceller, then two at once, against
+// four schedulers on three users' one day. After every round no (user,
+// slot) is held by two live meetings, every slot row is its meeting's, and
+// every user a tentative meeting misses holds that meeting's tentative link.
 func TestPromotionRacesSchedules(t *testing.T) {
+	for _, cancellers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d cancelling", cancellers), func(t *testing.T) { promotionRacesSchedules(t, cancellers) })
+	}
+}
+
+func promotionRacesSchedules(t *testing.T, cancellers int) {
 	users := []string{"a", "b", "c"}
 	w := newWorld(t, users...)
 	rng := rand.New(rand.NewSource(21))
@@ -181,18 +187,21 @@ func TestPromotionRacesSchedules(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
-		// The canceller takes the oldest meetings, never two at a time.
+		// The cancellers share out the oldest meetings, each taking its own
+		// one after the other.
 		cancel := open[:len(open)*2/3]
 		open = open[len(cancel):]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, m := range cancel {
-				if err := w.cals[m.init].CancelMeeting(ctxBg(), m.id); err != nil {
-					t.Errorf("round %d: cancel %s: %v", round, m.id, err)
+		for k := 0; k < cancellers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := k; i < len(cancel); i += cancellers {
+					if err := w.cals[cancel[i].init].CancelMeeting(ctxBg(), cancel[i].id); err != nil {
+						t.Errorf("round %d: cancel %s: %v", round, cancel[i].id, err)
+					}
 				}
-			}
-		}()
+			}()
+		}
 		for s := 0; s < 4; s++ {
 			init, hour := users[rng.Intn(len(users))], 9+rng.Intn(9)
 			var must []string

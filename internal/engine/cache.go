@@ -50,12 +50,6 @@ type dirCacheEntry struct {
 // DirCacheOption configures a DirCache.
 type DirCacheOption func(*DirCache)
 
-// WithDirCacheNow overrides the cache's time source (tests drive TTL
-// expiry deterministically).
-func WithDirCacheNow(now func() time.Time) DirCacheOption {
-	return func(c *DirCache) { c.nowFn = now }
-}
-
 // NewDirCache creates a route cache whose entries live for ttl.
 func NewDirCache(ttl time.Duration, opts ...DirCacheOption) *DirCache {
 	c := &DirCache{

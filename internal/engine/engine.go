@@ -31,20 +31,18 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultGroupLimit bounds GroupInvoke fan-out concurrency when no
-// explicit limit is configured.
+// DefaultGroupLimit bounds GroupInvoke fan-out concurrency.
 const DefaultGroupLimit = 32
 
 // Engine is a node's invocation client. Safe for concurrent use.
 type Engine struct {
-	net        transport.Network
-	dir        *directory.Client
-	self       string
-	idPrefix   string // self + "-", precomputed for request-id minting
-	groupLimit int
-	dirCache   *DirCache
-	tracer     *trace.Tracer
-	reqSeq     atomic.Uint64
+	net      transport.Network
+	dir      *directory.Client
+	self     string
+	idPrefix string // self + "-", precomputed for request-id minting
+	dirCache *DirCache
+	tracer   *trace.Tracer
+	reqSeq   atomic.Uint64
 
 	mu         sync.RWMutex
 	credential string // sealed, sent with every request
@@ -77,19 +75,9 @@ func WithTracer(t *trace.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
 }
 
-// WithGroupLimit bounds GroupInvoke's fan-out concurrency (n <= 0
-// keeps DefaultGroupLimit).
-func WithGroupLimit(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.groupLimit = n
-		}
-	}
-}
-
 // New creates an engine for the user self.
 func New(net transport.Network, dir *directory.Client, self string, opts ...Option) *Engine {
-	e := &Engine{net: net, dir: dir, self: self, idPrefix: self + "-", groupLimit: DefaultGroupLimit}
+	e := &Engine{net: net, dir: dir, self: self, idPrefix: self + "-"}
 	for _, o := range opts {
 		o(e)
 	}
@@ -286,15 +274,11 @@ func (g *GroupResult) Decode(v any) error {
 }
 
 // groupRun fans one invocation per service across a bounded worker
-// pool (at most the engine's group limit goroutines, never more than
-// the member count) and returns per-member results in input order.
+// pool (at most DefaultGroupLimit goroutines, never more than the member
+// count) and returns per-member results in input order.
 func (e *Engine) groupRun(services []string, invokeOne func(svc string) GroupResult) []GroupResult {
 	results := make([]GroupResult, len(services))
-	workers := e.groupLimit
-	if workers <= 0 {
-		workers = DefaultGroupLimit
-	}
-	if workers >= len(services) {
+	if DefaultGroupLimit >= len(services) {
 		// Small groups (the common fan-out) skip the dispatch channel:
 		// one goroutine per member, no channel allocation or handoffs.
 		var wg sync.WaitGroup
@@ -310,7 +294,7 @@ func (e *Engine) groupRun(services []string, invokeOne func(svc string) GroupRes
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < DefaultGroupLimit; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -330,8 +314,8 @@ func (e *Engine) groupRun(services []string, invokeOne func(svc string) GroupRes
 // GroupInvoke calls the same method with the same args on every listed
 // service concurrently and returns per-member results in input order
 // (the engine's "group service invocation and result aggregation").
-// Fan-out is bounded by the engine's group limit (WithGroupLimit,
-// default DefaultGroupLimit) so huge groups cannot exhaust the node.
+// Fan-out is bounded by DefaultGroupLimit so huge groups cannot exhaust
+// the node.
 func (e *Engine) GroupInvoke(ctx context.Context, services []string, method string, args wire.Args) []GroupResult {
 	// The fan-out root span: each member Invoke below opens its own
 	// rpc.client child through the chain, so a stitched trace shows one

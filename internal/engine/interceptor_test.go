@@ -217,10 +217,10 @@ func TestInvokeGroupNameRejectsBadPattern(t *testing.T) {
 }
 
 func TestGroupInvokeBoundedFanOut(t *testing.T) {
-	// With a limit of 2 the engine never runs more than 2 member calls
-	// at once, and still returns every result in order.
+	// The engine never runs more than DefaultGroupLimit member calls at
+	// once, and still returns every result in order.
 	w := newWorld(t)
-	const members = 6
+	const members = DefaultGroupLimit + 6
 	var inFlight, peak atomic.Int64
 	var mu sync.Mutex
 	services := make([]string, 0, members)
@@ -255,7 +255,7 @@ func TestGroupInvokeBoundedFanOut(t *testing.T) {
 		services = append(services, svc)
 	}
 
-	e := New(w.net, w.dir, "phil", WithGroupLimit(2))
+	e := New(w.net, w.dir, "phil")
 	results := e.GroupInvoke(ctx, services, "Slow", nil)
 	if !AllOK(results) {
 		t.Fatalf("results = %+v", results)
@@ -265,8 +265,8 @@ func TestGroupInvokeBoundedFanOut(t *testing.T) {
 			t.Fatalf("result order broken at %d: %+v", i, r)
 		}
 	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("peak concurrency = %d, want <= 2", p)
+	if p := peak.Load(); p > DefaultGroupLimit {
+		t.Fatalf("peak concurrency = %d, want <= %d", p, DefaultGroupLimit)
 	}
 }
 
@@ -274,13 +274,13 @@ func TestGroupInvokeLargerThanLimit(t *testing.T) {
 	// Groups larger than the worker limit still complete fully.
 	w := newWorld(t)
 	var services []string
-	const n = 5
+	const n = DefaultGroupLimit + 5
 	for i := 0; i < n; i++ {
 		u := fmt.Sprintf("v%d", i)
 		w.addNode(u)
 		services = append(services, "cal."+u)
 	}
-	e := New(w.net, w.dir, "phil", WithGroupLimit(1))
+	e := New(w.net, w.dir, "phil")
 	results := e.GroupInvoke(context.Background(), services, "WhoAmI", nil)
 	if len(results) != n || !AllOK(results) {
 		t.Fatalf("results = %+v", results)

@@ -36,11 +36,12 @@ type Action struct {
 	Apply func(u *store.Tx, entity string, args wire.Args) error
 }
 
-// EventHook observes link lifecycle events ("promote", "delete",
-// "expire") so the application can react (the calendar frees the slot a
-// deleted link held). It reads and writes through u, the unit that
-// changes the link row, so the row and what follows from it are one
-// record on the device's log; an error fails the step.
+// EventHook observes link lifecycle events ("promote", "delete"; an
+// expired link is a deleted one) so the application can react (the
+// calendar frees the slot a deleted link held). It reads and writes
+// through u, the unit that changes the link row, so the row and what
+// follows from it are one record on the device's log; an error fails the
+// step.
 type EventHook func(u *store.Tx, kind string, l *Link, args wire.Args) error
 
 // Manager is a node's SyDLinks module (paper §3.1e): it "enables an
@@ -482,11 +483,14 @@ func (m *Manager) PromoteLink(u *store.Tx, id string) error {
 
 // --- §4.2 op 4 / §4.4: cascading deletion ------------------------------------
 
-// DeleteLink implements SyD_deleteLink() (§4.2 op 4, §4.4): delete the
-// local row and update the application state, hand what the link held
-// to the best of its waiters, and cascade the deletion to every other
-// participating user. visited carries the users already processed to
-// terminate the cascade on cyclic link graphs.
+// A deletion (SyD_deleteLink(), §4.2 op 4, §4.4) is two steps on a
+// device: Unlink, the unit that takes the row out and updates the
+// application state, and Retract, what follows from it on other devices —
+// the freed entity offered to the best of its waiters, the deletion
+// cascaded to the link's other participants. Whoever holds a lock of its
+// own around the decision to delete (a calendar's meeting lock) runs
+// Unlink under it and Retract once it is released: Retract's sends come
+// back to this device (a waiter's vote makes its initiator confirm).
 //
 // Note on ordering: the paper lists "convert waiting links" before
 // "delete the local link / update the calendar database". We release
@@ -494,57 +498,77 @@ func (m *Manager) PromoteLink(u *store.Tx, id string) error {
 // unit, because a waiter takes over the resource the deleted link held
 // (the §5 scenario: a cancelled meeting's slot is grabbed by the
 // highest-priority tentative meeting) and must find it free.
+
+// DeleteLink is both steps. visited carries the users already processed
+// to terminate the cascade on cyclic link graphs.
 func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) error {
 	if contains(visited, m.self) {
 		return nil
 	}
-	return m.deleteSteps(ctx, id, append(visited, m.self), true, "")
+	d, err := m.Unlink(ctx, id)
+	if err != nil {
+		return err
+	}
+	_, err = m.Retract(ctx, d, visited)
+	return err
 }
 
-// deleteSteps runs one deletion on this device: the unit that removes
-// the link and converts the waiters that convert at once, the offer of
-// what it freed to the ones that vote, then, if cascade is set, the
-// cascade to the participants not in visited. hook, if set, is a
-// lifecycle event the application hears about the link before its row
-// goes ("expire").
-func (m *Manager) deleteSteps(ctx context.Context, id string, visited []string, cascade bool, hook string) error {
+// Unlinked is a deletion between its two steps.
+type Unlinked struct {
+	Link   *Link  // the row Unlink took out; nil when this device held none
+	entity string // what it was attached to
+	tok    string // entity's lock, when Unlink took it for the offer
+}
+
+// Unlink removes this device's row of link id, the hook releasing what
+// it held, and converts the waiters that convert at once, as one unit.
+func (m *Manager) Unlink(ctx context.Context, id string) (Unlinked, error) {
 	// With someone queued on the entity, take its lock before the unit
 	// that frees it, if it can be had: no newcomer's Mark comes between
 	// "freed" and "offered". A negotiation that holds it offers on release.
-	var entity, tok string
-	m.linksT.View(func(r store.Row) { entity = r["owner_entity"].(string) }, id)
-	if entity != "" && m.queuedOn(entity, id) {
-		tok, _ = m.Locks.TryLock(lockKey(entity), m.self)
+	var d Unlinked
+	m.linksT.View(func(r store.Row) { d.entity = r["owner_entity"].(string) }, id)
+	if d.entity != "" && m.queuedOn(d.entity, id) {
+		d.tok, _ = m.Locks.TryLock(lockKey(d.entity), m.self)
 	}
-	var l *Link
-	err := m.db.Unit(ctx, func(u *store.Tx) error {
-		var ok bool
-		if l, ok = m.getLink(u, id); ok {
-			if hook != "" {
-				if err := m.fireHook(u, hook, l, nil); err != nil {
-					return err
-				}
-			}
-			if err := m.removeLink(u, l); err != nil {
-				return err
-			}
-		}
-		// Without a local row local waiters may still reference the id
-		// (the blocker lived elsewhere).
-		return m.promoteWaiters(u, id)
+	err := m.db.Unit(ctx, func(u *store.Tx) (err error) {
+		d.Link, err = m.unlink(u, id)
+		return err
 	})
 	if err != nil {
-		m.Locks.Unlock(lockKey(entity), tok)
-		return err
+		m.Locks.Unlock(lockKey(d.entity), d.tok)
 	}
-	if entity != "" {
-		m.offer(ctx, entity, tok, "")
+	return d, err
+}
+
+// unlink is Unlink's unit. Without a local row local waiters may still
+// reference the id (the blocker lived elsewhere).
+func (m *Manager) unlink(u *store.Tx, id string) (*Link, error) {
+	l, ok := m.getLink(u, id)
+	if ok {
+		if err := m.removeLink(u, l); err != nil {
+			return nil, err
+		}
 	}
-	if l == nil || !cascade {
-		return nil
+	return l, m.promoteWaiters(u, id)
+}
+
+// offerFreed hands the entity d freed to the waiters that vote.
+func (m *Manager) offerFreed(ctx context.Context, d Unlinked) {
+	if d.entity != "" {
+		m.offer(ctx, d.entity, d.tok, "")
 	}
-	// §4.4 steps 4/6-7: cascade to the other participants via SyDEngine.
-	return m.cascadeDelete(ctx, l, visited)
+}
+
+// Retract sends what Unlink left to send: the offer, then the cascade to
+// the participants not in visited (§4.4 steps 4/6-7). It returns the
+// participants it could not reach and tombstoned for the sweep.
+func (m *Manager) Retract(ctx context.Context, d Unlinked, visited []string) ([]string, error) {
+	m.offerFreed(ctx, d)
+	if d.Link == nil {
+		return nil, nil
+	}
+	return m.cascadeDelete(ctx, d.Link, append(visited, m.self))
 }
 
 // removeLink deletes l's local row (and any waiting entry) in u, queues
@@ -570,37 +594,33 @@ func (m *Manager) removeLink(u *store.Tx, l *Link) error {
 // passes to that step, which holds its lock, so nobody is offered it and
 // the link's voting waiters wait on the link the step installs (AddLink).
 func (m *Manager) RemoveLink(u *store.Tx, id string) error {
-	l, ok := m.getLink(u, id)
-	if !ok {
-		return nil
-	}
-	if err := m.removeLink(u, l); err != nil {
-		return err
-	}
-	return m.promoteWaiters(u, id)
+	_, err := m.unlink(u, id)
+	return err
 }
 
 // cascadeDelete sends the deletion of l to every participant not yet
-// visited. An unreachable one is tombstoned for the periodic sweep.
-func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) error {
-	var firstErr error
+// visited. One that is out of reach, or whose answer did not come, is
+// tombstoned for the periodic sweep and returned.
+func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) (unreached []string, firstErr error) {
 	for _, p := range l.participants() {
-		if p == m.self || contains(visited, p) {
+		if contains(visited, p) {
 			continue
 		}
 		err := m.eng.Invoke(ctx, ServiceFor(p), "DeleteLink", wire.Args{
 			"id": l.ID, "visited": visited,
 		}, nil)
-		if err != nil && wire.CodeOf(err) == wire.CodeUnavailable {
-			// The participant's device is off; leave a tombstone so
-			// the periodic sweep retries once it returns.
-			err = m.recordPendingDelete(ctx, l.ID, p)
+		if transientErr(err) {
+			// Written whatever became of ctx: the deadline that failed the
+			// call must not fail the tombstone too.
+			if err = m.recordPendingDelete(context.WithoutCancel(ctx), l.ID, p); err == nil {
+				unreached = append(unreached, p)
+			}
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("links: cascade delete %s at %s: %w", l.ID, p, err)
 		}
 	}
-	return firstErr
+	return unreached, firstErr
 }
 
 // recordPendingDelete remembers an undeliverable cascade deletion.
@@ -640,7 +660,7 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 		err := m.eng.Invoke(ctx, ServiceFor(user), "DeleteLink", wire.Args{
 			"id": id, "visited": []string{m.self},
 		}, nil)
-		if err != nil && wire.CodeOf(err) == wire.CodeUnavailable {
+		if transientErr(err) {
 			continue
 		}
 		// Success or a permanent error (e.g. the row is already
@@ -661,7 +681,11 @@ func (m *Manager) DeleteLinkLocal(ctx context.Context, id string) error {
 	if !m.linksT.Has(id) {
 		return nil
 	}
-	return m.deleteSteps(ctx, id, nil, false, "")
+	d, err := m.Unlink(ctx, id)
+	if err == nil {
+		m.offerFreed(ctx, d)
+	}
+	return err
 }
 
 // participants lists the distinct users referenced by the link
@@ -703,7 +727,7 @@ func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
 		// Best effort: a participant the cascade could not reach is
 		// tombstoned, and a link that failed to go is found again by
 		// the next sweep.
-		_ = m.deleteSteps(ctx, id, []string{m.self}, true, "expire")
+		_ = m.DeleteLink(ctx, id, nil)
 		expired = append(expired, id)
 	}
 	sort.Strings(expired)

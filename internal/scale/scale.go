@@ -155,16 +155,6 @@ type Report struct {
 	WallMS int64 `json:"wall_ms"`
 }
 
-// AbortRate is aborted / (committed+tentative+aborted+in_doubt), the
-// negotiation failure fraction the storm scenario tracks.
-func (r *Report) AbortRate() float64 {
-	total := r.Outcomes.Committed + r.Outcomes.Tentative + r.Outcomes.Aborted + r.Outcomes.InDoubt
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Outcomes.Aborted) / float64(total)
-}
-
 // Run executes one scenario against one topology and reports.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()

@@ -262,9 +262,6 @@ func TestStormContention(t *testing.T) {
 	if r.Outcomes.Aborted == 0 {
 		t.Fatalf("no contention aborts under a pinned-slot storm: %+v", r.Outcomes)
 	}
-	if rate := r.AbortRate(); rate <= 0 || rate >= 1 {
-		t.Fatalf("abort rate %f out of (0,1)", rate)
-	}
 }
 
 // TestFlapQueuesAndDrains: commuter writes issued out of range must
@@ -342,16 +339,5 @@ func TestScaleFull10K(t *testing.T) {
 	t.Logf("10k storm in %v: %s", time.Since(start), mustJSON(t, stripWall(r)))
 	if r.Outcomes.InDoubt != 0 || r.Outcomes.Committed == 0 {
 		t.Fatalf("outcomes off: %+v", r.Outcomes)
-	}
-}
-
-func TestAbortRateEmpty(t *testing.T) {
-	var r Report
-	if r.AbortRate() != 0 {
-		t.Fatal("empty report abort rate")
-	}
-	r.Outcomes = Outcomes{Committed: 3, Aborted: 1}
-	if got := r.AbortRate(); got != 0.25 {
-		t.Fatalf("abort rate %f", got)
 	}
 }

@@ -260,22 +260,6 @@ func WriteJSONL(w io.Writer, spans []*Span) error {
 	return nil
 }
 
-// ReadJSONL decodes spans written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]*Span, error) {
-	dec := json.NewDecoder(r)
-	var out []*Span
-	for {
-		s := new(Span)
-		if err := dec.Decode(s); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, s)
-	}
-}
-
 // --- process-global default -------------------------------------------------
 
 // The default collector mirrors metrics.Default(): harnesses that

@@ -352,14 +352,6 @@ func (t *Tracer) SetSampleRate(rate float64) {
 	t.rateBits.Store(math.Float64bits(rate))
 }
 
-// SampleRate returns the current head-sampling rate.
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return math.Float64frombits(t.rateBits.Load())
-}
-
 // SetSlowThreshold updates the slow-trace retention threshold.
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNs.Store(int64(d)) }
 

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -120,33 +119,4 @@ func SkewedMeetingPlans(users []string, count, fanout int, skew float64, seed in
 		}
 	}
 	return plans
-}
-
-// HotSetSize reports how many distinct users cover the head of a Zipf
-// distribution with the given skew — a convenience for sizing the
-// replicated topology's hub set (replicate the users that see the
-// most traffic). It returns the smallest k such that indices [0,k)
-// receive at least frac of the probability mass.
-func HotSetSize(n int, skew, frac float64) int {
-	if n <= 0 {
-		return 0
-	}
-	if skew <= 1 {
-		skew = 1.01
-	}
-	total := 0.0
-	weights := make([]float64, n)
-	for i := 0; i < n; i++ {
-		w := math.Pow(float64(i+1), -skew)
-		weights[i] = w
-		total += w
-	}
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += weights[i]
-		if acc/total >= frac {
-			return i + 1
-		}
-	}
-	return n
 }

@@ -196,13 +196,3 @@ func TestSkewedMeetingPlansShape(t *testing.T) {
 		}
 	}
 }
-
-func TestHotSetSize(t *testing.T) {
-	k := HotSetSize(1000, 1.3, 0.5)
-	if k <= 0 || k >= 1000 {
-		t.Fatalf("hot set size %d not a strict head", k)
-	}
-	if all := HotSetSize(10, 1.3, 1.0); all != 10 {
-		t.Fatalf("full mass should need every user, got %d", all)
-	}
-}
