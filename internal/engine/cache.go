@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/directory"
+	"repro/internal/wire"
 )
 
 // DirCache is the client-side directory route cache. Installed as an
@@ -151,7 +153,8 @@ func (c *DirCache) Stats() DirCacheStats {
 // Interceptor returns the cache's chain stage. It sits directly above
 // the resolver: on a hit it pre-fills Call.Route (the resolver then
 // skips its directory lookup); on a miss it lets the resolver do the
-// lookup and caches the result once the attempt succeeds. Unreachable
+// lookup and caches the result once the destination has answered — a
+// refusal proves the route as well as a result does. Unreachable
 // errors and proxy failover invalidate the entry.
 func (c *DirCache) Interceptor() Interceptor {
 	return func(next Invoker) Invoker {
@@ -170,10 +173,17 @@ func (c *DirCache) Interceptor() Interceptor {
 			switch {
 			case call.FailedOver || (err != nil && isUnavailable(err)):
 				c.Invalidate(call.Service)
-			case err == nil && !hit && call.Route != nil:
+			case !hit && call.Route != nil && answered(err):
 				c.store(call.Service, *call.Route)
 			}
 			return err
 		}
 	}
+}
+
+// answered reports whether err is the destination's own reply: nil, or
+// an error it sent back (the caller has already ruled out unavailable).
+func answered(err error) bool {
+	var re *wire.RemoteError
+	return err == nil || errors.As(err, &re)
 }

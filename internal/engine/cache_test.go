@@ -53,6 +53,39 @@ func TestDirCacheWarmPathSkipsDirectory(t *testing.T) {
 	}
 }
 
+// TestDirCacheKeepsRouteAfterRefusal: a destination that answers with
+// its own error (a refused Mark is CodeConflict) has proven the route
+// as well as one that answers OK, so the second call asks the directory
+// nothing.
+func TestDirCacheKeepsRouteAfterRefusal(t *testing.T) {
+	w := newWorld(t)
+	w.addNode("phil")
+	var now atomic.Int64
+	e, cache := cachedEngine(w, "andy", time.Minute, &now)
+	ctx := context.Background()
+	refused := func() {
+		t.Helper()
+		err := e.Invoke(ctx, "cal.phil", "FailIf", wire.Args{"who": "phil"}, nil)
+		if wire.CodeOf(err) != wire.CodeConflict {
+			t.Fatalf("err = %v, want the handler's conflict", err)
+		}
+	}
+
+	w.net.ResetStats()
+	refused()
+	if got := w.net.Stats().Requests; got != 2 {
+		t.Fatalf("cold refused call made %d requests, want 2 (lookup + invoke)", got)
+	}
+	w.net.ResetStats()
+	refused()
+	if got := w.net.Stats().Requests; got != 1 {
+		t.Fatalf("second refused call made %d requests, want 1 (%d directory requests, want 0)", got, got-1)
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 || st.Size != 1 {
+		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss / 1 entry", st)
+	}
+}
+
 func TestDirCacheTTLExpiry(t *testing.T) {
 	w := newWorld(t)
 	w.addNode("phil")

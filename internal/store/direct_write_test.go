@@ -1,0 +1,242 @@
+package store
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+)
+
+// A direct table write and a unit of that one op are the same write:
+// this file holds the two to each other over random op sequences, and
+// holds log replay to "the same apply, minus triggers and log".
+
+// recLogger records every unit handed to LogTx.
+type recLogger struct{ units [][]LoggedOp }
+
+func (l *recLogger) LogDDLTable(Schema) Ack         { return func() error { return nil } }
+func (l *recLogger) LogDDLIndex(string, string) Ack { return func() error { return nil } }
+func (l *recLogger) LogTx(ops []LoggedOp) Ack {
+	l.units = append(l.units, append([]LoggedOp(nil), ops...))
+	return func() error { return nil }
+}
+
+type trigCall struct {
+	Timing   Timing
+	Op       Op
+	Old, New Row
+}
+
+// driven is one calendar table with an index, a recording logger and a
+// recording trigger at every (timing, op).
+type driven struct {
+	db    *DB
+	tab   *Table
+	log   recLogger
+	calls []trigCall
+}
+
+func newDriven() *driven {
+	d := &driven{db: NewDB()}
+	d.db.SetLogger(&d.log)
+	d.tab = d.db.MustCreateTable(calendarSchema())
+	if err := d.tab.CreateIndex("status"); err != nil {
+		panic(err)
+	}
+	for _, timing := range []Timing{Before, After} {
+		for _, op := range []Op{OpInsert, OpUpdate, OpDelete} {
+			d.tab.OnTrigger(timing, op, "rec", func(op Op, old, new Row) error {
+				d.calls = append(d.calls, trigCall{timing, op, old.Clone(), new.Clone()})
+				return nil
+			})
+		}
+	}
+	return d
+}
+
+// direct writes op through the table's own methods.
+func (d *driven) direct(op LoggedOp) error {
+	switch op.Op {
+	case OpInsert:
+		return d.tab.Insert(op.Row)
+	case OpUpdate:
+		return d.tab.Update(op.Row, op.Key...)
+	}
+	return d.tab.Delete(op.Key...)
+}
+
+// unit writes op as a commit unit of that one op.
+func (d *driven) unit(op LoggedOp) error {
+	return d.db.Unit(context.Background(), func(u *Tx) error {
+		switch op.Op {
+		case OpInsert:
+			return u.Insert(op.Table, op.Row)
+		case OpUpdate:
+			return u.Update(op.Table, op.Row.Clone(), op.Key...)
+		}
+		return u.Delete(op.Table, op.Key...)
+	})
+}
+
+// state is everything a reader can see: rows by key, and the index read
+// of every status the generator uses.
+func (d *driven) state() map[string]any {
+	out := map[string]any{"rows": snapshotRows(d.tab), "count": d.tab.Count()}
+	for s := 0; s < 4; s++ {
+		st := fmt.Sprintf("s%d", s)
+		out[st] = d.tab.SelectEq("status", st)
+	}
+	return out
+}
+
+var writeSentinels = []error{ErrDupKey, ErrNoRow, ErrKeyImmutable, ErrBadColumn, ErrBadType}
+
+// sentinel names the store error err is, "" for nil.
+func sentinel(err error) string {
+	if err == nil {
+		return ""
+	}
+	for _, s := range writeSentinels {
+		if errors.Is(err, s) {
+			return s.Error()
+		}
+	}
+	return "other: " + err.Error()
+}
+
+// randomOp draws one write over 12 hours of one day, so that about half
+// the keyed writes find their row; one in four is malformed.
+func randomOp(rng *rand.Rand, raw uint8) LoggedOp {
+	h := int64(raw % 12)
+	st := fmt.Sprintf("s%d", rng.Intn(4))
+	key := []any{"d", h}
+	switch raw % 8 {
+	case 0, 1:
+		return LoggedOp{Table: "calendar", Op: OpInsert, Row: slotRow("d", h, st)}
+	case 2, 3:
+		return LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"status": st, "priority": int64(raw)}, Key: key}
+	case 4, 5:
+		return LoggedOp{Table: "calendar", Op: OpDelete, Key: key}
+	case 6:
+		return LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"hour": h + 1}, Key: key}
+	}
+	return LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"nope": st}, Key: key}
+}
+
+func TestDirectWriteIsAUnitOfOne(t *testing.T) {
+	f := func(seed int64, opsRaw []uint8) bool {
+		if len(opsRaw) > 60 {
+			opsRaw = opsRaw[:60]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		a, b := newDriven(), newDriven()
+		written := 0
+		for i, raw := range opsRaw {
+			op := randomOp(rng, raw)
+			na, nb := len(a.calls), len(b.calls)
+			errA, errB := a.direct(op), b.unit(op)
+			if sentinel(errA) != sentinel(errB) {
+				t.Logf("op %d %v: direct %v, unit %v", i, op, errA, errB)
+				return false
+			}
+			ca, cb := a.calls[na:], b.calls[nb:]
+			if errA != nil {
+				// A refused write changed nothing; whether a Before trigger
+				// was asked about it first is not part of the contract.
+				for _, c := range append(ca, cb...) {
+					if c.Timing == After {
+						t.Logf("op %d %v: refused (%v) but fired %v", i, op, errA, c)
+						return false
+					}
+				}
+				continue
+			}
+			written++
+			if !reflect.DeepEqual(ca, cb) {
+				t.Logf("op %d %v: triggers direct %v, unit %v", i, op, ca, cb)
+				return false
+			}
+		}
+		if !reflect.DeepEqual(a.state(), b.state()) {
+			t.Logf("state: direct %v, unit %v", a.state(), b.state())
+			return false
+		}
+		// One LogTx of one op per write that happened, equal Row and Key.
+		if len(a.log.units) != written || !reflect.DeepEqual(a.log.units, b.log.units) {
+			t.Logf("%d writes; log direct %v, unit %v", written, a.log.units, b.log.units)
+			return false
+		}
+		for _, u := range a.log.units {
+			if len(u) != 1 {
+				t.Logf("direct write logged a unit of %d ops", len(u))
+				return false
+			}
+		}
+
+		// Replaying that log reproduces the table, silently.
+		r := newDriven()
+		for _, u := range a.log.units {
+			if err := r.db.ApplyLogged(u); err != nil {
+				t.Logf("replay %v: %v", u, err)
+				return false
+			}
+		}
+		if !reflect.DeepEqual(a.state(), r.state()) {
+			t.Logf("state: direct %v, replayed %v", a.state(), r.state())
+			return false
+		}
+		if len(r.calls) != 0 || len(r.log.units) != 0 {
+			t.Logf("replay fired %v and logged %v", r.calls, r.log.units)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(43))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplyLoggedChecksItsInput: replay skips triggers and the log, not
+// the checks a corrupt or out-of-order log record must not get past.
+func TestApplyLoggedChecksItsInput(t *testing.T) {
+	d := newDriven()
+	ins := LoggedOp{Table: "calendar", Op: OpInsert, Row: slotRow("d", 9, "s0")}
+	if err := d.db.ApplyLogged([]LoggedOp{ins}); err != nil {
+		t.Fatal(err)
+	}
+	before := d.state()
+	key, gone := []any{"d", int64(9)}, []any{"d", int64(10)}
+	for _, c := range []struct {
+		name string
+		op   LoggedOp
+		want error
+	}{
+		{"duplicate insert", ins, ErrDupKey},
+		{"update of a missing row", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"status": "s1"}, Key: gone}, ErrNoRow},
+		{"delete of a missing row", LoggedOp{Table: "calendar", Op: OpDelete, Key: gone}, ErrNoRow},
+		{"mistyped column", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"status": int64(1)}, Key: key}, ErrBadType},
+		{"mistyped inserted column", LoggedOp{Table: "calendar", Op: OpInsert, Row: Row{"day": "d", "hour": "ten"}}, ErrBadType},
+		{"unknown column", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"nope": "x"}, Key: key}, ErrBadColumn},
+		{"insert without its key", LoggedOp{Table: "calendar", Op: OpInsert, Row: Row{"day": "d"}}, ErrMissingKey},
+		{"key column changed", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"hour": int64(3)}, Key: key}, ErrKeyImmutable},
+		{"short key", LoggedOp{Table: "calendar", Op: OpDelete, Key: []any{"d"}}, ErrMissingKey},
+		{"unknown table", LoggedOp{Table: "nope", Op: OpDelete, Key: key}, ErrNoTable},
+	} {
+		if err := d.db.ApplyLogged([]LoggedOp{c.op}); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	if err := d.db.ApplyLogged([]LoggedOp{{Table: "calendar", Op: Op(9), Key: key}}); err == nil {
+		t.Error("unknown op applied")
+	}
+	if !reflect.DeepEqual(before, d.state()) {
+		t.Errorf("refused replays changed the table: %v -> %v", before, d.state())
+	}
+	if len(d.calls) != 0 || len(d.log.units) != 0 {
+		t.Errorf("replay fired %v and logged %v", d.calls, d.log.units)
+	}
+}

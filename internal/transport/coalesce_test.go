@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -119,5 +120,55 @@ func TestCoalescerFailWakesWaiters(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Fatal("fail() never surfaced to any waiter")
+	}
+}
+
+// enteredConn reports each Write on its way into the socket.
+type enteredConn struct {
+	net.Conn
+	entered chan struct{}
+}
+
+func (c *enteredConn) Write(p []byte) (int, error) {
+	c.entered <- struct{}{}
+	return c.Conn.Write(p)
+}
+
+// TestFailUnblocksWriterStuckInWrite: a connection's fail() closes the
+// socket, which is what returns a writer blocked in Write (the peer of a
+// net.Pipe never reads); writers queued behind it and every later one
+// then fail without touching the socket.
+func TestFailUnblocksWriterStuckInWrite(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	conn := &enteredConn{Conn: local, entered: make(chan struct{}, 16)}
+	stats := &metrics.WireStats{}
+	c := &tcpClientConn{conn: conn, w: newCoalescer(conn, stats), stats: stats, pending: make(map[uint64]chan *Response)}
+
+	const writers = 4
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func() {
+			_, err := c.w.write([]byte("frame"))
+			errs <- err
+		}()
+	}
+	<-conn.entered // one writer is inside Write; the rest wait for it
+	c.fail()
+	for i := 0; i < writers; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Error("a write on a failed connection reported success")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("fail() left a writer blocked")
+		}
+	}
+	if _, err := c.w.write([]byte("late")); err == nil {
+		t.Error("a write after fail() reported success")
+	}
+	if n := len(conn.entered); n != 0 {
+		t.Errorf("%d more writes reached the closed socket", n)
 	}
 }
