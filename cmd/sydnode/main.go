@@ -145,7 +145,6 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 		ListenAddr:           *addr,
 		HeartbeatEvery:       5 * time.Second,
 		ExpireEvery:          30 * time.Second,
-		DirCacheTTL:          2 * time.Second,
 		RouteCacheTTL:        *routeCacheTTL,
 		Metrics:              metrics.Default(),
 		PublishIntrospection: true,

@@ -19,7 +19,7 @@ import (
 //   - Every goroutine that blocks on the clock (After/Sleep) must be
 //     registered via RegisterGoroutine, and must hold at most one
 //     outstanding wait at a time. The harness's device drivers and the
-//     kernel's periodic loops (event.Handler.Every, clock.Loop) do this
+//     kernel's periodic loops (event.Handler.Every, clock.LoopGo) do this
 //     automatically when they detect an AutoRegistrar clock.
 //   - The clock advances one waiter at a time, in (deadline, creation
 //     order) order, and only while ALL registered goroutines are parked
@@ -228,30 +228,17 @@ func (f *FakeAuto) Fired() uint64 {
 	return f.fired
 }
 
-// Loop runs fn every interval until ctx is done, timing the waits
-// through clk (first run one interval after Loop starts). It is the
-// clock-aware replacement for a time.NewTicker goroutine: on an
-// AutoRegistrar clock the loop registers itself so virtual time can
-// advance deterministically through its waits. Loop blocks; callers
-// run it in a goroutine.
-func Loop(ctx context.Context, clk Clock, interval time.Duration, fn func(context.Context)) {
-	if clk == nil {
-		clk = System
-	}
-	ar, auto := clk.(AutoRegistrar)
-	if auto {
-		ar.RegisterGoroutine()
-	}
-	loopRun(ctx, clk, interval, fn, ar, auto)
-}
-
-// LoopGo spawns Loop in its own goroutine, registering it with an
-// AutoRegistrar clock *before* launch. Registration must be synchronous
-// with the spawn site: a paused FakeAuto gate counts registered
-// goroutines, and a loop that registered only after the scheduler got
-// around to it would let the gate open early — the clock could jump
-// past the loop's first interval before the loop even queued a waiter.
-// done, if non-nil, runs when the loop exits (a WaitGroup hook).
+// LoopGo runs fn every interval until ctx is done, in its own
+// goroutine, timing the waits through clk (first run one interval after
+// the call). It is the clock-aware replacement for a time.NewTicker
+// goroutine: on an AutoRegistrar clock the loop is registered so virtual
+// time can advance deterministically through its waits, and registered
+// *before* launch. Registration must be synchronous with the spawn
+// site: a paused FakeAuto gate counts registered goroutines, and a loop
+// that registered only after the scheduler got around to it would let
+// the gate open early — the clock could jump past the loop's first
+// interval before the loop even queued a waiter. done, if non-nil, runs
+// when the loop exits (a WaitGroup hook).
 func LoopGo(ctx context.Context, clk Clock, interval time.Duration, fn func(context.Context), done func()) {
 	if clk == nil {
 		clk = System
@@ -264,27 +251,23 @@ func LoopGo(ctx context.Context, clk Clock, interval time.Duration, fn func(cont
 		if done != nil {
 			defer done()
 		}
-		loopRun(ctx, clk, interval, fn, ar, auto)
-	}()
-}
-
-func loopRun(ctx context.Context, clk Clock, interval time.Duration, fn func(context.Context), ar AutoRegistrar, auto bool) {
-	for {
-		ch := clk.After(interval)
-		select {
-		case <-ctx.Done():
-			if auto {
-				ar.UnregisterGoroutine(ch)
-			}
-			return
-		case <-ch:
-			if ctx.Err() != nil {
+		for {
+			ch := clk.After(interval)
+			select {
+			case <-ctx.Done():
 				if auto {
-					ar.UnregisterGoroutine()
+					ar.UnregisterGoroutine(ch)
 				}
 				return
+			case <-ch:
+				if ctx.Err() != nil {
+					if auto {
+						ar.UnregisterGoroutine()
+					}
+					return
+				}
+				fn(ctx)
 			}
-			fn(ctx)
 		}
-	}
+	}()
 }

@@ -230,7 +230,7 @@ func TestLoopOnFakeAuto(t *testing.T) {
 	select {
 	case <-loopDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Loop did not exit on cancel")
+		t.Fatal("loop did not exit on cancel")
 	}
 	if n := clk.Registered(); n != 0 {
 		t.Fatalf("loop left %d registrations behind", n)
@@ -243,12 +243,9 @@ func TestLoopOnRealClock(t *testing.T) {
 	fired := make(chan struct{})
 	var once sync.Once
 	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		Loop(ctx, nil, time.Millisecond, func(context.Context) {
-			once.Do(func() { close(fired) })
-		})
-	}()
+	LoopGo(ctx, nil, time.Millisecond, func(context.Context) {
+		once.Do(func() { close(fired) })
+	}, func() { close(done) })
 	select {
 	case <-fired:
 	case <-time.After(5 * time.Second):
@@ -258,6 +255,6 @@ func TestLoopOnRealClock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Loop did not exit on cancel")
+		t.Fatal("loop did not exit on cancel")
 	}
 }

@@ -60,10 +60,9 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// ExpireEvery enables the periodic link-expiry sweep when > 0.
 	ExpireEvery time.Duration
-	// DirCacheTTL enables directory lookup caching when > 0.
-	DirCacheTTL time.Duration
 	// RouteCacheTTL, when > 0, installs the engine's directory route
-	// cache so warm invocations skip directory resolution entirely.
+	// cache — the node's one cache of directory answers — so warm
+	// invocations skip directory resolution entirely.
 	RouteCacheTTL time.Duration
 	// Metrics, when set, records per-method client and server metrics
 	// through the interceptor/middleware chains.
@@ -216,15 +215,11 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 		}
 	}
 
-	dirOpts := []directory.ClientOption{directory.WithCallerID(cfg.User)}
-	if cfg.DirCacheTTL > 0 {
-		dirOpts = append(dirOpts, directory.WithCacheTTL(cfg.DirCacheTTL))
-	}
 	var dir *directory.Client
 	if cfg.ControlPlaneAddr != "" {
-		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr, dirOpts...)
+		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr, directory.WithCallerID(cfg.User))
 	} else {
-		dir = directory.NewClient(cfg.Net, cfg.DirAddr, dirOpts...)
+		dir = directory.NewClient(cfg.Net, cfg.DirAddr, directory.WithCallerID(cfg.User))
 	}
 	// Client chain mirrors the server: metrics outermost, then the
 	// engine's stock credential/cache/resolver stages.

@@ -207,6 +207,8 @@ func TestStartTwiceSameAddrFallsBack(t *testing.T) {
 	}
 }
 
+// TestDirCacheTTLReducesLookups: RouteCacheTTL installs the engine's
+// DirCache, the node's one cache of directory answers.
 func TestDirCacheTTLReducesLookups(t *testing.T) {
 	net, clk := newDeployment(t)
 	ctx := context.Background()
@@ -223,7 +225,7 @@ func TestDirCacheTTLReducesLookups(t *testing.T) {
 
 	cached, err := core.Start(ctx, core.Config{
 		User: "cached", Net: net, DirAddr: "dir", Clock: clk,
-		DirCacheTTL: time.Minute,
+		RouteCacheTTL: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,19 +15,17 @@ import (
 )
 
 // Client is the typed stub every SyD node uses to talk to the
-// directory. It caches service lookups briefly to keep the directory
-// from becoming a hot spot (the prototype consulted the directory "on
-// the fly"; a small TTL cache preserves that semantic while letting
-// group operations scale).
+// directory. It consults the directory "on the fly", as the prototype
+// did: every lookup is an RPC. What keeps the directory from becoming a
+// hot spot is the route cache of the engine above it (engine.DirCache).
 //
 // A Client talks either to a single directory server (NewClient) or
 // to a sharded directory behind a control plane (NewShardedClient).
 // In sharded mode the client pulls the epoch-versioned routing table
 // once, routes every op to the shard owning the op's key, and watches
 // the epoch stamped on every response: a newer epoch means the table
-// is stale — the client refreshes it, drops its lookup cache, and
-// notifies OnEpochChange hooks immediately instead of waiting out a
-// TTL. An op that still lands on the wrong shard (the table changed
+// is stale — the client refreshes it and notifies OnEpochChange hooks
+// (the engine's route cache) at once. An op that still lands on the wrong shard (the table changed
 // between pull and call) is redirected by the shard's CodeWrongShard
 // reply and retried once against the refreshed table.
 type Client struct {
@@ -36,42 +34,13 @@ type Client struct {
 	cp     *controlplane.Client // control plane (nil in single-server mode)
 	caller string               // stamped on requests when set (WithCallerID)
 
-	cacheTTL time.Duration
-	mu       sync.Mutex
-	cache    map[string]cachedService
-	inflight map[string]*flight
-	nowFn    func() time.Time
-
 	tableMu sync.RWMutex
 	table   *controlplane.Table
 	hooks   []func(uint64)
 }
 
-type cachedService struct {
-	info ServiceInfo
-	// full records whether info includes the method list (LookupService
-	// result). Route-only entries (ResolveService results) satisfy
-	// ResolveService but never LookupService, so a full lookup is never
-	// answered with a methods-less record.
-	full    bool
-	expires time.Time
-}
-
-// flight is one in-progress lookup that concurrent cold-cache misses
-// for the same name piggyback on instead of stampeding the directory.
-type flight struct {
-	done chan struct{}
-	info ServiceInfo
-	err  error
-}
-
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithCacheTTL sets the service-lookup cache TTL (0 disables caching).
-func WithCacheTTL(d time.Duration) ClientOption {
-	return func(c *Client) { c.cacheTTL = d }
-}
 
 // WithCallerID stamps user as the caller on every directory request.
 // The simulated network keys partitions by (caller, destination), so a
@@ -84,14 +53,7 @@ func WithCallerID(user string) ClientOption {
 // NewClient creates a directory client for the single directory
 // server at addr.
 func NewClient(net transport.Network, addr string, opts ...ClientOption) *Client {
-	c := &Client{
-		net:      net,
-		addr:     addr,
-		cacheTTL: 0,
-		cache:    make(map[string]cachedService),
-		inflight: make(map[string]*flight),
-		nowFn:    time.Now,
-	}
+	c := &Client{net: net, addr: addr}
 	for _, o := range opts {
 		o(c)
 	}
@@ -130,9 +92,9 @@ func (c *Client) Epoch() uint64 {
 }
 
 // OnEpochChange registers fn to run whenever the client observes a
-// newer shard-map epoch (after the table refresh and lookup-cache
-// flush). The engine wires its route cache here so a bump invalidates
-// warm routes across the whole node at once.
+// newer shard-map epoch (after the table refresh). The engine wires its
+// route cache here so a bump invalidates warm routes across the whole
+// node at once.
 func (c *Client) OnEpochChange(fn func(epoch uint64)) {
 	c.tableMu.Lock()
 	c.hooks = append(c.hooks, fn)
@@ -163,9 +125,9 @@ func (c *Client) refreshTable(ctx context.Context) (*controlplane.Table, error) 
 	return c.installTable(t), nil
 }
 
-// installTable swaps the routing table in if t is newer, flushing the
-// lookup cache and firing epoch hooks on an epoch advance. Returns
-// the table the client holds afterwards.
+// installTable swaps the routing table in if t is newer, firing the
+// epoch hooks (routes resolved under the old table are suspect).
+// Returns the table the client holds afterwards.
 func (c *Client) installTable(t *controlplane.Table) *controlplane.Table {
 	c.tableMu.Lock()
 	if c.table != nil && t.Epoch <= c.table.Epoch {
@@ -176,10 +138,6 @@ func (c *Client) installTable(t *controlplane.Table) *controlplane.Table {
 	c.table = t
 	hooks := append([]func(uint64){}, c.hooks...)
 	c.tableMu.Unlock()
-	// Epoch advanced: routes resolved under the old table are suspect.
-	c.mu.Lock()
-	c.cache = make(map[string]cachedService)
-	c.mu.Unlock()
 	for _, fn := range hooks {
 		fn(t.Epoch)
 	}
@@ -336,14 +294,13 @@ func (c *Client) RegisterService(ctx context.Context, name, owner, addr string, 
 
 // UnregisterService removes a published service.
 func (c *Client) UnregisterService(ctx context.Context, name string) error {
-	c.invalidate(name)
 	return c.call(ctx, ShardKey(name), "UnregisterService", wire.Args{"name": name}, nil)
 }
 
 // LookupService resolves a service name to its location and the
-// owner's liveness/proxy, consulting the local cache first.
+// owner's liveness/proxy.
 func (c *Client) LookupService(ctx context.Context, name string) (ServiceInfo, error) {
-	return c.lookup(ctx, "LookupService", name, true)
+	return c.lookup(ctx, "LookupService", name)
 }
 
 // ResolveService is LookupService minus the method list: the
@@ -351,59 +308,14 @@ func (c *Client) LookupService(ctx context.Context, name string) (ServiceInfo, e
 // invocation. The server skips decoding the methods column and the
 // response omits it, keeping the per-call lookup lean on both sides.
 func (c *Client) ResolveService(ctx context.Context, name string) (ServiceInfo, error) {
-	return c.lookup(ctx, "ResolveService", name, false)
+	return c.lookup(ctx, "ResolveService", name)
 }
 
-func (c *Client) lookup(ctx context.Context, method, name string, full bool) (ServiceInfo, error) {
-	if c.cacheTTL == 0 {
-		return c.lookupRemote(ctx, method, name)
-	}
-	fkey := name
-	if full {
-		fkey = name + "\x00full"
-	}
-	for {
-		c.mu.Lock()
-		// A full (methods-bearing) entry satisfies either request; a
-		// route-only entry satisfies only route-only requests.
-		if e, ok := c.cache[name]; ok && (e.full || !full) && c.nowFn().Before(e.expires) {
-			c.mu.Unlock()
-			trace.EventCtx(ctx, "dir.cache", trace.String("service", name), trace.Bool("hit", true))
-			return e.info, nil
-		}
-		if f, ok := c.inflight[fkey]; ok {
-			// Another goroutine is already asking the directory for this
-			// name: wait for its answer instead of stampeding.
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				return f.info, f.err
-			case <-ctx.Done():
-				return ServiceInfo{}, ctx.Err()
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[fkey] = f
-		c.mu.Unlock()
-
-		info, err := c.lookupRemote(ctx, method, name)
-		f.info, f.err = info, err
-		c.mu.Lock()
-		delete(c.inflight, fkey)
-		if err == nil {
-			c.cache[name] = cachedService{info: info, full: full, expires: c.nowFn().Add(c.cacheTTL)}
-		}
-		c.mu.Unlock()
-		close(f.done)
-		return info, err
-	}
-}
-
-// lookupRemote performs the actual directory lookup RPC.
-func (c *Client) lookupRemote(ctx context.Context, method, name string) (ServiceInfo, error) {
+// lookup performs one directory lookup RPC.
+func (c *Client) lookup(ctx context.Context, method, name string) (ServiceInfo, error) {
 	ctx, span := trace.Start(ctx, "dir.lookup")
 	if span != nil {
-		span.Annotate(trace.String("service", name), trace.Bool("hit", false))
+		span.Annotate(trace.String("service", name))
 	}
 	var info ServiceInfo
 	err := c.call(ctx, ShardKey(name), method, wire.Args{"name": name}, &info)
@@ -418,8 +330,7 @@ func (c *Client) lookupRemote(ctx context.Context, method, name string) (Service
 // grouped by owning shard and each shard answers its whole group in a
 // single RPC (one RPC total in single-server mode). Unknown names are
 // simply absent from the result — callers fall back to per-name
-// resolution, which surfaces the error. Successful routes fill the
-// client's lookup cache.
+// resolution, which surfaces the error.
 func (c *Client) ResolveBatch(ctx context.Context, names []string) (map[string]ServiceInfo, error) {
 	if len(names) == 0 {
 		return nil, nil
@@ -461,27 +372,8 @@ func (c *Client) ResolveBatch(ctx context.Context, names []string) (map[string]S
 		}(addr, group)
 	}
 	wg.Wait()
-	if c.cacheTTL > 0 && len(out) > 0 {
-		c.mu.Lock()
-		exp := c.nowFn().Add(c.cacheTTL)
-		for name, info := range out {
-			c.cache[name] = cachedService{info: info, full: false, expires: exp}
-		}
-		c.mu.Unlock()
-	}
 	return out, firstErr
 }
-
-// invalidate drops a cached service entry.
-func (c *Client) invalidate(name string) {
-	c.mu.Lock()
-	delete(c.cache, name)
-	c.mu.Unlock()
-}
-
-// Invalidate drops a cached service entry; the engine calls this after
-// a failed invocation so the next lookup is fresh.
-func (c *Client) Invalidate(name string) { c.invalidate(name) }
 
 // ServicesOf lists service names owned by owner (merged across
 // shards: a service co-locates with the user its name points at,

@@ -165,7 +165,6 @@ func TestTouchClearsOfflineAndReleasesProxyAtomically(t *testing.T) {
 	}
 	// The stale proxy redirect is gone: a sync session resolving the
 	// user's services right after Touch goes straight to the device.
-	c.Invalidate("cal.phil")
 	svc, err = c.LookupService(ctx, "cal.phil")
 	if err != nil {
 		t.Fatal(err)
@@ -393,50 +392,6 @@ func TestUnknownMethod(t *testing.T) {
 	err := c.call(ctxT(t), "x", "Bogus", wire.Args{}, nil)
 	if wire.CodeOf(err) != wire.CodeNoMethod {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestClientCache(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	net := sim.New(sim.Config{})
-	srv := NewServer(WithClock(fake))
-	ln, err := net.Listen("dir", srv.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(net, ln.Addr(), WithCacheTTL(time.Minute))
-	now := time.Unix(0, 0)
-	c.nowFn = func() time.Time { return now }
-	ctx := ctxT(t)
-
-	if err := c.RegisterService(ctx, "cal.phil", "", "node-phil", nil); err != nil {
-		t.Fatal(err)
-	}
-	before := net.Stats().Requests
-	if _, err := c.LookupService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.LookupService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Stats().Requests - before; got != 1 {
-		t.Fatalf("2 cached lookups made %d network calls", got)
-	}
-	// Cache expires.
-	now = now.Add(2 * time.Minute)
-	if _, err := c.LookupService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Stats().Requests - before; got != 2 {
-		t.Fatalf("expired cache did not refetch (calls=%d)", got)
-	}
-	// Invalidate forces refetch.
-	c.Invalidate("cal.phil")
-	if _, err := c.LookupService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Stats().Requests - before; got != 3 {
-		t.Fatalf("invalidate did not refetch (calls=%d)", got)
 	}
 }
 

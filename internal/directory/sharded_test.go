@@ -1,9 +1,7 @@
 package directory
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +9,6 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/transport"
 )
 
 // shardedDir is a 4-shard directory deployment on a sim network:
@@ -299,10 +296,11 @@ func TestShardedTouchAfterEpochBump(t *testing.T) {
 	}
 }
 
-func TestEpochBumpInvalidatesClientCacheWithoutTTLWait(t *testing.T) {
-	d := newShardedDirectory(t, 4, WithCacheTTL(time.Hour))
-	now := time.Unix(0, 0)
-	d.client.nowFn = func() time.Time { return now } // TTL never expires
+// TestEpochBumpFiresHooksOnNextRPC: a client holding the old table
+// learns of a bump from the epoch stamped on its next response, whatever
+// the op, and tells its hooks (the engine's route cache) at once.
+func TestEpochBumpFiresHooksOnNextRPC(t *testing.T) {
+	d := newShardedDirectory(t, 4)
 	ctx := ctxT(t)
 
 	var hookEpochs []uint64
@@ -318,14 +316,6 @@ func TestEpochBumpInvalidatesClientCacheWithoutTTLWait(t *testing.T) {
 	if err != nil || svc.Addr != "node-phil" {
 		t.Fatalf("resolve: %+v, %v", svc, err)
 	}
-	// Cached: resolving again makes no RPC.
-	before := d.net.Stats().Requests
-	if _, err := d.client.ResolveService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.net.Stats().Requests; got != before {
-		t.Fatalf("cached resolve made %d RPCs", got-before)
-	}
 
 	// The service moves (re-registered elsewhere by another client),
 	// and the control plane bumps the epoch to broadcast the change.
@@ -336,21 +326,19 @@ func TestEpochBumpInvalidatesClientCacheWithoutTTLWait(t *testing.T) {
 	if e := d.ctl.Bump(); e != 2 {
 		t.Fatalf("Bump = %d", e)
 	}
+	if len(hookEpochs) != 1 || hookEpochs[0] != 1 {
+		t.Fatalf("OnEpochChange hooks before the next RPC = %v, want [1] (the first table pull)", hookEpochs)
+	}
 
-	// The stale client's next RPC — any op at all — carries the new
-	// epoch, which flushes its cache immediately. No TTL wait.
 	if _, err := d.client.LookupUser(ctx, "phil"); err != nil {
 		t.Fatal(err)
 	}
+	if len(hookEpochs) != 2 || hookEpochs[1] != 2 || d.client.Epoch() != 2 {
+		t.Fatalf("OnEpochChange hooks = %v (client epoch %d), want [1 2]", hookEpochs, d.client.Epoch())
+	}
 	svc, err = d.client.ResolveService(ctx, "cal.phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.Addr != "node-phil-2" {
-		t.Fatalf("stale route survived epoch bump: %+v", svc)
-	}
-	if len(hookEpochs) == 0 || hookEpochs[len(hookEpochs)-1] != 2 {
-		t.Fatalf("OnEpochChange hooks = %v, want last 2", hookEpochs)
+	if err != nil || svc.Addr != "node-phil-2" {
+		t.Fatalf("resolve after the bump: %+v, %v", svc, err)
 	}
 }
 
@@ -409,103 +397,5 @@ func TestShardedProxyBroadcastAndAssignment(t *testing.T) {
 		if info.Proxy != "proxy-1" {
 			t.Fatalf("user %s proxy = %q", u, info.Proxy)
 		}
-	}
-}
-
-// gatedHandler blocks every request until released, recording arrival.
-type gatedHandler struct {
-	inner   transport.Handler
-	arrived chan struct{}
-	release chan struct{}
-}
-
-func (g *gatedHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
-	select {
-	case g.arrived <- struct{}{}:
-	default:
-	}
-	<-g.release
-	return g.inner.HandleRequest(ctx, req)
-}
-
-func (g *gatedHandler) HandleEvent(ev *transport.Event) { g.inner.HandleEvent(ev) }
-
-func TestLookupSingleflightCollapsesColdMisses(t *testing.T) {
-	fake := clock.NewFake(time.Unix(0, 0))
-	net := sim.New(sim.Config{})
-	srv := NewServer(WithClock(fake), WithTTL(time.Hour))
-	gate := &gatedHandler{
-		inner:   srv.Handler(),
-		arrived: make(chan struct{}, 1),
-		release: make(chan struct{}),
-	}
-	ln, err := net.Listen("dir", gate.inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := ctxT(t)
-	setup := NewClient(net, ln.Addr())
-	if err := setup.RegisterService(ctx, "cal.phil", "", "node-phil", nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-listen behind the gate for the actual test client.
-	gln, err := net.Listen("dir-gated", gate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(net, gln.Addr(), WithCacheTTL(time.Minute))
-
-	before := net.Stats().Requests
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	infos := make([]ServiceInfo, workers)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		infos[0], errs[0] = c.ResolveService(ctx, "cal.phil")
-	}()
-	<-gate.arrived // the leader's RPC is in flight; its flight entry exists
-	for i := 1; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			infos[i], errs[i] = c.ResolveService(ctx, "cal.phil")
-		}(i)
-	}
-	close(gate.release)
-	wg.Wait()
-
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("worker %d: %v", i, errs[i])
-		}
-		if infos[i].Addr != "node-phil" {
-			t.Fatalf("worker %d info = %+v", i, infos[i])
-		}
-	}
-	if got := net.Stats().Requests - before; got != 1 {
-		t.Fatalf("%d concurrent cold misses made %d directory RPCs, want 1", workers, got)
-	}
-}
-
-func TestShardedClientFullVsRouteCacheEntries(t *testing.T) {
-	// A route-only (ResolveService) cache entry must not answer a
-	// LookupService (methods-bearing) request in sharded mode either.
-	d := newShardedDirectory(t, 4, WithCacheTTL(time.Minute))
-	ctx := ctxT(t)
-	if err := d.client.RegisterService(ctx, "cal.phil", "", "node-phil", []string{"A", "B"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.client.ResolveService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	full, err := d.client.LookupService(ctx, "cal.phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Methods) != 2 {
-		t.Fatalf("route-only cache entry served a full lookup: %+v", full)
 	}
 }

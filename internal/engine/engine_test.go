@@ -379,7 +379,7 @@ func BenchmarkEngineInvoke(b *testing.B) {
 	net := sim.New(sim.Config{})
 	srv := directory.NewServer(directory.WithTTL(time.Hour))
 	dln, _ := net.Listen("dir", srv.Handler())
-	dir := directory.NewClient(net, dln.Addr(), directory.WithCacheTTL(time.Minute))
+	dir := directory.NewClient(net, dln.Addr())
 	l := listener.New("phil", nil)
 	obj := listener.NewObject()
 	obj.Handle("Ping", func(ctx context.Context, call *listener.Call) (any, error) { return "pong", nil })
@@ -392,7 +392,7 @@ func BenchmarkEngineInvoke(b *testing.B) {
 	if err := l.PublishGlobal(ctx, dir, "cal.phil", nln.Addr()); err != nil {
 		b.Fatal(err)
 	}
-	e := New(net, dir, "andy")
+	e := New(net, dir, "andy", WithDirCache(NewDirCache(time.Minute)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

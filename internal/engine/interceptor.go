@@ -170,9 +170,8 @@ func resolveInterceptor(e *Engine) Interceptor {
 			if err == nil || !isUnavailable(err) {
 				return err
 			}
-			// Primary is gone: drop the cached lookup so future calls
-			// re-resolve, then try the fallback if there is one.
-			e.dir.Invalidate(call.Service)
+			// Primary is gone (the route cache above forgets the route):
+			// try the fallback if there is one.
 			if fallback == "" || fallback == primary {
 				return err
 			}

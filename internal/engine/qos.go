@@ -26,13 +26,6 @@ type QoS struct {
 	Backoff time.Duration
 }
 
-// BestEffort is a single attempt with no retries.
-var BestEffort = QoS{}
-
-// Guaranteed is a practical default for mobile deployments: three
-// retries starting at 50 ms.
-var Guaranteed = QoS{Retries: 3, Backoff: 50 * time.Millisecond}
-
 // RetryInterceptor turns transient unavailability into bounded,
 // backed-off retries — the interceptor form of the engine's QoS
 // support. Only transient failures (unreachable device, lost message,

@@ -96,7 +96,7 @@ func TestInvokeQoSBestEffortIsSingleAttempt(t *testing.T) {
 	w := newWorld(t)
 	attempts := w.addFlakyNode("phil", 1)
 	e := New(w.net, w.dir, "andy")
-	err := invokeQoS(context.Background(), e, BestEffort, clock.System, "flaky.phil", "Ping", nil)
+	err := invokeQoS(context.Background(), e, QoS{}, clock.System, "flaky.phil", "Ping", nil)
 	if wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("err = %v", err)
 	}

@@ -322,7 +322,6 @@ func RunT2() (*Result, error) {
 			return nil, err
 		}
 		w.Net.SetDown(w.Nodes["mobile"].Addr(), true)
-		w.Nodes["caller"].Dir.Invalidate(calendar.ServiceFor("mobile"))
 		proxied, err := probe()
 		if err != nil {
 			return nil, err

@@ -63,24 +63,6 @@ func NewLockTable(clk clock.Clock, ttl time.Duration) *LockTable {
 	return &LockTable{clk: clk, ttl: ttl, locks: make(map[string]lockEntry)}
 }
 
-// SetTTL changes the TTL applied to future TryLock/Extend calls
-// (deployment tuning; live locks keep their current deadline).
-func (lt *LockTable) SetTTL(ttl time.Duration) {
-	if ttl <= 0 {
-		ttl = DefaultLockTTL
-	}
-	lt.mu.Lock()
-	lt.ttl = ttl
-	lt.mu.Unlock()
-}
-
-// TTL returns the table's current lock TTL.
-func (lt *LockTable) TTL() time.Duration {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	return lt.ttl
-}
-
 // newToken returns a fresh opaque lock token (see ids.go for the
 // uniqueness scheme).
 func newToken() string { return mintID() }

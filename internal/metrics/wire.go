@@ -6,17 +6,16 @@ import (
 )
 
 // WireStats counts frame-level traffic on the real socket transport:
-// frames and bytes in each direction, plus write-coalescing behavior
-// (how many flush syscalls were issued and how many frames each one
-// carried). All methods are safe for concurrent use; counting is a
-// handful of atomic adds per frame, cheap enough to leave on.
+// frames and bytes in each direction, and the socket writes that sent
+// them (one per frame). All methods are safe for concurrent use;
+// counting is a handful of atomic adds per frame, cheap enough to leave
+// on.
 type WireStats struct {
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
 	framesRecv atomic.Int64
 	bytesRecv  atomic.Int64
 	flushes    atomic.Int64
-	batchMax   atomic.Int64
 }
 
 // defaultWire is the process-wide transport counter set.
@@ -44,19 +43,10 @@ func (w *WireStats) RecordRecv(frames, bytes int) {
 	w.bytesRecv.Add(int64(bytes))
 }
 
-// RecordFlush accounts one coalesced flush syscall that drained the
-// given number of frames.
-func (w *WireStats) RecordFlush(frames int) {
-	if w == nil {
-		return
-	}
-	w.flushes.Add(1)
-	n := int64(frames)
-	for {
-		cur := w.batchMax.Load()
-		if n <= cur || w.batchMax.CompareAndSwap(cur, n) {
-			return
-		}
+// RecordFlush accounts one socket write.
+func (w *WireStats) RecordFlush() {
+	if w != nil {
+		w.flushes.Add(1)
 	}
 }
 
@@ -67,26 +57,17 @@ type WireSnapshot struct {
 	FramesRecv int64 `json:"framesRecv"`
 	BytesRecv  int64 `json:"bytesRecv"`
 	Flushes    int64 `json:"flushes"`
-	// BatchMax is the largest number of frames a single flush drained.
-	BatchMax int64 `json:"batchMax"`
-	// BatchAvg is FramesSent/Flushes: the mean coalescing factor.
-	BatchAvg float64 `json:"batchAvg"`
 }
 
 // Snapshot copies the counters.
 func (w *WireStats) Snapshot() WireSnapshot {
-	s := WireSnapshot{
+	return WireSnapshot{
 		FramesSent: w.framesSent.Load(),
 		BytesSent:  w.bytesSent.Load(),
 		FramesRecv: w.framesRecv.Load(),
 		BytesRecv:  w.bytesRecv.Load(),
 		Flushes:    w.flushes.Load(),
-		BatchMax:   w.batchMax.Load(),
 	}
-	if s.Flushes > 0 {
-		s.BatchAvg = float64(s.FramesSent) / float64(s.Flushes)
-	}
-	return s
 }
 
 // Reset zeroes the counters.
@@ -96,14 +77,12 @@ func (w *WireStats) Reset() {
 	w.framesRecv.Store(0)
 	w.bytesRecv.Store(0)
 	w.flushes.Store(0)
-	w.batchMax.Store(0)
 }
 
 // Render formats the snapshot as one line for sydbench -metrics.
 func (s WireSnapshot) Render() string {
 	return fmt.Sprintf(
-		"frames out=%d (%d B)  in=%d (%d B)  flushes=%d  batch avg=%.2f max=%d\n",
-		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv,
-		s.Flushes, s.BatchAvg, s.BatchMax,
+		"frames out=%d (%d B)  in=%d (%d B)  flushes=%d\n",
+		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv, s.Flushes,
 	)
 }

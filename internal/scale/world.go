@@ -136,7 +136,6 @@ func boot(cfg Config) (*world, error) {
 			Clock:          clk,
 			HeartbeatEvery: heartbeatBase + eps,
 			ExpireEvery:    expireBase + eps,
-			DirCacheTTL:    10 * time.Minute,
 			RouteCacheTTL:  10 * time.Minute,
 		}
 		if commuters[u] {

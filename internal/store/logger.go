@@ -1,7 +1,5 @@
 package store
 
-import "fmt"
-
 // Mutation logging: the hook the durability subsystem (internal/wal)
 // attaches to. Every committed mutation — DDL and row changes — flows
 // through the DB's MutationLogger exactly once, in application order,
@@ -9,10 +7,10 @@ import "fmt"
 // the store importing any I/O code.
 //
 // Framing rules:
-//   - A direct Table.Insert/Update/Delete logs a one-op unit.
 //   - A Tx buffers its ops and logs them as a single atomic unit at
 //     Commit, applied and enqueued while every involved table's lock
 //     is held; a rolled-back Tx applies and logs nothing.
+//   - A direct Table.Insert/Update/Delete is a Tx of that one op.
 //   - DDL (CreateTable, CreateIndex) is logged as it commits.
 //   - Replay via ApplyLogged/ApplyDDL* bypasses both triggers and the
 //     logger, so recovery never re-logs or double-fires.
@@ -80,15 +78,6 @@ func (db *DB) currentLogger() MutationLogger {
 	return nil
 }
 
-// logOne enqueues a single-op atomic unit; the caller invokes the
-// returned Ack (nil when no logger is attached) outside its locks.
-func (db *DB) logOne(op LoggedOp) Ack {
-	if l := db.currentLogger(); l != nil {
-		return l.LogTx([]LoggedOp{op})
-	}
-	return nil
-}
-
 // ApplyLogged applies one atomic unit of replayed mutations, bypassing
 // triggers and the logger. It is the recovery-side twin of
 // MutationLogger.LogTx.
@@ -98,17 +87,7 @@ func (db *DB) ApplyLogged(ops []LoggedOp) error {
 		if err != nil {
 			return err
 		}
-		switch op.Op {
-		case OpInsert:
-			err = t.insert(op.Row, false, false)
-		case OpUpdate:
-			err = t.update(op.Row, op.Key, false, false)
-		case OpDelete:
-			err = t.delete(op.Key, false, false)
-		default:
-			err = fmt.Errorf("store: apply: unknown op %v", op.Op)
-		}
-		if err != nil {
+		if err := t.replay(op); err != nil {
 			return err
 		}
 	}
@@ -117,7 +96,7 @@ func (db *DB) ApplyLogged(ops []LoggedOp) error {
 
 // ApplyDDLTable replays a CreateTable without re-logging it.
 func (db *DB) ApplyDDLTable(s Schema) error {
-	_, err := db.createTable(s, false)
+	_, err := db.addTable(s)
 	return err
 }
 
@@ -127,7 +106,8 @@ func (db *DB) ApplyDDLIndex(table, col string) error {
 	if err != nil {
 		return err
 	}
-	return t.createIndex(col, false)
+	_, err = t.addIndex(col)
+	return err
 }
 
 // dropTables removes tables by name (Restore rollback). It is not part

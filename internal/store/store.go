@@ -12,6 +12,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -151,28 +152,31 @@ func NewDB() *DB {
 
 // CreateTable adds a table with the given schema.
 func (db *DB) CreateTable(s Schema) (*Table, error) {
-	return db.createTable(s, true)
+	t, err := db.addTable(s)
+	if err != nil {
+		return nil, err
+	}
+	if l := db.currentLogger(); l != nil {
+		if err := l.LogDDLTable(s)(); err != nil {
+			return t, fmt.Errorf("store: log create table %s: %w", s.Name, err)
+		}
+	}
+	return t, nil
 }
 
-func (db *DB) createTable(s Schema, logit bool) (*Table, error) {
+// addTable is CreateTable without the log record (replay adds the
+// tables the log names).
+func (db *DB) addTable(s Schema) (*Table, error) {
 	if err := validateSchema(s); err != nil {
 		return nil, err
 	}
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, ok := db.tables[s.Name]; ok {
-		db.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrDupTable, s.Name)
 	}
 	t := newTable(db, s)
 	db.tables[s.Name] = t
-	db.mu.Unlock()
-	if logit {
-		if l := db.currentLogger(); l != nil {
-			if err := l.LogDDLTable(s)(); err != nil {
-				return t, fmt.Errorf("store: log create table %s: %w", s.Name, err)
-			}
-		}
-	}
 	return t, nil
 }
 
@@ -429,6 +433,20 @@ func (t *Table) checkTypes(r Row, requireKey bool) error {
 	return nil
 }
 
+// checkChanges is checkTypes for an update's changed columns, which
+// may not include a primary-key column.
+func (t *Table) checkChanges(changes Row) error {
+	if err := t.checkTypes(changes, false); err != nil {
+		return err
+	}
+	for _, kc := range t.schema.Key {
+		if _, ok := changes[kc]; ok {
+			return fmt.Errorf("%w: %q", ErrKeyImmutable, kc)
+		}
+	}
+	return nil
+}
+
 func typeMatches(ct ColType, v any) bool {
 	switch ct {
 	case String:
@@ -502,8 +520,8 @@ func (t *Table) fire(timing Timing, op Op, old, new Row) error {
 }
 
 // hasTrigger reports whether any trigger matches (timing, op), letting
-// the mutation paths skip the defensive row clones they would otherwise
-// build just to hand to fire. A trigger registered concurrently with a
+// a unit skip the defensive row clones it would otherwise build just to
+// hand to fire. A trigger registered concurrently with a
 // mutation may miss that mutation either way — the check only moves the
 // race a few instructions earlier.
 func (t *Table) hasTrigger(timing Timing, op Op) bool {
@@ -522,27 +540,30 @@ func (t *Table) hasTriggerLocked(timing Timing, op Op) bool {
 	return false
 }
 
-// shouldLog reports whether a mutation logger is attached, so callers
-// can skip the log-row clone when nothing will consume it. Attaching a
-// logger concurrently with a mutation already races with whether that
-// mutation is logged; this moves the check outside t.mu, nothing more.
-func (t *Table) shouldLog(logit bool) bool {
-	return logit && t.db.currentLogger() != nil
-}
-
 // CreateIndex builds a secondary index on column col.
 func (t *Table) CreateIndex(col string) error {
-	return t.createIndex(col, true)
+	built, err := t.addIndex(col)
+	if err != nil || !built {
+		return err // idempotent: an index that exists is not logged again
+	}
+	if l := t.db.currentLogger(); l != nil {
+		if err := l.LogDDLIndex(t.schema.Name, col)(); err != nil {
+			return fmt.Errorf("store: log create index %s.%s: %w", t.schema.Name, col, err)
+		}
+	}
+	return nil
 }
 
-func (t *Table) createIndex(col string, logit bool) error {
+// addIndex is CreateIndex without the log record; it reports whether
+// the index was built now rather than found.
+func (t *Table) addIndex(col string) (bool, error) {
 	if _, ok := t.cols[col]; !ok {
-		return fmt.Errorf("%w: %q", ErrBadColumn, col)
+		return false, fmt.Errorf("%w: %q", ErrBadColumn, col)
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, ok := t.indexes[col]; ok {
-		t.mu.Unlock()
-		return nil // idempotent
+		return false, nil
 	}
 	idx := make(map[any]map[rowKey]struct{})
 	for k, r := range t.rows {
@@ -553,15 +574,7 @@ func (t *Table) createIndex(col string, logit bool) error {
 		idx[v][k] = struct{}{}
 	}
 	t.indexes[col] = idx
-	t.mu.Unlock()
-	if logit {
-		if l := t.db.currentLogger(); l != nil {
-			if err := l.LogDDLIndex(t.schema.Name, col)(); err != nil {
-				return fmt.Errorf("store: log create index %s.%s: %w", t.schema.Name, col, err)
-			}
-		}
-	}
-	return nil
+	return true, nil
 }
 
 func (t *Table) indexAdd(k rowKey, r Row) {
@@ -586,48 +599,10 @@ func (t *Table) indexRemove(k rowKey, r Row) {
 	}
 }
 
-// Insert adds a new row.
-func (t *Table) Insert(r Row) error { return t.insert(r, true, true) }
-
-// insert is the shared insert path. fire controls ECA triggers, logit
-// controls mutation logging (a Tx logs its unit itself; replay logs
-// nothing).
-func (t *Table) insert(r Row, fire, logit bool) error {
-	if err := t.checkTypes(r, true); err != nil {
-		return err
-	}
-	row := r.Clone()
-	k, err := t.keyOf(row)
-	if err != nil {
-		return err
-	}
-	if fire && t.hasTrigger(Before, OpInsert) {
-		if err := t.fire(Before, OpInsert, nil, row.Clone()); err != nil {
-			return err
-		}
-	}
-	logit = t.shouldLog(logit)
-	t.mu.Lock()
-	if _, exists := t.rows[k]; exists {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %s[%s]", ErrDupKey, t.schema.Name, k)
-	}
-	t.rows[k] = row
-	t.indexAdd(k, row)
-	var ack Ack
-	if logit {
-		ack = t.db.logOne(LoggedOp{Table: t.schema.Name, Op: OpInsert, Row: row.Clone()})
-	}
-	t.mu.Unlock()
-	if ack != nil {
-		if err := ack(); err != nil {
-			return err
-		}
-	}
-	if fire && t.hasTrigger(After, OpInsert) {
-		return t.fire(After, OpInsert, nil, row.Clone())
-	}
-	return nil
+// Insert adds a new row. Like Update and Delete it is a commit unit of
+// that one op: Tx says what a unit checks, fires and logs.
+func (t *Table) Insert(r Row) error {
+	return t.db.Unit(context.Background(), func(u *Tx) error { return u.Insert(t.schema.Name, r) })
 }
 
 // Get fetches the row whose primary-key columns equal keyVals (in
@@ -670,116 +645,14 @@ func (t *Table) Has(keyVals ...any) bool {
 // Update applies changes to the row identified by keyVals. Primary-key
 // columns cannot change.
 func (t *Table) Update(changes Row, keyVals ...any) error {
-	return t.update(changes, keyVals, true, true)
-}
-
-// update is the shared update path; see insert for fire/logit.
-func (t *Table) update(changes Row, keyVals []any, fire, logit bool) error {
-	if err := t.checkTypes(changes, false); err != nil {
-		return err
-	}
-	for _, kc := range t.schema.Key {
-		if _, ok := changes[kc]; ok {
-			return fmt.Errorf("%w: %q", ErrKeyImmutable, kc)
-		}
-	}
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return err
-	}
-
-	t.mu.RLock()
-	cur, ok := t.rows[k]
-	var old Row
-	if ok {
-		old = cur.Clone()
-	}
-	t.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s[%s]", ErrNoRow, t.schema.Name, k)
-	}
-	if fire && t.hasTrigger(Before, OpUpdate) {
-		if err := t.fire(Before, OpUpdate, old.Clone(), merged(old, changes)); err != nil {
-			return err
-		}
-	}
-	logit = t.shouldLog(logit)
-
-	t.mu.Lock()
-	cur, ok = t.rows[k]
-	if !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %s[%s]", ErrNoRow, t.schema.Name, k)
-	}
-	t.indexRemove(k, cur)
-	stored := merged(cur, changes)
-	t.rows[k] = stored
-	t.indexAdd(k, stored)
-	var ack Ack
-	if logit {
-		ack = t.db.logOne(LoggedOp{Table: t.schema.Name, Op: OpUpdate, Row: changes.Clone(), Key: append([]any(nil), keyVals...)})
-	}
-	t.mu.Unlock()
-	if ack != nil {
-		if err := ack(); err != nil {
-			return err
-		}
-	}
-	if fire && t.hasTrigger(After, OpUpdate) {
-		return t.fire(After, OpUpdate, old, stored.Clone())
-	}
-	return nil
+	return t.db.Unit(context.Background(), func(u *Tx) error {
+		return u.Update(t.schema.Name, changes.Clone(), keyVals...) // the unit keeps what it is given
+	})
 }
 
 // Delete removes the row identified by keyVals.
 func (t *Table) Delete(keyVals ...any) error {
-	return t.delete(keyVals, true, true)
-}
-
-// delete is the shared delete path; see insert for fire/logit.
-func (t *Table) delete(keyVals []any, fire, logit bool) error {
-	k, err := t.keyFromVals(keyVals)
-	if err != nil {
-		return err
-	}
-	t.mu.RLock()
-	cur, ok := t.rows[k]
-	var old Row
-	if ok {
-		old = cur.Clone()
-	}
-	t.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s[%s]", ErrNoRow, t.schema.Name, k)
-	}
-	if fire && t.hasTrigger(Before, OpDelete) {
-		if err := t.fire(Before, OpDelete, old.Clone(), nil); err != nil {
-			return err
-		}
-	}
-	logit = t.shouldLog(logit)
-	t.mu.Lock()
-	cur, ok = t.rows[k]
-	if !ok {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %s[%s]", ErrNoRow, t.schema.Name, k)
-	}
-	delete(t.rows, k)
-	t.indexRemove(k, cur)
-	var ack Ack
-	if logit {
-		ack = t.db.logOne(LoggedOp{Table: t.schema.Name, Op: OpDelete, Key: append([]any(nil), keyVals...)})
-	}
-	t.mu.Unlock()
-	if ack != nil {
-		if err := ack(); err != nil {
-			return err
-		}
-	}
-	if fire {
-		return t.fire(After, OpDelete, old, nil)
-	}
-	return nil
+	return t.db.Unit(context.Background(), func(u *Tx) error { return u.Delete(t.schema.Name, keyVals...) })
 }
 
 // Select returns clones of all rows matching pred (nil pred = all),
@@ -827,7 +700,7 @@ func (t *Table) SelectEq(col string, v any) []Row {
 // applyOpLocked applies one already-validated op, whose encoded key is
 // k, directly to the table's maps; the caller holds t.mu (Tx.Commit
 // applies its whole buffer under the locks of every involved table). An
-// inserted row is stored as it stands: the Tx cloned it at record time.
+// inserted row is stored as it stands: its caller cloned it.
 // Returns the stored old and new row for After triggers.
 func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
 	cur := t.rows[k]
@@ -848,6 +721,51 @@ func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
 		return cur, nil
 	}
 	return nil, nil
+}
+
+// checkExists is the rule every apply honours: an insert needs its key
+// free, an update or delete needs its row.
+func checkExists(op LoggedOp, k rowKey, exists bool) error {
+	switch {
+	case op.Op == OpInsert && exists:
+		return fmt.Errorf("%w: %s[%s]", ErrDupKey, op.Table, k)
+	case op.Op != OpInsert && !exists:
+		return fmt.Errorf("%w: %s[%s]", ErrNoRow, op.Table, k)
+	}
+	return nil
+}
+
+// replay applies one logged op: a unit's checks and a unit's apply,
+// with no trigger fired and nothing logged.
+func (t *Table) replay(op LoggedOp) error {
+	var k rowKey
+	var err error
+	switch op.Op {
+	case OpInsert:
+		if err = t.checkTypes(op.Row, true); err == nil {
+			op.Row = op.Row.Clone()
+			k, err = t.keyOf(op.Row)
+		}
+	case OpUpdate:
+		if err = t.checkChanges(op.Row); err == nil {
+			k, err = t.keyFromVals(op.Key)
+		}
+	case OpDelete:
+		k, err = t.keyFromVals(op.Key)
+	default:
+		err = fmt.Errorf("store: apply: unknown op %v", op.Op)
+	}
+	if err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, exists := t.rows[k]
+	if err := checkExists(op, k, exists); err != nil {
+		return err
+	}
+	t.applyOpLocked(op, k)
+	return nil
 }
 
 // Count reports the number of rows.

@@ -273,13 +273,8 @@ func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 	if err != nil {
 		return err
 	}
-	if err := t.checkTypes(changes, false); err != nil {
+	if err := t.checkChanges(changes); err != nil {
 		return err
-	}
-	for _, kc := range t.schema.Key {
-		if _, ok := changes[kc]; ok {
-			return fmt.Errorf("%w: %q", ErrKeyImmutable, kc)
-		}
 	}
 	if !tx.exists(t, k) {
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
@@ -460,11 +455,8 @@ func (tx *Tx) validateLocked() error {
 		} else {
 			_, exists = t.rows[k]
 		}
-		switch {
-		case op.Op == OpInsert && exists:
-			return fmt.Errorf("%w: %s[%s]", ErrDupKey, op.Table, k)
-		case op.Op != OpInsert && !exists:
-			return fmt.Errorf("%w: %s[%s]", ErrNoRow, op.Table, k)
+		if err := checkExists(op, k, exists); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -72,7 +72,7 @@ func Int64(key string, v int64) Attr { return Attr{Key: key, Value: strconv.Form
 func Bool(key string, v bool) Attr { return Attr{Key: key, Value: strconv.FormatBool(v)} }
 
 // Event is a timestamped point annotation inside a span (a journal
-// write, a decided token, a coalesced flush).
+// write, a decided token, a reconnect).
 type Event struct {
 	At    time.Time `json:"at"`
 	Name  string    `json:"name"`
@@ -243,11 +243,6 @@ func EventCtx(ctx context.Context, name string, attrs ...Attr) {
 	FromContext(ctx).AddEvent(name, attrs...)
 }
 
-// AnnotateCtx attaches attrs to the span in ctx, if any.
-func AnnotateCtx(ctx context.Context, attrs ...Attr) {
-	FromContext(ctx).Annotate(attrs...)
-}
-
 // --- tracer -----------------------------------------------------------------
 
 // ring sizing: shards * shardCap spans retained per node.
@@ -350,17 +345,6 @@ func (t *Tracer) SetSampleRate(rate float64) {
 		rate = 1
 	}
 	t.rateBits.Store(math.Float64bits(rate))
-}
-
-// SetSlowThreshold updates the slow-trace retention threshold.
-func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNs.Store(int64(d)) }
-
-// SlowThreshold returns the slow-trace retention threshold.
-func (t *Tracer) SlowThreshold() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.slowNs.Load())
 }
 
 // Dropped reports spans lost to tail-buffer overflow.

@@ -34,7 +34,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 		t.Fatal("Start without a ctx span must be a no-op")
 	}
 	EventCtx(ctx, "nothing")
-	AnnotateCtx(ctx, String("k", "v"))
 }
 
 func TestSampledRootRecordsTree(t *testing.T) {

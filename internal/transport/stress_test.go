@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,7 +218,7 @@ func TestTCPStress(t *testing.T) {
 	cli.Close()
 	srv.Close()
 
-	// All readLoops, serve goroutines, and coalescer waiters must wind
+	// All readLoops, serve goroutines, and blocked writers must wind
 	// down: goroutine count returns to (near) baseline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -234,53 +233,5 @@ func TestTCPStress(t *testing.T) {
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestTCPCoalescingBatchesFrames asserts that concurrent callers on a
-// real socket share flush syscalls once the kernel send buffer pushes
-// back. Large payloads make the Write syscalls slow enough that
-// writers genuinely pile up behind the in-flight flush (with tiny
-// frames on loopback, writes complete faster than contention can form
-// — coalesce_test.go covers the mechanism deterministically).
-func TestTCPCoalescingBatchesFrames(t *testing.T) {
-	stats := &metrics.WireStats{}
-	h := &echoHandler{}
-	cli := NewTCP(WithPoolSize(1), WithWireStats(stats))
-	defer cli.Close()
-	srv := NewTCP(WithWireStats(&metrics.WireStats{}))
-	ln, err := srv.Listen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	// NUL bytes JSON-escape to six bytes apiece, so this payload is both
-	// large on the wire (~96KB/frame) and slow to decode in the server's
-	// read loop — the decode stall is what lets the kernel send buffer
-	// fill and writers pile up behind a blocked flush.
-	payload := strings.Repeat("\x00", 16<<10)
-	const n = 64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := cli.Call(context.Background(), ln.Addr(), &Request{
-				Service: "echo", Method: "ping", Args: wire.Args{"i": i, "pad": payload},
-			})
-			if err != nil {
-				t.Errorf("call %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	snap := stats.Snapshot()
-	if snap.FramesSent < n {
-		t.Fatalf("framesSent = %d, want >= %d", snap.FramesSent, n)
-	}
-	if snap.BatchMax < 2 {
-		t.Fatalf("batchMax = %d: concurrent writers never shared a flush", snap.BatchMax)
 	}
 }

@@ -33,8 +33,8 @@ func DefaultPoolSize() int {
 // TCP is the real-socket Network implementation. Each (client,
 // server-address) pair gets a small pool of TCP connections;
 // concurrent Calls are multiplexed across them using wire request IDs
-// with round-robin pick, and each connection coalesces the frames of
-// concurrent writers into single socket writes (see coalescer).
+// with round-robin pick; each frame is one socket write (see
+// frameWriter).
 //
 // Use NewTCP; TCP is safe for concurrent use.
 type TCP struct {
@@ -163,11 +163,10 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 		conn.Close()
 	}()
-	// One pooled-codec frame reader and one coalescing writer per
-	// connection: responses from concurrent handler goroutines batch
-	// into single socket writes.
+	// One pooled-codec frame reader and one writer per connection,
+	// shared by the handler goroutines answering on it.
 	fr := wire.NewFrameReader(conn)
-	cw := newCoalescer(conn, l.stats)
+	fw := &frameWriter{w: conn, stats: l.stats}
 	// peerV3 records the codec handshake for this connection: it
 	// latches once the client has proven it decodes v3 — either by
 	// sending a v3 frame or by advertising MetaWireCodec — and a
@@ -205,7 +204,7 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 				if peerV3.Load() {
 					codec = wire.CodecV3
 				}
-				_, _ = writeEnvelope(cw, &wire.Envelope{Kind: wire.KindResponse, Response: resp}, codec)
+				_ = writeEnvelope(fw, &wire.Envelope{Kind: wire.KindResponse, Response: resp}, codec)
 			}()
 		case wire.KindEvent:
 			if env.Event != nil {
@@ -217,16 +216,15 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 }
 
 // writeEnvelope encodes env with the pooled codec and hands it to the
-// connection's coalescing writer as one contiguous frame. flushed is
-// the coalescer's leader batch size (see coalescer.write).
-func writeEnvelope(cw *coalescer, env *wire.Envelope, codec wire.Codec) (flushed int, err error) {
+// connection's writer as one contiguous frame.
+func writeEnvelope(fw *frameWriter, env *wire.Envelope, codec wire.Codec) error {
 	f, err := wire.EncodeFrameCodec(env, codec)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	flushed, err = cw.write(f.Bytes())
+	err = fw.write(f.Bytes())
 	f.Release()
-	return flushed, err
+	return err
 }
 
 // --- client side ----------------------------------------------------------
@@ -243,7 +241,7 @@ type connPool struct {
 
 type tcpClientConn struct {
 	conn  net.Conn
-	w     *coalescer
+	w     *frameWriter
 	stats *metrics.WireStats
 	codec wire.Codec
 	// peer is the codec handshake: the encoding of the first frame the
@@ -316,7 +314,7 @@ func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
 	}
 	c := &tcpClientConn{
 		conn:    nc,
-		w:       newCoalescer(nc, t.stats),
+		w:       &frameWriter{w: nc, stats: t.stats},
 		stats:   t.stats,
 		codec:   t.codec,
 		pending: make(map[uint64]chan *Response),
@@ -407,8 +405,7 @@ func (c *tcpClientConn) fail() {
 	pend := c.pending
 	c.pending = make(map[uint64]chan *Response)
 	c.mu.Unlock()
-	c.conn.Close()
-	c.w.fail(ErrUnreachable)
+	c.conn.Close() // also fails the writer, and whoever is inside it
 	for _, ch := range pend {
 		close(ch)
 	}
@@ -434,18 +431,12 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 		r.Meta = r.Meta.Clone()
 		r.Meta[wire.MetaWireCodec] = wire.WireCodecV3
 	}
-	flushed, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}, codec)
-	if err != nil {
+	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}, codec); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
 		c.fail()
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
-	}
-	if flushed > 1 {
-		// This writer led a coalesced flush: its syscall carried
-		// other requests' frames too.
-		trace.EventCtx(ctx, "coalesce.flush", trace.Int("frames", flushed))
 	}
 
 	select {
@@ -483,8 +474,7 @@ func (c *tcpClientConn) send(ev *Event) error {
 	}
 	c.mu.Unlock()
 	codec, _ := c.sendCodec() // an event carries no advert: JSON until a response settles the handshake
-	_, err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}, codec)
-	if err != nil {
+	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}, codec); err != nil {
 		c.fail()
 		return fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}

@@ -21,23 +21,22 @@ func traceMeta(i int) wire.Metadata {
 }
 
 // TestTraceMetadataSurvivesCoalescedFrames hammers one TCP connection
-// with concurrent calls — the path where the write coalescer batches
-// many frames into one syscall — and asserts every request's trace
-// context arrives byte-identical, never smeared across the frames that
-// shared a flush.
+// with concurrent calls and asserts every request's trace context
+// arrives byte-identical, never smeared across the frames that shared
+// the socket. (The name is from when concurrent frames shared a write.)
 func TestTraceMetadataSurvivesCoalescedFrames(t *testing.T) {
 	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecV3} {
-		t.Run(codec.String(), func(t *testing.T) { testTraceMetaCoalesced(t, codec) })
+		t.Run(codec.String(), func(t *testing.T) { testTraceMetaConcurrent(t, codec) })
 	}
 }
 
-func testTraceMetaCoalesced(t *testing.T, codec wire.Codec) {
+func testTraceMetaConcurrent(t *testing.T, codec wire.Codec) {
 	net, addr := newTCPPairCodec(t, metaHandler{}, codec)
 	ctx := context.Background()
 
 	// With v3 configured, the first call negotiates the upgrade so the
-	// concurrent storm below exercises v3-encoded coalesced frames,
-	// not the JSON advertisement path.
+	// concurrent storm below exercises v3-encoded frames, not the JSON
+	// advertisement path.
 	if _, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "meta", Meta: traceMeta(999)}); err != nil {
 		t.Fatal(err)
 	}

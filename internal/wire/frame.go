@@ -16,8 +16,7 @@ import (
 // wire format byte-identical — 4-byte big-endian length, JSON body —
 // but encodes prefix and body into one pooled buffer so a frame is a
 // single Write, and reads through a per-connection FrameReader that
-// reuses its scratch buffer. Transports coalesce the encoded frames
-// of concurrent callers into one syscall (internal/transport).
+// reuses its scratch buffer.
 
 // poolBufCap caps the capacity of buffers returned to the pools so a
 // single huge frame (a bulk snapshot, a big group result) does not pin

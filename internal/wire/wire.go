@@ -151,8 +151,8 @@ func CodeOf(err error) ErrCode {
 
 // WriteFrame encodes env as JSON and writes a length-prefixed frame.
 // The prefix and body go out in a single Write (one syscall on a raw
-// socket) via a pooled encode buffer; transports that coalesce
-// concurrent writers use EncodeFrame directly.
+// socket) via a pooled encode buffer; transports, which write under
+// their own lock, use EncodeFrame directly.
 func WriteFrame(w io.Writer, env *Envelope) error {
 	f, err := EncodeFrame(env)
 	if err != nil {
