@@ -216,10 +216,11 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	}
 
 	var dir *directory.Client
+	asUser := directory.WithCallerID(cfg.User)
 	if cfg.ControlPlaneAddr != "" {
-		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr, directory.WithCallerID(cfg.User))
+		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr, asUser)
 	} else {
-		dir = directory.NewClient(cfg.Net, cfg.DirAddr, directory.WithCallerID(cfg.User))
+		dir = directory.NewClient(cfg.Net, cfg.DirAddr, asUser)
 	}
 	// Client chain mirrors the server: metrics outermost, then the
 	// engine's stock credential/cache/resolver stages.

@@ -25,9 +25,10 @@ import (
 // once, routes every op to the shard owning the op's key, and watches
 // the epoch stamped on every response: a newer epoch means the table
 // is stale — the client refreshes it and notifies OnEpochChange hooks
-// (the engine's route cache) at once. An op that still lands on the wrong shard (the table changed
-// between pull and call) is redirected by the shard's CodeWrongShard
-// reply and retried once against the refreshed table.
+// (the engine's route cache) at once. An op that still lands on the
+// wrong shard (the table changed between pull and call) is redirected
+// by the shard's CodeWrongShard reply and retried once against the
+// refreshed table.
 type Client struct {
 	net    transport.Network
 	addr   string               // single directory server ("" in sharded mode)

@@ -19,10 +19,8 @@ import (
 // unreachable or the resolver failed over to the proxy, so a moved or
 // crashed device is re-resolved on the next call.
 //
-// A DirCache is independent of the directory.Client's own lookup
-// cache: the client cache saves wire round-trips inside the directory
-// stub, while DirCache short-circuits the whole resolution stage of
-// the interceptor chain.
+// It is the node's one cache of directory answers: the directory.Client
+// under it asks the directory every time.
 type DirCache struct {
 	ttl   time.Duration
 	nowFn func() time.Time

@@ -521,9 +521,9 @@ func (t *Table) fire(timing Timing, op Op, old, new Row) error {
 
 // hasTrigger reports whether any trigger matches (timing, op), letting
 // a unit skip the defensive row clones it would otherwise build just to
-// hand to fire. A trigger registered concurrently with a
-// mutation may miss that mutation either way — the check only moves the
-// race a few instructions earlier.
+// hand to fire. A trigger registered concurrently with a mutation may
+// miss that mutation either way — the check only moves the race a few
+// instructions earlier.
 func (t *Table) hasTrigger(timing Timing, op Op) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -602,7 +602,7 @@ func (t *Table) indexRemove(k rowKey, r Row) {
 // Insert adds a new row. Like Update and Delete it is a commit unit of
 // that one op: Tx says what a unit checks, fires and logs.
 func (t *Table) Insert(r Row) error {
-	return t.db.Unit(context.Background(), func(u *Tx) error { return u.Insert(t.schema.Name, r) })
+	return t.db.Unit(context.TODO(), func(u *Tx) error { return u.Insert(t.schema.Name, r) })
 }
 
 // Get fetches the row whose primary-key columns equal keyVals (in
@@ -645,14 +645,14 @@ func (t *Table) Has(keyVals ...any) bool {
 // Update applies changes to the row identified by keyVals. Primary-key
 // columns cannot change.
 func (t *Table) Update(changes Row, keyVals ...any) error {
-	return t.db.Unit(context.Background(), func(u *Tx) error {
+	return t.db.Unit(context.TODO(), func(u *Tx) error {
 		return u.Update(t.schema.Name, changes.Clone(), keyVals...) // the unit keeps what it is given
 	})
 }
 
 // Delete removes the row identified by keyVals.
 func (t *Table) Delete(keyVals ...any) error {
-	return t.db.Unit(context.Background(), func(u *Tx) error { return u.Delete(t.schema.Name, keyVals...) })
+	return t.db.Unit(context.TODO(), func(u *Tx) error { return u.Delete(t.schema.Name, keyVals...) })
 }
 
 // Select returns clones of all rows matching pred (nil pred = all),
