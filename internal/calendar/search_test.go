@@ -1,6 +1,7 @@
 package calendar_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -276,9 +277,28 @@ func TestSlotHelpers(t *testing.T) {
 	if err != nil || back != s {
 		t.Fatalf("round trip: %v %v", back, err)
 	}
-	for _, bad := range []string{"", "slot:x", "slot:2003-04-22:notanhour", "other:2003-04-22:9"} {
-		if _, err := calendar.SlotFromEntity(bad); err == nil {
-			t.Errorf("SlotFromEntity(%q) succeeded", bad)
+	if e := (calendar.Slot{Day: "d", Hour: -3}).Entity(); e != "slot:d:-3" {
+		t.Fatalf("entity = %q", e)
+	}
+	for _, tc := range []struct {
+		entity string
+		want   calendar.Slot
+		err    string
+	}{
+		{"slot:2003-04-22:9", calendar.Slot{Day: "2003-04-22", Hour: 9}, ""},
+		{"slot::9", calendar.Slot{Hour: 9}, ""},
+		{"slot:d:-1", calendar.Slot{Day: "d", Hour: -1}, ""},
+		{"slot:d:9:1", calendar.Slot{}, `calendar: bad slot entity "slot:d:9:1"`},
+		{"slot:d:x", calendar.Slot{}, `calendar: bad slot hour in "slot:d:x"`},
+		{"slot:d:", calendar.Slot{}, `calendar: bad slot hour in "slot:d:"`},
+		{"x:d:9", calendar.Slot{}, `calendar: bad slot entity "x:d:9"`},
+		{"slot:d", calendar.Slot{}, `calendar: bad slot entity "slot:d"`},
+		{"slot", calendar.Slot{}, `calendar: bad slot entity "slot"`},
+		{"", calendar.Slot{}, `calendar: bad slot entity ""`},
+	} {
+		got, err := calendar.SlotFromEntity(tc.entity)
+		if got != tc.want || tc.err == "" && err != nil || tc.err != "" && fmt.Sprint(err) != tc.err {
+			t.Errorf("SlotFromEntity(%q) = %v, %v; want %v, %s", tc.entity, got, err, tc.want, tc.err)
 		}
 	}
 	if !s.Valid() {
