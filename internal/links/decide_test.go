@@ -3,6 +3,7 @@ package links_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -111,6 +112,33 @@ func TestDecideArgsRideCommitNotMark(t *testing.T) {
 	}
 	if len(marks.seen) != 3 {
 		t.Fatalf("%d Mark requests, want 3", len(marks.seen))
+	}
+}
+
+// TestDecideArgsWithoutJSONFormAbort: a decision argument the journal
+// cannot encode (a NaN) aborts the negotiation everywhere, as any failed
+// journal write does, instead of panicking the coordinator: nothing is
+// applied, no journal row is left and every mark is released.
+func TestDecideArgsWithoutJSONFormAbort(t *testing.T) {
+	h := newHarness(t, "a", "b", "c")
+	lm := h.nodes["a"].Links
+	res, err := lm.Negotiate(ctxBg(), links.Spec{
+		Action: "note", Args: wire.Args{"text": "marked"},
+		Targets: refs("b", "s", "c", "s"), Constraint: links.And,
+		Local:  &links.LocalChange{Entity: "s", Action: "note", Args: wire.Args{"text": "local"}},
+		Decide: func([]links.EntityRef) wire.Args { return wire.Args{"score": math.NaN()} },
+	})
+	if err == nil || res.OK || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("negotiate: %v %+v, want the journal's encode error", err, res)
+	}
+	if p := lm.JournalPending(); len(p) != 0 {
+		t.Fatalf("journal rows left: %v", p)
+	}
+	for _, u := range []string{"a", "b", "c"} {
+		wantNotes(t, h.nodes[u])
+		if n, p := h.nodes[u].Links.Locks.Len(), h.nodes[u].Links.PendingMarks(); n != 0 || p != 0 {
+			t.Fatalf("%s holds %d locks, %d pending marks", u, n, p)
+		}
 	}
 }
 

@@ -145,17 +145,15 @@ type journalRec struct {
 	SpanID  string
 }
 
-func mustJSON(v any) string {
-	b, err := json.Marshal(v)
+// body is the row's non-key columns: what an update rewrites. It fails
+// when an argument has no JSON form (a NaN, an infinity, a func), which a
+// decision computed by Spec.Decide can hold.
+func (r *journalRec) body() (store.Row, error) {
+	b, err := json.Marshal(r)
 	if err != nil {
-		panic("links: journal encode: " + err.Error())
+		return nil, fmt.Errorf("links: journal encode: %w", err)
 	}
-	return string(b)
-}
-
-// body is the row's non-key columns: what an update rewrites.
-func (r *journalRec) body() store.Row {
-	return store.Row{"rec": mustJSON(r), "next_retry": r.NextRetry}
+	return store.Row{"rec": string(b), "next_retry": r.NextRetry}, nil
 }
 
 func journalFromRow(row store.Row) (*journalRec, error) {
@@ -181,7 +179,10 @@ func journalFromRow(row store.Row) (*journalRec, error) {
 // WAL when durability is on) before the first Commit leaves the
 // coordinator.
 func (m *Manager) journalBegin(u *store.Tx, rec *journalRec) error {
-	row := rec.body()
+	row, err := rec.body()
+	if err != nil {
+		return err
+	}
 	row["id"] = rec.ID
 	return u.Insert(NegotiationJournal, row)
 }
@@ -197,7 +198,13 @@ func (m *Manager) journalSettle(ctx context.Context, rec *journalRec) (retired b
 		m.journalRetire(ctx, rec.ID)
 		return true
 	}
-	err := m.db.Unit(ctx, func(u *store.Tx) error { return u.Update(NegotiationJournal, rec.body(), rec.ID) })
+	err := m.db.Unit(ctx, func(u *store.Tx) error {
+		row, err := rec.body()
+		if err != nil {
+			return err
+		}
+		return u.Update(NegotiationJournal, row, rec.ID)
+	})
 	if err != nil {
 		m.count("journal-write", wire.CodeInternal)
 	}
