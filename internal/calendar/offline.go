@@ -236,8 +236,8 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 	if !ok {
 		return fmt.Errorf("calendar: bad sync entity %q", entity)
 	}
-	var m Meeting
-	if err := json.Unmarshal(doc, &m); err != nil || m.ID == "" || m.ID != id {
+	m, err := parseMeeting(string(doc))
+	if err != nil || m.ID == "" || m.ID != id {
 		return fmt.Errorf("calendar: bad meeting doc for %q", entity)
 	}
 	if m.Initiator == a.c.user {
@@ -247,9 +247,9 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 	}
 	return a.c.db.Unit(context.TODO(), func(u *store.Tx) error {
 		if m.Status == StatusCancelled {
-			return a.c.putReleased(u, &m)
+			return a.c.putReleased(u, m)
 		}
-		return a.c.acceptRecord(u, &m, encodeMeeting(&m))
+		return a.c.acceptRecord(u, m, encodeMeeting(m))
 	})
 }
 

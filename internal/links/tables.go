@@ -1,11 +1,13 @@
 package links
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/jsonrec"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Table names, matching the paper's nomenclature. SyD_PendingDelete is
@@ -142,13 +144,13 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	return links, waiting, methods, pending, journal, decided, nil
 }
 
-// linkToRow encodes a Link as a store row.
+// linkToRow encodes a Link as a store row. The targets and triggers
+// columns hold the text json.Marshal writes for the two slices, appended
+// field by field (FuzzLinkRecord holds the two equal).
 func linkToRow(l *Link) (store.Row, error) {
-	targets, err := json.Marshal(l.Targets)
-	if err != nil {
-		return nil, fmt.Errorf("links: encode targets: %w", err)
-	}
-	triggers, err := json.Marshal(l.Triggers)
+	var buf [256]byte
+	targets := string(appendTargets(buf[:0], l.Targets))
+	triggers, err := appendTriggers(buf[:0], l.Triggers)
 	if err != nil {
 		return nil, fmt.Errorf("links: encode triggers: %w", err)
 	}
@@ -162,7 +164,7 @@ func linkToRow(l *Link) (store.Row, error) {
 		"subtype":      string(l.Subtype),
 		"owner_user":   l.Owner.User,
 		"owner_entity": l.Owner.Entity,
-		"targets":      string(targets),
+		"targets":      targets,
 		"constraint":   string(l.Constraint),
 		"k":            int64(l.K),
 		"priority":     int64(l.Priority),
@@ -189,15 +191,131 @@ func rowToLink(r store.Row) (*Link, error) {
 		Created:    r["created"].(time.Time),
 		Expires:    r["expires"].(time.Time),
 	}
+	var err error
 	if s := r["targets"].(string); s != "" {
-		if err := json.Unmarshal([]byte(s), &l.Targets); err != nil {
+		if l.Targets, err = jsonrec.Decode(s, readTargets); err != nil {
 			return nil, fmt.Errorf("links: decode targets of %s: %w", l.ID, err)
 		}
 	}
 	if s := r["triggers"].(string); s != "" {
-		if err := json.Unmarshal([]byte(s), &l.Triggers); err != nil {
+		if l.Triggers, err = jsonrec.Decode(s, readTriggers); err != nil {
 			return nil, fmt.Errorf("links: decode triggers of %s: %w", l.ID, err)
 		}
 	}
 	return l, nil
+}
+
+func appendTargets(b []byte, refs []EntityRef) []byte {
+	if refs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, e := range refs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonrec.AppendString(append(b, `{"user":`...), e.User)
+		b = append(jsonrec.AppendString(append(b, `,"entity":`...), e.Entity), '}')
+	}
+	return append(b, ']')
+}
+
+func readTargets(s string) ([]EntityRef, bool) {
+	r := jsonrec.NewReader(s)
+	if r.Null() {
+		return nil, r.Done()
+	}
+	r.Lit("[")
+	refs := []EntityRef{}
+	for r.More(']') {
+		var e EntityRef
+		r.Lit(`{"user":`)
+		e.User = r.String()
+		r.Lit(`,"entity":`)
+		e.Entity = r.String()
+		r.Lit("}")
+		refs = append(refs, e)
+	}
+	return refs, r.Done()
+}
+
+// appendTriggers appends the triggers with their omitempty fields left
+// out and each one's args in key order, as json.Marshal writes a map.
+func appendTriggers(b []byte, ts []Trigger) ([]byte, error) {
+	if ts == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i, t := range ts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonrec.AppendString(append(b, `{"event":`...), t.Event)
+		if t.Action != "" {
+			b = jsonrec.AppendString(append(b, `,"action":`...), t.Action)
+		}
+		if t.Service != "" {
+			b = jsonrec.AppendString(append(b, `,"service":`...), t.Service)
+		}
+		if t.Method != "" {
+			b = jsonrec.AppendString(append(b, `,"method":`...), t.Method)
+		}
+		if len(t.Args) > 0 {
+			var keyBuf [8]string
+			keys := keyBuf[:0]
+			for k := range t.Args {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			b = append(b, `,"args":{`...)
+			for j, k := range keys {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = append(jsonrec.AppendString(b, k), ':')
+				var err error
+				if b, err = jsonrec.AppendValue(b, t.Args[k]); err != nil {
+					return nil, err
+				}
+			}
+			b = append(b, '}')
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']'), nil
+}
+
+func readTriggers(s string) ([]Trigger, bool) {
+	r := jsonrec.NewReader(s)
+	if r.Null() {
+		return nil, r.Done()
+	}
+	r.Lit("[")
+	ts := []Trigger{}
+	for r.More(']') {
+		var t Trigger
+		r.Lit(`{"event":`)
+		t.Event = r.String()
+		if r.Opt(`,"action":`) {
+			t.Action = r.String()
+		}
+		if r.Opt(`,"service":`) {
+			t.Service = r.String()
+		}
+		if r.Opt(`,"method":`) {
+			t.Method = r.String()
+		}
+		if r.Opt(`,"args":`) && !r.Null() {
+			r.Lit("{")
+			t.Args = wire.Args{}
+			for r.More('}') {
+				k := r.String()
+				r.Lit(":")
+				t.Args[k] = r.Value()
+			}
+		}
+		r.Lit("}")
+		ts = append(ts, t)
+	}
+	return ts, r.Done()
 }

@@ -1,12 +1,11 @@
 package wal
 
 import (
-	"encoding/json"
 	"slices"
 	"strconv"
 	"time"
-	"unicode/utf8"
 
+	"repro/internal/jsonrec"
 	"repro/internal/store"
 )
 
@@ -66,7 +65,7 @@ func txBody(ops []store.LoggedOp) ([]byte, error) {
 			b = append(b, ',')
 		}
 		b = append(b, `{"table":`...)
-		b = appendString(b, op.Table)
+		b = jsonrec.AppendString(b, op.Table)
 		b = append(b, `,"op":`...)
 		b = strconv.AppendInt(b, int64(op.Op), 10)
 		if len(op.Row) > 0 {
@@ -81,7 +80,7 @@ func txBody(ops []store.LoggedOp) ([]byte, error) {
 				if j > 0 {
 					b = append(b, ',')
 				}
-				b = appendString(b, c)
+				b = jsonrec.AppendString(b, c)
 				b = append(b, ':')
 				if b, err = appendValue(b, op.Row[c]); err != nil {
 					return nil, err
@@ -109,83 +108,13 @@ func txBody(ops []store.LoggedOp) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendValue appends one row or key value: the store's column types
-// directly, a float (whose shortest form is encoding/json's business) and
-// anything unexpected through json.Marshal, errors included.
+// appendValue appends one row or key value: a time as the RFC 3339 text
+// store.EncodeValue gives it, anything else as json.Marshal writes it.
 func appendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case string:
-		return appendString(b, x), nil
-	case int64:
-		return strconv.AppendInt(b, x, 10), nil
-	case bool:
-		return strconv.AppendBool(b, x), nil
-	case time.Time:
+	if t, ok := v.(time.Time); ok {
 		b = append(b, '"')
-		b = x.AppendFormat(b, time.RFC3339Nano)
+		b = t.AppendFormat(b, time.RFC3339Nano)
 		return append(b, '"'), nil
 	}
-	raw, err := json.Marshal(store.EncodeValue(v))
-	return append(b, raw...), err
-}
-
-// appendString appends s as the JSON string json.Marshal writes for it:
-// `"`, `\`, newline, return and tab escaped short, `<`, `>`, `&`, U+2028
-// and U+2029 as \u escapes, invalid UTF-8 as \ufffd. The other control
-// characters, which Go releases have spelled differently, go through
-// json.Marshal itself.
-func appendString(b []byte, s string) []byte {
-	mark := len(b)
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-			i++
-			continue
-		}
-		var esc string
-		size := 1
-		switch {
-		case c == '"':
-			esc = `\"`
-		case c == '\\':
-			esc = `\\`
-		case c == '\n':
-			esc = `\n`
-		case c == '\r':
-			esc = `\r`
-		case c == '\t':
-			esc = `\t`
-		case c == '<':
-			esc = `\u003c`
-		case c == '>':
-			esc = `\u003e`
-		case c == '&':
-			esc = `\u0026`
-		case c < 0x20:
-			raw, _ := json.Marshal(s) // a string cannot fail to marshal
-			return append(b[:mark], raw...)
-		default:
-			var r rune
-			r, size = utf8.DecodeRuneInString(s[i:])
-			switch {
-			case r == utf8.RuneError && size == 1:
-				esc = `\ufffd`
-			case r == '\u2028':
-				esc = `\u2028`
-			case r == '\u2029':
-				esc = `\u2029`
-			default:
-				i += size
-				continue
-			}
-		}
-		b = append(b, s[start:i]...)
-		b = append(b, esc...)
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	return jsonrec.AppendValue(b, v)
 }
