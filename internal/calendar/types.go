@@ -34,19 +34,20 @@ func (s Slot) String() string { return fmt.Sprintf("%s %02d:00", s.Day, s.Hour) 
 
 // Entity returns the SyD entity id for the slot (the unit the
 // coordination links attach to).
-func (s Slot) Entity() string { return fmt.Sprintf("slot:%s:%d", s.Day, s.Hour) }
+func (s Slot) Entity() string { return "slot:" + s.Day + ":" + strconv.Itoa(s.Hour) }
 
 // SlotFromEntity parses a slot entity id.
 func SlotFromEntity(entity string) (Slot, error) {
-	parts := strings.Split(entity, ":")
-	if len(parts) != 3 || parts[0] != "slot" {
+	rest, ok := strings.CutPrefix(entity, "slot:")
+	day, hour, cut := strings.Cut(rest, ":")
+	if !ok || !cut || strings.Contains(hour, ":") {
 		return Slot{}, fmt.Errorf("calendar: bad slot entity %q", entity)
 	}
-	h, err := strconv.Atoi(parts[2])
+	h, err := strconv.Atoi(hour)
 	if err != nil {
 		return Slot{}, fmt.Errorf("calendar: bad slot hour in %q", entity)
 	}
-	return Slot{Day: parts[1], Hour: h}, nil
+	return Slot{Day: day, Hour: h}, nil
 }
 
 // Valid reports whether the slot has a parseable day and a sane hour.
