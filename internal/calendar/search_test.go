@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
 // oracleFree is a user's free set as FreeSlots found it before
@@ -142,13 +141,12 @@ func checkFind(t *testing.T, cals map[string]*calendar.Calendar, req calendar.Re
 // TestFindCommonSlotsProperty checks the §5 slot search against the
 // per-slot oracle for random busy patterns, windows, hour sets and
 // participant sets, on every delivery the sim network has: the sender's
-// pointers, JSON frames and v3 frames. Some rounds take an or-group
+// pointers and v3 frames. Some rounds take an or-group
 // member's device down, which must only cost the group a member.
 func TestFindCommonSlotsProperty(t *testing.T) {
 	for name, cfg := range map[string]sim.Config{
 		"pointer": {},
-		"json":    {EncodeFrames: true, FrameCodec: wire.CodecJSON},
-		"v3":      {EncodeFrames: true, FrameCodec: wire.CodecV3},
+		"v3":      {EncodeFrames: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(53))
@@ -169,8 +167,7 @@ func TestFindCommonSlotsProperty(t *testing.T) {
 }
 
 // TestFindCommonSlotsPropertyTCP is the same property over real sockets:
-// each node on its own default transport, which sends v3 frames once a
-// connection has had its first exchange.
+// each node on its own default transport, which sends v3 frames.
 func TestFindCommonSlotsPropertyTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")

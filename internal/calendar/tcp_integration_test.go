@@ -84,83 +84,6 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTCPMixedCodecFleet runs the full stack over real sockets with a
-// mixed-codec fleet: phil and andy run the default (v3-preferring)
-// transport, suzy and the directory stand in for an older build that
-// speaks only JSON. This is the rolling-upgrade shape — v3
-// pairs latch to the binary codec while every v3↔JSON pair stays on
-// JSON — and a full meeting lifecycle must come out byte-for-byte
-// equivalent to a uniform fleet's.
-func TestTCPMixedCodecFleet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real sockets")
-	}
-	netV3 := transport.NewTCP()
-	defer netV3.Close()
-	netJSON := transport.NewTCP(transport.WithWireCodec(wire.CodecJSON))
-	defer netJSON.Close()
-
-	srv := directory.NewServer(directory.WithTTL(time.Hour))
-	dirLn, err := netJSON.Listen("127.0.0.1:0", srv.Handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dirLn.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	fleets := map[string]*transport.TCP{
-		"phil": netV3, "andy": netV3, "suzy": netJSON,
-	}
-	cals := map[string]*calendar.Calendar{}
-	for _, user := range []string{"phil", "andy", "suzy"} {
-		node, err := core.Start(ctx, core.Config{
-			User: user, Net: fleets[user], DirAddr: dirLn.Addr(),
-			ListenAddr: "127.0.0.1:0",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer node.Close(context.Background())
-		c, err := calendar.New(ctx, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cals[user] = c
-	}
-
-	if err := cals["andy"].MarkBusy(calendar.Slot{Day: "2003-04-22", Hour: 9}, "x", 0); err != nil {
-		t.Fatal(err)
-	}
-	m, err := cals["phil"].SetupMeeting(ctx, calendar.Request{
-		Title: "mixed", FromDay: "2003-04-22", ToDay: "2003-04-22",
-		Must: []string{"andy", "suzy"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Status != calendar.StatusConfirmed {
-		t.Fatalf("status = %s missing=%v", m.Status, m.Missing)
-	}
-	if m.Slot.Hour == 9 {
-		t.Fatal("busy slot chosen across the codec boundary")
-	}
-	for _, c := range cals {
-		if got := c.Slot(m.Slot).Meeting; got != m.ID {
-			t.Fatalf("%s slot = %q", c.User(), got)
-		}
-	}
-	if err := cals["phil"].CancelMeeting(ctx, m.ID); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cals {
-		if got := c.Slot(m.Slot).Meeting; got != "" {
-			t.Fatalf("%s slot after cancel = %q", c.User(), got)
-		}
-	}
-}
-
 // newTCPWorld boots a directory and one node per user over real sockets,
 // each on its own default-constructed transport as sydnode and sydload
 // build it, route cache on, all counting into one WireStats; mw wraps
@@ -201,10 +124,9 @@ func newTCPWorld(t *testing.T, mw []listener.Middleware, users ...string) (map[s
 // TestTCPDefaultWireCost holds the deployment default to its measured
 // cost: three nodes, each on its own default-constructed transport as
 // sydnode and sydload build it, all counting into one WireStats. Once
-// every pooled connection has had its handshake exchange, a 3-party
-// schedule + cancel is one Mark, one Commit and one DeleteLink per
-// participant — 12 frames — in v3: about 2100 B, where JSON frames
-// cost 3270 B.
+// every pooled connection has carried a call, a 3-party schedule +
+// cancel is one Mark, one Commit and one DeleteLink per participant —
+// 12 frames — in v3: about 2100 B, where JSON frames cost 3270 B.
 func TestTCPDefaultWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -231,7 +153,7 @@ func TestTCPDefaultWireCost(t *testing.T) {
 	}
 	// A meeting is three calls to each participant, round-robin over a
 	// pool of at most four connections: two meetings put a first
-	// exchange — the handshake, and the route lookup — behind every one.
+	// exchange — the dial, and the route lookup — behind every one.
 	meet(9)
 	meet(10)
 	before := stats.Snapshot()

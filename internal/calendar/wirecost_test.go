@@ -17,7 +17,6 @@ import (
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
 // rpcCensus counts the requests the nodes' listeners serve, as
@@ -169,7 +168,7 @@ func TestWireCostFind(t *testing.T) {
 	}
 	// One call per participant and find, round-robin over a pool of at
 	// most four connections: four finds put the first exchange — the
-	// handshake, and the route lookup — behind every one.
+	// route lookup — behind every one.
 	for i := 0; i < 4; i++ {
 		find()
 	}
@@ -390,13 +389,12 @@ func TestBumpLeavesParentState(t *testing.T) {
 }
 
 // TestReservedBackLinkCarriesExpiry: the link expiry rides the Commit
-// with the record, whatever encodes the frame, and the participant's
+// with the record, as a pointer or a v3 frame, and the participant's
 // back link expires with the initiator's forward link.
 func TestReservedBackLinkCarriesExpiry(t *testing.T) {
 	for name, cfg := range map[string]sim.Config{
 		"pointer": {},
-		"json":    {EncodeFrames: true, FrameCodec: wire.CodecJSON},
-		"v3":      {EncodeFrames: true, FrameCodec: wire.CodecV3},
+		"v3":      {EncodeFrames: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := newWorldOn(t, cfg, "a", "b")

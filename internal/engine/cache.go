@@ -47,20 +47,13 @@ type dirCacheEntry struct {
 	epoch   uint64
 }
 
-// DirCacheOption configures a DirCache.
-type DirCacheOption func(*DirCache)
-
 // NewDirCache creates a route cache whose entries live for ttl.
-func NewDirCache(ttl time.Duration, opts ...DirCacheOption) *DirCache {
-	c := &DirCache{
+func NewDirCache(ttl time.Duration) *DirCache {
+	return &DirCache{
 		ttl:     ttl,
 		nowFn:   time.Now,
 		entries: make(map[string]dirCacheEntry),
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
 }
 
 // lookup returns the unexpired cached route for name. Entries stored

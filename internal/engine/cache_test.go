@@ -14,9 +14,8 @@ import (
 // cachedEngine builds an engine with a route cache driven by a
 // controllable clock (now holds nanoseconds since the epoch).
 func cachedEngine(w *testWorld, self string, ttl time.Duration, now *atomic.Int64) (*Engine, *DirCache) {
-	cache := NewDirCache(ttl, WithDirCacheNow(func() time.Time {
-		return time.Unix(0, now.Load())
-	}))
+	cache := NewDirCache(ttl)
+	cache.nowFn = func() time.Time { return time.Unix(0, now.Load()) }
 	return New(w.net, w.dir, self, WithDirCache(cache)), cache
 }
 

@@ -42,7 +42,7 @@ func RunT1() (*Result, error) {
 	meetings := workload.MakeMeetingPlans(users, nMeetings, fanout, seed)
 
 	// --- SyD side -----------------------------------------------------------
-	w, err := NewWorld(users, sim.Config{CountBytes: true, Seed: seed})
+	w, err := NewWorld(users, sim.Config{Seed: seed})
 	if err != nil {
 		return nil, err
 	}

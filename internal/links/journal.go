@@ -130,8 +130,6 @@ type journalRec struct {
 	ID        string
 	Action    string
 	Args      wire.Args
-	Local     *LocalChange
-	LocalDone bool
 	Pending   []journalTarget
 	Committed []EntityRef
 	Failed    []EntityRef
@@ -188,12 +186,12 @@ func (m *Manager) journalBegin(u *store.Tx, rec *journalRec) error {
 }
 
 // journalSettle records how a commit round left rec, as one unit: the
-// row is retired once no target and no local change is outstanding,
-// and rewritten with the round's progress otherwise. A row that cannot
+// row is retired once no target is outstanding, and rewritten with the
+// round's progress otherwise. A row that cannot
 // be written stays as it was; the next sweep re-drives it, and targets
 // that already applied ack the repeat as a duplicate.
 func (m *Manager) journalSettle(ctx context.Context, rec *journalRec) (retired bool) {
-	retired = len(rec.Pending) == 0 && (rec.Local == nil || rec.LocalDone)
+	retired = len(rec.Pending) == 0
 	if retired {
 		m.journalRetire(ctx, rec.ID)
 		return true
@@ -388,57 +386,11 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 	return int(resolved.Load())
 }
 
-// redriveLocal re-applies the coordinator's own journaled change. The
-// in-memory lock the original negotiation held is gone after a crash,
-// so this mirrors the participant late-commit path: re-lock the
-// entity, re-run the action's Check, and treat a failed Check as a
-// definitive rejection — another negotiation may have booked the
-// entity between the crash and the redrive, and the redrive must not
-// overwrite its claim. Returns done=true when the change reached a
-// definitive state (applied or rejected) and failed=true when that
-// state is a rejection; done=false means the entity is locked by a
-// live negotiation and the redrive should retry next sweep.
-func (m *Manager) redriveLocal(ctx context.Context, lc *LocalChange) (done, failed bool) {
-	tok, ok := m.Locks.TryLock(lockKey(lc.Entity), m.self)
-	if !ok {
-		return false, false
-	}
-	defer m.Locks.Unlock(lockKey(lc.Entity), tok)
-	a, err := m.action(lc.Action)
-	if err != nil {
-		m.count("redrive-local", wire.CodeOf(err))
-		return true, true
-	}
-	if a.Check != nil {
-		if err := a.Check(lc.Entity, lc.Args); err != nil {
-			m.count("redrive-local", wire.CodeConflict)
-			return true, true
-		}
-	}
-	err = m.db.Unit(ctx, func(u *store.Tx) error { return m.applyLocal(u, lc.Entity, lc.Action, lc.Args) })
-	if err != nil {
-		m.count("redrive-local", wire.CodeOf(err))
-		return true, true
-	}
-	m.count("redrive-local", wire.CodeOK)
-	return true, false
-}
-
-// redriveJournal re-runs the commit phase for one journal row: the
-// local change first (a row journaled by a build that wrote the
-// decision before, not with, its own change may have it outstanding),
-// then every pending target, fanned out concurrently, and writes the
-// row back once. Reports true when the row was retired.
+// redriveJournal re-runs the commit phase for one journal row: every
+// pending target, fanned out concurrently, then writes the row back
+// once. The coordinator's own change needs no redrive: it was applied
+// in the unit that wrote the row. Reports true when the row was retired.
 func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
-	if rec.Local != nil && !rec.LocalDone {
-		done, failed := m.redriveLocal(ctx, rec.Local)
-		if done {
-			rec.LocalDone = true
-			if failed {
-				rec.Failed = append(rec.Failed, EntityRef{User: m.self, Entity: rec.Local.Entity})
-			}
-		}
-	}
 	errs := m.commitTargets(ctx, rec.ID, rec.Pending, rec.Action, rec.Args, true)
 	var still []journalTarget
 	for i, tgt := range rec.Pending {

@@ -55,7 +55,7 @@ type harness struct {
 }
 
 // simConfig: every simulated delivery rides a full frame encode→decode
-// round trip in wire.DefaultCodec, so the whole links suite — the chaos
+// round trip in v3, so the whole links suite — the chaos
 // harness above all — proves its invariants on what a socket peer
 // receives, not on the sender's pointers.
 var simConfig = sim.Config{EncodeFrames: true}

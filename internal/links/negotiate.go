@@ -289,8 +289,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		// driven right now, and the sweeper must not redrive the same
 		// row concurrently with it.
 		rec = &journalRec{
-			ID: res.NID, Action: spec.Action, Args: commitArgs,
-			Local: spec.Local, LocalDone: spec.Local != nil, Created: m.clk.Now(),
+			ID: res.NID, Action: spec.Action, Args: commitArgs, Created: m.clk.Now(),
 			NextRetry: m.clk.Now().Add(backoffAfter(m.tune(), 1)),
 			Pending:   marked,
 		}

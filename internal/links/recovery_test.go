@@ -2,7 +2,6 @@ package links_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -186,96 +185,6 @@ func TestSweepDuringPhase1DoesNotPresumeAbort(t *testing.T) {
 	}
 	if sx, sy := h.nodes["x"].status("s"), h.nodes["y"].status("s"); sx != "M" || sy != "M" {
 		t.Fatalf("commit diverged after mid-flight sweep: x=%q y=%q", sx, sy)
-	}
-}
-
-// TestRedriveRechecksRebookedEntity: a journal row says COMMIT with the
-// coordinator's own change still outstanding — what a build that
-// journaled the decision before applying its own side (rather than in
-// one unit with it) leaves behind when it crashes in between. While the
-// row waits for redrive, another negotiation books the same entity. The
-// redrive must re-lock and re-run Check — definitively failing the
-// stale local change — instead of blindly applying it over the new
-// booking.
-func TestRedriveRechecksRebookedEntity(t *testing.T) {
-	h := newHarness(t, "a", "y")
-	ctx := context.Background()
-	lm := h.nodes["a"].Links
-
-	// Crash model: the coordinator loses the network at its first Commit
-	// send and then dies, with the decision journaled. This build wrote
-	// the row and the local change as one unit, so the test then takes
-	// the local change back out of both, which is the state the older
-	// ordering crashed into.
-	lm.SetCommitFault(func(string, links.EntityRef) error {
-		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: network gone"}
-	})
-	_, err := lm.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "OLD"},
-		Local:   &links.LocalChange{Entity: "s", Action: "reserve", Args: wire.Args{"meeting": "OLD"}},
-		Targets: refs("y", "s2"), Constraint: links.And,
-	})
-	if !links.IsInDoubt(err) {
-		t.Fatalf("negotiation with an undeliverable Commit = %v, want in doubt", err)
-	}
-	journal, err := h.nodes["a"].DB.Table(links.NegotiationJournal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range journal.Select(nil) {
-		rec := row["rec"].(string)
-		undone := strings.Replace(rec, `"LocalDone":true`, `"LocalDone":false`, 1)
-		if undone == rec {
-			t.Fatalf("journal row does not carry the local change as done: %s", rec)
-		}
-		if err := journal.Update(store.Row{"rec": undone}, row["id"]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.nodes["a"].setStatus("s", "")
-
-	// "Restart": fresh manager over the same device database. The
-	// journal row survives; the in-memory lock table does not.
-	lm2, err := links.NewManager("a", h.nodes["a"].DB, h.nodes["a"].Engine, h.clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := lm2.JournalPending(); len(p) != 1 {
-		t.Fatalf("journal after restart = %v, want 1 row", p)
-	}
-	lm2.RegisterAction("reserve", links.Action{
-		Check: func(entity string, args wire.Args) error {
-			if cur := h.nodes["a"].status(entity); cur != "" && cur != args.String("meeting") {
-				return &wire.RemoteError{Code: wire.CodeConflict, Msg: "reserved"}
-			}
-			return nil
-		},
-		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
-			h.nodes["a"].setStatus(entity, args.String("meeting"))
-			return nil
-		},
-	})
-	// Another negotiation books the entity before the redrive runs.
-	if _, err := lm2.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "NEW"},
-		Targets: refs("a", "s"), Constraint: links.And,
-	}); err != nil {
-		t.Fatalf("rebooking negotiation failed: %v", err)
-	}
-
-	h.clk.Advance(time.Second)
-	if n := lm2.RetryCommits(ctx, h.clk.Now()); n != 1 {
-		t.Fatalf("RetryCommits resolved %d rows, want 1", n)
-	}
-	if got := h.nodes["a"].status("s"); got != "NEW" {
-		t.Fatalf("redrive clobbered rebooked entity: %q, want NEW", got)
-	}
-	// The journaled COMMIT still lands at the unaffected remote target.
-	if got := h.nodes["y"].status("s2"); got != "OLD" {
-		t.Fatalf("remote target never redriven: %q, want OLD", got)
-	}
-	if p := lm2.JournalPending(); len(p) != 0 {
-		t.Fatalf("journal not retired: %v", p)
 	}
 }
 

@@ -13,7 +13,6 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -40,20 +39,14 @@ type Config struct {
 	LossProb float64
 	// Seed seeds the private RNG so runs are reproducible.
 	Seed int64
-	// CountBytes, when true, JSON-encodes each message to account
-	// payload bytes in Stats (costs CPU; off by default).
-	CountBytes bool
 	// EncodeFrames, when true, routes every request, response, and
-	// event through a full wire-frame encode→decode round trip with
-	// FrameCodec before delivery. The in-memory transport normally
-	// hands the receiver the sender's pointer; with this on the
-	// receiver sees exactly what a socket peer would see — JSON's
-	// number widening, v3's tagged scalars — so chaos and idempotency
-	// suites can prove protocol semantics under each wire encoding.
+	// event through a full v3 frame encode→decode round trip before
+	// delivery. The in-memory transport normally hands the receiver the
+	// sender's pointer; with this on the receiver sees exactly what a
+	// socket peer would see — v3's tagged scalars, JSON's number
+	// widening inside embedded blobs — so chaos and idempotency suites
+	// can prove protocol semantics under the wire encoding.
 	EncodeFrames bool
-	// FrameCodec selects the encoding EncodeFrames uses; unset, it is
-	// wire.DefaultCodec, what two real transports negotiate.
-	FrameCodec wire.Codec
 	// Clock times latency sleeps and FlapPartition periods; nil = system
 	// clock. The scale harness injects its auto-advancing fake clock so
 	// simulated network delays compress along with every other timer.
@@ -67,7 +60,6 @@ type Stats struct {
 	Responses int64 // responses delivered
 	Events    int64 // events delivered
 	Dropped   int64 // messages lost to LossProb, partitions, or down devices
-	Bytes     int64 // payload bytes (only when Config.CountBytes)
 }
 
 // Net is an in-memory Network. Create with New; safe for concurrent use.
@@ -94,7 +86,6 @@ type Net struct {
 	responses atomic.Int64
 	events    atomic.Int64
 	dropped   atomic.Int64
-	bytes     atomic.Int64
 
 	nextAuto atomic.Int64
 }
@@ -111,9 +102,6 @@ func New(cfg Config) *Net {
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System
-	}
-	if cfg.FrameCodec == 0 {
-		cfg.FrameCodec = wire.DefaultCodec
 	}
 	return &Net{
 		cfg:         cfg,
@@ -335,15 +323,6 @@ func (n *Net) latency() time.Duration {
 	return d
 }
 
-func (n *Net) account(v any) {
-	if !n.cfg.CountBytes {
-		return
-	}
-	if b, err := json.Marshal(v); err == nil {
-		n.bytes.Add(int64(len(b)))
-	}
-}
-
 func (n *Net) sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
@@ -377,7 +356,6 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 		return nil, err
 	}
 	n.requests.Add(1)
-	n.account(req)
 
 	if n.cfg.EncodeFrames {
 		env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindRequest, Request: req})
@@ -406,14 +384,13 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 		return nil, err
 	}
 	n.responses.Add(1)
-	n.account(resp)
 	return resp, nil
 }
 
-// roundTrip encodes env with the configured frame codec and decodes it
-// back, yielding the envelope a real socket peer would have received.
+// roundTrip encodes env as a v3 frame and decodes it back, yielding the
+// envelope a real socket peer would have received.
 func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
-	f, err := wire.EncodeFrameCodec(env, n.cfg.FrameCodec)
+	f, err := wire.EncodeFrameV3(env)
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: encode: %v", err)}
 	}
@@ -444,7 +421,6 @@ func (n *Net) Send(ctx context.Context, addr string, ev *transport.Event) error 
 		return err
 	}
 	n.events.Add(1)
-	n.account(ev)
 	if n.cfg.EncodeFrames {
 		env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindEvent, Event: ev})
 		if err != nil {
@@ -463,7 +439,6 @@ func (n *Net) Stats() Stats {
 		Responses: n.responses.Load(),
 		Events:    n.events.Load(),
 		Dropped:   n.dropped.Load(),
-		Bytes:     n.bytes.Load(),
 	}
 }
 
@@ -474,5 +449,4 @@ func (n *Net) ResetStats() {
 	n.responses.Store(0)
 	n.events.Store(0)
 	n.dropped.Store(0)
-	n.bytes.Store(0)
 }

@@ -34,13 +34,13 @@ func DefaultPoolSize() int {
 // server-address) pair gets a small pool of TCP connections;
 // concurrent Calls are multiplexed across them using wire request IDs
 // with round-robin pick; each frame is one socket write (see
-// frameWriter).
+// frameWriter). Every frame, in both directions and from a connection's
+// first byte, is a v3 frame (wire.EncodeFrameV3).
 //
 // Use NewTCP; TCP is safe for concurrent use.
 type TCP struct {
 	poolSize int
 	stats    *metrics.WireStats
-	codec    wire.Codec
 
 	mu     sync.Mutex
 	pools  map[string]*connPool
@@ -66,24 +66,11 @@ func WithWireStats(s *metrics.WireStats) TCPOption {
 	return func(t *TCP) { t.stats = s }
 }
 
-// WithWireCodec overrides the frame body encoding this network prefers
-// to send, wire.DefaultCodec (v3): wire.CodecJSON makes it stand in for
-// an older JSON-only build (tests). v3 is negotiated per connection
-// and never assumed: a client's first request goes out as JSON
-// advertising v3 in its metadata, a v3-preferring server answers such a
-// client in v3, and the client sends v3 once it has received a v3 frame.
-// Decoding always auto-detects per frame, so mixed-version fleets and
-// JSON-only peers interoperate unchanged.
-func WithWireCodec(c wire.Codec) TCPOption {
-	return func(t *TCP) { t.codec = c }
-}
-
 // NewTCP returns a ready TCP network.
 func NewTCP(opts ...TCPOption) *TCP {
 	t := &TCP{
 		poolSize: DefaultPoolSize(),
 		stats:    metrics.Wire(),
-		codec:    wire.DefaultCodec,
 		pools:    make(map[string]*connPool),
 	}
 	for _, o := range opts {
@@ -98,7 +85,6 @@ type tcpListener struct {
 	ln      net.Listener
 	handler Handler
 	stats   *metrics.WireStats
-	codec   wire.Codec
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
@@ -111,7 +97,7 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	l := &tcpListener{ln: ln, handler: h, stats: t.stats, codec: t.codec, conns: make(map[net.Conn]struct{})}
+	l := &tcpListener{ln: ln, handler: h, stats: t.stats, conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -163,16 +149,10 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		l.mu.Unlock()
 		conn.Close()
 	}()
-	// One pooled-codec frame reader and one writer per connection,
+	// One frame reader and one writer per connection,
 	// shared by the handler goroutines answering on it.
 	fr := wire.NewFrameReader(conn)
 	fw := &frameWriter{w: conn, stats: l.stats}
-	// peerV3 records the codec handshake for this connection: it
-	// latches once the client has proven it decodes v3 — either by
-	// sending a v3 frame or by advertising MetaWireCodec — and a
-	// v3-preferring listener answers such a client in v3 from then
-	// on. JSON-only clients never trip it and get JSON forever.
-	var peerV3 atomic.Bool
 	var readBytes int64
 	for {
 		env, err := fr.Read()
@@ -187,10 +167,6 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 			if req == nil {
 				continue
 			}
-			if l.codec == wire.CodecV3 && !peerV3.Load() &&
-				(fr.LastCodec == wire.CodecV3 || req.Meta.Get(wire.MetaWireCodec) == wire.WireCodecV3) {
-				peerV3.Store(true)
-			}
 			// Each request gets its own goroutine so a slow
 			// handler (e.g. a negotiation holding locks) cannot
 			// stall unrelated traffic on the same connection.
@@ -200,11 +176,7 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 					resp = ErrorResponse(req, wire.CodeInternal, "handler returned no response")
 				}
 				resp.ID = req.ID
-				codec := wire.CodecJSON
-				if peerV3.Load() {
-					codec = wire.CodecV3
-				}
-				_ = writeEnvelope(fw, &wire.Envelope{Kind: wire.KindResponse, Response: resp}, codec)
+				_ = writeEnvelope(fw, &wire.Envelope{Kind: wire.KindResponse, Response: resp})
 			}()
 		case wire.KindEvent:
 			if env.Event != nil {
@@ -215,10 +187,10 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 	}
 }
 
-// writeEnvelope encodes env with the pooled codec and hands it to the
-// connection's writer as one contiguous frame.
-func writeEnvelope(fw *frameWriter, env *wire.Envelope, codec wire.Codec) error {
-	f, err := wire.EncodeFrameCodec(env, codec)
+// writeEnvelope encodes env as a v3 frame and hands it to the
+// connection's writer as one contiguous write.
+func writeEnvelope(fw *frameWriter, env *wire.Envelope) error {
+	f, err := wire.EncodeFrameV3(env)
 	if err != nil {
 		return err
 	}
@@ -243,30 +215,11 @@ type tcpClientConn struct {
 	conn  net.Conn
 	w     *frameWriter
 	stats *metrics.WireStats
-	codec wire.Codec
-	// peer is the codec handshake: the encoding of the first frame the
-	// server sent on this connection, the zero Codec until then. A
-	// v3-preferring server latches on the first request's advert before
-	// it answers, so its first answer is v3; a JSON one is an older build.
-	peer atomic.Uint32
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan *Response
 	dead    bool
-}
-
-// sendCodec returns the encoding this connection's next frame goes out
-// in, and whether a request must carry the v3 advert: only while a
-// v3-preferring client still waits for the server's first answer.
-func (c *tcpClientConn) sendCodec() (codec wire.Codec, advertise bool) {
-	if c.codec != wire.CodecV3 {
-		return wire.CodecJSON, false
-	}
-	if peer := wire.Codec(c.peer.Load()); peer != 0 {
-		return peer, false
-	}
-	return wire.CodecJSON, true
 }
 
 func (c *tcpClientConn) isDead() bool {
@@ -316,7 +269,6 @@ func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
 		conn:    nc,
 		w:       &frameWriter{w: nc, stats: t.stats},
 		stats:   t.stats,
-		codec:   t.codec,
 		pending: make(map[uint64]chan *Response),
 	}
 
@@ -374,9 +326,6 @@ func (c *tcpClientConn) readLoop() {
 		}
 		c.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
-		if c.peer.Load() == 0 { // readLoop is the only writer
-			c.peer.Store(uint32(fr.LastCodec))
-		}
 		if env.Kind != wire.KindResponse || env.Response == nil {
 			continue
 		}
@@ -425,13 +374,7 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 
 	r := *req
 	r.ID = id
-	codec, advertise := c.sendCodec()
-	if advertise {
-		// A JSON-only server ignores the key and answers in JSON.
-		r.Meta = r.Meta.Clone()
-		r.Meta[wire.MetaWireCodec] = wire.WireCodecV3
-	}
-	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}, codec); err != nil {
+	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -473,8 +416,7 @@ func (c *tcpClientConn) send(ev *Event) error {
 		return ErrUnreachable
 	}
 	c.mu.Unlock()
-	codec, _ := c.sendCodec() // an event carries no advert: JSON until a response settles the handshake
-	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}, codec); err != nil {
+	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}); err != nil {
 		c.fail()
 		return fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}

@@ -25,21 +25,12 @@ func traceMeta(i int) wire.Metadata {
 // arrives byte-identical, never smeared across the frames that shared
 // the socket. (The name is from when concurrent frames shared a write.)
 func TestTraceMetadataSurvivesCoalescedFrames(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecV3} {
-		t.Run(codec.String(), func(t *testing.T) { testTraceMetaConcurrent(t, codec) })
-	}
+	t.Run("v3", testTraceMetaConcurrent)
 }
 
-func testTraceMetaConcurrent(t *testing.T, codec wire.Codec) {
-	net, addr := newTCPPairCodec(t, metaHandler{}, codec)
+func testTraceMetaConcurrent(t *testing.T) {
+	net, addr := newTCPPair(t, metaHandler{})
 	ctx := context.Background()
-
-	// With v3 configured, the first call negotiates the upgrade so the
-	// concurrent storm below exercises v3-encoded frames, not the JSON
-	// advertisement path.
-	if _, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "meta", Meta: traceMeta(999)}); err != nil {
-		t.Fatal(err)
-	}
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -81,14 +72,12 @@ func testTraceMetaConcurrent(t *testing.T, codec wire.Codec) {
 // client connection dies, then asserts the transparent reconnect path
 // carries the trace context byte-identically too.
 func TestTraceMetadataSurvivesReconnect(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecV3} {
-		t.Run(codec.String(), func(t *testing.T) { testTraceMetaReconnect(t, codec) })
-	}
+	t.Run("v3", testTraceMetaReconnect)
 }
 
-func testTraceMetaReconnect(t *testing.T, codec wire.Codec) {
+func testTraceMetaReconnect(t *testing.T) {
 	h := metaHandler{}
-	net := NewTCP(WithWireCodec(codec))
+	net := NewTCP()
 	defer net.Close()
 	ln, err := net.Listen("127.0.0.1:0", h)
 	if err != nil {

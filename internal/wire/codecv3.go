@@ -8,36 +8,30 @@ import (
 	"math"
 )
 
-// Wire codec v3 (see DESIGN.md §10): a length-delimited binary encoding
-// for the hot envelope types. The frame layout is unchanged — 4-byte
-// big-endian length prefix — but the body starts with the magic byte
-// 0xB3 instead of '{', so a FrameReader distinguishes v3 and JSON
-// bodies per frame with no out-of-band state. v3 is what a sender
-// prefers (DefaultCodec); JSON is the handshake and the fallback for
-// older peers: every decoder accepts both, and a sender only emits v3
-// after the peer has shown it can decode it (see internal/transport
-// codec negotiation).
+// Wire format v3 (see DESIGN.md §10): the one frame format every
+// transport sends. The frame layout is a 4-byte big-endian length
+// prefix, then a body that starts with the format's version byte, 0xB3,
+// followed by a length-delimited binary encoding of the envelope.
 //
 // Values that the tagged Args encoding cannot represent natively fall
 // back to an embedded JSON blob, so v3 is semantically lossless with
 // respect to the JSON codec for anything the JSON codec can carry.
 
-// magicV3 is the first body byte of a v3-encoded frame. A JSON body
-// always starts with '{' (0x7B), so the two are unambiguous.
+// magicV3 is the first body byte of a v3 frame: the format's version
+// byte. A JSON body always starts with '{' (0x7B), so the two are
+// unambiguous.
 const magicV3 = 0xB3
 
-// Codec selects the frame body encoding a sender uses.
+// Codec names a frame body encoding. No transport sends JSON: CodecJSON
+// is kept as the reference the fuzzers and the benchmark's wire probe
+// measure v3 against.
 type Codec uint8
 
-// Codecs. The zero Codec names none: a configuration field left at it
-// means DefaultCodec.
+// Codecs.
 const (
-	CodecJSON Codec = iota + 1 // JSON body — the handshake, and all an older peer speaks
-	CodecV3                    // binary v3 body — negotiated per connection
+	CodecJSON Codec = iota + 1 // JSON body: the reference encoding
+	CodecV3                    // binary v3 body: what every transport sends
 )
-
-// DefaultCodec is the body encoding every transport prefers to send.
-const DefaultCodec = CodecV3
 
 // String returns the codec name.
 func (c Codec) String() string {
@@ -46,15 +40,6 @@ func (c Codec) String() string {
 	}
 	return "json"
 }
-
-// MetaWireCodec is the metadata key a client stamps on requests to
-// advertise that it decodes v3 frames. A v3-capable server that sees
-// the advertisement may answer in v3 immediately; the binary response
-// itself is the client's evidence that the server speaks v3.
-const MetaWireCodec = "wire-codec"
-
-// WireCodecV3 is the MetaWireCodec value advertising v3 support.
-const WireCodecV3 = "v3"
 
 // ErrBadV3Frame reports a structurally invalid v3 body.
 var ErrBadV3Frame = errors.New("wire: malformed v3 frame")
@@ -81,8 +66,9 @@ const (
 )
 
 // EncodeFrameCodec encodes env with the requested codec into a pooled
-// FrameBuffer. CodecJSON delegates to EncodeFrame; the two produce
-// frames any FrameReader decodes interchangeably.
+// FrameBuffer; CodecJSON delegates to EncodeFrame. It serves the
+// fuzzers and the benchmark's wire probe, which compare the two codecs;
+// no transport sends JSON.
 func EncodeFrameCodec(env *Envelope, c Codec) (*FrameBuffer, error) {
 	if c == CodecV3 {
 		return EncodeFrameV3(env)

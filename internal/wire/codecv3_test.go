@@ -157,8 +157,9 @@ func TestCodecV3EquivalentToJSON(t *testing.T) {
 }
 
 // TestFrameReaderMixedCodecs interleaves JSON and v3 frames on one
-// connection: the reader must auto-detect per frame, which is what
-// keeps mixed-version fleets byte-compatible mid-negotiation.
+// stream: the reader tells them apart per frame by the first body byte,
+// which is what lets the benchmark's wire probe replay either codec
+// through the same reader.
 func TestFrameReaderMixedCodecs(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 20; i++ {

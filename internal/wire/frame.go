@@ -10,22 +10,18 @@ import (
 	"sync"
 )
 
-// Frame path v2 (see DESIGN.md §wire, "frame path v2"): the v1 codec
-// paid a full json.Marshal allocation per frame, two conn.Write calls
-// (header, then body), and a fresh body buffer per read. V2 keeps the
-// wire format byte-identical — 4-byte big-endian length, JSON body —
-// but encodes prefix and body into one pooled buffer so a frame is a
-// single Write, and reads through a per-connection FrameReader that
-// reuses its scratch buffer.
+// Frame buffers: an encoder writes the length prefix and the body into
+// one pooled buffer, so a frame is a single Write, and a per-connection
+// FrameReader reuses its scratch buffer between reads.
 
 // poolBufCap caps the capacity of buffers returned to the pools so a
 // single huge frame (a bulk snapshot, a big group result) does not pin
 // megabytes inside the pool forever.
 const poolBufCap = 64 << 10
 
-// FrameBuffer is a pooled, encoded frame: length prefix and JSON body
-// in one contiguous byte slice, ready for a single Write. Obtain with
-// EncodeFrame, hand Bytes to the socket, then Release.
+// FrameBuffer is a pooled, encoded frame: length prefix and body in one
+// contiguous byte slice, ready for a single Write. Obtain with
+// EncodeFrameV3, hand Bytes to the socket, then Release.
 type FrameBuffer struct {
 	buf []byte
 }
@@ -59,10 +55,9 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 }
 
 // EncodeFrame marshals env into a pooled FrameBuffer: the 4-byte
-// length prefix followed by the JSON body, as one contiguous slice.
-// The JSON encoder writes straight into the pooled buffer, so a warm
-// pool encodes without heap allocation beyond what encoding/json
-// itself needs.
+// length prefix followed by a JSON body, as one contiguous slice. It is
+// the reference encoding v3 is measured against (see Codec); no
+// transport sends it.
 func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 	f := framePool.Get().(*FrameBuffer)
 	f.buf = append(f.buf[:0], 0, 0, 0, 0) // length backpatched below
@@ -81,9 +76,9 @@ func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 }
 
 // FrameReader decodes length-prefixed frames from one connection,
-// reusing an internal scratch buffer between reads (v1 ReadFrame
-// allocated a fresh body buffer per frame). Bind one FrameReader per
-// connection; it is not safe for concurrent use.
+// reusing an internal scratch buffer between reads. It decodes v3
+// bodies and, for the reference codec's sake, JSON ones. Bind one
+// FrameReader per connection; it is not safe for concurrent use.
 type FrameReader struct {
 	r       *bufio.Reader
 	scratch []byte
@@ -93,11 +88,6 @@ type FrameReader struct {
 	// transport layer feeds them into metrics.
 	Frames int64
 	Bytes  int64
-	// LastCodec reports the body encoding of the most recent
-	// successful Read. A received CodecV3 frame is the transport
-	// layer's evidence that the peer speaks v3 (see codec
-	// negotiation in internal/transport).
-	LastCodec Codec
 }
 
 // NewFrameReader creates a FrameReader over r. If r is already a
@@ -140,27 +130,25 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 		// copies what it needs.
 		fr.scratch = make([]byte, poolBufCap)
 	}
-	env, codec, err := decodeBody(body, fr.names)
+	env, err := decodeBody(body, fr.names)
 	if err != nil {
 		return nil, err
 	}
-	fr.LastCodec = codec
 	fr.Frames++
 	fr.Bytes += int64(4 + n)
 	return env, nil
 }
 
-// decodeBody decodes one frame body, telling v3 from JSON by its first
-// byte (a JSON body always starts with '{'), so no connection state is
-// needed. names is the reader's v3 intern table, nil for none.
-func decodeBody(body []byte, names map[string]string) (*Envelope, Codec, error) {
+// decodeBody decodes one frame body: v3 when it starts with the version
+// byte, the JSON reference codec otherwise. names is the reader's v3
+// intern table, nil for none.
+func decodeBody(body []byte, names map[string]string) (*Envelope, error) {
 	if len(body) > 0 && body[0] == magicV3 {
-		env, err := decodeV3(body, names)
-		return env, CodecV3, err
+		return decodeV3(body, names)
 	}
 	env := new(Envelope)
 	if err := json.Unmarshal(body, env); err != nil {
-		return nil, CodecJSON, fmt.Errorf("wire: unmarshal: %w", err)
+		return nil, fmt.Errorf("wire: unmarshal: %w", err)
 	}
-	return env, CodecJSON, nil
+	return env, nil
 }

@@ -4,10 +4,10 @@
 //
 // The paper's prototype used "TCP Sockets for small foot-print and
 // maximum flexibility" (§3.1). We keep the same spirit: a frame is a
-// 4-byte big-endian length followed by the message body: the binary v3
-// encoding (codecv3.go, DefaultCodec) once two peers have shaken hands,
-// and JSON, self-describing enough for the heterogeneous argument maps
-// SyD services exchange, for the handshake and for older peers.
+// 4-byte big-endian length followed by the message body in one format,
+// binary v3 (codecv3.go), whose first byte is its version. A JSON body
+// codec is kept only as the reference that tests and the benchmark's
+// wire probe compare v3 against.
 package wire
 
 import (
@@ -149,20 +149,6 @@ func CodeOf(err error) ErrCode {
 	return CodeInternal
 }
 
-// WriteFrame encodes env as JSON and writes a length-prefixed frame.
-// The prefix and body go out in a single Write (one syscall on a raw
-// socket) via a pooled encode buffer; transports, which write under
-// their own lock, use EncodeFrame directly.
-func WriteFrame(w io.Writer, env *Envelope) error {
-	f, err := EncodeFrame(env)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(f.Bytes())
-	f.Release()
-	return err
-}
-
 // ReadFrame reads one length-prefixed frame and decodes it.
 func ReadFrame(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
@@ -180,8 +166,7 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 		}
 		return nil, err
 	}
-	env, _, err := decodeBody(body, nil)
-	return env, err
+	return decodeBody(body, nil)
 }
 
 // Marshal encodes v into a json.RawMessage for a Response result.
