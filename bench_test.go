@@ -1,14 +1,12 @@
-// Package repro holds the top-level benchmark harness: one testing.B
-// benchmark per figure/table-equivalent of the paper (see DESIGN.md §4
-// and EXPERIMENTS.md). Run with:
+// Package repro holds the paper's experiments as tests (experiments_test.go:
+// TestExperiments holds each one's table to EXPERIMENTS.md) and the
+// benchmarks of kernel primitives no sydload workload reaches yet. Run
+// the benchmarks with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench . -benchmem .
 //
-// The F/E/T benchmarks wrap the experiment runners (which also verify
-// the paper-shape assertions on every iteration); the Micro benchmarks
-// isolate kernel primitives no sydload workload reaches yet. These are
-// numbers for looking at: nothing is committed from them and nothing
-// gates on them (benchmarks/ holds the judged ledger).
+// Their figures are for looking at: nothing is committed from them and
+// nothing gates on them (benchmarks/ holds the judged ledger).
 package repro
 
 import (
@@ -23,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/listener"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -31,29 +28,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
-
-// benchExperiment runs one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	reg, _ := experiments.All()
-	run, ok := reg[id]
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Figure-equivalents (paper Figs. 1-4).
-func BenchmarkF1_LayeredInvocation(b *testing.B)    { benchExperiment(b, "F1") }
-func BenchmarkF2_LayerOverhead(b *testing.B)        { benchExperiment(b, "F2") }
-func BenchmarkF3_DirectoryOps(b *testing.B)         { benchExperiment(b, "F3") }
-func BenchmarkF3s_DirectoryOpsSharded(b *testing.B) { benchExperiment(b, "F3s") }
-func BenchmarkF4_NegotiationOr(b *testing.B)        { benchExperiment(b, "F4") }
 
 // BenchmarkF4_FailoverRecovery measures a complete failover round: a
 // replicated primary with acked state dies, its follower wins the
@@ -134,29 +108,13 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 	}
 }
 
-// Scenario-equivalents (paper §4.4 and §5).
-func BenchmarkE1_CancelCascade(b *testing.B)      { benchExperiment(b, "E1") }
-func BenchmarkE2_TentativeConfirm(b *testing.B)   { benchExperiment(b, "E2") }
-func BenchmarkE3_VetoAndBump(b *testing.B)        { benchExperiment(b, "E3") }
-func BenchmarkE4_Supervisor(b *testing.B)         { benchExperiment(b, "E4") }
-func BenchmarkE5_Quorum(b *testing.B)             { benchExperiment(b, "E5") }
-func BenchmarkE6_CommitteeAppObject(b *testing.B) { benchExperiment(b, "E6") }
-
-// Table-equivalents (paper §6 comparison + implied performance).
-func BenchmarkT1_SyDvsBaseline(b *testing.B)     { benchExperiment(b, "T1") }
-func BenchmarkT2_PerformanceSweeps(b *testing.B) { benchExperiment(b, "T2") }
-
-// Ablations (DESIGN.md §5).
-func BenchmarkA1_LockStrategy(b *testing.B)     { benchExperiment(b, "A1") }
-func BenchmarkA2_TriggerPlacement(b *testing.B) { benchExperiment(b, "A2") }
-
 // --- micro benchmarks of the kernel primitives -----------------------------
 
 // BenchmarkMicro_EngineInvoke measures one directory-resolved remote
 // invocation on an ideal network.
 func BenchmarkMicro_EngineInvoke(b *testing.B) {
 	ctx := context.Background()
-	w, err := experiments.NewWorld(workload.Users(2), sim.Config{})
+	w, err := NewWorld(workload.Users(2), sim.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +137,7 @@ func BenchmarkMicro_EngineInvoke(b *testing.B) {
 func BenchmarkMicro_DirectoryLookupSharded(b *testing.B) {
 	ctx := context.Background()
 	users := workload.Users(4)
-	w, err := experiments.NewShardedWorld(users, sim.Config{}, 4)
+	w, err := NewShardedWorld(users, sim.Config{}, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -200,7 +158,7 @@ func BenchmarkMicro_DirectoryLookupSharded(b *testing.B) {
 func BenchmarkMicro_GroupInvoke(b *testing.B) {
 	ctx := context.Background()
 	users := workload.Users(9)
-	w, err := experiments.NewWorld(users, sim.Config{})
+	w, err := NewWorld(users, sim.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -69,9 +69,7 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Tracer, when set, records distributed trace spans through the
 	// interceptor/middleware chains, the links negotiation machinery,
-	// and the WAL flusher. When nil and process-wide tracing is on
-	// (trace.EnableDefault), a per-node tracer is created and attached
-	// to trace.Default() automatically.
+	// and the WAL flusher.
 	Tracer *trace.Tracer
 	// Middleware is appended to the listener's server chain,
 	// outermost first.
@@ -156,12 +154,6 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 		clk = clock.System
 	}
 	tracer := cfg.Tracer
-	if tracer == nil {
-		if rate, slow, on := trace.DefaultSampling(); on {
-			tracer = trace.Default().Tracer(cfg.User,
-				trace.WithSampleRate(rate), trace.WithSlowThreshold(slow))
-		}
-	}
 
 	// The device database: durable (recovered from DataDir) or plain
 	// in-memory. Recovery runs before the kernel modules attach, so

@@ -124,8 +124,8 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 }
 
 // SetMetrics wires negotiation outcome/retry counters into reg (nil
-// disables). Core attaches the node registry so sydbench -metrics and
-// the sys.<user> introspection service surface the counters.
+// disables). Core attaches the node registry so the sys.<user>
+// introspection service surfaces the counters.
 func (m *Manager) SetMetrics(reg *metrics.Registry) {
 	m.mu.Lock()
 	m.met = reg

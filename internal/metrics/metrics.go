@@ -2,8 +2,8 @@
 // interceptor pipeline: lock-light counters and latency histograms
 // keyed by (service, method, error code). The engine's client
 // interceptor and the listener's server middleware both feed a
-// Registry; cmd/sydbench and the sys.<user> introspection service
-// expose its Snapshot.
+// Registry; the sys.<user> introspection service exposes its
+// Snapshot.
 //
 // Recording is designed for the hot path: one RLock'd map probe plus a
 // handful of atomic adds per observation (a miss takes the write lock
@@ -103,7 +103,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry used when callers do
-// not wire their own (cmd/sydbench, experiments.World).
+// not wire their own (sydnode, the experiment tests' World).
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
@@ -130,7 +130,7 @@ func (r *Registry) Observe(layer Layer, service, method string, code wire.ErrCod
 	s.observe(d)
 }
 
-// Reset drops every series (tests, or between sydbench runs).
+// Reset drops every series (tests).
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.series = make(map[seriesKey]*series)

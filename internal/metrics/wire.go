@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // WireStats counts frame-level traffic on the real socket transport:
 // frames and bytes in each direction, and the socket writes that sent
@@ -77,12 +74,4 @@ func (w *WireStats) Reset() {
 	w.framesRecv.Store(0)
 	w.bytesRecv.Store(0)
 	w.flushes.Store(0)
-}
-
-// Render formats the snapshot as one line for sydbench -metrics.
-func (s WireSnapshot) Render() string {
-	return fmt.Sprintf(
-		"frames out=%d (%d B)  in=%d (%d B)  flushes=%d\n",
-		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv, s.Flushes,
-	)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -76,15 +77,25 @@ func reportDiff(t *testing.T, want, got *Report) []string {
 // scaleBaseline is the committed golden file at the repo root.
 const scaleBaseline = "../../BENCH_scale.json"
 
+// scaleFile is BENCH_scale.json: every scenario on the single topology
+// at 256 devices, seed 1. Only Reports is checked; the header records
+// provenance.
+type scaleFile struct {
+	Date    string    `json:"date"`
+	GoOS    string    `json:"goos"`
+	GoArch  string    `json:"goarch"`
+	Devices int       `json:"devices"`
+	Seed    int64     `json:"seed"`
+	Reports []*Report `json:"reports"`
+}
+
 func loadScaleBaseline(t *testing.T) []*Report {
 	t.Helper()
 	data, err := os.ReadFile(scaleBaseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file struct {
-		Reports []*Report `json:"reports"`
-	}
+	var file scaleFile
 	if err := json.Unmarshal(data, &file); err != nil {
 		t.Fatalf("%s: %v", scaleBaseline, err)
 	}
@@ -94,14 +105,51 @@ func loadScaleBaseline(t *testing.T) []*Report {
 	return file.Reports
 }
 
+// writeScaleBaseline runs what BENCH_scale.json holds and writes it, as
+// the file should read, to a temporary file whose name it returns.
+func writeScaleBaseline(t *testing.T) string {
+	t.Helper()
+	out := scaleFile{
+		Date:    time.Now().UTC().Format(time.RFC3339),
+		GoOS:    runtime.GOOS,
+		GoArch:  runtime.GOARCH,
+		Devices: 256,
+		Seed:    1,
+	}
+	for _, scn := range Scenarios() {
+		r, err := Run(Config{Scenario: scn, Topology: Single, Devices: out.Devices, Seed: out.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Reports = append(out.Reports, r)
+	}
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp("", "BENCH_scale-*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.Write(append(data, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Name()
+}
+
 // TestScaleBaseline is the exact gate: every report committed in
 // BENCH_scale.json, re-run from its own scenario, topology, fleet size,
 // op count and seed, must come out equal in every field but wall_ms.
-// The file defines what is checked; sydbench is its only writer.
+// On a difference it writes the file as this code would have it and
+// prints the command that puts it in place.
 func TestScaleBaseline(t *testing.T) {
+	same := true
 	for _, want := range loadScaleBaseline(t) {
-		want := want
-		t.Run(want.Scenario+"/"+string(want.Topology), func(t *testing.T) {
+		same = t.Run(want.Scenario+"/"+string(want.Topology), func(t *testing.T) {
 			got, err := Run(Config{
 				Scenario: want.Scenario, Topology: want.Topology,
 				Devices: want.Devices, Ops: want.Ops, Seed: want.Seed,
@@ -110,10 +158,12 @@ func TestScaleBaseline(t *testing.T) {
 				t.Fatal(err)
 			}
 			if diffs := reportDiff(t, want, got); len(diffs) > 0 {
-				t.Fatalf("report differs from %s (committed -> now):\n  %s\nif the change is intended, refresh the file and commit it:\n  go run ./cmd/sydbench -scale all -topo single -devices 256 -seed 1 -scale-json BENCH_scale.json",
-					scaleBaseline, strings.Join(diffs, "\n  "))
+				t.Fatalf("report differs from %s (committed -> now):\n  %s", scaleBaseline, strings.Join(diffs, "\n  "))
 			}
-		})
+		}) && same
+	}
+	if !same {
+		t.Errorf("if the change is intended, refresh the file from the repo root and commit it:\n  cp %s BENCH_scale.json", writeScaleBaseline(t))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // Collector aggregates the rings of several tracers — one per node in
 // a deployment or a sim-network test — and stitches their spans into
 // whole-trace trees. It is the in-process equivalent of a tracing
-// backend: tests assert on its trees, sydbench -trace renders them.
+// backend: tests assert on its trees and render them.
 type Collector struct {
 	mu      sync.Mutex
 	tracers []*Tracer
@@ -230,19 +230,6 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// RenderSlowest renders the n slowest stitched traces, slowest first.
-func (c *Collector) RenderSlowest(n int) string {
-	trees := c.Trees()
-	if n > 0 && len(trees) > n {
-		trees = trees[:n]
-	}
-	var b strings.Builder
-	for _, t := range trees {
-		b.WriteString(t.Render())
-	}
-	return b.String()
-}
-
 // --- JSONL export -----------------------------------------------------------
 
 // WriteJSONL writes one JSON object per span — the exchange format for
@@ -258,38 +245,4 @@ func WriteJSONL(w io.Writer, spans []*Span) error {
 		}
 	}
 	return nil
-}
-
-// --- process-global default -------------------------------------------------
-
-// The default collector mirrors metrics.Default(): harnesses that
-// construct nodes deep inside library code (the experiments World
-// behind sydbench -trace) flip tracing on process-wide and every
-// subsequently started node attaches a tracer automatically.
-
-var (
-	defMu        sync.Mutex
-	defCollector = NewCollector()
-	defRate      float64
-	defSlow      time.Duration
-)
-
-// Default returns the process-global collector.
-func Default() *Collector { return defCollector }
-
-// EnableDefault turns on process-wide tracing for nodes started after
-// the call: each gets a tracer with the given sample rate and slow
-// threshold, attached to Default().
-func EnableDefault(rate float64, slow time.Duration) {
-	defMu.Lock()
-	defRate, defSlow = rate, slow
-	defMu.Unlock()
-}
-
-// DefaultSampling reports the process-wide tracing config; enabled is
-// false when EnableDefault was never called (or rates are zero).
-func DefaultSampling() (rate float64, slow time.Duration, enabled bool) {
-	defMu.Lock()
-	defer defMu.Unlock()
-	return defRate, defSlow, defRate > 0 || defSlow > 0
 }

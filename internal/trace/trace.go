@@ -594,8 +594,7 @@ func (t *Tracer) Snapshot() []*Span {
 	return out
 }
 
-// Reset drops every retained and tail-buffered span (tests, and the
-// sydbench harness between experiments).
+// Reset drops every retained and tail-buffered span (tests).
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

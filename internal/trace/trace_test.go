@@ -213,7 +213,7 @@ func TestRenderFlameTree(t *testing.T) {
 
 	c := NewCollector()
 	c.Attach(tr)
-	out := c.RenderSlowest(5)
+	out := c.Trees()[0].Render() // the slowest stitched tree
 	for _, want := range []string{"IN-DOUBT", "links.Negotiate", "links.Commit", "nid=N-42", "code=unavailable", "└─"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q in:\n%s", want, out)

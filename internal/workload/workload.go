@@ -1,5 +1,6 @@
 // Package workload generates reproducible calendar populations and
-// meeting request streams for the experiment harness (DESIGN.md T1/T2).
+// meeting request streams for the experiments (DESIGN.md T1/T2), the
+// scale harness and sydload.
 // All generators are seeded so every run of an experiment sees the
 // same world.
 package workload
@@ -9,7 +10,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/calendar"
 )
 
@@ -67,16 +67,6 @@ func (w Window) Slots() []calendar.Slot {
 	return out
 }
 
-// BaselineSlots converts window slots to baseline slots.
-func (w Window) BaselineSlots() []baseline.Slot {
-	slots := w.Slots()
-	out := make([]baseline.Slot, len(slots))
-	for i, s := range slots {
-		out[i] = baseline.Slot{Day: s.Day, Hour: s.Hour}
-	}
-	return out
-}
-
 // BusyPlan maps each user to the slots pre-occupied by personal
 // appointments, drawn with the given density in [0,1).
 type BusyPlan map[string][]calendar.Slot
@@ -106,15 +96,6 @@ func (p BusyPlan) ApplyToCalendar(user string, c *calendar.Calendar) error {
 		}
 	}
 	return nil
-}
-
-// ApplyToBaseline marks the plan's slots busy in a baseline system.
-func (p BusyPlan) ApplyToBaseline(s *baseline.System) {
-	for u, slots := range p {
-		for _, sl := range slots {
-			s.MarkBusy(u, baseline.Slot{Day: sl.Day, Hour: sl.Hour}, "appt")
-		}
-	}
 }
 
 // MeetingPlan is one synthetic meeting request: an initiator and a

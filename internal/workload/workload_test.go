@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/baseline"
 )
 
 func TestUsers(t *testing.T) {
@@ -27,10 +25,6 @@ func TestWindowBounds(t *testing.T) {
 	}
 	if slots[0].Day != "2003-04-21" || slots[len(slots)-1].Day != "2003-04-25" {
 		t.Fatalf("slot days wrong: %v .. %v", slots[0], slots[len(slots)-1])
-	}
-	bs := w.BaselineSlots()
-	if len(bs) != len(slots) || bs[0] != (baseline.Slot{Day: "2003-04-21", Hour: w.Hours[0]}) {
-		t.Fatalf("baseline slots = %v...", bs[0])
 	}
 }
 
