@@ -183,14 +183,16 @@ func (a Availability) Slots() []Slot {
 }
 
 // availability scans this user's slots over w: one point read per slot,
-// none of which allocates.
+// none of which allocates. Each day is formatted into a stack buffer:
+// the point reads do not keep it.
 func (c *Calendar) availability(w Window) Availability {
 	a := Availability{win: w, words: make([]uint64, (w.Slots()+63)/64)}
 	busy := false
 	held := func(r store.Row) { busy = r["meeting"].(string) != "" }
+	var buf [len(dayLayout)]byte
 	i := 0
 	for d := 0; d < w.days; d++ {
-		day := w.day(d)
+		day := string(w.first.AddDate(0, 0, d).AppendFormat(buf[:0], dayLayout))
 		for hs := w.hours; hs != 0; hs &= hs - 1 {
 			busy = false
 			c.slots.View(held, day, int64(bits.TrailingZeros32(hs)))

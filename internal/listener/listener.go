@@ -249,7 +249,8 @@ func (l *Listener) HandleEvent(ev *wire.Event) {
 
 // HandleRequest implements transport.Handler: find the service, run
 // the middleware chain (auth, method dispatch, any installed user
-// middleware), and encode the result.
+// middleware), and encode the result. The response carries no
+// metadata: the caller correlates it on the frame ID.
 func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
 	l.mu.RLock()
 	obj, ok := l.services[req.Service]
@@ -267,16 +268,16 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 						code = re.Code
 						msg = re.Msg
 					}
-					return l.stampMeta(req, transport.ErrorResponse(req, code, "%s", msg))
+					return transport.ErrorResponse(req, code, "%s", msg)
 				}
 				raw, merr := wire.Marshal(result)
 				if merr != nil {
-					return l.stampMeta(req, transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", merr))
+					return transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", merr)
 				}
-				return l.stampMeta(req, &transport.Response{ID: req.ID, OK: true, Result: raw})
+				return &transport.Response{ID: req.ID, OK: true, Result: raw}
 			}
 		}
-		return l.stampMeta(req, transport.ErrorResponse(req, wire.CodeNoService, "node %s has no service %q", l.owner, req.Service))
+		return transport.ErrorResponse(req, wire.CodeNoService, "node %s has no service %q", l.owner, req.Service)
 	}
 
 	// Re-arm the caller's deadline hint locally when the transport did
@@ -309,21 +310,13 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 			code = re.Code
 			msg = re.Msg // avoid re-wrapping already-remote errors
 		}
-		return l.stampMeta(req, transport.ErrorResponse(req, code, "%s", msg))
+		return transport.ErrorResponse(req, code, "%s", msg)
 	}
 	raw, err := wire.Marshal(result)
 	if err != nil {
-		return l.stampMeta(req, transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", err))
+		return transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", err)
 	}
-	return l.stampMeta(req, &transport.Response{ID: req.ID, OK: true, Result: raw})
-}
-
-// stampMeta echoes the request's correlation id on the response.
-func (l *Listener) stampMeta(req *transport.Request, resp *transport.Response) *transport.Response {
-	if id := req.Meta.Get(wire.MetaRequestID); id != "" {
-		resp.Meta = wire.Metadata{wire.MetaRequestID: id}
-	}
-	return resp
+	return &transport.Response{ID: req.ID, OK: true, Result: raw}
 }
 
 var _ transport.Handler = (*Listener)(nil)

@@ -141,25 +141,24 @@ func TestDeadlineHintReArmsContext(t *testing.T) {
 	}
 }
 
-func TestResponseEchoesRequestID(t *testing.T) {
+// TestResponseCarriesNoMetadata: a method cannot set response metadata,
+// so no response carries any, on the success path or an error path,
+// whatever metadata the request brought. A caller correlates a reply on
+// its frame ID and already holds the request id it minted.
+func TestResponseCarriesNoMetadata(t *testing.T) {
 	l := New("phil", nil)
 	l.Register("cal.phil", echoObject())
-
-	req := &transport.Request{
-		Service: "cal.phil", Method: "Echo",
-		Meta: wire.Metadata{wire.MetaRequestID: "andy-42"},
-	}
-	resp := l.HandleRequest(context.Background(), req)
-	if resp.Meta.Get(wire.MetaRequestID) != "andy-42" {
-		t.Fatalf("response meta = %v", resp.Meta)
-	}
-	// Errors carry the correlation id too.
-	resp = l.HandleRequest(context.Background(), &transport.Request{
-		Service: "nope", Method: "Echo",
-		Meta: wire.Metadata{wire.MetaRequestID: "andy-43"},
-	})
-	if resp.OK || resp.Meta.Get(wire.MetaRequestID) != "andy-43" {
-		t.Fatalf("error response meta = %+v", resp)
+	for _, target := range [][2]string{
+		{"cal.phil", "Echo"}, {"cal.phil", "Fail"}, {"cal.phil", "Conflict"},
+		{"cal.phil", "Nope"}, {"nope", "Echo"},
+	} {
+		md := wire.Metadata{wire.MetaRequestID: "andy-42"}
+		md.SetHops(1)
+		md.SetDeadline(time.Second)
+		resp := l.HandleRequest(context.Background(), &transport.Request{Service: target[0], Method: target[1], Meta: md})
+		if resp.OK != (target[1] == "Echo" && target[0] == "cal.phil") || resp.Meta != nil {
+			t.Errorf("%s.%s: ok=%v meta=%v; want no metadata", target[0], target[1], resp.OK, resp.Meta)
+		}
 	}
 }
 

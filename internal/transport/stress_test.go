@@ -235,3 +235,58 @@ func TestTCPStress(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestTCPRecycledReplyChannels: calls take their reply channels from a
+// pool, and deadlines cut some of them while the reply is on its way. A
+// channel put back while a late reply could still land in it would hand
+// that reply to a later call, so every result must be its own request's
+// echo.
+func TestTCPRecycledReplyChannels(t *testing.T) {
+	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
+		time.Sleep(time.Duration(req.Args.Int("n")%4) * 100 * time.Microsecond)
+		res, _ := wire.Marshal(req.Args)
+		return &Response{ID: req.ID, OK: true, Result: res}
+	})
+	cli := NewTCP(WithPoolSize(1), WithWireStats(&metrics.WireStats{}))
+	defer cli.Close()
+	ln, err := NewTCP(WithWireStats(&metrics.WireStats{})).Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	const workers, calls = 16, 200
+	var acked, cut atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				n := w*calls + i
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+n%8)*250*time.Microsecond)
+				resp, err := cli.Call(ctx, ln.Addr(), &Request{Service: "echo", Method: "ping", Args: wire.Args{"n": n}})
+				cancel()
+				switch {
+				case err == nil:
+					var out map[string]int
+					if wire.Unmarshal(resp.Result, &out) != nil || out["n"] != n {
+						t.Errorf("call %d got the reply %s", n, resp.Result)
+						return
+					}
+					acked.Add(1)
+				case errors.Is(err, context.DeadlineExceeded):
+					cut.Add(1)
+				default:
+					t.Errorf("call %d: %v", n, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if acked.Load() == 0 {
+		t.Fatal("no call returned a reply; the recycled path never ran")
+	}
+	t.Logf("%d calls answered, %d cut by their deadline", acked.Load(), cut.Load())
+}

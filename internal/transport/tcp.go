@@ -360,8 +360,15 @@ func (c *tcpClientConn) fail() {
 	}
 }
 
+// replyChans recycles the one-slot channels calls receive their
+// responses on. A channel goes back only from call, once call has
+// received a response from it: readLoop and fail let go of a channel
+// when they send to or close it, so after that receive nothing else
+// holds it. A closed or abandoned channel is left to the collector.
+var replyChans = sync.Pool{New: func() any { return make(chan *Response, 1) }}
+
 func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, error) {
-	ch := make(chan *Response, 1)
+	ch := replyChans.Get().(chan *Response)
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
@@ -387,6 +394,7 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 		if !ok {
 			return nil, ErrUnreachable
 		}
+		replyChans.Put(ch)
 		return resp, nil
 	case <-ctx.Done():
 		// Cancel/deliver handoff: whoever removes the pending entry
@@ -400,6 +408,7 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 		c.mu.Unlock()
 		if !stillPending {
 			if resp, ok := <-ch; ok {
+				replyChans.Put(ch)
 				return resp, nil
 			}
 			return nil, ErrUnreachable

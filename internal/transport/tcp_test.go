@@ -217,13 +217,13 @@ func BenchmarkTCPCall(b *testing.B) {
 	}
 }
 
-// metaHandler echoes the request metadata back as both the result and
-// the response metadata, proving the envelope survives TCP framing.
+// metaHandler echoes the request metadata back as the result, proving
+// the envelope survives TCP framing.
 type metaHandler struct{}
 
 func (metaHandler) HandleRequest(ctx context.Context, req *Request) *Response {
 	res, _ := wire.Marshal(req.FullMeta())
-	return &Response{ID: req.ID, OK: true, Result: res, Meta: req.Meta.Clone()}
+	return &Response{ID: req.ID, OK: true, Result: res}
 }
 
 func (metaHandler) HandleEvent(ev *Event) {}
@@ -252,8 +252,5 @@ func TestTCPMetadataRoundTrip(t *testing.T) {
 	}
 	if seen.Deadline() != 750*time.Millisecond {
 		t.Fatalf("deadline hint = %v", seen.Deadline())
-	}
-	if resp.Meta.Get(wire.MetaRequestID) != "andy-9" {
-		t.Fatalf("response metadata = %v", resp.Meta)
 	}
 }

@@ -245,15 +245,18 @@ func appendV3Zigzag(b []byte, v int64) []byte {
 
 // --- decode ---------------------------------------------------------------
 
-// v3dec is a bounds-checked cursor over one v3 body. Decoded strings
-// and byte fields are copied out (the caller reuses the underlying
-// scratch buffer for the next frame), but the cursor itself performs no
-// intermediate allocation.
+// v3dec is a bounds-checked cursor over one v3 body. Nothing it returns
+// aliases the body (the caller reuses it as scratch for the next frame):
+// the strings of a body of at most poolBufCap bytes are substrings of one
+// copy of the body, made at its first non-empty string, and above that
+// each string is its own copy, so a small string that outlives the frame
+// never pins a large one.
 type v3dec struct {
 	b   []byte
 	pos int
+	s   string // string(b), once a string needs it
 	// names interns map keys and method names across the frames of one
-	// connection; nil (a one-off decode) copies every string.
+	// connection; nil (a one-off decode) interns nothing.
 	names map[string]string
 }
 
@@ -263,6 +266,11 @@ const (
 	internMaxLen     = 32
 	internMaxEntries = 128
 )
+
+// maxSizeHint caps the size a decoder pre-allocates for a map or slice
+// from the count a peer sends. A larger one grows as its entries
+// decode, and each entry takes frame bytes.
+const maxSizeHint = 16
 
 func (d *v3dec) fail() error { return ErrBadV3Frame }
 
@@ -313,24 +321,38 @@ func (d *v3dec) field() ([]byte, error) {
 
 func (d *v3dec) string() (string, error) {
 	p, err := d.field()
-	return string(p), err
+	return d.str(p), err
+}
+
+// str returns p, the field just taken, as a string that does not alias
+// the body (see v3dec).
+func (d *v3dec) str(p []byte) string {
+	if len(p) == 0 || len(d.b) > poolBufCap {
+		return string(p)
+	}
+	if d.s == "" {
+		d.s = string(d.b)
+	}
+	return d.s[d.pos-len(p) : d.pos]
 }
 
 // name decodes a string that repeats from frame to frame — an Args or
 // Meta key, a method name — through the intern table: a hit returns
-// the string stored on an earlier frame and allocates nothing.
+// the string stored on an earlier frame and allocates nothing. A new
+// entry is its own copy, since the table outlives the frame.
 func (d *v3dec) name() (string, error) {
 	p, err := d.field()
 	if err != nil || d.names == nil || len(p) > internMaxLen {
-		return string(p), err
+		return d.str(p), err
 	}
 	if s, ok := d.names[string(p)]; ok { // the conversion in a map index does not allocate
 		return s, nil
 	}
-	s := string(p)
-	if len(d.names) < internMaxEntries {
-		d.names[s] = s
+	if len(d.names) >= internMaxEntries {
+		return d.str(p), nil
 	}
+	s := string(p)
+	d.names[s] = s
 	return s, nil
 }
 
@@ -355,7 +377,7 @@ func (d *v3dec) meta() (Metadata, error) {
 	if n > uint64(len(d.b)-d.pos) { // each entry takes ≥2 bytes; cheap sanity bound
 		return nil, d.fail()
 	}
-	m := make(Metadata, n)
+	m := make(Metadata, min(n, maxSizeHint))
 	for i := uint64(0); i < n; i++ {
 		k, err := d.name()
 		if err != nil {
@@ -381,7 +403,7 @@ func (d *v3dec) args() (Args, error) {
 	if n > uint64(len(d.b)-d.pos) {
 		return nil, d.fail()
 	}
-	a := make(Args, n)
+	a := make(Args, min(n, maxSizeHint))
 	for i := uint64(0); i < n; i++ {
 		k, err := d.name()
 		if err != nil {
@@ -426,7 +448,7 @@ func (d *v3dec) value() (any, error) {
 		if n > uint64(len(d.b)-d.pos) {
 			return nil, d.fail()
 		}
-		out := make([]string, 0, n)
+		out := make([]string, 0, min(n, maxSizeHint))
 		for i := uint64(0); i < n; i++ {
 			s, err := d.string()
 			if err != nil {
@@ -443,7 +465,7 @@ func (d *v3dec) value() (any, error) {
 		if n > uint64(len(d.b)-d.pos) {
 			return nil, d.fail()
 		}
-		out := make([]any, 0, n)
+		out := make([]any, 0, min(n, maxSizeHint))
 		for i := uint64(0); i < n; i++ {
 			v, err := d.value()
 			if err != nil {
@@ -472,26 +494,37 @@ func (d *v3dec) value() (any, error) {
 	return nil, d.fail()
 }
 
+// envelopeOf is an Envelope and the message it points to, allocated as
+// one object.
+type envelopeOf[T any] struct {
+	env Envelope
+	msg T
+}
+
 // decodeV3 decodes a v3 body (including the leading magic byte) into a
-// fresh Envelope that does not alias body. names is the caller's intern
+// fresh Envelope that does not alias body; the envelope and its request,
+// response or event are one allocation. names is the caller's intern
 // table (see v3dec.names), nil for none.
 func decodeV3(body []byte, names map[string]string) (*Envelope, error) {
 	if len(body) < 2 || body[0] != magicV3 {
 		return nil, ErrBadV3Frame
 	}
 	d := &v3dec{b: body, pos: 2, names: names}
-	env := new(Envelope)
+	var env *Envelope
 	var err error
 	switch body[1] {
 	case v3KindRequest:
-		env.Kind = KindRequest
-		env.Request, err = d.request()
+		p := new(envelopeOf[Request])
+		env, p.env = &p.env, Envelope{Kind: KindRequest, Request: &p.msg}
+		err = d.request(&p.msg)
 	case v3KindResponse:
-		env.Kind = KindResponse
-		env.Response, err = d.response()
+		p := new(envelopeOf[Response])
+		env, p.env = &p.env, Envelope{Kind: KindResponse, Response: &p.msg}
+		err = d.response(&p.msg)
 	case v3KindEvent:
-		env.Kind = KindEvent
-		env.Event, err = d.event()
+		p := new(envelopeOf[Event])
+		env, p.env = &p.env, Envelope{Kind: KindEvent, Event: &p.msg}
+		err = d.event(&p.msg)
 	default:
 		err = ErrBadV3Frame
 	}
@@ -504,72 +537,60 @@ func decodeV3(body []byte, names map[string]string) (*Envelope, error) {
 	return env, nil
 }
 
-func (d *v3dec) request() (*Request, error) {
-	r := new(Request)
-	var err error
+func (d *v3dec) request(r *Request) (err error) {
 	if r.ID, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Service, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Method, err = d.name(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Caller, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Credential, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Meta, err = d.meta(); err != nil {
-		return nil, err
+		return err
 	}
-	if r.Args, err = d.args(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.Args, err = d.args()
+	return err
 }
 
-func (d *v3dec) response() (*Response, error) {
-	r := new(Response)
-	var err error
+func (d *v3dec) response(r *Response) (err error) {
 	if r.ID, err = d.uvarint(); err != nil {
-		return nil, err
+		return err
 	}
 	ok, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.OK = ok != 0
 	if r.Error, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
 	var code string
 	if code, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
 	r.Code = ErrCode(code)
 	if r.Result, err = d.bytes(); err != nil {
-		return nil, err
+		return err
 	}
-	if r.Meta, err = d.meta(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.Meta, err = d.meta()
+	return err
 }
 
-func (d *v3dec) event() (*Event, error) {
-	e := new(Event)
-	var err error
+func (d *v3dec) event(e *Event) (err error) {
 	if e.Name, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
 	if e.Source, err = d.string(); err != nil {
-		return nil, err
+		return err
 	}
-	if e.Args, err = d.args(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	e.Args, err = d.args()
+	return err
 }

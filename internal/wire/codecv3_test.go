@@ -2,9 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func testEnvelopeV3(i int) *Envelope {
@@ -351,9 +356,11 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // participant receives for one slot reservation (links.markTargetInner
 // over calendar.reserveArgs, with the metadata the engine stamps) and
 // holds the steady-state allocation count: the twelve map keys and the
-// method name come out of the connection's intern table, so what is
-// left (23) is the envelope, the request, three maps and the string
-// values. Copying every name, as before the table, costs 36.
+// method name come out of the connection's intern table and every other
+// string is a substring of one copy of the frame, so what is left (13)
+// is the envelope with its request, that copy, three maps of two
+// allocations each and the five string values boxed into Args. Copying
+// every string value costs 23, and every name as well 36.
 func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	f, err := EncodeFrameV3(&Envelope{Kind: KindRequest, Request: &Request{
 		ID: 7, Service: "links.andy", Method: "Mark", Caller: "phil",
@@ -380,16 +387,17 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 		}
 	}
 	read() // the first frame fills the table
-	if got := testing.AllocsPerRun(200, read); got > 24 {
-		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 24", got)
+	if got := testing.AllocsPerRun(200, read); got > 13 {
+		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 13", got)
 	}
 
 	// The table is bounded: a peer cannot grow it with ever-new keys.
-	d := &v3dec{names: fr.names}
+	name := func(s string) (string, error) {
+		d := &v3dec{b: appendV3String(nil, s), names: fr.names}
+		return d.name()
+	}
 	for i := 0; i < 4*internMaxEntries; i++ {
-		d.b = appendV3String(d.b[:0], "key-"+strconv.Itoa(i))
-		d.pos = 0
-		if _, err := d.name(); err != nil {
+		if _, err := name("key-" + strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,12 +405,107 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 		t.Fatalf("intern table holds %d entries, cap is %d", len(fr.names), internMaxEntries)
 	}
 	long := string(bytes.Repeat([]byte{'k'}, internMaxLen+1))
-	d.b, d.pos = appendV3String(d.b[:0], long), 0
-	if s, err := d.name(); err != nil || s != long {
+	if s, err := name(long); err != nil || s != long {
 		t.Fatalf("long name: %q, %v", s, err)
 	}
 	if _, ok := fr.names[long]; ok {
 		t.Fatal("a name longer than internMaxLen was interned")
 	}
 	read() // and a full table still decodes
+}
+
+// TestFrameReaderV3ResponseAllocs holds the decode of the two replies a
+// Mark gets to their allocation count: an accepted one is the envelope
+// with its response and the copy of its result; a refused one is the
+// envelope and the one copy of the frame its error and code are
+// substrings of.
+func TestFrameReaderV3ResponseAllocs(t *testing.T) {
+	for _, resp := range []*Response{
+		{ID: 7, OK: true, Result: json.RawMessage(`{"token":"T-andy-31","holder":""}`)},
+		{ID: 8, Error: "slot/2003-04-22/10 is held by M-suzy-3", Code: CodeConflict},
+	} {
+		f, err := EncodeFrameV3(&Envelope{Kind: KindResponse, Response: resp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr := NewFrameReader(&repeatReader{b: append([]byte(nil), f.Bytes()...)})
+		f.Release()
+		read := func() {
+			env, err := fr.Read()
+			if err != nil || env.Response.ID != resp.ID || env.Response.Error != resp.Error ||
+				string(env.Response.Result) != string(resp.Result) {
+				t.Fatalf("read: %+v, %v", env, err)
+			}
+		}
+		if got := testing.AllocsPerRun(200, read); got > 2 {
+			t.Fatalf("steady-state v3 decode of response %d: %.0f allocs/frame, want <= 2", resp.ID, got)
+		}
+	}
+}
+
+// TestDecodeV3StringsShareOneCopy: the strings decoded from a frame of at
+// most poolBufCap bytes are substrings of one copy of it; those of a
+// larger frame are each their own copy, so a small string kept from it
+// does not keep the whole frame alive.
+func TestDecodeV3StringsShareOneCopy(t *testing.T) {
+	for _, tc := range []struct {
+		blob  int
+		share bool
+	}{{blob: 64, share: true}, {blob: 2 * poolBufCap, share: false}} {
+		f, err := EncodeFrameV3(&Envelope{Kind: KindRequest, Request: &Request{
+			ID: 1, Service: "links.andy", Method: "Mark", Caller: "phil",
+			Args: Args{"blob": strings.Repeat("x", tc.blob)},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := append([]byte(nil), f.Bytes()[4:]...)
+		f.Release()
+		env, err := decodeV3(body, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := env.Request
+		// Caller and the blob sit at their offsets from Service in the
+		// body exactly when all three point into one copy of it.
+		base := uintptr(unsafe.Pointer(unsafe.StringData(r.Service)))
+		at := func(s string) bool {
+			return uintptr(unsafe.Pointer(unsafe.StringData(s)))-base ==
+				uintptr(bytes.Index(body, []byte(s))-bytes.Index(body, []byte(r.Service)))
+		}
+		if got := at(r.Caller) && at(r.Args.String("blob")); got != tc.share {
+			t.Errorf("%d-byte body: strings share one copy = %v, want %v", len(body), got, tc.share)
+		}
+	}
+}
+
+// TestDecodeV3MalformedCountAllocatesLittle: a count in a frame sizes
+// nothing beyond what its entries decode, so a malformed frame that
+// announces a million entries and holds none costs no more than the
+// frame itself. Every count was a size hint once, and a 1 MiB body then
+// allocated 16 MiB for a []any and more for a map.
+func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
+	const size = 1 << 20
+	for _, tc := range []struct {
+		name   string
+		prefix []byte // the body up to the count
+	}{
+		{"meta", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0}},
+		{"args", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0}},
+		{"strings", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValStrings}},
+		{"slice", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValSlice}},
+	} {
+		body := binary.AppendUvarint(tc.prefix, size)
+		body = append(body, bytes.Repeat([]byte{0xFF}, size)...) // no entry decodes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeV3(body, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadV3Frame) {
+			t.Fatalf("%s: err = %v, want ErrBadV3Frame", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(body)) {
+			t.Errorf("%s: decoding a %d-byte malformed body allocated %d B, want <= %d", tc.name, len(body), got, 2*len(body))
+		}
+	}
 }

@@ -81,6 +81,7 @@ func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 // FrameReader per connection; it is not safe for concurrent use.
 type FrameReader struct {
 	r       *bufio.Reader
+	hdr     [4]byte // here rather than on Read's stack, which io.ReadFull would move to the heap
 	scratch []byte
 	names   map[string]string // v3 intern table, see v3dec.names
 
@@ -104,11 +105,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // the scratch buffer (JSON decoding copies what it keeps), so it
 // remains valid across subsequent Reads.
 func (fr *FrameReader) Read() (*Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}

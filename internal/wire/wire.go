@@ -82,8 +82,9 @@ type Response struct {
 	Error  string          `json:"error,omitempty"`
 	Code   ErrCode         `json:"code,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
-	// Meta echoes response metadata (at minimum the request id, so
-	// clients can correlate responses to logical requests).
+	// Meta carries what the responding handler chose to tell the
+	// caller (a sharded directory's map epoch); usually none. A caller
+	// correlates a response on ID, not on metadata.
 	Meta Metadata `json:"meta,omitempty"`
 }
 
