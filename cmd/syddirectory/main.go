@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"log"
 	stdnet "net"
-	"os"
 	"os/signal"
 	"path/filepath"
 	"strconv"
@@ -37,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/controlplane"
 	"repro/internal/directory"
 	"repro/internal/replication"
@@ -167,22 +167,17 @@ func openServer(dataDir string, ttl time.Duration, opts ...directory.Option) (*d
 // SIGINT/SIGTERM, then closes the listeners and, after them, the logs
 // (each with a final checkpoint, so a clean restart replays nothing).
 func serve(durables []*wal.Durable, closeAll func() error) {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	tick := time.NewTicker(checkpointEvery)
-	defer tick.Stop()
-	for running := true; running; {
-		select {
-		case <-tick.C:
-			for _, d := range durables {
-				if err := d.Checkpoint(); err != nil {
-					log.Printf("syddirectory: checkpoint: %v", err)
-				}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	checkpointed := make(chan struct{})
+	clock.LoopGo(ctx, clock.System, checkpointEvery, func(time.Time) {
+		for _, d := range durables {
+			if err := d.Checkpoint(); err != nil {
+				log.Printf("syddirectory: checkpoint: %v", err)
 			}
-		case <-sig:
-			running = false
 		}
-	}
+	}, func() { close(checkpointed) })
+	<-checkpointed
 	log.Printf("syddirectory: shutting down")
 	if err := closeAll(); err != nil {
 		log.Printf("syddirectory: close: %v", err)

@@ -162,9 +162,7 @@ func (h *Handler) Every(interval time.Duration, fn func(now time.Time)) (cancel 
 	if interval <= 0 {
 		panic("event: Every needs a positive interval")
 	}
-	stop := make(chan struct{})
-	var once sync.Once
-	cancel = func() { once.Do(func() { close(stop) }) }
+	ctx, cancel := context.WithCancel(context.Background())
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -174,38 +172,7 @@ func (h *Handler) Every(interval time.Duration, fn func(now time.Time)) (cancel 
 	h.stops = append(h.stops, cancel)
 	h.mu.Unlock()
 	h.wg.Add(1)
-	// On an auto-advancing clock the schedule registers before its
-	// goroutine launches — synchronously with the caller — so a paused
-	// clock's gate counts it from the instant Every returns (and the
-	// loop withdraws its pending waiter on exit so the gate is not
-	// skewed by a stale deadline).
-	ar, auto := h.clk.(clock.AutoRegistrar)
-	if auto {
-		ar.RegisterGoroutine()
-	}
-	go func() {
-		defer h.wg.Done()
-		for {
-			ch := h.clk.After(interval)
-			select {
-			case <-stop:
-				if auto {
-					ar.UnregisterGoroutine(ch)
-				}
-				return
-			case now := <-ch:
-				select {
-				case <-stop:
-					if auto {
-						ar.UnregisterGoroutine()
-					}
-					return
-				default:
-				}
-				fn(now)
-			}
-		}
-	}()
+	clock.LoopGo(ctx, h.clk, interval, fn, h.wg.Done)
 	return cancel
 }
 

@@ -154,6 +154,39 @@ func TestEveryFiresOnFakeClock(t *testing.T) {
 	if fired.Load() > 3 { // allow one in-flight tick
 		t.Fatalf("fired after cancel: %d", fired.Load())
 	}
+	h.Close()
+	if n := fake.PendingWaiters(); n != 0 {
+		t.Fatalf("stopped schedule left %d waiters", n)
+	}
+
+	// The same schedule on a resumed clock: the body pauses the clock at
+	// the second tick, so exactly two fire, and closing the handler
+	// withdraws the schedule's pending waiter.
+	auto := clock.NewFake(time.Unix(0, 0))
+	defer auto.Stop()
+	h = New("phil", net, auto)
+	var ticks []time.Duration
+	second := make(chan struct{})
+	h.Every(time.Minute, func(now time.Time) {
+		ticks = append(ticks, now.Sub(time.Unix(0, 0)))
+		if len(ticks) == 2 {
+			auto.Pause()
+			close(second)
+		}
+	})
+	auto.Resume()
+	select {
+	case <-second:
+	case <-time.After(5 * time.Second):
+		t.Fatal("schedule never ticked twice on the resumed clock")
+	}
+	h.Close()
+	if len(ticks) != 2 || ticks[0] != time.Minute || ticks[1] != 2*time.Minute {
+		t.Fatalf("ticks at %v, want [1m0s 2m0s]", ticks)
+	}
+	if n := auto.PendingWaiters(); n != 0 {
+		t.Fatalf("stopped schedule left %d waiters", n)
+	}
 }
 
 func TestEveryPanicsOnBadInterval(t *testing.T) {

@@ -178,7 +178,7 @@ func (f *Follower) logf(format string, args ...any) {
 // compresses pull/lease cadences in simulation.
 func (f *Follower) loop(ctx context.Context, every time.Duration, fn func(context.Context)) {
 	f.wg.Add(1)
-	clock.LoopGo(ctx, f.clk, every, fn, f.wg.Done)
+	clock.LoopGo(ctx, f.clk, every, func(time.Time) { fn(ctx) }, f.wg.Done)
 }
 
 // Addr returns the follower's bound address — the identity the

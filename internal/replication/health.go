@@ -150,8 +150,8 @@ func (s *Sweeper) remediate(ctx context.Context, lease directory.LeaseInfo) erro
 // syddirectory -health-sweep loop). Waits are timed through the
 // sweeper's clock, so a fake clock compresses the sweep cadence.
 func (s *Sweeper) Start(ctx context.Context, every time.Duration) {
-	clock.LoopGo(ctx, s.clk, every, func(c context.Context) {
-		sctx, cancel := context.WithTimeout(c, every)
+	clock.LoopGo(ctx, s.clk, every, func(time.Time) {
+		sctx, cancel := context.WithTimeout(ctx, every)
 		if err := s.Sweep(sctx); err != nil && s.cfg.Logf != nil {
 			s.cfg.Logf("replication: health sweep: %v", err)
 		}

@@ -10,7 +10,7 @@
 //
 //   - Time compression. Every kernel timer — heartbeats, link-expiry
 //     sweeps, lease renewals, follower pulls, flap periods — waits on a
-//     clock.FakeAuto, so a simulated eight-hour workday elapses in
+//     resumed clock.Fake, so a simulated eight-hour workday elapses in
 //     wall-clock seconds. The clock advances only when every registered
 //     goroutine is parked on it, one waiter at a time.
 //   - Determinism. Execution is single-stepped: at most one clock

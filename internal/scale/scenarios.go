@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/calendar"
+	"repro/internal/clock"
 	"repro/internal/links"
 	"repro/internal/workload"
 )
@@ -301,10 +302,12 @@ func flapScenario(cfg Config) *scenario {
 }
 
 // drive replays the scenario timeline under compressed virtual time.
-// The driver registers as a clock participant, so between operations —
-// while it sleeps toward the next arrival — every staggered kernel
-// timer in the window fires, one waiter at a time; while an operation
-// runs, virtual time is frozen.
+// The timeline runs as the body of a clock loop with no interval, so
+// the clock counts the driver as a participant from the call on, and
+// the body cancels the loop once the timeline ends, so it runs once.
+// Between operations — while the driver sleeps toward the next
+// arrival — every staggered kernel timer in the window fires, one
+// waiter at a time; while an operation runs, virtual time is frozen.
 func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 	ctx := context.Background()
 	wallStart := time.Now()
@@ -316,22 +319,26 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 	sort.SliceStable(sc.timeline, func(i, j int) bool { return sc.timeline[i].at < sc.timeline[j].at })
 
 	rec := newRecorder(cfg.Seed)
-	w.clk.RegisterGoroutine()
-	w.clk.Resume()
-	start := w.clk.Now()
-	for _, op := range sc.timeline {
-		if d := start.Add(op.at).Sub(w.clk.Now()); d > 0 {
+	loopCtx, stop := context.WithCancel(ctx)
+	done := make(chan struct{})
+	clock.LoopGo(loopCtx, w.clk, 0, func(time.Time) {
+		defer stop()
+		w.clk.Resume()
+		start := w.clk.Now()
+		for _, op := range sc.timeline {
+			if d := start.Add(op.at).Sub(w.clk.Now()); d > 0 {
+				w.clk.Sleep(d)
+			}
+			req0 := w.net.Stats().Requests
+			out := op.run(ctx, w)
+			rec.record(op.dev, op.at, w.net.Stats().Requests-req0, out)
+		}
+		if d := start.Add(cfg.Horizon).Sub(w.clk.Now()); d > 0 {
 			w.clk.Sleep(d)
 		}
-		req0 := w.net.Stats().Requests
-		out := op.run(ctx, w)
-		rec.record(op.dev, op.at, w.net.Stats().Requests-req0, out)
-	}
-	if d := start.Add(cfg.Horizon).Sub(w.clk.Now()); d > 0 {
-		w.clk.Sleep(d)
-	}
-	w.clk.Pause()
-	w.clk.UnregisterGoroutine()
+		w.clk.Pause()
+	}, func() { close(done) })
+	<-done
 
 	var locks links.LockStats
 	for _, u := range w.users {

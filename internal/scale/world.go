@@ -39,7 +39,7 @@ const hubCount = 4
 
 // world is one booted fleet.
 type world struct {
-	clk   *clock.FakeAuto
+	clk   *clock.Fake
 	net   *sim.Net
 	dir   *directory.Client
 	users []string
@@ -62,7 +62,7 @@ func worldStart() time.Time {
 // each. Nothing advances until drive() calls Resume.
 func boot(cfg Config) (*world, error) {
 	ctx := context.Background()
-	clk := clock.NewFakeAuto(worldStart())
+	clk := clock.NewFake(worldStart())
 	net := sim.New(sim.Config{Clock: clk, Seed: cfg.Seed})
 	w := &world{
 		clk:   clk,

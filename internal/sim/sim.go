@@ -231,41 +231,24 @@ func (n *Net) Heal(a, b string) {
 // again behind the heal. Chaos tests script an intermittently-connected
 // device with this.
 func (n *Net) FlapPartition(a, b string, period time.Duration) (stop func()) {
-	done, exited := make(chan struct{}), make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
 	n.Partition(a, b)
-	// Flap periods are timed through the network's clock; on an
-	// auto-advancing clock the flapper registers — before its goroutine
-	// launches, so a paused clock's gate counts it immediately — and
-	// virtual time single-steps through its waits.
-	ar, auto := n.clk.(clock.AutoRegistrar)
-	if auto {
-		ar.RegisterGoroutine()
-	}
-	go func() {
-		defer close(exited)
-		cut := true
-		for {
-			ch := n.clk.After(period)
-			select {
-			case <-done:
-				if auto {
-					ar.UnregisterGoroutine(ch)
-				}
-				return
-			case <-ch:
-				cut = !cut
-				if cut {
-					n.Partition(a, b)
-				} else {
-					n.Heal(a, b)
-				}
-			}
+	// Flap periods are timed through the network's clock, so a fake
+	// clock steps through them.
+	cut := true
+	clock.LoopGo(ctx, n.clk, period, func(time.Time) {
+		cut = !cut
+		if cut {
+			n.Partition(a, b)
+		} else {
+			n.Heal(a, b)
 		}
-	}()
+	}, func() { close(exited) })
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			close(done)
+			cancel()
 			<-exited
 			n.Heal(a, b)
 		})

@@ -176,6 +176,45 @@ func TestFlapPartition(t *testing.T) {
 	if err := call(); err != nil {
 		t.Fatalf("stop did not heal the pair: %v", err)
 	}
+
+	// The same schedule on a resumed clock, probed by a loop of its own
+	// whose period never coincides with a flap. The probe pauses the
+	// clock once it has seen both states; stopping the flapper must then
+	// withdraw its pending waiter.
+	clk := clock.NewFake(time.Date(2003, 4, 21, 8, 0, 0, 0, time.UTC))
+	defer clk.Stop()
+	n = New(Config{Clock: clk})
+	if _, err := n.Listen("phil", &okHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	stop = n.FlapPartition("andy", "phil", 5*time.Millisecond)
+	sawUp, sawDown = false, false
+	ctx, cancel := context.WithCancel(context.Background())
+	probed := make(chan struct{})
+	clock.LoopGo(ctx, clk, 3*time.Millisecond, func(time.Time) {
+		if call() == nil {
+			sawUp = true
+		} else {
+			sawDown = true
+		}
+		if sawUp && sawDown {
+			clk.Pause()
+			cancel()
+		}
+	}, func() { close(probed) })
+	clk.Resume()
+	select {
+	case <-probed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flapping not observed on the resumed clock")
+	}
+	stop()
+	if n := clk.PendingWaiters(); n != 0 {
+		t.Fatalf("stopped flapper left %d waiters", n)
+	}
+	if err := call(); err != nil {
+		t.Fatalf("stop did not heal the pair: %v", err)
+	}
 }
 
 func TestLossIsDeterministicPerSeed(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // nonTestLineCeiling is the number ROADMAP's ledger tracks (item 5):
 // lines of *.go that are not *_test.go and not under benchmarks/.
-const nonTestLineCeiling = 23244
+const nonTestLineCeiling = 23102
 
 func TestNonTestLineCeiling(t *testing.T) {
 	total := 0
