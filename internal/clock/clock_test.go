@@ -380,6 +380,25 @@ func TestFakeAutoUnregisterDropsPending(t *testing.T) {
 	}
 }
 
+// TestFakeAutoZeroAfter: on an auto-advancing clock a zero After fires
+// immediately at the current time without queueing a waiter.
+func TestFakeAutoZeroAfter(t *testing.T) {
+	clk := NewFake(autoStart)
+	defer clk.Stop()
+	clk.Resume()
+	select {
+	case now := <-clk.After(0):
+		if !now.Equal(autoStart) {
+			t.Fatalf("zero After delivered %v, want %v", now, autoStart)
+		}
+	default:
+		t.Fatal("zero-duration After did not fire immediately")
+	}
+	if clk.PendingWaiters() != 0 {
+		t.Fatal("zero After queued a waiter")
+	}
+}
+
 // TestLoopOnFakeAuto: the LoopGo helper registers at the spawn site —
 // before the controller below can possibly open the gate — runs its
 // body once per interval in virtual time, and exits on cancel dropping
