@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -57,29 +56,24 @@ type Calendar struct {
 	// version counters bumped on every meeting mutation.
 	offline  *offline.Manager
 	syncVers *offline.Versions
-
-	// meetMu serializes read-modify-write sequences on one meeting
-	// record (TryConfirm racing a dropout racing a bump). Keyed by
-	// meeting id; values are *sync.Mutex.
-	meetMu sync.Map
 }
 
-// lockMeeting serializes mutations of one meeting record and returns
-// the unlock function. A meeting lock guards a record, never a deletion:
-// it covers reading the record, deciding (for a confirm or a move, the
+// holdMeeting marks meeting id in the node's lock table, as how, and
+// returns the release; nothing of it is left once that has run. A
+// meeting's mark serialises the ops on its record (a confirm racing a
+// dropout racing a bump), and guards a record, never a deletion: it
+// covers reading the record, deciding (for a confirm or a move, the
 // negotiation) and the one unit that logs the decision, with the record
 // pushes that unit queues, and it is released before a link is deleted
 // on another device. Such a deletion offers the slot it frees to a
-// waiter, whose vote makes that waiter's initiator take its own meeting
-// lock (SlotAvailable), and two initiators deleting under theirs would
-// wait on each other. So every op that deletes is a decide… function,
-// which holds the lock by defer and deletes nothing remotely, and a caller
-// that never locks and sends the deletion itself.
-func (c *Calendar) lockMeeting(id string) func() {
-	mi, _ := c.meetMu.LoadOrStore(id, &sync.Mutex{})
-	mu := mi.(*sync.Mutex)
-	mu.Lock()
-	return mu.Unlock
+// waiter, whose vote makes that waiter's initiator mark its own meeting
+// (SlotAvailable). So every op that deletes is a decide… function, which
+// holds the mark by defer and deletes nothing remotely, and a caller that
+// holds nothing and sends the deletion itself. A vote is declined while a
+// negotiation holds the meeting (links.HoldVote): that negotiation may be
+// waiting on the voter.
+func (c *Calendar) holdMeeting(ctx context.Context, id string, how links.Hold) (func(), error) {
+	return c.lm.Hold(ctx, meetingEntity(id), how)
 }
 
 // Option configures a Calendar.
@@ -687,10 +681,12 @@ func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot
 		}
 	}
 	// The initiator hears of it inside the bumping negotiation's commit,
-	// with the slot's entity lock still held. This cannot deadlock
-	// against the meeting locks: any holder of the bumped meeting's lock
-	// only ever *try-locks* entities, so it fails fast instead of
-	// waiting on the bumping negotiation's entity locks.
+	// with the slot's entity lock still held, and records it under the
+	// bumped meeting's mark as a local step (meetingBumpedLocally). That
+	// waits while a confirm or a move of the bumped meeting runs; such a
+	// negotiation only ever *try-locks* entities, so it fails fast on this
+	// slot's lock instead of waiting on it, and the wait is bounded by the
+	// Commit's ctx.
 	switch initiator {
 	case "":
 	case c.user:

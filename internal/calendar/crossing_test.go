@@ -13,23 +13,28 @@ import (
 	"repro/internal/wire"
 )
 
-// A meeting lock is released before a link is deleted on another device.
-// These tests make two initiators' deletions cross: each frees a slot the
-// other's meeting is queued on, so each deletion's offer asks the other
-// initiator to confirm while that initiator's own deletion is under way.
-// Two confirms cross the same way when each one's Abort frees such a slot.
+// A meeting's mark is released before a link is deleted on another
+// device. These tests make two initiators' deletions cross: each frees a
+// slot the other's meeting is queued on, so each deletion's offer asks the
+// other initiator to confirm while that initiator's own deletion is under
+// way. Two confirms cross the same way when each one's Abort frees such a
+// slot, with each confirm's mark held: the vote is declined, not queued.
 
 // crossing holds the first held call (a link deletion, or an Abort) x and
 // y each send until both have arrived (both ops have decided and logged
 // what they decide before they send), and y's a little longer, until the
-// vote x's call produces has reached y: the order in which both ops wait
-// on the other initiator's meeting lock, if one is held.
+// vote x's call produces has reached y: the order in which both ops would
+// wait on the other initiator's meeting mark, if a vote waited on one.
+// With late, x's held call also answers only once the vote y's call
+// produces has reached x, so x's op is still under way when it does.
 type crossing struct {
 	mu      sync.Mutex
 	armed   bool
 	holds   []string
+	late    bool
 	arrived map[string]bool
 	both    chan struct{}
+	voteAtX chan struct{}
 	voteAtY chan struct{}
 }
 
@@ -39,12 +44,10 @@ func (g *crossing) middleware(next listener.Method) listener.Method {
 		hold := false
 		switch {
 		case !g.armed:
+		case call.Method == "SlotAvailable" && call.Service == "cal.x":
+			closeOnce(g.voteAtX)
 		case call.Method == "SlotAvailable" && call.Service == "cal.y":
-			select {
-			case <-g.voteAtY:
-			default:
-				close(g.voteAtY)
-			}
+			closeOnce(g.voteAtY)
 		case slices.Contains(g.holds, call.Method) &&
 			(call.Caller == "x" || call.Caller == "y") && !g.arrived[call.Caller]:
 			g.arrived[call.Caller], hold = true, true
@@ -59,7 +62,19 @@ func (g *crossing) middleware(next listener.Method) listener.Method {
 				<-g.voteAtY
 			}
 		}
-		return next(ctx, call)
+		out, err := next(ctx, call)
+		if hold && g.late && call.Caller == "x" {
+			<-g.voteAtX
+		}
+		return out, err
+	}
+}
+
+func closeOnce(ch chan struct{}) {
+	select {
+	case <-ch:
+	default:
+		close(ch)
 	}
 }
 
@@ -70,10 +85,11 @@ func TestCrossingDeletionsBothReturn(t *testing.T) {
 		x, y func(w *world, a, b *calendar.Meeting) error
 		// queue schedules A at x and B at y, each queued where the other
 		// holds or will take a slot (nil: queueCrossed); hold names the
-		// calls the crossing holds (nil: the link deletions).
+		// calls the crossing holds (nil: the link deletions), late whether
+		// x's answers late (crossing).
 		queue func(t *testing.T, w *world) (a, b *calendar.Meeting)
 		hold  []string
-		skip  string
+		late  bool
 		// want checks what is specific to the input, once both have returned;
 		// waiting is how many waiting rows the devices are left with in all.
 		want    func(t *testing.T, w *world, a, b *calendar.Meeting)
@@ -170,6 +186,7 @@ func TestCrossingDeletionsBothReturn(t *testing.T) {
 			},
 			queue: queueOnFreeSlots,
 			hold:  []string{"Abort"},
+			late:  true,
 			// Each vote finds the other meeting busy and is declined: both
 			// stay tentative and queued, and both slots stay free.
 			want: func(t *testing.T, w *world, a, b *calendar.Meeting) {
@@ -189,21 +206,17 @@ func TestCrossingDeletionsBothReturn(t *testing.T) {
 					}
 				}
 			},
-			skip: "each confirm's Abort offers a slot to the other's meeting, whose lock that confirm holds: " +
-				"they wait on each other until a busy meeting declines instead (ROADMAP item 7)",
 		},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			if in.skip != "" {
-				t.Skip(in.skip)
-			}
 			if in.queue == nil {
 				in.queue = queueCrossed
 			}
 			if in.hold == nil {
 				in.hold = []string{"DeleteLink", "DeleteLinkLocal"}
 			}
-			g := &crossing{holds: in.hold, arrived: map[string]bool{}, both: make(chan struct{}), voteAtY: make(chan struct{})}
+			g := &crossing{holds: in.hold, late: in.late, arrived: map[string]bool{}, both: make(chan struct{}),
+				voteAtX: make(chan struct{}), voteAtY: make(chan struct{})}
 			w := newWorld(t)
 			w.mw = []listener.Middleware{g.middleware}
 			for _, u := range []string{"x", "y", "p1", "p2"} {

@@ -340,7 +340,7 @@ func (c *Calendar) CancelMeeting(ctx context.Context, meetingID string) error {
 }
 
 // cancelMeetingAs is a cancel by byUser: the decision, then, with the
-// meeting lock released, its retraction.
+// meeting's mark released, its retraction.
 func (c *Calendar) cancelMeetingAs(ctx context.Context, id, byUser string) error {
 	m, d, err := c.decideCancel(ctx, id, byUser)
 	if err != nil || m == nil {
@@ -354,7 +354,11 @@ func (c *Calendar) cancelMeetingAs(ctx context.Context, id, byUser string) error
 // writes the cancelled record (linkHook). It returns that record and what
 // is left to retract, or no record when the meeting is cancelled already.
 func (c *Calendar) decideCancel(ctx context.Context, id, byUser string) (m *Meeting, d links.Unlinked, err error) {
-	defer c.lockMeeting(id)()
+	release, err := c.holdMeeting(ctx, id, links.HoldStep)
+	if err != nil {
+		return nil, d, err
+	}
+	defer release()
 	m, ok := c.Meeting(id)
 	if !ok {
 		return nil, d, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", id)}
@@ -376,7 +380,7 @@ func (c *Calendar) decideCancel(ctx context.Context, id, byUser string) (m *Meet
 	return m, d, err
 }
 
-// retract is the second half of a cancel, run under no lock: straight
+// retract is the second half of a cancel, run with no mark held: straight
 // after decideCancel, or, for a cancel decided offline (CancelOrQueue),
 // when its queued op drains. The slot the forward link held is offered to
 // its waiters and the deletion cascades; a participant the cascade reached
@@ -409,9 +413,19 @@ func (c *Calendar) TryConfirm(ctx context.Context, meetingID string) (*Meeting, 
 // a vote (a missing participant's slot came free and is locked for this
 // meeting already), reserving the voter and only the voter, without a
 // Mark: every other missing participant holds a tentative link of its
-// own and votes when its own slot frees. An error declines the vote.
+// own and votes when its own slot frees. An error declines the vote, and
+// a vote is declined at once while a confirm or a move of the meeting
+// runs.
 func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links.Vote) (*Meeting, error) {
-	defer c.lockMeeting(meetingID)()
+	how := links.HoldNegotiation
+	if vote != nil {
+		how = links.HoldVote
+	}
+	release, err := c.holdMeeting(ctx, meetingID, how)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 	var stored string
 	c.meetings.View(func(r store.Row) { stored = r["doc"].(string) }, meetingID)
 	m, err := decodeMeeting(stored)
@@ -523,7 +537,7 @@ func (c *Calendar) DropOut(ctx context.Context, meetingID string) error {
 
 // dropParticipant runs at the initiator: user leaves the meeting, which
 // is downgraded if its constraints no longer hold. user's link row goes
-// first, under no lock, its "delete" hook freeing the slot before any
+// first, with no mark held, its "delete" hook freeing the slot before any
 // waiter is offered it; the decision follows the deletion, not the other
 // way round, because a record that lists user missing while user still
 // holds the slot lets a concurrent TryConfirm reserve user again just
@@ -558,7 +572,11 @@ func (m *Meeting) droppable(user string) bool { return m.isReserved(user) && use
 // decideDrop moves user from reserved to missing in the record of
 // meetingID, in one unit, and returns the record and the status it had.
 func (c *Calendar) decideDrop(ctx context.Context, meetingID, user string) (*Meeting, string, error) {
-	defer c.lockMeeting(meetingID)()
+	release, err := c.holdMeeting(ctx, meetingID, links.HoldStep)
+	if err != nil {
+		return nil, "", err
+	}
+	defer release()
 	m, ok := c.Meeting(meetingID)
 	if !ok || !m.droppable(user) {
 		return nil, "", &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s is not a droppable participant of %s", user, meetingID)}
@@ -599,7 +617,11 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 // the moved meeting stand (linkAndPublish). It returns the record as it
 // was and as it is.
 func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slot) (old, m *Meeting, err error) {
-	defer c.lockMeeting(meetingID)()
+	release, err := c.holdMeeting(ctx, meetingID, links.HoldNegotiation)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer release()
 	m, ok := c.Meeting(meetingID)
 	if !ok {
 		return nil, nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
@@ -647,7 +669,11 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 // told (§6: automatic rescheduling follows when the slot frees up via
 // the tentative link queued by the bumping device).
 func (c *Calendar) meetingBumpedLocally(ctx context.Context, meetingID, user string) {
-	defer c.lockMeeting(meetingID)()
+	release, err := c.holdMeeting(ctx, meetingID, links.HoldStep)
+	if err != nil {
+		return
+	}
+	defer release()
 	m, ok := c.Meeting(meetingID)
 	if !ok {
 		return
@@ -669,7 +695,11 @@ func (c *Calendar) meetingBumpedLocally(ctx context.Context, meetingID, user str
 // Delegate grants user the right to cancel/change the meeting (§5's
 // scheduling-authority transfer).
 func (c *Calendar) Delegate(ctx context.Context, meetingID, user string) error {
-	defer c.lockMeeting(meetingID)()
+	release, err := c.holdMeeting(ctx, meetingID, links.HoldStep)
+	if err != nil {
+		return err
+	}
+	defer release()
 	m, ok := c.Meeting(meetingID)
 	if !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}

@@ -18,7 +18,8 @@ const (
 	opCancel   = "cancel"
 )
 
-// meetingEntity returns the sync entity id of a meeting record.
+// meetingEntity returns the entity id of a meeting record: what its sync
+// versions count and what its mark holds (holdMeeting).
 func meetingEntity(meetingID string) string { return "meeting:" + meetingID }
 
 // EnableSync wires this calendar into the node's disconnected-operation

@@ -129,10 +129,14 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	obj.Handle("SupervisorChanged", func(ctx context.Context, call *listener.Call) (any, error) {
 		meetingID := call.Args.String("meeting")
 		user := call.Args.String("user")
-		// Mutate under the meeting lock, release, then re-confirm
-		// (TryConfirm takes the same lock).
+		// Mutate under the meeting's mark, release, then re-confirm
+		// (TryConfirm takes the same mark).
 		err := func() error {
-			defer c.lockMeeting(meetingID)()
+			release, err := c.holdMeeting(ctx, meetingID, links.HoldStep)
+			if err != nil {
+				return err
+			}
+			defer release()
 			m, ok := c.Meeting(meetingID)
 			if !ok {
 				return &wire.RemoteError{Code: wire.CodeNoService, Msg: "unknown meeting"}

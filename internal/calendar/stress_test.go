@@ -136,8 +136,8 @@ func TestSchedulingStorm(t *testing.T) {
 }
 
 // TestConcurrentMutationsOfOneMeeting hammers a single meeting with
-// concurrent dropouts, re-confirms, and delegations; the per-meeting
-// lock must keep the record consistent (reserved/missing disjoint, no
+// concurrent dropouts, re-confirms, and delegations; the meeting's mark
+// must keep the record consistent (reserved/missing disjoint, no
 // lost participants). Then a cancel races a vote for the same meeting: the
 // vote is committed before the cancel is decided, or declined because it
 // is, and either way the voter is left holding nothing of the meeting.

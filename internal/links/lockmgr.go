@@ -1,10 +1,13 @@
 package links
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // LockTable implements the entity mark/lock step of the paper's
@@ -16,13 +19,17 @@ import (
 //
 // Each lock carries a TTL so a crashed or partitioned negotiator
 // cannot wedge an entity forever; an expired lock is silently stolen
-// by the next TryLock.
+// by the next TryLock. A Hold is the one mark that waits and has no TTL:
+// its holder is a goroutine of this device, not a peer that may be gone.
 type LockTable struct {
 	clk clock.Clock
 	ttl time.Duration
 
 	mu    sync.Mutex
 	locks map[string]lockEntry
+	// wake is closed by the next release while a Hold waits, and nil
+	// while none does.
+	wake chan struct{}
 
 	// Contention counters (see LockStats).
 	acquired  uint64
@@ -35,9 +42,10 @@ type LockTable struct {
 // the conflict rate on the hot entities is the leading indicator of
 // the nonlinear abort-rate regime.
 type LockStats struct {
-	// Acquired counts successful TryLock grants (including steals).
+	// Acquired counts successful TryLock and Hold grants (including
+	// steals).
 	Acquired uint64 `json:"acquired"`
-	// Conflicts counts TryLock rejections by a live lock.
+	// Conflicts counts TryLock and HoldVote refusals by a live lock.
 	Conflicts uint64 `json:"conflicts"`
 	// Steals counts grants that displaced an expired entry.
 	Steals uint64 `json:"steals"`
@@ -47,7 +55,28 @@ type lockEntry struct {
 	token    string
 	holder   string
 	deadline time.Time
+	hold     Hold // how a goroutine of this device holds it; 0 for a mark
 }
+
+// live reports whether the entry still excludes others at now: a hold
+// until it is released, a mark until its deadline.
+func (e lockEntry) live(now time.Time) bool { return e.hold != 0 || now.Before(e.deadline) }
+
+// A Hold says how a goroutine of this device holds an entity it marked
+// with LockTable.Hold.
+type Hold uint8
+
+const (
+	// HoldStep holds the entity across a local step, which waits on no
+	// other device's holds: anyone may wait for its release.
+	HoldStep Hold = iota + 1
+	// HoldNegotiation holds the entity across a negotiation's RPCs.
+	HoldNegotiation
+	// HoldVote is a negotiation a vote starts. It is refused at once by
+	// an entity a negotiation holds, since that negotiation may be waiting
+	// on the voter's device, and waits for a step.
+	HoldVote
+)
 
 // DefaultLockTTL bounds how long a mark can outlive its negotiation.
 const DefaultLockTTL = 30 * time.Second
@@ -76,17 +105,68 @@ func (lt *LockTable) TryLock(entity, holder string) (string, bool) {
 	now := lt.clk.Now()
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if e, ok := lt.locks[entity]; ok {
-		if now.Before(e.deadline) {
-			lt.conflicts++
-			return "", false
+	if e, ok := lt.locks[entity]; ok && e.live(now) {
+		lt.conflicts++
+		return "", false
+	}
+	return lt.grant(entity, lockEntry{holder: holder, deadline: now.Add(lt.ttl)}), true
+}
+
+// Hold marks entity for holder, a goroutine of this device, as how, and
+// returns the token that releases it (Unlock). An entity that is marked
+// already is waited for until a release frees it or ctx ends; only a
+// HoldVote that finds a negotiation holding it is refused, at once, with
+// CodeConflict. The hold has no deadline, so no TTL steal takes it.
+func (lt *LockTable) Hold(ctx context.Context, entity, holder string, how Hold) (string, error) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	for {
+		e, ok := lt.locks[entity]
+		if !ok || !e.live(lt.clk.Now()) {
+			return lt.grant(entity, lockEntry{holder: holder, hold: how}), nil
 		}
+		if how == HoldVote && (e.hold == HoldNegotiation || e.hold == HoldVote) {
+			lt.conflicts++
+			return "", &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: %s is busy", entity)}
+		}
+		if lt.wake == nil {
+			lt.wake = make(chan struct{})
+		}
+		wake := lt.wake
+		lt.mu.Unlock()
+		select {
+		case <-wake:
+			lt.mu.Lock()
+		case <-ctx.Done():
+			lt.mu.Lock()
+			return "", fmt.Errorf("links: waiting for %s: %w", entity, ctx.Err())
+		}
+	}
+}
+
+// grant installs e for entity under a fresh token and returns the token;
+// an entry it displaces has expired. lt.mu is held.
+func (lt *LockTable) grant(entity string, e lockEntry) string {
+	if _, ok := lt.locks[entity]; ok {
 		lt.steals++
 	}
-	e := lockEntry{token: newToken(), holder: holder, deadline: now.Add(lt.ttl)}
+	e.token = newToken()
 	lt.locks[entity] = e
 	lt.acquired++
-	return e.token, true
+	return e.token
+}
+
+// Hold marks a local entity for the calling goroutine as how and returns
+// its release (LockTable.Hold says who waits and who is refused): an
+// application's own steps on a record that is no negotiated entity are
+// serialised in the same table as the marks.
+func (m *Manager) Hold(ctx context.Context, entity string, how Hold) (release func(), err error) {
+	key := lockKey(entity)
+	tok, err := m.Locks.Hold(ctx, key, m.self, how)
+	if err != nil {
+		return nil, err
+	}
+	return func() { m.Locks.Unlock(key, tok) }, nil
 }
 
 // Stats returns a snapshot of the table's contention counters.
@@ -96,8 +176,9 @@ func (lt *LockTable) Stats() LockStats {
 	return LockStats{Acquired: lt.acquired, Conflicts: lt.conflicts, Steals: lt.steals}
 }
 
-// Unlock releases entity if token matches the live lock. Unlocking
-// with a stale token (expired and re-granted) is a no-op.
+// Unlock releases entity if token matches the live lock, and wakes the
+// Holds waiting. Unlocking with a stale token (expired and re-granted) is
+// a no-op.
 func (lt *LockTable) Unlock(entity, token string) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -106,6 +187,10 @@ func (lt *LockTable) Unlock(entity, token string) bool {
 		return false
 	}
 	delete(lt.locks, entity)
+	if lt.wake != nil {
+		close(lt.wake)
+		lt.wake = nil
+	}
 	return true
 }
 
@@ -114,7 +199,7 @@ func (lt *LockTable) Holds(entity, token string) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	e, ok := lt.locks[entity]
-	return ok && e.token == token && lt.clk.Now().Before(e.deadline)
+	return ok && e.token == token && e.live(lt.clk.Now())
 }
 
 // Extend pushes entity's lock deadline one full TTL into the future if
@@ -144,7 +229,7 @@ func (lt *LockTable) Holder(entity string) (token string, live bool) {
 	if !ok {
 		return "", false
 	}
-	return e.token, lt.clk.Now().Before(e.deadline)
+	return e.token, e.live(lt.clk.Now())
 }
 
 // Locked reports whether entity is currently locked by anyone.
@@ -152,18 +237,18 @@ func (lt *LockTable) Locked(entity string) bool {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	e, ok := lt.locks[entity]
-	return ok && lt.clk.Now().Before(e.deadline)
+	return ok && e.live(lt.clk.Now())
 }
 
-// Len reports the number of live locks (expired entries are counted
-// until stolen or swept).
+// Len reports the number of live locks. An expired entry is not one,
+// though it stays in the table until it is stolen or swept.
 func (lt *LockTable) Len() int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	n := 0
 	now := lt.clk.Now()
 	for _, e := range lt.locks {
-		if now.Before(e.deadline) {
+		if e.live(now) {
 			n++
 		}
 	}
@@ -178,7 +263,7 @@ func (lt *LockTable) Sweep() int {
 	now := lt.clk.Now()
 	n := 0
 	for k, e := range lt.locks {
-		if !now.Before(e.deadline) {
+		if !e.live(now) {
 			delete(lt.locks, k)
 			n++
 		}

@@ -1,11 +1,15 @@
 package links
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 func TestTryLockExcludes(t *testing.T) {
@@ -152,6 +156,70 @@ func TestTokensUnique(t *testing.T) {
 		}
 		seen[tok] = true
 		lt.Unlock("e", tok)
+	}
+}
+
+// TestHoldWaitsOrRefuses: a hold outlives the TTL; a vote is refused at
+// once by a negotiation's hold and waits for a step's; a wait ends with
+// its ctx or is woken by the release.
+func TestHoldWaitsOrRefuses(t *testing.T) {
+	fake := clock.NewFake(time.Unix(0, 0))
+	lt := NewLockTable(fake, 10*time.Second)
+	ctx := context.Background()
+	neg, err := lt.Hold(ctx, "m", "x", HoldNegotiation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake.Advance(time.Minute)
+	if _, ok := lt.TryLock("m", "y"); ok || lt.Len() != 1 || lt.Sweep() != 0 {
+		t.Fatal("a hold lapsed with the TTL")
+	}
+	if _, err := lt.Hold(ctx, "m", "v", HoldVote); wire.CodeOf(err) != wire.CodeConflict {
+		t.Fatalf("vote on a negotiation's hold: %v, want a conflict", err)
+	}
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := lt.Hold(done, "m", "s", HoldStep); !errors.Is(err, context.Canceled) {
+		t.Fatalf("step whose ctx is done: %v, want it canceled", err)
+	}
+
+	step := make(chan string)
+	go func() {
+		tok, err := lt.Hold(ctx, "m", "s", HoldStep)
+		if err != nil {
+			t.Error(err)
+		}
+		step <- tok
+	}()
+	lt.Unlock("m", neg)
+	tok := <-step
+	voted := make(chan error)
+	go func() {
+		tok, err := lt.Hold(ctx, "m", "v", HoldVote)
+		lt.Unlock("m", tok)
+		voted <- err
+	}()
+	// The cancelled wait's channel went with the release of neg: a wake
+	// channel now is the vote's wait.
+	for waiting := false; !waiting; runtime.Gosched() {
+		lt.mu.Lock()
+		waiting = lt.wake != nil
+		lt.mu.Unlock()
+	}
+	select {
+	case err := <-voted:
+		t.Fatalf("vote returned %v while a step holds the entity", err)
+	default:
+	}
+	lt.Unlock("m", tok)
+	if err := <-voted; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lt.Stats(), (LockStats{Acquired: 3, Conflicts: 2}); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if lt.Len() != 0 || lt.Sweep() != 0 {
+		t.Fatal("an entry is left")
 	}
 }
 

@@ -487,8 +487,8 @@ func (m *Manager) PromoteLink(u *store.Tx, id string) error {
 // device: Unlink, the unit that takes the row out and updates the
 // application state, and Retract, what follows from it on other devices —
 // the freed entity offered to the best of its waiters, the deletion
-// cascaded to the link's other participants. Whoever holds a lock of its
-// own around the decision to delete (a calendar's meeting lock) runs
+// cascaded to the link's other participants. Whoever holds a mark of its
+// own around the decision to delete (a calendar's Hold on a meeting) runs
 // Unlink under it and Retract once it is released: Retract's sends come
 // back to this device (a waiter's vote makes its initiator confirm).
 //

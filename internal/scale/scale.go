@@ -2,9 +2,9 @@
 // it boots thousands of simulated devices — the paper's iPAQ-and-
 // workstation deployment at a size the physical prototype could never
 // reach — on the in-memory network under an auto-advancing fake clock,
-// drives open-loop workloads against them, and reports SLO-shaped
-// results (schedule-latency percentiles, negotiation outcome rates,
-// queue depths, lock contention).
+// drives open-loop workloads against them, and reports counts:
+// negotiation outcomes, lock contention and simulated requests. It times
+// nothing.
 //
 // Two properties make the harness useful as a CI gate:
 //
@@ -15,11 +15,9 @@
 //     goroutine is parked on it, one waiter at a time.
 //   - Determinism. Execution is single-stepped: at most one clock
 //     participant runs at any instant, every schedule is offset by a
-//     per-device epsilon so no two deadlines collide, and operation
-//     latency is *modeled* in virtual time (queue wait + an RPC-count-
-//     driven service time) rather than measured in wall time. Two runs
-//     with the same seed produce byte-identical reports, on any
-//     machine, under any load.
+//     per-device epsilon so no two deadlines collide, and no report
+//     field but WallMS reads the wall clock. Two runs with the same seed
+//     produce byte-identical reports, on any machine, under any load.
 package scale
 
 import (
@@ -88,18 +86,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// LatencyStats are exact percentiles over operation latencies that are
-// modelled (5 ms + 12 ms × RPCs + seeded jitter, per-device FIFO), not
-// measured: an RPC-count cost model in milliseconds of virtual time,
-// the same on every topology.
-type LatencyStats struct {
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-	MeanMS float64 `json:"mean_ms"`
-}
-
 // Outcomes counts operation results. Committed/Tentative/Aborted/
 // InDoubt classify negotiation-backed operations (a tentative meeting
 // committed its initiator slot but missed participants); Queued counts
@@ -116,12 +102,32 @@ type Outcomes struct {
 	Errors    int `json:"errors"`
 }
 
-// QueueStats summarize the per-device queueing model: how deep the
-// busiest device's op queue got, and the mean depth observed at
-// arrival instants.
-type QueueStats struct {
-	MaxDepth  int     `json:"max_depth"`
-	MeanDepth float64 `json:"mean_depth"`
+// opOutcome classifies one executed operation.
+type opOutcome struct {
+	// class is an Outcomes bucket: committed, tentative, aborted,
+	// in_doubt, queued, or error. Empty for infrastructure steps
+	// (partition cuts, reconnects) that are not operations.
+	class string
+	// drained counts offline-queue ops replayed by this step.
+	drained int
+}
+
+func (o *Outcomes) fold(out opOutcome) {
+	o.Drained += out.drained
+	switch out.class {
+	case "committed":
+		o.Committed++
+	case "tentative":
+		o.Tentative++
+	case "aborted":
+		o.Aborted++
+	case "in_doubt":
+		o.InDoubt++
+	case "queued":
+		o.Queued++
+	case "error":
+		o.Errors++
+	}
 }
 
 // NetStats snapshot the simulated network's traffic counters.
@@ -142,9 +148,7 @@ type Report struct {
 	Ops       int             `json:"ops"`
 	Seed      int64           `json:"seed"`
 	VirtualMS int64           `json:"virtual_ms"`
-	Latency   LatencyStats    `json:"latency"`
 	Outcomes  Outcomes        `json:"outcomes"`
-	Queue     QueueStats      `json:"queue"`
 	Locks     links.LockStats `json:"locks"`
 	Net       NetStats        `json:"net"`
 	// ClockFired counts fake-clock waiter deliveries — how many timer

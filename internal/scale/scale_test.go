@@ -202,7 +202,7 @@ func TestScaleBaselineSeesDrift(t *testing.T) {
 			t.Errorf("%s off by one: diff = %v, want that field alone", l.path, diffs)
 		}
 	}
-	// The counts a gate on latency percentiles and abort rate cannot see.
+	// The counts a gate on the abort rate alone cannot see.
 	for _, path := range []string{"net.requests", "outcomes.committed", "outcomes.tentative", "locks.conflicts", "clock_fired", "wall_ms"} {
 		if !seen[path] {
 			t.Errorf("%s was never drifted: not a report field?", path)
@@ -213,7 +213,7 @@ func TestScaleBaselineSeesDrift(t *testing.T) {
 // TestScaleSmoke is the CI scale gate's inner loop: 500 devices, two
 // scenarios, each run twice with the same seed. The runs must be
 // byte-identical (minus wall time), finish their in-doubt ledger, and
-// produce finite percentiles.
+// commit something.
 func TestScaleSmoke(t *testing.T) {
 	for _, scn := range []string{"storm", "flap"} {
 		scn := scn
@@ -237,9 +237,6 @@ func TestScaleSmoke(t *testing.T) {
 			if a.Outcomes.Committed == 0 {
 				t.Fatalf("nothing committed: %+v", a.Outcomes)
 			}
-			if a.Latency.P99MS <= 0 || a.Latency.P99MS < a.Latency.P50MS {
-				t.Fatalf("bad percentiles: %+v", a.Latency)
-			}
 			if a.ClockFired == 0 {
 				t.Fatal("virtual time never advanced")
 			}
@@ -251,8 +248,8 @@ func TestScaleSmoke(t *testing.T) {
 // TestRunAllTopologies sweeps the full scenario × topology catalog at a
 // small fleet size, and holds what the sharded4 and replicated rows of
 // BENCH_scale.json used to show by eye: the topology changes no
-// outcome, modelled latency, queue depth or lock count — only how many
-// requests the control plane and log shipping add.
+// outcome or lock count — only how many requests the control plane and
+// log shipping add.
 func TestRunAllTopologies(t *testing.T) {
 	reports, err := RunAll(48, 7)
 	if err != nil {
@@ -282,7 +279,7 @@ func TestRunAllTopologies(t *testing.T) {
 	for i := 0; i < len(reports); i += 3 { // catalog order: single, sharded4, replicated
 		single, sharded, replicated := reports[i], reports[i+1], reports[i+2]
 		for _, r := range []*Report{sharded, replicated} {
-			if r.Latency != single.Latency || r.Outcomes != single.Outcomes || r.Queue != single.Queue || r.Locks != single.Locks {
+			if r.Outcomes != single.Outcomes || r.Locks != single.Locks {
 				t.Errorf("%s: %s differs from single beyond its traffic:\n%s\n%s", r.Scenario, r.Topology,
 					mustJSON(t, stripWall(single)), mustJSON(t, stripWall(r)))
 			}

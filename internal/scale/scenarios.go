@@ -16,7 +16,6 @@ import (
 // timedOp is one scheduled step on the scenario timeline.
 type timedOp struct {
 	at  time.Duration // offset from the run start
-	dev string        // device charged in the queueing model
 	run func(ctx context.Context, w *world) opOutcome
 }
 
@@ -50,24 +49,23 @@ func scenarioFor(cfg Config) (*scenario, error) {
 func classifySchedule(m *calendar.Meeting, queued bool, err error) opOutcome {
 	switch {
 	case err == nil && queued:
-		return opOutcome{class: "queued", measure: true}
+		return opOutcome{class: "queued"}
 	case err == nil && m.Status == calendar.StatusConfirmed:
-		return opOutcome{class: "committed", measure: true}
+		return opOutcome{class: "committed"}
 	case err == nil:
-		return opOutcome{class: "tentative", measure: true}
+		return opOutcome{class: "tentative"}
 	case links.IsInDoubt(err):
-		return opOutcome{class: "in_doubt", measure: true}
+		return opOutcome{class: "in_doubt"}
 	default:
-		return opOutcome{class: "aborted", measure: true}
+		return opOutcome{class: "aborted"}
 	}
 }
 
 // stormScenario: a meeting-setup storm with Zipf-skewed initiators and
 // participants over pre-seeded personal appointments. The whole op
 // budget arrives in a one-hour burst an hour into the day — the Monday
-// 9am planning rush — so per-device arrival gaps shrink toward the
-// modeled service time and the queueing model engages; slot contention
-// on the head of the distribution drives the abort rate.
+// 9am planning rush; slot contention on the head of the distribution
+// drives the abort rate.
 func stormScenario(cfg Config) *scenario {
 	users := workload.Users(cfg.Devices)
 	win := workload.DefaultWindow()
@@ -97,8 +95,7 @@ func stormScenario(cfg Config) *scenario {
 		slot := slots[rng.Intn(len(slots))]
 		title := fmt.Sprintf("storm-%d", i)
 		sc.timeline = append(sc.timeline, timedOp{
-			at:  arrivals[i],
-			dev: p.Initiator,
+			at: arrivals[i],
 			run: func(ctx context.Context, w *world) opOutcome {
 				m, queued, err := w.cals[p.Initiator].ScheduleOrQueue(ctx, calendar.Request{
 					Title: title,
@@ -164,11 +161,10 @@ func fanoutScenario(cfg Config) *scenario {
 		title := fmt.Sprintf("standup-%s-%d", hub, i)
 		sups := supsOf(h)
 		sc.timeline = append(sc.timeline, timedOp{
-			at:  arrivals[i],
-			dev: hub,
+			at: arrivals[i],
 			run: func(ctx context.Context, w *world) opOutcome {
 				// One op = cancel cascade + rebuild; both fan out to every
-				// supervisor and are charged to the same latency sample.
+				// supervisor, and the op counts once, by the rebuild.
 				if id := current[hub]; id != "" {
 					_ = w.cals[hub].CancelMeeting(ctx, id)
 					current[hub] = ""
@@ -205,8 +201,7 @@ func churnScenario(cfg Config) *scenario {
 		kind := rng.Float64()
 		target := users[picker.Pick()]
 		sc.timeline = append(sc.timeline, timedOp{
-			at:  arrivals[i],
-			dev: dev,
+			at: arrivals[i],
 			run: func(ctx context.Context, w *world) opOutcome {
 				dir := w.nodes[dev].Dir
 				var err error
@@ -221,9 +216,9 @@ func churnScenario(cfg Config) *scenario {
 					}
 				}
 				if err != nil {
-					return opOutcome{class: "error", measure: true}
+					return opOutcome{class: "error"}
 				}
-				return opOutcome{class: "committed", measure: true}
+				return opOutcome{class: "committed"}
 			},
 		})
 	}
@@ -249,8 +244,7 @@ func flapScenario(cfg Config) *scenario {
 		slot := slots[rng.Intn(len(slots))]
 		title := fmt.Sprintf("flap-%d", i)
 		sc.timeline = append(sc.timeline, timedOp{
-			at:  arrivals[i],
-			dev: p.Initiator,
+			at: arrivals[i],
 			run: func(ctx context.Context, w *world) opOutcome {
 				m, queued, err := w.cals[p.Initiator].ScheduleOrQueue(ctx, calendar.Request{
 					Title: title,
@@ -275,7 +269,7 @@ func flapScenario(cfg Config) *scenario {
 			tOff := base + time.Duration(rng.Float64()*float64(cfg.Horizon/2-45*time.Minute))
 			dur := 10*time.Minute + time.Duration(rng.Float64()*float64(30*time.Minute))
 			sc.timeline = append(sc.timeline,
-				timedOp{at: tOff, dev: u, run: func(ctx context.Context, w *world) opOutcome {
+				timedOp{at: tOff, run: func(ctx context.Context, w *world) opOutcome {
 					// The sim keys inbound reachability by endpoint address
 					// and outbound by the request's caller (the user id), so
 					// radio loss is two cuts.
@@ -284,14 +278,14 @@ func flapScenario(cfg Config) *scenario {
 					w.nodes[u].Offline.GoOffline(ctx)
 					return opOutcome{}
 				}},
-				timedOp{at: tOff + dur, dev: u, run: func(ctx context.Context, w *world) opOutcome {
+				timedOp{at: tOff + dur, run: func(ctx context.Context, w *world) opOutcome {
 					w.net.Isolate(w.nodes[u].Addr(), false)
 					w.net.Isolate(u, false)
 					before := w.nodes[u].Offline.Queue().Len()
 					err := w.nodes[u].Offline.TryReconnect(ctx)
 					drained := before - w.nodes[u].Offline.Queue().Len()
 					if err != nil {
-						return opOutcome{class: "error", drained: drained, measure: true}
+						return opOutcome{class: "error", drained: drained}
 					}
 					return opOutcome{drained: drained}
 				}},
@@ -318,7 +312,7 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 	}
 	sort.SliceStable(sc.timeline, func(i, j int) bool { return sc.timeline[i].at < sc.timeline[j].at })
 
-	rec := newRecorder(cfg.Seed)
+	var outcomes Outcomes
 	loopCtx, stop := context.WithCancel(ctx)
 	done := make(chan struct{})
 	clock.LoopGo(loopCtx, w.clk, 0, func(time.Time) {
@@ -329,9 +323,7 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 			if d := start.Add(op.at).Sub(w.clk.Now()); d > 0 {
 				w.clk.Sleep(d)
 			}
-			req0 := w.net.Stats().Requests
-			out := op.run(ctx, w)
-			rec.record(op.dev, op.at, w.net.Stats().Requests-req0, out)
+			outcomes.fold(op.run(ctx, w))
 		}
 		if d := start.Add(cfg.Horizon).Sub(w.clk.Now()); d > 0 {
 			w.clk.Sleep(d)
@@ -355,9 +347,7 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 		Ops:       cfg.Ops,
 		Seed:      cfg.Seed,
 		VirtualMS: cfg.Horizon.Milliseconds(),
-		Latency:   rec.latencyStats(),
-		Outcomes:  rec.outcomes,
-		Queue:     rec.queueStats(),
+		Outcomes:  outcomes,
 		Locks:     locks,
 		Net: NetStats{
 			Requests:  st.Requests,

@@ -78,21 +78,6 @@ func PoissonArrivals(count int, horizon time.Duration, seed int64) []time.Durati
 	return out
 }
 
-// ExpDuration draws an exponentially distributed duration with the
-// given mean (for service times and think times).
-func ExpDuration(rng *rand.Rand, mean time.Duration) time.Duration {
-	if mean <= 0 {
-		return 0
-	}
-	d := time.Duration(rng.ExpFloat64() * float64(mean))
-	// Clamp the heavy tail so one 10-sigma draw cannot dominate a
-	// percentile report.
-	if max := 10 * mean; d > max {
-		d = max
-	}
-	return d
-}
-
 // SkewedMeetingPlans draws count meeting requests whose initiators and
 // participants follow a Zipf distribution over the population — the
 // contention-heavy cousin of MakeMeetingPlans, where the same hot
