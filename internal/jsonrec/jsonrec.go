@@ -5,13 +5,16 @@
 // decodes what Unmarshal decodes, because every text the reader does not
 // recognise goes to json.Unmarshal itself (Decode). The fuzzers of the
 // codecs built on it (FuzzTxRecordEncoding in wal, FuzzMeetingRecord in
-// calendar, FuzzLinkRecord in links) hold each to encoding/json.
+// calendar, FuzzLinkRecord for the link row and FuzzJournalRecord for the
+// commit journal's record in links) hold each to encoding/json.
 package jsonrec
 
 import (
 	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 	"unicode/utf8"
 )
 
@@ -110,6 +113,43 @@ func AppendValue(b []byte, v any) ([]byte, error) {
 	}
 	raw, err := json.Marshal(v)
 	return append(b, raw...), err
+}
+
+// AppendMap appends m as json.Marshal writes it: null when m is nil, the
+// keys in order, each value through AppendValue.
+func AppendMap(b []byte, m map[string]any) ([]byte, error) {
+	if m == nil {
+		return append(b, "null"...), nil
+	}
+	var keyBuf [8]string
+	keys := keyBuf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = AppendValue(append(AppendString(b, k), ':'), m[k]); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// AppendTime appends t as json.Marshal writes a time.Time: RFC 3339 with
+// the nanoseconds it has, quoted. A time RFC 3339 cannot write (a year
+// outside [0,9999], a zone of a day or more) goes through json.Marshal
+// for its error.
+func AppendTime(b []byte, t time.Time) ([]byte, error) {
+	if _, off := t.Zone(); t.Year() < 0 || t.Year() > 9999 || off <= -24*3600 || off >= 24*3600 {
+		raw, err := json.Marshal(t)
+		return append(b, raw...), err
+	}
+	return append(t.AppendFormat(append(b, '"'), time.RFC3339Nano), '"'), nil
 }
 
 // Decode decodes s with read, which reports whether s was in the form it
@@ -235,6 +275,31 @@ func (r *Reader) Value() any {
 		r.miss = true
 	}
 	return f
+}
+
+// Map reads an object of scalars, each as Value reads it: nil for null.
+func (r *Reader) Map() map[string]any {
+	if r.Null() {
+		return nil
+	}
+	r.Lit("{")
+	m := map[string]any{}
+	for r.More('}') {
+		k := r.String()
+		r.Lit(":")
+		m[k] = r.Value()
+	}
+	return m
+}
+
+// Time reads a time.Time: a string in RFC 3339, which json.Unmarshal
+// parses the same way.
+func (r *Reader) Time() time.Time {
+	t, err := time.Parse(time.RFC3339, r.String())
+	if err != nil {
+		r.miss = true
+	}
+	return t
 }
 
 // integer consumes an integer literal, -?(0|[1-9][0-9]*), and returns it.

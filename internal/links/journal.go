@@ -2,15 +2,16 @@ package links
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jsonrec"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -143,15 +144,95 @@ type journalRec struct {
 	SpanID  string
 }
 
-// body is the row's non-key columns: what an update rewrites. It fails
-// when an argument has no JSON form (a NaN, an infinity, a func), which a
+// body is the row's non-key columns: what an update rewrites. The rec
+// column is the text json.Marshal writes for r, appended field by field
+// (FuzzJournalRecord holds the two equal). It fails where Marshal fails:
+// on an argument with no JSON form (a NaN, an infinity, a func), which a
 // decision computed by Spec.Decide can hold.
 func (r *journalRec) body() (store.Row, error) {
-	b, err := json.Marshal(r)
+	var buf [512]byte
+	b, err := r.appendJSON(buf[:0])
 	if err != nil {
 		return nil, fmt.Errorf("links: journal encode: %w", err)
 	}
 	return store.Row{"rec": string(b), "next_retry": r.NextRetry}, nil
+}
+
+func (r *journalRec) appendJSON(b []byte) ([]byte, error) {
+	b = jsonrec.AppendString(append(b, `{"ID":`...), r.ID)
+	b = jsonrec.AppendString(append(b, `,"Action":`...), r.Action)
+	b, err := jsonrec.AppendMap(append(b, `,"Args":`...), r.Args)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"Pending":`...)
+	if r.Pending == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, t := range r.Pending {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendRef(append(b, `{"ref":`...), t.Ref)
+			b = append(jsonrec.AppendString(append(b, `,"token":`...), t.Token), '}')
+		}
+		b = append(b, ']')
+	}
+	b = appendTargets(append(b, `,"Committed":`...), r.Committed)
+	b = appendTargets(append(b, `,"Failed":`...), r.Failed)
+	b = strconv.AppendInt(append(b, `,"Attempts":`...), int64(r.Attempts), 10)
+	if b, err = jsonrec.AppendTime(append(b, `,"NextRetry":`...), r.NextRetry); err != nil {
+		return nil, err
+	}
+	if b, err = jsonrec.AppendTime(append(b, `,"Created":`...), r.Created); err != nil {
+		return nil, err
+	}
+	b = jsonrec.AppendString(append(b, `,"TraceID":`...), r.TraceID)
+	b = jsonrec.AppendString(append(b, `,"SpanID":`...), r.SpanID)
+	return append(b, '}'), nil
+}
+
+// readJournal reads what appendJSON writes.
+func readJournal(s string) (journalRec, bool) {
+	var rec journalRec
+	r := jsonrec.NewReader(s)
+	r.Lit(`{"ID":`)
+	rec.ID = r.String()
+	r.Lit(`,"Action":`)
+	rec.Action = r.String()
+	r.Lit(`,"Args":`)
+	rec.Args = r.Map()
+	r.Lit(`,"Pending":`)
+	if !r.Null() {
+		r.Lit("[")
+		rec.Pending = []journalTarget{}
+		for r.More(']') {
+			var t journalTarget
+			r.Lit(`{"ref":`)
+			t.Ref = readRef(&r)
+			r.Lit(`,"token":`)
+			t.Token = r.String()
+			r.Lit("}")
+			rec.Pending = append(rec.Pending, t)
+		}
+	}
+	r.Lit(`,"Committed":`)
+	rec.Committed = readRefs(&r)
+	r.Lit(`,"Failed":`)
+	rec.Failed = readRefs(&r)
+	r.Lit(`,"Attempts":`)
+	rec.Attempts = r.Int()
+	r.Lit(`,"NextRetry":`)
+	rec.NextRetry = r.Time()
+	r.Lit(`,"Created":`)
+	rec.Created = r.Time()
+	r.Lit(`,"TraceID":`)
+	rec.TraceID = r.String()
+	r.Lit(`,"SpanID":`)
+	rec.SpanID = r.String()
+	r.Lit("}")
+	return rec, r.Done()
 }
 
 func journalFromRow(row store.Row) (*journalRec, error) {
@@ -160,15 +241,15 @@ func journalFromRow(row store.Row) (*journalRec, error) {
 	if s == "" {
 		return nil, fmt.Errorf("links: journal %s has no record body", id)
 	}
-	r := &journalRec{}
-	if err := json.Unmarshal([]byte(s), r); err != nil {
+	r, err := jsonrec.Decode(s, readJournal)
+	if err != nil {
 		return nil, fmt.Errorf("links: journal %s: %w", id, err)
 	}
 	r.ID = id
 	// The column is what the sweeper selected on; keep it authoritative
 	// over the blob's copy.
 	r.NextRetry = row["next_retry"].(time.Time)
-	return r, nil
+	return &r, nil
 }
 
 // journalBegin persists the COMMIT decision, in the unit u that also

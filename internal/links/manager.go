@@ -345,16 +345,21 @@ func (m *Manager) getLink(u *store.Tx, id string) (l *Link, ok bool) {
 // priority descending then id (so "highest priority" selections are
 // deterministic).
 func (m *Manager) LinksOn(entity string) []*Link {
-	return linksByPriority(m.linksT.SelectEq("owner_entity", entity))
+	out := []*Link{} // the LinksOn reply of no link is [], not null
+	m.linksT.ViewEq("owner_entity", entity, func(r store.Row) {
+		if l, err := rowToLink(r); err == nil {
+			out = append(out, l)
+		}
+	})
+	return linksByPriority(out)
 }
 
 // LinksOnIn is LinksOn as the step's unit u sees the link table.
 func (m *Manager) LinksOnIn(u *store.Tx, entity string) []*Link {
-	return linksByPriority(u.SelectEq(LinkTable, "owner_entity", entity))
+	return linksByPriority(decodeLinks(u.SelectEq(LinkTable, "owner_entity", entity)))
 }
 
-func linksByPriority(rows []store.Row) []*Link {
-	out := decodeLinks(rows)
+func linksByPriority(out []*Link) []*Link {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Priority != out[j].Priority {
 			return out[i].Priority > out[j].Priority

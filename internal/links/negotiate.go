@@ -2,11 +2,13 @@ package links
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/jsonrec"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -533,16 +535,40 @@ func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef
 	if ref.User == m.self {
 		return m.markLocal(ref.Entity, action, args)
 	}
-	var out struct {
-		Token string `json:"token"`
-	}
+	var raw json.RawMessage
 	err := m.eng.Invoke(ctx, ServiceFor(ref.User), "Mark", wire.Args{
 		"entity": ref.Entity, "action": action, "args": map[string]any(args), "nid": nid,
-	}, &out)
+	}, &raw)
 	if err != nil {
 		return "", err
 	}
-	return out.Token, nil
+	tok, err := markToken(raw)
+	if err != nil {
+		return "", fmt.Errorf("links: decode the Mark reply of %s: %w", ref.User, err)
+	}
+	return tok, nil
+}
+
+// markReply is what the Mark handler answers: the token of the lock it
+// took.
+type markReply struct {
+	Token string `json:"token"`
+}
+
+// markToken reads the token out of a Mark reply; a reply not in the form
+// wire.Marshal writes goes to json.Unmarshal.
+func markToken(raw json.RawMessage) (string, error) {
+	if len(raw) == 0 {
+		return "", nil
+	}
+	reply, err := jsonrec.Decode(string(raw), func(s string) (markReply, bool) {
+		r := jsonrec.NewReader(s)
+		r.Lit(`{"token":`)
+		tok := r.String()
+		r.Lit("}")
+		return markReply{Token: tok}, r.Done()
+	})
+	return reply.Token, err
 }
 
 // commitTarget applies the change at a marked target and releases its

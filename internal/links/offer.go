@@ -3,6 +3,7 @@ package links
 import (
 	"context"
 
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -51,12 +52,11 @@ func (m *Manager) offer(ctx context.Context, entity, tok, notTo string) {
 // queuedOn reports whether a tentative link other than id is attached
 // to entity.
 func (m *Manager) queuedOn(entity, id string) bool {
-	for _, r := range m.linksT.SelectEq("owner_entity", entity) {
-		if r["subtype"] == string(Tentative) && r["id"] != id {
-			return true
-		}
-	}
-	return false
+	queued := false
+	m.linksT.ViewEq("owner_entity", entity, func(r store.Row) {
+		queued = queued || r["subtype"] == string(Tentative) && r["id"] != id
+	})
+	return queued
 }
 
 // vote marks l's own entity with the action its trigger t names (under

@@ -2,12 +2,10 @@ package links
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/jsonrec"
 	"repro/internal/store"
-	"repro/internal/wire"
 )
 
 // Table names, matching the paper's nomenclature. SyD_PendingDelete is
@@ -214,29 +212,42 @@ func appendTargets(b []byte, refs []EntityRef) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = jsonrec.AppendString(append(b, `{"user":`...), e.User)
-		b = append(jsonrec.AppendString(append(b, `,"entity":`...), e.Entity), '}')
+		b = appendRef(b, e)
 	}
 	return append(b, ']')
 }
 
+func appendRef(b []byte, e EntityRef) []byte {
+	b = jsonrec.AppendString(append(b, `{"user":`...), e.User)
+	return append(jsonrec.AppendString(append(b, `,"entity":`...), e.Entity), '}')
+}
+
 func readTargets(s string) ([]EntityRef, bool) {
 	r := jsonrec.NewReader(s)
+	refs := readRefs(&r)
+	return refs, r.Done()
+}
+
+// readRefs reads what appendTargets writes.
+func readRefs(r *jsonrec.Reader) []EntityRef {
 	if r.Null() {
-		return nil, r.Done()
+		return nil
 	}
 	r.Lit("[")
 	refs := []EntityRef{}
 	for r.More(']') {
-		var e EntityRef
-		r.Lit(`{"user":`)
-		e.User = r.String()
-		r.Lit(`,"entity":`)
-		e.Entity = r.String()
-		r.Lit("}")
-		refs = append(refs, e)
+		refs = append(refs, readRef(r))
 	}
-	return refs, r.Done()
+	return refs
+}
+
+func readRef(r *jsonrec.Reader) (e EntityRef) {
+	r.Lit(`{"user":`)
+	e.User = r.String()
+	r.Lit(`,"entity":`)
+	e.Entity = r.String()
+	r.Lit("}")
+	return e
 }
 
 // appendTriggers appends the triggers with their omitempty fields left
@@ -261,24 +272,10 @@ func appendTriggers(b []byte, ts []Trigger) ([]byte, error) {
 			b = jsonrec.AppendString(append(b, `,"method":`...), t.Method)
 		}
 		if len(t.Args) > 0 {
-			var keyBuf [8]string
-			keys := keyBuf[:0]
-			for k := range t.Args {
-				keys = append(keys, k)
+			var err error
+			if b, err = jsonrec.AppendMap(append(b, `,"args":`...), t.Args); err != nil {
+				return nil, err
 			}
-			slices.Sort(keys)
-			b = append(b, `,"args":{`...)
-			for j, k := range keys {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = append(jsonrec.AppendString(b, k), ':')
-				var err error
-				if b, err = jsonrec.AppendValue(b, t.Args[k]); err != nil {
-					return nil, err
-				}
-			}
-			b = append(b, '}')
 		}
 		b = append(b, '}')
 	}
@@ -305,14 +302,8 @@ func readTriggers(s string) ([]Trigger, bool) {
 		if r.Opt(`,"method":`) {
 			t.Method = r.String()
 		}
-		if r.Opt(`,"args":`) && !r.Null() {
-			r.Lit("{")
-			t.Args = wire.Args{}
-			for r.More('}') {
-				k := r.String()
-				r.Lit(":")
-				t.Args[k] = r.Value()
-			}
+		if r.Opt(`,"args":`) {
+			t.Args = r.Map()
 		}
 		r.Lit("}")
 		ts = append(ts, t)

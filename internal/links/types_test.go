@@ -1,6 +1,7 @@
 package links
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/jsonrec"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -300,6 +302,145 @@ func TestNewLinkIDUnique(t *testing.T) {
 		seen[id] = true
 		if len(id) < 10 || id[:2] != "L-" {
 			t.Fatalf("id shape: %q", id)
+		}
+	}
+}
+
+// journalOfShape builds a journal record whose parts shape picks: the
+// args nil, empty, of every scalar kind or with a float and a list too;
+// the pending, committed and failed lists each nil, empty or one or two
+// long; and the creation time zero or not.
+func journalOfShape(id, user, entity, token, key, s string, b bool, n int, fl float64, shape uint16, sec int64, zone int) *journalRec {
+	ref, other := EntityRef{User: user, Entity: entity}, EntityRef{User: s, Entity: key}
+	rec := &journalRec{
+		ID: id, Action: s, Attempts: n, TraceID: token, SpanID: key,
+		NextRetry: time.Unix(sec, int64(n)%1e9).In(time.FixedZone(s, zone)),
+	}
+	switch shape & 3 {
+	case 1:
+		rec.Args = wire.Args{}
+	case 2:
+		rec.Args = wire.Args{key: s, "b": b, "n": n, "i": int64(-n), "nil": nil}
+	case 3:
+		rec.Args = wire.Args{key: fl, "list": []string{s}, "s": s}
+	}
+	cut := func(bits uint16) int { return int(bits&3) - 1 }
+	if k := cut(shape >> 2); k >= 0 {
+		rec.Pending = []journalTarget{{Ref: ref, Token: token}, {Ref: other, Token: s}}[:k]
+	}
+	if k := cut(shape >> 4); k >= 0 {
+		rec.Committed = []EntityRef{other, ref}[:k]
+	}
+	if k := cut(shape >> 6); k >= 0 {
+		rec.Failed = []EntityRef{ref, other}[:k]
+	}
+	if shape&(1<<8) != 0 {
+		rec.Created = time.Unix(-sec, 0).UTC()
+	}
+	return rec
+}
+
+// FuzzJournalRecord: a journal row's rec column is encoding/json's text.
+// The writer appends what json.Marshal writes for the record and fails
+// where it fails, and the column decodes to what json.Unmarshal gives,
+// for the writer's output and for any other text.
+func FuzzJournalRecord(f *testing.F) {
+	f.Add("N-1", "phil", "slot:2026-08-07:14", "T-1", "meeting", "M-1", true, 3, 1.5, uint16(0x1ff), int64(1786000000), 0, `{"ID":"N-1"}`)
+	f.Add("<a&b>", "\xff\x00\x1f\x7f", "\xe2\x80\xa8", "q \"x\" \\ \n\t", "héllo ✓", "", false, -1<<40, math.NaN(), uint16(0x0ab), int64(-62135596800), 3600, `{"ID":"a","Action":"","Args":{"n":-0,"s":"x","t":true,"z":null},"Pending":[],"Committed":null,"Failed":[{"user":"u","entity":"e"}],"Attempts":2,"NextRetry":"2026-08-07T14:00:00.5+02:00","Created":"0001-01-01T00:00:00Z","TraceID":"","SpanID":""}`)
+	f.Add("", "", "", "", "", "", false, 0, math.Inf(1), uint16(0x003), int64(0), -5*3600-30*60, `{"id":"N","attempts":1e3}`)
+	f.Add("N", "u", "e", "t", "k", "v", true, 1<<62, -0.0, uint16(0x156), int64(253402300800), 24*3600, `{"ID":"N","Action":"a","Args":{"n":99999999999999999999999999999999999999,"n":2},"Pending":null,"Committed":null,"Failed":null,"Attempts":0,"NextRetry":"2026-08-07T14:00:00Z","Created":"2026-13-07T14:00:00Z","TraceID":"","SpanID":""}`)
+	f.Fuzz(func(t *testing.T, id, user, entity, token, key, s string, b bool, n int, fl float64, shape uint16, sec int64, zone int, text string) {
+		rec := journalOfShape(id, user, entity, token, key, s, b, n, fl, shape, sec, zone)
+		want, wantErr := json.Marshal(rec)
+		row, err := rec.body()
+		if wantErr != nil {
+			if want := "links: journal encode: " + wantErr.Error(); fmt.Sprint(err) != want {
+				t.Fatalf("body error = %v, json.Marshal says %v", err, want)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("body: %v; json.Marshal succeeds", err)
+		}
+		if row["rec"] != string(want) {
+			t.Fatalf("body writes %s\njson.Marshal writes %s", row["rec"], want)
+		}
+		for _, doc := range []string{row["rec"].(string), text} {
+			got, err := jsonrec.Decode(doc, readJournal)
+			var want journalRec
+			wantErr := json.Unmarshal([]byte(doc), &want)
+			if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q decodes to %#v (%v), json.Unmarshal to %#v (%v)", doc, got, err, want, wantErr)
+			}
+		}
+	})
+}
+
+// TestJournalRecordReadInPlace: the record a negotiation journals is read
+// by the reader, not handed to json.Unmarshal.
+func TestJournalRecordReadInPlace(t *testing.T) {
+	rec := &journalRec{
+		ID: "N-0001f00dcafe0001", Action: "reserve",
+		Args:      wire.Args{"meeting": "M-0001f00dcafe0001", "priority": 2, "pinned": true},
+		Pending:   []journalTarget{{Ref: EntityRef{User: "andy", Entity: "slot:2026-08-07:14"}, Token: "T-1"}},
+		Committed: []EntityRef{},
+		NextRetry: time.Date(2026, 8, 7, 14, 0, 0, 500, time.UTC), Created: time.Date(2026, 8, 7, 13, 59, 0, 0, time.UTC),
+	}
+	row, err := rec.body()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := readJournal(row["rec"].(string))
+	var want journalRec
+	if err := json.Unmarshal([]byte(row["rec"].(string)), &want); err != nil || !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reader: %#v (read %v)\njson.Unmarshal: %#v (%v)", got, ok, want, err)
+	}
+}
+
+// TestQueuedOnAllocs: asking whether a tentative link waits on an entity
+// reads the link rows where they are stored.
+func TestQueuedOnAllocs(t *testing.T) {
+	m, err := NewManager("andy", store.NewDB(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := fmt.Sprint("slot:2026-08-07:", 14) // built at run time, as a caller's is
+	for i, sub := range []Subtype{Permanent, Tentative} {
+		l := &Link{ID: fmt.Sprint("L-", i), Type: Negotiation, Subtype: sub, Constraint: And,
+			Owner: EntityRef{User: "andy", Entity: slot}, Targets: []EntityRef{{User: "phil", Entity: slot}}}
+		if err := m.db.Unit(context.Background(), func(u *store.Tx) error { return m.AddLink(u, l) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !m.queuedOn(slot, "L-0") || m.queuedOn(slot, "L-1") || m.queuedOn("slot:other", "L-0") {
+		t.Fatal("queuedOn does not see the one tentative link L-1")
+	}
+	queued := false
+	if allocs := testing.AllocsPerRun(100, func() { queued = m.queuedOn(slot, "L-0") }); allocs != 0 || !queued {
+		t.Fatalf("queuedOn costs %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestMarkReplyAllocs: a participant writes its Mark reply and the
+// coordinator reads the token out of it in two allocations, the reply's
+// bytes and the text the token is a slice of; a reply in any other form
+// reads as json.Unmarshal reads it.
+func TestMarkReplyAllocs(t *testing.T) {
+	reply := map[string]string{"token": "T-0001f00dcafe0001"}
+	var tok string
+	allocs := testing.AllocsPerRun(100, func() {
+		raw, _ := wire.Marshal(reply)
+		tok, _ = markToken(raw)
+	})
+	if tok != reply["token"] || allocs > 2 {
+		t.Fatalf("Mark reply round trip: token %q, %.0f allocs; want %q, at most 2", tok, allocs, reply["token"])
+	}
+	for _, raw := range []string{`{"token":"aA"}`, `{"Token":"x"}`, `{}`, `null`, `"x"`, `{"token":1}`, `{"token":"x"} `} {
+		got, err := markToken(json.RawMessage(raw))
+		var want markReply
+		wantErr := json.Unmarshal([]byte(raw), &want)
+		if got != want.Token || (err == nil) != (wantErr == nil) {
+			t.Errorf("markToken(%s) = %q (%v), json.Unmarshal: %q (%v)", raw, got, err, want.Token, wantErr)
 		}
 	}
 }

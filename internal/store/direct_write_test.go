@@ -73,7 +73,7 @@ func (d *driven) unit(op LoggedOp) error {
 	return d.db.Unit(context.Background(), func(u *Tx) error {
 		switch op.Op {
 		case OpInsert:
-			return u.Insert(op.Table, op.Row)
+			return u.Insert(op.Table, op.Row.Clone()) // the unit keeps what it is given
 		case OpUpdate:
 			return u.Update(op.Table, op.Row.Clone(), op.Key...)
 		}

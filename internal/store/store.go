@@ -600,9 +600,10 @@ func (t *Table) indexRemove(k rowKey, r Row) {
 }
 
 // Insert adds a new row. Like Update and Delete it is a commit unit of
-// that one op: Tx says what a unit checks, fires and logs.
+// that one op: Tx says what a unit checks, fires and logs. The caller
+// keeps r: the unit stores a copy.
 func (t *Table) Insert(r Row) error {
-	return t.db.Unit(context.TODO(), func(u *Tx) error { return u.Insert(t.schema.Name, r) })
+	return t.db.Unit(context.TODO(), func(u *Tx) error { return u.Insert(t.schema.Name, r.Clone()) })
 }
 
 // Get fetches the row whose primary-key columns equal keyVals (in
@@ -697,10 +698,30 @@ func (t *Table) SelectEq(col string, v any) []Row {
 	return t.Select(func(r Row) bool { return r[col] == v })
 }
 
+// ViewEq calls fn with every stored row with row[col] == v, in no
+// particular order, while holding the table's read lock: SelectEq with
+// View's rule and no copies. fn must not modify a row, keep it past the
+// call, or write to the table.
+func (t *Table) ViewEq(col string, v any, fn func(Row)) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if idx, ok := t.indexes[col]; ok {
+		for k := range idx[v] {
+			fn(t.rows[k])
+		}
+		return
+	}
+	for _, r := range t.rows {
+		if r[col] == v {
+			fn(r)
+		}
+	}
+}
+
 // applyOpLocked applies one already-validated op, whose encoded key is
 // k, directly to the table's maps; the caller holds t.mu (Tx.Commit
 // applies its whole buffer under the locks of every involved table). An
-// inserted row is stored as it stands: its caller cloned it.
+// inserted row is stored as it stands: Tx.Insert took ownership of it.
 // Returns the stored old and new row for After triggers.
 func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
 	cur := t.rows[k]

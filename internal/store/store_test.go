@@ -1,9 +1,11 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -489,6 +491,76 @@ func TestPointReadsDoNotAllocate(t *testing.T) {
 	}
 	if err := tab.Delete(days[0], 9); !errors.Is(err, ErrBadType) {
 		t.Fatalf("delete by an int key: %v, want ErrBadType", err)
+	}
+}
+
+// TestTxInsertKeepsTheRow: Tx.Insert takes the map it is given, so the
+// table stores that map itself and no copy is made on the way.
+func TestTxInsertKeepsTheRow(t *testing.T) {
+	tab := newCalTable(t)
+	r := slotRow("d", 9, "busy")
+	tx := tab.db.Begin()
+	if err := tx.Insert("calendar", r); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var stored Row
+	tab.View(func(s Row) { stored = s }, "d", int64(9))
+	if reflect.ValueOf(stored).Pointer() != reflect.ValueOf(r).Pointer() {
+		t.Fatal("the table stores a copy of the row Tx.Insert was given")
+	}
+}
+
+// TestTableInsertCopiesTheRow: the callers of Table.Insert may reuse
+// their rows, so changing one after the insert leaves the stored row as
+// it was.
+func TestTableInsertCopiesTheRow(t *testing.T) {
+	tab := newCalTable(t)
+	r := slotRow("d", 9, "busy")
+	if err := tab.Insert(r); err != nil {
+		t.Fatal(err)
+	}
+	r["status"], r["day"] = "changed", "e"
+	if got, ok := tab.Get("d", int64(9)); !ok || got["status"] != "busy" {
+		t.Fatalf("stored row after the caller changed its map: %v (found %v)", got, ok)
+	}
+	if tab.Has("e", int64(9)) || tab.Count() != 1 {
+		t.Fatal("the caller's change reached the table")
+	}
+}
+
+// TestViewEqReadsInPlace: ViewEq visits the rows SelectEq returns, with
+// an index and without one, and copies none of them.
+func TestViewEqReadsInPlace(t *testing.T) {
+	tab := newCalTable(t)
+	for h := int64(0); h < 6; h++ {
+		if err := tab.Insert(slotRow("d", h, []string{"busy", "free"}[h%2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := fmt.Sprint("bu", "sy") // built at run time, as a caller's value is
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			if err := tab.CreateIndex("status"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var hours []int64
+		tab.ViewEq("status", busy, func(r Row) { hours = append(hours, r["hour"].(int64)) })
+		sort.Slice(hours, func(i, j int) bool { return hours[i] < hours[j] })
+		var want []int64
+		for _, r := range tab.SelectEq("status", busy) {
+			want = append(want, r["hour"].(int64))
+		}
+		if fmt.Sprint(hours) != fmt.Sprint(want) || len(want) != 3 {
+			t.Fatalf("indexed=%v: ViewEq visits hours %v, SelectEq returns %v", indexed, hours, want)
+		}
+		n := 0
+		if allocs := testing.AllocsPerRun(100, func() { tab.ViewEq("status", busy, func(Row) { n++ }) }); allocs != 0 {
+			t.Fatalf("indexed=%v: ViewEq costs %.0f allocs, want 0", indexed, allocs)
+		}
 	}
 }
 

@@ -232,7 +232,11 @@ func (tx *Tx) record(t *Table, k rowKey, op LoggedOp) {
 	tx.at = append(tx.at, txAt{t: t, k: k})
 }
 
-// Insert buffers an insert of r into the named table.
+// Insert buffers an insert of r into the named table. r belongs to the
+// tx from here on, as Update's changes do: it is the row Commit stores
+// and logs, so the caller hands over a map it built for the insert and
+// neither modifies nor reuses it. Table.Insert, whose callers may reuse
+// their rows, hands over a copy.
 func (tx *Tx) Insert(table string, r Row) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -246,9 +250,7 @@ func (tx *Tx) Insert(table string, r Row) error {
 	if err := t.checkTypes(r, true); err != nil {
 		return err
 	}
-	// The clone is the row the table will store and the log will read.
-	row := r.Clone()
-	k, err := t.keyOf(row)
+	k, err := t.keyOf(r)
 	if err != nil {
 		return err
 	}
@@ -256,11 +258,11 @@ func (tx *Tx) Insert(table string, r Row) error {
 		return fmt.Errorf("%w: %s[%s]", ErrDupKey, t.schema.Name, k)
 	}
 	if t.hasTrigger(Before, OpInsert) {
-		if err := t.fire(Before, OpInsert, nil, row.Clone()); err != nil {
+		if err := t.fire(Before, OpInsert, nil, r.Clone()); err != nil {
 			return err
 		}
 	}
-	tx.record(t, k, LoggedOp{Table: table, Op: OpInsert, Row: row})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpInsert, Row: r})
 	return nil
 }
 

@@ -16,6 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+
+	"repro/internal/jsonrec"
 )
 
 // MaxFrameSize bounds a single frame to keep a malicious or corrupted
@@ -170,13 +173,56 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	return decodeBody(body, nil)
 }
 
-// Marshal encodes v into a json.RawMessage for a Response result.
+// The results of a bool: shared, and full to capacity, so that an append
+// to one copies it. Nothing writes into a Response.Result.
+var (
+	resultTrue  = json.RawMessage("true")[:4:4]
+	resultFalse = json.RawMessage("false")[:5:5]
+)
+
+// Marshal encodes v into a json.RawMessage for a Response result: the
+// bytes json.Marshal writes for v. A bool (Commit's and DeleteLink's ack)
+// and a map[string]string (Mark's token) are written without reflection.
 func Marshal(v any) (json.RawMessage, error) {
+	switch x := v.(type) {
+	case bool:
+		if x {
+			return resultTrue, nil
+		}
+		return resultFalse, nil
+	case map[string]string:
+		return marshalStringMap(x), nil
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal result: %w", err)
 	}
 	return b, nil
+}
+
+// marshalStringMap writes m as json.Marshal does: null when m is nil,
+// the keys in order. The buffer is sized for a map with nothing to
+// escape, so a result takes one allocation.
+func marshalStringMap(m map[string]string) []byte {
+	if m == nil {
+		return []byte("null")
+	}
+	n := 2
+	var keyBuf [8]string
+	keys := keyBuf[:0]
+	for k, v := range m {
+		keys = append(keys, k)
+		n += len(k) + len(v) + 6
+	}
+	slices.Sort(keys)
+	b := append(make([]byte, 0, n), '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonrec.AppendString(append(jsonrec.AppendString(b, k), ':'), m[k])
+	}
+	return append(b, '}')
 }
 
 // Unmarshal decodes a Response result into v. Decoding into a

@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -260,6 +262,44 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		}
 		if _, err := ReadFrame(&buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestMarshalWritesJSONMarshalBytes: the non-reflective results are the
+// bytes json.Marshal writes, escapes and key order included.
+func TestMarshalWritesJSONMarshalBytes(t *testing.T) {
+	for _, v := range []any{
+		true, false,
+		map[string]string{"token": "T-0001f00dcafe0001"},
+		map[string]string{"z": "1", "a": "<&>", "m": "q \"x\" \\ \n\t\x01", "é": "\xff "},
+		map[string]string{}, map[string]string(nil),
+		map[string]any{"n": 1}, []string{"x"}, // through json.Marshal
+	} {
+		got, err := Marshal(v)
+		want, wantErr := json.Marshal(v)
+		if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+			t.Errorf("Marshal(%#v) = %s (%v), json.Marshal = %s (%v)", v, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestMarshalBoolAllocs: Commit's and DeleteLink's ack costs no
+// allocation, and the shared result is full to capacity, so that an
+// append to a Response.Result copies it rather than write into it.
+func TestMarshalBoolAllocs(t *testing.T) {
+	var raw json.RawMessage
+	if allocs := testing.AllocsPerRun(100, func() { raw, _ = Marshal(true) }); allocs != 0 {
+		t.Fatalf("Marshal(true) costs %.0f allocs, want 0", allocs)
+	}
+	for _, v := range []bool{true, false} {
+		raw, _ = Marshal(v)
+		if cap(raw) != len(raw) {
+			t.Fatalf("Marshal(%v) has room to append into: len %d cap %d", v, len(raw), cap(raw))
+		}
+		_ = append(raw, '!')
+		if again, _ := Marshal(v); string(again) != fmt.Sprint(v) {
+			t.Fatalf("an append to Marshal(%v) changed the next result: %s", v, again)
 		}
 	}
 }
