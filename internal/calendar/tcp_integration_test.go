@@ -126,7 +126,10 @@ func newTCPWorld(t *testing.T, mw []listener.Middleware, users ...string) (map[s
 // sydnode and sydload build it, all counting into one WireStats. Once
 // every pooled connection has carried a call, a 3-party schedule +
 // cancel is one Mark, one Commit and one DeleteLink per participant —
-// 12 frames — in v3: 1958 B, where JSON frames cost 3270 B.
+// 12 frames — in v3: 1378 B, the names in them being references into
+// each connection's name table. Spelling every name out, with the request
+// id and hop count each request once carried, it was 1958 B, and JSON
+// frames cost 3270 B.
 func TestTCPDefaultWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -152,16 +155,18 @@ func TestTCPDefaultWireCost(t *testing.T) {
 		}
 	}
 	// A meeting is three calls to each participant, round-robin over a
-	// pool of at most four connections: two meetings put a first
-	// exchange — the dial, and the route lookup — behind every one.
-	meet(9)
-	meet(10)
+	// pool of at most four connections: four meetings put each call
+	// behind every connection once — the dial, the route lookup, and the
+	// names the call sends, which cross a connection once.
+	for hour := 9; hour < 13; hour++ {
+		meet(hour)
+	}
 	before := stats.Snapshot()
-	meet(11)
+	meet(13)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 12 || bytes > 2000 {
-		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= 2000 B", frames, bytes)
+	if frames != 12 || bytes > 1420 {
+		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= 1420 B", frames, bytes)
 	}
 	t.Logf("schedule + cancel: %d frames, %d B", frames, bytes)
 }
@@ -170,11 +175,12 @@ func TestTCPDefaultWireCost(t *testing.T) {
 // on the same deployment: a must that cannot give its slot is sent its
 // refused Mark and one record push, on which it queues its own link, so a
 // 3-party schedule with one busy must is 2 Marks, 1 Commit and 1
-// MeetingUpdate — 8 frames, about 1530 B — where asking the busy device
-// for its links and sending it one to add made it 12 frames and 2500 B.
-// When the busy must's slot frees, its vote, the Commit and the record
-// pushed to the third party are 6 frames; the Mark the initiator used to
-// send the device that had just told it made them 8.
+// MeetingUpdate — 8 frames, 1145 B on connections whose name tables are
+// warm — where asking the busy device for its links and sending it one to
+// add made it 12 frames and 2500 B. When the busy must's slot frees, its
+// vote, the Commit and the record pushed to the third party are 6 frames
+// and 918 B; the Mark the initiator used to send the device that had
+// just told it made them 8.
 func TestTCPTentativeWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -209,8 +215,8 @@ func TestTCPTentativeWireCost(t *testing.T) {
 			t.Fatalf("status after andy's release = %s", got.Status)
 		}
 	}
-	// As in TestTCPDefaultWireCost: two meetings warm every pooled connection.
-	for _, hour := range []int{9, 10} {
+	// As in TestTCPDefaultWireCost: four meetings warm every pooled connection.
+	for hour := 9; hour < 13; hour++ {
 		m := schedule(hour)
 		confirm(m)
 		if err := cals["phil"].CancelMeeting(ctx, m.ID); err != nil {
@@ -218,11 +224,11 @@ func TestTCPTentativeWireCost(t *testing.T) {
 		}
 	}
 	before := stats.Snapshot()
-	m := schedule(11)
+	m := schedule(13)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 8 || bytes > 1680 {
-		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= 1680 B", frames, bytes)
+	if frames != 8 || bytes > 1180 {
+		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= 1180 B", frames, bytes)
 	}
 	t.Logf("tentative schedule: %d frames, %d B", frames, bytes)
 
@@ -230,8 +236,8 @@ func TestTCPTentativeWireCost(t *testing.T) {
 	confirm(m)
 	after = stats.Snapshot()
 	frames, bytes = after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 6 || bytes > 1320 {
-		t.Fatalf("confirm on warm default transports: %d frames, %d B; want 6 frames, <= 1320 B", frames, bytes)
+	if frames != 6 || bytes > 960 {
+		t.Fatalf("confirm on warm default transports: %d frames, %d B; want 6 frames, <= 960 B", frames, bytes)
 	}
 	t.Logf("confirm: %d frames, %d B", frames, bytes)
 }

@@ -18,10 +18,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/auth"
@@ -39,10 +37,8 @@ type Engine struct {
 	net      transport.Network
 	dir      *directory.Client
 	self     string
-	idPrefix string // self + "-", precomputed for request-id minting
 	dirCache *DirCache
 	tracer   *trace.Tracer
-	reqSeq   atomic.Uint64
 
 	mu         sync.RWMutex
 	credential string // sealed, sent with every request
@@ -77,7 +73,7 @@ func WithTracer(t *trace.Tracer) Option {
 
 // New creates an engine for the user self.
 func New(net transport.Network, dir *directory.Client, self string, opts ...Option) *Engine {
-	e := &Engine{net: net, dir: dir, self: self, idPrefix: self + "-"}
+	e := &Engine{net: net, dir: dir, self: self}
 	for _, o := range opts {
 		o(e)
 	}
@@ -133,7 +129,7 @@ func (e *Engine) transportInvoker() Invoker {
 			return fmt.Errorf("engine: no destination for %s.%s (resolver stage missing)", call.Service, call.Method)
 		}
 		// Identity rides in the dedicated fields; everything else
-		// (request id, hops, deadline hint) is already in call.Meta —
+		// (trace context, deadline hint) is already in call.Meta —
 		// the credential stage keeps identity out of the map, so it can
 		// go on the wire as-is with no filter copy. The deadline hint is
 		// refreshed in place on every attempt (retries shrink it).
@@ -202,28 +198,11 @@ func (e *Engine) getCredential() string {
 	return e.credential
 }
 
-// newCall builds the chain input for one logical invocation. The
-// request id is inherited from ctx metadata (a handler invoking
-// onward keeps the inbound correlation id) or freshly minted, and the
-// hop count advances by one.
-func (e *Engine) newCall(ctx context.Context, addr, service, method string, args wire.Args) *Call {
-	md := make(wire.Metadata, 6)
-	if parent := wire.FromContext(ctx); parent != nil {
-		if id := parent.Get(wire.MetaRequestID); id != "" {
-			md[wire.MetaRequestID] = id
-		}
-		if h := parent.Hops(); h > 0 {
-			md.SetHops(h)
-		}
-	}
-	if md.Get(wire.MetaRequestID) == "" {
-		// Append-based minting: one allocation for the id string
-		// instead of fmt.Sprintf's boxing and formatting machinery.
-		var seq [20]byte
-		md[wire.MetaRequestID] = e.idPrefix + string(strconv.AppendUint(seq[:0], e.reqSeq.Add(1), 10))
-	}
-	md.SetHops(md.Hops() + 1)
-	return &Call{Service: service, Method: method, Args: args, Meta: md, Addr: addr}
+// newCall builds the chain input for one logical invocation. Its
+// metadata starts empty: the stages below fill in what the request
+// carries (trace context, the deadline hint).
+func newCall(addr, service, method string, args wire.Args) *Call {
+	return &Call{Service: service, Method: method, Args: args, Meta: make(wire.Metadata, 1), Addr: addr}
 }
 
 // Invoke calls method on the named service, decoding the result into
@@ -231,20 +210,20 @@ func (e *Engine) newCall(ctx context.Context, addr, service, method string, args
 // and any installed caching/metrics all happen in the interceptor
 // chain.
 func (e *Engine) Invoke(ctx context.Context, service, method string, args wire.Args, out any) error {
-	return e.invoker()(ctx, e.newCall(ctx, "", service, method, args), out)
+	return e.invoker()(ctx, newCall("", service, method, args), out)
 }
 
 // InvokeAddr calls method on service at an explicit address, skipping
 // directory resolution (the rest of the chain still applies).
 func (e *Engine) InvokeAddr(ctx context.Context, addr, service, method string, args wire.Args, out any) error {
-	return e.invoker()(ctx, e.newCall(ctx, addr, service, method, args), out)
+	return e.invoker()(ctx, newCall(addr, service, method, args), out)
 }
 
 // invokeRouted is Invoke with the directory route already resolved
 // (group fan-out pre-resolves members in one batched pass); the
 // resolver stage skips its per-call lookup.
 func (e *Engine) invokeRouted(ctx context.Context, route directory.ServiceInfo, service, method string, args wire.Args, out any) error {
-	call := e.newCall(ctx, "", service, method, args)
+	call := newCall("", service, method, args)
 	call.Route = &route
 	return e.invoker()(ctx, call, out)
 }

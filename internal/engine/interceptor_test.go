@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/listener"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -91,9 +92,28 @@ func TestMetricsInterceptorRecordsClientSeries(t *testing.T) {
 	}
 }
 
+// tenantInterceptor sets a metadata key of the caller's own.
+func tenantInterceptor(next Invoker) Invoker {
+	return func(ctx context.Context, call *Call, out any) error {
+		call.Meta["tenant"] = "acme"
+		return next(ctx, call, out)
+	}
+}
+
+// metaKeys returns md's keys, sorted.
+func metaKeys(md wire.Metadata) []string {
+	keys := make([]string, 0, len(md))
+	for k := range md {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 func TestRequestMetadataReachesHandler(t *testing.T) {
-	// The engine stamps request-id/caller/hops; the listener surfaces
-	// them to the handler via Call.Meta.
+	// The caller rides in its own field; Meta carries the deadline hint,
+	// the trace keys when the engine traces, and a key an interceptor
+	// sets — and nothing else.
 	w := newWorld(t)
 	var got wire.Metadata
 	var gotCaller string
@@ -109,7 +129,8 @@ func TestRequestMetadataReachesHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	if err := w.dir.RegisterUser(ctx, "phil", ln.Addr(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -117,25 +138,39 @@ func TestRequestMetadataReachesHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(w.net, w.dir, "andy")
-	if err := e.Invoke(ctx, "meta.phil", "Inspect", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if gotCaller != "andy" {
-		t.Fatalf("caller = %q", gotCaller)
-	}
-	if !strings.HasPrefix(got.Get(wire.MetaRequestID), "andy-") {
-		t.Fatalf("request id = %q", got.Get(wire.MetaRequestID))
-	}
-	if got.Hops() != 1 {
-		t.Fatalf("hops = %d, want 1", got.Hops())
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want []string
+	}{
+		{"plain", nil, []string{wire.MetaDeadline}},
+		{"caller's key", []Option{WithInterceptors(tenantInterceptor)}, []string{wire.MetaDeadline, "tenant"}},
+		{"traced", []Option{WithTracer(trace.New("andy", trace.WithSampleRate(1)))},
+			[]string{wire.MetaDeadline, trace.MetaSpanID, trace.MetaTraceID, trace.MetaSampled}},
+	} {
+		e := New(w.net, w.dir, "andy", tc.opts...)
+		if err := e.Invoke(ctx, "meta.phil", "Inspect", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if gotCaller != "andy" {
+			t.Fatalf("%s: caller = %q", tc.name, gotCaller)
+		}
+		if keys := metaKeys(got); !slices.Equal(keys, tc.want) {
+			t.Fatalf("%s: metadata keys %q, want %q", tc.name, keys, tc.want)
+		}
+		if d := got.Deadline(); d <= 0 || d > time.Minute {
+			t.Fatalf("%s: deadline hint = %v, want (0, 1m]", tc.name, d)
+		}
+		if v, ok := got["tenant"]; ok && v != "acme" {
+			t.Fatalf("%s: tenant = %q, want acme", tc.name, v)
+		}
 	}
 }
 
 func TestOnwardInvokeInheritsRequestContext(t *testing.T) {
-	// A handler that invokes onward carries the originating request id
-	// and an incremented hop count — but NOT the upstream caller
-	// identity (each engine re-stamps its own).
+	// A handler that invokes onward passes on its deadline, and nothing
+	// of the inbound request's metadata or identity: the onward request
+	// carries the relay's own caller and no key the first caller set.
 	w := newWorld(t)
 	w.addNode("phil")
 
@@ -182,18 +217,20 @@ func TestOnwardInvokeInheritsRequestContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(w.net, w.dir, "andy")
+	e := New(w.net, w.dir, "andy", WithInterceptors(tenantInterceptor))
+	ctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
 	if err := e.Invoke(ctx, "relay.svc", "Forward", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if hopCaller != "relay" {
 		t.Fatalf("onward caller = %q, want relay (no impersonation)", hopCaller)
 	}
-	if !strings.HasPrefix(hopMeta.Get(wire.MetaRequestID), "andy-") {
-		t.Fatalf("request id not inherited: %q", hopMeta.Get(wire.MetaRequestID))
+	if keys := metaKeys(hopMeta); !slices.Equal(keys, []string{wire.MetaDeadline}) {
+		t.Fatalf("onward metadata keys %q, want only the deadline hint", keys)
 	}
-	if hopMeta.Hops() != 2 {
-		t.Fatalf("hops = %d, want 2", hopMeta.Hops())
+	if d := hopMeta.Deadline(); d <= 0 || d > time.Minute {
+		t.Fatalf("onward deadline hint = %v, want the first caller's budget or less", d)
 	}
 }
 

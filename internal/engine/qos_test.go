@@ -48,7 +48,7 @@ func (w *testWorld) addFlakyNode(user string, failFirst int) *atomic.Int64 {
 // its redrive sends.
 func invokeQoS(ctx context.Context, e *Engine, qos QoS, clk clock.Clock, service, method string, out any) error {
 	inv := RetryInterceptor(qos, clk)(e.invoker())
-	return inv(ctx, e.newCall(ctx, "", service, method, nil), out)
+	return inv(ctx, newCall("", service, method, nil), out)
 }
 
 func TestInvokeQoSRetriesTransientFailures(t *testing.T) {

@@ -161,9 +161,7 @@ func (l *Listener) rebuild() {
 }
 
 // terminal is the chain's innermost stage: method lookup and
-// invocation, with the request metadata attached to ctx so handlers
-// that invoke other services propagate the correlation id and hop
-// count automatically.
+// invocation.
 func (l *Listener) terminal(ctx context.Context, call *Call) (any, error) {
 	m, ok := call.obj.methods[call.Method]
 	if !ok {
@@ -171,9 +169,6 @@ func (l *Listener) terminal(ctx context.Context, call *Call) (any, error) {
 			Code: wire.CodeNoMethod, Service: call.Service, Method: call.Method,
 			Msg: fmt.Sprintf("service %q has no method %q", call.Service, call.Method),
 		}
-	}
-	if call.Meta != nil {
-		ctx = wire.WithContext(ctx, call.Meta)
 	}
 	return m(ctx, call)
 }

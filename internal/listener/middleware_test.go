@@ -144,7 +144,7 @@ func TestDeadlineHintReArmsContext(t *testing.T) {
 // TestResponseCarriesNoMetadata: a method cannot set response metadata,
 // so no response carries any, on the success path or an error path,
 // whatever metadata the request brought. A caller correlates a reply on
-// its frame ID and already holds the request id it minted.
+// its frame ID.
 func TestResponseCarriesNoMetadata(t *testing.T) {
 	l := New("phil", nil)
 	l.Register("cal.phil", echoObject())
@@ -152,8 +152,7 @@ func TestResponseCarriesNoMetadata(t *testing.T) {
 		{"cal.phil", "Echo"}, {"cal.phil", "Fail"}, {"cal.phil", "Conflict"},
 		{"cal.phil", "Nope"}, {"nope", "Echo"},
 	} {
-		md := wire.Metadata{wire.MetaRequestID: "andy-42"}
-		md.SetHops(1)
+		md := wire.Metadata{"tenant": "acme"}
 		md.SetDeadline(time.Second)
 		resp := l.HandleRequest(context.Background(), &transport.Request{Service: target[0], Method: target[1], Meta: md})
 		if resp.OK != (target[1] == "Echo" && target[0] == "cal.phil") || resp.Meta != nil {

@@ -1,6 +1,6 @@
 // Package trace is the SyD stack's distributed tracing subsystem: a
 // zero-dependency span model whose context rides the existing
-// wire.Metadata alongside the request id, so one logical operation —
+// wire.Metadata alongside the deadline hint, so one logical operation —
 // a group invocation fanning out to eight devices, a two-phase
 // negotiation spanning coordinator, directory, and participants — is
 // visible as a single causal tree across nodes.
@@ -38,7 +38,7 @@ import (
 )
 
 // Metadata keys carrying span context on the wire, next to
-// wire.MetaRequestID.
+// wire.MetaDeadline.
 const (
 	// MetaTraceID identifies the whole causal tree.
 	MetaTraceID = "trace-id"

@@ -14,7 +14,7 @@ import (
 )
 
 // v3Version is the first body byte of every frame a transport sends.
-const v3Version = 0xB3
+const v3Version = 0xB4
 
 // readRawFrame reads one length-prefixed frame off r as it came off the
 // socket and decodes it, so a test sees both the bytes and the envelope.
@@ -61,7 +61,7 @@ func TestTCPSpeaksV3FromFirstFrame(t *testing.T) {
 		client := NewTCP()
 		defer client.Close()
 
-		meta := wire.Metadata{wire.MetaRequestID: "first-1"}
+		meta := wire.Metadata{"tenant": "first-1"}
 		done := make(chan error, 1)
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

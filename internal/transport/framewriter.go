@@ -1,10 +1,13 @@
 package transport
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // frameWriter puts the encoded frames of concurrent writers on one
@@ -16,20 +19,33 @@ type frameWriter struct {
 	w     io.Writer
 	stats *metrics.WireStats
 
-	mu  sync.Mutex
-	err error // first write error
+	mu    sync.Mutex
+	err   error          // first write error
+	names wire.NameTable // this direction's sending half; encoded under mu
 }
 
-// write returns once frame is written (or refused), so the caller may
-// release a pooled buffer straight away.
-func (fw *frameWriter) write(frame []byte) error {
+// errEncode marks a frame that could not be encoded: that frame's
+// failure, not the connection's.
+var errEncode = errors.New("transport: encode")
+
+// writeEnvelope encodes env through the connection's name table and
+// writes it as one Write, both under the lock, so the table's entries
+// are made in the order the peer reads them. It returns once the frame
+// is written or refused. A frame that fails to encode is an errEncode
+// and leaves the table and the connection as they were.
+func (fw *frameWriter) writeEnvelope(env *wire.Envelope) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.err != nil {
 		return fw.err
 	}
-	fw.stats.RecordSend(1, len(frame))
-	_, fw.err = fw.w.Write(frame)
+	f, err := fw.names.EncodeFrame(env)
+	if err != nil {
+		return fmt.Errorf("%w: %w", errEncode, err)
+	}
+	fw.stats.RecordSend(1, f.Len())
+	_, fw.err = fw.w.Write(f.Bytes())
 	fw.stats.RecordFlush()
+	f.Release()
 	return fw.err
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // countingWriter is a socket that counts what reaches it, or refuses.
@@ -25,16 +26,19 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// tick is a small event frame.
+var tick = &wire.Envelope{Kind: wire.KindEvent, Event: &wire.Event{Name: "tick"}}
+
 func TestFrameWriterSequentialWritesOneSyscallEach(t *testing.T) {
 	stats := &metrics.WireStats{}
 	w := &countingWriter{}
 	fw := &frameWriter{w: w, stats: stats}
 	for i := 0; i < 5; i++ {
-		if err := fw.write([]byte("x")); err != nil {
+		if err := fw.writeEnvelope(tick); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := stats.Snapshot(); s.Flushes != 5 || s.FramesSent != 5 || w.writes != 5 || w.bytes != 5 {
+	if s := stats.Snapshot(); s.Flushes != 5 || s.FramesSent != 5 || w.writes != 5 || int64(w.bytes) != s.BytesSent {
 		t.Fatalf("sequential path: %+v, writer saw %d writes / %d bytes", s, w.writes, w.bytes)
 	}
 }
@@ -43,11 +47,11 @@ func TestFrameWriterWriteErrorIsTerminal(t *testing.T) {
 	boom := errors.New("boom")
 	w := &countingWriter{fail: boom}
 	fw := &frameWriter{w: w, stats: &metrics.WireStats{}}
-	if err := fw.write([]byte("a")); !errors.Is(err, boom) {
+	if err := fw.writeEnvelope(tick); !errors.Is(err, boom) {
 		t.Fatalf("first write err = %v, want boom", err)
 	}
 	// Later writers fail fast without touching the writer.
-	if err := fw.write([]byte("b")); !errors.Is(err, boom) {
+	if err := fw.writeEnvelope(tick); !errors.Is(err, boom) {
 		t.Fatalf("second write err = %v, want boom", err)
 	}
 	if w.writes != 1 {
@@ -80,7 +84,7 @@ func TestFailUnblocksWriterStuckInWrite(t *testing.T) {
 	const writers = 4
 	errs := make(chan error, writers)
 	for i := 0; i < writers; i++ {
-		go func() { errs <- c.w.write([]byte("frame")) }()
+		go func() { errs <- c.w.writeEnvelope(tick) }()
 	}
 	<-conn.entered // one writer is inside Write; the rest wait for it
 	c.fail()
@@ -94,7 +98,7 @@ func TestFailUnblocksWriterStuckInWrite(t *testing.T) {
 			t.Fatal("fail() left a writer blocked")
 		}
 	}
-	if err := c.w.write([]byte("late")); err == nil {
+	if err := c.w.writeEnvelope(tick); err == nil {
 		t.Error("a write after fail() reported success")
 	}
 	if n := len(conn.entered); n != 0 {

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -137,7 +138,8 @@ func TestTCPCancelledCallDoesNotLoseLateResponse(t *testing.T) {
 
 // TestTCPStress mixes concurrent Calls, Sends, a server restart, and
 // Close under the race detector, asserting that every acked response
-// was real and that no goroutines leak.
+// was real and that no goroutines leak. Every call brings new names, so
+// far more than a name table holds cross each connection.
 func TestTCPStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -189,13 +191,20 @@ func TestTCPStress(t *testing.T) {
 					cancel()
 					continue
 				}
-				resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "ping", Args: wire.Args{"n": n}})
+				// Keys of its own, so that each connection's name
+				// tables fill and then carry on with literals.
+				args := wire.Args{"n": n}
+				for k := 0; k < 4; k++ {
+					args[fmt.Sprintf("w%d-%d-%d", w, i, k)] = n + k
+				}
+				resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "ping", Args: args})
 				cancel()
 				if err != nil {
 					continue // restarts make some failures legitimate
 				}
 				var out map[string]int
-				if wire.Unmarshal(resp.Result, &out) != nil || out["n"] != n {
+				if wire.Unmarshal(resp.Result, &out) != nil || len(out) != len(args) || out["n"] != n ||
+					out[fmt.Sprintf("w%d-%d-3", w, i)] != n+3 {
 					wrong.Add(1)
 				} else {
 					acked.Add(1)

@@ -35,7 +35,8 @@ func DefaultPoolSize() int {
 // concurrent Calls are multiplexed across them using wire request IDs
 // with round-robin pick; each frame is one socket write (see
 // frameWriter). Every frame, in both directions and from a connection's
-// first byte, is a v3 frame (wire.EncodeFrameV3).
+// first byte, is a v3 frame, and each direction of a connection has its
+// own name table (wire.NameTable), so a repeated name crosses it once.
 //
 // Use NewTCP; TCP is safe for concurrent use.
 type TCP struct {
@@ -176,7 +177,13 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 					resp = ErrorResponse(req, wire.CodeInternal, "handler returned no response")
 				}
 				resp.ID = req.ID
-				_ = writeEnvelope(fw, &wire.Envelope{Kind: wire.KindResponse, Response: resp})
+				err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
+				if errors.Is(err, errEncode) {
+					// Answer in its place rather than leave the caller
+					// waiting out its deadline.
+					resp = ErrorResponse(req, wire.CodeInternal, "%v", err)
+					_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
+				}
 			}()
 		case wire.KindEvent:
 			if env.Event != nil {
@@ -185,18 +192,6 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 			}
 		}
 	}
-}
-
-// writeEnvelope encodes env as a v3 frame and hands it to the
-// connection's writer as one contiguous write.
-func writeEnvelope(fw *frameWriter, env *wire.Envelope) error {
-	f, err := wire.EncodeFrameV3(env)
-	if err != nil {
-		return err
-	}
-	err = fw.write(f.Bytes())
-	f.Release()
-	return err
 }
 
 // --- client side ----------------------------------------------------------
@@ -381,10 +376,15 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 
 	r := *req
 	r.ID = id
-	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindRequest, Request: &r}); err != nil {
+	if err := c.w.writeEnvelope(&wire.Envelope{Kind: wire.KindRequest, Request: &r}); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
+		if errors.Is(err, errEncode) {
+			// The request's fault: the connection and the calls in
+			// flight on it carry on.
+			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Service: req.Service, Method: req.Method, Msg: err.Error()}
+		}
 		c.fail()
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
@@ -425,7 +425,10 @@ func (c *tcpClientConn) send(ev *Event) error {
 		return ErrUnreachable
 	}
 	c.mu.Unlock()
-	if err := writeEnvelope(c.w, &wire.Envelope{Kind: wire.KindEvent, Event: ev}); err != nil {
+	if err := c.w.writeEnvelope(&wire.Envelope{Kind: wire.KindEvent, Event: ev}); err != nil {
+		if errors.Is(err, errEncode) {
+			return err
+		}
 		c.fail()
 		return fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}

@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,29 +230,103 @@ func (metaHandler) HandleRequest(ctx context.Context, req *Request) *Response {
 
 func (metaHandler) HandleEvent(ev *Event) {}
 
+// TestTCPMetadataRoundTrip: a request's metadata — the deadline hint and
+// a key its caller set — and its caller reach the handler exactly, on a
+// connection's first call, whose names go out as literals, and on the
+// next, whose names are references into the connection's name table.
 func TestTCPMetadataRoundTrip(t *testing.T) {
-	net, addr := newTCPPair(t, metaHandler{})
+	_, addr := newTCPPair(t, metaHandler{})
+	net := NewTCP(WithPoolSize(1))
+	defer net.Close()
+	for i := 0; i < 2; i++ {
+		md := wire.Metadata{"tenant": "acme"}
+		md.SetDeadline(750 * time.Millisecond)
+		resp, err := net.Call(context.Background(), addr, &Request{
+			Service: "echo", Method: "meta", Caller: "andy", Meta: md,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen wire.Metadata
+		if err := wire.Unmarshal(resp.Result, &seen); err != nil {
+			t.Fatal(err)
+		}
+		want := wire.Metadata{"tenant": "acme", wire.MetaDeadline: "750", wire.MetaCaller: "andy"}
+		if !maps.Equal(seen, want) {
+			t.Fatalf("call %d: server-side metadata = %v, want %v", i, seen, want)
+		}
+	}
+}
 
-	md := wire.Metadata{wire.MetaRequestID: "andy-9"}
-	md.SetHops(2)
-	md.SetDeadline(750 * time.Millisecond)
-	resp, err := net.Call(context.Background(), addr, &Request{
-		Service: "echo", Method: "meta", Caller: "andy", Meta: md,
+// TestTCPEncodeFailureBelongsToTheFrame: a request that cannot be
+// encoded fails alone, as bad-args, and not as an unreachable peer: the
+// connection it was to go out on stays up, the call in flight on it gets
+// its own answer, and the next request, which repeats the names the
+// failed one had entered before its bad value, decodes, because the
+// table dropped them again. A response that cannot be encoded is
+// answered with an internal error in its place.
+func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	var slowRuns atomic.Int64
+	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
+		switch req.Method {
+		case "slow":
+			slowRuns.Add(1)
+			started <- struct{}{}
+			<-release
+		case "huge":
+			return &Response{ID: req.ID, OK: true, Result: make([]byte, wire.MaxFrameSize)}
+		}
+		res, _ := wire.Marshal(req.Args)
+		return &Response{ID: req.ID, OK: true, Result: res}
 	})
-	if err != nil {
-		t.Fatal(err)
+	_, addr := newTCPPair(t, h)
+	cli := NewTCP(WithPoolSize(1))
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pooled := func() *tcpClientConn {
+		p, _ := cli.pool(addr)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.slots[0]
 	}
-	var seen wire.Metadata
-	if err := wire.Unmarshal(resp.Result, &seen); err != nil {
-		t.Fatal(err)
+
+	slow := make(chan error, 1)
+	go func() {
+		resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "slow", Args: wire.Args{"who": "slow"}})
+		if err == nil && string(resp.Result) != `{"who":"slow"}` {
+			err = fmt.Errorf("answered %s", resp.Result)
+		}
+		slow <- err
+	}()
+	<-started
+	conn := pooled()
+
+	// Service, method and metadata go out before the args, so the
+	// request enters its new names before its bad value fails it.
+	req := &Request{Service: "echo", Method: "fresh", Meta: wire.Metadata{"fresh-key": "v"},
+		Args: wire.Args{"bad": make(chan int)}}
+	_, err := cli.Call(ctx, addr, req)
+	if wire.CodeOf(err) != wire.CodeBadArgs || errors.Is(err, ErrUnreachable) {
+		t.Fatalf("unencodable request: err = %v, want bad-args", err)
 	}
-	if seen.Get(wire.MetaRequestID) != "andy-9" || seen.Hops() != 2 {
-		t.Fatalf("server-side metadata = %v", seen)
+	req.Args = wire.Args{"bad": "no longer"}
+	if resp, err := cli.Call(ctx, addr, req); err != nil || string(resp.Result) != `{"bad":"no longer"}` {
+		t.Fatalf("the next request with the failed one's names: %+v, %v", resp, err)
 	}
-	if seen.Get(wire.MetaCaller) != "andy" {
-		t.Fatalf("FullMeta lost the caller: %v", seen)
+	if pooled() != conn {
+		t.Fatal("the connection was replaced")
 	}
-	if seen.Deadline() != 750*time.Millisecond {
-		t.Fatalf("deadline hint = %v", seen.Deadline())
+	close(release)
+	if err := <-slow; err != nil || slowRuns.Load() != 1 {
+		t.Fatalf("the call in flight: err = %v after %d runs, want its own answer after 1", err, slowRuns.Load())
+	}
+
+	hctx, hcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer hcancel()
+	resp, err := cli.Call(hctx, addr, &Request{Service: "echo", Method: "huge"})
+	if err != nil || resp.OK || resp.Code != wire.CodeInternal {
+		t.Fatalf("a response too large to encode: %+v, %v; want an internal error", resp, err)
 	}
 }

@@ -6,12 +6,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Wire format v3 (see DESIGN.md §10): the one frame format every
 // transport sends. The frame layout is a 4-byte big-endian length
-// prefix, then a body that starts with the format's version byte, 0xB3,
+// prefix, then a body that starts with the format's version byte, 0xB4,
 // followed by a length-delimited binary encoding of the envelope.
+//
+// A name — a request's service, method and caller, and every Args and
+// Metadata key at any depth — is one uvarint x: an odd x is entry x>>1
+// of the connection's name table, an even x a literal of x>>1 bytes.
+// Both ends of a connection enter every literal name of 1..internMaxLen
+// bytes while the table holds fewer than internMaxEntries, so the two
+// tables stay equal with no define flag, eviction or handshake. Without
+// a table (EncodeFrameV3, ReadFrame) every name is a literal.
 //
 // Values that the tagged Args encoding cannot represent natively fall
 // back to an embedded JSON blob, so v3 is semantically lossless with
@@ -20,7 +29,7 @@ import (
 // magicV3 is the first body byte of a v3 frame: the format's version
 // byte. A JSON body always starts with '{' (0x7B), so the two are
 // unambiguous.
-const magicV3 = 0xB3
+const magicV3 = 0xB4
 
 // Codec names a frame body encoding. No transport sends JSON: CodecJSON
 // is kept as the reference the fuzzers and the benchmark's wire probe
@@ -77,53 +86,107 @@ func EncodeFrameCodec(env *Envelope, c Codec) (*FrameBuffer, error) {
 }
 
 // EncodeFrameV3 encodes env as a v3 binary frame: 4-byte length prefix
-// then the 0xB3-tagged body, appended into one pooled buffer so a warm
-// pool encodes a frame with zero intermediate allocations and the
-// transport issues a single Write.
+// then the version-tagged body, appended into one pooled buffer so a
+// warm pool encodes a frame with zero intermediate allocations and the
+// transport issues a single Write. Every name is a literal, so any
+// FrameReader, or ReadFrame, reads the frame.
 func EncodeFrameV3(env *Envelope) (*FrameBuffer, error) {
+	return encodeV3(env, nil)
+}
+
+// NameTable is the sending half of one direction of a connection's name
+// table: a name it holds goes out as its index. The peer's FrameReader
+// holds the receiving half and enters the same names in the same order,
+// as long as the frames EncodeFrame returns reach it in the order they
+// were encoded. Not safe for concurrent use.
+type NameTable struct {
+	index map[string]uint64
+	names []string // in entry order, so a failed frame's entries come off the end
+}
+
+// EncodeFrame encodes env as EncodeFrameV3 does, except that a name in
+// t is sent as a reference and a new one is entered in t. If env cannot
+// be encoded, the entries it added are removed again, so the frame the
+// peer never sees leaves no trace in t.
+func (t *NameTable) EncodeFrame(env *Envelope) (*FrameBuffer, error) {
+	mark := len(t.names)
+	f, err := encodeV3(env, t)
+	if err != nil {
+		for _, s := range t.names[mark:] {
+			delete(t.index, s)
+		}
+		t.names = t.names[:mark]
+	}
+	return f, err
+}
+
+// enters is the rule both ends apply to a literal name of n bytes when
+// the table holds entries names.
+func enters(n, entries int) bool {
+	return n > 0 && n <= internMaxLen && entries < internMaxEntries
+}
+
+// appendName writes the name field for s: a reference if t holds s,
+// otherwise a literal, which t enters by the shared rule. A nil t writes
+// a literal.
+func (t *NameTable) appendName(b []byte, s string) []byte {
+	if t != nil {
+		if i, ok := t.index[s]; ok {
+			return binary.AppendUvarint(b, i<<1|1)
+		}
+		if enters(len(s), len(t.names)) {
+			if t.index == nil {
+				t.index = make(map[string]uint64)
+			}
+			c := strings.Clone(s) // s may pin a whole decoded frame
+			t.index[c] = uint64(len(t.names))
+			t.names = append(t.names, c)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(s))<<1)
+	return append(b, s...)
+}
+
+func encodeV3(env *Envelope, t *NameTable) (*FrameBuffer, error) {
 	f := framePool.Get().(*FrameBuffer)
 	b := append(f.buf[:0], 0, 0, 0, 0) // length backpatched below
 	var err error
 	switch {
 	case env.Kind == KindRequest && env.Request != nil:
 		b = append(b, magicV3, v3KindRequest)
-		b, err = appendV3Request(b, env.Request)
+		b, err = t.appendRequest(b, env.Request)
 	case env.Kind == KindResponse && env.Response != nil:
 		b = append(b, magicV3, v3KindResponse)
-		b, err = appendV3Response(b, env.Response)
+		b = t.appendResponse(b, env.Response)
 	case env.Kind == KindEvent && env.Event != nil:
 		b = append(b, magicV3, v3KindEvent)
-		b, err = appendV3Event(b, env.Event)
+		b, err = t.appendEvent(b, env.Event)
 	default:
 		err = fmt.Errorf("wire: v3 encode: empty or inconsistent envelope kind %q", env.Kind)
 	}
+	f.buf = b
+	if err == nil && len(b)-4 > MaxFrameSize {
+		err = ErrFrameTooLarge
+	}
 	if err != nil {
-		f.buf = b
 		f.Release()
 		return nil, err
 	}
-	n := len(b) - 4
-	if n > MaxFrameSize {
-		f.buf = b
-		f.Release()
-		return nil, ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	f.buf = b
+	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	return f, nil
 }
 
-func appendV3Request(b []byte, r *Request) ([]byte, error) {
+func (t *NameTable) appendRequest(b []byte, r *Request) ([]byte, error) {
 	b = binary.AppendUvarint(b, r.ID)
-	b = appendV3String(b, r.Service)
-	b = appendV3String(b, r.Method)
-	b = appendV3String(b, r.Caller)
+	b = t.appendName(b, r.Service)
+	b = t.appendName(b, r.Method)
+	b = t.appendName(b, r.Caller)
 	b = appendV3String(b, r.Credential)
-	b = appendV3Meta(b, r.Meta)
-	return appendV3Args(b, r.Args)
+	b = t.appendMeta(b, r.Meta)
+	return t.appendArgs(b, r.Args)
 }
 
-func appendV3Response(b []byte, r *Response) ([]byte, error) {
+func (t *NameTable) appendResponse(b []byte, r *Response) []byte {
 	b = binary.AppendUvarint(b, r.ID)
 	if r.OK {
 		b = append(b, 1)
@@ -133,14 +196,13 @@ func appendV3Response(b []byte, r *Response) ([]byte, error) {
 	b = appendV3String(b, r.Error)
 	b = appendV3String(b, string(r.Code))
 	b = appendV3Bytes(b, r.Result)
-	b = appendV3Meta(b, r.Meta)
-	return b, nil
+	return t.appendMeta(b, r.Meta)
 }
 
-func appendV3Event(b []byte, e *Event) ([]byte, error) {
+func (t *NameTable) appendEvent(b []byte, e *Event) ([]byte, error) {
 	b = appendV3String(b, e.Name)
 	b = appendV3String(b, e.Source)
-	return appendV3Args(b, e.Args)
+	return t.appendArgs(b, e.Args)
 }
 
 func appendV3String(b []byte, s string) []byte {
@@ -153,21 +215,21 @@ func appendV3Bytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-func appendV3Meta(b []byte, m Metadata) []byte {
+func (t *NameTable) appendMeta(b []byte, m Metadata) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m)))
 	for k, v := range m {
-		b = appendV3String(b, k)
+		b = t.appendName(b, k)
 		b = appendV3String(b, v)
 	}
 	return b
 }
 
-func appendV3Args(b []byte, a map[string]any) ([]byte, error) {
+func (t *NameTable) appendArgs(b []byte, a map[string]any) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(a)))
 	var err error
 	for k, v := range a {
-		b = appendV3String(b, k)
-		b, err = appendV3Value(b, v)
+		b = t.appendName(b, k)
+		b, err = t.appendValue(b, v)
 		if err != nil {
 			return b, err
 		}
@@ -175,12 +237,12 @@ func appendV3Args(b []byte, a map[string]any) ([]byte, error) {
 	return b, nil
 }
 
-// appendV3Value encodes one Args value with a type tag. The calendar
+// appendValue encodes one Args value with a type tag. The calendar
 // services overwhelmingly send small scalar maps (entity names,
 // actions, ints, nested string maps), so those get dedicated tags; any
 // other type round-trips through an embedded JSON blob with identical
 // decode semantics to the JSON codec.
-func appendV3Value(b []byte, v any) ([]byte, error) {
+func (t *NameTable) appendValue(b []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(b, v3ValNil), nil
@@ -213,7 +275,7 @@ func appendV3Value(b []byte, v any) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(x)))
 		var err error
 		for _, e := range x {
-			b, err = appendV3Value(b, e)
+			b, err = t.appendValue(b, e)
 			if err != nil {
 				return b, err
 			}
@@ -221,10 +283,10 @@ func appendV3Value(b []byte, v any) ([]byte, error) {
 		return b, nil
 	case map[string]any:
 		b = append(b, v3ValMap)
-		return appendV3Args(b, x)
+		return t.appendArgs(b, x)
 	case Args:
 		b = append(b, v3ValMap)
-		return appendV3Args(b, x)
+		return t.appendArgs(b, x)
 	case json.RawMessage:
 		// Already JSON: embed verbatim, decode matches the JSON codec.
 		b = append(b, v3ValJSON)
@@ -255,13 +317,13 @@ type v3dec struct {
 	b   []byte
 	pos int
 	s   string // string(b), once a string needs it
-	// names interns map keys and method names across the frames of one
-	// connection; nil (a one-off decode) interns nothing.
-	names map[string]string
+	// names is the receiving half of the connection's name table (see
+	// NameTable); nil in a one-off decode, where a reference is an error.
+	names *[]string
 }
 
-// An intern table holds short strings only and a fixed number of them,
-// so a peer sending ever-new keys cannot grow it.
+// A name table holds short names only and a fixed number of them, so a
+// peer sending ever-new keys cannot grow it.
 const (
 	internMaxLen     = 32
 	internMaxEntries = 128
@@ -336,23 +398,25 @@ func (d *v3dec) str(p []byte) string {
 	return d.s[d.pos-len(p) : d.pos]
 }
 
-// name decodes a string that repeats from frame to frame — an Args or
-// Meta key, a method name — through the intern table: a hit returns
-// the string stored on an earlier frame and allocates nothing. A new
-// entry is its own copy, since the table outlives the frame.
+// name decodes a name field. A reference allocates nothing; a literal
+// the table enters is its own copy, since the table outlives the frame.
 func (d *v3dec) name() (string, error) {
-	p, err := d.field()
-	if err != nil || d.names == nil || len(p) > internMaxLen {
+	x, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if x&1 == 1 {
+		if d.names == nil || x>>1 >= uint64(len(*d.names)) {
+			return "", d.fail()
+		}
+		return (*d.names)[x>>1], nil
+	}
+	p, err := d.take(x >> 1)
+	if err != nil || d.names == nil || !enters(len(p), len(*d.names)) {
 		return d.str(p), err
 	}
-	if s, ok := d.names[string(p)]; ok { // the conversion in a map index does not allocate
-		return s, nil
-	}
-	if len(d.names) >= internMaxEntries {
-		return d.str(p), nil
-	}
 	s := string(p)
-	d.names[s] = s
+	*d.names = append(*d.names, s)
 	return s, nil
 }
 
@@ -503,9 +567,9 @@ type envelopeOf[T any] struct {
 
 // decodeV3 decodes a v3 body (including the leading magic byte) into a
 // fresh Envelope that does not alias body; the envelope and its request,
-// response or event are one allocation. names is the caller's intern
-// table (see v3dec.names), nil for none.
-func decodeV3(body []byte, names map[string]string) (*Envelope, error) {
+// response or event are one allocation. names is the receiving half of
+// the connection's name table (see v3dec.names), nil for none.
+func decodeV3(body []byte, names *[]string) (*Envelope, error) {
 	if len(body) < 2 || body[0] != magicV3 {
 		return nil, ErrBadV3Frame
 	}
@@ -541,13 +605,13 @@ func (d *v3dec) request(r *Request) (err error) {
 	if r.ID, err = d.uvarint(); err != nil {
 		return err
 	}
-	if r.Service, err = d.string(); err != nil {
+	if r.Service, err = d.name(); err != nil {
 		return err
 	}
 	if r.Method, err = d.name(); err != nil {
 		return err
 	}
-	if r.Caller, err = d.string(); err != nil {
+	if r.Caller, err = d.name(); err != nil {
 		return err
 	}
 	if r.Credential, err = d.string(); err != nil {

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,7 +29,7 @@ func testEnvelopeV3(i int) *Envelope {
 		},
 		Caller:     "andy",
 		Credential: "deadbeef",
-		Meta:       Metadata{MetaRequestID: "andy-1", MetaHops: "1"},
+		Meta:       Metadata{MetaDeadline: "250", "trace-id": "t-1"},
 	}}
 }
 
@@ -81,7 +84,7 @@ func TestCodecV3RoundTripRequest(t *testing.T) {
 		r.Caller != "andy" || r.Credential != "deadbeef" {
 		t.Fatalf("round trip: %+v", r)
 	}
-	if r.Args.String("entity") != "cal.phil/ev42" || r.Meta.Get(MetaRequestID) != "andy-1" {
+	if r.Args.String("entity") != "cal.phil/ev42" || r.Meta.Get("trace-id") != "t-1" {
 		t.Fatalf("args/meta: %+v %+v", r.Args, r.Meta)
 	}
 	inner, ok := r.Args["args"].(map[string]any)
@@ -97,7 +100,7 @@ func TestCodecV3RoundTripResponse(t *testing.T) {
 	env := &Envelope{Kind: KindResponse, Response: &Response{
 		ID: 99, OK: false, Error: "locked by someone", Code: CodeConflict,
 		Result: json.RawMessage(`{"holder":"andy"}`),
-		Meta:   Metadata{MetaRequestID: "phil-4"},
+		Meta:   Metadata{"epoch": "4"},
 	}}
 	f, err := EncodeFrameV3(env)
 	if err != nil {
@@ -108,7 +111,7 @@ func TestCodecV3RoundTripResponse(t *testing.T) {
 	got := decodeOneFrame(t, frame).Response
 	if got == nil || got.ID != 99 || got.OK || got.Code != CodeConflict ||
 		got.Error != "locked by someone" || string(got.Result) != `{"holder":"andy"}` ||
-		got.Meta.Get(MetaRequestID) != "phil-4" {
+		got.Meta.Get("epoch") != "4" {
 		t.Fatalf("round trip: %+v", got)
 	}
 }
@@ -243,6 +246,32 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 	if _, err := decodeV3(append(body, 0xFF), nil); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
+
+	// A reference needs a table that holds its entry: a frame of names
+	// sent before reads through the reader that saw them, and through no
+	// other.
+	var tab NameTable
+	var names []string
+	if _, err := decodeV3(encodeThrough(t, &tab, testEnvelopeV3(1))[4:], &names); err != nil {
+		t.Fatal(err)
+	}
+	frame := encodeThrough(t, &tab, testEnvelopeV3(2))
+	body = frame[4:]
+	if _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrBadV3Frame) {
+		t.Fatalf("a reference read without a table: err = %v, want ErrBadV3Frame", err)
+	}
+	short := names[:len(names)-1]
+	if _, err := decodeV3(body, &short); !errors.Is(err, ErrBadV3Frame) {
+		t.Fatalf("a reference past the table's end: err = %v, want ErrBadV3Frame", err)
+	}
+	for n := 0; n < len(body); n++ {
+		if _, err := decodeV3(body[:n], &names); err == nil {
+			t.Fatalf("truncated body of %d bytes decoded without error", n)
+		}
+	}
+	if _, err := decodeV3(body, &names); err != nil {
+		t.Fatalf("the whole frame: %v", err)
+	}
 }
 
 func FuzzCodecV3Roundtrip(f *testing.F) {
@@ -260,7 +289,7 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 				"deep": map[string]any{"s": sval, "list": []any{ival, sval, bval}},
 				"ss":   []string{sval, key},
 			},
-			Meta: Metadata{MetaRequestID: sval, key: caller},
+			Meta: Metadata{MetaDeadline: sval, key: caller},
 		}}
 		jf, err := EncodeFrame(env)
 		if err != nil {
@@ -352,34 +381,51 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestFrameReaderV3InternsRepeatedNames decodes the Mark request a
-// participant receives for one slot reservation (links.markTargetInner
-// over calendar.reserveArgs, with the metadata the engine stamps) and
-// holds the steady-state allocation count: the twelve map keys and the
-// method name come out of the connection's intern table and every other
-// string is a substring of one copy of the frame, so what is left (13)
-// is the envelope with its request, that copy, three maps of two
-// allocations each and the five string values boxed into Args. Copying
-// every string value costs 23, and every name as well 36.
-func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
-	f, err := EncodeFrameV3(&Envelope{Kind: KindRequest, Request: &Request{
-		ID: 7, Service: "links.andy", Method: "Mark", Caller: "phil",
-		Meta: Metadata{MetaRequestID: "phil-42", MetaHops: "1", MetaDeadline: "29998"},
-		Args: Args{
-			"entity": "slot/2003-04-22/10",
-			"action": "reserve",
-			"nid":    "N-phil-17",
-			"args": map[string]any{
-				"meeting": "M-phil-9", "priority": 0, "allowBump": false,
-				"day": "2003-04-22", "hour": 10,
-			},
-		},
-	}})
+// encodeThrough encodes env through t, as a transport does, and returns
+// a copy of the frame.
+func encodeThrough(t testing.TB, tab *NameTable, env *Envelope) []byte {
+	t.Helper()
+	f, err := tab.EncodeFrame(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := NewFrameReader(&repeatReader{b: append([]byte(nil), f.Bytes()...)})
-	f.Release()
+	defer f.Release()
+	return append([]byte(nil), f.Bytes()...)
+}
+
+// TestFrameReaderV3InternsRepeatedNames decodes the Mark request a
+// participant receives for one slot reservation (links.markTargetInner
+// over calendar.reserveArgs, with the metadata the engine stamps),
+// encoded through a NameTable as the transport encodes it, and holds the
+// steady-state allocation count. Once the connection's first Mark has
+// entered them, the service, method, caller and ten keys are references
+// into the reader's table and every other string is a substring of one
+// copy of the frame, so what is left (13) is the envelope with its
+// request, that copy, three maps of two allocations each and the five
+// string values boxed into Args.
+func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
+	mark := func(id uint64) *Envelope {
+		return &Envelope{Kind: KindRequest, Request: &Request{
+			ID: id, Service: "links.andy", Method: "Mark", Caller: "phil",
+			Meta: Metadata{MetaDeadline: "29998"},
+			Args: Args{
+				"entity": "slot/2003-04-22/10",
+				"action": "reserve",
+				"nid":    "N-phil-17",
+				"args": map[string]any{
+					"meeting": "M-phil-9", "priority": 0, "allowBump": false,
+					"day": "2003-04-22", "hour": 10,
+				},
+			},
+		}}
+	}
+	var tab NameTable
+	first := encodeThrough(t, &tab, mark(7))
+	warm := encodeThrough(t, &tab, mark(8))
+	if len(warm) >= len(first) || len(tab.names) != 13 {
+		t.Fatalf("warm Mark %d B after a first of %d B, %d names entered; want it smaller and 13", len(warm), len(first), len(tab.names))
+	}
+	fr := NewFrameReader(io.MultiReader(bytes.NewReader(first), &repeatReader{b: warm}))
 	read := func() {
 		env, err := fr.Read()
 		if err != nil || env.Request.Method != "Mark" || env.Request.Args.String("nid") != "N-phil-17" {
@@ -392,8 +438,9 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	}
 
 	// The table is bounded: a peer cannot grow it with ever-new keys.
+	var literal *NameTable // a nil table writes every name as a literal
 	name := func(s string) (string, error) {
-		d := &v3dec{b: appendV3String(nil, s), names: fr.names}
+		d := &v3dec{b: literal.appendName(nil, s), names: &fr.names}
 		return d.name()
 	}
 	for i := 0; i < 4*internMaxEntries; i++ {
@@ -402,14 +449,14 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 		}
 	}
 	if len(fr.names) > internMaxEntries {
-		t.Fatalf("intern table holds %d entries, cap is %d", len(fr.names), internMaxEntries)
+		t.Fatalf("name table holds %d entries, cap is %d", len(fr.names), internMaxEntries)
 	}
 	long := string(bytes.Repeat([]byte{'k'}, internMaxLen+1))
 	if s, err := name(long); err != nil || s != long {
 		t.Fatalf("long name: %q, %v", s, err)
 	}
-	if _, ok := fr.names[long]; ok {
-		t.Fatal("a name longer than internMaxLen was interned")
+	if slices.Contains(fr.names, long) {
+		t.Fatal("a name longer than internMaxLen was entered")
 	}
 	read() // and a full table still decodes
 }
@@ -486,20 +533,25 @@ func TestDecodeV3StringsShareOneCopy(t *testing.T) {
 // allocated 16 MiB for a []any and more for a map.
 func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 	const size = 1 << 20
+	args := []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0}
 	for _, tc := range []struct {
 		name   string
-		prefix []byte // the body up to the count
+		prefix []byte    // the body up to the count
+		entry  byte      // what each entry starts with; none decodes
+		names  *[]string // the reader's name table
 	}{
-		{"meta", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0}},
-		{"args", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0}},
-		{"strings", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValStrings}},
-		{"slice", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValSlice}},
+		{"meta", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0}, 0xFF, nil},
+		{"args", args, 0xFF, nil},
+		{"strings", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValStrings}, 0xFF, nil},
+		{"slice", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValSlice}, 0xFF, nil},
+		{"reference-without-table", args, 1, nil},
+		{"reference-past-end", args, 3, &[]string{"k"}},
 	} {
 		body := binary.AppendUvarint(tc.prefix, size)
-		body = append(body, bytes.Repeat([]byte{0xFF}, size)...) // no entry decodes
+		body = append(body, bytes.Repeat([]byte{tc.entry}, size)...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := decodeV3(body, nil)
+		_, err := decodeV3(body, tc.names)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrBadV3Frame) {
 			t.Fatalf("%s: err = %v, want ErrBadV3Frame", tc.name, err)
@@ -508,4 +560,90 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 			t.Errorf("%s: decoding a %d-byte malformed body allocated %d B, want <= %d", tc.name, len(body), got, 2*len(body))
 		}
 	}
+}
+
+// streamEnvelope is frame i of FuzzNameTableStream's stream: a request,
+// a response or an event, each with a name new to the stream, a and b
+// as names and values, and maps nested in maps and in lists.
+func streamEnvelope(a, b string, i int) *Envelope {
+	k := a + strconv.Itoa(i)
+	args := Args{a: i, k: b, "deep": map[string]any{b: []any{map[string]any{k: a, a: nil}}, a: Args{b: k}}}
+	switch i % 3 {
+	case 0:
+		return &Envelope{Kind: KindRequest, Request: &Request{
+			ID: uint64(i), Service: a, Method: b, Caller: k, Credential: a,
+			Meta: Metadata{b: a, k: "m"}, Args: args,
+		}}
+	case 1:
+		return &Envelope{Kind: KindResponse, Response: &Response{
+			ID: uint64(i), OK: true, Result: json.RawMessage(`{"ok":true}`), Meta: Metadata{k: b, a: "x"},
+		}}
+	}
+	return &Envelope{Kind: KindEvent, Event: &Event{Name: b, Source: a, Args: args}}
+}
+
+// FuzzNameTableStream encodes a stream of envelopes through one
+// NameTable and reads it through one FrameReader, as one direction of a
+// connection carries it. Each frame must decode field for field to what
+// the same envelope decodes to without a table, and cost no more bytes;
+// both tables must hold the same names after every frame. At frame bad,
+// a request whose new names precede a value that cannot be encoded
+// fails, leaves the table as it was, and the same request without that
+// value then decodes.
+func FuzzNameTableStream(f *testing.F) {
+	f.Add("k", "Mark", uint8(200), uint8(100))                           // more than internMaxEntries distinct names
+	f.Add("", strings.Repeat("m", internMaxLen), uint8(12), uint8(3))    // names of 0 and 32 bytes
+	f.Add(strings.Repeat("n", internMaxLen+1), "x", uint8(12), uint8(0)) // names of 33 bytes
+	f.Fuzz(func(t *testing.T, a, b string, n, bad uint8) {
+		var tab NameTable
+		var stream bytes.Buffer
+		var want []*Envelope
+		send := func(env *Envelope) {
+			plain, err := EncodeFrameV3(env)
+			if err != nil {
+				t.Fatalf("plain encode: %v", err)
+			}
+			defer plain.Release()
+			w, err := decodeV3(plain.Bytes()[4:], nil)
+			if err != nil {
+				t.Fatalf("plain decode: %v", err)
+			}
+			frame := encodeThrough(t, &tab, env)
+			if len(frame) > plain.Len() {
+				t.Fatalf("frame %d: %d B through the table, %d B without", len(want), len(frame), plain.Len())
+			}
+			stream.Write(frame)
+			want = append(want, w)
+		}
+		fr := NewFrameReader(&stream)
+		for i := 0; i < int(n); i++ {
+			if i == int(bad) {
+				k := a + strconv.Itoa(i) + "-poison"
+				env := &Envelope{Kind: KindRequest, Request: &Request{
+					ID: uint64(i), Service: k, Method: b + "-poison", Meta: Metadata{k: a},
+					Args: Args{"c": make(chan int)},
+				}}
+				entries := len(tab.names)
+				if _, err := tab.EncodeFrame(env); err == nil || len(tab.names) != entries || len(tab.index) != entries {
+					t.Fatalf("unencodable frame: err = %v, table %d -> %d entries (%d indexed)", err, entries, len(tab.names), len(tab.index))
+				}
+				delete(env.Request.Args, "c")
+				send(env)
+			}
+			send(streamEnvelope(a, b, i))
+			for len(want) > 0 {
+				got, err := fr.Read()
+				if err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				if !reflect.DeepEqual(got, want[0]) {
+					t.Fatalf("through the table %+v, without %+v", got, want[0])
+				}
+				want = want[1:]
+			}
+			if !slices.Equal(tab.names, fr.names) || len(fr.names) > internMaxEntries {
+				t.Fatalf("tables differ after frame %d:\n send %q\n read %q", i, tab.names, fr.names)
+			}
+		}
+	})
 }

@@ -20,8 +20,8 @@ import (
 const poolBufCap = 64 << 10
 
 // FrameBuffer is a pooled, encoded frame: length prefix and body in one
-// contiguous byte slice, ready for a single Write. Obtain with
-// EncodeFrameV3, hand Bytes to the socket, then Release.
+// contiguous byte slice, ready for a single Write. Obtain with an
+// encoder (NameTable.EncodeFrame), hand Bytes to the socket, then Release.
 type FrameBuffer struct {
 	buf []byte
 }
@@ -77,13 +77,15 @@ func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 
 // FrameReader decodes length-prefixed frames from one connection,
 // reusing an internal scratch buffer between reads. It decodes v3
-// bodies and, for the reference codec's sake, JSON ones. Bind one
-// FrameReader per connection; it is not safe for concurrent use.
+// bodies and, for the reference codec's sake, JSON ones, and it holds
+// the receiving half of the connection's name table, so it reads the
+// frames of one NameTable, or of none. Bind one FrameReader per
+// connection; it is not safe for concurrent use.
 type FrameReader struct {
 	r       *bufio.Reader
 	hdr     [4]byte // here rather than on Read's stack, which io.ReadFull would move to the heap
 	scratch []byte
-	names   map[string]string // v3 intern table, see v3dec.names
+	names   []string // receiving half of the connection's name table, see NameTable
 
 	// Frames and Bytes count everything successfully read; the
 	// transport layer feeds them into metrics.
@@ -98,7 +100,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	if !ok {
 		br = bufio.NewReaderSize(r, 32<<10)
 	}
-	return &FrameReader{r: br, names: make(map[string]string)}
+	return &FrameReader{r: br}
 }
 
 // Read decodes the next frame. The returned Envelope does not alias
@@ -130,7 +132,7 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 		// copies what it needs.
 		fr.scratch = make([]byte, poolBufCap)
 	}
-	env, err := decodeBody(body, fr.names)
+	env, err := decodeBody(body, &fr.names)
 	if err != nil {
 		return nil, err
 	}
@@ -140,9 +142,9 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 }
 
 // decodeBody decodes one frame body: v3 when it starts with the version
-// byte, the JSON reference codec otherwise. names is the reader's v3
-// intern table, nil for none.
-func decodeBody(body []byte, names map[string]string) (*Envelope, error) {
+// byte, the JSON reference codec otherwise. names is the reader's name
+// table, nil for none.
+func decodeBody(body []byte, names *[]string) (*Envelope, error) {
 	if len(body) > 0 && body[0] == magicV3 {
 		return decodeV3(body, names)
 	}

@@ -13,7 +13,7 @@ func testEnvelope(i int) *Envelope {
 		ID: uint64(i), Service: "cal.phil", Method: "ListMeetings",
 		Args:   Args{"day": "2003-04-21", "hour": i},
 		Caller: "andy",
-		Meta:   Metadata{MetaRequestID: "andy-1", MetaHops: "1"},
+		Meta:   Metadata{MetaDeadline: "250", "trace-id": "t-1"},
 	}}
 }
 

@@ -1,16 +1,15 @@
 package wire
 
 import (
-	"context"
 	"strconv"
 	"time"
 )
 
 // Metadata is the typed request-metadata map carried end-to-end on
 // every Request and Response. It is the envelope-level home for the
-// cross-cutting concerns the interceptor pipeline manages (request
-// correlation, caller identity, credential, hop accounting, deadline
-// propagation) so that no layer has to invent a side channel.
+// cross-cutting concerns the interceptor pipeline manages (the deadline
+// hint, trace context, whatever key an interceptor sets) so that no
+// layer has to invent a side channel.
 //
 // Caller and Credential remain dedicated Request fields on the wire
 // (they predate Metadata and auth depends on them); FullMeta merges
@@ -19,17 +18,10 @@ type Metadata map[string]string
 
 // Well-known metadata keys.
 const (
-	// MetaRequestID correlates one logical invocation across retries,
-	// failover attempts, and downstream fan-out (handlers that invoke
-	// other services propagate it via context).
-	MetaRequestID = "request-id"
 	// MetaCaller is the invoking SyD user id.
 	MetaCaller = "caller"
 	// MetaCredential is the TEA-sealed credential blob (§5.4).
 	MetaCredential = "credential"
-	// MetaHops counts engine-to-listener forwarding steps, so a
-	// cascade (device → proxy → device) is visible at the far end.
-	MetaHops = "hops"
 	// MetaDeadline is the caller's remaining deadline budget in
 	// milliseconds at send time; servers without context propagation
 	// (real TCP) re-arm a local deadline from it.
@@ -51,21 +43,6 @@ func (m Metadata) Clone() Metadata {
 		out[k] = v
 	}
 	return out
-}
-
-// Hops returns the hop counter, 0 when absent or malformed.
-func (m Metadata) Hops() int {
-	s := m.Get(MetaHops)
-	if s == "" {
-		return 0 // fast path: no error allocation for the common case
-	}
-	n, _ := strconv.Atoi(s)
-	return n
-}
-
-// SetHops stores the hop counter.
-func (m Metadata) SetHops(n int) {
-	m[MetaHops] = strconv.Itoa(n)
 }
 
 // Deadline returns the deadline hint as a duration, 0 when absent.
@@ -100,21 +77,4 @@ func (r *Request) FullMeta() Metadata {
 		m[MetaCredential] = r.Credential
 	}
 	return m
-}
-
-// --- context propagation --------------------------------------------------
-
-type metaCtxKey struct{}
-
-// WithContext attaches md to ctx so downstream invocations (an engine
-// call made from inside a handler) inherit the request id and hop
-// count. The listener does this automatically for every dispatch.
-func WithContext(ctx context.Context, md Metadata) context.Context {
-	return context.WithValue(ctx, metaCtxKey{}, md)
-}
-
-// FromContext returns the Metadata attached to ctx, or nil.
-func FromContext(ctx context.Context) Metadata {
-	md, _ := ctx.Value(metaCtxKey{}).(Metadata)
-	return md
 }

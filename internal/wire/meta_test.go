@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -11,9 +10,6 @@ func TestMetadataNilSafety(t *testing.T) {
 	var m Metadata
 	if m.Get(MetaCaller) != "" {
 		t.Fatal("Get on nil metadata")
-	}
-	if m.Hops() != 0 {
-		t.Fatal("Hops on nil metadata")
 	}
 	if m.Deadline() != 0 {
 		t.Fatal("Deadline on nil metadata")
@@ -29,21 +25,6 @@ func TestMetadataCloneIsIndependent(t *testing.T) {
 	c[MetaCaller] = "phil"
 	if m.Get(MetaCaller) != "andy" {
 		t.Fatal("Clone shares storage with the original")
-	}
-}
-
-func TestMetadataHopsRoundTrip(t *testing.T) {
-	m := Metadata{}
-	if m.Hops() != 0 {
-		t.Fatalf("fresh hops = %d", m.Hops())
-	}
-	m.SetHops(3)
-	if m.Hops() != 3 {
-		t.Fatalf("hops = %d", m.Hops())
-	}
-	m[MetaHops] = "not-a-number"
-	if m.Hops() != 0 {
-		t.Fatal("malformed hops must read as 0")
 	}
 }
 
@@ -67,13 +48,13 @@ func TestFullMetaMergesIdentityFields(t *testing.T) {
 	r := &Request{
 		Caller:     "andy",
 		Credential: "sealed-blob",
-		Meta:       Metadata{MetaRequestID: "andy-7", MetaHops: "2"},
+		Meta:       Metadata{MetaDeadline: "250", "trace-id": "t-7"},
 	}
 	m := r.FullMeta()
 	if m.Get(MetaCaller) != "andy" || m.Get(MetaCredential) != "sealed-blob" {
 		t.Fatalf("identity fields not merged: %v", m)
 	}
-	if m.Get(MetaRequestID) != "andy-7" || m.Hops() != 2 {
+	if m.Deadline() != 250*time.Millisecond || m.Get("trace-id") != "t-7" {
 		t.Fatalf("envelope metadata lost: %v", m)
 	}
 	// FullMeta is a copy: mutating it must not write through.
@@ -86,7 +67,7 @@ func TestFullMetaMergesIdentityFields(t *testing.T) {
 func TestMetadataSurvivesJSONEnvelope(t *testing.T) {
 	req := &Request{
 		ID: 1, Service: "cal.phil", Method: "WhoAmI",
-		Meta: Metadata{MetaRequestID: "andy-1", MetaHops: "1", MetaDeadline: "250"},
+		Meta: Metadata{"trace-id": "t-1", MetaDeadline: "250"},
 	}
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -96,7 +77,7 @@ func TestMetadataSurvivesJSONEnvelope(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Meta.Get(MetaRequestID) != "andy-1" || back.Meta.Hops() != 1 || back.Meta.Deadline() != 250*time.Millisecond {
+	if back.Meta.Get("trace-id") != "t-1" || back.Meta.Deadline() != 250*time.Millisecond {
 		t.Fatalf("metadata mangled in transit: %v", back.Meta)
 	}
 	// Empty metadata stays off the wire entirely.
@@ -116,15 +97,4 @@ func containsKey(raw []byte, key string) bool {
 	}
 	_, ok := m[key]
 	return ok
-}
-
-func TestMetadataContextRoundTrip(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("fresh context carries metadata")
-	}
-	md := Metadata{MetaRequestID: "r-1"}
-	ctx := WithContext(context.Background(), md)
-	if got := FromContext(ctx); got.Get(MetaRequestID) != "r-1" {
-		t.Fatalf("FromContext = %v", got)
-	}
 }

@@ -72,9 +72,9 @@ type Request struct {
 	// hex-encoded. Empty when the target service does not require
 	// authentication.
 	Credential string `json:"credential,omitempty"`
-	// Meta carries typed request metadata (request id, hop count,
-	// deadline hint, ...) end-to-end through the interceptor
-	// pipeline; see Metadata for the well-known keys.
+	// Meta carries typed request metadata (deadline hint, trace
+	// context, ...) end-to-end through the interceptor pipeline; see
+	// Metadata for the well-known keys.
 	Meta Metadata `json:"meta,omitempty"`
 }
 

@@ -15,8 +15,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 20713
-	allTreeLines   = 23284
+	cmdLineCeiling = 20732
+	allTreeLines   = 23303
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
