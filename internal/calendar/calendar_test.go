@@ -68,25 +68,35 @@ func newWorldOn(t *testing.T, cfg sim.Config, users ...string) *world {
 
 func (w *world) addUser(user string, priority int) *calendar.Calendar {
 	w.t.Helper()
+	c, err := w.startUser(core.Config{User: user, Priority: priority})
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return c
+}
+
+// startUser boots a calendar node from cfg on the world's network,
+// directory and clock (and its mw, routeTTL and wrapNet), and makes it
+// the world's node for cfg.User.
+func (w *world) startUser(cfg core.Config) (*calendar.Calendar, error) {
 	ctx := context.Background()
 	var net transport.Network = w.net
 	if w.wrapNet != nil {
 		net = w.wrapNet(net)
 	}
-	n, err := core.Start(ctx, core.Config{
-		User: user, Net: net, DirAddr: "dir", Clock: w.clk, Priority: priority, Middleware: w.mw,
-		RouteCacheTTL: w.routeTTL,
-	})
+	cfg.Net, cfg.DirAddr, cfg.Clock, cfg.Middleware = net, "dir", w.clk, w.mw
+	cfg.RouteCacheTTL = w.routeTTL
+	n, err := core.Start(ctx, cfg)
 	if err != nil {
-		w.t.Fatal(err)
+		return nil, err
 	}
 	c, err := calendar.New(ctx, n, calendar.WithNotifier(w.mail))
 	if err != nil {
-		w.t.Fatal(err)
+		return nil, err
 	}
-	w.cals[user] = c
-	w.nodes[user] = n
-	return c
+	w.cals[cfg.User] = c
+	w.nodes[cfg.User] = n
+	return c, nil
 }
 
 func (w *world) slotMeeting(user string, s calendar.Slot) string {
