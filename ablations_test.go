@@ -8,22 +8,11 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
-	"repro/internal/notify"
-	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
-
-// startCalendarProxy adds a calendar-aware proxy host to a world.
-func startCalendarProxy(w *World, id string) error {
-	_, err := proxy.StartHost(context.Background(), proxy.HostConfig{
-		ID: id, Net: w.Net, DirAddr: "dir",
-		Adopter: calendar.NewProxyAdopter(w.Net, "dir", notify.Discard{}),
-	})
-	return err
-}
 
 // RunA1 ablates the lock-acquisition strategy for negotiation-and
 // (DESIGN.md §5 decision 1): globally ordered sequential marking (the

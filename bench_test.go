@@ -233,7 +233,7 @@ func BenchmarkMicro_WALShip(b *testing.B) {
 
 // BenchmarkMicro_SyncReconnect measures one disconnected-operation
 // round trip: a device in local mode with queued bookings (and one
-// queued cancellation) reconnects — directory Touch, queue push through
+// queued cancellation) reconnects — directory SetOffline, queue push through
 // the real negotiation path, and the relevance pull are all inside the
 // timed region. World construction and the offline queuing itself are
 // excluded.

@@ -85,7 +85,7 @@ func main() {
 			if u.Online {
 				state = "online"
 			}
-			fmt.Printf("%-12s %-8s prio=%d addr=%s proxy=%s\n", u.ID, state, u.Priority, u.Addr, u.Proxy)
+			fmt.Printf("%-12s %-8s prio=%d addr=%s\n", u.ID, state, u.Priority, u.Addr)
 		}
 	case "free":
 		requireUser(*user)

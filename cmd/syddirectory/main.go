@@ -1,12 +1,11 @@
 // Command syddirectory runs a standalone SyDDirectory name server
 // over real TCP — the deployment role the paper's "Name Server" plays
-// (§5.2): user/service/group registry and proxy bindings for a SyD
+// (§5.2): user/service/group registry and replication leases for a SyD
 // deployment.
 //
 //	syddirectory -addr 127.0.0.1:7000 [-data-dir /var/lib/syd/dir]
 //
-// With -data-dir, every registration, proxy binding and replication
-// lease goes through a write-ahead log under that directory before its
+// With -data-dir, every registration and replication lease goes through a write-ahead log under that directory before its
 // RPC is acknowledged, and startup recovers checkpoint + log tail from
 // it: a directory restart — or crash — does not force every device to
 // re-register, and does not forget a lease the directory has granted.

@@ -21,6 +21,12 @@
 // When the primary dies, the best-caught-up follower wins the expired
 // lease, boots a full node over its replicated data directory,
 // re-points the directory bindings, and keeps serving as phil.
+//
+// A -replica-of follower is also the paper's §5.2 proxy, the stand-in
+// that serves phil while phil's device is away: the device hands over
+// with replication.Primary.Release and the follower's PromoteNow, and
+// takes phil back by reopening its own data dir as a follower of the
+// stand-in and the same two calls the other way round.
 package main
 
 import (

@@ -1,8 +1,11 @@
-// Proxy failover — the paper's §5.2 mobility story: a device pushes
-// its calendar to its assigned proxy and disconnects; meetings keep
-// being scheduled against the proxy ("the proxy and the SyD object act
-// as a single entity for an outsider"); on return the device takes the
-// state back, including everything that happened while it was away.
+// Proxy failover — the paper's §5.2 mobility story: "a proxy takes over
+// the place of A ... the proxy and the SyD object act as a single
+// entity for an outsider". Andy's device is durable and leased, and a
+// replication follower of it is his stand-in. Before walking away the
+// device releases its lease and the follower promotes; meetings keep
+// being scheduled against the stand-in; on return the device's own
+// data dir follows the stand-in until it has caught up, and the same
+// two calls hand andy back.
 //
 //	go run ./examples/proxyfailover
 package main
@@ -11,15 +14,18 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/calendar"
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/notify"
-	"repro/internal/proxy"
+	"repro/internal/replication"
 	"repro/internal/sim"
 )
+
+const leaseTTL = time.Minute
 
 func main() {
 	ctx := context.Background()
@@ -28,42 +34,73 @@ func main() {
 	if _, err := net.Listen("dir", dirSrv.Handler()); err != nil {
 		log.Fatal(err)
 	}
-
-	// A calendar-aware proxy host registers before the users so the
-	// directory assigns it to them.
-	if _, err := proxy.StartHost(ctx, proxy.HostConfig{
-		ID: "p1", Net: net, DirAddr: "dir",
-		Adopter: calendar.NewProxyAdopter(net, "dir", notify.Discard{}),
-	}); err != nil {
+	root, err := os.MkdirTemp("", "proxyfailover-")
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(root)
+	deviceDir, standInDir := filepath.Join(root, "andy"), filepath.Join(root, "andy-stand-in")
 
-	nodes := map[string]*core.Node{}
 	cals := map[string]*calendar.Calendar{}
-	for _, user := range []string{"phil", "andy"} {
-		node, err := core.Start(ctx, core.Config{User: user, Net: net, DirAddr: "dir"})
+	nodes := map[string]*core.Node{}
+	start := func(cfg core.Config) error {
+		cfg.Net, cfg.DirAddr = net, "dir"
+		node, err := core.Start(ctx, cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		c, err := calendar.New(ctx, node)
 		if err != nil {
+			return err
+		}
+		nodes[cfg.User], cals[cfg.User] = node, c
+		return nil
+	}
+	// follow starts a follower of andy over dir at addr, which promotes
+	// into andy's calendar node at the same address.
+	follow := func(dir, addr string) *replication.Follower {
+		f, err := replication.StartFollower(ctx, replication.FollowerConfig{
+			User: "andy", Net: net, Dir: directory.NewClient(net, "dir"),
+			DataDir: dir, ListenAddr: addr, LeaseTTL: leaseTTL,
+			Promote: func(ctx context.Context, holder string) (string, error) {
+				if err := start(core.Config{User: "andy", DataDir: dir, LeaseTTL: leaseTTL, LeaseHolder: holder, ListenAddr: addr}); err != nil {
+					return "", err
+				}
+				return nodes["andy"].Addr(), nil
+			},
+		})
+		if err != nil {
 			log.Fatal(err)
 		}
-		nodes[user], cals[user] = node, c
+		return f
 	}
+
+	if err := start(core.Config{User: "phil"}); err != nil {
+		log.Fatal(err)
+	}
+	if err := start(core.Config{User: "andy", DataDir: deviceDir, LeaseTTL: leaseTTL, ListenAddr: "node-andy"}); err != nil {
+		log.Fatal(err)
+	}
+	standIn := follow(standInDir, "standin-andy")
 
 	// Andy blocks Tuesday 9:00 and then walks out of WLAN range.
 	busy := calendar.Slot{Day: "2003-04-22", Hour: 9}
 	if err := cals["andy"].MarkBusy(busy, "flight", 0); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("andy pushes his calendar to the proxy and disconnects")
-	if err := cals["andy"].GoOffline(ctx, net, nodes["andy"].Dir); err != nil {
+	fmt.Println("andy's device hands over to its stand-in and disconnects")
+	device := nodes["andy"]
+	if err := device.Repl.Release(ctx); err != nil {
 		log.Fatal(err)
 	}
-	net.SetDown(nodes["andy"].Addr(), true)
+	if err := standIn.PromoteNow(ctx); err != nil {
+		log.Fatal(err)
+	}
+	if err := device.Close(ctx); err != nil {
+		log.Fatal(err)
+	}
 
-	// Phil schedules with Andy anyway — the proxy answers, honouring
+	// Phil schedules with Andy anyway — the stand-in answers, honouring
 	// Andy's busy slot.
 	m, err := cals["phil"].SetupMeeting(ctx, calendar.Request{
 		Title: "sync", FromDay: "2003-04-22", ToDay: "2003-04-22", Must: []string{"andy"},
@@ -73,19 +110,29 @@ func main() {
 	}
 	fmt.Printf("meeting scheduled while andy is away: %s at %s (%s)\n", m.ID, m.Slot, m.Status)
 	if m.Slot == busy {
-		log.Fatal("the proxy ignored andy's busy slot")
+		log.Fatal("the stand-in ignored andy's busy slot")
 	}
 
-	// Andy comes back and pulls the proxied state.
-	fmt.Println("andy reconnects and takes over from the proxy")
-	net.SetDown(nodes["andy"].Addr(), false)
-	if err := cals["andy"].ComeBack(ctx, net, nodes["andy"].Dir); err != nil {
+	// Andy comes back: his data dir catches up on the stand-in's log,
+	// then takes the lease back.
+	fmt.Println("andy reconnects and takes over from the stand-in")
+	back := follow(deviceDir, "node-andy")
+	if err := nodes["andy"].Repl.Release(ctx); err != nil {
 		log.Fatal(err)
 	}
+	standInNode := nodes["andy"]
+	if err := back.PromoteNow(ctx); err != nil {
+		log.Fatal(err)
+	}
+	if err := standInNode.Close(ctx); err != nil {
+		log.Fatal(err)
+	}
+	defer nodes["andy"].Close(ctx)
+
 	info := cals["andy"].Slot(m.Slot)
 	fmt.Printf("andy's device now shows %s reserved for %s\n", m.Slot, info.Meeting)
 	if info.Meeting != m.ID {
-		log.Fatal("proxy-era reservation lost on handback")
+		log.Fatal("reservation made at the stand-in lost on handback")
 	}
 	if got := cals["andy"].Slot(busy).Meeting; got != "personal:flight" {
 		log.Fatalf("original busy slot lost: %q", got)

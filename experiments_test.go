@@ -357,16 +357,19 @@ func NewShardedWorld(users []string, cfg sim.Config, shards int) (*World, error)
 // every layer's counts and latencies afterwards. Nodes run with the
 // engine route cache at sydnode's production default TTL, so measured
 // worlds match a deployed fleet; the cache invalidates eagerly on
-// unreachable peers and proxy failover, which keeps the failover
-// experiments honest.
+// unreachable peers, and a call on a moved route follows the directory,
+// which keeps the failover experiments honest.
 func (w *World) AddUser(user string, priority int) error {
+	return w.startUser(core.Config{User: user, Priority: priority})
+}
+
+// startUser boots a calendar node from cfg as AddUser does, filling in
+// the world's network, directory, clock, route cache and metrics.
+func (w *World) startUser(cfg core.Config) error {
 	ctx := context.Background()
-	n, err := core.Start(ctx, core.Config{
-		User: user, Net: w.Net, DirAddr: "dir", ControlPlaneAddr: w.CPAddr,
-		Clock: w.Clk, Priority: priority,
-		RouteCacheTTL: 2 * time.Second,
-		Metrics:       metrics.Default(),
-	})
+	cfg.Net, cfg.DirAddr, cfg.ControlPlaneAddr, cfg.Clock = w.Net, "dir", w.CPAddr, w.Clk
+	cfg.RouteCacheTTL, cfg.Metrics = 2*time.Second, metrics.Default()
+	n, err := core.Start(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -374,8 +377,8 @@ func (w *World) AddUser(user string, priority int) error {
 	if err != nil {
 		return err
 	}
-	w.Nodes[user] = n
-	w.Cals[user] = c
+	w.Nodes[cfg.User] = n
+	w.Cals[cfg.User] = c
 	return nil
 }
 

@@ -60,7 +60,7 @@ func TestAcceptRecord(t *testing.T) {
 			w := newWorld(t, "a", "b", "c")
 			m := base
 			tc.record(&m)
-			// Twice: a re-sent push (a retry, a proxy drain after a direct
+			// Twice: a re-sent push (a retry, a pulled record after a direct
 			// delivery) must leave one record and at most one link row.
 			pushRecord(t, w, tc.to, m)
 			w.clk.Advance(time.Minute)

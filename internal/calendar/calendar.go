@@ -39,8 +39,8 @@ var DefaultHours = []int{9, 10, 11, 12, 13, 14, 15, 16, 17}
 // stores only their own slots and meeting records (§6: "each user's
 // local machine stores only that particular user's information").
 //
-// A Calendar normally rides on a core.Node (New); the proxy subsystem
-// builds detached instances over a restored snapshot (NewDetached).
+// A Calendar normally rides on a core.Node (New); NewDetached builds
+// one over explicit kernel parts.
 type Calendar struct {
 	user     string
 	db       *store.DB
@@ -101,7 +101,7 @@ func New(ctx context.Context, node *core.Node, opts ...Option) (*Calendar, error
 
 // NewDetached builds a calendar over explicit kernel parts without
 // publishing its service (the caller registers ServiceObject where it
-// sees fit — a proxy host, or a test listener).
+// sees fit, such as a test listener).
 func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engine, opts ...Option) (*Calendar, error) {
 	c := &Calendar{user: user, db: db, lm: lm, eng: eng, notifier: notify.Discard{}}
 	for _, o := range opts {

@@ -386,7 +386,7 @@ func (c *Calendar) decideCancel(ctx context.Context, id, byUser string) (m *Meet
 // its waiters and the deletion cascades; a participant the cascade reached
 // wrote the cancelled record m itself when its link row went (linkHook),
 // one it could not reach is tombstoned and still gets the best-effort
-// push, which a proxy standing in for it can queue.
+// push; a device that was away pulls the record when it reconnects.
 func (c *Calendar) retract(ctx context.Context, m *Meeting, d links.Unlinked, byUser string) error {
 	unreached, err := c.lm.Retract(ctx, d, nil)
 	if len(unreached) > 0 {

@@ -426,11 +426,15 @@ func (n *Node) RegisterService(ctx context.Context, name string, obj *listener.O
 }
 
 // Close marks the node offline in the directory, stops periodic work,
-// and closes the listener. The node's data survives in n.DB (a proxy
-// can adopt it; the device can Start again); with durability on, Close
-// takes a final checkpoint so restart skips log replay.
+// and closes the listener. The node's data survives in n.DB (the device
+// can Start again); with durability on, Close takes a final checkpoint
+// so restart skips log replay. A fenced primary leaves the directory
+// record alone: the lease, and the user, belong to whoever took them
+// over (replication.Primary.Release).
 func (n *Node) Close(ctx context.Context) error {
-	_ = n.Dir.SetOffline(ctx, n.User, true)
+	if n.Repl == nil || !n.Repl.Fenced() {
+		_ = n.Dir.SetOffline(ctx, n.User, true)
+	}
 	n.Events.Close()
 	err := n.ln.Close()
 	if n.Durable != nil {

@@ -271,18 +271,6 @@ func (c *Client) SetOffline(ctx context.Context, id string, offline bool) error 
 	return c.call(ctx, id, "SetOffline", wire.Args{"id": id, "offline": offline}, nil)
 }
 
-// Touch is the reconnect handshake: in one directory transaction it
-// clears the user's offline flag, refreshes lastSeen, and releases any
-// proxy binding, returning the *pre-touch* record so the caller knows
-// which proxy was covering for it. On a sharded directory the call
-// routes to the shard owning the user and follows wrong-shard
-// redirects, so it works immediately after an epoch bump.
-func (c *Client) Touch(ctx context.Context, id string) (UserInfo, error) {
-	var info UserInfo
-	err := c.call(ctx, id, "Touch", wire.Args{"id": id}, &info)
-	return info, err
-}
-
 // --- service ops -----------------------------------------------------------
 
 // RegisterService publishes a service (SyD device object) under the
@@ -298,8 +286,7 @@ func (c *Client) UnregisterService(ctx context.Context, name string) error {
 	return c.call(ctx, ShardKey(name), "UnregisterService", wire.Args{"name": name}, nil)
 }
 
-// LookupService resolves a service name to its location and the
-// owner's liveness/proxy.
+// LookupService resolves a service name to its location and methods.
 func (c *Client) LookupService(ctx context.Context, name string) (ServiceInfo, error) {
 	return c.lookup(ctx, "LookupService", name)
 }
@@ -422,15 +409,6 @@ func (c *Client) GroupMembers(ctx context.Context, group string) ([]string, erro
 	return members, err
 }
 
-// RegisterProxy publishes a proxy endpoint that the directory may
-// assign to users. Every shard learns the proxy, so each shard's
-// round-robin assignment draws from the full proxy pool.
-func (c *Client) RegisterProxy(ctx context.Context, id, addr string) error {
-	return c.fanout(ctx, "RegisterProxy", wire.Args{"id": id, "addr": addr}, func(shardAddr string) error {
-		return c.callAddr(ctx, shardAddr, "RegisterProxy", wire.Args{"id": id, "addr": addr}, nil)
-	})
-}
-
 // --- lease ops -------------------------------------------------------------
 
 // RenewLease acquires or renews the replication lease on user for
@@ -446,6 +424,13 @@ func (c *Client) RenewLease(ctx context.Context, user, holder string, ttl time.D
 	}
 	err := c.call(ctx, user, "RenewLease", args, &info)
 	return info, err
+}
+
+// ReleaseLease ends holder's lease on user at once, so that a
+// follower's promotion need not wait out the TTL. CodeConflict when
+// holder does not hold the lease.
+func (c *Client) ReleaseLease(ctx context.Context, user, holder string) error {
+	return c.call(ctx, user, "ReleaseLease", wire.Args{"id": user, "holder": holder}, nil)
 }
 
 // GetLease reads the replication lease on user. CodeNoService when

@@ -7,6 +7,11 @@
 //
 // The directory runs as a transport.Handler behind a well-known
 // address; Client is the typed stub used by every node.
+//
+// The paper's "intelligent proxy maintenance" (§5.2) is the replication
+// lease (lease.go): whoever holds a user's lease serves the user, and
+// handing a user to a stand-in or back is a release, a promotion and a
+// Repoint.
 package directory
 
 import (
@@ -41,9 +46,8 @@ const MetaEpoch = "dir-epoch"
 // belongs to one user must land on one shard, and service names
 // follow the `<kind>.<owner>` convention (cal.phil, links.phil,
 // sys.phil), so a service routes by the segment after the first dot —
-// co-locating it with its owner's user record, which keeps the
-// owner-liveness join in resolveService shard-local. Names without a
-// dot route by the whole name.
+// co-locating it with its owner's user record, which keeps Repoint
+// shard-local. Names without a dot route by the whole name.
 func ShardKey(name string) string {
 	if i := strings.IndexByte(name, '.'); i >= 0 && i+1 < len(name) {
 		return name[i+1:]
@@ -59,23 +63,17 @@ const DefaultHeartbeatTTL = 15 * time.Second
 type UserInfo struct {
 	ID       string    `json:"id"`
 	Addr     string    `json:"addr"`
-	Proxy    string    `json:"proxy,omitempty"`
 	Priority int       `json:"priority"`
 	Online   bool      `json:"online"`
 	LastSeen time.Time `json:"lastSeen"`
 }
 
-// ServiceInfo is the directory record for a published service,
-// joined with the owner's liveness so a single lookup gives the
-// engine everything it needs for invocation and proxy failover.
+// ServiceInfo is the directory record for a published service.
 type ServiceInfo struct {
 	Name    string   `json:"name"`
 	Owner   string   `json:"owner"`
 	Addr    string   `json:"addr"`
 	Methods []string `json:"methods,omitempty"`
-	// OwnerOnline and Proxy are filled in on lookup.
-	OwnerOnline bool   `json:"ownerOnline"`
-	Proxy       string `json:"proxy,omitempty"`
 }
 
 // Server is the directory server state: either the whole directory
@@ -90,7 +88,6 @@ type Server struct {
 	users    *store.Table
 	services *store.Table
 	members  *store.Table
-	proxies  *store.Table
 	leases   *store.Table
 
 	// leaseMu makes lease check-and-set indivisible (two followers
@@ -102,10 +99,6 @@ type Server struct {
 	// epoch-versioned routing table pushed by the control plane.
 	shardID string
 	table   atomic.Pointer[controlplane.Table]
-
-	mu         sync.Mutex
-	nextProxy  int      // round-robin proxy assignment cursor
-	proxyAddrs []string // proxy addresses sorted by id; nil = rebuild
 }
 
 // Option configures a Server.
@@ -154,7 +147,10 @@ func NewServer(opts ...Option) *Server {
 // logged before its RPC is acknowledged. A DB recovered from that log
 // already holds the tables and the server resumes on them as they
 // stand: devices need not re-register after a directory restart, and
-// a lease granted before a crash still fences its rival after it.
+// a lease granted before a crash still fences its rival after it. A
+// data dir written before proxy bindings were dropped opens too: its
+// users rows keep a proxy column nothing reads, and its proxies table
+// stays unused.
 func NewServerOn(db *store.DB, opts ...Option) (*Server, error) {
 	var err error
 	ensure := func(schema store.Schema, index string) *store.Table {
@@ -176,7 +172,6 @@ func NewServerOn(db *store.DB, opts ...Option) (*Server, error) {
 			Columns: []store.Column{
 				{Name: "id", Type: store.String},
 				{Name: "addr", Type: store.String},
-				{Name: "proxy", Type: store.String},
 				{Name: "priority", Type: store.Int},
 				{Name: "offline", Type: store.Bool},
 				{Name: "lastSeen", Type: store.Time},
@@ -201,14 +196,6 @@ func NewServerOn(db *store.DB, opts ...Option) (*Server, error) {
 			},
 			Key: []string{"group", "member"},
 		}, "group"),
-		proxies: ensure(store.Schema{
-			Name: "proxies",
-			Columns: []store.Column{
-				{Name: "id", Type: store.String},
-				{Name: "addr", Type: store.String},
-			},
-			Key: []string{"id"},
-		}, ""),
 		leases: ensure(leaseSchema, ""),
 	}
 	if err != nil {
@@ -227,41 +214,12 @@ func (s *Server) registerUser(id, addr string, priority int) error {
 		return fmt.Errorf("directory: user id and addr are required")
 	}
 	now := s.clock.Now()
-	row := store.Row{
-		"id": id, "addr": addr, "proxy": s.pickProxy(),
-		"priority": int64(priority), "offline": false, "lastSeen": now,
-	}
+	row := store.Row{"addr": addr, "priority": int64(priority), "offline": false, "lastSeen": now}
 	if _, ok := s.users.Get(id); ok {
-		// Re-registration (device came back): keep proxy binding.
-		return s.users.Update(store.Row{
-			"addr": addr, "priority": int64(priority),
-			"offline": false, "lastSeen": now,
-		}, id)
+		return s.users.Update(row, id) // re-registration: the device moved or came back
 	}
+	row["id"] = id
 	return s.users.Insert(row)
-}
-
-// pickProxy assigns the next registered proxy round-robin ("" when no
-// proxies exist). The sorted proxy list is cached — rebuilding it was
-// a full Select+sort on every user registration — and invalidated by
-// registerProxy.
-func (s *Server) pickProxy() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.proxyAddrs == nil {
-		rows := s.proxies.Select(nil)
-		sort.Slice(rows, func(i, j int) bool { return rows[i]["id"].(string) < rows[j]["id"].(string) })
-		s.proxyAddrs = make([]string, len(rows))
-		for i, r := range rows {
-			s.proxyAddrs[i] = r["addr"].(string)
-		}
-	}
-	if len(s.proxyAddrs) == 0 {
-		return ""
-	}
-	addr := s.proxyAddrs[s.nextProxy%len(s.proxyAddrs)]
-	s.nextProxy++
-	return addr
 }
 
 func (s *Server) lookupUser(id string) (UserInfo, error) {
@@ -278,7 +236,6 @@ func (s *Server) userInfo(r store.Row) UserInfo {
 	return UserInfo{
 		ID:       r["id"].(string),
 		Addr:     r["addr"].(string),
-		Proxy:    r["proxy"].(string),
 		Priority: int(r["priority"].(int64)),
 		Online:   online,
 		LastSeen: last,
@@ -293,40 +250,14 @@ func (s *Server) heartbeat(id string) error {
 }
 
 func (s *Server) setOffline(id string, offline bool) error {
-	r, ok := s.users.Get(id)
-	if !ok {
+	if _, ok := s.users.Get(id); !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
 	}
 	ch := store.Row{"offline": offline}
 	if !offline {
 		ch["lastSeen"] = s.clock.Now()
-	} else if r["proxy"].(string) == "" {
-		// A previous Touch released the proxy binding; a deliberate
-		// disconnect needs one again for the engine failover path.
-		if p := s.pickProxy(); p != "" {
-			ch["proxy"] = p
-		}
 	}
 	return s.users.Update(ch, id)
-}
-
-// touch is the reconnect handshake. It atomically clears the offline
-// flag, refreshes lastSeen, and releases any proxy binding in ONE store
-// transaction: a concurrent lookup sees either the proxied-offline
-// record or the online-unproxied one, never a half-updated row, so a
-// sync session starting right after Touch cannot race a stale proxy
-// redirect. The pre-touch info is returned so the device learns which
-// proxy (if any) was holding state it still has to drain.
-func (s *Server) touch(ctx context.Context, id string) (UserInfo, error) {
-	r, ok := s.users.Get(id)
-	if !ok {
-		return UserInfo{}, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
-	}
-	prev := s.userInfo(r)
-	err := s.db.Unit(ctx, func(u *store.Tx) error {
-		return u.Update("users", store.Row{"offline": false, "lastSeen": s.clock.Now(), "proxy": ""}, id)
-	})
-	return prev, err
 }
 
 func (s *Server) registerService(name, owner, addr string, methods []string) error {
@@ -379,16 +310,6 @@ func (s *Server) resolveService(name string, withMethods bool) (ServiceInfo, err
 	}
 	if methods != "" {
 		info.Methods = splitComma(methods)
-	}
-	// Join the owner's liveness and proxy. Services without a
-	// registered owner (infrastructure services) are treated as always
-	// online.
-	now := s.clock.Now()
-	if !s.users.View(func(r store.Row) {
-		info.OwnerOnline = !r["offline"].(bool) && now.Sub(r["lastSeen"].(time.Time)) <= s.ttl
-		info.Proxy = r["proxy"].(string)
-	}, info.Owner) {
-		info.OwnerOnline = true
 	}
 	return info, nil
 }
@@ -445,24 +366,6 @@ func (s *Server) groupMembers(group string) []string {
 	return out
 }
 
-func (s *Server) registerProxy(id, addr string) error {
-	if id == "" || addr == "" {
-		return fmt.Errorf("directory: proxy id and addr are required")
-	}
-	var err error
-	if _, ok := s.proxies.Get(id); ok {
-		err = s.proxies.Update(store.Row{"addr": addr}, id)
-	} else {
-		err = s.proxies.Insert(store.Row{"id": id, "addr": addr})
-	}
-	if err == nil {
-		s.mu.Lock()
-		s.proxyAddrs = nil // invalidate the pickProxy cache
-		s.mu.Unlock()
-	}
-	return err
-}
-
 // --- transport handler -----------------------------------------------------
 
 // Handler returns the transport.Handler that dispatches directory RPCs.
@@ -472,17 +375,16 @@ func (s *Server) Handler() transport.Handler {
 
 // routingKey returns the shard-ownership key for one directory op
 // ("" for ops that are fanned out across shards by the client and
-// therefore never wrong-shard: ListUsers, ServicesOf, RegisterProxy,
-// ResolveBatch).
+// therefore never wrong-shard: ListUsers, ServicesOf, ResolveBatch).
 func routingKey(method string, a wire.Args) string {
 	switch method {
-	case "RegisterUser", "LookupUser", "Heartbeat", "SetOffline", "Touch":
+	case "RegisterUser", "LookupUser", "Heartbeat", "SetOffline":
 		return a.String("id")
 	case "RegisterService", "UnregisterService", "LookupService", "ResolveService":
 		return ShardKey(a.String("name"))
 	case "CreateGroup", "AddMember", "RemoveMember", "GroupMembers":
 		return a.String("group")
-	case "RenewLease", "GetLease", "Repoint":
+	case "RenewLease", "ReleaseLease", "GetLease", "Repoint":
 		return a.String("id") // co-located with the user record; ListLeases fans out
 	}
 	return ""
@@ -556,12 +458,6 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 			return fail(err)
 		}
 		return ok(true)
-	case "Touch":
-		info, err := s.touch(ctx, a.String("id"))
-		if err != nil {
-			return fail(err)
-		}
-		return ok(info)
 	case "RegisterService":
 		if err := s.registerService(a.String("name"), a.String("owner"), a.String("addr"), a.Strings("methods")); err != nil {
 			return fail(err)
@@ -630,17 +526,17 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 		return ok(true)
 	case "GroupMembers":
 		return ok(s.groupMembers(a.String("group")))
-	case "RegisterProxy":
-		if err := s.registerProxy(a.String("id"), a.String("addr")); err != nil {
-			return fail(err)
-		}
-		return ok(true)
 	case "RenewLease":
 		info, err := s.renewLease(a.String("id"), a.String("holder"), time.Duration(a.Int64("ttl")), a.Strings("replicas"))
 		if err != nil {
 			return fail(err)
 		}
 		return ok(info)
+	case "ReleaseLease":
+		if err := s.releaseLease(a.String("id"), a.String("holder")); err != nil {
+			return fail(err)
+		}
+		return ok(true)
 	case "GetLease":
 		info, err := s.getLease(a.String("id"))
 		if err != nil {

@@ -101,6 +101,15 @@ func TestHeartbeatUnknownUser(t *testing.T) {
 	}
 }
 
+// TestSetOfflineUnknownUser: a device that reconnects to a directory
+// that does not know it learns so at once.
+func TestSetOfflineUnknownUser(t *testing.T) {
+	c, _, _ := newDirectory(t)
+	if err := c.SetOffline(ctxT(t), "ghost", false); wire.CodeOf(err) != wire.CodeNoService {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestSetOfflineExplicit(t *testing.T) {
 	c, _, _ := newDirectory(t)
 	ctx := ctxT(t)
@@ -123,116 +132,22 @@ func TestSetOfflineExplicit(t *testing.T) {
 	}
 }
 
-func TestTouchClearsOfflineAndReleasesProxyAtomically(t *testing.T) {
+func TestReRegistrationMovesUser(t *testing.T) {
 	c, _, _ := newDirectory(t)
 	ctx := ctxT(t)
-	if err := c.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.RegisterUser(ctx, "phil", "node-phil", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterService(ctx, "cal.phil", "phil", "node-phil", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetOffline(ctx, "phil", true); err != nil {
 		t.Fatal(err)
-	}
-	// While offline, service resolution offers the proxy fallback.
-	svc, err := c.LookupService(ctx, "cal.phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.OwnerOnline || svc.Proxy != "proxy-1" {
-		t.Fatalf("offline service = %+v", svc)
-	}
-
-	// Touch reports the pre-reconnect state (so the device can drain
-	// its proxy) and flips the record in one transaction.
-	prev, err := c.Touch(ctx, "phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.Online || prev.Proxy != "proxy-1" {
-		t.Fatalf("pre-touch info = %+v", prev)
-	}
-	info, err := c.LookupUser(ctx, "phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Online || info.Proxy != "" {
-		t.Fatalf("post-touch info = %+v", info)
-	}
-	// The stale proxy redirect is gone: a sync session resolving the
-	// user's services right after Touch goes straight to the device.
-	svc, err = c.LookupService(ctx, "cal.phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !svc.OwnerOnline || svc.Proxy != "" {
-		t.Fatalf("post-touch service = %+v", svc)
-	}
-
-	// The next deliberate disconnect re-assigns a proxy even though
-	// Touch released the old binding.
-	if err := c.SetOffline(ctx, "phil", true); err != nil {
-		t.Fatal(err)
-	}
-	info, _ = c.LookupUser(ctx, "phil")
-	if info.Proxy == "" {
-		t.Fatalf("re-disconnect did not re-assign a proxy: %+v", info)
-	}
-}
-
-func TestTouchUnknownUser(t *testing.T) {
-	c, _, _ := newDirectory(t)
-	if _, err := c.Touch(ctxT(t), "ghost"); wire.CodeOf(err) != wire.CodeNoService {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReRegistrationKeepsProxy(t *testing.T) {
-	c, _, _ := newDirectory(t)
-	ctx := ctxT(t)
-	if err := c.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterUser(ctx, "phil", "node-phil", 0); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := c.LookupUser(ctx, "phil")
-	if before.Proxy != "proxy-1" {
-		t.Fatalf("proxy = %q", before.Proxy)
 	}
 	// Device moves to a new address (mobility) and re-registers.
 	if err := c.RegisterUser(ctx, "phil", "node-phil-2", 3); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := c.LookupUser(ctx, "phil")
-	if after.Addr != "node-phil-2" || after.Proxy != "proxy-1" || after.Priority != 3 {
+	if after.Addr != "node-phil-2" || after.Priority != 3 || !after.Online {
 		t.Fatalf("after = %+v", after)
-	}
-}
-
-func TestProxyRoundRobinAssignment(t *testing.T) {
-	c, _, _ := newDirectory(t)
-	ctx := ctxT(t)
-	if err := c.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterProxy(ctx, "p2", "proxy-2"); err != nil {
-		t.Fatal(err)
-	}
-	assigned := map[string]int{}
-	for _, u := range []string{"a", "b", "c", "d"} {
-		if err := c.RegisterUser(ctx, u, "node-"+u, 0); err != nil {
-			t.Fatal(err)
-		}
-		info, _ := c.LookupUser(ctx, u)
-		assigned[info.Proxy]++
-	}
-	if assigned["proxy-1"] != 2 || assigned["proxy-2"] != 2 {
-		t.Fatalf("assignment = %v", assigned)
 	}
 }
 
@@ -250,45 +165,11 @@ func TestRegisterAndLookupService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Addr != "node-phil" || info.Owner != "phil" || !info.OwnerOnline {
+	if info.Addr != "node-phil" || info.Owner != "phil" {
 		t.Fatalf("info = %+v", info)
 	}
 	if !reflect.DeepEqual(info.Methods, []string{"GetFreeSlots", "ReserveSlot"}) {
 		t.Fatalf("methods = %v", info.Methods)
-	}
-}
-
-func TestLookupServiceJoinsOwnerLiveness(t *testing.T) {
-	c, fake, _ := newDirectory(t)
-	ctx := ctxT(t)
-	if err := c.RegisterUser(ctx, "phil", "node-phil", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterService(ctx, "cal.phil", "phil", "node-phil", nil); err != nil {
-		t.Fatal(err)
-	}
-	fake.Advance(time.Minute) // past TTL
-	info, err := c.LookupService(ctx, "cal.phil")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.OwnerOnline {
-		t.Fatal("owner should be offline after TTL")
-	}
-}
-
-func TestServiceWithoutOwnerAlwaysOnline(t *testing.T) {
-	c, _, _ := newDirectory(t)
-	ctx := ctxT(t)
-	if err := c.RegisterService(ctx, "infra.logger", "", "node-x", nil); err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.LookupService(ctx, "infra.logger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.OwnerOnline {
-		t.Fatal("ownerless service should count as online")
 	}
 }
 

@@ -61,15 +61,11 @@ var endings = []struct {
 }{{"sigterm", true}, {"sigkill", false}}
 
 // populate registers, through c, one of everything a restart must
-// keep: a proxy, n users bound to it with distinct priorities, a
-// service each, one group of all of them, an offline flag on u03 and a
-// lease on every even user.
+// keep: n users with distinct priorities, a service each, one group of
+// all of them, an offline flag on u03 and a lease on every even user.
 func populate(t *testing.T, c *Client, n int) {
 	t.Helper()
 	ctx := ctxT(t)
-	if err := c.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
 	var members []string
 	for i := 0; i < n; i++ {
 		u := fmt.Sprintf("u%02d", i)
@@ -113,7 +109,7 @@ func verifyPopulated(t *testing.T, c *Client, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Addr != "node-"+u || info.Proxy != "proxy-1" || info.Priority != i {
+		if info.Addr != "node-"+u || info.Priority != i {
 			t.Fatalf("recovered %s = %+v", u, info)
 		}
 		if info.Online == (u == "u03") {
@@ -304,7 +300,7 @@ func TestRecoveredRegistryGainsMissingTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := NewServer()
-	for _, tab := range []*store.Table{full.users, full.services, full.members, full.proxies} {
+	for _, tab := range []*store.Table{full.users, full.services, full.members} {
 		if _, err := old.DB.CreateTable(tab.Schema()); err != nil {
 			t.Fatal(err)
 		}

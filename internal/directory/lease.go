@@ -88,6 +88,30 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 	return LeaseInfo{User: id, Holder: holder, Deadline: deadline, Replicas: replicas}, nil
 }
 
+// releaseLease ends holder's lease on id at once, so that a successor
+// can take it without waiting out the TTL: a deliberate handoff. The
+// row stays, expired, with its replica set. It fails with CodeConflict
+// unless holder holds the lease (expired or not), and with
+// CodeNoService when there is no lease on id.
+func (s *Server) releaseLease(id, holder string) error {
+	if id == "" || holder == "" {
+		return fmt.Errorf("directory: lease id and holder are required")
+	}
+	s.leaseMu.Lock()
+	defer s.leaseMu.Unlock()
+	r, ok := s.leases.Get(id)
+	if !ok {
+		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
+	}
+	if cur := r["holder"].(string); cur != holder {
+		return &wire.RemoteError{
+			Code: wire.CodeConflict,
+			Msg:  fmt.Sprintf("directory: lease on %q is held by %q, not %q", id, cur, holder),
+		}
+	}
+	return s.leases.Update(store.Row{"deadline": s.clock.Now()}, id)
+}
+
 // getLease reads the lease on id. CodeNoService when no lease exists.
 func (s *Server) getLease(id string) (LeaseInfo, error) {
 	r, ok := s.leases.Get(id)
@@ -125,8 +149,8 @@ func leaseInfo(r store.Row, now time.Time) LeaseInfo {
 }
 
 // repoint rebinds a promoted node in one RPC: the user record's
-// address flips to the new node (keeping its proxy binding, exactly
-// like re-registration) and every service the user owns follows.
+// address flips to the new node, as on re-registration, and every
+// service the user owns follows.
 // ShardKey co-locates a user with its services, so one shard-local
 // call re-points everything a client can resolve — no waiting for
 // directory cache TTLs beyond the epoch bump.

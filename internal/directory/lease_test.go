@@ -145,3 +145,36 @@ func TestRepointRebindsUserAndServices(t *testing.T) {
 		t.Fatalf("repoint unknown user err = %v", err)
 	}
 }
+
+// TestLeaseReleaseHandsOver: only the holder can release a lease, and a
+// released lease is expired at once, so a successor takes it without
+// waiting out the TTL.
+func TestLeaseReleaseHandsOver(t *testing.T) {
+	c, _, _ := newDirectory(t)
+	ctx := ctxT(t)
+	if err := c.ReleaseLease(ctx, "phil", "node-1"); wire.CodeOf(err) != wire.CodeNoService {
+		t.Fatalf("release of no lease = %v, want no-service", err)
+	}
+	if _, err := c.RenewLease(ctx, "phil", "node-1", time.Hour, []string{"r1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReleaseLease(ctx, "phil", "r1"); wire.CodeOf(err) != wire.CodeConflict {
+		t.Fatalf("release by a non-holder = %v, want conflict", err)
+	}
+	if got, err := c.GetLease(ctx, "phil"); err != nil || got.Expired {
+		t.Fatalf("lease after a refused release = %+v, %v", got, err)
+	}
+	if err := c.ReleaseLease(ctx, "phil", "node-1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.GetLease(ctx, "phil")
+	if err != nil || !got.Expired || got.Holder != "node-1" || !reflect.DeepEqual(got.Replicas, []string{"r1"}) {
+		t.Fatalf("released lease = %+v, %v; want expired, holder and replicas kept", got, err)
+	}
+	if _, err := c.RenewLease(ctx, "phil", "r1", time.Hour, nil); err != nil {
+		t.Fatalf("successor after release: %v", err)
+	}
+	if err := c.ReleaseLease(ctx, "phil", "node-1"); wire.CodeOf(err) != wire.CodeConflict {
+		t.Fatalf("release by the old holder = %v, want conflict", err)
+	}
+}

@@ -80,7 +80,7 @@ func TestShardedOpsRouteAndSpread(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if svc.Addr != "node-"+u || !svc.OwnerOnline {
+		if svc.Addr != "node-"+u || svc.Owner != u {
 			t.Fatalf("service cal.%s = %+v", u, svc)
 		}
 	}
@@ -220,14 +220,10 @@ func TestWrongShardRedirectRetriesOnce(t *testing.T) {
 	}
 }
 
-func TestShardedTouchAfterEpochBump(t *testing.T) {
+func TestShardedReconnectAfterEpochBump(t *testing.T) {
 	d := newShardedDirectory(t, 4)
 	ctx := ctxT(t)
-	// A proxy and an offline user, registered at epoch 1.
-	if err := d.client.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
-	// Find a user key shard3 owns at epoch 1 but loses when the
+	// An offline user, registered at epoch 1. Find a user key shard3 owns at epoch 1 but loses when the
 	// topology shrinks — the interesting reconnect case.
 	old := d.ctl.Current()
 	user := ""
@@ -248,7 +244,7 @@ func TestShardedTouchAfterEpochBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := d.client.LookupUser(ctx, user)
-	if before.Online || before.Proxy != "proxy-1" {
+	if before.Online {
 		t.Fatalf("offline user = %+v", before)
 	}
 	// The user's record migrates: shard3 leaves, epoch bumps to 2.
@@ -275,24 +271,20 @@ func TestShardedTouchAfterEpochBump(t *testing.T) {
 		}
 	}
 	// The device reconnects AFTER the epoch bump while the client
-	// still holds the epoch-1 table: Touch must survive the
-	// wrong-shard redirect and still be atomic on the new owner.
-	prev, err := d.client.Touch(ctx, user)
-	if err != nil {
-		t.Fatalf("touch after epoch bump: %v", err)
-	}
-	if prev.Online || prev.Proxy != "proxy-1" {
-		t.Fatalf("pre-touch info = %+v", prev)
+	// still holds the epoch-1 table: SetOffline must survive the
+	// wrong-shard redirect and land on the new owner.
+	if err := d.client.SetOffline(ctx, user, false); err != nil {
+		t.Fatalf("reconnect after epoch bump: %v", err)
 	}
 	if d.client.Epoch() != 2 {
-		t.Fatalf("client epoch after touch = %d, want 2", d.client.Epoch())
+		t.Fatalf("client epoch after reconnect = %d, want 2", d.client.Epoch())
 	}
 	info, err := d.client.LookupUser(ctx, user)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Online || info.Proxy != "" {
-		t.Fatalf("post-touch info = %+v", info)
+	if !info.Online || info.Addr != "node-"+user {
+		t.Fatalf("post-reconnect info = %+v", info)
 	}
 }
 
@@ -375,27 +367,5 @@ func TestResolveBatchAcrossShards(t *testing.T) {
 	}
 	if _, ok := got["cal.ghost"]; ok {
 		t.Fatal("unknown name resolved")
-	}
-}
-
-func TestShardedProxyBroadcastAndAssignment(t *testing.T) {
-	d := newShardedDirectory(t, 4)
-	ctx := ctxT(t)
-	if err := d.client.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
-	// Every shard learned the proxy, so users on any shard get one.
-	for i := 0; i < 8; i++ {
-		u := fmt.Sprintf("u%02d", i)
-		if err := d.client.RegisterUser(ctx, u, "node-"+u, 0); err != nil {
-			t.Fatal(err)
-		}
-		info, err := d.client.LookupUser(ctx, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Proxy != "proxy-1" {
-			t.Fatalf("user %s proxy = %q", u, info.Proxy)
-		}
 	}
 }

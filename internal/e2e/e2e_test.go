@@ -291,7 +291,7 @@ func TestNodeStatePersistsAcrossRestart(t *testing.T) {
 
 // TestDirectoryStatePersistsAcrossRestart: a directory killed with
 // SIGKILL and restarted on the same -data-dir still has every user,
-// service, group, proxy binding and lease it acknowledged, and a lease
+// service, group and lease it acknowledged, and a lease
 // granted before the kill still fences a rival after it.
 func TestDirectoryStatePersistsAcrossRestart(t *testing.T) {
 	if testing.Short() {
@@ -342,9 +342,6 @@ func testDirectoryRestart(t *testing.T, bins string, shards int) {
 	nodeAddr := freePort(t)
 	node := start(t, nodeBin, append([]string{"-user", "phil", "-addr", nodeAddr}, dirFlag...)...)
 	waitUsers(t, calBin, dirFlag, nodeAddr)
-	if err := c.RegisterProxy(ctx, "p1", "proxy-1"); err != nil {
-		t.Fatal(err)
-	}
 	users := []string{"phil"}
 	for i := 0; i < 8; i++ {
 		u := fmt.Sprintf("u%02d", i)
@@ -385,9 +382,9 @@ func testDirectoryRestart(t *testing.T, bins string, shards int) {
 	if err != nil || strings.Join(got, ",") != strings.Join(philServices, ",") {
 		t.Fatalf("phil's services after restart = %v, %v; before: %v", got, err, philServices)
 	}
-	for _, u := range users[1:] {
+	for i, u := range users[1:] {
 		info, err := c2.LookupUser(ctx, u)
-		if err != nil || info.Proxy != "proxy-1" || info.Addr != "node-"+u {
+		if err != nil || info.Priority != i || info.Addr != "node-"+u {
 			t.Fatalf("user %s after restart = %+v, %v", u, info, err)
 		}
 		svc, err := c2.LookupService(ctx, "cal."+u)

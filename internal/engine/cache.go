@@ -16,8 +16,9 @@ import (
 // so a hot invocation loop makes zero directory calls — the directory
 // server stops being a per-call bottleneck. Entries expire after a
 // TTL and are invalidated eagerly whenever an attempt ends
-// unreachable or the resolver failed over to the proxy, so a moved or
-// crashed device is re-resolved on the next call.
+// unreachable, so a crashed device is re-resolved on the next call; a
+// moved device is re-resolved by the resolver within the call itself,
+// and the cache keeps the new route.
 //
 // It is the node's one cache of directory answers: the directory.Client
 // under it asks the directory every time.
@@ -145,8 +146,9 @@ func (c *DirCache) Stats() DirCacheStats {
 // the resolver: on a hit it pre-fills Call.Route (the resolver then
 // skips its directory lookup); on a miss it lets the resolver do the
 // lookup and caches the result once the destination has answered — a
-// refusal proves the route as well as a result does. Unreachable
-// errors and proxy failover invalidate the entry.
+// refusal proves the route as well as a result does. A route the
+// resolver replaced (the device moved) is cached the same way;
+// unreachable errors invalidate the entry.
 func (c *DirCache) Interceptor() Interceptor {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call, out any) error {
@@ -162,9 +164,10 @@ func (c *DirCache) Interceptor() Interceptor {
 			}
 			err := next(ctx, call, out)
 			switch {
-			case call.FailedOver || (err != nil && isUnavailable(err)):
+			case err != nil && isUnavailable(err):
 				c.Invalidate(call.Service)
-			case !hit && call.Route != nil && answered(err):
+			// answered last: it allocates, and a warm hit never needs it.
+			case call.Route != nil && (!hit || call.Route.Addr != info.Addr) && answered(err):
 				c.store(call.Service, *call.Route)
 			}
 			return err

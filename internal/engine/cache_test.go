@@ -149,25 +149,13 @@ func TestDirCacheInvalidatedOnUnreachable(t *testing.T) {
 	}
 }
 
-func TestDirCacheBypassOnProxyFailover(t *testing.T) {
+// TestDirCacheFollowsMovedRoute: phil's user moves to another node (a
+// stand-in took it over) while andy's cache still holds the old route.
+// The first call on it finds the old node down, asks the directory
+// once, reaches the new node, and the cache keeps the new route.
+func TestDirCacheFollowsMovedRoute(t *testing.T) {
 	w := newWorld(t)
 	ctx := context.Background()
-
-	// A proxy answering for phil's calendar (registered first so phil
-	// adopts it).
-	proxyL := listener.New("proxy-1", nil)
-	proxyObj := listener.NewObject()
-	proxyObj.Handle("WhoAmI", func(ctx context.Context, call *listener.Call) (any, error) {
-		return map[string]string{"owner": "proxy-for-phil"}, nil
-	})
-	proxyL.Register("cal.phil", proxyObj)
-	proxyLn, err := w.net.Listen("proxy-1", proxyL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.dir.RegisterProxy(ctx, "p1", proxyLn.Addr()); err != nil {
-		t.Fatal(err)
-	}
 	w.addNode("phil")
 
 	var now atomic.Int64
@@ -182,19 +170,43 @@ func TestDirCacheBypassOnProxyFailover(t *testing.T) {
 		t.Fatalf("expected direct answer, got %v", out)
 	}
 
-	// Device dies; the cached (now stale) route is tried, the resolver
-	// fails over to the proxy, and the cache drops the entry so the
-	// next call does not trust the dead address again.
+	// phil's services move to a stand-in and the device goes down.
+	standIn := listener.New("standin-phil", nil)
+	obj := listener.NewObject()
+	obj.Handle("WhoAmI", func(ctx context.Context, call *listener.Call) (any, error) {
+		return map[string]string{"owner": "standin-phil"}, nil
+	})
+	standIn.Register("cal.phil", obj)
+	if _, err := w.net.Listen("standin-phil", standIn); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.dir.Repoint(ctx, "phil", "standin-phil"); err != nil {
+		t.Fatal(err)
+	}
 	w.net.SetDown("node-phil", true)
+
+	w.net.ResetStats()
 	out = nil
 	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out["owner"] != "proxy-for-phil" {
-		t.Fatalf("expected proxy answer, got %v", out)
+	if out["owner"] != "standin-phil" {
+		t.Fatalf("expected the stand-in's answer, got %v", out)
 	}
-	if st := cache.Stats(); st.Size != 0 || st.Invalidations == 0 {
-		t.Fatalf("failover left the stale route cached: %+v", st)
+	// One try at the dead node, then one lookup and one call.
+	if st := w.net.Stats(); st.Dropped != 1 || st.Requests != 2 {
+		t.Fatalf("moved call = %d dropped, %d requests; want 1 and 2 (lookup + invoke)", st.Dropped, st.Requests)
+	}
+	// The next call goes straight to the stand-in from the cache.
+	w.net.ResetStats()
+	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, &out); err != nil || out["owner"] != "standin-phil" {
+		t.Fatalf("second call = %v, %v", out, err)
+	}
+	if st := w.net.Stats(); st.Dropped != 0 || st.Requests != 1 {
+		t.Fatalf("warm moved route = %d dropped, %d requests; want 0 and 1", st.Dropped, st.Requests)
+	}
+	if st := cache.Stats(); st.Size != 1 || st.Invalidations != 0 {
+		t.Fatalf("cache after the move = %+v", st)
 	}
 }
 

@@ -6,8 +6,8 @@
 // (client-side middleware). The stock stages re-express what used to
 // be inline logic: CredentialInterceptor seals the caller's identity
 // onto each request (§5.4), the resolver stage looks services up
-// through SyDDirectory and fails over to the owner's proxy when the
-// device is down (§5.2), DirCache short-circuits resolution on the
+// through SyDDirectory and follows a user the directory has moved to a
+// stand-in or back (§5.2), DirCache short-circuits resolution on the
 // warm path, RetryInterceptor adds QoS retries, and
 // MetricsInterceptor measures every attempt. Applications can push
 // their own interceptors in front of the stock chain.

@@ -110,86 +110,8 @@ func TestInvokeRemoteErrorSurfaces(t *testing.T) {
 	}
 }
 
-func TestProxyFailover(t *testing.T) {
-	w := newWorld(t)
-	ctx := context.Background()
-
-	// A proxy node that answers for phil's calendar.
-	proxyL := listener.New("proxy-1", nil)
-	proxyObj := listener.NewObject()
-	proxyObj.Handle("WhoAmI", func(ctx context.Context, call *listener.Call) (any, error) {
-		return map[string]string{"owner": "proxy-for-phil", "caller": call.Caller}, nil
-	})
-	proxyL.Register("cal.phil", proxyObj)
-	proxyLn, err := w.net.Listen("proxy-1", proxyL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.dir.RegisterProxy(ctx, "p1", proxyLn.Addr()); err != nil {
-		t.Fatal(err)
-	}
-
-	w.addNode("phil") // registered after the proxy so phil gets p1
-
-	e := New(w.net, w.dir, "andy")
-	var out map[string]string
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out["owner"] != "phil" {
-		t.Fatalf("expected direct answer, got %v", out)
-	}
-
-	// Device disappears from the network: engine must fail over to
-	// the proxy transparently.
-	w.net.SetDown("node-phil", true)
-	out = nil
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out["owner"] != "proxy-for-phil" {
-		t.Fatalf("expected proxy answer, got %v", out)
-	}
-}
-
-func TestProxyPreferredWhenOwnerMarkedOffline(t *testing.T) {
-	w := newWorld(t)
-	ctx := context.Background()
-
-	proxyL := listener.New("proxy-1", nil)
-	proxyObj := listener.NewObject()
-	proxyObj.Handle("WhoAmI", func(ctx context.Context, call *listener.Call) (any, error) {
-		return map[string]string{"owner": "proxy-for-phil"}, nil
-	})
-	proxyL.Register("cal.phil", proxyObj)
-	proxyLn, err := w.net.Listen("proxy-1", proxyL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.dir.RegisterProxy(ctx, "p1", proxyLn.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	w.addNode("phil")
-
-	// phil announces a deliberate disconnect; the engine should go
-	// straight to the proxy without probing the device.
-	if err := w.dir.SetOffline(ctx, "phil", true); err != nil {
-		t.Fatal(err)
-	}
-	before := w.net.Stats().Dropped
-	e := New(w.net, w.dir, "andy")
-	var out map[string]string
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out["owner"] != "proxy-for-phil" {
-		t.Fatalf("out = %v", out)
-	}
-	if dropped := w.net.Stats().Dropped - before; dropped != 0 {
-		t.Fatalf("engine probed the offline device (%d drops)", dropped)
-	}
-}
-
+// TestInvokeNoProxyNoFailover: a call on a freshly resolved route to a
+// down device fails unavailable; there is nowhere else to send it.
 func TestInvokeNoProxyNoFailover(t *testing.T) {
 	w := newWorld(t)
 	w.addNode("phil")

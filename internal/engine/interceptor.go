@@ -34,15 +34,11 @@ type Call struct {
 	Addr string
 	// Route is the resolved directory record for Service. The cache
 	// interceptor pre-fills it on a hit; the resolver fills it on a
-	// miss.
+	// miss, and replaces a cached one that led to a moved device.
 	Route *directory.ServiceInfo
 	// Dest is the concrete dial address chosen for the current
 	// attempt (set by the resolver, read by the transport stage).
 	Dest string
-	// FailedOver records that the resolver fell back to the proxy
-	// after the primary address was unreachable (the cache
-	// interceptor invalidates on it).
-	FailedOver bool
 }
 
 // Invoker executes one invocation attempt, decoding the result into
@@ -113,9 +109,9 @@ func MetricsInterceptor(reg *metrics.Registry) Interceptor {
 // TraceInterceptor opens one client span per logical invocation and
 // injects its ids into the call metadata so the far side can continue
 // the trace. It sits above the resolver, so a single span covers
-// resolution, failover, and every transport attempt; the destination
-// and failover verdict are annotated after the fact, once the resolver
-// has chosen them.
+// resolution, a re-resolution, and every transport attempt; the
+// destination is annotated after the fact, once the resolver has
+// chosen it.
 func TraceInterceptor(t *trace.Tracer) Interceptor {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call, out any) error {
@@ -129,9 +125,6 @@ func TraceInterceptor(t *trace.Tracer) Interceptor {
 			if call.Dest != "" {
 				s.Annotate(trace.String("dest", call.Dest))
 			}
-			if call.FailedOver {
-				s.Annotate(trace.Bool("failover", true))
-			}
 			s.FinishErr(err)
 			return err
 		}
@@ -141,10 +134,10 @@ func TraceInterceptor(t *trace.Tracer) Interceptor {
 // resolveInterceptor is the routing stage every engine chain ends
 // with (just above the transport): it resolves Service through the
 // directory unless a Route was pre-filled (cache hit) or an explicit
-// Addr forces the destination, prefers the device while its owner is
-// online, and fails over to the proxy when the primary is
-// unreachable ("the proxy and the SyD object act as a single entity
-// for an outsider", §5.2).
+// Addr forces the destination. When a call on a cached route finds the
+// device unavailable, it asks the directory once more; if the service
+// has moved — a stand-in took the user over, or the device took the
+// user back (§5.2) — it sends the call there, once.
 func resolveInterceptor(e *Engine) Interceptor {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call, out any) error {
@@ -152,7 +145,8 @@ func resolveInterceptor(e *Engine) Interceptor {
 				call.Dest = call.Addr
 				return next(ctx, call, out)
 			}
-			if call.Route == nil {
+			cached := call.Route != nil
+			if !cached {
 				// Route-only resolution: the engine never needs the
 				// method list, so skip fetching and decoding it.
 				info, err := e.dir.ResolveService(ctx, call.Service)
@@ -161,22 +155,16 @@ func resolveInterceptor(e *Engine) Interceptor {
 				}
 				call.Route = &info
 			}
-			primary, fallback := call.Route.Addr, call.Route.Proxy
-			if !call.Route.OwnerOnline && call.Route.Proxy != "" {
-				primary, fallback = call.Route.Proxy, call.Route.Addr
-			}
-			call.Dest = primary
+			call.Dest = call.Route.Addr
 			err := next(ctx, call, out)
-			if err == nil || !isUnavailable(err) {
+			if !cached || err == nil || !isUnavailable(err) {
 				return err
 			}
-			// Primary is gone (the route cache above forgets the route):
-			// try the fallback if there is one.
-			if fallback == "" || fallback == primary {
+			info, rerr := e.dir.ResolveService(ctx, call.Service)
+			if rerr != nil || info.Addr == call.Dest {
 				return err
 			}
-			call.FailedOver = true
-			call.Dest = fallback
+			call.Route, call.Dest = &info, info.Addr
 			return next(ctx, call, out)
 		}
 	}

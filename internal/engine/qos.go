@@ -32,8 +32,8 @@ type QoS struct {
 // an attempt timeout) are retried; application errors (conflicts,
 // auth, bad args) surface immediately. Routing state is reset between
 // attempts, so each retry re-resolves through the chain's cache and
-// resolver stages (a device that re-registered at a new address, or
-// fell back to its proxy, is found). Backoff waits run on clk.
+// resolver stages (a device that re-registered at a new address, or a
+// stand-in that took its user over, is found). Backoff waits run on clk.
 func RetryInterceptor(qos QoS, clk clock.Clock) Interceptor {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call, out any) error {

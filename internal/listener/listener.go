@@ -5,7 +5,7 @@
 // registered method implementations.
 //
 // One Listener serves all device objects hosted on a node (a calendar
-// object, the node's link manager, a proxy endpoint, ...). Dispatch
+// object, the node's link manager, its replication service, ...). Dispatch
 // flows through a Middleware chain — user middleware first, then the
 // stock AuthMiddleware, then method lookup — so cross-cutting server
 // behavior stays out of the transport plumbing.
@@ -97,14 +97,7 @@ type Listener struct {
 	sink     func(*wire.Event)
 	chain    []Middleware // user middleware, outermost first
 	dispatch Method       // composed: chain → auth → method lookup
-	fallback Fallback
 }
-
-// Fallback handles requests that name a service this listener does not
-// host. It reports handled=false to fall through to the stock
-// no-service error. A proxy host uses it to absorb updates addressed to
-// an offline user it has not (yet) adopted.
-type Fallback func(ctx context.Context, req *transport.Request) (result any, handled bool, err error)
 
 // ListenerOption configures a Listener at construction time.
 type ListenerOption func(*Listener)
@@ -185,13 +178,6 @@ func (l *Listener) Register(service string, obj *Object) {
 	l.services[service] = obj
 }
 
-// SetFallback installs the handler consulted for unregistered services.
-func (l *Listener) SetFallback(f Fallback) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.fallback = f
-}
-
 // Unregister removes a local service.
 func (l *Listener) Unregister(service string) {
 	l.mu.Lock()
@@ -250,28 +236,8 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 	l.mu.RLock()
 	obj, ok := l.services[req.Service]
 	dispatch := l.dispatch
-	fb := l.fallback
 	l.mu.RUnlock()
 	if !ok {
-		if fb != nil {
-			if result, handled, err := fb(ctx, req); handled {
-				if err != nil {
-					code := wire.CodeInternal
-					msg := err.Error()
-					var re *wire.RemoteError
-					if errors.As(err, &re) {
-						code = re.Code
-						msg = re.Msg
-					}
-					return transport.ErrorResponse(req, code, "%s", msg)
-				}
-				raw, merr := wire.Marshal(result)
-				if merr != nil {
-					return transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", merr)
-				}
-				return &transport.Response{ID: req.ID, OK: true, Result: raw}
-			}
-		}
 		return transport.ErrorResponse(req, wire.CodeNoService, "node %s has no service %q", l.owner, req.Service)
 	}
 

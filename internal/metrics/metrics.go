@@ -58,7 +58,7 @@ const (
 	LayerWAL    Layer = "wal"    // durability subsystem (internal/wal): commit, fsync, batch, recovery, checkpoint
 	LayerLinks  Layer = "links"  // negotiation protocol: outcomes, commit retries, journal expiry, participant resolution
 	LayerRepl   Layer = "repl"   // replication: WAL shipping, snapshot bootstrap, lease renewal, promotion
-	LayerSync   Layer = "sync"   // disconnected operation: offline queue, reconnect push/pull sessions, proxy update queue
+	LayerSync   Layer = "sync"   // disconnected operation: offline queue, reconnect push/pull sessions
 )
 
 type seriesKey struct {

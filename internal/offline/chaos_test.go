@@ -29,7 +29,7 @@ func TestChaosFlappingDeviceConvergence(t *testing.T) {
 
 	// A three-way meeting while everyone is online makes andy and phil
 	// sync peers of mob: the relevance pull reaches known acquaintances
-	// (brand-new peers are covered by the proxy-queue leg instead).
+	// only.
 	if _, err := mob.SetupMeeting(ctx, pinned("kickoff", "2003-04-22", 9, 1, "andy", "phil")); err != nil {
 		t.Fatal(err)
 	}

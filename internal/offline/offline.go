@@ -22,7 +22,7 @@ import (
 type State string
 
 // States. The machine is online → offline (send failures or explicit
-// GoOffline) → syncing (directory Touch succeeded, session running) →
+// GoOffline) → syncing (the directory took us back online, session running) →
 // online (session complete) — with syncing falling back to offline if
 // the partition returns mid-session.
 const (
@@ -52,7 +52,8 @@ type Config struct {
 	DB *store.DB
 	// Engine performs the reconnect session's RPCs (required).
 	Engine *engine.Engine
-	// Dir is the directory client used for Touch (required).
+	// Dir is the directory client that marks the device offline and
+	// back online (required).
 	Dir *directory.Client
 	// Clock defaults to clock.System.
 	Clock clock.Clock
@@ -258,10 +259,10 @@ func (m *Manager) Interceptor() engine.Interceptor {
 }
 
 // TryReconnect probes the directory and, if reachable, runs the full
-// two-way sync session: Touch (atomically un-proxies us), drain the
-// proxy's update queue, push queued ops, pull relevant state. Single-
-// flight: concurrent calls while a session runs are no-ops. Returns
-// nil when already online.
+// two-way sync session: mark the device online, push queued ops, pull
+// relevant state. The pull is what recovers updates peers could not
+// deliver while the device was away. Single-flight: concurrent calls
+// while a session runs are no-ops. Returns nil when already online.
 func (m *Manager) TryReconnect(ctx context.Context) error {
 	if m.State() == StateOnline {
 		return nil
@@ -272,16 +273,12 @@ func (m *Manager) TryReconnect(ctx context.Context) error {
 	defer m.reconnecting.Store(false)
 	start := m.clock.Now()
 	ctx, span := m.tracer.StartSpan(ctx, "offline.reconnect")
-	prev, err := m.dir.Touch(ctx, m.user)
-	if err != nil {
+	if err := m.dir.SetOffline(ctx, m.user, false); err != nil {
 		span.FinishErr(err)
 		m.observe("Reconnect", wire.CodeUnavailable, m.clock.Now().Sub(start))
 		return err
 	}
 	m.setState(StateSyncing)
-	if prev.Proxy != "" {
-		m.drainProxy(ctx, prev.Proxy)
-	}
 	if err := m.push(ctx); err != nil {
 		m.abortSync(ctx, span, err)
 		m.observe("Reconnect", wire.CodeUnavailable, m.clock.Now().Sub(start))
@@ -300,45 +297,12 @@ func (m *Manager) TryReconnect(ctx context.Context) error {
 }
 
 // abortSync returns to local mode after a mid-session failure and
-// best-effort re-marks the directory record offline (we Touch'd it
+// best-effort re-marks the directory record offline (we marked it
 // online, but the session did not complete).
 func (m *Manager) abortSync(ctx context.Context, span *trace.Span, err error) {
 	m.setState(StateOffline)
 	_ = m.dir.SetOffline(ctx, m.user, true)
 	span.FinishErr(err)
-}
-
-// proxyUpdate mirrors the proxy host's queued-update wire shape.
-type proxyUpdate struct {
-	Service string    `json:"service"`
-	Method  string    `json:"method"`
-	Args    wire.Args `json:"args,omitempty"`
-}
-
-// drainProxy empties the bounded update queue our proxy accumulated
-// while covering for us and replays each update through the engine's
-// normal invocation path. Touch already re-pointed our services at the
-// device, so the updates land exactly as if the peers had delivered
-// them directly — same handlers, same reconciliation rules. Best
-// effort: a failure here is recoverable (peers re-push meeting docs on
-// the next change, and the pull phase re-reads their state).
-func (m *Manager) drainProxy(ctx context.Context, proxyAddr string) {
-	ctx, span := trace.Start(ctx, "sync.proxy.drain")
-	var out struct {
-		Updates []proxyUpdate `json:"updates,omitempty"`
-		Dropped int64         `json:"dropped"`
-	}
-	if err := m.eng.InvokeAddr(ctx, proxyAddr, "proxy.control", "DrainUpdates",
-		wire.Args{"user": m.user}, &out); err != nil {
-		span.FinishErr(err)
-		return
-	}
-	for _, u := range out.Updates {
-		_ = m.eng.Invoke(ctx, u.Service, u.Method, u.Args, nil)
-	}
-	span.Annotate(trace.Int("updates", len(out.Updates)), trace.Int64("dropped", out.Dropped))
-	span.Finish()
-	m.observe("ProxyDrain", "", 0)
 }
 
 // push drains the op queue in sequence order through the application's

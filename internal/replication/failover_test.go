@@ -515,3 +515,131 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 		t.Fatalf("status holder = %q", x.Repl.Status().Holder)
 	}
 }
+
+// unsharded is a deployment on one directory server: it returns the
+// network, the clock, and a function that boots a node on them with the
+// store-backed slot actions registered.
+func unsharded(t *testing.T) (*sim.Net, *clock.Fake, func(core.Config) *core.Node) {
+	t.Helper()
+	net := sim.New(sim.Config{})
+	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
+	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(100*time.Hour))
+	if _, err := net.Listen("dir", srv.Handler()); err != nil {
+		t.Fatal(err)
+	}
+	return net, clk, func(cfg core.Config) *core.Node {
+		t.Helper()
+		cfg.Net, cfg.DirAddr, cfg.Clock = net, "dir", clk
+		n, err := core.Start(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		registerSlotActions(n)
+		return n
+	}
+}
+
+// unshardedFollower starts a follower of x at repl-x-1 whose promotion
+// boots a node over its data dir and reports it on the returned channel.
+func unshardedFollower(t *testing.T, net *sim.Net, clk *clock.Fake, start func(core.Config) *core.Node, pullMax int) (*replication.Follower, chan *core.Node) {
+	t.Helper()
+	dataDir := t.TempDir()
+	promoted := make(chan *core.Node, 1)
+	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
+		User: "x", Net: net, Dir: directory.NewClient(net, "dir"), Clock: clk,
+		DataDir: dataDir, ListenAddr: "repl-x-1", LeaseTTL: leaseTTL, PullMaxBytes: pullMax,
+		Promote: func(ctx context.Context, holder string) (string, error) {
+			n := start(core.Config{User: "x", DataDir: dataDir, LeaseTTL: leaseTTL, LeaseHolder: holder})
+			promoted <- n
+			return n.Addr(), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, promoted
+}
+
+// TestFailoverFirstCallOnWarmRoute: with an unsharded directory there
+// is no epoch bump to flush a caller's route cache, so after a promotion
+// the caller's cached route still names the dead primary. The first
+// call on it must still succeed: the engine asks the directory again
+// and follows the repointed address.
+func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
+	ctx := context.Background()
+	net, clk, start := unsharded(t)
+	caller := start(core.Config{User: "a", RouteCacheTTL: time.Hour})
+	x := start(core.Config{User: "x", DataDir: t.TempDir(), LeaseTTL: leaseTTL, Replicas: []string{"repl-x-1"}})
+	f, promoted := unshardedFollower(t, net, clk, start, 0)
+
+	available := func() error {
+		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "IsAvailable",
+			wire.Args{"entity": "s0", "action": "reserve"}, nil)
+	}
+	if err := available(); err != nil {
+		t.Fatal(err)
+	}
+	drainFollowers(t, x, f)
+
+	x.Events.Close()
+	net.SetDown(x.Addr(), true)
+	clk.Advance(leaseTTL + time.Second)
+	if did, err := f.CheckLease(ctx); err != nil || !did {
+		t.Fatalf("CheckLease = %v, %v; want a promotion", did, err)
+	}
+	x2 := <-promoted
+	if err := available(); err != nil {
+		t.Fatalf("first call after the promotion: %v", err)
+	}
+	if got := caller.Engine.DirCache().Stats(); got.Invalidations != 0 {
+		t.Fatalf("route cache = %+v; want the moved route kept, not dropped", got)
+	}
+	_ = x2.Close(ctx)
+}
+
+// TestHandoffDrainsLaggingFollower: a deliberate handoff (the primary's
+// Release, the follower's PromoteNow, the primary's Close) loses no
+// write even when the follower has never pulled and one pull carries
+// only a fraction of the log; afterwards the directory has x online at
+// the promoted node.
+func TestHandoffDrainsLaggingFollower(t *testing.T) {
+	ctx := context.Background()
+	net, clk, start := unsharded(t)
+	x := start(core.Config{User: "x", DataDir: t.TempDir(), LeaseTTL: leaseTTL})
+	f, promoted := unshardedFollower(t, net, clk, start, 512)
+
+	slots, err := x.DB.Table("slots")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := slots.Insert(store.Row{"entity": fmt.Sprintf("s%02d", i), "holder": "M"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := x.Repl.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.PromoteNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	x2 := <-promoted
+	defer x2.Close(ctx)
+	for i := 0; i < n; i++ {
+		if got := slotOn(t, x2, fmt.Sprintf("s%02d", i)); got != "M" {
+			t.Fatalf("slot s%02d on the promoted node = %q, want M", i, got)
+		}
+	}
+	dir := directory.NewClient(net, "dir")
+	if info, err := dir.LookupUser(ctx, "x"); err != nil || !info.Online || info.Addr != x2.Addr() {
+		t.Fatalf("directory has x as %+v, %v; want online at %s", info, err, x2.Addr())
+	}
+	if lease, err := dir.GetLease(ctx, "x"); err != nil || lease.Holder != "repl-x-1" || lease.Expired {
+		t.Fatalf("lease = %+v, %v; want held by repl-x-1", lease, err)
+	}
+}

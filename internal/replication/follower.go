@@ -401,9 +401,15 @@ func (f *Follower) PromoteNow(ctx context.Context) error {
 
 	// Best-effort final drain: the old primary (now fenced by our
 	// lease) still serves Pull, so any acked frames it wrote reach us
-	// before we seal the directory. Errors are expected — it may
-	// simply be dead.
-	_ = f.PullOnce(ctx)
+	// before we seal the directory. Pull until a pull fails or brings
+	// nothing (one pull carries at most PullMaxBytes): errors are
+	// expected — it may simply be dead.
+	for {
+		before := f.r.AppliedLSN()
+		if f.PullOnce(ctx) != nil || f.r.AppliedLSN() == before {
+			break
+		}
+	}
 
 	// Past this point promotion must run to completion: the lease-watch
 	// loop invokes CheckLease with its own loop context, which f.cancel

@@ -130,6 +130,20 @@ func (p *Primary) Renew(ctx context.Context) error {
 	return nil
 }
 
+// Release hands the lease over on purpose: it fences this primary, so
+// that it serves nothing but replication traffic and renews no more,
+// then ends its lease at the directory. A follower's PromoteNow can take
+// the lease at once and drain the last frames from here. This is how a
+// device hands its user to a stand-in and how the stand-in hands the
+// user back (paper §5.2).
+func (p *Primary) Release(ctx context.Context) error {
+	p.fence()
+	start := time.Now()
+	err := p.cfg.Dir.ReleaseLease(ctx, p.cfg.User, p.cfg.Holder)
+	p.observe("lease-release", wire.CodeOf(err), time.Since(start))
+	return err
+}
+
 // fence marks the primary permanently invalid and fires OnFenced once.
 func (p *Primary) fence() {
 	p.mu.Lock()

@@ -15,8 +15,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 20732
-	allTreeLines   = 23303
+	cmdLineCeiling = 20050
+	allTreeLines   = 22668
 )
 
 func TestNonTestLineCeiling(t *testing.T) {

@@ -3,11 +3,16 @@ package repro
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/calendar"
+	"repro/internal/core"
+	"repro/internal/directory"
 	"repro/internal/links"
+	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -178,11 +183,47 @@ func RunT1() (*Result, error) {
 	return res, nil
 }
 
+// addUserWithStandIn boots user's device in w, durable and leased, in a
+// data dir under root, with a replication follower of it as its §5.2
+// stand-in, and returns the handoff that takes the device away: the
+// device's Release, the follower's PromoteNow and the device's Close.
+// Afterwards w's node for user is the stand-in's.
+func addUserWithStandIn(w *World, user, root string) (away func(context.Context) error, err error) {
+	const ttl = time.Hour
+	deviceDir, standInDir := filepath.Join(root, "device"), filepath.Join(root, "stand-in")
+	if err := w.startUser(core.Config{User: user, DataDir: deviceDir, LeaseTTL: ttl}); err != nil {
+		return nil, err
+	}
+	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
+		User: user, Net: w.Net, Dir: directory.NewClient(w.Net, "dir"), Clock: w.Clk,
+		DataDir: standInDir, ListenAddr: "standin-" + user, LeaseTTL: ttl,
+		Promote: func(ctx context.Context, holder string) (string, error) {
+			if err := w.startUser(core.Config{User: user, DataDir: standInDir, LeaseTTL: ttl, LeaseHolder: holder, ListenAddr: "standin-" + user}); err != nil {
+				return "", err
+			}
+			return w.Nodes[user].Addr(), nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context) error {
+		device := w.Nodes[user]
+		if err := device.Repl.Release(ctx); err != nil {
+			return err
+		}
+		if err := f.PromoteNow(ctx); err != nil {
+			return err
+		}
+		return device.Close(ctx)
+	}, nil
+}
+
 // RunT2 runs the performance sweeps implied by §5.1 ("all changes
 // happen in real time") and §7 (low bandwidth, weak connectivity):
 // group-invocation latency vs group size, link-op throughput,
-// negotiation under contention, proxy failover, and expiry-sweep
-// scale.
+// negotiation under contention, failover to a stand-in, and
+// expiry-sweep scale.
 func RunT2() (*Result, error) {
 	res := &Result{
 		ID:     "T2",
@@ -296,19 +337,24 @@ func RunT2() (*Result, error) {
 	}
 	res.AddNote("T2c: exactly one racer wins and both targets agree — deadlock-free ordered try-locks")
 
-	// T2d: proxy failover — latency of a call served by the device vs
-	// by the proxy after a disconnect.
+	// T2d: failover to a stand-in (§5.2) — latency of a call served by
+	// the device vs the caller's first call after the device handed its
+	// user to a replication follower and went away.
 	{
 		w, err := NewWorld([]string{"caller"}, sim.Config{BaseLatency: 200 * time.Microsecond, Seed: 3})
 		if err != nil {
 			return nil, err
 		}
-		if err := startCalendarProxy(w, "p1"); err != nil {
+		root, err := os.MkdirTemp("", "t2d-")
+		if err != nil {
 			return nil, err
 		}
-		if err := w.AddUser("mobile", 0); err != nil {
+		defer os.RemoveAll(root)
+		away, err := addUserWithStandIn(w, "mobile", root)
+		if err != nil {
 			return nil, err
 		}
+		defer func() { _ = w.Nodes["mobile"].Close(ctx) }()
 		eng := w.Nodes["caller"].Engine
 		probe := func() (time.Duration, error) {
 			start := time.Now()
@@ -319,10 +365,9 @@ func RunT2() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := w.Cals["mobile"].GoOffline(ctx, w.Net, w.Nodes["mobile"].Dir); err != nil {
+		if err := away(ctx); err != nil {
 			return nil, err
 		}
-		w.Net.SetDown(w.Nodes["mobile"].Addr(), true)
 		proxied, err := probe()
 		if err != nil {
 			return nil, err
