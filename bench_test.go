@@ -189,9 +189,9 @@ var slotSchema = store.Schema{
 
 // BenchmarkMicro_WALShip measures one replication shipping round: a
 // logged store mutation on the primary's durable database, read back
-// as raw WAL frames and verified-then-applied by a follower receiver.
-// The figure grows with b.N, so compare runs at one -benchtime Nx only:
-// wal.ReadFrames re-reads the live segment and decodes the LSN of every
+// as raw WAL frames and verified, logged and applied by a follower's
+// durable database. The figure grows with b.N, so compare runs at one
+// -benchtime Nx only: ReadFrames re-reads the live segment and decodes the LSN of every
 // frame below the pull's start, on every pull.
 func BenchmarkMicro_WALShip(b *testing.B) {
 	prim, err := wal.Open(b.TempDir(), wal.Options{})
@@ -200,13 +200,13 @@ func BenchmarkMicro_WALShip(b *testing.B) {
 	}
 	defer prim.Close()
 	tbl := prim.DB.MustCreateTable(slotSchema)
-	recv, err := wal.OpenReceiver(b.TempDir())
+	recv, err := wal.Open(b.TempDir(), wal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer recv.Close()
 	ship := func() {
-		batch, err := prim.ReadFrames(recv.AppliedLSN()+1, 1<<20)
+		batch, err := prim.ReadFrames(recv.LastLSN()+1, 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -226,8 +226,8 @@ func BenchmarkMicro_WALShip(b *testing.B) {
 		ship()
 	}
 	b.StopTimer()
-	if recv.AppliedLSN() != prim.LastLSN() {
-		b.Fatalf("follower at %d, primary at %d", recv.AppliedLSN(), prim.LastLSN())
+	if recv.LastLSN() != prim.LastLSN() {
+		b.Fatalf("follower at %d, primary at %d", recv.LastLSN(), prim.LastLSN())
 	}
 }
 
@@ -355,46 +355,41 @@ func BenchmarkDirectoryCache(b *testing.B) {
 	})
 }
 
-// BenchmarkWALCommit measures the durable commit path under the two
-// fsync policies: "per-commit" pays a write+fsync per insert, "group"
-// lets concurrent commits share one fsync (the group-commit batch).
-// The gap is the durability subsystem's headline number; on fast
-// storage (tmpfs) it shows as fewer syscalls rather than less latency.
+// BenchmarkWALCommit measures the durable commit path under group
+// commit: concurrent inserts share one write and one fsync per flusher
+// batch, and fsyncs/op reports how many they shared. On fast storage
+// (tmpfs) the sharing shows as fewer syscalls rather than less latency.
 func BenchmarkWALCommit(b *testing.B) {
-	run := func(b *testing.B, sync wal.SyncPolicy) {
-		d, err := wal.Open(b.TempDir(), wal.Options{Sync: sync})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer d.Close()
-		tab, err := d.DB.CreateTable(store.Schema{
-			Name: "bench",
-			Columns: []store.Column{
-				{Name: "id", Type: store.Int},
-				{Name: "val", Type: store.String},
-			},
-			Key: []string{"id"},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var next int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				id := atomic.AddInt64(&next, 1)
-				if err := tab.Insert(store.Row{"id": id, "val": "x"}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.StopTimer()
-		st := d.Stats()
-		if st.Appends > 0 {
-			b.ReportMetric(float64(st.Fsyncs)/float64(st.Appends), "fsyncs/op")
-		}
+	d, err := wal.Open(b.TempDir(), wal.Options{Sync: wal.SyncGroup})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("per-commit", func(b *testing.B) { run(b, wal.SyncPerCommit) })
-	b.Run("group", func(b *testing.B) { run(b, wal.SyncGroup) })
+	defer d.Close()
+	tab, err := d.DB.CreateTable(store.Schema{
+		Name: "bench",
+		Columns: []store.Column{
+			{Name: "id", Type: store.Int},
+			{Name: "val", Type: store.String},
+		},
+		Key: []string{"id"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var next int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			id := atomic.AddInt64(&next, 1)
+			if err := tab.Insert(store.Row{"id": id, "val": "x"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	st := d.Stats()
+	if st.Appends > 0 {
+		b.ReportMetric(float64(st.Fsyncs)/float64(st.Appends), "fsyncs/op")
+	}
 }

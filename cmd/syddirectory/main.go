@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -182,7 +183,7 @@ func serve(durables []*wal.Durable, closeAll func() error) {
 		log.Printf("syddirectory: close: %v", err)
 	}
 	for _, d := range durables {
-		if err := d.Close(); err != nil {
+		if err := errors.Join(d.Checkpoint(), d.Close()); err != nil {
 			log.Printf("syddirectory: close log: %v", err)
 		}
 	}

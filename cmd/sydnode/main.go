@@ -125,7 +125,7 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	priority := fs.Int("priority", 0, "user priority (§6)")
 	dataDir := fs.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); the device database survives crashes")
 	checkpointEvery := fs.Duration("checkpoint-interval", time.Minute, "with -data-dir: snapshot the database and trim the log this often (0 = only at shutdown)")
-	fsyncPolicy := fs.String("fsync", "group", "with -data-dir: fsync policy — group (batched group commit), always (fsync per commit), none")
+	fsyncPolicy := fs.String("fsync", "group", "with -data-dir: fsync policy — group (batched group commit; a commit returns after the fsync covering it) or none")
 	routeCacheTTL := fs.Duration("route-cache", 2*time.Second, "engine directory route cache TTL (0 disables)")
 	poolSize := fs.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
 	traceSample := fs.Float64("trace-sample", 0, "head-sample this fraction of traces (0..1; slow and in-doubt traces are always kept when tracing is on)")

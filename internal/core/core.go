@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -149,6 +150,9 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("core: Config.Net is required")
 	}
+	if cfg.LeaseTTL > 0 && cfg.DataDir == "" {
+		return nil, fmt.Errorf("core: replication (LeaseTTL) requires DataDir")
+	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System
@@ -283,10 +287,6 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	// its address, so clients keep resolving the promoted node.
 	var repl *replication.Primary
 	if cfg.LeaseTTL > 0 {
-		if durable == nil {
-			ln.Close()
-			return nil, fmt.Errorf("core: replication (LeaseTTL) requires DataDir")
-		}
 		holder := cfg.LeaseHolder
 		if holder == "" {
 			holder = ln.Addr()
@@ -438,9 +438,7 @@ func (n *Node) Close(ctx context.Context) error {
 	n.Events.Close()
 	err := n.ln.Close()
 	if n.Durable != nil {
-		if derr := n.Durable.Close(); err == nil {
-			err = derr
-		}
+		err = errors.Join(err, n.Durable.Checkpoint(), n.Durable.Close())
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -34,6 +36,31 @@ func TestStartValidation(t *testing.T) {
 	}
 	if _, err := core.Start(ctx, core.Config{User: "phil", DirAddr: "dir"}); err == nil {
 		t.Fatal("missing network accepted")
+	}
+}
+
+// noListen is a network on which binding fails the test.
+type noListen struct {
+	transport.Network
+	t *testing.T
+}
+
+func (n noListen) Listen(addr string, h transport.Handler) (transport.Listener, error) {
+	n.t.Fatalf("Start bound %q before rejecting its config", addr)
+	return nil, nil
+}
+
+// TestStartRejectsLeaseWithoutDataDir: replication ships the log, so a
+// lease without a data directory is a config error, reported before
+// Start binds an address or touches the directory.
+func TestStartRejectsLeaseWithoutDataDir(t *testing.T) {
+	net, clk := newDeployment(t)
+	_, err := core.Start(context.Background(), core.Config{
+		User: "phil", Net: noListen{Network: net, t: t}, DirAddr: "dir", Clock: clk,
+		LeaseTTL: 10 * time.Second,
+	})
+	if err == nil || !strings.Contains(err.Error(), "requires DataDir") {
+		t.Fatalf("Start with LeaseTTL and no DataDir: %v", err)
 	}
 }
 

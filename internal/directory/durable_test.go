@@ -49,6 +49,9 @@ func (l *life) end(t *testing.T, clean bool) {
 	if !clean {
 		return
 	}
+	if err := l.dur.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.dur.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,10 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultCheckpointBytes is the follower checkpoint threshold.
-const DefaultCheckpointBytes = 4 << 20
+// checkpointBytes of shipped frames since the last follower
+// checkpoint trigger the next one, so promotion replay and disk use
+// stay bounded.
+const checkpointBytes = 4 << 20
 
 // PromoteFunc boots this follower's data directory as a full serving
 // node and returns its bound address. holder is the lease identity
@@ -58,9 +60,6 @@ type FollowerConfig struct {
 	// PullMaxBytes is the per-pull byte budget (DefaultPullMaxBytes
 	// when 0).
 	PullMaxBytes int
-	// CheckpointBytes is the follower checkpoint threshold
-	// (DefaultCheckpointBytes when 0).
-	CheckpointBytes int64
 	// PullEvery and LeaseCheckEvery, when > 0, run the pull and
 	// lease-watch loops, timed through Clock. Tests leave them 0 and
 	// drive PullOnce/CheckLease by hand.
@@ -80,19 +79,20 @@ type FollowerConfig struct {
 type Follower struct {
 	cfg FollowerConfig
 	clk clock.Clock
-	r   *wal.Receiver
+	d   *wal.Durable
 	ln  transport.Listener
 	cp  *controlplane.Client // nil without ControlPlaneAddr
 
-	mu         sync.Mutex
-	shippedLSN uint64 // primary tail as of last pull
-	lagBytes   int64
-	pulls      uint64
-	snapshots  uint64
-	badBatches uint64
-	expiredAt  time.Time // first observation of the expired lease (grace timer)
-	promoted   bool
-	closed     bool
+	mu             sync.Mutex
+	shippedLSN     uint64 // primary tail as of last pull
+	lagBytes       int64
+	pulls          uint64
+	snapshots      uint64
+	badBatches     uint64
+	checkpointedAt uint64    // d's BytesWritten at the last checkpoint
+	expiredAt      time.Time // first observation of the expired lease (grace timer)
+	promoted       bool
+	closed         bool
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -120,18 +120,15 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	if cfg.PullMaxBytes <= 0 {
 		cfg.PullMaxBytes = DefaultPullMaxBytes
 	}
-	if cfg.CheckpointBytes <= 0 {
-		cfg.CheckpointBytes = DefaultCheckpointBytes
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System
 	}
-	r, err := wal.OpenReceiver(cfg.DataDir)
+	d, err := wal.Open(cfg.DataDir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg, clk: clk, r: r}
+	f := &Follower{cfg: cfg, clk: clk, d: d}
 	if cfg.ControlPlaneAddr != "" {
 		f.cp = controlplane.NewClient(cfg.Net, cfg.ControlPlaneAddr)
 	}
@@ -144,7 +141,7 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	}
 	ln, err := cfg.Net.Listen(addr, lis)
 	if err != nil {
-		r.Close()
+		d.Close()
 		return nil, fmt.Errorf("replication: follower listen: %w", err)
 	}
 	f.ln = ln
@@ -186,11 +183,12 @@ func (f *Follower) loop(ctx context.Context, every time.Duration, fn func(contex
 func (f *Follower) Addr() string { return f.ln.Addr() }
 
 // AppliedLSN reports the highest LSN durably applied locally.
-func (f *Follower) AppliedLSN() uint64 { return f.r.AppliedLSN() }
+func (f *Follower) AppliedLSN() uint64 { return f.d.LastLSN() }
 
-// Receiver exposes the underlying WAL receiver (read-mostly: tests
-// inspect the replicated database through it).
-func (f *Follower) Receiver() *wal.Receiver { return f.r }
+// Durable exposes the follower's data directory (read-only: it takes
+// shipped batches alone; tests inspect the replicated database
+// through it).
+func (f *Follower) Durable() *wal.Durable { return f.d }
 
 // Status snapshots the follower's replication state.
 func (f *Follower) Status() Status {
@@ -201,7 +199,7 @@ func (f *Follower) Status() Status {
 		Role:       RoleFollower,
 		Holder:     f.holder(),
 		ShippedLSN: f.shippedLSN,
-		AppliedLSN: f.r.AppliedLSN(),
+		AppliedLSN: f.d.LastLSN(),
 		LagBytes:   f.lagBytes,
 		Pulls:      f.pulls,
 		Snapshots:  f.snapshots,
@@ -239,7 +237,7 @@ func (f *Follower) PullOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	from := f.r.AppliedLSN() + 1
+	from := f.d.LastLSN() + 1
 	start := time.Now()
 	var reply pullReply
 	err = call(ctx, f.cfg.Net, primaryAddr, f.cfg.User, "Pull",
@@ -257,7 +255,7 @@ func (f *Follower) PullOnce(ctx context.Context) error {
 		return f.bootstrap(ctx, primaryAddr)
 	}
 	if len(reply.Frames) > 0 {
-		if _, err := f.r.AppendFrames(reply.Frames); err != nil {
+		if _, err := f.d.AppendFrames(reply.Frames); err != nil {
 			if errors.Is(err, wal.ErrBadFrames) {
 				f.mu.Lock()
 				f.badBatches++
@@ -271,10 +269,23 @@ func (f *Follower) PullOnce(ctx context.Context) error {
 	f.lagBytes = reply.Remaining
 	f.mu.Unlock()
 	f.observe("pull", wire.CodeOK, time.Since(start))
-	if _, err := f.r.MaybeCheckpoint(f.cfg.CheckpointBytes); err != nil {
-		return err
+	return f.maybeCheckpoint()
+}
+
+// maybeCheckpoint checkpoints the follower once checkpointBytes of
+// shipped frames have been written since the last checkpoint.
+func (f *Follower) maybeCheckpoint() error {
+	written := f.d.Stats().BytesWritten
+	f.mu.Lock()
+	due := written-f.checkpointedAt >= checkpointBytes
+	if due {
+		f.checkpointedAt = written
 	}
-	return nil
+	f.mu.Unlock()
+	if !due {
+		return nil
+	}
+	return f.d.Checkpoint()
 }
 
 // bootstrap replaces local state with a primary snapshot; the next
@@ -286,7 +297,7 @@ func (f *Follower) bootstrap(ctx context.Context, primaryAddr string) error {
 		f.observe("snapshot", wire.CodeOf(err), time.Since(start))
 		return err
 	}
-	if err := f.r.InstallSnapshot(reply.Data, reply.LSN); err != nil {
+	if err := f.d.InstallSnapshot(reply.Data, reply.LSN); err != nil {
 		f.observe("snapshot", wire.CodeInternal, time.Since(start))
 		return err
 	}
@@ -357,7 +368,7 @@ func (f *Follower) CheckLease(ctx context.Context) (bool, error) {
 // peer is never better.
 func (f *Follower) bestCandidate(ctx context.Context, replicas []string) bool {
 	self := f.ln.Addr()
-	mine := f.r.AppliedLSN()
+	mine := f.d.LastLSN()
 	peers := append([]string(nil), replicas...)
 	sort.Strings(peers)
 	for _, addr := range peers {
@@ -405,8 +416,8 @@ func (f *Follower) PromoteNow(ctx context.Context) error {
 	// nothing (one pull carries at most PullMaxBytes): errors are
 	// expected — it may simply be dead.
 	for {
-		before := f.r.AppliedLSN()
-		if f.PullOnce(ctx) != nil || f.r.AppliedLSN() == before {
+		before := f.d.LastLSN()
+		if f.PullOnce(ctx) != nil || f.d.LastLSN() == before {
 			break
 		}
 	}
@@ -421,7 +432,7 @@ func (f *Follower) PromoteNow(ctx context.Context) error {
 	f.promoted = true
 	f.closed = true
 	f.mu.Unlock()
-	if err := f.r.Close(); err != nil {
+	if err := f.d.Close(); err != nil {
 		return fmt.Errorf("replication: seal follower wal: %w", err)
 	}
 	if f.cancel != nil {
@@ -469,7 +480,7 @@ func (f *Follower) Close() error {
 		f.cancel()
 	}
 	_ = f.ln.Close()
-	err := f.r.Close()
+	err := f.d.Close()
 	f.wg.Wait()
 	return err
 }

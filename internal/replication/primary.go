@@ -45,9 +45,6 @@ type PrimaryConfig struct {
 	// OnFenced, when set, runs once when the primary loses its lease
 	// for good (a rival holds it).
 	OnFenced func()
-	// PullMaxBytes bounds frame bytes per Pull (DefaultPullMaxBytes
-	// when 0).
-	PullMaxBytes int
 }
 
 // Primary is the serving side of a replica set: it ships WAL frames
@@ -81,9 +78,6 @@ func NewPrimary(cfg PrimaryConfig) (*Primary, error) {
 	}
 	if cfg.Holder == "" {
 		return nil, fmt.Errorf("replication: PrimaryConfig.Holder is required")
-	}
-	if cfg.PullMaxBytes <= 0 {
-		cfg.PullMaxBytes = DefaultPullMaxBytes
 	}
 	clk := cfg.Clock
 	if clk == nil {
@@ -196,8 +190,8 @@ func (p *Primary) Object() *listener.Object {
 	obj.Handle("Pull", func(ctx context.Context, call *listener.Call) (any, error) {
 		from := uint64(call.Args.Int64("from"))
 		max := call.Args.Int("max")
-		if max <= 0 || max > p.cfg.PullMaxBytes {
-			max = p.cfg.PullMaxBytes
+		if max <= 0 || max > DefaultPullMaxBytes {
+			max = DefaultPullMaxBytes
 		}
 		start := time.Now()
 		batch, err := p.cfg.Durable.ReadFrames(from, max)

@@ -113,7 +113,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Receiver().DB().Table("slots")
+	got, err := f.Durable().DB.Table("slots")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,9 @@ import (
 // below the OLDER retained checkpoint — so whichever retained
 // checkpoint recovery restores, the log still reaches from its LSN to
 // the tail.
+//
+// A follower's data directory is a Durable too, one whose DB takes
+// only shipped batches (AppendFrames, InstallSnapshot in ship.go).
 type Durable struct {
 	// DB is the live database. Use it exactly like a plain store.DB —
 	// the log rides on the store's MutationLogger hook.
@@ -38,8 +41,10 @@ type Durable struct {
 	dir string
 	wal *WAL
 
-	// cpMu serializes checkpoints (timer vs shutdown).
-	cpMu sync.Mutex
+	// mu serializes checkpoints (timer vs shutdown), Close and, on a
+	// follower, the shipped batches and snapshots a checkpoint must not
+	// interleave with.
+	mu sync.Mutex
 }
 
 // Open recovers (or initializes) the data directory and returns a
@@ -59,7 +64,7 @@ func Open(dir string, opt Options) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := Replay(dir, db, cpLSN)
+	res, err := replay(dir, db, cpLSN)
 	if err != nil {
 		return nil, err
 	}
@@ -220,8 +225,8 @@ func restoreNewestCheckpoint(dir string, db *store.DB) (uint64, error) {
 // snapshot may include effects of records above its LSN, which replay
 // tolerates.
 func (d *Durable) Checkpoint() error {
-	d.cpMu.Lock()
-	defer d.cpMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	start := time.Now()
 	cpLSN := d.wal.LastLSN()
 
@@ -257,13 +262,12 @@ func (d *Durable) Stats() Stats { return d.wal.Stats() }
 // to tie a negotiation's journal writes to the durability stream.
 func (d *Durable) LastLSN() uint64 { return d.wal.LastLSN() }
 
-// Close checkpoints (best effort — the log alone already carries every
-// committed mutation) and closes the log. The DB stays readable.
+// Close closes the log; the DB stays readable. It takes no checkpoint:
+// a process that wants its next Open to replay nothing calls
+// Checkpoint first (core.Node.Close and syddirectory's shutdown do).
 func (d *Durable) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.DB.SetLogger(nil)
-	cpErr := d.Checkpoint()
-	if err := d.wal.Close(); err != nil {
-		return err
-	}
-	return cpErr
+	return d.wal.Close()
 }

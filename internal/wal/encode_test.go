@@ -166,8 +166,7 @@ func TestReplayLogWrittenByMarshal(t *testing.T) {
 	if !ok || row["doc"] != "moved" || !row["at"].(time.Time).Equal(ts) || tab.Count() != 1 {
 		t.Fatalf("recovered table holds %v (%d rows)", row, tab.Count())
 	}
-	d.DB.SetLogger(nil)
-	if err := d.wal.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,8 +184,7 @@ func TestReplayLogWrittenByMarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d2.DB.SetLogger(nil)
-	if err := d2.wal.Close(); err != nil {
+	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := readSegment(t, fresh); !bytes.Equal(got, fixture) {

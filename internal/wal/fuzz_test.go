@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a real log: DDL, inserts, an update, a delete, a tx.
 	seedDir := f.TempDir()
-	d, err := Open(seedDir, Options{Sync: SyncPerCommit})
+	d, err := Open(seedDir, Options{Sync: SyncGroup})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -47,8 +48,7 @@ func FuzzWALReplay(f *testing.F) {
 	tx := d.DB.Begin()
 	_ = tx.Insert("t", store.Row{"id": int64(9), "val": "tx", "ts": ts})
 	_ = tx.Commit(context.Background())
-	d.DB.SetLogger(nil)
-	if err := d.wal.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(filepath.Join(seedDir, segmentName(1)))
@@ -68,7 +68,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		db := store.NewDB()
-		res, err := Replay(dir, db, 0)
+		res, err := replay(dir, db, 0)
 		if err != nil {
 			// Replay errors only on I/O or genuinely undecodable-but-
 			// checksummed state; fuzz bytes with valid CRCs decode to
@@ -86,5 +86,91 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer d.Close()
 		_ = res
+	})
+}
+
+// FuzzAppendFrames feeds arbitrary bytes to a follower as one shipped
+// batch, on top of a prefix it already logged. A rejected batch leaves
+// the follower as it was: LastLSN, DB and, reopened, its directory. An
+// accepted batch is on disk: Open over the directory recovers the same
+// DB at the same LSN.
+func FuzzAppendFrames(f *testing.F) {
+	prim, err := Open(f.TempDir(), Options{Sync: SyncNone})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer prim.Close()
+	tab, err := prim.DB.CreateTable(testSchema("t"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for i := int64(0); i < 8; i++ {
+		if err := tab.Insert(store.Row{"id": i, "val": "seed", "ts": ts}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := tab.Update(store.Row{"val": "u"}, int64(1)); err != nil {
+		f.Fatal(err)
+	}
+	// The follower holds prefix before each input. It outgrows the
+	// follower's segment size, so the next accepted batch rotates.
+	const segBytes = 256
+	prefix, err := prim.ReadFrames(1, segBytes+1)
+	if err != nil || prefix.Last >= prim.LastLSN() {
+		f.Fatalf("prefix ends at %d of %d: %v", prefix.Last, prim.LastLSN(), err)
+	}
+	all, err := prim.ReadFrames(1, 1<<20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rest := all.Frames[len(prefix.Frames):]
+	_, first, err := nextFrame(rest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	corrupt := append([]byte(nil), rest...)
+	corrupt[len(corrupt)/2] ^= 0x40
+	f.Add(rest)               // the next batch, across a rotation
+	f.Add(all.Frames)         // a duplicate prefix, then the rest
+	f.Add(prefix.Frames)      // nothing new
+	f.Add(rest[:len(rest)-3]) // torn
+	f.Add(rest[first:])       // a gap
+	f.Add(corrupt)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		opt := Options{Sync: SyncNone, SegmentBytes: segBytes}
+		d, err := Open(dir, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AppendFrames(prefix.Frames); err != nil {
+			t.Fatal(err)
+		}
+		lsn, snap := d.LastLSN(), snapshotOf(t, d.DB)
+		n, err := d.AppendFrames(data)
+		if err != nil {
+			if d.LastLSN() != lsn || !bytes.Equal(snapshotOf(t, d.DB), snap) {
+				t.Fatalf("rejected batch (%v) moved the follower to LSN %d from %d", err, d.LastLSN(), lsn)
+			}
+		} else {
+			if d.LastLSN() != lsn+uint64(n) {
+				t.Fatalf("applied %d records but LSN went %d -> %d", n, lsn, d.LastLSN())
+			}
+			lsn, snap = d.LastLSN(), snapshotOf(t, d.DB)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir, opt)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		if re.LastLSN() != lsn || !bytes.Equal(snapshotOf(t, re.DB), snap) {
+			t.Fatalf("reopened at LSN %d with a different DB, want LSN %d", re.LastLSN(), lsn)
+		}
 	})
 }

@@ -239,10 +239,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				units := genScript(rng, 30+rng.Intn(20))
 
 				dir := t.TempDir()
-				// SyncPerCommit: each unit is fully on disk when its
-				// call returns, so the file size after each unit is
-				// that unit's log boundary.
-				d := mustOpen(t, dir, Options{Sync: SyncPerCommit, SegmentBytes: 1 << 30})
+				// A unit's call returns once the write (and fsync) that
+				// carries it is done, and units run one at a time, so
+				// the file size after each unit is that unit's log
+				// boundary.
+				d := mustOpen(t, dir, Options{Sync: SyncGroup, SegmentBytes: 1 << 30})
 				seg := filepath.Join(dir, segmentName(1))
 				boundaries := make([]int64, 0, len(units))
 				for _, u := range units {
@@ -293,7 +294,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					}
 				}
 
-				d2 := mustOpen(t, dir, Options{Sync: SyncPerCommit, SegmentBytes: 1 << 30})
+				d2 := mustOpen(t, dir, Options{Sync: SyncGroup, SegmentBytes: 1 << 30})
 				got := snapshotOf(t, d2.DB)
 				want := snapshotOf(t, ref)
 				if !bytes.Equal(got, want) {

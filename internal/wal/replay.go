@@ -8,8 +8,8 @@ import (
 	"repro/internal/store"
 )
 
-// ReplayResult describes what a log replay did.
-type ReplayResult struct {
+// replayResult describes what a log replay did.
+type replayResult struct {
 	// LastLSN is the highest LSN applied (or skipped as already
 	// covered); 0 when the log was empty.
 	LastLSN uint64
@@ -23,27 +23,27 @@ type ReplayResult struct {
 	SkippedBytes int64
 }
 
-// Replay applies every complete log record with LSN > after to db, in
+// replay applies every complete log record with LSN > after to db, in
 // order. A torn or corrupt frame is physically truncated off its
 // segment so the valid prefix stays appendable and a later recovery
 // never re-reads the garbage. A tear is terminal only in the
 // physically LAST segment (the normal crash shape); a tear in an
 // earlier segment is the healed remnant of a previous crash whose
 // recovery continued in the next segment, so replay proceeds there —
-// the fsync-acked records it holds must not be lost. Replay fails
+// the fsync-acked records it holds must not be lost. It fails
 // loudly when the segments cannot reach the replay start or leave an
 // LSN gap after a tear: silently skipping a gap would present stale
 // data as current. Mutations are applied without firing triggers or
 // re-logging.
 //
-// Replay is tolerant of a checkpoint snapshot that is slightly ahead
+// replay is tolerant of a checkpoint snapshot that is slightly ahead
 // of its recorded LSN (a mutation can reach the in-memory store just
 // before its record is assigned): an insert over an existing row
 // overwrites it, and an update/delete of a missing row is skipped —
 // the later records that explain the mismatch are in the tail and
 // replay in order.
-func Replay(dir string, db *store.DB, after uint64) (ReplayResult, error) {
-	var res ReplayResult
+func replay(dir string, db *store.DB, after uint64) (replayResult, error) {
+	var res replayResult
 	res.LastLSN = after
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -131,7 +131,7 @@ func truncateTear(path string, keep int64) error {
 }
 
 // applyRecord applies one record to db with upsert/skip tolerance (see
-// Replay).
+// replay).
 func applyRecord(db *store.DB, rec record) error {
 	switch rec.Kind {
 	case kindTable:

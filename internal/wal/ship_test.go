@@ -40,12 +40,12 @@ func (s *shipSrc) commit(rows int) {
 	}
 }
 
-// ship pulls everything outstanding from the primary into the receiver,
+// ship pulls everything outstanding from the primary into the follower,
 // asserting every batch verifies.
-func ship(t *testing.T, d *Durable, r *Receiver, maxBytes int) {
+func ship(t *testing.T, d, r *Durable, maxBytes int) {
 	t.Helper()
 	for {
-		batch, err := d.ReadFrames(r.AppliedLSN()+1, maxBytes)
+		batch, err := d.ReadFrames(r.LastLSN()+1, maxBytes)
 		if err != nil {
 			t.Fatalf("ReadFrames: %v", err)
 		}
@@ -55,8 +55,8 @@ func ship(t *testing.T, d *Durable, r *Receiver, maxBytes int) {
 		if _, err := r.AppendFrames(batch.Frames); err != nil {
 			t.Fatalf("AppendFrames: %v", err)
 		}
-		if batch.Last != r.AppliedLSN() {
-			t.Fatalf("applied %d != shipped last %d", r.AppliedLSN(), batch.Last)
+		if batch.Last != r.LastLSN() {
+			t.Fatalf("applied %d != shipped last %d", r.LastLSN(), batch.Last)
 		}
 	}
 }
@@ -65,21 +65,18 @@ func TestShipCatchUpByteIdentical(t *testing.T) {
 	src := newShipSrc(t, t.TempDir(), Options{Sync: SyncNone})
 	src.commit(40)
 	fdir := t.TempDir()
-	r, err := OpenReceiver(fdir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, fdir, Options{})
 	ship(t, src.d, r, 1<<20)
-	if got, want := snapshotOf(t, r.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	if got, want := snapshotOf(t, r.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("follower snapshot differs from primary after catch-up")
 	}
-	if r.AppliedLSN() != src.d.LastLSN() {
-		t.Fatalf("applied %d, primary last %d", r.AppliedLSN(), src.d.LastLSN())
+	if r.LastLSN() != src.d.LastLSN() {
+		t.Fatalf("applied %d, primary last %d", r.LastLSN(), src.d.LastLSN())
 	}
 	// More commits ship incrementally and in small pages.
 	src.commit(25)
 	ship(t, src.d, r, 200) // force multiple pages
-	if got, want := snapshotOf(t, r.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	if got, want := snapshotOf(t, r.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("follower snapshot differs after incremental ship")
 	}
 	if err := r.Close(); err != nil {
@@ -116,10 +113,7 @@ func TestShipFollowerRestartMidSegment(t *testing.T) {
 	src := newShipSrc(t, t.TempDir(), Options{Sync: SyncNone})
 	src.commit(20)
 	fdir := t.TempDir()
-	r, err := OpenReceiver(fdir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, fdir, Options{})
 	// Ship only part of the log, then "crash" the follower.
 	batch, err := src.d.ReadFrames(1, 500)
 	if err != nil {
@@ -128,7 +122,7 @@ func TestShipFollowerRestartMidSegment(t *testing.T) {
 	if _, err := r.AppendFrames(batch.Frames); err != nil {
 		t.Fatal(err)
 	}
-	mid := r.AppliedLSN()
+	mid := r.LastLSN()
 	if mid == 0 || mid == src.d.LastLSN() {
 		t.Fatalf("want a mid-stream applied LSN, got %d of %d", mid, src.d.LastLSN())
 	}
@@ -136,16 +130,14 @@ func TestShipFollowerRestartMidSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := OpenReceiver(fdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.AppliedLSN() != mid {
-		t.Fatalf("restarted follower applied %d, want %d", r2.AppliedLSN(), mid)
+	r2 := mustOpen(t, fdir, Options{})
+	defer r2.Close()
+	if r2.LastLSN() != mid {
+		t.Fatalf("restarted follower applied %d, want %d", r2.LastLSN(), mid)
 	}
 	src.commit(10)
 	ship(t, src.d, r2, 1<<20)
-	if got, want := snapshotOf(t, r2.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	if got, want := snapshotOf(t, r2.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("follower snapshot differs after restart + catch-up")
 	}
 }
@@ -157,10 +149,8 @@ func TestShipFollowerRestartMidSegment(t *testing.T) {
 func TestShipCorruptBatchRejected(t *testing.T) {
 	src := newShipSrc(t, t.TempDir(), Options{Sync: SyncNone})
 	src.commit(10)
-	r, err := OpenReceiver(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, t.TempDir(), Options{})
+	defer r.Close()
 	batch, err := src.d.ReadFrames(1, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +162,8 @@ func TestShipCorruptBatchRejected(t *testing.T) {
 	if _, err := r.AppendFrames(bad); !errors.Is(err, ErrBadFrames) {
 		t.Fatalf("corrupt batch: got %v, want ErrBadFrames", err)
 	}
-	if r.AppliedLSN() != 0 {
-		t.Fatalf("applied moved to %d on a rejected batch", r.AppliedLSN())
+	if r.LastLSN() != 0 {
+		t.Fatalf("applied moved to %d on a rejected batch", r.LastLSN())
 	}
 
 	// Torn tail: the batch cut mid-frame is rejected whole too.
@@ -194,7 +184,7 @@ func TestShipCorruptBatchRejected(t *testing.T) {
 	if applied, err := r.AppendFrames(batch.Frames); err != nil || applied == 0 {
 		t.Fatalf("clean re-request: applied=%d err=%v", applied, err)
 	}
-	if got, want := snapshotOf(t, r.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	if got, want := snapshotOf(t, r.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("follower snapshot differs after recovery from corrupt batch")
 	}
 }
@@ -202,10 +192,8 @@ func TestShipCorruptBatchRejected(t *testing.T) {
 func TestShipDuplicatePrefixSkipped(t *testing.T) {
 	src := newShipSrc(t, t.TempDir(), Options{Sync: SyncNone})
 	src.commit(8)
-	r, err := OpenReceiver(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, t.TempDir(), Options{})
+	defer r.Close()
 	batch, err := src.d.ReadFrames(1, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +205,7 @@ func TestShipDuplicatePrefixSkipped(t *testing.T) {
 	if applied, err := r.AppendFrames(batch.Frames); err != nil || applied != 0 {
 		t.Fatalf("duplicate delivery: applied=%d err=%v", applied, err)
 	}
-	if got, want := snapshotOf(t, r.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	if got, want := snapshotOf(t, r.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("duplicate delivery changed follower state")
 	}
 }
@@ -242,10 +230,8 @@ func TestShipSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("trimmed log from LSN 1: got %v, want ErrSnapshotNeeded", err)
 	}
 
-	r, err := OpenReceiver(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, t.TempDir(), Options{})
+	defer r.Close()
 	data, lsn, err := src.d.SnapshotAt()
 	if err != nil {
 		t.Fatal(err)
@@ -253,37 +239,34 @@ func TestShipSnapshotBootstrap(t *testing.T) {
 	if err := r.InstallSnapshot(data, lsn); err != nil {
 		t.Fatal(err)
 	}
-	if r.AppliedLSN() != lsn {
-		t.Fatalf("applied %d after snapshot at %d", r.AppliedLSN(), lsn)
+	if r.LastLSN() != lsn {
+		t.Fatalf("applied %d after snapshot at %d", r.LastLSN(), lsn)
 	}
 	// Tail catch-up after bootstrap.
 	src.commit(12)
 	ship(t, src.d, r, 1<<20)
-	if got, want := snapshotOf(t, r.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	if got, want := snapshotOf(t, r.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("follower snapshot differs after bootstrap + tail catch-up")
 	}
 }
 
 // TestShipPromotionOpensFollowerDir proves the promotion contract: a
 // follower's data directory is a valid WAL directory, so closing the
-// receiver and running full recovery over it yields a primary with
+// follower and running full recovery over it yields a primary with
 // byte-identical state that can append new records.
 func TestShipPromotionOpensFollowerDir(t *testing.T) {
 	src := newShipSrc(t, t.TempDir(), Options{Sync: SyncNone, SegmentBytes: 512})
 	src.commit(60) // several segments on the follower too
 	fdir := t.TempDir()
-	r, err := OpenReceiver(fdir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, fdir, Options{})
 	ship(t, src.d, r, 700)
-	if _, err := r.MaybeCheckpoint(1); err != nil { // force a follower checkpoint
+	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	src.commit(10)
 	ship(t, src.d, r, 700)
 	want := snapshotOf(t, src.d.DB)
-	lastLSN := r.AppliedLSN()
+	lastLSN := r.LastLSN()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +293,14 @@ func TestShipPromotionOpensFollowerDir(t *testing.T) {
 	}
 }
 
-// TestShipReceiverSegmentsRotate checks the follower writes the same
+// TestShipFollowerSegmentsRotate checks the follower writes the same
 // multi-segment layout a primary would and survives reopen across the
 // rotation boundary.
-func TestShipReceiverSegmentsRotate(t *testing.T) {
+func TestShipFollowerSegmentsRotate(t *testing.T) {
 	src := newShipSrc(t, t.TempDir(), Options{Sync: SyncNone})
 	src.commit(100)
 	fdir := t.TempDir()
-	r, err := OpenReceiver(fdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.segBytes = 300 // tiny segments to force rotations
+	r := mustOpen(t, fdir, Options{SegmentBytes: 300}) // tiny segments to force rotations
 	ship(t, src.d, r, 250)
 	segs, err := listSegments(fdir)
 	if err != nil {
@@ -333,11 +312,9 @@ func TestShipReceiverSegmentsRotate(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenReceiver(fdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := snapshotOf(t, r2.DB()), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
+	r2 := mustOpen(t, fdir, Options{})
+	defer r2.Close()
+	if got, want := snapshotOf(t, r2.DB), snapshotOf(t, src.d.DB); !bytes.Equal(got, want) {
 		t.Fatal("rotated follower state differs after reopen")
 	}
 }

@@ -35,11 +35,9 @@ type SyncPolicy int
 const (
 	// SyncGroup (default) is group commit: a background flusher writes
 	// every queued record in one write(2) and covers the whole batch
-	// with a single fsync; all committers in the batch share it.
+	// with a single fsync; all committers in the batch share it, and
+	// none is acked before the fsync that covers it.
 	SyncGroup SyncPolicy = iota
-	// SyncPerCommit writes and fsyncs every record individually — the
-	// classic slow-but-simple policy, kept as the benchmark baseline.
-	SyncPerCommit
 	// SyncNone never fsyncs; the OS flushes when it pleases. Fastest,
 	// loses the last few seconds on a machine crash (not on a process
 	// crash — the write(2) still happened).
@@ -51,8 +49,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncGroup:
 		return "group"
-	case SyncPerCommit:
-		return "always"
 	case SyncNone:
 		return "none"
 	}
@@ -64,12 +60,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "group", "":
 		return SyncGroup, nil
-	case "always", "percommit", "per-commit":
-		return SyncPerCommit, nil
 	case "none", "off":
 		return SyncNone, nil
 	}
-	return SyncGroup, fmt.Errorf("wal: unknown fsync policy %q (want group, always, or none)", s)
+	return SyncGroup, fmt.Errorf("wal: unknown fsync policy %q (want group or none)", s)
 }
 
 // Options tune the log. The zero value is usable.
@@ -199,7 +193,7 @@ func openWAL(dir string, opt Options, nextLSN uint64) (*WAL, error) {
 		}
 		segs = segs[:len(segs)-1]
 	}
-	if err := w.openSegment(first, size); err != nil {
+	if err := w.openSegmentLocked(first, size); err != nil {
 		return nil, err
 	}
 	w.wg.Add(1)
@@ -252,19 +246,18 @@ type segmentInfo struct {
 	path  string
 }
 
-// openSegment opens (creating if absent, NEVER truncating) the segment
-// starting at first, in append mode, and makes it current. size is the
-// segment's existing valid length. Caller must not hold ioMu.
-func (w *WAL) openSegment(first uint64, size int64) error {
+// openSegmentLocked opens (creating if absent, NEVER truncating) the
+// segment starting at first, in append mode, and makes it current.
+// size is the segment's existing valid length. Caller holds ioMu or
+// owns w exclusively.
+func (w *WAL) openSegmentLocked(first uint64, size int64) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(first)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	w.ioMu.Lock()
 	w.f = f
 	w.segSize = size
 	w.segFirst = first
-	w.ioMu.Unlock()
 	return syncDir(w.dir)
 }
 
@@ -364,21 +357,15 @@ func (w *WAL) flushOnce() {
 	w.ioMu.Unlock()
 	span.FinishErr(err)
 	if err != nil {
-		// writeBatchLocked acked everything it finished; whatever is
-		// left gets the error.
+		// writeBatchLocked acks only after the whole batch is written.
 		for _, p := range batch {
-			select {
-			case p.done <- err:
-			default:
-			}
+			p.done <- err
 		}
 	}
 }
 
-// writeBatchLocked writes the batch per the sync policy. On success
-// every pending is acked nil; on error, records written before the
-// failure are acked per policy and the caller propagates the error to
-// the rest.
+// writeBatchLocked writes the batch in one write and acks every
+// pending nil; on error the caller propagates it to the batch.
 func (w *WAL) writeBatchLocked(batch []*pending) error {
 	w.stats.batches.Add(1)
 	if n := uint64(len(batch)); n > w.stats.maxBatch.Load() {
@@ -389,35 +376,28 @@ func (w *WAL) writeBatchLocked(batch []*pending) error {
 		// count: 1µs == 1 record per fsync batch.
 		w.opt.Metrics.Observe(metrics.LayerWAL, walService, "batch", okCode, time.Duration(len(batch))*time.Microsecond)
 	}
-
-	if w.opt.Sync == SyncPerCommit {
-		for _, p := range batch {
-			if err := w.rotateIfNeededLocked(p.lsn); err != nil {
-				return err
-			}
-			frame := appendFrame(nil, p.payload)
-			if _, err := w.f.Write(frame); err != nil {
-				return fmt.Errorf("wal: write: %w", err)
-			}
-			w.segSize += int64(len(frame))
-			w.stats.bytes.Add(uint64(len(frame)))
-			if err := w.fsync(); err != nil {
-				return err
-			}
-			p.done <- nil
-		}
-		return nil
-	}
-
-	// Group / none: one buffer, one write, at most one fsync. Rotation
-	// happens at batch boundaries (check against the first record) so
-	// the whole batch lands in one segment.
-	if err := w.rotateIfNeededLocked(batch[0].lsn); err != nil {
-		return err
-	}
 	var buf []byte
 	for _, p := range batch {
 		buf = appendFrame(buf, p.payload)
+	}
+	if err := w.writeLocked(batch[0].lsn, buf); err != nil {
+		return err
+	}
+	for _, p := range batch {
+		p.done <- nil
+	}
+	return nil
+}
+
+// writeLocked appends framed records, the first of which has LSN
+// first, to the log: rotate if the current segment is full, one
+// write, one fsync under SyncGroup. Rotation happens only here, at a
+// batch boundary, so a batch lands in one segment. It is the one write
+// path of the log: the flusher's batches and a follower's shipped
+// frames (AppendFrames) both take it. Caller holds ioMu.
+func (w *WAL) writeLocked(first uint64, buf []byte) error {
+	if err := w.rotateIfNeededLocked(first); err != nil {
+		return err
 	}
 	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: write: %w", err)
@@ -425,12 +405,7 @@ func (w *WAL) writeBatchLocked(batch []*pending) error {
 	w.segSize += int64(len(buf))
 	w.stats.bytes.Add(uint64(len(buf)))
 	if w.opt.Sync == SyncGroup {
-		if err := w.fsync(); err != nil {
-			return err
-		}
-	}
-	for _, p := range batch {
-		p.done <- nil
+		return w.fsync()
 	}
 	return nil
 }
@@ -468,47 +443,31 @@ func (w *WAL) rotateIfNeededLocked(nextLSN uint64) error {
 	// nextLSN is above every record ever written, so this name can only
 	// collide with an empty leftover file; append mode keeps even that
 	// case safe from truncating anything.
-	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(nextLSN)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: rotate: %w", err)
+	if err := w.openSegmentLocked(nextLSN, 0); err != nil {
+		return err
 	}
-	w.f = f
-	w.segSize = 0
-	w.segFirst = nextLSN
 	w.stats.rotations.Add(1)
-	return syncDir(w.dir)
+	return nil
 }
 
 // trimBelow deletes whole segments every record of which is below
-// keepLSN (covered by a checkpoint). The current segment is never
-// deleted.
+// keepLSN (covered by a checkpoint). The current segment and anything
+// after it are never deleted.
 func (w *WAL) trimBelow(keepLSN uint64) error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
-	removed, err := trimSegmentsBelow(w.dir, keepLSN, w.segFirst)
-	if removed > 0 {
-		w.stats.trims.Add(uint64(removed))
-	}
-	return err
-}
-
-// trimSegmentsBelow deletes whole segments every record of which is
-// below keepLSN; the segment starting at curFirst (the live one) and
-// anything after it is never touched. Shared by the primary's WAL and
-// the follower's Receiver.
-func trimSegmentsBelow(dir string, keepLSN, curFirst uint64) (int, error) {
-	segs, err := listSegments(dir)
+	segs, err := listSegments(w.dir)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	removed := 0
 	for i, s := range segs {
-		if s.first >= curFirst {
+		if s.first >= w.segFirst {
 			break // current or future segment
 		}
 		// Records in segs[i] span [s.first, next.first): deletable only
 		// if the whole span is below keepLSN.
-		next := curFirst
+		next := w.segFirst
 		if i+1 < len(segs) {
 			next = segs[i+1].first
 		}
@@ -516,14 +475,37 @@ func trimSegmentsBelow(dir string, keepLSN, curFirst uint64) (int, error) {
 			break
 		}
 		if err := os.Remove(s.path); err != nil {
-			return removed, fmt.Errorf("wal: trim: %w", err)
+			return fmt.Errorf("wal: trim: %w", err)
 		}
 		removed++
 	}
-	if removed > 0 {
-		return removed, syncDir(dir)
+	if removed == 0 {
+		return nil
 	}
-	return 0, nil
+	w.stats.trims.Add(uint64(removed))
+	return syncDir(w.dir)
+}
+
+// restartAt drops every segment and continues the log at next in a
+// fresh segment: everything below next is in a checkpoint
+// (InstallSnapshot). The queue must be empty.
+func (w *WAL) restartAt(next uint64) error {
+	w.ioMu.Lock()
+	defer w.ioMu.Unlock()
+	w.f.Close()
+	segs, err := listSegments(w.dir)
+	if err != nil {
+		return err
+	}
+	for _, s := range segs {
+		if err := os.Remove(s.path); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+	}
+	w.mu.Lock()
+	w.nextLSN = next
+	w.mu.Unlock()
+	return w.openSegmentLocked(next, 0)
 }
 
 // Close drains the queue, syncs, and closes the current segment.

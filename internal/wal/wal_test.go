@@ -33,12 +33,12 @@ func mustOpen(t *testing.T, dir string, opt Options) *Durable {
 	return d
 }
 
-// crash closes the log without checkpointing — what a power cut leaves
-// behind, minus the torn tail (tests that want one truncate the file).
+// crash closes the log without checkpointing (Close takes none) —
+// what a power cut leaves behind, minus the torn tail (tests that want
+// one truncate the file).
 func crash(t *testing.T, d *Durable) {
 	t.Helper()
-	d.DB.SetLogger(nil)
-	if err := d.wal.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatalf("crash close: %v", err)
 	}
 }
@@ -121,6 +121,9 @@ func TestDurableRestartCleanAndCrash(t *testing.T) {
 	want := snapshotOf(t, d.DB)
 
 	// Clean close: checkpoint + trimmed log.
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestDurableRestartCleanAndCrash(t *testing.T) {
 
 func TestTxUnitIsAtomicAcrossCrash(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, Options{Sync: SyncPerCommit})
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
 	if _, err := d.DB.CreateTable(testSchema("t")); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestTxUnitIsAtomicAcrossCrash(t *testing.T) {
 
 func TestRollbackIsNotLogged(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, Options{Sync: SyncPerCommit})
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
 	if _, err := d.DB.CreateTable(testSchema("t")); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestRollbackIsNotLogged(t *testing.T) {
 // earlier segment then made unreachable.
 func TestDoubleCrashKeepsAckedCommits(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, Options{Sync: SyncPerCommit})
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
 	tab, err := d.DB.CreateTable(testSchema("t"))
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +253,7 @@ func TestDoubleCrashKeepsAckedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := mustOpen(t, dir, Options{Sync: SyncPerCommit})
+	d2 := mustOpen(t, dir, Options{Sync: SyncGroup})
 	if st := d2.Stats(); !st.TornTail {
 		t.Fatalf("first recovery saw no torn tail: %+v", st)
 	}
@@ -299,7 +302,7 @@ func frameBounds(t *testing.T, data []byte) []int {
 // physically last segment is terminal.
 func TestHealedTearInEarlierSegment(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, Options{Sync: SyncPerCommit})
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
 	tab, err := d.DB.CreateTable(testSchema("t"))
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +417,10 @@ func TestOpenFailsLoudOnMissingSegments(t *testing.T) {
 	if err := tab.Insert(store.Row{"id": int64(1), "val": "v", "ts": time.Unix(0, 0).UTC()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil { // checkpoint at LSN 2
+	if err := d.Checkpoint(); err != nil { // checkpoint at LSN 2
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Fake a gap: the only segment now claims to start above the
@@ -433,7 +439,7 @@ func TestOpenFailsLoudOnMissingSegments(t *testing.T) {
 // resurrect them.
 func TestCheckpointExcludesOpenTxState(t *testing.T) {
 	dir := t.TempDir()
-	d := mustOpen(t, dir, Options{Sync: SyncPerCommit})
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
 	tab, err := d.DB.CreateTable(testSchema("t"))
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +559,10 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := snapshotOf(t, d.DB)
-	if err := d.Close(); err != nil { // real checkpoint
+	if err := d.Checkpoint(); err != nil { // real checkpoint
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// A corrupt "newer" checkpoint must be skipped, not trusted.
@@ -570,7 +579,6 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
 		"group": SyncGroup, "": SyncGroup,
-		"always": SyncPerCommit, "per-commit": SyncPerCommit,
 		"none": SyncNone, "off": SyncNone,
 	} {
 		got, err := ParseSyncPolicy(in)
@@ -578,7 +586,11 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseSyncPolicy("bogus"); err == nil {
-		t.Fatal("ParseSyncPolicy(bogus): want error")
+	// No per-record fsync policy: group commit already acks a record
+	// only after the fsync that covers it.
+	for _, in := range []string{"bogus", "always", "per-commit"} {
+		if _, err := ParseSyncPolicy(in); err == nil {
+			t.Fatalf("ParseSyncPolicy(%q): want error", in)
+		}
 	}
 }
