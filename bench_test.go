@@ -129,15 +129,12 @@ func BenchmarkMicro_EngineInvoke(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_DirectoryLookupSharded measures one route-only
-// directory resolution against a 4-shard directory behind the control
-// plane — the uncached data-plane hop a cold engine pays per
-// invocation, including the shard-map routing and the epoch check on
-// the reply.
-func BenchmarkMicro_DirectoryLookupSharded(b *testing.B) {
+// BenchmarkMicro_DirectoryLookup measures one route-only directory
+// resolution — the uncached hop a cold engine pays per invocation.
+func BenchmarkMicro_DirectoryLookup(b *testing.B) {
 	ctx := context.Background()
 	users := workload.Users(4)
-	w, err := NewShardedWorld(users, sim.Config{}, 4)
+	w, err := NewWorld(users, sim.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

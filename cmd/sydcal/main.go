@@ -41,7 +41,6 @@ commands:
 
 func main() {
 	dirAddr := flag.String("dir", "127.0.0.1:7000", "directory server address")
-	cpAddr := flag.String("control-plane", "", "sharded-directory control plane address (overrides -dir)")
 	poolSize := flag.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
 	flag.Usage = usage
 	flag.Parse()
@@ -65,12 +64,7 @@ func main() {
 	}
 
 	net := transport.NewTCP(transport.WithPoolSize(*poolSize))
-	var dir *directory.Client
-	if *cpAddr != "" {
-		dir = directory.NewShardedClient(net, *cpAddr)
-	} else {
-		dir = directory.NewClient(net, *dirAddr)
-	}
+	dir := directory.NewClient(net, *dirAddr)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -120,7 +120,6 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	fs := flag.NewFlagSet("sydnode", flag.ExitOnError)
 	user := fs.String("user", "", "SyD user id (required unless -replica-of)")
 	dirAddr := fs.String("dir", "127.0.0.1:7000", "directory server address")
-	cpAddr := fs.String("control-plane", "", "sharded-directory control plane address (overrides -dir; use syddirectory -shards N)")
 	addr := fs.String("addr", "127.0.0.1:0", "address to bind")
 	priority := fs.Int("priority", 0, "user priority (§6)")
 	dataDir := fs.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); the device database survives crashes")
@@ -147,7 +146,6 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 		Priority:             *priority,
 		Net:                  transport.NewTCP(transport.WithPoolSize(*poolSize)),
 		DirAddr:              *dirAddr,
-		ControlPlaneAddr:     *cpAddr,
 		ListenAddr:           *addr,
 		HeartbeatEvery:       5 * time.Second,
 		ExpireEvery:          30 * time.Second,
@@ -210,15 +208,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("sydnode: %v", err)
 	}
-	dirDesc := "directory " + cfg.DirAddr
-	if cfg.ControlPlaneAddr != "" {
-		dirDesc = "sharded directory via control plane " + cfg.ControlPlaneAddr
-	}
 	role := ""
 	if node.Repl != nil {
 		role = ", replicated primary"
 	}
-	log.Printf("sydnode: %s serving on %s (%s%s)", cfg.User, node.Addr(), dirDesc, role)
+	log.Printf("sydnode: %s serving on %s (directory %s%s)", cfg.User, node.Addr(), cfg.DirAddr, role)
 
 	awaitSignal()
 	log.Printf("sydnode: %s shutting down", cfg.User)
@@ -274,12 +268,6 @@ func awaitSignal() {
 // the lease, and on expiry promote into a full serving node over the
 // replicated data directory.
 func runFollower(cfg core.Config, replStatus *atomic.Value) {
-	var dir *directory.Client
-	if cfg.ControlPlaneAddr != "" {
-		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr)
-	} else {
-		dir = directory.NewClient(cfg.Net, cfg.DirAddr)
-	}
 	pullEvery := cfg.LeaseTTL / 10
 	if pullEvery < 100*time.Millisecond {
 		pullEvery = 100 * time.Millisecond
@@ -291,17 +279,16 @@ func runFollower(cfg core.Config, replStatus *atomic.Value) {
 
 	promoted := make(chan *core.Node, 1)
 	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
-		User:             cfg.User,
-		Net:              cfg.Net,
-		Dir:              dir,
-		DataDir:          cfg.DataDir,
-		ListenAddr:       cfg.ListenAddr,
-		LeaseTTL:         cfg.LeaseTTL,
-		ControlPlaneAddr: cfg.ControlPlaneAddr,
-		Metrics:          cfg.Metrics,
-		PullEvery:        pullEvery,
-		LeaseCheckEvery:  checkEvery,
-		Logf:             log.Printf,
+		User:            cfg.User,
+		Net:             cfg.Net,
+		Dir:             directory.NewClient(cfg.Net, cfg.DirAddr),
+		DataDir:         cfg.DataDir,
+		ListenAddr:      cfg.ListenAddr,
+		LeaseTTL:        cfg.LeaseTTL,
+		Metrics:         cfg.Metrics,
+		PullEvery:       pullEvery,
+		LeaseCheckEvery: checkEvery,
+		Logf:            log.Printf,
 		Promote: func(ctx context.Context, holder string) (string, error) {
 			node, err := promote(ctx, cfg, holder, replStatus)
 			if err != nil {

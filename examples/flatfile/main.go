@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := slotsTable.LoadCSVFile(csvPath); err != nil {
+	if err := loadCSVFile(slotsTable, csvPath); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded %d slots from the flat file\n", slotsTable.Count())
@@ -87,7 +87,7 @@ func main() {
 
 	// Write andy's calendar back to the flat file — now including the
 	// coordinated meeting.
-	if err := slotsTable.SaveCSVFile(csvPath); err != nil {
+	if err := saveCSVFile(slotsTable, csvPath); err != nil {
 		log.Fatal(err)
 	}
 	out, err := os.ReadFile(csvPath)

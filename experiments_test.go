@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/clock"
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/metrics"
@@ -42,7 +41,6 @@ var experiments = []struct {
 	{"F1", RunF1},
 	{"F2", RunF2},
 	{"F3", RunF3},
-	{"F3s", RunF3Sharded},
 	{"F4", RunF4},
 	{"E1", RunE1},
 	{"E2", RunE2},
@@ -276,12 +274,6 @@ type World struct {
 	Mail  *notify.Mailbox
 	Cals  map[string]*calendar.Calendar
 	Nodes map[string]*core.Node
-
-	// Controller and CPAddr are set on sharded worlds
-	// (NewShardedWorld): the control plane publishing the shard map,
-	// and its simulated address.
-	Controller *controlplane.Controller
-	CPAddr     string
 }
 
 // NewWorld boots a directory plus one calendar node per user on a
@@ -309,49 +301,6 @@ func NewWorld(users []string, cfg sim.Config) (*World, error) {
 	return w, nil
 }
 
-// NewShardedWorld is NewWorld against a sharded directory: shards
-// shard servers at "dir0".."dirN-1" behind a control plane at "cp",
-// with every node routing through the epoch-versioned shard map.
-func NewShardedWorld(users []string, cfg sim.Config, shards int) (*World, error) {
-	net := sim.New(cfg)
-	clk := clock.NewFake(time.Date(2003, 4, 21, 8, 0, 0, 0, time.UTC))
-	list := make([]controlplane.Shard, shards)
-	servers := make([]*directory.Server, shards)
-	for i := 0; i < shards; i++ {
-		id := fmt.Sprintf("shard%d", i)
-		srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour), directory.WithShard(id))
-		ln, err := net.Listen(fmt.Sprintf("dir%d", i), srv.Handler())
-		if err != nil {
-			return nil, err
-		}
-		list[i] = controlplane.Shard{ID: id, Addr: ln.Addr()}
-		servers[i] = srv
-	}
-	ctl := controlplane.NewController(list)
-	for _, srv := range servers {
-		ctl.Subscribe(srv.SetTable)
-	}
-	if _, err := net.Listen("cp", ctl.Handler()); err != nil {
-		return nil, err
-	}
-	w := &World{
-		Net:        net,
-		Clk:        clk,
-		Dir:        directory.NewShardedClient(net, "cp"),
-		Mail:       notify.NewMailbox(),
-		Cals:       map[string]*calendar.Calendar{},
-		Nodes:      map[string]*core.Node{},
-		Controller: ctl,
-		CPAddr:     "cp",
-	}
-	for _, u := range users {
-		if err := w.AddUser(u, 0); err != nil {
-			return nil, err
-		}
-	}
-	return w, nil
-}
-
 // AddUser boots one more calendar node. Nodes record per-method
 // metrics into the process default registry, so a test can snapshot
 // every layer's counts and latencies afterwards. Nodes run with the
@@ -367,7 +316,7 @@ func (w *World) AddUser(user string, priority int) error {
 // the world's network, directory, clock, route cache and metrics.
 func (w *World) startUser(cfg core.Config) error {
 	ctx := context.Background()
-	cfg.Net, cfg.DirAddr, cfg.ControlPlaneAddr, cfg.Clock = w.Net, "dir", w.CPAddr, w.Clk
+	cfg.Net, cfg.DirAddr, cfg.Clock = w.Net, "dir", w.Clk
 	cfg.RouteCacheTTL, cfg.Metrics = 2*time.Second, metrics.Default()
 	n, err := core.Start(ctx, cfg)
 	if err != nil {

@@ -194,26 +194,9 @@ func RunF3() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runF3Body("F3",
-		"Fig.3 kernel interactions: publish/lookup/invoke trace + directory throughput", w)
-}
-
-// RunF3Sharded is RunF3 against a 4-shard directory behind the
-// control plane: the same kernel-interaction trace and lookup
-// throughput, with every directory op routed by the shard map.
-func RunF3Sharded() (*Result, error) {
-	w, err := NewShardedWorld(nil, sim.Config{}, 4)
-	if err != nil {
-		return nil, err
-	}
-	return runF3Body("F3s",
-		"Fig.3 kernel interactions over a 4-shard directory (epoch-routed)", w)
-}
-
-func runF3Body(id, title string, w *World) (*Result, error) {
 	res := &Result{
-		ID:     id,
-		Title:  title,
+		ID:     "F3",
+		Title:  "Fig.3 kernel interactions: publish/lookup/invoke trace + directory throughput",
 		Header: []string{"step", "modules", "messages"},
 	}
 	ctx := context.Background()
@@ -236,7 +219,7 @@ func runF3Body(id, title string, w *World) (*Result, error) {
 
 	before = count()
 	var info calendar.SlotInfo
-	err := w.Nodes[users[0]].Engine.Invoke(ctx, calendar.ServiceFor(users[1]), "SlotInfo",
+	err = w.Nodes[users[0]].Engine.Invoke(ctx, calendar.ServiceFor(users[1]), "SlotInfo",
 		wire.Args{"day": "2003-04-21", "hour": 9}, &info)
 	if err != nil {
 		return nil, err
@@ -265,9 +248,6 @@ func runF3Body(id, title string, w *World) (*Result, error) {
 	elapsed := time.Since(start)
 	res.AddRow("directory lookup throughput", "SyDDirectory",
 		varies("%.0f ops/sec", float64(ops)/elapsed.Seconds()))
-	if w.Controller != nil {
-		res.AddNote("sharded: %d shards, epoch %d", len(w.Controller.Current().Shards), w.Dir.Epoch())
-	}
 	return res, nil
 }
 

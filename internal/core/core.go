@@ -42,13 +42,6 @@ type Config struct {
 	Net transport.Network
 	// DirAddr is the directory server's address.
 	DirAddr string
-	// ControlPlaneAddr, when set, routes directory traffic through the
-	// sharded directory published by the control plane at this address
-	// (DirAddr is then ignored). The node pulls the epoch-versioned
-	// shard map, routes each directory op to the owning shard, and
-	// flushes its route caches the moment a response carries a newer
-	// epoch.
-	ControlPlaneAddr string
 	// ListenAddr is the address to bind; empty lets the transport
 	// pick ("sim-N" on the simulated network, a free port on TCP).
 	ListenAddr string
@@ -211,13 +204,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 		}
 	}
 
-	var dir *directory.Client
-	asUser := directory.WithCallerID(cfg.User)
-	if cfg.ControlPlaneAddr != "" {
-		dir = directory.NewShardedClient(cfg.Net, cfg.ControlPlaneAddr, asUser)
-	} else {
-		dir = directory.NewClient(cfg.Net, cfg.DirAddr, asUser)
-	}
+	dir := directory.NewClient(cfg.Net, cfg.DirAddr, directory.WithCallerID(cfg.User))
 	// Client chain mirrors the server: metrics outermost, then the
 	// engine's stock credential/cache/resolver stages.
 	var engOpts []engine.Option
@@ -225,14 +212,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 		engOpts = append(engOpts, engine.WithInterceptors(engine.MetricsInterceptor(cfg.Metrics)))
 	}
 	if cfg.RouteCacheTTL > 0 {
-		dc := engine.NewDirCache(cfg.RouteCacheTTL)
-		if dir.Sharded() {
-			// A shard-map epoch bump observed by the directory client
-			// invalidates the engine's warm routes immediately — no
-			// TTL wait.
-			dir.OnEpochChange(dc.SetEpoch)
-		}
-		engOpts = append(engOpts, engine.WithDirCache(dc))
+		engOpts = append(engOpts, engine.WithDirCache(engine.NewDirCache(cfg.RouteCacheTTL)))
 	}
 	if tracer != nil {
 		engOpts = append(engOpts, engine.WithTracer(tracer))

@@ -19,14 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/controlplane"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -34,26 +30,6 @@ import (
 
 // ServiceName is the service identifier the directory answers to.
 const ServiceName = "syd.directory"
-
-// MetaEpoch is the response metadata key a sharded directory stamps
-// the current shard-map epoch under. Clients compare it against their
-// cached routing table: a newer epoch means the table (and any routes
-// resolved under it) is stale and must be refreshed now, not when a
-// TTL runs out.
-const MetaEpoch = "dir-epoch"
-
-// ShardKey maps a directory name to its routing key. Everything that
-// belongs to one user must land on one shard, and service names
-// follow the `<kind>.<owner>` convention (cal.phil, links.phil,
-// sys.phil), so a service routes by the segment after the first dot —
-// co-locating it with its owner's user record, which keeps Repoint
-// shard-local. Names without a dot route by the whole name.
-func ShardKey(name string) string {
-	if i := strings.IndexByte(name, '.'); i >= 0 && i+1 < len(name) {
-		return name[i+1:]
-	}
-	return name
-}
 
 // DefaultHeartbeatTTL is how long a device stays "online" after its
 // last heartbeat unless it deregisters explicitly.
@@ -76,10 +52,9 @@ type ServiceInfo struct {
 	Methods []string `json:"methods,omitempty"`
 }
 
-// Server is the directory server state: either the whole directory
-// (the unsharded default) or one shard of it (WithShard + SetTable).
-// Create with NewServer (in memory) or NewServerOn (a durable DB) and
-// register its Handler with a transport listener.
+// Server is the directory server state. Create with NewServer (in
+// memory) or NewServerOn (a durable DB) and register its Handler with a
+// transport listener.
 type Server struct {
 	clock clock.Clock
 	ttl   time.Duration
@@ -93,12 +68,6 @@ type Server struct {
 	// leaseMu makes lease check-and-set indivisible (two followers
 	// racing to take over an expired lease must not both win).
 	leaseMu sync.Mutex
-
-	// shardID is this node's identity in the shard map ("" when the
-	// server is the whole, unsharded directory); table is the current
-	// epoch-versioned routing table pushed by the control plane.
-	shardID string
-	table   atomic.Pointer[controlplane.Table]
 }
 
 // Option configures a Server.
@@ -109,28 +78,6 @@ func WithClock(c clock.Clock) Option { return func(s *Server) { s.clock = c } }
 
 // WithTTL overrides the heartbeat TTL.
 func WithTTL(d time.Duration) Option { return func(s *Server) { s.ttl = d } }
-
-// WithShard marks the server as one shard of a sharded directory.
-// The server rejects ops whose key it does not own (CodeWrongShard)
-// and stamps every response with the shard map's epoch. Wire the
-// routing table with SetTable (typically via Controller.Subscribe).
-func WithShard(id string) Option { return func(s *Server) { s.shardID = id } }
-
-// SetTable installs a new routing table. Safe to call while serving —
-// the control plane pushes a fresh table on every epoch advance.
-func (s *Server) SetTable(t *controlplane.Table) { s.table.Store(t) }
-
-// ShardID returns the server's shard identity ("" when unsharded).
-func (s *Server) ShardID() string { return s.shardID }
-
-// Epoch returns the epoch of the server's current routing table (0
-// when unsharded or no table has been pushed yet).
-func (s *Server) Epoch() uint64 {
-	if t := s.table.Load(); t != nil {
-		return t.Epoch
-	}
-	return 0
-}
 
 // NewServer creates a directory server whose registry lives in memory
 // only.
@@ -370,49 +317,7 @@ func (s *Server) groupMembers(group string) []string {
 
 // Handler returns the transport.Handler that dispatches directory RPCs.
 func (s *Server) Handler() transport.Handler {
-	return transport.HandlerFunc(s.handle)
-}
-
-// routingKey returns the shard-ownership key for one directory op
-// ("" for ops that are fanned out across shards by the client and
-// therefore never wrong-shard: ListUsers, ServicesOf, ResolveBatch).
-func routingKey(method string, a wire.Args) string {
-	switch method {
-	case "RegisterUser", "LookupUser", "Heartbeat", "SetOffline":
-		return a.String("id")
-	case "RegisterService", "UnregisterService", "LookupService", "ResolveService":
-		return ShardKey(a.String("name"))
-	case "CreateGroup", "AddMember", "RemoveMember", "GroupMembers":
-		return a.String("group")
-	case "RenewLease", "ReleaseLease", "GetLease", "Repoint":
-		return a.String("id") // co-located with the user record; ListLeases fans out
-	}
-	return ""
-}
-
-// stampEpoch attaches the shard map epoch to a response. Every reply
-// from a sharded directory — success, error, or wrong-shard redirect —
-// carries it, so clients learn about epoch advances on whatever RPC
-// they happen to make next.
-func stampEpoch(resp *transport.Response, epoch uint64) *transport.Response {
-	if resp.Meta == nil {
-		resp.Meta = make(wire.Metadata, 1)
-	}
-	resp.Meta[MetaEpoch] = strconv.FormatUint(epoch, 10)
-	return resp
-}
-
-func (s *Server) handle(ctx context.Context, req *transport.Request) *transport.Response {
-	tab := s.table.Load()
-	if s.shardID == "" || tab == nil {
-		return s.dispatch(ctx, req) // unsharded: byte-identical to the pre-shard directory
-	}
-	if key := routingKey(req.Method, req.Args); key != "" && !tab.Owns(s.shardID, key) {
-		return stampEpoch(transport.ErrorResponse(req, wire.CodeWrongShard,
-			"directory: key %q belongs to shard %s, not %s (epoch %d)",
-			key, tab.Owner(key).ID, s.shardID, tab.Epoch), tab.Epoch)
-	}
-	return stampEpoch(s.dispatch(ctx, req), tab.Epoch)
+	return transport.HandlerFunc(s.dispatch)
 }
 
 func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transport.Response {
@@ -482,18 +387,12 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 		return ok(info)
 	case "ResolveBatch":
 		// Route-only resolution for many services in one round trip —
-		// the engine's group fan-out resolves all of a shard's members
-		// with a single RPC. Unknown names are skipped (the per-member
-		// invocation surfaces the error); names this shard does not own
-		// are skipped too, so a client with a stale table degrades to
-		// per-member resolution instead of failing the whole batch.
+		// the engine's group fan-out resolves all its members with a
+		// single RPC. Unknown names are skipped (the per-member
+		// invocation surfaces the error).
 		names := a.Strings("names")
 		infos := make([]ServiceInfo, 0, len(names))
-		tab := s.table.Load()
 		for _, name := range names {
-			if tab != nil && s.shardID != "" && !tab.Owns(s.shardID, ShardKey(name)) {
-				continue
-			}
 			info, err := s.resolveService(name, false)
 			if err != nil {
 				continue

@@ -268,9 +268,37 @@ func TestListUsersSorted(t *testing.T) {
 	}
 }
 
+func TestResolveBatch(t *testing.T) {
+	c, _, net := newDirectory(t)
+	ctx := ctxT(t)
+	var names []string
+	for _, u := range []string{"phil", "andy", "suzy"} {
+		if err := c.RegisterService(ctx, "cal."+u, u, "node-"+u, []string{"A"}); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, "cal."+u)
+	}
+	before := net.Stats().Requests
+	got, err := c.ResolveBatch(ctx, append(names, "cal.ghost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rpcs := net.Stats().Requests - before; rpcs != 1 {
+		t.Fatalf("batch used %d RPCs, want 1", rpcs)
+	}
+	if len(got) != len(names) {
+		t.Fatalf("resolved %d/%d names: %v", len(got), len(names), got)
+	}
+	for _, n := range names {
+		if info := got[n]; info.Addr != "node-"+n[len("cal."):] || info.Methods != nil {
+			t.Fatalf("route for %s = %+v, want its address and no methods", n, info)
+		}
+	}
+}
+
 func TestUnknownMethod(t *testing.T) {
 	c, _, _ := newDirectory(t)
-	err := c.call(ctxT(t), "x", "Bogus", wire.Args{}, nil)
+	err := c.call(ctxT(t), "Bogus", wire.Args{}, nil)
 	if wire.CodeOf(err) != wire.CodeNoMethod {
 		t.Fatalf("err = %v", err)
 	}

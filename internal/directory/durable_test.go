@@ -2,13 +2,11 @@ package directory
 
 import (
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/controlplane"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wal"
@@ -189,70 +187,6 @@ func TestRegistrySurvivesRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 			verifyPopulated(t, NewClient(net, ln2.Addr()), 4)
-			if second.srv.ShardID() != "" {
-				t.Fatalf("unsharded server recovered as shard %q", second.srv.ShardID())
-			}
-		})
-	}
-}
-
-// TestShardedRegistrySurvivesRestartPerShard: each shard logs its own
-// slice under <data-dir>/shardK; a new deployment recovers shard for
-// shard and serves the same bindings.
-func TestShardedRegistrySurvivesRestartPerShard(t *testing.T) {
-	for _, e := range endings {
-		clean := e.clean
-		t.Run(e.name, func(t *testing.T) {
-			const shards, users = 4, 16
-			fake := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
-			dataDir := t.TempDir()
-			// deploy starts one life per shard behind a fresh control plane.
-			deploy := func() ([]*life, *Client) {
-				net := sim.New(sim.Config{})
-				lives := make([]*life, shards)
-				list := make([]controlplane.Shard, shards)
-				for i := range lives {
-					id := fmt.Sprintf("shard%d", i)
-					lives[i] = startLife(t, filepath.Join(dataDir, id),
-						WithClock(fake), WithTTL(10*time.Second), WithShard(id))
-					ln, err := net.Listen(fmt.Sprintf("dir%d", i), lives[i].srv.Handler())
-					if err != nil {
-						t.Fatal(err)
-					}
-					list[i] = controlplane.Shard{ID: id, Addr: ln.Addr()}
-				}
-				ctl := controlplane.NewController(list)
-				for _, l := range lives {
-					ctl.Subscribe(l.srv.SetTable)
-				}
-				if _, err := net.Listen("cp", ctl.Handler()); err != nil {
-					t.Fatal(err)
-				}
-				return lives, NewShardedClient(net, "cp")
-			}
-
-			first, c := deploy()
-			populate(t, c, users)
-			for _, l := range first {
-				l.end(t, clean)
-			}
-
-			second, c2 := deploy()
-			total := 0
-			for i, l := range second {
-				if want := fmt.Sprintf("shard%d", i); l.srv.ShardID() != want {
-					t.Fatalf("shard %d recovered as %q", i, l.srv.ShardID())
-				}
-				held := len(l.srv.users.Select(nil))
-				if held == users {
-					t.Fatalf("shard %d holds all %d users: the slices were not per shard", i, held)
-				}
-				total += held
-			}
-			if total != users {
-				t.Fatalf("recovered shards hold %d users, want %d", total, users)
-			}
-			verifyPopulated(t, c2, users)
 		})
 	}
 }

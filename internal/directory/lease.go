@@ -19,9 +19,8 @@ import (
 // does" (CodeConflict), which removes clock skew from the safety
 // argument.
 
-// leaseSchema is the replication-lease table. Keyed by the replicated
-// user id so ShardKey co-locates a lease with the user record it
-// protects.
+// leaseSchema is the replication-lease table, keyed by the replicated
+// user id.
 var leaseSchema = store.Schema{
 	Name: "leases",
 	Columns: []store.Column{
@@ -121,7 +120,7 @@ func (s *Server) getLease(id string) (LeaseInfo, error) {
 	return leaseInfo(r, s.clock.Now()), nil
 }
 
-// listLeases returns every lease this server (shard) holds.
+// listLeases returns every lease, sorted by user.
 func (s *Server) listLeases() []LeaseInfo {
 	now := s.clock.Now()
 	rows := s.leases.Select(nil)
@@ -150,10 +149,8 @@ func leaseInfo(r store.Row, now time.Time) LeaseInfo {
 
 // repoint rebinds a promoted node in one RPC: the user record's
 // address flips to the new node, as on re-registration, and every
-// service the user owns follows.
-// ShardKey co-locates a user with its services, so one shard-local
-// call re-points everything a client can resolve — no waiting for
-// directory cache TTLs beyond the epoch bump.
+// service the user owns follows, so one call re-points everything a
+// client can resolve.
 func (s *Server) repoint(id, addr string) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("directory: repoint id and addr are required")

@@ -26,14 +26,6 @@ type DirCache struct {
 	ttl   time.Duration
 	nowFn func() time.Time
 
-	// epoch is the newest directory shard-map epoch this cache has
-	// been told about (via SetEpoch, wired to the directory client's
-	// OnEpochChange hook). Entries remember the epoch they were stored
-	// under; an entry from an older epoch is treated as a miss, so an
-	// epoch bump invalidates every stale route at once without waiting
-	// out the TTL.
-	epoch atomic.Uint64
-
 	mu      sync.RWMutex
 	entries map[string]dirCacheEntry
 
@@ -45,7 +37,6 @@ type DirCache struct {
 type dirCacheEntry struct {
 	info    directory.ServiceInfo
 	expires time.Time
-	epoch   uint64
 }
 
 // NewDirCache creates a route cache whose entries live for ttl.
@@ -57,51 +48,23 @@ func NewDirCache(ttl time.Duration) *DirCache {
 	}
 }
 
-// lookup returns the unexpired cached route for name. Entries stored
-// under an older shard-map epoch than the cache's current one are
-// stale by definition (the topology or a binding changed) and miss.
+// lookup returns the unexpired cached route for name.
 func (c *DirCache) lookup(name string) (directory.ServiceInfo, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[name]
 	c.mu.RUnlock()
-	if !ok || !c.nowFn().Before(e.expires) || e.epoch < c.epoch.Load() {
+	if !ok || !c.nowFn().Before(e.expires) {
 		return directory.ServiceInfo{}, false
 	}
 	return e.info, true
 }
 
-// store caches a freshly resolved route for name under the current
-// epoch.
+// store caches a freshly resolved route for name.
 func (c *DirCache) store(name string, info directory.ServiceInfo) {
 	c.mu.Lock()
-	c.entries[name] = dirCacheEntry{info: info, expires: c.nowFn().Add(c.ttl), epoch: c.epoch.Load()}
+	c.entries[name] = dirCacheEntry{info: info, expires: c.nowFn().Add(c.ttl)}
 	c.mu.Unlock()
 }
-
-// SetEpoch informs the cache of a newer shard-map epoch. All entries
-// stored under older epochs become misses immediately; the map itself
-// is dropped so they don't linger. Older (out-of-order) observations
-// are ignored.
-func (c *DirCache) SetEpoch(epoch uint64) {
-	for {
-		cur := c.epoch.Load()
-		if epoch <= cur {
-			return
-		}
-		if !c.epoch.CompareAndSwap(cur, epoch) {
-			continue
-		}
-		c.mu.Lock()
-		n := len(c.entries)
-		c.entries = make(map[string]dirCacheEntry)
-		c.mu.Unlock()
-		c.invalidations.Add(int64(n))
-		return
-	}
-}
-
-// Epoch returns the newest shard-map epoch the cache has observed.
-func (c *DirCache) Epoch() uint64 { return c.epoch.Load() }
 
 // Invalidate drops the cached route for name.
 func (c *DirCache) Invalidate(name string) {

@@ -265,51 +265,3 @@ func TestDirCacheConcurrentInvokeAndInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDirCacheSetEpochDropsStaleRoutes(t *testing.T) {
-	w := newWorld(t)
-	w.addNode("phil")
-	var now atomic.Int64
-	e, cache := cachedEngine(w, "andy", time.Hour, &now)
-	ctx := context.Background()
-
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Warm: no directory traffic.
-	w.net.ResetStats()
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.net.Stats().Requests; got != 1 {
-		t.Fatalf("warm call made %d requests, want 1", got)
-	}
-
-	// A shard-map epoch bump drops every cached route at once — the
-	// TTL (an hour here) never comes into it.
-	cache.SetEpoch(3)
-	if cache.Epoch() != 3 {
-		t.Fatalf("epoch = %d, want 3", cache.Epoch())
-	}
-	w.net.ResetStats()
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.net.Stats().Requests; got != 2 {
-		t.Fatalf("post-bump call made %d requests, want 2 (re-resolve + invoke)", got)
-	}
-	if st := cache.Stats(); st.Invalidations == 0 {
-		t.Fatal("epoch bump recorded no invalidations")
-	}
-
-	// Stale and duplicate epochs are no-ops: the refilled entry stays.
-	cache.SetEpoch(2)
-	cache.SetEpoch(3)
-	w.net.ResetStats()
-	if err := e.Invoke(ctx, "cal.phil", "WhoAmI", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.net.Stats().Requests; got != 1 {
-		t.Fatalf("after stale epoch, call made %d requests, want 1 (still cached)", got)
-	}
-}

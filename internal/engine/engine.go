@@ -326,7 +326,7 @@ func (e *Engine) GroupInvoke(ctx context.Context, services []string, method stri
 
 // groupRoutes pre-resolves the members of a group fan-out in one
 // directory pass: names not already in the route cache go out as a
-// single ResolveBatch (one RPC per directory shard) instead of one
+// single ResolveBatch RPC instead of one
 // resolver round-trip per member. Resolved routes land in the route
 // cache when one is installed. Best-effort: on any failure the members
 // simply fall back to per-call resolution, which surfaces the error.
@@ -347,7 +347,7 @@ func (e *Engine) groupRoutes(ctx context.Context, services []string) map[string]
 		return nil
 	}
 	routes, err := e.dir.ResolveBatch(ctx, need)
-	if err != nil && len(routes) == 0 {
+	if err != nil {
 		return nil
 	}
 	if e.dirCache != nil {

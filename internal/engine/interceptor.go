@@ -19,7 +19,7 @@ type Call struct {
 	// Args are the named arguments (never mutated by the chain).
 	Args wire.Args
 	// Meta is the request metadata stamped onto the wire request
-	// (request id, hop count, deadline hint). Identity rides in the
+	// (trace context, deadline hint). Identity rides in the
 	// dedicated Caller/Credential fields, not in Meta, so the hot path
 	// never has to filter the map before it hits the wire.
 	Meta wire.Metadata

@@ -2,11 +2,9 @@ package fleet_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/fleet"
@@ -28,48 +26,14 @@ func newWorld(t *testing.T, vehicleIDs ...string) *world {
 	if _, err := net.Listen("dir", srv.Handler()); err != nil {
 		t.Fatal(err)
 	}
-	return populateWorld(t, net, "", vehicleIDs)
-}
-
-// newShardedWorld is newWorld against a 4-shard directory behind the
-// epoch-versioned control plane: the depot's group fan-out and the
-// vehicles' registrations all route through the shard map.
-func newShardedWorld(t *testing.T, vehicleIDs ...string) *world {
-	t.Helper()
-	const shards = 4
-	net := sim.New(sim.Config{})
-	list := make([]controlplane.Shard, shards)
-	servers := make([]*directory.Server, shards)
-	for i := 0; i < shards; i++ {
-		id := fmt.Sprintf("shard%d", i)
-		srv := directory.NewServer(directory.WithTTL(time.Hour), directory.WithShard(id))
-		ln, err := net.Listen(fmt.Sprintf("dir%d", i), srv.Handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		list[i] = controlplane.Shard{ID: id, Addr: ln.Addr()}
-		servers[i] = srv
-	}
-	ctl := controlplane.NewController(list)
-	for _, srv := range servers {
-		ctl.Subscribe(srv.SetTable)
-	}
-	if _, err := net.Listen("cp", ctl.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	return populateWorld(t, net, "cp", vehicleIDs)
-}
-
-func populateWorld(t *testing.T, net *sim.Net, cpAddr string, vehicleIDs []string) *world {
-	t.Helper()
 	ctx := context.Background()
-	depotNode, err := core.Start(ctx, core.Config{User: "depot", Net: net, DirAddr: "dir", ControlPlaneAddr: cpAddr})
+	depotNode, err := core.Start(ctx, core.Config{User: "depot", Net: net, DirAddr: "dir"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := &world{t: t, net: net, depot: fleet.NewDepot(depotNode), vehicles: map[string]*fleet.Vehicle{}}
 	for _, id := range vehicleIDs {
-		node, err := core.Start(ctx, core.Config{User: id, Net: net, DirAddr: "dir", ControlPlaneAddr: cpAddr})
+		node, err := core.Start(ctx, core.Config{User: id, Net: net, DirAddr: "dir"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,8 +150,10 @@ func TestAssignValidation(t *testing.T) {
 	}
 }
 
-func TestFleetOverShardedDirectory(t *testing.T) {
-	w := newShardedWorld(t, "t1", "t2", "t3")
+// TestAssignedCargoShowsInPositions: an assignment is visible in the
+// next positions report, on the vehicle it went to.
+func TestAssignedCargoShowsInPositions(t *testing.T) {
+	w := newWorld(t, "t1", "t2", "t3")
 	ctx := context.Background()
 	positions, err := w.depot.FleetPositions(ctx, "fleet")
 	if err != nil {
@@ -208,6 +174,6 @@ func TestFleetOverShardedDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if positions[id].Cargo != "crates" {
-		t.Fatalf("cargo lost over sharded directory: %+v", positions[id])
+		t.Fatalf("cargo lost: %+v", positions[id])
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/controlplane"
 	"repro/internal/links"
 	"repro/internal/wire"
 )
@@ -40,7 +39,6 @@ type chaosRound struct {
 	entity    string
 	latBase   time.Duration
 	latJitter time.Duration
-	bumpEpoch bool // sharded runs only: bump the shard-map epoch mid-flight
 }
 
 func TestChaosNegotiations(t *testing.T) {
@@ -48,28 +46,12 @@ func TestChaosNegotiations(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			h := newHarness(t, "a", "b", "x", "y")
-			runChaos(t, h, nil, seed, 55) // 55 rounds x 2 racing negotiations x 3 seeds = 330 total
+			runChaos(t, h, seed, 55) // 55 rounds x 2 racing negotiations x 3 seeds = 330 total
 		})
 	}
 }
 
-// TestChaosNegotiationsSharded reruns the chaos schedule against a
-// 4-shard directory behind the control plane, with shard-map epoch
-// bumps landing mid-negotiation on ~30% of rounds. The negotiation
-// invariants must hold unchanged: an epoch bump flushes every node's
-// route cache but must never break an in-flight two-phase commit or
-// the journal redrive that heals it.
-func TestChaosNegotiationsSharded(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			h, ctl := newShardedHarness(t, "a", "b", "x", "y")
-			runChaos(t, h, ctl, seed, 55)
-		})
-	}
-}
-
-func runChaos(t *testing.T, h *harness, ctl *controlplane.Controller, seed int64, rounds int) {
+func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 	ctx := context.Background()
 	tun := links.Tuning{RetryBase: 100 * time.Millisecond, PresumeAbortAfter: 30 * time.Second}
 	for _, n := range h.nodes {
@@ -129,9 +111,6 @@ func runChaos(t *testing.T, h *harness, ctl *controlplane.Controller, seed int64
 			r.latBase = time.Duration(rng.Intn(3)) * time.Millisecond
 			r.latJitter = time.Duration(rng.Intn(2)) * time.Millisecond
 		}
-		if ctl != nil && rng.Float64() < 0.3 {
-			r.bumpEpoch = true
-		}
 
 		// Arm the faults on the live network.
 		h.net.SetLoss(r.loss)
@@ -184,7 +163,6 @@ func runChaos(t *testing.T, h *harness, ctl *controlplane.Controller, seed int64
 		sweepWG.Add(1)
 		go func() {
 			defer sweepWG.Done()
-			first := true
 			for {
 				select {
 				case <-sweepStop:
@@ -194,13 +172,6 @@ func runChaos(t *testing.T, h *harness, ctl *controlplane.Controller, seed int64
 				for _, n := range h.nodes {
 					n.Links.FaultSweep(ctx, h.clk.Now())
 				}
-				if first && r.bumpEpoch {
-					// Epoch bump lands while both negotiations are in
-					// flight: every node's next directory response
-					// flushes its route cache mid-two-phase-commit.
-					ctl.Bump()
-				}
-				first = false
 				time.Sleep(time.Millisecond)
 			}
 		}()

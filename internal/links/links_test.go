@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/links"
@@ -47,11 +46,10 @@ func (n *tnode) noteCount() int {
 }
 
 type harness struct {
-	t      *testing.T
-	net    *sim.Net
-	clk    *clock.Fake
-	nodes  map[string]*tnode
-	cpAddr string // set on sharded harnesses; nodes route via the control plane
+	t     *testing.T
+	net   *sim.Net
+	clk   *clock.Fake
+	nodes map[string]*tnode
 }
 
 // simConfig: every simulated delivery rides a full frame encode→decode
@@ -76,50 +74,14 @@ func newHarness(t *testing.T, users ...string) *harness {
 	return h
 }
 
-// newShardedHarness is newHarness against a 4-shard directory behind
-// the epoch-versioned control plane, so the link layer's lookups and
-// liveness checks all route through the shard map. The returned
-// controller lets chaos schedules bump the epoch mid-negotiation.
-func newShardedHarness(t *testing.T, users ...string) (*harness, *controlplane.Controller) {
-	t.Helper()
-	const shards = 4
-	net := sim.New(simConfig)
-	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
-	list := make([]controlplane.Shard, shards)
-	servers := make([]*directory.Server, shards)
-	for i := 0; i < shards; i++ {
-		id := fmt.Sprintf("shard%d", i)
-		srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour), directory.WithShard(id))
-		ln, err := net.Listen(fmt.Sprintf("dir%d", i), srv.Handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		list[i] = controlplane.Shard{ID: id, Addr: ln.Addr()}
-		servers[i] = srv
-	}
-	ctl := controlplane.NewController(list)
-	for _, srv := range servers {
-		ctl.Subscribe(srv.SetTable)
-	}
-	if _, err := net.Listen("cp", ctl.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{t: t, net: net, clk: clk, nodes: make(map[string]*tnode), cpAddr: "cp"}
-	for _, u := range users {
-		h.addNode(u)
-	}
-	return h, ctl
-}
-
 func (h *harness) addNode(user string, with ...func(*core.Config)) *tnode {
 	h.t.Helper()
 	ctx := context.Background()
 	cfg := core.Config{
-		User:             user,
-		Net:              h.net,
-		DirAddr:          "dir",
-		ControlPlaneAddr: h.cpAddr,
-		Clock:            h.clk,
+		User:    user,
+		Net:     h.net,
+		DirAddr: "dir",
+		Clock:   h.clk,
 	}
 	for _, w := range with {
 		w(&cfg)

@@ -41,8 +41,8 @@ type Call struct {
 	Credential string
 	// Args are the named arguments.
 	Args wire.Args
-	// Meta is the request's wire metadata (request id, hop count,
-	// deadline hint). Identity lives in the Caller/Credential fields.
+	// Meta is the request's wire metadata (trace context, deadline
+	// hint). Identity lives in the Caller/Credential fields.
 	// The map is shared with the transport request — middleware and
 	// handlers must treat it as read-only.
 	Meta wire.Metadata

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/links"
@@ -22,12 +21,12 @@ import (
 )
 
 // The failover proof: a 3-node replica set (primary x + two
-// followers) embedded in a live deployment — sharded directory behind
-// the control plane, coordinator nodes racing negotiations through x.
-// The primary is killed mid-two-phase-commit; the test then asserts
-// the whole recovery chain: a follower promotes within one lease TTL,
-// the directory re-points x in one RPC (epoch bump observed by the
-// other nodes), the coordinator's journal redrive completes every
+// followers) embedded in a live deployment — one directory,
+// coordinator nodes racing negotiations through x. The primary is
+// killed mid-two-phase-commit; the test then asserts the whole
+// recovery chain: a follower promotes within one lease TTL, the
+// directory re-points x and its services in one RPC, the
+// coordinator's journal redrive completes every
 // in-flight negotiation against the promoted backup, and no acked
 // commit is lost.
 
@@ -37,58 +36,43 @@ type fixture struct {
 	t   *testing.T
 	net *sim.Net
 	clk *clock.Fake
-	ctl *controlplane.Controller
 }
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	const shards = 4
 	net := sim.New(sim.Config{})
 	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
-	list := make([]controlplane.Shard, shards)
-	servers := make([]*directory.Server, shards)
-	for i := 0; i < shards; i++ {
-		id := fmt.Sprintf("shard%d", i)
-		srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(100*time.Hour), directory.WithShard(id))
-		ln, err := net.Listen(fmt.Sprintf("dir%d", i), srv.Handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		list[i] = controlplane.Shard{ID: id, Addr: ln.Addr()}
-		servers[i] = srv
-	}
-	ctl := controlplane.NewController(list)
-	for _, srv := range servers {
-		ctl.Subscribe(srv.SetTable)
-	}
-	if _, err := net.Listen("cp", ctl.Handler()); err != nil {
+	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(100*time.Hour))
+	if _, err := net.Listen("dir", srv.Handler()); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, net: net, clk: clk, ctl: ctl}
+	return &fixture{t: t, net: net, clk: clk}
 }
 
-// dirClient returns a fresh sharded directory client (followers and
-// assertions each get their own, like real processes would).
+// dirClient returns a fresh directory client (followers and assertions
+// each get their own, like real processes would).
 func (fx *fixture) dirClient() *directory.Client {
-	return directory.NewShardedClient(fx.net, "cp")
+	return directory.NewClient(fx.net, "dir")
 }
 
 // addNode boots a plain node or, with a lease TTL, a durable replicated
-// primary advertising replicas, and registers the store-backed slot
-// actions on it.
+// primary advertising replicas.
 func (fx *fixture) addNode(user string, leaseTTL time.Duration, replicas ...string) *core.Node {
 	fx.t.Helper()
-	cfg := core.Config{
-		User:             user,
-		Net:              fx.net,
-		ControlPlaneAddr: "cp",
-		Clock:            fx.clk,
-	}
+	cfg := core.Config{User: user}
 	if leaseTTL > 0 {
 		cfg.DataDir = fx.t.TempDir()
 		cfg.LeaseTTL = leaseTTL
 		cfg.Replicas = replicas
 	}
+	return fx.start(cfg)
+}
+
+// start boots a node from cfg on the fixture's network, directory and
+// clock, and registers the store-backed slot actions on it.
+func (fx *fixture) start(cfg core.Config) *core.Node {
+	fx.t.Helper()
+	cfg.Net, cfg.DirAddr, cfg.Clock = fx.net, "dir", fx.clk
 	n, err := core.Start(context.Background(), cfg)
 	if err != nil {
 		fx.t.Fatal(err)
@@ -168,32 +152,20 @@ func slotOn(t *testing.T, n *core.Node, entity string) string {
 
 // startFollower boots a standby for x at addr whose PromoteFunc boots
 // a full node over the follower's directory and reports it on the
-// promoted channel.
-func (fx *fixture) startFollower(addr, dataDir string, promoted chan *core.Node) *replication.Follower {
+// promoted channel. pullMax is the per-pull byte budget (0: default).
+func (fx *fixture) startFollower(addr, dataDir string, pullMax int, promoted chan *core.Node) *replication.Follower {
 	fx.t.Helper()
 	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
-		User:             "x",
-		Net:              fx.net,
-		Dir:              fx.dirClient(),
-		DataDir:          dataDir,
-		ListenAddr:       addr,
-		LeaseTTL:         leaseTTL,
-		ControlPlaneAddr: "cp",
-		Clock:            fx.clk,
+		User:         "x",
+		Net:          fx.net,
+		Dir:          fx.dirClient(),
+		DataDir:      dataDir,
+		ListenAddr:   addr,
+		LeaseTTL:     leaseTTL,
+		Clock:        fx.clk,
+		PullMaxBytes: pullMax,
 		Promote: func(ctx context.Context, holder string) (string, error) {
-			n, err := core.Start(ctx, core.Config{
-				User:             "x",
-				Net:              fx.net,
-				ControlPlaneAddr: "cp",
-				Clock:            fx.clk,
-				DataDir:          dataDir,
-				LeaseTTL:         leaseTTL,
-				LeaseHolder:      holder,
-			})
-			if err != nil {
-				return "", err
-			}
-			registerSlotActions(n)
+			n := fx.start(core.Config{User: "x", DataDir: dataDir, LeaseTTL: leaseTTL, LeaseHolder: holder})
 			promoted <- n
 			return n.Addr(), nil
 		},
@@ -238,8 +210,8 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	x.Links.SetTuning(tun)
 
 	promoted := make(chan *core.Node, 2)
-	f1 := fx.startFollower("repl-x-1", t.TempDir(), promoted)
-	f2 := fx.startFollower("repl-x-2", t.TempDir(), promoted)
+	f1 := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
+	f2 := fx.startFollower("repl-x-2", t.TempDir(), 0, promoted)
 
 	// Acked baseline: a clean negotiation through x and y, replicated
 	// to both followers before the fault.
@@ -303,7 +275,6 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	x.Events.Close()
 	fx.net.SetDown("node-x", true)
 	a.Links.SetCommitFault(nil)
-	epoch0 := a.Dir.Epoch()
 
 	// One lease TTL later the followers notice. Both check; the lease
 	// check-and-set plus the LSN/address tie-break admit exactly one.
@@ -333,12 +304,12 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 		t.Fatalf("s2 on promoted x = %q, want MB", got)
 	}
 
-	// Directory re-pointed in one RPC + epoch bump observed by peers.
+	// Directory re-pointed in one RPC: the user and its services.
 	if info, err := a.Dir.LookupUser(ctx, "x"); err != nil || info.Addr != x2.Addr() {
 		t.Fatalf("directory points x at %+v (err=%v), want %s", info, err, x2.Addr())
 	}
-	if e := a.Dir.Epoch(); e <= epoch0 {
-		t.Fatalf("epoch = %d, want > %d (bump after promotion)", e, epoch0)
+	if info, err := a.Dir.ResolveService(ctx, "links.x"); err != nil || info.Addr != x2.Addr() {
+		t.Fatalf("directory routes links.x to %+v (err=%v), want %s", info, err, x2.Addr())
 	}
 
 	// Journal redrive: coordinator a's sweeps now reach the promoted
@@ -369,7 +340,7 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	// holder and Start fails before it re-registers anything.
 	fx.net.SetDown("node-x", false)
 	_, err = core.Start(ctx, core.Config{
-		User: "x", Net: fx.net, ControlPlaneAddr: "cp", Clock: fx.clk,
+		User: "x", Net: fx.net, DirAddr: "dir", Clock: fx.clk,
 		DataDir: t.TempDir(), LeaseTTL: leaseTTL,
 	})
 	if !errors.Is(err, replication.ErrFenced) {
@@ -380,7 +351,7 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	}
 }
 
-// TestFailoverSweeperPromotesBestFollower drives the control-plane
+// TestFailoverSweeperPromotesBestFollower drives the directory-side
 // path: no follower self-checks; the health sweeper diagnoses the
 // dead primary and promotes the follower with the highest applied
 // LSN, not the one with the lowest address.
@@ -392,8 +363,8 @@ func TestFailoverSweeperPromotesBestFollower(t *testing.T) {
 	x := fx.addNode("x", leaseTTL, "repl-x-1", "repl-x-2")
 
 	promoted := make(chan *core.Node, 2)
-	f1 := fx.startFollower("repl-x-1", t.TempDir(), promoted)
-	f2 := fx.startFollower("repl-x-2", t.TempDir(), promoted)
+	f1 := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
+	f2 := fx.startFollower("repl-x-2", t.TempDir(), 0, promoted)
 
 	if _, err := x.Links.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{"meeting": "M1"},
@@ -479,10 +450,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	// The lease lapses because x cannot reach the directory. Without the
 	// cut, the node's own renewal loop wakes on the same Advance and
 	// races this test for the expired lease.
-	dirShards := []string{"dir0", "dir1", "dir2", "dir3"}
-	for _, d := range dirShards {
-		fx.net.Partition("x", d)
-	}
+	fx.net.Partition("x", "dir")
 	fx.clk.Advance(leaseTTL + time.Second)
 	if x.Repl.LeaseValid() {
 		t.Fatal("lease should have lapsed locally")
@@ -502,9 +470,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	if _, err := fx.dirClient().RenewLease(ctx, "x", "rival", leaseTTL, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range dirShards {
-		fx.net.Heal("x", d)
-	}
+	fx.net.Heal("x", "dir")
 	if err := x.Repl.Renew(ctx); !errors.Is(err, replication.ErrFenced) {
 		t.Fatalf("renew after rival takeover = %v, want ErrFenced", err)
 	}
@@ -516,61 +482,17 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	}
 }
 
-// unsharded is a deployment on one directory server: it returns the
-// network, the clock, and a function that boots a node on them with the
-// store-backed slot actions registered.
-func unsharded(t *testing.T) (*sim.Net, *clock.Fake, func(core.Config) *core.Node) {
-	t.Helper()
-	net := sim.New(sim.Config{})
-	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
-	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(100*time.Hour))
-	if _, err := net.Listen("dir", srv.Handler()); err != nil {
-		t.Fatal(err)
-	}
-	return net, clk, func(cfg core.Config) *core.Node {
-		t.Helper()
-		cfg.Net, cfg.DirAddr, cfg.Clock = net, "dir", clk
-		n, err := core.Start(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		registerSlotActions(n)
-		return n
-	}
-}
-
-// unshardedFollower starts a follower of x at repl-x-1 whose promotion
-// boots a node over its data dir and reports it on the returned channel.
-func unshardedFollower(t *testing.T, net *sim.Net, clk *clock.Fake, start func(core.Config) *core.Node, pullMax int) (*replication.Follower, chan *core.Node) {
-	t.Helper()
-	dataDir := t.TempDir()
-	promoted := make(chan *core.Node, 1)
-	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
-		User: "x", Net: net, Dir: directory.NewClient(net, "dir"), Clock: clk,
-		DataDir: dataDir, ListenAddr: "repl-x-1", LeaseTTL: leaseTTL, PullMaxBytes: pullMax,
-		Promote: func(ctx context.Context, holder string) (string, error) {
-			n := start(core.Config{User: "x", DataDir: dataDir, LeaseTTL: leaseTTL, LeaseHolder: holder})
-			promoted <- n
-			return n.Addr(), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, promoted
-}
-
-// TestFailoverFirstCallOnWarmRoute: with an unsharded directory there
-// is no epoch bump to flush a caller's route cache, so after a promotion
-// the caller's cached route still names the dead primary. The first
-// call on it must still succeed: the engine asks the directory again
-// and follows the repointed address.
+// TestFailoverFirstCallOnWarmRoute: after a promotion the caller's
+// cached route still names the dead primary; nothing flushes it. The
+// first call on it must still succeed: the engine asks the directory
+// again and follows the repointed address.
 func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 	ctx := context.Background()
-	net, clk, start := unsharded(t)
-	caller := start(core.Config{User: "a", RouteCacheTTL: time.Hour})
-	x := start(core.Config{User: "x", DataDir: t.TempDir(), LeaseTTL: leaseTTL, Replicas: []string{"repl-x-1"}})
-	f, promoted := unshardedFollower(t, net, clk, start, 0)
+	fx := newFixture(t)
+	caller := fx.start(core.Config{User: "a", RouteCacheTTL: time.Hour})
+	x := fx.addNode("x", leaseTTL, "repl-x-1")
+	promoted := make(chan *core.Node, 1)
+	f := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
 
 	available := func() error {
 		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "IsAvailable",
@@ -582,8 +504,8 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 	drainFollowers(t, x, f)
 
 	x.Events.Close()
-	net.SetDown(x.Addr(), true)
-	clk.Advance(leaseTTL + time.Second)
+	fx.net.SetDown(x.Addr(), true)
+	fx.clk.Advance(leaseTTL + time.Second)
 	if did, err := f.CheckLease(ctx); err != nil || !did {
 		t.Fatalf("CheckLease = %v, %v; want a promotion", did, err)
 	}
@@ -604,9 +526,10 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 // the promoted node.
 func TestHandoffDrainsLaggingFollower(t *testing.T) {
 	ctx := context.Background()
-	net, clk, start := unsharded(t)
-	x := start(core.Config{User: "x", DataDir: t.TempDir(), LeaseTTL: leaseTTL})
-	f, promoted := unshardedFollower(t, net, clk, start, 512)
+	fx := newFixture(t)
+	x := fx.addNode("x", leaseTTL)
+	promoted := make(chan *core.Node, 1)
+	f := fx.startFollower("repl-x-1", t.TempDir(), 512, promoted)
 
 	slots, err := x.DB.Table("slots")
 	if err != nil {
@@ -635,7 +558,7 @@ func TestHandoffDrainsLaggingFollower(t *testing.T) {
 			t.Fatalf("slot s%02d on the promoted node = %q, want M", i, got)
 		}
 	}
-	dir := directory.NewClient(net, "dir")
+	dir := fx.dirClient()
 	if info, err := dir.LookupUser(ctx, "x"); err != nil || !info.Online || info.Addr != x2.Addr() {
 		t.Fatalf("directory has x as %+v, %v; want online at %s", info, err, x2.Addr())
 	}

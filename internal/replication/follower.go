@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/controlplane"
 	"repro/internal/directory"
 	"repro/internal/listener"
 	"repro/internal/metrics"
@@ -49,10 +48,6 @@ type FollowerConfig struct {
 	LeaseTTL time.Duration
 	// Promote boots the promoted node (required).
 	Promote PromoteFunc
-	// ControlPlaneAddr, when set, bumps the shard-map epoch after a
-	// promotion re-points the directory, so every client flushes its
-	// warm route caches immediately instead of waiting out TTLs.
-	ControlPlaneAddr string
 	// Clock drives loops; nil = system clock.
 	Clock clock.Clock
 	// Metrics, when set, records shipping observations under LayerRepl.
@@ -81,7 +76,6 @@ type Follower struct {
 	clk clock.Clock
 	d   *wal.Durable
 	ln  transport.Listener
-	cp  *controlplane.Client // nil without ControlPlaneAddr
 
 	mu             sync.Mutex
 	shippedLSN     uint64 // primary tail as of last pull
@@ -129,9 +123,6 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 		return nil, err
 	}
 	f := &Follower{cfg: cfg, clk: clk, d: d}
-	if cfg.ControlPlaneAddr != "" {
-		f.cp = controlplane.NewClient(cfg.Net, cfg.ControlPlaneAddr)
-	}
 
 	lis := listener.New(cfg.User+"+follower", nil)
 	lis.Register(ServiceFor(cfg.User), f.object())
@@ -454,12 +445,6 @@ func (f *Follower) PromoteNow(ctx context.Context) error {
 	// registrations cover its kernel services; this covers the rest).
 	if err := f.cfg.Dir.Repoint(ctx, f.cfg.User, addr); err != nil {
 		return fmt.Errorf("replication: repoint: %w", err)
-	}
-	// Epoch bump: every client's next directory response flushes its
-	// route caches, so warm routes to the dead primary die now. Best
-	// effort — TTLs still converge without it.
-	if f.cp != nil {
-		_, _ = f.cp.Bump(ctx)
 	}
 	f.observe("promote", wire.CodeOK, time.Since(start))
 	return nil

@@ -14,7 +14,7 @@ import (
 	"repro/internal/wire"
 )
 
-// SweeperConfig describes the control-plane health sweep.
+// SweeperConfig describes the directory-side health sweep.
 type SweeperConfig struct {
 	// Net is the deployment transport (required).
 	Net transport.Network

@@ -106,39 +106,5 @@ func TestSnapshotRestorePropertyIdentity(t *testing.T) {
 	}
 }
 
-// TestCSVRoundTripProperty: export/import preserves every row.
-func TestCSVRoundTripProperty(t *testing.T) {
-	f := func(hours []uint8) bool {
-		db := NewDB()
-		tab := db.MustCreateTable(calendarSchema())
-		seen := map[int64]bool{}
-		for _, h := range hours {
-			k := int64(h)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			r := slotRow("d", k, fmt.Sprintf("s-%d", h))
-			if err := tab.Insert(r); err != nil {
-				return false
-			}
-		}
-		var buf writerBuffer
-		if err := tab.ExportCSV(&buf); err != nil {
-			return false
-		}
-		db2 := NewDB()
-		tab2 := db2.MustCreateTable(calendarSchema())
-		if err := tab2.ImportCSV(&buf); err != nil {
-			return false
-		}
-		return reflect.DeepEqual(snapshotRows(tab), snapshotRows(tab2))
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(41))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // writerBuffer aliases bytes.Buffer for the property closures.
 type writerBuffer = bytes.Buffer

@@ -19,7 +19,7 @@
 //     and in-doubt traces are therefore always retained, whatever the
 //     sample rate — the property the negotiation recovery machinery
 //     depends on.
-//   - Finished spans land in a lock-sharded bounded ring buffer per
+//   - Finished spans land in a lock-striped bounded ring buffer per
 //     node; old spans are overwritten, never accumulated.
 package trace
 

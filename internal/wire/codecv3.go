@@ -9,7 +9,7 @@ import (
 	"strings"
 )
 
-// Wire format v3 (see DESIGN.md §10): the one frame format every
+// Wire format v3 (see DESIGN.md §9): the one frame format every
 // transport sends. The frame layout is a 4-byte big-endian length
 // prefix, then a body that starts with the format's version byte, 0xB4,
 // followed by a length-delimited binary encoding of the envelope.

@@ -86,8 +86,8 @@ type Response struct {
 	Code   ErrCode         `json:"code,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 	// Meta carries what the responding handler chose to tell the
-	// caller (a sharded directory's map epoch); usually none. A caller
-	// correlates a response on ID, not on metadata.
+	// caller; no handler writes it today. A caller correlates a
+	// response on ID, not on metadata.
 	Meta Metadata `json:"meta,omitempty"`
 }
 
@@ -114,7 +114,6 @@ const (
 	CodeUnavailable ErrCode = "unavailable" // device down / unreachable
 	CodeInternal    ErrCode = "internal"    // handler error
 	CodeInDoubt     ErrCode = "in-doubt"    // commit phase diverged; recovery sweeper is resolving
-	CodeWrongShard  ErrCode = "wrong-shard" // directory op routed to a shard that does not own the key
 )
 
 // RemoteError is the error type surfaced to engine callers for a

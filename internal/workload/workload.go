@@ -16,8 +16,8 @@ import (
 // Users returns n synthetic user ids u00..u(n-1). Ids are zero-padded
 // to the width of the largest index (minimum two digits) so that
 // lexicographic order equals numeric order at any population size —
-// directory listings, shard range splits, and sorted test fixtures all
-// rely on that equivalence.
+// directory listings and sorted test fixtures rely on that
+// equivalence.
 func Users(n int) []string {
 	width := len(fmt.Sprint(n - 1))
 	if width < 2 {

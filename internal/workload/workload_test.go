@@ -84,8 +84,8 @@ func TestMeetingPlansShape(t *testing.T) {
 
 // TestUsersPaddingScalesWithPopulation: at n >= 100 the old fixed
 // "u%02d" format produced mixed-width ids (u99, u100) whose
-// lexicographic order diverged from numeric order, breaking shard
-// range splits. Padding must widen with the population.
+// lexicographic order diverged from numeric order, breaking sorted
+// listings. Padding must widen with the population.
 func TestUsersPaddingScalesWithPopulation(t *testing.T) {
 	for _, n := range []int{1, 10, 99, 100, 101, 1000, 10000} {
 		ids := Users(n)

@@ -15,8 +15,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 19837
-	allTreeLines   = 22455
+	cmdLineCeiling = 18851
+	allTreeLines   = 21666
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
