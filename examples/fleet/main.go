@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/fleet"
 	"repro/internal/sim"
 )
 
@@ -31,17 +30,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	depot := fleet.NewDepot(depotNode)
+	depot := NewDepot(depotNode)
 
 	const depotLat, depotLon = 33.75, -84.39
 	ids := []string{"truck1", "truck2", "truck3"}
-	vehicles := map[string]*fleet.Vehicle{}
+	vehicles := map[string]*Vehicle{}
 	for _, id := range ids {
 		node, err := core.Start(ctx, core.Config{User: id, Net: net, DirAddr: "dir"})
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := fleet.NewVehicle(ctx, node, depotLat, depotLon)
+		v, err := NewVehicle(ctx, node, depotLat, depotLon)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/bidding"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/sim"
@@ -33,17 +32,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	host := bidding.NewHost(hostNode, 3)
+	host := NewHost(hostNode, 3)
 
 	names := []string{"ana", "ben", "eva", "tom"}
-	players := map[string]*bidding.Player{}
+	players := map[string]*Player{}
 	for i, id := range names {
 		node, err := core.Start(ctx, core.Config{User: id, Net: net, DirAddr: "dir"})
 		if err != nil {
 			log.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(i + 1)))
-		p, err := bidding.NewPlayer(ctx, node, 500, func(listPrice int) int {
+		p, err := NewPlayer(ctx, node, 500, func(listPrice int) int {
 			return listPrice - 40 + rng.Intn(80) // guess around the list price
 		})
 		if err != nil {
@@ -71,7 +70,7 @@ func main() {
 	}
 
 	fmt.Println("\nfinal standings (by remaining wallet):")
-	for i, id := range bidding.Leaderboard(players) {
+	for i, id := range Leaderboard(players) {
 		fmt.Printf("  %d. %-4s $%d, wins at %v\n", i+1, id, players[id].Wallet(), players[id].Wins())
 	}
 }

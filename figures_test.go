@@ -286,7 +286,10 @@ func RunF4() (*Result, error) {
 	}
 	for _, s := range outcome.Trace {
 		detail := s.Detail
-		if detail == outcome.NID {
+		switch {
+		case s.Reason != "":
+			detail = string(s.Reason) // a refused mark's wire.Reason
+		case detail == outcome.NID:
 			detail = "<negotiation id>" // minted with a per-process prefix
 		}
 		res.AddRow(s.Phase, s.Entity, fmt.Sprintf("%v", s.OK), detail)

@@ -246,7 +246,7 @@ func (c *Calendar) MarkBusy(s Slot, label string, priority int) error {
 	}
 	return c.db.Unit(context.TODO(), func(u *store.Tx) error {
 		if info := c.slotInfoIn(u, s); info.Meeting != "" {
-			return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s already holds %s", s, info.Meeting)}
+			return wire.Refuse(slotHeld(info.Meeting), "calendar: %s already holds %s", s, info.Meeting)
 		}
 		return c.setSlot(u, s, "personal:"+label, priority)
 	})
@@ -256,6 +256,14 @@ func (c *Calendar) MarkBusy(s Slot, label string, priority int) error {
 // appointment rather than a coordinated meeting.
 func isPersonal(meeting string) bool {
 	return len(meeting) >= 9 && meeting[:9] == "personal:"
+}
+
+// slotHeld is the reason a slot held by meeting refuses another.
+func slotHeld(meeting string) wire.Reason {
+	if isPersonal(meeting) {
+		return wire.ReasonSlotPersonal
+	}
+	return wire.ReasonSlotMeeting
 }
 
 // ReleaseSlot frees a slot the user holds for a personal appointment
@@ -268,8 +276,7 @@ func (c *Calendar) ReleaseSlot(ctx context.Context, s Slot) error {
 		return nil
 	}
 	if !isPersonal(info.Meeting) {
-		return &wire.RemoteError{Code: wire.CodeConflict,
-			Msg: fmt.Sprintf("calendar: %s is held by meeting %s; use DropOut or CancelMeeting", s, info.Meeting)}
+		return wire.Refuse(wire.ReasonNotAllowed, "calendar: %s is held by meeting %s; use DropOut or CancelMeeting", s, info.Meeting)
 	}
 	if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.setSlot(u, s, "", 0) }); err != nil {
 		return err
@@ -484,8 +491,7 @@ func (c *Calendar) registerActions() {
 			case args.Bool("allowBump") && args.Int("priority") > info.Priority:
 				return nil // higher priority may bump (§6)
 			default:
-				return &wire.RemoteError{Code: wire.CodeConflict,
-					Msg: fmt.Sprintf("calendar: %s/%s holds %s (prio %d)", c.user, s, info.Meeting, info.Priority)}
+				return wire.Refuse(slotHeld(info.Meeting), "calendar: %s/%s holds %s (prio %d)", c.user, s, info.Meeting, info.Priority)
 			}
 		},
 		Apply: func(u *store.Tx, entity string, args wire.Args) error {
@@ -590,7 +596,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.
 		}
 	}
 	err := c.lm.AddLink(u, &back)
-	if wire.CodeOf(err) == wire.CodeConflict {
+	if wire.ReasonOf(err) == wire.ReasonLinkExists {
 		err = c.lm.PromoteLink(u, m.LinkID)
 	}
 	if err != nil {

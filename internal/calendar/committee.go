@@ -78,7 +78,7 @@ func (cc *Committee) FindEarliestMeetingTime(ctx context.Context, fromDay, toDay
 		return Slot{}, err
 	}
 	if len(slots) == 0 {
-		return Slot{}, &wire.RemoteError{Code: wire.CodeConflict, Msg: "calendar: committee has no common free slot in the window"}
+		return Slot{}, wire.Refuse(wire.ReasonNoCommonSlot, "calendar: committee has no common free slot in the window")
 	}
 	return slots[0], nil
 }
@@ -123,7 +123,7 @@ func (cc *Committee) ChangeMeetingTimeToNextAvailable(ctx context.Context, meeti
 		}
 		return s, nil
 	}
-	return Slot{}, &wire.RemoteError{Code: wire.CodeConflict, Msg: "calendar: no later common slot within the horizon"}
+	return Slot{}, wire.Refuse(wire.ReasonNoCommonSlot, "calendar: no later common slot within the horizon")
 }
 
 // FreeBusyMatrix returns, per member, the free slots in the window —

@@ -139,7 +139,7 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 			return nil, err
 		}
 		if len(candidates) == 0 {
-			return nil, &wire.RemoteError{Code: wire.CodeConflict, Msg: "calendar: no common free slot in the window"}
+			return nil, wire.Refuse(wire.ReasonNoCommonSlot, "calendar: no common free slot in the window")
 		}
 		m.Slot = candidates[0]
 	}
@@ -433,7 +433,7 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
 	if m.Status == StatusCancelled {
-		return m, &wire.RemoteError{Code: wire.CodeConflict, Msg: "calendar: meeting is cancelled"}
+		return m, wire.Refuse(wire.ReasonMeetingCancelled, "calendar: meeting is cancelled")
 	}
 	args := reserveArgs(m, false)
 	prev := m.Status
@@ -512,7 +512,7 @@ func (m *Meeting) voteSpec(v *links.Vote, args wire.Args) (links.Spec, error) {
 		}
 	}
 	if !wanted || m.isReserved(u) || v.Ref.Entity != m.Slot.Entity() {
-		return spec, &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s has no use for %s at %s", m.ID, u, v.Ref.Entity)}
+		return spec, wire.Refuse(wire.ReasonVoteDeclined, "calendar: %s has no use for %s at %s", m.ID, u, v.Ref.Entity)
 	}
 	return spec, nil
 }
@@ -528,7 +528,7 @@ func (c *Calendar) DropOut(ctx context.Context, meetingID string) error {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
 	if m.Initiator == c.user {
-		return &wire.RemoteError{Code: wire.CodeConflict, Msg: "calendar: the initiator cancels, not drops out"}
+		return wire.Refuse(wire.ReasonNotAllowed, "calendar: the initiator cancels, not drops out")
 	}
 	return c.eng.Invoke(ctx, ServiceFor(m.Initiator), "DropOut", wire.Args{
 		"meeting": meetingID, "user": c.user,
@@ -579,7 +579,7 @@ func (c *Calendar) decideDrop(ctx context.Context, meetingID, user string) (*Mee
 	defer release()
 	m, ok := c.Meeting(meetingID)
 	if !ok || !m.droppable(user) {
-		return nil, "", &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("calendar: %s is not a droppable participant of %s", user, meetingID)}
+		return nil, "", wire.Refuse(wire.ReasonNotAllowed, "calendar: %s is not a droppable participant of %s", user, meetingID)
 	}
 	m.Reserved = removeString(m.Reserved, user)
 	if containsString(m.Must, user) || containsString(m.Supervisors, user) {

@@ -87,8 +87,7 @@ func (c *Calendar) ScheduleOrQueue(ctx context.Context, req Request) (m *Meeting
 		// Local validation: an offline booking may not double-book this
 		// device's own calendar.
 		if info := c.slotInfo(slot); info.Meeting != "" && info.Meeting != req.ID {
-			return nil, false, &wire.RemoteError{Code: wire.CodeConflict,
-				Msg: fmt.Sprintf("calendar: %s/%s holds %s", c.user, slot, info.Meeting)}
+			return nil, false, wire.Refuse(slotHeld(info.Meeting), "calendar: %s/%s holds %s", c.user, slot, info.Meeting)
 		}
 	}
 	payload, err := json.Marshal(req)

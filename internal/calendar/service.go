@@ -117,8 +117,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 			return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: "unknown meeting"}
 		}
 		if m.Status == StatusConfirmed && (containsString(m.Must, user) || user == m.Initiator) {
-			return nil, &wire.RemoteError{Code: wire.CodeConflict,
-				Msg: fmt.Sprintf("calendar: %s is a must-attendee of confirmed meeting %s", user, meetingID)}
+			return nil, wire.Refuse(wire.ReasonNotAllowed, "calendar: %s is a must-attendee of confirmed meeting %s", user, meetingID)
 		}
 		return true, nil
 	})

@@ -328,9 +328,7 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 		}
 		return &transport.Response{ID: req.ID, OK: true, Result: raw}
 	}
-	fail := func(err error) *transport.Response {
-		return transport.ErrorResponse(req, wire.CodeOf(err), "%v", err)
-	}
+	fail := func(err error) *transport.Response { return transport.ErrorFor(req, err) }
 
 	a := req.Args
 	switch req.Method {

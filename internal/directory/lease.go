@@ -48,7 +48,7 @@ type LeaseInfo struct {
 }
 
 // renewLease acquires or renews the lease on id for holder. It fails
-// with CodeConflict while a different holder's lease is still live;
+// as lease-held while a different holder's lease is still live;
 // an expired lease is taken over (leaseMu makes the check-and-set
 // indivisible when two followers race to promote). replicas, when
 // non-nil, replaces the stored candidate set.
@@ -65,11 +65,8 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 	deadline := now.Add(ttl)
 	if r, ok := s.leases.Get(id); ok {
 		if cur := r["holder"].(string); cur != holder && r["deadline"].(time.Time).After(now) {
-			return LeaseInfo{}, &wire.RemoteError{
-				Code: wire.CodeConflict,
-				Msg: fmt.Sprintf("directory: lease on %q held by %q until %s",
-					id, cur, r["deadline"].(time.Time).Format(time.RFC3339)),
-			}
+			until := r["deadline"].(time.Time).Format(time.RFC3339)
+			return LeaseInfo{}, wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q held by %q until %s", id, cur, until)
 		}
 		ch := store.Row{"holder": holder, "deadline": deadline}
 		if replicas != nil {
@@ -89,7 +86,7 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 
 // releaseLease ends holder's lease on id at once, so that a successor
 // can take it without waiting out the TTL: a deliberate handoff. The
-// row stays, expired, with its replica set. It fails with CodeConflict
+// row stays, expired, with its replica set. It is refused as lease-held
 // unless holder holds the lease (expired or not), and with
 // CodeNoService when there is no lease on id.
 func (s *Server) releaseLease(id, holder string) error {
@@ -103,10 +100,7 @@ func (s *Server) releaseLease(id, holder string) error {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
 	}
 	if cur := r["holder"].(string); cur != holder {
-		return &wire.RemoteError{
-			Code: wire.CodeConflict,
-			Msg:  fmt.Sprintf("directory: lease on %q is held by %q, not %q", id, cur, holder),
-		}
+		return wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q is held by %q, not %q", id, cur, holder)
 	}
 	return s.leases.Update(store.Row{"deadline": s.clock.Now()}, id)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/wire"
 )
 
 // LockTable implements the entity mark/lock step of the paper's
@@ -115,8 +114,8 @@ func (lt *LockTable) TryLock(entity, holder string) (string, bool) {
 // Hold marks entity for holder, a goroutine of this device, as how, and
 // returns the token that releases it (Unlock). An entity that is marked
 // already is waited for until a release frees it or ctx ends; only a
-// HoldVote that finds a negotiation holding it is refused, at once, with
-// CodeConflict. The hold has no deadline, so no TTL steal takes it.
+// HoldVote that finds a negotiation holding it is refused, at once, as
+// lock-held. The hold has no deadline, so no TTL steal takes it.
 func (lt *LockTable) Hold(ctx context.Context, entity, holder string, how Hold) (string, error) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
@@ -127,7 +126,7 @@ func (lt *LockTable) Hold(ctx context.Context, entity, holder string, how Hold) 
 		}
 		if how == HoldVote && (e.hold == HoldNegotiation || e.hold == HoldVote) {
 			lt.conflicts++
-			return "", &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: %s is busy", entity)}
+			return "", errLockHeld(entity)
 		}
 		if lt.wake == nil {
 			lt.wake = make(chan struct{})

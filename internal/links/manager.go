@@ -290,7 +290,7 @@ func (m *Manager) action(name string) (Action, error) {
 
 // AddLink stores a link row locally, in the step's unit u, registering
 // it in the waiting table when it is tentative and waiting on another
-// link. A row already stored under the id is a CodeConflict. Outside a
+// link. A row already stored under the id is refused as link-exists. Outside a
 // step, InstallAt(ctx, m.Self(), l) is the one-row unit.
 func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 	if l.Created.IsZero() {
@@ -305,7 +305,7 @@ func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 	}
 	if err := u.Insert(LinkTable, row); err != nil {
 		if errors.Is(err, store.ErrDupKey) {
-			return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: link %s is already installed on %s", l.ID, m.self)}
+			return wire.Refuse(wire.ReasonLinkExists, "links: link %s is already installed on %s", l.ID, m.self)
 		}
 		return err
 	}

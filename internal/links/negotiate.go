@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/jsonrec"
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -64,10 +65,11 @@ type LocalChange struct {
 // negotiation-or over three objects reproduces the paper's Figure 4
 // activity diagram.
 type Step struct {
-	Phase  string `json:"phase"`  // "mark" | "constraint" | "change" | "unlock" | "abort"
-	Entity string `json:"entity"` // entity acted on ("" for constraint steps)
-	OK     bool   `json:"ok"`
-	Detail string `json:"detail,omitempty"`
+	Phase  string      `json:"phase"`  // "mark" | "constraint" | "journal" | "change" | "unlock" | "abort"
+	Entity string      `json:"entity"` // entity acted on ("" for constraint and journal steps)
+	OK     bool        `json:"ok"`
+	Reason wire.Reason `json:"reason,omitempty"` // why a failed mark or change failed (wire.ReasonOf its error)
+	Detail string      `json:"detail,omitempty"` // the constraint's counts; the journal row's id
 }
 
 // State classifies how a negotiation resolved.
@@ -132,13 +134,10 @@ func IsInDoubt(err error) bool {
 	return errors.As(err, &ide)
 }
 
-// ErrConstraint is returned (wrapped in a RemoteError) when the marked
-// set does not satisfy the constraint.
-func errConstraint(c Constraint, k, locked, n int) error {
-	return &wire.RemoteError{
-		Code: wire.CodeConflict,
-		Msg:  fmt.Sprintf("links: constraint %s(k=%d) unsatisfied: %d of %d targets markable", c, k, locked, n),
-	}
+// errConstraint refuses a marked set that does not satisfy the constraint
+// for reason: the first refused mark's, or ReasonConstraint for none.
+func errConstraint(reason wire.Reason, c Constraint, k, locked, n int) error {
+	return wire.Refuse(reason, "links: constraint %s(k=%d) unsatisfied: %d of %d targets markable", c, k, locked, n)
 }
 
 // markResult is a phase-1 outcome for one target. voted marks the one
@@ -203,7 +202,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	var localToken string
 	if spec.Local != nil {
 		tok, err := m.markLocal(spec.Local.Entity, spec.Local.Action, spec.Local.Args)
-		res.Trace = append(res.Trace, Step{Phase: "mark", Entity: m.self + "/" + spec.Local.Entity, OK: err == nil, Detail: errDetail(err)})
+		m.step(res, Step{Phase: "mark", Entity: m.self + "/" + spec.Local.Entity}, err)
 		if err != nil {
 			res.Rejected = append(res.Rejected, EntityRef{User: m.self, Entity: spec.Local.Entity})
 			m.count("outcome", wire.CodeConflict)
@@ -228,17 +227,21 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	n := len(targets)
 	if v := spec.Vote; v != nil {
 		marks = append(marks, markResult{ref: v.Ref, token: v.Token, voted: true})
-		res.appendMark(v.Ref, nil)
+		m.step(res, Step{Phase: "mark", Entity: v.Ref.String()}, nil)
 		n++
 	}
 
 	marked := make([]journalTarget, 0, len(marks))
+	refusal := wire.ReasonConstraint // Xor over-satisfied: no mark refused
 	for _, mr := range marks {
 		if mr.err == nil {
 			marked = append(marked, journalTarget{Ref: mr.ref, Token: mr.token})
-		} else {
-			res.Rejected = append(res.Rejected, mr.ref)
+			continue
 		}
+		if len(res.Rejected) == 0 {
+			refusal = wire.ReasonOf(mr.err) // the first refused mark's, in mark order
+		}
+		res.Rejected = append(res.Rejected, mr.ref)
 	}
 	locked := len(marked)
 
@@ -264,7 +267,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			}
 		}
 		m.count("outcome", wire.CodeConflict)
-		return res, errConstraint(spec.Constraint, k, locked, n)
+		return res, errConstraint(refusal, spec.Constraint, k, locked, n)
 	}
 
 	commitArgs := spec.Args
@@ -323,7 +326,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			m.abortMarked(ctx, res.NID, marks)
 			m.count("outcome", wire.CodeInternal)
 			if localErr != nil {
-				res.Trace = append(res.Trace, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity, Detail: errDetail(err)})
+				m.step(res, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity}, err)
 				return res, fmt.Errorf("links: activator change failed: %w", err)
 			}
 			return res, fmt.Errorf("links: journal negotiation intent: %w", err)
@@ -348,7 +351,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	var stillPending []journalTarget
 	for i, tgt := range marked {
 		err := commitErrs[i]
-		res.Trace = append(res.Trace, Step{Phase: "change", Entity: tgt.Ref.String(), OK: err == nil, Detail: errDetail(err)})
+		m.step(res, Step{Phase: "change", Entity: tgt.Ref.String()}, err)
 		switch {
 		case err == nil:
 			res.Accepted = append(res.Accepted, tgt.Ref)
@@ -399,16 +402,21 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	return res, nil
 }
 
-func errDetail(err error) string {
-	if err == nil {
-		return ""
+// step appends s, a mark or change done with err, to the trace. A failed one
+// carries err's reason and, unless skipped, counts as (links, "refused", reason).
+func (m *Manager) step(res *Result, s Step, err error) {
+	if s.OK = err == nil; !s.OK {
+		s.Reason = wire.ReasonOf(err)
+		if s.Reason != wire.ReasonSkipped {
+			m.registry().Observe(metrics.LayerLinks, "refused", string(s.Reason), wire.CodeOf(err), 0)
+		}
 	}
-	return err.Error()
+	res.Trace = append(res.Trace, s)
 }
 
 // errSkippedMark is the And-semantics skip: once any mark fails the
 // constraint is doomed, so later targets are not marked at all.
-var errSkippedMark = errors.New("links: skipped after earlier mark failure")
+var errSkippedMark = wire.Refuse(wire.ReasonSkipped, "links: skipped after earlier mark failure")
 
 // markSequential marks targets one at a time in the given (globally
 // sorted) order, so overlapping negotiations acquire locks in the same
@@ -424,7 +432,7 @@ func (m *Manager) markSequential(ctx context.Context, nid string, targets []Enti
 			failed = mr.err != nil
 		}
 		marks[i] = mr
-		res.appendMark(ref, mr.err)
+		m.step(res, Step{Phase: "mark", Entity: ref.String()}, mr.err)
 	}
 	return marks
 }
@@ -443,7 +451,7 @@ func (m *Manager) markParallel(ctx context.Context, nid string, targets []Entity
 	}
 	wg.Wait()
 	for _, mr := range marks {
-		res.appendMark(mr.ref, mr.err)
+		m.step(res, Step{Phase: "mark", Entity: mr.ref.String()}, mr.err)
 	}
 	return marks
 }
@@ -475,12 +483,13 @@ func (m *Manager) abortMarked(ctx context.Context, nid string, marks []markResul
 	}
 }
 
-func (r *Result) appendMark(ref EntityRef, err error) {
-	r.Trace = append(r.Trace, Step{Phase: "mark", Entity: ref.String(), OK: err == nil, Detail: errDetail(err)})
-}
-
 // lockKey namespaces entity locks.
 func lockKey(entity string) string { return "entity:" + entity }
+
+// errLockHeld refuses a mark or a vote of an entity marked already.
+func errLockHeld(entity string) error {
+	return wire.Refuse(wire.ReasonLockHeld, "links: %s is locked", entity)
+}
 
 // markLocal locks + checks a local entity.
 func (m *Manager) markLocal(entity, action string, args wire.Args) (string, error) {
@@ -490,7 +499,7 @@ func (m *Manager) markLocal(entity, action string, args wire.Args) (string, erro
 	}
 	tok, ok := m.Locks.TryLock(lockKey(entity), m.self)
 	if !ok {
-		return "", &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: entity %s is locked", entity)}
+		return "", errLockHeld(entity)
 	}
 	if a.Check != nil {
 		if err := a.Check(entity, args); err != nil {

@@ -46,13 +46,13 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		m.noteAborted(ctx, token, nid)
 		m.count("commit-stale", wire.CodeConflict)
 		trace.EventCtx(ctx, "links.decided", trace.String("kind", "stale-token"))
-		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: stale token: lock on %s was re-granted", entity)}
+		return wire.Refuse(wire.ReasonStaleToken, "links: stale token: lock on %s was re-granted", entity)
 	}
 	// Late commit: no live lock. Re-acquire and re-check before
 	// applying, since the entity may have changed since the mark.
 	tok, ok := m.Locks.TryLock(lockKey(entity), caller)
 	if !ok {
-		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: entity %s is locked", entity)}
+		return errLockHeld(entity)
 	}
 	a, err := m.action(action)
 	if err != nil {
@@ -87,7 +87,7 @@ func (m *Manager) alreadyDecided(ctx context.Context, entity string, committed b
 		trace.EventCtx(ctx, "links.decided", trace.String("kind", "duplicate-commit"))
 		return nil
 	}
-	return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("links: negotiation already aborted on %s", entity)}
+	return wire.Refuse(wire.ReasonDecidedAbort, "links: negotiation already aborted on %s", entity)
 }
 
 // Object returns the listener object exposing this manager to remote

@@ -13,7 +13,6 @@ package listener
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -264,14 +263,7 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 	}
 	result, err := dispatch(ctx, call)
 	if err != nil {
-		code := wire.CodeInternal
-		msg := err.Error()
-		var re *wire.RemoteError
-		if errors.As(err, &re) {
-			code = re.Code
-			msg = re.Msg // avoid re-wrapping already-remote errors
-		}
-		return transport.ErrorResponse(req, code, "%s", msg)
+		return transport.ErrorFor(req, err)
 	}
 	raw, err := wire.Marshal(result)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,16 +30,9 @@ const (
 	StateSyncing State = "syncing"
 )
 
-// localModeMsg prefixes the fast-fail error the interceptor returns for
-// remote invocations attempted in local mode.
-const localModeMsg = "offline: local mode"
-
 // IsLocalMode reports whether err is the interceptor's local-mode
 // fast-fail — the caller's cue to park the operation in the op queue.
-func IsLocalMode(err error) bool {
-	var re *wire.RemoteError
-	return errors.As(err, &re) && re.Code == wire.CodeUnavailable && strings.HasPrefix(re.Msg, localModeMsg)
-}
+func IsLocalMode(err error) bool { return wire.ReasonOf(err) == wire.ReasonLocalMode }
 
 // Config configures a Manager.
 type Config struct {
@@ -244,8 +236,8 @@ func (m *Manager) Interceptor() engine.Interceptor {
 	return func(next engine.Invoker) engine.Invoker {
 		return func(ctx context.Context, call *engine.Call, out any) error {
 			if m.State() == StateOffline {
-				return &wire.RemoteError{Code: wire.CodeUnavailable,
-					Msg: fmt.Sprintf("%s: %s cannot reach %s.%s", localModeMsg, m.user, call.Service, call.Method)}
+				return &wire.RemoteError{Code: wire.CodeUnavailable, Reason: wire.ReasonLocalMode,
+					Msg: fmt.Sprintf("offline: local mode: %s cannot reach %s.%s", m.user, call.Service, call.Method)}
 			}
 			err := next(ctx, call, out)
 			if err == nil {

@@ -95,7 +95,7 @@ var ErrFenced = errors.New("replication: lease lost; primary is fenced")
 // directory computes its deadline later (receive time + TTL), so the
 // local window always closes no later than the directory's — the
 // fence trips first, never after a rival could have been promoted.
-// A CodeConflict reply means a rival holds the lease: the primary
+// A lease-held refusal means a rival holds the lease: the primary
 // fences itself permanently.
 func (p *Primary) Renew(ctx context.Context) error {
 	p.mu.Lock()
@@ -109,7 +109,7 @@ func (p *Primary) Renew(ctx context.Context) error {
 	start := time.Now()
 	_, err := p.cfg.Dir.RenewLease(ctx, p.cfg.User, p.cfg.Holder, p.cfg.LeaseTTL, p.cfg.Replicas)
 	p.observe("lease-renew", wire.CodeOf(err), time.Since(start))
-	if wire.CodeOf(err) == wire.CodeConflict {
+	if wire.ReasonOf(err) == wire.ReasonLeaseHeld {
 		p.fence()
 		return fmt.Errorf("%w: %v", ErrFenced, err)
 	}

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/links"
+	"repro/internal/wire"
 )
 
 // Topology selects the deployment shape under test.
@@ -108,6 +109,8 @@ type opOutcome struct {
 	class string
 	// drained counts offline-queue ops replayed by this step.
 	drained int
+	// reason is why an aborted operation was refused.
+	reason wire.Reason
 }
 
 func (o *Outcomes) fold(out opOutcome) {
@@ -144,6 +147,15 @@ type DirectoryLoad struct {
 	PeakMinute int64            `json:"peak_minute"`
 }
 
+// Reasons counts refusals by wire.Reason: the operations Outcomes counts
+// as aborted, by the reason of the error each returned, and the failed
+// negotiation steps every node's links manager counted (skipped marks
+// left out).
+type Reasons struct {
+	AbortedOps  map[wire.Reason]int64 `json:"aborted_ops"`
+	FailedSteps map[wire.Reason]int64 `json:"failed_steps"`
+}
+
 // Report is one scenario×topology run's result — the unit
 // BENCH_scale.json stores and TestScaleBaseline reproduces. Every field
 // except WallMS is deterministic for a given (Config, code) pair.
@@ -158,6 +170,7 @@ type Report struct {
 	Locks     links.LockStats `json:"locks"`
 	Net       NetStats        `json:"net"`
 	Directory DirectoryLoad   `json:"directory"`
+	Reasons   Reasons         `json:"reasons"`
 	// ClockFired counts fake-clock waiter deliveries — how many timer
 	// events the compressed workday contained.
 	ClockFired uint64 `json:"clock_fired"`

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -222,7 +223,8 @@ func TestScaleBaselineSeesDrift(t *testing.T) {
 	}
 	// The counts a gate on the abort rate alone cannot see.
 	for _, path := range []string{"net.requests", "outcomes.committed", "outcomes.tentative", "locks.conflicts",
-		"directory.by_method.Heartbeat", "directory.peak_minute", "clock_fired", "wall_ms"} {
+		"directory.by_method.Heartbeat", "directory.peak_minute", "reasons.aborted_ops.slot-meeting",
+		"reasons.failed_steps.slot-personal", "clock_fired", "wall_ms"} {
 		if !seen[path] {
 			t.Errorf("%s was never drifted: not a report field?", path)
 		}
@@ -296,7 +298,8 @@ func TestRunAllTopologies(t *testing.T) {
 	}
 	for i := 0; i < len(reports); i += 2 { // catalog order: single, replicated
 		single, replicated := reports[i], reports[i+1]
-		if replicated.Outcomes != single.Outcomes || replicated.Locks != single.Locks {
+		if replicated.Outcomes != single.Outcomes || replicated.Locks != single.Locks ||
+			!reflect.DeepEqual(replicated.Reasons, single.Reasons) {
 			t.Errorf("%s: replicated differs from single beyond its traffic:\n%s\n%s", single.Scenario,
 				mustJSON(t, stripWall(single)), mustJSON(t, stripWall(replicated)))
 		}

@@ -10,6 +10,8 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/clock"
 	"repro/internal/links"
+	"repro/internal/metrics"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -57,7 +59,7 @@ func classifySchedule(m *calendar.Meeting, queued bool, err error) opOutcome {
 	case links.IsInDoubt(err):
 		return opOutcome{class: "in_doubt"}
 	default:
-		return opOutcome{class: "aborted"}
+		return opOutcome{class: "aborted", reason: wire.ReasonOf(err)}
 	}
 }
 
@@ -312,6 +314,7 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 	sort.SliceStable(sc.timeline, func(i, j int) bool { return sc.timeline[i].at < sc.timeline[j].at })
 
 	var outcomes Outcomes
+	reasons := Reasons{AbortedOps: map[wire.Reason]int64{}, FailedSteps: map[wire.Reason]int64{}}
 	loopCtx, stop := context.WithCancel(ctx)
 	done := make(chan struct{})
 	clock.LoopGo(loopCtx, w.clk, 0, func(time.Time) {
@@ -322,7 +325,11 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 			if d := start.Add(op.at).Sub(w.clk.Now()); d > 0 {
 				w.clk.Sleep(d)
 			}
-			outcomes.fold(op.run(ctx, w))
+			out := op.run(ctx, w)
+			outcomes.fold(out)
+			if out.class == "aborted" {
+				reasons.AbortedOps[out.reason]++
+			}
 		}
 		if d := start.Add(cfg.Horizon).Sub(w.clk.Now()); d > 0 {
 			w.clk.Sleep(d)
@@ -337,6 +344,11 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 		locks.Acquired += s.Acquired
 		locks.Conflicts += s.Conflicts
 		locks.Steals += s.Steals
+	}
+	for _, e := range w.refused.Snapshot().Entries {
+		if e.Layer == metrics.LayerLinks && e.Service == "refused" {
+			reasons.FailedSteps[wire.Reason(e.Method)] += e.Count
+		}
 	}
 	st := w.net.Stats()
 	return &Report{
@@ -355,6 +367,7 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 			Dropped:   st.Dropped,
 		},
 		Directory:  w.load.report(),
+		Reasons:    reasons,
 		ClockFired: w.clk.Fired(),
 		WallMS:     time.Since(wallStart).Milliseconds(),
 	}, nil

@@ -12,6 +12,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/metrics"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -48,6 +49,9 @@ type world struct {
 	nodes map[string]*core.Node
 	cals  map[string]*calendar.Calendar
 
+	// refused is the one registry every node's links manager counts its
+	// failed negotiation steps in.
+	refused   *metrics.Registry
 	followers []*replication.Follower
 	dataRoot  string // removed at teardown when created by boot
 	hubs      []string
@@ -67,12 +71,13 @@ func boot(cfg Config) (*world, error) {
 	clk := clock.NewFake(worldStart())
 	net := sim.New(sim.Config{Clock: clk, Seed: cfg.Seed})
 	w := &world{
-		clk:   clk,
-		net:   net,
-		users: workload.Users(cfg.Devices),
-		nodes: make(map[string]*core.Node, cfg.Devices),
-		cals:  make(map[string]*calendar.Calendar, cfg.Devices),
-		load:  &dirLoad{clk: clk, byMethod: map[string]int64{}, perMinute: map[int64]int64{}},
+		clk:     clk,
+		net:     net,
+		users:   workload.Users(cfg.Devices),
+		nodes:   make(map[string]*core.Node, cfg.Devices),
+		cals:    make(map[string]*calendar.Calendar, cfg.Devices),
+		load:    &dirLoad{clk: clk, byMethod: map[string]int64{}, perMinute: map[int64]int64{}},
+		refused: metrics.NewRegistry(),
 	}
 
 	if cfg.Topology != Single && cfg.Topology != Replicated {
@@ -134,6 +139,7 @@ func boot(cfg Config) (*world, error) {
 		if n.Offline != nil {
 			c.EnableSync(n.Offline)
 		}
+		n.Links.SetMetrics(w.refused)
 		w.nodes[u] = n
 		w.cals[u] = c
 	}

@@ -76,3 +76,13 @@ func (HandlerFunc) HandleEvent(*Event) {}
 func ErrorResponse(req *Request, code wire.ErrCode, format string, args ...any) *Response {
 	return &Response{ID: req.ID, OK: false, Code: code, Error: fmt.Sprintf(format, args...)}
 }
+
+// ErrorFor answers req with a handler's err: the code, reason and message
+// of a RemoteError in its chain, else CodeInternal and err's text.
+func ErrorFor(req *Request, err error) *Response {
+	var re *wire.RemoteError
+	if errors.As(err, &re) {
+		return &Response{ID: req.ID, Code: re.Code, Reason: re.Reason, Error: re.Msg}
+	}
+	return ErrorResponse(req, wire.CodeInternal, "%s", err.Error())
+}

@@ -195,6 +195,9 @@ func (t *NameTable) appendResponse(b []byte, r *Response) []byte {
 	}
 	b = appendV3String(b, r.Error)
 	b = appendV3String(b, string(r.Code))
+	if !r.OK {
+		b = appendV3String(b, string(r.Reason)) // an OK frame has no reason field
+	}
 	b = appendV3Bytes(b, r.Result)
 	return t.appendMeta(b, r.Meta)
 }
@@ -384,6 +387,20 @@ func (d *v3dec) field() ([]byte, error) {
 func (d *v3dec) string() (string, error) {
 	p, err := d.field()
 	return d.str(p), err
+}
+
+// reason decodes a failed response's reason, a known one without allocating.
+func (d *v3dec) reason(ok bool) (Reason, error) {
+	if ok {
+		return "", nil
+	}
+	p, err := d.field()
+	for _, r := range reasons {
+		if string(r) == string(p) {
+			return r, err
+		}
+	}
+	return Reason(d.str(p)), err
 }
 
 // str returns p, the field just taken, as a string that does not alias
@@ -641,6 +658,9 @@ func (d *v3dec) response(r *Response) (err error) {
 		return err
 	}
 	r.Code = ErrCode(code)
+	if r.Reason, err = d.reason(r.OK); err != nil {
+		return err
+	}
 	if r.Result, err = d.bytes(); err != nil {
 		return err
 	}

@@ -116,6 +116,36 @@ func TestCodecV3RoundTripResponse(t *testing.T) {
 	}
 }
 
+// TestCodecV3ReasonOnlyOnRefusals: an OK response's frame has no reason
+// field, so it is what it was before reasons existed, and a refused one
+// grows by its reason's length prefix and bytes alone.
+func TestCodecV3ReasonOnlyOnRefusals(t *testing.T) {
+	frame := func(r Response) []byte {
+		f, err := EncodeFrameV3(&Envelope{Kind: KindResponse, Response: &r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		return append([]byte(nil), f.Bytes()...)
+	}
+	ok := Response{ID: 7, OK: true, Result: json.RawMessage(`{"token":"T-andy-31"}`)}
+	// length, magic, kind, id, ok, empty error, empty code, result, no meta
+	want := append([]byte{0, 0, 0, 29, magicV3, v3KindResponse, 7, 1, 0, 0, 21}, `{"token":"T-andy-31"}`...)
+	if got := frame(ok); !bytes.Equal(got, append(want, 0)) {
+		t.Fatalf("OK frame = %x, want %x", got, append(want, 0))
+	}
+	refused := Response{ID: 8, Error: "held", Code: CodeConflict}
+	plain := frame(refused)
+	refused.Reason = ReasonSlotMeeting
+	withReason := frame(refused)
+	if d := len(withReason) - len(plain); d != len(ReasonSlotMeeting) {
+		t.Fatalf("the reason grew a refused frame by %d bytes, want %d", d, len(ReasonSlotMeeting))
+	}
+	if got := decodeOneFrame(t, withReason).Response; got.Reason != ReasonSlotMeeting {
+		t.Fatalf("decoded reason %q", got.Reason)
+	}
+}
+
 func TestCodecV3RoundTripEvent(t *testing.T) {
 	env := &Envelope{Kind: KindEvent, Event: &Event{
 		Name: "cal.changed", Source: "phil", Args: Args{"entity": "ev1"},
@@ -140,6 +170,8 @@ func TestCodecV3EquivalentToJSON(t *testing.T) {
 		testEnvelopeV3(3),
 		{Kind: KindResponse, Response: &Response{ID: 1, OK: true, Result: json.RawMessage(`[1,2,3]`)}},
 		{Kind: KindResponse, Response: &Response{ID: 2, Error: "x", Code: CodeUnavailable}},
+		{Kind: KindResponse, Response: &Response{ID: 3, Error: "B holds personal:class", Code: CodeConflict, Reason: ReasonSlotPersonal}},
+		{Kind: KindResponse, Response: &Response{ID: 4, Error: "y", Code: CodeConflict, Reason: "from-a-newer-peer"}},
 		{Kind: KindEvent, Event: &Event{Name: "e", Args: Args{"n": nil, "f": 2.25, "neg": -12}}},
 		{Kind: KindRequest, Request: &Request{ID: 0, Service: "s", Method: "m"}}, // all-empty fields
 	}
@@ -274,12 +306,18 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 	}
 }
 
+// FuzzCodecV3Roundtrip builds a request and a response from each input:
+// the response is refused, with the reason method names, when b is false
+// (an OK response carries no reason on the wire), and both must decode
+// from v3 as they do from JSON.
 func FuzzCodecV3Roundtrip(f *testing.F) {
 	f.Add("cal.phil", "Book", "andy", "k", "v", int64(42), 1.5, true, uint64(7))
 	f.Add("", "", "", "", "", int64(-1), -0.0, false, uint64(0))
 	f.Add("links.u\x80ser", "M\xffark", "a", "\x00", "\xfe\xfd", int64(1<<40), 3.14159, true, uint64(1<<63))
+	f.Add("links.B", string(ReasonSlotPersonal), "A", "conflict", "calendar: B/2003-04-21 14:00 holds personal:class (prio 0)",
+		int64(0), 0.0, false, uint64(9))
 	f.Fuzz(func(t *testing.T, service, method, caller, key, sval string, ival int64, fval float64, bval bool, id uint64) {
-		env := &Envelope{Kind: KindRequest, Request: &Request{
+		req := &Envelope{Kind: KindRequest, Request: &Request{
 			ID: id, Service: service, Method: method, Caller: caller,
 			Args: Args{
 				key:    sval,
@@ -291,48 +329,60 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 			},
 			Meta: Metadata{MetaDeadline: sval, key: caller},
 		}}
-		jf, err := EncodeFrame(env)
-		if err != nil {
-			t.Skip() // value JSON cannot carry (NaN/Inf); v3 equivalence is defined over JSON-encodable envelopes
+		resp := &Response{ID: id, OK: bval, Result: json.RawMessage("true")}
+		if !bval {
+			resp.Error, resp.Code, resp.Reason, resp.Result = sval, ErrCode(key), Reason(method), nil
 		}
-		jframe := append([]byte(nil), jf.Bytes()...)
-		jf.Release()
-		vf, err := EncodeFrameV3(env)
-		if err != nil {
-			t.Fatalf("v3 encode failed where json succeeded: %v", err)
-		}
-		vframe := append([]byte(nil), vf.Bytes()...)
-		vf.Release()
-
-		fromJSON := decodeOneFrame(t, jframe)
-		fromV3 := decodeOneFrame(t, vframe)
-		cj, cv := canonical(t, fromJSON), canonical(t, fromV3)
-		if !bytes.Equal(cj, cv) {
-			t.Fatalf("codecs diverge:\n json: %s\n   v3: %s", cj, cv)
-		}
-
-		// Re-encode the decoded envelope through v3 again: must be
-		// stable (decode→encode→decode is a fixed point).
-		vf2, err := EncodeFrameV3(fromV3)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		vframe2 := append([]byte(nil), vf2.Bytes()...)
-		vf2.Release()
-		again := decodeOneFrame(t, vframe2)
-		if c2 := canonical(t, again); !bytes.Equal(cv, c2) {
-			t.Fatalf("v3 re-encode unstable:\n first: %s\nsecond: %s", cv, c2)
-		}
-
-		// Every truncation of the v3 body must fail cleanly, never
-		// panic: a torn frame is a decode error, not a crash.
-		body := vframe[4:]
-		for n := 0; n < len(body); n++ {
-			if _, err := decodeV3(body[:n], nil); err == nil {
-				t.Fatalf("truncated v3 body (%d/%d bytes) decoded without error", n, len(body))
-			}
+		for _, env := range []*Envelope{req, {Kind: KindResponse, Response: resp}} {
+			checkV3Roundtrip(t, env)
 		}
 	})
+}
+
+// checkV3Roundtrip holds env's v3 frame to its JSON frame, to a stable
+// re-encode, and to failing cleanly on every truncation.
+func checkV3Roundtrip(t *testing.T, env *Envelope) {
+	jf, err := EncodeFrame(env)
+	if err != nil {
+		t.Skip() // value JSON cannot carry (NaN/Inf); v3 equivalence is defined over JSON-encodable envelopes
+	}
+	jframe := append([]byte(nil), jf.Bytes()...)
+	jf.Release()
+	vf, err := EncodeFrameV3(env)
+	if err != nil {
+		t.Fatalf("v3 encode failed where json succeeded: %v", err)
+	}
+	vframe := append([]byte(nil), vf.Bytes()...)
+	vf.Release()
+
+	fromJSON := decodeOneFrame(t, jframe)
+	fromV3 := decodeOneFrame(t, vframe)
+	cj, cv := canonical(t, fromJSON), canonical(t, fromV3)
+	if !bytes.Equal(cj, cv) {
+		t.Fatalf("codecs diverge:\n json: %s\n   v3: %s", cj, cv)
+	}
+
+	// Re-encode the decoded envelope through v3 again: must be
+	// stable (decode→encode→decode is a fixed point).
+	vf2, err := EncodeFrameV3(fromV3)
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	vframe2 := append([]byte(nil), vf2.Bytes()...)
+	vf2.Release()
+	again := decodeOneFrame(t, vframe2)
+	if c2 := canonical(t, again); !bytes.Equal(cv, c2) {
+		t.Fatalf("v3 re-encode unstable:\n first: %s\nsecond: %s", cv, c2)
+	}
+
+	// Every truncation of the v3 body must fail cleanly, never
+	// panic: a torn frame is a decode error, not a crash.
+	body := vframe[4:]
+	for n := 0; n < len(body); n++ {
+		if _, err := decodeV3(body[:n], nil); err == nil {
+			t.Fatalf("truncated v3 body (%d/%d bytes) decoded without error", n, len(body))
+		}
+	}
 }
 
 func BenchmarkEncodeFrameV3(b *testing.B) {
@@ -461,15 +511,16 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	read() // and a full table still decodes
 }
 
-// TestFrameReaderV3ResponseAllocs holds the decode of the two replies a
+// TestFrameReaderV3ResponseAllocs holds the decode of the replies a
 // Mark gets to their allocation count: an accepted one is the envelope
 // with its response and the copy of its result; a refused one is the
 // envelope and the one copy of the frame its error and code are
-// substrings of.
+// substrings of, and a known reason adds nothing.
 func TestFrameReaderV3ResponseAllocs(t *testing.T) {
 	for _, resp := range []*Response{
 		{ID: 7, OK: true, Result: json.RawMessage(`{"token":"T-andy-31","holder":""}`)},
 		{ID: 8, Error: "slot/2003-04-22/10 is held by M-suzy-3", Code: CodeConflict},
+		{ID: 9, Error: "slot/2003-04-22/10 is held by M-suzy-3", Code: CodeConflict, Reason: ReasonSlotMeeting},
 	} {
 		f, err := EncodeFrameV3(&Envelope{Kind: KindResponse, Response: resp})
 		if err != nil {
@@ -480,7 +531,7 @@ func TestFrameReaderV3ResponseAllocs(t *testing.T) {
 		read := func() {
 			env, err := fr.Read()
 			if err != nil || env.Response.ID != resp.ID || env.Response.Error != resp.Error ||
-				string(env.Response.Result) != string(resp.Result) {
+				env.Response.Reason != resp.Reason || string(env.Response.Result) != string(resp.Result) {
 				t.Fatalf("read: %+v, %v", env, err)
 			}
 		}
