@@ -145,7 +145,10 @@ func RunA2() (*Result, error) {
 		})
 		start := time.Now()
 		for i := 0; i < ops; i++ {
-			if err := tab.Insert(store.Row{"id": int64(i), "status": "reserved"}); err != nil {
+			r := tab.NewRow()
+			r.SetInt("id", int64(i))
+			r.SetStr("status", "reserved")
+			if err := tab.Insert(r); err != nil {
 				return nil, err
 			}
 		}

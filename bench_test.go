@@ -54,7 +54,7 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		tbl := x.DB.MustCreateTable(slotSchema)
-		if err := tbl.Insert(store.Row{"entity": "s0", "holder": "M0"}); err != nil {
+		if err := tbl.Insert(slotOf(tbl, "s0", "M0")); err != nil {
 			b.Fatal(err)
 		}
 		promoted := make(chan *core.Node, 1)
@@ -97,7 +97,7 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, ok := t2.Get("s0"); !ok || r["holder"].(string) != "M0" {
+		if r, ok := t2.Get("s0"); !ok || r.Str("holder") != "M0" {
 			b.Fatalf("replicated slot lost: %v", r)
 		}
 		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -217,7 +217,7 @@ func BenchmarkMicro_WALShip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tbl.Insert(store.Row{"entity": fmt.Sprintf("e%d", i), "holder": "bench"}); err != nil {
+		if err := tbl.Insert(slotOf(tbl, fmt.Sprintf("e%d", i), "bench")); err != nil {
 			b.Fatal(err)
 		}
 		ship()
@@ -379,7 +379,10 @@ func BenchmarkWALCommit(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			id := atomic.AddInt64(&next, 1)
-			if err := tab.Insert(store.Row{"id": id, "val": "x"}); err != nil {
+			r := tab.NewRow()
+			r.SetInt("id", id)
+			r.SetStr("val", "x")
+			if err := tab.Insert(r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,4 +392,12 @@ func BenchmarkWALCommit(b *testing.B) {
 	if st.Appends > 0 {
 		b.ReportMetric(float64(st.Fsyncs)/float64(st.Appends), "fsyncs/op")
 	}
+}
+
+// slotOf is a row of a slotSchema table: entity held by holder.
+func slotOf(t *store.Table, entity, holder string) store.Row {
+	r := t.NewRow()
+	r.SetStr("entity", entity)
+	r.SetStr("holder", holder)
+	return r
 }

@@ -30,7 +30,7 @@ func exportCSV(t *store.Table, w io.Writer) error {
 	}
 	for _, r := range t.Select(nil) {
 		for i, c := range cols {
-			rec[i] = encodeCSVValue(r[c.Name])
+			rec[i] = encodeCSVValue(r, c)
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -40,22 +40,24 @@ func exportCSV(t *store.Table, w io.Writer) error {
 	return cw.Error()
 }
 
-func encodeCSVValue(v any) string {
-	switch x := v.(type) {
-	case nil:
+// encodeCSVValue formats r's column c; an unset column is empty.
+func encodeCSVValue(r store.Row, c store.Column) string {
+	if !r.Has(c.Name) {
 		return ""
-	case string:
-		return x
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		return strconv.FormatBool(x)
-	case time.Time:
-		return x.Format(time.RFC3339Nano)
 	}
-	return fmt.Sprintf("%v", v)
+	switch c.Type {
+	case store.String:
+		return r.Str(c.Name)
+	case store.Int:
+		return strconv.FormatInt(r.Int(c.Name), 10)
+	case store.Float:
+		return strconv.FormatFloat(r.Float(c.Name), 'g', -1, 64)
+	case store.Bool:
+		return strconv.FormatBool(r.Bool(c.Name))
+	case store.Time:
+		return r.Time(c.Name).Format(time.RFC3339Nano)
+	}
+	return ""
 }
 
 // importCSV reads CSV written by exportCSV (or by hand with the same
@@ -66,6 +68,10 @@ func importCSV(t *store.Table, r io.Reader) error {
 	types := make(map[string]store.ColType, len(schema.Columns))
 	for _, c := range schema.Columns {
 		types[c.Name] = c.Type
+	}
+	keyAt := make(map[string]int, len(schema.Key))
+	for i, k := range schema.Key {
+		keyAt[k] = i
 	}
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -85,7 +91,10 @@ func importCSV(t *store.Table, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("csv line %d: %w", line, err)
 		}
-		row := make(store.Row, len(header))
+		// The key columns name the row; the others are what an update
+		// of an existing row changes.
+		row := t.NewRow()
+		key := make([]any, len(schema.Key))
 		for i, h := range header {
 			if i >= len(rec) {
 				break
@@ -94,23 +103,23 @@ func importCSV(t *store.Table, r io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("csv line %d column %s: %w", line, h, err)
 			}
-			row[h] = v
+			if k, ok := keyAt[h]; ok {
+				key[k] = v
+			} else {
+				row.Set(h, v)
+			}
 		}
-		key := make([]any, len(schema.Key))
 		for i, k := range schema.Key {
-			v, ok := row[k]
-			if !ok {
+			if key[i] == nil {
 				return fmt.Errorf("csv line %d: no value for key column %q", line, k)
 			}
-			key[i] = v
-			delete(row, k)
 		}
-		if _, exists := t.Get(key...); !exists {
+		if !t.Has(key...) {
 			for i, k := range schema.Key {
-				row[k] = key[i]
+				row.Set(k, key[i])
 			}
 			err = t.Insert(row)
-		} else if len(row) > 0 {
+		} else if row.Len() > 0 {
 			err = t.Update(row, key...)
 		}
 		if err != nil {

@@ -36,22 +36,26 @@ func newCalTable(t *testing.T) *store.Table {
 	return tab
 }
 
-func slotRow(day string, hour int64, status string) store.Row {
-	return store.Row{
-		"day": day, "hour": hour, "status": status,
-		"meeting": "", "priority": int64(0), "locked": false,
-		"updated": time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC),
-	}
+func slotRow(tab *store.Table, day string, hour int64, status string) store.Row {
+	r := tab.NewRow()
+	r.SetStr("day", day)
+	r.SetInt("hour", hour)
+	r.SetStr("status", status)
+	r.SetStr("meeting", "")
+	r.SetInt("priority", 0)
+	r.SetBool("locked", false)
+	r.SetTime("updated", time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC))
+	return r
 }
 
 func TestCSVRoundTrip(t *testing.T) {
 	tab := newCalTable(t)
 	ts := time.Date(2003, 4, 22, 14, 0, 0, 0, time.UTC)
 	for h := int64(9); h < 12; h++ {
-		r := slotRow("2003-04-22", h, "free")
-		r["updated"] = ts
-		r["priority"] = h
-		r["locked"] = h%2 == 0
+		r := slotRow(tab, "2003-04-22", h, "free")
+		r.SetTime("updated", ts)
+		r.SetInt("priority", h)
+		r.SetBool("locked", h%2 == 0)
 		if err := tab.Insert(r); err != nil {
 			t.Fatal(err)
 		}
@@ -76,17 +80,17 @@ func TestCSVRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("row lost")
 	}
-	if r["priority"] != int64(10) || r["locked"] != true {
+	if r.Int("priority") != 10 || !r.Bool("locked") {
 		t.Fatalf("row = %v", r)
 	}
-	if got := r["updated"].(time.Time); !got.Equal(ts) {
+	if got := r.Time("updated"); !got.Equal(ts) {
 		t.Fatalf("updated = %v", got)
 	}
 }
 
 func TestCSVImportUpsert(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	csvIn := "day,hour,status\nd,9,reserved\nd,10,free\n"
@@ -94,8 +98,8 @@ func TestCSVImportUpsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := tab.Get("d", int64(9))
-	if r["status"] != "reserved" {
-		t.Fatalf("status = %v", r["status"])
+	if r.Str("status") != "reserved" {
+		t.Fatalf("status = %v", r.Str("status"))
 	}
 	if tab.Count() != 2 {
 		t.Fatalf("count = %d", tab.Count())
@@ -126,11 +130,11 @@ func TestCSVEmptyValuesDecodeToZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := tab.Get("d", int64(9))
-	if r["priority"] != int64(0) || r["locked"] != false {
+	if !r.Has("priority") || r.Int("priority") != 0 || !r.Has("locked") || r.Bool("locked") {
 		t.Fatalf("row = %v", r)
 	}
-	if !r["updated"].(time.Time).IsZero() {
-		t.Fatalf("updated = %v", r["updated"])
+	if !r.Has("updated") || !r.Time("updated").IsZero() {
+		t.Fatalf("updated = %v", r.Time("updated"))
 	}
 }
 
@@ -139,7 +143,7 @@ func TestCSVFileSaveLoad(t *testing.T) {
 	path := filepath.Join(dir, "calendar.csv")
 
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("d", 9, "reserved")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "reserved")); err != nil {
 		t.Fatal(err)
 	}
 	if err := saveCSVFile(tab, path); err != nil {
@@ -167,7 +171,7 @@ func TestCSVExportDeterministic(t *testing.T) {
 	mk := func() string {
 		tab := newCalTable(t)
 		for _, h := range []int64{12, 9, 15, 10} {
-			if err := tab.Insert(slotRow("d", h, "free")); err != nil {
+			if err := tab.Insert(slotRow(tab, "d", h, "free")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -205,7 +209,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 				continue
 			}
 			seen[k] = true
-			if err := tab.Insert(slotRow("d", k, fmt.Sprintf("s-%d", h))); err != nil {
+			if err := tab.Insert(slotRow(tab, "d", k, fmt.Sprintf("s-%d", h))); err != nil {
 				return false
 			}
 		}

@@ -77,7 +77,12 @@ func NewVehicle(ctx context.Context, node *core.Node, startLat, startLon float64
 	if err != nil {
 		return nil, err
 	}
-	if err := tab.Insert(store.Row{"key": "now", "lat": startLat, "lon": startLon, "cargo": ""}); err != nil {
+	r := tab.NewRow()
+	r.SetStr("key", "now")
+	r.SetFloat("lat", startLat)
+	r.SetFloat("lon", startLon)
+	r.SetStr("cargo", "")
+	if err := tab.Insert(r); err != nil {
 		return nil, err
 	}
 	v := &Vehicle{ID: node.User, node: node, tab: tab}
@@ -91,7 +96,9 @@ func NewVehicle(ctx context.Context, node *core.Node, startLat, startLon float64
 		if cargo == "" {
 			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "Assign needs cargo"}
 		}
-		return true, v.tab.Update(store.Row{"cargo": cargo}, "now")
+		ch := v.tab.NewRow()
+		ch.SetStr("cargo", cargo)
+		return true, v.tab.Update(ch, "now")
 	})
 	if err := node.RegisterService(ctx, ServiceFor(v.ID), obj); err != nil {
 		return nil, err
@@ -101,12 +108,11 @@ func NewVehicle(ctx context.Context, node *core.Node, startLat, startLon float64
 
 // Position returns the current state.
 func (v *Vehicle) Position() Position {
-	r, _ := v.tab.Get("now")
-	return Position{
-		Lat:   r["lat"].(float64),
-		Lon:   r["lon"].(float64),
-		Cargo: r["cargo"].(string),
-	}
+	var p Position
+	v.tab.View(func(r store.Row) {
+		p = Position{Lat: r.Float("lat"), Lon: r.Float("lon"), Cargo: r.Str("cargo")}
+	}, "now")
+	return p
 }
 
 // WatchGeofence installs the subscription link that reports this
@@ -129,7 +135,10 @@ func (v *Vehicle) WatchGeofence(depot string, lat, lon, radius float64) error {
 // MoveTo updates the vehicle's position and fires the geofence link
 // when the new position is outside the fence.
 func (v *Vehicle) MoveTo(ctx context.Context, lat, lon float64) error {
-	if err := v.tab.Update(store.Row{"lat": lat, "lon": lon}, "now"); err != nil {
+	ch := v.tab.NewRow()
+	ch.SetFloat("lat", lat)
+	ch.SetFloat("lon", lon)
+	if err := v.tab.Update(ch, "now"); err != nil {
 		return err
 	}
 	if v.depot == "" {

@@ -188,7 +188,7 @@ func (a Availability) Slots() []Slot {
 func (c *Calendar) availability(w Window) Availability {
 	a := Availability{win: w, words: make([]uint64, (w.Slots()+63)/64)}
 	busy := false
-	held := func(r store.Row) { busy = r["meeting"].(string) != "" }
+	held := func(r store.Row) { busy = r.Str("meeting") != "" }
 	var buf [len(dayLayout)]byte
 	i := 0
 	for d := 0; d < w.days; d++ {

@@ -205,8 +205,8 @@ func (c *Calendar) slotInfoIn(u *store.Tx, s Slot) SlotInfo {
 }
 
 func (i *SlotInfo) fromRow(r store.Row) {
-	i.Meeting = r["meeting"].(string)
-	i.Priority = int(r["priority"].(int64))
+	i.Meeting = r.Str("meeting")
+	i.Priority = int(r.Int("priority"))
 }
 
 // Slot reports the occupancy of one slot.
@@ -214,13 +214,18 @@ func (c *Calendar) Slot(s Slot) SlotInfo { return c.slotInfo(s) }
 
 // setSlot writes slot occupancy in u (meeting "" frees the slot).
 func (c *Calendar) setSlot(u *store.Tx, s Slot, meeting string, priority int) error {
-	switch {
-	case meeting == "":
+	if meeting == "" {
 		return u.Remove(slotTable, s.Day, int64(s.Hour))
-	case u.Has(slotTable, s.Day, int64(s.Hour)):
-		return u.Update(slotTable, store.Row{"meeting": meeting, "priority": int64(priority)}, s.Day, int64(s.Hour))
 	}
-	return u.Insert(slotTable, store.Row{"day": s.Day, "hour": int64(s.Hour), "meeting": meeting, "priority": int64(priority)})
+	r := c.slots.NewRow()
+	r.SetStr("meeting", meeting)
+	r.SetInt("priority", int64(priority))
+	if u.Has(slotTable, s.Day, int64(s.Hour)) {
+		return u.Update(slotTable, r, s.Day, int64(s.Hour))
+	}
+	r.SetStr("day", s.Day)
+	r.SetInt("hour", int64(s.Hour))
+	return u.Insert(slotTable, r)
 }
 
 // FreeSlots lists this user's free slots in [fromDay, toDay] at the
@@ -425,13 +430,17 @@ func (c *Calendar) putMeeting(u *store.Tx, m *Meeting) error {
 func (c *Calendar) storeMeeting(u *store.Tx, id, doc string) error {
 	var cur string
 	var err error
-	switch has := u.View(meetingTable, func(r store.Row) { cur = r["doc"].(string) }, id); {
-	case has && cur == doc:
+	has := u.View(meetingTable, func(r store.Row) { cur = r.Str("doc") }, id)
+	if has && cur == doc {
 		return nil
-	case has:
-		err = u.Update(meetingTable, store.Row{"doc": doc}, id)
-	default:
-		err = u.Insert(meetingTable, store.Row{"id": id, "doc": doc})
+	}
+	r := c.meetings.NewRow()
+	r.SetStr("doc", doc)
+	if has {
+		err = u.Update(meetingTable, r, id)
+	} else {
+		r.SetStr("id", id)
+		err = u.Insert(meetingTable, r)
 	}
 	if err == nil && c.syncVers != nil {
 		u.AfterCommit(func(context.Context) { c.syncVers.Bump(meetingEntity(id)) })
@@ -455,7 +464,7 @@ func (c *Calendar) meetingIn(u *store.Tx, id string) (m *Meeting, ok bool) {
 }
 
 func meetingFromRow(r store.Row) (*Meeting, bool) {
-	m, err := parseMeeting(r["doc"].(string))
+	m, err := parseMeeting(r.Str("doc"))
 	return m, err == nil
 }
 

@@ -125,7 +125,7 @@ func recoverAt(t *testing.T, log []byte, cut int, m *calendar.Meeting) recovered
 	var got recovered
 	if tab := table("cal_slots"); tab != nil {
 		row, ok := tab.Get(m.Slot.Day, int64(m.Slot.Hour))
-		got.slot = ok && row["meeting"] == m.ID
+		got.slot = ok && row.Str("meeting") == m.ID
 	}
 	if tab := table(links.LinkTable); tab != nil {
 		got.link = tab.Has(m.LinkID)
@@ -133,7 +133,7 @@ func recoverAt(t *testing.T, log []byte, cut int, m *calendar.Meeting) recovered
 	if tab := table("cal_meetings"); tab != nil {
 		if row, ok := tab.Get(m.ID); ok {
 			var rec calendar.Meeting
-			if err := json.Unmarshal([]byte(row["doc"].(string)), &rec); err != nil {
+			if err := json.Unmarshal([]byte(row.Str("doc")), &rec); err != nil {
 				t.Fatal(err)
 			}
 			got.record = rec.Status

@@ -427,7 +427,7 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 	}
 	defer release()
 	var stored string
-	c.meetings.View(func(r store.Row) { stored = r["doc"].(string) }, meetingID)
+	c.meetings.View(func(r store.Row) { stored = r.Str("doc") }, meetingID)
 	m, err := decodeMeeting(stored)
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}

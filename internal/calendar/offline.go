@@ -224,7 +224,7 @@ func (a *syncAdapter) Snapshot(entity string) (json.RawMessage, bool) {
 	if !ok {
 		return nil, false
 	}
-	return json.RawMessage(r["doc"].(string)), true
+	return json.RawMessage(r.Str("doc")), true
 }
 
 // Apply lands a pulled meeting doc. The initiator's record is

@@ -40,13 +40,27 @@ func meetingOfShape(id, title, u1, u2, day string, hour, prio int, shape uint16)
 	return m
 }
 
+// docTable is a meeting table of no calendar, for the codec tests.
+var docTable = store.NewDB().MustCreateTable(store.Schema{
+	Name:    meetingTable,
+	Columns: []store.Column{{Name: "id", Type: store.String}, {Name: "doc", Type: store.String}},
+	Key:     []string{"id"},
+})
+
+// docRow is a meeting row holding doc.
+func docRow(doc string) store.Row {
+	r := docTable.NewRow()
+	r.SetStr("doc", doc)
+	return r
+}
+
 // sameMeetingDecode: the record decodes to what json.Unmarshal gives for
 // doc, and fails where Unmarshal fails.
 func sameMeetingDecode(t *testing.T, doc string) {
 	t.Helper()
 	var want Meeting
 	wantErr := json.Unmarshal([]byte(doc), &want)
-	got, ok := meetingFromRow(store.Row{"doc": doc})
+	got, ok := meetingFromRow(docRow(doc))
 	if ok != (wantErr == nil) || ok && !reflect.DeepEqual(*got, want) {
 		t.Fatalf("record %q decodes to %+v (ok %v), json.Unmarshal to %+v (%v)", doc, got, ok, want, wantErr)
 	}
@@ -90,7 +104,7 @@ func TestMeetingRecordAllocs(t *testing.T) {
 		Slot: Slot{Day: "2026-08-07", Hour: 14}, Status: StatusConfirmed, Priority: 2,
 		Must: []string{"andy", "beth"}, Reserved: []string{"phil", "andy", "beth"}, LinkID: "L-0001f00dcafe0002"}
 	doc := encodeMeeting(m)
-	row := store.Row{"doc": doc}
+	row := docRow(doc)
 	for _, tc := range []struct {
 		name string
 		most float64

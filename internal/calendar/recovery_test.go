@@ -55,7 +55,7 @@ func rawRecord(t *testing.T, w *world, user, id string) string {
 	if !ok {
 		return ""
 	}
-	return row["doc"].(string)
+	return row.Str("doc")
 }
 
 // wantInstalled holds user's device to the three things a Commit leaves:

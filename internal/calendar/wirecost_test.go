@@ -255,7 +255,7 @@ func TestWireCostTentativeBehindMeeting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := waiting.Get(m.LinkID); !ok || r["waiting_on"] != blocker.LinkID {
+	if r, ok := waiting.Get(m.LinkID); !ok || r.Str("waiting_on") != blocker.LinkID {
 		t.Fatalf("b's waiting row = %v, want one on %s", r, blocker.LinkID)
 	}
 

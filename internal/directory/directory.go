@@ -160,12 +160,15 @@ func (s *Server) registerUser(id, addr string, priority int) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("directory: user id and addr are required")
 	}
-	now := s.clock.Now()
-	row := store.Row{"addr": addr, "priority": int64(priority), "offline": false, "lastSeen": now}
-	if _, ok := s.users.Get(id); ok {
+	row := s.users.NewRow()
+	row.SetStr("addr", addr)
+	row.SetInt("priority", int64(priority))
+	row.SetBool("offline", false)
+	row.SetTime("lastSeen", s.clock.Now())
+	if s.users.Has(id) {
 		return s.users.Update(row, id) // re-registration: the device moved or came back
 	}
-	row["id"] = id
+	row.SetStr("id", id)
 	return s.users.Insert(row)
 }
 
@@ -178,31 +181,35 @@ func (s *Server) lookupUser(id string) (UserInfo, error) {
 }
 
 func (s *Server) userInfo(r store.Row) UserInfo {
-	last := r["lastSeen"].(time.Time)
-	online := !r["offline"].(bool) && s.clock.Now().Sub(last) <= s.ttl
+	last := r.Time("lastSeen")
+	online := !r.Bool("offline") && s.clock.Now().Sub(last) <= s.ttl
 	return UserInfo{
-		ID:       r["id"].(string),
-		Addr:     r["addr"].(string),
-		Priority: int(r["priority"].(int64)),
+		ID:       r.Str("id"),
+		Addr:     r.Str("addr"),
+		Priority: int(r.Int("priority")),
 		Online:   online,
 		LastSeen: last,
 	}
 }
 
 func (s *Server) heartbeat(id string) error {
-	if _, ok := s.users.Get(id); !ok {
+	if !s.users.Has(id) {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
 	}
-	return s.users.Update(store.Row{"lastSeen": s.clock.Now(), "offline": false}, id)
+	ch := s.users.NewRow()
+	ch.SetTime("lastSeen", s.clock.Now())
+	ch.SetBool("offline", false)
+	return s.users.Update(ch, id)
 }
 
 func (s *Server) setOffline(id string, offline bool) error {
-	if _, ok := s.users.Get(id); !ok {
+	if !s.users.Has(id) {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
 	}
-	ch := store.Row{"offline": offline}
+	ch := s.users.NewRow()
+	ch.SetBool("offline", offline)
 	if !offline {
-		ch["lastSeen"] = s.clock.Now()
+		ch.SetTime("lastSeen", s.clock.Now())
 	}
 	return s.users.Update(ch, id)
 }
@@ -218,15 +225,19 @@ func (s *Server) registerService(name, owner, addr string, methods []string) err
 		}
 		joined += m
 	}
-	row := store.Row{"name": name, "owner": owner, "addr": addr, "methods": joined}
-	if _, ok := s.services.Get(name); ok {
-		return s.services.Update(store.Row{"owner": owner, "addr": addr, "methods": joined}, name)
+	row := s.services.NewRow()
+	row.SetStr("owner", owner)
+	row.SetStr("addr", addr)
+	row.SetStr("methods", joined)
+	if s.services.Has(name) {
+		return s.services.Update(row, name)
 	}
+	row.SetStr("name", name)
 	return s.services.Insert(row)
 }
 
 func (s *Server) unregisterService(name string) error {
-	if _, ok := s.services.Get(name); !ok {
+	if !s.services.Has(name) {
 		return nil // idempotent
 	}
 	return s.services.Delete(name)
@@ -245,11 +256,11 @@ func (s *Server) resolveService(name string, withMethods bool) (ServiceInfo, err
 	var info ServiceInfo
 	var methods string
 	found := s.services.View(func(r store.Row) {
-		info.Name = r["name"].(string)
-		info.Owner = r["owner"].(string)
-		info.Addr = r["addr"].(string)
+		info.Name = r.Str("name")
+		info.Owner = r.Str("owner")
+		info.Addr = r.Str("addr")
 		if withMethods {
-			methods = r["methods"].(string)
+			methods = r.Str("methods")
 		}
 	}, name)
 	if !found {
@@ -288,7 +299,10 @@ func (s *Server) addMember(group, member string) error {
 	if group == "" || member == "" {
 		return fmt.Errorf("directory: group and member are required")
 	}
-	err := s.members.Insert(store.Row{"group": group, "member": member})
+	row := s.members.NewRow()
+	row.SetStr("group", group)
+	row.SetStr("member", member)
+	err := s.members.Insert(row)
 	if err != nil && !errors.Is(err, store.ErrDupKey) { // adding twice is fine
 		return err
 	}
@@ -307,7 +321,7 @@ func (s *Server) groupMembers(group string) []string {
 	rows := s.members.SelectEq("group", group)
 	out := make([]string, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, r["member"].(string))
+		out = append(out, r.Str("member"))
 	}
 	sort.Strings(out)
 	return out
@@ -402,7 +416,7 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 		rows := s.services.SelectEq("owner", a.String("owner"))
 		names := make([]string, 0, len(rows))
 		for _, r := range rows {
-			names = append(names, r["name"].(string))
+			names = append(names, r.Str("name"))
 		}
 		sort.Strings(names)
 		return ok(names)

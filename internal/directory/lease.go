@@ -64,19 +64,25 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 	now := s.clock.Now()
 	deadline := now.Add(ttl)
 	if r, ok := s.leases.Get(id); ok {
-		if cur := r["holder"].(string); cur != holder && r["deadline"].(time.Time).After(now) {
-			until := r["deadline"].(time.Time).Format(time.RFC3339)
+		if cur := r.Str("holder"); cur != holder && r.Time("deadline").After(now) {
+			until := r.Time("deadline").Format(time.RFC3339)
 			return LeaseInfo{}, wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q held by %q until %s", id, cur, until)
 		}
-		ch := store.Row{"holder": holder, "deadline": deadline}
+		ch := s.leases.NewRow()
+		ch.SetStr("holder", holder)
+		ch.SetTime("deadline", deadline)
 		if replicas != nil {
-			ch["replicas"] = strings.Join(replicas, ",")
+			ch.SetStr("replicas", strings.Join(replicas, ","))
 		}
 		if err := s.leases.Update(ch, id); err != nil {
 			return LeaseInfo{}, err
 		}
 	} else {
-		row := store.Row{"id": id, "holder": holder, "deadline": deadline, "replicas": strings.Join(replicas, ",")}
+		row := s.leases.NewRow()
+		row.SetStr("id", id)
+		row.SetStr("holder", holder)
+		row.SetTime("deadline", deadline)
+		row.SetStr("replicas", strings.Join(replicas, ","))
 		if err := s.leases.Insert(row); err != nil {
 			return LeaseInfo{}, err
 		}
@@ -99,10 +105,12 @@ func (s *Server) releaseLease(id, holder string) error {
 	if !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
 	}
-	if cur := r["holder"].(string); cur != holder {
+	if cur := r.Str("holder"); cur != holder {
 		return wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q is held by %q, not %q", id, cur, holder)
 	}
-	return s.leases.Update(store.Row{"deadline": s.clock.Now()}, id)
+	ch := s.leases.NewRow()
+	ch.SetTime("deadline", s.clock.Now())
+	return s.leases.Update(ch, id)
 }
 
 // getLease reads the lease on id. CodeNoService when no lease exists.
@@ -128,13 +136,13 @@ func (s *Server) listLeases() []LeaseInfo {
 
 func leaseInfo(r store.Row, now time.Time) LeaseInfo {
 	var replicas []string
-	if joined := r["replicas"].(string); joined != "" {
+	if joined := r.Str("replicas"); joined != "" {
 		replicas = strings.Split(joined, ",")
 	}
-	deadline := r["deadline"].(time.Time)
+	deadline := r.Time("deadline")
 	return LeaseInfo{
-		User:     r["id"].(string),
-		Holder:   r["holder"].(string),
+		User:     r.Str("id"),
+		Holder:   r.Str("holder"),
 		Deadline: deadline,
 		Replicas: replicas,
 		Expired:  !deadline.After(now),
@@ -149,14 +157,20 @@ func (s *Server) repoint(id, addr string) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("directory: repoint id and addr are required")
 	}
-	if _, ok := s.users.Get(id); !ok {
+	if !s.users.Has(id) {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
 	}
-	if err := s.users.Update(store.Row{"addr": addr, "offline": false, "lastSeen": s.clock.Now()}, id); err != nil {
+	ch := s.users.NewRow()
+	ch.SetStr("addr", addr)
+	ch.SetBool("offline", false)
+	ch.SetTime("lastSeen", s.clock.Now())
+	if err := s.users.Update(ch, id); err != nil {
 		return err
 	}
+	svc := s.services.NewRow()
+	svc.SetStr("addr", addr)
 	for _, r := range s.services.SelectEq("owner", id) {
-		if err := s.services.Update(store.Row{"addr": addr}, r["name"].(string)); err != nil {
+		if err := s.services.Update(svc, r.Str("name")); err != nil {
 			return err
 		}
 	}

@@ -144,18 +144,22 @@ type journalRec struct {
 	SpanID  string
 }
 
-// body is the row's non-key columns: what an update rewrites. The rec
+// body is the row's non-key columns, as a row of the journal table t:
+// what an update rewrites. The rec
 // column is the text json.Marshal writes for r, appended field by field
 // (FuzzJournalRecord holds the two equal). It fails where Marshal fails:
 // on an argument with no JSON form (a NaN, an infinity, a func), which a
 // decision computed by Spec.Decide can hold.
-func (r *journalRec) body() (store.Row, error) {
+func (r *journalRec) body(t *store.Table) (store.Row, error) {
 	var buf [512]byte
 	b, err := r.appendJSON(buf[:0])
 	if err != nil {
-		return nil, fmt.Errorf("links: journal encode: %w", err)
+		return store.Row{}, fmt.Errorf("links: journal encode: %w", err)
 	}
-	return store.Row{"rec": string(b), "next_retry": r.NextRetry}, nil
+	row := t.NewRow()
+	row.SetStr("rec", string(b))
+	row.SetTime("next_retry", r.NextRetry)
+	return row, nil
 }
 
 func (r *journalRec) appendJSON(b []byte) ([]byte, error) {
@@ -236,8 +240,8 @@ func readJournal(s string) (journalRec, bool) {
 }
 
 func journalFromRow(row store.Row) (*journalRec, error) {
-	id := row["id"].(string)
-	s, _ := row["rec"].(string)
+	id := row.Str("id")
+	s := row.Str("rec")
 	if s == "" {
 		return nil, fmt.Errorf("links: journal %s has no record body", id)
 	}
@@ -248,7 +252,7 @@ func journalFromRow(row store.Row) (*journalRec, error) {
 	r.ID = id
 	// The column is what the sweeper selected on; keep it authoritative
 	// over the blob's copy.
-	r.NextRetry = row["next_retry"].(time.Time)
+	r.NextRetry = row.Time("next_retry")
 	return &r, nil
 }
 
@@ -258,11 +262,11 @@ func journalFromRow(row store.Row) (*journalRec, error) {
 // WAL when durability is on) before the first Commit leaves the
 // coordinator.
 func (m *Manager) journalBegin(u *store.Tx, rec *journalRec) error {
-	row, err := rec.body()
+	row, err := rec.body(m.journalT)
 	if err != nil {
 		return err
 	}
-	row["id"] = rec.ID
+	row.SetStr("id", rec.ID)
 	return u.Insert(NegotiationJournal, row)
 }
 
@@ -278,7 +282,7 @@ func (m *Manager) journalSettle(ctx context.Context, rec *journalRec) (retired b
 		return true
 	}
 	err := m.db.Unit(ctx, func(u *store.Tx) error {
-		row, err := rec.body()
+		row, err := rec.body(m.journalT)
 		if err != nil {
 			return err
 		}
@@ -318,7 +322,7 @@ func (m *Manager) JournalPending() []string {
 	rows := m.journalT.Select(nil)
 	out := make([]string, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, r["id"].(string))
+		out = append(out, r.Str("id"))
 	}
 	sort.Strings(out)
 	return out
@@ -413,10 +417,10 @@ const maxRetryRowsPerSweep = 32
 func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 	tun := m.tune()
 	rows := m.journalT.Select(func(r store.Row) bool {
-		return !r["next_retry"].(time.Time).After(now)
+		return !r.Time("next_retry").After(now)
 	})
 	sort.Slice(rows, func(i, j int) bool {
-		return rows[i]["next_retry"].(time.Time).Before(rows[j]["next_retry"].(time.Time))
+		return rows[i].Time("next_retry").Before(rows[j].Time("next_retry"))
 	})
 	if len(rows) > maxRetryRowsPerSweep {
 		rows = rows[:maxRetryRowsPerSweep]
@@ -430,7 +434,7 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 		rec, err := journalFromRow(row)
 		if err != nil {
 			// Undecodable row: expire it loudly rather than spin.
-			m.journalRetire(ctx, row["id"].(string))
+			m.journalRetire(ctx, row.Str("id"))
 			m.count("journal-expire", wire.CodeInternal)
 			resolved.Add(1)
 			continue

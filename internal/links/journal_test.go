@@ -29,13 +29,13 @@ func storedJournal(t *testing.T, h *harness) (attempts int, pending []string, ne
 			Ref links.EntityRef `json:"ref"`
 		}
 	}
-	if err := json.Unmarshal([]byte(rows[0]["rec"].(string)), &rec); err != nil {
+	if err := json.Unmarshal([]byte(rows[0].Str("rec")), &rec); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range rec.Pending {
 		pending = append(pending, p.Ref.User)
 	}
-	return rec.Attempts, pending, rows[0]["next_retry"].(time.Time)
+	return rec.Attempts, pending, rows[0].Time("next_retry")
 }
 
 // TestJournalRowRecordsSweepProgress: a partial phase 2 leaves a journal

@@ -299,7 +299,7 @@ func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 	if err := l.Validate(); err != nil {
 		return err
 	}
-	row, err := linkToRow(l)
+	row, err := linkToRow(m.linksT, l)
 	if err != nil {
 		return err
 	}
@@ -310,10 +310,12 @@ func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 		return err
 	}
 	if l.WaitingOn != "" {
-		return u.Insert(WaitingLinkTable, store.Row{
-			"id": l.ID, "waiting_on": l.WaitingOn,
-			"priority": int64(l.Priority), "grp": l.Group,
-		})
+		w := m.waitingT.NewRow()
+		w.SetStr("id", l.ID)
+		w.SetStr("waiting_on", l.WaitingOn)
+		w.SetInt("priority", int64(l.Priority))
+		w.SetStr("grp", l.Group)
+		return u.Insert(WaitingLinkTable, w)
 	}
 	if l.Subtype == Permanent && m.waitingT.Count() > 0 {
 		return m.repoint(u, l)
@@ -390,7 +392,10 @@ func (m *Manager) AllLinks() []*Link { return decodeLinks(m.linksT.Select(nil)) 
 // alike, runs the application hook on the result and makes it the link
 // the entity's other waiters wait on.
 func (m *Manager) promote(u *store.Tx, l *Link) error {
-	if err := u.Update(LinkTable, store.Row{"subtype": string(Permanent), "waiting_on": ""}, l.ID); err != nil {
+	ch := m.linksT.NewRow()
+	ch.SetStr("subtype", string(Permanent))
+	ch.SetStr("waiting_on", "")
+	if err := u.Update(LinkTable, ch, l.ID); err != nil {
 		return err
 	}
 	if err := u.Remove(WaitingLinkTable, l.ID); err != nil {
@@ -410,19 +415,23 @@ func (m *Manager) promote(u *store.Tx, l *Link) error {
 // one names l from here on. One queued without a blocker stays as it is.
 func (m *Manager) repoint(u *store.Tx, l *Link) error {
 	for _, r := range u.SelectEq(LinkTable, "owner_entity", l.Owner.Entity) {
-		id, on := r["id"].(string), r["waiting_on"].(string)
+		id, on := r.Str("id"), r.Str("waiting_on")
 		if on == "" || id == l.ID {
 			continue
 		}
 		held := false
-		u.View(LinkTable, func(b store.Row) { held = b["subtype"] == string(Permanent) }, on)
+		u.View(LinkTable, func(b store.Row) { held = b.Str("subtype") == string(Permanent) }, on)
 		if held {
 			continue
 		}
-		if err := u.Update(LinkTable, store.Row{"waiting_on": l.ID}, id); err != nil {
+		ch := m.linksT.NewRow()
+		ch.SetStr("waiting_on", l.ID)
+		if err := u.Update(LinkTable, ch, id); err != nil {
 			return err
 		}
-		if err := u.Update(WaitingLinkTable, store.Row{"waiting_on": l.ID}, id); err != nil {
+		wch := m.waitingT.NewRow()
+		wch.SetStr("waiting_on", l.ID)
+		if err := u.Update(WaitingLinkTable, wch, id); err != nil {
 			return err
 		}
 	}
@@ -446,16 +455,16 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
 	// Highest priority wins; its whole group converts together.
 	best := rows[0]
 	for _, r := range rows[1:] {
-		if r["priority"].(int64) > best["priority"].(int64) {
+		if r.Int("priority") > best.Int("priority") {
 			best = r
 		}
 	}
-	bestGroup := best["grp"].(string)
+	bestGroup := best.Str("grp")
 	for _, r := range rows {
-		if r["id"] != best["id"] && (bestGroup == "" || r["grp"] != bestGroup) {
+		if r.Str("id") != best.Str("id") && (bestGroup == "" || r.Str("grp") != bestGroup) {
 			continue
 		}
-		l, ok := m.getLink(u, r["id"].(string))
+		l, ok := m.getLink(u, r.Str("id"))
 		if !ok {
 			continue // a waiting entry whose link row is gone
 		}
@@ -532,7 +541,7 @@ func (m *Manager) Unlink(ctx context.Context, id string) (Unlinked, error) {
 	// that frees it, if it can be had: no newcomer's Mark comes between
 	// "freed" and "offered". A negotiation that holds it offers on release.
 	var d Unlinked
-	m.linksT.View(func(r store.Row) { d.entity = r["owner_entity"].(string) }, id)
+	m.linksT.View(func(r store.Row) { d.entity = r.Str("owner_entity") }, id)
 	if d.entity != "" && m.queuedOn(d.entity, id) {
 		d.tok, _ = m.Locks.TryLock(lockKey(d.entity), m.self)
 	}
@@ -634,7 +643,10 @@ func (m *Manager) recordPendingDelete(ctx context.Context, id, user string) erro
 		if u.Has(PendingDeleteTable, id, user) {
 			return nil
 		}
-		return u.Insert(PendingDeleteTable, store.Row{"id": id, "user": user})
+		r := m.pendingT.NewRow()
+		r.SetStr("id", id)
+		r.SetStr("user", user)
+		return u.Insert(PendingDeleteTable, r)
 	})
 }
 
@@ -643,7 +655,7 @@ func (m *Manager) PendingDeletes() [][2]string {
 	rows := m.pendingT.Select(nil)
 	out := make([][2]string, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, [2]string{r["id"].(string), r["user"].(string)})
+		out = append(out, [2]string{r.Str("id"), r.Str("user")})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i][0] != out[j][0] {
@@ -723,12 +735,12 @@ func contains(list []string, s string) bool {
 // (cascading, like any other deletion) and returns the expired ids.
 func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
 	rows := m.linksT.Select(func(r store.Row) bool {
-		exp := r["expires"].(time.Time)
+		exp := r.Time("expires")
 		return !exp.IsZero() && exp.Before(now)
 	})
 	var expired []string
 	for _, r := range rows {
-		id := r["id"].(string)
+		id := r.Str("id")
 		// Best effort: a participant the cascade could not reach is
 		// tombstoned, and a link that failed to go is found again by
 		// the next sweep.
@@ -748,10 +760,13 @@ func (m *Manager) AddMethodLink(service, srcMethod, targetUser, destService, des
 		if u.Has(LinkMethodTable, service, srcMethod, targetUser, destMethod) {
 			return nil
 		}
-		return u.Insert(LinkMethodTable, store.Row{
-			"service": service, "src_method": srcMethod,
-			"target_user": targetUser, "dest_service": destService, "dest_method": destMethod,
-		})
+		r := m.methodsT.NewRow()
+		r.SetStr("service", service)
+		r.SetStr("src_method", srcMethod)
+		r.SetStr("target_user", targetUser)
+		r.SetStr("dest_service", destService)
+		r.SetStr("dest_method", destMethod)
+		return u.Insert(LinkMethodTable, r)
 	})
 }
 
@@ -777,13 +792,13 @@ func (m *Manager) ForwardMethod(ctx context.Context, service, method string, arg
 	rows := m.methodsT.SelectEq("src_method", method)
 	var out []ForwardResult
 	for _, r := range rows {
-		if r["service"].(string) != service {
+		if r.Str("service") != service {
 			continue
 		}
 		fr := ForwardResult{
-			TargetUser: r["target_user"].(string),
-			Service:    r["dest_service"].(string),
-			Method:     r["dest_method"].(string),
+			TargetUser: r.Str("target_user"),
+			Service:    r.Str("dest_service"),
+			Method:     r.Str("dest_method"),
 		}
 		fr.Err = m.eng.Invoke(ctx, fr.Service, fr.Method, args, nil)
 		out = append(out, fr)

@@ -54,7 +54,7 @@ func (m *Manager) offer(ctx context.Context, entity, tok, notTo string) {
 func (m *Manager) queuedOn(entity, id string) bool {
 	queued := false
 	m.linksT.ViewEq("owner_entity", entity, func(r store.Row) {
-		queued = queued || r["subtype"] == string(Tentative) && r["id"] != id
+		queued = queued || r.Str("subtype") == string(Tentative) && r.Str("id") != id
 	})
 	return queued
 }

@@ -95,7 +95,12 @@ func (m *Manager) recordDecided(u *store.Tx, token, nid string, committed bool) 
 	if committed {
 		c = 1
 	}
-	return u.Insert(NegotiationDecided, store.Row{"token": token, "nid": nid, "committed": c, "at": m.clk.Now()})
+	r := m.decidedT.NewRow()
+	r.SetStr("token", token)
+	r.SetStr("nid", nid)
+	r.SetInt("committed", c)
+	r.SetTime("at", m.clk.Now())
+	return u.Insert(NegotiationDecided, r)
 }
 
 // cacheDecided notes a decided token in memory for duplicate-delivery
@@ -166,10 +171,10 @@ func (m *Manager) decidedOutcome(token string) (committed, known bool) {
 	if !ok {
 		return false, false
 	}
-	committed = row["committed"].(int64) != 0
+	committed = row.Int("committed") != 0
 	m.partMu.Lock()
 	if _, exists := m.decided[token]; !exists {
-		m.decided[token] = decision{committed: committed, at: row["at"].(time.Time)}
+		m.decided[token] = decision{committed: committed, at: row.Time("at")}
 	}
 	m.partMu.Unlock()
 	return committed, true
@@ -194,7 +199,7 @@ func (m *Manager) gcDecided(ctx context.Context, now time.Time, ttl time.Duratio
 	}
 	m.partMu.Unlock()
 	old := m.decidedT.Select(func(r store.Row) bool {
-		return now.Sub(r["at"].(time.Time)) > ttl
+		return now.Sub(r.Time("at")) > ttl
 	})
 	if len(old) == 0 {
 		return
@@ -203,7 +208,7 @@ func (m *Manager) gcDecided(ctx context.Context, now time.Time, ttl time.Duratio
 	// the next sweep finds what is left.
 	err := m.db.Unit(ctx, func(u *store.Tx) error {
 		for _, r := range old {
-			if err := u.Delete(NegotiationDecided, r["token"].(string)); err != nil {
+			if err := u.Delete(NegotiationDecided, r.Str("token")); err != nil {
 				return err
 			}
 		}

@@ -142,60 +142,63 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	return links, waiting, methods, pending, journal, decided, nil
 }
 
-// linkToRow encodes a Link as a store row. The targets and triggers
-// columns hold the text json.Marshal writes for the two slices, appended
-// field by field (FuzzLinkRecord holds the two equal).
-func linkToRow(l *Link) (store.Row, error) {
-	var buf [256]byte
-	targets := string(appendTargets(buf[:0], l.Targets))
-	triggers, err := appendTriggers(buf[:0], l.Triggers)
+// linkToRow encodes a Link as a row of the link table t. The targets
+// and triggers columns hold the text json.Marshal writes for the two
+// slices, appended field by field (FuzzLinkRecord holds the two equal)
+// into one buffer that becomes one string both columns slice.
+func linkToRow(t *store.Table, l *Link) (store.Row, error) {
+	var buf [512]byte
+	b := appendTargets(buf[:0], l.Targets)
+	n := len(b)
+	b, err := appendTriggers(b, l.Triggers)
 	if err != nil {
-		return nil, fmt.Errorf("links: encode triggers: %w", err)
+		return store.Row{}, fmt.Errorf("links: encode triggers: %w", err)
 	}
+	text := string(b)
 	expires := l.Expires
 	if expires.IsZero() {
 		expires = time.Time{}
 	}
-	return store.Row{
-		"id":           l.ID,
-		"type":         string(l.Type),
-		"subtype":      string(l.Subtype),
-		"owner_user":   l.Owner.User,
-		"owner_entity": l.Owner.Entity,
-		"targets":      targets,
-		"constraint":   string(l.Constraint),
-		"k":            int64(l.K),
-		"priority":     int64(l.Priority),
-		"triggers":     string(triggers),
-		"waiting_on":   l.WaitingOn,
-		"grp":          l.Group,
-		"created":      l.Created,
-		"expires":      expires,
-	}, nil
+	r := t.NewRow()
+	r.SetStr("id", l.ID)
+	r.SetStr("type", string(l.Type))
+	r.SetStr("subtype", string(l.Subtype))
+	r.SetStr("owner_user", l.Owner.User)
+	r.SetStr("owner_entity", l.Owner.Entity)
+	r.SetStr("targets", text[:n])
+	r.SetStr("constraint", string(l.Constraint))
+	r.SetInt("k", int64(l.K))
+	r.SetInt("priority", int64(l.Priority))
+	r.SetStr("triggers", text[n:])
+	r.SetStr("waiting_on", l.WaitingOn)
+	r.SetStr("grp", l.Group)
+	r.SetTime("created", l.Created)
+	r.SetTime("expires", expires)
+	return r, nil
 }
 
 // rowToLink decodes a store row back into a Link.
 func rowToLink(r store.Row) (*Link, error) {
 	l := &Link{
-		ID:         r["id"].(string),
-		Type:       Type(r["type"].(string)),
-		Subtype:    Subtype(r["subtype"].(string)),
-		Owner:      EntityRef{User: r["owner_user"].(string), Entity: r["owner_entity"].(string)},
-		Constraint: Constraint(r["constraint"].(string)),
-		K:          int(r["k"].(int64)),
-		Priority:   int(r["priority"].(int64)),
-		WaitingOn:  r["waiting_on"].(string),
-		Group:      r["grp"].(string),
-		Created:    r["created"].(time.Time),
-		Expires:    r["expires"].(time.Time),
+		ID:         r.Str("id"),
+		Type:       Type(r.Str("type")),
+		Subtype:    Subtype(r.Str("subtype")),
+		Owner:      EntityRef{User: r.Str("owner_user"), Entity: r.Str("owner_entity")},
+		Constraint: Constraint(r.Str("constraint")),
+		K:          int(r.Int("k")),
+		Priority:   int(r.Int("priority")),
+		WaitingOn:  r.Str("waiting_on"),
+		Group:      r.Str("grp"),
+		Created:    r.Time("created"),
+		Expires:    r.Time("expires"),
 	}
 	var err error
-	if s := r["targets"].(string); s != "" {
+	if s := r.Str("targets"); s != "" {
 		if l.Targets, err = jsonrec.Decode(s, readTargets); err != nil {
 			return nil, fmt.Errorf("links: decode targets of %s: %w", l.ID, err)
 		}
 	}
-	if s := r["triggers"].(string); s != "" {
+	if s := r.Str("triggers"); s != "" {
 		if l.Triggers, err = jsonrec.Decode(s, readTriggers); err != nil {
 			return nil, fmt.Errorf("links: decode triggers of %s: %w", l.ID, err)
 		}

@@ -379,17 +379,21 @@ func (m *Manager) pull(ctx context.Context) error {
 func (m *Manager) knownVersions(peer string) map[string]int64 {
 	out := map[string]int64{}
 	for _, r := range m.peerVers.SelectEq("peer", peer) {
-		out[r["entity"].(string)] = r["ver"].(int64)
+		out[r.Str("entity")] = r.Int("ver")
 	}
 	return out
 }
 
 func (m *Manager) setKnownVersion(peer, entity string, ver int64) {
-	if _, ok := m.peerVers.Get(peer, entity); ok {
-		_ = m.peerVers.Update(store.Row{"ver": ver}, peer, entity)
+	r := m.peerVers.NewRow()
+	r.SetInt("ver", ver)
+	if m.peerVers.Has(peer, entity) {
+		_ = m.peerVers.Update(r, peer, entity)
 		return
 	}
-	_ = m.peerVers.Insert(store.Row{"peer": peer, "entity": entity, "ver": ver})
+	r.SetStr("peer", peer)
+	r.SetStr("entity", entity)
+	_ = m.peerVers.Insert(r)
 }
 
 func isUnavailable(err error) bool {

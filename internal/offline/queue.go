@@ -99,7 +99,7 @@ func NewQueue(db *store.DB, user string, capacity int, policy Overflow, met *met
 	}
 	q := &Queue{user: user, t: t, met: met, cap: capacity, policy: policy}
 	for _, r := range t.Select(nil) {
-		if s := r["seq"].(int64); s >= q.nextSeq {
+		if s := r.Int("seq"); s >= q.nextSeq {
 			q.nextSeq = s + 1
 		}
 	}
@@ -123,7 +123,7 @@ func (q *Queue) Enqueue(op Op) (int64, error) {
 		// DropOldest: evict the lowest sequence number.
 		oldest := int64(-1)
 		for _, r := range q.t.Select(nil) {
-			if s := r["seq"].(int64); oldest < 0 || s < oldest {
+			if s := r.Int("seq"); oldest < 0 || s < oldest {
 				oldest = s
 			}
 		}
@@ -136,10 +136,13 @@ func (q *Queue) Enqueue(op Op) (int64, error) {
 	}
 	seq := q.nextSeq
 	q.nextSeq++
-	err := q.t.Insert(store.Row{
-		"seq": seq, "id": op.ID, "kind": op.Kind,
-		"payload": string(op.Payload), "queued": op.Queued,
-	})
+	r := q.t.NewRow()
+	r.SetInt("seq", seq)
+	r.SetStr("id", op.ID)
+	r.SetStr("kind", op.Kind)
+	r.SetStr("payload", string(op.Payload))
+	r.SetTime("queued", op.Queued)
+	err := q.t.Insert(r)
 	if err != nil {
 		return 0, err
 	}
@@ -153,11 +156,11 @@ func (q *Queue) Ops() []Op {
 	out := make([]Op, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, Op{
-			Seq:     r["seq"].(int64),
-			ID:      r["id"].(string),
-			Kind:    r["kind"].(string),
-			Payload: []byte(r["payload"].(string)),
-			Queued:  r["queued"].(time.Time),
+			Seq:     r.Int("seq"),
+			ID:      r.Str("id"),
+			Kind:    r.Str("kind"),
+			Payload: []byte(r.Str("payload")),
+			Queued:  r.Time("queued"),
 		})
 	}
 	sortOps(out)

@@ -236,7 +236,7 @@ func TestPulledTentativeRecordQueuesItsLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := waiting.Get(review.LinkID); !ok || r["waiting_on"] != offsite.LinkID {
+	if r, ok := waiting.Get(review.LinkID); !ok || r.Str("waiting_on") != offsite.LinkID {
 		t.Fatalf("mob's waiting row = %v, want one on %s", r, offsite.LinkID)
 	}
 

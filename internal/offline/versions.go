@@ -52,22 +52,24 @@ func NewVersions(db *store.DB) (*Versions, error) {
 func (v *Versions) Bump(entity string) int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if r, ok := v.t.Get(entity); ok {
-		next := r["ver"].(int64) + 1
-		_ = v.t.Update(store.Row{"ver": next}, entity)
-		return next
+	r := v.t.NewRow()
+	var cur int64
+	if v.t.View(func(s store.Row) { cur = s.Int("ver") }, entity) {
+		r.SetInt("ver", cur+1)
+		_ = v.t.Update(r, entity)
+		return cur + 1
 	}
-	_ = v.t.Insert(store.Row{"entity": entity, "ver": int64(1)})
+	r.SetStr("entity", entity)
+	r.SetInt("ver", 1)
+	_ = v.t.Insert(r)
 	return 1
 }
 
 // Get returns entity's current version (0 when never bumped).
 func (v *Versions) Get(entity string) int64 {
-	r, ok := v.t.Get(entity)
-	if !ok {
-		return 0
-	}
-	return r["ver"].(int64)
+	var ver int64
+	v.t.View(func(r store.Row) { ver = r.Int("ver") }, entity)
+	return ver
 }
 
 // All returns a copy of the full entity→version map.
@@ -75,7 +77,7 @@ func (v *Versions) All() map[string]int64 {
 	rows := v.t.Select(nil)
 	out := make(map[string]int64, len(rows))
 	for _, r := range rows {
-		out[r["entity"].(string)] = r["ver"].(int64)
+		out[r.Str("entity")] = r.Int("ver")
 	}
 	return out
 }

@@ -104,7 +104,7 @@ func registerSlotActions(n *core.Node) {
 			return ""
 		}
 		if r, ok := t.Get(entity); ok {
-			return r["holder"].(string)
+			return r.Str("holder")
 		}
 		return ""
 	}
@@ -114,9 +114,9 @@ func registerSlotActions(n *core.Node) {
 			return err
 		}
 		if _, ok := t.Get(entity); ok {
-			return t.Update(store.Row{"holder": holder}, entity)
+			return t.Update(rowOf(t, "holder", holder), entity)
 		}
-		return t.Insert(store.Row{"entity": entity, "holder": holder})
+		return t.Insert(rowOf(t, "entity", entity, "holder", holder))
 	}
 	n.Links.RegisterAction("reserve", links.Action{
 		Check: func(entity string, args wire.Args) error {
@@ -145,7 +145,7 @@ func slotOn(t *testing.T, n *core.Node, entity string) string {
 		t.Fatal(err)
 	}
 	if r, ok := tab.Get(entity); ok {
-		return r["holder"].(string)
+		return r.Str("holder")
 	}
 	return ""
 }
@@ -537,7 +537,7 @@ func TestHandoffDrainsLaggingFollower(t *testing.T) {
 	}
 	const n = 40
 	for i := 0; i < n; i++ {
-		if err := slots.Insert(store.Row{"entity": fmt.Sprintf("s%02d", i), "holder": "M"}); err != nil {
+		if err := slots.Insert(rowOf(slots, "entity", fmt.Sprintf("s%02d", i), "holder", "M")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -62,7 +62,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	insert := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if err := tbl.Insert(store.Row{"entity": fmt.Sprintf("e%d-%d", d.LastLSN(), i), "holder": "m"}); err != nil {
+			if err := tbl.Insert(rowOf(tbl, "entity", fmt.Sprintf("e%d-%d", d.LastLSN(), i), "holder", "m")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestFollowerSelfDrivenLoops(t *testing.T) {
 		Columns: []store.Column{{Name: "entity", Type: store.String}, {Name: "holder", Type: store.String}},
 		Key:     []string{"entity"},
 	})
-	if err := tbl.Insert(store.Row{"entity": "s0", "holder": "m"}); err != nil {
+	if err := tbl.Insert(rowOf(tbl, "entity", "s0", "holder", "m")); err != nil {
 		t.Fatal(err)
 	}
 	rawPrimary(t, fx, "p", d)
@@ -381,4 +381,13 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("StartFollower case %d: expected a validation error", i)
 		}
 	}
+}
+
+// rowOf builds a row of t from column, value pairs.
+func rowOf(t *store.Table, kv ...any) store.Row {
+	r := t.NewRow()
+	for i := 0; i < len(kv); i += 2 {
+		r.Set(kv[i].(string), kv[i+1])
+	}
+	return r
 }

@@ -57,27 +57,36 @@ func newDriven() *driven {
 	return d
 }
 
+// keyedOp is a generated write to the calendar table: the op, the
+// column, value pairs of its row, and the key values an update or a
+// delete names its row by.
+type keyedOp struct {
+	op  Op
+	kv  []any
+	key []any
+}
+
 // direct writes op through the table's own methods.
-func (d *driven) direct(op LoggedOp) error {
-	switch op.Op {
+func (d *driven) direct(op keyedOp) error {
+	switch op.op {
 	case OpInsert:
-		return d.tab.Insert(op.Row)
+		return d.tab.Insert(row(d.tab, op.kv...))
 	case OpUpdate:
-		return d.tab.Update(op.Row, op.Key...)
+		return d.tab.Update(row(d.tab, op.kv...), op.key...)
 	}
-	return d.tab.Delete(op.Key...)
+	return d.tab.Delete(op.key...)
 }
 
 // unit writes op as a commit unit of that one op.
-func (d *driven) unit(op LoggedOp) error {
+func (d *driven) unit(op keyedOp) error {
 	return d.db.Unit(context.Background(), func(u *Tx) error {
-		switch op.Op {
+		switch op.op {
 		case OpInsert:
-			return u.Insert(op.Table, op.Row.Clone()) // the unit keeps what it is given
+			return u.Insert("calendar", row(d.tab, op.kv...))
 		case OpUpdate:
-			return u.Update(op.Table, op.Row.Clone(), op.Key...)
+			return u.Update("calendar", row(d.tab, op.kv...), op.key...)
 		}
-		return u.Delete(op.Table, op.Key...)
+		return u.Delete("calendar", op.key...)
 	})
 }
 
@@ -88,6 +97,31 @@ func (d *driven) state() map[string]any {
 	for s := 0; s < 4; s++ {
 		st := fmt.Sprintf("s%d", s)
 		out[st] = d.tab.SelectEq("status", st)
+	}
+	return out
+}
+
+// moved is the unit u with its rows rebuilt for d's table, as a log
+// decoded into d's DB holds them.
+func (d *driven) moved(u []LoggedOp) []LoggedOp {
+	out := make([]LoggedOp, len(u))
+	for i, op := range u {
+		op.Row, op.Key = d.moveRow(op.Row), d.moveRow(op.Key)
+		out[i] = op
+	}
+	return out
+}
+
+func (d *driven) moveRow(r Row) Row {
+	if r.IsZero() {
+		return r
+	}
+	out := d.tab.NewRow()
+	for p, c := range r.l.cols {
+		if r.set&(1<<p) != 0 {
+			q := d.tab.l.index[c.Name]
+			out.vals[q], out.set = r.vals[p], out.set|1<<q
+		}
 	}
 	return out
 }
@@ -109,21 +143,21 @@ func sentinel(err error) string {
 
 // randomOp draws one write over 12 hours of one day, so that about half
 // the keyed writes find their row; one in four is malformed.
-func randomOp(rng *rand.Rand, raw uint8) LoggedOp {
+func randomOp(rng *rand.Rand, raw uint8) keyedOp {
 	h := int64(raw % 12)
 	st := fmt.Sprintf("s%d", rng.Intn(4))
 	key := []any{"d", h}
 	switch raw % 8 {
 	case 0, 1:
-		return LoggedOp{Table: "calendar", Op: OpInsert, Row: slotRow("d", h, st)}
+		return keyedOp{OpInsert, slotFields("d", h, st), key}
 	case 2, 3:
-		return LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"status": st, "priority": int64(raw)}, Key: key}
+		return keyedOp{OpUpdate, []any{"status", st, "priority", int64(raw)}, key}
 	case 4, 5:
-		return LoggedOp{Table: "calendar", Op: OpDelete, Key: key}
+		return keyedOp{OpDelete, nil, key}
 	case 6:
-		return LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"hour": h + 1}, Key: key}
+		return keyedOp{OpUpdate, []any{"hour", h + 1}, key}
 	}
-	return LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"nope": st}, Key: key}
+	return keyedOp{OpUpdate, []any{"nope", st}, key}
 }
 
 func TestDirectWriteIsAUnitOfOne(t *testing.T) {
@@ -179,7 +213,7 @@ func TestDirectWriteIsAUnitOfOne(t *testing.T) {
 		// Replaying that log reproduces the table, silently.
 		r := newDriven()
 		for _, u := range a.log.units {
-			if err := r.db.ApplyLogged(u); err != nil {
+			if err := r.db.ApplyLogged(r.moved(u)); err != nil {
 				t.Logf("replay %v: %v", u, err)
 				return false
 			}
@@ -204,26 +238,26 @@ func TestDirectWriteIsAUnitOfOne(t *testing.T) {
 // the checks a corrupt or out-of-order log record must not get past.
 func TestApplyLoggedChecksItsInput(t *testing.T) {
 	d := newDriven()
-	ins := LoggedOp{Table: "calendar", Op: OpInsert, Row: slotRow("d", 9, "s0")}
+	ins := LoggedOp{Table: "calendar", Op: OpInsert, Row: slotRow(d.tab, "d", 9, "s0")}
 	if err := d.db.ApplyLogged([]LoggedOp{ins}); err != nil {
 		t.Fatal(err)
 	}
 	before := d.state()
-	key, gone := []any{"d", int64(9)}, []any{"d", int64(10)}
+	key, gone := row(d.tab, "day", "d", "hour", int64(9)), row(d.tab, "day", "d", "hour", int64(10))
 	for _, c := range []struct {
 		name string
 		op   LoggedOp
 		want error
 	}{
 		{"duplicate insert", ins, ErrDupKey},
-		{"update of a missing row", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"status": "s1"}, Key: gone}, ErrNoRow},
+		{"update of a missing row", LoggedOp{Table: "calendar", Op: OpUpdate, Row: row(d.tab, "status", "s1"), Key: gone}, ErrNoRow},
 		{"delete of a missing row", LoggedOp{Table: "calendar", Op: OpDelete, Key: gone}, ErrNoRow},
-		{"mistyped column", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"status": int64(1)}, Key: key}, ErrBadType},
-		{"mistyped inserted column", LoggedOp{Table: "calendar", Op: OpInsert, Row: Row{"day": "d", "hour": "ten"}}, ErrBadType},
-		{"unknown column", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"nope": "x"}, Key: key}, ErrBadColumn},
-		{"insert without its key", LoggedOp{Table: "calendar", Op: OpInsert, Row: Row{"day": "d"}}, ErrMissingKey},
-		{"key column changed", LoggedOp{Table: "calendar", Op: OpUpdate, Row: Row{"hour": int64(3)}, Key: key}, ErrKeyImmutable},
-		{"short key", LoggedOp{Table: "calendar", Op: OpDelete, Key: []any{"d"}}, ErrMissingKey},
+		{"mistyped column", LoggedOp{Table: "calendar", Op: OpUpdate, Row: row(d.tab, "status", int64(1)), Key: key}, ErrBadType},
+		{"mistyped inserted column", LoggedOp{Table: "calendar", Op: OpInsert, Row: row(d.tab, "day", "d", "hour", "ten")}, ErrBadType},
+		{"unknown column", LoggedOp{Table: "calendar", Op: OpUpdate, Row: row(d.tab, "nope", "x"), Key: key}, ErrBadColumn},
+		{"insert without its key", LoggedOp{Table: "calendar", Op: OpInsert, Row: row(d.tab, "day", "d")}, ErrMissingKey},
+		{"key column changed", LoggedOp{Table: "calendar", Op: OpUpdate, Row: row(d.tab, "hour", int64(3)), Key: key}, ErrKeyImmutable},
+		{"short key", LoggedOp{Table: "calendar", Op: OpDelete, Key: row(d.tab, "day", "d")}, ErrMissingKey},
 		{"unknown table", LoggedOp{Table: "nope", Op: OpDelete, Key: key}, ErrNoTable},
 	} {
 		if err := d.db.ApplyLogged([]LoggedOp{c.op}); !errors.Is(err, c.want) {

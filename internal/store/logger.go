@@ -24,15 +24,18 @@ package store
 
 // LoggedOp is one committed row mutation.
 //
-//   - OpInsert: Row is the full inserted row; Key is nil.
-//   - OpUpdate: Row holds only the changed columns; Key is the primary
-//     key values in schema order.
-//   - OpDelete: Row is nil; Key is the primary key values.
+//   - OpInsert: Row is the inserted row; Key is the zero Row.
+//   - OpUpdate: Row sets only the changed columns; Key sets the primary
+//     key columns (a key row, which has no other column).
+//   - OpDelete: Row is the zero Row; Key sets the primary key columns.
+//
+// A replayed op's Key may also be a full row of the table: only its key
+// columns are read.
 type LoggedOp struct {
 	Table string
 	Op    Op
 	Row   Row
-	Key   []any
+	Key   Row
 }
 
 // Ack blocks until the corresponding log unit is durable (per the

@@ -33,7 +33,7 @@ func TestTxRollbackPropertyRestoresExactState(t *testing.T) {
 		tab := db.MustCreateTable(calendarSchema())
 		// Seed some committed rows.
 		for h := int64(0); h < 6; h++ {
-			if err := tab.Insert(slotRow("d", h, fmt.Sprintf("s%d", rng.Intn(3)))); err != nil {
+			if err := tab.Insert(slotRow(tab, "d", h, fmt.Sprintf("s%d", rng.Intn(3)))); err != nil {
 				return false
 			}
 		}
@@ -44,9 +44,9 @@ func TestTxRollbackPropertyRestoresExactState(t *testing.T) {
 			h := int64(op % 12) // half exist, half don't
 			switch op % 3 {
 			case 0:
-				_ = tx.Insert("calendar", slotRow("d", h, "txrow"))
+				_ = tx.Insert("calendar", slotRow(tab, "d", h, "txrow"))
 			case 1:
-				_ = tx.Update("calendar", Row{"status": fmt.Sprintf("u%d", op)}, "d", h)
+				_ = tx.Update("calendar", row(tab, "status", fmt.Sprintf("u%d", op)), "d", h)
 			case 2:
 				_ = tx.Delete("calendar", "d", h)
 			}
@@ -80,8 +80,8 @@ func TestSnapshotRestorePropertyIdentity(t *testing.T) {
 			if i < len(statuses) {
 				st = fmt.Sprintf("s%d", statuses[i]%5)
 			}
-			r := slotRow("d", k, st)
-			r["updated"] = time.Date(2003, 4, int(h%27)+1, 0, 0, 0, 0, time.UTC)
+			r := slotRow(tab, "d", k, st)
+			r.SetTime("updated", time.Date(2003, 4, int(h%27)+1, 0, 0, 0, 0, time.UTC))
 			if err := tab.Insert(r); err != nil {
 				return false
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // Snapshot serialization: a JSON document holding every table's schema
@@ -14,20 +13,23 @@ import (
 // provide explicit save/load).
 //
 // Snapshots are deterministic: tables, indexes, and rows are emitted in
-// sorted order (and encoding/json sorts map keys), so two snapshots of
-// equal databases are byte-identical. The WAL checkpointer relies on
-// this to verify recovery: snapshot(recovered) must equal
+// sorted order (and a row writes its columns in name order), so two
+// snapshots of equal databases are byte-identical. The WAL checkpointer
+// relies on this to verify recovery: snapshot(recovered) must equal
 // snapshot(reference).
 
-type snapshotDoc struct {
-	Version int             `json:"version"`
-	Tables  []snapshotTable `json:"tables"`
+type snapshotDoc[R any] struct {
+	Version int                `json:"version"`
+	Tables  []snapshotTable[R] `json:"tables"`
 }
 
-type snapshotTable struct {
-	Schema  snapshotSchema   `json:"schema"`
-	Rows    []map[string]any `json:"rows"`
-	Indexes []string         `json:"indexes"`
+// snapshotTable is one table: Snapshot writes its rows as []Row, each
+// through Row.MarshalJSON, and Restore reads each row's values as the
+// raw text it hands to Row.SetJSON.
+type snapshotTable[R any] struct {
+	Schema  snapshotSchema `json:"schema"`
+	Rows    []R            `json:"rows"`
+	Indexes []string       `json:"indexes"`
 }
 
 type snapshotSchema struct {
@@ -51,9 +53,9 @@ func (db *DB) Snapshot(w io.Writer) error {
 	db.mu.RUnlock()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].schema.Name < tables[j].schema.Name })
 
-	doc := snapshotDoc{Version: 1}
+	doc := snapshotDoc[Row]{Version: 1}
 	for _, t := range tables {
-		st := snapshotTable{}
+		st := snapshotTable[Row]{}
 		st.Schema.Name = t.schema.Name
 		st.Schema.Key = append([]string(nil), t.schema.Key...)
 		for _, c := range t.schema.Columns {
@@ -63,8 +65,8 @@ func (db *DB) Snapshot(w io.Writer) error {
 			}{c.Name, int(c.Type)})
 		}
 		t.mu.RLock()
-		for col := range t.indexes {
-			st.Indexes = append(st.Indexes, col)
+		for _, idx := range t.indexes {
+			st.Indexes = append(st.Indexes, t.l.cols[idx.col].Name)
 		}
 		keys := make([]string, 0, len(t.rows))
 		for k := range t.rows {
@@ -72,12 +74,7 @@ func (db *DB) Snapshot(w io.Writer) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			r := t.rows[rowKey(k)]
-			enc := make(map[string]any, len(r))
-			for c, v := range r {
-				enc[c] = EncodeValue(v)
-			}
-			st.Rows = append(st.Rows, enc)
+			st.Rows = append(st.Rows, t.rows[rowKey(k)]) // stored rows are replaced, never changed
 		}
 		t.mu.RUnlock()
 		sort.Strings(st.Indexes)
@@ -92,7 +89,7 @@ func (db *DB) Snapshot(w io.Writer) error {
 // again, so a failed restore leaves the DB as it found it instead of
 // half-populated.
 func (db *DB) Restore(r io.Reader) (err error) {
-	var doc snapshotDoc
+	var doc snapshotDoc[map[string]json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return fmt.Errorf("store: restore: %w", err)
 	}
@@ -116,17 +113,11 @@ func (db *DB) Restore(r io.Reader) (err error) {
 		}
 		created = append(created, s.Name)
 		for _, enc := range st.Rows {
-			row := make(Row, len(enc))
-			for c, v := range enc {
-				ct, ok := t.cols[c]
-				if !ok {
-					return fmt.Errorf("store: restore: %w: %s.%s", ErrBadColumn, s.Name, c)
-				}
-				dv, err := DecodeValue(ct, v)
-				if err != nil {
+			row := t.NewRow()
+			for c, raw := range enc {
+				if err := row.SetJSON(c, raw); err != nil {
 					return fmt.Errorf("store: restore %s.%s: %w", s.Name, c, err)
 				}
-				row[c] = dv
 			}
 			if err := t.Insert(row); err != nil {
 				return err
@@ -139,56 +130,4 @@ func (db *DB) Restore(r io.Reader) (err error) {
 		}
 	}
 	return nil
-}
-
-// EncodeValue maps a typed store value to its JSON-safe encoding
-// (time.Time becomes RFC3339Nano; everything else passes through). The
-// snapshot writer and the WAL record encoder share it.
-func EncodeValue(v any) any {
-	if ts, ok := v.(time.Time); ok {
-		return ts.Format(time.RFC3339Nano)
-	}
-	return v
-}
-
-// DecodeValue coerces a JSON-decoded value back to the column's Go
-// type — the inverse of EncodeValue, given the schema's column type.
-func DecodeValue(ct ColType, v any) (any, error) {
-	switch ct {
-	case String:
-		s, ok := v.(string)
-		if !ok {
-			return nil, ErrBadType
-		}
-		return s, nil
-	case Int:
-		f, ok := v.(float64)
-		if !ok {
-			return nil, ErrBadType
-		}
-		return int64(f), nil
-	case Bool:
-		b, ok := v.(bool)
-		if !ok {
-			return nil, ErrBadType
-		}
-		return b, nil
-	case Float:
-		f, ok := v.(float64)
-		if !ok {
-			return nil, ErrBadType
-		}
-		return f, nil
-	case Time:
-		s, ok := v.(string)
-		if !ok {
-			return nil, ErrBadType
-		}
-		ts, err := time.Parse(time.RFC3339Nano, s)
-		if err != nil {
-			return nil, err
-		}
-		return ts, nil
-	}
-	return nil, ErrBadType
 }

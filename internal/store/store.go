@@ -16,10 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ColType enumerates the column types the store supports.
@@ -65,21 +63,8 @@ type Schema struct {
 	Key []string
 }
 
-// Row is a single record: column name → value. Values must match the
-// declared column types (string, int64, bool, float64, time.Time).
-type Row map[string]any
-
 // rowKey is the encoded primary key used as the map key for rows.
 type rowKey string
-
-// Clone returns a copy of r safe to hand to callers.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
 
 // Op enumerates row mutation operations for triggers.
 type Op int
@@ -114,8 +99,8 @@ const (
 	After
 )
 
-// TriggerFunc is the action of an ECA trigger. old is nil for inserts,
-// new is nil for deletes. A Before trigger returning an error aborts
+// TriggerFunc is the action of an ECA trigger. old is the zero Row for
+// inserts, new is the zero Row for deletes. A Before trigger returning an error aborts
 // the mutation.
 type TriggerFunc func(op Op, old, new Row) error
 
@@ -235,6 +220,9 @@ func validateSchema(s Schema) error {
 	if len(s.Columns) == 0 {
 		return errors.New("store: schema needs at least one column")
 	}
+	if len(s.Columns) > maxColumns {
+		return fmt.Errorf("store: %d columns, at most %d", len(s.Columns), maxColumns)
+	}
 	cols := make(map[string]bool, len(s.Columns))
 	for _, c := range s.Columns {
 		if c.Name == "" {
@@ -261,12 +249,20 @@ func validateSchema(s Schema) error {
 type Table struct {
 	db     *DB
 	schema Schema
-	cols   map[string]ColType
+	l      *layout // every stored row's
+	keyL   *layout // the key rows of logged updates and deletes
 
 	mu       sync.RWMutex
 	rows     map[rowKey]Row
-	indexes  map[string]map[any]map[rowKey]struct{}
+	indexes  []index
 	triggers map[Timing][]trigger
+}
+
+// index is a secondary index: the keys of the rows holding each value
+// of one column. A row that leaves the column unset is in no entry.
+type index struct {
+	col int
+	m   map[Value]map[rowKey]struct{}
 }
 
 type trigger struct {
@@ -276,16 +272,13 @@ type trigger struct {
 }
 
 func newTable(db *DB, s Schema) *Table {
-	cols := make(map[string]ColType, len(s.Columns))
-	for _, c := range s.Columns {
-		cols[c.Name] = c.Type
-	}
+	l := newLayout(s.Name, s.Columns, s.Key)
 	return &Table{
 		db:       db,
 		schema:   s,
-		cols:     cols,
+		l:        l,
+		keyL:     l.keyLayout(),
 		rows:     make(map[rowKey]Row),
-		indexes:  make(map[string]map[any]map[rowKey]struct{}),
 		triggers: make(map[Timing][]trigger),
 	}
 }
@@ -293,70 +286,64 @@ func newTable(db *DB, s Schema) *Table {
 // Schema returns the table schema.
 func (t *Table) Schema() Schema { return t.schema }
 
-// keyOf builds the encoded primary key for a row.
-func (t *Table) keyOf(r Row) (rowKey, error) {
-	if len(t.schema.Key) == 1 {
-		// Single string keys (the common shape: users by id, services
-		// by name) encode as themselves: no buffer, no copy.
-		if s, ok := r[t.schema.Key[0]].(string); ok {
-			return rowKey(s), nil
-		}
+// own checks that r is a row of the table, to store or apply, and
+// returns the error a setter left in it. The zero Row sets no column.
+func (t *Table) own(r Row) (Row, error) {
+	switch {
+	case r.err != nil:
+		return Row{}, r.err
+	case r.l == nil:
+		return Row{l: t.l}, nil
+	case r.l != t.l:
+		return Row{}, fmt.Errorf("%w: a row of table %s given to table %s", ErrBadColumn, r.l.table, t.schema.Name)
 	}
-	var buf [64]byte
-	b := buf[:0]
-	for i, k := range t.schema.Key {
-		v, ok := r[k]
-		if !ok {
-			return "", fmt.Errorf("%w: %q", ErrMissingKey, k)
-		}
-		if b, ok = appendKeyVal(b, i, v); !ok {
-			return "", fmt.Errorf("%w: key column %s.%s, got %T", ErrBadType, t.schema.Name, k, v)
-		}
-	}
-	return rowKey(b), nil
+	return r, nil
 }
 
-// appendKeyVal appends the encoding of the i-th key value to b, and
-// reports false for a value of no column type: no stored key holds one.
-// keyOf and appendKey both encode through it, so stored keys and probe
-// keys always agree. It formats without fmt, which would move every
-// probe's key values to the heap.
-func appendKeyVal(b []byte, i int, v any) ([]byte, bool) {
-	if i > 0 {
-		b = append(b, 0x1f)
+// insertable is own for an inserted row, which must set every key
+// column.
+func (t *Table) insertable(r Row) (Row, rowKey, error) {
+	r, err := t.own(r)
+	if err != nil {
+		return Row{}, "", err
 	}
-	switch x := v.(type) {
-	case string:
-		return append(b, x...), true
-	case int64:
-		return strconv.AppendInt(b, x, 10), true
-	case bool:
-		return strconv.AppendBool(b, x), true
-	case float64:
-		return strconv.AppendFloat(b, x, 'g', -1, 64), true
-	case time.Time:
-		return x.UTC().AppendFormat(b, time.RFC3339Nano), true
-	}
-	return b, false
+	k, err := r.key()
+	return r, k, err
 }
 
-// keyValsOf extracts the primary key values of r in schema order.
-func (t *Table) keyValsOf(r Row) ([]any, error) {
-	out := make([]any, len(t.schema.Key))
-	for i, kc := range t.schema.Key {
-		v, ok := r[kc]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrMissingKey, kc)
-		}
-		out[i] = v
+// changes is own for an update's changed columns, which may not
+// include a primary-key column.
+func (t *Table) changes(r Row) (Row, error) {
+	r, err := t.own(r)
+	if err != nil {
+		return Row{}, err
 	}
-	return out, nil
+	for _, p := range t.l.key {
+		if r.set&(1<<p) != 0 {
+			return Row{}, fmt.Errorf("%w: %q", ErrKeyImmutable, t.l.cols[p].Name)
+		}
+	}
+	return r, nil
 }
 
 // KeyOf exposes the encoded key for diagnostics and tests.
 func (t *Table) KeyOf(r Row) (string, error) {
-	k, err := t.keyOf(r)
+	_, k, err := t.insertable(r)
 	return string(k), err
+}
+
+// appendKeyVal appends the encoding of the i-th probe key value to b,
+// and reports false for a value that is not of the key column's type:
+// no stored key holds one. It encodes as Row.appendKey does, so stored
+// keys and probe keys always agree, and without fmt, which would move
+// every probe's key values to the heap.
+func (t *Table) appendKeyVal(b []byte, i int, v any) ([]byte, bool) {
+	ct := t.keyL.cols[i].Type
+	val, ok := valueOf(ct, v)
+	if !ok {
+		return b, false
+	}
+	return appendKeyValue(b, i, ct, val), true
 }
 
 // appendKey appends to b the encoded primary key for key values given in
@@ -368,7 +355,7 @@ func (t *Table) appendKey(b []byte, keyVals []any) ([]byte, error) {
 	}
 	for i := range t.schema.Key {
 		var ok bool
-		if b, ok = appendKeyVal(b, i, keyVals[i]); !ok {
+		if b, ok = t.appendKeyVal(b, i, keyVals[i]); !ok {
 			return b, fmt.Errorf("%w: key column %s.%s", ErrBadType, t.schema.Name, t.schema.Key[i])
 		}
 	}
@@ -376,9 +363,9 @@ func (t *Table) appendKey(b []byte, keyVals []any) ([]byte, error) {
 }
 
 // soleStringKey returns the probe value of a single-column string key,
-// which encodes as itself (the same fast path as keyOf).
+// which encodes as itself (the same fast path as Row.key).
 func (t *Table) soleStringKey(keyVals []any) (string, bool) {
-	if len(t.schema.Key) != 1 || len(keyVals) != 1 {
+	if len(t.schema.Key) != 1 || len(keyVals) != 1 || t.keyL.cols[0].Type != String {
 		return "", false
 	}
 	s, ok := keyVals[0].(string)
@@ -395,6 +382,17 @@ func (t *Table) keyFromVals(keyVals []any) (rowKey, error) {
 	return rowKey(b), err
 }
 
+// keyRow returns the key row of keyVals: what an update or delete logs
+// to name its row. keyVals has been through keyFromVals.
+func (t *Table) keyRow(keyVals []any) Row {
+	r := Row{l: t.keyL, vals: make([]Value, len(t.keyL.cols))}
+	for i, c := range t.keyL.cols {
+		r.vals[i], _ = valueOf(c.Type, keyVals[i])
+		r.set |= 1 << i
+	}
+	return r
+}
+
 // lookup returns the stored row for keyVals. The key is built on the
 // stack and the row map indexed with it directly, so a point read
 // allocates nothing; the caller holds t.mu.
@@ -406,66 +404,10 @@ func (t *Table) lookup(keyVals []any) (Row, bool) {
 	var buf [64]byte
 	k, err := t.appendKey(buf[:0], keyVals)
 	if err != nil {
-		return nil, false
+		return Row{}, false
 	}
 	r, ok := t.rows[rowKey(k)]
 	return r, ok
-}
-
-func (t *Table) checkTypes(r Row, requireKey bool) error {
-	for name, v := range r {
-		ct, ok := t.cols[name]
-		if !ok {
-			return fmt.Errorf("%w: %q in table %s", ErrBadColumn, name, t.schema.Name)
-		}
-		if !typeMatches(ct, v) {
-			return fmt.Errorf("%w: column %s.%s wants %s, got %T",
-				ErrBadType, t.schema.Name, name, ct, v)
-		}
-	}
-	if requireKey {
-		for _, k := range t.schema.Key {
-			if _, ok := r[k]; !ok {
-				return fmt.Errorf("%w: %q", ErrMissingKey, k)
-			}
-		}
-	}
-	return nil
-}
-
-// checkChanges is checkTypes for an update's changed columns, which
-// may not include a primary-key column.
-func (t *Table) checkChanges(changes Row) error {
-	if err := t.checkTypes(changes, false); err != nil {
-		return err
-	}
-	for _, kc := range t.schema.Key {
-		if _, ok := changes[kc]; ok {
-			return fmt.Errorf("%w: %q", ErrKeyImmutable, kc)
-		}
-	}
-	return nil
-}
-
-func typeMatches(ct ColType, v any) bool {
-	switch ct {
-	case String:
-		_, ok := v.(string)
-		return ok
-	case Int:
-		_, ok := v.(int64)
-		return ok
-	case Bool:
-		_, ok := v.(bool)
-		return ok
-	case Float:
-		_, ok := v.(float64)
-		return ok
-	case Time:
-		_, ok := v.(time.Time)
-		return ok
-	}
-	return false
 }
 
 // OnTrigger registers an ECA trigger for op at the given timing,
@@ -557,45 +499,67 @@ func (t *Table) CreateIndex(col string) error {
 // addIndex is CreateIndex without the log record; it reports whether
 // the index was built now rather than found.
 func (t *Table) addIndex(col string) (bool, error) {
-	if _, ok := t.cols[col]; !ok {
+	p, ok := t.l.index[col]
+	if !ok {
 		return false, fmt.Errorf("%w: %q", ErrBadColumn, col)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.indexes[col]; ok {
+	if t.indexOf(p) != nil {
 		return false, nil
 	}
-	idx := make(map[any]map[rowKey]struct{})
+	t.indexes = append(t.indexes, index{col: p, m: make(map[Value]map[rowKey]struct{})})
+	idx := &t.indexes[len(t.indexes)-1]
 	for k, r := range t.rows {
-		v := r[col]
-		if idx[v] == nil {
-			idx[v] = make(map[rowKey]struct{})
-		}
-		idx[v][k] = struct{}{}
+		idx.add(k, r)
 	}
-	t.indexes[col] = idx
 	return true, nil
 }
 
-func (t *Table) indexAdd(k rowKey, r Row) {
-	for col, idx := range t.indexes {
-		v := r[col]
-		if idx[v] == nil {
-			idx[v] = make(map[rowKey]struct{})
+// indexOf returns the index on the column at position p, or nil; the
+// caller holds t.mu.
+func (t *Table) indexOf(p int) *index {
+	for i := range t.indexes {
+		if t.indexes[i].col == p {
+			return &t.indexes[i]
 		}
-		idx[v][k] = struct{}{}
+	}
+	return nil
+}
+
+func (idx *index) add(k rowKey, r Row) {
+	if r.set&(1<<idx.col) == 0 {
+		return
+	}
+	v := r.vals[idx.col]
+	if idx.m[v] == nil {
+		idx.m[v] = make(map[rowKey]struct{})
+	}
+	idx.m[v][k] = struct{}{}
+}
+
+func (idx *index) remove(k rowKey, r Row) {
+	if r.set&(1<<idx.col) == 0 {
+		return
+	}
+	v := r.vals[idx.col]
+	if set, ok := idx.m[v]; ok {
+		delete(set, k)
+		if len(set) == 0 {
+			delete(idx.m, v)
+		}
+	}
+}
+
+func (t *Table) indexAdd(k rowKey, r Row) {
+	for i := range t.indexes {
+		t.indexes[i].add(k, r)
 	}
 }
 
 func (t *Table) indexRemove(k rowKey, r Row) {
-	for col, idx := range t.indexes {
-		v := r[col]
-		if set, ok := idx[v]; ok {
-			delete(set, k)
-			if len(set) == 0 {
-				delete(idx, v)
-			}
-		}
+	for i := range t.indexes {
+		t.indexes[i].remove(k, r)
 	}
 }
 
@@ -613,7 +577,7 @@ func (t *Table) Get(keyVals ...any) (Row, bool) {
 	defer t.mu.RUnlock()
 	r, ok := t.lookup(keyVals)
 	if !ok {
-		return nil, false
+		return Row{}, false
 	}
 	return r.Clone(), true
 }
@@ -659,7 +623,8 @@ func (t *Table) Delete(keyVals ...any) error {
 // Select returns clones of all rows matching pred (nil pred = all),
 // in primary-key order. The deterministic order matters: sweeps and
 // cascade deletes iterate Select results, and simulation runs must
-// replay identically for a given seed.
+// replay identically for a given seed. pred sees the stored rows and
+// must not modify or keep them.
 func (t *Table) Select(pred func(Row) bool) []Row {
 	t.mu.RLock()
 	keys := make([]rowKey, 0, len(t.rows))
@@ -677,13 +642,29 @@ func (t *Table) Select(pred func(Row) bool) []Row {
 	return out
 }
 
+// probe converts the value v a caller looks for in column col to the
+// column's type, reporting false when the table has no such column or v
+// is not of its type: then no row matches.
+func (t *Table) probe(col string, v any) (int, Value, bool) {
+	p, ok := t.l.index[col]
+	if !ok {
+		return 0, Value{}, false
+	}
+	val, ok := valueOf(t.l.cols[p].Type, v)
+	return p, val, ok
+}
+
 // SelectEq returns all rows with row[col] == v in primary-key order,
 // using a secondary index when one exists and a scan otherwise.
 func (t *Table) SelectEq(col string, v any) []Row {
+	p, val, ok := t.probe(col, v)
+	if !ok {
+		return nil
+	}
 	t.mu.RLock()
-	if idx, ok := t.indexes[col]; ok {
-		keys := make([]rowKey, 0, len(idx[v]))
-		for k := range idx[v] {
+	if idx := t.indexOf(p); idx != nil {
+		keys := make([]rowKey, 0, len(idx.m[val]))
+		for k := range idx.m[val] {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
@@ -695,7 +676,12 @@ func (t *Table) SelectEq(col string, v any) []Row {
 		return out
 	}
 	t.mu.RUnlock()
-	return t.Select(func(r Row) bool { return r[col] == v })
+	return t.Select(func(r Row) bool { return r.holds(p, val) })
+}
+
+// holds reports whether r sets the column at position p to v.
+func (r Row) holds(p int, v Value) bool {
+	return r.set&(1<<p) != 0 && r.vals[p] == v
 }
 
 // ViewEq calls fn with every stored row with row[col] == v, in no
@@ -703,16 +689,20 @@ func (t *Table) SelectEq(col string, v any) []Row {
 // View's rule and no copies. fn must not modify a row, keep it past the
 // call, or write to the table.
 func (t *Table) ViewEq(col string, v any, fn func(Row)) {
+	p, val, ok := t.probe(col, v)
+	if !ok {
+		return
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if idx, ok := t.indexes[col]; ok {
-		for k := range idx[v] {
+	if idx := t.indexOf(p); idx != nil {
+		for k := range idx.m[val] {
 			fn(t.rows[k])
 		}
 		return
 	}
 	for _, r := range t.rows {
-		if r[col] == v {
+		if r.holds(p, val) {
 			fn(r)
 		}
 	}
@@ -729,7 +719,7 @@ func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
 	case OpInsert:
 		t.rows[k] = op.Row
 		t.indexAdd(k, op.Row)
-		return nil, op.Row
+		return Row{}, op.Row
 	case OpUpdate:
 		t.indexRemove(k, cur)
 		stored := merged(cur, op.Row)
@@ -739,9 +729,9 @@ func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
 	case OpDelete:
 		delete(t.rows, k)
 		t.indexRemove(k, cur)
-		return cur, nil
+		return cur, Row{}
 	}
-	return nil, nil
+	return Row{}, Row{}
 }
 
 // checkExists is the rule every apply honours: an insert needs its key
@@ -763,16 +753,15 @@ func (t *Table) replay(op LoggedOp) error {
 	var err error
 	switch op.Op {
 	case OpInsert:
-		if err = t.checkTypes(op.Row, true); err == nil {
+		if op.Row, k, err = t.insertable(op.Row); err == nil {
 			op.Row = op.Row.Clone()
-			k, err = t.keyOf(op.Row)
 		}
 	case OpUpdate:
-		if err = t.checkChanges(op.Row); err == nil {
-			k, err = t.keyFromVals(op.Key)
+		if op.Row, err = t.changes(op.Row); err == nil {
+			k, err = t.loggedKey(op.Key)
 		}
 	case OpDelete:
-		k, err = t.keyFromVals(op.Key)
+		k, err = t.loggedKey(op.Key)
 	default:
 		err = fmt.Errorf("store: apply: unknown op %v", op.Op)
 	}
@@ -787,6 +776,18 @@ func (t *Table) replay(op LoggedOp) error {
 	}
 	t.applyOpLocked(op, k)
 	return nil
+}
+
+// loggedKey returns the encoded key a logged update or delete names:
+// the key columns of key, a key row or a full row of the table.
+func (t *Table) loggedKey(key Row) (rowKey, error) {
+	switch {
+	case key.err != nil:
+		return "", key.err
+	case key.l != t.l && key.l != t.keyL:
+		return "", fmt.Errorf("%w: need a key of table %s", ErrMissingKey, t.schema.Name)
+	}
+	return key.key()
 }
 
 // Count reports the number of rows.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -39,12 +38,24 @@ func newCalTable(t *testing.T) *Table {
 	return tab
 }
 
-func slotRow(day string, hour int64, status string) Row {
-	return Row{
-		"day": day, "hour": hour, "status": status,
-		"meeting": "", "priority": int64(0), "locked": false,
-		"updated": time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC),
+func slotRow(tab *Table, day string, hour int64, status string) Row {
+	return row(tab, slotFields(day, hour, status)...)
+}
+
+// slotFields are the column, value pairs of slotRow.
+func slotFields(day string, hour int64, status string) []any {
+	return []any{"day", day, "hour", hour, "status", status,
+		"meeting", "", "priority", int64(0), "locked", false,
+		"updated", time.Date(2003, 4, 22, 0, 0, 0, 0, time.UTC)}
+}
+
+// row builds a row of tab from column, value pairs.
+func row(tab *Table, kv ...any) Row {
+	r := tab.NewRow()
+	for i := 0; i < len(kv); i += 2 {
+		r.Set(kv[i].(string), kv[i+1])
 	}
+	return r
 }
 
 func TestCreateTableValidation(t *testing.T) {
@@ -93,15 +104,15 @@ func TestTableLookup(t *testing.T) {
 
 func TestInsertGet(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("2003-04-22", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "2003-04-22", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := tab.Get("2003-04-22", int64(9))
 	if !ok {
 		t.Fatal("row not found")
 	}
-	if got["status"] != "free" {
-		t.Fatalf("status = %v", got["status"])
+	if got.Str("status") != "free" {
+		t.Fatalf("status = %v", got.Str("status"))
 	}
 	if _, ok := tab.Get("2003-04-22", int64(10)); ok {
 		t.Fatal("phantom row")
@@ -110,28 +121,27 @@ func TestInsertGet(t *testing.T) {
 
 func TestInsertDuplicateKey(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(slotRow("d", 9, "busy")); !errors.Is(err, ErrDupKey) {
+	if err := tab.Insert(slotRow(tab, "d", 9, "busy")); !errors.Is(err, ErrDupKey) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestInsertTypeChecking(t *testing.T) {
 	tab := newCalTable(t)
-	r := slotRow("d", 9, "free")
-	r["hour"] = "nine" // wrong type
+	r := slotRow(tab, "d", 9, "free")
+	r.Set("hour", "nine") // wrong type
 	if err := tab.Insert(r); !errors.Is(err, ErrBadType) {
 		t.Fatalf("err = %v", err)
 	}
-	r = slotRow("d", 9, "free")
-	r["bogus"] = 1
+	r = slotRow(tab, "d", 9, "free")
+	r.Set("bogus", 1)
 	if err := tab.Insert(r); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v", err)
 	}
-	r = slotRow("d", 9, "free")
-	delete(r, "day")
+	r = row(tab, "hour", int64(9), "status", "free")
 	if err := tab.Insert(r); !errors.Is(err, ErrMissingKey) {
 		t.Fatalf("err = %v", err)
 	}
@@ -139,43 +149,43 @@ func TestInsertTypeChecking(t *testing.T) {
 
 func TestGetReturnsClone(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := tab.Get("d", int64(9))
-	got["status"] = "mutated"
+	got.SetStr("status", "mutated")
 	again, _ := tab.Get("d", int64(9))
-	if again["status"] != "free" {
+	if again.Str("status") != "free" {
 		t.Fatal("caller mutation leaked into the table")
 	}
 }
 
 func TestUpdate(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Update(Row{"status": "reserved", "meeting": "M1"}, "d", int64(9)); err != nil {
+	if err := tab.Update(row(tab, "status", "reserved", "meeting", "M1"), "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := tab.Get("d", int64(9))
-	if got["status"] != "reserved" || got["meeting"] != "M1" {
+	if got.Str("status") != "reserved" || got.Str("meeting") != "M1" {
 		t.Fatalf("row = %v", got)
 	}
-	if err := tab.Update(Row{"status": "x"}, "d", int64(10)); !errors.Is(err, ErrNoRow) {
+	if err := tab.Update(row(tab, "status", "x"), "d", int64(10)); !errors.Is(err, ErrNoRow) {
 		t.Fatalf("missing row: %v", err)
 	}
-	if err := tab.Update(Row{"day": "e"}, "d", int64(9)); !errors.Is(err, ErrKeyImmutable) {
+	if err := tab.Update(row(tab, "day", "e"), "d", int64(9)); !errors.Is(err, ErrKeyImmutable) {
 		t.Fatalf("key change: %v", err)
 	}
-	if err := tab.Update(Row{"hour": "x"}, "d", int64(9)); !errors.Is(err, ErrBadType) {
+	if err := tab.Update(row(tab, "hour", "x"), "d", int64(9)); !errors.Is(err, ErrBadType) {
 		t.Fatalf("bad type: %v", err)
 	}
 }
 
 func TestDelete(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.Delete("d", int64(9)); err != nil {
@@ -196,11 +206,11 @@ func TestSelect(t *testing.T) {
 		if h%2 == 0 {
 			status = "busy"
 		}
-		if err := tab.Insert(slotRow("d", h, status)); err != nil {
+		if err := tab.Insert(slotRow(tab, "d", h, status)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	free := tab.Select(func(r Row) bool { return r["status"] == "free" })
+	free := tab.Select(func(r Row) bool { return r.Str("status") == "free" })
 	if len(free) != 4 {
 		t.Fatalf("free slots = %d", len(free))
 	}
@@ -217,7 +227,7 @@ func TestSelectEqWithAndWithoutIndex(t *testing.T) {
 		if h%10 == 0 {
 			status = "busy"
 		}
-		if err := tab.Insert(slotRow("d", h, status)); err != nil {
+		if err := tab.Insert(slotRow(tab, "d", h, status)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +240,7 @@ func TestSelectEqWithAndWithoutIndex(t *testing.T) {
 		t.Fatalf("scan=%d idx=%d", len(scan), len(idx))
 	}
 	// Index stays consistent across update and delete.
-	if err := tab.Update(Row{"status": "free"}, "d", int64(0)); err != nil {
+	if err := tab.Update(row(tab, "status", "free"), "d", int64(0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tab.SelectEq("status", "busy")); got != 9 {
@@ -253,18 +263,18 @@ func TestSelectEqWithAndWithoutIndex(t *testing.T) {
 func TestBeforeTriggerVetoes(t *testing.T) {
 	tab := newCalTable(t)
 	tab.OnTrigger(Before, OpInsert, "no-weekends", func(op Op, old, new Row) error {
-		if new["day"] == "saturday" {
+		if new.Str("day") == "saturday" {
 			return errors.New("no meetings on saturday")
 		}
 		return nil
 	})
-	if err := tab.Insert(slotRow("saturday", 9, "free")); err == nil {
+	if err := tab.Insert(slotRow(tab, "saturday", 9, "free")); err == nil {
 		t.Fatal("veto ignored")
 	}
 	if tab.Count() != 0 {
 		t.Fatal("vetoed row was stored")
 	}
-	if err := tab.Insert(slotRow("monday", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "monday", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -273,13 +283,13 @@ func TestAfterTriggerObservesChange(t *testing.T) {
 	tab := newCalTable(t)
 	var fired []string
 	tab.OnTrigger(After, OpUpdate, "watch", func(op Op, old, new Row) error {
-		fired = append(fired, fmt.Sprintf("%v->%v", old["status"], new["status"]))
+		fired = append(fired, fmt.Sprintf("%v->%v", old.Str("status"), new.Str("status")))
 		return nil
 	})
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Update(Row{"status": "reserved"}, "d", int64(9)); err != nil {
+	if err := tab.Update(row(tab, "status", "reserved"), "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 1 || fired[0] != "free->reserved" {
@@ -292,7 +302,7 @@ func TestAfterTriggerErrorDoesNotRollBack(t *testing.T) {
 	tab.OnTrigger(After, OpInsert, "grumpy", func(op Op, old, new Row) error {
 		return errors.New("after failure")
 	})
-	err := tab.Insert(slotRow("d", 9, "free"))
+	err := tab.Insert(slotRow(tab, "d", 9, "free"))
 	if err == nil {
 		t.Fatal("after-trigger error not surfaced")
 	}
@@ -308,11 +318,11 @@ func TestDropTrigger(t *testing.T) {
 		count++
 		return nil
 	})
-	if err := tab.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	tab.DropTrigger("counter")
-	if err := tab.Insert(slotRow("d", 10, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 10, "free")); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -325,15 +335,15 @@ func TestTriggerCanReenterTable(t *testing.T) {
 	// pattern SyDLinks relies on) must not deadlock.
 	tab := newCalTable(t)
 	tab.OnTrigger(After, OpDelete, "promote", func(op Op, old, new Row) error {
-		if old["hour"] == int64(9) {
-			return tab.Update(Row{"status": "promoted"}, "d", int64(10))
+		if old.Int("hour") == 9 {
+			return tab.Update(row(tab, "status", "promoted"), "d", int64(10))
 		}
 		return nil
 	})
-	if err := tab.Insert(slotRow("d", 9, "busy")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 9, "busy")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(slotRow("d", 10, "tentative")); err != nil {
+	if err := tab.Insert(slotRow(tab, "d", 10, "tentative")); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -347,8 +357,8 @@ func TestTriggerCanReenterTable(t *testing.T) {
 		t.Fatal("re-entrant trigger deadlocked")
 	}
 	got, _ := tab.Get("d", int64(10))
-	if got["status"] != "promoted" {
-		t.Fatalf("status = %v", got["status"])
+	if got.Str("status") != "promoted" {
+		t.Fatalf("status = %v", got.Str("status"))
 	}
 }
 
@@ -361,7 +371,7 @@ func TestConcurrentInsertsDistinctKeys(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = tab.Insert(slotRow("d", int64(i), "free"))
+			errs[i] = tab.Insert(slotRow(tab, "d", int64(i), "free"))
 		}(i)
 	}
 	wg.Wait()
@@ -383,7 +393,7 @@ func TestConcurrentInsertSameKeyExactlyOneWins(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := tab.Insert(slotRow("d", 9, "free"))
+			err := tab.Insert(slotRow(tab, "d", 9, "free"))
 			if err == nil {
 				okCount.Store(i, true)
 			} else if errors.Is(err, ErrDupKey) {
@@ -414,7 +424,7 @@ func TestInsertSelectProperty(t *testing.T) {
 			}
 			seen[k] = true
 			keys = append(keys, k)
-			if err := tab.Insert(slotRow("d", k, "free")); err != nil {
+			if err := tab.Insert(slotRow(tab, "d", k, "free")); err != nil {
 				return false
 			}
 		}
@@ -436,18 +446,18 @@ func TestInsertSelectProperty(t *testing.T) {
 
 func TestCompositeKeyOrdering(t *testing.T) {
 	tab := newCalTable(t)
-	if err := tab.Insert(slotRow("a", 1, "free")); err != nil {
+	if err := tab.Insert(slotRow(tab, "a", 1, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(slotRow("a", 2, "busy")); err != nil {
+	if err := tab.Insert(slotRow(tab, "a", 2, "busy")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(slotRow("b", 1, "busy")); err != nil {
+	if err := tab.Insert(slotRow(tab, "b", 1, "busy")); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for _, r := range tab.Select(nil) {
-		got = append(got, fmt.Sprintf("%v/%v=%v", r["day"], r["hour"], r["status"]))
+		got = append(got, fmt.Sprintf("%v/%v=%v", r.Str("day"), r.Int("hour"), r.Str("status")))
 	}
 	sort.Strings(got)
 	want := []string{"a/1=free", "a/2=busy", "b/1=busy"}
@@ -465,11 +475,11 @@ func TestCompositeKeyOrdering(t *testing.T) {
 func TestPointReadsDoNotAllocate(t *testing.T) {
 	tab := newCalTable(t)
 	days := []string{fmt.Sprint("2003-04-", 21), fmt.Sprint("2003-04-", 22)}
-	if err := tab.Insert(slotRow(days[0], 9, "busy")); err != nil {
+	if err := tab.Insert(slotRow(tab, days[0], 9, "busy")); err != nil {
 		t.Fatal(err)
 	}
 	found, seen := 0, ""
-	read := func(r Row) { seen = r["status"].(string) }
+	read := func(r Row) { seen = r.Str("status") }
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, day := range days {
 			for hour := int64(9); hour < 18; hour++ {
@@ -494,11 +504,12 @@ func TestPointReadsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestTxInsertKeepsTheRow: Tx.Insert takes the map it is given, so the
-// table stores that map itself and no copy is made on the way.
+// TestTxInsertKeepsTheRow: Tx.Insert takes the row it is given, so the
+// table stores that row's values themselves and no copy is made on the
+// way.
 func TestTxInsertKeepsTheRow(t *testing.T) {
 	tab := newCalTable(t)
-	r := slotRow("d", 9, "busy")
+	r := slotRow(tab, "d", 9, "busy")
 	tx := tab.db.Begin()
 	if err := tx.Insert("calendar", r); err != nil {
 		t.Fatal(err)
@@ -508,7 +519,7 @@ func TestTxInsertKeepsTheRow(t *testing.T) {
 	}
 	var stored Row
 	tab.View(func(s Row) { stored = s }, "d", int64(9))
-	if reflect.ValueOf(stored).Pointer() != reflect.ValueOf(r).Pointer() {
+	if &stored.vals[0] != &r.vals[0] {
 		t.Fatal("the table stores a copy of the row Tx.Insert was given")
 	}
 }
@@ -518,13 +529,14 @@ func TestTxInsertKeepsTheRow(t *testing.T) {
 // it was.
 func TestTableInsertCopiesTheRow(t *testing.T) {
 	tab := newCalTable(t)
-	r := slotRow("d", 9, "busy")
+	r := slotRow(tab, "d", 9, "busy")
 	if err := tab.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	r["status"], r["day"] = "changed", "e"
-	if got, ok := tab.Get("d", int64(9)); !ok || got["status"] != "busy" {
-		t.Fatalf("stored row after the caller changed its map: %v (found %v)", got, ok)
+	r.SetStr("status", "changed")
+	r.SetStr("day", "e")
+	if got, ok := tab.Get("d", int64(9)); !ok || got.Str("status") != "busy" {
+		t.Fatalf("stored row after the caller changed its row: %v (found %v)", got, ok)
 	}
 	if tab.Has("e", int64(9)) || tab.Count() != 1 {
 		t.Fatal("the caller's change reached the table")
@@ -536,7 +548,7 @@ func TestTableInsertCopiesTheRow(t *testing.T) {
 func TestViewEqReadsInPlace(t *testing.T) {
 	tab := newCalTable(t)
 	for h := int64(0); h < 6; h++ {
-		if err := tab.Insert(slotRow("d", h, []string{"busy", "free"}[h%2])); err != nil {
+		if err := tab.Insert(slotRow(tab, "d", h, []string{"busy", "free"}[h%2])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -548,11 +560,11 @@ func TestViewEqReadsInPlace(t *testing.T) {
 			}
 		}
 		var hours []int64
-		tab.ViewEq("status", busy, func(r Row) { hours = append(hours, r["hour"].(int64)) })
+		tab.ViewEq("status", busy, func(r Row) { hours = append(hours, r.Int("hour")) })
 		sort.Slice(hours, func(i, j int) bool { return hours[i] < hours[j] })
 		var want []int64
 		for _, r := range tab.SelectEq("status", busy) {
-			want = append(want, r["hour"].(int64))
+			want = append(want, r.Int("hour"))
 		}
 		if fmt.Sprint(hours) != fmt.Sprint(want) || len(want) != 3 {
 			t.Fatalf("indexed=%v: ViewEq visits hours %v, SelectEq returns %v", indexed, hours, want)
@@ -569,7 +581,7 @@ func BenchmarkInsert(b *testing.B) {
 	tab := db.MustCreateTable(calendarSchema())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := tab.Insert(slotRow("d", int64(i), "free")); err != nil {
+		if err := tab.Insert(slotRow(tab, "d", int64(i), "free")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -583,7 +595,7 @@ func BenchmarkSelectEqIndexed(b *testing.B) {
 		if i%100 == 0 {
 			status = "busy"
 		}
-		if err := tab.Insert(slotRow("d", int64(i), status)); err != nil {
+		if err := tab.Insert(slotRow(tab, "d", int64(i), status)); err != nil {
 			b.Fatal(err)
 		}
 	}

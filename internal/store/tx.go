@@ -121,7 +121,7 @@ func (tx *Tx) exists(t *Table, k rowKey) bool {
 
 // effective returns the row at (t, k) as the first n buffered ops leave
 // it: the buffered state when the tx touched it, the committed row
-// otherwise. The result may be the stored or the buffered map itself;
+// otherwise. The result may be the stored or the buffered row itself;
 // stored rows are replaced, never changed, so reading one after the
 // lock is released is safe, but the caller must not modify it.
 func (tx *Tx) effective(t *Table, k rowKey, n int) (Row, bool) {
@@ -139,19 +139,7 @@ func (tx *Tx) effective(t *Table, k rowKey, n int) (Row, bool) {
 		base, _ := tx.effective(t, k, i)
 		return merged(base, op.Row), true
 	}
-	return nil, false
-}
-
-// merged returns a copy of base with changes laid over it.
-func merged(base, changes Row) Row {
-	next := make(Row, len(base))
-	for c, v := range base {
-		next[c] = v
-	}
-	for c, v := range changes {
-		next[c] = v
-	}
-	return next
+	return Row{}, false
 }
 
 // locate resolves a read or keyed write: the table and the encoded key.
@@ -208,15 +196,19 @@ func (tx *Tx) SelectEq(table, col string, v any) []Row {
 	if err != nil || tx.done {
 		return nil
 	}
+	p, val, ok := t.probe(col, v)
+	if !ok {
+		return nil
+	}
 	rows := t.SelectEq(col, v)
-	keyOf := func(r Row) rowKey { k, _ := t.keyOf(r); return k }
+	keyOf := func(r Row) rowKey { k, _ := r.key(); return k }
 	resort := false
 	for i, a := range tx.at {
 		if a.t != t || tx.last(t, a.k, len(tx.ops)) != i {
 			continue // another table's op, or not the newest on its key
 		}
 		rows = slices.DeleteFunc(rows, func(r Row) bool { return keyOf(r) == a.k })
-		if r, ok := tx.effective(t, a.k, len(tx.ops)); ok && r[col] == v {
+		if r, ok := tx.effective(t, a.k, len(tx.ops)); ok && r.holds(p, val) {
 			rows, resort = append(rows, r.Clone()), true
 		}
 	}
@@ -234,7 +226,7 @@ func (tx *Tx) record(t *Table, k rowKey, op LoggedOp) {
 
 // Insert buffers an insert of r into the named table. r belongs to the
 // tx from here on, as Update's changes do: it is the row Commit stores
-// and logs, so the caller hands over a map it built for the insert and
+// and logs, so the caller hands over a row it built for the insert and
 // neither modifies nor reuses it. Table.Insert, whose callers may reuse
 // their rows, hands over a copy.
 func (tx *Tx) Insert(table string, r Row) error {
@@ -247,10 +239,7 @@ func (tx *Tx) Insert(table string, r Row) error {
 	if err != nil {
 		return err
 	}
-	if err := t.checkTypes(r, true); err != nil {
-		return err
-	}
-	k, err := t.keyOf(r)
+	r, k, err := t.insertable(r)
 	if err != nil {
 		return err
 	}
@@ -258,7 +247,7 @@ func (tx *Tx) Insert(table string, r Row) error {
 		return fmt.Errorf("%w: %s[%s]", ErrDupKey, t.schema.Name, k)
 	}
 	if t.hasTrigger(Before, OpInsert) {
-		if err := t.fire(Before, OpInsert, nil, r.Clone()); err != nil {
+		if err := t.fire(Before, OpInsert, Row{}, r.Clone()); err != nil {
 			return err
 		}
 	}
@@ -275,7 +264,7 @@ func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 	if err != nil {
 		return err
 	}
-	if err := t.checkChanges(changes); err != nil {
+	if changes, err = t.changes(changes); err != nil {
 		return err
 	}
 	if !tx.exists(t, k) {
@@ -287,7 +276,7 @@ func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 			return err
 		}
 	}
-	tx.record(t, k, LoggedOp{Table: table, Op: OpUpdate, Row: changes, Key: append([]any(nil), keyVals...)})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpUpdate, Row: changes, Key: t.keyRow(keyVals)})
 	return nil
 }
 
@@ -317,11 +306,11 @@ func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 	}
 	if t.hasTrigger(Before, OpDelete) {
 		old, _ := tx.effective(t, k, len(tx.ops))
-		if err := t.fire(Before, OpDelete, old.Clone(), nil); err != nil {
+		if err := t.fire(Before, OpDelete, old.Clone(), Row{}); err != nil {
 			return err
 		}
 	}
-	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete, Key: append([]any(nil), keyVals...)})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete, Key: t.keyRow(keyVals)})
 	return nil
 }
 
@@ -407,7 +396,7 @@ func (tx *Tx) commit(ctx context.Context) ([]func(context.Context), error) {
 		t := at[i].t
 		old, new := t.applyOpLocked(op, at[i].k)
 		if t.hasTriggerLocked(After, op.Op) {
-			if new != nil {
+			if !new.IsZero() {
 				new = new.Clone()
 			}
 			fired = append(fired, firedOp{t: t, op: op.Op, old: old, new: new})

@@ -31,10 +31,10 @@ func twoTableDB(t *testing.T) (*DB, *Table, *Table) {
 func TestTxCommit(t *testing.T) {
 	db, cal, links := twoTableDB(t)
 	tx := db.Begin()
-	if err := tx.Insert("calendar", slotRow("d", 9, "reserved")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "reserved")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("links", Row{"id": "L1", "kind": "negotiation-and", "prio": int64(5)}); err != nil {
+	if err := tx.Insert("links", row(links, "id", "L1", "kind", "negotiation-and", "prio", int64(5))); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(context.Background()); err != nil {
@@ -50,18 +50,18 @@ func TestTxCommit(t *testing.T) {
 
 func TestTxRollbackUndoesEverything(t *testing.T) {
 	db, cal, links := twoTableDB(t)
-	if err := cal.Insert(slotRow("d", 8, "busy")); err != nil {
+	if err := cal.Insert(slotRow(cal, "d", 8, "busy")); err != nil {
 		t.Fatal(err)
 	}
-	if err := links.Insert(Row{"id": "L0", "kind": "subscription", "prio": int64(1)}); err != nil {
+	if err := links.Insert(row(links, "id", "L0", "kind", "subscription", "prio", int64(1))); err != nil {
 		t.Fatal(err)
 	}
 
 	tx := db.Begin()
-	if err := tx.Insert("calendar", slotRow("d", 9, "reserved")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "reserved")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("calendar", Row{"status": "reserved"}, "d", int64(8)); err != nil {
+	if err := tx.Update("calendar", row(cal, "status", "reserved"), "d", int64(8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Delete("links", "L0"); err != nil {
@@ -75,8 +75,8 @@ func TestTxRollbackUndoesEverything(t *testing.T) {
 		t.Fatal("inserted row survived rollback")
 	}
 	got, _ := cal.Get("d", int64(8))
-	if got["status"] != "busy" {
-		t.Fatalf("update not undone: %v", got["status"])
+	if got.Str("status") != "busy" {
+		t.Fatalf("update not undone: %v", got.Str("status"))
 	}
 	if _, ok := links.Get("L0"); !ok {
 		t.Fatal("deleted row not restored")
@@ -91,10 +91,10 @@ func TestTxRollbackReverseOrder(t *testing.T) {
 	// undo the update first, then the insert, leaving no row.
 	db, cal, _ := twoTableDB(t)
 	tx := db.Begin()
-	if err := tx.Insert("calendar", slotRow("d", 9, "free")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("calendar", Row{"status": "reserved"}, "d", int64(9)); err != nil {
+	if err := tx.Update("calendar", row(cal, "status", "reserved"), "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -106,15 +106,15 @@ func TestTxRollbackReverseOrder(t *testing.T) {
 }
 
 func TestTxOperationsAfterDone(t *testing.T) {
-	db, _, _ := twoTableDB(t)
+	db, cal, _ := twoTableDB(t)
 	tx := db.Begin()
 	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("calendar", slotRow("d", 9, "free")); !errors.Is(err, ErrTxDone) {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "free")); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("insert after done: %v", err)
 	}
-	if err := tx.Update("calendar", Row{"status": "x"}, "d", int64(9)); !errors.Is(err, ErrTxDone) {
+	if err := tx.Update("calendar", row(cal, "status", "x"), "d", int64(9)); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("update after done: %v", err)
 	}
 	if err := tx.Delete("calendar", "d", int64(9)); !errors.Is(err, ErrTxDone) {
@@ -124,14 +124,14 @@ func TestTxOperationsAfterDone(t *testing.T) {
 
 func TestTxErrorsPropagate(t *testing.T) {
 	db, cal, _ := twoTableDB(t)
-	if err := cal.Insert(slotRow("d", 9, "free")); err != nil {
+	if err := cal.Insert(slotRow(cal, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	tx := db.Begin()
-	if err := tx.Insert("calendar", slotRow("d", 9, "free")); !errors.Is(err, ErrDupKey) {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "free")); !errors.Is(err, ErrDupKey) {
 		t.Fatalf("dup insert: %v", err)
 	}
-	if err := tx.Update("nope", Row{"x": "y"}, "k"); !errors.Is(err, ErrNoTable) {
+	if err := tx.Update("nope", Row{}, "k"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("bad table: %v", err)
 	}
 	if err := tx.Delete("calendar", "d", int64(99)); !errors.Is(err, ErrNoRow) {
@@ -151,19 +151,19 @@ func TestTxReadYourWrites(t *testing.T) {
 	// same row works, and after an in-tx delete the key is free again.
 	db, cal, _ := twoTableDB(t)
 	tx := db.Begin()
-	if err := tx.Insert("calendar", slotRow("d", 9, "free")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("calendar", Row{"status": "reserved"}, "d", int64(9)); err != nil {
+	if err := tx.Update("calendar", row(cal, "status", "reserved"), "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("calendar", slotRow("d", 9, "again")); !errors.Is(err, ErrDupKey) {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "again")); !errors.Is(err, ErrDupKey) {
 		t.Fatalf("dup of own insert: %v", err)
 	}
 	if err := tx.Delete("calendar", "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("calendar", slotRow("d", 9, "reborn")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "reborn")); err != nil {
 		t.Fatalf("insert after own delete: %v", err)
 	}
 	// Nothing is visible outside the tx until Commit.
@@ -174,7 +174,7 @@ func TestTxReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, ok := cal.Get("d", int64(9))
-	if !ok || got["status"] != "reborn" {
+	if !ok || got.Str("status") != "reborn" {
 		t.Fatalf("committed row = %v, %v", got, ok)
 	}
 }
@@ -183,14 +183,14 @@ func TestTxCommitConflictAppliesNothing(t *testing.T) {
 	// A direct mutation between op record time and Commit invalidates
 	// the buffer; Commit must apply none of the tx's ops.
 	db, cal, links := twoTableDB(t)
-	if err := cal.Insert(slotRow("d", 8, "busy")); err != nil {
+	if err := cal.Insert(slotRow(cal, "d", 8, "busy")); err != nil {
 		t.Fatal(err)
 	}
 	tx := db.Begin()
-	if err := tx.Insert("links", Row{"id": "L9", "kind": "subscription", "prio": int64(1)}); err != nil {
+	if err := tx.Insert("links", row(links, "id", "L9", "kind", "subscription", "prio", int64(1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("calendar", Row{"status": "reserved"}, "d", int64(8)); err != nil {
+	if err := tx.Update("calendar", row(cal, "status", "reserved"), "d", int64(8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cal.Delete("d", int64(8)); err != nil { // concurrent writer wins
@@ -207,12 +207,12 @@ func TestTxCommitConflictAppliesNothing(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	db, cal, links := twoTableDB(t)
 	ts := time.Date(2003, 4, 22, 14, 30, 0, 0, time.UTC)
-	r := slotRow("d", 9, "reserved")
-	r["updated"] = ts
+	r := slotRow(cal, "d", 9, "reserved")
+	r.SetTime("updated", ts)
 	if err := cal.Insert(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := links.Insert(Row{"id": "L1", "kind": "negotiation-or", "prio": int64(3)}); err != nil {
+	if err := links.Insert(row(links, "id", "L1", "kind", "negotiation-or", "prio", int64(3))); err != nil {
 		t.Fatal(err)
 	}
 	if err := cal.CreateIndex("status"); err != nil {
@@ -236,15 +236,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("row lost in round trip")
 	}
-	if got["status"] != "reserved" {
-		t.Fatalf("status = %v", got["status"])
+	if got.Str("status") != "reserved" {
+		t.Fatalf("status = %v", got.Str("status"))
 	}
-	gotTS, ok := got["updated"].(time.Time)
-	if !ok || !gotTS.Equal(ts) {
-		t.Fatalf("updated = %v", got["updated"])
+	if gotTS := got.Time("updated"); !gotTS.Equal(ts) {
+		t.Fatalf("updated = %v", gotTS)
 	}
-	if got["hour"] != int64(9) {
-		t.Fatalf("hour restored as %T %v", got["hour"], got["hour"])
+	if got.Int("hour") != 9 {
+		t.Fatalf("hour restored as %v", got)
 	}
 	// Index was rebuilt and works.
 	if n := len(cal2.SelectEq("status", "reserved")); n != 1 {
@@ -289,8 +288,9 @@ func TestRestoreIntoNonEmptyDBConflicts(t *testing.T) {
 func TestTxUnitAllocs(t *testing.T) {
 	db := NewDB()
 	names := [4]string{"t0", "t1", "t2", "t3"}
-	for _, n := range names {
-		db.MustCreateTable(Schema{
+	var tabs [4]*Table
+	for i, n := range names {
+		tabs[i] = db.MustCreateTable(Schema{
 			Name:    n,
 			Columns: []Column{{Name: "id", Type: String}, {Name: "v", Type: String}, {Name: "n", Type: Int}},
 			Key:     []string{"id"},
@@ -299,7 +299,7 @@ func TestTxUnitAllocs(t *testing.T) {
 	const runs = 200
 	rows := make([]Row, 0, 2*(runs+1)*len(names))
 	for i := 0; i < cap(rows); i++ {
-		rows = append(rows, Row{"id": fmt.Sprintf("k%06d", i), "v": "x", "n": int64(7)})
+		rows = append(rows, row(tabs[i%len(tabs)], "id", fmt.Sprintf("k%06d", i), "v", "x", "n", int64(7)))
 	}
 	next := func() Row { r := rows[0]; rows = rows[1:]; return r }
 	ctx := context.Background()
@@ -336,21 +336,21 @@ func TestTxReadsSeeTheBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for h, st := range map[int64]string{8: "busy", 9: "busy", 10: "free"} {
-		if err := cal.Insert(slotRow("d", h, st)); err != nil {
+		if err := cal.Insert(slotRow(cal, "d", h, st)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tx := db.Begin()
-	if err := tx.Update("calendar", Row{"status": "free"}, "d", int64(8)); err != nil {
+	if err := tx.Update("calendar", row(cal, "status", "free"), "d", int64(8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Delete("calendar", "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("calendar", slotRow("d", 7, "busy")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 7, "busy")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := tx.Get("calendar", "d", int64(8)); !ok || got["status"] != "free" || got["hour"] != int64(8) {
+	if got, ok := tx.Get("calendar", "d", int64(8)); !ok || got.Str("status") != "free" || got.Int("hour") != 8 {
 		t.Fatalf("Get of an updated row = %v, %v", got, ok)
 	}
 	if tx.Has("calendar", "d", int64(9)) || !tx.Has("calendar", "d", int64(7)) || !tx.Has("calendar", "d", int64(10)) {
@@ -363,12 +363,12 @@ func TestTxReadsSeeTheBuffer(t *testing.T) {
 		t.Fatalf("Delete of a row the tx already deleted: %v", err)
 	}
 	var seen string
-	if !tx.View("calendar", func(r Row) { seen = r["status"].(string) }, "d", int64(7)) || seen != "busy" {
+	if !tx.View("calendar", func(r Row) { seen = r.Str("status") }, "d", int64(7)) || seen != "busy" {
 		t.Fatalf("View of an inserted row saw %q", seen)
 	}
 	hours := func(rows []Row) (out []int64) {
 		for _, r := range rows {
-			out = append(out, r["hour"].(int64))
+			out = append(out, r.Int("hour"))
 		}
 		return out
 	}
@@ -407,7 +407,7 @@ func TestTxAfterCommit(t *testing.T) {
 	}
 	tx := db.Begin()
 	queue(tx, "first")
-	if err := tx.Insert("calendar", slotRow("d", 9, "free")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
 	queue(tx, "second")
@@ -421,7 +421,7 @@ func TestTxAfterCommit(t *testing.T) {
 	ran = nil
 	conflicted := db.Begin()
 	queue(conflicted, "conflicted")
-	if err := conflicted.Update("calendar", Row{"status": "x"}, "d", int64(9)); err != nil {
+	if err := conflicted.Update("calendar", row(cal, "status", "x"), "d", int64(9)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cal.Delete("d", int64(9)); err != nil {
@@ -450,18 +450,18 @@ func TestUnitRerunsOnConflict(t *testing.T) {
 		runs++
 		u.AfterCommit(func(context.Context) { sent++ })
 		if u.Has("calendar", "d", int64(9)) {
-			return u.Update("calendar", Row{"status": "second"}, "d", int64(9))
+			return u.Update("calendar", row(cal, "status", "second"), "d", int64(9))
 		}
-		if err := u.Insert("calendar", slotRow("d", 9, "first")); err != nil {
+		if err := u.Insert("calendar", slotRow(cal, "d", 9, "first")); err != nil {
 			return err
 		}
 		// A rival takes the key between this step's read and its commit.
-		return cal.Insert(slotRow("d", 9, "rival"))
+		return cal.Insert(slotRow(cal, "d", 9, "rival"))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := cal.Get("d", int64(9)); runs != 2 || sent != 1 || got["status"] != "second" {
+	if got, _ := cal.Get("d", int64(9)); runs != 2 || sent != 1 || got.Str("status") != "second" {
 		t.Fatalf("runs %d, sends %d, row %v; want 2, 1, status second", runs, sent, got)
 	}
 	stepErr := errors.New("step refused")
@@ -476,17 +476,17 @@ func TestUnitRerunsOnConflict(t *testing.T) {
 // TestCommitSpan: a non-empty unit is one store.commit span under the
 // step's span; an empty one is none.
 func TestCommitSpan(t *testing.T) {
-	db, _, _ := twoTableDB(t)
+	db, cal, links := twoTableDB(t)
 	tr := trace.New("n", trace.WithSampleRate(1))
 	ctx, root := tr.StartSpan(context.Background(), "step")
 	if err := db.Begin().Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
 	tx := db.Begin()
-	if err := tx.Insert("calendar", slotRow("d", 9, "free")); err != nil {
+	if err := tx.Insert("calendar", slotRow(cal, "d", 9, "free")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("links", Row{"id": "L1", "kind": "k", "prio": int64(1)}); err != nil {
+	if err := tx.Insert("links", row(links, "id", "L1", "kind", "k", "prio", int64(1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(ctx); err != nil {

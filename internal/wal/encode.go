@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"slices"
 	"strconv"
-	"time"
 
 	"repro/internal/jsonrec"
 	"repro/internal/store"
@@ -12,8 +10,9 @@ import (
 // A tx record is encoded by appending to one buffer. The bytes are the
 // ones json.Marshal gives for record{LSN, Kind: kindTx, Ops: …} — decode,
 // replay, shipping and a log written before this encoder existed all read
-// the same format — without the []opDoc of map[string]any that Marshal
-// needs built first (FuzzTxRecordEncoding holds the two equal).
+// the same format — writing each row and key with store.Row's own
+// encoder instead of building the opDocs Marshal needs first
+// (FuzzTxRecordEncoding holds the two equal).
 //
 // A record body is the payload with room in front for its LSN instead of
 // the LSN itself: `,"kind":…}` starting at lsnRoom. The body is built
@@ -48,13 +47,7 @@ func ddlBody(r record) ([]byte, error) {
 func txBody(ops []store.LoggedOp) ([]byte, error) {
 	size := lsnRoom + 32
 	for _, op := range ops {
-		size += 48 + len(op.Table) + 24*len(op.Key)
-		for c, v := range op.Row {
-			size += len(c) + 28
-			if s, ok := v.(string); ok {
-				size += len(s) + len(s)/8
-			}
-		}
+		size += 48 + len(op.Table) + op.Row.SizeHint() + op.Key.SizeHint()
 	}
 	b := append(make([]byte, lsnRoom, size), `,"kind":"tx"`...)
 	var err error
@@ -68,37 +61,15 @@ func txBody(ops []store.LoggedOp) ([]byte, error) {
 		b = jsonrec.AppendString(b, op.Table)
 		b = append(b, `,"op":`...)
 		b = strconv.AppendInt(b, int64(op.Op), 10)
-		if len(op.Row) > 0 {
-			b = append(b, `,"row":{`...)
-			var colBuf [16]string
-			cols := colBuf[:0]
-			for c := range op.Row {
-				cols = append(cols, c)
+		if op.Row.Len() > 0 {
+			if b, err = op.Row.AppendJSON(append(b, `,"row":`...)); err != nil {
+				return nil, err
 			}
-			slices.Sort(cols)
-			for j, c := range cols {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = jsonrec.AppendString(b, c)
-				b = append(b, ':')
-				if b, err = appendValue(b, op.Row[c]); err != nil {
-					return nil, err
-				}
-			}
-			b = append(b, '}')
 		}
-		if len(op.Key) > 0 {
-			b = append(b, `,"key":[`...)
-			for j, v := range op.Key {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				if b, err = appendValue(b, v); err != nil {
-					return nil, err
-				}
+		if op.Key.Len() > 0 {
+			if b, err = op.Key.AppendKeyJSON(append(b, `,"key":`...)); err != nil {
+				return nil, err
 			}
-			b = append(b, ']')
 		}
 		b = append(b, '}')
 	}
@@ -106,15 +77,4 @@ func txBody(ops []store.LoggedOp) ([]byte, error) {
 		b = append(b, ']')
 	}
 	return append(b, '}'), nil
-}
-
-// appendValue appends one row or key value: a time as the RFC 3339 text
-// store.EncodeValue gives it, anything else as json.Marshal writes it.
-func appendValue(b []byte, v any) ([]byte, error) {
-	if t, ok := v.(time.Time); ok {
-		b = append(b, '"')
-		b = t.AppendFormat(b, time.RFC3339Nano)
-		return append(b, '"'), nil
-	}
-	return jsonrec.AppendValue(b, v)
 }

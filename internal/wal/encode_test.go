@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -12,24 +13,96 @@ import (
 	"repro/internal/store"
 )
 
-// marshalTx is the encoding txBody replaced, kept as its oracle: build
-// the record of opDocs and json.Marshal it.
-func marshalTx(lsn uint64, ops []store.LoggedOp) ([]byte, error) {
-	rec := record{LSN: lsn, Kind: kindTx}
-	for _, op := range ops {
-		doc := opDoc{Table: op.Table, Op: int(op.Op)}
-		if op.Row != nil {
-			doc.Row = make(map[string]any, len(op.Row))
-			for c, v := range op.Row {
-				doc.Row[c] = store.EncodeValue(v)
+// refOp and refRecord are opDoc and record as they were before rows
+// were typed: the shape json.Marshal wrote every tx record in.
+type refOp struct {
+	Table string         `json:"table"`
+	Op    int            `json:"op"`
+	Row   map[string]any `json:"row,omitempty"`
+	Key   []any          `json:"key,omitempty"`
+}
+
+type refRecord struct {
+	LSN  uint64  `json:"lsn"`
+	Kind string  `json:"kind"`
+	Ops  []refOp `json:"ops,omitempty"`
+}
+
+// refValue is column c of r in the map form: the typed value, a time as
+// its RFC 3339 text.
+func refValue(c store.Column, r store.Row) any {
+	switch c.Type {
+	case store.String:
+		return r.Str(c.Name)
+	case store.Int:
+		return r.Int(c.Name)
+	case store.Bool:
+		return r.Bool(c.Name)
+	case store.Float:
+		return r.Float(c.Name)
+	}
+	return r.Time(c.Name).Format(time.RFC3339Nano)
+}
+
+// mapForm is r, a row of a table of schema s, as the map of its set
+// columns the store kept before rows were typed.
+func mapForm(s store.Schema, r store.Row) map[string]any {
+	var m map[string]any
+	for _, c := range s.Columns {
+		if r.Has(c.Name) {
+			if m == nil {
+				m = map[string]any{}
+			}
+			m[c.Name] = refValue(c, r)
+		}
+	}
+	return m
+}
+
+// keyForm is the key values r sets, in key order, as a LoggedOp held
+// them before rows were typed.
+func keyForm(s store.Schema, r store.Row) []any {
+	var key []any
+	for _, k := range s.Key {
+		for _, c := range s.Columns {
+			if c.Name == k && r.Has(k) {
+				key = append(key, refValue(c, r))
 			}
 		}
-		for _, v := range op.Key {
-			doc.Key = append(doc.Key, store.EncodeValue(v))
-		}
-		rec.Ops = append(rec.Ops, doc)
 	}
-	return encodeRecord(rec)
+	return key
+}
+
+// marshalTx is the encoding txBody replaced, kept as its oracle: build
+// the record of the ops' map forms and json.Marshal it. schemas[i] is
+// the schema of ops[i]'s rows.
+func marshalTx(lsn uint64, ops []store.LoggedOp, schemas []store.Schema) ([]byte, error) {
+	rec := refRecord{LSN: lsn, Kind: kindTx}
+	for i, op := range ops {
+		rec.Ops = append(rec.Ops, refOp{
+			Table: op.Table, Op: int(op.Op),
+			Row: mapForm(schemas[i], op.Row), Key: keyForm(schemas[i], op.Key),
+		})
+	}
+	return json.Marshal(rec)
+}
+
+// rowOf builds a row of t from the map form: column name to value.
+func rowOf(t *store.Table, m map[string]any) store.Row {
+	r := t.NewRow()
+	for c, v := range m {
+		r.Set(c, v)
+	}
+	return r
+}
+
+// rowIn is rowOf for the table db names.
+func rowIn(db *store.DB, table string, m map[string]any) store.Row {
+	t, err := db.Table(table)
+	if err != nil {
+		panic(err)
+	}
+	return rowOf(t, m)
 }
 
 // appendTx is the payload the log writes for ops at lsn.
@@ -41,9 +114,9 @@ func appendTx(lsn uint64, ops []store.LoggedOp) ([]byte, error) {
 	return withLSN(body, lsn), nil
 }
 
-func sameEncoding(t *testing.T, lsn uint64, ops []store.LoggedOp) {
+func sameEncoding(t *testing.T, lsn uint64, ops []store.LoggedOp, schemas []store.Schema) {
 	t.Helper()
-	want, wantErr := marshalTx(lsn, ops)
+	want, wantErr := marshalTx(lsn, ops, schemas)
 	got, gotErr := appendTx(lsn, ops)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("error = %v, json.Marshal says %v", gotErr, wantErr)
@@ -58,33 +131,58 @@ func sameEncoding(t *testing.T, lsn uint64, ops []store.LoggedOp) {
 // and fails where it failed.
 func FuzzTxRecordEncoding(f *testing.F) {
 	f.Add(uint64(1), "cal_slots", "meeting", "M-1", int64(9), true, 1.5, int64(0), 0, uint8(0))
-	f.Add(uint64(math.MaxUint64), "t<>&", "col\"\\", "a b c\xff\x00\b\f\n\r\t\x7f", int64(math.MinInt64), false, math.NaN(), int64(1<<40), -7*3600, uint8(1))
+	f.Add(uint64(math.MaxUint64), "t<>&", "col\"\\", "a b c\xff\x00\b\f\n\r\t\x7f", int64(math.MinInt64), false, math.NaN(), int64(1<<40), -7*3600, uint8(1))
 	f.Add(uint64(0), "", "", "", int64(math.MaxInt64), false, math.Inf(-1), int64(-1), 5*3600+1800, uint8(2))
 	f.Add(uint64(77), "SyD_Link", "doc", `{"id":"M","title":"q&a <b>"}`, int64(-1), true, -0.0, int64(999999999), 0, uint8(3))
 	f.Add(uint64(9), "t", "c", "héllo wörld ✓", int64(255), true, 1e21, int64(123456789), 14*3600, uint8(4))
+	f.Add(uint64(5), "f", "b", "x", int64(3), false, 1e-7, int64(5), 0, uint8(7))
 
 	f.Fuzz(func(t *testing.T, lsn uint64, table, col, s string, n int64, b bool, fl float64, nanos int64, zone int, shape uint8) {
 		ts := time.Unix(n%(1<<33), nanos%1e9).In(time.FixedZone("z", zone%(14*3600)))
-		row := store.Row{col: s, col + "1": n, "b": b, "t": ts}
+		switch col {
+		case "", "b", "t", "f": // a name another column has, or none
+			col = "c" + col
+		}
+		// One column of each type, keyed three ways: by (col, col1) for
+		// the row ops, by (t, b) and by f for keys of the other types.
+		db := store.NewDB()
+		table3 := func(name string, key ...string) (*store.Table, store.Schema) {
+			sch := store.Schema{Name: name, Key: key, Columns: []store.Column{
+				{Name: col, Type: store.String}, {Name: col + "1", Type: store.Int},
+				{Name: "b", Type: store.Bool}, {Name: "t", Type: store.Time}, {Name: "f", Type: store.Float},
+			}}
+			tab, err := db.CreateTable(sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tab, sch
+		}
+		ta, sa := table3("a", col, col+"1")
+		tk, sk := table3("k", "t", "b")
+		tf, sf := table3("f", "f")
+
+		row := rowOf(ta, map[string]any{col: s, col + "1": n, "b": b, "t": ts})
 		if shape&1 != 0 {
-			row["f"] = fl
+			row.SetFloat("f", fl)
 		}
 		ops := []store.LoggedOp{
 			{Table: table, Op: store.OpInsert, Row: row},
-			{Table: table, Op: store.OpUpdate, Row: store.Row{col: s}, Key: []any{s, n}},
-			{Table: s, Op: store.OpDelete, Key: []any{ts, b}},
-			{Table: table, Op: store.OpUpdate, Row: store.Row{}, Key: []any{}},
+			{Table: table, Op: store.OpUpdate, Row: rowOf(ta, map[string]any{col: s}), Key: rowOf(ta, map[string]any{col: s, col + "1": n})},
+			{Table: s, Op: store.OpDelete, Key: rowOf(tk, map[string]any{"t": ts, "b": b})},
+			{Table: table, Op: store.OpUpdate, Row: ta.NewRow()},
 			{Table: table, Op: store.OpDelete},
 		}
+		schemas := []store.Schema{sa, sa, sk, sa, sa}
 		switch shape >> 1 % 4 {
 		case 1:
 			ops = ops[:1]
 		case 2:
 			ops = nil
 		case 3:
-			ops = append(ops, store.LoggedOp{Table: "odd", Op: store.OpInsert, Row: store.Row{"nil": nil, "int": int(n), "f": fl}, Key: []any{fl}})
+			ops = append(ops, store.LoggedOp{Table: "odd", Op: store.OpInsert, Row: rowOf(tf, map[string]any{"f": fl, "b": b}), Key: rowOf(tf, map[string]any{"f": fl})})
+			schemas = append(schemas, sf)
 		}
-		sameEncoding(t, lsn, ops)
+		sameEncoding(t, lsn, ops, schemas)
 	})
 }
 
@@ -98,7 +196,13 @@ func TestTxRecordEncodingAllocs(t *testing.T) {
 	}
 	defer d.Close()
 	ts := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
-	op := store.LoggedOp{Table: "t", Op: store.OpInsert, Row: store.Row{"id": "k", "doc": `{"a":"b"}`, "n": int64(4), "at": ts}}
+	tab, err := store.NewDB().CreateTable(store.Schema{Name: "t", Key: []string{"id"}, Columns: []store.Column{
+		{Name: "id", Type: store.String}, {Name: "doc", Type: store.String}, {Name: "n", Type: store.Int}, {Name: "at", Type: store.Time},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := store.LoggedOp{Table: "t", Op: store.OpInsert, Row: rowOf(tab, map[string]any{"id": "k", "doc": `{"a":"b"}`, "n": int64(4), "at": ts})}
 	for _, tc := range []struct {
 		ops  []store.LoggedOp
 		most float64
@@ -129,13 +233,17 @@ func TestReplayLogWrittenByMarshal(t *testing.T) {
 		Key: []string{"id", "n"},
 	}
 	ts := time.Date(2003, 4, 22, 14, 30, 0, 123, time.FixedZone("", -5*3600))
+	tab, err := store.NewDB().CreateTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	units := [][]store.LoggedOp{
-		{{Table: "t", Op: store.OpInsert, Row: store.Row{"id": "a", "n": int64(1), "ok": true, "at": ts, "doc": `{"q":"<&>"}`}}},
+		{{Table: "t", Op: store.OpInsert, Row: rowOf(tab, map[string]any{"id": "a", "n": int64(1), "ok": true, "at": ts, "doc": `{"q":"<&>"}`})}},
 		{
-			{Table: "t", Op: store.OpInsert, Row: store.Row{"id": "b", "n": int64(2), "ok": false, "at": ts, "doc": "x y"}},
-			{Table: "t", Op: store.OpUpdate, Row: store.Row{"doc": "moved"}, Key: []any{"a", int64(1)}},
+			{Table: "t", Op: store.OpInsert, Row: rowOf(tab, map[string]any{"id": "b", "n": int64(2), "ok": false, "at": ts, "doc": "x y"})},
+			{Table: "t", Op: store.OpUpdate, Row: rowOf(tab, map[string]any{"doc": "moved"}), Key: rowOf(tab, map[string]any{"id": "a", "n": int64(1)})},
 		},
-		{{Table: "t", Op: store.OpDelete, Key: []any{"b", int64(2)}}},
+		{{Table: "t", Op: store.OpDelete, Key: rowOf(tab, map[string]any{"id": "b", "n": int64(2)})}},
 	}
 
 	// The parent's log: DDL and tx records alike through json.Marshal.
@@ -146,7 +254,7 @@ func TestReplayLogWrittenByMarshal(t *testing.T) {
 	}
 	fixture := appendFrame(nil, ddl)
 	for i, ops := range units {
-		payload, err := marshalTx(uint64(i+2), ops)
+		payload, err := marshalTx(uint64(i+2), ops, []store.Schema{schema, schema})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,10 +269,10 @@ func TestReplayLogWrittenByMarshal(t *testing.T) {
 	if st := d.Stats(); st.ReplayedRecords != 4 || st.ReplayedTxs != 3 || st.TornTail {
 		t.Fatalf("replayed %d records, %d txs, torn %v; want 4, 3, false", st.ReplayedRecords, st.ReplayedTxs, st.TornTail)
 	}
-	tab, _ := d.DB.Table("t")
-	row, ok := tab.Get("a", int64(1))
-	if !ok || row["doc"] != "moved" || !row["at"].(time.Time).Equal(ts) || tab.Count() != 1 {
-		t.Fatalf("recovered table holds %v (%d rows)", row, tab.Count())
+	got, _ := d.DB.Table("t")
+	row, ok := got.Get("a", int64(1))
+	if !ok || row.Str("doc") != "moved" || !row.Time("at").Equal(ts) || got.Count() != 1 {
+		t.Fatalf("recovered table holds %v (%d rows)", row, got.Count())
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

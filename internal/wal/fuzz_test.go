@@ -35,18 +35,18 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	for i := int64(0); i < 4; i++ {
-		if err := tab.Insert(store.Row{"id": i, "val": "seed", "ts": ts}); err != nil {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "seed", "ts": ts})); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := tab.Update(store.Row{"val": "u"}, int64(1)); err != nil {
+	if err := tab.Update(rowOf(tab, map[string]any{"val": "u"}), int64(1)); err != nil {
 		f.Fatal(err)
 	}
 	if err := tab.Delete(int64(2)); err != nil {
 		f.Fatal(err)
 	}
 	tx := d.DB.Begin()
-	_ = tx.Insert("t", store.Row{"id": int64(9), "val": "tx", "ts": ts})
+	_ = tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(9), "val": "tx", "ts": ts}))
 	_ = tx.Commit(context.Background())
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
@@ -106,11 +106,11 @@ func FuzzAppendFrames(f *testing.F) {
 	}
 	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	for i := int64(0); i < 8; i++ {
-		if err := tab.Insert(store.Row{"id": i, "val": "seed", "ts": ts}); err != nil {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "seed", "ts": ts})); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := tab.Update(store.Row{"val": "u"}, int64(1)); err != nil {
+	if err := tab.Update(rowOf(tab, map[string]any{"val": "u"}), int64(1)); err != nil {
 		f.Fatal(err)
 	}
 	// The follower holds prefix before each input. It outgrows the

@@ -60,11 +60,14 @@ type columnDoc struct {
 	Type int    `json:"type"`
 }
 
+// opDoc is one decoded row mutation. Its values stay the JSON text
+// they were written as until docToOp reads each one for its column's
+// type, so a number keeps every digit.
 type opDoc struct {
-	Table string         `json:"table"`
-	Op    int            `json:"op"`
-	Row   map[string]any `json:"row,omitempty"`
-	Key   []any          `json:"key,omitempty"`
+	Table string                     `json:"table"`
+	Op    int                        `json:"op"`
+	Row   map[string]json.RawMessage `json:"row,omitempty"`
+	Key   []json.RawMessage          `json:"key,omitempty"`
 }
 
 func schemaToDoc(s store.Schema) *schemaDoc {
@@ -91,37 +94,25 @@ func docToOp(db *store.DB, doc opDoc) (store.LoggedOp, error) {
 	if err != nil {
 		return store.LoggedOp{}, err
 	}
-	sch := t.Schema()
-	cols := make(map[string]store.ColType, len(sch.Columns))
-	for _, c := range sch.Columns {
-		cols[c.Name] = c.Type
-	}
 	op := store.LoggedOp{Table: doc.Table, Op: store.Op(doc.Op)}
 	if doc.Row != nil {
-		op.Row = make(store.Row, len(doc.Row))
-		for c, v := range doc.Row {
-			ct, ok := cols[c]
-			if !ok {
-				return store.LoggedOp{}, fmt.Errorf("wal: replay %s: %w: %q", doc.Table, store.ErrBadColumn, c)
-			}
-			dv, err := store.DecodeValue(ct, v)
-			if err != nil {
+		op.Row = t.NewRow()
+		for c, raw := range doc.Row {
+			if err := op.Row.SetJSON(c, raw); err != nil {
 				return store.LoggedOp{}, fmt.Errorf("wal: replay %s.%s: %w", doc.Table, c, err)
 			}
-			op.Row[c] = dv
 		}
 	}
 	if len(doc.Key) > 0 {
-		if len(doc.Key) != len(sch.Key) {
-			return store.LoggedOp{}, fmt.Errorf("wal: replay %s: got %d key values, schema wants %d", doc.Table, len(doc.Key), len(sch.Key))
+		key := t.Schema().Key
+		if len(doc.Key) != len(key) {
+			return store.LoggedOp{}, fmt.Errorf("wal: replay %s: got %d key values, schema wants %d", doc.Table, len(doc.Key), len(key))
 		}
-		for i, v := range doc.Key {
-			ct := cols[sch.Key[i]]
-			dv, err := store.DecodeValue(ct, v)
-			if err != nil {
-				return store.LoggedOp{}, fmt.Errorf("wal: replay %s key %s: %w", doc.Table, sch.Key[i], err)
+		op.Key = t.NewRow()
+		for i, raw := range doc.Key {
+			if err := op.Key.SetJSON(key[i], raw); err != nil {
+				return store.LoggedOp{}, fmt.Errorf("wal: replay %s key %s: %w", doc.Table, key[i], err)
 			}
-			op.Key = append(op.Key, dv)
 		}
 	}
 	return op, nil

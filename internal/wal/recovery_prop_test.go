@@ -103,7 +103,7 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 	}
 	applyOne := func(db *store.DB, o op, via *store.Tx) error {
 		row1 := func(o op) store.Row {
-			return store.Row{"id": o.id, "val": o.val, "ts": base.Add(time.Duration(o.id) * time.Minute)}
+			return rowIn(db, "t1", map[string]any{"id": o.id, "val": o.val, "ts": base.Add(time.Duration(o.id) * time.Minute)})
 		}
 		switch {
 		case o.table == "t1" && o.kind == store.OpInsert:
@@ -114,10 +114,10 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 			return t.Insert(row1(o))
 		case o.table == "t1" && o.kind == store.OpUpdate:
 			if via != nil {
-				return via.Update("t1", store.Row{"val": o.val}, o.id)
+				return via.Update("t1", rowIn(db, "t1", map[string]any{"val": o.val}), o.id)
 			}
 			t, _ := db.Table("t1")
-			return t.Update(store.Row{"val": o.val}, o.id)
+			return t.Update(rowIn(db, "t1", map[string]any{"val": o.val}), o.id)
 		case o.table == "t1" && o.kind == store.OpDelete:
 			if via != nil {
 				return via.Delete("t1", o.id)
@@ -125,7 +125,7 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 			t, _ := db.Table("t1")
 			return t.Delete(o.id)
 		case o.table == "t2" && o.kind == store.OpInsert:
-			r := store.Row{"k": o.key, "n": o.n, "on": o.n%2 == 0}
+			r := rowIn(db, "t2", map[string]any{"k": o.key, "n": o.n, "on": o.n%2 == 0})
 			if via != nil {
 				return via.Insert("t2", r)
 			}
@@ -133,10 +133,10 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 			return t.Insert(r)
 		default:
 			if via != nil {
-				return via.Update("t2", store.Row{"n": o.n}, o.key)
+				return via.Update("t2", rowIn(db, "t2", map[string]any{"n": o.n}), o.key)
 			}
 			t, _ := db.Table("t2")
-			return t.Update(store.Row{"n": o.n}, o.key)
+			return t.Update(rowIn(db, "t2", map[string]any{"n": o.n}), o.key)
 		}
 	}
 
@@ -186,8 +186,8 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 		return err
 	}}}
 	next := int64(10_000 + rng.Intn(100))
-	row := func(id int64, val string) store.Row {
-		return store.Row{"id": id, "val": val, "ts": base}
+	row := func(db *store.DB, id int64, val string) store.Row {
+		return rowIn(db, "t1", map[string]any{"id": id, "val": val, "ts": base})
 	}
 	for i := 0; i < 8; i++ {
 		id := next
@@ -200,7 +200,7 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 					if err != nil {
 						return err
 					}
-					return t.Insert(row(id, "c2"))
+					return t.Insert(row(db, id, "c2"))
 				},
 			})
 			continue
@@ -211,15 +211,15 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 			name: fmt.Sprintf("c2 tx %d", id),
 			apply: func(db *store.DB) error {
 				tx := db.Begin()
-				if err := tx.Insert("t1", row(id, "a")); err != nil {
+				if err := tx.Insert("t1", row(db, id, "a")); err != nil {
 					tx.Rollback()
 					return err
 				}
-				if err := tx.Insert("t1", row(id2, "b")); err != nil {
+				if err := tx.Insert("t1", row(db, id2, "b")); err != nil {
 					tx.Rollback()
 					return err
 				}
-				if err := tx.Update("t1", store.Row{"val": "c"}, id); err != nil {
+				if err := tx.Update("t1", rowIn(db, "t1", map[string]any{"val": "c"}), id); err != nil {
 					tx.Rollback()
 					return err
 				}

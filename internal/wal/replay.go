@@ -168,16 +168,9 @@ func applyOp(db *store.DB, op store.LoggedOp) error {
 	case err == nil:
 		return nil
 	case op.Op == store.OpInsert && errors.Is(err, store.ErrDupKey):
-		// Upsert: replace the existing row with the logged one.
-		t, terr := db.Table(op.Table)
-		if terr != nil {
-			return terr
-		}
-		var key []any
-		for _, k := range t.Schema().Key {
-			key = append(key, op.Row[k])
-		}
-		del := store.LoggedOp{Table: op.Table, Op: store.OpDelete, Key: key}
+		// Upsert: replace the existing row with the logged one, whose
+		// key columns name the row to delete.
+		del := store.LoggedOp{Table: op.Table, Op: store.OpDelete, Key: op.Row}
 		if err := db.ApplyLogged([]store.LoggedOp{del, op}); err != nil {
 			return err
 		}

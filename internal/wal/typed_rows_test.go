@@ -1,0 +1,133 @@
+package wal
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/store"
+)
+
+// TestIntKeepsEveryDigit: an Int column holds any int64, and both ways
+// back from disk return it exactly, a log replay and a checkpoint
+// restore alike. Read as a float64, a JSON number keeps 53 bits: 2^62+1
+// came back as 2^62, and an update keyed on it found no row.
+func TestIntKeepsEveryDigit(t *testing.T) {
+	const big = int64(1)<<62 + 1
+	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
+	tab, err := d.DB.CreateTable(testSchema("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(rowOf(tab, map[string]any{"id": big, "val": "v", "ts": ts})); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Update(rowOf(tab, map[string]any{"val": "updated"}), big); err != nil {
+		t.Fatal(err)
+	}
+	want := func(how string, db *store.DB) {
+		t.Helper()
+		tab, err := db.Table("t")
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		r, ok := tab.Get(big)
+		if !ok || r.Int("id") != big || r.Str("val") != "updated" || tab.Count() != 1 {
+			t.Fatalf("%s: row %v (found %v, %d rows), want id %d updated", how, r, ok, tab.Count(), big)
+		}
+	}
+	crash(t, d)
+
+	d = mustOpen(t, dir, Options{Sync: SyncGroup})
+	if st := d.Stats(); st.ReplayedTxs != 2 || st.CheckpointLSN != 0 {
+		t.Fatalf("reopen replayed %d txs over checkpoint %d, want 2 over none", st.ReplayedTxs, st.CheckpointLSN)
+	}
+	want("log replay", d.DB)
+	restored := store.NewDB()
+	if err := restored.Restore(strings.NewReader(string(snapshotOf(t, d.DB)))); err != nil {
+		t.Fatal(err)
+	}
+	want("DB.Restore", restored)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, d)
+
+	d = mustOpen(t, dir, Options{Sync: SyncGroup})
+	defer d.Close()
+	if st := d.Stats(); st.ReplayedTxs != 0 || st.CheckpointLSN == 0 {
+		t.Fatalf("reopen replayed %d txs over checkpoint %d, want none over one", st.ReplayedTxs, st.CheckpointLSN)
+	}
+	want("checkpoint restore", d.DB)
+}
+
+// TestOpensNodeDataDirWrittenWithMapRows opens a node's data dir written
+// while store rows were maps of boxed values. testdata/node-map-rows
+// holds participant b's: a checkpoint (a's meeting confirmed: slot,
+// record, permanent link, decided token) and a log tail above it (x's
+// meeting bumps a's, updating b's slot and turning its link tentative; c's
+// meeting queues behind x's, a tentative link and its waiting row; b's own
+// meeting with a, whose Commit was lost, leaves a journal row; a busy
+// slot). rows.golden is the row dump and snapshot.golden the snapshot
+// that build recovered from it: the typed store recovers the same rows
+// and writes the same snapshot, byte for byte.
+func TestOpensNodeDataDirWrittenWithMapRows(t *testing.T) {
+	src := filepath.Join("testdata", "node-map-rows")
+	dir := t.TempDir()
+	files, err := os.ReadDir(filepath.Join(src, "datadir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(src, "datadir", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := mustOpen(t, dir, Options{Sync: SyncNone})
+	defer d.Close()
+	if st := d.Stats(); st.CheckpointLSN == 0 || st.ReplayedTxs == 0 || st.TornTail {
+		t.Fatalf("recovered over checkpoint %d with %d txs (torn %v), want a checkpoint and a tail", st.CheckpointLSN, st.ReplayedTxs, st.TornTail)
+	}
+	var dump strings.Builder
+	for _, name := range d.DB.TableNames() {
+		tab, err := d.DB.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, r := range tab.Select(nil) {
+			raw, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, string(raw))
+		}
+		sort.Strings(rows)
+		for _, r := range rows {
+			fmt.Fprintf(&dump, "%s %s\n", name, r)
+		}
+	}
+	for _, c := range []struct{ golden, got string }{
+		{"rows.golden", dump.String()},
+		{"snapshot.golden", string(snapshotOf(t, d.DB))},
+	} {
+		want, err := os.ReadFile(filepath.Join(src, c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.got != string(want) {
+			t.Errorf("%s differs\n--- got\n%s--- want\n%s", c.golden, c.got, want)
+		}
+	}
+}

@@ -108,11 +108,11 @@ func TestDurableRestartCleanAndCrash(t *testing.T) {
 	}
 	ts := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	for i := int64(0); i < 10; i++ {
-		if err := tab.Insert(store.Row{"id": i, "val": "v", "ts": ts}); err != nil {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.Update(store.Row{"val": "updated"}, int64(3)); err != nil {
+	if err := tab.Update(rowOf(tab, map[string]any{"val": "updated"}), int64(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.Delete(int64(7)); err != nil {
@@ -138,7 +138,7 @@ func TestDurableRestartCleanAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab2.Insert(store.Row{"id": int64(100), "val": "post-checkpoint", "ts": ts}); err != nil {
+	if err := tab2.Insert(rowOf(tab2, map[string]any{"id": int64(100), "val": "post-checkpoint", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
 	want2 := snapshotOf(t, d2.DB)
@@ -163,10 +163,10 @@ func TestTxUnitIsAtomicAcrossCrash(t *testing.T) {
 	}
 	ts := time.Now().UTC()
 	tx := d.DB.Begin()
-	if err := tx.Insert("t", store.Row{"id": int64(1), "val": "a", "ts": ts}); err != nil {
+	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(1), "val": "a", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("t", store.Row{"id": int64(2), "val": "b", "ts": ts}); err != nil {
+	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(2), "val": "b", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(context.Background()); err != nil {
@@ -205,7 +205,7 @@ func TestRollbackIsNotLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := d.DB.Begin()
-	if err := tx.Insert("t", store.Row{"id": int64(1), "val": "x", "ts": time.Now().UTC()}); err != nil {
+	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(1), "val": "x", "ts": time.Now().UTC()})); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Rollback(); err != nil {
@@ -238,7 +238,7 @@ func TestDoubleCrashKeepsAckedCommits(t *testing.T) {
 	}
 	ts := time.Unix(0, 0).UTC()
 	for i := int64(0); i < 5; i++ {
-		if err := tab.Insert(store.Row{"id": i, "val": "first", "ts": ts}); err != nil {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "first", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestDoubleCrashKeepsAckedCommits(t *testing.T) {
 	}
 	// New acked commits after the first recovery.
 	for i := int64(10); i < 13; i++ {
-		if err := tab2.Insert(store.Row{"id": i, "val": "second", "ts": ts}); err != nil {
+		if err := tab2.Insert(rowOf(tab2, map[string]any{"id": i, "val": "second", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestHealedTearInEarlierSegment(t *testing.T) {
 	}
 	ts := time.Unix(0, 0).UTC()
 	for i := int64(0); i < 5; i++ {
-		if err := tab.Insert(store.Row{"id": i, "val": "v", "ts": ts}); err != nil {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +368,7 @@ func TestCheckpointFallbackKeepsLogTail(t *testing.T) {
 	insert := func(lo, hi int64) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
-			if err := tab.Insert(store.Row{"id": i, "val": "v", "ts": ts}); err != nil {
+			if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -414,7 +414,7 @@ func TestOpenFailsLoudOnMissingSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(store.Row{"id": int64(1), "val": "v", "ts": time.Unix(0, 0).UTC()}); err != nil {
+	if err := tab.Insert(rowOf(tab, map[string]any{"id": int64(1), "val": "v", "ts": time.Unix(0, 0).UTC()})); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil { // checkpoint at LSN 2
@@ -445,16 +445,16 @@ func TestCheckpointExcludesOpenTxState(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := time.Unix(0, 0).UTC()
-	if err := tab.Insert(store.Row{"id": int64(1), "val": "committed", "ts": ts}); err != nil {
+	if err := tab.Insert(rowOf(tab, map[string]any{"id": int64(1), "val": "committed", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
 	want := snapshotOf(t, d.DB)
 
 	tx := d.DB.Begin()
-	if err := tx.Insert("t", store.Row{"id": int64(2), "val": "uncommitted", "ts": ts}); err != nil {
+	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(2), "val": "uncommitted", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("t", store.Row{"val": "dirty"}, int64(1)); err != nil {
+	if err := tx.Update("t", rowIn(d.DB, "t", map[string]any{"val": "dirty"}), int64(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil { // mid-tx checkpoint
@@ -487,7 +487,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := int64(wr*perWriter + i)
-				if err := tab.Insert(store.Row{"id": id, "val": "v", "ts": time.Unix(0, 0).UTC()}); err != nil {
+				if err := tab.Insert(rowOf(tab, map[string]any{"id": id, "val": "v", "ts": time.Unix(0, 0).UTC()})); err != nil {
 					t.Errorf("insert %d: %v", id, err)
 				}
 			}
@@ -521,7 +521,7 @@ func TestSegmentRotationAndCheckpointTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 200; i++ {
-		if err := tab.Insert(store.Row{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()}); err != nil {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -555,7 +555,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(store.Row{"id": int64(1), "val": "keep", "ts": time.Unix(0, 0).UTC()}); err != nil {
+	if err := tab.Insert(rowOf(tab, map[string]any{"id": int64(1), "val": "keep", "ts": time.Unix(0, 0).UTC()})); err != nil {
 		t.Fatal(err)
 	}
 	want := snapshotOf(t, d.DB)

@@ -15,8 +15,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 18928
-	allTreeLines   = 21775
+	cmdLineCeiling = 19346
+	allTreeLines   = 22211
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
