@@ -41,16 +41,8 @@ type world struct {
 
 func newWorld(t *testing.T, users ...string) *world {
 	t.Helper()
-	return newWorldOn(t, sim.Config{}, users...)
-}
-
-// newWorldOn is newWorld over a sim network of the given configuration;
-// a latency it injects passes on the world's fake clock.
-func newWorldOn(t *testing.T, cfg sim.Config, users ...string) *world {
-	t.Helper()
 	clk := clock.NewFake(time.Date(2003, 4, 21, 8, 0, 0, 0, time.UTC))
-	cfg.Clock = clk
-	net := sim.New(cfg)
+	net := sim.New(sim.Config{Clock: clk})
 	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
 	if _, err := net.Listen("dir", srv.Handler()); err != nil {
 		t.Fatal(err)

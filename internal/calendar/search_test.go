@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/calendar"
-	"repro/internal/sim"
 )
 
 // oracleFree is a user's free set as FreeSlots found it before
@@ -140,30 +139,25 @@ func checkFind(t *testing.T, cals map[string]*calendar.Calendar, req calendar.Re
 
 // TestFindCommonSlotsProperty checks the §5 slot search against the
 // per-slot oracle for random busy patterns, windows, hour sets and
-// participant sets, on every delivery the sim network has: the sender's
-// pointers and v3 frames. Some rounds take an or-group
-// member's device down, which must only cost the group a member.
+// participant sets, over the v3 frames every sim delivery is. Some
+// rounds take an or-group member's device down, which must only cost
+// the group a member.
 func TestFindCommonSlotsProperty(t *testing.T) {
-	for name, cfg := range map[string]sim.Config{
-		"pointer": {},
-		"v3":      {EncodeFrames: true},
-	} {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(53))
-			for round := 0; round < 8; round++ {
-				w := newWorldOn(t, cfg, findUsers...)
-				randomBusy(t, rng, w.cals)
-				var down []string
-				if round%3 == 2 {
-					down = []string{"g2"}
-					w.net.SetDown("node-g2", true)
-				}
-				for n := 0; n < 5; n++ {
-					checkFind(t, w.cals, randomFind(rng), down...)
-				}
+	t.Run("v3", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(53))
+		for round := 0; round < 8; round++ {
+			w := newWorld(t, findUsers...)
+			randomBusy(t, rng, w.cals)
+			var down []string
+			if round%3 == 2 {
+				down = []string{"g2"}
+				w.net.SetDown("node-g2", true)
 			}
-		})
-	}
+			for n := 0; n < 5; n++ {
+				checkFind(t, w.cals, randomFind(rng), down...)
+			}
+		}
+	})
 }
 
 // TestFindCommonSlotsPropertyTCP is the same property over real sockets:

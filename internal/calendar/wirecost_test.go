@@ -16,7 +16,6 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/links"
 	"repro/internal/listener"
-	"repro/internal/sim"
 )
 
 // rpcCensus counts the requests the nodes' listeners serve, as
@@ -390,33 +389,28 @@ func TestBumpLeavesParentState(t *testing.T) {
 }
 
 // TestReservedBackLinkCarriesExpiry: the link expiry rides the Commit
-// with the record, as a pointer or a v3 frame, and the participant's
-// back link expires with the initiator's forward link.
+// with the record, in the v3 frame every sim delivery is, and the
+// participant's back link expires with the initiator's forward link.
 func TestReservedBackLinkCarriesExpiry(t *testing.T) {
-	for name, cfg := range map[string]sim.Config{
-		"pointer": {},
-		"v3":      {EncodeFrames: true},
-	} {
-		t.Run(name, func(t *testing.T) {
-			w := newWorldOn(t, cfg, "a", "b")
-			expires := w.clk.Now().Add(90 * time.Minute)
-			m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
-				Title: "short-lived", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"}, Expires: expires,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			l, ok := w.nodes["b"].Links.GetLink(m.LinkID)
-			if !ok || !l.Expires.Equal(expires) {
-				t.Fatalf("b back link = %+v, want expiry %s", l, expires)
-			}
-			w.clk.Advance(2 * time.Hour)
-			if ids := w.nodes["b"].Links.ExpireSweep(ctxBg(), w.clk.Now()); len(ids) != 1 {
-				t.Fatalf("expired %v, want the back link", ids)
-			}
-			if got := w.slotMeeting("b", m.Slot); got != "" {
-				t.Fatalf("b slot after expiry = %q", got)
-			}
+	t.Run("v3", func(t *testing.T) {
+		w := newWorld(t, "a", "b")
+		expires := w.clk.Now().Add(90 * time.Minute)
+		m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+			Title: "short-lived", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"}, Expires: expires,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, ok := w.nodes["b"].Links.GetLink(m.LinkID)
+		if !ok || !l.Expires.Equal(expires) {
+			t.Fatalf("b back link = %+v, want expiry %s", l, expires)
+		}
+		w.clk.Advance(2 * time.Hour)
+		if ids := w.nodes["b"].Links.ExpireSweep(ctxBg(), w.clk.Now()); len(ids) != 1 {
+			t.Fatalf("expired %v, want the back link", ids)
+		}
+		if got := w.slotMeeting("b", m.Slot); got != "" {
+			t.Fatalf("b slot after expiry = %q", got)
+		}
+	})
 }

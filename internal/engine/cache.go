@@ -34,8 +34,10 @@ type DirCache struct {
 	invalidations atomic.Int64
 }
 
+// dirCacheEntry's info is never written through once stored: a hit
+// hands the pointer itself to the call as its Route.
 type dirCacheEntry struct {
-	info    directory.ServiceInfo
+	info    *directory.ServiceInfo
 	expires time.Time
 }
 
@@ -48,19 +50,19 @@ func NewDirCache(ttl time.Duration) *DirCache {
 	}
 }
 
-// lookup returns the unexpired cached route for name.
-func (c *DirCache) lookup(name string) (directory.ServiceInfo, bool) {
+// lookup returns the unexpired cached route for name, nil if none.
+func (c *DirCache) lookup(name string) *directory.ServiceInfo {
 	c.mu.RLock()
 	e, ok := c.entries[name]
 	c.mu.RUnlock()
 	if !ok || !c.nowFn().Before(e.expires) {
-		return directory.ServiceInfo{}, false
+		return nil
 	}
-	return e.info, true
+	return e.info
 }
 
 // store caches a freshly resolved route for name.
-func (c *DirCache) store(name string, info directory.ServiceInfo) {
+func (c *DirCache) store(name string, info *directory.ServiceInfo) {
 	c.mu.Lock()
 	c.entries[name] = dirCacheEntry{info: info, expires: c.nowFn().Add(c.ttl)}
 	c.mu.Unlock()
@@ -118,10 +120,11 @@ func (c *DirCache) Interceptor() Interceptor {
 			if call.Addr != "" || call.Route != nil {
 				return next(ctx, call, out) // nothing to resolve or already resolved
 			}
-			info, hit := c.lookup(call.Service)
+			info := c.lookup(call.Service)
+			hit := info != nil
 			if hit {
 				c.hits.Add(1)
-				call.Route = &info
+				call.Route = info
 			} else {
 				c.misses.Add(1)
 			}
@@ -131,7 +134,7 @@ func (c *DirCache) Interceptor() Interceptor {
 				c.Invalidate(call.Service)
 			// answered last: it allocates, and a warm hit never needs it.
 			case call.Route != nil && (!hit || call.Route.Addr != info.Addr) && answered(err):
-				c.store(call.Service, *call.Route)
+				c.store(call.Service, call.Route)
 			}
 			return err
 		}

@@ -128,19 +128,9 @@ func (e *Engine) transportInvoker() Invoker {
 		if dest == "" {
 			return fmt.Errorf("engine: no destination for %s.%s (resolver stage missing)", call.Service, call.Method)
 		}
-		// Identity rides in the dedicated fields; everything else
-		// (trace context, deadline hint) is already in call.Meta —
-		// the credential stage keeps identity out of the map, so it can
-		// go on the wire as-is with no filter copy. The deadline hint is
-		// refreshed in place on every attempt (retries shrink it).
-		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); rem > 0 {
-				if call.Meta == nil {
-					call.Meta = make(wire.Metadata, 1)
-				}
-				call.Meta.SetDeadline(rem)
-			}
-		}
+		// Identity and the deadline hint ride in dedicated fields, call.Meta
+		// (trace context) as it is. The hint is taken afresh on every
+		// attempt (retries shrink it).
 		req := &transport.Request{
 			Service:    call.Service,
 			Method:     call.Method,
@@ -148,6 +138,9 @@ func (e *Engine) transportInvoker() Invoker {
 			Caller:     call.Caller,
 			Credential: call.Credential,
 			Meta:       call.Meta,
+		}
+		if dl, ok := ctx.Deadline(); ok {
+			req.SetDeadline(time.Until(dl))
 		}
 
 		resp, err := e.net.Call(ctx, dest, req)
@@ -199,10 +192,10 @@ func (e *Engine) getCredential() string {
 }
 
 // newCall builds the chain input for one logical invocation. Its
-// metadata starts empty: the stages below fill in what the request
-// carries (trace context, the deadline hint).
+// metadata starts nil: a stage that has a key to send (trace context)
+// makes the map.
 func newCall(addr, service, method string, args wire.Args) *Call {
-	return &Call{Service: service, Method: method, Args: args, Meta: make(wire.Metadata, 1), Addr: addr}
+	return &Call{Service: service, Method: method, Args: args, Addr: addr}
 }
 
 // Invoke calls method on the named service, decoding the result into
@@ -338,7 +331,7 @@ func (e *Engine) groupRoutes(ctx context.Context, services []string) map[string]
 	if e.dirCache != nil {
 		need = make([]string, 0, len(services))
 		for _, s := range services {
-			if _, ok := e.dirCache.lookup(s); !ok {
+			if e.dirCache.lookup(s) == nil {
 				need = append(need, s)
 			}
 		}
@@ -352,7 +345,7 @@ func (e *Engine) groupRoutes(ctx context.Context, services []string) map[string]
 	}
 	if e.dirCache != nil {
 		for name, info := range routes {
-			e.dirCache.store(name, info)
+			e.dirCache.store(name, &info)
 		}
 	}
 	return routes

@@ -19,9 +19,8 @@ type Call struct {
 	// Args are the named arguments (never mutated by the chain).
 	Args wire.Args
 	// Meta is the request metadata stamped onto the wire request
-	// (trace context, deadline hint). Identity rides in the
-	// dedicated Caller/Credential fields, not in Meta, so the hot path
-	// never has to filter the map before it hits the wire.
+	// (trace context). It is nil until a stage makes it; identity and
+	// the deadline hint ride in dedicated wire.Request fields.
 	Meta wire.Metadata
 	// Caller is the invoking SyD user stamped by the credential stage
 	// (wire.Request.Caller on the wire).
@@ -34,7 +33,9 @@ type Call struct {
 	Addr string
 	// Route is the resolved directory record for Service. The cache
 	// interceptor pre-fills it on a hit; the resolver fills it on a
-	// miss, and replaces a cached one that led to a moved device.
+	// miss, and replaces a cached one that led to a moved device. A
+	// stage replaces it and never writes through it: a cached one is
+	// the cache's own entry.
 	Route *directory.ServiceInfo
 	// Dest is the concrete dial address chosen for the current
 	// attempt (set by the resolver, read by the transport stage).
@@ -63,30 +64,17 @@ func ChainInterceptors(ics ...Interceptor) Interceptor {
 }
 
 // CredentialInterceptor stamps the engine's identity onto every
-// outbound call: the caller name and, when one has been set, the
-// TEA-sealed credential (§5.4). Identity goes into the dedicated
-// Call.Caller/Call.Credential fields; interceptors that stuffed it
-// into Meta instead (the pre-field convention) are still honored —
-// those entries are moved into the fields so Meta stays identity-free
-// on the wire.
+// outbound call that has none: the caller name and, when one has been
+// set, the TEA-sealed credential (§5.4), in the dedicated
+// Call.Caller/Call.Credential fields.
 func CredentialInterceptor(e *Engine) Interceptor {
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call, out any) error {
 			if call.Caller == "" {
-				if c := call.Meta.Get(wire.MetaCaller); c != "" {
-					call.Caller = c
-					delete(call.Meta, wire.MetaCaller)
-				} else {
-					call.Caller = e.self
-				}
+				call.Caller = e.self
 			}
 			if call.Credential == "" {
-				if c := call.Meta.Get(wire.MetaCredential); c != "" {
-					call.Credential = c
-					delete(call.Meta, wire.MetaCredential)
-				} else if cred := e.getCredential(); cred != "" {
-					call.Credential = cred
-				}
+				call.Credential = e.getCredential()
 			}
 			return next(ctx, call, out)
 		}
@@ -120,6 +108,9 @@ func TraceInterceptor(t *trace.Tracer) Interceptor {
 				return next(ctx, call, out)
 			}
 			s.Annotate(trace.String("service", call.Service), trace.String("method", call.Method))
+			if call.Meta == nil {
+				call.Meta = make(wire.Metadata, 4)
+			}
 			s.Inject(call.Meta)
 			err := next(ctx, call, out)
 			if call.Dest != "" {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/listener"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -95,6 +96,9 @@ func TestMetricsInterceptorRecordsClientSeries(t *testing.T) {
 // tenantInterceptor sets a metadata key of the caller's own.
 func tenantInterceptor(next Invoker) Invoker {
 	return func(ctx context.Context, call *Call, out any) error {
+		if call.Meta == nil {
+			call.Meta = wire.Metadata{}
+		}
 		call.Meta["tenant"] = "acme"
 		return next(ctx, call, out)
 	}
@@ -110,22 +114,34 @@ func metaKeys(md wire.Metadata) []string {
 	return keys
 }
 
+// lastRequest serves requests through its Handler and keeps the last one
+// as it came off the wire.
+type lastRequest struct {
+	transport.Handler
+	req *wire.Request
+}
+
+func (l *lastRequest) HandleRequest(ctx context.Context, req *wire.Request) *wire.Response {
+	l.req = req
+	return l.Handler.HandleRequest(ctx, req)
+}
+
 func TestRequestMetadataReachesHandler(t *testing.T) {
-	// The caller rides in its own field; Meta carries the deadline hint,
-	// the trace keys when the engine traces, and a key an interceptor
-	// sets — and nothing else.
+	// The caller and the deadline hint ride in their own fields; Meta
+	// carries the trace keys when the engine traces and a key an
+	// interceptor sets — and nothing else. It stays nil when no stage
+	// has a key for it.
 	w := newWorld(t)
-	var got wire.Metadata
 	var gotCaller string
 	l := listener.New("phil", nil)
 	obj := listener.NewObject()
 	obj.Handle("Inspect", func(ctx context.Context, call *listener.Call) (any, error) {
-		got = call.Meta.Clone()
 		gotCaller = call.Caller
 		return nil, nil
 	})
 	l.Register("meta.phil", obj)
-	ln, err := w.net.Listen("node-phil", l)
+	seen := &lastRequest{Handler: l}
+	ln, err := w.net.Listen("node-phil", seen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,25 +159,26 @@ func TestRequestMetadataReachesHandler(t *testing.T) {
 		opts []Option
 		want []string
 	}{
-		{"plain", nil, []string{wire.MetaDeadline}},
-		{"caller's key", []Option{WithInterceptors(tenantInterceptor)}, []string{wire.MetaDeadline, "tenant"}},
+		{"plain", nil, nil},
+		{"caller's key", []Option{WithInterceptors(tenantInterceptor)}, []string{"tenant"}},
 		{"traced", []Option{WithTracer(trace.New("andy", trace.WithSampleRate(1)))},
-			[]string{wire.MetaDeadline, trace.MetaSpanID, trace.MetaTraceID, trace.MetaSampled}},
+			[]string{trace.MetaSpanID, trace.MetaTraceID, trace.MetaSampled}},
 	} {
 		e := New(w.net, w.dir, "andy", tc.opts...)
 		if err := e.Invoke(ctx, "meta.phil", "Inspect", nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		if gotCaller != "andy" {
-			t.Fatalf("%s: caller = %q", tc.name, gotCaller)
+		got := seen.req
+		if gotCaller != "andy" || got.Caller != "andy" {
+			t.Fatalf("%s: caller = %q on the wire, %q in the handler", tc.name, got.Caller, gotCaller)
 		}
-		if keys := metaKeys(got); !slices.Equal(keys, tc.want) {
-			t.Fatalf("%s: metadata keys %q, want %q", tc.name, keys, tc.want)
+		if keys := metaKeys(got.Meta); !slices.Equal(keys, tc.want) || (tc.want == nil) != (got.Meta == nil) {
+			t.Fatalf("%s: metadata %v, want keys %q", tc.name, got.Meta, tc.want)
 		}
 		if d := got.Deadline(); d <= 0 || d > time.Minute {
 			t.Fatalf("%s: deadline hint = %v, want (0, 1m]", tc.name, d)
 		}
-		if v, ok := got["tenant"]; ok && v != "acme" {
+		if v, ok := got.Meta["tenant"]; ok && v != "acme" {
 			t.Fatalf("%s: tenant = %q, want acme", tc.name, v)
 		}
 	}
@@ -174,8 +191,6 @@ func TestOnwardInvokeInheritsRequestContext(t *testing.T) {
 	w := newWorld(t)
 	w.addNode("phil")
 
-	var hopMeta wire.Metadata
-	var hopCaller string
 	relayL := listener.New("relay", nil)
 	relayObj := listener.NewObject()
 	relayE := New(w.net, w.dir, "relay")
@@ -191,12 +206,11 @@ func TestOnwardInvokeInheritsRequestContext(t *testing.T) {
 	sinkL := listener.New("sink", nil)
 	sinkObj := listener.NewObject()
 	sinkObj.Handle("Sink", func(ctx context.Context, call *listener.Call) (any, error) {
-		hopMeta = call.Meta.Clone()
-		hopCaller = call.Caller
 		return nil, nil
 	})
 	sinkL.Register("probe.sink", sinkObj)
-	sinkLn, err := w.net.Listen("node-sink", sinkL)
+	hop := &lastRequest{Handler: sinkL}
+	sinkLn, err := w.net.Listen("node-sink", hop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +237,13 @@ func TestOnwardInvokeInheritsRequestContext(t *testing.T) {
 	if err := e.Invoke(ctx, "relay.svc", "Forward", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if hopCaller != "relay" {
-		t.Fatalf("onward caller = %q, want relay (no impersonation)", hopCaller)
+	if hop.req.Caller != "relay" {
+		t.Fatalf("onward caller = %q, want relay (no impersonation)", hop.req.Caller)
 	}
-	if keys := metaKeys(hopMeta); !slices.Equal(keys, []string{wire.MetaDeadline}) {
-		t.Fatalf("onward metadata keys %q, want only the deadline hint", keys)
+	if hop.req.Meta != nil {
+		t.Fatalf("onward metadata %v, want none", hop.req.Meta)
 	}
-	if d := hopMeta.Deadline(); d <= 0 || d > time.Minute {
+	if d := hop.req.Deadline(); d <= 0 || d > time.Minute {
 		t.Fatalf("onward deadline hint = %v, want the first caller's budget or less", d)
 	}
 }

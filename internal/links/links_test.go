@@ -52,15 +52,9 @@ type harness struct {
 	nodes map[string]*tnode
 }
 
-// simConfig: every simulated delivery rides a full frame encode→decode
-// round trip in v3, so the whole links suite — the chaos
-// harness above all — proves its invariants on what a socket peer
-// receives, not on the sender's pointers.
-var simConfig = sim.Config{EncodeFrames: true}
-
 func newHarness(t *testing.T, users ...string) *harness {
 	t.Helper()
-	net := sim.New(simConfig)
+	net := sim.New(sim.Config{})
 	clk := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	srv := directory.NewServer(directory.WithClock(clk), directory.WithTTL(time.Hour))
 	_, err := net.Listen("dir", srv.Handler())

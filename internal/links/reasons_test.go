@@ -11,10 +11,11 @@ import (
 )
 
 // TestRefusalReasonsCrossTheWire: every delivery in the harness is a v3
-// frame round trip (simConfig), and a participant's refusal still reaches
-// the coordinator with its reason: b's slot-personal and c's lock-held
-// (a live mark, refused by markLocal) as the Step.Reason of their marks,
-// the first of them as the negotiation's, each failed mark counted once
+// frame round trip, as every sim delivery is, and a participant's
+// refusal still reaches the coordinator with its reason: b's
+// slot-personal and c's lock-held (a live mark, refused by markLocal) as
+// the Step.Reason of their marks, the first of them as the
+// negotiation's, each failed mark counted once
 // in the coordinator's registry. The lock table's refusal of a vote
 // (LockTable.Hold) reaches the voter as lock-held too. The third site
 // that raises lock-held, the late Commit's TryLock, is reached only when

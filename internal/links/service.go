@@ -96,12 +96,11 @@ func (m *Manager) Object() *listener.Object {
 	obj := listener.NewObject()
 
 	argsOf := func(call *listener.Call) wire.Args {
-		// Fast path: a decoded frame (and the in-memory transport)
-		// already holds the inner args as a map — a shallow clone
-		// keeps the handler isolated from the caller's map without a
-		// JSON round trip.
+		// A decoded frame holds the inner args as a map of its own:
+		// every transport, the in-memory one too, hands a handler the
+		// args it decoded, never the caller's.
 		if inner, ok := call.Args["args"].(map[string]any); ok {
-			return wire.Args(inner).Clone()
+			return wire.Args(inner)
 		}
 		var inner map[string]any
 		if err := call.Args.Decode("args", &inner); err != nil || inner == nil {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/auth"
 	"repro/internal/directory"
@@ -40,10 +41,10 @@ type Call struct {
 	Credential string
 	// Args are the named arguments.
 	Args wire.Args
-	// Meta is the request's wire metadata (trace context, deadline
-	// hint). Identity lives in the Caller/Credential fields.
-	// The map is shared with the transport request — middleware and
-	// handlers must treat it as read-only.
+	// Meta is the request's wire metadata (trace context), nil when it
+	// brought none. Identity lives in the Caller/Credential fields and
+	// the deadline hint in ctx. The map is shared with the transport
+	// request — middleware and handlers must treat it as read-only.
 	Meta wire.Metadata
 	// RequireAuth mirrors the target object's RequireAuth flag so
 	// middleware can enforce or observe the auth requirement.
@@ -242,12 +243,13 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 
 	// Re-arm the caller's deadline hint locally when the transport did
 	// not propagate a context deadline (real TCP serves requests with
-	// a background context).
-	if d := req.Meta.Deadline(); d > 0 {
+	// a background context). Its timer is armed only if the handler
+	// waits on it.
+	if d := req.Deadline(); d > 0 {
 		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
+			hc := &hintCtx{Context: ctx, deadline: time.Now().Add(d)}
+			defer hc.release()
+			ctx = hc
 		}
 	}
 

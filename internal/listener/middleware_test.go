@@ -117,11 +117,9 @@ func TestDeadlineHintReArmsContext(t *testing.T) {
 	})
 	l.Register("cal.phil", obj)
 
-	md := wire.Metadata{}
-	md.SetDeadline(500 * time.Millisecond)
-	resp := l.HandleRequest(context.Background(), &transport.Request{
-		Service: "cal.phil", Method: "Probe", Meta: md,
-	})
+	req := &transport.Request{Service: "cal.phil", Method: "Probe"}
+	req.SetDeadline(500 * time.Millisecond)
+	resp := l.HandleRequest(context.Background(), req)
 	if !resp.OK {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -132,7 +130,7 @@ func TestDeadlineHintReArmsContext(t *testing.T) {
 	// A transport-provided deadline wins over the hint.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	resp = l.HandleRequest(ctx, &transport.Request{Service: "cal.phil", Method: "Probe", Meta: md})
+	resp = l.HandleRequest(ctx, req)
 	if !resp.OK {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -152,9 +150,9 @@ func TestResponseCarriesNoMetadata(t *testing.T) {
 		{"cal.phil", "Echo"}, {"cal.phil", "Fail"}, {"cal.phil", "Conflict"},
 		{"cal.phil", "Nope"}, {"nope", "Echo"},
 	} {
-		md := wire.Metadata{"tenant": "acme"}
-		md.SetDeadline(time.Second)
-		resp := l.HandleRequest(context.Background(), &transport.Request{Service: target[0], Method: target[1], Meta: md})
+		req := &transport.Request{Service: target[0], Method: target[1], Meta: wire.Metadata{"tenant": "acme"}}
+		req.SetDeadline(time.Second)
+		resp := l.HandleRequest(context.Background(), req)
 		if resp.OK != (target[1] == "Echo" && target[0] == "cal.phil") || resp.Meta != nil {
 			t.Errorf("%s.%s: ok=%v meta=%v; want no metadata", target[0], target[1], resp.OK, resp.Meta)
 		}

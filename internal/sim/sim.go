@@ -39,14 +39,6 @@ type Config struct {
 	LossProb float64
 	// Seed seeds the private RNG so runs are reproducible.
 	Seed int64
-	// EncodeFrames, when true, routes every request, response, and
-	// event through a full v3 frame encode→decode round trip before
-	// delivery. The in-memory transport normally hands the receiver the
-	// sender's pointer; with this on the receiver sees exactly what a
-	// socket peer would see — v3's tagged scalars, JSON's number
-	// widening inside embedded blobs — so chaos and idempotency suites
-	// can prove protocol semantics under the wire encoding.
-	EncodeFrames bool
 	// Clock times latency sleeps and FlapPartition periods; nil = system
 	// clock. The scale harness injects its auto-advancing fake clock so
 	// simulated network delays compress along with every other timer.
@@ -340,24 +332,18 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 	}
 	n.requests.Add(1)
 
-	if n.cfg.EncodeFrames {
-		env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindRequest, Request: req})
-		if err != nil {
-			return nil, err
-		}
-		req = env.Request
+	env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindRequest, Request: req})
+	if err != nil {
+		return nil, err
 	}
-	resp := ep.handler.HandleRequest(ctx, req)
+	resp := ep.handler.HandleRequest(ctx, env.Request)
 	if resp == nil {
 		resp = transport.ErrorResponse(req, wire.CodeInternal, "handler returned no response")
 	}
-	if n.cfg.EncodeFrames {
-		env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
-		if err != nil {
-			return nil, err
-		}
-		resp = env.Response
+	if env, err = n.roundTrip(&wire.Envelope{Kind: wire.KindResponse, Response: resp}); err != nil {
+		return nil, err
 	}
+	resp = env.Response
 
 	if n.lose() {
 		n.dropped.Add(1)
@@ -371,7 +357,9 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 }
 
 // roundTrip encodes env as a v3 frame and decodes it back, yielding the
-// envelope a real socket peer would have received.
+// envelope a real socket peer would have received: every request,
+// response and event is delivered this way, so a receiver never shares
+// a map with its sender and sees v3's tagged scalars, as over a socket.
 func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
 	f, err := wire.EncodeFrameV3(env)
 	if err != nil {
@@ -404,14 +392,11 @@ func (n *Net) Send(ctx context.Context, addr string, ev *transport.Event) error 
 		return err
 	}
 	n.events.Add(1)
-	if n.cfg.EncodeFrames {
-		env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindEvent, Event: ev})
-		if err != nil {
-			return err
-		}
-		ev = env.Event
+	env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindEvent, Event: ev})
+	if err != nil {
+		return err
 	}
-	go ep.handler.HandleEvent(ev)
+	go ep.handler.HandleEvent(env.Event)
 	return nil
 }
 

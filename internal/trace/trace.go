@@ -1,6 +1,6 @@
 // Package trace is the SyD stack's distributed tracing subsystem: a
-// zero-dependency span model whose context rides the existing
-// wire.Metadata alongside the deadline hint, so one logical operation —
+// zero-dependency span model whose context rides a request's
+// wire.Metadata, so one logical operation —
 // a group invocation fanning out to eight devices, a two-phase
 // negotiation spanning coordinator, directory, and participants — is
 // visible as a single causal tree across nodes.
@@ -37,8 +37,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Metadata keys carrying span context on the wire, next to
-// wire.MetaDeadline.
+// Metadata keys carrying span context on the wire.
 const (
 	// MetaTraceID identifies the whole causal tree.
 	MetaTraceID = "trace-id"

@@ -14,7 +14,7 @@ import (
 )
 
 // v3Version is the first body byte of every frame a transport sends.
-const v3Version = 0xB4
+const v3Version = 0xB5
 
 // readRawFrame reads one length-prefixed frame off r as it came off the
 // socket and decodes it, so a test sees both the bytes and the envelope.
@@ -67,7 +67,7 @@ func TestTCPSpeaksV3FromFirstFrame(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			_, err := client.Call(ctx, ln.Addr().String(), &Request{
-				Service: "echo", Method: "ping", Args: wire.Args{"x": "y"}, Meta: meta.Clone(),
+				Service: "echo", Method: "ping", Args: wire.Args{"x": "y"}, Meta: maps.Clone(meta),
 			})
 			done <- err
 		}()

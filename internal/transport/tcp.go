@@ -374,9 +374,8 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	r := *req
-	r.ID = id
-	if err := c.w.writeEnvelope(&wire.Envelope{Kind: wire.KindRequest, Request: &r}); err != nil {
+	req.ID = id // the request is this call's alone (Network.Call)
+	if err := c.w.writeEnvelope(&wire.Envelope{Kind: wire.KindRequest, Request: req}); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()

@@ -219,19 +219,19 @@ func BenchmarkTCPCall(b *testing.B) {
 	}
 }
 
-// metaHandler echoes the request metadata back as the result, proving
-// the envelope survives TCP framing.
+// metaHandler echoes the request back as the result, proving the
+// envelope survives TCP framing.
 type metaHandler struct{}
 
 func (metaHandler) HandleRequest(ctx context.Context, req *Request) *Response {
-	res, _ := wire.Marshal(req.FullMeta())
+	res, _ := wire.Marshal(req)
 	return &Response{ID: req.ID, OK: true, Result: res}
 }
 
 func (metaHandler) HandleEvent(ev *Event) {}
 
-// TestTCPMetadataRoundTrip: a request's metadata — the deadline hint and
-// a key its caller set — and its caller reach the handler exactly, on a
+// TestTCPMetadataRoundTrip: a request's metadata (a key its caller
+// set), its deadline hint and its caller reach the handler exactly, on a
 // connection's first call, whose names go out as literals, and on the
 // next, whose names are references into the connection's name table.
 func TestTCPMetadataRoundTrip(t *testing.T) {
@@ -239,21 +239,18 @@ func TestTCPMetadataRoundTrip(t *testing.T) {
 	net := NewTCP(WithPoolSize(1))
 	defer net.Close()
 	for i := 0; i < 2; i++ {
-		md := wire.Metadata{"tenant": "acme"}
-		md.SetDeadline(750 * time.Millisecond)
-		resp, err := net.Call(context.Background(), addr, &Request{
-			Service: "echo", Method: "meta", Caller: "andy", Meta: md,
-		})
+		req := &Request{Service: "echo", Method: "meta", Caller: "andy", Meta: wire.Metadata{"tenant": "acme"}}
+		req.SetDeadline(750 * time.Millisecond)
+		resp, err := net.Call(context.Background(), addr, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var seen wire.Metadata
+		var seen Request
 		if err := wire.Unmarshal(resp.Result, &seen); err != nil {
 			t.Fatal(err)
 		}
-		want := wire.Metadata{"tenant": "acme", wire.MetaDeadline: "750", wire.MetaCaller: "andy"}
-		if !maps.Equal(seen, want) {
-			t.Fatalf("call %d: server-side metadata = %v, want %v", i, seen, want)
+		if want := (wire.Metadata{"tenant": "acme"}); !maps.Equal(seen.Meta, want) || seen.Caller != "andy" || seen.DeadlineMs != 750 {
+			t.Fatalf("call %d: server saw meta %v, caller %q, deadline %d ms; want %v, andy, 750", i, seen.Meta, seen.Caller, seen.DeadlineMs, want)
 		}
 	}
 }

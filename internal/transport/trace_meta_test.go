@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -41,20 +42,20 @@ func testTraceMetaConcurrent(t *testing.T) {
 			defer wg.Done()
 			md := traceMeta(i)
 			resp, err := net.Call(ctx, addr, &Request{
-				Service: "echo", Method: "meta", Meta: md.Clone(),
+				Service: "echo", Method: "meta", Meta: maps.Clone(md),
 			})
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			var seen wire.Metadata
+			var seen Request
 			if err := wire.Unmarshal(resp.Result, &seen); err != nil {
 				errs[i] = err
 				return
 			}
 			for _, key := range []string{trace.MetaTraceID, trace.MetaSpanID, trace.MetaParentSpanID, trace.MetaSampled} {
-				if seen.Get(key) != md.Get(key) {
-					errs[i] = fmt.Errorf("call %d: %s = %q, want %q", i, key, seen.Get(key), md.Get(key))
+				if seen.Meta.Get(key) != md.Get(key) {
+					errs[i] = fmt.Errorf("call %d: %s = %q, want %q", i, key, seen.Meta.Get(key), md.Get(key))
 					return
 				}
 			}
@@ -90,17 +91,17 @@ func testTraceMetaReconnect(t *testing.T) {
 		md := traceMeta(i)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		resp, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "meta", Meta: md.Clone()})
+		resp, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "meta", Meta: maps.Clone(md)})
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		var seen wire.Metadata
+		var seen Request
 		if err := wire.Unmarshal(resp.Result, &seen); err != nil {
 			t.Fatal(err)
 		}
 		for _, key := range []string{trace.MetaTraceID, trace.MetaSpanID, trace.MetaParentSpanID, trace.MetaSampled} {
-			if seen.Get(key) != md.Get(key) {
-				t.Fatalf("call %d: %s = %q, want %q", i, key, seen.Get(key), md.Get(key))
+			if seen.Meta.Get(key) != md.Get(key) {
+				t.Fatalf("call %d: %s = %q, want %q", i, key, seen.Meta.Get(key), md.Get(key))
 			}
 		}
 	}

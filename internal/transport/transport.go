@@ -54,7 +54,9 @@ type Network interface {
 	// For TCP an addr like "127.0.0.1:0" picks a free port; the
 	// Listener reports the bound address.
 	Listen(addr string, h Handler) (Listener, error)
-	// Call performs a request/response exchange with addr.
+	// Call performs a request/response exchange with addr. req is the
+	// call's alone until Call returns: the transport may number it in
+	// place (its ID), so no two calls in flight may share one.
 	Call(ctx context.Context, addr string, req *Request) (*Response, error)
 	// Send delivers a one-way event to addr (best effort).
 	Send(ctx context.Context, addr string, ev *Event) error

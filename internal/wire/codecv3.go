@@ -11,8 +11,10 @@ import (
 
 // Wire format v3 (see DESIGN.md §9): the one frame format every
 // transport sends. The frame layout is a 4-byte big-endian length
-// prefix, then a body that starts with the format's version byte, 0xB4,
-// followed by a length-delimited binary encoding of the envelope.
+// prefix, then a body that starts with the format's version byte, 0xB5,
+// followed by a length-delimited binary encoding of the envelope. A
+// request's deadline hint is a uvarint of milliseconds after its
+// credential, 0 for none.
 //
 // A name — a request's service, method and caller, and every Args and
 // Metadata key at any depth — is one uvarint x: an odd x is entry x>>1
@@ -29,7 +31,7 @@ import (
 // magicV3 is the first body byte of a v3 frame: the format's version
 // byte. A JSON body always starts with '{' (0x7B), so the two are
 // unambiguous.
-const magicV3 = 0xB4
+const magicV3 = 0xB5
 
 // Codec names a frame body encoding. No transport sends JSON: CodecJSON
 // is kept as the reference the fuzzers and the benchmark's wire probe
@@ -182,6 +184,7 @@ func (t *NameTable) appendRequest(b []byte, r *Request) ([]byte, error) {
 	b = t.appendName(b, r.Method)
 	b = t.appendName(b, r.Caller)
 	b = appendV3String(b, r.Credential)
+	b = binary.AppendUvarint(b, r.DeadlineMs)
 	b = t.appendMeta(b, r.Meta)
 	return t.appendArgs(b, r.Args)
 }
@@ -632,6 +635,9 @@ func (d *v3dec) request(r *Request) (err error) {
 		return err
 	}
 	if r.Credential, err = d.string(); err != nil {
+		return err
+	}
+	if r.DeadlineMs, err = d.uvarint(); err != nil {
 		return err
 	}
 	if r.Meta, err = d.meta(); err != nil {

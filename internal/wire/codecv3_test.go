@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -29,7 +31,8 @@ func testEnvelopeV3(i int) *Envelope {
 		},
 		Caller:     "andy",
 		Credential: "deadbeef",
-		Meta:       Metadata{MetaDeadline: "250", "trace-id": "t-1"},
+		DeadlineMs: 250,
+		Meta:       Metadata{"trace-id": "t-1"},
 	}}
 }
 
@@ -81,7 +84,7 @@ func TestCodecV3RoundTripRequest(t *testing.T) {
 	got := decodeOneFrame(t, frame)
 	r := got.Request
 	if r == nil || r.ID != 7 || r.Service != "links.phil" || r.Method != "Mark" ||
-		r.Caller != "andy" || r.Credential != "deadbeef" {
+		r.Caller != "andy" || r.Credential != "deadbeef" || r.DeadlineMs != 250 {
 		t.Fatalf("round trip: %+v", r)
 	}
 	if r.Args.String("entity") != "cal.phil/ev42" || r.Meta.Get("trace-id") != "t-1" {
@@ -174,6 +177,7 @@ func TestCodecV3EquivalentToJSON(t *testing.T) {
 		{Kind: KindResponse, Response: &Response{ID: 4, Error: "y", Code: CodeConflict, Reason: "from-a-newer-peer"}},
 		{Kind: KindEvent, Event: &Event{Name: "e", Args: Args{"n": nil, "f": 2.25, "neg": -12}}},
 		{Kind: KindRequest, Request: &Request{ID: 0, Service: "s", Method: "m"}}, // all-empty fields
+		{Kind: KindRequest, Request: &Request{ID: 5, Service: "s", Method: "m", DeadlineMs: math.MaxUint64}},
 	}
 	for i, env := range envs {
 		jf, err := EncodeFrame(env)
@@ -311,12 +315,12 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 // (an OK response carries no reason on the wire), and both must decode
 // from v3 as they do from JSON.
 func FuzzCodecV3Roundtrip(f *testing.F) {
-	f.Add("cal.phil", "Book", "andy", "k", "v", int64(42), 1.5, true, uint64(7))
-	f.Add("", "", "", "", "", int64(-1), -0.0, false, uint64(0))
-	f.Add("links.u\x80ser", "M\xffark", "a", "\x00", "\xfe\xfd", int64(1<<40), 3.14159, true, uint64(1<<63))
+	f.Add("cal.phil", "Book", "andy", "k", "v", int64(42), 1.5, true, uint64(7), uint64(5000))
+	f.Add("", "", "", "", "", int64(-1), -0.0, false, uint64(0), uint64(0))
+	f.Add("links.u\x80ser", "M\xffark", "a", "\x00", "\xfe\xfd", int64(1<<40), 3.14159, true, uint64(1<<63), uint64(math.MaxUint64))
 	f.Add("links.B", string(ReasonSlotPersonal), "A", "conflict", "calendar: B/2003-04-21 14:00 holds personal:class (prio 0)",
-		int64(0), 0.0, false, uint64(9))
-	f.Fuzz(func(t *testing.T, service, method, caller, key, sval string, ival int64, fval float64, bval bool, id uint64) {
+		int64(0), 0.0, false, uint64(9), uint64(math.MaxInt64/int64(time.Millisecond)+1))
+	f.Fuzz(func(t *testing.T, service, method, caller, key, sval string, ival int64, fval float64, bval bool, id, deadlineMs uint64) {
 		req := &Envelope{Kind: KindRequest, Request: &Request{
 			ID: id, Service: service, Method: method, Caller: caller,
 			Args: Args{
@@ -327,7 +331,8 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 				"deep": map[string]any{"s": sval, "list": []any{ival, sval, bval}},
 				"ss":   []string{sval, key},
 			},
-			Meta: Metadata{MetaDeadline: sval, key: caller},
+			DeadlineMs: deadlineMs,
+			Meta:       Metadata{key: caller},
 		}}
 		resp := &Response{ID: id, OK: bval, Result: json.RawMessage("true")}
 		if !bval {
@@ -445,19 +450,20 @@ func encodeThrough(t testing.TB, tab *NameTable, env *Envelope) []byte {
 
 // TestFrameReaderV3InternsRepeatedNames decodes the Mark request a
 // participant receives for one slot reservation (links.markTargetInner
-// over calendar.reserveArgs, with the metadata the engine stamps),
+// over calendar.reserveArgs, with the deadline hint the engine stamps),
 // encoded through a NameTable as the transport encodes it, and holds the
 // steady-state allocation count. Once the connection's first Mark has
-// entered them, the service, method, caller and ten keys are references
+// entered them, the service, method, caller and nine keys are references
 // into the reader's table and every other string is a substring of one
-// copy of the frame, so what is left (13) is the envelope with its
-// request, that copy, three maps of two allocations each and the five
-// string values boxed into Args.
+// copy of the frame, so what is left (11) is the envelope with its
+// request, that copy, two maps of two allocations each and the five
+// string values boxed into Args. The hint is a number and the request
+// has no metadata map.
 func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	mark := func(id uint64) *Envelope {
 		return &Envelope{Kind: KindRequest, Request: &Request{
 			ID: id, Service: "links.andy", Method: "Mark", Caller: "phil",
-			Meta: Metadata{MetaDeadline: "29998"},
+			DeadlineMs: 29998,
 			Args: Args{
 				"entity": "slot/2003-04-22/10",
 				"action": "reserve",
@@ -472,19 +478,19 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	var tab NameTable
 	first := encodeThrough(t, &tab, mark(7))
 	warm := encodeThrough(t, &tab, mark(8))
-	if len(warm) >= len(first) || len(tab.names) != 13 {
-		t.Fatalf("warm Mark %d B after a first of %d B, %d names entered; want it smaller and 13", len(warm), len(first), len(tab.names))
+	if len(warm) >= len(first) || len(tab.names) != 12 {
+		t.Fatalf("warm Mark %d B after a first of %d B, %d names entered; want it smaller and 12", len(warm), len(first), len(tab.names))
 	}
 	fr := NewFrameReader(io.MultiReader(bytes.NewReader(first), &repeatReader{b: warm}))
 	read := func() {
 		env, err := fr.Read()
-		if err != nil || env.Request.Method != "Mark" || env.Request.Args.String("nid") != "N-phil-17" {
+		if err != nil || env.Request.Method != "Mark" || env.Request.Args.String("nid") != "N-phil-17" || env.Request.DeadlineMs != 29998 {
 			t.Fatalf("read: %+v, %v", env, err)
 		}
 	}
 	read() // the first frame fills the table
-	if got := testing.AllocsPerRun(200, read); got > 13 {
-		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 13", got)
+	if got := testing.AllocsPerRun(200, read); got > 11 {
+		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 11", got)
 	}
 
 	// The table is bounded: a peer cannot grow it with ever-new keys.
@@ -584,17 +590,18 @@ func TestDecodeV3StringsShareOneCopy(t *testing.T) {
 // allocated 16 MiB for a []any and more for a map.
 func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 	const size = 1 << 20
-	args := []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0}
+	// id 1, empty service, method, caller and credential, no deadline
+	args := []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 0}
 	for _, tc := range []struct {
 		name   string
 		prefix []byte    // the body up to the count
 		entry  byte      // what each entry starts with; none decodes
 		names  *[]string // the reader's name table
 	}{
-		{"meta", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0}, 0xFF, nil},
+		{"meta", slices.Clone(args[:len(args)-1]), 0xFF, nil},
 		{"args", args, 0xFF, nil},
-		{"strings", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValStrings}, 0xFF, nil},
-		{"slice", []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 1, 0, v3ValSlice}, 0xFF, nil},
+		{"strings", slices.Concat(args, []byte{1, 0, v3ValStrings}), 0xFF, nil},
+		{"slice", slices.Concat(args, []byte{1, 0, v3ValSlice}), 0xFF, nil},
 		{"reference-without-table", args, 1, nil},
 		{"reference-past-end", args, 3, &[]string{"k"}},
 	} {

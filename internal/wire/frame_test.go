@@ -11,9 +11,10 @@ import (
 func testEnvelope(i int) *Envelope {
 	return &Envelope{Kind: KindRequest, Request: &Request{
 		ID: uint64(i), Service: "cal.phil", Method: "ListMeetings",
-		Args:   Args{"day": "2003-04-21", "hour": i},
-		Caller: "andy",
-		Meta:   Metadata{MetaDeadline: "250", "trace-id": "t-1"},
+		Args:       Args{"day": "2003-04-21", "hour": i},
+		Caller:     "andy",
+		DeadlineMs: 250,
+		Meta:       Metadata{"trace-id": "t-1"},
 	}}
 }
 

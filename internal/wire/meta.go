@@ -1,32 +1,13 @@
 package wire
 
-import (
-	"strconv"
-	"time"
-)
+import "time"
 
-// Metadata is the typed request-metadata map carried end-to-end on
-// every Request and Response. It is the envelope-level home for the
-// cross-cutting concerns the interceptor pipeline manages (the deadline
-// hint, trace context, whatever key an interceptor sets) so that no
-// layer has to invent a side channel.
-//
-// Caller and Credential remain dedicated Request fields on the wire
-// (they predate Metadata and auth depends on them); FullMeta merges
-// them back into one view on the receiving side.
+// Metadata is the request-metadata map carried end-to-end on a Request
+// and Response. It is the envelope-level home for the cross-cutting keys
+// the interceptor pipeline manages (trace context, whatever key an
+// interceptor sets) so that no layer has to invent a side channel.
+// Identity and the deadline hint are dedicated Request fields.
 type Metadata map[string]string
-
-// Well-known metadata keys.
-const (
-	// MetaCaller is the invoking SyD user id.
-	MetaCaller = "caller"
-	// MetaCredential is the TEA-sealed credential blob (§5.4).
-	MetaCredential = "credential"
-	// MetaDeadline is the caller's remaining deadline budget in
-	// milliseconds at send time; servers without context propagation
-	// (real TCP) re-arm a local deadline from it.
-	MetaDeadline = "deadline-ms"
-)
 
 // Get returns the value at key, or "" (nil-safe).
 func (m Metadata) Get(key string) string {
@@ -36,45 +17,20 @@ func (m Metadata) Get(key string) string {
 	return m[key]
 }
 
-// Clone returns a mutable copy of m (never nil).
-func (m Metadata) Clone() Metadata {
-	out := make(Metadata, len(m)+4)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// MaxDeadline caps the deadline hint a request can carry: a hint above
+// it reads as MaxDeadline, so a peer's number can neither overflow a
+// Duration nor arm a timer for centuries.
+const MaxDeadline = 24 * time.Hour
+
+// SetDeadline stores d, at most MaxDeadline, as the request's deadline
+// hint, rounded up to a whole millisecond so a short positive budget
+// never encodes as 0; a d of 0 or less clears it.
+func (r *Request) SetDeadline(d time.Duration) {
+	r.DeadlineMs = uint64((min(max(d, 0), MaxDeadline) + time.Millisecond - 1) / time.Millisecond)
 }
 
-// Deadline returns the deadline hint as a duration, 0 when absent.
-func (m Metadata) Deadline() time.Duration {
-	s := m.Get(MetaDeadline)
-	if s == "" {
-		return 0 // fast path: no error allocation for the common case
-	}
-	ms, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0
-	}
-	return time.Duration(ms) * time.Millisecond
-}
-
-// SetDeadline stores a deadline hint (rounded up to a whole
-// millisecond so a short positive budget never encodes as 0).
-func (m Metadata) SetDeadline(d time.Duration) {
-	ms := (d + time.Millisecond - 1) / time.Millisecond
-	m[MetaDeadline] = strconv.FormatInt(int64(ms), 10)
-}
-
-// FullMeta merges the request's dedicated identity fields into its
-// metadata map, giving server-side middleware one uniform view. The
-// returned map is a copy; mutating it does not alter the request.
-func (r *Request) FullMeta() Metadata {
-	m := r.Meta.Clone()
-	if r.Caller != "" {
-		m[MetaCaller] = r.Caller
-	}
-	if r.Credential != "" {
-		m[MetaCredential] = r.Credential
-	}
-	return m
+// Deadline returns the request's deadline hint, 0 when it has none and
+// at most MaxDeadline.
+func (r *Request) Deadline() time.Duration {
+	return time.Duration(min(r.DeadlineMs, uint64(MaxDeadline/time.Millisecond))) * time.Millisecond
 }

@@ -72,9 +72,14 @@ type Request struct {
 	// hex-encoded. Empty when the target service does not require
 	// authentication.
 	Credential string `json:"credential,omitempty"`
-	// Meta carries typed request metadata (deadline hint, trace
-	// context, ...) end-to-end through the interceptor pipeline; see
-	// Metadata for the well-known keys.
+	// DeadlineMs is the caller's remaining deadline budget in whole
+	// milliseconds at send time, 0 for none (SetDeadline, Deadline). A
+	// server that was handed no context deadline (real TCP) re-arms one
+	// from it.
+	DeadlineMs uint64 `json:"deadline_ms,omitempty"`
+	// Meta carries request metadata (trace context, a key an
+	// interceptor sets) end-to-end through the interceptor pipeline.
+	// It is nil unless some stage put a key in it.
 	Meta Metadata `json:"meta,omitempty"`
 }
 
@@ -284,15 +289,16 @@ func marshalStringMap(m map[string]string) []byte {
 }
 
 // Unmarshal decodes a Response result into v. Decoding into a
-// *json.RawMessage is a plain copy (no validity scan): results come
-// from our own encoder, and GroupInvoke takes this path once per
-// member, so the aggregation fan-in stays allocation-lean.
+// *json.RawMessage hands raw itself over, with no copy and no validity
+// scan: results come from our own encoder, a transport decodes each for
+// its call alone, and nothing writes into one. GroupInvoke takes this
+// path once per member.
 func Unmarshal(raw json.RawMessage, v any) error {
 	if len(raw) == 0 {
 		return nil
 	}
 	if rm, ok := v.(*json.RawMessage); ok {
-		*rm = append((*rm)[:0], raw...)
+		*rm = raw
 		return nil
 	}
 	return json.Unmarshal(raw, v)
