@@ -221,9 +221,10 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	events := event.New(cfg.User, cfg.Net, clk)
 	lis.SetEventSink(events.Dispatch)
 
-	// Disconnected operation: the manager's interceptor sits innermost
-	// in the client chain (the metrics interceptor still observes the
-	// local-mode fast-fails it returns).
+	// Disconnected operation: Use appends the manager's interceptor to
+	// the user interceptors, after the metrics stage (which still observes
+	// the local-mode fast-fails it returns) and ahead of the engine's
+	// trace → credential → cache → resolver stages.
 	var om *offline.Manager
 	if cfg.OfflineMode {
 		om, err = offline.NewManager(offline.Config{

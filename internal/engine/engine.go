@@ -4,13 +4,17 @@
 //
 // Every invocation flows through a composable interceptor chain
 // (client-side middleware). The stock stages re-express what used to
-// be inline logic: CredentialInterceptor seals the caller's identity
-// onto each request (§5.4), the resolver stage looks services up
-// through SyDDirectory and follows a user the directory has moved to a
-// stand-in or back (§5.2), DirCache short-circuits resolution on the
-// warm path, RetryInterceptor adds QoS retries, and
-// MetricsInterceptor measures every attempt. Applications can push
-// their own interceptors in front of the stock chain.
+// be inline logic: TraceInterceptor opens each call's client span,
+// CredentialInterceptor seals the caller's identity onto each request
+// (§5.4), DirCache short-circuits resolution on the warm path, and the
+// resolver stage looks services up through SyDDirectory and follows a
+// user the directory has moved to a stand-in or back (§5.2). The
+// package also provides stages it does not install itself:
+// MetricsInterceptor, which core puts in front of the stock chain, and
+// RetryInterceptor, which links wraps around its recovery sends.
+// Applications can push their own interceptors in front of the stock
+// chain. Group calls and the links protocol's parallel phases all fan
+// out through FanOut.
 package engine
 
 import (
@@ -20,6 +24,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/auth"
@@ -29,7 +34,7 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultGroupLimit bounds GroupInvoke fan-out concurrency.
+// DefaultGroupLimit bounds FanOut's concurrency.
 const DefaultGroupLimit = 32
 
 // Engine is a node's invocation client. Safe for concurrent use.
@@ -93,7 +98,7 @@ func (e *Engine) Use(ics ...Interceptor) {
 
 // rebuild recomposes the invoker chain:
 //
-//	user interceptors → credential → dir cache → resolver → transport
+//	user interceptors → trace → credential → dir cache → resolver → transport
 func (e *Engine) rebuild() {
 	e.chainMu.Lock()
 	defer e.chainMu.Unlock()
@@ -245,48 +250,43 @@ func (g *GroupResult) Decode(v any) error {
 	return wire.Unmarshal(g.Raw, v)
 }
 
-// groupRun fans one invocation per service across a bounded worker
-// pool (at most DefaultGroupLimit goroutines, never more than the member
-// count) and returns per-member results in input order.
-func (e *Engine) groupRun(services []string, invokeOne func(svc string) GroupResult) []GroupResult {
-	results := make([]GroupResult, len(services))
-	if DefaultGroupLimit >= len(services) {
-		// Small groups (the common fan-out) skip the dispatch channel:
-		// one goroutine per member, no channel allocation or handoffs.
-		var wg sync.WaitGroup
-		wg.Add(len(services))
-		for i := range services {
-			go func(i int) {
-				defer wg.Done()
-				results[i] = invokeOne(services[i])
-			}(i)
-		}
-		wg.Wait()
-		return results
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < DefaultGroupLimit; w++ {
-		wg.Add(1)
+// FanOut calls f(0), …, f(n-1) concurrently and returns once every
+// call has returned: the one place a request path runs branches in
+// parallel and joins them. At most DefaultGroupLimit calls run at once,
+// each worker taking the next index until none is left; the calling
+// goroutine is one of the workers, so a fan-out of one or none starts
+// no goroutine.
+func FanOut(n int, f func(i int)) {
+	s := &fanOut{n: n, f: f}
+	for w := 1; w < min(n, DefaultGroupLimit); w++ {
+		s.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = invokeOne(services[i])
-			}
+			defer s.wg.Done()
+			s.work()
 		}()
 	}
-	for i := range services {
-		idx <- i
+	s.work()
+	s.wg.Wait()
+}
+
+// fanOut is one FanOut call's state, in one allocation.
+type fanOut struct {
+	next atomic.Int64 // the next index to claim
+	wg   sync.WaitGroup
+	n    int
+	f    func(i int)
+}
+
+func (s *fanOut) work() {
+	for i := int(s.next.Add(1) - 1); i < s.n; i = int(s.next.Add(1) - 1) {
+		s.f(i)
 	}
-	close(idx)
-	wg.Wait()
-	return results
 }
 
 // GroupInvoke calls the same method with the same args on every listed
 // service concurrently and returns per-member results in input order
 // (the engine's "group service invocation and result aggregation").
-// Fan-out is bounded by DefaultGroupLimit so huge groups cannot exhaust
+// FanOut bounds it by DefaultGroupLimit so huge groups cannot exhaust
 // the node.
 func (e *Engine) GroupInvoke(ctx context.Context, services []string, method string, args wire.Args) []GroupResult {
 	// The fan-out root span: each member Invoke below opens its own
@@ -297,7 +297,9 @@ func (e *Engine) GroupInvoke(ctx context.Context, services []string, method stri
 		span.Annotate(trace.String("method", method), trace.Int("targets", len(services)))
 	}
 	routes := e.groupRoutes(ctx, services)
-	results := e.groupRun(services, func(svc string) GroupResult {
+	results := make([]GroupResult, len(services))
+	FanOut(len(services), func(i int) {
+		svc := services[i]
 		var raw json.RawMessage
 		var err error
 		if info, ok := routes[svc]; ok && e.dirCache == nil {
@@ -308,7 +310,7 @@ func (e *Engine) GroupInvoke(ctx context.Context, services []string, method stri
 			// semantics (unreachable / failover drop the entry).
 			err = e.Invoke(ctx, svc, method, args, &raw)
 		}
-		return GroupResult{Service: svc, Err: err, Raw: raw}
+		results[i] = GroupResult{Service: svc, Err: err, Raw: raw}
 	})
 	if span != nil {
 		span.Annotate(trace.Int("ok", OKCount(results)))

@@ -3,6 +3,7 @@ package links_test
 import (
 	"context"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -119,5 +120,38 @@ func TestRPCCensusAndFailure(t *testing.T) {
 	census.want(t, map[string]int{"Mark": 3, "Abort": 2})
 	if got, want := negotiationSpans(t, col), map[string]int{"links.Mark": 3, "links.Abort": 2}; !maps.Equal(got, want) {
 		t.Fatalf("spans = %v, want %v", got, want)
+	}
+}
+
+// TestRPCCensusOr pins the parallel mark path's wire cost: an Or over N
+// remote targets that all mark is exactly N Mark + N Commit requests and
+// spans, and its trace lists the marks in target order, however the
+// concurrent marks finished.
+func TestRPCCensusOr(t *testing.T) {
+	h, census, col := newCensusHarness(t, "a", "b", "c", "d", "e")
+	targets := refs("e", "s", "b", "s", "d", "s", "c", "s")
+	n := len(targets)
+	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
+		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Targets: targets, Constraint: links.Or,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	census.want(t, map[string]int{"Mark": n, "Commit": n})
+	if got, want := negotiationSpans(t, col), map[string]int{"links.Mark": n, "links.Commit": n}; !maps.Equal(got, want) {
+		t.Fatalf("spans = %v, want %v", got, want)
+	}
+	var marked, want []string
+	for _, s := range res.Trace {
+		if s.Phase == "mark" {
+			marked = append(marked, s.Entity)
+		}
+	}
+	for _, ref := range targets {
+		want = append(want, ref.String())
+	}
+	if !slices.Equal(marked, want) {
+		t.Fatalf("mark steps = %v, want target order %v", marked, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -408,12 +407,13 @@ const maxRetryRowsPerSweep = 32
 // RetryCommits drives phase-2 recovery: every journal row whose
 // next_retry has passed gets one more round of Commit sends via the
 // engine's QoS machinery. Rows whose pending set drains are retired;
-// rows that exhaust MaxAttempts are expired as loud failures. Rows are
-// redriven concurrently (and each row fans its Commits out
-// concurrently), so one sweep's wall clock is roughly a single QoS
-// round trip, not the sum over every unreachable target. Returns the
-// number of rows resolved (retired or expired) this sweep. Called from
-// the same periodic schedule as ExpireSweep.
+// rows that exhaust MaxAttempts (or no longer decode) are expired as
+// loud failures before any Commit is sent. The rest are redriven through
+// engine.FanOut (and each row fans its Commits out the same way), so one
+// sweep's wall clock is roughly a single QoS round trip, not the sum over
+// every unreachable target. Returns the number of rows resolved (retired
+// or expired) this sweep. Called from the same periodic schedule as
+// ExpireSweep.
 func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 	tun := m.tune()
 	rows := m.journalT.Select(func(r store.Row) bool {
@@ -426,7 +426,7 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 		rows = rows[:maxRetryRowsPerSweep]
 	}
 	var resolved atomic.Int64
-	var wg sync.WaitGroup
+	redrive := make([]*journalRec, 0, len(rows))
 	for _, row := range rows {
 		if ctx.Err() != nil {
 			break
@@ -450,24 +450,23 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 			resolved.Add(1)
 			continue
 		}
-		wg.Add(1)
-		go func(rec *journalRec) {
-			defer wg.Done()
-			// Rejoin the originating negotiation's trace so the redrive
-			// renders under the same root, even across a restart.
-			rctx := ctx
-			if span := m.tracerRef().JoinTrace(rec.TraceID, rec.SpanID, "links.Redrive"); span != nil {
-				span.Annotate(trace.String("nid", rec.ID), trace.Int("attempt", rec.Attempts),
-					trace.Int("pending", len(rec.Pending)))
-				rctx = trace.ContextWithSpan(ctx, span)
-				defer span.Finish()
-			}
-			if m.redriveJournal(rctx, rec) {
-				resolved.Add(1)
-			}
-		}(rec)
+		redrive = append(redrive, rec)
 	}
-	wg.Wait()
+	engine.FanOut(len(redrive), func(i int) {
+		rec := redrive[i]
+		// Rejoin the originating negotiation's trace so the redrive
+		// renders under the same root, even across a restart.
+		rctx := ctx
+		if span := m.tracerRef().JoinTrace(rec.TraceID, rec.SpanID, "links.Redrive"); span != nil {
+			span.Annotate(trace.String("nid", rec.ID), trace.Int("attempt", rec.Attempts),
+				trace.Int("pending", len(rec.Pending)))
+			rctx = trace.ContextWithSpan(ctx, span)
+			defer span.Finish()
+		}
+		if m.redriveJournal(rctx, rec) {
+			resolved.Add(1)
+		}
+	})
 	return int(resolved.Load())
 }
 

@@ -2,6 +2,7 @@ package links_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -181,4 +182,78 @@ func TestRedriveBackoffWaitsOnManagerClock(t *testing.T) {
 	if p := lm.JournalPending(); len(p) != 0 {
 		t.Fatalf("journal after the redrive = %v", p)
 	}
+}
+
+// journalAttempts maps every journal row on a's device to its attempt
+// count, by negotiation id.
+func journalAttempts(t *testing.T, h *harness) map[string]int {
+	t.Helper()
+	tab, err := h.nodes["a"].DB.Table(links.NegotiationJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int)
+	for _, row := range tab.Select(nil) {
+		var rec struct{ Attempts int }
+		if err := json.Unmarshal([]byte(row.Str("rec")), &rec); err != nil {
+			t.Fatal(err)
+		}
+		out[row.Str("id")] = rec.Attempts
+	}
+	return out
+}
+
+// TestRetrySweepBound: one sweep redrives at most maxRetryRowsPerSweep
+// (32) due rows, the oldest-due first, and leaves the rest exactly as
+// they were for the next sweep. 40 rows owe a Commit to an unreachable target: the first
+// sweep advances the attempts of the 32 that fell due first, the second
+// those of the other 8 (the 32 are then backed off, not due).
+func TestRetrySweepBound(t *testing.T) {
+	const rows, bound = 40, 32
+	h := newHarness(t, "a", "x")
+	lm := h.nodes["a"].Links
+	lm.SetTuning(links.Tuning{RetryBase: time.Second, RetryCap: time.Minute, MaxAttempts: 5})
+	lm.SetCommitFault(func(string, links.EntityRef) error {
+		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+	})
+	nids := make([]string, rows)
+	for i := range nids {
+		res, err := lm.Negotiate(ctxBg(), links.Spec{
+			Action: "reserve", Args: wire.Args{"meeting": fmt.Sprintf("M%02d", i)},
+			Targets: refs("x", fmt.Sprintf("s%02d", i)), Constraint: links.And,
+		})
+		if !links.IsInDoubt(err) {
+			t.Fatalf("negotiation %d: err = %v, want in-doubt", i, err)
+		}
+		nids[i] = res.NID
+		h.clk.Advance(time.Millisecond) // row i falls due before row i+1
+	}
+	wantAttempts := func(sweep string, first, rest int) {
+		t.Helper()
+		got := journalAttempts(t, h)
+		if len(got) != rows {
+			t.Fatalf("%s: journal holds %d rows, want %d", sweep, len(got), rows)
+		}
+		for i, nid := range nids {
+			want := rest
+			if i < bound {
+				want = first
+			}
+			if got[nid] != want {
+				t.Fatalf("%s: row %d (%s) has attempts %d, want %d", sweep, i, nid, got[nid], want)
+			}
+		}
+	}
+	wantAttempts("before any sweep", 1, 1)
+
+	h.clk.Advance(2 * time.Second) // every row is due
+	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
+		t.Fatalf("sweep 1 resolved %d rows, want 0", n)
+	}
+	wantAttempts("after sweep 1", 2, 1)
+
+	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
+		t.Fatalf("sweep 2 resolved %d rows, want 0", n)
+	}
+	wantAttempts("after sweep 2", 2, 2)
 }

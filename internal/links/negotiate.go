@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/jsonrec"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -437,19 +437,14 @@ func (m *Manager) markSequential(ctx context.Context, nid string, targets []Enti
 	return marks
 }
 
-// markParallel marks all targets concurrently (Or/Xor semantics).
+// markParallel marks all targets concurrently (Or/Xor semantics) and
+// records the marks in target order once all have returned.
 func (m *Manager) markParallel(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
 	marks := make([]markResult, len(targets))
-	var wg sync.WaitGroup
-	for i, ref := range targets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tok, err := m.markTarget(ctx, nid, ref, action, args)
-			marks[i] = markResult{ref: ref, token: tok, err: err}
-		}()
-	}
-	wg.Wait()
+	engine.FanOut(len(targets), func(i int) {
+		tok, err := m.markTarget(ctx, nid, targets[i], action, args)
+		marks[i] = markResult{ref: targets[i], token: tok, err: err}
+	})
 	for _, mr := range marks {
 		m.step(res, Step{Phase: "mark", Entity: mr.ref.String()}, mr.err)
 	}
@@ -460,15 +455,9 @@ func (m *Manager) markParallel(ctx context.Context, nid string, targets []Entity
 // Commit per target. The returned errors align with tgts.
 func (m *Manager) commitTargets(ctx context.Context, nid string, tgts []journalTarget, action string, args wire.Args, qos bool) []error {
 	errs := make([]error, len(tgts))
-	var wg sync.WaitGroup
-	for i, t := range tgts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = m.commitTarget(ctx, nid, t.Ref, t.Token, action, args, qos)
-		}()
-	}
-	wg.Wait()
+	engine.FanOut(len(tgts), func(i int) {
+		errs[i] = m.commitTarget(ctx, nid, tgts[i].Ref, tgts[i].Token, action, args, qos)
+	})
 	return errs
 }
 
