@@ -1,8 +1,8 @@
 // Quickstart: boot a complete SyD deployment in-process (directory +
 // three calendar devices on the simulated network), schedule a meeting
 // through coordination links, and print the result — including the
-// per-method RPC metrics the interceptor pipeline collected along the
-// way.
+// per-method RPC metrics the engine's and the listener's call paths
+// collected along the way.
 //
 //	go run ./examples/quickstart
 package main
@@ -34,7 +34,7 @@ func main() {
 	}
 
 	// 2. Three devices, each with its own kernel node + calendar.
-	// Each node's interceptor chains record metrics and cache
+	// Each node's call paths record metrics, and its engine caches
 	// directory routes (warm invocations skip the name server).
 	reg := metrics.NewRegistry()
 	mail := notify.NewMailbox()
@@ -78,7 +78,7 @@ func main() {
 		fmt.Printf("  %-5s slot=%s link=%v inbox=%d\n", user, info.Meeting, hasLink, mail.Count(user))
 	}
 
-	// 6. What the middleware measured while all of that happened.
+	// 6. What the call paths measured while all of that happened.
 	fmt.Println("\nper-method RPC metrics:")
 	fmt.Print(reg.Snapshot().Render())
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/links"
-	"repro/internal/listener"
 	"repro/internal/notify"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -31,8 +30,6 @@ type world struct {
 	mail  *notify.Mailbox
 	cals  map[string]*calendar.Calendar
 	nodes map[string]*core.Node
-	// mw, when set before addUser, wraps every handler of the user's node.
-	mw []listener.Middleware
 	// routeTTL, when set before addUser, gives the user's engine a route cache.
 	routeTTL time.Duration
 	// wrapNet, when set before addUser, stands between the user's node and net.
@@ -67,16 +64,21 @@ func (w *world) addUser(user string, priority int) *calendar.Calendar {
 	return c
 }
 
+// network is the network the world's next node binds on: net, behind
+// wrapNet when that is set.
+func (w *world) network() transport.Network {
+	if w.wrapNet != nil {
+		return w.wrapNet(w.net)
+	}
+	return w.net
+}
+
 // startUser boots a calendar node from cfg on the world's network,
-// directory and clock (and its mw, routeTTL and wrapNet), and makes it
-// the world's node for cfg.User.
+// directory and clock (and its routeTTL and wrapNet), and makes it the
+// world's node for cfg.User.
 func (w *world) startUser(cfg core.Config) (*calendar.Calendar, error) {
 	ctx := context.Background()
-	var net transport.Network = w.net
-	if w.wrapNet != nil {
-		net = w.wrapNet(net)
-	}
-	cfg.Net, cfg.DirAddr, cfg.Clock, cfg.Middleware = net, "dir", w.clk, w.mw
+	cfg.Net, cfg.DirAddr, cfg.Clock = w.network(), "dir", w.clk
 	cfg.RouteCacheTTL = w.routeTTL
 	n, err := core.Start(ctx, cfg)
 	if err != nil {
@@ -110,6 +112,42 @@ func (w *world) flyLegs(idle int, oneWay time.Duration, legs ...int) {
 		}
 		w.clk.Advance(oneWay)
 	}
+}
+
+// onRequests is a wrapNet that puts wrap in front of every request a
+// node serves: the seam at which a test counts a node's inbound calls,
+// holds them, or loses their answers.
+func onRequests(wrap func(next transport.HandlerFunc) transport.HandlerFunc) func(transport.Network) transport.Network {
+	return func(n transport.Network) transport.Network { return inboundNet{Network: n, wrap: wrap} }
+}
+
+// inboundNet is a network whose Listen puts wrap in front of the
+// requests of every handler bound on it.
+type inboundNet struct {
+	transport.Network
+	wrap func(next transport.HandlerFunc) transport.HandlerFunc
+}
+
+func (n inboundNet) Listen(addr string, h transport.Handler) (transport.Listener, error) {
+	return n.Network.Listen(addr, inboundHandler{Handler: h, serve: n.wrap(h.HandleRequest)})
+}
+
+// inboundHandler is a handler whose requests go through serve.
+type inboundHandler struct {
+	transport.Handler
+	serve transport.HandlerFunc
+}
+
+func (h inboundHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
+	return h.serve(ctx, req)
+}
+
+// respErr is the error a handler answered with: nil when it succeeded.
+func respErr(resp *transport.Response) error {
+	if resp.OK {
+		return nil
+	}
+	return &wire.RemoteError{Code: resp.Code, Reason: resp.Reason, Msg: resp.Error}
 }
 
 func ctxBg() context.Context { return context.Background() }

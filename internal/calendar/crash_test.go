@@ -30,7 +30,7 @@ func (w *world) addDurable(user, dir string) {
 	w.t.Helper()
 	ctx := context.Background()
 	n, err := core.Start(ctx, core.Config{
-		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk, Middleware: w.mw,
+		User: user, Net: w.network(), DirAddr: "dir", Clock: w.clk,
 		DataDir: dir, WALSync: wal.SyncNone,
 	})
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
-	"repro/internal/listener"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -38,8 +38,8 @@ type crossing struct {
 	voteAtY chan struct{}
 }
 
-func (g *crossing) middleware(next listener.Method) listener.Method {
-	return func(ctx context.Context, call *listener.Call) (any, error) {
+func (g *crossing) wrap(next transport.HandlerFunc) transport.HandlerFunc {
+	return func(ctx context.Context, call *transport.Request) *transport.Response {
 		g.mu.Lock()
 		hold := false
 		switch {
@@ -62,11 +62,11 @@ func (g *crossing) middleware(next listener.Method) listener.Method {
 				<-g.voteAtY
 			}
 		}
-		out, err := next(ctx, call)
+		resp := next(ctx, call)
 		if hold && g.late && call.Caller == "x" {
 			<-g.voteAtX
 		}
-		return out, err
+		return resp
 	}
 }
 
@@ -218,7 +218,7 @@ func TestCrossingDeletionsBothReturn(t *testing.T) {
 			g := &crossing{holds: in.hold, late: in.late, arrived: map[string]bool{}, both: make(chan struct{}),
 				voteAtX: make(chan struct{}), voteAtY: make(chan struct{})}
 			w := newWorld(t)
-			w.mw = []listener.Middleware{g.middleware}
+			w.wrapNet = onRequests(g.wrap)
 			for _, u := range []string{"x", "y", "p1", "p2"} {
 				w.addUser(u, 0)
 			}

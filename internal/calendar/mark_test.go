@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
-	"repro/internal/listener"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -25,20 +25,20 @@ func TestMeetingMarkOutlivesLockTTL(t *testing.T) {
 	var voteMu sync.Mutex
 	var votes []error
 	w := newWorld(t)
-	w.mw = []listener.Middleware{func(next listener.Method) listener.Method {
-		return func(ctx context.Context, call *listener.Call) (any, error) {
-			if armed.Load() && call.Method == "Commit" && call.Service == links.ServiceFor("b") {
+	w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
+		return func(ctx context.Context, req *transport.Request) *transport.Response {
+			if armed.Load() && req.Method == "Commit" && req.Service == links.ServiceFor("b") {
 				once.Do(func() { close(commitAtB); <-release })
 			}
-			out, err := next(ctx, call)
-			if call.Method == "SlotAvailable" && call.Args.String("token") != "" {
+			resp := next(ctx, req)
+			if req.Method == "SlotAvailable" && req.Args.String("token") != "" {
 				voteMu.Lock()
-				votes = append(votes, err)
+				votes = append(votes, respErr(resp))
 				voteMu.Unlock()
 			}
-			return out, err
+			return resp
 		}
-	}}
+	})
 	for _, u := range []string{"a", "b", "c"} {
 		w.addUser(u, 0)
 	}

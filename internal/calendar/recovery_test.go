@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
-	"repro/internal/listener"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -20,17 +20,15 @@ import (
 
 // loseFirstAck lets a node apply its first Commit and then reports the
 // request lost, as a dropped response would look to the coordinator.
-func loseFirstAck() listener.Middleware {
+func loseFirstAck() func(transport.HandlerFunc) transport.HandlerFunc {
 	var once sync.Once
-	return func(next listener.Method) listener.Method {
-		return func(ctx context.Context, call *listener.Call) (any, error) {
-			out, err := next(ctx, call)
-			if call.Method == "Commit" && err == nil {
-				once.Do(func() {
-					out, err = nil, &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: ack lost"}
-				})
+	return func(next transport.HandlerFunc) transport.HandlerFunc {
+		return func(ctx context.Context, req *transport.Request) *transport.Response {
+			resp := next(ctx, req)
+			if req.Method == "Commit" && resp.OK {
+				once.Do(func() { resp = transport.ErrorResponse(req, wire.CodeUnavailable, "injected: ack lost") })
 			}
-			return out, err
+			return resp
 		}
 	}
 }
@@ -131,7 +129,7 @@ func confirmAndCompare(t *testing.T, w *world, m *calendar.Meeting) {
 // holds, and a later TryConfirm finds everything in place.
 func TestLostCommitAckInstallsOnce(t *testing.T) {
 	w := newWorld(t, "a", "c")
-	w.mw = []listener.Middleware{loseFirstAck()}
+	w.wrapNet = onRequests(loseFirstAck())
 	w.addUser("b", 0)
 	m := setupBC(t, w)
 	if m.Status != calendar.StatusTentative || len(m.Missing) != 1 || m.Missing[0] != "b" {

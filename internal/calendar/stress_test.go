@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/calendar"
-	"repro/internal/listener"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -146,17 +146,17 @@ func TestConcurrentMutationsOfOneMeeting(t *testing.T) {
 	w := newWorld(t)
 	var voteMu sync.Mutex
 	var votes []error
-	w.mw = []listener.Middleware{func(next listener.Method) listener.Method {
-		return func(ctx context.Context, call *listener.Call) (any, error) {
-			out, err := next(ctx, call)
-			if call.Method == "SlotAvailable" && call.Args.String("token") != "" {
+	w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
+		return func(ctx context.Context, req *transport.Request) *transport.Response {
+			resp := next(ctx, req)
+			if req.Method == "SlotAvailable" && req.Args.String("token") != "" {
 				voteMu.Lock()
-				votes = append(votes, err)
+				votes = append(votes, respErr(resp))
 				voteMu.Unlock()
 			}
-			return out, err
+			return resp
 		}
-	}}
+	})
 	for _, u := range users {
 		w.addUser(u, 0)
 	}

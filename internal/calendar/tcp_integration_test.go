@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/links"
-	"repro/internal/listener"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -86,9 +85,10 @@ func TestTCPEndToEnd(t *testing.T) {
 
 // newTCPWorld boots a directory and one node per user over real sockets,
 // each on its own default-constructed transport as sydnode and sydload
-// build it, route cache on, all counting into one WireStats; mw wraps
-// every node's handlers. Everything closes with the test.
-func newTCPWorld(t *testing.T, mw []listener.Middleware, users ...string) (map[string]*calendar.Calendar, *metrics.WireStats) {
+// build it, route cache on, all counting into one WireStats; wrap, when
+// set, stands in front of every node's requests. Everything closes with
+// the test.
+func newTCPWorld(t *testing.T, wrap func(transport.HandlerFunc) transport.HandlerFunc, users ...string) (map[string]*calendar.Calendar, *metrics.WireStats) {
 	t.Helper()
 	stats := &metrics.WireStats{}
 	dirNet := transport.NewTCP(transport.WithWireStats(stats))
@@ -104,11 +104,15 @@ func newTCPWorld(t *testing.T, mw []listener.Middleware, users ...string) (map[s
 	defer cancel()
 	cals := map[string]*calendar.Calendar{}
 	for _, user := range users {
-		net := transport.NewTCP(transport.WithWireStats(stats))
-		t.Cleanup(func() { net.Close() })
+		tcp := transport.NewTCP(transport.WithWireStats(stats))
+		t.Cleanup(func() { tcp.Close() })
+		var net transport.Network = tcp
+		if wrap != nil {
+			net = inboundNet{Network: tcp, wrap: wrap}
+		}
 		node, err := core.Start(ctx, core.Config{
 			User: user, Net: net, DirAddr: dirLn.Addr(),
-			ListenAddr: "127.0.0.1:0", RouteCacheTTL: time.Hour, Middleware: mw,
+			ListenAddr: "127.0.0.1:0", RouteCacheTTL: time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)

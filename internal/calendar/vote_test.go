@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
-	"repro/internal/listener"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -340,15 +340,15 @@ func TestLostVoteReplyInstallsOnce(t *testing.T) {
 	// the voter's letting go finds its token decided already.
 	t.Run("reply", func(t *testing.T) {
 		w := newWorld(t, "b", "c")
-		w.mw = []listener.Middleware{func(next listener.Method) listener.Method {
-			return func(ctx context.Context, call *listener.Call) (any, error) {
-				out, err := next(ctx, call)
-				if call.Method == "SlotAvailable" && err == nil {
-					return nil, &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: reply lost"}
+		w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
+			return func(ctx context.Context, req *transport.Request) *transport.Response {
+				resp := next(ctx, req)
+				if req.Method == "SlotAvailable" && resp.OK {
+					return transport.ErrorResponse(req, wire.CodeUnavailable, "injected: reply lost")
 				}
-				return out, err
+				return resp
 			}
-		}}
+		})
 		w.addUser("a", 0)
 		m := tentativeBehindDentist(t, w)
 		if err := w.cals["b"].ReleaseSlot(ctxBg(), m.Slot); err != nil {

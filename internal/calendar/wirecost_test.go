@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
-	"repro/internal/listener"
+	"repro/internal/transport"
 )
 
 // rpcCensus counts the requests the nodes' listeners serve, as
@@ -27,13 +27,13 @@ type rpcCensus struct {
 	n  map[string]int
 }
 
-func (c *rpcCensus) middleware(next listener.Method) listener.Method {
-	return func(ctx context.Context, call *listener.Call) (any, error) {
-		kind, _, _ := strings.Cut(call.Service, ".")
+func (c *rpcCensus) wrap(next transport.HandlerFunc) transport.HandlerFunc {
+	return func(ctx context.Context, req *transport.Request) *transport.Response {
+		kind, _, _ := strings.Cut(req.Service, ".")
 		c.mu.Lock()
-		c.n[kind+"."+call.Method]++
+		c.n[kind+"."+req.Method]++
 		c.mu.Unlock()
-		return next(ctx, call)
+		return next(ctx, req)
 	}
 }
 
@@ -52,7 +52,7 @@ func newCensusWorld(t *testing.T, users ...string) (*world, *rpcCensus) {
 	t.Helper()
 	census := &rpcCensus{n: map[string]int{}}
 	w := newWorld(t)
-	w.mw = []listener.Middleware{census.middleware}
+	w.wrapNet = onRequests(census.wrap)
 	for _, u := range users {
 		w.addUser(u, 0)
 	}
@@ -149,7 +149,7 @@ func TestWireCostFind(t *testing.T) {
 		t.Skip("real sockets")
 	}
 	census := &rpcCensus{n: map[string]int{}}
-	cals, stats := newTCPWorld(t, []listener.Middleware{census.middleware}, "a", "b", "c", "d")
+	cals, stats := newTCPWorld(t, census.wrap, "a", "b", "c", "d")
 	for _, u := range []string{"b", "c", "d"} {
 		for _, h := range []int{9, 12, 16} {
 			if err := cals[u].MarkBusy(slot("2003-04-23", h), "appt", 0); err != nil {

@@ -58,16 +58,14 @@ type Config struct {
 	// cache — the node's one cache of directory answers — so warm
 	// invocations skip directory resolution entirely.
 	RouteCacheTTL time.Duration
-	// Metrics, when set, records per-method client and server metrics
-	// through the interceptor/middleware chains.
+	// Metrics, when set, records per-method client and server latency
+	// at the observe stage of the engine's and the listener's call
+	// paths, and the links, WAL, replication and offline counters.
 	Metrics *metrics.Registry
-	// Tracer, when set, records distributed trace spans through the
-	// interceptor/middleware chains, the links negotiation machinery,
-	// and the WAL flusher.
+	// Tracer, when set, records distributed trace spans: one rpc.client
+	// and one rpc.server span per call, from the same observe stages,
+	// and the links negotiation machinery's and the WAL flusher's.
 	Tracer *trace.Tracer
-	// Middleware is appended to the listener's server chain,
-	// outermost first.
-	Middleware []listener.Middleware
 	// PublishIntrospection publishes the sys.<user> introspection
 	// service (Services/Methods/Metrics) in the directory.
 	PublishIntrospection bool
@@ -95,7 +93,7 @@ type Config struct {
 	// the lease under so its renewals keep matching.
 	LeaseHolder string
 	// OfflineMode enables disconnected operation: an offline.Manager
-	// with a durable bounded op queue, an engine interceptor that
+	// with a durable bounded op queue, the engine's offline gate, which
 	// fast-fails remote calls in local mode and feeds partition
 	// detection, the published sync.<User> service, and heartbeat-driven
 	// reconnect sessions.
@@ -176,19 +174,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 			_ = durable.Close()
 		}
 	}
-	// Server chain: metrics outermost (it should observe auth
-	// rejections and user-middleware effects), then user middleware,
-	// then the listener's stock AuthMiddleware.
-	var mw []listener.Middleware
-	if cfg.Metrics != nil {
-		mw = append(mw, listener.MetricsMiddleware(cfg.Metrics))
-	}
-	mw = append(mw, cfg.Middleware...)
-	lisOpts := []listener.ListenerOption{listener.WithMiddleware(mw...)}
-	if tracer != nil {
-		lisOpts = append(lisOpts, listener.WithTracer(tracer))
-	}
-	lis := listener.New(cfg.User, cfg.Auth, lisOpts...)
+	lis := listener.New(cfg.User, cfg.Auth, listener.WithMetrics(cfg.Metrics), listener.WithTracer(tracer))
 	addr := cfg.ListenAddr
 	if addr == "" {
 		addr = "node-" + cfg.User
@@ -205,26 +191,16 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	}
 
 	dir := directory.NewClient(cfg.Net, cfg.DirAddr, directory.WithCallerID(cfg.User))
-	// Client chain mirrors the server: metrics outermost, then the
-	// engine's stock credential/cache/resolver stages.
-	var engOpts []engine.Option
-	if cfg.Metrics != nil {
-		engOpts = append(engOpts, engine.WithInterceptors(engine.MetricsInterceptor(cfg.Metrics)))
-	}
+	engOpts := []engine.Option{engine.WithMetrics(cfg.Metrics), engine.WithTracer(tracer)}
 	if cfg.RouteCacheTTL > 0 {
 		engOpts = append(engOpts, engine.WithDirCache(engine.NewDirCache(cfg.RouteCacheTTL)))
-	}
-	if tracer != nil {
-		engOpts = append(engOpts, engine.WithTracer(tracer))
 	}
 	eng := engine.New(cfg.Net, dir, cfg.User, engOpts...)
 	events := event.New(cfg.User, cfg.Net, clk)
 	lis.SetEventSink(events.Dispatch)
 
-	// Disconnected operation: Use appends the manager's interceptor to
-	// the user interceptors, after the metrics stage (which still observes
-	// the local-mode fast-fails it returns) and ahead of the engine's
-	// trace → credential → cache → resolver stages.
+	// Disconnected operation: the manager is the engine's offline gate,
+	// installed before any call goes out.
 	var om *offline.Manager
 	if cfg.OfflineMode {
 		om, err = offline.NewManager(offline.Config{
@@ -243,7 +219,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 			closeDurable()
 			return nil, fmt.Errorf("core: offline mode: %w", err)
 		}
-		eng.Use(om.Interceptor())
+		eng.SetGate(om.Admit, om.NoteResult)
 	}
 
 	lm, err := links.NewManager(cfg.User, db, eng, clk)
@@ -290,7 +266,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 			closeDurable()
 			return nil, fmt.Errorf("core: replication: %w", err)
 		}
-		lis.Use(repl.FenceMiddleware())
+		lis.SetFence(repl.Admit)
 	}
 
 	n := &Node{

@@ -63,7 +63,7 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		call() // the route cache, the connections and their name tables
 	}
-	want := 14.0
+	want := 13.0
 	if raceEnabled {
 		want += 6
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -11,10 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
-// DirCache is the client-side directory route cache. Installed as an
-// interceptor it pre-fills Call.Route from memory on the warm path,
-// so a hot invocation loop makes zero directory calls — the directory
-// server stops being a per-call bottleneck. Entries expire after a
+// DirCache is the client-side directory route cache. On the warm path
+// it gives a call its route from memory, so a hot invocation loop makes
+// zero directory calls — the directory server stops being a per-call
+// bottleneck. Entries expire after a
 // TTL and are invalidated eagerly whenever an attempt ends
 // unreachable, so a crashed device is re-resolved on the next call; a
 // moved device is re-resolved by the resolver within the call itself,
@@ -35,7 +34,7 @@ type DirCache struct {
 }
 
 // dirCacheEntry's info is never written through once stored: a hit
-// hands the pointer itself to the call as its Route.
+// hands the pointer itself to the call as its route.
 type dirCacheEntry struct {
 	info    *directory.ServiceInfo
 	expires time.Time
@@ -107,37 +106,30 @@ func (c *DirCache) Stats() DirCacheStats {
 	}
 }
 
-// Interceptor returns the cache's chain stage. It sits directly above
-// the resolver: on a hit it pre-fills Call.Route (the resolver then
-// skips its directory lookup); on a miss it lets the resolver do the
-// lookup and caches the result once the destination has answered — a
-// refusal proves the route as well as a result does. A route the
-// resolver replaced (the device moved) is cached the same way;
-// unreachable errors invalidate the entry.
-func (c *DirCache) Interceptor() Interceptor {
-	return func(next Invoker) Invoker {
-		return func(ctx context.Context, call *Call, out any) error {
-			if call.Addr != "" || call.Route != nil {
-				return next(ctx, call, out) // nothing to resolve or already resolved
-			}
-			info := c.lookup(call.Service)
-			hit := info != nil
-			if hit {
-				c.hits.Add(1)
-				call.Route = info
-			} else {
-				c.misses.Add(1)
-			}
-			err := next(ctx, call, out)
-			switch {
-			case err != nil && isUnavailable(err):
-				c.Invalidate(call.Service)
-			// answered last: it allocates, and a warm hit never needs it.
-			case call.Route != nil && (!hit || call.Route.Addr != info.Addr) && answered(err):
-				c.store(call.Service, call.Route)
-			}
-			return err
-		}
+// hit is the cache stage's lookup: the unexpired route for name, or
+// nil, counted as a hit or a miss.
+func (c *DirCache) hit(name string) *directory.ServiceInfo {
+	info := c.lookup(name)
+	if info != nil {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return info
+}
+
+// learn keeps what a call that consulted the cache found out: its
+// route is dropped when the device was unavailable, and stored once the
+// destination has answered, when it is new (a miss the resolver filled,
+// or a device that moved); a refusal proves the route as well as a
+// result does.
+func (c *DirCache) learn(name string, hit, route *directory.ServiceInfo, err error) {
+	switch {
+	case err != nil && IsUnavailable(err):
+		c.Invalidate(name)
+	// answered last: it allocates, and a warm hit never needs it.
+	case route != nil && (hit == nil || route.Addr != hit.Addr) && answered(err):
+		c.store(name, route)
 	}
 }
 

@@ -2,19 +2,21 @@
 // "execute single or group services remotely via SyDListener and
 // aggregate results".
 //
-// Every invocation flows through a composable interceptor chain
-// (client-side middleware). The stock stages re-express what used to
-// be inline logic: TraceInterceptor opens each call's client span,
-// CredentialInterceptor seals the caller's identity onto each request
-// (§5.4), DirCache short-circuits resolution on the warm path, and the
-// resolver stage looks services up through SyDDirectory and follows a
-// user the directory has moved to a stand-in or back (§5.2). The
-// package also provides stages it does not install itself:
-// MetricsInterceptor, which core puts in front of the stock chain, and
-// RetryInterceptor, which links wraps around its recovery sends.
-// Applications can push their own interceptors in front of the stock
-// chain. Group calls and the links protocol's parallel phases all fan
-// out through FanOut.
+// Every invocation takes one fixed path, written out from Engine.invoke
+// down:
+//
+//	observe → offline gate → credential → route cache → resolve → transport
+//
+// Observe (invoke) opens the call's rpc.client span and records its
+// LayerClient latency from the same two clock reads. The offline gate
+// (SetGate) fast-fails calls while the device is in local mode, and the
+// route cache answers resolution on the warm path (send). Resolve
+// (resolved) otherwise asks SyDDirectory, and follows a user the
+// directory has moved to a stand-in or back (§5.2) with one re-resolve.
+// The transport stage (exchange) puts the caller's identity and sealed
+// credential (§5.4) on the request and sends it. Retry runs a call
+// under a QoS, and group calls and the links protocol's parallel phases
+// all fan out through FanOut.
 package engine
 
 import (
@@ -29,6 +31,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/directory"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -44,36 +47,35 @@ type Engine struct {
 	self     string
 	dirCache *DirCache
 	tracer   *trace.Tracer
+	metrics  *metrics.Registry
+
+	// admit and note are the offline gate (SetGate); nil without one.
+	admit func(service, method string) error
+	note  func(err error)
 
 	mu         sync.RWMutex
 	credential string // sealed, sent with every request
-
-	chainMu sync.RWMutex
-	extra   []Interceptor // user interceptors, outermost first
-	invoke  Invoker       // composed chain, ending at the transport
 }
 
 // Option configures an Engine at construction time.
 type Option func(*Engine)
-
-// WithInterceptors appends client interceptors to the engine's chain,
-// outermost first, ahead of the stock credential/cache/resolver
-// stages.
-func WithInterceptors(ics ...Interceptor) Option {
-	return func(e *Engine) { e.extra = append(e.extra, ics...) }
-}
 
 // WithDirCache installs cache as the engine's directory route cache.
 func WithDirCache(cache *DirCache) Option {
 	return func(e *Engine) { e.dirCache = cache }
 }
 
-// WithTracer installs the node's tracer: a stock TraceInterceptor
-// stage joins the chain and GroupInvoke opens a fan-out root span.
-// Without a tracer the chain carries no tracing stage at all — the
-// hot path stays allocation-identical to the untraced build.
+// WithTracer installs the node's tracer: every call opens an rpc.client
+// span and GroupInvoke a fan-out root span. Without a tracer a call
+// makes no span and no metadata map.
 func WithTracer(t *trace.Tracer) Option {
 	return func(e *Engine) { e.tracer = t }
+}
+
+// WithMetrics records every call's latency in reg's LayerClient series,
+// by service, method and error code.
+func WithMetrics(reg *metrics.Registry) Option {
+	return func(e *Engine) { e.metrics = reg }
 }
 
 // New creates an engine for the user self.
@@ -82,90 +84,15 @@ func New(net transport.Network, dir *directory.Client, self string, opts ...Opti
 	for _, o := range opts {
 		o(e)
 	}
-	e.rebuild()
 	return e
 }
 
-// Use appends interceptors to the engine's chain (outermost first,
-// after any already installed). Typically called during node wiring,
-// before traffic flows.
-func (e *Engine) Use(ics ...Interceptor) {
-	e.chainMu.Lock()
-	e.extra = append(e.extra, ics...)
-	e.chainMu.Unlock()
-	e.rebuild()
-}
-
-// rebuild recomposes the invoker chain:
-//
-//	user interceptors → trace → credential → dir cache → resolver → transport
-func (e *Engine) rebuild() {
-	e.chainMu.Lock()
-	defer e.chainMu.Unlock()
-	chain := make([]Interceptor, 0, len(e.extra)+4)
-	chain = append(chain, e.extra...)
-	if e.tracer != nil {
-		chain = append(chain, TraceInterceptor(e.tracer))
-	}
-	chain = append(chain, CredentialInterceptor(e))
-	if e.dirCache != nil {
-		chain = append(chain, e.dirCache.Interceptor())
-	}
-	chain = append(chain, resolveInterceptor(e))
-	e.invoke = ChainInterceptors(chain...)(e.transportInvoker())
-}
-
-// invoker returns the current composed chain.
-func (e *Engine) invoker() Invoker {
-	e.chainMu.RLock()
-	defer e.chainMu.RUnlock()
-	return e.invoke
-}
-
-// transportInvoker is the chain's innermost stage: it performs the
-// wire exchange with the destination the resolver chose.
-func (e *Engine) transportInvoker() Invoker {
-	return func(ctx context.Context, call *Call, out any) error {
-		dest := call.Dest
-		if dest == "" {
-			dest = call.Addr
-		}
-		if dest == "" {
-			return fmt.Errorf("engine: no destination for %s.%s (resolver stage missing)", call.Service, call.Method)
-		}
-		// Identity and the deadline hint ride in dedicated fields, call.Meta
-		// (trace context) as it is. The hint is taken afresh on every
-		// attempt (retries shrink it).
-		req := &transport.Request{
-			Service:    call.Service,
-			Method:     call.Method,
-			Args:       call.Args,
-			Caller:     call.Caller,
-			Credential: call.Credential,
-			Meta:       call.Meta,
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			req.SetDeadline(time.Until(dl))
-		}
-
-		resp, err := e.net.Call(ctx, dest, req)
-		if err != nil {
-			var re *wire.RemoteError
-			if errors.As(err, &re) {
-				return err
-			}
-			return fmt.Errorf("engine: call %s.%s at %s: %w", call.Service, call.Method, dest, err)
-		}
-		if !resp.OK {
-			return &wire.RemoteError{Code: resp.Code, Reason: resp.Reason, Service: call.Service, Method: call.Method, Msg: resp.Error}
-		}
-		if out != nil {
-			if err := wire.Unmarshal(resp.Result, out); err != nil {
-				return fmt.Errorf("engine: decode %s.%s result: %w", call.Service, call.Method, err)
-			}
-		}
-		return nil
-	}
+// SetGate installs the offline gate: admit is asked before each call
+// leaves the node, and an error from it fails the call without touching
+// the network; note hears every outcome that did go out. Set it once,
+// before the first Invoke.
+func (e *Engine) SetGate(admit func(service, method string) error, note func(err error)) {
+	e.admit, e.note = admit, note
 }
 
 // Self returns the engine's user identity.
@@ -196,43 +123,179 @@ func (e *Engine) getCredential() string {
 	return e.credential
 }
 
-// newCall builds the chain input for one logical invocation. Its
-// metadata starts nil: a stage that has a key to send (trace context)
-// makes the map.
-func newCall(addr, service, method string, args wire.Args) *Call {
-	return &Call{Service: service, Method: method, Args: args, Addr: addr}
-}
-
 // Invoke calls method on the named service, decoding the result into
-// out (out may be nil). Resolution, failover, credential injection,
-// and any installed caching/metrics all happen in the interceptor
-// chain.
+// out (out may be nil).
 func (e *Engine) Invoke(ctx context.Context, service, method string, args wire.Args, out any) error {
-	return e.invoker()(ctx, newCall("", service, method, args), out)
+	return e.invoke(ctx, &call{service: service, method: method, args: args}, out)
 }
 
 // InvokeAddr calls method on service at an explicit address, skipping
-// directory resolution (the rest of the chain still applies).
+// the route cache and directory resolution.
 func (e *Engine) InvokeAddr(ctx context.Context, addr, service, method string, args wire.Args, out any) error {
-	return e.invoker()(ctx, newCall(addr, service, method, args), out)
+	return e.invoke(ctx, &call{service: service, method: method, args: args, addr: addr}, out)
 }
 
 // invokeRouted is Invoke with the directory route already resolved
-// (group fan-out pre-resolves members in one batched pass); the
-// resolver stage skips its per-call lookup.
+// (group fan-out pre-resolves members in one batched pass, when the
+// engine has no route cache to keep them in).
 func (e *Engine) invokeRouted(ctx context.Context, route directory.ServiceInfo, service, method string, args wire.Args, out any) error {
-	call := newCall("", service, method, args)
-	call.Route = &route
-	return e.invoker()(ctx, call, out)
+	return e.invoke(ctx, &call{service: service, method: method, args: args, route: &route}, out)
 }
 
-// isUnavailable reports whether err means "the endpoint cannot be
-// reached at all" (as opposed to the service answering with an error).
-func isUnavailable(err error) bool {
-	if errors.Is(err, transport.ErrUnreachable) {
-		return true
+// call is one invocation on its way along the path.
+type call struct {
+	service, method string
+	args            wire.Args
+	// addr is a destination the caller forced (InvokeAddr).
+	addr string
+	// route is the directory record the call follows. A cached one is
+	// the cache's own entry: the path replaces it, never writes it.
+	route *directory.ServiceInfo
+	// dest is the address the transport stage last dialled.
+	dest string
+	// meta carries the trace context; nil when untraced.
+	meta wire.Metadata
+}
+
+// invoke is the client's call path. It observes the call, one span and
+// one latency sample from the same start and end, around the rest.
+func (e *Engine) invoke(ctx context.Context, c *call, out any) error {
+	var span *trace.Span
+	var start time.Time
+	if e.tracer != nil {
+		ctx, span = e.tracer.StartSpan(ctx, "rpc.client")
+		span.Annotate(trace.String("service", c.service), trace.String("method", c.method))
+		c.meta = make(wire.Metadata, 4)
+		span.Inject(c.meta)
+	} else if e.metrics != nil {
+		start = time.Now()
 	}
-	return wire.CodeOf(err) == wire.CodeUnavailable
+	err := e.send(ctx, c, out)
+	if span != nil {
+		if c.dest != "" {
+			span.Annotate(trace.String("dest", c.dest))
+		}
+		span.FinishErr(err)
+	}
+	if e.metrics != nil {
+		d := span.Duration()
+		if span == nil {
+			d = time.Since(start)
+		}
+		e.metrics.Observe(metrics.LayerClient, c.service, c.method, wire.CodeOf(err), d)
+	}
+	return err
+}
+
+// send is the rest of the path. The offline gate lets the call out or
+// fails it in local mode; the route cache, unless the call has its
+// destination already, gives it its route and keeps what the call
+// learned; the gate hears how a call that went out ended.
+func (e *Engine) send(ctx context.Context, c *call, out any) error {
+	if e.admit != nil {
+		if err := e.admit(c.service, c.method); err != nil {
+			return err
+		}
+	}
+	var hit *directory.ServiceInfo
+	cached := e.dirCache != nil && c.addr == "" && c.route == nil
+	if cached {
+		hit = e.dirCache.hit(c.service)
+		c.route = hit
+	}
+	err := e.resolved(ctx, c, out)
+	if cached {
+		e.dirCache.learn(c.service, hit, c.route, err)
+	}
+	if e.note != nil {
+		e.note(err)
+	}
+	return err
+}
+
+// resolved resolves the service through the directory unless the call
+// has a route or a forced address, and sends it. When a call on a
+// route it did not just resolve finds the device unavailable, it asks
+// the directory once more; if the service has moved (a stand-in took
+// the user over, or the device took the user back, §5.2) it sends the
+// call there, once.
+func (e *Engine) resolved(ctx context.Context, c *call, out any) error {
+	if c.addr != "" {
+		c.dest = c.addr
+		return e.exchange(ctx, c, out)
+	}
+	known := c.route != nil
+	if !known {
+		// Route-only resolution: the engine never needs the method
+		// list, so it skips fetching and decoding it.
+		info, err := e.dir.ResolveService(ctx, c.service)
+		if err != nil {
+			return err
+		}
+		c.route = &info
+	}
+	c.dest = c.route.Addr
+	err := e.exchange(ctx, c, out)
+	if !known || err == nil || !IsUnavailable(err) {
+		return err
+	}
+	info, rerr := e.dir.ResolveService(ctx, c.service)
+	if rerr != nil || info.Addr == c.dest {
+		return err
+	}
+	c.route, c.dest = &info, info.Addr
+	return e.exchange(ctx, c, out)
+}
+
+// exchange is the transport stage: the credential goes on the request,
+// and the request to c.dest.
+func (e *Engine) exchange(ctx context.Context, c *call, out any) error {
+	// Identity and the deadline hint ride in dedicated fields, the trace
+	// context in Meta. The hint is taken afresh on every attempt.
+	req := &transport.Request{
+		Service:    c.service,
+		Method:     c.method,
+		Args:       c.args,
+		Caller:     e.self,
+		Credential: e.getCredential(),
+		Meta:       c.meta,
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		req.SetDeadline(time.Until(dl))
+	}
+	resp, err := e.net.Call(ctx, c.dest, req)
+	if err != nil {
+		var re *wire.RemoteError
+		if errors.As(err, &re) {
+			return err
+		}
+		return fmt.Errorf("engine: call %s.%s at %s: %w", c.service, c.method, c.dest, err)
+	}
+	if !resp.OK {
+		return &wire.RemoteError{Code: resp.Code, Reason: resp.Reason, Service: c.service, Method: c.method, Msg: resp.Error}
+	}
+	if out != nil {
+		if err := wire.Unmarshal(resp.Result, out); err != nil {
+			return fmt.Errorf("engine: decode %s.%s result: %w", c.service, c.method, err)
+		}
+	}
+	return nil
+}
+
+// IsUnavailable reports whether err means the endpoint could not be
+// reached at all, as opposed to the service answering with an error: a
+// transport that found the address unreachable, or a CodeUnavailable
+// answer.
+func IsUnavailable(err error) bool {
+	return errors.Is(err, transport.ErrUnreachable) || wire.CodeOf(err) == wire.CodeUnavailable
+}
+
+// IsTransient reports whether a failed call may succeed if sent again:
+// the endpoint was unavailable, or the attempt ran out of time.
+// Anything else (a conflict, bad arguments, auth) is the endpoint's
+// definitive answer.
+func IsTransient(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || IsUnavailable(err)
 }
 
 // GroupResult is one member's outcome in a group invocation.
@@ -290,7 +353,7 @@ func (s *fanOut) work() {
 // the node.
 func (e *Engine) GroupInvoke(ctx context.Context, services []string, method string, args wire.Args) []GroupResult {
 	// The fan-out root span: each member Invoke below opens its own
-	// rpc.client child through the chain, so a stitched trace shows one
+	// rpc.client child on its call path, so a stitched trace shows one
 	// rpc.group node with one child per target.
 	ctx, span := e.tracer.StartSpan(ctx, "rpc.group")
 	if span != nil {

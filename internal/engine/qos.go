@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/clock"
@@ -26,62 +25,41 @@ type QoS struct {
 	Backoff time.Duration
 }
 
-// RetryInterceptor turns transient unavailability into bounded,
-// backed-off retries — the interceptor form of the engine's QoS
-// support. Only transient failures (unreachable device, lost message,
-// an attempt timeout) are retried; application errors (conflicts,
-// auth, bad args) surface immediately. Routing state is reset between
-// attempts, so each retry re-resolves through the chain's cache and
-// resolver stages (a device that re-registered at a new address, or a
-// stand-in that took its user over, is found). Backoff waits run on clk.
-func RetryInterceptor(qos QoS, clk clock.Clock) Interceptor {
-	return func(next Invoker) Invoker {
-		return func(ctx context.Context, call *Call, out any) error {
-			attempts := qos.Retries + 1
-			backoff := qos.Backoff
-			orig := *call
-			var lastErr error
-			for attempt := 0; attempt < attempts; attempt++ {
-				if attempt > 0 {
-					*call = orig // drop per-attempt routing state
-					if backoff > 0 {
-						select {
-						case <-clk.After(backoff):
-						case <-ctx.Done():
-							return ctx.Err()
-						}
-						backoff *= 2
-					}
-				}
-				attemptCtx := ctx
-				var cancel context.CancelFunc
-				if qos.AttemptTimeout > 0 {
-					attemptCtx, cancel = context.WithTimeout(ctx, qos.AttemptTimeout)
-				}
-				err := next(attemptCtx, call, out)
-				if cancel != nil {
-					cancel()
-				}
-				if err == nil {
-					return nil
-				}
-				lastErr = err
-				if !retryable(err) {
-					return err
-				}
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
+// Retry runs attempt under qos, turning transient failures into
+// bounded, backed-off retries: the engine's QoS support. Only a
+// transient failure (IsTransient: an unreachable device, a lost
+// message, an attempt timeout) is retried; an application error
+// (conflict, auth, bad args) is returned at once. Each attempt gets a
+// context bounded by qos.AttemptTimeout, and an attempt that invokes
+// resolves afresh through the route cache and the directory (a device
+// that re-registered at a new address, or a stand-in that took its user
+// over, is found). Backoff waits run on clk.
+func Retry(ctx context.Context, qos QoS, clk clock.Clock, attempt func(context.Context) error) error {
+	backoff := qos.Backoff
+	var err error
+	for i := 0; i <= qos.Retries; i++ {
+		if i > 0 && backoff > 0 {
+			select {
+			case <-clk.After(backoff):
+			case <-ctx.Done():
+				return ctx.Err()
 			}
-			return lastErr
+			backoff *= 2
+		}
+		attemptCtx, cancel := ctx, context.CancelFunc(nil)
+		if qos.AttemptTimeout > 0 {
+			attemptCtx, cancel = context.WithTimeout(ctx, qos.AttemptTimeout)
+		}
+		err = attempt(attemptCtx)
+		if cancel != nil {
+			cancel()
+		}
+		if err == nil || !IsTransient(err) {
+			return err
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
 	}
-}
-
-// retryable reports whether an error is transient.
-func retryable(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true // the attempt timed out; the next may succeed
-	}
-	return isUnavailable(err)
+	return err
 }

@@ -43,12 +43,12 @@ func (w *testWorld) addFlakyNode(user string, failFirst int) *atomic.Int64 {
 	return &attempts
 }
 
-// invokeQoS sends one call through e's chain behind
-// RetryInterceptor(qos), backing off on clk — how links.Manager wires
-// its redrive sends.
+// invokeQoS sends one call through e under Retry(qos), backing off on
+// clk — how links.Manager sends its redrives.
 func invokeQoS(ctx context.Context, e *Engine, qos QoS, clk clock.Clock, service, method string, out any) error {
-	inv := RetryInterceptor(qos, clk)(e.invoker())
-	return inv(ctx, newCall("", service, method, nil), out)
+	return Retry(ctx, qos, clk, func(ctx context.Context) error {
+		return e.Invoke(ctx, service, method, nil, out)
+	})
 }
 
 func TestInvokeQoSRetriesTransientFailures(t *testing.T) {

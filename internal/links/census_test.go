@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/links"
-	"repro/internal/listener"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -22,14 +22,14 @@ type rpcCensus struct {
 	n  map[string]int
 }
 
-func (c *rpcCensus) middleware(next listener.Method) listener.Method {
-	return func(ctx context.Context, call *listener.Call) (any, error) {
-		if strings.HasPrefix(call.Service, links.ServicePrefix) {
+func (c *rpcCensus) wrap(next transport.HandlerFunc) transport.HandlerFunc {
+	return func(ctx context.Context, req *transport.Request) *transport.Response {
+		if strings.HasPrefix(req.Service, links.ServicePrefix) {
 			c.mu.Lock()
-			c.n[call.Method]++
+			c.n[req.Method]++
 			c.mu.Unlock()
 		}
-		return next(ctx, call)
+		return next(ctx, req)
 	}
 }
 
@@ -52,7 +52,7 @@ func newCensusHarness(t *testing.T, users ...string) (*harness, *rpcCensus, *tra
 	for _, u := range users {
 		h.addNode(u, func(c *core.Config) {
 			c.Tracer = col.Tracer(u, trace.WithSampleRate(1))
-			c.Middleware = []listener.Middleware{census.middleware}
+			c.Net = inboundNet{Network: c.Net, wrap: census.wrap}
 		})
 	}
 	return h, census, col

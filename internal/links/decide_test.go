@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/links"
-	"repro/internal/listener"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -49,31 +49,29 @@ type markArgs struct {
 	seen []wire.Args
 }
 
-func (m *markArgs) middleware(next listener.Method) listener.Method {
-	return func(ctx context.Context, call *listener.Call) (any, error) {
-		if call.Method == "Mark" {
-			inner, _ := call.Args["args"].(map[string]any)
+func (m *markArgs) wrap(next transport.HandlerFunc) transport.HandlerFunc {
+	return func(ctx context.Context, req *transport.Request) *transport.Response {
+		if req.Method == "Mark" {
+			inner, _ := req.Args["args"].(map[string]any)
 			m.mu.Lock()
 			m.seen = append(m.seen, wire.Args(inner).Clone())
 			m.mu.Unlock()
 		}
-		return next(ctx, call)
+		return next(ctx, req)
 	}
 }
 
 // loseFirstAck lets a node apply its first Commit and then reports the
 // request lost, as a dropped response would look to the coordinator.
-func loseFirstAck() listener.Middleware {
+func loseFirstAck() func(transport.HandlerFunc) transport.HandlerFunc {
 	var once sync.Once
-	return func(next listener.Method) listener.Method {
-		return func(ctx context.Context, call *listener.Call) (any, error) {
-			out, err := next(ctx, call)
-			if call.Method == "Commit" && err == nil {
-				once.Do(func() {
-					out, err = nil, &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: ack lost"}
-				})
+	return func(next transport.HandlerFunc) transport.HandlerFunc {
+		return func(ctx context.Context, req *transport.Request) *transport.Response {
+			resp := next(ctx, req)
+			if req.Method == "Commit" && resp.OK {
+				once.Do(func() { resp = transport.ErrorResponse(req, wire.CodeUnavailable, "injected: ack lost") })
 			}
-			return out, err
+			return resp
 		}
 	}
 }
@@ -87,7 +85,7 @@ func TestDecideArgsRideCommitNotMark(t *testing.T) {
 	marks := &markArgs{}
 	h.addNode("a")
 	for _, u := range []string{"b", "c", "d"} {
-		h.addNode(u, func(c *core.Config) { c.Middleware = []listener.Middleware{marks.middleware} })
+		h.addNode(u, func(c *core.Config) { c.Net = inboundNet{Network: c.Net, wrap: marks.wrap} })
 	}
 	// d cannot be marked: its entity lock is held.
 	if _, ok := h.nodes["d"].Links.Locks.TryLock("entity:s", "someone"); !ok {
@@ -147,7 +145,7 @@ func TestDecideArgsWithoutJSONFormAbort(t *testing.T) {
 // is acked as a duplicate: the decision's arguments were applied once.
 func TestDecideArgsLostAckRedrive(t *testing.T) {
 	h := newHarness(t, "a")
-	h.addNode("b", func(c *core.Config) { c.Middleware = []listener.Middleware{loseFirstAck()} })
+	h.addNode("b", func(c *core.Config) { c.Net = inboundNet{Network: c.Net, wrap: loseFirstAck()} })
 	lm := h.nodes["a"].Links
 	res, err := lm.Negotiate(ctxBg(), links.Spec{
 		Action: "note", Args: wire.Args{"text": "marked"},

@@ -14,6 +14,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/links"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -181,6 +182,55 @@ func TestCascadeDeleteToleratesDownNode(t *testing.T) {
 	}
 	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 0 {
 		t.Fatalf("tombstones remain: %v", pd)
+	}
+}
+
+// TestCascadeDeleteTombstonesClosedTCPNode is the cascade over real
+// sockets, where a participant whose node has closed does not answer
+// CodeUnavailable: its refused connection reaches the links manager as
+// transport.ErrUnreachable, wrapped by the engine. That is as transient
+// as the sim's answer. The cascade tombstones the participant, and the
+// retry sweep keeps the tombstone while the node stays down.
+func TestCascadeDeleteTombstonesClosedTCPNode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	tcp := transport.NewTCP()
+	t.Cleanup(func() { tcp.Close() })
+	dirLn, err := tcp.Listen("127.0.0.1:0", directory.NewServer(directory.WithTTL(time.Hour)).Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dirLn.Close() })
+	h := &harness{t: t, clk: clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC)), nodes: map[string]*tnode{}}
+	for _, u := range []string{"a", "b", "c"} {
+		n := h.addNode(u, func(c *core.Config) { c.Net, c.DirAddr, c.ListenAddr = tcp, dirLn.Addr(), "127.0.0.1:0" })
+		t.Cleanup(func() { n.Close(context.Background()) })
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tpl := newLink("LD", links.Negotiation, links.Permanent,
+		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s", "c", "s"))
+	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{"meeting": "M"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.nodes["c"].Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.nodes["a"].Links.DeleteLink(ctx, "LD", nil); err != nil {
+		t.Fatalf("cascade with a closed node errored: %v", err)
+	}
+	if _, ok := h.nodes["b"].Links.GetLink("LD"); ok {
+		t.Fatal("b's row survived")
+	}
+	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 1 || pd[0] != [2]string{"LD", "c"} {
+		t.Fatalf("pending deletes = %v, want c tombstoned", pd)
+	}
+	if n := h.nodes["a"].Links.RetryPendingDeletes(ctx); n != 0 {
+		t.Fatalf("retry against the closed node removed %d tombstones", n)
+	}
+	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 1 {
+		t.Fatalf("pending deletes after the retry = %v, want c still tombstoned", pd)
 	}
 }
 

@@ -2,7 +2,6 @@ package links
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -92,21 +91,17 @@ func (t Tuning) normalize() Tuning {
 // SetTuning installs a recovery schedule (zero fields keep defaults).
 func (m *Manager) SetTuning(t Tuning) {
 	t = t.normalize()
-	retry := engine.RetryInterceptor(commitQoS(t), m.clk)(func(ctx context.Context, call *engine.Call, out any) error {
-		return m.eng.Invoke(ctx, call.Service, call.Method, call.Args, out)
-	})
 	m.mu.Lock()
-	m.tuning, m.retry = t, retry
+	m.tuning = t
 	m.mu.Unlock()
 }
 
 // invokeRetry is eng.Invoke for the recovery sweeps: commitQoS's quick
 // in-attempt retry, its backoff waiting on the manager's clock.
 func (m *Manager) invokeRetry(ctx context.Context, service, method string, args wire.Args, out any) error {
-	m.mu.RLock()
-	retry := m.retry
-	m.mu.RUnlock()
-	return retry(ctx, &engine.Call{Service: service, Method: method, Args: args}, out)
+	return engine.Retry(ctx, commitQoS(m.tune()), m.clk, func(ctx context.Context) error {
+		return m.eng.Invoke(ctx, service, method, args, out)
+	})
 }
 
 func (m *Manager) tune() Tuning {
@@ -372,16 +367,6 @@ func commitQoS(t Tuning) engine.QoS {
 	return engine.QoS{Retries: 1, Backoff: t.RetryBase / 8, AttemptTimeout: 5 * time.Second}
 }
 
-// transientErr reports whether a commit failure may heal by itself
-// (unreachable device, lost message, timeout). Everything else —
-// conflict, bad args, auth — is definitive: re-sending cannot succeed.
-func transientErr(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	return wire.CodeOf(err) == wire.CodeUnavailable
-}
-
 // backoffAfter computes the sweeper's next-retry delay for a row that
 // has been attempted n times (n >= 1).
 func backoffAfter(t Tuning, n int) time.Duration {
@@ -483,7 +468,7 @@ func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
 		case err == nil:
 			rec.Committed = append(rec.Committed, tgt.Ref)
 			m.count("commit-retry", wire.CodeOK)
-		case transientErr(err):
+		case engine.IsTransient(err):
 			still = append(still, tgt)
 			m.count("commit-retry", wire.CodeUnavailable)
 		default:

@@ -14,6 +14,7 @@ import (
 	"repro/internal/listener"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -66,6 +67,28 @@ func newHarness(t *testing.T, users ...string) *harness {
 		h.addNode(u)
 	}
 	return h
+}
+
+// inboundNet is a network whose Listen puts wrap in front of the
+// requests of every handler bound on it: the seam at which a test counts
+// a node's inbound calls or loses their answers.
+type inboundNet struct {
+	transport.Network
+	wrap func(next transport.HandlerFunc) transport.HandlerFunc
+}
+
+func (n inboundNet) Listen(addr string, h transport.Handler) (transport.Listener, error) {
+	return n.Network.Listen(addr, inboundHandler{Handler: h, serve: n.wrap(h.HandleRequest)})
+}
+
+// inboundHandler is a handler whose requests go through serve.
+type inboundHandler struct {
+	transport.Handler
+	serve transport.HandlerFunc
+}
+
+func (h inboundHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
+	return h.serve(ctx, req)
 }
 
 func (h *harness) addNode(user string, with ...func(*core.Config)) *tnode {

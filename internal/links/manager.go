@@ -68,7 +68,6 @@ type Manager struct {
 	tracer  *trace.Tracer
 	lsnSrc  func() uint64 // WAL position source for journal trace events
 	tuning  Tuning
-	retry   engine.Invoker // eng.Invoke behind commitQoS(tuning), backing off on clk
 
 	// Participant-side fault-tolerance state (see participant.go).
 	partMu   sync.Mutex
@@ -623,7 +622,7 @@ func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) 
 		err := m.eng.Invoke(ctx, ServiceFor(p), "DeleteLink", wire.Args{
 			"id": l.ID, "visited": visited,
 		}, nil)
-		if transientErr(err) {
+		if engine.IsTransient(err) {
 			// Written whatever became of ctx: the deadline that failed the
 			// call must not fail the tombstone too.
 			if err = m.recordPendingDelete(context.WithoutCancel(ctx), l.ID, p); err == nil {
@@ -677,7 +676,7 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 		err := m.eng.Invoke(ctx, ServiceFor(user), "DeleteLink", wire.Args{
 			"id": id, "visited": []string{m.self},
 		}, nil)
-		if transientErr(err) {
+		if engine.IsTransient(err) {
 			continue
 		}
 		// Success or a permanent error (e.g. the row is already

@@ -356,7 +356,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		case err == nil:
 			res.Accepted = append(res.Accepted, tgt.Ref)
 			res.Trace = append(res.Trace, Step{Phase: "unlock", Entity: tgt.Ref.String(), OK: true})
-		case transientErr(err):
+		case engine.IsTransient(err):
 			// The Commit (or its ack) was lost: the target may or may
 			// not have applied. The sweeper re-sends until it answers.
 			pendingRefs = append(pendingRefs, tgt.Ref)

@@ -3,6 +3,7 @@ package links
 import (
 	"context"
 
+	"repro/internal/engine"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -100,7 +101,7 @@ func (m *Manager) vote(ctx context.Context, l *Link, t Trigger, tok string) (dec
 	span.SetError(err)
 	m.Locks.Unlock(lockKey(entity), tok)
 	m.noteAborted(ctx, tok, p.NID)
-	return !transientErr(err)
+	return !engine.IsTransient(err)
 }
 
 // check runs action's Check on a local entity.

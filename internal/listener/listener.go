@@ -5,10 +5,17 @@
 // registered method implementations.
 //
 // One Listener serves all device objects hosted on a node (a calendar
-// object, the node's link manager, its replication service, ...). Dispatch
-// flows through a Middleware chain — user middleware first, then the
-// stock AuthMiddleware, then method lookup — so cross-cutting server
-// behavior stays out of the transport plumbing.
+// object, the node's link manager, its replication service, ...). Every
+// request to a registered service takes one fixed path, written out in
+// Listener.serve:
+//
+//	observe → fence → auth → method lookup → handler
+//
+// Observe opens the request's rpc.server span and records its
+// LayerServer latency from the same two clock reads. The fence
+// (SetFence) turns requests away from a primary that lost its lease.
+// Auth verifies the caller's sealed credential for objects that
+// require it (§5.4).
 package listener
 
 import (
@@ -20,23 +27,21 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/directory"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// Call carries one inbound invocation through the middleware chain to
-// a Method.
+// Call carries one inbound invocation to a Method.
 type Call struct {
 	// Service and Method name the invocation target.
 	Service, Method string
-	// Caller is the invoking SyD user. When the listener has an
-	// authenticator and the service requires auth, Caller is the
-	// *authenticated* identity, not the claimed one (user middleware
-	// running outside AuthMiddleware sees the claimed identity).
+	// Caller is the invoking SyD user. For an object that requires
+	// auth, Caller is the *authenticated* identity, not the claimed one.
 	Caller string
 	// Credential is the TEA-sealed credential blob presented by the
-	// caller (empty for anonymous calls). AuthMiddleware verifies it
+	// caller (empty for anonymous calls). The auth stage verifies it
 	// for objects that require auth.
 	Credential string
 	// Args are the named arguments.
@@ -44,13 +49,8 @@ type Call struct {
 	// Meta is the request's wire metadata (trace context), nil when it
 	// brought none. Identity lives in the Caller/Credential fields and
 	// the deadline hint in ctx. The map is shared with the transport
-	// request — middleware and handlers must treat it as read-only.
+	// request — handlers must treat it as read-only.
 	Meta wire.Metadata
-	// RequireAuth mirrors the target object's RequireAuth flag so
-	// middleware can enforce or observe the auth requirement.
-	RequireAuth bool
-
-	obj *Object // dispatch target
 }
 
 // Method is a service method implementation. The returned value is
@@ -88,30 +88,31 @@ func (o *Object) Methods() []string {
 
 // Listener is a node's service registry + transport handler.
 type Listener struct {
-	owner  string
-	authn  *auth.Authenticator // optional
-	tracer *trace.Tracer       // optional
+	owner   string
+	authn   *auth.Authenticator // optional
+	tracer  *trace.Tracer       // optional
+	metrics *metrics.Registry   // optional
 
 	mu       sync.RWMutex
 	services map[string]*Object
 	sink     func(*wire.Event)
-	chain    []Middleware // user middleware, outermost first
-	dispatch Method       // composed: chain → auth → method lookup
+	fence    func(service string) error // SetFence; nil admits every request
 }
 
 // ListenerOption configures a Listener at construction time.
 type ListenerOption func(*Listener)
 
-// WithMiddleware appends server middleware to the listener's chain,
-// outermost first, ahead of the stock AuthMiddleware.
-func WithMiddleware(mw ...Middleware) ListenerOption {
-	return func(l *Listener) { l.chain = append(l.chain, mw...) }
-}
-
-// WithTracer installs the node's tracer: a stock TraceMiddleware
-// stage joins the dispatch chain, just outside AuthMiddleware.
+// WithTracer installs the node's tracer: every request opens an
+// rpc.server span, continuing the caller's trace.
 func WithTracer(t *trace.Tracer) ListenerOption {
 	return func(l *Listener) { l.tracer = t }
+}
+
+// WithMetrics records every request's latency in reg's LayerServer
+// series, by service, method and error code, auth rejections and
+// unknown methods included.
+func WithMetrics(reg *metrics.Registry) ListenerOption {
+	return func(l *Listener) { l.metrics = reg }
 }
 
 // New creates a Listener for the device owned by owner. authn may be
@@ -125,45 +126,16 @@ func New(owner string, authn *auth.Authenticator, opts ...ListenerOption) *Liste
 	for _, o := range opts {
 		o(l)
 	}
-	l.rebuild()
 	return l
 }
 
-// Use appends middleware to the listener's chain (outermost first,
-// after any already installed). Typically called during node wiring,
-// before traffic flows.
-func (l *Listener) Use(mw ...Middleware) {
-	l.mu.Lock()
-	l.chain = append(l.chain, mw...)
-	l.mu.Unlock()
-	l.rebuild()
-}
-
-// rebuild recomposes the dispatch chain:
-//
-//	user middleware → TraceMiddleware → AuthMiddleware → method lookup + invoke
-func (l *Listener) rebuild() {
+// SetFence installs the fence: admit is asked, with the service's name,
+// before each request runs, and an error from it is the request's
+// answer.
+func (l *Listener) SetFence(admit func(service string) error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	m := AuthMiddleware(l.authn)(l.terminal)
-	if l.tracer != nil {
-		m = TraceMiddleware(l.tracer)(m)
-	}
-	m = ChainMiddleware(l.chain...)(m)
-	l.dispatch = m
-}
-
-// terminal is the chain's innermost stage: method lookup and
-// invocation.
-func (l *Listener) terminal(ctx context.Context, call *Call) (any, error) {
-	m, ok := call.obj.methods[call.Method]
-	if !ok {
-		return nil, &wire.RemoteError{
-			Code: wire.CodeNoMethod, Service: call.Service, Method: call.Method,
-			Msg: fmt.Sprintf("service %q has no method %q", call.Service, call.Method),
-		}
-	}
-	return m(ctx, call)
+	l.fence = admit
 }
 
 // Owner returns the owning user id.
@@ -228,14 +200,13 @@ func (l *Listener) HandleEvent(ev *wire.Event) {
 	}
 }
 
-// HandleRequest implements transport.Handler: find the service, run
-// the middleware chain (auth, method dispatch, any installed user
-// middleware), and encode the result. The response carries no
+// HandleRequest implements transport.Handler: find the service, serve
+// the request, and encode the result. The response carries no
 // metadata: the caller correlates it on the frame ID.
 func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
 	l.mu.RLock()
 	obj, ok := l.services[req.Service]
-	dispatch := l.dispatch
+	fence := l.fence
 	l.mu.RUnlock()
 	if !ok {
 		return transport.ErrorResponse(req, wire.CodeNoService, "node %s has no service %q", l.owner, req.Service)
@@ -254,16 +225,14 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 	}
 
 	call := &Call{
-		Service:     req.Service,
-		Method:      req.Method,
-		Caller:      req.Caller,
-		Credential:  req.Credential,
-		Args:        req.Args,
-		Meta:        req.Meta,
-		RequireAuth: obj.RequireAuth,
-		obj:         obj,
+		Service:    req.Service,
+		Method:     req.Method,
+		Caller:     req.Caller,
+		Credential: req.Credential,
+		Args:       req.Args,
+		Meta:       req.Meta,
 	}
-	result, err := dispatch(ctx, call)
+	result, err := l.serve(ctx, fence, obj, call)
 	if err != nil {
 		return transport.ErrorFor(req, err)
 	}
@@ -272,6 +241,68 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 		return transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", err)
 	}
 	return &transport.Response{ID: req.ID, OK: true, Result: raw}
+}
+
+// serve is the server's request path. It observes the request, one
+// span and one latency sample from the same start and end, around the
+// rest.
+func (l *Listener) serve(ctx context.Context, fence func(string) error, obj *Object, call *Call) (any, error) {
+	var span *trace.Span
+	var start time.Time
+	if l.tracer != nil {
+		// Continues the trace the caller's rpc.client span injected, or
+		// roots a new one. The span rides ctx, so a handler that invokes
+		// onward hangs its spans underneath it.
+		ctx, span = l.tracer.StartRemote(ctx, "rpc.server", call.Meta)
+		span.Annotate(trace.String("service", call.Service), trace.String("method", call.Method))
+	} else if l.metrics != nil {
+		start = time.Now()
+	}
+	result, err := l.handle(ctx, fence, obj, call)
+	span.FinishErr(err)
+	if l.metrics != nil {
+		d := span.Duration()
+		if span == nil {
+			d = time.Since(start)
+		}
+		l.metrics.Observe(metrics.LayerServer, call.Service, call.Method, wire.CodeOf(err), d)
+	}
+	return result, err
+}
+
+// handle runs the fence, verifies the caller when obj requires auth
+// (the method sees the authenticated identity in place of the claimed
+// one), looks the method up and calls it.
+func (l *Listener) handle(ctx context.Context, fence func(string) error, obj *Object, call *Call) (any, error) {
+	if fence != nil {
+		if err := fence(call.Service); err != nil {
+			return nil, err
+		}
+	}
+	if obj.RequireAuth {
+		if l.authn == nil {
+			return nil, &wire.RemoteError{
+				Code: wire.CodeAuth, Service: call.Service, Method: call.Method,
+				Msg: fmt.Sprintf("service %q requires auth but node has no authenticator", call.Service),
+			}
+		}
+		user, err := l.authn.Verify(call.Credential)
+		if err != nil {
+			return nil, &wire.RemoteError{
+				Code: wire.CodeAuth, Service: call.Service, Method: call.Method,
+				Msg: fmt.Sprintf("authentication failed: %v", err),
+			}
+		}
+		call.Caller = user
+	}
+	m, ok := obj.methods[call.Method]
+	if !ok {
+		return nil, &wire.RemoteError{
+			Code: wire.CodeNoMethod, Service: call.Service, Method: call.Method,
+			Msg: fmt.Sprintf("service %q has no method %q", call.Service, call.Method),
+		}
+	}
+	return m(ctx, call)
 }
 
 var _ transport.Handler = (*Listener)(nil)

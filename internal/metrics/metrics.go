@@ -1,9 +1,8 @@
-// Package metrics is the per-layer observability surface of the
-// interceptor pipeline: lock-light counters and latency histograms
-// keyed by (service, method, error code). The engine's client
-// interceptor and the listener's server middleware both feed a
-// Registry; the sys.<user> introspection service exposes its
-// Snapshot.
+// Package metrics is the per-layer observability surface of the call
+// paths: lock-light counters and latency histograms keyed by (service,
+// method, error code). The observe stages of the engine's client path
+// and the listener's server path both feed a Registry; the sys.<user>
+// introspection service exposes its Snapshot.
 //
 // Recording is designed for the hot path: one RLock'd map probe plus a
 // handful of atomic adds per observation (a miss takes the write lock
@@ -53,8 +52,8 @@ type Layer string
 
 // Layers.
 const (
-	LayerClient Layer = "client" // engine interceptor (includes transport time)
-	LayerServer Layer = "server" // listener middleware (handler time only)
+	LayerClient Layer = "client" // engine call path (includes transport time)
+	LayerServer Layer = "server" // listener request path (handler time only)
 	LayerWAL    Layer = "wal"    // durability subsystem (internal/wal): commit, fsync, batch, recovery, checkpoint
 	LayerLinks  Layer = "links"  // negotiation protocol: outcomes, commit retries, journal expiry, participant resolution
 	LayerRepl   Layer = "repl"   // replication: WAL shipping, snapshot bootstrap, lease renewal, promotion

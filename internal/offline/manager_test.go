@@ -15,7 +15,7 @@ import (
 )
 
 // newTestManager builds a Manager whose directory has no server behind
-// it — enough for the state machine, interceptor, and servePull, none
+// it — enough for the state machine, the gate, and servePull, none
 // of which need a live deployment.
 func newTestManager(t *testing.T, cfg Config) *Manager {
 	t.Helper()
@@ -38,31 +38,23 @@ func TestNewManagerValidatesConfig(t *testing.T) {
 }
 
 func TestInterceptorFastFailsInLocalMode(t *testing.T) {
+	// Admit is the engine's offline gate: an error from it fails the
+	// call before it touches the network.
 	m := newTestManager(t, Config{})
-	calls := 0
-	inv := m.Interceptor()(func(ctx context.Context, call *engine.Call, out any) error {
-		calls++
-		return nil
-	})
-	call := &engine.Call{Service: "cal.andy", Method: "GetFreeSlots"}
-
-	if err := inv(context.Background(), call, nil); err != nil || calls != 1 {
-		t.Fatalf("online invoke: err=%v calls=%d", err, calls)
+	if err := m.Admit("cal.andy", "GetFreeSlots"); err != nil {
+		t.Fatalf("online admit: %v", err)
 	}
 
 	m.GoOffline(context.Background())
 	if m.State() != StateOffline {
 		t.Fatalf("state = %s, want offline", m.State())
 	}
-	err := inv(context.Background(), call, nil)
+	err := m.Admit("cal.andy", "GetFreeSlots")
 	if !IsLocalMode(err) {
 		t.Fatalf("local-mode error = %v, want IsLocalMode", err)
 	}
 	if !strings.Contains(err.Error(), "cal.andy.GetFreeSlots") {
 		t.Fatalf("error should name the blocked call: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("local mode must not touch the network: calls = %d", calls)
 	}
 }
 
@@ -82,18 +74,13 @@ func TestFailureThresholdFlipsOffline(t *testing.T) {
 		OnState:          func(s State) { transitions = append(transitions, s) },
 	})
 	unavailable := &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "gone"}
-	inv := m.Interceptor()(func(ctx context.Context, call *engine.Call, out any) error {
-		return unavailable
-	})
-	call := &engine.Call{Service: "cal.andy", Method: "X"}
-
 	for i := 0; i < 2; i++ {
-		inv(context.Background(), call, nil)
+		m.NoteResult(unavailable)
 	}
 	if m.State() != StateOnline {
 		t.Fatalf("state after 2 failures = %s, want online", m.State())
 	}
-	inv(context.Background(), call, nil)
+	m.NoteResult(unavailable)
 	if m.State() != StateOffline {
 		t.Fatalf("state after 3 failures = %s, want offline", m.State())
 	}

@@ -2,7 +2,6 @@ package offline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -30,7 +28,7 @@ const (
 	StateSyncing State = "syncing"
 )
 
-// IsLocalMode reports whether err is the interceptor's local-mode
+// IsLocalMode reports whether err is the offline gate's local-mode
 // fast-fail — the caller's cue to park the operation in the op queue.
 func IsLocalMode(err error) bool { return wire.ReasonOf(err) == wire.ReasonLocalMode }
 
@@ -229,24 +227,24 @@ func (m *Manager) NoteFailure() {
 // NoteSuccess records a successful send, resetting failure detection.
 func (m *Manager) NoteSuccess() { m.failures.Store(0) }
 
-// Interceptor returns the engine stage that (a) fast-fails remote
-// invocations in local mode without touching the network, and (b)
-// feeds send outcomes into partition detection.
-func (m *Manager) Interceptor() engine.Interceptor {
-	return func(next engine.Invoker) engine.Invoker {
-		return func(ctx context.Context, call *engine.Call, out any) error {
-			if m.State() == StateOffline {
-				return &wire.RemoteError{Code: wire.CodeUnavailable, Reason: wire.ReasonLocalMode,
-					Msg: fmt.Sprintf("offline: local mode: %s cannot reach %s.%s", m.user, call.Service, call.Method)}
-			}
-			err := next(ctx, call, out)
-			if err == nil {
-				m.NoteSuccess()
-			} else if isUnavailable(err) {
-				m.NoteFailure()
-			}
-			return err
-		}
+// Admit is the engine's offline gate: in local mode it fails every
+// remote invocation at once, without touching the network.
+func (m *Manager) Admit(service, method string) error {
+	if m.State() == StateOffline {
+		return &wire.RemoteError{Code: wire.CodeUnavailable, Reason: wire.ReasonLocalMode,
+			Msg: fmt.Sprintf("offline: local mode: %s cannot reach %s.%s", m.user, service, method)}
+	}
+	return nil
+}
+
+// NoteResult feeds the outcome of an invocation the gate let out into
+// partition detection: a success resets the failure count, an
+// unavailable endpoint adds to it.
+func (m *Manager) NoteResult(err error) {
+	if err == nil {
+		m.NoteSuccess()
+	} else if engine.IsUnavailable(err) {
+		m.NoteFailure()
 	}
 }
 
@@ -311,7 +309,7 @@ func (m *Manager) push(ctx context.Context) error {
 	for _, op := range ops {
 		if replay != nil {
 			if err := replay(ctx, op); err != nil {
-				if isUnavailable(err) {
+				if engine.IsUnavailable(err) {
 					span.FinishErr(err)
 					m.observe("Push", wire.CodeUnavailable, m.clock.Now().Sub(start))
 					return err
@@ -394,8 +392,4 @@ func (m *Manager) setKnownVersion(peer, entity string, ver int64) {
 	r.SetStr("peer", peer)
 	r.SetStr("entity", entity)
 	_ = m.peerVers.Insert(r)
-}
-
-func isUnavailable(err error) bool {
-	return errors.Is(err, transport.ErrUnreachable) || wire.CodeOf(err) == wire.CodeUnavailable
 }

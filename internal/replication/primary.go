@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -233,29 +234,19 @@ func (p *Primary) Object() *listener.Object {
 	return obj
 }
 
-// FenceMiddleware rejects every request except replication and
-// introspection traffic while the lease is invalid: an expired or
-// fenced primary must not accept mutations a promoted rival will
-// never see. Followers may still Pull (draining a fenced primary is
-// how a promoter catches up to the last acked commit) and operators
+// Admit is the listener's fence: while the lease is invalid it turns
+// away every request except replication and introspection traffic. An
+// expired or fenced primary must not accept mutations a promoted rival
+// will never see. Followers may still Pull (draining a fenced primary
+// is how a promoter catches up to the last acked commit) and operators
 // may still inspect sys.*.
-func (p *Primary) FenceMiddleware() listener.Middleware {
-	return func(next listener.Method) listener.Method {
-		return func(ctx context.Context, call *listener.Call) (any, error) {
-			if len(call.Service) >= len(ServicePrefix) && call.Service[:len(ServicePrefix)] == ServicePrefix {
-				return next(ctx, call)
-			}
-			if len(call.Service) >= 4 && call.Service[:4] == "sys." {
-				return next(ctx, call)
-			}
-			if !p.LeaseValid() {
-				return nil, &wire.RemoteError{
-					Code: wire.CodeUnavailable,
-					Msg:  fmt.Sprintf("replication: %s is not a valid primary (lease expired or lost)", p.cfg.User),
-				}
-			}
-			return next(ctx, call)
-		}
+func (p *Primary) Admit(service string) error {
+	if strings.HasPrefix(service, ServicePrefix) || strings.HasPrefix(service, "sys.") || p.LeaseValid() {
+		return nil
+	}
+	return &wire.RemoteError{
+		Code: wire.CodeUnavailable,
+		Msg:  fmt.Sprintf("replication: %s is not a valid primary (lease expired or lost)", p.cfg.User),
 	}
 }
 

@@ -3,9 +3,8 @@ package wire
 import "time"
 
 // Metadata is the request-metadata map carried end-to-end on a Request
-// and Response. It is the envelope-level home for the cross-cutting keys
-// the interceptor pipeline manages (trace context, whatever key an
-// interceptor sets) so that no layer has to invent a side channel.
+// and Response. It is the envelope-level home for cross-cutting keys
+// (the trace context) so that no layer has to invent a side channel.
 // Identity and the deadline hint are dedicated Request fields.
 type Metadata map[string]string
 

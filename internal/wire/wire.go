@@ -77,9 +77,8 @@ type Request struct {
 	// server that was handed no context deadline (real TCP) re-arms one
 	// from it.
 	DeadlineMs uint64 `json:"deadline_ms,omitempty"`
-	// Meta carries request metadata (trace context, a key an
-	// interceptor sets) end-to-end through the interceptor pipeline.
-	// It is nil unless some stage put a key in it.
+	// Meta carries request metadata (the trace context) end to end.
+	// It is nil unless the caller traces.
 	Meta Metadata `json:"meta,omitempty"`
 }
 

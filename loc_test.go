@@ -15,8 +15,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 19354
-	allTreeLines   = 22204
+	cmdLineCeiling = 19112
+	allTreeLines   = 21962
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
