@@ -250,7 +250,7 @@ func BenchmarkMicro_SyncReconnect(b *testing.B) {
 		for _, u := range []string{"mob", "phil"} {
 			n, err := core.Start(ctx, core.Config{
 				User: u, Net: net, DirAddr: "dir", Clock: clk,
-				OfflineMode: true, OfflineQueueCap: 64,
+				OfflineQueueCap: 64,
 			})
 			if err != nil {
 				b.Fatal(err)

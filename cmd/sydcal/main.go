@@ -41,7 +41,6 @@ commands:
 
 func main() {
 	dirAddr := flag.String("dir", "127.0.0.1:7000", "directory server address")
-	poolSize := flag.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -63,7 +62,7 @@ func main() {
 		usage()
 	}
 
-	net := transport.NewTCP(transport.WithPoolSize(*poolSize))
+	net := transport.NewTCP()
 	dir := directory.NewClient(net, *dirAddr)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -18,9 +18,11 @@
 //	sydnode -replica-of phil -addr 10.0.0.2:7201 -data-dir /var/lib/syd/phil-r1 -lease-ttl 10s
 //	sydnode -replica-of phil -addr 10.0.0.3:7201 -data-dir /var/lib/syd/phil-r2 -lease-ttl 10s
 //
-// When the primary dies, the best-caught-up follower wins the expired
-// lease, boots a full node over its replicated data directory,
-// re-points the directory bindings, and keeps serving as phil.
+// Each follower reads the lease every quarter TTL, and that watch is
+// the one thing that promotes: when the primary dies, the
+// best-caught-up follower wins the expired lease, boots a full node
+// over its replicated data directory, re-points the directory
+// bindings, and keeps serving as phil.
 //
 // A -replica-of follower is also the paper's §5.2 proxy, the stand-in
 // that serves phil while phil's device is away: the device hands over
@@ -123,10 +125,8 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	addr := fs.String("addr", "127.0.0.1:0", "address to bind")
 	priority := fs.Int("priority", 0, "user priority (§6)")
 	dataDir := fs.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); the device database survives crashes")
-	checkpointEvery := fs.Duration("checkpoint-interval", time.Minute, "with -data-dir: snapshot the database and trim the log this often (0 = only at shutdown)")
 	fsyncPolicy := fs.String("fsync", "group", "with -data-dir: fsync policy — group (batched group commit; a commit returns after the fsync covering it) or none")
 	routeCacheTTL := fs.Duration("route-cache", 2*time.Second, "engine directory route cache TTL (0 disables)")
-	poolSize := fs.Int("conn-pool", 0, "TCP connections per peer (0 = min(4, GOMAXPROCS))")
 	traceSample := fs.Float64("trace-sample", 0, "head-sample this fraction of traces (0..1; slow and in-doubt traces are always kept when tracing is on)")
 	traceSlow := fs.Duration("trace-slow", 0, "retain any trace containing a span at least this slow; enables tracing when set (0 disables slow retention)")
 	fs.StringVar(&debugAddr, "debug-addr", "", "serve net/http/pprof, /traces and /replication on this address (e.g. 127.0.0.1:6060; empty disables)")
@@ -144,7 +144,7 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	cfg = core.Config{
 		User:                 *user,
 		Priority:             *priority,
-		Net:                  transport.NewTCP(transport.WithPoolSize(*poolSize)),
+		Net:                  transport.NewTCP(),
 		DirAddr:              *dirAddr,
 		ListenAddr:           *addr,
 		HeartbeatEvery:       5 * time.Second,
@@ -154,7 +154,7 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 		PublishIntrospection: true,
 		DataDir:              *dataDir,
 		WALSync:              sync,
-		CheckpointEvery:      *checkpointEvery,
+		CheckpointEvery:      wal.CheckpointEvery,
 		LeaseTTL:             *leaseTTL,
 		Replicas:             splitList(*replicasFlag),
 	}
@@ -171,7 +171,6 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 		return cfg, false, "", fmt.Errorf("-user is required")
 	}
 	if *offlineQueue > 0 {
-		cfg.OfflineMode = true
 		cfg.OfflineQueueCap = *offlineQueue
 		cfg.OfflineOverflow = offline.Overflow(*offlineOverflow)
 		if cfg.OfflineOverflow != offline.DropOldest && cfg.OfflineOverflow != offline.RejectNew {

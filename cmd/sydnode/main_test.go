@@ -16,13 +16,13 @@ import (
 // TestPromotedFollowerKeepsItsFlags: the node a follower promotes into
 // boots from the follower's own command line. The promote callback used
 // to assemble a second configuration by hand, which silently dropped
-// -offline-queue, -fsync, -checkpoint-interval and -trace-* on failover.
+// -offline-queue, -fsync and -trace-* on failover.
 func TestPromotedFollowerKeepsItsFlags(t *testing.T) {
 	cfg, follower, _, err := parseFlags([]string{
 		"-replica-of", "phil", "-dir", "dir", "-addr", "node-phil-r1",
 		"-data-dir", t.TempDir(), "-lease-ttl", "10s", "-replicas", "node-phil-r2",
 		"-offline-queue", "8", "-offline-overflow", "reject-new",
-		"-fsync", "none", "-checkpoint-interval", "7s", "-trace-slow", "1s",
+		"-fsync", "none", "-trace-slow", "1s",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestPromotedFollowerKeepsItsFlags(t *testing.T) {
 	if node.Tracer == nil || node.Tracer != cfg.Tracer {
 		t.Fatal("-trace-slow lost on promotion")
 	}
-	if node.Durable == nil || cfg.WALSync != wal.SyncNone || cfg.CheckpointEvery != 7*time.Second {
+	if node.Durable == nil || cfg.WALSync != wal.SyncNone || cfg.CheckpointEvery != wal.CheckpointEvery {
 		t.Fatalf("durability flags lost: sync %v, checkpoint every %v", cfg.WALSync, cfg.CheckpointEvery)
 	}
 	st, ok := replStatus.Load().(func() (replication.Status, bool))()

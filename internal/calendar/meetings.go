@@ -363,9 +363,8 @@ func (c *Calendar) decideCancel(ctx context.Context, id, byUser string) (m *Meet
 	if !ok {
 		return nil, d, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", id)}
 	}
-	if !m.canAdminister(byUser) {
-		return nil, d, &wire.RemoteError{Code: wire.CodeAuth,
-			Msg: fmt.Sprintf("calendar: %s may not cancel %s (initiator %s)", byUser, m.ID, m.Initiator)}
+	if err := m.mayCancel(byUser); err != nil {
+		return nil, d, err
 	}
 	if m.Status == StatusCancelled {
 		return nil, d, nil
@@ -378,6 +377,16 @@ func (c *Calendar) decideCancel(ctx context.Context, id, byUser string) (m *Meet
 		err = c.db.Unit(ctx, func(u *store.Tx) error { return c.putReleased(u, m) })
 	}
 	return m, d, err
+}
+
+// mayCancel refuses, as an auth error, a cancel by a user who may not
+// administer the meeting.
+func (m *Meeting) mayCancel(user string) error {
+	if m.canAdminister(user) {
+		return nil
+	}
+	return &wire.RemoteError{Code: wire.CodeAuth,
+		Msg: fmt.Sprintf("calendar: %s may not cancel %s (initiator %s)", user, m.ID, m.Initiator)}
 }
 
 // retract is the second half of a cancel, run with no mark held: straight

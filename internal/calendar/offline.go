@@ -132,8 +132,14 @@ func (c *Calendar) ScheduleOrQueue(ctx context.Context, req Request) (m *Meeting
 // the cancellation and marks the local record cancelled (freeing the
 // local slot) so disconnected reads see it gone.
 func (c *Calendar) CancelOrQueue(ctx context.Context, meetingID string) (queued bool, err error) {
+	return c.cancelOrQueueAs(ctx, meetingID, c.user)
+}
+
+// cancelOrQueueAs is CancelOrQueue by byUser, who must administer the
+// meeting whether the cancel runs now or is queued.
+func (c *Calendar) cancelOrQueueAs(ctx context.Context, meetingID, byUser string) (queued bool, err error) {
 	if c.offline == nil || c.offline.State() == offline.StateOnline {
-		err = c.CancelMeeting(ctx, meetingID)
+		err = c.cancelMeetingAs(ctx, meetingID, byUser)
 		if err == nil || !offline.IsLocalMode(err) {
 			return false, err
 		}
@@ -141,6 +147,9 @@ func (c *Calendar) CancelOrQueue(ctx context.Context, meetingID string) (queued 
 	m, ok := c.Meeting(meetingID)
 	if !ok {
 		return false, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
+	}
+	if err := m.mayCancel(byUser); err != nil {
+		return false, err
 	}
 	if _, err := c.offline.EnqueueOp(opCancel, meetingID, nil); err != nil {
 		return false, err

@@ -50,7 +50,8 @@ func (c *Calendar) ServiceObject() *listener.Object {
 
 	// Schedule: set up a meeting with this node's user as initiator —
 	// the remote surface behind the sydcal CLI (the paper's split of
-	// client interface vs server application, §3.1).
+	// client interface vs server application, §3.1). In local mode the
+	// answer is the queued tentative meeting.
 	obj.Handle("Schedule", func(ctx context.Context, call *listener.Call) (any, error) {
 		var req Request
 		if raw, ok := call.Args["request"]; ok && raw != nil {
@@ -65,7 +66,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 				Must:    call.Args.Strings("must"),
 			}
 		}
-		m, err := c.SetupMeeting(ctx, req)
+		m, _, err := c.ScheduleOrQueue(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -177,9 +178,10 @@ func (c *Calendar) ServiceObject() *listener.Object {
 
 	// CancelMeeting: remote cancellation by the initiator or a
 	// delegate (checked against the claimed caller identity; with
-	// RequireAuth the listener substitutes the authenticated one).
+	// RequireAuth the listener substitutes the authenticated one). In
+	// local mode the cancel is queued.
 	obj.Handle("CancelMeeting", func(ctx context.Context, call *listener.Call) (any, error) {
-		if err := c.cancelMeetingAs(ctx, call.Args.String("meeting"), call.Caller); err != nil {
+		if _, err := c.cancelOrQueueAs(ctx, call.Args.String("meeting"), call.Caller); err != nil {
 			return nil, err
 		}
 		return true, nil

@@ -96,7 +96,7 @@ func TestMeetingWithProxiedParticipant(t *testing.T) {
 			w := newWorld(t)
 			w.routeTTL = time.Hour // every node caches routes
 			w.addUser("a", 0)
-			cCal, err := w.startUser(core.Config{User: "c", OfflineMode: true})
+			cCal, err := w.startUser(core.Config{User: "c", OfflineQueueCap: 1024})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,13 +92,12 @@ type Config struct {
 	// listen address). A promoted follower passes the holder id it won
 	// the lease under so its renewals keep matching.
 	LeaseHolder string
-	// OfflineMode enables disconnected operation: an offline.Manager
-	// with a durable bounded op queue, the engine's offline gate, which
-	// fast-fails remote calls in local mode and feeds partition
-	// detection, the published sync.<User> service, and heartbeat-driven
-	// reconnect sessions.
-	OfflineMode bool
-	// OfflineQueueCap bounds the op queue (0 = offline package default).
+	// OfflineQueueCap, when > 0, enables disconnected operation with an
+	// op queue of that capacity: an offline.Manager with a durable
+	// bounded op queue, the engine's offline gate, which fast-fails
+	// remote calls in local mode and feeds partition detection, the
+	// published sync.<User> service, and heartbeat-driven reconnect
+	// sessions.
 	OfflineQueueCap int
 	// OfflineOverflow selects the queue's at-capacity policy.
 	OfflineOverflow offline.Overflow
@@ -122,7 +121,7 @@ type Node struct {
 	// set (nil otherwise).
 	Repl *replication.Primary
 	// Offline is the disconnected-operation manager when
-	// Config.OfflineMode was set (nil otherwise).
+	// Config.OfflineQueueCap was set (nil otherwise).
 	Offline *offline.Manager
 	// Tracer is the node's span recorder (nil when tracing is off).
 	Tracer *trace.Tracer
@@ -202,7 +201,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	// Disconnected operation: the manager is the engine's offline gate,
 	// installed before any call goes out.
 	var om *offline.Manager
-	if cfg.OfflineMode {
+	if cfg.OfflineQueueCap > 0 {
 		om, err = offline.NewManager(offline.Config{
 			User:     cfg.User,
 			DB:       db,

@@ -43,7 +43,7 @@ func greeterPair(t *testing.T, a, b core.Config) (*sim.Net, *core.Node) {
 // with CodeUnavailable, and it sends no frame.
 func TestClientPathOrder(t *testing.T) {
 	reg := metrics.NewRegistry()
-	net, a := greeterPair(t, core.Config{Metrics: reg, OfflineMode: true}, core.Config{})
+	net, a := greeterPair(t, core.Config{Metrics: reg, OfflineQueueCap: 1024}, core.Config{})
 	ctx := context.Background()
 	a.Offline.GoOffline(ctx)
 	before := net.Stats().Requests

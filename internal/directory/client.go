@@ -220,14 +220,6 @@ func (c *Client) GetLease(ctx context.Context, user string) (LeaseInfo, error) {
 	return info, err
 }
 
-// ListLeases returns every replication lease, sorted by user — the
-// health sweeper's work list.
-func (c *Client) ListLeases(ctx context.Context) ([]LeaseInfo, error) {
-	var infos []LeaseInfo
-	err := c.call(ctx, "ListLeases", wire.Args{}, &infos)
-	return infos, err
-}
-
 // Repoint rebinds a promoted node in one RPC: the user record and
 // every service it owns flip to addr. A client holding the old route
 // finds it unavailable and re-resolves once within the same call.

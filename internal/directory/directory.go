@@ -454,8 +454,6 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transpor
 			return fail(err)
 		}
 		return ok(info)
-	case "ListLeases":
-		return ok(s.listLeases())
 	case "Repoint":
 		if err := s.repoint(a.String("id"), a.String("addr")); err != nil {
 			return fail(err)

@@ -2,7 +2,6 @@ package directory
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -120,18 +119,6 @@ func (s *Server) getLease(id string) (LeaseInfo, error) {
 		return LeaseInfo{}, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
 	}
 	return leaseInfo(r, s.clock.Now()), nil
-}
-
-// listLeases returns every lease, sorted by user.
-func (s *Server) listLeases() []LeaseInfo {
-	now := s.clock.Now()
-	rows := s.leases.Select(nil)
-	out := make([]LeaseInfo, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, leaseInfo(r, now))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
 }
 
 func leaseInfo(r store.Row, now time.Time) LeaseInfo {

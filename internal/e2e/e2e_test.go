@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/directory"
+	"repro/internal/replication"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -289,6 +290,93 @@ func TestNodeStatePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestFailoverAcrossProcesses: a replicated sydnode killed with SIGKILL
+// is replaced by its -replica-of follower, whose own lease watch is the
+// only thing that promotes it, and the meeting the primary acked is
+// listed from the promoted follower within a bounded number of lease
+// TTLs.
+func TestFailoverAcrossProcesses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns real processes")
+	}
+	bins := buildBinaries(t)
+	dirBin := filepath.Join(bins, "syddirectory")
+	nodeBin := filepath.Join(bins, "sydnode")
+	calBin := filepath.Join(bins, "sydcal")
+	const leaseTTL = time.Second
+
+	dirAddr := freePort(t)
+	start(t, dirBin, "-addr", dirAddr, "-ttl", "1h")
+	waitTCP(t, dirAddr)
+	dirFlag := []string{"-dir", dirAddr}
+	cal := func(args ...string) string { return run(t, calBin, append(dirFlag, args...)...) }
+
+	philAddr, andyAddr, replicaAddr := freePort(t), freePort(t), freePort(t)
+	primary := start(t, nodeBin, "-user", "phil", "-dir", dirAddr, "-addr", philAddr,
+		"-data-dir", filepath.Join(t.TempDir(), "phil"), "-lease-ttl", leaseTTL.String(), "-replicas", replicaAddr)
+	start(t, nodeBin, "-user", "andy", "-dir", dirAddr, "-addr", andyAddr)
+	waitUsers(t, calBin, dirFlag, philAddr, andyAddr)
+	start(t, nodeBin, "-replica-of", "phil", "-dir", dirAddr, "-addr", replicaAddr,
+		"-data-dir", filepath.Join(t.TempDir(), "phil-r1"), "-lease-ttl", leaseTTL.String())
+	waitTCP(t, replicaAddr)
+
+	out := cal("schedule", "-user", "phil", "-title", "standup",
+		"-from", "2003-04-21", "-to", "2003-04-21", "-must", "andy")
+	if !strings.Contains(out, "confirmed") {
+		t.Fatalf("schedule:\n%s", out)
+	}
+	meetingID := strings.Fields(out)[1]
+
+	// Shipping is asynchronous: the kill waits until the follower has
+	// applied the primary's whole log, so the meeting is acked on both.
+	tcp := transport.NewTCP()
+	t.Cleanup(func() { _ = tcp.Close() })
+	status := func(addr string) replication.Status {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		resp, err := tcp.Call(ctx, addr, &transport.Request{Service: replication.ServiceFor("phil"), Method: "Status"})
+		if err != nil || !resp.OK {
+			t.Fatalf("replication status at %s: %+v, %v", addr, resp, err)
+		}
+		var st replication.Status
+		if err := wire.Unmarshal(resp.Result, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	tail := status(philAddr).ShippedLSN
+	for deadline := time.Now().Add(15 * time.Second); status(replicaAddr).AppliedLSN < tail; {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never applied the primary's log up to LSN %d", tail)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	sigkill(t, primary)
+	killed := time.Now()
+
+	bound := 10 * leaseTTL
+	for {
+		b, err := exec.Command(calBin, append(dirFlag, "meetings", "-user", "phil")...).CombinedOutput()
+		if err == nil && strings.Contains(string(b), meetingID) {
+			if !strings.Contains(string(b), "confirmed") {
+				t.Fatalf("meeting on the promoted follower:\n%s", b)
+			}
+			break
+		}
+		if time.Since(killed) > bound {
+			t.Fatalf("phil's meeting not served %v (%d lease TTLs) after the primary died; last answer: %v\n%s",
+				bound, bound/leaseTTL, err, b)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	t.Logf("promoted follower served the meeting %v after SIGKILL", time.Since(killed).Round(10*time.Millisecond))
+	out = waitUsers(t, calBin, dirFlag, replicaAddr)
+	if strings.Contains(out, philAddr) {
+		t.Fatalf("directory still lists the dead primary:\n%s", out)
+	}
+}
+
 // TestDirectoryStatePersistsAcrossRestart: a directory killed with
 // SIGKILL and restarted on the same -data-dir still has every user,
 // service, group and lease it acknowledged, and a lease
@@ -388,9 +476,8 @@ func testDirectoryRestart(t *testing.T, bins string) {
 			t.Fatalf("lease on %s after restart = %+v, %v", u, lease, err)
 		}
 	}
-	leases, err := c2.ListLeases(ctx)
-	if err != nil || len(leases) != len(users)-1 {
-		t.Fatalf("leases after restart = %+v, %v", leases, err)
+	if lease, err := c2.GetLease(ctx, "phil"); wire.CodeOf(err) != wire.CodeNoService {
+		t.Fatalf("lease on phil after restart = %+v, %v; none was granted", lease, err)
 	}
 	members, err := c2.GroupMembers(ctx, "team")
 	if err != nil || len(members) != len(users) {

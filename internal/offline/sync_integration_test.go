@@ -14,6 +14,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/offline"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -55,8 +56,8 @@ func (w *world) addUser(t *testing.T, user string) {
 	ctx := context.Background()
 	n, err := core.Start(ctx, core.Config{
 		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk,
-		OfflineMode: true, OfflineQueueCap: 128,
-		Metrics: w.met,
+		OfflineQueueCap: 128,
+		Metrics:         w.met,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,6 +192,81 @@ func TestReconnectSessionPushesQueuedOpsAndPulls(t *testing.T) {
 	}
 	if e := snap.Find(metrics.LayerSync, offline.ServiceFor("mob"), "Pull", ""); e == nil {
 		t.Fatal("missing Pull metric")
+	}
+}
+
+// TestServiceQueuesInLocalMode: what the CLI sends a device in local
+// mode, cal.<user>'s Schedule and CancelMeeting, goes to the op queue:
+// Schedule answers with the queued tentative meeting, CancelMeeting
+// queues the cancel after checking its caller, and both drain on
+// reconnect.
+func TestServiceQueuesInLocalMode(t *testing.T) {
+	w := newWorld(t, "phil", "mob")
+	ctx := context.Background()
+	mob, phil := w.cals["mob"], w.cals["phil"]
+	early := calendar.Slot{Day: "2003-04-22", Hour: 9}
+	late := calendar.Slot{Day: "2003-04-24", Hour: 10}
+	kickoff, err := mob.SetupMeeting(ctx, pinned("kickoff", early.Day, early.Hour, 1, "phil"))
+	if err != nil || !kickoff.Satisfied() {
+		t.Fatalf("kickoff = %+v, %v", kickoff, err)
+	}
+
+	w.cut("mob")
+	w.nodes["mob"].Offline.GoOffline(ctx)
+	// The CLI runs beside the device, so its calls reach the node; the
+	// node's own calls out are what local mode stops.
+	invoke := func(caller, method string, args wire.Args) *transport.Response {
+		t.Helper()
+		resp, err := w.net.Call(ctx, "node-mob", &transport.Request{
+			Service: calendar.ServiceFor("mob"), Method: method, Caller: caller, Args: args,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	queue := w.nodes["mob"].Offline.Queue()
+
+	resp := invoke("mob", "Schedule", wire.Args{"request": pinned("review", late.Day, late.Hour, 1, "phil")})
+	if !resp.OK {
+		t.Fatalf("Schedule in local mode: %s %s", resp.Code, resp.Error)
+	}
+	var review calendar.Meeting
+	if err := wire.Unmarshal(resp.Result, &review); err != nil {
+		t.Fatal(err)
+	}
+	if review.Status != calendar.StatusTentative || review.LinkID != "" || review.Slot != late {
+		t.Fatalf("Schedule in local mode answered %+v, want the queued tentative meeting", review)
+	}
+	if resp := invoke("mallory", "CancelMeeting", wire.Args{"meeting": kickoff.ID}); resp.OK || resp.Code != wire.CodeAuth {
+		t.Fatalf("mallory's cancel in local mode = %+v, want refused (auth)", resp)
+	}
+	if resp := invoke("mob", "CancelMeeting", wire.Args{"meeting": kickoff.ID}); !resp.OK {
+		t.Fatalf("CancelMeeting in local mode: %s %s", resp.Code, resp.Error)
+	}
+	if got, _ := mob.Meeting(kickoff.ID); got.Status != calendar.StatusCancelled {
+		t.Fatalf("kickoff while offline = %+v, want cancelled locally", got)
+	}
+	ops := queue.Ops()
+	if len(ops) != 2 || ops[0].Kind != "schedule" || ops[0].ID != review.ID || ops[1].Kind != "cancel" || ops[1].ID != kickoff.ID {
+		t.Fatalf("queue = %+v, want the schedule of %s and the cancel of %s", ops, review.ID, kickoff.ID)
+	}
+
+	w.heal("mob")
+	if err := w.nodes["mob"].Offline.TryReconnect(ctx); err != nil {
+		t.Fatalf("TryReconnect: %v", err)
+	}
+	if got := queue.Len(); got != 0 {
+		t.Fatalf("queue not drained: %d ops left", got)
+	}
+	if got, _ := mob.Meeting(review.ID); got.Status != calendar.StatusConfirmed || got.LinkID == "" {
+		t.Fatalf("review after the drain = %+v, want confirmed with a link", got)
+	}
+	if info := phil.Slot(late); info.Meeting != review.ID {
+		t.Fatalf("phil's %s after the drain = %+v, want %s", late, info, review.ID)
+	}
+	if info := phil.Slot(early); info.Meeting != "" {
+		t.Fatalf("phil's %s after the drain = %+v, want the kickoff's cancel to have freed it", early, info)
 	}
 }
 

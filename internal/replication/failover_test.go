@@ -351,14 +351,14 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	}
 }
 
-// TestFailoverSweeperPromotesBestFollower drives the directory-side
-// path: no follower self-checks; the health sweeper diagnoses the
-// dead primary and promotes the follower with the highest applied
-// LSN, not the one with the lowest address.
-func TestFailoverSweeperPromotesBestFollower(t *testing.T) {
+// TestFailoverCaughtUpFollowerOutranksLowerAddress: the lease watch
+// promotes the follower with the highest applied LSN, not the one with
+// the lowest address. TestFailoverRecoversAckedCommits covers only the
+// tie, where the lower address wins.
+func TestFailoverCaughtUpFollowerOutranksLowerAddress(t *testing.T) {
 	fx := newFixture(t)
 	ctx := context.Background()
-	y := fx.addNode("y", 0)
+	fx.addNode("y", 0)
 
 	x := fx.addNode("x", leaseTTL, "repl-x-1", "repl-x-2")
 
@@ -374,7 +374,6 @@ func TestFailoverSweeperPromotesBestFollower(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_ = y
 
 	// Only f2 catches up: it must win promotion despite its higher
 	// address.
@@ -386,25 +385,19 @@ func TestFailoverSweeperPromotesBestFollower(t *testing.T) {
 	x.Events.Close()
 	fx.net.SetDown("node-x", true)
 
-	sweeper, err := replication.NewSweeper(replication.SweeperConfig{
-		Net: fx.net, Dir: fx.dirClient(), Clock: fx.clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lease still live: the sweep must not touch a healthy replica set.
-	if err := sweeper.Sweep(ctx); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-promoted:
-		t.Fatal("sweeper promoted while the lease was live")
-	default:
+	// Lease still live: neither follower touches a healthy replica set.
+	for _, f := range []*replication.Follower{f1, f2} {
+		if did, err := f.CheckLease(ctx); err != nil || did {
+			t.Fatalf("%s on a live lease: CheckLease = %v, %v; want no promotion", f.Addr(), did, err)
+		}
 	}
 
 	fx.clk.Advance(leaseTTL + time.Second)
-	if err := sweeper.Sweep(ctx); err != nil {
-		t.Fatal(err)
+	if did, err := f1.CheckLease(ctx); err != nil || did {
+		t.Fatalf("lagging f1: CheckLease = %v, %v; want it to decline", did, err)
+	}
+	if did, err := f2.CheckLease(ctx); err != nil || !did {
+		t.Fatalf("caught-up f2: CheckLease = %v, %v; want a promotion", did, err)
 	}
 	x2 := <-promoted
 	if got := slotOn(t, x2, "s0"); got != "M1" {
@@ -419,6 +412,9 @@ func TestFailoverSweeperPromotesBestFollower(t *testing.T) {
 	}
 	if f1.Status().Role != replication.RoleFollower {
 		t.Fatal("f1 should still be a follower")
+	}
+	if did, err := f1.CheckLease(ctx); err != nil || did {
+		t.Fatalf("f1 after f2 won the lease: CheckLease = %v, %v; want no promotion", did, err)
 	}
 }
 

@@ -40,8 +40,8 @@ type FollowerConfig struct {
 	// DataDir is the follower's WAL directory (required). On promotion
 	// it becomes the new primary's DataDir.
 	DataDir string
-	// ListenAddr is the address to serve Status/Promote on; it must be
-	// the address the primary lists in Replicas. Empty lets the
+	// ListenAddr is the address to serve Status on; it must be the
+	// address the primary lists in Replicas. Empty lets the
 	// transport pick.
 	ListenAddr string
 	// LeaseTTL is the lease duration used when promoting (required > 0).
@@ -60,9 +60,6 @@ type FollowerConfig struct {
 	// drive PullOnce/CheckLease by hand.
 	PullEvery       time.Duration
 	LeaseCheckEvery time.Duration
-	// Grace delays promotion past lease expiry (0 = promote as soon as
-	// the lease is seen expired).
-	Grace time.Duration
 	// Logf, when set, reports background-loop failures (lease-check and
 	// promotion errors that would otherwise be invisible to operators).
 	Logf func(format string, args ...any)
@@ -83,8 +80,7 @@ type Follower struct {
 	pulls          uint64
 	snapshots      uint64
 	badBatches     uint64
-	checkpointedAt uint64    // d's BytesWritten at the last checkpoint
-	expiredAt      time.Time // first observation of the expired lease (grace timer)
+	checkpointedAt uint64 // d's BytesWritten at the last checkpoint
 	promoted       bool
 	closed         bool
 
@@ -93,7 +89,7 @@ type Follower struct {
 }
 
 // StartFollower opens (or resumes) the follower's data directory and
-// starts serving Status/Promote at cfg.ListenAddr. With PullEvery and
+// starts serving Status at cfg.ListenAddr. With PullEvery and
 // LeaseCheckEvery set it drives itself; otherwise the caller drives
 // PullOnce/CheckLease.
 func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
@@ -201,18 +197,12 @@ func (f *Follower) Status() Status {
 // holder is the lease identity this follower promotes under.
 func (f *Follower) holder() string { return f.ln.Addr() }
 
-// object serves the follower side of repl.<user>: Status for peer
-// comparison and the sweeper, Promote for sweeper-initiated failover.
+// object serves the follower side of repl.<user>: Status, which the
+// other followers compare against in bestCandidate.
 func (f *Follower) object() *listener.Object {
 	obj := listener.NewObject()
 	obj.Handle("Status", func(ctx context.Context, call *listener.Call) (any, error) {
 		return f.Status(), nil
-	})
-	obj.Handle("Promote", func(ctx context.Context, call *listener.Call) (any, error) {
-		if err := f.PromoteNow(ctx); err != nil {
-			return nil, err
-		}
-		return true, nil
 	})
 	return obj
 }
@@ -309,7 +299,7 @@ func (f *Follower) primaryAddr(ctx context.Context) (string, error) {
 }
 
 // CheckLease reads the lease and promotes this follower if the lease
-// is expired (past Grace) and no better-caught-up peer exists.
+// is expired and no better-caught-up peer exists.
 // Returns whether promotion ran.
 func (f *Follower) CheckLease(ctx context.Context) (bool, error) {
 	f.mu.Lock()
@@ -326,25 +316,7 @@ func (f *Follower) CheckLease(ctx context.Context) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if !lease.Expired {
-		f.mu.Lock()
-		f.expiredAt = time.Time{}
-		f.mu.Unlock()
-		return false, nil
-	}
-	if f.cfg.Grace > 0 {
-		now := f.clk.Now()
-		f.mu.Lock()
-		if f.expiredAt.IsZero() {
-			f.expiredAt = now
-		}
-		wait := now.Sub(f.expiredAt) < f.cfg.Grace
-		f.mu.Unlock()
-		if wait {
-			return false, nil
-		}
-	}
-	if !f.bestCandidate(ctx, lease.Replicas) {
+	if !lease.Expired || !f.bestCandidate(ctx, lease.Replicas) {
 		return false, nil
 	}
 	if err := f.PromoteNow(ctx); err != nil {

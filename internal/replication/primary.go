@@ -185,7 +185,7 @@ func (p *Primary) Status() Status {
 }
 
 // Object builds the repl.<user> device object: Pull and Snapshot for
-// followers, Status for operators and the health sweeper.
+// followers, Status for operators.
 func (p *Primary) Object() *listener.Object {
 	obj := listener.NewObject()
 	obj.Handle("Pull", func(ctx context.Context, call *listener.Call) (any, error) {

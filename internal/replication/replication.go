@@ -1,8 +1,8 @@
 // Package replication adds warm standbys to a SyD node: the primary
 // streams its committed WAL frames (and bootstrap snapshots) to
-// followers, a directory-arbitrated lease decides who may act as
-// primary, and a health sweeper promotes the best-caught-up follower
-// when a primary dies. The paper's prototype leaned on Oracle for
+// followers, and a directory-arbitrated lease decides who may act as
+// primary: when a primary dies, the best-caught-up follower wins the
+// expired lease and promotes itself. The paper's prototype leaned on Oracle for
 // durability and availability (§5.3); this package supplies the
 // availability half on top of the repo's own WAL.
 //
@@ -33,7 +33,7 @@ const ServicePrefix = "repl."
 
 // ServiceFor names the replication service of user's node. The
 // primary serves Pull/Snapshot/Status under it; a follower serves
-// Status/Promote under the same name at its own address.
+// Status under the same name at its own address.
 func ServiceFor(user string) string { return ServicePrefix + user }
 
 // Role is a node's position in a replica set.
@@ -99,9 +99,9 @@ type snapshotReply struct {
 	LSN  uint64 `json:"lsn"`
 }
 
-// call performs one raw replication RPC against addr (followers and
-// the sweeper address peers directly — replica addresses come from
-// the lease record, not from directory resolution).
+// call performs one raw replication RPC against addr (followers
+// address peers directly — replica addresses come from the lease
+// record, not from directory resolution).
 func call(ctx context.Context, net transport.Network, addr, user, method string, args wire.Args, out any) error {
 	resp, err := net.Call(ctx, addr, &transport.Request{
 		Service: ServiceFor(user),

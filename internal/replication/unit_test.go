@@ -3,7 +3,6 @@ package replication_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -246,11 +245,10 @@ waitBoot:
 }
 
 // TestCheckLeaseBranches: no lease registered → no-op; live lease →
-// no-op; grace window defers promotion by one observation.
+// no-op; expired lease → promotion, once.
 func TestCheckLeaseBranches(t *testing.T) {
 	fx := newFixture(t)
 	ctx := context.Background()
-	grace := 5 * time.Second
 
 	d, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
 	if err != nil {
@@ -261,7 +259,7 @@ func TestCheckLeaseBranches(t *testing.T) {
 	promoted := 0
 	f, err := replication.StartFollower(ctx, replication.FollowerConfig{
 		User: "p", Net: fx.net, Dir: fx.dirClient(), DataDir: t.TempDir(),
-		ListenAddr: "repl-p-1", LeaseTTL: leaseTTL, Clock: fx.clk, Grace: grace,
+		ListenAddr: "repl-p-1", LeaseTTL: leaseTTL, Clock: fx.clk,
 		Promote: func(context.Context, string) (string, error) {
 			promoted++
 			return "node-p2", nil
@@ -281,63 +279,18 @@ func TestCheckLeaseBranches(t *testing.T) {
 		t.Fatalf("live-lease check = (%v, %v), want (false, nil)", did, err)
 	}
 
-	// Expired, but inside the grace window: first observation arms the
-	// timer, promotion waits.
 	fx.clk.Advance(leaseTTL + time.Second)
-	if did, err := f.CheckLease(ctx); err != nil || did {
-		t.Fatalf("grace-window check = (%v, %v), want (false, nil)", did, err)
-	}
-	fx.clk.Advance(grace + time.Second)
 	did, err := f.CheckLease(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !did || promoted != 1 {
-		t.Fatalf("post-grace check = %v (promotions %d), want promotion", did, promoted)
+		t.Fatalf("expired-lease check = %v (promotions %d), want promotion", did, promoted)
 	}
 	// Already promoted: further checks are no-ops.
 	if did, err := f.CheckLease(ctx); err != nil || did {
 		t.Fatalf("post-promotion check = (%v, %v), want (false, nil)", did, err)
 	}
-}
-
-// TestSweeperEdges: a live lease resets grace tracking; an expired
-// lease with no recorded replicas is a loud per-user error; Start runs
-// the loop until canceled.
-func TestSweeperEdges(t *testing.T) {
-	fx := newFixture(t)
-	ctx := context.Background()
-	dir := fx.dirClient()
-
-	// An expired lease with no replicas: remediation cannot help.
-	if _, err := dir.RenewLease(ctx, "solo", "node-solo", leaseTTL, nil); err != nil {
-		t.Fatal(err)
-	}
-	sweeper, err := replication.NewSweeper(replication.SweeperConfig{
-		Net: fx.net, Dir: dir, Clock: fx.clk, Grace: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sweeper.Sweep(ctx); err != nil {
-		t.Fatalf("live lease should sweep clean: %v", err)
-	}
-	fx.clk.Advance(leaseTTL + time.Second)
-	// First expired observation arms the grace timer.
-	if err := sweeper.Sweep(ctx); err != nil {
-		t.Fatalf("grace window should defer remediation: %v", err)
-	}
-	fx.clk.Advance(3 * time.Second)
-	err = sweeper.Sweep(ctx)
-	if err == nil || !strings.Contains(err.Error(), "no replicas") {
-		t.Fatalf("sweep = %v, want a no-replicas error for solo", err)
-	}
-
-	// Start/cancel wiring.
-	lctx, cancel := context.WithCancel(ctx)
-	sweeper.Start(lctx, time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	cancel()
 }
 
 // TestConfigValidation covers the constructor guard rails.
@@ -361,12 +314,6 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := replication.NewPrimary(cfg); err == nil {
 			t.Errorf("NewPrimary case %d: expected a validation error", i)
 		}
-	}
-	if _, err := replication.NewSweeper(replication.SweeperConfig{}); err == nil {
-		t.Error("NewSweeper without Net should fail")
-	}
-	if _, err := replication.NewSweeper(replication.SweeperConfig{Net: fx.net}); err == nil {
-		t.Error("NewSweeper without Dir should fail")
 	}
 	followerCases := []replication.FollowerConfig{
 		{},

@@ -117,7 +117,6 @@ func boot(cfg Config) (*world, error) {
 			RouteCacheTTL:  10 * time.Minute,
 		}
 		if commuters[u] {
-			nc.OfflineMode = true
 			nc.OfflineQueueCap = 256
 		}
 		if w.isHub(u) {

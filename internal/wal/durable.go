@@ -216,6 +216,12 @@ func restoreNewestCheckpoint(dir string, db *store.DB) (uint64, error) {
 	return 0, nil
 }
 
+// CheckpointEvery is how often a serving process (sydnode and
+// syddirectory alike) checkpoints its durable database: it bounds both
+// the log a restart replays and the disk that heartbeat rows, logged
+// like any other mutation, take up.
+const CheckpointEvery = time.Minute
+
 // Checkpoint writes a snapshot of the current database, fsyncs it into
 // place, keeps the previous checkpoint as a fallback (deleting older
 // ones), and trims log segments below the older retained checkpoint so

@@ -2,10 +2,14 @@ package repro
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -15,8 +19,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 19112
-	allTreeLines   = 21962
+	cmdLineCeiling = 18899
+	allTreeLines   = 21748
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
@@ -56,6 +60,146 @@ func TestNonTestLineCeiling(t *testing.T) {
 	case cmd < cmdLineCeiling:
 		t.Logf("non-test Go a command can execute is %d lines: lower cmdLineCeiling (%d) to it in this PR", cmd, cmdLineCeiling)
 	}
+}
+
+// The options ROADMAP's ledger counts (item 5), each gated like
+// cmdLineCeiling: the top-level flags each command defines (a
+// subcommand's flags, sydcal's -user and the rest, are not counted), the
+// fields of core.Config, and the exported func With* under internal/.
+var flagCeiling = map[string]int{"sydcal": 1, "syddirectory": 3, "sydnode": 15}
+
+const (
+	configFieldCeiling = 21
+	withOptionCeiling  = 14
+)
+
+func TestKnobCeiling(t *testing.T) {
+	check := func(what string, n, ceiling int) {
+		t.Helper()
+		switch {
+		case n > ceiling:
+			t.Errorf("%s: %d, ceiling %d: remove an option the new one replaces, "+
+				"or raise the ceiling in the PR whose CHANGES.md entry justifies it", what, n, ceiling)
+		case n < ceiling:
+			t.Logf("%s: %d: lower the ceiling (%d) to it in this PR", what, n, ceiling)
+		}
+	}
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cmds {
+		if d.IsDir() {
+			check("flags of "+d.Name(), countFlags(t, d.Name(), parseDir(t, filepath.Join("cmd", d.Name()))), flagCeiling[d.Name()])
+		}
+	}
+	fields := -1
+	for _, f := range parseDir(t, filepath.Join("internal", "core")) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Config" {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					fields = st.Fields.NumFields()
+				}
+			}
+			return true
+		})
+	}
+	if fields < 0 {
+		t.Fatal("core.Config not found")
+	}
+	check("core.Config fields", fields, configFieldCeiling)
+	with := 0
+	err = filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		for _, f := range parseDir(t, path) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
+					with++
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("exported func With* under internal/", with, withOptionCeiling)
+}
+
+// parseDir parses the non-test Go files of one directory.
+func parseDir(t *testing.T, dir string) []*ast.File {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// flagDefiners are the flag and FlagSet functions that define a flag.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// countFlags counts the flags command name defines on the flag
+// package's own set or on a flag.NewFlagSet named after the command.
+func countFlags(t *testing.T, name string, files []*ast.File) int {
+	t.Helper()
+	sets := map[string]bool{"flag": true}
+	n := 0
+	for _, f := range files {
+		ast.Inspect(f, func(node ast.Node) bool {
+			switch node := node.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range node.Rhs {
+					call, ok := rhs.(*ast.CallExpr)
+					if !ok || i >= len(node.Lhs) || !isSelector(call.Fun, "flag", "NewFlagSet") || len(call.Args) == 0 {
+						continue
+					}
+					if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Value == strconv.Quote(name) {
+						if id, ok := node.Lhs[i].(*ast.Ident); ok {
+							sets[id.Name] = true
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := node.Fun.(*ast.SelectorExpr); ok && flagDefiners[sel.Sel.Name] {
+					if id, ok := sel.X.(*ast.Ident); ok && sets[id.Name] {
+						n++
+					}
+				}
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// isSelector reports whether e is pkg.name.
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg
 }
 
 func lineCount(t *testing.T, path string) int {
