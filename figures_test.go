@@ -209,7 +209,7 @@ func RunF3() (*Result, error) {
 			return nil, err
 		}
 	}
-	res.AddRow("publish (4 nodes x user+links+events+cal)", "SyDListener -> SyDDirectory", fmt.Sprintf("%d", count()-before))
+	res.AddRow("publish (4 nodes x user+links+cal)", "SyDListener -> SyDDirectory", fmt.Sprintf("%d", count()-before))
 
 	before = count()
 	if _, err := w.Dir.LookupService(ctx, calendar.ServiceFor(users[1])); err != nil {

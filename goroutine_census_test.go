@@ -11,10 +11,11 @@ import (
 )
 
 // longLivedGoroutines are the directories whose go statements start a
-// loop that outlives any one request: accept and connection loops, the
-// sim network's event delivery, fake-clock timers, the log flusher and
-// the commands' servers.
-var longLivedGoroutines = []string{"internal/transport", "internal/sim", "internal/clock", "internal/wal", "cmd"}
+// loop that outlives any one request: accept and connection loops,
+// fake-clock timers and clock.LoopGo, the log flusher and the commands'
+// servers. The sim network starts none: it answers a call on the
+// caller's goroutine.
+var longLivedGoroutines = []string{"internal/transport", "internal/clock", "internal/wal", "cmd"}
 
 // TestGoroutineCensus: on the request path, engine.FanOut is the only
 // place that starts goroutines. Every go statement in the non-test code

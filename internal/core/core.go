@@ -4,9 +4,9 @@
 //
 // A Node is what the paper calls a "SyD device object host": it owns
 // the device's embedded database, publishes its services (links.<user>
-// and events.<user> are published automatically), heartbeats the
-// directory, and runs the periodic link-expiry sweep that the paper
-// assigns to the event handler (§4.2 op 6).
+// is published automatically), and runs on its event handler's
+// schedules the directory heartbeat and the periodic link-expiry sweep
+// that the paper assigns to the event handler (§4.2 op 6).
 package core
 
 import (
@@ -195,8 +195,7 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 		engOpts = append(engOpts, engine.WithDirCache(engine.NewDirCache(cfg.RouteCacheTTL)))
 	}
 	eng := engine.New(cfg.Net, dir, cfg.User, engOpts...)
-	events := event.New(cfg.User, cfg.Net, clk)
-	lis.SetEventSink(events.Dispatch)
+	events := event.New(clk)
 
 	// Disconnected operation: the manager is the engine's offline gate,
 	// installed before any call goes out.
@@ -292,11 +291,6 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 	}
 	// Publish the kernel services every node exposes.
 	if err := n.RegisterService(ctx, links.ServiceFor(cfg.User), lm.Object()); err != nil {
-		ln.Close()
-		closeDurable()
-		return nil, err
-	}
-	if err := n.RegisterService(ctx, event.ServiceFor(cfg.User), events.Object()); err != nil {
 		ln.Close()
 		closeDurable()
 		return nil, err

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/directory"
-	"repro/internal/event"
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/sim"
@@ -78,14 +78,20 @@ func TestStartPublishesKernelServices(t *testing.T) {
 	if u.Addr != n.Addr() || u.Priority != 7 || !u.Online {
 		t.Fatalf("user = %+v addr = %s", u, n.Addr())
 	}
-	for _, svc := range []string{links.ServiceFor("phil"), event.ServiceFor("phil")} {
-		info, err := n.Dir.LookupService(ctx, svc)
-		if err != nil {
-			t.Fatalf("%s: %v", svc, err)
-		}
-		if info.Addr != n.Addr() {
-			t.Fatalf("%s published at %s, node at %s", svc, info.Addr, n.Addr())
-		}
+	// A bare node publishes its links service and nothing else.
+	svcs, err := n.Dir.ServicesOf(ctx, "phil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{links.ServiceFor("phil")}; !slices.Equal(svcs, want) {
+		t.Fatalf("phil publishes %v, want %v", svcs, want)
+	}
+	info, err := n.Dir.LookupService(ctx, links.ServiceFor("phil"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Addr != n.Addr() {
+		t.Fatalf("%s published at %s, node at %s", links.ServiceFor("phil"), info.Addr, n.Addr())
 	}
 }
 

@@ -129,12 +129,6 @@ func (e *Engine) Invoke(ctx context.Context, service, method string, args wire.A
 	return e.invoke(ctx, &call{service: service, method: method, args: args}, out)
 }
 
-// InvokeAddr calls method on service at an explicit address, skipping
-// the route cache and directory resolution.
-func (e *Engine) InvokeAddr(ctx context.Context, addr, service, method string, args wire.Args, out any) error {
-	return e.invoke(ctx, &call{service: service, method: method, args: args, addr: addr}, out)
-}
-
 // invokeRouted is Invoke with the directory route already resolved
 // (group fan-out pre-resolves members in one batched pass, when the
 // engine has no route cache to keep them in).
@@ -146,8 +140,6 @@ func (e *Engine) invokeRouted(ctx context.Context, route directory.ServiceInfo, 
 type call struct {
 	service, method string
 	args            wire.Args
-	// addr is a destination the caller forced (InvokeAddr).
-	addr string
 	// route is the directory record the call follows. A cached one is
 	// the cache's own entry: the path replaces it, never writes it.
 	route *directory.ServiceInfo
@@ -198,7 +190,7 @@ func (e *Engine) send(ctx context.Context, c *call, out any) error {
 		}
 	}
 	var hit *directory.ServiceInfo
-	cached := e.dirCache != nil && c.addr == "" && c.route == nil
+	cached := e.dirCache != nil && c.route == nil
 	if cached {
 		hit = e.dirCache.hit(c.service)
 		c.route = hit
@@ -214,16 +206,11 @@ func (e *Engine) send(ctx context.Context, c *call, out any) error {
 }
 
 // resolved resolves the service through the directory unless the call
-// has a route or a forced address, and sends it. When a call on a
-// route it did not just resolve finds the device unavailable, it asks
-// the directory once more; if the service has moved (a stand-in took
-// the user over, or the device took the user back, §5.2) it sends the
-// call there, once.
+// has a route, and sends it. When a call on a route it did not just
+// resolve finds the device unavailable, it asks the directory once
+// more; if the service has moved (a stand-in took the user over, or the
+// device took the user back, §5.2) it sends the call there, once.
 func (e *Engine) resolved(ctx context.Context, c *call, out any) error {
-	if c.addr != "" {
-		c.dest = c.addr
-		return e.exchange(ctx, c, out)
-	}
 	known := c.route != nil
 	if !known {
 		// Route-only resolution: the engine never needs the method

@@ -95,7 +95,6 @@ type Listener struct {
 
 	mu       sync.RWMutex
 	services map[string]*Object
-	sink     func(*wire.Event)
 	fence    func(service string) error // SetFence; nil admits every request
 }
 
@@ -180,24 +179,6 @@ func (l *Listener) PublishGlobal(ctx context.Context, dir *directory.Client, ser
 		return fmt.Errorf("listener: service %q not registered locally", service)
 	}
 	return dir.RegisterService(ctx, service, l.owner, addr, obj.Methods())
-}
-
-// SetEventSink wires inbound one-way events (global event delivery)
-// to the node's event handler.
-func (l *Listener) SetEventSink(sink func(*wire.Event)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sink = sink
-}
-
-// HandleEvent implements transport.Handler.
-func (l *Listener) HandleEvent(ev *wire.Event) {
-	l.mu.RLock()
-	sink := l.sink
-	l.mu.RUnlock()
-	if sink != nil {
-		sink(ev)
-	}
 }
 
 // HandleRequest implements transport.Handler: find the service, serve

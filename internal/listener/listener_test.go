@@ -168,24 +168,6 @@ func TestServicesAndMethodsSorted(t *testing.T) {
 	}
 }
 
-func TestEventSink(t *testing.T) {
-	l := New("phil", nil)
-	got := make(chan *wire.Event, 1)
-	l.SetEventSink(func(ev *wire.Event) { got <- ev })
-	l.HandleEvent(&wire.Event{Name: "link.expired"})
-	select {
-	case ev := <-got:
-		if ev.Name != "link.expired" {
-			t.Fatalf("ev = %+v", ev)
-		}
-	default:
-		t.Fatal("sink not called")
-	}
-	// Without a sink events are dropped silently.
-	l2 := New("x", nil)
-	l2.HandleEvent(&wire.Event{Name: "ignored"}) // must not panic
-}
-
 func TestPublishGlobal(t *testing.T) {
 	net := sim.New(sim.Config{})
 	srv := directory.NewServer()

@@ -135,7 +135,6 @@ func (o *Outcomes) fold(out opOutcome) {
 type NetStats struct {
 	Requests  int64 `json:"requests"`
 	Responses int64 `json:"responses"`
-	Events    int64 `json:"events"`
 	Dropped   int64 `json:"dropped"`
 }
 

@@ -363,7 +363,6 @@ func (w *world) drive(cfg Config, sc *scenario) (*Report, error) {
 		Net: NetStats{
 			Requests:  st.Requests,
 			Responses: st.Responses,
-			Events:    st.Events,
 			Dropped:   st.Dropped,
 		},
 		Directory:  w.load.report(),

@@ -34,8 +34,8 @@ type Config struct {
 	BaseLatency time.Duration
 	// Jitter adds a uniform random extra in [0, Jitter).
 	Jitter time.Duration
-	// LossProb drops a request or event with this probability
-	// (a dropped request surfaces as CodeUnavailable).
+	// LossProb drops a request or its response with this probability
+	// (either surfaces as CodeUnavailable).
 	LossProb float64
 	// Seed seeds the private RNG so runs are reproducible.
 	Seed int64
@@ -50,7 +50,6 @@ type Config struct {
 type Stats struct {
 	Requests  int64 // requests delivered
 	Responses int64 // responses delivered
-	Events    int64 // events delivered
 	Dropped   int64 // messages lost to LossProb, partitions, or down devices
 }
 
@@ -76,7 +75,6 @@ type Net struct {
 
 	requests  atomic.Int64
 	responses atomic.Int64
-	events    atomic.Int64
 	dropped   atomic.Int64
 
 	nextAuto atomic.Int64
@@ -357,9 +355,9 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 }
 
 // roundTrip encodes env as a v3 frame and decodes it back, yielding the
-// envelope a real socket peer would have received: every request,
-// response and event is delivered this way, so a receiver never shares
-// a map with its sender and sees v3's tagged scalars, as over a socket.
+// envelope a real socket peer would have received: every request and
+// response is delivered this way, so a receiver never shares a map with
+// its sender and sees v3's tagged scalars, as over a socket.
 func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
 	f, err := wire.EncodeFrameV3(env)
 	if err != nil {
@@ -373,39 +371,11 @@ func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
 	return out, nil
 }
 
-// Send implements transport.Network.
-func (n *Net) Send(ctx context.Context, addr string, ev *transport.Event) error {
-	src := ""
-	if ev != nil {
-		src = ev.Source
-	}
-	ep, err := n.reachable(src, addr)
-	if err != nil {
-		n.dropped.Add(1)
-		return err
-	}
-	if n.lose() {
-		n.dropped.Add(1)
-		return nil // events are fire-and-forget; loss is silent
-	}
-	if err := n.sleep(ctx, n.latency()); err != nil {
-		return err
-	}
-	n.events.Add(1)
-	env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindEvent, Event: ev})
-	if err != nil {
-		return err
-	}
-	go ep.handler.HandleEvent(env.Event)
-	return nil
-}
-
 // Stats returns a snapshot of traffic counters.
 func (n *Net) Stats() Stats {
 	return Stats{
 		Requests:  n.requests.Load(),
 		Responses: n.responses.Load(),
-		Events:    n.events.Load(),
 		Dropped:   n.dropped.Load(),
 	}
 }
@@ -415,6 +385,5 @@ func (n *Net) Stats() Stats {
 func (n *Net) ResetStats() {
 	n.requests.Store(0)
 	n.responses.Store(0)
-	n.events.Store(0)
 	n.dropped.Store(0)
 }

@@ -13,16 +13,13 @@ import (
 )
 
 type okHandler struct {
-	events atomic.Int64
-	calls  atomic.Int64
+	calls atomic.Int64
 }
 
 func (h *okHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
 	h.calls.Add(1)
 	return &transport.Response{ID: req.ID, OK: true}
 }
-
-func (h *okHandler) HandleEvent(ev *transport.Event) { h.events.Add(1) }
 
 func TestListenAssignsUniqueAddrs(t *testing.T) {
 	n := New(Config{})
@@ -265,24 +262,6 @@ func TestLatencyRespectsContext(t *testing.T) {
 	}
 }
 
-func TestSendEventDelivered(t *testing.T) {
-	n := New(Config{})
-	h := &okHandler{}
-	if _, err := n.Listen("phil", h); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(context.Background(), "phil", &transport.Event{Name: "tick"}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.events.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("event not delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	n := New(Config{})
 	if _, err := n.Listen("phil", &okHandler{}); err != nil {
@@ -293,11 +272,11 @@ func TestStatsCounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := n.Send(context.Background(), "phil", &transport.Event{Name: "e"}); err != nil {
-		t.Fatal(err)
+	if _, err := n.Call(context.Background(), "nowhere", &transport.Request{Service: "s", Method: "m"}); err == nil {
+		t.Fatal("a call to an unbound address succeeded")
 	}
 	st := n.Stats()
-	if st.Requests != 3 || st.Responses != 3 || st.Events != 1 {
+	if st.Requests != 3 || st.Responses != 3 || st.Dropped != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	n.ResetStats()

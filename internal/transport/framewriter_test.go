@@ -26,8 +26,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// tick is a small event frame.
-var tick = &wire.Envelope{Kind: wire.KindEvent, Event: &wire.Event{Name: "tick"}}
+// tick is a small request frame.
+var tick = &wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{Service: "tick"}}
 
 func TestFrameWriterSequentialWritesOneSyscallEach(t *testing.T) {
 	stats := &metrics.WireStats{}

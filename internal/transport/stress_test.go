@@ -14,59 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestTCPSendReconnectAfterServerRestart pins the Send half of the
-// reconnect semantics: after the server restarts, the first Send on
-// the stale pooled connection must transparently redial instead of
-// silently losing the event.
-func TestTCPSendReconnectAfterServerRestart(t *testing.T) {
-	h := &echoHandler{}
-	net := NewTCP(WithPoolSize(1))
-	defer net.Close()
-	ln, err := net.Listen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr()
-
-	// Prime the pooled connection.
-	if err := net.Send(context.Background(), addr, &Event{Name: "warm"}); err != nil {
-		t.Fatal(err)
-	}
-	waitForEvents(t, h, 1)
-
-	ln.Close()
-	ln2, err := net.Listen(addr, h)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer ln2.Close()
-
-	// The cached connection is dead. Send must notice and redial —
-	// possibly needing one attempt that only discovers the dead conn.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := net.Send(context.Background(), addr, &Event{Name: "after-restart"})
-		if err == nil && h.events.Load() >= 2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("event not delivered after restart (err=%v, events=%d)", err, h.events.Load())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func waitForEvents(t *testing.T, h *echoHandler, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for h.events.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("events = %d, want >= %d", h.events.Load(), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestTCPPoolSpreadsConnections verifies that the per-peer pool
 // actually opens multiple connections and spreads calls across them.
 func TestTCPPoolSpreadsConnections(t *testing.T) {
@@ -187,7 +134,7 @@ func TestTCPStress(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				n := w*callsPerWorker + i
 				if n%7 == 0 {
-					_ = cli.Send(ctx, addr, &Event{Name: "tick"})
+					_, _ = cli.Call(ctx, addr, &Request{Service: "echo", Method: "tick"})
 					cancel()
 					continue
 				}

@@ -162,35 +162,27 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		}
 		l.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
-		switch env.Kind {
-		case wire.KindRequest:
-			req := env.Request
-			if req == nil {
-				continue
-			}
-			// Each request gets its own goroutine so a slow
-			// handler (e.g. a negotiation holding locks) cannot
-			// stall unrelated traffic on the same connection.
-			go func() {
-				resp := l.handler.HandleRequest(context.Background(), req)
-				if resp == nil {
-					resp = ErrorResponse(req, wire.CodeInternal, "handler returned no response")
-				}
-				resp.ID = req.ID
-				err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
-				if errors.Is(err, errEncode) {
-					// Answer in its place rather than leave the caller
-					// waiting out its deadline.
-					resp = ErrorResponse(req, wire.CodeInternal, "%v", err)
-					_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
-				}
-			}()
-		case wire.KindEvent:
-			if env.Event != nil {
-				ev := env.Event
-				go l.handler.HandleEvent(ev)
-			}
+		req := env.Request
+		if env.Kind != wire.KindRequest || req == nil {
+			continue
 		}
+		// Each request gets its own goroutine so a slow handler (e.g. a
+		// negotiation holding locks) cannot stall unrelated traffic on
+		// the same connection.
+		go func() {
+			resp := l.handler.HandleRequest(context.Background(), req)
+			if resp == nil {
+				resp = ErrorResponse(req, wire.CodeInternal, "handler returned no response")
+			}
+			resp.ID = req.ID
+			err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
+			if errors.Is(err, errEncode) {
+				// Answer in its place rather than leave the caller
+				// waiting out its deadline.
+				resp = ErrorResponse(req, wire.CodeInternal, "%v", err)
+				_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
+			}
+		}()
 	}
 }
 
@@ -416,24 +408,6 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 	}
 }
 
-// send delivers a one-way event frame on this connection.
-func (c *tcpClientConn) send(ev *Event) error {
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		return ErrUnreachable
-	}
-	c.mu.Unlock()
-	if err := c.w.writeEnvelope(&wire.Envelope{Kind: wire.KindEvent, Event: ev}); err != nil {
-		if errors.Is(err, errEncode) {
-			return err
-		}
-		c.fail()
-		return fmt.Errorf("%w: %v", ErrUnreachable, err)
-	}
-	return nil
-}
-
 // Call implements Network.
 func (t *TCP) Call(ctx context.Context, addr string, req *Request) (*Response, error) {
 	ctx, span := trace.Start(ctx, "transport.send")
@@ -464,26 +438,6 @@ func (t *TCP) doCall(ctx context.Context, addr string, req *Request) (*Response,
 		return c.call(ctx, req)
 	}
 	return resp, err
-}
-
-// Send implements Network. Like Call it makes one reconnect attempt
-// when the pooled connection has died idle, so events to a restarted
-// peer are not silently lost.
-func (t *TCP) Send(ctx context.Context, addr string, ev *Event) error {
-	c, err := t.getConn(addr)
-	if err != nil {
-		return err
-	}
-	err = c.send(ev)
-	if errors.Is(err, ErrUnreachable) {
-		t.dropConn(addr, c)
-		c, err2 := t.getConn(addr)
-		if err2 != nil {
-			return err2
-		}
-		return c.send(ev)
-	}
-	return err
 }
 
 // Close tears down all client connections. Listeners are closed

@@ -13,11 +13,9 @@ import (
 	"repro/internal/wire"
 )
 
-// echoHandler answers every request with its own args echoed back and
-// records events.
+// echoHandler answers every request with its own args echoed back.
 type echoHandler struct {
-	events atomic.Int64
-	delay  time.Duration
+	delay time.Duration
 }
 
 func (h *echoHandler) HandleRequest(ctx context.Context, req *Request) *Response {
@@ -27,8 +25,6 @@ func (h *echoHandler) HandleRequest(ctx context.Context, req *Request) *Response
 	res, _ := wire.Marshal(req.Args)
 	return &Response{ID: req.ID, OK: true, Result: res}
 }
-
-func (h *echoHandler) HandleEvent(ev *Event) { h.events.Add(1) }
 
 func newTCPPair(t *testing.T, h Handler) (*TCP, string) {
 	t.Helper()
@@ -123,22 +119,6 @@ func TestTCPCallContextTimeout(t *testing.T) {
 	}
 }
 
-func TestTCPSendEvent(t *testing.T) {
-	h := &echoHandler{}
-	net, addr := newTCPPair(t, h)
-
-	if err := net.Send(context.Background(), addr, &Event{Name: "tick"}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.events.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("event never delivered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestTCPReconnectAfterServerRestart(t *testing.T) {
 	h := &echoHandler{}
 	net := NewTCP()
@@ -178,19 +158,6 @@ func TestTCPClosedNetworkRefusesCalls(t *testing.T) {
 	}
 }
 
-func TestHandlerFuncDropsEvents(t *testing.T) {
-	called := false
-	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
-		called = true
-		return &Response{ID: req.ID, OK: true}
-	})
-	h.HandleEvent(&Event{Name: "ignored"}) // must not panic
-	resp := h.HandleRequest(context.Background(), &Request{ID: 9})
-	if !called || !resp.OK {
-		t.Fatal("HandlerFunc did not dispatch")
-	}
-}
-
 func TestErrorResponse(t *testing.T) {
 	req := &Request{ID: 7, Service: "cal", Method: "m"}
 	resp := ErrorResponse(req, wire.CodeNoMethod, "no method %q", "m")
@@ -227,8 +194,6 @@ func (metaHandler) HandleRequest(ctx context.Context, req *Request) *Response {
 	res, _ := wire.Marshal(req)
 	return &Response{ID: req.ID, OK: true, Result: res}
 }
-
-func (metaHandler) HandleEvent(ev *Event) {}
 
 // TestTCPMetadataRoundTrip: a request's metadata (a key its caller
 // set), its deadline hint and its caller reach the handler exactly, on a

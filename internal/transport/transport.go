@@ -23,21 +23,18 @@ var (
 )
 
 // Handler is the server-side dispatch surface. HandleRequest must be
-// safe for concurrent calls; HandleEvent is one-way (no reply).
+// safe for concurrent calls.
 type Handler interface {
 	HandleRequest(ctx context.Context, req *Request) *Response
-	HandleEvent(ev *Event)
 }
 
-// Request, Response, and Event re-export the wire types so most
-// packages only import transport.
+// Request and Response re-export the wire types so most packages only
+// import transport.
 type (
 	// Request is an RPC request (see wire.Request).
 	Request = wire.Request
 	// Response is an RPC response (see wire.Response).
 	Response = wire.Response
-	// Event is a one-way notification (see wire.Event).
-	Event = wire.Event
 )
 
 // Listener is a bound server endpoint.
@@ -58,21 +55,15 @@ type Network interface {
 	// call's alone until Call returns: the transport may number it in
 	// place (its ID), so no two calls in flight may share one.
 	Call(ctx context.Context, addr string, req *Request) (*Response, error)
-	// Send delivers a one-way event to addr (best effort).
-	Send(ctx context.Context, addr string, ev *Event) error
 }
 
-// HandlerFunc adapts a request function into a Handler that drops
-// events.
+// HandlerFunc adapts a request function into a Handler.
 type HandlerFunc func(ctx context.Context, req *Request) *Response
 
 // HandleRequest implements Handler.
 func (f HandlerFunc) HandleRequest(ctx context.Context, req *Request) *Response {
 	return f(ctx, req)
 }
-
-// HandleEvent implements Handler by ignoring the event.
-func (HandlerFunc) HandleEvent(*Event) {}
 
 // ErrorResponse builds a failed Response for req.
 func ErrorResponse(req *Request, code wire.ErrCode, format string, args ...any) *Response {

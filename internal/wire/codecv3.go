@@ -59,7 +59,6 @@ var ErrBadV3Frame = errors.New("wire: malformed v3 frame")
 const (
 	v3KindRequest  = 1
 	v3KindResponse = 2
-	v3KindEvent    = 3
 )
 
 // v3 value tags for the Args encoding.
@@ -160,9 +159,6 @@ func encodeV3(env *Envelope, t *NameTable) (*FrameBuffer, error) {
 	case env.Kind == KindResponse && env.Response != nil:
 		b = append(b, magicV3, v3KindResponse)
 		b = t.appendResponse(b, env.Response)
-	case env.Kind == KindEvent && env.Event != nil:
-		b = append(b, magicV3, v3KindEvent)
-		b, err = t.appendEvent(b, env.Event)
 	default:
 		err = fmt.Errorf("wire: v3 encode: empty or inconsistent envelope kind %q", env.Kind)
 	}
@@ -203,12 +199,6 @@ func (t *NameTable) appendResponse(b []byte, r *Response) []byte {
 	}
 	b = appendV3Bytes(b, r.Result)
 	return t.appendMeta(b, r.Meta)
-}
-
-func (t *NameTable) appendEvent(b []byte, e *Event) ([]byte, error) {
-	b = appendV3String(b, e.Name)
-	b = appendV3String(b, e.Source)
-	return t.appendArgs(b, e.Args)
 }
 
 func appendV3String(b []byte, s string) []byte {
@@ -586,8 +576,8 @@ type envelopeOf[T any] struct {
 }
 
 // decodeV3 decodes a v3 body (including the leading magic byte) into a
-// fresh Envelope that does not alias body; the envelope and its request,
-// response or event are one allocation. names is the receiving half of
+// fresh Envelope that does not alias body; the envelope and its request
+// or response are one allocation. names is the receiving half of
 // the connection's name table (see v3dec.names), nil for none.
 func decodeV3(body []byte, names *[]string) (*Envelope, error) {
 	if len(body) < 2 || body[0] != magicV3 {
@@ -605,10 +595,6 @@ func decodeV3(body []byte, names *[]string) (*Envelope, error) {
 		p := new(envelopeOf[Response])
 		env, p.env = &p.env, Envelope{Kind: KindResponse, Response: &p.msg}
 		err = d.response(&p.msg)
-	case v3KindEvent:
-		p := new(envelopeOf[Event])
-		env, p.env = &p.env, Envelope{Kind: KindEvent, Event: &p.msg}
-		err = d.event(&p.msg)
 	default:
 		err = ErrBadV3Frame
 	}
@@ -671,16 +657,5 @@ func (d *v3dec) response(r *Response) (err error) {
 		return err
 	}
 	r.Meta, err = d.meta()
-	return err
-}
-
-func (d *v3dec) event(e *Event) (err error) {
-	if e.Name, err = d.string(); err != nil {
-		return err
-	}
-	if e.Source, err = d.string(); err != nil {
-		return err
-	}
-	e.Args, err = d.args()
 	return err
 }

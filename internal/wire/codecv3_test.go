@@ -149,22 +149,6 @@ func TestCodecV3ReasonOnlyOnRefusals(t *testing.T) {
 	}
 }
 
-func TestCodecV3RoundTripEvent(t *testing.T) {
-	env := &Envelope{Kind: KindEvent, Event: &Event{
-		Name: "cal.changed", Source: "phil", Args: Args{"entity": "ev1"},
-	}}
-	f, err := EncodeFrameV3(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := append([]byte(nil), f.Bytes()...)
-	f.Release()
-	got := decodeOneFrame(t, frame).Event
-	if got == nil || got.Name != "cal.changed" || got.Source != "phil" || got.Args.String("entity") != "ev1" {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
 // TestCodecV3EquivalentToJSON pins semantic equivalence: the same
 // envelope decoded from a v3 frame and from a JSON frame canonicalizes
 // to identical JSON.
@@ -175,7 +159,7 @@ func TestCodecV3EquivalentToJSON(t *testing.T) {
 		{Kind: KindResponse, Response: &Response{ID: 2, Error: "x", Code: CodeUnavailable}},
 		{Kind: KindResponse, Response: &Response{ID: 3, Error: "B holds personal:class", Code: CodeConflict, Reason: ReasonSlotPersonal}},
 		{Kind: KindResponse, Response: &Response{ID: 4, Error: "y", Code: CodeConflict, Reason: "from-a-newer-peer"}},
-		{Kind: KindEvent, Event: &Event{Name: "e", Args: Args{"n": nil, "f": 2.25, "neg": -12}}},
+		{Kind: KindRequest, Request: &Request{ID: 6, Service: "e", Method: "m", Args: Args{"n": nil, "f": 2.25, "neg": -12}}},
 		{Kind: KindRequest, Request: &Request{ID: 0, Service: "s", Method: "m"}}, // all-empty fields
 		{Kind: KindRequest, Request: &Request{ID: 5, Service: "s", Method: "m", DeadlineMs: math.MaxUint64}},
 	}
@@ -604,6 +588,9 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 		{"slice", slices.Concat(args, []byte{1, 0, v3ValSlice}), 0xFF, nil},
 		{"reference-without-table", args, 1, nil},
 		{"reference-past-end", args, 3, &[]string{"k"}},
+		// Kind 3 is no message. It was a one-way event once, and this
+		// body an event whose one arg was a list of 2^20 empty strings.
+		{"kind-3", []byte{magicV3, 3, 0, 0, 1, 0, v3ValStrings}, 0, nil},
 	} {
 		body := binary.AppendUvarint(tc.prefix, size)
 		body = append(body, bytes.Repeat([]byte{tc.entry}, size)...)
@@ -620,9 +607,10 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 	}
 }
 
-// streamEnvelope is frame i of FuzzNameTableStream's stream: a request,
-// a response or an event, each with a name new to the stream, a and b
-// as names and values, and maps nested in maps and in lists.
+// streamEnvelope is frame i of FuzzNameTableStream's stream: a request
+// with metadata, a response, or a bare request with a and b swapped,
+// each with a name new to the stream, a and b as names and values, and
+// maps nested in maps and in lists.
 func streamEnvelope(a, b string, i int) *Envelope {
 	k := a + strconv.Itoa(i)
 	args := Args{a: i, k: b, "deep": map[string]any{b: []any{map[string]any{k: a, a: nil}}, a: Args{b: k}}}
@@ -637,7 +625,7 @@ func streamEnvelope(a, b string, i int) *Envelope {
 			ID: uint64(i), OK: true, Result: json.RawMessage(`{"ok":true}`), Meta: Metadata{k: b, a: "x"},
 		}}
 	}
-	return &Envelope{Kind: KindEvent, Event: &Event{Name: b, Source: a, Args: args}}
+	return &Envelope{Kind: KindRequest, Request: &Request{ID: uint64(i), Service: b, Method: a, Args: args}}
 }
 
 // FuzzNameTableStream encodes a stream of envelopes through one

@@ -1,6 +1,6 @@
 // Package wire defines the SyD wire protocol: the frame format and the
-// request/response/event message types exchanged between SyD kernel
-// modules over any transport.
+// request/response message types exchanged between SyD kernel modules
+// over any transport.
 //
 // The paper's prototype used "TCP Sockets for small foot-print and
 // maximum flexibility" (§3.1). We keep the same spirit: a frame is a
@@ -39,20 +39,18 @@ type Kind string
 const (
 	KindRequest  Kind = "request"
 	KindResponse Kind = "response"
-	KindEvent    Kind = "event"
 )
 
-// Args is the argument map carried by a request or event. Values are
+// Args is the argument map carried by a request. Values are
 // anything JSON can represent; typed helpers live on Args.
 type Args map[string]any
 
 // Envelope is the single top-level frame payload. Exactly one of
-// Request, Response, or Event is set, according to Kind.
+// Request or Response is set, according to Kind.
 type Envelope struct {
 	Kind     Kind      `json:"kind"`
 	Request  *Request  `json:"request,omitempty"`
 	Response *Response `json:"response,omitempty"`
-	Event    *Event    `json:"event,omitempty"`
 }
 
 // Request is a remote method invocation on a published SyD service.
@@ -94,14 +92,6 @@ type Response struct {
 	// caller; no handler writes it today. A caller correlates a
 	// response on ID, not on metadata.
 	Meta Metadata `json:"meta,omitempty"`
-}
-
-// Event is a one-way notification used by the SyDEventHandler for
-// global events (no response expected).
-type Event struct {
-	Name   string `json:"name"`
-	Source string `json:"source,omitempty"`
-	Args   Args   `json:"args,omitempty"`
 }
 
 // ErrCode classifies remote failures so callers can make retry /

@@ -64,24 +64,6 @@ func TestRoundTripResponse(t *testing.T) {
 	}
 }
 
-func TestRoundTripEvent(t *testing.T) {
-	env := &Envelope{
-		Kind:  KindEvent,
-		Event: &Event{Name: "link.expired", Source: "phil", Args: Args{"link": "L1"}},
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, env); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Event.Name != "link.expired" || got.Event.Args.String("link") != "L1" {
-		t.Fatalf("event mismatch: %+v", got.Event)
-	}
-}
-
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {

@@ -137,7 +137,7 @@ func RunT1() (*Result, error) {
 		fmt.Sprintf("%d", blStorageSeeded),
 		"SyD ~ own calendar; baseline ~ N x calendars")
 	res.AddRow("messages/scheduled meeting",
-		perMeeting(sydSchedStats.Requests+sydSchedStats.Events, scheduled),
+		perMeeting(sydSchedStats.Requests, scheduled),
 		perMeeting(int64(blSchedStats.Messages), blScheduled),
 		"SyD machine-to-machine; baseline includes human e-mail")
 	res.AddRow("human interventions/meeting",
@@ -149,7 +149,7 @@ func RunT1() (*Result, error) {
 		perMeeting(int64(blCancelStats.Interventions), blCancelled),
 		"SyD auto-promotes; baseline full manual redo")
 	res.AddRow("messages per cancel+repair",
-		perMeeting(sydCancelStats.Requests+sydCancelStats.Events, cancelled),
+		perMeeting(sydCancelStats.Requests, cancelled),
 		perMeeting(int64(blCancelStats.Messages), blCancelled), "")
 	// Stale-replica variant: with replication lag the baseline's
 	// initiators schedule against outdated folders, producing declines
