@@ -64,7 +64,7 @@ func RunA1() (*Result, error) {
 					}
 					_, err := w.Cals[racer].Links().Negotiate(ctx, links.Spec{
 						Action:     calendar.ActionReserve,
-						Args:       wire.Args{"meeting": fmt.Sprintf("a1-%s", racer), "priority": 0},
+						Args:       wire.Args{wire.Str("meeting", fmt.Sprintf("a1-%s", racer)), wire.Int("priority", 0)},
 						Targets:    tg,
 						Constraint: constraint,
 						K:          k,
@@ -189,7 +189,7 @@ func RunA2() (*Result, error) {
 		}
 		start := time.Now()
 		for i := 0; i < ops; i++ {
-			if _, err := lm.TriggerEntity(ctx, "slot:2003-04-21:9", "change", wire.Args{"i": i}); err != nil {
+			if _, err := lm.TriggerEntity(ctx, "slot:2003-04-21:9", "change", wire.Args{wire.Int("i", i)}); err != nil {
 				return nil, err
 			}
 		}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -99,7 +100,7 @@ func main() {
 		eng := engine.New(net, dir, *caller)
 		var info calendar.SlotInfo
 		err := eng.Invoke(ctx, calendar.ServiceFor(*user), "SlotInfo",
-			wire.Args{"day": *day, "hour": *hour}, &info)
+			wire.Args{wire.Str("day", *day), wire.Int("hour", *hour)}, &info)
 		if err != nil {
 			log.Fatalf("sydcal: %v", err)
 		}
@@ -129,13 +130,13 @@ func main() {
 			}
 		}
 		var m calendar.Meeting
-		err := eng.Invoke(ctx, calendar.ServiceFor(*user), "Schedule", wire.Args{
-			"title": *title, "from": *from, "to": *to, "must": participants,
-			"request": map[string]any{
-				"title": *title, "fromDay": *from, "toDay": *to,
-				"must": participants, "priority": *priority,
-			},
-		}, &m)
+		req, err := json.Marshal(calendar.Request{
+			Title: *title, FromDay: *from, ToDay: *to, Must: participants, Priority: *priority,
+		})
+		if err != nil {
+			log.Fatalf("sydcal: %v", err)
+		}
+		err = eng.Invoke(ctx, calendar.ServiceFor(*user), "Schedule", wire.Args{wire.Raw("request", req)}, &m)
 		if err != nil {
 			log.Fatalf("sydcal: %v", err)
 		}
@@ -147,7 +148,7 @@ func main() {
 		}
 		eng := engine.New(net, dir, *caller)
 		err := eng.Invoke(ctx, calendar.ServiceFor(*user), "CancelMeeting",
-			wire.Args{"meeting": *id}, nil)
+			wire.Args{wire.Str("meeting", *id)}, nil)
 		if err != nil {
 			log.Fatalf("sydcal: %v", err)
 		}

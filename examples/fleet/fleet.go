@@ -126,7 +126,7 @@ func (v *Vehicle) WatchGeofence(depot string, lat, lon, radius float64) error {
 		Targets: []links.EntityRef{{User: depot, Entity: "alerts"}},
 		Triggers: []links.Trigger{{
 			Event: "outOfArea", Action: alertAction,
-			Args: wire.Args{"vehicle": v.ID},
+			Args: wire.Args{wire.Str("vehicle", v.ID)},
 		}},
 	}
 	return v.node.Links.InstallAt(context.TODO(), v.ID, l)
@@ -146,7 +146,7 @@ func (v *Vehicle) MoveTo(ctx context.Context, lat, lon float64) error {
 	}
 	if Distance(lat, lon, v.fenceLat, v.fenceLon) > v.fenceRange {
 		_, err := v.node.Links.TriggerEntity(ctx, PositionEntity, "outOfArea", wire.Args{
-			"lat": lat, "lon": lon,
+			wire.Float("lat", lat), wire.Float("lon", lon),
 		})
 		return err
 	}
@@ -172,12 +172,8 @@ func NewDepot(node *core.Node) *Depot {
 	node.Links.RegisterAction(alertAction, links.Action{
 		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			a := Alert{Vehicle: args.String("vehicle")}
-			if f, ok := args["lat"].(float64); ok {
-				a.Lat = f
-			}
-			if f, ok := args["lon"].(float64); ok {
-				a.Lon = f
-			}
+			_ = args.Decode("lat", &a.Lat) // an alert without a position still goes out
+			_ = args.Decode("lon", &a.Lon)
 			select {
 			case d.alerts <- a:
 			default: // drop when the depot is flooded
@@ -246,7 +242,7 @@ func (d *Depot) Assign(ctx context.Context, group, cargo string, lat, lon float6
 		return free[i].id < free[j].id
 	})
 	chosen := free[0].id
-	err = d.node.Engine.Invoke(ctx, ServiceFor(chosen), "Assign", wire.Args{"cargo": cargo}, nil)
+	err = d.node.Engine.Invoke(ctx, ServiceFor(chosen), "Assign", wire.Args{wire.Str("cargo", cargo)}, nil)
 	if err != nil {
 		return "", fmt.Errorf("fleet: assign to %s: %w", chosen, err)
 	}

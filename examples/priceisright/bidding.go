@@ -160,7 +160,7 @@ func (h *Host) PlayRound(ctx context.Context, players []string, listPrice int) *
 	for i, p := range players {
 		services[i] = ServiceFor(p)
 	}
-	results := h.node.Engine.GroupInvoke(ctx, services, "Bid", wire.Args{"listPrice": listPrice})
+	results := h.node.Engine.GroupInvoke(ctx, services, "Bid", wire.Args{wire.Int("listPrice", listPrice)})
 
 	best := -1
 	for i, r := range results {
@@ -185,7 +185,7 @@ func (h *Host) PlayRound(ctx context.Context, players []string, listPrice int) *
 	// here, under one negotiation-and.
 	_, err := h.node.Links.Negotiate(ctx, links.Spec{
 		Action:     debitAction,
-		Args:       wire.Args{"amount": best},
+		Args:       wire.Args{wire.Int("amount", best)},
 		Targets:    []links.EntityRef{{User: res.Winner, Entity: "wallet"}},
 		Constraint: links.And,
 		Local:      &links.LocalChange{Entity: "inventory", Action: shipAction},

@@ -160,8 +160,10 @@ func RunF2() (*Result, error) {
 		_, err := w.Cals[users[0]].Links().Negotiate(ctx, links.Spec{
 			Action: calendar.ActionReserve,
 			Args: wire.Args{
-				"meeting": fmt.Sprintf("F2-%d", i), "priority": 0,
-				"day": "2003-04-21", "hour": 9,
+				wire.Str("meeting", fmt.Sprintf("F2-%d", i)),
+				wire.Int("priority", 0),
+				wire.Str("day", "2003-04-21"),
+				wire.Int("hour", 9),
 			},
 			Targets: []links.EntityRef{{
 				User: users[1], Entity: calendar.Slot{Day: "2003-04-21", Hour: 9}.Entity(),
@@ -173,9 +175,9 @@ func RunF2() (*Result, error) {
 		}
 		// Release for the next round.
 		return eng.Invoke(ctx, links.ServiceFor(users[1]), "Apply", wire.Args{
-			"entity": calendar.Slot{Day: "2003-04-21", Hour: 9}.Entity(),
-			"action": calendar.ActionRelease,
-			"args":   map[string]any{"meeting": ""},
+			wire.Str("entity", calendar.Slot{Day: "2003-04-21", Hour: 9}.Entity()),
+			wire.Str("action", calendar.ActionRelease),
+			wire.Sub("args", wire.Args{wire.Str("meeting", "")}),
 		}, nil)
 	}); err != nil {
 		return nil, err
@@ -220,7 +222,7 @@ func RunF3() (*Result, error) {
 	before = count()
 	var info calendar.SlotInfo
 	err = w.Nodes[users[0]].Engine.Invoke(ctx, calendar.ServiceFor(users[1]), "SlotInfo",
-		wire.Args{"day": "2003-04-21", "hour": 9}, &info)
+		wire.Args{wire.Str("day", "2003-04-21"), wire.Int("hour", 9)}, &info)
 	if err != nil {
 		return nil, err
 	}
@@ -275,10 +277,10 @@ func RunF4() (*Result, error) {
 	}
 	spec := links.Spec{
 		Action:     calendar.ActionReserve,
-		Args:       wire.Args{"meeting": "F4-M", "priority": 0, "day": slot.Day, "hour": slot.Hour},
+		Args:       wire.Args{wire.Str("meeting", "F4-M"), wire.Int("priority", 0), wire.Str("day", slot.Day), wire.Int("hour", slot.Hour)},
 		Targets:    []links.EntityRef{{User: "B", Entity: slot.Entity()}, {User: "C", Entity: slot.Entity()}},
 		Constraint: links.Or,
-		Local:      &links.LocalChange{Entity: slot.Entity(), Action: calendar.ActionReserve, Args: wire.Args{"meeting": "F4-M", "priority": 0}},
+		Local:      &links.LocalChange{Entity: slot.Entity(), Action: calendar.ActionReserve, Args: wire.Args{wire.Str("meeting", "F4-M"), wire.Int("priority", 0)}},
 	}
 	outcome, err := w.Cals["A"].Links().Negotiate(ctx, spec)
 	if err != nil {

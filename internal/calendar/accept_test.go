@@ -18,7 +18,7 @@ func pushRecord(t *testing.T, w *world, user string, m calendar.Meeting) string 
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.nodes[m.Initiator].Engine.Invoke(ctxBg(), calendar.ServiceFor(user), "MeetingUpdate", wire.Args{"doc": string(raw)}, nil)
+	err = w.nodes[m.Initiator].Engine.Invoke(ctxBg(), calendar.ServiceFor(user), "MeetingUpdate", wire.Args{wire.Str("doc", string(raw))}, nil)
 	if err != nil {
 		t.Fatalf("push to %s: %v", user, err)
 	}

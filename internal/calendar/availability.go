@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jsonrec"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -78,7 +79,7 @@ func hourMask(hours []int) uint32 {
 // windowFromArgs reads the window a GetFreeSlots request names.
 func windowFromArgs(args wire.Args) (Window, error) {
 	hours := int64(hourMask(DefaultHours))
-	if _, ok := args["hours"]; ok {
+	if args.Has("hours") {
 		if hours = args.Int64("hours"); hours <= 0 || hours >= 1<<24 {
 			return Window{}, badWindow("hours must be a set of hours 0-23, one bit each")
 		}
@@ -89,9 +90,9 @@ func windowFromArgs(args wire.Args) (Window, error) {
 // args is the window as a GetFreeSlots request names it: the hour set
 // travels as one int, and not at all when it is the default.
 func (w Window) args() wire.Args {
-	a := wire.Args{"from": w.day(0), "to": w.day(w.days - 1)}
+	a := wire.Args{wire.Str("from", w.day(0)), wire.Str("to", w.day(w.days-1))}
 	if w.hours != hourMask(DefaultHours) {
-		a["hours"] = int(w.hours)
+		a = append(a, wire.Int("hours", int(w.hours)))
 	}
 	return a
 }
@@ -112,14 +113,28 @@ type Availability struct {
 	words []uint64
 }
 
-// decodeAvailability reads the reply to a GetFreeSlots over w. A reply of
-// the wrong length, or with a bit set beyond the window, is refused.
+// decodeAvailability reads the reply to a GetFreeSlots over w: the words
+// as wire.Marshal writes them, any other text as json.Unmarshal reads it.
+// A reply of the wrong length, or with a bit set beyond the window, is
+// refused.
 func decodeAvailability(w Window, reply json.RawMessage) (Availability, error) {
-	a := Availability{win: w}
-	if err := json.Unmarshal(reply, &a.words); err != nil {
+	n := w.Slots()
+	words, err := jsonrec.Decode(string(reply), func(s string) ([]uint64, bool) {
+		r := jsonrec.NewReader(s)
+		if r.Null() {
+			return nil, r.Done()
+		}
+		r.Lit("[")
+		ws := make([]uint64, 0, (n+63)/64)
+		for r.More(']') {
+			ws = append(ws, r.Uint64())
+		}
+		return ws, r.Done()
+	})
+	if err != nil {
 		return Availability{}, fmt.Errorf("calendar: availability reply: %w", err)
 	}
-	n := w.Slots()
+	a := Availability{win: w, words: words}
 	if len(a.words) != (n+63)/64 {
 		return Availability{}, fmt.Errorf("calendar: availability reply has %d words, the window %d slots", len(a.words), n)
 	}

@@ -2,9 +2,34 @@ package calendar
 
 import (
 	"encoding/json"
+	"fmt"
+	"regexp"
 	"slices"
 	"testing"
+
+	"repro/internal/wire"
 )
+
+// TestMeetingIDAndSlotLabel pins the meeting id's format, the process
+// prefix and the counter zero-padded to 12 digits, so ids sort in mint
+// order; and a slot's label, which is what fmt wrote for it.
+func TestMeetingIDAndSlotLabel(t *testing.T) {
+	shape := regexp.MustCompile(`^M-[0-9a-f]{12}-[0-9]{12}$`)
+	prev := newMeetingID()
+	for i := 0; i < 100; i++ {
+		id := newMeetingID()
+		if !shape.MatchString(id) || id <= prev {
+			t.Fatalf("meeting id %q after %q: want the shape %s, sorting after", id, prev, shape)
+		}
+		prev = id
+	}
+	for _, h := range []int{-10, -1, 0, 9, 10, 23, 100} {
+		s := Slot{Day: "2003-04-22", Hour: h}
+		if got, want := s.String(), fmt.Sprintf("%s %02d:00", s.Day, s.Hour); got != want {
+			t.Errorf("Slot%+v.String() = %q, fmt writes %q", s, got, want)
+		}
+	}
+}
 
 // TestAvailabilityDecodeRefuses: a reply must be exactly the window's
 // words with no bit set beyond its last slot.
@@ -44,19 +69,31 @@ func TestAvailabilityDecodeRefuses(t *testing.T) {
 
 // FuzzAvailabilityDecode: whatever bytes answer a GetFreeSlots, decoding
 // them never panics and never yields a slot outside the window asked
-// about, and what it accepts encodes back to the same words.
+// about; it accepts what json.Unmarshal reads as the window's words, as
+// the words json.Unmarshal reads, and what it accepts encodes back to the
+// same words.
 func FuzzAvailabilityDecode(f *testing.F) {
 	f.Add([]byte(`[35184372088831]`), uint16(4), uint32(0x3fe00))
 	f.Add([]byte(`[18446744073709551615,3]`), uint16(10), uint32(0x3f))
 	f.Add([]byte(`[1,2,3]`), uint16(200), uint32(1))
 	f.Add([]byte(`null`), uint16(0), uint32(1<<24-1))
 	f.Add([]byte(`[{"day":"2003-04-21","hour":9}]`), uint16(0), uint32(0x200))
+	f.Add([]byte(` [ 35184372088831 ] `), uint16(4), uint32(0x3fe00))
+	f.Add([]byte(`[18446744073709551616]`), uint16(0), uint32(1))
+	f.Add([]byte(`[-1]`), uint16(0), uint32(1))
+	f.Add([]byte(`[1.0]`), uint16(0), uint32(1))
 	f.Fuzz(func(t *testing.T, reply []byte, moreDays uint16, hours uint32) {
 		w, err := newWindow("2003-04-21", addDays("2003-04-21", int(moreDays)), hours%(1<<24))
 		if err != nil || hours%(1<<24) == 0 {
 			t.Skip() // over the cap, or no hour at all: no such window is ever asked about
 		}
 		a, err := decodeAvailability(w, reply)
+		var want []uint64
+		wantErr := json.Unmarshal(reply, &want)
+		fits := wantErr == nil && len(want) == (w.Slots()+63)/64 && (w.Slots()%64 == 0 || want[len(want)-1]>>(w.Slots()%64) == 0)
+		if (err == nil) != fits || err == nil && !slices.Equal(a.words, want) {
+			t.Fatalf("%q decodes to %v (%v); json.Unmarshal reads %v (%v)", reply, a.words, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -72,7 +109,7 @@ func FuzzAvailabilityDecode(f *testing.F) {
 		if len(slots) > w.Slots() {
 			t.Fatalf("%d slots from a window of %d", len(slots), w.Slots())
 		}
-		raw, err := json.Marshal(a.words)
+		raw, err := wire.Marshal(a.words)
 		if err != nil {
 			t.Fatal(err)
 		}

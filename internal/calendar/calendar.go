@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -166,7 +165,9 @@ func newMeetingPrefix() string {
 
 // newMeetingID mints a meeting id.
 func newMeetingID() string {
-	return fmt.Sprintf("M-%s-%012d", meetingPrefix, meetingCounter.Add(1))
+	var buf [32]byte
+	b := append(append(append(buf[:0], "M-"...), meetingPrefix...), '-')
+	return string(links.AppendPadded(b, meetingCounter.Add(1), 12))
 }
 
 // --- slot state --------------------------------------------------------------
@@ -599,7 +600,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.
 		return nil
 	}
 	back := backLink(m, c.user)
-	if _, ok := args["expires"]; ok {
+	if args.Has("expires") {
 		if err := args.Decode("expires", &back.Expires); err != nil {
 			return &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "calendar: bad link expiry in reserve"}
 		}
@@ -711,7 +712,7 @@ func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot
 			// Best effort: an initiator that cannot be told now finds
 			// the participant missing at its next TryConfirm.
 			_ = c.eng.Invoke(ctx, ServiceFor(initiator), "MeetingBumped", wire.Args{
-				"meeting": bumpedMeeting, "user": c.user, "by": byMeeting,
+				wire.Str("meeting", bumpedMeeting), wire.Str("user", c.user), wire.Str("by", byMeeting),
 			}, nil)
 		})
 	}

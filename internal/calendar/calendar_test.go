@@ -226,8 +226,8 @@ func TestHoursAreNormalised(t *testing.T) {
 		t.Fatalf("FreeSlots at hour 99 = %v", got)
 	}
 	census.take(t, "find at hour 99", map[string]int{})
-	for _, bad := range []any{1<<24 | 1<<9, 0, -1, []int{9, 9, 99}, "9"} {
-		err := invoke(w, "a", "b", "GetFreeSlots", wire.Args{"from": day1, "to": day1, "hours": bad}, nil)
+	for _, bad := range []wire.Arg{wire.Int("hours", 1<<24|1<<9), wire.Int("hours", 0), wire.Int("hours", -1), wire.Raw("hours", []byte("[9,9,99]")), wire.Str("hours", "9")} {
+		err := invoke(w, "a", "b", "GetFreeSlots", wire.Args{wire.Str("from", day1), wire.Str("to", day1), bad}, nil)
 		if wire.CodeOf(err) != wire.CodeBadArgs {
 			t.Errorf("GetFreeSlots with hours %v: %v, want bad-args", bad, err)
 		}
@@ -258,7 +258,7 @@ func TestWindowIsBounded(t *testing.T) {
 			t.Errorf("%s window: free/busy matrix: %v, want bad-args", name, err)
 		}
 		census.take(t, name, map[string]int{})
-		err := invoke(w, "a", "b", "GetFreeSlots", wire.Args{"from": win[0], "to": win[1]}, nil)
+		err := invoke(w, "a", "b", "GetFreeSlots", wire.Args{wire.Str("from", win[0]), wire.Str("to", win[1])}, nil)
 		if wire.CodeOf(err) != wire.CodeBadArgs {
 			t.Errorf("%s window: GetFreeSlots: %v, want bad-args", name, err)
 		}
@@ -793,7 +793,7 @@ func TestCancelAuthorization(t *testing.T) {
 	}
 	// b (non-initiator) cannot cancel remotely.
 	err = w.cals["b"].Engine().Invoke(ctxBg(), calendar.ServiceFor("a"), "CancelMeeting",
-		wire.Args{"meeting": m.ID}, nil)
+		wire.Args{wire.Str("meeting", m.ID)}, nil)
 	if wire.CodeOf(err) != wire.CodeAuth {
 		t.Fatalf("unauthorized cancel: %v", err)
 	}
@@ -802,7 +802,7 @@ func TestCancelAuthorization(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = w.cals["b"].Engine().Invoke(ctxBg(), calendar.ServiceFor("a"), "CancelMeeting",
-		wire.Args{"meeting": m.ID}, nil)
+		wire.Args{wire.Str("meeting", m.ID)}, nil)
 	if err != nil {
 		t.Fatalf("delegated cancel failed: %v", err)
 	}

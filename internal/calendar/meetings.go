@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/jsonrec"
 	"repro/internal/links"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -17,11 +18,8 @@ import (
 // reservation.
 func reserveArgs(m *Meeting, allowBump bool) wire.Args {
 	return wire.Args{
-		"meeting":   m.ID,
-		"priority":  m.Priority,
-		"allowBump": allowBump,
-		"day":       m.Slot.Day,
-		"hour":      m.Slot.Hour,
+		wire.Str("meeting", m.ID), wire.Int("priority", m.Priority), wire.Bool("allowBump", allowBump),
+		wire.Str("day", m.Slot.Day), wire.Int("hour", m.Slot.Hour),
 	}
 }
 
@@ -31,7 +29,7 @@ func reserveArgs(m *Meeting, allowBump bool) wire.Args {
 func backLinkTriggers(meetingID, user string) []links.Trigger {
 	return []links.Trigger{{
 		Event: "change", Service: ServicePrefix + "%s", Method: "ParticipantChange",
-		Args: wire.Args{"meeting": meetingID, "user": user},
+		Args: wire.Args{wire.Str("meeting", meetingID), wire.Str("user", user)},
 	}}
 }
 
@@ -40,7 +38,7 @@ func backLinkTriggers(meetingID, user string) []links.Trigger {
 func supervisorTriggers(meetingID, user string) []links.Trigger {
 	return []links.Trigger{{
 		Event: "change", Service: ServicePrefix + "%s", Method: "SupervisorChanged",
-		Args: wire.Args{"meeting": meetingID, "user": user},
+		Args: wire.Args{wire.Str("meeting", meetingID), wire.Str("user", user)},
 	}}
 }
 
@@ -52,7 +50,7 @@ func supervisorTriggers(meetingID, user string) []links.Trigger {
 func tentativeTriggers(meetingID, user string) []links.Trigger {
 	return []links.Trigger{{
 		Event: "avail", Action: ActionReserve, Service: ServicePrefix + "%s", Method: "SlotAvailable",
-		Args: wire.Args{"meeting": meetingID, "user": user},
+		Args: wire.Args{wire.Str("meeting", meetingID), wire.Str("user", user)},
 	}}
 }
 
@@ -201,9 +199,12 @@ func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, exp
 	spec.Decide = func(marked []links.EntityRef) wire.Args {
 		doc = encodeMeeting(m.holding(marked))
 		if expires.IsZero() {
-			return wire.Args{"doc": doc}
+			return wire.Args{wire.Str("doc", doc)}
 		}
-		return wire.Args{"doc": doc, "expires": expires}
+		// A time with no JSON form leaves raw empty, which the journal
+		// refuses as json.Marshal refuses the time.
+		raw, _ := jsonrec.AppendTime(nil, expires)
+		return wire.Args{wire.Str("doc", doc), wire.Raw("expires", raw)}
 	}
 	res, err := c.lm.Negotiate(ctx, spec)
 	if err != nil && !links.IsInDoubt(err) {
@@ -320,7 +321,7 @@ func (c *Calendar) publishIn(u *store.Tx, m *Meeting, has func(user, doc string)
 // participant that misses the push pulls the record when it next syncs.
 func (c *Calendar) push(ctx context.Context, doc string, to []string) {
 	for _, p := range to {
-		_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", wire.Args{"doc": doc}, nil)
+		_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", wire.Args{wire.Str("doc", doc)}, nil)
 	}
 }
 
@@ -540,7 +541,7 @@ func (c *Calendar) DropOut(ctx context.Context, meetingID string) error {
 		return wire.Refuse(wire.ReasonNotAllowed, "calendar: the initiator cancels, not drops out")
 	}
 	return c.eng.Invoke(ctx, ServiceFor(m.Initiator), "DropOut", wire.Args{
-		"meeting": meetingID, "user": c.user,
+		wire.Str("meeting", meetingID), wire.Str("user", c.user),
 	}, nil)
 }
 
@@ -559,7 +560,7 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
 	if m.droppable(user) {
-		_ = c.eng.Invoke(ctx, links.ServiceFor(user), "DeleteLinkLocal", wire.Args{"id": m.LinkID}, nil)
+		_ = c.eng.Invoke(ctx, links.ServiceFor(user), "DeleteLinkLocal", wire.Args{wire.Str("id", m.LinkID)}, nil)
 	}
 	m, prev, err := c.decideDrop(ctx, meetingID, user)
 	if err != nil {
@@ -665,7 +666,7 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 		Targets:    slotRefs(others, newSlot),
 		Constraint: links.And,
 		Local:      &links.LocalChange{Entity: newSlot.Entity(), Action: ActionReserve, Args: args},
-		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{"doc": doc} },
+		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{wire.Str("doc", doc)} },
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)

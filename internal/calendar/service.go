@@ -54,7 +54,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	// answer is the queued tentative meeting.
 	obj.Handle("Schedule", func(ctx context.Context, call *listener.Call) (any, error) {
 		var req Request
-		if raw, ok := call.Args["request"]; ok && raw != nil {
+		if call.Args.Has("request") {
 			if err := call.Args.Decode("request", &req); err != nil {
 				return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: fmt.Sprintf("bad request: %v", err)}
 			}

@@ -41,21 +41,21 @@ func TestServiceGetFreeSlotsAndSlotInfo(t *testing.T) {
 	// The reply is the availability's words and nothing else: eight free
 	// hours of nine, hour 9 (bit 0) taken.
 	var words []uint64
-	if err := invoke(w, "andy", "phil", "GetFreeSlots", wire.Args{"from": day1, "to": day1}, &words); err != nil {
+	if err := invoke(w, "andy", "phil", "GetFreeSlots", wire.Args{wire.Str("from", day1), wire.Str("to", day1)}, &words); err != nil {
 		t.Fatal(err)
 	}
 	if len(words) != 1 || words[0] != 0b111111110 {
 		t.Fatalf("reply words = %b", words)
 	}
 	var info calendar.SlotInfo
-	if err := invoke(w, "andy", "phil", "SlotInfo", wire.Args{"day": day1, "hour": 9}, &info); err != nil {
+	if err := invoke(w, "andy", "phil", "SlotInfo", wire.Args{wire.Str("day", day1), wire.Int("hour", 9)}, &info); err != nil {
 		t.Fatal(err)
 	}
 	if info.Meeting != "personal:x" || info.Priority != 3 {
 		t.Fatalf("info = %+v", info)
 	}
 	// Bad slot args.
-	err := invoke(w, "andy", "phil", "SlotInfo", wire.Args{"day": "garbage", "hour": 9}, nil)
+	err := invoke(w, "andy", "phil", "SlotInfo", wire.Args{wire.Str("day", "garbage"), wire.Int("hour", 9)}, nil)
 	if wire.CodeOf(err) != wire.CodeBadArgs {
 		t.Fatalf("bad slot: %v", err)
 	}
@@ -65,7 +65,10 @@ func TestServiceScheduleRemote(t *testing.T) {
 	w := newWorld(t, "phil", "andy", "suzy")
 	var m calendar.Meeting
 	err := invoke(w, "suzy", "phil", "Schedule", wire.Args{
-		"title": "remote", "from": day1, "to": day1, "must": []string{"andy"},
+		wire.Str("title", "remote"),
+		wire.Str("from", day1),
+		wire.Str("to", day1),
+		wire.Strs("must", []string{"andy"}),
 	}, &m)
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +82,14 @@ func TestServiceScheduleRemote(t *testing.T) {
 	}
 	// Structured request form with priority.
 	err = invoke(w, "suzy", "phil", "Schedule", wire.Args{
-		"request": map[string]any{
-			"title": "structured", "day": day1, "hour": 16, "pinSlot": true,
-			"must": []string{"suzy"}, "priority": 5,
-		},
+		wire.Sub("request", wire.Args{
+			wire.Str("title", "structured"),
+			wire.Str("day", day1),
+			wire.Int("hour", 16),
+			wire.Bool("pinSlot", true),
+			wire.Strs("must", []string{"suzy"}),
+			wire.Int("priority", 5),
+		}),
 	}, &m)
 	if err != nil {
 		t.Fatal(err)
@@ -101,28 +108,28 @@ func TestServiceGetMeetingAndUpdateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got calendar.Meeting
-	if err := invoke(w, "andy", "phil", "GetMeeting", wire.Args{"meeting": m.ID}, &got); err != nil {
+	if err := invoke(w, "andy", "phil", "GetMeeting", wire.Args{wire.Str("meeting", m.ID)}, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != m.ID || got.Title != "m" {
 		t.Fatalf("got = %+v", got)
 	}
-	err = invoke(w, "andy", "phil", "GetMeeting", wire.Args{"meeting": "nope"}, nil)
+	err = invoke(w, "andy", "phil", "GetMeeting", wire.Args{wire.Str("meeting", "nope")}, nil)
 	if wire.CodeOf(err) != wire.CodeNoService {
 		t.Fatalf("unknown meeting: %v", err)
 	}
 	// MeetingUpdate rejects garbage.
-	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"doc": "not-an-object"}, nil)
+	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Str("doc", "not-an-object")}, nil)
 	if wire.CodeOf(err) != wire.CodeBadArgs {
 		t.Fatalf("garbage update: %v", err)
 	}
-	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"doc": `{"title":"no id"}`}, nil)
+	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Str("doc", `{"title":"no id"}`)}, nil)
 	if wire.CodeOf(err) != wire.CodeBadArgs {
 		t.Fatalf("update without id: %v", err)
 	}
 	// ... and stores a record as the text it was sent.
 	doc := `{"id":"M-x","title":"sent","initiator":"andy","slot":{"day":"2003-04-22","hour":9},"status":"tentative","priority":0}`
-	if err := invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{"doc": doc}, nil); err != nil {
+	if err := invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Str("doc", doc)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := w.cals["phil"].Meeting("M-x"); !ok || got.Title != "sent" {

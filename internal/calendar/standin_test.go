@@ -110,7 +110,7 @@ func TestMeetingWithProxiedParticipant(t *testing.T) {
 			slotInfo := func(s calendar.Slot) (calendar.SlotInfo, error) {
 				var info calendar.SlotInfo
 				err := w.cals["a"].Engine().Invoke(ctx, calendar.ServiceFor("b"), "SlotInfo",
-					wire.Args{"day": s.Day, "hour": s.Hour}, &info)
+					wire.Args{wire.Str("day", s.Day), wire.Int("hour", s.Hour)}, &info)
 				return info, err
 			}
 			// Warm a's route to b's device.

@@ -29,8 +29,17 @@ type Slot struct {
 	Hour int    `json:"hour"`
 }
 
-// String implements fmt.Stringer.
-func (s Slot) String() string { return fmt.Sprintf("%s %02d:00", s.Day, s.Hour) }
+// String implements fmt.Stringer: the day, then the hour as "%02d:00".
+func (s Slot) String() string {
+	var buf [24]byte
+	b := append(buf[:0], s.Day...)
+	if s.Hour >= 0 {
+		b = links.AppendPadded(append(b, ' '), uint64(s.Hour), 2)
+	} else {
+		b = strconv.AppendInt(append(b, ' '), int64(s.Hour), 10)
+	}
+	return string(append(b, ":00"...))
+}
 
 // Entity returns the SyD entity id for the slot (the unit the
 // coordination links attach to).

@@ -69,13 +69,13 @@ func (c *Client) call(ctx context.Context, method string, args wire.Args, out an
 // RegisterUser publishes a user/device with its network address and
 // priority.
 func (c *Client) RegisterUser(ctx context.Context, id, addr string, priority int) error {
-	return c.call(ctx, "RegisterUser", wire.Args{"id": id, "addr": addr, "priority": priority}, nil)
+	return c.call(ctx, "RegisterUser", wire.Args{wire.Str("id", id), wire.Str("addr", addr), wire.Int("priority", priority)}, nil)
 }
 
 // LookupUser fetches a user record.
 func (c *Client) LookupUser(ctx context.Context, id string) (UserInfo, error) {
 	var info UserInfo
-	err := c.call(ctx, "LookupUser", wire.Args{"id": id}, &info)
+	err := c.call(ctx, "LookupUser", wire.Args{wire.Str("id", id)}, &info)
 	return info, err
 }
 
@@ -88,12 +88,12 @@ func (c *Client) ListUsers(ctx context.Context) ([]UserInfo, error) {
 
 // Heartbeat refreshes the caller's liveness.
 func (c *Client) Heartbeat(ctx context.Context, id string) error {
-	return c.call(ctx, "Heartbeat", wire.Args{"id": id}, nil)
+	return c.call(ctx, "Heartbeat", wire.Args{wire.Str("id", id)}, nil)
 }
 
 // SetOffline marks a user deliberately offline (true) or back online.
 func (c *Client) SetOffline(ctx context.Context, id string, offline bool) error {
-	return c.call(ctx, "SetOffline", wire.Args{"id": id, "offline": offline}, nil)
+	return c.call(ctx, "SetOffline", wire.Args{wire.Str("id", id), wire.Bool("offline", offline)}, nil)
 }
 
 // --- service ops -----------------------------------------------------------
@@ -102,13 +102,14 @@ func (c *Client) SetOffline(ctx context.Context, id string, offline bool) error 
 // owner's identity.
 func (c *Client) RegisterService(ctx context.Context, name, owner, addr string, methods []string) error {
 	return c.call(ctx, "RegisterService", wire.Args{
-		"name": name, "owner": owner, "addr": addr, "methods": methods,
+		wire.Str("name", name), wire.Str("owner", owner), wire.Str("addr", addr),
+		wire.Strs("methods", methods),
 	}, nil)
 }
 
 // UnregisterService removes a published service.
 func (c *Client) UnregisterService(ctx context.Context, name string) error {
-	return c.call(ctx, "UnregisterService", wire.Args{"name": name}, nil)
+	return c.call(ctx, "UnregisterService", wire.Args{wire.Str("name", name)}, nil)
 }
 
 // LookupService resolves a service name to its location and methods.
@@ -131,7 +132,7 @@ func (c *Client) lookup(ctx context.Context, method, name string) (ServiceInfo, 
 		span.Annotate(trace.String("service", name))
 	}
 	var info ServiceInfo
-	err := c.call(ctx, method, wire.Args{"name": name}, &info)
+	err := c.call(ctx, method, wire.Args{wire.Str("name", name)}, &info)
 	span.FinishErr(err)
 	if err != nil {
 		return ServiceInfo{}, err
@@ -147,7 +148,7 @@ func (c *Client) ResolveBatch(ctx context.Context, names []string) (map[string]S
 		return nil, nil
 	}
 	var infos []ServiceInfo
-	if err := c.call(ctx, "ResolveBatch", wire.Args{"names": names}, &infos); err != nil {
+	if err := c.call(ctx, "ResolveBatch", wire.Args{wire.Strs("names", names)}, &infos); err != nil {
 		return nil, err
 	}
 	out := make(map[string]ServiceInfo, len(infos))
@@ -160,7 +161,7 @@ func (c *Client) ResolveBatch(ctx context.Context, names []string) (map[string]S
 // ServicesOf lists the names of the services owner owns, sorted.
 func (c *Client) ServicesOf(ctx context.Context, owner string) ([]string, error) {
 	var names []string
-	err := c.call(ctx, "ServicesOf", wire.Args{"owner": owner}, &names)
+	err := c.call(ctx, "ServicesOf", wire.Args{wire.Str("owner", owner)}, &names)
 	return names, err
 }
 
@@ -168,23 +169,23 @@ func (c *Client) ServicesOf(ctx context.Context, owner string) ([]string, error)
 
 // CreateGroup creates (or extends) a named group with members.
 func (c *Client) CreateGroup(ctx context.Context, group string, members []string) error {
-	return c.call(ctx, "CreateGroup", wire.Args{"group": group, "members": members}, nil)
+	return c.call(ctx, "CreateGroup", wire.Args{wire.Str("group", group), wire.Strs("members", members)}, nil)
 }
 
 // AddMember adds one member to a group (idempotent).
 func (c *Client) AddMember(ctx context.Context, group, member string) error {
-	return c.call(ctx, "AddMember", wire.Args{"group": group, "member": member}, nil)
+	return c.call(ctx, "AddMember", wire.Args{wire.Str("group", group), wire.Str("member", member)}, nil)
 }
 
 // RemoveMember removes one member from a group (idempotent).
 func (c *Client) RemoveMember(ctx context.Context, group, member string) error {
-	return c.call(ctx, "RemoveMember", wire.Args{"group": group, "member": member}, nil)
+	return c.call(ctx, "RemoveMember", wire.Args{wire.Str("group", group), wire.Str("member", member)}, nil)
 }
 
 // GroupMembers lists a group's members, sorted.
 func (c *Client) GroupMembers(ctx context.Context, group string) ([]string, error) {
 	var members []string
-	err := c.call(ctx, "GroupMembers", wire.Args{"group": group}, &members)
+	err := c.call(ctx, "GroupMembers", wire.Args{wire.Str("group", group)}, &members)
 	return members, err
 }
 
@@ -197,9 +198,9 @@ func (c *Client) GroupMembers(ctx context.Context, group string) ([]string, erro
 // stop acting as primary immediately.
 func (c *Client) RenewLease(ctx context.Context, user, holder string, ttl time.Duration, replicas []string) (LeaseInfo, error) {
 	var info LeaseInfo
-	args := wire.Args{"id": user, "holder": holder, "ttl": int64(ttl)}
+	args := wire.Args{wire.Str("id", user), wire.Str("holder", holder), wire.Int64("ttl", int64(ttl))}
 	if replicas != nil {
-		args["replicas"] = replicas
+		args = append(args, wire.Strs("replicas", replicas))
 	}
 	err := c.call(ctx, "RenewLease", args, &info)
 	return info, err
@@ -209,14 +210,14 @@ func (c *Client) RenewLease(ctx context.Context, user, holder string, ttl time.D
 // follower's promotion need not wait out the TTL. Refused as
 // lease-held when holder does not hold the lease.
 func (c *Client) ReleaseLease(ctx context.Context, user, holder string) error {
-	return c.call(ctx, "ReleaseLease", wire.Args{"id": user, "holder": holder}, nil)
+	return c.call(ctx, "ReleaseLease", wire.Args{wire.Str("id", user), wire.Str("holder", holder)}, nil)
 }
 
 // GetLease reads the replication lease on user. CodeNoService when
 // the user is not replicated.
 func (c *Client) GetLease(ctx context.Context, user string) (LeaseInfo, error) {
 	var info LeaseInfo
-	err := c.call(ctx, "GetLease", wire.Args{"id": user}, &info)
+	err := c.call(ctx, "GetLease", wire.Args{wire.Str("id", user)}, &info)
 	return info, err
 }
 
@@ -224,5 +225,5 @@ func (c *Client) GetLease(ctx context.Context, user string) (LeaseInfo, error) {
 // every service it owns flip to addr. A client holding the old route
 // finds it unavailable and re-resolves once within the same call.
 func (c *Client) Repoint(ctx context.Context, user, addr string) error {
-	return c.call(ctx, "Repoint", wire.Args{"id": user, "addr": addr}, nil)
+	return c.call(ctx, "Repoint", wire.Args{wire.Str("id", user), wire.Str("addr", addr)}, nil)
 }

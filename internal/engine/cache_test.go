@@ -64,7 +64,7 @@ func TestDirCacheKeepsRouteAfterRefusal(t *testing.T) {
 	ctx := context.Background()
 	refused := func() {
 		t.Helper()
-		err := e.Invoke(ctx, "cal.phil", "FailIf", wire.Args{"who": "phil"}, nil)
+		err := e.Invoke(ctx, "cal.phil", "FailIf", wire.Args{wire.Str("who", "phil")}, nil)
 		if wire.CodeOf(err) != wire.CodeConflict {
 			t.Fatalf("err = %v, want the handler's conflict", err)
 		}

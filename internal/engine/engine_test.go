@@ -92,7 +92,7 @@ func TestInvokeDecodesScalars(t *testing.T) {
 	w.addNode("phil")
 	e := New(w.net, w.dir, "andy")
 	var sum int
-	if err := e.Invoke(context.Background(), "cal.phil", "Add", wire.Args{"a": 2, "b": 3}, &sum); err != nil {
+	if err := e.Invoke(context.Background(), "cal.phil", "Add", wire.Args{wire.Int("a", 2), wire.Int("b", 3)}, &sum); err != nil {
 		t.Fatal(err)
 	}
 	if sum != 5 {
@@ -104,7 +104,7 @@ func TestInvokeRemoteErrorSurfaces(t *testing.T) {
 	w := newWorld(t)
 	w.addNode("phil")
 	e := New(w.net, w.dir, "andy")
-	err := e.Invoke(context.Background(), "cal.phil", "FailIf", wire.Args{"who": "phil"}, nil)
+	err := e.Invoke(context.Background(), "cal.phil", "FailIf", wire.Args{wire.Str("who", "phil")}, nil)
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("err = %v", err)
 	}
@@ -159,7 +159,7 @@ func TestGroupInvokePartialFailure(t *testing.T) {
 	}
 	e := New(w.net, w.dir, "phil")
 	services := []string{"cal.phil", "cal.andy", "cal.suzy"}
-	results := e.GroupInvoke(context.Background(), services, "FailIf", wire.Args{"who": "andy"})
+	results := e.GroupInvoke(context.Background(), services, "FailIf", wire.Args{wire.Str("who", "andy")})
 	if OKCount(results) != 2 || AllOK(results) {
 		t.Fatalf("OKCount = %d", OKCount(results))
 	}
@@ -200,7 +200,7 @@ func TestCollectAndQuorum(t *testing.T) {
 	}
 	e := New(w.net, w.dir, "phil")
 	services := []string{"cal.phil", "cal.andy", "cal.suzy"}
-	results := e.GroupInvoke(context.Background(), services, "Add", wire.Args{"a": 2, "b": 3})
+	results := e.GroupInvoke(context.Background(), services, "Add", wire.Args{wire.Int("a", 2), wire.Int("b", 3)})
 	sums, failed := Collect[int](results)
 	if len(failed) != 0 || len(sums) != 3 {
 		t.Fatalf("sums=%v failed=%v", sums, failed)
@@ -216,7 +216,7 @@ func TestCollectAndQuorum(t *testing.T) {
 
 	// One member down: Collect reports it as failed, quorum adjusts.
 	w.net.SetDown("node-andy", true)
-	results = e.GroupInvoke(context.Background(), services, "Add", wire.Args{"a": 1, "b": 1})
+	results = e.GroupInvoke(context.Background(), services, "Add", wire.Args{wire.Int("a", 1), wire.Int("b", 1)})
 	sums, failed = Collect[int](results)
 	if len(sums) != 2 || len(failed) != 1 || failed[0] != "cal.andy" {
 		t.Fatalf("sums=%v failed=%v", sums, failed)

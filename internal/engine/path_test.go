@@ -28,7 +28,7 @@ func TestMetricsInterceptorRecordsClientSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.Invoke(ctx, "cal.phil", "FailIf", wire.Args{"who": "phil"}, nil); wire.CodeOf(err) != wire.CodeConflict {
+	if err := e.Invoke(ctx, "cal.phil", "FailIf", wire.Args{wire.Str("who", "phil")}, nil); wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("err = %v", err)
 	}
 

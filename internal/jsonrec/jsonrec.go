@@ -11,7 +11,7 @@ package jsonrec
 
 import (
 	"encoding/json"
-	"slices"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -95,49 +95,24 @@ func AppendStrings(b []byte, ss []string) []byte {
 	return append(b, ']')
 }
 
-// AppendValue appends one value as json.Marshal writes it: a string, a
-// bool, an int, an int64 or nil directly, anything else through
-// json.Marshal, errors included.
-func AppendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case string:
-		return AppendString(b, x), nil
-	case bool:
-		return strconv.AppendBool(b, x), nil
-	case int:
-		return strconv.AppendInt(b, int64(x), 10), nil
-	case int64:
-		return strconv.AppendInt(b, x, 10), nil
-	case nil:
-		return append(b, "null"...), nil
+// AppendFloat appends f as json.Marshal writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from 1e21
+// on. NaN and ±Inf have no JSON form; they return json.Marshal's error.
+func AppendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return b, err
 	}
-	raw, err := json.Marshal(v)
-	return append(b, raw...), err
-}
-
-// AppendMap appends m as json.Marshal writes it: null when m is nil, the
-// keys in order, each value through AppendValue.
-func AppendMap(b []byte, m map[string]any) ([]byte, error) {
-	if m == nil {
-		return append(b, "null"...), nil
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	var keyBuf [8]string
-	keys := keyBuf[:0]
-	for k := range m {
-		keys = append(keys, k)
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 is written e-7
+		b = b[:n-1]
 	}
-	slices.Sort(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = AppendValue(append(AppendString(b, k), ':'), m[k]); err != nil {
-			return b, err
-		}
-	}
-	return append(b, '}'), nil
+	return b, nil
 }
 
 // AppendTime appends t as json.Marshal writes a time.Time: RFC 3339 with
@@ -257,39 +232,57 @@ func (r *Reader) Int() int {
 	return n
 }
 
-// Value reads a scalar as json.Unmarshal decodes it into an interface: a
-// string, a bool, nil, or an integer literal as a float64.
-func (r *Reader) Value() any {
-	switch {
-	case strings.HasPrefix(r.s[r.i:], `"`):
-		return r.String()
-	case r.Opt("true"):
-		return true
-	case r.Opt("false"):
-		return false
-	case r.Null():
-		return nil
-	}
-	f, err := strconv.ParseFloat(r.integer(), 64)
+// Uint64 reads an integer literal that fits a uint64.
+func (r *Reader) Uint64() uint64 {
+	n, err := strconv.ParseUint(r.integer(), 10, 64)
 	if err != nil {
 		r.miss = true
 	}
-	return f
+	return n
 }
 
-// Map reads an object of scalars, each as Value reads it: nil for null.
-func (r *Reader) Map() map[string]any {
-	if r.Null() {
-		return nil
+// Peek returns the next byte without consuming it, 0 after a miss or at
+// the end of the text.
+func (r *Reader) Peek() byte {
+	if r.miss || r.i == len(r.s) {
+		return 0
 	}
-	r.Lit("{")
-	m := map[string]any{}
-	for r.More('}') {
-		k := r.String()
-		r.Lit(":")
-		m[k] = r.Value()
+	return r.s[r.i]
+}
+
+// Fail makes the read a miss: a caller's own check on what it read failed.
+func (r *Reader) Fail() { r.miss = true }
+
+// Number reads a number literal, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// and returns its text.
+func (r *Reader) Number() string {
+	start := r.i
+	r.integer()
+	if r.Opt(".") {
+		r.digits()
 	}
-	return m
+	if r.Opt("e") || r.Opt("E") {
+		if !r.Opt("+") {
+			r.Opt("-")
+		}
+		r.digits()
+	}
+	if r.miss {
+		return ""
+	}
+	return r.s[start:r.i]
+}
+
+// digits consumes one or more decimal digits; none is a miss.
+func (r *Reader) digits() {
+	j := r.i
+	for j < len(r.s) && r.s[j] >= '0' && r.s[j] <= '9' {
+		j++
+	}
+	if j == r.i {
+		r.miss = true
+	}
+	r.i = j
 }
 
 // Time reads a time.Time: a string in RFC 3339, which json.Unmarshal

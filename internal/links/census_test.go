@@ -91,7 +91,7 @@ func TestRPCCensusAnd(t *testing.T) {
 			h, census, col := newCensusHarness(t, "a", "b", "c", "d")
 			n := len(tc.targets)
 			if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-				Action: "reserve", Args: wire.Args{"meeting": "M"},
+				Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 				Targets: tc.targets, Constraint: links.And,
 			}); err != nil {
 				t.Fatal(err)
@@ -110,7 +110,7 @@ func TestRPCCensusAndFailure(t *testing.T) {
 	h, census, col := newCensusHarness(t, "a", "b", "c", "d", "e")
 	h.nodes["d"].setStatus("s", "OTHER")
 	_, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: refs("b", "s", "c", "s", "d", "s", "e", "s"), Constraint: links.And,
 	})
 	if wire.CodeOf(err) != wire.CodeConflict {
@@ -132,7 +132,7 @@ func TestRPCCensusOr(t *testing.T) {
 	targets := refs("e", "s", "b", "s", "d", "s", "c", "s")
 	n := len(targets)
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: targets, Constraint: links.Or,
 	})
 	if err != nil {

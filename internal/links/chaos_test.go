@@ -147,14 +147,14 @@ func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 		go func() {
 			defer wg.Done()
 			_, errA = h.nodes["a"].Links.Negotiate(ctx, links.Spec{
-				Action: "reserve", Args: wire.Args{"meeting": mA},
+				Action: "reserve", Args: wire.Args{wire.Str("meeting", mA)},
 				Targets: targets, Constraint: links.And,
 			})
 		}()
 		go func() {
 			defer wg.Done()
 			_, errB = h.nodes["b"].Links.Negotiate(ctx, links.Spec{
-				Action: "reserve", Args: wire.Args{"meeting": mB},
+				Action: "reserve", Args: wire.Args{wire.Str("meeting", mB)},
 				Targets: targets, Constraint: links.And,
 			})
 		}()

@@ -15,7 +15,7 @@ import (
 func coLocatedSpec(meeting string) links.Spec {
 	return links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": meeting},
+		Args:       wire.Args{wire.Str("meeting", meeting)},
 		Targets:    refs("b", "s1", "b", "s2", "b", "s3", "c", "s1", "c", "s2"),
 		Constraint: links.And,
 	}
@@ -71,7 +71,7 @@ func TestCoLocatedAndConflict(t *testing.T) {
 	// A fresh negotiation over the same entities (minus the conflict)
 	// works.
 	if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M3"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M3")},
 		Targets: refs("b", "s1", "b", "s3"), Constraint: links.And,
 	}); err != nil {
 		t.Fatalf("post-abort negotiation failed: %v", err)
@@ -84,7 +84,7 @@ func TestCoLocatedOrPartial(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	h.nodes["b"].setStatus("s2", "OTHER")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M4"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M4")},
 		Targets:    refs("b", "s1", "b", "s2", "c", "s1"),
 		Constraint: links.Or, K: 2,
 	})
@@ -119,7 +119,7 @@ func TestCoLocatedRedrive(t *testing.T) {
 		return nil
 	})
 	res, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M8"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M8")},
 		Targets: refs("b", "s1", "b", "s2"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {

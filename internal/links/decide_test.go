@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/links"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -27,7 +28,7 @@ func decideWho(marked []links.EntityRef) wire.Args {
 	for i, r := range marked {
 		users[i] = r.User
 	}
-	return wire.Args{"text": "decided " + strings.Join(users, ",")}
+	return wire.Args{wire.Str("text", "decided "+strings.Join(users, ","))}
 }
 
 func (n *tnode) notesNow() []string {
@@ -52,9 +53,8 @@ type markArgs struct {
 func (m *markArgs) wrap(next transport.HandlerFunc) transport.HandlerFunc {
 	return func(ctx context.Context, req *transport.Request) *transport.Response {
 		if req.Method == "Mark" {
-			inner, _ := req.Args["args"].(map[string]any)
 			m.mu.Lock()
-			m.seen = append(m.seen, wire.Args(inner).Clone())
+			m.seen = append(m.seen, req.Args.Sub("args"))
 			m.mu.Unlock()
 		}
 		return next(ctx, req)
@@ -92,7 +92,7 @@ func TestDecideArgsRideCommitNotMark(t *testing.T) {
 		t.Fatal("lock d")
 	}
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-		Action: "note", Args: wire.Args{"text": "marked", "keep": "k"},
+		Action: "note", Args: wire.Args{wire.Str("text", "marked"), wire.Str("keep", "k")},
 		Targets: refs("a", "s", "b", "s", "c", "s", "d", "s"), Constraint: links.Or, K: 2,
 		Decide: decideWho,
 	})
@@ -121,10 +121,10 @@ func TestDecideArgsWithoutJSONFormAbort(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	lm := h.nodes["a"].Links
 	res, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "note", Args: wire.Args{"text": "marked"},
+		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
 		Targets: refs("b", "s", "c", "s"), Constraint: links.And,
-		Local:  &links.LocalChange{Entity: "s", Action: "note", Args: wire.Args{"text": "local"}},
-		Decide: func([]links.EntityRef) wire.Args { return wire.Args{"score": math.NaN()} },
+		Local:  &links.LocalChange{Entity: "s", Action: "note", Args: wire.Args{wire.Str("text", "local")}},
+		Decide: func([]links.EntityRef) wire.Args { return wire.Args{wire.Float("score", math.NaN())} },
 	})
 	if err == nil || res.OK || !strings.Contains(err.Error(), "unsupported value: NaN") {
 		t.Fatalf("negotiate: %v %+v, want the journal's encode error", err, res)
@@ -148,7 +148,7 @@ func TestDecideArgsLostAckRedrive(t *testing.T) {
 	h.addNode("b", func(c *core.Config) { c.Net = inboundNet{Network: c.Net, wrap: loseFirstAck()} })
 	lm := h.nodes["a"].Links
 	res, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "note", Args: wire.Args{"text": "marked"},
+		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
 		Targets: refs("b", "s"), Constraint: links.And, Decide: decideWho,
 	})
 	if !links.IsInDoubt(err) || len(res.InDoubt) != 1 {
@@ -175,7 +175,7 @@ func TestDecideArgsSurviveCoordinatorRestart(t *testing.T) {
 		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected crash"}
 	})
 	if _, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "note", Args: wire.Args{"text": "marked"},
+		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
 		Targets: refs("b", "s"), Constraint: links.And, Decide: decideWho,
 	}); !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)
@@ -203,7 +203,7 @@ func TestDecideArgsFromQueryOutcome(t *testing.T) {
 		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected silence"}
 	})
 	if _, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "note", Args: wire.Args{"text": "marked"},
+		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
 		Targets: refs("b", "s"), Constraint: links.And, Decide: decideWho,
 	}); !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)
@@ -221,4 +221,53 @@ func TestDecideArgsFromQueryOutcome(t *testing.T) {
 		t.Fatalf("RetryCommits resolved %d rows, want 1", n)
 	}
 	wantNotes(t, h.nodes["b"], "s:decided b")
+}
+
+// TestArgIntKeepsEveryDigit: an integer argument read back from the log
+// is the integer that was written, not the float nearest it: from a
+// journal record, from a link row's trigger, and on the participant that
+// a Commit redriven from the journal reaches.
+func TestArgIntKeepsEveryDigit(t *testing.T) {
+	const n = 1<<62 + 1 // no float64 holds it
+	h := newHarness(t, "a", "b")
+	var applied []int64
+	h.nodes["b"].Links.RegisterAction("digits", links.Action{
+		Apply: func(_ *store.Tx, _ string, args wire.Args) error {
+			applied = append(applied, args.Int64("n"))
+			return nil
+		},
+	})
+	lm := h.nodes["a"].Links
+	lm.SetCommitFault(func(string, links.EntityRef) error {
+		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected crash"}
+	})
+	res, err := lm.Negotiate(ctxBg(), links.Spec{
+		Action: "digits", Args: wire.Args{wire.Int64("n", n)}, Targets: refs("b", "s"), Constraint: links.And,
+	})
+	if !links.IsInDoubt(err) {
+		t.Fatalf("err = %v, want in-doubt", err)
+	}
+	if outcome, args := lm.Outcome(res.NID, ""); outcome != links.OutcomeCommit || args.Int64("n") != n {
+		t.Fatalf("journal record: %s with n = %d, want commit with %d", outcome, args.Int64("n"), n)
+	}
+	lm2, err := links.NewManager("a", h.nodes["a"].DB, h.nodes["a"].Engine, h.clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.clk.Advance(time.Second)
+	if got := lm2.RetryCommits(ctxBg(), h.clk.Now()); got != 1 || len(applied) != 1 || applied[0] != n {
+		t.Fatalf("redriven Commit: %d rows resolved, applied with n = %v, want 1 row and %d", got, applied, n)
+	}
+
+	l := &links.Link{
+		ID: links.NewLinkID(), Type: links.Negotiation, Subtype: links.Permanent, Constraint: links.And,
+		Owner: links.EntityRef{User: "a", Entity: "s"}, Targets: refs("b", "s"),
+		Triggers: []links.Trigger{{Event: "change", Action: "digits", Args: wire.Args{wire.Int64("n", n)}}},
+	}
+	if err := lm.InstallAt(ctxBg(), "a", l); err != nil {
+		t.Fatal(err)
+	}
+	if back, ok := lm.GetLink(l.ID); !ok || back.Triggers[0].Args.Int64("n") != n {
+		t.Fatalf("trigger row: %+v, want n = %d", back, n)
+	}
 }

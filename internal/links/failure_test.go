@@ -72,7 +72,7 @@ func TestNegotiationRecoversAfterLoss(t *testing.T) {
 		h.net.SetLoss(0.2 + 0.5*rng.Float64())
 		_, err := h.nodes["a"].Links.Negotiate(context.Background(), links.Spec{
 			Action:     "reserve",
-			Args:       wire.Args{"meeting": fmt.Sprintf("chaos-%d", i)},
+			Args:       wire.Args{wire.Str("meeting", fmt.Sprintf("chaos-%d", i))},
 			Targets:    refs("x", "s", "y", "s"),
 			Constraint: links.And,
 		})
@@ -96,7 +96,7 @@ func TestNegotiationRecoversAfterLoss(t *testing.T) {
 	// Healed network: negotiation succeeds immediately.
 	if _, err := h.nodes["a"].Links.Negotiate(context.Background(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "final"},
+		Args:       wire.Args{wire.Str("meeting", "final")},
 		Targets:    refs("x", "s", "y", "s"),
 		Constraint: links.And,
 	}); err != nil {
@@ -111,7 +111,9 @@ func TestStrandedLockExpires(t *testing.T) {
 	ctx := context.Background()
 	// "a" marks b's entity remotely and then crashes (never commits).
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "reserve", "args": map[string]any{"meeting": "DEAD"},
+		wire.Str("entity", "s"),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "DEAD")}),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestStrandedLockExpires(t *testing.T) {
 	// A new negotiation against the same entity fails while the lock
 	// is live...
 	_, err = h.nodes["a"].Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M2"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M2")},
 		Targets: refs("b", "s"), Constraint: links.And,
 	})
 	if wire.CodeOf(err) != wire.CodeConflict {
@@ -128,7 +130,7 @@ func TestStrandedLockExpires(t *testing.T) {
 	// ...and succeeds after the TTL.
 	h.clk.Advance(links.DefaultLockTTL + time.Second)
 	if _, err := h.nodes["a"].Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M2"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M2")},
 		Targets: refs("b", "s"), Constraint: links.And,
 	}); err != nil {
 		t.Fatalf("expired lock not stolen: %v", err)
@@ -147,7 +149,7 @@ func TestCascadeDeleteToleratesDownNode(t *testing.T) {
 	ctx := context.Background()
 	tpl := newLink("LD", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s", "c", "s"))
-	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{"meeting": "M"}); err != nil {
+	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{wire.Str("meeting", "M")}); err != nil {
 		t.Fatal(err)
 	}
 	h.net.SetDown("node-c", true)
@@ -211,7 +213,7 @@ func TestCascadeDeleteTombstonesClosedTCPNode(t *testing.T) {
 	defer cancel()
 	tpl := newLink("LD", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s", "c", "s"))
-	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{"meeting": "M"}); err != nil {
+	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{wire.Str("meeting", "M")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.nodes["c"].Close(ctx); err != nil {
@@ -311,7 +313,7 @@ func TestNegotiationAtomicityProperty(t *testing.T) {
 		}
 		_, err := h.nodes["a"].Links.Negotiate(context.Background(), links.Spec{
 			Action:     "reserve",
-			Args:       wire.Args{"meeting": "ATOMIC"},
+			Args:       wire.Args{wire.Str("meeting", "ATOMIC")},
 			Targets:    refs("t0", "s", "t1", "s", "t2", "s"),
 			Constraint: links.And,
 		})

@@ -3,7 +3,6 @@ package links
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"sync/atomic"
 )
@@ -47,9 +46,22 @@ func mintID() string {
 	return idPrefix + "-" + strconv.FormatUint(tokCounter.Add(1), 36)
 }
 
-// mintOrdered returns a process-unique id whose lexicographic order
-// equals mint order (the counter is zero-padded), so store keys built
-// from it iterate in creation order.
-func mintOrdered() string {
-	return fmt.Sprintf("%s-%012d", idPrefix, seqCounter.Add(1))
+// mintOrdered returns tag and a process-unique id whose lexicographic
+// order equals mint order (the counter is zero-padded to 12 digits), so
+// store keys built from it iterate in creation order.
+func mintOrdered(tag string) string {
+	var buf [48]byte
+	b := append(append(append(buf[:0], tag...), idPrefix...), '-')
+	return string(AppendPadded(b, seqCounter.Add(1), 12))
+}
+
+// AppendPadded appends n in decimal, zero-padded to width digits: what
+// fmt's %0*d writes for it.
+func AppendPadded(b []byte, n uint64, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], n, 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }

@@ -112,7 +112,7 @@ func (m *Manager) tune() Tuning {
 
 // NewNegotiationID mints a globally unique negotiation id (see ids.go
 // for the uniqueness scheme).
-func NewNegotiationID() string { return "N-" + mintOrdered() }
+func NewNegotiationID() string { return mintOrdered("N-") }
 
 // journalTarget is one marked target awaiting its Commit ack.
 type journalTarget struct {
@@ -159,7 +159,7 @@ func (r *journalRec) body(t *store.Table) (store.Row, error) {
 func (r *journalRec) appendJSON(b []byte) ([]byte, error) {
 	b = jsonrec.AppendString(append(b, `{"ID":`...), r.ID)
 	b = jsonrec.AppendString(append(b, `,"Action":`...), r.Action)
-	b, err := jsonrec.AppendMap(append(b, `,"Args":`...), r.Args)
+	b, err := r.Args.AppendJSON(append(b, `,"Args":`...))
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +200,7 @@ func readJournal(s string) (journalRec, bool) {
 	r.Lit(`,"Action":`)
 	rec.Action = r.String()
 	r.Lit(`,"Args":`)
-	rec.Args = r.Map()
+	rec.Args = wire.ReadArgs(&r)
 	r.Lit(`,"Pending":`)
 	if !r.Null() {
 		r.Lit("[")

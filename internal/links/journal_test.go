@@ -70,7 +70,7 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 	setDown := func(user string, v bool) { mu.Lock(); down[user] = v; mu.Unlock() }
 	sentTo := func(user string) int { mu.Lock(); defer mu.Unlock(); return sent[user] }
 	_, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {
@@ -141,7 +141,7 @@ func TestRedriveBackoffWaitsOnManagerClock(t *testing.T) {
 		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
 	})
 	_, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: refs("x", "s"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {
@@ -219,7 +219,7 @@ func TestRetrySweepBound(t *testing.T) {
 	nids := make([]string, rows)
 	for i := range nids {
 		res, err := lm.Negotiate(ctxBg(), links.Spec{
-			Action: "reserve", Args: wire.Args{"meeting": fmt.Sprintf("M%02d", i)},
+			Action: "reserve", Args: wire.Args{wire.Str("meeting", fmt.Sprintf("M%02d", i))},
 			Targets: refs("x", fmt.Sprintf("s%02d", i)), Constraint: links.And,
 		})
 		if !links.IsInDoubt(err) {

@@ -179,10 +179,10 @@ func TestNegotiateAndAllFree(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9"),
 		Constraint: links.And,
-		Local:      &links.LocalChange{Entity: "slot9", Action: "reserve", Args: wire.Args{"meeting": "M1"}},
+		Local:      &links.LocalChange{Entity: "slot9", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -202,10 +202,10 @@ func TestNegotiateAndOneBusyChangesNothing(t *testing.T) {
 	h.nodes["c"].setStatus("slot9", "OTHER")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9"),
 		Constraint: links.And,
-		Local:      &links.LocalChange{Entity: "slot9", Action: "reserve", Args: wire.Args{"meeting": "M1"}},
+		Local:      &links.LocalChange{Entity: "slot9", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}},
 	})
 	if err == nil || res.OK {
 		t.Fatalf("negotiation should have failed: %+v", res)
@@ -232,7 +232,7 @@ func TestNegotiateOrPartialAvailability(t *testing.T) {
 	h.nodes["c"].setStatus("slot9", "OTHER")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9", "d", "slot9"),
 		Constraint: links.Or,
 	})
@@ -256,7 +256,7 @@ func TestNegotiateOrNoneAvailableFails(t *testing.T) {
 	h.nodes["c"].setStatus("slot9", "Y")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9"),
 		Constraint: links.Or,
 	})
@@ -271,7 +271,7 @@ func TestNegotiateKofN(t *testing.T) {
 	// at least 3 of {b,c,d,e}: b,c,d free -> satisfied.
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9", "d", "slot9", "e", "slot9"),
 		Constraint: links.Or,
 		K:          3,
@@ -288,7 +288,7 @@ func TestNegotiateKofN(t *testing.T) {
 	h2.nodes["e"].setStatus("slot9", "BUSY")
 	_, err = h2.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9", "d", "slot9", "e", "slot9"),
 		Constraint: links.Or,
 		K:          3,
@@ -304,7 +304,7 @@ func TestNegotiateXorExactlyOne(t *testing.T) {
 	// Exactly one of {b, c} available -> xor satisfied, c changes.
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9"),
 		Constraint: links.Xor,
 	})
@@ -320,7 +320,7 @@ func TestNegotiateXorTwoAvailableFails(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9", "c", "slot9"),
 		Constraint: links.Xor,
 	})
@@ -338,10 +338,10 @@ func TestNegotiateLocalMarkFailsFast(t *testing.T) {
 	before := h.net.Stats().Requests
 	_, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slot9"),
 		Constraint: links.And,
-		Local:      &links.LocalChange{Entity: "slot9", Action: "reserve", Args: wire.Args{"meeting": "M1"}},
+		Local:      &links.LocalChange{Entity: "slot9", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}},
 	})
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("err = %v", err)
@@ -356,10 +356,10 @@ func TestNegotiationTraceShape(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
-		Args:       wire.Args{"meeting": "M1"},
+		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slotX", "c", "slotX"),
 		Constraint: links.Or,
-		Local:      &links.LocalChange{Entity: "slotX", Action: "reserve", Args: wire.Args{"meeting": "M1"}},
+		Local:      &links.LocalChange{Entity: "slotX", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +402,7 @@ func TestConcurrentNegotiationsExactlyOneWins(t *testing.T) {
 	run := func(user, meeting string) error {
 		_, err := h.nodes[user].Links.Negotiate(ctxBg(), links.Spec{
 			Action:     "reserve",
-			Args:       wire.Args{"meeting": meeting},
+			Args:       wire.Args{wire.Str("meeting", meeting)},
 			Targets:    refs("x", "s", "y", "s"),
 			Constraint: links.And,
 		})
@@ -588,7 +588,7 @@ func TestDeleteCascadesAcrossUsers(t *testing.T) {
 	// CreateNegotiatedLink.
 	tpl := newLink("LX", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9", "c", "slot9"))
-	id, err := h.nodes["a"].Links.CreateNegotiatedLink(ctxBg(), tpl, "reserve", wire.Args{"meeting": "M1"})
+	id, err := h.nodes["a"].Links.CreateNegotiatedLink(ctxBg(), tpl, "reserve", wire.Args{wire.Str("meeting", "M1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestCreateNegotiatedLinkFailsWhenUnavailable(t *testing.T) {
 	h.nodes["c"].setStatus("slot9", "BUSY")
 	tpl := newLink("LY", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9", "c", "slot9"))
-	_, err := h.nodes["a"].Links.CreateNegotiatedLink(ctxBg(), tpl, "reserve", wire.Args{"meeting": "M2"})
+	_, err := h.nodes["a"].Links.CreateNegotiatedLink(ctxBg(), tpl, "reserve", wire.Args{wire.Str("meeting", "M2")})
 	if err == nil {
 		t.Fatal("link created despite unavailable participant")
 	}
@@ -663,7 +663,7 @@ func TestTriggerEntityNegotiationVeto(t *testing.T) {
 	lm := h.nodes["a"].Links
 	l := newLink("L1", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9", "c", "slot9"))
-	l.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{"meeting": "M1"}}}
+	l.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}}}
 	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestTriggerEntitySubscriptionBestEffort(t *testing.T) {
 	lm := h.nodes["a"].Links
 	l := newLink("L1", links.Subscription, links.Permanent,
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "inbox", "c", "inbox"))
-	l.Triggers = []links.Trigger{{Event: "change", Action: "note", Args: wire.Args{"text": "a changed slot9"}}}
+	l.Triggers = []links.Trigger{{Event: "change", Action: "note", Args: wire.Args{wire.Str("text", "a changed slot9")}}}
 	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +731,7 @@ func TestTriggerMethodInvocation(t *testing.T) {
 		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9"))
 	l.Triggers = []links.Trigger{{
 		Event: "delete", Service: "meetings.%s", Method: "Notify",
-		Args: wire.Args{"reason": "cancelled"},
+		Args: wire.Args{wire.Str("reason", "cancelled")},
 	}}
 	if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 		t.Fatal(err)
@@ -756,7 +756,7 @@ func TestTentativeOnlyHighestPriorityFires(t *testing.T) {
 	mk := func(id string, prio int, text string) {
 		l := newLink(id, links.Subscription, links.Tentative, owner, refs("b", "inbox"))
 		l.Priority = prio
-		l.Triggers = []links.Trigger{{Event: "avail", Action: "note", Args: wire.Args{"text": text}}}
+		l.Triggers = []links.Trigger{{Event: "avail", Action: "note", Args: wire.Args{wire.Str("text", text)}}}
 		if err := lm.InstallAt(context.Background(), lm.Self(), l); err != nil {
 			t.Fatal(err)
 		}
@@ -796,7 +796,7 @@ func TestMethodForwarding(t *testing.T) {
 	if err := lm.AddMethodLink("cal.a", "ReserveSlot", "b", "cal.b", "Notify"); err != nil {
 		t.Fatal(err)
 	}
-	res := lm.ForwardMethod(ctxBg(), "cal.a", "ReserveSlot", wire.Args{"slot": "mon-9"})
+	res := lm.ForwardMethod(ctxBg(), "cal.a", "ReserveSlot", wire.Args{wire.Str("slot", "mon-9")})
 	if len(res) != 1 || res[0].Err != nil {
 		t.Fatalf("res = %+v", res)
 	}
@@ -837,28 +837,38 @@ func TestRemoteLinksServiceRoundTrip(t *testing.T) {
 		Token string `json:"token"`
 	}
 	err := h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "slot9", "action": "reserve", "args": map[string]any{"meeting": "MM"},
+		wire.Str("entity", "slot9"),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "MM")}),
 	}, &out)
 	if err != nil || out.Token == "" {
 		t.Fatalf("Mark: %v token=%q", err, out.Token)
 	}
 	// Second mark conflicts.
 	err = h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "slot9", "action": "reserve", "args": map[string]any{"meeting": "ZZ"},
+		wire.Str("entity", "slot9"),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "ZZ")}),
 	}, nil)
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("second Mark: %v", err)
 	}
 	// Commit with a stale token fails.
 	err = h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "slot9", "token": "bogus", "action": "reserve", "args": map[string]any{"meeting": "MM"},
+		wire.Str("entity", "slot9"),
+		wire.Str("token", "bogus"),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "MM")}),
 	}, nil)
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("stale commit: %v", err)
 	}
 	// Proper commit applies.
 	err = h.nodes["a"].Engine.Invoke(ctxBg(), links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "slot9", "token": out.Token, "action": "reserve", "args": map[string]any{"meeting": "MM"},
+		wire.Str("entity", "slot9"),
+		wire.Str("token", out.Token),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "MM")}),
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

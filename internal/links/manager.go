@@ -248,7 +248,7 @@ func (m *Manager) Self() string { return m.self }
 // link ids are store keys, and deterministic iteration order is what
 // makes same-seed simulation runs replay identically.
 func NewLinkID() string {
-	return "L-" + mintOrdered()
+	return mintOrdered("L-")
 }
 
 // RegisterAction registers (or replaces) an entity action.
@@ -620,7 +620,7 @@ func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) 
 			continue
 		}
 		err := m.eng.Invoke(ctx, ServiceFor(p), "DeleteLink", wire.Args{
-			"id": l.ID, "visited": visited,
+			wire.Str("id", l.ID), wire.Strs("visited", visited),
 		}, nil)
 		if engine.IsTransient(err) {
 			// Written whatever became of ctx: the deadline that failed the
@@ -674,7 +674,7 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 	for _, pd := range m.PendingDeletes() {
 		id, user := pd[0], pd[1]
 		err := m.eng.Invoke(ctx, ServiceFor(user), "DeleteLink", wire.Args{
-			"id": id, "visited": []string{m.self},
+			wire.Str("id", id), wire.Strs("visited", []string{m.self}),
 		}, nil)
 		if engine.IsTransient(err) {
 			continue
@@ -883,7 +883,7 @@ func triggered(linksOn []*Link, event string) []*Link {
 func (m *Manager) fireTriggers(ctx context.Context, l *Link, event string, args wire.Args) []TriggerResult {
 	var out []TriggerResult
 	for _, t := range l.TriggersFor(event) {
-		merged := t.MergedArgs(args)
+		merged := t.Args.With(args...)
 		res := TriggerResult{LinkID: l.ID, Trigger: t}
 		tctx, span := trace.Start(ctx, "links.Trigger")
 		if span != nil {
@@ -894,7 +894,7 @@ func (m *Manager) fireTriggers(ctx context.Context, l *Link, event string, args 
 			// A voter's trigger fired from here is the plain announcement:
 			// only the offer of a freed entity marks it first (offer).
 			for _, tgt := range l.Targets {
-				if err := m.invokeTrigger(tctx, l, t, tgt, merged.Clone()); err != nil && res.Err == nil {
+				if err := m.invokeTrigger(tctx, l, t, tgt, merged); err != nil && res.Err == nil {
 					res.Err = err
 				}
 			}
@@ -926,7 +926,7 @@ func (m *Manager) fireTriggers(ctx context.Context, l *Link, event string, args 
 }
 
 // invokeTrigger calls trigger t's method at tgt, one of l's targets,
-// with args, which it takes over, plus who is calling about what.
+// with args plus who is calling about what.
 func (m *Manager) invokeTrigger(ctx context.Context, l *Link, t Trigger, tgt EntityRef, callArgs wire.Args) error {
 	svc := t.Service
 	if svc == "" {
@@ -935,9 +935,7 @@ func (m *Manager) invokeTrigger(ctx context.Context, l *Link, t Trigger, tgt Ent
 	if containsPercent(svc) {
 		svc = fmt.Sprintf(svc, tgt.User)
 	}
-	callArgs["link"] = l.ID
-	callArgs["source"] = m.self
-	callArgs["targetEntity"] = tgt.Entity
+	callArgs = callArgs.With(wire.Str("link", l.ID), wire.Str("source", m.self), wire.Str("targetEntity", tgt.Entity))
 	return m.eng.Invoke(ctx, svc, t.Method, callArgs, nil)
 }
 
@@ -957,7 +955,7 @@ func (m *Manager) applyRemote(ctx context.Context, tgt EntityRef, action string,
 		return m.checkAndApply(ctx, tgt.Entity, action, args)
 	}
 	return m.eng.Invoke(ctx, ServiceFor(tgt.User), "Apply", wire.Args{
-		"entity": tgt.Entity, "action": action, "args": map[string]any(args),
+		wire.Str("entity", tgt.Entity), wire.Str("action", action), wire.Sub("args", args),
 	}, nil)
 }
 
@@ -993,5 +991,5 @@ func (m *Manager) InstallAt(ctx context.Context, user string, l *Link) error {
 	if err != nil {
 		return err
 	}
-	return m.eng.Invoke(ctx, ServiceFor(user), "AddLink", wire.Args{"link": string(raw)}, nil)
+	return m.eng.Invoke(ctx, ServiceFor(user), "AddLink", wire.Args{wire.Str("link", string(raw))}, nil)
 }

@@ -276,10 +276,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		for i, t := range marked {
 			refs[i] = t.Ref
 		}
-		commitArgs = spec.Args.Clone()
-		for k, v := range spec.Decide(refs) {
-			commitArgs[k] = v
-		}
+		commitArgs = spec.Args.With(spec.Decide(refs)...)
 	}
 
 	// The constraint holds: the decision is COMMIT. Persist it — with
@@ -535,7 +532,8 @@ func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef
 	}
 	var raw json.RawMessage
 	err := m.eng.Invoke(ctx, ServiceFor(ref.User), "Mark", wire.Args{
-		"entity": ref.Entity, "action": action, "args": map[string]any(args), "nid": nid,
+		wire.Str("entity", ref.Entity), wire.Str("action", action), wire.Sub("args", args),
+		wire.Str("nid", nid),
 	}, &raw)
 	if err != nil {
 		return "", err
@@ -600,7 +598,8 @@ func (m *Manager) commitTargetInner(ctx context.Context, nid string, ref EntityR
 		return m.commitLocalToken(ctx, ref.Entity, token, nid, action, args, m.self)
 	}
 	callArgs := wire.Args{
-		"entity": ref.Entity, "token": token, "action": action, "args": map[string]any(args), "nid": nid,
+		wire.Str("entity", ref.Entity), wire.Str("token", token), wire.Str("action", action),
+		wire.Sub("args", args), wire.Str("nid", nid),
 	}
 	if qos {
 		return m.invokeRetry(ctx, ServiceFor(ref.User), "Commit", callArgs, nil)
@@ -620,7 +619,7 @@ func (m *Manager) abortTarget(ctx context.Context, nid string, ref EntityRef, to
 		return
 	}
 	_ = m.eng.Invoke(ctx, ServiceFor(ref.User), "Abort", wire.Args{
-		"entity": ref.Entity, "token": token, "nid": nid,
+		wire.Str("entity", ref.Entity), wire.Str("token", token), wire.Str("nid", nid),
 	}, nil)
 }
 
@@ -641,7 +640,7 @@ func (m *Manager) checkAvailableInner(ctx context.Context, ref EntityRef, action
 		return m.check(ref.Entity, action, args)
 	}
 	return m.eng.Invoke(ctx, ServiceFor(ref.User), "IsAvailable", wire.Args{
-		"entity": ref.Entity, "action": action, "args": map[string]any(args),
+		wire.Str("entity", ref.Entity), wire.Str("action", action), wire.Sub("args", args),
 	}, nil)
 }
 

@@ -76,7 +76,7 @@ func (m *Manager) vote(ctx context.Context, l *Link, t Trigger, tok string) (dec
 		span.Annotate(trace.String("link", l.ID), trace.String("event", "avail"), trace.String("type", string(l.Type)))
 		defer span.Finish()
 	}
-	entity, args := l.Owner.Entity, t.MergedArgs(nil)
+	entity, args := l.Owner.Entity, t.Args
 	var err error
 	if tok == "" {
 		tok, err = m.markLocal(entity, t.Action, args)
@@ -94,7 +94,7 @@ func (m *Manager) vote(ctx context.Context, l *Link, t Trigger, tok string) (dec
 		p.TraceID, p.SpanID = span.TraceID, span.SpanID
 	}
 	m.notePendingMark(p)
-	err = m.invokeTrigger(ctx, l, t, l.Targets[0], t.MergedArgs(wire.Args{"token": tok, "nid": p.NID}))
+	err = m.invokeTrigger(ctx, l, t, l.Targets[0], t.Args.With(wire.Str("token", tok), wire.Str("nid", p.NID)))
 	if err == nil {
 		return false
 	}

@@ -35,7 +35,7 @@ func (h *harness) addVoteBox(user string) *voteBox {
 			return nil, &wire.RemoteError{Code: wire.CodeConflict, Msg: "no use for it"}
 		}
 		_, err := lm.Negotiate(ctx, links.Spec{
-			Action: "reserve", Args: wire.Args{"meeting": call.Args.String("meeting")}, Constraint: links.And,
+			Action: "reserve", Args: wire.Args{wire.Str("meeting", call.Args.String("meeting"))}, Constraint: links.And,
 			Vote: &links.Vote{
 				Ref:   links.EntityRef{User: call.Args.String("source"), Entity: call.Args.String("targetEntity")},
 				Token: call.Args.String("token"), NID: call.Args.String("nid"),
@@ -63,7 +63,7 @@ func (h *harness) queueVoter(id string, owner links.EntityRef, target, meeting s
 	l.Priority, l.WaitingOn, l.Group = prio, waitingOn, meeting
 	l.Triggers = []links.Trigger{{
 		Event: "avail", Action: "reserve", Service: "meetings.%s", Method: "Freed",
-		Args: wire.Args{"meeting": meeting},
+		Args: wire.Args{wire.Str("meeting", meeting)},
 	}}
 	lm := h.nodes[owner.User].Links
 	if err := lm.InstallAt(ctxBg(), lm.Self(), l); err != nil {
@@ -151,7 +151,7 @@ func TestAbortedMarkOffersTheFreedSlot(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := cm.Negotiate(ctxBg(), links.Spec{
-			Action: "reserve", Args: wire.Args{"meeting": "MB"}, Targets: refs("u", "slot9", "x", "slot9"), Constraint: links.And,
+			Action: "reserve", Args: wire.Args{wire.Str("meeting", "MB")}, Targets: refs("u", "slot9", "x", "slot9"), Constraint: links.And,
 		})
 		done <- err
 	}()

@@ -236,7 +236,7 @@ func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token stri
 		Args    wire.Args `json:"args"`
 	}
 	err := m.invokeRetry(ctx, ServiceFor(coordinator), "QueryOutcome", wire.Args{
-		"nid": nid, "token": token,
+		wire.Str("nid", nid), wire.Str("token", token),
 	}, &out)
 	return out.Outcome, out.Args, err
 }

@@ -33,7 +33,9 @@ func TestRefusalReasonsCrossTheWire(t *testing.T) {
 
 	// Another negotiation has c's slot marked.
 	if err := h.nodes["b"].Engine.Invoke(ctx, links.ServiceFor("c"), "Mark", wire.Args{
-		"entity": "s", "action": "book", "nid": "N-other",
+		wire.Str("entity", "s"),
+		wire.Str("action", "book"),
+		wire.Str("nid", "N-other"),
 	}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -20,14 +20,20 @@ func TestDuplicateCommitIdempotent(t *testing.T) {
 		Token string `json:"token"`
 	}
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "note", "args": map[string]any{"text": "hi"}, "nid": "N-dup",
+		wire.Str("entity", "s"),
+		wire.Str("action", "note"),
+		wire.Sub("args", wire.Args{wire.Str("text", "hi")}),
+		wire.Str("nid", "N-dup"),
 	}, &tok)
 	if err != nil {
 		t.Fatal(err)
 	}
 	commit := wire.Args{
-		"entity": "s", "token": tok.Token, "action": "note",
-		"args": map[string]any{"text": "hi"}, "nid": "N-dup",
+		wire.Str("entity", "s"),
+		wire.Str("token", tok.Token),
+		wire.Str("action", "note"),
+		wire.Sub("args", wire.Args{wire.Str("text", "hi")}),
+		wire.Str("nid", "N-dup"),
 	}
 	if err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", commit, nil); err != nil {
 		t.Fatalf("first commit: %v", err)
@@ -57,7 +63,10 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 		Token string `json:"token"`
 	}
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "reserve", "args": map[string]any{"meeting": "OLD"}, "nid": "N-old",
+		wire.Str("entity", "s"),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "OLD")}),
+		wire.Str("nid", "N-old"),
 	}, &tok)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +75,7 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 	// steals the lock and reserves the slot.
 	h.clk.Advance(links.DefaultLockTTL + time.Second)
 	if _, err := h.nodes["a"].Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "NEW"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "NEW")},
 		Targets: refs("b", "s"), Constraint: links.And,
 	}); err != nil {
 		t.Fatalf("stealing negotiation failed: %v", err)
@@ -76,8 +85,11 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 	}
 	// The stale Commit finally arrives. It must not apply.
 	err = h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "s", "token": tok.Token, "action": "reserve",
-		"args": map[string]any{"meeting": "OLD"}, "nid": "N-old",
+		wire.Str("entity", "s"),
+		wire.Str("token", tok.Token),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "OLD")}),
+		wire.Str("nid", "N-old"),
 	}, nil)
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("stale commit err = %v, want conflict", err)
@@ -105,7 +117,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		return nil
 	})
 	res, err := lm.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {
@@ -174,7 +186,7 @@ func TestSweepDuringPhase1DoesNotPresumeAbort(t *testing.T) {
 		return nil
 	})
 	res, err := lm.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
 	})
 	if err != nil || !res.OK {
@@ -201,14 +213,20 @@ func TestDecidedOutcomeSurvivesRestart(t *testing.T) {
 		Token string `json:"token"`
 	}
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "note", "args": map[string]any{"text": "hi"}, "nid": "N-restart",
+		wire.Str("entity", "s"),
+		wire.Str("action", "note"),
+		wire.Sub("args", wire.Args{wire.Str("text", "hi")}),
+		wire.Str("nid", "N-restart"),
 	}, &tok)
 	if err != nil {
 		t.Fatal(err)
 	}
 	commit := wire.Args{
-		"entity": "s", "token": tok.Token, "action": "note",
-		"args": map[string]any{"text": "hi"}, "nid": "N-restart",
+		wire.Str("entity", "s"),
+		wire.Str("token", tok.Token),
+		wire.Str("action", "note"),
+		wire.Sub("args", wire.Args{wire.Str("text", "hi")}),
+		wire.Str("nid", "N-restart"),
 	}
 	if err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", commit, nil); err != nil {
 		t.Fatalf("first commit: %v", err)
@@ -255,11 +273,11 @@ func TestInDoubtDoesNotMaskVeto(t *testing.T) {
 	l1 := newLink("L-indoubt", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "e"}, refs("x", "s"))
 	l1.Priority = 2
-	l1.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{"meeting": "T1"}}}
+	l1.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{wire.Str("meeting", "T1")}}}
 	l2 := newLink("L-veto", links.Negotiation, links.Permanent,
 		links.EntityRef{User: "a", Entity: "e"}, refs("y", "s"))
 	l2.Priority = 1
-	l2.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{"meeting": "T2"}}}
+	l2.Triggers = []links.Trigger{{Event: "change", Action: "reserve", Args: wire.Args{wire.Str("meeting", "T2")}}}
 	if err := lm.InstallAt(context.Background(), lm.Self(), l1); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +318,10 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 		Token string `json:"token"`
 	}
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
-		"entity": "s", "action": "reserve", "args": map[string]any{"meeting": "GHOST"}, "nid": "N-ghost",
+		wire.Str("entity", "s"),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "GHOST")}),
+		wire.Str("nid", "N-ghost"),
 	}, &tok)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +347,7 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 		t.Fatalf("mark resolved inside horizon: pending = %d", n)
 	}
 	if _, err := h.nodes["b"].Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "OTHER"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "OTHER")},
 		Targets: refs("b", "s"), Constraint: links.And,
 	}); wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("pinned lock not respected: %v", err)
@@ -346,15 +367,18 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	// the presumed abort is sticky.
 	h.net.SetDown("node-a", false)
 	err = h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", wire.Args{
-		"entity": "s", "token": tok.Token, "action": "reserve",
-		"args": map[string]any{"meeting": "GHOST"}, "nid": "N-ghost",
+		wire.Str("entity", "s"),
+		wire.Str("token", tok.Token),
+		wire.Str("action", "reserve"),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "GHOST")}),
+		wire.Str("nid", "N-ghost"),
 	}, nil)
 	if wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("post-abort commit err = %v, want conflict", err)
 	}
 	// The slot is free for a fresh negotiation.
 	if _, err := h.nodes["b"].Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "FRESH"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "FRESH")},
 		Targets: refs("b", "s"), Constraint: links.And,
 	}); err != nil {
 		t.Fatalf("slot still wedged after presumed abort: %v", err)

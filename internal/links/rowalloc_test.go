@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // TestRowWriteAllocs: a row a participant's Commit writes beside its
@@ -33,7 +34,7 @@ func TestRowWriteAllocs(t *testing.T) {
 			Group: "M-0001f00dcafe0001", Created: clk.Now(),
 			Owner: EntityRef{User: "andy", Entity: slot}, Targets: []EntityRef{{User: "phil", Entity: slot}},
 			Triggers: []Trigger{{Event: "change", Service: "cal.%s", Method: "ParticipantChange",
-				Args: map[string]any{"meeting": "M-0001f00dcafe0001", "user": "andy"}}},
+				Args: wire.Args{wire.Str("meeting", "M-0001f00dcafe0001"), wire.Str("user", "andy")}}},
 		}
 	}
 	var next int

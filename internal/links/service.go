@@ -95,20 +95,6 @@ func (m *Manager) alreadyDecided(ctx context.Context, entity string, committed b
 func (m *Manager) Object() *listener.Object {
 	obj := listener.NewObject()
 
-	argsOf := func(call *listener.Call) wire.Args {
-		// A decoded frame holds the inner args as a map of its own:
-		// every transport, the in-memory one too, hands a handler the
-		// args it decoded, never the caller's.
-		if inner, ok := call.Args["args"].(map[string]any); ok {
-			return wire.Args(inner)
-		}
-		var inner map[string]any
-		if err := call.Args.Decode("args", &inner); err != nil || inner == nil {
-			return wire.Args{}
-		}
-		return wire.Args(inner)
-	}
-
 	// Mark: phase-1 lock + condition check (§4.3 "Mark X ... an
 	// attempted change, which triggers any associated link without
 	// actual change on X"). The negotiation id and caller are recorded
@@ -120,7 +106,7 @@ func (m *Manager) Object() *listener.Object {
 		if entity == "" || action == "" {
 			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "Mark needs entity and action"}
 		}
-		args := argsOf(call)
+		args := call.Args.Sub("args")
 		tok, err := m.markLocal(entity, action, args)
 		if err != nil {
 			return nil, err
@@ -147,7 +133,7 @@ func (m *Manager) Object() *listener.Object {
 		token := call.Args.String("token")
 		nid := call.Args.String("nid")
 		action := call.Args.String("action")
-		if err := m.commitLocalToken(ctx, entity, token, nid, action, argsOf(call), call.Caller); err != nil {
+		if err := m.commitLocalToken(ctx, entity, token, nid, action, call.Args.Sub("args"), call.Caller); err != nil {
 			return nil, err
 		}
 		return true, nil
@@ -186,7 +172,7 @@ func (m *Manager) Object() *listener.Object {
 	obj.Handle("Apply", func(ctx context.Context, call *listener.Call) (any, error) {
 		entity := call.Args.String("entity")
 		action := call.Args.String("action")
-		if err := m.checkAndApply(ctx, entity, action, argsOf(call)); err != nil {
+		if err := m.checkAndApply(ctx, entity, action, call.Args.Sub("args")); err != nil {
 			return nil, err
 		}
 		return true, nil
@@ -195,7 +181,7 @@ func (m *Manager) Object() *listener.Object {
 	// IsAvailable: condition check only (§4.2 op 2 availability
 	// negotiation).
 	obj.Handle("IsAvailable", func(ctx context.Context, call *listener.Call) (any, error) {
-		if err := m.check(call.Args.String("entity"), call.Args.String("action"), argsOf(call)); err != nil {
+		if err := m.check(call.Args.String("entity"), call.Args.String("action"), call.Args.Sub("args")); err != nil {
 			return nil, err
 		}
 		return true, nil

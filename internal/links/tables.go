@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/jsonrec"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Table names, matching the paper's nomenclature. SyD_PendingDelete is
@@ -276,7 +277,7 @@ func appendTriggers(b []byte, ts []Trigger) ([]byte, error) {
 		}
 		if len(t.Args) > 0 {
 			var err error
-			if b, err = jsonrec.AppendMap(append(b, `,"args":`...), t.Args); err != nil {
+			if b, err = t.Args.AppendJSON(append(b, `,"args":`...)); err != nil {
 				return nil, err
 			}
 		}
@@ -306,7 +307,7 @@ func readTriggers(s string) ([]Trigger, bool) {
 			t.Method = r.String()
 		}
 		if r.Opt(`,"args":`) {
-			t.Args = r.Map()
+			t.Args = wire.ReadArgs(&r)
 		}
 		r.Lit("}")
 		ts = append(ts, t)

@@ -61,7 +61,7 @@ func TestGroupInvokeStitchedTrace(t *testing.T) {
 	ctx := context.Background()
 
 	results := h.nodes["a"].Engine.GroupInvoke(ctx,
-		[]string{links.ServiceFor("x"), links.ServiceFor("y")}, "LinksOn", wire.Args{"entity": "s0"})
+		[]string{links.ServiceFor("x"), links.ServiceFor("y")}, "LinksOn", wire.Args{wire.Str("entity", "s0")})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("group member %s: %v", r.Service, r.Err)
@@ -131,7 +131,7 @@ func TestInDoubtNegotiationTraceRetained(t *testing.T) {
 		return nil
 	})
 	res, err := h.nodes["a"].Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M1"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")},
 		Targets: refs("x", "s0", "y", "s0"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {

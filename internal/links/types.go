@@ -198,15 +198,3 @@ func (l *Link) voteTrigger() (Trigger, bool) {
 	}
 	return Trigger{}, false
 }
-
-// MergedArgs merges a trigger's static args under runtime args.
-func (t Trigger) MergedArgs(runtime wire.Args) wire.Args {
-	out := make(wire.Args, len(t.Args)+len(runtime))
-	for k, v := range t.Args {
-		out[k] = v
-	}
-	for k, v := range runtime {
-		out[k] = v
-	}
-	return out
-}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -102,13 +103,13 @@ func TestTriggersFor(t *testing.T) {
 }
 
 func TestMergedArgsRuntimeWins(t *testing.T) {
-	tr := Trigger{Args: wire.Args{"a": 1, "b": "static"}}
-	got := tr.MergedArgs(wire.Args{"b": "runtime", "c": true})
+	tr := Trigger{Args: wire.Args{wire.Int("a", 1), wire.Str("b", "static")}}
+	got := tr.Args.With(wire.Str("b", "runtime"), wire.Bool("c", true))
 	if got.Int("a") != 1 || got.String("b") != "runtime" || !got.Bool("c") {
 		t.Fatalf("merged = %v", got)
 	}
 	// Nil runtime keeps statics.
-	got = tr.MergedArgs(nil)
+	got = tr.Args.With()
 	if got.String("b") != "static" {
 		t.Fatalf("merged = %v", got)
 	}
@@ -126,7 +127,7 @@ func TestLinkRowCodecRoundTrip(t *testing.T) {
 		Targets:    []EntityRef{{User: "b", Entity: "slot:1"}, {User: "c", Entity: "slot:2"}},
 		Constraint: Or, K: 2, Priority: 7,
 		Triggers: []Trigger{
-			{Event: "promote", Service: "cal.%s", Method: "SlotAvailable", Args: wire.Args{"meeting": "M1"}},
+			{Event: "promote", Service: "cal.%s", Method: "SlotAvailable", Args: wire.Args{wire.Str("meeting", "M1")}},
 		},
 		WaitingOn: "L-block", Group: "M1",
 		Created: created, Expires: created.Add(24 * time.Hour),
@@ -164,13 +165,13 @@ func linkOfShape(user, entity, event, key, s string, b bool, n int, fl float64, 
 	refs := []EntityRef{{User: user, Entity: entity}, {User: s, Entity: key}}
 	trigs := []Trigger{
 		{Event: event, Action: s, Service: key, Method: entity},
-		{Event: event, Method: s, Args: wire.Args{key: s, "b": b, "n": n, "i": int64(-n), "nil": nil}},
+		{Event: event, Method: s, Args: wire.Args(nil).With(wire.Str(key, s), wire.Bool("b", b), wire.Int("n", n), wire.Int64("i", int64(-n)), wire.Arg{Key: "nil"})},
 	}
 	switch shape & 7 {
 	case 1:
-		trigs[1].Args["f"] = fl
+		trigs[1].Args = trigs[1].Args.With(wire.Float("f", fl))
 	case 2:
-		trigs[1].Args["nested"] = []any{s, map[string]any{key: fl}}
+		trigs[1].Args = trigs[1].Args.With(wire.Strs("list", []string{s}), wire.Sub("nested", wire.Args{wire.Float(key, fl)}))
 	case 3:
 		trigs[1].Args = wire.Args{}
 	}
@@ -258,7 +259,7 @@ func TestLinkRowAllocs(t *testing.T) {
 		Owner:   EntityRef{User: "andy", Entity: slot},
 		Targets: []EntityRef{{User: "phil", Entity: slot}},
 		Triggers: []Trigger{{Event: "change", Service: "cal.%s", Method: "ParticipantChange",
-			Args: wire.Args{"meeting": "M-0001f00dcafe0001", "user": "andy"}}},
+			Args: wire.Args{wire.Str("meeting", "M-0001f00dcafe0001"), wire.Str("user", "andy")}}},
 		Created: time.Date(2026, 8, 1, 9, 0, 0, 0, time.UTC),
 	}
 	row, err := linkToRow(codecLinks, l)
@@ -310,6 +311,35 @@ func TestNewLinkIDUnique(t *testing.T) {
 	}
 }
 
+// TestMintedIDsPadded pins the ordered ids' format, a tag, the process
+// prefix and the counter zero-padded to 12 digits, with AppendPadded
+// writing what fmt's %0*d writes; and that ids sort in the order they
+// were minted.
+func TestMintedIDsPadded(t *testing.T) {
+	for _, n := range []uint64{0, 7, 999999999999, 1000000000000, math.MaxUint64} {
+		for _, width := range []int{0, 2, 12} {
+			if got, want := string(AppendPadded([]byte("x"), n, width)), fmt.Sprintf("x%0*d", width, n); got != want {
+				t.Errorf("AppendPadded(%d, %d) = %q, fmt writes %q", n, width, got, want)
+			}
+		}
+	}
+	shape := regexp.MustCompile(`^[LN]-[0-9a-f]{16}-[0-9]{12}$`)
+	prev := ""
+	for i := 0; i < 100; i++ {
+		id := NewLinkID()
+		if i%2 == 1 {
+			id = NewNegotiationID()
+		}
+		if !shape.MatchString(id) {
+			t.Fatalf("id shape: %q", id)
+		}
+		if i > 0 && id[2:] <= prev[2:] {
+			t.Fatalf("%q minted after %q sorts before it", id, prev)
+		}
+		prev = id
+	}
+}
+
 // journalOfShape builds a journal record whose parts shape picks: the
 // args nil, empty, of every scalar kind or with a float and a list too;
 // the pending, committed and failed lists each nil, empty or one or two
@@ -324,9 +354,9 @@ func journalOfShape(id, user, entity, token, key, s string, b bool, n int, fl fl
 	case 1:
 		rec.Args = wire.Args{}
 	case 2:
-		rec.Args = wire.Args{key: s, "b": b, "n": n, "i": int64(-n), "nil": nil}
+		rec.Args = wire.Args(nil).With(wire.Str(key, s), wire.Bool("b", b), wire.Int("n", n), wire.Int64("i", int64(-n)), wire.Arg{Key: "nil"})
 	case 3:
-		rec.Args = wire.Args{key: fl, "list": []string{s}, "s": s}
+		rec.Args = wire.Args(nil).With(wire.Float(key, fl), wire.Strs("list", []string{s}), wire.Str("s", s))
 	}
 	cut := func(bits uint16) int { return int(bits&3) - 1 }
 	if k := cut(shape >> 2); k >= 0 {
@@ -385,7 +415,7 @@ func FuzzJournalRecord(f *testing.F) {
 func TestJournalRecordReadInPlace(t *testing.T) {
 	rec := &journalRec{
 		ID: "N-0001f00dcafe0001", Action: "reserve",
-		Args:      wire.Args{"meeting": "M-0001f00dcafe0001", "priority": 2, "pinned": true},
+		Args:      wire.Args{wire.Str("meeting", "M-0001f00dcafe0001"), wire.Int("priority", 2), wire.Bool("pinned", true)},
 		Pending:   []journalTarget{{Ref: EntityRef{User: "andy", Entity: "slot:2026-08-07:14"}, Token: "T-1"}},
 		Committed: []EntityRef{},
 		NextRetry: time.Date(2026, 8, 7, 14, 0, 0, 500, time.UTC), Created: time.Date(2026, 8, 7, 13, 59, 0, 0, time.UTC),

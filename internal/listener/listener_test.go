@@ -33,7 +33,7 @@ func TestDispatchAndResult(t *testing.T) {
 
 	resp := l.HandleRequest(context.Background(), &transport.Request{
 		ID: 1, Service: "cal.phil", Method: "Echo",
-		Args: wire.Args{"x": "hi"}, Caller: "andy",
+		Args: wire.Args{wire.Str("x", "hi")}, Caller: "andy",
 	})
 	if !resp.OK {
 		t.Fatalf("resp = %+v", resp)
@@ -99,7 +99,7 @@ func TestAuthRequired(t *testing.T) {
 	}
 	resp = l.HandleRequest(context.Background(), &transport.Request{
 		Service: "cal.phil", Method: "Echo", Caller: "someone-else",
-		Credential: cred, Args: wire.Args{"x": "hi"},
+		Credential: cred, Args: wire.Args{wire.Str("x", "hi")},
 	})
 	if !resp.OK {
 		t.Fatalf("valid credential rejected: %+v", resp)

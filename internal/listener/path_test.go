@@ -196,7 +196,7 @@ func TestIntrospectionObject(t *testing.T) {
 	}
 
 	resp = l.HandleRequest(ctx, &transport.Request{
-		Service: "sys.phil", Method: "Methods", Args: wire.Args{"service": "cal.phil"},
+		Service: "sys.phil", Method: "Methods", Args: wire.Args{wire.Str("service", "cal.phil")},
 	})
 	if !resp.OK {
 		t.Fatalf("Methods: %+v", resp)
@@ -209,7 +209,7 @@ func TestIntrospectionObject(t *testing.T) {
 		t.Fatalf("methods = %v", methods)
 	}
 	resp = l.HandleRequest(ctx, &transport.Request{
-		Service: "sys.phil", Method: "Methods", Args: wire.Args{"service": "ghost"},
+		Service: "sys.phil", Method: "Methods", Args: wire.Args{wire.Str("service", "ghost")},
 	})
 	if resp.OK || resp.Code != wire.CodeNoService {
 		t.Fatalf("Methods(ghost): %+v", resp)

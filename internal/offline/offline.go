@@ -2,6 +2,7 @@ package offline
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -349,9 +350,9 @@ func (m *Manager) pull(ctx context.Context) error {
 			continue
 		}
 		var res PullResult
+		versions, _ := json.Marshal(m.knownVersions(p)) // a map of ints always marshals
 		err := m.eng.Invoke(ctx, ServiceFor(p), "Pull", wire.Args{
-			"subscriber": m.user,
-			"versions":   m.knownVersions(p),
+			wire.Str("subscriber", m.user), wire.Raw("versions", versions),
 		}, &res)
 		if err != nil {
 			continue

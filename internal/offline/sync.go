@@ -65,7 +65,7 @@ func (m *Manager) SyncObject() *listener.Object {
 			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "Pull needs a subscriber"}
 		}
 		have := map[string]int64{}
-		if _, ok := call.Args["versions"]; ok {
+		if call.Args.Has("versions") {
 			if err := call.Args.Decode("versions", &have); err != nil {
 				return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad versions vector: " + err.Error()}
 			}

@@ -2,6 +2,7 @@ package offline_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -227,7 +228,11 @@ func TestServiceQueuesInLocalMode(t *testing.T) {
 	}
 	queue := w.nodes["mob"].Offline.Queue()
 
-	resp := invoke("mob", "Schedule", wire.Args{"request": pinned("review", late.Day, late.Hour, 1, "phil")})
+	req, err := json.Marshal(pinned("review", late.Day, late.Hour, 1, "phil"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := invoke("mob", "Schedule", wire.Args{wire.Raw("request", req)})
 	if !resp.OK {
 		t.Fatalf("Schedule in local mode: %s %s", resp.Code, resp.Error)
 	}
@@ -238,10 +243,10 @@ func TestServiceQueuesInLocalMode(t *testing.T) {
 	if review.Status != calendar.StatusTentative || review.LinkID != "" || review.Slot != late {
 		t.Fatalf("Schedule in local mode answered %+v, want the queued tentative meeting", review)
 	}
-	if resp := invoke("mallory", "CancelMeeting", wire.Args{"meeting": kickoff.ID}); resp.OK || resp.Code != wire.CodeAuth {
+	if resp := invoke("mallory", "CancelMeeting", wire.Args{wire.Str("meeting", kickoff.ID)}); resp.OK || resp.Code != wire.CodeAuth {
 		t.Fatalf("mallory's cancel in local mode = %+v, want refused (auth)", resp)
 	}
-	if resp := invoke("mob", "CancelMeeting", wire.Args{"meeting": kickoff.ID}); !resp.OK {
+	if resp := invoke("mob", "CancelMeeting", wire.Args{wire.Str("meeting", kickoff.ID)}); !resp.OK {
 		t.Fatalf("CancelMeeting in local mode: %s %s", resp.Code, resp.Error)
 	}
 	if got, _ := mob.Meeting(kickoff.ID); got.Status != calendar.StatusCancelled {
@@ -397,7 +402,8 @@ func TestRelevancePullBeatsFullPull(t *testing.T) {
 	pull := func(all bool) offline.PullResult {
 		var res offline.PullResult
 		err := w.nodes["mob"].Engine.Invoke(ctx, offline.ServiceFor("andy"), "Pull", wire.Args{
-			"subscriber": "mob", "all": all,
+			wire.Str("subscriber", "mob"),
+			wire.Bool("all", all),
 		}, &res)
 		if err != nil {
 			t.Fatal(err)
@@ -427,9 +433,14 @@ func TestRelevancePullBeatsFullPull(t *testing.T) {
 	for _, e := range rel.Entities {
 		have[e.Entity] = e.Version
 	}
+	versions, err := json.Marshal(have)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var res offline.PullResult
 	if err := w.nodes["mob"].Engine.Invoke(ctx, offline.ServiceFor("andy"), "Pull", wire.Args{
-		"subscriber": "mob", "versions": have,
+		wire.Str("subscriber", "mob"),
+		wire.Raw("versions", versions),
 	}, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	// Acked baseline: a clean negotiation through x and y, replicated
 	// to both followers before the fault.
 	if _, err := a.Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M0"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M0")},
 		Targets:    []links.EntityRef{{User: "x", Entity: "s0"}, {User: "y", Entity: "s0"}},
 		Constraint: links.And,
 	}); err != nil {
@@ -239,7 +239,7 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		_, errA = a.Links.Negotiate(ctx, links.Spec{
-			Action: "reserve", Args: wire.Args{"meeting": "MF"},
+			Action: "reserve", Args: wire.Args{wire.Str("meeting", "MF")},
 			Targets:    []links.EntityRef{{User: "x", Entity: "s1"}, {User: "y", Entity: "s1"}},
 			Constraint: links.And,
 		})
@@ -247,7 +247,7 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		_, errB = b.Links.Negotiate(ctx, links.Spec{
-			Action: "reserve", Args: wire.Args{"meeting": "MB"},
+			Action: "reserve", Args: wire.Args{wire.Str("meeting", "MB")},
 			Targets:    []links.EntityRef{{User: "x", Entity: "s2"}, {User: "y", Entity: "s2"}},
 			Constraint: links.And,
 		})
@@ -367,10 +367,10 @@ func TestFailoverCaughtUpFollowerOutranksLowerAddress(t *testing.T) {
 	f2 := fx.startFollower("repl-x-2", t.TempDir(), 0, promoted)
 
 	if _, err := x.Links.Negotiate(ctx, links.Spec{
-		Action: "reserve", Args: wire.Args{"meeting": "M1"},
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")},
 		Targets:    []links.EntityRef{{User: "y", Entity: "s0"}},
 		Constraint: links.And,
-		Local:      &links.LocalChange{Entity: "s0", Action: "reserve", Args: wire.Args{"meeting": "M1"}},
+		Local:      &links.LocalChange{Entity: "s0", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	}
 
 	// Serving normally while the lease is good.
-	if resp := rawCall(links.ServiceFor("x"), "IsAvailable", wire.Args{"entity": "s0", "action": "reserve"}); !resp.OK {
+	if resp := rawCall(links.ServiceFor("x"), "IsAvailable", wire.Args{wire.Str("entity", "s0"), wire.Str("action", "reserve")}); !resp.OK {
 		t.Fatalf("pre-expiry call: %+v", resp)
 	}
 
@@ -451,7 +451,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	if x.Repl.LeaseValid() {
 		t.Fatal("lease should have lapsed locally")
 	}
-	if resp := rawCall(links.ServiceFor("x"), "IsAvailable", wire.Args{"entity": "s0", "action": "reserve"}); resp.OK || resp.Code != wire.CodeUnavailable {
+	if resp := rawCall(links.ServiceFor("x"), "IsAvailable", wire.Args{wire.Str("entity", "s0"), wire.Str("action", "reserve")}); resp.OK || resp.Code != wire.CodeUnavailable {
 		t.Fatalf("post-expiry call = %+v, want fenced (unavailable)", resp)
 	}
 	// Replication traffic still flows: a promoter drains the fenced
@@ -492,7 +492,7 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 
 	available := func() error {
 		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "IsAvailable",
-			wire.Args{"entity": "s0", "action": "reserve"}, nil)
+			wire.Args{wire.Str("entity", "s0"), wire.Str("action", "reserve")}, nil)
 	}
 	if err := available(); err != nil {
 		t.Fatal(err)

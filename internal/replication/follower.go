@@ -222,7 +222,7 @@ func (f *Follower) PullOnce(ctx context.Context) error {
 	start := time.Now()
 	var reply pullReply
 	err = call(ctx, f.cfg.Net, primaryAddr, f.cfg.User, "Pull",
-		wire.Args{"from": int64(from), "max": f.cfg.PullMaxBytes}, &reply)
+		wire.Args{wire.Int64("from", int64(from)), wire.Int("max", f.cfg.PullMaxBytes)}, &reply)
 	if err != nil {
 		f.observe("pull", wire.CodeOf(err), time.Since(start))
 		return err

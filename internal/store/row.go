@@ -398,7 +398,7 @@ func appendJSONValue(b []byte, ct ColType, v Value) ([]byte, error) {
 	case Bool:
 		return strconv.AppendBool(b, v.n != 0), nil
 	case Float: // json.Marshal's text and its error for NaN and ±Inf
-		return jsonrec.AppendValue(b, math.Float64frombits(uint64(v.n)))
+		return jsonrec.AppendFloat(b, math.Float64frombits(uint64(v.n)))
 	case Time:
 		return append(v.t.AppendFormat(append(b, '"'), time.RFC3339Nano), '"'), nil
 	}

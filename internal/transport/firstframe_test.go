@@ -67,7 +67,7 @@ func TestTCPSpeaksV3FromFirstFrame(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			_, err := client.Call(ctx, ln.Addr().String(), &Request{
-				Service: "echo", Method: "ping", Args: wire.Args{"x": "y"}, Meta: maps.Clone(meta),
+				Service: "echo", Method: "ping", Args: wire.Args{wire.Str("x", "y")}, Meta: maps.Clone(meta),
 			})
 			done <- err
 		}()
@@ -102,7 +102,7 @@ func TestTCPSpeaksV3FromFirstFrame(t *testing.T) {
 		}
 		defer conn.Close()
 		writeV3(t, conn, &wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{
-			ID: 1, Service: "echo", Method: "ping", Args: wire.Args{"x": "y"},
+			ID: 1, Service: "echo", Method: "ping", Args: wire.Args{wire.Str("x", "y")},
 		}})
 		body, env := readRawFrame(t, conn)
 		if body[0] != v3Version {

@@ -61,7 +61,7 @@ func TestTCPCancelledCallDoesNotLoseLateResponse(t *testing.T) {
 			// Deadline tuned to land right around response delivery.
 			ctx, cancel := context.WithTimeout(context.Background(), h.delay+time.Duration(i%5)*time.Millisecond)
 			defer cancel()
-			resp, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "ping", Args: wire.Args{"i": i}})
+			resp, err := net.Call(ctx, addr, &Request{Service: "echo", Method: "ping", Args: wire.Args{wire.Int("i", i)}})
 			switch {
 			case err == nil:
 				var out map[string]int
@@ -140,9 +140,9 @@ func TestTCPStress(t *testing.T) {
 				}
 				// Keys of its own, so that each connection's name
 				// tables fill and then carry on with literals.
-				args := wire.Args{"n": n}
+				args := wire.Args{wire.Int("n", n)}
 				for k := 0; k < 4; k++ {
-					args[fmt.Sprintf("w%d-%d-%d", w, i, k)] = n + k
+					args = append(args, wire.Int(fmt.Sprintf("w%d-%d-%d", w, i, k), n+k))
 				}
 				resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "ping", Args: args})
 				cancel()
@@ -221,7 +221,7 @@ func TestTCPRecycledReplyChannels(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				n := w*calls + i
 				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+n%8)*250*time.Microsecond)
-				resp, err := cli.Call(ctx, ln.Addr(), &Request{Service: "echo", Method: "ping", Args: wire.Args{"n": n}})
+				resp, err := cli.Call(ctx, ln.Addr(), &Request{Service: "echo", Method: "ping", Args: wire.Args{wire.Int("n", n)}})
 				cancel()
 				switch {
 				case err == nil:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,7 +46,7 @@ func TestTCPCallRoundTrip(t *testing.T) {
 	net, addr := newTCPPair(t, h)
 
 	resp, err := net.Call(context.Background(), addr, &Request{
-		Service: "echo", Method: "ping", Args: wire.Args{"x": "hello"},
+		Service: "echo", Method: "ping", Args: wire.Args{wire.Str("x", "hello")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +75,7 @@ func TestTCPConcurrentCallsMultiplexed(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			resp, err := net.Call(context.Background(), addr, &Request{
-				Service: "echo", Method: "ping", Args: wire.Args{"i": i},
+				Service: "echo", Method: "ping", Args: wire.Args{wire.Int("i", i)},
 			})
 			if err != nil {
 				errs[i] = err
@@ -175,7 +176,7 @@ func BenchmarkTCPCall(b *testing.B) {
 	}
 	defer ln.Close()
 	defer net.Close()
-	req := &Request{Service: "echo", Method: "ping", Args: wire.Args{"x": 1}}
+	req := &Request{Service: "echo", Method: "ping", Args: wire.Args{wire.Int("x", 1)}}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -224,7 +225,7 @@ func TestTCPMetadataRoundTrip(t *testing.T) {
 // encoded fails alone, as bad-args, and not as an unreachable peer: the
 // connection it was to go out on stays up, the call in flight on it gets
 // its own answer, and the next request, which repeats the names the
-// failed one had entered before its bad value, decodes, because the
+// failed one had entered before its oversized value, decodes, because the
 // table dropped them again. A response that cannot be encoded is
 // answered with an internal error in its place.
 func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
@@ -256,7 +257,7 @@ func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 
 	slow := make(chan error, 1)
 	go func() {
-		resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "slow", Args: wire.Args{"who": "slow"}})
+		resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "slow", Args: wire.Args{wire.Str("who", "slow")}})
 		if err == nil && string(resp.Result) != `{"who":"slow"}` {
 			err = fmt.Errorf("answered %s", resp.Result)
 		}
@@ -266,14 +267,14 @@ func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 	conn := pooled()
 
 	// Service, method and metadata go out before the args, so the
-	// request enters its new names before its bad value fails it.
+	// request enters its new names before its oversized value fails it.
 	req := &Request{Service: "echo", Method: "fresh", Meta: wire.Metadata{"fresh-key": "v"},
-		Args: wire.Args{"bad": make(chan int)}}
+		Args: wire.Args{wire.Str("bad", strings.Repeat("x", wire.MaxFrameSize))}}
 	_, err := cli.Call(ctx, addr, req)
 	if wire.CodeOf(err) != wire.CodeBadArgs || errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unencodable request: err = %v, want bad-args", err)
 	}
-	req.Args = wire.Args{"bad": "no longer"}
+	req.Args = wire.Args{wire.Str("bad", "no longer")}
 	if resp, err := cli.Call(ctx, addr, req); err != nil || string(resp.Result) != `{"bad":"no longer"}` {
 		t.Fatalf("the next request with the failed one's names: %+v, %v", resp, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -24,9 +23,9 @@ import (
 // tables stay equal with no define flag, eviction or handshake. Without
 // a table (EncodeFrameV3, ReadFrame) every name is a literal.
 //
-// Values that the tagged Args encoding cannot represent natively fall
-// back to an embedded JSON blob, so v3 is semantically lossless with
-// respect to the JSON codec for anything the JSON codec can carry.
+// Args go out in their order, each value under the tag of its kind; a
+// Raw value is its JSON text, embedded as a blob. A list that repeats a
+// key is refused, as a map could never send one.
 
 // magicV3 is the first body byte of a v3 frame: the format's version
 // byte. A JSON body always starts with '{' (0x7B), so the two are
@@ -69,10 +68,11 @@ const (
 	v3ValInt     = 3 // zigzag varint; covers int/int64
 	v3ValTrue    = 4
 	v3ValFalse   = 5
-	v3ValStrings = 6 // []string
-	v3ValSlice   = 7 // []any
-	v3ValMap     = 8 // map[string]any / Args
-	v3ValJSON    = 9 // embedded JSON blob (fallback for everything else)
+	v3ValStrings = 6 // string list
+	// 7 carried a list of any values; nothing sends one, and a frame
+	// holding one is refused.
+	v3ValMap  = 8 // nested Args
+	v3ValJSON = 9 // embedded JSON text: a Raw value
 )
 
 // EncodeFrameCodec encodes env with the requested codec into a pooled
@@ -155,7 +155,7 @@ func encodeV3(env *Envelope, t *NameTable) (*FrameBuffer, error) {
 	switch {
 	case env.Kind == KindRequest && env.Request != nil:
 		b = append(b, magicV3, v3KindRequest)
-		b, err = t.appendRequest(b, env.Request)
+		b = t.appendRequest(b, env.Request)
 	case env.Kind == KindResponse && env.Response != nil:
 		b = append(b, magicV3, v3KindResponse)
 		b = t.appendResponse(b, env.Response)
@@ -174,7 +174,7 @@ func encodeV3(env *Envelope, t *NameTable) (*FrameBuffer, error) {
 	return f, nil
 }
 
-func (t *NameTable) appendRequest(b []byte, r *Request) ([]byte, error) {
+func (t *NameTable) appendRequest(b []byte, r *Request) []byte {
 	b = binary.AppendUvarint(b, r.ID)
 	b = t.appendName(b, r.Service)
 	b = t.appendName(b, r.Method)
@@ -220,81 +220,41 @@ func (t *NameTable) appendMeta(b []byte, m Metadata) []byte {
 	return b
 }
 
-func (t *NameTable) appendArgs(b []byte, a map[string]any) ([]byte, error) {
+func (t *NameTable) appendArgs(b []byte, a Args) []byte {
 	b = binary.AppendUvarint(b, uint64(len(a)))
-	var err error
-	for k, v := range a {
-		b = t.appendName(b, k)
-		b, err = t.appendValue(b, v)
-		if err != nil {
-			return b, err
-		}
+	for i := range a {
+		b = t.appendName(b, a[i].Key)
+		b = t.appendValue(b, &a[i].Val)
 	}
-	return b, nil
+	return b
 }
 
-// appendValue encodes one Args value with a type tag. The calendar
-// services overwhelmingly send small scalar maps (entity names,
-// actions, ints, nested string maps), so those get dedicated tags; any
-// other type round-trips through an embedded JSON blob with identical
-// decode semantics to the JSON codec.
-func (t *NameTable) appendValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, v3ValNil), nil
-	case string:
-		b = append(b, v3ValString)
-		return appendV3String(b, x), nil
-	case float64:
-		b = append(b, v3ValFloat64)
-		return binary.BigEndian.AppendUint64(b, math.Float64bits(x)), nil
-	case int:
-		b = append(b, v3ValInt)
-		return appendV3Zigzag(b, int64(x)), nil
-	case int64:
-		b = append(b, v3ValInt)
-		return appendV3Zigzag(b, x), nil
-	case bool:
-		if x {
-			return append(b, v3ValTrue), nil
+// appendValue encodes one Args value under the tag of its kind.
+func (t *NameTable) appendValue(b []byte, v *Value) []byte {
+	switch v.kind {
+	case kindString:
+		return appendV3String(append(b, v3ValString), v.s)
+	case kindInt:
+		return appendV3Zigzag(append(b, v3ValInt), int64(v.n))
+	case kindFloat:
+		return binary.BigEndian.AppendUint64(append(b, v3ValFloat64), v.n)
+	case kindBool:
+		if v.n != 0 {
+			return append(b, v3ValTrue)
 		}
-		return append(b, v3ValFalse), nil
-	case []string:
-		b = append(b, v3ValStrings)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		for _, s := range x {
+		return append(b, v3ValFalse)
+	case kindStrings:
+		b = binary.AppendUvarint(append(b, v3ValStrings), uint64(len(v.ss)))
+		for _, s := range v.ss {
 			b = appendV3String(b, s)
 		}
-		return b, nil
-	case []any:
-		b = append(b, v3ValSlice)
-		b = binary.AppendUvarint(b, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			b, err = t.appendValue(b, e)
-			if err != nil {
-				return b, err
-			}
-		}
-		return b, nil
-	case map[string]any:
-		b = append(b, v3ValMap)
-		return t.appendArgs(b, x)
-	case Args:
-		b = append(b, v3ValMap)
-		return t.appendArgs(b, x)
-	case json.RawMessage:
-		// Already JSON: embed verbatim, decode matches the JSON codec.
-		b = append(b, v3ValJSON)
-		return appendV3Bytes(b, x), nil
-	default:
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return b, fmt.Errorf("wire: v3 encode arg: %w", err)
-		}
-		b = append(b, v3ValJSON)
-		return appendV3Bytes(b, raw), nil
+		return b
+	case kindArgs:
+		return t.appendArgs(append(b, v3ValMap), v.sub)
+	case kindJSON:
+		return appendV3String(append(b, v3ValJSON), v.s)
 	}
+	return append(b, v3ValNil)
 }
 
 func appendV3Zigzag(b []byte, v int64) []byte {
@@ -329,6 +289,10 @@ const (
 // from the count a peer sends. A larger one grows as its entries
 // decode, and each entry takes frame bytes.
 const maxSizeHint = 16
+
+// maxArgsDepth bounds how deep argument lists nest, so a peer cannot
+// recurse the decoder off its stack.
+const maxArgsDepth = 32
 
 func (d *v3dec) fail() error { return ErrBadV3Frame }
 
@@ -466,7 +430,10 @@ func (d *v3dec) meta() (Metadata, error) {
 	return m, nil
 }
 
-func (d *v3dec) args() (Args, error) {
+// args decodes an argument list into one slice. Its strings are
+// substrings of the body's one copy (see v3dec), so what allocates is
+// the slice and, below it, a string list's or a nested list's own.
+func (d *v3dec) args(depth int) (Args, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -474,98 +441,98 @@ func (d *v3dec) args() (Args, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if n > uint64(len(d.b)-d.pos) {
+	if n > uint64(len(d.b)-d.pos) || depth > maxArgsDepth {
 		return nil, d.fail()
 	}
-	a := make(Args, min(n, maxSizeHint))
+	a := make(Args, 0, min(n, maxSizeHint))
+	var seen map[string]bool // from maxSizeHint keys on: a long list is checked in linear time
 	for i := uint64(0); i < n; i++ {
 		k, err := d.name()
 		if err != nil {
 			return nil, err
 		}
-		v, err := d.value()
-		if err != nil {
+		if len(a) == maxSizeHint {
+			seen = make(map[string]bool, 2*maxSizeHint)
+			for _, kv := range a {
+				seen[kv.Key] = true
+			}
+		}
+		if seen[k] || seen == nil && a.index(k) >= 0 {
+			return nil, d.fail() // a repeated key
+		}
+		if seen != nil {
+			seen[k] = true
+		}
+		a = append(a, Arg{Key: k})
+		if err := d.value(&a[len(a)-1].Val, depth); err != nil {
 			return nil, err
 		}
-		a[k] = v
 	}
 	return a, nil
 }
 
-func (d *v3dec) value() (any, error) {
+func (d *v3dec) value(v *Value, depth int) (err error) {
 	tag, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch tag {
 	case v3ValNil:
-		return nil, nil
+		return nil
 	case v3ValString:
-		return d.string()
+		v.kind = kindString
+		v.s, err = d.string()
+		return err
 	case v3ValFloat64:
 		p, err := d.take(8)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return math.Float64frombits(binary.BigEndian.Uint64(p)), nil
+		v.kind, v.n = kindFloat, binary.BigEndian.Uint64(p)
+		return nil
 	case v3ValInt:
-		return d.zigzag()
+		n, err := d.zigzag()
+		v.kind, v.n = kindInt, uint64(n)
+		return err
 	case v3ValTrue:
-		return true, nil
+		v.kind, v.n = kindBool, 1
+		return nil
 	case v3ValFalse:
-		return false, nil
+		v.kind = kindBool
+		return nil
 	case v3ValStrings:
 		n, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > uint64(len(d.b)-d.pos) {
-			return nil, d.fail()
+			return d.fail()
 		}
-		out := make([]string, 0, min(n, maxSizeHint))
+		v.kind, v.ss = kindStrings, make([]string, 0, min(n, maxSizeHint))
 		for i := uint64(0); i < n; i++ {
 			s, err := d.string()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out = append(out, s)
+			v.ss = append(v.ss, s)
 		}
-		return out, nil
-	case v3ValSlice:
-		n, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(d.b)-d.pos) {
-			return nil, d.fail()
-		}
-		out := make([]any, 0, min(n, maxSizeHint))
-		for i := uint64(0); i < n; i++ {
-			v, err := d.value()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
+		return nil
 	case v3ValMap:
-		a, err := d.args()
-		if err != nil {
-			return nil, err
-		}
-		return map[string]any(a), nil
+		v.kind = kindArgs
+		v.sub, err = d.args(depth + 1)
+		return err
 	case v3ValJSON:
 		p, err := d.field()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var v any
-		if err := json.Unmarshal(p, &v); err != nil {
-			return nil, fmt.Errorf("wire: v3 embedded json: %w", err)
+		if !json.Valid(p) {
+			return fmt.Errorf("wire: v3 embedded json is not valid JSON")
 		}
-		return v, nil
+		v.kind, v.s = kindJSON, d.str(p)
+		return nil
 	}
-	return nil, d.fail()
+	return d.fail()
 }
 
 // envelopeOf is an Envelope and the message it points to, allocated as
@@ -629,7 +596,7 @@ func (d *v3dec) request(r *Request) (err error) {
 	if r.Meta, err = d.meta(); err != nil {
 		return err
 	}
-	r.Args, err = d.args()
+	r.Args, err = d.args(0)
 	return err
 }
 

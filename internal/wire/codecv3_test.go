@@ -21,13 +21,13 @@ func testEnvelopeV3(i int) *Envelope {
 	return &Envelope{Kind: KindRequest, Request: &Request{
 		ID: uint64(i), Service: "links.phil", Method: "Mark",
 		Args: Args{
-			"entity": "cal.phil/ev42",
-			"action": "book",
-			"args":   map[string]any{"day": "2003-04-21", "hour": i, "ok": true},
-			"nid":    "abc123",
-			"prio":   1.5,
-			"who":    []string{"phil", "andy"},
-			"mixed":  []any{"x", int64(7), false, nil},
+			Str("entity", "cal.phil/ev42"),
+			Str("action", "book"),
+			Sub("args", Args{Str("day", "2003-04-21"), Int("hour", i), Bool("ok", true)}),
+			Str("nid", "abc123"),
+			Float("prio", 1.5),
+			Strs("who", []string{"phil", "andy"}),
+			Raw("mixed", json.RawMessage(`["x",7,false,null]`)),
 		},
 		Caller:     "andy",
 		Credential: "deadbeef",
@@ -90,9 +90,12 @@ func TestCodecV3RoundTripRequest(t *testing.T) {
 	if r.Args.String("entity") != "cal.phil/ev42" || r.Meta.Get("trace-id") != "t-1" {
 		t.Fatalf("args/meta: %+v %+v", r.Args, r.Meta)
 	}
-	inner, ok := r.Args["args"].(map[string]any)
-	if !ok || inner["day"] != "2003-04-21" || Args(inner).Int("hour") != 7 || inner["ok"] != true {
-		t.Fatalf("nested args: %#v", r.Args["args"])
+	if inner := r.Args.Sub("args"); inner.String("day") != "2003-04-21" || inner.Int("hour") != 7 || !inner.Bool("ok") {
+		t.Fatalf("nested args: %#v", inner)
+	}
+	var mixed []any
+	if err := r.Args.Decode("mixed", &mixed); err != nil || len(mixed) != 4 || mixed[1] != 7.0 {
+		t.Fatalf("raw arg: %v, %v", mixed, err)
 	}
 	if got := r.Args.Strings("who"); len(got) != 2 || got[0] != "phil" {
 		t.Fatalf("[]string: %#v", got)
@@ -159,7 +162,7 @@ func TestCodecV3EquivalentToJSON(t *testing.T) {
 		{Kind: KindResponse, Response: &Response{ID: 2, Error: "x", Code: CodeUnavailable}},
 		{Kind: KindResponse, Response: &Response{ID: 3, Error: "B holds personal:class", Code: CodeConflict, Reason: ReasonSlotPersonal}},
 		{Kind: KindResponse, Response: &Response{ID: 4, Error: "y", Code: CodeConflict, Reason: "from-a-newer-peer"}},
-		{Kind: KindRequest, Request: &Request{ID: 6, Service: "e", Method: "m", Args: Args{"n": nil, "f": 2.25, "neg": -12}}},
+		{Kind: KindRequest, Request: &Request{ID: 6, Service: "e", Method: "m", Args: Args{{Key: "n"}, Float("f", 2.25), Int("neg", -12)}}},
 		{Kind: KindRequest, Request: &Request{ID: 0, Service: "s", Method: "m"}}, // all-empty fields
 		{Kind: KindRequest, Request: &Request{ID: 5, Service: "s", Method: "m", DeadlineMs: math.MaxUint64}},
 	}
@@ -222,7 +225,7 @@ func TestFrameReaderMixedCodecs(t *testing.T) {
 func TestFrameReaderScratchShrinksAfterLargeFrame(t *testing.T) {
 	big := &Envelope{Kind: KindRequest, Request: &Request{
 		ID: 1, Service: "s", Method: "m",
-		Args: Args{"blob": string(bytes.Repeat([]byte("x"), 4*poolBufCap))},
+		Args: Args{Str("blob", string(bytes.Repeat([]byte("x"), 4*poolBufCap)))},
 	}}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, big); err != nil {
@@ -307,14 +310,14 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, service, method, caller, key, sval string, ival int64, fval float64, bval bool, id, deadlineMs uint64) {
 		req := &Envelope{Kind: KindRequest, Request: &Request{
 			ID: id, Service: service, Method: method, Caller: caller,
-			Args: Args{
-				key:    sval,
-				"i":    ival,
-				"f":    fval,
-				"b":    bval,
-				"deep": map[string]any{"s": sval, "list": []any{ival, sval, bval}},
-				"ss":   []string{sval, key},
-			},
+			Args: Args(nil).With(
+				Str(key, sval),
+				Int64("i", ival),
+				Float("f", fval),
+				Bool("b", bval),
+				Sub("deep", Args{Str("s", sval), Raw("list", mustJSON(t, []any{ival, sval, bval}))}),
+				Strs("ss", []string{sval, key}),
+			),
 			DeadlineMs: deadlineMs,
 			Meta:       Metadata{key: caller},
 		}}
@@ -326,6 +329,18 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 			checkV3Roundtrip(t, env)
 		}
 	})
+}
+
+// oversized is a value no frame can carry.
+var oversized = strings.Repeat("x", MaxFrameSize)
+
+func mustJSON(t testing.TB, v any) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // checkV3Roundtrip holds env's v3 frame to its JSON frame, to a stable
@@ -439,23 +454,26 @@ func encodeThrough(t testing.TB, tab *NameTable, env *Envelope) []byte {
 // steady-state allocation count. Once the connection's first Mark has
 // entered them, the service, method, caller and nine keys are references
 // into the reader's table and every other string is a substring of one
-// copy of the frame, so what is left (11) is the envelope with its
-// request, that copy, two maps of two allocations each and the five
-// string values boxed into Args. The hint is a number and the request
-// has no metadata map.
+// copy of the frame, so what is left (4) is the envelope with its
+// request, that copy and one slice for each of the two argument lists.
+// The hint is a number and the request has no metadata map. As maps of
+// boxed values the two lists cost 9.
 func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	mark := func(id uint64) *Envelope {
 		return &Envelope{Kind: KindRequest, Request: &Request{
 			ID: id, Service: "links.andy", Method: "Mark", Caller: "phil",
 			DeadlineMs: 29998,
 			Args: Args{
-				"entity": "slot/2003-04-22/10",
-				"action": "reserve",
-				"nid":    "N-phil-17",
-				"args": map[string]any{
-					"meeting": "M-phil-9", "priority": 0, "allowBump": false,
-					"day": "2003-04-22", "hour": 10,
-				},
+				Str("entity", "slot/2003-04-22/10"),
+				Str("action", "reserve"),
+				Str("nid", "N-phil-17"),
+				Sub("args", Args{
+					Str("meeting", "M-phil-9"),
+					Int("priority", 0),
+					Bool("allowBump", false),
+					Str("day", "2003-04-22"),
+					Int("hour", 10),
+				}),
 			},
 		}}
 	}
@@ -473,8 +491,8 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 		}
 	}
 	read() // the first frame fills the table
-	if got := testing.AllocsPerRun(200, read); got > 11 {
-		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 11", got)
+	if got := testing.AllocsPerRun(200, read); got > 4 {
+		t.Fatalf("steady-state v3 decode of a Mark request: %.0f allocs/frame, want <= 4", got)
 	}
 
 	// The table is bounded: a peer cannot grow it with ever-new keys.
@@ -542,7 +560,7 @@ func TestDecodeV3StringsShareOneCopy(t *testing.T) {
 	}{{blob: 64, share: true}, {blob: 2 * poolBufCap, share: false}} {
 		f, err := EncodeFrameV3(&Envelope{Kind: KindRequest, Request: &Request{
 			ID: 1, Service: "links.andy", Method: "Mark", Caller: "phil",
-			Args: Args{"blob": strings.Repeat("x", tc.blob)},
+			Args: Args{Str("blob", strings.Repeat("x", tc.blob))},
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -585,7 +603,7 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 		{"meta", slices.Clone(args[:len(args)-1]), 0xFF, nil},
 		{"args", args, 0xFF, nil},
 		{"strings", slices.Concat(args, []byte{1, 0, v3ValStrings}), 0xFF, nil},
-		{"slice", slices.Concat(args, []byte{1, 0, v3ValSlice}), 0xFF, nil},
+		{"nested", slices.Concat(args, []byte{1, 0, v3ValMap}), 0xFF, nil},
 		{"reference-without-table", args, 1, nil},
 		{"reference-past-end", args, 3, &[]string{"k"}},
 		// Kind 3 is no message. It was a one-way event once, and this
@@ -609,11 +627,12 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 
 // streamEnvelope is frame i of FuzzNameTableStream's stream: a request
 // with metadata, a response, or a bare request with a and b swapped,
-// each with a name new to the stream, a and b as names and values, and
-// maps nested in maps and in lists.
+// each with a name new to the stream, a and b as names and values, args
+// nested in args, a string list and a raw value.
 func streamEnvelope(a, b string, i int) *Envelope {
 	k := a + strconv.Itoa(i)
-	args := Args{a: i, k: b, "deep": map[string]any{b: []any{map[string]any{k: a, a: nil}}, a: Args{b: k}}}
+	deep := Args(nil).With(Sub(b, Args(nil).With(Str(k, a), Arg{Key: a})), Sub(a, Args{Str(b, k)}), Strs(k, []string{a, b}))
+	args := Args(nil).With(Int(a, i), Str(k, b), Sub("deep", deep), Raw("raw", json.RawMessage(`[{"x":null}]`)))
 	switch i % 3 {
 	case 0:
 		return &Envelope{Kind: KindRequest, Request: &Request{
@@ -633,7 +652,7 @@ func streamEnvelope(a, b string, i int) *Envelope {
 // connection carries it. Each frame must decode field for field to what
 // the same envelope decodes to without a table, and cost no more bytes;
 // both tables must hold the same names after every frame. At frame bad,
-// a request whose new names precede a value that cannot be encoded
+// a request whose new names precede a value too large for a frame
 // fails, leaves the table as it was, and the same request without that
 // value then decodes.
 func FuzzNameTableStream(f *testing.F) {
@@ -667,13 +686,13 @@ func FuzzNameTableStream(f *testing.F) {
 				k := a + strconv.Itoa(i) + "-poison"
 				env := &Envelope{Kind: KindRequest, Request: &Request{
 					ID: uint64(i), Service: k, Method: b + "-poison", Meta: Metadata{k: a},
-					Args: Args{"c": make(chan int)},
+					Args: Args{Str("c", oversized)},
 				}}
 				entries := len(tab.names)
 				if _, err := tab.EncodeFrame(env); err == nil || len(tab.names) != entries || len(tab.index) != entries {
 					t.Fatalf("unencodable frame: err = %v, table %d -> %d entries (%d indexed)", err, entries, len(tab.names), len(tab.index))
 				}
-				delete(env.Request.Args, "c")
+				env.Request.Args = nil
 				send(env)
 			}
 			send(streamEnvelope(a, b, i))

@@ -11,7 +11,7 @@ import (
 func testEnvelope(i int) *Envelope {
 	return &Envelope{Kind: KindRequest, Request: &Request{
 		ID: uint64(i), Service: "cal.phil", Method: "ListMeetings",
-		Args:       Args{"day": "2003-04-21", "hour": i},
+		Args:       Args{Str("day", "2003-04-21"), Int("hour", i)},
 		Caller:     "andy",
 		DeadlineMs: 250,
 		Meta:       Metadata{"trace-id": "t-1"},

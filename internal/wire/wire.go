@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 
 	"repro/internal/jsonrec"
 )
@@ -40,10 +41,6 @@ const (
 	KindRequest  Kind = "request"
 	KindResponse Kind = "response"
 )
-
-// Args is the argument map carried by a request. Values are
-// anything JSON can represent; typed helpers live on Args.
-type Args map[string]any
 
 // Envelope is the single top-level frame payload. Exactly one of
 // Request or Response is set, according to Kind.
@@ -233,8 +230,9 @@ var (
 )
 
 // Marshal encodes v into a json.RawMessage for a Response result: the
-// bytes json.Marshal writes for v. A bool (Commit's and DeleteLink's ack)
-// and a map[string]string (Mark's token) are written without reflection.
+// bytes json.Marshal writes for v. A bool (Commit's and DeleteLink's ack),
+// a map[string]string (Mark's token) and a []uint64 (GetFreeSlots' words)
+// are written without reflection.
 func Marshal(v any) (json.RawMessage, error) {
 	switch x := v.(type) {
 	case bool:
@@ -244,12 +242,30 @@ func Marshal(v any) (json.RawMessage, error) {
 		return resultFalse, nil
 	case map[string]string:
 		return marshalStringMap(x), nil
+	case []uint64:
+		return marshalWords(x), nil
 	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("wire: marshal result: %w", err)
 	}
 	return b, nil
+}
+
+// marshalWords writes ws as json.Marshal does, null when ws is nil, into
+// one allocation.
+func marshalWords(ws []uint64) []byte {
+	if ws == nil {
+		return []byte("null")
+	}
+	b := append(make([]byte, 0, 2+21*len(ws)), '[')
+	for i, w := range ws {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, w, 10)
+	}
+	return append(b, ']')
 }
 
 // marshalStringMap writes m as json.Marshal does: null when m is nil,
@@ -291,92 +307,4 @@ func Unmarshal(raw json.RawMessage, v any) error {
 		return nil
 	}
 	return json.Unmarshal(raw, v)
-}
-
-// Clone returns a shallow copy of the args map (nil stays usable as an
-// empty map).
-func (a Args) Clone() Args {
-	out := make(Args, len(a)+4)
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
-
-// --- typed Args accessors -------------------------------------------------
-
-// String returns the string at key, or "" if absent or not a string.
-func (a Args) String(key string) string {
-	s, _ := a[key].(string)
-	return s
-}
-
-// Int returns the integer at key. JSON numbers decode as float64, so
-// both float64 and int are accepted.
-func (a Args) Int(key string) int {
-	switch v := a[key].(type) {
-	case float64:
-		return int(v)
-	case int:
-		return v
-	case int64:
-		return int(v)
-	case json.Number:
-		n, _ := v.Int64()
-		return int(n)
-	}
-	return 0
-}
-
-// Int64 is Int for 64-bit values.
-func (a Args) Int64(key string) int64 {
-	switch v := a[key].(type) {
-	case float64:
-		return int64(v)
-	case int:
-		return int64(v)
-	case int64:
-		return v
-	case json.Number:
-		n, _ := v.Int64()
-		return n
-	}
-	return 0
-}
-
-// Bool returns the bool at key, or false.
-func (a Args) Bool(key string) bool {
-	b, _ := a[key].(bool)
-	return b
-}
-
-// Strings returns the []string at key; JSON arrays decode as []any.
-func (a Args) Strings(key string) []string {
-	switch v := a[key].(type) {
-	case []string:
-		return v
-	case []any:
-		out := make([]string, 0, len(v))
-		for _, e := range v {
-			if s, ok := e.(string); ok {
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-// Decode re-marshals the value at key into dst — used for structured
-// arguments (e.g. a slot descriptor) carried inside Args.
-func (a Args) Decode(key string, dst any) error {
-	v, ok := a[key]
-	if !ok {
-		return fmt.Errorf("wire: missing arg %q", key)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, dst)
 }

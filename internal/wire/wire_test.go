@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRoundTripRequest(t *testing.T) {
@@ -21,7 +23,7 @@ func TestRoundTripRequest(t *testing.T) {
 			ID:      42,
 			Service: "cal.phil",
 			Method:  "GetFreeSlots",
-			Args:    Args{"from": "2003-04-22", "to": "2003-04-29", "n": float64(3)},
+			Args:    Args{Str("from", "2003-04-22"), Float("n", 3.5), Str("to", "2003-04-29")}, // the JSON form's key order
 			Caller:  "andy",
 		},
 	}
@@ -204,34 +206,54 @@ func TestCodeOf(t *testing.T) {
 
 func TestArgsAccessors(t *testing.T) {
 	a := Args{
-		"s":    "hello",
-		"f":    float64(9),
-		"i":    7,
-		"i64":  int64(11),
-		"b":    true,
-		"list": []any{"x", "y", 3},
-		"strs": []string{"p", "q"},
+		Str("s", "hello"),
+		Float("f", 9),
+		Int("i", 7),
+		Int64("i64", 11),
+		Bool("b", true),
+		Raw("list", json.RawMessage(`["x","y",3]`)),
+		Strs("strs", []string{"p", "q"}),
+		Sub("sub", Args{Str("s", "inner")}),
+		{Key: "nil"},
 	}
 	if a.String("s") != "hello" || a.String("missing") != "" || a.String("f") != "" {
 		t.Fatal("String accessor wrong")
 	}
-	if a.Int("f") != 9 || a.Int("i") != 7 || a.Int("missing") != 0 {
+	if a.Int("i") != 7 || a.Int("missing") != 0 || a.Int("s") != 0 || a.Int("f") != 0 {
 		t.Fatal("Int accessor wrong")
 	}
-	if a.Int64("i64") != 11 || a.Int64("f") != 9 {
-		t.Fatal("Int64 accessor wrong")
+	var f float64
+	if a.Int64("i64") != 11 || a.Decode("f", &f) != nil || f != 9 {
+		t.Fatal("Int64 accessor or a float's Decode wrong")
 	}
-	if !a.Bool("b") || a.Bool("s") {
+	if !a.Bool("b") || a.Bool("s") || a.Bool("missing") {
 		t.Fatal("Bool accessor wrong")
-	}
-	if got := a.Strings("list"); !reflect.DeepEqual(got, []string{"x", "y"}) {
-		t.Fatalf("Strings(list) = %v", got)
 	}
 	if got := a.Strings("strs"); !reflect.DeepEqual(got, []string{"p", "q"}) {
 		t.Fatalf("Strings(strs) = %v", got)
 	}
-	if a.Strings("missing") != nil {
-		t.Fatal("Strings(missing) should be nil")
+	if a.Strings("list") != nil || a.Strings("missing") != nil {
+		t.Fatal("Strings of a raw list or of nothing should be nil")
+	}
+	if a.Sub("sub").String("s") != "inner" || a.Sub("s") != nil {
+		t.Fatal("Sub accessor wrong")
+	}
+	if !a.Has("nil") || a.Has("missing") {
+		t.Fatal("Has wrong")
+	}
+}
+
+// TestArgsWith: With overrides a pair in its place, appends a new key,
+// and leaves its receiver as it was.
+func TestArgsWith(t *testing.T) {
+	a := Args{Str("a", "1"), Str("b", "2")}
+	got := a.With(Str("b", "3"), Int("c", 4))
+	want := Args{Str("a", "1"), Str("b", "3"), Int("c", 4)}
+	if !reflect.DeepEqual(got, want) || a.String("b") != "2" {
+		t.Fatalf("With = %v, receiver %v", got, a)
+	}
+	if got := Args(nil).With(); got == nil || len(got) != 0 {
+		t.Fatalf("nil.With() = %#v, want empty", got)
 	}
 }
 
@@ -240,16 +262,24 @@ func TestArgsDecode(t *testing.T) {
 		Day  string `json:"day"`
 		Hour int    `json:"hour"`
 	}
-	a := Args{"slot": map[string]any{"day": "2003-04-22", "hour": 14}}
-	var s slot
-	if err := a.Decode("slot", &s); err != nil {
-		t.Fatal(err)
+	for _, a := range []Args{
+		{Sub("slot", Args{Str("day", "2003-04-22"), Int("hour", 14)})},
+		{Raw("slot", json.RawMessage(`{"day":"2003-04-22","hour":14}`))},
+	} {
+		var s slot
+		if err := a.Decode("slot", &s); err != nil {
+			t.Fatal(err)
+		}
+		if s.Day != "2003-04-22" || s.Hour != 14 {
+			t.Fatalf("decoded %+v", s)
+		}
+		if err := a.Decode("absent", &s); err == nil {
+			t.Fatal("expected error for missing key")
+		}
 	}
-	if s.Day != "2003-04-22" || s.Hour != 14 {
-		t.Fatalf("decoded %+v", s)
-	}
-	if err := a.Decode("absent", &s); err == nil {
-		t.Fatal("expected error for missing key")
+	var at time.Time
+	if err := (Args{Str("t", "2026-08-07T14:00:00Z")}).Decode("t", &at); err != nil || at.Hour() != 14 {
+		t.Fatalf("a string read back from a record decodes as the time it was: %v, %v", at, err)
 	}
 }
 
@@ -282,7 +312,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		Kind: KindRequest,
 		Request: &Request{
 			ID: 1, Service: "cal.phil", Method: "GetFreeSlots",
-			Args: Args{"from": "2003-04-22", "to": "2003-04-29"},
+			Args: Args{Str("from", "2003-04-22"), Str("to", "2003-04-29")},
 		},
 	}
 	b.ReportAllocs()
@@ -306,6 +336,7 @@ func TestMarshalWritesJSONMarshalBytes(t *testing.T) {
 		map[string]string{"token": "T-0001f00dcafe0001"},
 		map[string]string{"z": "1", "a": "<&>", "m": "q \"x\" \\ \n\t\x01", "é": "\xff "},
 		map[string]string{}, map[string]string(nil),
+		[]uint64{0, 1, math.MaxUint64}, []uint64{}, []uint64(nil),
 		map[string]any{"n": 1}, []string{"x"}, // through json.Marshal
 	} {
 		got, err := Marshal(v)

@@ -311,7 +311,7 @@ func RunT2() (*Result, error) {
 				defer wg.Done()
 				_, err := w.Cals[workload.Users(racers)[i]].Links().Negotiate(ctx, links.Spec{
 					Action: calendar.ActionReserve,
-					Args:   wire.Args{"meeting": fmt.Sprintf("race-%d", i), "priority": 0},
+					Args:   wire.Args{wire.Str("meeting", fmt.Sprintf("race-%d", i)), wire.Int("priority", 0)},
 					Targets: []links.EntityRef{
 						{User: "tx", Entity: slot.Entity()},
 						{User: "ty", Entity: slot.Entity()},
