@@ -89,8 +89,8 @@ func RunF2() (*Result, error) {
 
 	// Raw transport (primitive distribution middleware).
 	rawLis, err := w.Net.Listen("raw-endpoint", transport.HandlerFunc(
-		func(ctx context.Context, req *transport.Request) *transport.Response {
-			return &transport.Response{ID: req.ID, OK: true}
+		func(ctx context.Context, req *transport.Request) transport.Response {
+			return transport.Response{ID: req.ID, OK: true}
 		}))
 	if err != nil {
 		return nil, err

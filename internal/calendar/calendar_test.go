@@ -138,12 +138,12 @@ type inboundHandler struct {
 	serve transport.HandlerFunc
 }
 
-func (h inboundHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
+func (h inboundHandler) HandleRequest(ctx context.Context, req *transport.Request) transport.Response {
 	return h.serve(ctx, req)
 }
 
 // respErr is the error a handler answered with: nil when it succeeded.
-func respErr(resp *transport.Response) error {
+func respErr(resp transport.Response) error {
 	if resp.OK {
 		return nil
 	}

@@ -39,7 +39,7 @@ type crossing struct {
 }
 
 func (g *crossing) wrap(next transport.HandlerFunc) transport.HandlerFunc {
-	return func(ctx context.Context, call *transport.Request) *transport.Response {
+	return func(ctx context.Context, call *transport.Request) transport.Response {
 		g.mu.Lock()
 		hold := false
 		switch {

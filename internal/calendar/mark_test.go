@@ -26,7 +26,7 @@ func TestMeetingMarkOutlivesLockTTL(t *testing.T) {
 	var votes []error
 	w := newWorld(t)
 	w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
-		return func(ctx context.Context, req *transport.Request) *transport.Response {
+		return func(ctx context.Context, req *transport.Request) transport.Response {
 			if armed.Load() && req.Method == "Commit" && req.Service == links.ServiceFor("b") {
 				once.Do(func() { close(commitAtB); <-release })
 			}

@@ -23,7 +23,7 @@ import (
 func loseFirstAck() func(transport.HandlerFunc) transport.HandlerFunc {
 	var once sync.Once
 	return func(next transport.HandlerFunc) transport.HandlerFunc {
-		return func(ctx context.Context, req *transport.Request) *transport.Response {
+		return func(ctx context.Context, req *transport.Request) transport.Response {
 			resp := next(ctx, req)
 			if req.Method == "Commit" && resp.OK {
 				once.Do(func() { resp = transport.ErrorResponse(req, wire.CodeUnavailable, "injected: ack lost") })

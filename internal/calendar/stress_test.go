@@ -147,7 +147,7 @@ func TestConcurrentMutationsOfOneMeeting(t *testing.T) {
 	var voteMu sync.Mutex
 	var votes []error
 	w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
-		return func(ctx context.Context, req *transport.Request) *transport.Response {
+		return func(ctx context.Context, req *transport.Request) transport.Response {
 			resp := next(ctx, req)
 			if req.Method == "SlotAvailable" && req.Args.String("token") != "" {
 				voteMu.Lock()

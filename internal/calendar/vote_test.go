@@ -341,7 +341,7 @@ func TestLostVoteReplyInstallsOnce(t *testing.T) {
 	t.Run("reply", func(t *testing.T) {
 		w := newWorld(t, "b", "c")
 		w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
-			return func(ctx context.Context, req *transport.Request) *transport.Response {
+			return func(ctx context.Context, req *transport.Request) transport.Response {
 				resp := next(ctx, req)
 				if req.Method == "SlotAvailable" && resp.OK {
 					return transport.ErrorResponse(req, wire.CodeUnavailable, "injected: reply lost")

@@ -28,7 +28,7 @@ type rpcCensus struct {
 }
 
 func (c *rpcCensus) wrap(next transport.HandlerFunc) transport.HandlerFunc {
-	return func(ctx context.Context, req *transport.Request) *transport.Response {
+	return func(ctx context.Context, req *transport.Request) transport.Response {
 		kind, _, _ := strings.Cut(req.Service, ".")
 		c.mu.Lock()
 		c.n[kind+"."+req.Method]++

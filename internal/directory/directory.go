@@ -334,15 +334,15 @@ func (s *Server) Handler() transport.Handler {
 	return transport.HandlerFunc(s.dispatch)
 }
 
-func (s *Server) dispatch(ctx context.Context, req *transport.Request) *transport.Response {
-	ok := func(v any) *transport.Response {
+func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport.Response {
+	ok := func(v any) transport.Response {
 		raw, err := wire.Marshal(v)
 		if err != nil {
 			return transport.ErrorResponse(req, wire.CodeInternal, "encode: %v", err)
 		}
-		return &transport.Response{ID: req.ID, OK: true, Result: raw}
+		return transport.Response{ID: req.ID, OK: true, Result: raw}
 	}
-	fail := func(err error) *transport.Response { return transport.ErrorFor(req, err) }
+	fail := func(err error) transport.Response { return transport.ErrorFor(req, err) }
 
 	a := req.Args
 	switch req.Method {

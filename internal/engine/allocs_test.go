@@ -16,10 +16,11 @@ import (
 // allocation count, both ends counted: engine.Invoke under a deadline,
 // through the route cache and the TCP transport to the listener and its
 // handler and back, the result kept as raw JSON as a group fan-out keeps
-// it. What is left is the call's own objects, the frames' buffers and
-// decoded envelopes, and the listener's dispatch: no deadline timer, no
-// metadata map, no copy of the route, the request or the result, and one
-// slice per argument list where a map and a box per value were (13).
+// it. What is left is the client's request, response and result (3) and
+// the server's one object per request (request, hint context and
+// response), the body's one string copy, the argument slice and the
+// handler goroutine (4): no deadline timer, no metadata map, no copy of
+// the route, the request or the result (10 before the served object).
 func TestRPCRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -64,11 +65,70 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		call() // the route cache, the connections and their name tables
 	}
-	want := 10.0
+	want := 7.0
 	if raceEnabled {
 		want += 6
 	}
 	if got := testing.AllocsPerRun(500, call); got > want {
 		t.Fatalf("a warm round trip: %.0f allocs, want <= %.0f", got, want)
+	}
+}
+
+// answerNet answers every call to a device with one shared response and
+// hands the directory's calls to its handler, so a count taken over it
+// is the engine's own.
+type answerNet struct {
+	dir  transport.Handler
+	resp transport.Response
+}
+
+func (n *answerNet) Listen(string, transport.Handler) (transport.Listener, error) {
+	return nil, transport.ErrUnreachable
+}
+
+func (n *answerNet) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if addr == "dir" {
+		resp := n.dir.HandleRequest(ctx, req)
+		return &resp, nil
+	}
+	return &n.resp, nil
+}
+
+// TestGroupInvokeAllocs holds a warm three-member GroupInvoke, with
+// every route cached, to its allocation count: the results, the fan-out
+// and its two helpers, and each member's call. Each member's result is
+// read into its place in the results, not into a local that escapes.
+func TestGroupInvokeAllocs(t *testing.T) {
+	net := &answerNet{
+		dir:  directory.NewServer(directory.WithTTL(time.Hour)).Handler(),
+		resp: transport.Response{OK: true, Result: json.RawMessage("true")},
+	}
+	dir := directory.NewClient(net, "dir")
+	ctx := context.Background()
+	var services []string
+	for _, u := range []string{"phil", "andy", "bob"} {
+		if err := dir.RegisterUser(ctx, u, "node-"+u, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := dir.RegisterService(ctx, "cal."+u, u, "node-"+u, []string{"Free"}); err != nil {
+			t.Fatal(err)
+		}
+		services = append(services, "cal."+u)
+	}
+	e := New(net, dir, "andy", WithDirCache(NewDirCache(time.Hour)))
+	group := func() {
+		for _, r := range e.GroupInvoke(ctx, services, "Free", nil) {
+			if r.Err != nil || string(r.Raw) != "true" {
+				t.Fatalf("%s: %s, %v", r.Service, r.Raw, r.Err)
+			}
+		}
+	}
+	group() // the route cache
+	want := 9.0
+	if raceEnabled {
+		want += 6
+	}
+	if got := testing.AllocsPerRun(200, group); got > want {
+		t.Fatalf("a warm group invoke: %.0f allocs, want <= %.0f", got, want)
 	}
 }

@@ -349,18 +349,16 @@ func (e *Engine) GroupInvoke(ctx context.Context, services []string, method stri
 	routes := e.groupRoutes(ctx, services)
 	results := make([]GroupResult, len(services))
 	FanOut(len(services), func(i int) {
-		svc := services[i]
-		var raw json.RawMessage
-		var err error
-		if info, ok := routes[svc]; ok && e.dirCache == nil {
-			err = e.invokeRouted(ctx, info, svc, method, args, &raw)
+		r := &results[i] // the result is read into its place
+		r.Service = services[i]
+		if info, ok := routes[r.Service]; ok && e.dirCache == nil {
+			r.Err = e.invokeRouted(ctx, info, r.Service, method, args, &r.Raw)
 		} else {
 			// With a route cache the batch results were stored there, so
 			// the plain path hits the cache and keeps its invalidation
 			// semantics (unreachable / failover drop the entry).
-			err = e.Invoke(ctx, svc, method, args, &raw)
+			r.Err = e.Invoke(ctx, r.Service, method, args, &r.Raw)
 		}
-		results[i] = GroupResult{Service: svc, Err: err, Raw: raw}
 	})
 	if span != nil {
 		span.Annotate(trace.Int("ok", OKCount(results)))

@@ -60,7 +60,7 @@ type lastRequest struct {
 	req *wire.Request
 }
 
-func (l *lastRequest) HandleRequest(ctx context.Context, req *wire.Request) *wire.Response {
+func (l *lastRequest) HandleRequest(ctx context.Context, req *wire.Request) wire.Response {
 	l.req = req
 	return l.Handler.HandleRequest(ctx, req)
 }

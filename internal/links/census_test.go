@@ -23,7 +23,7 @@ type rpcCensus struct {
 }
 
 func (c *rpcCensus) wrap(next transport.HandlerFunc) transport.HandlerFunc {
-	return func(ctx context.Context, req *transport.Request) *transport.Response {
+	return func(ctx context.Context, req *transport.Request) transport.Response {
 		if strings.HasPrefix(req.Service, links.ServicePrefix) {
 			c.mu.Lock()
 			c.n[req.Method]++

@@ -51,7 +51,7 @@ type markArgs struct {
 }
 
 func (m *markArgs) wrap(next transport.HandlerFunc) transport.HandlerFunc {
-	return func(ctx context.Context, req *transport.Request) *transport.Response {
+	return func(ctx context.Context, req *transport.Request) transport.Response {
 		if req.Method == "Mark" {
 			m.mu.Lock()
 			m.seen = append(m.seen, req.Args.Sub("args"))
@@ -66,7 +66,7 @@ func (m *markArgs) wrap(next transport.HandlerFunc) transport.HandlerFunc {
 func loseFirstAck() func(transport.HandlerFunc) transport.HandlerFunc {
 	var once sync.Once
 	return func(next transport.HandlerFunc) transport.HandlerFunc {
-		return func(ctx context.Context, req *transport.Request) *transport.Response {
+		return func(ctx context.Context, req *transport.Request) transport.Response {
 			resp := next(ctx, req)
 			if req.Method == "Commit" && resp.OK {
 				once.Do(func() { resp = transport.ErrorResponse(req, wire.CodeUnavailable, "injected: ack lost") })

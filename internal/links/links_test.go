@@ -87,7 +87,7 @@ type inboundHandler struct {
 	serve transport.HandlerFunc
 }
 
-func (h inboundHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
+func (h inboundHandler) HandleRequest(ctx context.Context, req *transport.Request) transport.Response {
 	return h.serve(ctx, req)
 }
 

@@ -33,25 +33,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Call carries one inbound invocation to a Method.
-type Call struct {
-	// Service and Method name the invocation target.
-	Service, Method string
-	// Caller is the invoking SyD user. For an object that requires
-	// auth, Caller is the *authenticated* identity, not the claimed one.
-	Caller string
-	// Credential is the TEA-sealed credential blob presented by the
-	// caller (empty for anonymous calls). The auth stage verifies it
-	// for objects that require auth.
-	Credential string
-	// Args are the named arguments.
-	Args wire.Args
-	// Meta is the request's wire metadata (trace context), nil when it
-	// brought none. Identity lives in the Caller/Credential fields and
-	// the deadline hint in ctx. The map is shared with the transport
-	// request — handlers must treat it as read-only.
-	Meta wire.Metadata
-}
+// Call is one inbound invocation as a Method sees it: the request the
+// transport decoded, the caller's alone while it is served. For an
+// object that requires auth, Caller is the *authenticated* identity,
+// written over the claimed one. The deadline hint is in ctx, and Meta
+// (the trace context, nil when none came) is read-only.
+type Call = wire.Request
 
 // Method is a service method implementation. The returned value is
 // JSON-encoded into the response.
@@ -184,7 +171,7 @@ func (l *Listener) PublishGlobal(ctx context.Context, dir *directory.Client, ser
 // HandleRequest implements transport.Handler: find the service, serve
 // the request, and encode the result. The response carries no
 // metadata: the caller correlates it on the frame ID.
-func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
+func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) transport.Response {
 	l.mu.RLock()
 	obj, ok := l.services[req.Service]
 	fence := l.fence
@@ -192,28 +179,7 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 	if !ok {
 		return transport.ErrorResponse(req, wire.CodeNoService, "node %s has no service %q", l.owner, req.Service)
 	}
-
-	// Re-arm the caller's deadline hint locally when the transport did
-	// not propagate a context deadline (real TCP serves requests with
-	// a background context). Its timer is armed only if the handler
-	// waits on it.
-	if d := req.Deadline(); d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			hc := &hintCtx{Context: ctx, deadline: time.Now().Add(d)}
-			defer hc.release()
-			ctx = hc
-		}
-	}
-
-	call := &Call{
-		Service:    req.Service,
-		Method:     req.Method,
-		Caller:     req.Caller,
-		Credential: req.Credential,
-		Args:       req.Args,
-		Meta:       req.Meta,
-	}
-	result, err := l.serve(ctx, fence, obj, call)
+	result, err := l.serve(ctx, fence, obj, req)
 	if err != nil {
 		return transport.ErrorFor(req, err)
 	}
@@ -221,7 +187,7 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) *t
 	if err != nil {
 		return transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", err)
 	}
-	return &transport.Response{ID: req.ID, OK: true, Result: raw}
+	return transport.Response{ID: req.ID, OK: true, Result: raw}
 }
 
 // serve is the server's request path. It observes the request, one

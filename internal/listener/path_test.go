@@ -116,41 +116,6 @@ func TestMetricsMiddlewareRecordsServerSeries(t *testing.T) {
 	}
 }
 
-func TestDeadlineHintReArmsContext(t *testing.T) {
-	l := New("phil", nil)
-	obj := NewObject()
-	var hadDeadline bool
-	var budget time.Duration
-	obj.Handle("Probe", func(ctx context.Context, call *Call) (any, error) {
-		d, ok := ctx.Deadline()
-		hadDeadline = ok
-		budget = time.Until(d)
-		return nil, nil
-	})
-	l.Register("cal.phil", obj)
-
-	req := &transport.Request{Service: "cal.phil", Method: "Probe"}
-	req.SetDeadline(500 * time.Millisecond)
-	resp := l.HandleRequest(context.Background(), req)
-	if !resp.OK {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if !hadDeadline || budget <= 0 || budget > 500*time.Millisecond {
-		t.Fatalf("hadDeadline=%v budget=%v, want a fresh deadline ≤500ms", hadDeadline, budget)
-	}
-
-	// A transport-provided deadline wins over the hint.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-	defer cancel()
-	resp = l.HandleRequest(ctx, req)
-	if !resp.OK {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if budget < time.Minute {
-		t.Fatalf("hint overrode the transport deadline: budget=%v", budget)
-	}
-}
-
 // TestResponseCarriesNoMetadata: a method cannot set response metadata,
 // so no response carries any, on the success path or an error path,
 // whatever metadata the request brought. A caller correlates a reply on

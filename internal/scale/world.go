@@ -181,7 +181,7 @@ type dirLoad struct {
 }
 
 func (d *dirLoad) wrap(h transport.Handler) transport.Handler {
-	return transport.HandlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
+	return transport.HandlerFunc(func(ctx context.Context, req *transport.Request) transport.Response {
 		minute := int64(d.clk.Now().Sub(worldStart()) / time.Minute)
 		d.mu.Lock()
 		d.byMethod[req.Method]++

@@ -334,14 +334,11 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 	if err != nil {
 		return nil, err
 	}
-	resp := ep.handler.HandleRequest(ctx, env.Request)
-	if resp == nil {
-		resp = transport.ErrorResponse(req, wire.CodeInternal, "handler returned no response")
-	}
-	if env, err = n.roundTrip(&wire.Envelope{Kind: wire.KindResponse, Response: resp}); err != nil {
+	answer := ep.handler.HandleRequest(ctx, env.Request)
+	if env, err = n.roundTrip(&wire.Envelope{Kind: wire.KindResponse, Response: &answer}); err != nil {
 		return nil, err
 	}
-	resp = env.Response
+	resp := env.Response
 
 	if n.lose() {
 		n.dropped.Add(1)

@@ -16,9 +16,9 @@ type okHandler struct {
 	calls atomic.Int64
 }
 
-func (h *okHandler) HandleRequest(ctx context.Context, req *transport.Request) *transport.Response {
+func (h *okHandler) HandleRequest(ctx context.Context, req *transport.Request) transport.Response {
 	h.calls.Add(1)
-	return &transport.Response{ID: req.ID, OK: true}
+	return transport.Response{ID: req.ID, OK: true}
 }
 
 func TestListenAssignsUniqueAddrs(t *testing.T) {

@@ -1,0 +1,8 @@
+//go:build race
+
+package transport
+
+// raceEnabled: the race detector makes sync.Pool drop a share of what is
+// put back, so a pooled frame buffer or reply channel is sometimes made
+// anew.
+const raceEnabled = true

@@ -17,8 +17,8 @@ import (
 // TestTCPPoolSpreadsConnections verifies that the per-peer pool
 // actually opens multiple connections and spreads calls across them.
 func TestTCPPoolSpreadsConnections(t *testing.T) {
-	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
-		return &Response{ID: req.ID, OK: true}
+	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
+		return Response{ID: req.ID, OK: true}
 	})
 	net := NewTCP(WithPoolSize(3))
 	defer net.Close()
@@ -198,10 +198,10 @@ func TestTCPStress(t *testing.T) {
 // that reply to a later call, so every result must be its own request's
 // echo.
 func TestTCPRecycledReplyChannels(t *testing.T) {
-	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
+	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
 		time.Sleep(time.Duration(req.Args.Int("n")%4) * 100 * time.Microsecond)
 		res, _ := wire.Marshal(req.Args)
-		return &Response{ID: req.ID, OK: true, Result: res}
+		return Response{ID: req.ID, OK: true, Result: res}
 	})
 	cli := NewTCP(WithPoolSize(1), WithWireStats(&metrics.WireStats{}))
 	defer cli.Close()

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -86,7 +87,9 @@ type tcpListener struct {
 	ln      net.Listener
 	handler Handler
 	stats   *metrics.WireStats
-	wg      sync.WaitGroup
+	ctx     context.Context // every request's parent; Close cancels it
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup // the accept loop, the read loops, the handlers
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closed  bool
@@ -99,6 +102,7 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	l := &tcpListener{ln: ln, handler: h, stats: t.stats, conns: make(map[net.Conn]struct{})}
+	l.ctx, l.cancel = context.WithCancel(context.Background())
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -106,6 +110,8 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 
 func (l *tcpListener) Addr() string { return l.ln.Addr().String() }
 
+// Close ends the context of every request being served, tears down the
+// connections, and returns once every handler has returned.
 func (l *tcpListener) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -113,6 +119,7 @@ func (l *tcpListener) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.cancel()
 	for c := range l.conns {
 		c.Close()
 	}
@@ -142,6 +149,27 @@ func (l *tcpListener) acceptLoop() {
 	}
 }
 
+// served is one inbound request and all that serving it takes, in one
+// allocation: the request decoded in place, its hint context, the answer.
+type served struct {
+	req  Request
+	hint hintCtx
+	resp Response
+}
+
+// run answers s.req through h under parent, or under a hint context of
+// parent when the caller sent a deadline hint.
+func (s *served) run(parent context.Context, h Handler) {
+	ctx := parent
+	if d := s.req.Deadline(); d > 0 {
+		s.hint.Context, s.hint.deadline = parent, time.Now().Add(d)
+		defer s.hint.release()
+		ctx = &s.hint
+	}
+	s.resp = h.HandleRequest(ctx, &s.req)
+	s.resp.ID = s.req.ID
+}
+
 func (l *tcpListener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
 	defer func() {
@@ -156,31 +184,26 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 	fw := &frameWriter{w: conn, stats: l.stats}
 	var readBytes int64
 	for {
-		env, err := fr.Read()
-		if err != nil {
+		s := new(served)
+		if err := fr.ReadRequest(&s.req); err != nil {
 			return
 		}
 		l.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
-		req := env.Request
-		if env.Kind != wire.KindRequest || req == nil {
-			continue
-		}
 		// Each request gets its own goroutine so a slow handler (e.g. a
 		// negotiation holding locks) cannot stall unrelated traffic on
-		// the same connection.
+		// the same connection. This loop's own count keeps the Add from
+		// racing Close's Wait.
+		l.wg.Add(1)
 		go func() {
-			resp := l.handler.HandleRequest(context.Background(), req)
-			if resp == nil {
-				resp = ErrorResponse(req, wire.CodeInternal, "handler returned no response")
-			}
-			resp.ID = req.ID
-			err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
+			defer l.wg.Done()
+			s.run(l.ctx, l.handler)
+			err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: &s.resp})
 			if errors.Is(err, errEncode) {
 				// Answer in its place rather than leave the caller
 				// waiting out its deadline.
-				resp = ErrorResponse(req, wire.CodeInternal, "%v", err)
-				_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: resp})
+				s.resp = ErrorResponse(&s.req, wire.CodeInternal, "%v", err)
+				_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: &s.resp})
 			}
 		}()
 	}

@@ -19,12 +19,12 @@ type echoHandler struct {
 	delay time.Duration
 }
 
-func (h *echoHandler) HandleRequest(ctx context.Context, req *Request) *Response {
+func (h *echoHandler) HandleRequest(ctx context.Context, req *Request) Response {
 	if h.delay > 0 {
 		time.Sleep(h.delay)
 	}
 	res, _ := wire.Marshal(req.Args)
-	return &Response{ID: req.ID, OK: true, Result: res}
+	return Response{ID: req.ID, OK: true, Result: res}
 }
 
 func newTCPPair(t *testing.T, h Handler) (*TCP, string) {
@@ -191,9 +191,9 @@ func BenchmarkTCPCall(b *testing.B) {
 // envelope survives TCP framing.
 type metaHandler struct{}
 
-func (metaHandler) HandleRequest(ctx context.Context, req *Request) *Response {
+func (metaHandler) HandleRequest(ctx context.Context, req *Request) Response {
 	res, _ := wire.Marshal(req)
-	return &Response{ID: req.ID, OK: true, Result: res}
+	return Response{ID: req.ID, OK: true, Result: res}
 }
 
 // TestTCPMetadataRoundTrip: a request's metadata (a key its caller
@@ -231,17 +231,17 @@ func TestTCPMetadataRoundTrip(t *testing.T) {
 func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 	started, release := make(chan struct{}, 1), make(chan struct{})
 	var slowRuns atomic.Int64
-	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
+	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
 		switch req.Method {
 		case "slow":
 			slowRuns.Add(1)
 			started <- struct{}{}
 			<-release
 		case "huge":
-			return &Response{ID: req.ID, OK: true, Result: make([]byte, wire.MaxFrameSize)}
+			return Response{ID: req.ID, OK: true, Result: make([]byte, wire.MaxFrameSize)}
 		}
 		res, _ := wire.Marshal(req.Args)
-		return &Response{ID: req.ID, OK: true, Result: res}
+		return Response{ID: req.ID, OK: true, Result: res}
 	})
 	_, addr := newTCPPair(t, h)
 	cli := NewTCP(WithPoolSize(1))

@@ -23,9 +23,9 @@ var (
 )
 
 // Handler is the server-side dispatch surface. HandleRequest must be
-// safe for concurrent calls.
+// safe for concurrent calls; req is its call's alone, to write in place.
 type Handler interface {
-	HandleRequest(ctx context.Context, req *Request) *Response
+	HandleRequest(ctx context.Context, req *Request) Response
 }
 
 // Request and Response re-export the wire types so most packages only
@@ -58,24 +58,24 @@ type Network interface {
 }
 
 // HandlerFunc adapts a request function into a Handler.
-type HandlerFunc func(ctx context.Context, req *Request) *Response
+type HandlerFunc func(ctx context.Context, req *Request) Response
 
 // HandleRequest implements Handler.
-func (f HandlerFunc) HandleRequest(ctx context.Context, req *Request) *Response {
+func (f HandlerFunc) HandleRequest(ctx context.Context, req *Request) Response {
 	return f(ctx, req)
 }
 
 // ErrorResponse builds a failed Response for req.
-func ErrorResponse(req *Request, code wire.ErrCode, format string, args ...any) *Response {
-	return &Response{ID: req.ID, OK: false, Code: code, Error: fmt.Sprintf(format, args...)}
+func ErrorResponse(req *Request, code wire.ErrCode, format string, args ...any) Response {
+	return Response{ID: req.ID, OK: false, Code: code, Error: fmt.Sprintf(format, args...)}
 }
 
 // ErrorFor answers req with a handler's err: the code, reason and message
 // of a RemoteError in its chain, else CodeInternal and err's text.
-func ErrorFor(req *Request, err error) *Response {
+func ErrorFor(req *Request, err error) Response {
 	var re *wire.RemoteError
 	if errors.As(err, &re) {
-		return &Response{ID: req.ID, Code: re.Code, Reason: re.Reason, Error: re.Msg}
+		return Response{ID: req.ID, Code: re.Code, Reason: re.Reason, Error: re.Msg}
 	}
 	return ErrorResponse(req, wire.CodeInternal, "%s", err.Error())
 }

@@ -300,7 +300,8 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 // FuzzCodecV3Roundtrip builds a request and a response from each input:
 // the response is refused, with the reason method names, when b is false
 // (an OK response carries no reason on the wire), and both must decode
-// from v3 as they do from JSON.
+// from v3 as they do from JSON. ReadRequest must decode the request as
+// Read does, and refuse the response and whatever Read refuses.
 func FuzzCodecV3Roundtrip(f *testing.F) {
 	f.Add("cal.phil", "Book", "andy", "k", "v", int64(42), 1.5, true, uint64(7), uint64(5000))
 	f.Add("", "", "", "", "", int64(-1), -0.0, false, uint64(0), uint64(0))
@@ -386,6 +387,30 @@ func checkV3Roundtrip(t *testing.T, env *Envelope) {
 		if _, err := decodeV3(body[:n], nil); err == nil {
 			t.Fatalf("truncated v3 body (%d/%d bytes) decoded without error", n, len(body))
 		}
+		torn := binary.BigEndian.AppendUint32(nil, uint32(n))
+		readRequestBoth(t, append(torn, body[:n]...))
+	}
+	readRequestBoth(t, vframe)
+}
+
+// readRequestBoth reads one v3 frame through Read and through
+// ReadRequest, each on its own reader: ReadRequest must accept exactly
+// the requests Read accepts, and decode each into the request Read
+// returns.
+func readRequestBoth(t *testing.T, frame []byte) {
+	t.Helper()
+	reader := func() *FrameReader {
+		return &FrameReader{r: bytes.NewReader(frame)}
+	}
+	env, err := reader().Read()
+	var req Request
+	rerr := reader().ReadRequest(&req)
+	isRequest := err == nil && env.Kind == KindRequest
+	if (rerr == nil) != isRequest {
+		t.Fatalf("ReadRequest: %v; Read: %v, %+v", rerr, err, env)
+	}
+	if isRequest && !reflect.DeepEqual(&req, env.Request) {
+		t.Fatalf("ReadRequest %+v, Read %+v", req, *env.Request)
 	}
 }
 
@@ -651,7 +676,9 @@ func streamEnvelope(a, b string, i int) *Envelope {
 // NameTable and reads it through one FrameReader, as one direction of a
 // connection carries it. Each frame must decode field for field to what
 // the same envelope decodes to without a table, and cost no more bytes;
-// both tables must hold the same names after every frame. At frame bad,
+// both tables must hold the same names after every frame. A second
+// reader of the same stream, reading each request with ReadRequest,
+// must decode it as Read does and keep the same table. At frame bad,
 // a request whose new names precede a value too large for a frame
 // fails, leaves the table as it was, and the same request without that
 // value then decodes.
@@ -661,7 +688,7 @@ func FuzzNameTableStream(f *testing.F) {
 	f.Add(strings.Repeat("n", internMaxLen+1), "x", uint8(12), uint8(0)) // names of 33 bytes
 	f.Fuzz(func(t *testing.T, a, b string, n, bad uint8) {
 		var tab NameTable
-		var stream bytes.Buffer
+		var stream, again bytes.Buffer
 		var want []*Envelope
 		send := func(env *Envelope) {
 			plain, err := EncodeFrameV3(env)
@@ -678,9 +705,10 @@ func FuzzNameTableStream(f *testing.F) {
 				t.Fatalf("frame %d: %d B through the table, %d B without", len(want), len(frame), plain.Len())
 			}
 			stream.Write(frame)
+			again.Write(frame)
 			want = append(want, w)
 		}
-		fr := NewFrameReader(&stream)
+		fr, inPlace := NewFrameReader(&stream), NewFrameReader(&again)
 		for i := 0; i < int(n); i++ {
 			if i == int(bad) {
 				k := a + strconv.Itoa(i) + "-poison"
@@ -704,10 +732,21 @@ func FuzzNameTableStream(f *testing.F) {
 				if !reflect.DeepEqual(got, want[0]) {
 					t.Fatalf("through the table %+v, without %+v", got, want[0])
 				}
+				if got.Kind == KindRequest {
+					var req Request
+					if err := inPlace.ReadRequest(&req); err != nil || !reflect.DeepEqual(&req, got.Request) {
+						t.Fatalf("ReadRequest %+v, %v; Read %+v", req, err, got.Request)
+					}
+				} else if _, err := inPlace.Read(); err != nil {
+					t.Fatalf("read: %v", err)
+				}
 				want = want[1:]
 			}
 			if !slices.Equal(tab.names, fr.names) || len(fr.names) > internMaxEntries {
 				t.Fatalf("tables differ after frame %d:\n send %q\n read %q", i, tab.names, fr.names)
+			}
+			if !slices.Equal(fr.names, inPlace.names) {
+				t.Fatalf("readers' tables differ after frame %d:\n Read %q\n ReadRequest %q", i, fr.names, inPlace.names)
 			}
 		}
 	})

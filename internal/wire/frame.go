@@ -82,15 +82,14 @@ func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 // frames of one NameTable, or of none. Bind one FrameReader per
 // connection; it is not safe for concurrent use.
 type FrameReader struct {
-	r       *bufio.Reader
-	hdr     [4]byte // here rather than on Read's stack, which io.ReadFull would move to the heap
+	r       io.Reader // a bufio.Reader, but in ReadFrame's reader of one frame
+	hdr     [4]byte   // here rather than on next's stack, which io.ReadFull would move to the heap
 	scratch []byte
 	names   []string // receiving half of the connection's name table, see NameTable
 
-	// Frames and Bytes count everything successfully read; the
-	// transport layer feeds them into metrics.
-	Frames int64
-	Bytes  int64
+	// Bytes counts every frame read whole; the transport feeds it
+	// into metrics.
+	Bytes int64
 }
 
 // NewFrameReader creates a FrameReader over r. If r is already a
@@ -107,6 +106,33 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // the scratch buffer (JSON decoding copies what it keeps), so it
 // remains valid across subsequent Reads.
 func (fr *FrameReader) Read() (*Envelope, error) {
+	body, err := fr.next()
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(body, &fr.names)
+}
+
+// ReadRequest decodes the next frame, a v3 request or else refused, into
+// the caller's r, as Read would: a server, sent nothing but requests,
+// decodes each into the object that serves it.
+func (fr *FrameReader) ReadRequest(r *Request) error {
+	body, err := fr.next()
+	if err == nil && (len(body) < 2 || body[0] != magicV3 || body[1] != v3KindRequest) {
+		err = ErrBadV3Frame
+	}
+	if err != nil {
+		return err
+	}
+	d := &v3dec{b: body, pos: 2, names: &fr.names}
+	if err := d.request(r); err != nil || d.pos == len(d.b) {
+		return err
+	}
+	return ErrBadV3Frame
+}
+
+// next reads the next frame's body into the scratch buffer.
+func (fr *FrameReader) next() ([]byte, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
@@ -128,17 +154,12 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 		// Do not let one oversized frame pin its capacity for the
 		// connection's lifetime: shrink back to the pool cap so
 		// subsequent normal-sized reads are still allocation-free.
-		// body keeps the old array alive until the decode below
-		// copies what it needs.
+		// body keeps the old array alive until the decode copies
+		// what it needs.
 		fr.scratch = make([]byte, poolBufCap)
 	}
-	env, err := decodeBody(body, &fr.names)
-	if err != nil {
-		return nil, err
-	}
-	fr.Frames++
 	fr.Bytes += int64(4 + n)
-	return env, nil
+	return body, nil
 }
 
 // decodeBody decodes one frame body: v3 when it starts with the version

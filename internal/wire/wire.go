@@ -11,7 +11,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -202,21 +201,12 @@ func ReasonOf(err error) Reason {
 	return Reason(CodeOf(err))
 }
 
-// ReadFrame reads one length-prefixed frame and decodes it.
+// ReadFrame reads one length-prefixed frame and decodes it, with no name
+// table.
 func ReadFrame(r io.Reader) (*Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrShortFrame
-		}
+	fr := FrameReader{r: r}
+	body, err := fr.next()
+	if err != nil {
 		return nil, err
 	}
 	return decodeBody(body, nil)

@@ -19,8 +19,8 @@ import (
 // names: the code a command can execute. allTreeLines is reported, not
 // gated: lines of *.go that are not *_test.go and not under benchmarks/.
 const (
-	cmdLineCeiling = 18887
-	allTreeLines   = 21699
+	cmdLineCeiling = 18885
+	allTreeLines   = 21694
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
