@@ -53,7 +53,10 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl := x.DB.MustCreateTable(slotSchema)
+		tbl, err := x.DB.CreateTable(slotSchema)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := tbl.Insert(slotOf(tbl, "s0", "M0")); err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +80,7 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for f.AppliedLSN() < x.Durable.LastLSN() {
+		for f.Status().AppliedLSN < x.Durable.LastLSN() {
 			if err := f.PullOnce(ctx); err != nil {
 				b.Fatal(err)
 			}
@@ -168,8 +171,8 @@ func BenchmarkMicro_GroupInvoke(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		results := eng.GroupInvoke(ctx, services, "ListMeetings", nil)
-		if !engine.AllOK(results) {
-			b.Fatal(engine.FirstError(results))
+		if err := engine.FirstError(results); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -196,7 +199,10 @@ func BenchmarkMicro_WALShip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer prim.Close()
-	tbl := prim.DB.MustCreateTable(slotSchema)
+	tbl, err := prim.DB.CreateTable(slotSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
 	recv, err := wal.Open(b.TempDir(), wal.Options{})
 	if err != nil {
 		b.Fatal(err)

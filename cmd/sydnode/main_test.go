@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,8 +49,11 @@ func TestPromotedFollowerKeepsItsFlags(t *testing.T) {
 	if node.Offline == nil {
 		t.Fatal("promoted follower started with -offline-queue 8 has no offline manager")
 	}
-	if got := node.Offline.Queue().Cap(); got != 8 {
-		t.Fatalf("offline queue capacity = %d, want 8", got)
+	for i := 1; i <= 9; i++ {
+		_, err := node.Offline.Queue().Enqueue(offline.Op{ID: strconv.Itoa(i), Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()})
+		if (err != nil) != (i == 9) {
+			t.Fatalf("op %d into a reject-new offline queue of 8: %v", i, err)
+		}
 	}
 	if _, err := node.Dir.LookupService(ctx, offline.ServiceFor("phil")); err != nil {
 		t.Fatalf("sync service not published: %v", err)

@@ -355,16 +355,21 @@ func TestScenarioRunFeedsMetrics(t *testing.T) {
 	// Acceptance: one E-scenario run leaves per-method counts and
 	// latency in the process-wide registry (experiment worlds wire
 	// their nodes to metrics.Default()).
-	metrics.Default().Reset()
+	total := func() (n int64) {
+		for _, e := range metrics.Default().Snapshot().Entries {
+			n += e.Count
+		}
+		return n
+	}
+	before := total()
 	if _, err := RunE1(); err != nil {
 		t.Fatal(err)
 	}
-	snap := metrics.Default().Snapshot()
-	if snap.TotalCount() == 0 {
+	if total() == before {
 		t.Fatal("E1 recorded no metrics")
 	}
 	var clientSeries, serverSeries int
-	for _, e := range snap.Entries {
+	for _, e := range metrics.Default().Snapshot().Entries {
 		if e.Count <= 0 || e.Service == "" || e.Method == "" {
 			t.Fatalf("malformed entry: %+v", e)
 		}
@@ -381,5 +386,4 @@ func TestScenarioRunFeedsMetrics(t *testing.T) {
 	if clientSeries == 0 || serverSeries == 0 {
 		t.Fatalf("layers missing: %d client / %d server series", clientSeries, serverSeries)
 	}
-	metrics.Default().Reset() // leave no residue for other tests
 }

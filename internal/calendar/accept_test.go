@@ -72,7 +72,7 @@ func TestAcceptRecord(t *testing.T) {
 			if n := len(w.cals[tc.to].Meetings()); n != 1 {
 				t.Errorf("%d records, want 1", n)
 			}
-			all := w.nodes[tc.to].Links.AllLinks()
+			all := w.linkRows(tc.to)
 			if !tc.wantLink {
 				if len(all) != 0 {
 					t.Fatalf("link rows = %+v, want none", all)
@@ -141,7 +141,7 @@ func TestAcceptRecordLeavesBumpedRowAlone(t *testing.T) {
 		if !ok || l.Subtype != links.Tentative || l.WaitingOn != "" {
 			t.Fatalf("%s: b's row for the bumped meeting = %+v, want the re-queued tentative row waiting on nothing", when, l)
 		}
-		if n := len(w.nodes["b"].Links.AllLinks()); n != 2 {
+		if n := len(w.linkRows("b")); n != 2 {
 			t.Fatalf("%s: b holds %d link rows, want 2", when, n)
 		}
 		pushRecord(t, w, "b", *bumped)
@@ -168,7 +168,7 @@ func TestAcceptRecordAfterChangeSlot(t *testing.T) {
 	if moved.LinkID == m.LinkID || moved.Status != calendar.StatusTentative {
 		t.Fatalf("moved meeting = %+v", moved)
 	}
-	all := w.nodes["b"].Links.AllLinks()
+	all := w.linkRows("b")
 	if len(all) != 1 || all[0].ID != moved.LinkID || all[0].Subtype != links.Tentative ||
 		all[0].Owner.Entity != slot(day1, 14).Entity() {
 		t.Fatalf("b's link rows after the move = %+v, want one tentative %s at the new slot", all, moved.LinkID)

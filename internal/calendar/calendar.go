@@ -240,10 +240,6 @@ func (c *Calendar) FreeSlots(fromDay, toDay string, hours []int) []Slot {
 	return c.availability(w).Slots()
 }
 
-// SlotCount reports how many slot rows this user stores — their own
-// occupancy only, never replicas of other users (§6's storage claim).
-func (c *Calendar) SlotCount() int { return c.slots.Count() }
-
 // MarkBusy reserves a slot for a personal appointment (no meeting
 // coordination). label defaults to "busy".
 func (c *Calendar) MarkBusy(s Slot, label string, priority int) error {

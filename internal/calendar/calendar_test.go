@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,13 +28,16 @@ type world struct {
 	t     *testing.T
 	net   *sim.Net
 	clk   *clock.Fake
-	mail  *notify.Mailbox
+	mail  *mailbox
 	cals  map[string]*calendar.Calendar
 	nodes map[string]*core.Node
 	// routeTTL, when set before addUser, gives the user's engine a route cache.
 	routeTTL time.Duration
 	// wrapNet, when set before addUser, stands between the user's node and net.
 	wrapNet func(transport.Network) transport.Network
+	// lost holds, by sender, the users a sender's links.Mark is lost to
+	// (loseMarks).
+	lost sync.Map
 }
 
 func newWorld(t *testing.T, users ...string) *world {
@@ -45,7 +49,7 @@ func newWorld(t *testing.T, users ...string) *world {
 		t.Fatal(err)
 	}
 	w := &world{
-		t: t, net: net, clk: clk, mail: notify.NewMailbox(),
+		t: t, net: net, clk: clk, mail: &mailbox{boxes: map[string][]notify.Message{}},
 		cals:  map[string]*calendar.Calendar{},
 		nodes: map[string]*core.Node{},
 	}
@@ -53,6 +57,43 @@ func newWorld(t *testing.T, users ...string) *world {
 		w.addUser(u, 0)
 	}
 	return w
+}
+
+// linkRows returns every link row user's device holds, in id order.
+func (w *world) linkRows(user string) []*links.Link {
+	w.t.Helper()
+	tab, err := w.nodes[user].DB.Table(links.LinkTable)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	var out []*links.Link
+	for _, r := range tab.Select(nil) {
+		if l, ok := w.nodes[user].Links.GetLink(r.Str("id")); ok {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// mailbox is the world's notifier: every message, by recipient.
+type mailbox struct {
+	mu    sync.Mutex
+	boxes map[string][]notify.Message
+}
+
+func (mb *mailbox) Notify(_ context.Context, m notify.Message) error {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	for _, to := range m.To {
+		mb.boxes[to] = append(mb.boxes[to], m)
+	}
+	return nil
+}
+
+func (mb *mailbox) inbox(user string) []notify.Message {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return append([]notify.Message(nil), mb.boxes[user]...)
 }
 
 func (w *world) addUser(user string, priority int) *calendar.Calendar {
@@ -64,13 +105,34 @@ func (w *world) addUser(user string, priority int) *calendar.Calendar {
 	return c
 }
 
-// network is the network the world's next node binds on: net, behind
-// wrapNet when that is set.
-func (w *world) network() transport.Network {
+// network is the network the world's next node, user's, binds on: net,
+// behind wrapNet when that is set, behind the marks loseMarks loses.
+func (w *world) network(user string) transport.Network {
+	var n transport.Network = w.net
 	if w.wrapNet != nil {
-		return w.wrapNet(w.net)
+		n = w.wrapNet(n)
 	}
-	return w.net
+	return markLoser{Network: n, w: w, from: user}
+}
+
+// loseMarks makes every links.Mark from's node sends to one of to fail
+// as unavailable before it leaves; with no to, from's marks go out again.
+func (w *world) loseMarks(from string, to ...string) { w.lost.Store(from, to) }
+
+// markLoser is a world node's network: it loses the node's links.Mark
+// requests as loseMarks says.
+type markLoser struct {
+	transport.Network
+	w    *world
+	from string
+}
+
+func (n markLoser) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if to, ok := n.w.lost.Load(n.from); ok && req.Method == "Mark" &&
+		slices.ContainsFunc(to.([]string), func(u string) bool { return req.Service == links.ServiceFor(u) }) {
+		return nil, &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: mark lost"}
+	}
+	return n.Network.Call(ctx, addr, req)
 }
 
 // startUser boots a calendar node from cfg on the world's network,
@@ -78,7 +140,7 @@ func (w *world) network() transport.Network {
 // world's node for cfg.User.
 func (w *world) startUser(cfg core.Config) (*calendar.Calendar, error) {
 	ctx := context.Background()
-	cfg.Net, cfg.DirAddr, cfg.Clock = w.network(), "dir", w.clk
+	cfg.Net, cfg.DirAddr, cfg.Clock = w.network(cfg.User), "dir", w.clk
 	cfg.RouteCacheTTL = w.routeTTL
 	n, err := core.Start(ctx, cfg)
 	if err != nil {
@@ -329,7 +391,7 @@ func TestSetupMeetingAllAvailableConfirms(t *testing.T) {
 			t.Fatalf("%s meeting record: %+v ok=%v", u, mm, ok)
 		}
 		// Everyone got an e-mail.
-		if w.mail.Count(u) == 0 {
+		if len(w.mail.inbox(u)) == 0 {
 			t.Fatalf("%s got no notification", u)
 		}
 	}
@@ -792,7 +854,7 @@ func TestCancelAuthorization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// b (non-initiator) cannot cancel remotely.
-	err = w.cals["b"].Engine().Invoke(ctxBg(), calendar.ServiceFor("a"), "CancelMeeting",
+	err = w.nodes["b"].Engine.Invoke(ctxBg(), calendar.ServiceFor("a"), "CancelMeeting",
 		wire.Args{wire.Str("meeting", m.ID)}, nil)
 	if wire.CodeOf(err) != wire.CodeAuth {
 		t.Fatalf("unauthorized cancel: %v", err)
@@ -801,7 +863,7 @@ func TestCancelAuthorization(t *testing.T) {
 	if err := w.cals["a"].Delegate(ctxBg(), m.ID, "b"); err != nil {
 		t.Fatal(err)
 	}
-	err = w.cals["b"].Engine().Invoke(ctxBg(), calendar.ServiceFor("a"), "CancelMeeting",
+	err = w.nodes["b"].Engine.Invoke(ctxBg(), calendar.ServiceFor("a"), "CancelMeeting",
 		wire.Args{wire.Str("meeting", m.ID)}, nil)
 	if err != nil {
 		t.Fatalf("delegated cancel failed: %v", err)

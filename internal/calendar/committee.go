@@ -97,8 +97,9 @@ func (cc *Committee) ScheduleEarliest(ctx context.Context, title, fromDay, toDay
 // meeting to the next slot (strictly after the current one, within
 // horizonDays) at which every current participant is free. The move
 // itself is the atomic negotiation of ChangeMeetingSlot — if anyone's
-// status changed since the search, the change is rejected and the
-// meeting stays where it was.
+// status changed since the search, the change is refused (a conflict),
+// the meeting stays where it was and the next slot is tried. Any other
+// error ends the search and is returned as it is.
 func (cc *Committee) ChangeMeetingTimeToNextAvailable(ctx context.Context, meetingID string, horizonDays int) (Slot, error) {
 	m, ok := cc.cal.Meeting(meetingID)
 	if !ok {
@@ -118,8 +119,12 @@ func (cc *Committee) ChangeMeetingTimeToNextAvailable(ctx context.Context, meeti
 		if s.Day == m.Slot.Day && s.Hour <= m.Slot.Hour {
 			continue // only strictly later slots
 		}
-		if err := cc.cal.ChangeMeetingSlot(ctx, meetingID, s); err != nil {
+		err := cc.cal.ChangeMeetingSlot(ctx, meetingID, s)
+		if wire.CodeOf(err) == wire.CodeConflict {
 			continue // raced with a change; try the next slot
+		}
+		if err != nil {
+			return Slot{}, err
 		}
 		return s, nil
 	}

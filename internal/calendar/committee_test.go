@@ -1,9 +1,13 @@
 package calendar_test
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/calendar"
+	"repro/internal/links"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -110,6 +114,43 @@ func TestChangeToNextAvailableExhaustedHorizon(t *testing.T) {
 	got, _ := w.cals["phil"].Meeting(m.ID)
 	if got.Slot != m.Slot || got.Status != calendar.StatusConfirmed {
 		t.Fatalf("meeting moved despite exhausted horizon: %+v", got)
+	}
+}
+
+// TestChangeToNextAvailableOnlyRetriesConflicts: a move refused as a
+// conflict (the slot was taken since the search) goes on to the next
+// slot; any other refusal ends the search and is returned as it is.
+func TestChangeToNextAvailableOnlyRetriesConflicts(t *testing.T) {
+	var armed, taken atomic.Bool
+	w := newWorld(t)
+	w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
+		return func(ctx context.Context, req *transport.Request) transport.Response {
+			if armed.Load() && req.Method == "Mark" && req.Service == links.ServiceFor("phil") && taken.CompareAndSwap(false, true) {
+				return transport.ErrorResponse(req, wire.CodeConflict, "slot taken since the search")
+			}
+			return next(ctx, req)
+		}
+	})
+	for _, u := range []string{"phil", "andy"} {
+		w.addUser(u, 0)
+	}
+	m, err := calendar.NewCommittee(w.cals["andy"], "phil").ScheduleEarliest(ctxBg(), "m", day1, day1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// phil takes part but did not initiate: every move is refused.
+	if _, err := calendar.NewCommittee(w.cals["phil"], "andy").ChangeMeetingTimeToNextAvailable(ctxBg(), m.ID, 3); wire.CodeOf(err) != wire.CodeAuth {
+		t.Fatalf("a participant's move: err = %v, want %s", err, wire.CodeAuth)
+	}
+	if got, _ := w.cals["andy"].Meeting(m.ID); got.Slot != m.Slot {
+		t.Fatalf("refused move changed the meeting: %+v", got)
+	}
+
+	armed.Store(true)
+	next, err := calendar.NewCommittee(w.cals["andy"], "phil").ChangeMeetingTimeToNextAvailable(ctxBg(), m.ID, 3)
+	if err != nil || !taken.Load() || next != slot(day1, m.Slot.Hour+2) {
+		t.Fatalf("move past a slot taken since the search = %v, %v; want %v", next, err, slot(day1, m.Slot.Hour+2))
 	}
 }
 

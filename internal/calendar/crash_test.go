@@ -30,7 +30,7 @@ func (w *world) addDurable(user, dir string) {
 	w.t.Helper()
 	ctx := context.Background()
 	n, err := core.Start(ctx, core.Config{
-		User: user, Net: w.network(), DirAddr: "dir", Clock: w.clk,
+		User: user, Net: w.network(user), DirAddr: "dir", Clock: w.clk,
 		DataDir: dir, WALSync: wal.SyncNone,
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/calendar"
 	"repro/internal/links"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // A meeting's mark is released before a link is deleted on another
@@ -109,7 +108,7 @@ func TestCrossingDeletionsBothReturn(t *testing.T) {
 					if got := w.slotMeeting(u, at); got != "" {
 						t.Errorf("%s slot = %q, want it free", u, got)
 					}
-					if all := w.nodes[u].Links.AllLinks(); len(all) != 0 {
+					if all := w.linkRows(u); len(all) != 0 {
 						t.Errorf("%s link rows = %+v, want none", u, all)
 					}
 				}
@@ -159,11 +158,11 @@ func TestCrossingDeletionsBothReturn(t *testing.T) {
 				if rec, _ := w.cals["x"].Meeting(a.ID); rec.Status != calendar.StatusCancelled {
 					t.Errorf("A = %+v, want it cancelled", rec)
 				}
-				for u, n := range w.nodes {
+				for u := range w.nodes {
 					if got := w.slotMeeting(u, at); got != "" {
 						t.Errorf("%s old slot = %q, want it free", u, got)
 					}
-					for _, l := range n.Links.AllLinks() {
+					for _, l := range w.linkRows(u) {
 						if l.ID != moved.LinkID {
 							t.Errorf("%s still holds link row %+v", u, l)
 						}
@@ -275,23 +274,13 @@ func setupAt(t *testing.T, w *world, init string, req calendar.Request) *calenda
 	return m
 }
 
-// markLost is a mark fault losing every Mark sent to one of users.
-func markLost(users ...string) func(string, links.EntityRef) error {
-	return func(_ string, ref links.EntityRef) error {
-		if slices.Contains(users, ref.User) {
-			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: mark lost"}
-		}
-		return nil
-	}
-}
-
 // queueCrossed: A holds p1 and is queued at p2 (its Mark there is lost);
 // B then holds p2 and is queued at p1 behind A.
 func queueCrossed(t *testing.T, w *world) (a, b *calendar.Meeting) {
 	at := slot(day1, 10)
-	w.nodes["x"].Links.SetMarkFault(markLost("p2"))
+	w.loseMarks("x", "p2")
 	a = setupAt(t, w, "x", pinned("A", "p1", "p2"))
-	w.nodes["x"].Links.SetMarkFault(nil)
+	w.loseMarks("x")
 	b = setupAt(t, w, "y", pinned("B", "p1", "p2"))
 	for _, q := range []struct {
 		user     string
@@ -318,15 +307,14 @@ func queueOnFreeSlots(t *testing.T, w *world) (a, b *calendar.Meeting) {
 	for _, u := range []string{"r1", "r2"} {
 		w.addUser(u, 0)
 	}
-	all := markLost("p1", "p2", "r1", "r2")
-	w.nodes["x"].Links.SetMarkFault(all)
-	w.nodes["y"].Links.SetMarkFault(all)
+	w.loseMarks("x", "p1", "p2", "r1", "r2")
+	w.loseMarks("y", "p1", "p2", "r1", "r2")
 	reqA, reqB := pinned("A", "p2"), pinned("B", "p1")
 	reqA.OrGroups = []calendar.OrGroup{{Members: []string{"p1", "r1"}, K: 2}}
 	reqB.OrGroups = []calendar.OrGroup{{Members: []string{"p2", "r2"}, K: 2}}
 	a, b = setupAt(t, w, "x", reqA), setupAt(t, w, "y", reqB)
-	w.nodes["x"].Links.SetMarkFault(markLost("p2"))
-	w.nodes["y"].Links.SetMarkFault(markLost("p1"))
+	w.loseMarks("x", "p2")
+	w.loseMarks("y", "p1")
 	for _, u := range []string{"r1", "r2"} {
 		if err := w.cals[u].MarkBusy(at, "", 0); err != nil {
 			t.Fatal(err)

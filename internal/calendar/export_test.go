@@ -18,3 +18,7 @@ func DaysBetween(fromDay, toDay string) []string {
 	}
 	return out
 }
+
+// Satisfied reports whether the meeting's constraints are all met —
+// every must-attendee reserved and every or-group at quorum.
+func (m *Meeting) Satisfied() bool { return m.satisfied() }

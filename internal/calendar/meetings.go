@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/jsonrec"
 	"repro/internal/links"
 	"repro/internal/store"
@@ -722,6 +721,3 @@ func (c *Calendar) Delegate(ctx context.Context, meetingID, user string) error {
 	}
 	return c.publish(ctx, m, nil)
 }
-
-// Engine exposes the node engine (experiments).
-func (c *Calendar) Engine() *engine.Engine { return c.eng }

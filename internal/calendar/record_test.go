@@ -41,11 +41,17 @@ func meetingOfShape(id, title, u1, u2, day string, hour, prio int, shape uint16)
 }
 
 // docTable is a meeting table of no calendar, for the codec tests.
-var docTable = store.NewDB().MustCreateTable(store.Schema{
-	Name:    meetingTable,
-	Columns: []store.Column{{Name: "id", Type: store.String}, {Name: "doc", Type: store.String}},
-	Key:     []string{"id"},
-})
+var docTable = func() *store.Table {
+	t, err := store.NewDB().CreateTable(store.Schema{
+		Name:    meetingTable,
+		Columns: []store.Column{{Name: "id", Type: store.String}, {Name: "doc", Type: store.String}},
+		Key:     []string{"id"},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return t
+}()
 
 // docRow is a meeting row holding doc.
 func docRow(doc string) store.Row {

@@ -63,7 +63,7 @@ func wantInstalled(t *testing.T, w *world, user string, m *calendar.Meeting, rec
 	if got := w.slotMeeting(user, m.Slot); got != m.ID {
 		t.Errorf("%s slot = %q, want %s", user, got, m.ID)
 	}
-	all := w.nodes[user].Links.AllLinks()
+	all := w.linkRows(user)
 	if len(all) != 1 || all[0].ID != m.LinkID || all[0].Subtype != links.Permanent {
 		t.Errorf("%s link rows = %+v, want one permanent %s", user, all, m.LinkID)
 	}
@@ -192,7 +192,7 @@ func TestLateCommitInstallsAllOrNone(t *testing.T) {
 		}
 		// b still holds what the initiator sent an unreserved participant:
 		// the tentative link and the record that lists it missing.
-		all := w.nodes["b"].Links.AllLinks()
+		all := w.linkRows("b")
 		if len(all) != 1 || all[0].ID != m.LinkID || all[0].Subtype != links.Tentative {
 			t.Errorf("b link rows = %+v, want one tentative %s", all, m.LinkID)
 		}

@@ -11,7 +11,7 @@ import (
 // invoke is a helper that calls a calendar service method from another
 // user's engine.
 func invoke(w *world, caller, target, method string, args wire.Args, out any) error {
-	return w.cals[caller].Engine().Invoke(ctxBg(), calendar.ServiceFor(target), method, args, out)
+	return w.nodes[caller].Engine.Invoke(ctxBg(), calendar.ServiceFor(target), method, args, out)
 }
 
 func TestServiceGetFreeSlotsAndSlotInfo(t *testing.T) {
@@ -25,7 +25,7 @@ func TestServiceGetFreeSlotsAndSlotInfo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		avail, errs := calendar.QueryAvailability(ctxBg(), w.cals["andy"].Engine(), win, []string{"phil"})
+		avail, errs := calendar.QueryAvailability(ctxBg(), w.nodes["andy"].Engine, win, []string{"phil"})
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}
@@ -145,7 +145,7 @@ func TestServiceNotificationContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inbox := w.mail.Inbox("andy")
+	inbox := w.mail.inbox("andy")
 	if len(inbox) != 1 {
 		t.Fatalf("inbox = %d", len(inbox))
 	}
@@ -158,7 +158,7 @@ func TestServiceNotificationContents(t *testing.T) {
 	if err := w.cals["phil"].CancelMeeting(ctxBg(), m.ID); err != nil {
 		t.Fatal(err)
 	}
-	inbox = w.mail.Inbox("andy")
+	inbox = w.mail.inbox("andy")
 	if len(inbox) != 2 || !containsSub(inbox[1].Subject, "cancelled") {
 		t.Fatalf("cancel notification: %+v", inbox)
 	}

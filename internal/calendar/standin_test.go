@@ -109,7 +109,7 @@ func TestMeetingWithProxiedParticipant(t *testing.T) {
 			}
 			slotInfo := func(s calendar.Slot) (calendar.SlotInfo, error) {
 				var info calendar.SlotInfo
-				err := w.cals["a"].Engine().Invoke(ctx, calendar.ServiceFor("b"), "SlotInfo",
+				err := w.nodes["a"].Engine.Invoke(ctx, calendar.ServiceFor("b"), "SlotInfo",
 					wire.Args{wire.Str("day", s.Day), wire.Int("hour", s.Hour)}, &info)
 				return info, err
 			}

@@ -269,7 +269,7 @@ func TestConcurrentMutationsOfOneMeeting(t *testing.T) {
 		if got := w.slotMeeting(u, m.Slot); got != "" {
 			t.Errorf("%s slot = %q after the cancel", u, got)
 		}
-		if all := w.nodes[u].Links.AllLinks(); len(all) != 0 {
+		if all := w.linkRows(u); len(all) != 0 {
 			t.Errorf("%s link rows after the cancel: %+v", u, all)
 		}
 		if n, p := w.nodes[u].Links.Locks.Len(), w.nodes[u].Links.PendingMarks(); n != 0 || p != 0 {

@@ -237,10 +237,6 @@ func (m *Meeting) holding(refs []links.EntityRef) *Meeting {
 	return &d
 }
 
-// Satisfied reports whether the meeting's constraints are all met —
-// every must-attendee reserved and every or-group at quorum.
-func (m *Meeting) Satisfied() bool { return m.satisfied() }
-
 // canAdminister reports whether user may cancel/change the meeting:
 // the initiator or a delegate (§6: "only the initiator of a meeting
 // can cancel that meeting", extended by §5's delegation).

@@ -148,7 +148,7 @@ func TestDoubleBookingPromoteVsMark(t *testing.T) {
 					t.Errorf("the loser %s = %+v, want it tentative with u missing", m.Title, rec)
 				}
 			}
-			for _, l := range w.nodes["u"].Links.AllLinks() {
+			for _, l := range w.linkRows("u") {
 				switch {
 				case l.ID == win.LinkID && l.Subtype == links.Permanent:
 				case l.ID == lose.LinkID && l.Subtype == links.Tentative && l.WaitingOn == win.LinkID:
@@ -156,7 +156,7 @@ func TestDoubleBookingPromoteVsMark(t *testing.T) {
 					t.Errorf("u's link row %+v: want %s's permanent and %s's tentative, waiting on it", l, win.Title, lose.Title)
 				}
 			}
-			if n := len(w.nodes["u"].Links.AllLinks()); n != 2 {
+			if n := len(w.linkRows("u")); n != 2 {
 				t.Errorf("u holds %d link rows, want 2", n)
 			}
 			for u, n := range w.nodes {

@@ -184,16 +184,6 @@ func (f *Fake) Advance(d time.Duration) {
 	}
 }
 
-// Set jumps the clock to t (which must not be earlier than the current
-// time) and fires due waiters as Advance does.
-func (f *Fake) Set(t time.Time) {
-	d := t.Sub(f.Now())
-	if d < 0 {
-		panic("clock: Set would move the fake clock backwards")
-	}
-	f.Advance(d)
-}
-
 // register declares the calling goroutine as a participant: an
 // auto-advancing clock will not advance while it is runnable.
 func (f *Fake) register() {

@@ -41,9 +41,6 @@ func NewClient(net transport.Network, addr string, opts ...ClientOption) *Client
 	return c
 }
 
-// Addr returns the directory's network address.
-func (c *Client) Addr() string { return c.addr }
-
 // call performs one directory RPC.
 func (c *Client) call(ctx context.Context, method string, args wire.Args, out any) error {
 	resp, err := c.net.Call(ctx, c.addr, &transport.Request{
@@ -107,11 +104,6 @@ func (c *Client) RegisterService(ctx context.Context, name, owner, addr string, 
 	}, nil)
 }
 
-// UnregisterService removes a published service.
-func (c *Client) UnregisterService(ctx context.Context, name string) error {
-	return c.call(ctx, "UnregisterService", wire.Args{wire.Str("name", name)}, nil)
-}
-
 // LookupService resolves a service name to its location and methods.
 func (c *Client) LookupService(ctx context.Context, name string) (ServiceInfo, error) {
 	return c.lookup(ctx, "LookupService", name)
@@ -170,16 +162,6 @@ func (c *Client) ServicesOf(ctx context.Context, owner string) ([]string, error)
 // CreateGroup creates (or extends) a named group with members.
 func (c *Client) CreateGroup(ctx context.Context, group string, members []string) error {
 	return c.call(ctx, "CreateGroup", wire.Args{wire.Str("group", group), wire.Strs("members", members)}, nil)
-}
-
-// AddMember adds one member to a group (idempotent).
-func (c *Client) AddMember(ctx context.Context, group, member string) error {
-	return c.call(ctx, "AddMember", wire.Args{wire.Str("group", group), wire.Str("member", member)}, nil)
-}
-
-// RemoveMember removes one member from a group (idempotent).
-func (c *Client) RemoveMember(ctx context.Context, group, member string) error {
-	return c.call(ctx, "RemoveMember", wire.Args{wire.Str("group", group), wire.Str("member", member)}, nil)
 }
 
 // GroupMembers lists a group's members, sorted.

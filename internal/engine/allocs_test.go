@@ -25,7 +25,7 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	net := transport.NewTCP(transport.WithPoolSize(1))
+	net := transport.NewTCP()
 	defer net.Close()
 	dln, err := net.Listen("127.0.0.1:0", directory.NewServer(directory.WithTTL(time.Hour)).Handler())
 	if err != nil {
@@ -62,8 +62,8 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 			t.Fatalf("Commit = %s, %v", raw, err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		call() // the route cache, the connections and their name tables
+	for i := 0; i < 10*transport.DefaultPoolSize(); i++ {
+		call() // the route cache, every pooled connection and its name tables
 	}
 	want := 7.0
 	if raceEnabled {

@@ -95,12 +95,6 @@ func (e *Engine) SetGate(admit func(service, method string) error, note func(err
 	e.admit, e.note = admit, note
 }
 
-// Self returns the engine's user identity.
-func (e *Engine) Self() string { return e.self }
-
-// Directory returns the engine's directory client.
-func (e *Engine) Directory() *directory.Client { return e.dir }
-
 // DirCache returns the engine's route cache, or nil when disabled.
 func (e *Engine) DirCache() *DirCache { return e.dirCache }
 
@@ -440,9 +434,6 @@ func OKCount(results []GroupResult) int {
 	return n
 }
 
-// AllOK reports whether every member succeeded.
-func AllOK(results []GroupResult) bool { return OKCount(results) == len(results) }
-
 // FirstError returns the first member error, or nil.
 func FirstError(results []GroupResult) error {
 	for _, r := range results {
@@ -452,25 +443,3 @@ func FirstError(results []GroupResult) error {
 	}
 	return nil
 }
-
-// Collect decodes every successful member result into T, returning the
-// values (in result order) and the services that failed — the typed
-// half of the engine's "result aggregation".
-func Collect[T any](results []GroupResult) (values []T, failed []string) {
-	for _, r := range results {
-		if r.Err != nil {
-			failed = append(failed, r.Service)
-			continue
-		}
-		var v T
-		if err := wire.Unmarshal(r.Raw, &v); err != nil {
-			failed = append(failed, r.Service)
-			continue
-		}
-		values = append(values, v)
-	}
-	return values, failed
-}
-
-// Quorum reports whether at least k members succeeded.
-func Quorum(results []GroupResult, k int) bool { return OKCount(results) >= k }

@@ -132,7 +132,7 @@ func TestGroupInvokeAggregates(t *testing.T) {
 	e := New(w.net, w.dir, "phil")
 	services := []string{"cal.phil", "cal.andy", "cal.suzy"}
 	results := e.GroupInvoke(context.Background(), services, "WhoAmI", nil)
-	if len(results) != 3 || !AllOK(results) {
+	if len(results) != 3 || FirstError(results) != nil {
 		t.Fatalf("results = %+v", results)
 	}
 	for i, r := range results {
@@ -160,7 +160,7 @@ func TestGroupInvokePartialFailure(t *testing.T) {
 	e := New(w.net, w.dir, "phil")
 	services := []string{"cal.phil", "cal.andy", "cal.suzy"}
 	results := e.GroupInvoke(context.Background(), services, "FailIf", wire.Args{wire.Str("who", "andy")})
-	if OKCount(results) != 2 || AllOK(results) {
+	if OKCount(results) != 2 || FirstError(results) == nil {
 		t.Fatalf("OKCount = %d", OKCount(results))
 	}
 	if results[1].Err == nil || wire.CodeOf(results[1].Err) != wire.CodeConflict {
@@ -188,11 +188,13 @@ func TestInvokeGroupName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 || !AllOK(results) {
+	if len(results) != 2 || FirstError(results) != nil {
 		t.Fatalf("results = %+v", results)
 	}
 }
 
+// TestCollectAndQuorum decodes a group's results and counts its quorum
+// the way a caller does: wire.Unmarshal over each Raw, OKCount against k.
 func TestCollectAndQuorum(t *testing.T) {
 	w := newWorld(t)
 	for _, u := range []string{"phil", "andy", "suzy"} {
@@ -200,8 +202,19 @@ func TestCollectAndQuorum(t *testing.T) {
 	}
 	e := New(w.net, w.dir, "phil")
 	services := []string{"cal.phil", "cal.andy", "cal.suzy"}
+	collect := func(results []GroupResult) (sums []int, failed []string) {
+		for _, r := range results {
+			var v int
+			if r.Err != nil || wire.Unmarshal(r.Raw, &v) != nil {
+				failed = append(failed, r.Service)
+				continue
+			}
+			sums = append(sums, v)
+		}
+		return sums, failed
+	}
 	results := e.GroupInvoke(context.Background(), services, "Add", wire.Args{wire.Int("a", 2), wire.Int("b", 3)})
-	sums, failed := Collect[int](results)
+	sums, failed := collect(results)
 	if len(failed) != 0 || len(sums) != 3 {
 		t.Fatalf("sums=%v failed=%v", sums, failed)
 	}
@@ -210,18 +223,18 @@ func TestCollectAndQuorum(t *testing.T) {
 			t.Fatalf("sums = %v", sums)
 		}
 	}
-	if !Quorum(results, 3) || Quorum(results, 4) {
+	if OKCount(results) != 3 {
 		t.Fatal("quorum arithmetic wrong")
 	}
 
-	// One member down: Collect reports it as failed, quorum adjusts.
+	// One member down: it is reported as failed, the count adjusts.
 	w.net.SetDown("node-andy", true)
 	results = e.GroupInvoke(context.Background(), services, "Add", wire.Args{wire.Int("a", 1), wire.Int("b", 1)})
-	sums, failed = Collect[int](results)
+	sums, failed = collect(results)
 	if len(sums) != 2 || len(failed) != 1 || failed[0] != "cal.andy" {
 		t.Fatalf("sums=%v failed=%v", sums, failed)
 	}
-	if !Quorum(results, 2) || Quorum(results, 3) {
+	if OKCount(results) != 2 {
 		t.Fatal("quorum after failure wrong")
 	}
 }
@@ -287,7 +300,7 @@ func TestGroupInvokeScalesLinearlyInMessages(t *testing.T) {
 	w.net.ResetStats()
 	e := New(w.net, w.dir, "phil")
 	results := e.GroupInvoke(context.Background(), services, "WhoAmI", nil)
-	if !AllOK(results) {
+	if FirstError(results) != nil {
 		t.Fatalf("results = %+v", results)
 	}
 	// One batched resolution pass + n invocations: group fan-out no

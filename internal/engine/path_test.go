@@ -243,7 +243,7 @@ func TestGroupInvokeBoundedFanOut(t *testing.T) {
 
 	e := New(w.net, w.dir, "phil")
 	results := e.GroupInvoke(ctx, services, "Slow", nil)
-	if !AllOK(results) {
+	if FirstError(results) != nil {
 		t.Fatalf("results = %+v", results)
 	}
 	for i, r := range results {
@@ -268,7 +268,7 @@ func TestGroupInvokeLargerThanLimit(t *testing.T) {
 	}
 	e := New(w.net, w.dir, "phil")
 	results := e.GroupInvoke(context.Background(), services, "WhoAmI", nil)
-	if len(results) != n || !AllOK(results) {
+	if len(results) != n || FirstError(results) != nil {
 		t.Fatalf("results = %+v", results)
 	}
 }

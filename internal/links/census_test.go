@@ -62,7 +62,7 @@ func newCensusHarness(t *testing.T, users ...string) (*harness, *rpcCensus, *tra
 // one negotiation the collector holds.
 func negotiationSpans(t *testing.T, col *trace.Collector) map[string]int {
 	t.Helper()
-	tree := findTree(col.Trees(), "links.Negotiate")
+	tree := findTree(trace.Stitch(col.Spans()), "links.Negotiate")
 	if tree == nil {
 		t.Fatal("no trace rooted at links.Negotiate")
 	}

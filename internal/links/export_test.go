@@ -1,0 +1,32 @@
+package links
+
+// Self returns the owning user id.
+func (m *Manager) Self() string { return m.self }
+
+// AllLinks returns every local link in id order, the link table's key
+// order (diagnostics and tests).
+func (m *Manager) AllLinks() []*Link { return decodeLinks(m.linksT.Select(nil)) }
+
+// Locked reports whether entity is currently locked by anyone.
+func (lt *LockTable) Locked(entity string) bool {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	e, ok := lt.locks[entity]
+	return ok && e.live(lt.clk.Now())
+}
+
+// Sweep drops expired lock entries (housekeeping; correctness does not
+// depend on it because TryLock steals expired locks).
+func (lt *LockTable) Sweep() int {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	now := lt.clk.Now()
+	n := 0
+	for k, e := range lt.locks {
+		if !e.live(now) {
+			delete(lt.locks, k)
+			n++
+		}
+	}
+	return n
+}

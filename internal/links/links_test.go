@@ -81,6 +81,19 @@ func (n inboundNet) Listen(addr string, h transport.Handler) (transport.Listener
 	return n.Network.Listen(addr, inboundHandler{Handler: h, serve: n.wrap(h.HandleRequest)})
 }
 
+// outboundNet is a network that hands every request sent over it to
+// before, before it leaves: the seam at which a test holds a node's
+// outbound calls or acts between them.
+type outboundNet struct {
+	transport.Network
+	before func(req *transport.Request)
+}
+
+func (n outboundNet) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	n.before(req)
+	return n.Network.Call(ctx, addr, req)
+}
+
 // inboundHandler is a handler whose requests go through serve.
 type inboundHandler struct {
 	transport.Handler

@@ -231,14 +231,6 @@ func (lt *LockTable) Holder(entity string) (token string, live bool) {
 	return e.token, e.live(lt.clk.Now())
 }
 
-// Locked reports whether entity is currently locked by anyone.
-func (lt *LockTable) Locked(entity string) bool {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	e, ok := lt.locks[entity]
-	return ok && e.live(lt.clk.Now())
-}
-
 // Len reports the number of live locks. An expired entry is not one,
 // though it stays in the table until it is stolen or swept.
 func (lt *LockTable) Len() int {
@@ -248,22 +240,6 @@ func (lt *LockTable) Len() int {
 	now := lt.clk.Now()
 	for _, e := range lt.locks {
 		if e.live(now) {
-			n++
-		}
-	}
-	return n
-}
-
-// Sweep drops expired lock entries (housekeeping; correctness does not
-// depend on it because TryLock steals expired locks).
-func (lt *LockTable) Sweep() int {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	now := lt.clk.Now()
-	n := 0
-	for k, e := range lt.locks {
-		if !e.live(now) {
-			delete(lt.locks, k)
 			n++
 		}
 	}

@@ -83,12 +83,10 @@ type Manager struct {
 	// these ids so in-doubt participants wait instead.
 	inflight map[string]struct{}
 
-	// commitFault/markFault, when set, intercept phase-2 commit sends /
-	// phase-1 mark sends — the chaos harness and fault tests use them
-	// to model a coordinator that crashes or loses connectivity
-	// mid-protocol, or to interleave sweeps with a live phase 1.
+	// commitFault, when set, intercepts phase-2 commit sends — the chaos
+	// harness and fault tests use it to model a coordinator that crashes
+	// or loses connectivity mid-protocol.
 	commitFault func(nid string, ref EntityRef) error
-	markFault   func(nid string, ref EntityRef) error
 }
 
 // NewManager creates the links manager for user self, creating the
@@ -198,25 +196,6 @@ func (m *Manager) commitFaultFor(nid string, ref EntityRef) error {
 	return f(nid, ref)
 }
 
-// SetMarkFault installs (or, with nil, removes) a phase-1 fault
-// injector: markTarget consults it before sending. Fault tests use it
-// to interleave participant sweeps with a live mark phase.
-func (m *Manager) SetMarkFault(f func(nid string, ref EntityRef) error) {
-	m.mu.Lock()
-	m.markFault = f
-	m.mu.Unlock()
-}
-
-func (m *Manager) markFaultFor(nid string, ref EntityRef) error {
-	m.mu.RLock()
-	f := m.markFault
-	m.mu.RUnlock()
-	if f == nil {
-		return nil
-	}
-	return f(nid, ref)
-}
-
 // noteInflight registers a negotiation this coordinator is driving;
 // Outcome answers "unknown" for it until dropInflight.
 func (m *Manager) noteInflight(nid string) {
@@ -240,9 +219,6 @@ func (m *Manager) isInflight(nid string) bool {
 	m.mu.RUnlock()
 	return ok
 }
-
-// Self returns the owning user id.
-func (m *Manager) Self() string { return m.self }
 
 // NewLinkID mints a globally unique link id. Ids sort in mint order:
 // link ids are store keys, and deterministic iteration order is what
@@ -380,10 +356,6 @@ func decodeLinks(rows []store.Row) []*Link {
 	}
 	return out
 }
-
-// AllLinks returns every local link in id order, the link table's key
-// order (diagnostics and tests).
-func (m *Manager) AllLinks() []*Link { return decodeLinks(m.linksT.Select(nil)) }
 
 // --- §4.2 op 3: tentative → permanent promotion -----------------------------
 

@@ -524,9 +524,6 @@ func (m *Manager) markTarget(ctx context.Context, nid string, ref EntityRef, act
 }
 
 func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef, action string, args wire.Args) (string, error) {
-	if err := m.markFaultFor(nid, ref); err != nil {
-		return "", err
-	}
 	if ref.User == m.self {
 		return m.markLocal(ref.Entity, action, args)
 	}

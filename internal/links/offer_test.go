@@ -5,9 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -121,7 +123,17 @@ func TestDeletionVotesForItsWaiter(t *testing.T) {
 // for nobody. When that negotiation aborts, its Abort wakes the waiter —
 // and does not offer the slot back to the coordinator that let go.
 func TestAbortedMarkOffersTheFreedSlot(t *testing.T) {
-	h := newHarness(t, "u", "a", "b", "c", "x")
+	// c renegotiates MB over u and x, and is held between the two marks.
+	atX, release := make(chan struct{}), make(chan struct{})
+	h := newHarness(t, "u", "a", "b", "x")
+	cm := h.addNode("c", func(c *core.Config) {
+		c.Net = outboundNet{Network: c.Net, before: func(req *transport.Request) {
+			if req.Method == "Mark" && req.Service == links.ServiceFor("x") {
+				close(atX)
+				<-release
+			}
+		}}
+	}).Links
 	u, slot := h.nodes["u"], links.EntityRef{User: "u", Entity: "slot9"}
 	boxA, boxC := h.addVoteBox("a"), h.addVoteBox("c")
 	u.setStatus("slot9", "MB")
@@ -138,16 +150,6 @@ func TestAbortedMarkOffersTheFreedSlot(t *testing.T) {
 	h.queueVoter("LA", slot, "a", "MA", 1, "LB")
 	h.queueVoter("LC", slot, "c", "MC", 9, "LB") // the better waiter, but c is who lets go
 
-	// c renegotiates MB over u and x, and is held between the two marks.
-	atX, release := make(chan struct{}), make(chan struct{})
-	cm := h.nodes["c"].Links
-	cm.SetMarkFault(func(_ string, ref links.EntityRef) error {
-		if ref.User == "x" {
-			close(atX)
-			<-release
-		}
-		return nil
-	})
 	done := make(chan error, 1)
 	go func() {
 		_, err := cm.Negotiate(ctxBg(), links.Spec{

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/links"
 	"repro/internal/store"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -168,23 +170,23 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 // release x's lock while the coordinator goes on to commit — the race
 // the coordinator's in-flight registry exists to close.
 func TestSweepDuringPhase1DoesNotPresumeAbort(t *testing.T) {
-	h := newHarness(t, "a", "x", "y")
+	h := newHarness(t, "x", "y")
 	ctx := context.Background()
-	lm := h.nodes["a"].Links
 
-	// And-marks run in entity order, so x is marked before the fault
-	// hook fires on y — exactly the window before journalBegin.
+	// And-marks run in entity order, so x is marked before a's Mark to y
+	// leaves — exactly the window before journalBegin.
 	swept := false
-	lm.SetMarkFault(func(nid string, ref links.EntityRef) error {
-		if ref.User == "y" && !swept {
-			swept = true
-			h.nodes["x"].Links.ResolvePendingMarks(ctx, h.clk.Now())
-			if n := h.nodes["x"].Links.PendingMarks(); n != 1 {
-				t.Errorf("mid-phase-1 sweep resolved x's mark: pending = %d, want 1", n)
+	lm := h.addNode("a", func(c *core.Config) {
+		c.Net = outboundNet{Network: c.Net, before: func(req *transport.Request) {
+			if req.Method == "Mark" && req.Service == links.ServiceFor("y") && !swept {
+				swept = true
+				h.nodes["x"].Links.ResolvePendingMarks(ctx, h.clk.Now())
+				if n := h.nodes["x"].Links.PendingMarks(); n != 1 {
+					t.Errorf("mid-phase-1 sweep resolved x's mark: pending = %d, want 1", n)
+				}
 			}
-		}
-		return nil
-	})
+		}}
+	}).Links
 	res, err := lm.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
@@ -193,7 +195,7 @@ func TestSweepDuringPhase1DoesNotPresumeAbort(t *testing.T) {
 		t.Fatalf("negotiate after mid-flight sweep: err=%v res=%+v", err, res)
 	}
 	if !swept {
-		t.Fatal("mark fault hook never ran")
+		t.Fatal("a's Mark to y never left")
 	}
 	if sx, sy := h.nodes["x"].status("s"), h.nodes["y"].status("s"); sx != "M" || sy != "M" {
 		t.Fatalf("commit diverged after mid-flight sweep: x=%q y=%q", sx, sy)

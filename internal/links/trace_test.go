@@ -68,9 +68,9 @@ func TestGroupInvokeStitchedTrace(t *testing.T) {
 		}
 	}
 
-	tree := findTree(col.Trees(), "rpc.group")
+	tree := findTree(trace.Stitch(col.Spans()), "rpc.group")
 	if tree == nil {
-		t.Fatalf("no stitched trace rooted at rpc.group; trees: %d", len(col.Trees()))
+		t.Fatalf("no stitched trace rooted at rpc.group; trees: %d", len(trace.Stitch(col.Spans())))
 	}
 	if len(tree.Roots) != 1 {
 		t.Fatalf("tree has %d roots, want 1", len(tree.Roots))
@@ -157,7 +157,7 @@ func TestInDoubtNegotiationTraceRetained(t *testing.T) {
 		t.Fatalf("x/s0 = %q, want M1", got)
 	}
 
-	tree := findTree(col.Trees(), "links.Negotiate")
+	tree := findTree(trace.Stitch(col.Spans()), "links.Negotiate")
 	if tree == nil {
 		t.Fatalf("in-doubt trace was not retained at sample rate 0")
 	}

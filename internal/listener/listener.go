@@ -124,9 +124,6 @@ func (l *Listener) SetFence(admit func(service string) error) {
 	l.fence = admit
 }
 
-// Owner returns the owning user id.
-func (l *Listener) Owner() string { return l.owner }
-
 // Register publishes obj locally under the service name. Registering
 // the same name again replaces the object (a device restarting its
 // application).
@@ -134,13 +131,6 @@ func (l *Listener) Register(service string, obj *Object) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.services[service] = obj
-}
-
-// Unregister removes a local service.
-func (l *Listener) Unregister(service string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.services, service)
 }
 
 // Services lists locally registered service names, sorted.

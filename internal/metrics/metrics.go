@@ -129,13 +129,6 @@ func (r *Registry) Observe(layer Layer, service, method string, code wire.ErrCod
 	s.observe(d)
 }
 
-// Reset drops every series (tests).
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.series = make(map[seriesKey]*series)
-	r.mu.Unlock()
-}
-
 // Entry is one (service, method, code) series in a Snapshot.
 type Entry struct {
 	Layer   Layer        `json:"layer"`
@@ -239,15 +232,6 @@ func (s Snapshot) Find(layer Layer, service, method string, code wire.ErrCode) *
 		}
 	}
 	return nil
-}
-
-// TotalCount sums Count across all entries.
-func (s Snapshot) TotalCount() int64 {
-	var n int64
-	for i := range s.Entries {
-		n += s.Entries[i].Count
-	}
-	return n
 }
 
 // Render formats the snapshot as an aligned text table.

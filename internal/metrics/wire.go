@@ -66,12 +66,3 @@ func (w *WireStats) Snapshot() WireSnapshot {
 		Flushes:    w.flushes.Load(),
 	}
 }
-
-// Reset zeroes the counters.
-func (w *WireStats) Reset() {
-	w.framesSent.Store(0)
-	w.bytesSent.Store(0)
-	w.framesRecv.Store(0)
-	w.bytesRecv.Store(0)
-	w.flushes.Store(0)
-}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -54,36 +53,25 @@ func (Discard) Notify(context.Context, Message) error { return nil }
 // Mailbox is an in-memory Notifier with per-recipient inboxes. Safe
 // for concurrent use.
 type Mailbox struct {
-	mu     sync.Mutex
-	boxes  map[string][]Message
-	sentAt func() time.Time
+	mu    sync.Mutex
+	boxes map[string][]Message
 }
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox() *Mailbox {
-	return &Mailbox{boxes: make(map[string][]Message), sentAt: time.Now}
+	return &Mailbox{boxes: make(map[string][]Message)}
 }
-
-// SetClock overrides the send timestamp source (tests).
-func (mb *Mailbox) SetClock(now func() time.Time) { mb.sentAt = now }
 
 // Notify implements Notifier: the message is copied into every
 // recipient's inbox.
 func (mb *Mailbox) Notify(_ context.Context, m Message) error {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	m.Sent = mb.sentAt()
+	m.Sent = time.Now()
 	for _, to := range m.To {
 		mb.boxes[to] = append(mb.boxes[to], m)
 	}
 	return nil
-}
-
-// Inbox returns a copy of the recipient's inbox in delivery order.
-func (mb *Mailbox) Inbox(user string) []Message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return append([]Message(nil), mb.boxes[user]...)
 }
 
 // Count returns the number of messages delivered to user.
@@ -102,27 +90,6 @@ func (mb *Mailbox) Total() int {
 		n += len(box)
 	}
 	return n
-}
-
-// Recipients lists users with at least one message, sorted.
-func (mb *Mailbox) Recipients() []string {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	out := make([]string, 0, len(mb.boxes))
-	for u := range mb.boxes {
-		if len(mb.boxes[u]) > 0 {
-			out = append(out, u)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Reset clears every inbox.
-func (mb *Mailbox) Reset() {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	mb.boxes = make(map[string][]Message)
 }
 
 // Writer is a Notifier that renders every message to an io.Writer

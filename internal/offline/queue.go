@@ -106,9 +106,6 @@ func NewQueue(db *store.DB, user string, capacity int, policy Overflow, met *met
 	return q, nil
 }
 
-// Cap returns the queue's capacity.
-func (q *Queue) Cap() int { return q.cap }
-
 // Enqueue accepts an op, applying the overflow policy at capacity, and
 // returns the assigned sequence number.
 func (q *Queue) Enqueue(op Op) (int64, error) {

@@ -15,8 +15,8 @@ func TestQueueEnqueueOrderAndAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Cap() != 10 {
-		t.Fatalf("cap = %d, want 10", q.Cap())
+	if q.cap != 10 {
+		t.Fatalf("cap = %d, want 10", q.cap)
 	}
 	for _, id := range []string{"a", "b", "c"} {
 		if _, err := q.Enqueue(Op{ID: id, Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()}); err != nil {

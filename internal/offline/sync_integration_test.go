@@ -120,7 +120,7 @@ func TestReconnectSessionPushesQueuedOpsAndPulls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if am.Satisfied() {
+	if am.Status == calendar.StatusConfirmed {
 		t.Fatal("andy's meeting should be tentative while mob is unreachable")
 	}
 
@@ -208,7 +208,7 @@ func TestServiceQueuesInLocalMode(t *testing.T) {
 	early := calendar.Slot{Day: "2003-04-22", Hour: 9}
 	late := calendar.Slot{Day: "2003-04-24", Hour: 10}
 	kickoff, err := mob.SetupMeeting(ctx, pinned("kickoff", early.Day, early.Hour, 1, "phil"))
-	if err != nil || !kickoff.Satisfied() {
+	if err != nil || kickoff.Status != calendar.StatusConfirmed {
 		t.Fatalf("kickoff = %+v, %v", kickoff, err)
 	}
 
@@ -291,14 +291,14 @@ func TestPulledTentativeRecordQueuesItsLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	offsite, err := phil.SetupMeeting(ctx, pinned("offsite", at.Day, at.Hour, 1, "mob"))
-	if err != nil || !offsite.Satisfied() {
+	if err != nil || offsite.Status != calendar.StatusConfirmed {
 		t.Fatalf("offsite = %+v, %v", offsite, err)
 	}
 
 	w.cut("mob")
 	w.nodes["mob"].Offline.GoOffline(ctx)
 	review, err := andy.SetupMeeting(ctx, pinned("review", at.Day, at.Hour, 1, "mob"))
-	if err != nil || review.Satisfied() {
+	if err != nil || review.Status == calendar.StatusConfirmed {
 		t.Fatalf("review while mob is away = %+v, %v; want it tentative", review, err)
 	}
 	if _, ok := mob.Meeting(review.ID); ok {

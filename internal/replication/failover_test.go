@@ -183,9 +183,9 @@ func drainFollowers(t *testing.T, x *core.Node, fs ...*replication.Follower) {
 	ctx := context.Background()
 	tail := x.Durable.LastLSN()
 	for _, f := range fs {
-		for i := 0; f.AppliedLSN() < tail; i++ {
+		for i := 0; f.Status().AppliedLSN < tail; i++ {
 			if i > 100 {
-				t.Fatalf("follower %s stuck at %d, tail %d", f.Addr(), f.AppliedLSN(), tail)
+				t.Fatalf("follower %s stuck at %d, tail %d", f.Addr(), f.Status().AppliedLSN, tail)
 			}
 			if err := f.PullOnce(ctx); err != nil {
 				t.Fatalf("pull: %v", err)
@@ -378,8 +378,8 @@ func TestFailoverCaughtUpFollowerOutranksLowerAddress(t *testing.T) {
 	// Only f2 catches up: it must win promotion despite its higher
 	// address.
 	drainFollowers(t, x, f2)
-	if f2.AppliedLSN() <= f1.AppliedLSN() {
-		t.Fatalf("setup: f2 (%d) should be ahead of f1 (%d)", f2.AppliedLSN(), f1.AppliedLSN())
+	if f2.Status().AppliedLSN <= f1.Status().AppliedLSN {
+		t.Fatalf("setup: f2 (%d) should be ahead of f1 (%d)", f2.Status().AppliedLSN, f1.Status().AppliedLSN)
 	}
 
 	x.Events.Close()

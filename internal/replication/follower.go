@@ -169,14 +169,6 @@ func (f *Follower) loop(ctx context.Context, every time.Duration, fn func(contex
 // primary should list in Replicas.
 func (f *Follower) Addr() string { return f.ln.Addr() }
 
-// AppliedLSN reports the highest LSN durably applied locally.
-func (f *Follower) AppliedLSN() uint64 { return f.d.LastLSN() }
-
-// Durable exposes the follower's data directory (read-only: it takes
-// shipped batches alone; tests inspect the replicated database
-// through it).
-func (f *Follower) Durable() *wal.Durable { return f.d }
-
 // Status snapshots the follower's replication state.
 func (f *Follower) Status() Status {
 	f.mu.Lock()

@@ -53,11 +53,14 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	tbl := d.DB.MustCreateTable(store.Schema{
+	tbl, err := d.DB.CreateTable(store.Schema{
 		Name:    "slots",
 		Columns: []store.Column{{Name: "entity", Type: store.String}, {Name: "holder", Type: store.String}},
 		Key:     []string{"entity"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	insert := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -91,9 +94,9 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 
 	// First pull cannot read from LSN 1 (trimmed) — it must take the
 	// snapshot path, then tail pulls finish the job.
-	for i := 0; f.AppliedLSN() < d.LastLSN(); i++ {
+	for i := 0; f.Status().AppliedLSN < d.LastLSN(); i++ {
 		if i > 50 {
-			t.Fatalf("stuck at %d, tail %d", f.AppliedLSN(), d.LastLSN())
+			t.Fatalf("stuck at %d, tail %d", f.Status().AppliedLSN, d.LastLSN())
 		}
 		if err := f.PullOnce(ctx); err != nil {
 			t.Fatal(err)
@@ -138,11 +141,14 @@ func TestFollowerSelfDrivenLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	tbl := d.DB.MustCreateTable(store.Schema{
+	tbl, err := d.DB.CreateTable(store.Schema{
 		Name:    "slots",
 		Columns: []store.Column{{Name: "entity", Type: store.String}, {Name: "holder", Type: store.String}},
 		Key:     []string{"entity"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tbl.Insert(rowOf(tbl, "entity", "s0", "holder", "m")); err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +170,9 @@ func TestFollowerSelfDrivenLoops(t *testing.T) {
 		t.Fatal("follower should have a bound address")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for f.AppliedLSN() < d.LastLSN() {
+	for f.Status().AppliedLSN < d.LastLSN() {
 		if time.Now().After(deadline) {
-			t.Fatalf("pull loop never caught up: %d < %d", f.AppliedLSN(), d.LastLSN())
+			t.Fatalf("pull loop never caught up: %d < %d", f.Status().AppliedLSN, d.LastLSN())
 		}
 		fx.clk.Advance(time.Millisecond) // tick the pull loop
 		time.Sleep(time.Millisecond)

@@ -9,7 +9,7 @@ package store
 // Framing rules:
 //   - A Tx buffers its ops and logs them as a single atomic unit at
 //     Commit, applied and enqueued while every involved table's lock
-//     is held; a rolled-back Tx applies and logs nothing.
+//     is held; a Tx never committed applies and logs nothing.
 //   - A direct Table.Insert/Update/Delete is a Tx of that one op.
 //   - DDL (CreateTable, CreateIndex) is logged as it commits.
 //   - Replay via ApplyLogged/ApplyDDL* bypasses both triggers and the

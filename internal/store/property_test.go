@@ -14,8 +14,8 @@ import (
 func snapshotRows(t *Table) map[string]Row {
 	out := map[string]Row{}
 	for _, r := range t.Select(nil) {
-		k, _ := t.KeyOf(r)
-		out[k] = r
+		_, k, _ := t.insertable(r)
+		out[string(k)] = r
 	}
 	return out
 }

@@ -180,16 +180,6 @@ func (db *DB) EnsureTable(s Schema) (*Table, error) {
 	return db.CreateTable(s)
 }
 
-// MustCreateTable is CreateTable panicking on error; for package init
-// of fixed schemas.
-func (db *DB) MustCreateTable(s Schema) *Table {
-	t, err := db.CreateTable(s)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Table returns the named table.
 func (db *DB) Table(name string) (*Table, error) {
 	db.mu.RLock()
@@ -199,18 +189,6 @@ func (db *DB) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
 	return t, nil
-}
-
-// TableNames returns all table names, sorted.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func validateSchema(s Schema) error {
@@ -326,12 +304,6 @@ func (t *Table) changes(r Row) (Row, error) {
 	return r, nil
 }
 
-// KeyOf exposes the encoded key for diagnostics and tests.
-func (t *Table) KeyOf(r Row) (string, error) {
-	_, k, err := t.insertable(r)
-	return string(k), err
-}
-
 // appendKeyVal appends the encoding of the i-th probe key value to b,
 // and reports false for a value that is not of the key column's type:
 // no stored key holds one. It encodes as Row.appendKey does, so stored
@@ -408,29 +380,6 @@ func (t *Table) lookup(keyVals []any) (Row, bool) {
 	}
 	r, ok := t.rows[rowKey(k)]
 	return r, ok
-}
-
-// OnTrigger registers an ECA trigger for op at the given timing,
-// returning a registration id usable with DropTrigger.
-func (t *Table) OnTrigger(timing Timing, op Op, id string, fn TriggerFunc) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.triggers[timing] = append(t.triggers[timing], trigger{id: id, op: op, fn: fn})
-}
-
-// DropTrigger removes all triggers registered under id.
-func (t *Table) DropTrigger(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for timing, list := range t.triggers {
-		keep := list[:0]
-		for _, tr := range list {
-			if tr.id != id {
-				keep = append(keep, tr)
-			}
-		}
-		t.triggers[timing] = keep
-	}
 }
 
 // fire runs the triggers for (timing, op); the table lock must NOT be

@@ -311,25 +311,6 @@ func TestAfterTriggerErrorDoesNotRollBack(t *testing.T) {
 	}
 }
 
-func TestDropTrigger(t *testing.T) {
-	tab := newCalTable(t)
-	count := 0
-	tab.OnTrigger(After, OpInsert, "counter", func(op Op, old, new Row) error {
-		count++
-		return nil
-	})
-	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
-		t.Fatal(err)
-	}
-	tab.DropTrigger("counter")
-	if err := tab.Insert(slotRow(tab, "d", 10, "free")); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestTriggerCanReenterTable(t *testing.T) {
 	// An After trigger that itself mutates the table (the cascade
 	// pattern SyDLinks relies on) must not deadlock.

@@ -33,8 +33,8 @@ import (
 // transaction that is not also fully in the log. If a concurrent
 // mutation invalidated the buffer (a row the tx updates was deleted, a
 // key it inserts was taken), Commit applies NOTHING and returns the
-// conflict (ErrConflict). Rollback simply discards the buffer, so a
-// rolled-back tx leaves no trace in memory or in the log.
+// conflict (ErrConflict). A tx that is never committed leaves no trace
+// in memory or in the log.
 //
 // Before triggers fire at op-record time (and may veto the op); After
 // triggers fire once Commit has applied the unit. What a step decides
@@ -170,12 +170,6 @@ func (tx *Tx) View(table string, fn func(Row), keyVals ...any) bool {
 		fn(r)
 	}
 	return ok
-}
-
-// Get returns a copy of the row for keyVals as the tx sees it.
-func (tx *Tx) Get(table string, keyVals ...any) (row Row, ok bool) {
-	ok = tx.View(table, func(r Row) { row = r.Clone() }, keyVals...)
-	return row, ok
 }
 
 // Has reports whether the tx sees a row for keyVals.
@@ -450,18 +444,5 @@ func (tx *Tx) validateLocked() error {
 			return err
 		}
 	}
-	return nil
-}
-
-// Rollback discards the buffered mutations and queued sends. Nothing
-// was applied and nothing is logged.
-func (tx *Tx) Rollback() error {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done {
-		return ErrTxDone
-	}
-	tx.done = true
-	tx.ops, tx.at, tx.after = nil, nil, nil
 	return nil
 }

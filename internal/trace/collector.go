@@ -56,19 +56,6 @@ func (c *Collector) Spans() []*Span {
 	return out
 }
 
-// Reset clears every attached tracer.
-func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	tracers := append([]*Tracer(nil), c.tracers...)
-	c.mu.Unlock()
-	for _, t := range tracers {
-		t.Reset()
-	}
-}
-
 // --- stitching --------------------------------------------------------------
 
 // Node is one span plus its resolved children, ordered by start time.
@@ -156,19 +143,6 @@ func sortNodes(ns []*Node) {
 		}
 		return ns[i].Span.SpanID < ns[j].Span.SpanID
 	})
-}
-
-// Trees stitches the collector's current spans.
-func (c *Collector) Trees() []*Tree { return Stitch(c.Spans()) }
-
-// Find returns the stitched tree for one trace id, or nil.
-func (c *Collector) Find(traceID string) *Tree {
-	for _, t := range c.Trees() {
-		if t.TraceID == traceID {
-			return t
-		}
-	}
-	return nil
 }
 
 // --- rendering --------------------------------------------------------------

@@ -155,18 +155,6 @@ func (s *Span) SetError(err error) {
 	s.mu.Unlock()
 }
 
-// Keep forces retention of this span's trace segment on this node even
-// if unsampled and fast — recovery spans (journal redrive, in-doubt
-// resolution) use it so the post-mortem is never sampled away.
-func (s *Span) Keep() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.keep = true
-	s.mu.Unlock()
-}
-
 // Inject stamps the span's context onto outbound request metadata.
 // Nil-safe: without a span the metadata is left untouched.
 func (s *Span) Inject(md wire.Metadata) {
@@ -591,21 +579,4 @@ func (t *Tracer) Snapshot() []*Span {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// Reset drops every retained and tail-buffered span (tests).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		sh.buf = nil
-		sh.next = 0
-		sh.mu.Unlock()
-	}
-	t.pendMu.Lock()
-	t.pending = make(map[string]*pendingTrace)
-	t.pendMu.Unlock()
 }

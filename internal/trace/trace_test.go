@@ -23,7 +23,6 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	s.Annotate(String("a", "b"))
 	s.AddEvent("e")
 	s.SetError(errors.New("boom"))
-	s.Keep()
 	s.Inject(wire.Metadata{})
 	s.Finish()
 	s.FinishErr(nil)
@@ -213,7 +212,7 @@ func TestRenderFlameTree(t *testing.T) {
 
 	c := NewCollector()
 	c.Attach(tr)
-	out := c.Trees()[0].Render() // the slowest stitched tree
+	out := Stitch(c.Spans())[0].Render() // the slowest stitched tree
 	for _, want := range []string{"IN-DOUBT", "links.Negotiate", "links.Commit", "nid=N-42", "code=unavailable", "└─"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q in:\n%s", want, out)
@@ -264,9 +263,5 @@ func TestResetAndConcurrency(t *testing.T) {
 	}
 	if len(tr.Snapshot()) == 0 {
 		t.Fatal("spans must be recorded")
-	}
-	tr.Reset()
-	if len(tr.Snapshot()) != 0 {
-		t.Fatal("reset must clear the ring")
 	}
 }

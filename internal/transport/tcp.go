@@ -52,16 +52,6 @@ type TCP struct {
 // TCPOption configures a TCP network.
 type TCPOption func(*TCP)
 
-// WithPoolSize sets the number of pooled connections per peer address
-// (n <= 0 keeps DefaultPoolSize).
-func WithPoolSize(n int) TCPOption {
-	return func(t *TCP) {
-		if n > 0 {
-			t.poolSize = n
-		}
-	}
-}
-
 // WithWireStats overrides the frame counter sink (tests; the default
 // is the process-wide metrics.Wire()).
 func WithWireStats(s *metrics.WireStats) TCPOption {

@@ -154,7 +154,6 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 					tx := db.Begin()
 					for _, o := range ops {
 						if err := applyOne(db, o, tx); err != nil {
-							tx.Rollback()
 							return err
 						}
 					}
@@ -212,15 +211,12 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 			apply: func(db *store.DB) error {
 				tx := db.Begin()
 				if err := tx.Insert("t1", row(db, id, "a")); err != nil {
-					tx.Rollback()
 					return err
 				}
 				if err := tx.Insert("t1", row(db, id2, "b")); err != nil {
-					tx.Rollback()
 					return err
 				}
 				if err := tx.Update("t1", rowIn(db, "t1", map[string]any{"val": "c"}), id); err != nil {
-					tx.Rollback()
 					return err
 				}
 				return tx.Commit(context.Background())

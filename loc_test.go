@@ -17,10 +17,11 @@ import (
 // The two numbers ROADMAP's ledger tracks (item 5). cmdLineCeiling is the
 // gated one: lines of non-test Go in the packages `go list -deps ./cmd/...`
 // names: the code a command can execute. allTreeLines is reported, not
-// gated: lines of *.go that are not *_test.go and not under benchmarks/.
+// gated: lines of *.go that are not *_test.go and not under benchmarks/
+// or a testdata directory.
 const (
-	cmdLineCeiling = 18885
-	allTreeLines   = 21694
+	cmdLineCeiling = 18550
+	allTreeLines   = 21359
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
@@ -39,7 +40,7 @@ func TestNonTestLineCeiling(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if path == "benchmarks" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if path == "benchmarks" || d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -70,7 +71,7 @@ var flagCeiling = map[string]int{"sydcal": 1, "syddirectory": 3, "sydnode": 15}
 
 const (
 	configFieldCeiling = 21
-	withOptionCeiling  = 14
+	withOptionCeiling  = 13
 )
 
 func TestKnobCeiling(t *testing.T) {

@@ -89,7 +89,11 @@ func RunT1() (*Result, error) {
 	// SyD per-user storage: own slot rows only.
 	sydStorage := 0
 	for _, u := range users {
-		sydStorage += w.Cals[u].SlotCount() * entrySize
+		slots, err := w.Nodes[u].DB.Table("cal_slots")
+		if err != nil {
+			return nil, err
+		}
+		sydStorage += slots.Count() * entrySize
 	}
 	sydStoragePerUser := sydStorage / nUsers
 
@@ -278,7 +282,7 @@ func RunT2() (*Result, error) {
 				Owner:   links.EntityRef{User: "u00", Entity: fmt.Sprintf("T2b-entity-%d", i)},
 				Targets: []links.EntityRef{{User: "u01", Entity: fmt.Sprintf("T2b-entity-%d", i)}},
 			}
-			if err := lm.InstallAt(ctx, lm.Self(), l); err != nil {
+			if err := lm.InstallAt(ctx, "u00", l); err != nil {
 				return nil, err
 			}
 		}
@@ -390,7 +394,7 @@ func RunT2() (*Result, error) {
 				Owner:   links.EntityRef{User: "u00", Entity: fmt.Sprintf("slot:2003-04-21:%d", i%24)},
 				Expires: w.Clk.Now().Add(time.Duration(i%2+1) * time.Hour),
 			}
-			if err := lm.InstallAt(ctx, lm.Self(), l); err != nil {
+			if err := lm.InstallAt(ctx, "u00", l); err != nil {
 				return nil, err
 			}
 		}
