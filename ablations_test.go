@@ -129,10 +129,10 @@ func (a *auditLog) LogTx(ops []store.LoggedOp) store.Ack {
 // RunA2 ablates the trigger placement (DESIGN.md §5 decision 2): the
 // paper's prototype used Oracle triggers inside the database (§5.3)
 // and planned to move them into the middleware. We wire the same
-// reaction ("slot reserved -> record an audit row") both ways — a
-// store-level After trigger and a middleware subscription link — and
-// show they observe identical sequences, while only the middleware
-// path works across heterogeneous stores.
+// reaction ("slot reserved -> record an audit row") both ways — on the
+// store's commit hook (a MutationLogger) and as a middleware
+// subscription link — and show they observe identical sequences, while
+// only the middleware path works across heterogeneous stores.
 func RunA2() (*Result, error) {
 	res := &Result{
 		ID:     "A2",

@@ -12,7 +12,7 @@ import (
 
 // A direct table write and a unit of that one op are the same write:
 // this file holds the two to each other over random op sequences, and
-// holds log replay to "the same apply, minus triggers and log".
+// holds log replay to "the same apply, minus the log".
 
 // recLogger records every unit handed to LogTx.
 type recLogger struct{ units [][]LoggedOp }
@@ -24,19 +24,11 @@ func (l *recLogger) LogTx(ops []LoggedOp) Ack {
 	return func() error { return nil }
 }
 
-type trigCall struct {
-	Timing   Timing
-	Op       Op
-	Old, New Row
-}
-
-// driven is one calendar table with an index, a recording logger and a
-// recording trigger at every (timing, op).
+// driven is one calendar table with an index and a recording logger.
 type driven struct {
-	db    *DB
-	tab   *Table
-	log   recLogger
-	calls []trigCall
+	db  *DB
+	tab *Table
+	log recLogger
 }
 
 func newDriven() *driven {
@@ -45,14 +37,6 @@ func newDriven() *driven {
 	d.tab = d.db.MustCreateTable(calendarSchema())
 	if err := d.tab.CreateIndex("status"); err != nil {
 		panic(err)
-	}
-	for _, timing := range []Timing{Before, After} {
-		for _, op := range []Op{OpInsert, OpUpdate, OpDelete} {
-			d.tab.OnTrigger(timing, op, "rec", func(op Op, old, new Row) error {
-				d.calls = append(d.calls, trigCall{timing, op, old.Clone(), new.Clone()})
-				return nil
-			})
-		}
 	}
 	return d
 }
@@ -113,7 +97,7 @@ func (d *driven) moved(u []LoggedOp) []LoggedOp {
 }
 
 func (d *driven) moveRow(r Row) Row {
-	if r.IsZero() {
+	if r.l == nil {
 		return r
 	}
 	out := d.tab.NewRow()
@@ -170,29 +154,21 @@ func TestDirectWriteIsAUnitOfOne(t *testing.T) {
 		written := 0
 		for i, raw := range opsRaw {
 			op := randomOp(rng, raw)
-			na, nb := len(a.calls), len(b.calls)
+			na, nb := len(a.log.units), len(b.log.units)
 			errA, errB := a.direct(op), b.unit(op)
 			if sentinel(errA) != sentinel(errB) {
 				t.Logf("op %d %v: direct %v, unit %v", i, op, errA, errB)
 				return false
 			}
-			ca, cb := a.calls[na:], b.calls[nb:]
 			if errA != nil {
-				// A refused write changed nothing; whether a Before trigger
-				// was asked about it first is not part of the contract.
-				for _, c := range append(ca, cb...) {
-					if c.Timing == After {
-						t.Logf("op %d %v: refused (%v) but fired %v", i, op, errA, c)
-						return false
-					}
+				// A refused write changed nothing, so it logged nothing.
+				if len(a.log.units) != na || len(b.log.units) != nb {
+					t.Logf("op %d %v: refused (%v) but logged", i, op, errA)
+					return false
 				}
 				continue
 			}
 			written++
-			if !reflect.DeepEqual(ca, cb) {
-				t.Logf("op %d %v: triggers direct %v, unit %v", i, op, ca, cb)
-				return false
-			}
 		}
 		if !reflect.DeepEqual(a.state(), b.state()) {
 			t.Logf("state: direct %v, unit %v", a.state(), b.state())
@@ -222,8 +198,8 @@ func TestDirectWriteIsAUnitOfOne(t *testing.T) {
 			t.Logf("state: direct %v, replayed %v", a.state(), r.state())
 			return false
 		}
-		if len(r.calls) != 0 || len(r.log.units) != 0 {
-			t.Logf("replay fired %v and logged %v", r.calls, r.log.units)
+		if len(r.log.units) != 0 {
+			t.Logf("replay logged %v", r.log.units)
 			return false
 		}
 		return true
@@ -234,8 +210,8 @@ func TestDirectWriteIsAUnitOfOne(t *testing.T) {
 	}
 }
 
-// TestApplyLoggedChecksItsInput: replay skips triggers and the log, not
-// the checks a corrupt or out-of-order log record must not get past.
+// TestApplyLoggedChecksItsInput: replay skips the log, not the checks a
+// corrupt or out-of-order log record must not get past.
 func TestApplyLoggedChecksItsInput(t *testing.T) {
 	d := newDriven()
 	ins := LoggedOp{Table: "calendar", Op: OpInsert, Row: slotRow(d.tab, "d", 9, "s0")}
@@ -270,7 +246,7 @@ func TestApplyLoggedChecksItsInput(t *testing.T) {
 	if !reflect.DeepEqual(before, d.state()) {
 		t.Errorf("refused replays changed the table: %v -> %v", before, d.state())
 	}
-	if len(d.calls) != 0 || len(d.log.units) != 0 {
-		t.Errorf("replay fired %v and logged %v", d.calls, d.log.units)
+	if len(d.log.units) != 0 {
+		t.Errorf("replay logged %v", d.log.units)
 	}
 }

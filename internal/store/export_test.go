@@ -24,13 +24,6 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
-// OnTrigger registers an ECA trigger for op at the given timing under id.
-func (t *Table) OnTrigger(timing Timing, op Op, id string, fn TriggerFunc) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.triggers[timing] = append(t.triggers[timing], trigger{id: id, op: op, fn: fn})
-}
-
 // Get returns a copy of the row for keyVals as the tx sees it.
 func (tx *Tx) Get(table string, keyVals ...any) (row Row, ok bool) {
 	ok = tx.View(table, func(r Row) { row = r.Clone() }, keyVals...)

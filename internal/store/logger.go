@@ -12,8 +12,8 @@ package store
 //     is held; a Tx never committed applies and logs nothing.
 //   - A direct Table.Insert/Update/Delete is a Tx of that one op.
 //   - DDL (CreateTable, CreateIndex) is logged as it commits.
-//   - Replay via ApplyLogged/ApplyDDL* bypasses both triggers and the
-//     logger, so recovery never re-logs or double-fires.
+//   - Replay via ApplyLogged/ApplyDDL* bypasses the logger, so recovery
+//     never re-logs.
 //
 // Logging is two-phase so a write-ahead log can group-commit: the
 // LogTx CALL runs while the mutated table's lock is still held, which
@@ -39,7 +39,8 @@ type LoggedOp struct {
 }
 
 // Ack blocks until the corresponding log unit is durable (per the
-// log's sync policy) and reports the outcome. Call it at most once.
+// log's sync policy) and reports the outcome. Call it exactly once; the
+// logger may reuse it afterwards.
 type Ack func() error
 
 // MutationLogger receives committed mutations. Implementations must be
@@ -82,7 +83,7 @@ func (db *DB) currentLogger() MutationLogger {
 }
 
 // ApplyLogged applies one atomic unit of replayed mutations, bypassing
-// triggers and the logger. It is the recovery-side twin of
+// the logger. It is the recovery-side twin of
 // MutationLogger.LogTx.
 func (db *DB) ApplyLogged(ops []LoggedOp) error {
 	for _, op := range ops {

@@ -85,8 +85,8 @@ func (l *layout) name() string {
 // insert or update it is handed to returns it. A getter returns the
 // zero value for a column that is unset or of another type.
 //
-// The zero Row is no row: what a trigger gets for the old row of an
-// insert or the new row of a delete.
+// The zero Row is no row: the Row of a logged delete and the Key of a
+// logged insert.
 type Row struct {
 	l    *layout
 	vals []Value
@@ -99,9 +99,6 @@ type Row struct {
 func (t *Table) NewRow() Row {
 	return Row{l: t.l, vals: make([]Value, len(t.l.cols))}
 }
-
-// IsZero reports whether r is the zero Row.
-func (r Row) IsZero() bool { return r.l == nil }
 
 // Len reports how many columns are set.
 func (r Row) Len() int { return bits.OnesCount64(r.set) }

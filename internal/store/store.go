@@ -6,9 +6,9 @@
 // for event-based updates (§5.3), while noting that a portable SyD
 // should not depend on a specific database and should move triggers to
 // the middleware. This package is that portable store: typed tables
-// with primary keys, secondary indexes, predicate queries, local
-// multi-table transactions, and row-level ECA (event-condition-action)
-// triggers that the SyDLinks module attaches to.
+// with primary keys, secondary indexes, predicate queries and local
+// multi-table transactions. It has no triggers: reactions to a change
+// are SyDLinks triggers (internal/links), the middleware's own.
 package store
 
 import (
@@ -66,7 +66,7 @@ type Schema struct {
 // rowKey is the encoded primary key used as the map key for rows.
 type rowKey string
 
-// Op enumerates row mutation operations for triggers.
+// Op enumerates row mutation operations.
 type Op int
 
 // Mutation operations.
@@ -88,21 +88,6 @@ func (o Op) String() string {
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
-
-// Timing says whether a trigger runs before the mutation (and may veto
-// it by returning an error) or after it commits to the table.
-type Timing int
-
-// Trigger timings.
-const (
-	Before Timing = iota
-	After
-)
-
-// TriggerFunc is the action of an ECA trigger. old is the zero Row for
-// inserts, new is the zero Row for deletes. A Before trigger returning an error aborts
-// the mutation.
-type TriggerFunc func(op Op, old, new Row) error
 
 // Errors returned by the store.
 var (
@@ -222,18 +207,17 @@ func validateSchema(s Schema) error {
 	return nil
 }
 
-// Table is a single typed table with primary key, secondary indexes,
-// and triggers. All methods are safe for concurrent use.
+// Table is a single typed table with primary key and secondary
+// indexes. All methods are safe for concurrent use.
 type Table struct {
 	db     *DB
 	schema Schema
 	l      *layout // every stored row's
 	keyL   *layout // the key rows of logged updates and deletes
 
-	mu       sync.RWMutex
-	rows     map[rowKey]Row
-	indexes  []index
-	triggers map[Timing][]trigger
+	mu      sync.RWMutex
+	rows    map[rowKey]Row
+	indexes []index
 }
 
 // index is a secondary index: the keys of the rows holding each value
@@ -243,21 +227,14 @@ type index struct {
 	m   map[Value]map[rowKey]struct{}
 }
 
-type trigger struct {
-	id string
-	op Op
-	fn TriggerFunc
-}
-
 func newTable(db *DB, s Schema) *Table {
 	l := newLayout(s.Name, s.Columns, s.Key)
 	return &Table{
-		db:       db,
-		schema:   s,
-		l:        l,
-		keyL:     l.keyLayout(),
-		rows:     make(map[rowKey]Row),
-		triggers: make(map[Timing][]trigger),
+		db:     db,
+		schema: s,
+		l:      l,
+		keyL:   l.keyLayout(),
+		rows:   make(map[rowKey]Row),
 	}
 }
 
@@ -380,55 +357,6 @@ func (t *Table) lookup(keyVals []any) (Row, bool) {
 	}
 	r, ok := t.rows[rowKey(k)]
 	return r, ok
-}
-
-// fire runs the triggers for (timing, op); the table lock must NOT be
-// held by the caller for After triggers that re-enter the table, so
-// fire is always called outside t.mu.
-func (t *Table) fire(timing Timing, op Op, old, new Row) error {
-	t.mu.RLock()
-	if len(t.triggers[timing]) == 0 {
-		t.mu.RUnlock()
-		return nil
-	}
-	list := make([]trigger, len(t.triggers[timing]))
-	copy(list, t.triggers[timing])
-	t.mu.RUnlock()
-	for _, tr := range list {
-		if tr.op != op {
-			continue
-		}
-		if err := tr.fn(op, old, new); err != nil {
-			if timing == Before {
-				return err
-			}
-			// After triggers cannot veto; their errors are
-			// surfaced to the caller but the row change stands.
-			return fmt.Errorf("store: after-trigger %s: %w", tr.id, err)
-		}
-	}
-	return nil
-}
-
-// hasTrigger reports whether any trigger matches (timing, op), letting
-// a unit skip the defensive row clones it would otherwise build just to
-// hand to fire. A trigger registered concurrently with a mutation may
-// miss that mutation either way — the check only moves the race a few
-// instructions earlier.
-func (t *Table) hasTrigger(timing Timing, op Op) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.hasTriggerLocked(timing, op)
-}
-
-// hasTriggerLocked is hasTrigger for a caller that holds t.mu.
-func (t *Table) hasTriggerLocked(timing Timing, op Op) bool {
-	for _, tr := range t.triggers[timing] {
-		if tr.op == op {
-			return true
-		}
-	}
-	return false
 }
 
 // CreateIndex builds a secondary index on column col.
@@ -661,26 +589,21 @@ func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 // k, directly to the table's maps; the caller holds t.mu (Tx.Commit
 // applies its whole buffer under the locks of every involved table). An
 // inserted row is stored as it stands: Tx.Insert took ownership of it.
-// Returns the stored old and new row for After triggers.
-func (t *Table) applyOpLocked(op LoggedOp, k rowKey) (old, new Row) {
+func (t *Table) applyOpLocked(op LoggedOp, k rowKey) {
 	cur := t.rows[k]
 	switch op.Op {
 	case OpInsert:
 		t.rows[k] = op.Row
 		t.indexAdd(k, op.Row)
-		return Row{}, op.Row
 	case OpUpdate:
 		t.indexRemove(k, cur)
 		stored := merged(cur, op.Row)
 		t.rows[k] = stored
 		t.indexAdd(k, stored)
-		return cur, stored
 	case OpDelete:
 		delete(t.rows, k)
 		t.indexRemove(k, cur)
-		return cur, Row{}
 	}
-	return Row{}, Row{}
 }
 
 // checkExists is the rule every apply honours: an insert needs its key
@@ -696,7 +619,7 @@ func checkExists(op LoggedOp, k rowKey, exists bool) error {
 }
 
 // replay applies one logged op: a unit's checks and a unit's apply,
-// with no trigger fired and nothing logged.
+// with nothing logged.
 func (t *Table) replay(op LoggedOp) error {
 	var k rowKey
 	var err error

@@ -260,89 +260,6 @@ func TestSelectEqWithAndWithoutIndex(t *testing.T) {
 	}
 }
 
-func TestBeforeTriggerVetoes(t *testing.T) {
-	tab := newCalTable(t)
-	tab.OnTrigger(Before, OpInsert, "no-weekends", func(op Op, old, new Row) error {
-		if new.Str("day") == "saturday" {
-			return errors.New("no meetings on saturday")
-		}
-		return nil
-	})
-	if err := tab.Insert(slotRow(tab, "saturday", 9, "free")); err == nil {
-		t.Fatal("veto ignored")
-	}
-	if tab.Count() != 0 {
-		t.Fatal("vetoed row was stored")
-	}
-	if err := tab.Insert(slotRow(tab, "monday", 9, "free")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAfterTriggerObservesChange(t *testing.T) {
-	tab := newCalTable(t)
-	var fired []string
-	tab.OnTrigger(After, OpUpdate, "watch", func(op Op, old, new Row) error {
-		fired = append(fired, fmt.Sprintf("%v->%v", old.Str("status"), new.Str("status")))
-		return nil
-	})
-	if err := tab.Insert(slotRow(tab, "d", 9, "free")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Update(row(tab, "status", "reserved"), "d", int64(9)); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != "free->reserved" {
-		t.Fatalf("fired = %v", fired)
-	}
-}
-
-func TestAfterTriggerErrorDoesNotRollBack(t *testing.T) {
-	tab := newCalTable(t)
-	tab.OnTrigger(After, OpInsert, "grumpy", func(op Op, old, new Row) error {
-		return errors.New("after failure")
-	})
-	err := tab.Insert(slotRow(tab, "d", 9, "free"))
-	if err == nil {
-		t.Fatal("after-trigger error not surfaced")
-	}
-	if _, ok := tab.Get("d", int64(9)); !ok {
-		t.Fatal("row missing: after-trigger must not roll back")
-	}
-}
-
-func TestTriggerCanReenterTable(t *testing.T) {
-	// An After trigger that itself mutates the table (the cascade
-	// pattern SyDLinks relies on) must not deadlock.
-	tab := newCalTable(t)
-	tab.OnTrigger(After, OpDelete, "promote", func(op Op, old, new Row) error {
-		if old.Int("hour") == 9 {
-			return tab.Update(row(tab, "status", "promoted"), "d", int64(10))
-		}
-		return nil
-	})
-	if err := tab.Insert(slotRow(tab, "d", 9, "busy")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Insert(slotRow(tab, "d", 10, "tentative")); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- tab.Delete("d", int64(9)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("re-entrant trigger deadlocked")
-	}
-	got, _ := tab.Get("d", int64(10))
-	if got.Str("status") != "promoted" {
-		t.Fatalf("status = %v", got.Str("status"))
-	}
-}
-
 func TestConcurrentInsertsDistinctKeys(t *testing.T) {
 	tab := newCalTable(t)
 	var wg sync.WaitGroup

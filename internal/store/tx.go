@@ -36,11 +36,9 @@ import (
 // conflict (ErrConflict). A tx that is never committed leaves no trace
 // in memory or in the log.
 //
-// Before triggers fire at op-record time (and may veto the op); After
-// triggers fire once Commit has applied the unit. What a step decides
-// to send to other devices is queued with AfterCommit and runs, in
-// order, only once the unit is applied and logged: nothing is announced
-// that is not on the log.
+// What a step decides to send to other devices is queued with
+// AfterCommit and runs, in order, only once the unit is applied and
+// logged: nothing is announced that is not on the log.
 //
 // The buffer is two small slices scanned linearly — a step writes a
 // handful of rows, and a map per table costs more than it saves there.
@@ -240,11 +238,6 @@ func (tx *Tx) Insert(table string, r Row) error {
 	if tx.exists(t, k) {
 		return fmt.Errorf("%w: %s[%s]", ErrDupKey, t.schema.Name, k)
 	}
-	if t.hasTrigger(Before, OpInsert) {
-		if err := t.fire(Before, OpInsert, Row{}, r.Clone()); err != nil {
-			return err
-		}
-	}
 	tx.record(t, k, LoggedOp{Table: table, Op: OpInsert, Row: r})
 	return nil
 }
@@ -263,12 +256,6 @@ func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 	}
 	if !tx.exists(t, k) {
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
-	}
-	if t.hasTrigger(Before, OpUpdate) {
-		old, _ := tx.effective(t, k, len(tx.ops))
-		if err := t.fire(Before, OpUpdate, old.Clone(), merged(old, changes)); err != nil {
-			return err
-		}
 	}
 	tx.record(t, k, LoggedOp{Table: table, Op: OpUpdate, Row: changes, Key: t.keyRow(keyVals)})
 	return nil
@@ -298,12 +285,6 @@ func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 		}
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
 	}
-	if t.hasTrigger(Before, OpDelete) {
-		old, _ := tx.effective(t, k, len(tx.ops))
-		if err := t.fire(Before, OpDelete, old.Clone(), Row{}); err != nil {
-			return err
-		}
-	}
 	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete, Key: t.keyRow(keyVals)})
 	return nil
 }
@@ -316,13 +297,6 @@ func (tx *Tx) AfterCommit(fn func(ctx context.Context)) {
 	tx.mu.Lock()
 	tx.after = append(tx.after, fn)
 	tx.mu.Unlock()
-}
-
-// firedOp remembers what a committed op did, for After triggers.
-type firedOp struct {
-	t        *Table
-	op       Op
-	old, new Row
 }
 
 // Commit applies the buffered ops atomically and hands them to the
@@ -385,16 +359,8 @@ func (tx *Tx) commit(ctx context.Context) ([]func(context.Context), error) {
 		span.FinishErr(err)
 		return nil, err
 	}
-	var fired []firedOp
 	for i, op := range ops {
-		t := at[i].t
-		old, new := t.applyOpLocked(op, at[i].k)
-		if t.hasTriggerLocked(After, op.Op) {
-			if !new.IsZero() {
-				new = new.Clone()
-			}
-			fired = append(fired, firedOp{t: t, op: op.Op, old: old, new: new})
-		}
+		at[i].t.applyOpLocked(op, at[i].k)
 	}
 	// Enqueue the unit while the table locks are still held: the log
 	// order of these rows is now exactly their apply order relative to
@@ -419,11 +385,6 @@ func (tx *Tx) commit(ctx context.Context) ([]func(context.Context), error) {
 		}
 	}
 	span.FinishErr(err)
-	for _, f := range fired {
-		if ferr := f.t.fire(After, f.op, f.old, f.new); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	return after, err
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -142,5 +143,49 @@ func TestCloseEndsAndAwaitsInFlightHandlers(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("a handler's ctx ended with %v, want Canceled", err)
 		}
+	}
+}
+
+// TestServeConnStartsNothingAfterClose: a request read off a connection
+// once its listener's context has ended (Close cancels it before it
+// shuts the connections one by one, so a client's retry can still
+// arrive on one not yet shut) starts no handler, and the connection's
+// read loop returns.
+func TestServeConnStartsNothingAfterClose(t *testing.T) {
+	ran := make(chan struct{}, 1)
+	l := &tcpListener{
+		handler: HandlerFunc(func(ctx context.Context, req *Request) Response {
+			ran <- struct{}{}
+			return Response{OK: true}
+		}),
+		stats: &metrics.WireStats{},
+		conns: make(map[net.Conn]struct{}),
+	}
+	l.ctx, l.cancel = context.WithCancel(context.Background())
+	l.cancel()
+	server, client := net.Pipe()
+	defer client.Close()
+	l.wg.Add(1)
+	returned := make(chan struct{})
+	go func() {
+		l.serveConn(server)
+		close(returned)
+	}()
+	f, err := wire.EncodeFrameV3(&wire.Envelope{Kind: wire.KindRequest, Request: &Request{ID: 1, Service: "cal.phil", Method: "Block"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	go client.Write(f.Bytes())
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("serveConn kept reading after its listener's context ended")
+	}
+	l.wg.Wait()
+	select {
+	case <-ran:
+		t.Fatal("a handler ran for a request read after Close began")
+	default:
 	}
 }

@@ -178,6 +178,12 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		if err := fr.ReadRequest(&s.req); err != nil {
 			return
 		}
+		if l.ctx.Err() != nil {
+			// Close has begun: start no handler for a request read now
+			// (a client's retry of a call whose other connection Close
+			// shut first); its caller sees this connection close.
+			return
+		}
 		l.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
 		// Each request gets its own goroutine so a slow handler (e.g. a

@@ -90,17 +90,25 @@ func Open(dir string, opt Options) (*Durable, error) {
 
 // LogDDLTable implements store.MutationLogger.
 func (d *Durable) LogDDLTable(s store.Schema) store.Ack {
-	return store.Ack(d.wal.append(ddlBody(record{Kind: kindTable, Schema: schemaToDoc(s)})))
+	p := newPending()
+	body, err := ddlBody(p.body, record{Kind: kindTable, Schema: schemaToDoc(s)})
+	return d.wal.enqueue(p, body, err)
 }
 
 // LogDDLIndex implements store.MutationLogger.
 func (d *Durable) LogDDLIndex(table, col string) store.Ack {
-	return store.Ack(d.wal.append(ddlBody(record{Kind: kindIndex, Table: table, Col: col})))
+	p := newPending()
+	body, err := ddlBody(p.body, record{Kind: kindIndex, Table: table, Col: col})
+	return d.wal.enqueue(p, body, err)
 }
 
-// LogTx implements store.MutationLogger.
+// LogTx implements store.MutationLogger. The unit is encoded into the
+// body buffer of a recycled pending, and the Ack is that pending's, so
+// logging a unit allocates nothing once the pool is warm.
 func (d *Durable) LogTx(ops []store.LoggedOp) store.Ack {
-	return store.Ack(d.wal.append(txBody(ops)))
+	p := newPending()
+	body, err := txBody(p.body, ops)
+	return d.wal.enqueue(p, body, err)
 }
 
 // checkpointName returns the snapshot file name for lsn.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/jsonrec"
@@ -16,7 +17,8 @@ import (
 //
 // A record body is the payload with room in front for its LSN instead of
 // the LSN itself: `,"kind":…}` starting at lsnRoom. The body is built
-// before the log's mutex is taken; only the LSN is written under it.
+// before the log's mutex is taken, into the buffer of the recycled
+// pending that carries it (wal.go); only the LSN is written under it.
 
 const (
 	lsnKey  = `{"lsn":`
@@ -33,23 +35,25 @@ func withLSN(body []byte, lsn uint64) []byte {
 	return body[start:]
 }
 
-// ddlBody is the record body of a DDL record, by way of json.Marshal.
-func ddlBody(r record) ([]byte, error) {
+// ddlBody is the record body of a DDL record, by way of json.Marshal,
+// written into dst's storage.
+func ddlBody(dst []byte, r record) ([]byte, error) {
 	r.LSN = 0
 	raw, err := encodeRecord(r)
 	if err != nil {
 		return nil, err
 	}
-	return append(make([]byte, lsnRoom, lsnRoom+len(raw)), raw[len(lsnKey)+1:]...), nil
+	return append(append(dst[:0], make([]byte, lsnRoom)...), raw[len(lsnKey)+1:]...), nil
 }
 
-// txBody is the record body of one atomic unit of row mutations.
-func txBody(ops []store.LoggedOp) ([]byte, error) {
+// txBody is the record body of one atomic unit of row mutations,
+// written into dst's storage (grown to fit when it is too small).
+func txBody(dst []byte, ops []store.LoggedOp) ([]byte, error) {
 	size := lsnRoom + 32
 	for _, op := range ops {
 		size += 48 + len(op.Table) + op.Row.SizeHint() + op.Key.SizeHint()
 	}
-	b := append(make([]byte, lsnRoom, size), `,"kind":"tx"`...)
+	b := append(slices.Grow(dst[:0], size)[:lsnRoom], `,"kind":"tx"`...)
 	var err error
 	for i, op := range ops {
 		if i == 0 {

@@ -118,13 +118,68 @@ type statCounters struct {
 	checkpoints                                                 atomic.Uint64
 }
 
-// pending is one enqueued record waiting for the flusher.
+// pending is one enqueued record waiting for the flusher. Pendings are
+// recycled through pendingPool: whoever holds a pending's ack owns it
+// from enqueue until the ack returns, and the ack puts it back, so a
+// logged unit allocates neither its pending, nor its channel, nor its
+// ack, nor (once the buffer has grown to fit) its body.
 type pending struct {
+	w       *WAL
 	lsn     uint64
-	payload []byte
+	body    []byte // the record body, room for the LSN in front (encode.go)
+	payload []byte // body completed with its LSN: what the frame carries
 	start   time.Time
 	done    chan error
+	ack     func() error // p.wait, bound once
 }
+
+// maxPooledBody is the largest body buffer a recycled pending keeps.
+const maxPooledBody = 64 << 10
+
+// maxKeptBatch is the largest frame buffer the flusher keeps between
+// batches.
+const maxKeptBatch = 1 << 20
+
+var pendingPool sync.Pool
+
+// newPending takes a pending from the pool, or makes one; encode its
+// body into p.body's storage and hand it to enqueue.
+func newPending() *pending {
+	if p, ok := pendingPool.Get().(*pending); ok {
+		return p
+	}
+	p := &pending{done: make(chan error, 1)}
+	p.ack = p.wait
+	return p
+}
+
+// wait is a pending's ack: it blocks until the flusher reports the
+// record's outcome, records the commit metric and recycles p. Call it
+// exactly once.
+func (p *pending) wait() error {
+	err := <-p.done
+	if m := p.w.opt.Metrics; m != nil {
+		code := okCode
+		if err != nil {
+			code = errCode
+		}
+		m.Observe(metrics.LayerWAL, walService, "commit", code, time.Since(p.start))
+	}
+	p.release()
+	return err
+}
+
+// release returns p to the pool, dropping a body too large to keep.
+func (p *pending) release() {
+	p.w, p.payload = nil, nil
+	if cap(p.body) > maxPooledBody {
+		p.body = nil
+	}
+	pendingPool.Put(p)
+}
+
+// closedAck is the ack of a record offered after Close.
+var closedAck = func() error { return ErrClosed }
 
 // WAL is the append-only log. Appends may come from any goroutine; a
 // single flusher goroutine owns the file.
@@ -138,11 +193,17 @@ type WAL struct {
 	nextLSN uint64
 	closed  bool
 
-	// ioMu guards the file side: current segment, rotation, trimming.
+	// spare is the flusher's other queue: each flush swaps it in for the
+	// queue it drains, so neither is grown again once it fits a batch.
+	spare []*pending
+
+	// ioMu guards the file side: current segment, rotation, trimming,
+	// and buf, the flusher's reused frame buffer.
 	ioMu     sync.Mutex
 	f        *os.File
 	segSize  int64
 	segFirst uint64
+	buf      []byte
 
 	kick    chan struct{}
 	closeCh chan struct{}
@@ -272,19 +333,22 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// append enqueues one record, given as its body (see encode.go) or the
-// error that kept it from being encoded, and returns an ack that blocks
-// until it is durable per the sync policy. It never blocks on I/O itself,
-// so it is safe to call under store locks.
-func (w *WAL) append(body []byte, err error) func() error {
+// enqueue queues p with body as its record body (see encode.go), or
+// recycles it when err kept the record from being encoded, and returns
+// an ack that blocks until the record is durable per the sync policy.
+// It never blocks on I/O itself, so it is safe to call under store
+// locks.
+func (w *WAL) enqueue(p *pending, body []byte, err error) func() error {
 	if err != nil {
+		p.release()
 		return func() error { return err }
 	}
-	p := &pending{start: time.Now(), done: make(chan error, 1)}
+	p.w, p.body, p.start = w, body, time.Now()
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return func() error { return ErrClosed }
+		p.release()
+		return closedAck
 	}
 	p.lsn = w.nextLSN
 	w.nextLSN++
@@ -296,17 +360,7 @@ func (w *WAL) append(body []byte, err error) func() error {
 	case w.kick <- struct{}{}:
 	default:
 	}
-	return func() error {
-		err := <-p.done
-		if w.opt.Metrics != nil {
-			code := okCode
-			if err != nil {
-				code = errCode
-			}
-			w.opt.Metrics.Observe(metrics.LayerWAL, walService, "commit", code, time.Since(p.start))
-		}
-		return err
-	}
+	return p.ack
 }
 
 // LastLSN reports the highest assigned LSN.
@@ -331,13 +385,17 @@ func (w *WAL) flushLoop() {
 	}
 }
 
-// flushOnce writes and syncs everything currently queued.
+// flushOnce writes and syncs everything currently queued. It swaps the
+// queue for the flusher's spare and, once the batch is acked, clears it
+// and keeps it as the next spare. An acked pending belongs to its
+// waiter again, so nothing here reads a pending after its ack is sent.
 func (w *WAL) flushOnce() {
 	w.mu.Lock()
 	batch := w.queue
-	w.queue = nil
+	w.queue, w.spare = w.spare, nil
 	w.mu.Unlock()
 	if len(batch) == 0 {
+		w.spare = batch
 		return
 	}
 	// The flusher runs off any request path, so the flush span is a
@@ -356,16 +414,17 @@ func (w *WAL) flushOnce() {
 	err := w.writeBatchLocked(batch)
 	w.ioMu.Unlock()
 	span.FinishErr(err)
-	if err != nil {
-		// writeBatchLocked acks only after the whole batch is written.
-		for _, p := range batch {
-			p.done <- err
-		}
+	// No record is acked before the write (and fsync) covering the
+	// whole batch has returned.
+	for _, p := range batch {
+		p.done <- err
 	}
+	clear(batch)
+	w.spare = batch[:0]
 }
 
-// writeBatchLocked writes the batch in one write and acks every
-// pending nil; on error the caller propagates it to the batch.
+// writeBatchLocked frames the batch into the flusher's buffer and
+// writes it in one write; the caller acks the batch with the outcome.
 func (w *WAL) writeBatchLocked(batch []*pending) error {
 	w.stats.batches.Add(1)
 	if n := uint64(len(batch)); n > w.stats.maxBatch.Load() {
@@ -376,17 +435,14 @@ func (w *WAL) writeBatchLocked(batch []*pending) error {
 		// count: 1µs == 1 record per fsync batch.
 		w.opt.Metrics.Observe(metrics.LayerWAL, walService, "batch", okCode, time.Duration(len(batch))*time.Microsecond)
 	}
-	var buf []byte
+	buf := w.buf[:0]
 	for _, p := range batch {
 		buf = appendFrame(buf, p.payload)
 	}
-	if err := w.writeLocked(batch[0].lsn, buf); err != nil {
-		return err
+	if cap(buf) <= maxKeptBatch {
+		w.buf = buf
 	}
-	for _, p := range batch {
-		p.done <- nil
-	}
-	return nil
+	return w.writeLocked(batch[0].lsn, buf)
 }
 
 // writeLocked appends framed records, the first of which has LSN

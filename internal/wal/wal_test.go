@@ -3,9 +3,12 @@ package wal
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -505,6 +508,115 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	if n := tab2.Count(); n != writers*perWriter {
 		t.Fatalf("recovered %d rows, want %d", n, writers*perWriter)
+	}
+}
+
+// TestGroupCommitRecyclesAcrossAWriteFailure: eight writers share
+// recycled pendings under SyncGroup while the segment file is closed
+// underneath them mid-run. Every ack of a batch written before the
+// failure returns nil, every ack of a batch the failure hit returns that
+// write error (never nil), a reopen replays exactly the acked units in
+// LSN order, and an ack taken after Close returns ErrClosed.
+func TestGroupCommitRecyclesAcrossAWriteFailure(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
+	tab, err := d.DB.CreateTable(testSchema("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 8, 60
+	ts := time.Unix(0, 0).UTC()
+	acked := make([][]bool, writers) // acked[wr][i]: writer wr's unit i acked nil
+	var logged atomic.Int64
+	var wg sync.WaitGroup
+	for wr := range writers {
+		acked[wr] = make([]bool, perWriter)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				err := tab.Insert(rowOf(tab, map[string]any{"id": int64(wr*perWriter + i), "val": "v", "ts": ts}))
+				switch {
+				case err == nil:
+					acked[wr][i] = true
+				case !errors.Is(err, os.ErrClosed):
+					t.Errorf("writer %d unit %d: %v, want the closed file's write error", wr, i, err)
+				}
+				if logged.Add(1) == writers*perWriter/2 {
+					d.wal.ioMu.Lock()
+					d.wal.f.Close()
+					d.wal.ioMu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	d.Close() // its final sync fails on the closed file
+	op := store.LoggedOp{Table: "t", Op: store.OpInsert, Row: rowOf(tab, map[string]any{"id": int64(-1), "val": "v", "ts": ts})}
+	if err := d.LogTx([]store.LoggedOp{op})(); err != ErrClosed {
+		t.Fatalf("an ack taken after Close returned %v, want ErrClosed", err)
+	}
+
+	// A writer's units are acked in its order, so each writer's acked
+	// units are a prefix of its units.
+	want := map[int64]bool{}
+	for wr, units := range acked {
+		for i, ok := range units {
+			if ok && i > 0 && !units[i-1] {
+				t.Fatalf("writer %d: unit %d acked after unit %d failed", wr, i, i-1)
+			}
+			if ok {
+				want[int64(wr*perWriter+i)] = true
+			}
+		}
+	}
+	if len(want) == 0 || len(want) == writers*perWriter {
+		t.Fatalf("%d of %d units acked: the failure did not land mid-run", len(want), writers*perWriter)
+	}
+
+	d2 := mustOpen(t, dir, Options{})
+	defer d2.Close()
+	if n := d2.Stats().ReplayedTxs; n != uint64(len(want)) {
+		t.Fatalf("reopen replayed %d units, want the %d acked", n, len(want))
+	}
+	tab2, err := d2.DB.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range want {
+		if _, ok := tab2.Get(id); !ok {
+			t.Fatalf("acked unit %d not replayed", id)
+		}
+	}
+	// In LSN order: consecutive LSNs, and each writer's units in its order.
+	data := readSegment(t, dir)
+	var lastLSN uint64
+	lastID := map[int64]int64{}
+	for len(data) > 0 {
+		payload, n, err := nextFrame(data)
+		if err != nil {
+			t.Fatalf("segment: %v", err)
+		}
+		data = data[n:]
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastLSN != 0 && rec.LSN != lastLSN+1 {
+			t.Fatalf("LSN %d follows %d", rec.LSN, lastLSN)
+		}
+		lastLSN = rec.LSN
+		if rec.Kind != kindTx {
+			continue
+		}
+		id, err := strconv.ParseInt(string(rec.Ops[0].Row["id"]), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := lastID[id/perWriter]; ok && prev >= id {
+			t.Fatalf("writer %d: unit %d logged after unit %d", id/perWriter, id, prev)
+		}
+		lastID[id/perWriter] = id
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18550
-	allTreeLines   = 21359
+	cmdLineCeiling = 18506
+	allTreeLines   = 21315
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
