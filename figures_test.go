@@ -11,6 +11,7 @@ import (
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -253,6 +254,16 @@ func RunF3() (*Result, error) {
 	return res, nil
 }
 
+// attrOf returns the value of attrs' key, or "".
+func attrOf(attrs []trace.Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // RunF4 reproduces Figure 4 (the UML activity diagram of a
 // negotiation-or across objects A, B, C): it prints the step-accurate
 // protocol trace and then checks the §4.3 semantics table for every
@@ -282,19 +293,34 @@ func RunF4() (*Result, error) {
 		Constraint: links.Or,
 		Local:      &links.LocalChange{Entity: slot.Entity(), Action: calendar.ActionReserve, Args: wire.Args{wire.Str("meeting", "F4-M"), wire.Int("priority", 0)}},
 	}
+	// The steps are the events of A's links.Negotiate span.
+	col := trace.NewCollector()
+	w.Cals["A"].Links().SetTracer(col.Tracer("A", trace.WithSampleRate(1)))
 	outcome, err := w.Cals["A"].Links().Negotiate(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range outcome.Trace {
-		detail := s.Detail
-		switch {
-		case s.Reason != "":
-			detail = string(s.Reason) // a refused mark's wire.Reason
-		case detail == outcome.NID:
-			detail = "<negotiation id>" // minted with a per-process prefix
+	var negotiation *trace.Span
+	for _, s := range col.Spans() {
+		if s.Name == "links.Negotiate" {
+			negotiation = s
 		}
-		res.AddRow(s.Phase, s.Entity, fmt.Sprintf("%v", s.OK), detail)
+	}
+	if negotiation == nil || attrOf(negotiation.Attrs, "nid") != outcome.NID {
+		return nil, fmt.Errorf("F4: no links.Negotiate span for %s", outcome.NID)
+	}
+	for _, e := range negotiation.Events {
+		switch e.Name {
+		case "mark", "change", "unlock", "abort":
+			// A refused mark's detail is its wire.Reason.
+			res.AddRow(e.Name, attrOf(e.Attrs, "entity"), attrOf(e.Attrs, "ok"), attrOf(e.Attrs, "reason"))
+		case "constraint":
+			res.AddRow(e.Name, "", attrOf(e.Attrs, "ok"), fmt.Sprintf("%s k=%s locked=%s n=%s",
+				attrOf(e.Attrs, "constraint"), attrOf(e.Attrs, "k"), attrOf(e.Attrs, "locked"), attrOf(e.Attrs, "n")))
+		case "journal.begin":
+			// The row is keyed by the span's nid, minted with a per-process prefix.
+			res.AddRow("journal", "", "true", "<negotiation id>")
+		}
 	}
 	res.AddNote("accepted=%v rejected=%v — matches Fig.4: A locks itself, marks B and C, B refuses, constraint or(k=1) holds, A and C change", outcome.Accepted, outcome.Rejected)
 

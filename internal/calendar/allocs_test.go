@@ -1,0 +1,49 @@
+package calendar_test
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/calendar"
+	"repro/internal/core"
+)
+
+// TestScheduleCancelAllocs pins what a two-attendee schedule and its
+// cancel cost the process on a calendar with no notifier, every protocol
+// step a round trip over the sim network: no notice is built, and an
+// untraced negotiation keeps no steps. It cost 234 allocations while both
+// were built for nobody.
+func TestScheduleCancelAllocs(t *testing.T) {
+	w := newWorld(t)
+	w.routeTTL = time.Hour
+	ctx := context.Background()
+	cals := map[string]*calendar.Calendar{}
+	for _, u := range []string{"a", "b"} {
+		n, err := core.Start(ctx, core.Config{User: u, Net: w.network(u), DirAddr: "dir", Clock: w.clk, RouteCacheTTL: w.routeTTL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cals[u], err = calendar.New(ctx, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := calendar.Request{Title: "sync", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b"}}
+	op := func() {
+		m, err := cals["a"].SetupMeeting(ctx, req)
+		if err != nil || m.Status != calendar.StatusConfirmed {
+			t.Fatalf("schedule: %+v, %v", m, err)
+		}
+		if err := cals["a"].CancelMeeting(ctx, m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op() // the route caches
+	want := 194.0
+	if raceEnabled {
+		want += 30
+	}
+	if got := testing.AllocsPerRun(100, op); got > want {
+		t.Fatalf("a schedule and its cancel: %.0f allocs, want <= %.0f", got, want)
+	}
+}

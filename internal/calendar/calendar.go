@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -78,7 +79,8 @@ func (c *Calendar) holdMeeting(ctx context.Context, id string, how links.Hold) (
 // Option configures a Calendar.
 type Option func(*Calendar)
 
-// WithNotifier sets the e-mail notifier (§5.1). Default: discard.
+// WithNotifier sets the e-mail notifier (§5.1). Default: none, and no
+// notice is built.
 func WithNotifier(n notify.Notifier) Option {
 	return func(c *Calendar) { c.notifier = n }
 }
@@ -102,7 +104,7 @@ func New(ctx context.Context, node *core.Node, opts ...Option) (*Calendar, error
 // publishing its service (the caller registers ServiceObject where it
 // sees fit, such as a test listener).
 func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engine, opts ...Option) (*Calendar, error) {
-	c := &Calendar{user: user, db: db, lm: lm, eng: eng, notifier: notify.Discard{}}
+	c := &Calendar{user: user, db: db, lm: lm, eng: eng}
 	for _, o := range opts {
 		o(c)
 	}
@@ -715,11 +717,35 @@ func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot
 	return nil
 }
 
-// notifyParticipants sends the §5.1 e-mail notification.
-func (c *Calendar) notifyParticipants(ctx context.Context, m *Meeting, subject, body string) {
-	_ = c.notifier.Notify(ctx, notify.Message{
-		To:      m.Participants(),
-		Subject: subject,
-		Body:    body,
-	})
+// notice is one §5.1 e-mail about m: what happened, the subject's last
+// words ("" for a schedule: m's status), by whom, and the slot a move left.
+type notice struct {
+	m        *Meeting
+	what, by string
+	from     Slot
+}
+
+// notifyParticipants sends the §5.1 e-mail n, formatted only when the
+// calendar has a notifier.
+func (c *Calendar) notifyParticipants(ctx context.Context, n notice) {
+	if c.notifier == nil {
+		return
+	}
+	m, what := n.m, n.what
+	var body string
+	switch what {
+	case "":
+		what, body = m.Status, fmt.Sprintf("%s at %s, initiated by %s.", m.Title, m.Slot, m.Initiator)
+	case "cancelled":
+		body = fmt.Sprintf("%s at %s was cancelled by %s.", m.Title, m.Slot, n.by)
+	case "confirmed":
+		body = fmt.Sprintf("%s at %s is now confirmed.", m.Title, m.Slot)
+	case "now tentative":
+		body = fmt.Sprintf("%s dropped out of %s at %s.", n.by, m.Title, m.Slot)
+	case "moved":
+		body = fmt.Sprintf("%s moved from %s to %s.", m.Title, n.from, m.Slot)
+	case "bumped":
+		body = fmt.Sprintf("%s was bumped off %s by a higher-priority meeting; %s is now tentative.", n.by, m.Slot, m.Title)
+	}
+	_ = c.notifier.Notify(ctx, notify.Message{To: m.Participants(), Subject: fmt.Sprintf("Meeting %s (%s) %s", m.ID, m.Title, what), Body: body})
 }

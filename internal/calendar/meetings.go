@@ -177,9 +177,7 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	if err := c.linkAndPublish(ctx, m, req.Expires, sentExactly(sent)); err != nil {
 		return nil, err
 	}
-	c.notifyParticipants(ctx, m,
-		fmt.Sprintf("Meeting %s (%s) %s", m.ID, m.Title, m.Status),
-		fmt.Sprintf("%s at %s, initiated by %s.", m.Title, m.Slot, m.Initiator))
+	c.notifyParticipants(ctx, notice{m: m})
 	return m, nil
 }
 
@@ -404,9 +402,7 @@ func (c *Calendar) retract(ctx context.Context, m *Meeting, d links.Unlinked, by
 	if err != nil {
 		return err
 	}
-	c.notifyParticipants(ctx, m,
-		fmt.Sprintf("Meeting %s (%s) cancelled", m.ID, m.Title),
-		fmt.Sprintf("%s at %s was cancelled by %s.", m.Title, m.Slot, byUser))
+	c.notifyParticipants(ctx, notice{m: m, what: "cancelled", by: byUser})
 	return nil
 }
 
@@ -495,9 +491,7 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 		return m, err
 	}
 	if prev != m.Status && m.Status == StatusConfirmed {
-		c.notifyParticipants(ctx, m,
-			fmt.Sprintf("Meeting %s (%s) confirmed", m.ID, m.Title),
-			fmt.Sprintf("%s at %s is now confirmed.", m.Title, m.Slot))
+		c.notifyParticipants(ctx, notice{m: m, what: "confirmed"})
 	}
 	return m, nil
 }
@@ -567,9 +561,7 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 	}
 	c.push(ctx, encodeMeeting(m), removeString(m.Participants(), c.user))
 	if prev != m.Status {
-		c.notifyParticipants(ctx, m,
-			fmt.Sprintf("Meeting %s (%s) now tentative", m.ID, m.Title),
-			fmt.Sprintf("%s dropped out of %s at %s.", user, m.Title, m.Slot))
+		c.notifyParticipants(ctx, notice{m: m, what: "now tentative", by: user})
 	}
 	return nil
 }
@@ -616,9 +608,7 @@ func (c *Calendar) ChangeMeetingSlot(ctx context.Context, meetingID string, newS
 	// releasing the old slots to their waiters. The record has moved on from
 	// the old link, whose deletion cancels nothing (linkHook).
 	err = c.lm.DeleteLink(ctx, old.LinkID, nil)
-	c.notifyParticipants(ctx, m,
-		fmt.Sprintf("Meeting %s (%s) moved", m.ID, m.Title),
-		fmt.Sprintf("%s moved from %s to %s.", m.Title, old.Slot, newSlot))
+	c.notifyParticipants(ctx, notice{m: m, what: "moved", from: old.Slot})
 	return err
 }
 
@@ -696,9 +686,7 @@ func (c *Calendar) meetingBumpedLocally(ctx context.Context, meetingID, user str
 	}
 	m.Status = StatusTentative
 	_ = c.publish(ctx, m, nil)
-	c.notifyParticipants(ctx, m,
-		fmt.Sprintf("Meeting %s (%s) bumped", m.ID, m.Title),
-		fmt.Sprintf("%s was bumped off %s by a higher-priority meeting; %s is now tentative.", user, m.Slot, m.Title))
+	c.notifyParticipants(ctx, notice{m: m, what: "bumped", by: user})
 }
 
 // Delegate grants user the right to cancel/change the meeting (§5's

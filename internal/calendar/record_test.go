@@ -124,3 +124,34 @@ func TestMeetingRecordAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestParticipantsOrder: the initiator, the musts, the supervisors and the
+// or-groups' members, each user once where first seen, none empty, in one
+// allocation.
+func TestParticipantsOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    Meeting
+		want []string
+	}{
+		{"initiator alone", Meeting{Initiator: "a"}, []string{"a"}},
+		{"first-seen order", Meeting{Initiator: "a", Must: []string{"c", "b"}, Supervisors: []string{"d"},
+			OrGroups: []OrGroup{{Members: []string{"f", "e"}}, {Members: []string{"g"}}}},
+			[]string{"a", "c", "b", "d", "f", "e", "g"}},
+		{"duplicates across lists", Meeting{Initiator: "a", Must: []string{"b", "a", "b"}, Supervisors: []string{"b", "c"},
+			OrGroups: []OrGroup{{Members: []string{"c", "a", "d"}}, {Members: []string{"d", "e"}}}},
+			[]string{"a", "b", "c", "d", "e"}},
+		{"empty initiator", Meeting{Must: []string{"b", ""}, OrGroups: []OrGroup{{Members: []string{"", "c"}}}},
+			[]string{"b", "c"}},
+		{"nobody", Meeting{}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.m.Participants(); !reflect.DeepEqual(append([]string(nil), got...), tc.want) {
+				t.Fatalf("Participants() = %q, want %q", got, tc.want)
+			}
+			if got := testing.AllocsPerRun(10, func() { tc.m.Participants() }); got > 1 {
+				t.Fatalf("Participants() costs %.0f allocs, want <= 1", got)
+			}
+		})
+	}
+}

@@ -145,26 +145,26 @@ type Meeting struct {
 
 // Participants returns every user involved (initiator, musts,
 // supervisors, or-group members), deduplicated, in first-seen order.
+// The lists are a handful of names, so one slice sized for all of them
+// is deduplicated by a linear scan.
 func (m *Meeting) Participants() []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(u string) {
-		if u != "" && !seen[u] {
-			seen[u] = true
-			out = append(out, u)
+	n := 1 + len(m.Must) + len(m.Supervisors)
+	for _, g := range m.OrGroups {
+		n += len(g.Members)
+	}
+	out := make([]string, 0, n)
+	add := func(users ...string) {
+		for _, u := range users {
+			if u != "" && !containsString(out, u) {
+				out = append(out, u)
+			}
 		}
 	}
 	add(m.Initiator)
-	for _, u := range m.Must {
-		add(u)
-	}
-	for _, u := range m.Supervisors {
-		add(u)
-	}
+	add(m.Must...)
+	add(m.Supervisors...)
 	for _, g := range m.OrGroups {
-		for _, u := range g.Members {
-			add(u)
-		}
+		add(g.Members...)
 	}
 	return out
 }

@@ -1,0 +1,34 @@
+package links_test
+
+import (
+	"testing"
+
+	"repro/internal/links"
+	"repro/internal/wire"
+)
+
+// TestNegotiateAllocs pins what an untraced negotiation costs the
+// process: an Or over two remote targets, both of which mark and commit,
+// with every Mark and Commit a round trip over the sim network. Its
+// steps build nothing when no span records them: 215 allocations while
+// they were kept on the Result as well.
+func TestNegotiateAllocs(t *testing.T) {
+	h := newHarness(t, "a", "b", "c")
+	spec := links.Spec{
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
+		Targets: refs("b", "s", "c", "s"), Constraint: links.Or,
+	}
+	ctx := ctxBg()
+	want := 201.0
+	if raceEnabled {
+		want += 40
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := h.nodes["a"].Links.Negotiate(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Fatalf("an untraced Or over two targets: %.0f allocs, want <= %.0f", got, want)
+	}
+}

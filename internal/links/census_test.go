@@ -76,6 +76,35 @@ func negotiationSpans(t *testing.T, col *trace.Collector) map[string]int {
 	return got
 }
 
+// negotiationSteps returns the protocol steps of the one negotiation the
+// collector holds: the events of its links.Negotiate span, in order.
+func negotiationSteps(t *testing.T, col *trace.Collector) []trace.Event {
+	t.Helper()
+	var span *trace.Span
+	for _, s := range col.Spans() {
+		if s.Name == "links.Negotiate" {
+			if span != nil {
+				t.Fatal("more than one links.Negotiate span")
+			}
+			span = s
+		}
+	}
+	if span == nil {
+		t.Fatal("no links.Negotiate span")
+	}
+	return span.Events
+}
+
+// attr returns the value of e's attr key, or "".
+func attr(e trace.Event, key string) string {
+	for _, a := range e.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
 // TestRPCCensusAnd pins the protocol's wire cost: an And over N remote
 // targets is exactly N Mark + N Commit requests and N links.Mark + N
 // links.Commit spans, whether or not targets share a node.
@@ -125,17 +154,16 @@ func TestRPCCensusAndFailure(t *testing.T) {
 
 // TestRPCCensusOr pins the parallel mark path's wire cost: an Or over N
 // remote targets that all mark is exactly N Mark + N Commit requests and
-// spans, and its trace lists the marks in target order, however the
-// concurrent marks finished.
+// spans, and its span's step events list the marks in target order,
+// however the concurrent marks finished.
 func TestRPCCensusOr(t *testing.T) {
 	h, census, col := newCensusHarness(t, "a", "b", "c", "d", "e")
 	targets := refs("e", "s", "b", "s", "d", "s", "c", "s")
 	n := len(targets)
-	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
+	if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
 		Targets: targets, Constraint: links.Or,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	census.want(t, map[string]int{"Mark": n, "Commit": n})
@@ -143,9 +171,9 @@ func TestRPCCensusOr(t *testing.T) {
 		t.Fatalf("spans = %v, want %v", got, want)
 	}
 	var marked, want []string
-	for _, s := range res.Trace {
-		if s.Phase == "mark" {
-			marked = append(marked, s.Entity)
+	for _, e := range negotiationSteps(t, col) {
+		if e.Name == "mark" {
+			marked = append(marked, attr(e, "entity"))
 		}
 	}
 	for _, ref := range targets {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/listener"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -365,21 +366,22 @@ func TestNegotiateLocalMarkFailsFast(t *testing.T) {
 }
 
 func TestNegotiationTraceShape(t *testing.T) {
-	// The Figure 4 reproduction: negotiation-or over B and C from A.
-	h := newHarness(t, "a", "b", "c")
-	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
+	// The Figure 4 reproduction: negotiation-or over B and C from A, its
+	// steps the events of A's links.Negotiate span.
+	col := trace.NewCollector()
+	h := newTracedHarness(t, col, 1, "a", "b", "c")
+	if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
 		Action:     "reserve",
 		Args:       wire.Args{wire.Str("meeting", "M1")},
 		Targets:    refs("b", "slotX", "c", "slotX"),
 		Constraint: links.Or,
 		Local:      &links.LocalChange{Entity: "slotX", Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")}},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var phases []string
-	for _, s := range res.Trace {
-		phases = append(phases, s.Phase)
+	for _, e := range negotiationSteps(t, col) {
+		phases = append(phases, e.Name)
 	}
 	// mark(A), mark(B), mark(C), constraint, change(A), change+unlock each.
 	if len(phases) < 7 {
@@ -398,7 +400,7 @@ func TestNegotiationTraceShape(t *testing.T) {
 				}
 			}
 			for _, q := range phases[i+1:] {
-				if q != "journal" && q != "change" && q != "unlock" {
+				if q != "journal.begin" && q != "journal.retire" && q != "change" && q != "unlock" {
 					t.Fatalf("phase %q after constraint", q)
 				}
 			}

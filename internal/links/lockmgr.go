@@ -26,6 +26,8 @@ type LockTable struct {
 
 	mu    sync.Mutex
 	locks map[string]lockEntry
+	// sweepAt is twice what the last sweep left (grant).
+	sweepAt int
 	// wake is closed by the next release while a Hold waits, and nil
 	// while none does.
 	wake chan struct{}
@@ -144,10 +146,20 @@ func (lt *LockTable) Hold(ctx context.Context, entity, holder string, how Hold) 
 }
 
 // grant installs e for entity under a fresh token and returns the token;
-// an entry it displaces has expired. lt.mu is held.
+// an entry it displaces has expired. Finding the table (of 64 or more)
+// doubled since the last sweep, it drops the expired entries. lt.mu is held.
 func (lt *LockTable) grant(entity string, e lockEntry) string {
 	if _, ok := lt.locks[entity]; ok {
 		lt.steals++
+	}
+	if len(lt.locks) >= max(lt.sweepAt, 64) {
+		now := lt.clk.Now()
+		for k, old := range lt.locks {
+			if !old.live(now) {
+				delete(lt.locks, k)
+			}
+		}
+		lt.sweepAt = 2 * len(lt.locks)
 	}
 	e.token = newToken()
 	lt.locks[entity] = e
@@ -232,7 +244,7 @@ func (lt *LockTable) Holder(entity string) (token string, live bool) {
 }
 
 // Len reports the number of live locks. An expired entry is not one,
-// though it stays in the table until it is stolen or swept.
+// though it stays in the table until it is stolen or a grant sweeps it.
 func (lt *LockTable) Len() int {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()

@@ -3,6 +3,7 @@ package links
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -109,6 +110,32 @@ func TestLenAndSweep(t *testing.T) {
 	}
 	if lt.Len() != 1 {
 		t.Fatalf("Len after sweep = %d", lt.Len())
+	}
+}
+
+// TestGrantSweepsExpiredEntries: marks of 1,024 distinct entities that
+// expire and are never marked again leave the table at the grant that
+// finds it doubled since its last sweep (at 512 entries), here the next
+// TryLock; the table then holds only live entries.
+func TestGrantSweepsExpiredEntries(t *testing.T) {
+	fake := clock.NewFake(time.Unix(0, 0))
+	lt := NewLockTable(fake, 10*time.Second)
+	for i := 0; i < 1024; i++ {
+		if _, ok := lt.TryLock(fmt.Sprintf("e%d", i), "x"); !ok {
+			t.Fatalf("mark %d refused", i)
+		}
+	}
+	fake.Advance(11 * time.Second)
+	if _, ok := lt.TryLock("one-more", "x"); !ok {
+		t.Fatal("mark refused")
+	}
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if len(lt.locks) != 1 {
+		t.Fatalf("the table holds %d entries, want the 1 live one", len(lt.locks))
+	}
+	if _, ok := lt.locks["one-more"]; !ok {
+		t.Fatal("the live mark was swept")
 	}
 }
 

@@ -61,17 +61,6 @@ type LocalChange struct {
 	Args   wire.Args
 }
 
-// Step is one protocol step in the negotiation trace; the trace of a
-// negotiation-or over three objects reproduces the paper's Figure 4
-// activity diagram.
-type Step struct {
-	Phase  string      `json:"phase"`  // "mark" | "constraint" | "journal" | "change" | "unlock" | "abort"
-	Entity string      `json:"entity"` // entity acted on ("" for constraint and journal steps)
-	OK     bool        `json:"ok"`
-	Reason wire.Reason `json:"reason,omitempty"` // why a failed mark or change failed (wire.ReasonOf its error)
-	Detail string      `json:"detail,omitempty"` // the constraint's counts; the journal row's id
-}
-
 // State classifies how a negotiation resolved.
 type State string
 
@@ -103,7 +92,6 @@ type Result struct {
 	// InDoubt lists marked targets whose Commit has not been
 	// acknowledged yet; the commit-retry sweeper is driving them.
 	InDoubt []EntityRef `json:"inDoubt,omitempty"`
-	Trace   []Step      `json:"trace"`
 }
 
 // InDoubtError is returned by Negotiate when the commit phase
@@ -200,11 +188,13 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 
 	// Mark A for change and lock A.
 	var localToken string
+	var local EntityRef
 	if spec.Local != nil {
+		local = EntityRef{User: m.self, Entity: spec.Local.Entity}
 		tok, err := m.markLocal(spec.Local.Entity, spec.Local.Action, spec.Local.Args)
-		m.step(res, Step{Phase: "mark", Entity: m.self + "/" + spec.Local.Entity}, err)
+		m.step(span, "mark", local, err)
 		if err != nil {
-			res.Rejected = append(res.Rejected, EntityRef{User: m.self, Entity: spec.Local.Entity})
+			res.Rejected = append(res.Rejected, local)
 			m.count("outcome", wire.CodeConflict)
 			return res, fmt.Errorf("links: activator mark failed: %w", err)
 		}
@@ -220,14 +210,14 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	var marks []markResult
 	if spec.Constraint == And {
 		sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
-		marks = m.markSequential(ctx, res.NID, targets, spec.Action, spec.Args, res)
+		marks = m.markSequential(ctx, span, res.NID, targets, spec.Action, spec.Args)
 	} else {
-		marks = m.markParallel(ctx, res.NID, targets, spec.Action, spec.Args, res)
+		marks = m.markParallel(ctx, span, res.NID, targets, spec.Action, spec.Args)
 	}
 	n := len(targets)
 	if v := spec.Vote; v != nil {
 		marks = append(marks, markResult{ref: v.Ref, token: v.Token, voted: true})
-		m.step(res, Step{Phase: "mark", Entity: v.Ref.String()}, nil)
+		m.step(span, "mark", v.Ref, nil)
 		n++
 	}
 
@@ -254,16 +244,16 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	case Xor:
 		satisfied = locked == k
 	}
-	res.Trace = append(res.Trace, Step{
-		Phase: "constraint", OK: satisfied,
-		Detail: fmt.Sprintf("%s k=%d locked=%d n=%d", spec.Constraint, k, locked, n),
-	})
+	if span != nil {
+		span.AddEvent("constraint", trace.String("constraint", string(spec.Constraint)),
+			trace.Int("k", k), trace.Int("locked", locked), trace.Int("n", n), trace.Bool("ok", satisfied))
+	}
 
 	if !satisfied {
 		m.abortMarked(ctx, res.NID, marks)
 		for _, mr := range marks {
 			if mr.err == nil {
-				res.Trace = append(res.Trace, Step{Phase: "abort", Entity: mr.ref.String(), OK: true})
+				m.step(span, "abort", mr.ref, nil)
 			}
 		}
 		m.count("outcome", wire.CodeConflict)
@@ -323,24 +313,21 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 			m.abortMarked(ctx, res.NID, marks)
 			m.count("outcome", wire.CodeInternal)
 			if localErr != nil {
-				m.step(res, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity}, err)
+				m.step(span, "change", local, err)
 				return res, fmt.Errorf("links: activator change failed: %w", err)
 			}
 			return res, fmt.Errorf("links: journal negotiation intent: %w", err)
 		}
 	}
-	if rec != nil {
-		res.Trace = append(res.Trace, Step{Phase: "journal", Detail: res.NID, OK: true})
-		if span != nil {
-			attrs := []trace.Attr{trace.Int("targets", len(rec.Pending))}
-			if lsn, ok := m.lastLSN(); ok {
-				attrs = append(attrs, trace.Int64("lsn", int64(lsn)))
-			}
-			span.AddEvent("journal.begin", attrs...)
+	if rec != nil && span != nil {
+		attrs := []trace.Attr{trace.Int("targets", len(rec.Pending))}
+		if lsn, ok := m.lastLSN(); ok {
+			attrs = append(attrs, trace.Int64("lsn", int64(lsn)))
 		}
+		span.AddEvent("journal.begin", attrs...)
 	}
 	if spec.Local != nil {
-		res.Trace = append(res.Trace, Step{Phase: "change", Entity: m.self + "/" + spec.Local.Entity, OK: true})
+		m.step(span, "change", local, nil)
 	}
 
 	commitErrs := m.commitTargets(ctx, res.NID, marked, spec.Action, commitArgs, false)
@@ -348,11 +335,11 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	var stillPending []journalTarget
 	for i, tgt := range marked {
 		err := commitErrs[i]
-		m.step(res, Step{Phase: "change", Entity: tgt.Ref.String()}, err)
+		m.step(span, "change", tgt.Ref, err)
 		switch {
 		case err == nil:
 			res.Accepted = append(res.Accepted, tgt.Ref)
-			res.Trace = append(res.Trace, Step{Phase: "unlock", Entity: tgt.Ref.String(), OK: true})
+			m.step(span, "unlock", tgt.Ref, nil)
 		case engine.IsTransient(err):
 			// The Commit (or its ack) was lost: the target may or may
 			// not have applied. The sweeper re-sends until it answers.
@@ -399,16 +386,24 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	return res, nil
 }
 
-// step appends s, a mark or change done with err, to the trace. A failed one
-// carries err's reason and, unless skipped, counts as (links, "refused", reason).
-func (m *Manager) step(res *Result, s Step, err error) {
-	if s.OK = err == nil; !s.OK {
-		s.Reason = wire.ReasonOf(err)
-		if s.Reason != wire.ReasonSkipped {
-			m.registry().Observe(metrics.LayerLinks, "refused", string(s.Reason), wire.CodeOf(err), 0)
+// step records phase (mark, change, unlock or abort) of ref, done with err,
+// as an event on the negotiation's span, if any. A failed one carries err's
+// reason and, unless skipped, counts as (links, "refused", reason).
+func (m *Manager) step(span *trace.Span, phase string, ref EntityRef, err error) {
+	var reason wire.Reason
+	if err != nil {
+		reason = wire.ReasonOf(err)
+		if reason != wire.ReasonSkipped {
+			m.registry().Observe(metrics.LayerLinks, "refused", string(reason), wire.CodeOf(err), 0)
 		}
 	}
-	res.Trace = append(res.Trace, s)
+	if span != nil {
+		attrs := []trace.Attr{trace.String("entity", ref.String()), trace.Bool("ok", err == nil), trace.String("reason", string(reason))}
+		if err == nil {
+			attrs = attrs[:2]
+		}
+		span.AddEvent(phase, attrs...)
+	}
 }
 
 // errSkippedMark is the And-semantics skip: once any mark fails the
@@ -419,7 +414,7 @@ var errSkippedMark = wire.Refuse(wire.ReasonSkipped, "links: skipped after earli
 // sorted) order, so overlapping negotiations acquire locks in the same
 // order and cannot deadlock. Targets after the first failure are
 // skipped (And semantics: any failure already dooms the constraint).
-func (m *Manager) markSequential(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
+func (m *Manager) markSequential(ctx context.Context, span *trace.Span, nid string, targets []EntityRef, action string, args wire.Args) []markResult {
 	marks := make([]markResult, len(targets))
 	failed := false
 	for i, ref := range targets {
@@ -429,21 +424,21 @@ func (m *Manager) markSequential(ctx context.Context, nid string, targets []Enti
 			failed = mr.err != nil
 		}
 		marks[i] = mr
-		m.step(res, Step{Phase: "mark", Entity: ref.String()}, mr.err)
+		m.step(span, "mark", ref, mr.err)
 	}
 	return marks
 }
 
 // markParallel marks all targets concurrently (Or/Xor semantics) and
 // records the marks in target order once all have returned.
-func (m *Manager) markParallel(ctx context.Context, nid string, targets []EntityRef, action string, args wire.Args, res *Result) []markResult {
+func (m *Manager) markParallel(ctx context.Context, span *trace.Span, nid string, targets []EntityRef, action string, args wire.Args) []markResult {
 	marks := make([]markResult, len(targets))
 	engine.FanOut(len(targets), func(i int) {
 		tok, err := m.markTarget(ctx, nid, targets[i], action, args)
 		marks[i] = markResult{ref: targets[i], token: tok, err: err}
 	})
 	for _, mr := range marks {
-		m.step(res, Step{Phase: "mark", Entity: mr.ref.String()}, mr.err)
+		m.step(span, "mark", mr.ref, mr.err)
 	}
 	return marks
 }

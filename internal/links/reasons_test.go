@@ -7,6 +7,7 @@ import (
 	"repro/internal/links"
 	"repro/internal/listener"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -14,7 +15,7 @@ import (
 // frame round trip, as every sim delivery is, and a participant's
 // refusal still reaches the coordinator with its reason: b's
 // slot-personal and c's lock-held (a live mark, refused by markLocal) as
-// the Step.Reason of their marks, the first of them as the
+// the reasons of their mark events on the links.Negotiate span, the first of them as the
 // negotiation's, each failed mark counted once
 // in the coordinator's registry. The lock table's refusal of a vote
 // (LockTable.Hold) reaches the voter as lock-held too. The third site
@@ -22,7 +23,8 @@ import (
 // another mark lands between its Holder check and its TryLock; it raises
 // the same errLockHeld.
 func TestRefusalReasonsCrossTheWire(t *testing.T) {
-	h := newHarness(t, "a", "b", "c")
+	col := trace.NewCollector()
+	h := newTracedHarness(t, col, 1, "a", "b", "c")
 	ctx := context.Background()
 	reg := metrics.NewRegistry()
 	h.nodes["a"].Links.SetMetrics(reg)
@@ -49,17 +51,18 @@ func TestRefusalReasonsCrossTheWire(t *testing.T) {
 		t.Fatalf("negotiation reason = %q (%v), want the first refused mark's", got, err)
 	}
 	want := map[string]wire.Reason{"b/s": wire.ReasonSlotPersonal, "c/s": wire.ReasonLockHeld}
-	for _, s := range res.Trace {
-		if s.Phase != "mark" {
+	for _, e := range negotiationSteps(t, col) {
+		if e.Name != "mark" {
 			continue
 		}
-		if s.OK || s.Reason != want[s.Entity] {
-			t.Errorf("mark %s: ok=%v reason=%q, want refused as %q", s.Entity, s.OK, s.Reason, want[s.Entity])
+		entity := attr(e, "entity")
+		if ok, reason := attr(e, "ok"), wire.Reason(attr(e, "reason")); ok != "false" || reason != want[entity] {
+			t.Errorf("mark %s: ok=%s reason=%q, want refused as %q", entity, ok, reason, want[entity])
 		}
-		delete(want, s.Entity)
+		delete(want, entity)
 	}
 	if len(want) > 0 {
-		t.Fatalf("marks missing from the trace: %v", want)
+		t.Fatalf("marks missing from the negotiation's span: %v", want)
 	}
 	snap := reg.Snapshot()
 	for _, r := range []wire.Reason{wire.ReasonSlotPersonal, wire.ReasonLockHeld} {

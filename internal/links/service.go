@@ -33,7 +33,7 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 	if m.Locks.Holds(lockKey(entity), token) {
 		err := m.applyDecided(ctx, entity, token, nid, action, args)
 		m.Locks.Unlock(lockKey(entity), token)
-		trace.EventCtx(ctx, "links.decided", trace.String("kind", "commit"), trace.Bool("ok", err == nil))
+		trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "commit"), trace.Bool("ok", err == nil))
 		if err != nil {
 			// The entity is as it was: whoever is queued on it is next.
 			m.offer(ctx, entity, "", caller)
@@ -45,7 +45,7 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		// entity: the stale token must not clobber it.
 		m.noteAborted(ctx, token, nid)
 		m.count("commit-stale", wire.CodeConflict)
-		trace.EventCtx(ctx, "links.decided", trace.String("kind", "stale-token"))
+		trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "stale-token"))
 		return wire.Refuse(wire.ReasonStaleToken, "links: stale token: lock on %s was re-granted", entity)
 	}
 	// Late commit: no live lock. Re-acquire and re-check before
@@ -64,13 +64,13 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 			m.Locks.Unlock(lockKey(entity), tok)
 			m.noteAborted(ctx, token, nid)
 			m.count("commit-late", wire.CodeConflict)
-			trace.EventCtx(ctx, "links.decided", trace.String("kind", "late-commit-rejected"))
+			trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "late-commit-rejected"))
 			return err
 		}
 	}
 	err = m.applyDecided(ctx, entity, token, nid, action, args)
 	m.Locks.Unlock(lockKey(entity), tok)
-	trace.EventCtx(ctx, "links.decided", trace.String("kind", "late-commit"), trace.Bool("ok", err == nil))
+	trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "late-commit"), trace.Bool("ok", err == nil))
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 func (m *Manager) alreadyDecided(ctx context.Context, entity string, committed bool) error {
 	if committed {
 		m.count("commit-dup", wire.CodeOK)
-		trace.EventCtx(ctx, "links.decided", trace.String("kind", "duplicate-commit"))
+		trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "duplicate-commit"))
 		return nil
 	}
 	return wire.Refuse(wire.ReasonDecidedAbort, "links: negotiation already aborted on %s", entity)
@@ -147,7 +147,7 @@ func (m *Manager) Object() *listener.Object {
 		released := m.Locks.Unlock(lockKey(entity), token)
 		if token != "" {
 			m.noteAborted(ctx, token, call.Args.String("nid"))
-			trace.EventCtx(ctx, "links.decided", trace.String("kind", "abort"))
+			trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "abort"))
 		}
 		if released {
 			m.offer(ctx, entity, "", call.Caller)

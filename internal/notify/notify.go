@@ -1,8 +1,8 @@
-// Package notify delivers meeting notifications. The paper's prototype
-// notified participants "about the details of the meeting using an
-// e-mail message" (§5.1); offline we provide an in-memory mailbox with
-// an RFC-822-style rendering so experiments can assert on deliveries,
-// plus a writer-backed notifier for the CLI binaries.
+// Package notify delivers meeting notifications, the paper's "e-mail
+// message" (§5.1): an in-memory mailbox with an RFC-822-style rendering,
+// so experiments can assert on deliveries, and a writer-backed notifier
+// for the CLI binaries. There is no default notifier: a calendar without
+// one builds no message at all.
 package notify
 
 import (
@@ -42,13 +42,6 @@ func (m Message) Render() string {
 type Notifier interface {
 	Notify(ctx context.Context, m Message) error
 }
-
-// Discard drops every message (the default when an application does
-// not configure notifications).
-type Discard struct{}
-
-// Notify implements Notifier.
-func (Discard) Notify(context.Context, Message) error { return nil }
 
 // Mailbox is an in-memory Notifier with per-recipient inboxes. Safe
 // for concurrent use.
@@ -108,19 +101,4 @@ func (wn *Writer) Notify(_ context.Context, m Message) error {
 	defer wn.mu.Unlock()
 	_, err := io.WriteString(wn.W, m.Render()+"\n")
 	return err
-}
-
-// Fanout duplicates notifications to several notifiers.
-type Fanout []Notifier
-
-// Notify implements Notifier; the first error wins but all notifiers
-// are attempted.
-func (f Fanout) Notify(ctx context.Context, m Message) error {
-	var firstErr error
-	for _, n := range f {
-		if err := n.Notify(ctx, m); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

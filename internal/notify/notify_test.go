@@ -3,7 +3,6 @@ package notify
 import (
 	"bytes"
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -62,27 +61,5 @@ func TestWriterNotifier(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Subject: hello") {
 		t.Fatalf("output = %q", buf.String())
-	}
-}
-
-func TestDiscard(t *testing.T) {
-	if err := (Discard{}).Notify(context.Background(), Message{To: []string{"x"}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-type failing struct{}
-
-func (failing) Notify(context.Context, Message) error { return errors.New("smtp down") }
-
-func TestFanout(t *testing.T) {
-	mb := NewMailbox()
-	f := Fanout{failing{}, mb}
-	err := f.Notify(context.Background(), Message{To: []string{"phil"}, Subject: "s"})
-	if err == nil {
-		t.Fatal("fanout swallowed the error")
-	}
-	if mb.Count("phil") != 1 {
-		t.Fatal("fanout did not attempt all notifiers")
 	}
 }

@@ -119,13 +119,14 @@ func (s *Span) Annotate(attrs ...Attr) {
 	s.mu.Unlock()
 }
 
-// AddEvent records a timestamped point annotation. Nil-safe.
+// AddEvent records a timestamped point annotation. Nil-safe, and it copies
+// attrs: an event on a nil span (tracing off) allocates nothing.
 func (s *Span) AddEvent(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.Events = append(s.Events, Event{At: time.Now(), Name: name, Attrs: attrs})
+	s.Events = append(s.Events, Event{At: time.Now(), Name: name, Attrs: append([]Attr(nil), attrs...)})
 	s.mu.Unlock()
 }
 
@@ -223,11 +224,6 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	return parent.tracer.StartSpan(ctx, name)
-}
-
-// EventCtx records a point annotation on the span in ctx, if any.
-func EventCtx(ctx context.Context, name string, attrs ...Attr) {
-	FromContext(ctx).AddEvent(name, attrs...)
 }
 
 // --- tracer -----------------------------------------------------------------

@@ -32,7 +32,11 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	if _, s2 := Start(ctx, "child"); s2 != nil {
 		t.Fatal("Start without a ctx span must be a no-op")
 	}
-	EventCtx(ctx, "nothing")
+	if n := testing.AllocsPerRun(100, func() {
+		FromContext(ctx).AddEvent("nothing", String("kind", "commit"), Bool("ok", true))
+	}); n != 0 {
+		t.Fatalf("an event without a span costs %.0f allocs, want 0", n)
+	}
 }
 
 func TestSampledRootRecordsTree(t *testing.T) {

@@ -373,12 +373,14 @@ func (c *tcpClientConn) fail() {
 // holds it. A closed or abandoned channel is left to the collector.
 var replyChans = sync.Pool{New: func() any { return make(chan *Response, 1) }}
 
-func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, error) {
+// call sends req on c and waits for its response. written is false when
+// the request never left (c was dead, or the write failed).
+func (c *tcpClientConn) call(ctx context.Context, req *Request) (resp *Response, written bool, err error) {
 	ch := replyChans.Get().(chan *Response)
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
-		return nil, ErrUnreachable
+		return nil, false, ErrUnreachable
 	}
 	c.nextID++
 	id := c.nextID
@@ -393,19 +395,19 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 		if errors.Is(err, errEncode) {
 			// The request's fault: the connection and the calls in
 			// flight on it carry on.
-			return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Service: req.Service, Method: req.Method, Msg: err.Error()}
+			return nil, false, &wire.RemoteError{Code: wire.CodeBadArgs, Service: req.Service, Method: req.Method, Msg: err.Error()}
 		}
 		c.fail()
-		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
 
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			return nil, ErrUnreachable
+			return nil, true, ErrUnreachable
 		}
 		replyChans.Put(ch)
-		return resp, nil
+		return resp, true, nil
 	case <-ctx.Done():
 		// Cancel/deliver handoff: whoever removes the pending entry
 		// under the lock owns the channel. If the entry is already
@@ -419,11 +421,11 @@ func (c *tcpClientConn) call(ctx context.Context, req *Request) (*Response, erro
 		if !stillPending {
 			if resp, ok := <-ch; ok {
 				replyChans.Put(ch)
-				return resp, nil
+				return resp, true, nil
 			}
-			return nil, ErrUnreachable
+			return nil, true, ErrUnreachable
 		}
-		return nil, ctx.Err()
+		return nil, true, ctx.Err()
 	}
 }
 
@@ -444,17 +446,17 @@ func (t *TCP) doCall(ctx context.Context, addr string, req *Request) (*Response,
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.call(ctx, req)
-	if errors.Is(err, ErrUnreachable) {
-		// One reconnect attempt: the pooled connection may have died
-		// while idle (server restart, device reconnect).
-		trace.EventCtx(ctx, "transport.reconnect", trace.String("addr", addr))
+	resp, written, err := c.call(ctx, req)
+	if errors.Is(err, ErrUnreachable) && !written {
+		// One reconnect attempt: the pooled connection died idle (server
+		// restart). One that left may have been served: at most once.
+		trace.FromContext(ctx).AddEvent("transport.reconnect", trace.String("addr", addr))
 		t.dropConn(addr, c)
 		c, err2 := t.getConn(addr)
 		if err2 != nil {
 			return nil, err2
 		}
-		return c.call(ctx, req)
+		resp, _, err = c.call(ctx, req)
 	}
 	return resp, err
 }

@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18506
-	allTreeLines   = 21315
+	cmdLineCeiling = 18503
+	allTreeLines   = 21312
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
