@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -354,6 +355,9 @@ func parseMeeting(doc string) (*Meeting, error) {
 
 func readMeeting(doc string) (Meeting, bool) {
 	var m Meeting
+	// Every list is carved from names, sized for as many as doc can hold:
+	// a list of n names has n-1 of its separators and one opening.
+	names := make([]string, 0, strings.Count(doc, `","`)+strings.Count(doc, `["`))
 	r := jsonrec.NewReader(doc)
 	r.Lit(`{"id":`)
 	m.ID = r.String()
@@ -370,10 +374,10 @@ func readMeeting(doc string) (Meeting, bool) {
 	r.Lit(`,"priority":`)
 	m.Priority = r.Int()
 	if r.Opt(`,"must":`) {
-		m.Must = r.Strings()
+		names, m.Must = r.Strings(names)
 	}
 	if r.Opt(`,"supervisors":`) {
-		m.Supervisors = r.Strings()
+		names, m.Supervisors = r.Strings(names)
 	}
 	if r.Opt(`,"orGroups":`) && !r.Null() {
 		r.Lit("[")
@@ -386,7 +390,7 @@ func readMeeting(doc string) (Meeting, bool) {
 				r.Lit(",")
 			}
 			r.Lit(`"members":`)
-			g.Members = r.Strings()
+			names, g.Members = r.Strings(names)
 			r.Lit(`,"k":`)
 			g.K = r.Int()
 			r.Lit("}")
@@ -394,13 +398,13 @@ func readMeeting(doc string) (Meeting, bool) {
 		}
 	}
 	if r.Opt(`,"delegates":`) {
-		m.Delegates = r.Strings()
+		names, m.Delegates = r.Strings(names)
 	}
 	if r.Opt(`,"reserved":`) {
-		m.Reserved = r.Strings()
+		names, m.Reserved = r.Strings(names)
 	}
 	if r.Opt(`,"missing":`) {
-		m.Missing = r.Strings()
+		names, m.Missing = r.Strings(names)
 	}
 	if r.Opt(`,"linkID":`) {
 		m.LinkID = r.String()

@@ -140,13 +140,13 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 		}
 		m.Slot = candidates[0]
 	}
-	args := reserveArgs(m, req.AllowBump)
+	args, entity := reserveArgs(m, req.AllowBump), m.Slot.Entity()
 
 	// Reserve the initiator's own slot first ("Mark A for change and
 	// Lock A"): without it there is no meeting at all.
 	_, err := c.lm.Negotiate(ctx, links.Spec{
 		Action: ActionReserve, Args: args, Constraint: links.And,
-		Local: &links.LocalChange{Entity: m.Slot.Entity(), Action: ActionReserve, Args: args},
+		Local: &links.LocalChange{Entity: entity, Action: ActionReserve, Args: args},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("calendar: initiator slot: %w", err)
@@ -154,12 +154,14 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	m.Reserved = []string{c.user}
 
 	// Reserve musts and supervisors: try them all, keep whoever can
-	// be reserved (failures make the meeting tentative, §5).
+	// be reserved (failures make the meeting tentative, §5). doc is the
+	// record's encoding while the last reserve knows it.
+	var doc string
 	sent := map[string]string{}
 	m.Missing = append(append([]string(nil), m.Must...), m.Supervisors...)
 	if len(m.Missing) > 0 {
-		m, _ = c.reserve(ctx, m, links.Spec{
-			Args: args, Targets: slotRefs(m.Missing, m.Slot), Constraint: links.Or, K: 1,
+		m, doc, _ = c.reserve(ctx, m, links.Spec{
+			Args: args, Targets: slotRefs(m.Missing, entity), Constraint: links.Or, K: 1,
 		}, req.Expires, sent)
 	}
 
@@ -167,14 +169,14 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	// meet its quorum reserves nobody (atomic k-of-n, §4.3).
 	for _, g := range m.OrGroups {
 		if members := excludeReserved(g.Members, m); len(members) > 0 {
-			m, _ = c.reserve(ctx, m, links.Spec{
-				Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: g.K,
+			m, doc, _ = c.reserve(ctx, m, links.Spec{
+				Args: args, Targets: slotRefs(members, entity), Constraint: links.Or, K: g.K,
 			}, req.Expires, sent)
 		}
 	}
-	m.Status = m.standing()
+	m.Status = m.standing() // as a reserve's record has it already
 
-	if err := c.linkAndPublish(ctx, m, req.Expires, sentExactly(sent)); err != nil {
+	if err := c.linkAndPublish(ctx, m, doc, req.Expires, sentExactly(sent)); err != nil {
 		return nil, err
 	}
 	c.notifyParticipants(ctx, notice{m: m})
@@ -186,15 +188,20 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 // (the marked targets reserved too) and the link expiry; the participant's
 // ActionReserve Apply installs its back link and stores that record, so
 // Mark and Commit are all a reserved participant is sent. sent notes the
-// record each acknowledged Commit carried. An in-doubt outcome is not a
-// rejection: the accepted targets did commit (only stragglers are still
-// being re-driven), so they count as reserved either way; any other
-// failure leaves the record as it was and is returned with it.
-func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) (*Meeting, error) {
+// record each acknowledged Commit carried. When every marked target
+// accepted, the record returned is the one decided, with its encoding;
+// otherwise the encoding is "". An in-doubt outcome is not a rejection:
+// the accepted targets did commit (only stragglers are still being
+// re-driven), so they count as reserved either way; any other failure
+// leaves the record as it was and is returned with it.
+func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) (*Meeting, string, error) {
+	var decided *Meeting
+	var marked []links.EntityRef
 	var doc string
 	spec.Action = ActionReserve
-	spec.Decide = func(marked []links.EntityRef) wire.Args {
-		doc = encodeMeeting(m.holding(marked))
+	spec.Decide = func(refs []links.EntityRef) wire.Args {
+		decided, marked = m.holding(refs), refs
+		doc = encodeMeeting(decided)
 		if expires.IsZero() {
 			return wire.Args{wire.Str("doc", doc)}
 		}
@@ -205,19 +212,22 @@ func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, exp
 	}
 	res, err := c.lm.Negotiate(ctx, spec)
 	if err != nil && !links.IsInDoubt(err) {
-		return m, err
+		return m, "", err
 	}
 	for _, ref := range res.Accepted {
 		sent[ref.User] = doc
 	}
-	return m.holding(res.Accepted), nil
+	if decided != nil && slices.Equal(res.Accepted, marked) {
+		return decided, doc, nil
+	}
+	return m.holding(res.Accepted), "", nil
 }
 
-// slotRefs maps users to their slot entity refs.
-func slotRefs(users []string, s Slot) []links.EntityRef {
+// slotRefs maps users to their refs of the slot entity.
+func slotRefs(users []string, entity string) []links.EntityRef {
 	out := make([]links.EntityRef, len(users))
 	for i, u := range users {
-		out[i] = links.EntityRef{User: u, Entity: s.Entity()}
+		out[i] = links.EntityRef{User: u, Entity: entity}
 	}
 	return out
 }
@@ -238,10 +248,11 @@ func excludeReserved(users []string, m *Meeting) []string {
 // negotiation link for a must or or-member, a subscription link for a
 // supervisor (§5).
 func backLink(m *Meeting, user string) links.Link {
+	entity := m.Slot.Entity()
 	l := links.Link{
 		ID: m.LinkID, Group: m.ID, Priority: m.Priority, Subtype: links.Permanent,
-		Owner:   links.EntityRef{User: user, Entity: m.Slot.Entity()},
-		Targets: []links.EntityRef{{User: m.Initiator, Entity: m.Slot.Entity()}},
+		Owner:   links.EntityRef{User: user, Entity: entity},
+		Targets: []links.EntityRef{{User: m.Initiator, Entity: entity}},
 		Type:    links.Negotiation, Constraint: links.And, Triggers: backLinkTriggers(m.ID, user),
 	}
 	if containsString(m.Supervisors, user) {
@@ -252,18 +263,19 @@ func backLink(m *Meeting, user string) links.Link {
 
 // linkAndPublish is the step that makes a negotiated meeting stand at
 // its initiator: the forward negotiation-and link and the meeting record
-// are one commit unit. Once it is logged the record is pushed to whoever
-// has(user, doc) does not report as holding it, and that push is all of
-// the §5 link topology the negotiation did not install: a reserved
-// participant installed its back link when its Commit applied
-// (acceptDecided), an unreserved one queues its tentative back link when
-// the record reaches it (acceptRecord), by push now or by pull once it is
-// back.
-func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, expires time.Time, has func(user, doc string) bool) error {
+// (encoded as doc, or "" for not yet) are one commit unit. Once it is
+// logged the record is pushed to whoever has(user, doc) does not report
+// as holding it, and that push is all of the §5 link topology the
+// negotiation did not install: a reserved participant installed its back
+// link when its Commit applied (acceptDecided), an unreserved one queues
+// its tentative back link when the record reaches it (acceptRecord), by
+// push now or by pull once it is back.
+func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, doc string, expires time.Time, has func(user, doc string) bool) error {
 	// The forward link targets *every* participant (reserved or still
 	// missing) so the §4.4 cancel cascade reaches users who joined after
 	// setup (a tentative participant who confirmed later) and clears
 	// queued tentative links.
+	entity := m.Slot.Entity()
 	fwd := links.Link{
 		ID:         m.LinkID,
 		Group:      m.ID,
@@ -272,19 +284,19 @@ func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, expires time.
 		Type:       links.Negotiation,
 		Subtype:    links.Permanent,
 		Constraint: links.And,
-		Owner:      links.EntityRef{User: m.Initiator, Entity: m.Slot.Entity()},
+		Owner:      links.EntityRef{User: m.Initiator, Entity: entity},
 		Triggers:   []links.Trigger{{Event: "change", Action: ActionReserve, Args: reserveArgs(m, false)}},
 	}
 	for _, p := range m.Participants() {
 		if p != m.Initiator {
-			fwd.Targets = append(fwd.Targets, links.EntityRef{User: p, Entity: m.Slot.Entity()})
+			fwd.Targets = append(fwd.Targets, links.EntityRef{User: p, Entity: entity})
 		}
 	}
 	return c.db.Unit(ctx, func(u *store.Tx) error {
 		if err := c.lm.AddLink(u, &fwd); err != nil {
 			return err
 		}
-		return c.publishIn(u, m, has)
+		return c.publishIn(u, m, doc, has)
 	})
 }
 
@@ -292,13 +304,16 @@ func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, expires time.
 // best-effort sends it, in the same encoding, to every participant but
 // those has(user, doc) reports as holding it already (nil: nobody does).
 func (c *Calendar) publish(ctx context.Context, m *Meeting, has func(user, doc string) bool) error {
-	return c.db.Unit(ctx, func(u *store.Tx) error { return c.publishIn(u, m, has) })
+	return c.db.Unit(ctx, func(u *store.Tx) error { return c.publishIn(u, m, "", has) })
 }
 
-// publishIn is publish inside the step's unit u: the record is written
-// with the step's other rows and the sends follow its commit.
-func (c *Calendar) publishIn(u *store.Tx, m *Meeting, has func(user, doc string) bool) error {
-	doc := encodeMeeting(m)
+// publishIn is publish inside the step's unit u: the record, encoded as
+// doc ("": not yet), is written with the step's other rows and the sends
+// follow its commit.
+func (c *Calendar) publishIn(u *store.Tx, m *Meeting, doc string, has func(user, doc string) bool) error {
+	if doc == "" {
+		doc = encodeMeeting(m)
+	}
 	if err := c.storeMeeting(u, m.ID, doc); err != nil {
 		return err
 	}
@@ -448,7 +463,7 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 	case vote != nil:
 		spec, err := m.voteSpec(vote, args)
 		if err == nil {
-			m, err = c.reserve(ctx, m, spec, time.Time{}, sent)
+			m, _, err = c.reserve(ctx, m, spec, time.Time{}, sent)
 		}
 		if err != nil {
 			return m, err
@@ -464,8 +479,8 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 		// landed acks). The Commit that reserves u also promotes its
 		// tentative back link.
 		for _, u := range append([]string(nil), m.Missing...) {
-			m, _ = c.reserve(ctx, m, links.Spec{
-				Args: args, Targets: slotRefs([]string{u}, m.Slot), Constraint: links.And,
+			m, _, _ = c.reserve(ctx, m, links.Spec{
+				Args: args, Targets: slotRefs([]string{u}, m.Slot.Entity()), Constraint: links.And,
 			}, time.Time{}, sent)
 		}
 
@@ -476,8 +491,8 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 			if short == 0 || len(members) < short {
 				continue
 			}
-			m, _ = c.reserve(ctx, m, links.Spec{
-				Args: args, Targets: slotRefs(members, m.Slot), Constraint: links.Or, K: short,
+			m, _, _ = c.reserve(ctx, m, links.Spec{
+				Args: args, Targets: slotRefs(members, m.Slot.Entity()), Constraint: links.Or, K: short,
 			}, time.Time{}, sent)
 		}
 	}
@@ -511,7 +526,7 @@ func (m *Meeting) voteSpec(v *links.Vote, args wire.Args) (links.Spec, error) {
 		}
 		wanted, spec.Constraint, spec.K = true, links.Or, short
 		if short > 1 {
-			spec.Targets = slotRefs(removeString(members, u), m.Slot)
+			spec.Targets = slotRefs(removeString(members, u), m.Slot.Entity())
 		}
 	}
 	if !wanted || m.isReserved(u) || v.Ref.Entity != m.Slot.Entity() {
@@ -638,7 +653,7 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 	// new back link and stores the moved record.
 	m.LinkID = links.NewLinkID()
 	m.Status = m.standing()
-	args := reserveArgs(m, false)
+	args, entity := reserveArgs(m, false), newSlot.Entity()
 	doc := encodeMeeting(m)
 
 	var others []string
@@ -652,15 +667,15 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 	sort.Strings(others)
 	_, err = c.lm.Negotiate(ctx, links.Spec{
 		Action: ActionReserve, Args: args,
-		Targets:    slotRefs(others, newSlot),
+		Targets:    slotRefs(others, entity),
 		Constraint: links.And,
-		Local:      &links.LocalChange{Entity: newSlot.Entity(), Action: ActionReserve, Args: args},
+		Local:      &links.LocalChange{Entity: entity, Action: ActionReserve, Args: args},
 		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{wire.Str("doc", doc)} },
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)
 	}
-	return &was, m, c.linkAndPublish(ctx, m, time.Time{}, sentExactly(sent))
+	return &was, m, c.linkAndPublish(ctx, m, doc, time.Time{}, sentExactly(sent))
 }
 
 // meetingBumpedLocally records a bump at the initiator: the bumped

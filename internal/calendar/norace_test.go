@@ -1,5 +1,5 @@
 //go:build !race
 
-package calendar_test
+package calendar
 
-const raceEnabled = false
+const RaceEnabled = false

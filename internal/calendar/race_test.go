@@ -1,7 +1,8 @@
 //go:build race
 
-package calendar_test
+package calendar
 
-// raceEnabled: the race detector makes sync.Pool drop a share of what is
-// put back, so a pooled buffer or reply channel is sometimes made anew.
-const raceEnabled = true
+// RaceEnabled: the race detector makes sync.Pool drop a share of what is
+// put back, so a pooled buffer, reply channel or Tx is sometimes made
+// anew. Exported for the external test package.
+const RaceEnabled = true

@@ -236,13 +236,6 @@ func (s *Server) registerService(name, owner, addr string, methods []string) err
 	return s.services.Insert(row)
 }
 
-func (s *Server) unregisterService(name string) error {
-	if !s.services.Has(name) {
-		return nil // idempotent
-	}
-	return s.services.Delete(name)
-}
-
 func (s *Server) lookupService(name string) (ServiceInfo, error) {
 	info, err := s.resolveService(name, true)
 	return info, err
@@ -304,14 +297,6 @@ func (s *Server) addMember(group, member string) error {
 	row.SetStr("member", member)
 	err := s.members.Insert(row)
 	if err != nil && !errors.Is(err, store.ErrDupKey) { // adding twice is fine
-		return err
-	}
-	return nil
-}
-
-func (s *Server) removeMember(group, member string) error {
-	err := s.members.Delete(group, member)
-	if err != nil && !errors.Is(err, store.ErrNoRow) { // removing absent member is fine
 		return err
 	}
 	return nil
@@ -380,11 +365,6 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport
 			return fail(err)
 		}
 		return ok(true)
-	case "UnregisterService":
-		if err := s.unregisterService(a.String("name")); err != nil {
-			return fail(err)
-		}
-		return ok(true)
 	case "LookupService":
 		info, err := s.lookupService(a.String("name"))
 		if err != nil {
@@ -422,16 +402,6 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport
 		return ok(names)
 	case "CreateGroup":
 		if err := s.createGroup(a.String("group"), a.Strings("members")); err != nil {
-			return fail(err)
-		}
-		return ok(true)
-	case "AddMember":
-		if err := s.addMember(a.String("group"), a.String("member")); err != nil {
-			return fail(err)
-		}
-		return ok(true)
-	case "RemoveMember":
-		if err := s.removeMember(a.String("group"), a.String("member")); err != nil {
 			return fail(err)
 		}
 		return ok(true)

@@ -173,24 +173,6 @@ func TestRegisterAndLookupService(t *testing.T) {
 	}
 }
 
-func TestUnregisterService(t *testing.T) {
-	c, _, _ := newDirectory(t)
-	ctx := ctxT(t)
-	if err := c.RegisterService(ctx, "cal.phil", "phil", "node-phil", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.UnregisterService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.LookupService(ctx, "cal.phil"); wire.CodeOf(err) != wire.CodeNoService {
-		t.Fatalf("err = %v", err)
-	}
-	// Idempotent.
-	if err := c.UnregisterService(ctx, "cal.phil"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestServicesOf(t *testing.T) {
 	c, _, _ := newDirectory(t)
 	ctx := ctxT(t)
@@ -224,18 +206,12 @@ func TestGroups(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"alice", "bob", "carol"}) {
 		t.Fatalf("members = %v", got)
 	}
-	// Idempotent add, then remove.
-	if err := c.AddMember(ctx, "biology", "alice"); err != nil {
+	// Creating it again with a member it has and a new one adds the new.
+	if err := c.CreateGroup(ctx, "biology", []string{"alice", "dave"}); err != nil {
 		t.Fatal(err)
-	}
-	if err := c.RemoveMember(ctx, "biology", "bob"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveMember(ctx, "biology", "bob"); err != nil {
-		t.Fatal(err) // removing twice is fine
 	}
 	got, _ = c.GroupMembers(ctx, "biology")
-	if !reflect.DeepEqual(got, []string{"alice", "carol"}) {
+	if !reflect.DeepEqual(got, []string{"alice", "bob", "carol", "dave"}) {
 		t.Fatalf("members = %v", got)
 	}
 	empty, err := c.GroupMembers(ctx, "physics")

@@ -209,18 +209,20 @@ func (r *Reader) String() string {
 	return ""
 }
 
-// Strings reads a []string: nil for null.
-func (r *Reader) Strings() []string {
+// Strings reads a []string onto the end of buf, which is not nil, and
+// returns buf grown by it and the list: nil for null, else buf's new
+// tail, capped at its length so that an append to it cannot write over
+// the next list read into buf.
+func (r *Reader) Strings(buf []string) (grown, list []string) {
 	if r.Null() {
-		return nil
+		return buf, nil
 	}
 	r.Lit("[")
-	var buf [8]string
-	ss := buf[:0]
+	start := len(buf)
 	for r.More(']') {
-		ss = append(ss, r.String())
+		buf = append(buf, r.String())
 	}
-	return append([]string{}, ss...)
+	return buf, buf[start:len(buf):len(buf)]
 }
 
 // Int reads an integer literal that fits an int.

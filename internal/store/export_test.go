@@ -24,6 +24,10 @@ func (db *DB) TableNames() []string {
 	return names
 }
 
+// Begin starts a transaction the test commits or rolls back itself;
+// shipped code writes through Unit, which recycles its Tx.
+func (db *DB) Begin() *Tx { return &Tx{db: db} }
+
 // Get returns a copy of the row for keyVals as the tx sees it.
 func (tx *Tx) Get(table string, keyVals ...any) (row Row, ok bool) {
 	ok = tx.View(table, func(r Row) { row = r.Clone() }, keyVals...)

@@ -25,12 +25,12 @@ package store
 // LoggedOp is one committed row mutation.
 //
 //   - OpInsert: Row is the inserted row; Key is the zero Row.
-//   - OpUpdate: Row sets only the changed columns; Key sets the primary
-//     key columns (a key row, which has no other column).
-//   - OpDelete: Row is the zero Row; Key sets the primary key columns.
+//   - OpUpdate: Row sets only the changed columns; Key is the row the
+//     update replaces, as it was stored.
+//   - OpDelete: Row is the zero Row; Key is the row the delete removes.
 //
-// A replayed op's Key may also be a full row of the table: only its key
-// columns are read.
+// Only Key's primary-key columns name the row: a log writes those alone
+// (Row.AppendKeyJSON), and a replayed op's Key may set nothing else.
 type LoggedOp struct {
 	Table string
 	Op    Op

@@ -31,8 +31,7 @@ type Value struct {
 
 // layout is the shape of a row: a table's columns, how to find one by
 // name, and where its primary key sits. Every row of a table shares the
-// table's layout; the keys an update or delete logs share its key
-// layout, whose columns are the key columns alone.
+// table's layout.
 type layout struct {
 	table  string
 	cols   []Column
@@ -52,16 +51,6 @@ func newLayout(table string, cols []Column, key []string) *layout {
 	}
 	sort.Slice(l.byName, func(i, j int) bool { return cols[l.byName[i]].Name < cols[l.byName[j]].Name })
 	return l
-}
-
-// keyLayout is the layout of l's key columns alone, in key order.
-func (l *layout) keyLayout() *layout {
-	cols := make([]Column, len(l.key))
-	names := make([]string, len(l.key))
-	for i, p := range l.key {
-		cols[i], names[i] = l.cols[p], l.cols[p].Name
-	}
-	return newLayout(l.table, cols, names)
 }
 
 // name is the table l is the layout of, for errors; "" for none.

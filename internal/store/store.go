@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ColType enumerates the column types the store supports.
@@ -213,7 +214,6 @@ type Table struct {
 	db     *DB
 	schema Schema
 	l      *layout // every stored row's
-	keyL   *layout // the key rows of logged updates and deletes
 
 	mu      sync.RWMutex
 	rows    map[rowKey]Row
@@ -224,16 +224,33 @@ type Table struct {
 // of one column. A row that leaves the column unset is in no entry.
 type index struct {
 	col int
-	m   map[Value]map[rowKey]struct{}
+	m   map[Value]posting
+}
+
+// posting is the keys of the rows holding one value: the key itself
+// while one row does, a set once two or more do, so a value one row
+// holds (a link's owner, a slot's meeting) costs no map of its own.
+type posting struct {
+	one  rowKey
+	more map[rowKey]struct{} // nil while one row holds the value
+}
+
+// each calls fn with every key in p, in no particular order.
+func (p posting) each(fn func(rowKey)) {
+	if p.more == nil {
+		fn(p.one)
+		return
+	}
+	for k := range p.more {
+		fn(k)
+	}
 }
 
 func newTable(db *DB, s Schema) *Table {
-	l := newLayout(s.Name, s.Columns, s.Key)
 	return &Table{
 		db:     db,
 		schema: s,
-		l:      l,
-		keyL:   l.keyLayout(),
+		l:      newLayout(s.Name, s.Columns, s.Key),
 		rows:   make(map[rowKey]Row),
 	}
 }
@@ -287,7 +304,7 @@ func (t *Table) changes(r Row) (Row, error) {
 // keys and probe keys always agree, and without fmt, which would move
 // every probe's key values to the heap.
 func (t *Table) appendKeyVal(b []byte, i int, v any) ([]byte, bool) {
-	ct := t.keyL.cols[i].Type
+	ct := t.keyType(i)
 	val, ok := valueOf(ct, v)
 	if !ok {
 		return b, false
@@ -311,51 +328,46 @@ func (t *Table) appendKey(b []byte, keyVals []any) ([]byte, error) {
 	return b, nil
 }
 
+// keyType is the type of the i-th key column.
+func (t *Table) keyType(i int) ColType { return t.l.cols[t.l.key[i]].Type }
+
 // soleStringKey returns the probe value of a single-column string key,
 // which encodes as itself (the same fast path as Row.key).
 func (t *Table) soleStringKey(keyVals []any) (string, bool) {
-	if len(t.schema.Key) != 1 || len(keyVals) != 1 || t.keyL.cols[0].Type != String {
+	if len(t.schema.Key) != 1 || len(keyVals) != 1 || t.keyType(0) != String {
 		return "", false
 	}
 	s, ok := keyVals[0].(string)
 	return s, ok
 }
 
-// keyFromVals is appendKey for a caller that keeps the key.
-func (t *Table) keyFromVals(keyVals []any) (rowKey, error) {
+// keyFromVals returns the encoded key for keyVals. Without a probe
+// buffer the key is a string of its own, for a caller that keeps it. A
+// probe key is only compared and looked up, never kept: a composite one
+// is built in probe and shares its bytes (the store's one use of
+// unsafe), so a point read allocates nothing, and it is valid only while
+// probe is and until probe changes.
+func (t *Table) keyFromVals(keyVals []any, probe []byte) (rowKey, error) {
 	if s, ok := t.soleStringKey(keyVals); ok {
 		return rowKey(s), nil
+	}
+	if probe != nil {
+		b, err := t.appendKey(probe[:0], keyVals)
+		return rowKey(unsafe.String(unsafe.SliceData(b), len(b))), err
 	}
 	var buf [64]byte
 	b, err := t.appendKey(buf[:0], keyVals)
 	return rowKey(b), err
 }
 
-// keyRow returns the key row of keyVals: what an update or delete logs
-// to name its row. keyVals has been through keyFromVals.
-func (t *Table) keyRow(keyVals []any) Row {
-	r := Row{l: t.keyL, vals: make([]Value, len(t.keyL.cols))}
-	for i, c := range t.keyL.cols {
-		r.vals[i], _ = valueOf(c.Type, keyVals[i])
-		r.set |= 1 << i
-	}
-	return r
-}
-
-// lookup returns the stored row for keyVals. The key is built on the
-// stack and the row map indexed with it directly, so a point read
-// allocates nothing; the caller holds t.mu.
+// lookup returns the stored row for keyVals; the caller holds t.mu.
 func (t *Table) lookup(keyVals []any) (Row, bool) {
-	if s, ok := t.soleStringKey(keyVals); ok {
-		r, ok := t.rows[rowKey(s)]
-		return r, ok
-	}
 	var buf [64]byte
-	k, err := t.appendKey(buf[:0], keyVals)
+	k, err := t.keyFromVals(keyVals, buf[:])
 	if err != nil {
 		return Row{}, false
 	}
-	r, ok := t.rows[rowKey(k)]
+	r, ok := t.rows[k]
 	return r, ok
 }
 
@@ -385,7 +397,7 @@ func (t *Table) addIndex(col string) (bool, error) {
 	if t.indexOf(p) != nil {
 		return false, nil
 	}
-	t.indexes = append(t.indexes, index{col: p, m: make(map[Value]map[rowKey]struct{})})
+	t.indexes = append(t.indexes, index{col: p, m: make(map[Value]posting)})
 	idx := &t.indexes[len(t.indexes)-1]
 	for k, r := range t.rows {
 		idx.add(k, r)
@@ -409,10 +421,14 @@ func (idx *index) add(k rowKey, r Row) {
 		return
 	}
 	v := r.vals[idx.col]
-	if idx.m[v] == nil {
-		idx.m[v] = make(map[rowKey]struct{})
+	switch p, ok := idx.m[v]; {
+	case !ok:
+		idx.m[v] = posting{one: k}
+	case p.more != nil:
+		p.more[k] = struct{}{}
+	case p.one != k:
+		idx.m[v] = posting{more: map[rowKey]struct{}{p.one: {}, k: {}}}
 	}
-	idx.m[v][k] = struct{}{}
 }
 
 func (idx *index) remove(k rowKey, r Row) {
@@ -420,10 +436,15 @@ func (idx *index) remove(k rowKey, r Row) {
 		return
 	}
 	v := r.vals[idx.col]
-	if set, ok := idx.m[v]; ok {
-		delete(set, k)
-		if len(set) == 0 {
-			delete(idx.m, v)
+	switch p, ok := idx.m[v]; {
+	case ok && p.more == nil && p.one == k:
+		delete(idx.m, v)
+	case p.more != nil:
+		delete(p.more, k)
+		if len(p.more) == 1 {
+			for last := range p.more {
+				idx.m[v] = posting{one: last}
+			}
 		}
 	}
 }
@@ -540,9 +561,10 @@ func (t *Table) SelectEq(col string, v any) []Row {
 	}
 	t.mu.RLock()
 	if idx := t.indexOf(p); idx != nil {
-		keys := make([]rowKey, 0, len(idx.m[val]))
-		for k := range idx.m[val] {
-			keys = append(keys, k)
+		var keys []rowKey
+		if post, ok := idx.m[val]; ok {
+			keys = make([]rowKey, 0, 1+len(post.more))
+			post.each(func(k rowKey) { keys = append(keys, k) })
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		out := make([]Row, 0, len(keys))
@@ -573,8 +595,8 @@ func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if idx := t.indexOf(p); idx != nil {
-		for k := range idx.m[val] {
-			fn(t.rows[k])
+		if post, ok := idx.m[val]; ok {
+			post.each(func(k rowKey) { fn(t.rows[k]) })
 		}
 		return
 	}
@@ -589,8 +611,13 @@ func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 // k, directly to the table's maps; the caller holds t.mu (Tx.Commit
 // applies its whole buffer under the locks of every involved table). An
 // inserted row is stored as it stands: Tx.Insert took ownership of it.
-func (t *Table) applyOpLocked(op LoggedOp, k rowKey) {
+// An update or delete takes as its Key the row it replaces, which names
+// the row in the log.
+func (t *Table) applyOpLocked(op *LoggedOp, k rowKey) {
 	cur := t.rows[k]
+	if op.Op != OpInsert {
+		op.Key = cur
+	}
 	switch op.Op {
 	case OpInsert:
 		t.rows[k] = op.Row
@@ -646,17 +673,17 @@ func (t *Table) replay(op LoggedOp) error {
 	if err := checkExists(op, k, exists); err != nil {
 		return err
 	}
-	t.applyOpLocked(op, k)
+	t.applyOpLocked(&op, k)
 	return nil
 }
 
 // loggedKey returns the encoded key a logged update or delete names:
-// the key columns of key, a key row or a full row of the table.
+// the key columns of key, a row of the table.
 func (t *Table) loggedKey(key Row) (rowKey, error) {
 	switch {
 	case key.err != nil:
 		return "", key.err
-	case key.l != t.l && key.l != t.keyL:
+	case key.l != t.l:
 		return "", fmt.Errorf("%w: need a key of table %s", ErrMissingKey, t.schema.Name)
 	}
 	return key.key()

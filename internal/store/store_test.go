@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -506,5 +507,85 @@ func BenchmarkSelectEqIndexed(b *testing.B) {
 		if got := tab.SelectEq("status", "busy"); len(got) != 100 {
 			b.Fatalf("got %d", len(got))
 		}
+	}
+}
+
+// TestIndexPostingsGrowAndShrink: the rows holding one indexed value go
+// 0 → 1 → 2 → 1 → 0 by insert, insert, update and delete, the posting
+// holding the key inline while one row does. At every step ViewEq and
+// SelectEq on the indexed table read what a scan of an unindexed twin
+// does, and a reader running beside the writes sees one row or two
+// whenever it sees any.
+func TestIndexPostingsGrowAndShrink(t *testing.T) {
+	indexed, scanned := newCalTable(t), newCalTable(t)
+	if err := indexed.CreateIndex("status"); err != nil {
+		t.Fatal(err)
+	}
+	busy := fmt.Sprint("bu", "sy")
+	view := func(tab *Table) []Row {
+		var rows []Row
+		tab.ViewEq("status", busy, func(r Row) { rows = append(rows, r.Clone()) })
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Int("hour") < rows[j].Int("hour") })
+		return rows
+	}
+	steps := []struct {
+		name  string
+		write func(tab *Table) error
+		rows  int
+	}{
+		{"insert 9", func(tab *Table) error { return tab.Insert(slotRow(tab, "d", 9, busy)) }, 1},
+		{"insert 10", func(tab *Table) error { return tab.Insert(slotRow(tab, "d", 10, busy)) }, 2},
+		{"free 9", func(tab *Table) error { return tab.Update(row(tab, "status", "free"), "d", int64(9)) }, 1},
+		{"delete 10", func(tab *Table) error { return tab.Delete("d", int64(10)) }, 0},
+		{"delete 9", func(tab *Table) error { return tab.Delete("d", int64(9)) }, 0},
+	}
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if n := len(indexed.SelectEq("status", busy)); n > 2 {
+				done <- fmt.Errorf("a reader saw %d busy rows", n)
+				return
+			}
+		}
+	}()
+	for round := 0; round < 50; round++ {
+		for _, st := range steps {
+			for _, tab := range []*Table{indexed, scanned} {
+				if err := st.write(tab); err != nil {
+					t.Fatalf("%s: %v", st.name, err)
+				}
+			}
+			indexed.mu.RLock()
+			post, ok := indexed.indexes[0].m[Value{s: busy}]
+			got := 0
+			if ok {
+				post.each(func(rowKey) { got++ })
+				if (post.more == nil) != (got == 1) {
+					t.Fatalf("%s: %d rows, inline %v", st.name, got, post.more == nil)
+				}
+			}
+			indexed.mu.RUnlock()
+			if got != st.rows {
+				t.Fatalf("%s: the posting holds %d rows, want %d", st.name, got, st.rows)
+			}
+			want := scanned.SelectEq("status", busy)
+			if sel := indexed.SelectEq("status", busy); !reflect.DeepEqual(sel, want) || len(want) != st.rows {
+				t.Fatalf("%s: SelectEq reads %v, a scan %v", st.name, sel, want)
+			}
+			if v, w := view(indexed), view(scanned); !reflect.DeepEqual(v, w) || len(v) != st.rows {
+				t.Fatalf("%s: ViewEq reads %v, a scan %v", st.name, v, w)
+			}
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

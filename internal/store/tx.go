@@ -42,6 +42,8 @@ import (
 //
 // The buffer is two small slices scanned linearly — a step writes a
 // handful of rows, and a map per table costs more than it saves there.
+// Unit recycles its Tx, buffers and all, so a unit allocates only the
+// rows and keys it keeps.
 type Tx struct {
 	db   *DB
 	mu   sync.Mutex
@@ -50,10 +52,6 @@ type Tx struct {
 	ops   []LoggedOp
 	at    []txAt
 	after []func(context.Context)
-
-	opsBuf   [4]LoggedOp
-	atBuf    [4]txAt
-	afterBuf [2]func(context.Context)
 }
 
 type txAt struct {
@@ -66,25 +64,28 @@ type txAt struct {
 // ErrDupKey that says how.
 var ErrConflict = errors.New("store: commit conflict")
 
-// Begin starts a transaction.
-func (db *DB) Begin() *Tx {
-	tx := &Tx{db: db}
-	tx.ops, tx.at, tx.after = tx.opsBuf[:0], tx.atBuf[:0], tx.afterBuf[:0]
-	return tx
-}
-
 // unitAttempts bounds how often Unit re-runs a step whose commit
 // conflicted.
 const unitAttempts = 3
+
+// txPool holds the emptied Txs of finished units.
+var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // Unit runs step as one commit unit: its writes are buffered, applied
 // and logged as one record, then its AfterCommit sends run. A step that
 // returns an error leaves no trace. A commit-time conflict re-runs the
 // step against the state that beat it, so step must keep its side
 // effects in the unit (writes and AfterCommit) until Unit returns.
+// Unit recycles u once it returns: step must not keep u, nor hand it to
+// anything that outlives the call (an AfterCommit function included).
 func (db *DB) Unit(ctx context.Context, step func(u *Tx) error) error {
+	u := txPool.Get().(*Tx)
+	defer func() {
+		u.reuse(nil)
+		txPool.Put(u)
+	}()
 	for attempt := 1; ; attempt++ {
-		u := db.Begin()
+		u.reuse(db)
 		if err := step(u); err != nil {
 			return err
 		}
@@ -93,6 +94,16 @@ func (db *DB) Unit(ctx context.Context, step func(u *Tx) error) error {
 			return err
 		}
 	}
+}
+
+// reuse empties tx and readies it for db's next unit (nil: for the
+// pool). The buffers keep their storage but no row, key or function.
+func (tx *Tx) reuse(db *DB) {
+	clear(tx.ops)
+	clear(tx.at)
+	clear(tx.after)
+	tx.db, tx.done = db, false
+	tx.ops, tx.at, tx.after = tx.ops[:0], tx.at[:0], tx.after[:0]
 }
 
 // last returns the index of the newest of the first n buffered ops that
@@ -140,8 +151,9 @@ func (tx *Tx) effective(t *Table, k rowKey, n int) (Row, bool) {
 	return Row{}, false
 }
 
-// locate resolves a read or keyed write: the table and the encoded key.
-func (tx *Tx) locate(table string, keyVals []any) (*Table, rowKey, error) {
+// locate resolves a read or keyed write: the table and the encoded key,
+// a read's built in probe (see keyFromVals).
+func (tx *Tx) locate(table string, keyVals []any, probe []byte) (*Table, rowKey, error) {
 	if tx.done {
 		return nil, "", ErrTxDone
 	}
@@ -149,7 +161,7 @@ func (tx *Tx) locate(table string, keyVals []any) (*Table, rowKey, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	k, err := t.keyFromVals(keyVals)
+	k, err := t.keyFromVals(keyVals, probe)
 	return t, k, err
 }
 
@@ -159,7 +171,8 @@ func (tx *Tx) locate(table string, keyVals []any) (*Table, rowKey, error) {
 func (tx *Tx) View(table string, fn func(Row), keyVals ...any) bool {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	t, k, err := tx.locate(table, keyVals)
+	var buf [64]byte
+	t, k, err := tx.locate(table, keyVals, buf[:])
 	if err != nil {
 		return false
 	}
@@ -174,7 +187,8 @@ func (tx *Tx) View(table string, fn func(Row), keyVals ...any) bool {
 func (tx *Tx) Has(table string, keyVals ...any) bool {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	t, k, err := tx.locate(table, keyVals)
+	var buf [64]byte
+	t, k, err := tx.locate(table, keyVals, buf[:])
 	return err == nil && tx.exists(t, k)
 }
 
@@ -247,7 +261,7 @@ func (tx *Tx) Insert(table string, r Row) error {
 func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	t, k, err := tx.locate(table, keyVals)
+	t, k, err := tx.locate(table, keyVals, nil)
 	if err != nil {
 		return err
 	}
@@ -257,7 +271,7 @@ func (tx *Tx) Update(table string, changes Row, keyVals ...any) error {
 	if !tx.exists(t, k) {
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
 	}
-	tx.record(t, k, LoggedOp{Table: table, Op: OpUpdate, Row: changes, Key: t.keyRow(keyVals)})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpUpdate, Row: changes})
 	return nil
 }
 
@@ -275,7 +289,7 @@ func (tx *Tx) Remove(table string, keyVals ...any) error {
 func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	t, k, err := tx.locate(table, keyVals)
+	t, k, err := tx.locate(table, keyVals, nil)
 	if err != nil {
 		return err
 	}
@@ -285,7 +299,7 @@ func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 		}
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
 	}
-	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete, Key: t.keyRow(keyVals)})
+	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete})
 	return nil
 }
 
@@ -359,8 +373,8 @@ func (tx *Tx) commit(ctx context.Context) ([]func(context.Context), error) {
 		span.FinishErr(err)
 		return nil, err
 	}
-	for i, op := range ops {
-		at[i].t.applyOpLocked(op, at[i].k)
+	for i := range ops {
+		at[i].t.applyOpLocked(&ops[i], at[i].k)
 	}
 	// Enqueue the unit while the table locks are still held: the log
 	// order of these rows is now exactly their apply order relative to

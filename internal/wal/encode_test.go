@@ -2,11 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -320,4 +323,70 @@ func readSegment(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestKeyedRecordsUnchanged: the update and delete records of a table
+// with a two-column key, written by units and by direct writes, are the
+// bytes an earlier build wrote, which logged a key row built from the
+// key values; a unit now logs the row it replaces, of which only the key
+// columns are written.
+func TestKeyedRecordsUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{Sync: SyncNone})
+	tab, err := d.DB.CreateTable(store.Schema{Name: "t", Key: []string{"id", "n"}, Columns: []store.Column{
+		{Name: "doc", Type: store.String}, {Name: "n", Type: store.Int}, {Name: "id", Type: store.String}, {Name: "at", Type: store.Time},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := time.Date(2003, 4, 22, 14, 30, 0, 123, time.UTC)
+	ins := func(id string, n int64) store.Row {
+		return rowOf(tab, map[string]any{"id": id, "n": n, "doc": "d-" + id, "at": ts})
+	}
+	doc := func(s string) store.Row { return rowOf(tab, map[string]any{"doc": s}) }
+	for _, write := range []func() error{
+		func() error { return tab.Insert(ins("a", 1)) },
+		func() error { return tab.Insert(ins("b", -2)) },
+		func() error { return tab.Update(doc("moved"), "a", int64(1)) },
+		func() error { return tab.Delete("b", int64(-2)) },
+		func() error {
+			return d.DB.Unit(context.Background(), func(u *store.Tx) error {
+				if err := u.Insert("t", ins("c", 3)); err != nil {
+					return err
+				}
+				if err := u.Update("t", doc("again"), "c", int64(3)); err != nil {
+					return err
+				}
+				if err := u.Update("t", doc("twice"), "a", int64(1)); err != nil {
+					return err
+				}
+				return u.Delete("t", "a", int64(1))
+			})
+		},
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(t, d)
+	var got []string
+	for data := readSegment(t, dir); len(data) > 0; {
+		payload, n, err := nextFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, data = append(got, string(payload)), data[n:]
+	}
+	want := []string{
+		`{"lsn":1,"kind":"table","schema":{"name":"t","columns":[{"name":"doc","type":0},{"name":"n","type":1},{"name":"id","type":0},{"name":"at","type":4}],"key":["id","n"]}}`,
+		`{"lsn":2,"kind":"tx","ops":[{"table":"t","op":0,"row":{"at":"2003-04-22T14:30:00.000000123Z","doc":"d-a","id":"a","n":1}}]}`,
+		`{"lsn":3,"kind":"tx","ops":[{"table":"t","op":0,"row":{"at":"2003-04-22T14:30:00.000000123Z","doc":"d-b","id":"b","n":-2}}]}`,
+		`{"lsn":4,"kind":"tx","ops":[{"table":"t","op":1,"row":{"doc":"moved"},"key":["a",1]}]}`,
+		`{"lsn":5,"kind":"tx","ops":[{"table":"t","op":2,"key":["b",-2]}]}`,
+		`{"lsn":6,"kind":"tx","ops":[{"table":"t","op":0,"row":{"at":"2003-04-22T14:30:00.000000123Z","doc":"d-c","id":"c","n":3}},` +
+			`{"table":"t","op":1,"row":{"doc":"again"},"key":["c",3]},{"table":"t","op":1,"row":{"doc":"twice"},"key":["a",1]},{"table":"t","op":2,"key":["a",1]}]}`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

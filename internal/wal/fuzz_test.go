@@ -45,9 +45,9 @@ func FuzzWALReplay(f *testing.F) {
 	if err := tab.Delete(int64(2)); err != nil {
 		f.Fatal(err)
 	}
-	tx := d.DB.Begin()
-	_ = tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(9), "val": "tx", "ts": ts}))
-	_ = tx.Commit(context.Background())
+	_ = d.DB.Unit(context.Background(), func(u *store.Tx) error {
+		return u.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(9), "val": "tx", "ts": ts}))
+	})
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
 	}

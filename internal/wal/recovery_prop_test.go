@@ -151,13 +151,14 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 			units = append(units, scriptUnit{
 				name: fmt.Sprintf("tx(%d)", k),
 				apply: func(db *store.DB) error {
-					tx := db.Begin()
-					for _, o := range ops {
-						if err := applyOne(db, o, tx); err != nil {
-							return err
+					return db.Unit(context.Background(), func(u *store.Tx) error {
+						for _, o := range ops {
+							if err := applyOne(db, o, u); err != nil {
+								return err
+							}
 						}
-					}
-					return tx.Commit(context.Background())
+						return nil
+					})
 				},
 			})
 			continue
@@ -209,17 +210,15 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 		units = append(units, scriptUnit{
 			name: fmt.Sprintf("c2 tx %d", id),
 			apply: func(db *store.DB) error {
-				tx := db.Begin()
-				if err := tx.Insert("t1", row(db, id, "a")); err != nil {
-					return err
-				}
-				if err := tx.Insert("t1", row(db, id2, "b")); err != nil {
-					return err
-				}
-				if err := tx.Update("t1", rowIn(db, "t1", map[string]any{"val": "c"}), id); err != nil {
-					return err
-				}
-				return tx.Commit(context.Background())
+				return db.Unit(context.Background(), func(u *store.Tx) error {
+					if err := u.Insert("t1", row(db, id, "a")); err != nil {
+						return err
+					}
+					if err := u.Insert("t1", row(db, id2, "b")); err != nil {
+						return err
+					}
+					return u.Update("t1", rowIn(db, "t1", map[string]any{"val": "c"}), id)
+				})
 			},
 		})
 	}

@@ -38,9 +38,11 @@ const (
 	// with a single fsync; all committers in the batch share it, and
 	// none is acked before the fsync that covers it.
 	SyncGroup SyncPolicy = iota
-	// SyncNone never fsyncs; the OS flushes when it pleases. Fastest,
-	// loses the last few seconds on a machine crash (not on a process
-	// crash — the write(2) still happened).
+	// SyncNone fsyncs neither records nor a new segment's directory
+	// entry. Fastest, loses the last few seconds on a machine crash (not
+	// on a process crash — the write(2) still happened). Rotation and
+	// Close still sync the segment they close, and a checkpoint, which
+	// the log is trimmed behind, its file and the directory.
 	SyncNone
 )
 
@@ -319,12 +321,15 @@ func (w *WAL) openSegmentLocked(first uint64, size int64) error {
 	w.f = f
 	w.segSize = size
 	w.segFirst = first
+	if w.opt.Sync == SyncNone {
+		return nil
+	}
 	return syncDir(w.dir)
 }
 
 // syncDir fsyncs the directory so newly created/renamed files survive
-// a crash.
-func syncDir(dir string) error {
+// a crash. It is a variable so that a test can count the calls.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -165,14 +165,12 @@ func TestTxUnitIsAtomicAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := time.Now().UTC()
-	tx := d.DB.Begin()
-	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(1), "val": "a", "ts": ts})); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(2), "val": "b", "ts": ts})); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(context.Background()); err != nil {
+	if err := d.DB.Unit(context.Background(), func(u *store.Tx) error {
+		if err := u.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(1), "val": "a", "ts": ts})); err != nil {
+			return err
+		}
+		return u.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(2), "val": "b", "ts": ts}))
+	}); err != nil {
 		t.Fatal(err)
 	}
 	seg := filepath.Join(dir, segmentName(1))
@@ -207,11 +205,15 @@ func TestRollbackIsNotLogged(t *testing.T) {
 	if _, err := d.DB.CreateTable(testSchema("t")); err != nil {
 		t.Fatal(err)
 	}
-	tx := d.DB.Begin()
-	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(1), "val": "x", "ts": time.Now().UTC()})); err != nil {
+	rollback := errors.New("rollback")
+	if err := d.DB.Unit(context.Background(), func(u *store.Tx) error {
+		if err := u.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(1), "val": "x", "ts": time.Now().UTC()})); err != nil {
+			return err
+		}
+		return rollback // the unit is dropped, never committed
+	}); err != rollback {
 		t.Fatal(err)
 	}
-	// The tx is dropped, never committed.
 	crash(t, d)
 	d2 := mustOpen(t, dir, Options{})
 	defer d2.Close()
@@ -451,14 +453,19 @@ func TestCheckpointExcludesOpenTxState(t *testing.T) {
 	}
 	want := snapshotOf(t, d.DB)
 
-	tx := d.DB.Begin()
-	if err := tx.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(2), "val": "uncommitted", "ts": ts})); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Update("t", rowIn(d.DB, "t", map[string]any{"val": "dirty"}), int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil { // mid-tx checkpoint; the tx is never committed
+	rollback := errors.New("rollback")
+	if err := d.DB.Unit(context.Background(), func(u *store.Tx) error {
+		if err := u.Insert("t", rowIn(d.DB, "t", map[string]any{"id": int64(2), "val": "uncommitted", "ts": ts})); err != nil {
+			return err
+		}
+		if err := u.Update("t", rowIn(d.DB, "t", map[string]any{"val": "dirty"}), int64(1)); err != nil {
+			return err
+		}
+		if err := d.Checkpoint(); err != nil { // mid-unit checkpoint; the unit is never committed
+			return err
+		}
+		return rollback
+	}); err != rollback {
 		t.Fatal(err)
 	}
 	crash(t, d)
@@ -652,6 +659,36 @@ func TestSegmentRotationAndCheckpointTrim(t *testing.T) {
 	defer d2.Close()
 	if got := snapshotOf(t, d2.DB); !bytes.Equal(got, want) {
 		t.Fatalf("post-trim recovery mismatch")
+	}
+}
+
+// TestSyncNoneSyncsNoDirectory: over Open, a rotation forced by a small
+// segment size and Close, SyncGroup syncs the directory once per segment
+// it creates, and SyncNone never does.
+func TestSyncNoneSyncsNoDirectory(t *testing.T) {
+	real := syncDir
+	defer func() { syncDir = real }()
+	for _, policy := range []SyncPolicy{SyncGroup, SyncNone} {
+		var syncs int
+		syncDir = func(dir string) error { syncs++; return real(dir) }
+		d := mustOpen(t, t.TempDir(), Options{SegmentBytes: 512, Sync: policy})
+		tab, err := d.DB.CreateTable(testSchema("t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); d.Stats().Rotations == 0; i++ {
+			if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		crash(t, d)
+		want := 0
+		if policy == SyncGroup {
+			want = 2 // the segment Open created and the one the rotation did
+		}
+		if syncs != want {
+			t.Errorf("%v: %d directory syncs, want %d", policy, syncs, want)
+		}
 	}
 }
 

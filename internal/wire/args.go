@@ -349,7 +349,9 @@ func readValue(r *jsonrec.Reader) Value {
 	case '{':
 		return Value{kind: kindArgs, sub: ReadArgs(r)}
 	case '[':
-		return Value{kind: kindStrings, ss: r.Strings()}
+		var buf [8]string
+		_, ss := r.Strings(buf[:0])
+		return Value{kind: kindStrings, ss: append([]string{}, ss...)}
 	case 't':
 		r.Lit("true")
 		return Bool("", true).Val
