@@ -11,14 +11,15 @@ import (
 )
 
 // pushRecord sends m to user's device as its initiator would: one
-// MeetingUpdate carrying the encoded record. It returns the text sent.
+// MeetingUpdate carrying the typed record. It returns the text the
+// initiator stores for m, which the receiver must store too.
 func pushRecord(t *testing.T, w *world, user string, m calendar.Meeting) string {
 	t.Helper()
 	raw, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.nodes[m.Initiator].Engine.Invoke(ctxBg(), calendar.ServiceFor(user), "MeetingUpdate", wire.Args{wire.Str("doc", string(raw))}, nil)
+	err = w.nodes[m.Initiator].Engine.Invoke(ctxBg(), calendar.ServiceFor(user), "MeetingUpdate", wire.Args{wire.Sub("rec", calendar.RecordArgs(&m))}, nil)
 	if err != nil {
 		t.Fatalf("push to %s: %v", user, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -294,11 +295,10 @@ func (c *Calendar) ReleaseSlot(ctx context.Context, s Slot) error {
 
 // --- meeting records -----------------------------------------------------------
 
-// encodeMeeting renders a meeting record in its one encoding: what the
-// meetings table stores is also what travels, inside a Commit or a
-// MeetingUpdate, and a receiver stores the text it was sent. The text is
-// what json.Marshal writes for the Meeting, appended field by field
-// (FuzzMeetingRecord holds the two equal).
+// encodeMeeting renders a meeting record in its stored encoding, what the
+// meetings table and a sync Pull hold: what json.Marshal writes for the
+// Meeting, appended field by field (FuzzMeetingRecord holds the two
+// equal). The record travels as recordArgs.
 func encodeMeeting(m *Meeting) string {
 	var buf [512]byte
 	b := jsonrec.AppendString(append(buf[:0], `{"id":`...), m.ID)
@@ -334,6 +334,53 @@ func encodeMeeting(m *Meeting) string {
 	return string(append(b, '}'))
 }
 
+// recordLists are the keys of a record's user lists in its wire form.
+var recordLists = [...]string{"must", "supervisors", "delegates", "reserved", "missing"}
+
+// recordArgs is m's wire form, the typed arguments a Commit and a
+// MeetingUpdate carry: the scalars, each user list that is not empty, and
+// the or-groups as their JSON text (an argument has no list-of-lists
+// kind). encodeMeeting of what meetingFromArgs reads back is m's.
+func recordArgs(m *Meeting) wire.Args {
+	a := append(make(wire.Args, 0, 14), wire.Str("id", m.ID), wire.Str("title", m.Title), wire.Str("initiator", m.Initiator),
+		wire.Str("day", m.Slot.Day), wire.Int("hour", m.Slot.Hour), wire.Str("status", m.Status), wire.Int("priority", m.Priority))
+	for i, l := range [...][]string{m.Must, m.Supervisors, m.Delegates, m.Reserved, m.Missing} {
+		if len(l) > 0 {
+			a = append(a, wire.Strs(recordLists[i], l))
+		}
+	}
+	if len(m.OrGroups) > 0 {
+		raw, _ := json.Marshal(m.OrGroups) // a []OrGroup always has its JSON form
+		a = append(a, wire.Raw("orGroups", raw))
+	}
+	if m.LinkID != "" {
+		a = append(a, wire.Str("linkID", m.LinkID))
+	}
+	return a
+}
+
+// meetingFromArgs reads the record recordArgs wrote, from a frame or from
+// the arguments' JSON form (a journal row, a QueryOutcome answer). Its
+// lists are a's own, not copies. A record with no id is bad arguments.
+func meetingFromArgs(a wire.Args) (Meeting, error) {
+	m := Meeting{ID: a.String("id"), Title: a.String("title"), Initiator: a.String("initiator"),
+		Slot: Slot{Day: a.String("day"), Hour: a.Int("hour")}, Status: a.String("status"),
+		Priority: a.Int("priority"), LinkID: a.String("linkID")}
+	for i, l := range [...]*[]string{&m.Must, &m.Supervisors, &m.Delegates, &m.Reserved, &m.Missing} {
+		*l = a.Strings(recordLists[i])
+	}
+	var err error
+	if a.Has("orGroups") {
+		var groups []OrGroup // its own variable, so that m stays off the heap
+		err = a.Decode("orGroups", &groups)
+		m.OrGroups = groups
+	}
+	if err != nil || m.ID == "" {
+		return m, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad meeting"}
+	}
+	return m, nil
+}
+
 // appendUsers appends an omitempty list field: nothing when it is empty.
 func appendUsers(b []byte, key string, users []string) []byte {
 	if len(users) == 0 {
@@ -342,15 +389,12 @@ func appendUsers(b []byte, key string, users []string) []byte {
 	return jsonrec.AppendStrings(append(b, key...), users)
 }
 
-// parseMeeting is the one decode of a meeting record. Text in the form
-// encodeMeeting writes is read in place; anything else goes to
-// json.Unmarshal, so the record and the error are Unmarshal's.
-func parseMeeting(doc string) (*Meeting, error) {
+// meetingFromDoc is the one decode of a stored meeting record. Text in
+// the form encodeMeeting writes is read in place; anything else goes to
+// json.Unmarshal, so the record and whether it is one are Unmarshal's.
+func meetingFromDoc(doc string) (*Meeting, bool) {
 	m, err := jsonrec.Decode(doc, readMeeting)
-	if err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return &m, err == nil
 }
 
 func readMeeting(doc string) (Meeting, bool) {
@@ -413,15 +457,6 @@ func readMeeting(doc string) (Meeting, bool) {
 	return m, r.Done()
 }
 
-// decodeMeeting is the one decode a received record gets.
-func decodeMeeting(doc string) (*Meeting, error) {
-	m, err := parseMeeting(doc)
-	if err != nil || m.ID == "" {
-		return nil, &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "bad meeting"}
-	}
-	return m, nil
-}
-
 // putMeeting upserts a meeting record in u.
 func (c *Calendar) putMeeting(u *store.Tx, m *Meeting) error {
 	return c.storeMeeting(u, m.ID, encodeMeeting(m))
@@ -457,18 +492,13 @@ func (c *Calendar) Meeting(id string) (*Meeting, bool) {
 	if !ok {
 		return nil, false
 	}
-	return meetingFromRow(r)
+	return meetingFromDoc(r.Str("doc"))
 }
 
 // meetingIn is Meeting as the step's unit u sees the record.
 func (c *Calendar) meetingIn(u *store.Tx, id string) (m *Meeting, ok bool) {
-	u.View(meetingTable, func(r store.Row) { m, ok = meetingFromRow(r) }, id)
+	u.View(meetingTable, func(r store.Row) { m, ok = meetingFromDoc(r.Str("doc")) }, id)
 	return m, ok
-}
-
-func meetingFromRow(r store.Row) (*Meeting, bool) {
-	m, err := parseMeeting(r.Str("doc"))
-	return m, err == nil
 }
 
 // Meetings lists all locally known meetings sorted by id.
@@ -476,7 +506,7 @@ func (c *Calendar) Meetings() []*Meeting {
 	rows := c.meetings.Select(nil)
 	out := make([]*Meeting, 0, len(rows))
 	for _, r := range rows {
-		if m, ok := meetingFromRow(r); ok {
+		if m, ok := meetingFromDoc(r.Str("doc")); ok {
 			out = append(out, m)
 		}
 	}
@@ -513,10 +543,9 @@ func (c *Calendar) registerActions() {
 			}
 			// A Commit carries the meeting record as decided (reserve);
 			// a bad one must leave slot, link and record all untouched.
-			var decided *Meeting
-			doc := args.String("doc")
-			if doc != "" {
-				if decided, err = decodeMeeting(doc); err != nil {
+			var decided Meeting
+			if args.Has("rec") {
+				if decided, err = meetingFromArgs(args.Sub("rec")); err != nil {
 					return err
 				}
 			}
@@ -535,12 +564,12 @@ func (c *Calendar) registerActions() {
 					return err
 				}
 			}
-			if decided == nil {
+			if decided.ID == "" {
 				return nil
 			}
 			// After the bump handling, whose blocker lookup must not see
 			// this meeting's own back link yet.
-			return c.acceptDecided(u, decided, doc, args)
+			return c.acceptDecided(u, &decided, entity, args)
 		},
 	})
 	c.lm.RegisterAction(ActionRelease, links.Action{
@@ -586,11 +615,11 @@ func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args
 
 // acceptDecided finishes a reservation whose Commit carried the meeting
 // record, in the Commit's unit u: the permanent back link to the
-// initiator goes in (a tentative row queued here earlier is promoted
-// instead) and the record is stored as sent. It runs under the slot's
-// entity lock; running it again (a redriven Commit, a retried reserve)
-// leaves one link row, one record.
-func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.Args) error {
+// initiator on entity, the slot reserved, goes in (a tentative row queued
+// here earlier is promoted instead) and the record is stored. It runs
+// under the slot's entity lock; running it again (a redriven Commit, a
+// retried reserve) leaves one link row, one record.
+func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wire.Args) error {
 	if m.Initiator == c.user {
 		// TryConfirm re-reserving the initiator's own bumped slot: its
 		// forward link turns permanent again, the caller stores the
@@ -601,7 +630,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.
 		}
 		return nil
 	}
-	back := backLink(m, c.user)
+	back := backLink(m, c.user, entity)
 	if args.Has("expires") {
 		if err := args.Decode("expires", &back.Expires); err != nil {
 			return &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "calendar: bad link expiry in reserve"}
@@ -614,7 +643,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.
 	if err != nil {
 		return err
 	}
-	return c.storeMeeting(u, m.ID, doc)
+	return c.putMeeting(u, m)
 }
 
 // acceptRecord is where a meeting record sent to this device lands (a
@@ -627,8 +656,8 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, doc string, args wire.
 // local step. A row already here under the link id — queued by an earlier
 // push or a bump, or the permanent one a Commit installed — is left as it
 // is; an offline stub (no link id yet) queues nothing.
-func (c *Calendar) acceptRecord(u *store.Tx, m *Meeting, doc string) error {
-	if err := c.storeMeeting(u, m.ID, doc); err != nil {
+func (c *Calendar) acceptRecord(u *store.Tx, m *Meeting) error {
+	if err := c.putMeeting(u, m); err != nil {
 		return err
 	}
 	if m.Status == StatusCancelled || m.LinkID == "" || m.Initiator == c.user || m.isReserved(c.user) ||

@@ -1,6 +1,13 @@
 package calendar
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/wire"
+)
+
+// RecordArgs is the record m as a Commit and a MeetingUpdate carry it.
+func RecordArgs(m *Meeting) wire.Args { return recordArgs(m) }
 
 // DaysBetween enumerates the days from fromDay to toDay inclusive
 // (both YYYY-MM-DD). Returns nil if the range is malformed or inverted.

@@ -176,7 +176,7 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	}
 	m.Status = m.standing() // as a reserve's record has it already
 
-	if err := c.linkAndPublish(ctx, m, doc, req.Expires, sentExactly(sent)); err != nil {
+	if err := c.linkAndPublish(ctx, m, entity, doc, req.Expires, sentExactly(sent)); err != nil {
 		return nil, err
 	}
 	c.notifyParticipants(ctx, notice{m: m})
@@ -185,15 +185,16 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 
 // reserve negotiates m's slot with spec's targets and returns the record
 // as it stands afterwards. Every Commit carries the record as decided
-// (the marked targets reserved too) and the link expiry; the participant's
-// ActionReserve Apply installs its back link and stores that record, so
-// Mark and Commit are all a reserved participant is sent. sent notes the
-// record each acknowledged Commit carried. When every marked target
-// accepted, the record returned is the one decided, with its encoding;
-// otherwise the encoding is "". An in-doubt outcome is not a rejection:
-// the accepted targets did commit (only stragglers are still being
-// re-driven), so they count as reserved either way; any other failure
-// leaves the record as it was and is returned with it.
+// (the marked targets reserved too) as "rec", and the link expiry; the
+// participant's ActionReserve Apply installs its back link and stores
+// that record, so Mark and Commit are all a reserved participant is sent.
+// sent notes the encoding of the record each acknowledged Commit carried.
+// When every marked target accepted, the record returned is the one
+// decided, with its encoding; otherwise the encoding is "". An in-doubt
+// outcome is not a rejection: the accepted targets did commit (only
+// stragglers are still being re-driven), so they count as reserved
+// either way; any other failure leaves the record as it was and is
+// returned with it.
 func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) (*Meeting, string, error) {
 	var decided *Meeting
 	var marked []links.EntityRef
@@ -202,13 +203,14 @@ func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, exp
 	spec.Decide = func(refs []links.EntityRef) wire.Args {
 		decided, marked = m.holding(refs), refs
 		doc = encodeMeeting(decided)
+		rec := wire.Sub("rec", recordArgs(decided))
 		if expires.IsZero() {
-			return wire.Args{wire.Str("doc", doc)}
+			return wire.Args{rec}
 		}
 		// A time with no JSON form leaves raw empty, which the journal
 		// refuses as json.Marshal refuses the time.
 		raw, _ := jsonrec.AppendTime(nil, expires)
-		return wire.Args{wire.Str("doc", doc), wire.Raw("expires", raw)}
+		return wire.Args{rec, wire.Raw("expires", raw)}
 	}
 	res, err := c.lm.Negotiate(ctx, spec)
 	if err != nil && !links.IsInDoubt(err) {
@@ -244,11 +246,10 @@ func excludeReserved(users []string, m *Meeting) []string {
 	return out
 }
 
-// backLink is the permanent back link of a reserved participant: a
-// negotiation link for a must or or-member, a subscription link for a
-// supervisor (§5).
-func backLink(m *Meeting, user string) links.Link {
-	entity := m.Slot.Entity()
+// backLink is the permanent back link of a reserved participant on
+// entity, m's slot: a negotiation link for a must or or-member, a
+// subscription link for a supervisor (§5).
+func backLink(m *Meeting, user, entity string) links.Link {
 	l := links.Link{
 		ID: m.LinkID, Group: m.ID, Priority: m.Priority, Subtype: links.Permanent,
 		Owner:   links.EntityRef{User: user, Entity: entity},
@@ -262,20 +263,19 @@ func backLink(m *Meeting, user string) links.Link {
 }
 
 // linkAndPublish is the step that makes a negotiated meeting stand at
-// its initiator: the forward negotiation-and link and the meeting record
-// (encoded as doc, or "" for not yet) are one commit unit. Once it is
-// logged the record is pushed to whoever has(user, doc) does not report
-// as holding it, and that push is all of the §5 link topology the
-// negotiation did not install: a reserved participant installed its back
-// link when its Commit applied (acceptDecided), an unreserved one queues
-// its tentative back link when the record reaches it (acceptRecord), by
-// push now or by pull once it is back.
-func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, doc string, expires time.Time, has func(user, doc string) bool) error {
+// its initiator: the forward negotiation-and link on entity, m's slot, and
+// the meeting record (encoded as doc, or "" for not yet) are one commit
+// unit. Once it is logged the record is pushed to whoever has(user, doc)
+// does not report as holding it, and that push is all of the §5 link
+// topology the negotiation did not install: a reserved participant
+// installed its back link when its Commit applied (acceptDecided), an
+// unreserved one queues its tentative back link when the record reaches
+// it (acceptRecord), by push now or by pull once it is back.
+func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, entity, doc string, expires time.Time, has func(user, doc string) bool) error {
 	// The forward link targets *every* participant (reserved or still
 	// missing) so the §4.4 cancel cascade reaches users who joined after
 	// setup (a tentative participant who confirmed later) and clears
 	// queued tentative links.
-	entity := m.Slot.Entity()
 	fwd := links.Link{
 		ID:         m.LinkID,
 		Group:      m.ID,
@@ -301,8 +301,8 @@ func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, doc string, e
 }
 
 // publish stores the meeting record, as a step of its own, and
-// best-effort sends it, in the same encoding, to every participant but
-// those has(user, doc) reports as holding it already (nil: nobody does).
+// best-effort sends it to every participant but those has(user, doc)
+// reports as holding it already (nil: nobody does).
 func (c *Calendar) publish(ctx context.Context, m *Meeting, has func(user, doc string) bool) error {
 	return c.db.Unit(ctx, func(u *store.Tx) error { return c.publishIn(u, m, "", has) })
 }
@@ -324,16 +324,17 @@ func (c *Calendar) publishIn(u *store.Tx, m *Meeting, doc string, has func(user,
 		}
 	}
 	if len(to) > 0 {
-		u.AfterCommit(func(ctx context.Context) { c.push(ctx, doc, to) })
+		u.AfterCommit(func(ctx context.Context) { c.push(ctx, m, to) })
 	}
 	return nil
 }
 
-// push sends the encoded record doc to each of to. Best effort: a
+// push sends the record m, as recordArgs, to each of to. Best effort: a
 // participant that misses the push pulls the record when it next syncs.
-func (c *Calendar) push(ctx context.Context, doc string, to []string) {
+func (c *Calendar) push(ctx context.Context, m *Meeting, to []string) {
+	args := wire.Args{wire.Sub("rec", recordArgs(m))}
 	for _, p := range to {
-		_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", wire.Args{wire.Str("doc", doc)}, nil)
+		_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", args, nil)
 	}
 }
 
@@ -412,7 +413,7 @@ func (m *Meeting) mayCancel(user string) error {
 func (c *Calendar) retract(ctx context.Context, m *Meeting, d links.Unlinked, byUser string) error {
 	unreached, err := c.lm.Retract(ctx, d, nil)
 	if len(unreached) > 0 {
-		c.push(ctx, encodeMeeting(m), unreached)
+		c.push(ctx, m, unreached)
 	}
 	if err != nil {
 		return err
@@ -448,8 +449,8 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 	defer release()
 	var stored string
 	c.meetings.View(func(r store.Row) { stored = r.Str("doc") }, meetingID)
-	m, err := decodeMeeting(stored)
-	if err != nil {
+	m, ok := meetingFromDoc(stored)
+	if !ok {
 		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
 	if m.Status == StatusCancelled {
@@ -574,7 +575,7 @@ func (c *Calendar) dropParticipant(ctx context.Context, meetingID, user string) 
 	if err != nil {
 		return err
 	}
-	c.push(ctx, encodeMeeting(m), removeString(m.Participants(), c.user))
+	c.push(ctx, m, removeString(m.Participants(), c.user))
 	if prev != m.Status {
 		c.notifyParticipants(ctx, notice{m: m, what: "now tentative", by: user})
 	}
@@ -670,12 +671,12 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 		Targets:    slotRefs(others, entity),
 		Constraint: links.And,
 		Local:      &links.LocalChange{Entity: entity, Action: ActionReserve, Args: args},
-		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{wire.Str("doc", doc)} },
+		Decide:     func([]links.EntityRef) wire.Args { return wire.Args{wire.Sub("rec", recordArgs(m))} },
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)
 	}
-	return &was, m, c.linkAndPublish(ctx, m, doc, time.Time{}, sentExactly(sent))
+	return &was, m, c.linkAndPublish(ctx, m, entity, doc, time.Time{}, sentExactly(sent))
 }
 
 // meetingBumpedLocally records a bump at the initiator: the bumped

@@ -245,8 +245,8 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 	if !ok {
 		return fmt.Errorf("calendar: bad sync entity %q", entity)
 	}
-	m, err := parseMeeting(string(doc))
-	if err != nil || m.ID == "" || m.ID != id {
+	m, ok := meetingFromDoc(string(doc))
+	if !ok || m.ID == "" || m.ID != id {
 		return fmt.Errorf("calendar: bad meeting doc for %q", entity)
 	}
 	if m.Initiator == a.c.user {
@@ -258,7 +258,7 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 		if m.Status == StatusCancelled {
 			return a.c.putReleased(u, m)
 		}
-		return a.c.acceptRecord(u, m, encodeMeeting(m))
+		return a.c.acceptRecord(u, m)
 	})
 }
 

@@ -1,11 +1,14 @@
 package calendar
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/store"
+	"repro/internal/jsonrec"
+	"repro/internal/wire"
 )
 
 // meetingOfShape builds a record whose optional parts shape picks: each
@@ -40,33 +43,13 @@ func meetingOfShape(id, title, u1, u2, day string, hour, prio int, shape uint16)
 	return m
 }
 
-// docTable is a meeting table of no calendar, for the codec tests.
-var docTable = func() *store.Table {
-	t, err := store.NewDB().CreateTable(store.Schema{
-		Name:    meetingTable,
-		Columns: []store.Column{{Name: "id", Type: store.String}, {Name: "doc", Type: store.String}},
-		Key:     []string{"id"},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return t
-}()
-
-// docRow is a meeting row holding doc.
-func docRow(doc string) store.Row {
-	r := docTable.NewRow()
-	r.SetStr("doc", doc)
-	return r
-}
-
 // sameMeetingDecode: the record decodes to what json.Unmarshal gives for
 // doc, and fails where Unmarshal fails.
 func sameMeetingDecode(t *testing.T, doc string) {
 	t.Helper()
 	var want Meeting
 	wantErr := json.Unmarshal([]byte(doc), &want)
-	got, ok := meetingFromRow(docRow(doc))
+	got, ok := meetingFromDoc(doc)
 	if ok != (wantErr == nil) || ok && !reflect.DeepEqual(*got, want) {
 		t.Fatalf("record %q decodes to %+v (ok %v), json.Unmarshal to %+v (%v)", doc, got, ok, want, wantErr)
 	}
@@ -75,7 +58,10 @@ func sameMeetingDecode(t *testing.T, doc string) {
 // FuzzMeetingRecord: the meeting record is encoding/json's text. The
 // writer appends what json.Marshal writes for the Meeting, and the record
 // decodes to what json.Unmarshal gives, for the writer's output and for
-// any other text.
+// any other text. The typed form a Commit and a MeetingUpdate carry reads
+// back, through a v3 frame and through the JSON form a journal row and a
+// QueryOutcome answer hold, as a record whose encoding is the text (see
+// sameThroughArgs); one with no id is bad arguments.
 func FuzzMeetingRecord(f *testing.F) {
 	f.Add("M-1", "standup", "phil", "andy", "2003-04-22", 9, 0, uint16(0x40c3), `{"id":"M","title":"t","initiator":"a","slot":{"day":"d","hour":1},"status":"s","priority":0,"must":[]}`)
 	f.Add("M-<2>", "q&a \"x\" \\ \n\t\xe2\x80\xa8", "\xff", "\x00\x1f\x7f", "", -3, -1<<40, uint16(0xffff), `{"id":"M","title":"t","initiator":"a","slot":{"day":"d","hour":01},"status":"s","priority":0}`)
@@ -95,7 +81,62 @@ func FuzzMeetingRecord(f *testing.F) {
 		}
 		sameMeetingDecode(t, doc)
 		sameMeetingDecode(t, text)
+		sameThroughArgs(t, m, doc)
 	})
+}
+
+// sameThroughArgs reads m back from recordArgs after each trip it takes:
+// a v3 frame, and the JSON form read by UnmarshalJSON and, where the text
+// is in its subset, by ReadArgs. The record it reads encodes to doc, the
+// text m's initiator stores. JSON carries no invalid UTF-8, so a string
+// that is not valid UTF-8 comes back as U+FFFD from the JSON form (and
+// from an or-group, which travels as JSON text), as it does from doc:
+// there the record must decode as doc decodes instead.
+func sameThroughArgs(t *testing.T, m *Meeting, doc string) {
+	t.Helper()
+	rec := wire.Args{wire.Sub("rec", recordArgs(m))}
+	f, err := wire.EncodeFrameV3(&wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{
+		Service: "cal.andy", Method: "MeetingUpdate", Args: rec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := wire.ReadFrame(bytes.NewReader(f.Bytes()))
+	f.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := rec.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaJSON wire.Args
+	if err := viaJSON.UnmarshalJSON(text); err != nil {
+		t.Fatal(err)
+	}
+	trips := map[string]wire.Args{"v3 frame": env.Request.Args, "UnmarshalJSON": viaJSON}
+	r := jsonrec.NewReader(string(text))
+	if a := wire.ReadArgs(&r); r.Done() {
+		trips["ReadArgs"] = a
+	}
+	want, _ := meetingFromDoc(doc)
+	for how, a := range trips {
+		got, err := meetingFromArgs(a.Sub("rec"))
+		switch {
+		case m.ID == "":
+			if wire.CodeOf(err) != wire.CodeBadArgs {
+				t.Fatalf("%s: a record with no id reads as %+v, %v; want bad-args", how, got, err)
+			}
+		case err != nil:
+			t.Fatalf("%s: %v", how, err)
+		case encodeMeeting(&got) == doc:
+		case strings.Contains(doc, `\ufffd`): // how doc holds a byte that is not UTF-8
+			if back, _ := meetingFromDoc(encodeMeeting(&got)); !reflect.DeepEqual(back, want) {
+				t.Fatalf("%s: record decodes as %+v, doc as %+v", how, back, want)
+			}
+		default:
+			t.Fatalf("%s: record encodes as %s\nwant %s", how, encodeMeeting(&got), doc)
+		}
+	}
 }
 
 var (
@@ -111,14 +152,13 @@ func TestMeetingRecordAllocs(t *testing.T) {
 		Slot: Slot{Day: "2026-08-07", Hour: 14}, Status: StatusConfirmed, Priority: 2,
 		Must: []string{"andy", "beth"}, Reserved: []string{"phil", "andy", "beth"}, LinkID: "L-0001f00dcafe0002"}
 	doc := encodeMeeting(m)
-	row := docRow(doc)
 	for _, tc := range []struct {
 		name string
 		most float64
 		run  func()
 	}{
 		{"encode", 1, func() { docSink = encodeMeeting(m) }},           // encoding/json: 2
-		{"decode", 2, func() { meetingSink, _ = meetingFromRow(row) }}, // encoding/json: 24
+		{"decode", 2, func() { meetingSink, _ = meetingFromDoc(doc) }}, // encoding/json: 24
 	} {
 		if got := testing.AllocsPerRun(100, tc.run); got > tc.most {
 			t.Errorf("%s of a meeting record costs %.0f allocs, want at most %.0f", tc.name, got, tc.most)

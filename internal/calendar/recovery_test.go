@@ -100,9 +100,15 @@ func setupBC(t *testing.T, w *world) *calendar.Meeting {
 // decidedRecord is the record b's and c's Commits carried: the meeting
 // as decided, with both marked participants reserved.
 func decidedRecord(t *testing.T, m *calendar.Meeting) string {
+	return recordReserving(t, m, "a", "b", "c")
+}
+
+// recordReserving is m confirmed with reserved holding the slot, in the
+// encoding the initiator stores.
+func recordReserving(t *testing.T, m *calendar.Meeting, reserved ...string) string {
 	t.Helper()
 	d := *m
-	d.Reserved, d.Missing, d.Status = []string{"a", "b", "c"}, nil, calendar.StatusConfirmed
+	d.Reserved, d.Missing, d.Status = reserved, nil, calendar.StatusConfirmed
 	raw, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
@@ -123,44 +129,101 @@ func confirmAndCompare(t *testing.T, w *world, m *calendar.Meeting) {
 	}
 }
 
+// setupOrGroup schedules a's meeting at day1 10:00 with c as a must and b
+// as the one member of an or-group, its links expiring in a day: b's
+// Commit carries or-groups, which travel as JSON text inside the typed
+// record, and the expiry beside it.
+func setupOrGroup(t *testing.T, w *world) *calendar.Meeting {
+	t.Helper()
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review <q&a>", Day: day1, Hour: 10, PinSlot: true, Must: []string{"c"},
+		OrGroups: []calendar.OrGroup{{Name: "g<&>", Members: []string{"b"}, K: 1}}, Expires: w.clk.Now().Add(24 * time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// wantExpiry holds user's link of m to the expiry setupOrGroup gave it.
+func wantExpiry(t *testing.T, w *world, user string, m *calendar.Meeting, setup time.Time) {
+	t.Helper()
+	if l, ok := w.cals[user].Links().GetLink(m.LinkID); !ok || !l.Expires.Equal(setup.Add(24*time.Hour)) {
+		t.Errorf("%s link = %+v, want it to expire a day after setup", user, l)
+	}
+}
+
 // TestLostCommitAckInstallsOnce: b applies its Commit, the ack is lost.
 // The redriven Commit is acked as a duplicate, the tentative link the
-// initiator queues at the "missing" b bounces off the row b already
-// holds, and a later TryConfirm finds everything in place.
+// initiator queues at the unreserved b bounces off the row b already
+// holds, and a later TryConfirm finds everything in place, b's record the
+// initiator's byte for byte. b is a must, or an or-group's member with an
+// expiry on the links.
 func TestLostCommitAckInstallsOnce(t *testing.T) {
-	w := newWorld(t, "a", "c")
-	w.wrapNet = onRequests(loseFirstAck())
-	w.addUser("b", 0)
-	m := setupBC(t, w)
-	if m.Status != calendar.StatusTentative || len(m.Missing) != 1 || m.Missing[0] != "b" {
-		t.Fatalf("meeting = %+v, want tentative with b missing", m)
-	}
-	// b holds the initiator's corrective push: it is missing there.
-	wantInstalled(t, w, "b", m, rawRecord(t, w, "a", m.ID))
-	retryCommits(t, w)
-	wantInstalled(t, w, "b", m, rawRecord(t, w, "a", m.ID))
-	confirmAndCompare(t, w, m)
+	t.Run("musts", func(t *testing.T) {
+		w := newWorld(t, "a", "c")
+		w.wrapNet = onRequests(loseFirstAck())
+		w.addUser("b", 0)
+		m := setupBC(t, w)
+		if m.Status != calendar.StatusTentative || len(m.Missing) != 1 || m.Missing[0] != "b" {
+			t.Fatalf("meeting = %+v, want tentative with b missing", m)
+		}
+		// b holds the initiator's corrective push: it is missing there.
+		wantInstalled(t, w, "b", m, rawRecord(t, w, "a", m.ID))
+		retryCommits(t, w)
+		wantInstalled(t, w, "b", m, rawRecord(t, w, "a", m.ID))
+		confirmAndCompare(t, w, m)
+	})
+	t.Run("or-group with expiry", func(t *testing.T) {
+		w := newWorld(t, "a", "c")
+		w.wrapNet = onRequests(loseFirstAck())
+		w.addUser("b", 0)
+		setup := w.clk.Now()
+		m := setupOrGroup(t, w)
+		if m.Status != calendar.StatusTentative || m.Satisfied() {
+			t.Fatalf("meeting = %+v, want tentative short of the or-group", m)
+		}
+		wantInstalled(t, w, "b", m, rawRecord(t, w, "a", m.ID))
+		retryCommits(t, w)
+		wantInstalled(t, w, "b", m, rawRecord(t, w, "a", m.ID))
+		confirmAndCompare(t, w, m)
+		wantExpiry(t, w, "b", m, setup)
+	})
 }
 
 // TestSilentCoordinatorInstallsFromOutcome: the Commit never reaches b.
 // b's own sweep asks a, hears "commit" with the journaled arguments, and
 // installs slot, link (promoting the tentative row a queued) and record
-// from them; a's late Commit is a duplicate.
+// from them, the record the initiator decided byte for byte; a's late
+// Commit is a duplicate. b is a must, or an or-group's member with an
+// expiry on the links.
 func TestSilentCoordinatorInstallsFromOutcome(t *testing.T) {
-	w := newWorld(t, "a", "b", "c")
-	commitsLostTo(w, "b")
-	m := setupBC(t, w)
-	if got := w.slotMeeting("b", m.Slot); got != "" {
-		t.Fatalf("b slot = %q before any Commit", got)
+	for _, tc := range []struct {
+		name     string
+		setup    func(*testing.T, *world) *calendar.Meeting
+		reserved []string // as b's Commit decided it
+	}{
+		{"musts", setupBC, []string{"a", "b", "c"}},
+		{"or-group with expiry", setupOrGroup, []string{"a", "c", "b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, "a", "b", "c")
+			commitsLostTo(w, "b")
+			m := tc.setup(t, w)
+			if got := w.slotMeeting("b", m.Slot); got != "" {
+				t.Fatalf("b slot = %q before any Commit", got)
+			}
+			if n := w.nodes["b"].Links.ResolvePendingMarks(ctxBg(), w.clk.Now()); n != 1 {
+				t.Fatalf("resolved %d marks, want 1", n)
+			}
+			decided := recordReserving(t, m, tc.reserved...)
+			wantInstalled(t, w, "b", m, decided)
+			w.nodes["a"].Links.SetCommitFault(nil)
+			retryCommits(t, w)
+			wantInstalled(t, w, "b", m, decided)
+			confirmAndCompare(t, w, m)
+		})
 	}
-	if n := w.nodes["b"].Links.ResolvePendingMarks(ctxBg(), w.clk.Now()); n != 1 {
-		t.Fatalf("resolved %d marks, want 1", n)
-	}
-	wantInstalled(t, w, "b", m, decidedRecord(t, m))
-	w.nodes["a"].Links.SetCommitFault(nil)
-	retryCommits(t, w)
-	wantInstalled(t, w, "b", m, decidedRecord(t, m))
-	confirmAndCompare(t, w, m)
 }
 
 // TestLateCommitInstallsAllOrNone: b's mark lapses (lock expired, not

@@ -74,16 +74,15 @@ func (c *Calendar) ServiceObject() *listener.Object {
 	})
 
 	// MeetingUpdate: the initiator pushes the authoritative meeting
-	// record, as the text it stores; it is decoded once, to check it and
-	// to see whether it leaves this user a tentative link to queue, and
-	// stored as sent.
+	// record, as its typed arguments (recordArgs); it is read once, to
+	// check it and to see whether it leaves this user a tentative link to
+	// queue, and stored.
 	obj.Handle("MeetingUpdate", func(ctx context.Context, call *listener.Call) (any, error) {
-		doc := call.Args.String("doc")
-		m, err := decodeMeeting(doc)
+		m, err := meetingFromArgs(call.Args.Sub("rec"))
 		if err != nil {
 			return nil, err
 		}
-		if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.acceptRecord(u, m, doc) }); err != nil {
+		if err := c.db.Unit(ctx, func(u *store.Tx) error { return c.acceptRecord(u, &m) }); err != nil {
 			return nil, err
 		}
 		return true, nil

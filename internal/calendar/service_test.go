@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/calendar"
+	"repro/internal/links"
 	"repro/internal/wire"
 )
 
@@ -118,22 +119,34 @@ func TestServiceGetMeetingAndUpdateValidation(t *testing.T) {
 	if wire.CodeOf(err) != wire.CodeNoService {
 		t.Fatalf("unknown meeting: %v", err)
 	}
-	// MeetingUpdate rejects garbage.
-	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Str("doc", "not-an-object")}, nil)
-	if wire.CodeOf(err) != wire.CodeBadArgs {
-		t.Fatalf("garbage update: %v", err)
+	// MeetingUpdate rejects garbage: no record, a record that is no
+	// argument list, a record with no id, or-groups that do not decode.
+	for _, bad := range []wire.Args{
+		nil,
+		{wire.Str("rec", "not-a-list")},
+		{wire.Sub("rec", wire.Args{wire.Str("title", "no id")})},
+		{wire.Sub("rec", wire.Args{wire.Str("id", "M-y"), wire.Raw("orGroups", []byte(`{"k":1}`))})},
+	} {
+		if err := invoke(w, "andy", "phil", "MeetingUpdate", bad, nil); wire.CodeOf(err) != wire.CodeBadArgs {
+			t.Fatalf("update %v: %v, want bad-args", bad, err)
+		}
 	}
-	err = invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Str("doc", `{"title":"no id"}`)}, nil)
-	if wire.CodeOf(err) != wire.CodeBadArgs {
-		t.Fatalf("update without id: %v", err)
+	// A reservation whose record has no id is refused the same way and
+	// leaves the slot as it was.
+	err = w.nodes["andy"].Engine.Invoke(ctxBg(), links.ServiceFor("phil"), "Apply", wire.Args{
+		wire.Str("entity", slot(day1, 11).Entity()), wire.Str("action", calendar.ActionReserve),
+		wire.Sub("args", wire.Args{wire.Str("meeting", "M-y"), wire.Sub("rec", wire.Args{wire.Str("title", "no id")})}),
+	}, nil)
+	if wire.CodeOf(err) != wire.CodeBadArgs || w.slotMeeting("phil", slot(day1, 11)) != "" {
+		t.Fatalf("reserve with a record of no id: %v, slot %q; want bad-args and the slot free", err, w.slotMeeting("phil", slot(day1, 11)))
 	}
-	// ... and stores a record as the text it was sent.
-	doc := `{"id":"M-x","title":"sent","initiator":"andy","slot":{"day":"2003-04-22","hour":9},"status":"tentative","priority":0}`
-	if err := invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Str("doc", doc)}, nil); err != nil {
+	// ... and stores the record it was sent, in the stored encoding.
+	sent := calendar.Meeting{ID: "M-x", Title: "sent", Initiator: "andy", Slot: slot("2003-04-22", 9), Status: calendar.StatusTentative}
+	if err := invoke(w, "andy", "phil", "MeetingUpdate", wire.Args{wire.Sub("rec", calendar.RecordArgs(&sent))}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := w.cals["phil"].Meeting("M-x"); !ok || got.Title != "sent" {
-		t.Fatalf("stored update = %+v, %v", got, ok)
+	if got, want := rawRecord(t, w, "phil", "M-x"), `{"id":"M-x","title":"sent","initiator":"andy","slot":{"day":"2003-04-22","hour":9},"status":"tentative","priority":0}`; got != want {
+		t.Fatalf("stored update = %s, want %s", got, want)
 	}
 }
 

@@ -145,7 +145,7 @@ type journalRec struct {
 // on an argument with no JSON form (a NaN, an infinity, a func), which a
 // decision computed by Spec.Decide can hold.
 func (r *journalRec) body(t *store.Table) (store.Row, error) {
-	var buf [512]byte
+	var buf [1024]byte // room for a reservation's, which holds the decided record
 	b, err := r.appendJSON(buf[:0])
 	if err != nil {
 		return store.Row{}, fmt.Errorf("links: journal encode: %w", err)

@@ -54,6 +54,7 @@ type Manager struct {
 	clk  clock.Clock
 
 	Locks *LockTable
+	peers sync.Map // user -> links service name, built once each
 
 	linksT   *store.Table
 	waitingT *store.Table
@@ -118,6 +119,16 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 	}
 	m.SetTuning(DefaultTuning())
 	return m, nil
+}
+
+// service is ServiceFor(user), concatenated once per peer this manager
+// calls, not on every Mark, Commit and deletion.
+func (m *Manager) service(user string) string {
+	if s, ok := m.peers.Load(user); ok {
+		return s.(string)
+	}
+	s, _ := m.peers.LoadOrStore(user, ServiceFor(user))
+	return s.(string)
 }
 
 // SetMetrics wires negotiation outcome/retry counters into reg (nil
@@ -591,7 +602,7 @@ func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) 
 		if contains(visited, p) {
 			continue
 		}
-		err := m.eng.Invoke(ctx, ServiceFor(p), "DeleteLink", wire.Args{
+		err := m.eng.Invoke(ctx, m.service(p), "DeleteLink", wire.Args{
 			wire.Str("id", l.ID), wire.Strs("visited", visited),
 		}, nil)
 		if engine.IsTransient(err) {
@@ -645,7 +656,7 @@ func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
 	done := 0
 	for _, pd := range m.PendingDeletes() {
 		id, user := pd[0], pd[1]
-		err := m.eng.Invoke(ctx, ServiceFor(user), "DeleteLink", wire.Args{
+		err := m.eng.Invoke(ctx, m.service(user), "DeleteLink", wire.Args{
 			wire.Str("id", id), wire.Strs("visited", []string{m.self}),
 		}, nil)
 		if engine.IsTransient(err) {
@@ -926,7 +937,7 @@ func (m *Manager) applyRemote(ctx context.Context, tgt EntityRef, action string,
 	if tgt.User == m.self {
 		return m.checkAndApply(ctx, tgt.Entity, action, args)
 	}
-	return m.eng.Invoke(ctx, ServiceFor(tgt.User), "Apply", wire.Args{
+	return m.eng.Invoke(ctx, m.service(tgt.User), "Apply", wire.Args{
 		wire.Str("entity", tgt.Entity), wire.Str("action", action), wire.Sub("args", args),
 	}, nil)
 }
@@ -963,5 +974,5 @@ func (m *Manager) InstallAt(ctx context.Context, user string, l *Link) error {
 	if err != nil {
 		return err
 	}
-	return m.eng.Invoke(ctx, ServiceFor(user), "AddLink", wire.Args{wire.Str("link", string(raw))}, nil)
+	return m.eng.Invoke(ctx, m.service(user), "AddLink", wire.Args{wire.Str("link", string(raw))}, nil)
 }

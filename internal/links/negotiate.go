@@ -523,7 +523,7 @@ func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef
 		return m.markLocal(ref.Entity, action, args)
 	}
 	var raw json.RawMessage
-	err := m.eng.Invoke(ctx, ServiceFor(ref.User), "Mark", wire.Args{
+	err := m.eng.Invoke(ctx, m.service(ref.User), "Mark", wire.Args{
 		wire.Str("entity", ref.Entity), wire.Str("action", action), wire.Sub("args", args),
 		wire.Str("nid", nid),
 	}, &raw)
@@ -594,9 +594,9 @@ func (m *Manager) commitTargetInner(ctx context.Context, nid string, ref EntityR
 		wire.Sub("args", args), wire.Str("nid", nid),
 	}
 	if qos {
-		return m.invokeRetry(ctx, ServiceFor(ref.User), "Commit", callArgs, nil)
+		return m.invokeRetry(ctx, m.service(ref.User), "Commit", callArgs, nil)
 	}
-	return m.eng.Invoke(ctx, ServiceFor(ref.User), "Commit", callArgs, nil)
+	return m.eng.Invoke(ctx, m.service(ref.User), "Commit", callArgs, nil)
 }
 
 // abortTarget releases a marked target without changing it.
@@ -610,7 +610,7 @@ func (m *Manager) abortTarget(ctx context.Context, nid string, ref EntityRef, to
 		m.Locks.Unlock(lockKey(ref.Entity), token)
 		return
 	}
-	_ = m.eng.Invoke(ctx, ServiceFor(ref.User), "Abort", wire.Args{
+	_ = m.eng.Invoke(ctx, m.service(ref.User), "Abort", wire.Args{
 		wire.Str("entity", ref.Entity), wire.Str("token", token), wire.Str("nid", nid),
 	}, nil)
 }
@@ -631,7 +631,7 @@ func (m *Manager) checkAvailableInner(ctx context.Context, ref EntityRef, action
 	if ref.User == m.self {
 		return m.check(ref.Entity, action, args)
 	}
-	return m.eng.Invoke(ctx, ServiceFor(ref.User), "IsAvailable", wire.Args{
+	return m.eng.Invoke(ctx, m.service(ref.User), "IsAvailable", wire.Args{
 		wire.Str("entity", ref.Entity), wire.Str("action", action), wire.Sub("args", args),
 	}, nil)
 }

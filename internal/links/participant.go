@@ -235,7 +235,7 @@ func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token stri
 		Outcome string    `json:"outcome"`
 		Args    wire.Args `json:"args"`
 	}
-	err := m.invokeRetry(ctx, ServiceFor(coordinator), "QueryOutcome", wire.Args{
+	err := m.invokeRetry(ctx, m.service(coordinator), "QueryOutcome", wire.Args{
 		wire.Str("nid", nid), wire.Str("token", token),
 	}, &out)
 	return out.Outcome, out.Args, err

@@ -371,6 +371,13 @@ func journalOfShape(id, user, entity, token, key, s string, b bool, n int, fl fl
 	if shape&(1<<8) != 0 {
 		rec.Created = time.Unix(-sec, 0).UTC()
 	}
+	if shape&(1<<9) != 0 { // a decision's record, as a reservation's Commit carries it
+		m := wire.Args{wire.Str("id", id), wire.Int("hour", n), wire.Strs("must", []string{user, s}), wire.Strs("reserved", []string{})}
+		if !b { // or-groups as JSON text, and a list nested one level deeper
+			m = m.With(wire.Raw("orGroups", json.RawMessage(`[{"name":"<g>","members":["a"],"k":1}]`)), wire.Sub(key, wire.Args{wire.Float("f", fl)}))
+		}
+		rec.Args = rec.Args.With(wire.Sub("rec", m))
+	}
 	return rec
 }
 
@@ -382,6 +389,7 @@ func FuzzJournalRecord(f *testing.F) {
 	f.Add("N-1", "phil", "slot:2026-08-07:14", "T-1", "meeting", "M-1", true, 3, 1.5, uint16(0x1ff), int64(1786000000), 0, `{"ID":"N-1"}`)
 	f.Add("<a&b>", "\xff\x00\x1f\x7f", "\xe2\x80\xa8", "q \"x\" \\ \n\t", "héllo ✓", "", false, -1<<40, math.NaN(), uint16(0x0ab), int64(-62135596800), 3600, `{"ID":"a","Action":"","Args":{"n":-0,"s":"x","t":true,"z":null},"Pending":[],"Committed":null,"Failed":[{"user":"u","entity":"e"}],"Attempts":2,"NextRetry":"2026-08-07T14:00:00.5+02:00","Created":"0001-01-01T00:00:00Z","TraceID":"","SpanID":""}`)
 	f.Add("", "", "", "", "", "", false, 0, math.Inf(1), uint16(0x003), int64(0), -5*3600-30*60, `{"id":"N","attempts":1e3}`)
+	f.Add("N-2", "andy", "slot:2026-08-07:14", "T-2", "k", "M-2", true, 14, 0.5, uint16(0x3ff), int64(1786000000), 0, `{"ID":"N-2","Action":"cal.reserve","Args":{"rec":{"id":"M-2","must":["andy"]}},"Pending":null,"Committed":null,"Failed":null,"Attempts":0,"NextRetry":"2026-08-07T14:00:00Z","Created":"2026-08-07T14:00:00Z","TraceID":"","SpanID":""}`)
 	f.Add("N", "u", "e", "t", "k", "v", true, 1<<62, -0.0, uint16(0x156), int64(253402300800), 24*3600, `{"ID":"N","Action":"a","Args":{"n":99999999999999999999999999999999999999,"n":2},"Pending":null,"Committed":null,"Failed":null,"Attempts":0,"NextRetry":"2026-08-07T14:00:00Z","Created":"2026-13-07T14:00:00Z","TraceID":"","SpanID":""}`)
 	f.Fuzz(func(t *testing.T, id, user, entity, token, key, s string, b bool, n int, fl float64, shape uint16, sec int64, zone int, text string) {
 		rec := journalOfShape(id, user, entity, token, key, s, b, n, fl, shape, sec, zone)

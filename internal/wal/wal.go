@@ -41,8 +41,9 @@ const (
 	// SyncNone fsyncs neither records nor a new segment's directory
 	// entry. Fastest, loses the last few seconds on a machine crash (not
 	// on a process crash — the write(2) still happened). Rotation and
-	// Close still sync the segment they close, and a checkpoint, which
-	// the log is trimmed behind, its file and the directory.
+	// Close still sync the segment they close (replay refuses a tear
+	// before the last segment, a log gap), and a checkpoint, which the
+	// log is trimmed behind, its file and the directory.
 	SyncNone
 )
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -736,5 +737,40 @@ func TestParseSyncPolicy(t *testing.T) {
 		if _, err := ParseSyncPolicy(in); err == nil {
 			t.Fatalf("ParseSyncPolicy(%q): want error", in)
 		}
+	}
+}
+
+// TestTornClosedSegmentRefusesOpen is why a rotation syncs the segment it
+// closes under SyncNone too: a segment that lost the tail of its records
+// while the next segment kept its own is a log gap, and Open refuses it.
+func TestTornClosedSegmentRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{SegmentBytes: 512, Sync: SyncNone})
+	tab, err := d.DB.CreateTable(testSchema("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); d.Stats().Rotations == 0 || i%4 != 0; i++ {
+		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(t, d)
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments = %+v (%v), want two", segs, err)
+	}
+	// Segment 1 keeps its records but the last, and half of that one.
+	data, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := frameBounds(t, data)
+	last := bounds[len(bounds)-2]
+	if err := os.WriteFile(segs[0].path, data[:last+(len(data)-last)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "log gap") {
+		t.Fatalf("Open over a torn closed segment: %v, want a log gap refused", err)
 	}
 }

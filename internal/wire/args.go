@@ -201,8 +201,16 @@ func (a Args) appendJSON(b []byte) ([]byte, error) {
 		if n > 0 {
 			b = append(b, ',')
 		}
+		b = append(jsonrec.AppendString(b, a[i].Key), ':')
 		var err error
-		if b, err = a[i].Val.appendJSON(append(jsonrec.AppendString(b, a[i].Key), ':')); err != nil {
+		// A nested list by recursion on this method alone: through
+		// Value.appendJSON every caller's stack buffer would escape.
+		if v := a[i].Val; v.kind == kindArgs {
+			b, err = v.sub.appendJSON(b)
+		} else {
+			b, err = v.appendJSON(b)
+		}
+		if err != nil {
 			return b, err
 		}
 	}
@@ -222,9 +230,9 @@ func (v Value) appendJSON(b []byte) ([]byte, error) {
 	case kindStrings:
 		return jsonrec.AppendStrings(b, v.ss), nil
 	case kindArgs, kindJSON:
-		// Nested args through json.Marshal, not by recursion here, which
-		// would move every caller's stack buffer to the heap; a raw value
-		// compacted and escaped as Marshal treats a json.RawMessage.
+		// Nested args (Decode's) through json.Marshal, not by recursion
+		// here (see Args.appendJSON); a raw value compacted and escaped
+		// as Marshal treats a json.RawMessage.
 		var x any = v.sub
 		if v.kind == kindJSON {
 			x = json.RawMessage(v.s)

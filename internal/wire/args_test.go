@@ -41,9 +41,13 @@ func argsOfShape(k1, k2, s string, n int64, f float64, b bool, raw string, shape
 		add(Strs("list", list), list)
 	}
 	if shape&32 != 0 {
+		// A nested list holding a string list and a list nested again:
+		// the first level is written by AppendJSON itself, the second too.
 		sub := map[string]any{k1: s}
 		sub["g"] = f
-		add(Sub(k2, Args(nil).With(Str(k1, s), Float("g", f))), sub)
+		sub["list"] = []string{k2, s}
+		sub["deep"] = map[string]any{k1: s}
+		add(Sub(k2, Args(nil).With(Str(k1, s), Float("g", f), Strs("list", []string{k2, s}), Sub("deep", Args{Str(k1, s)}))), sub)
 	}
 	if shape&64 != 0 {
 		add(Raw("raw", json.RawMessage(raw)), json.RawMessage(raw))

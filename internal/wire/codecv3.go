@@ -270,9 +270,10 @@ func appendV3Zigzag(b []byte, v int64) []byte {
 // each string is its own copy, so a small string that outlives the frame
 // never pins a large one.
 type v3dec struct {
-	b   []byte
-	pos int
-	s   string // string(b), once a string needs it
+	b    []byte
+	pos  int
+	s    string   // string(b), once a string needs it
+	strs []string // the backing the body's string lists are carved from
 	// names is the receiving half of the connection's name table (see
 	// NameTable); nil in a one-off decode, where a reference is an error.
 	names *[]string
@@ -432,7 +433,7 @@ func (d *v3dec) meta() (Metadata, error) {
 
 // args decodes an argument list into one slice. Its strings are
 // substrings of the body's one copy (see v3dec), so what allocates is
-// the slice and, below it, a string list's or a nested list's own.
+// the slice, a nested list's own and the string lists' one backing.
 func (d *v3dec) args(depth int) (Args, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -508,13 +509,21 @@ func (d *v3dec) value(v *Value, depth int) (err error) {
 		if n > uint64(len(d.b)-d.pos) {
 			return d.fail()
 		}
-		v.kind, v.ss = kindStrings, make([]string, 0, min(n, maxSizeHint))
+		if int(min(n, maxSizeHint)) > cap(d.strs)-len(d.strs) { // a string takes a byte at least
+			d.strs = make([]string, 0, min(len(d.b)-d.pos, maxSizeHint))
+		}
+		start := len(d.strs)
 		for i := uint64(0); i < n; i++ {
 			s, err := d.string()
 			if err != nil {
 				return err
 			}
-			v.ss = append(v.ss, s)
+			d.strs = append(d.strs, s)
+		}
+		// Capped, so an append to it cannot write into the next list.
+		v.kind, v.ss = kindStrings, d.strs[start:len(d.strs):len(d.strs)]
+		if v.ss == nil {
+			v.ss = []string{}
 		}
 		return nil
 	case v3ValMap:

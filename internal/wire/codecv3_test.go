@@ -544,6 +544,77 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	read() // and a full table still decodes
 }
 
+// commitWithRecord is a Commit as a reservation sends it: the decided
+// meeting record rides in its arguments as a typed list.
+func commitWithRecord(id uint64) *Envelope {
+	return &Envelope{Kind: KindRequest, Request: &Request{
+		ID: id, Service: "links.andy", Method: "Commit", Caller: "phil", DeadlineMs: 29998,
+		Args: Args{
+			Str("entity", "slot:2003-04-22:10"), Str("token", "T-andy-31"), Str("action", "cal.reserve"),
+			Sub("args", Args{
+				Str("meeting", "M-phil-9"), Int("priority", 0), Bool("allowBump", false), Str("day", "2003-04-22"), Int("hour", 10),
+				Sub("rec", Args{
+					Str("id", "M-phil-9"), Str("title", "review"), Str("initiator", "phil"), Str("day", "2003-04-22"),
+					Int("hour", 10), Str("status", "confirmed"), Int("priority", 0),
+					Strs("must", []string{"andy", "suzy"}), Strs("reserved", []string{"phil", "andy", "suzy"}),
+					Str("linkID", "L-phil-4"),
+				}),
+			}),
+			Str("nid", "N-phil-17"),
+		},
+	}}
+}
+
+// TestFrameReaderV3CommitRecordAllocs: a Commit carrying its meeting
+// record decodes with what a Mark costs (the envelope, the body's copy,
+// the top-level list and the action's arguments) plus the record's list
+// and one backing its string lists are carved from: 6, where a slice per
+// string list made it 7.
+func TestFrameReaderV3CommitRecordAllocs(t *testing.T) {
+	var tab NameTable
+	first := encodeThrough(t, &tab, commitWithRecord(7))
+	warm := encodeThrough(t, &tab, commitWithRecord(8))
+	fr := NewFrameReader(io.MultiReader(bytes.NewReader(first), &repeatReader{b: warm}))
+	read := func() {
+		env, err := fr.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := env.Request.Args.Sub("args").Sub("rec"); rec.String("linkID") != "L-phil-4" || len(rec.Strings("reserved")) != 3 {
+			t.Fatalf("read: %+v", rec)
+		}
+	}
+	read() // the first frame fills the table
+	if got := testing.AllocsPerRun(200, read); got > 6 {
+		t.Fatalf("steady-state v3 decode of a Commit with its record: %.0f allocs/frame, want <= 6", got)
+	}
+}
+
+// TestDecodeV3StringListsDoNotAlias: the string lists of one frame share
+// a backing, each capped at its end, so an append to one list leaves its
+// neighbour as it was decoded.
+func TestDecodeV3StringListsDoNotAlias(t *testing.T) {
+	f, err := EncodeFrameV3(commitWithRecord(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := decodeV3(append([]byte(nil), f.Bytes()[4:]...), nil)
+	f.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := env.Request.Args.Sub("args").Sub("rec")
+	must, reserved := rec.Strings("must"), rec.Strings("reserved")
+	next := unsafe.Add(unsafe.Pointer(unsafe.SliceData(must)), len(must)*int(unsafe.Sizeof("")))
+	if cap(must) != len(must) || next != unsafe.Pointer(unsafe.SliceData(reserved)) {
+		t.Fatalf("must (len %d, cap %d) is not capped right before reserved in one backing", len(must), cap(must))
+	}
+	grown := append(must, "beth")
+	if want := []string{"phil", "andy", "suzy"}; !slices.Equal(reserved, want) || !slices.Equal(rec.Strings("must"), []string{"andy", "suzy"}) {
+		t.Fatalf("after an append to must (%q): reserved = %q, must = %q", grown, reserved, rec.Strings("must"))
+	}
+}
+
 // TestFrameReaderV3ResponseAllocs holds the decode of the replies a
 // Mark gets to their allocation count: an accepted one is the envelope
 // with its response and the copy of its result; a refused one is the

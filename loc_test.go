@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18531
-	allTreeLines   = 21340
+	cmdLineCeiling = 18589
+	allTreeLines   = 21398
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
