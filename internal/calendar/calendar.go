@@ -5,15 +5,14 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/jsonrec"
 	"repro/internal/links"
 	"repro/internal/notify"
 	"repro/internal/offline"
@@ -127,16 +126,11 @@ func NewDetached(user string, db *store.DB, lm *links.Manager, eng *engine.Engin
 	if err := c.slots.CreateIndex("meeting"); err != nil {
 		return nil, err
 	}
-	c.meetings, err = db.EnsureTable(store.Schema{
-		Name: meetingTable,
-		Columns: []store.Column{
-			{Name: "id", Type: store.String},
-			{Name: "doc", Type: store.String}, // JSON Meeting
-		},
-		Key: []string{"id"},
-	})
-	if err != nil {
+	if c.meetings, err = db.EnsureTable(meetingSchema); err != nil {
 		return nil, err
+	}
+	if s := c.meetings.Schema(); !slices.Equal(s.Columns, meetingSchema.Columns) || !slices.Equal(s.Key, meetingSchema.Key) {
+		return nil, fmt.Errorf("%w: %v keyed on %v", ErrMeetingSchema, s.Columns, s.Key)
 	}
 
 	c.registerActions()
@@ -295,58 +289,20 @@ func (c *Calendar) ReleaseSlot(ctx context.Context, s Slot) error {
 
 // --- meeting records -----------------------------------------------------------
 
-// encodeMeeting renders a meeting record in its stored encoding, what the
-// meetings table and a sync Pull hold: what json.Marshal writes for the
-// Meeting, appended field by field (FuzzMeetingRecord holds the two
-// equal). The record travels as recordArgs.
-func encodeMeeting(m *Meeting) string {
-	var buf [512]byte
-	b := jsonrec.AppendString(append(buf[:0], `{"id":`...), m.ID)
-	b = jsonrec.AppendString(append(b, `,"title":`...), m.Title)
-	b = jsonrec.AppendString(append(b, `,"initiator":`...), m.Initiator)
-	b = jsonrec.AppendString(append(b, `,"slot":{"day":`...), m.Slot.Day)
-	b = strconv.AppendInt(append(b, `,"hour":`...), int64(m.Slot.Hour), 10)
-	b = jsonrec.AppendString(append(b, `},"status":`...), m.Status)
-	b = strconv.AppendInt(append(b, `,"priority":`...), int64(m.Priority), 10)
-	b = appendUsers(b, `,"must":`, m.Must)
-	b = appendUsers(b, `,"supervisors":`, m.Supervisors)
-	for i, g := range m.OrGroups {
-		if i == 0 {
-			b = append(b, `,"orGroups":[{`...)
-		} else {
-			b = append(b, `,{`...)
-		}
-		if g.Name != "" {
-			b = append(jsonrec.AppendString(append(b, `"name":`...), g.Name), ',')
-		}
-		b = jsonrec.AppendStrings(append(b, `"members":`...), g.Members)
-		b = append(strconv.AppendInt(append(b, `,"k":`...), int64(g.K), 10), '}')
-	}
-	if len(m.OrGroups) > 0 {
-		b = append(b, ']')
-	}
-	b = appendUsers(b, `,"delegates":`, m.Delegates)
-	b = appendUsers(b, `,"reserved":`, m.Reserved)
-	b = appendUsers(b, `,"missing":`, m.Missing)
-	if m.LinkID != "" {
-		b = jsonrec.AppendString(append(b, `,"linkID":`...), m.LinkID)
-	}
-	return string(append(b, '}'))
-}
-
-// recordLists are the keys of a record's user lists in its wire form.
+// recordLists are the keys of a record's user lists in its wire form and
+// the names of their columns.
 var recordLists = [...]string{"must", "supervisors", "delegates", "reserved", "missing"}
 
 // recordArgs is m's wire form, the typed arguments a Commit and a
 // MeetingUpdate carry: the scalars, each user list that is not empty, and
 // the or-groups as their JSON text (an argument has no list-of-lists
-// kind). encodeMeeting of what meetingFromArgs reads back is m's.
+// kind). What meetingFromArgs reads back equals m.
 func recordArgs(m *Meeting) wire.Args {
 	a := append(make(wire.Args, 0, 14), wire.Str("id", m.ID), wire.Str("title", m.Title), wire.Str("initiator", m.Initiator),
 		wire.Str("day", m.Slot.Day), wire.Int("hour", m.Slot.Hour), wire.Str("status", m.Status), wire.Int("priority", m.Priority))
-	for i, l := range [...][]string{m.Must, m.Supervisors, m.Delegates, m.Reserved, m.Missing} {
-		if len(l) > 0 {
-			a = append(a, wire.Strs(recordLists[i], l))
+	for i, l := range m.userLists() {
+		if len(*l) > 0 {
+			a = append(a, wire.Strs(recordLists[i], *l))
 		}
 	}
 	if len(m.OrGroups) > 0 {
@@ -366,7 +322,7 @@ func meetingFromArgs(a wire.Args) (Meeting, error) {
 	m := Meeting{ID: a.String("id"), Title: a.String("title"), Initiator: a.String("initiator"),
 		Slot: Slot{Day: a.String("day"), Hour: a.Int("hour")}, Status: a.String("status"),
 		Priority: a.Int("priority"), LinkID: a.String("linkID")}
-	for i, l := range [...]*[]string{&m.Must, &m.Supervisors, &m.Delegates, &m.Reserved, &m.Missing} {
+	for i, l := range m.userLists() {
 		*l = a.Strings(recordLists[i])
 	}
 	var err error
@@ -381,106 +337,111 @@ func meetingFromArgs(a wire.Args) (Meeting, error) {
 	return m, nil
 }
 
-// appendUsers appends an omitempty list field: nothing when it is empty.
-func appendUsers(b []byte, key string, users []string) []byte {
-	if len(users) == 0 {
-		return b
-	}
-	return jsonrec.AppendStrings(append(b, key...), users)
+// The meetings table holds a record as typed columns: its scalars, each
+// user list as a list column named as in recordLists, and the or-groups,
+// which are rare, as their JSON text. A record is written by setting
+// columns and read by reading them.
+var meetingSchema = store.Schema{Name: meetingTable, Key: []string{"id"}, Columns: []store.Column{
+	{Name: "id", Type: store.String}, {Name: "title", Type: store.String}, {Name: "initiator", Type: store.String},
+	{Name: "day", Type: store.String}, {Name: "hour", Type: store.Int}, {Name: "status", Type: store.String},
+	{Name: "priority", Type: store.Int}, {Name: "must", Type: store.Strings}, {Name: "supervisors", Type: store.Strings},
+	{Name: "delegates", Type: store.Strings}, {Name: "reserved", Type: store.Strings}, {Name: "missing", Type: store.Strings},
+	{Name: "link_id", Type: store.String}, {Name: "or_groups", Type: store.String},
+}}
+
+// ErrMeetingSchema refuses a meetings table of another schema, such as a
+// record as one JSON text column: nothing converts it.
+var ErrMeetingSchema = errors.New("calendar: the meetings table has another schema")
+
+// userLists are m's user lists, in recordLists' order.
+func (m *Meeting) userLists() [len(recordLists)]*[]string {
+	return [...]*[]string{&m.Must, &m.Supervisors, &m.Delegates, &m.Reserved, &m.Missing}
 }
 
-// meetingFromDoc is the one decode of a stored meeting record. Text in
-// the form encodeMeeting writes is read in place; anything else goes to
-// json.Unmarshal, so the record and whether it is one are Unmarshal's.
-func meetingFromDoc(doc string) (*Meeting, bool) {
-	m, err := jsonrec.Decode(doc, readMeeting)
-	return &m, err == nil
+// meetingOf reads the record a meetings row holds. Its lists are the
+// row's, capped, so that an append to one copies (store.Row.Strs).
+func meetingOf(r store.Row) Meeting {
+	m := Meeting{ID: r.Str("id"), Title: r.Str("title"), Initiator: r.Str("initiator"),
+		Slot: Slot{Day: r.Str("day"), Hour: int(r.Int("hour"))}, Status: r.Str("status"),
+		Priority: int(r.Int("priority")), LinkID: r.Str("link_id")}
+	for i, l := range m.userLists() {
+		*l = r.Strs(recordLists[i])
+	}
+	if text := r.Str("or_groups"); text != "" {
+		var groups []OrGroup                      // its own variable, so that m stays off the heap
+		_ = json.Unmarshal([]byte(text), &groups) // json.Marshal's text
+		m.OrGroups = groups
+	}
+	return m
 }
 
-func readMeeting(doc string) (Meeting, bool) {
-	var m Meeting
-	// Every list is carved from names, sized for as many as doc can hold:
-	// a list of n names has n-1 of its separators and one opening.
-	names := make([]string, 0, strings.Count(doc, `","`)+strings.Count(doc, `["`))
-	r := jsonrec.NewReader(doc)
-	r.Lit(`{"id":`)
-	m.ID = r.String()
-	r.Lit(`,"title":`)
-	m.Title = r.String()
-	r.Lit(`,"initiator":`)
-	m.Initiator = r.String()
-	r.Lit(`,"slot":{"day":`)
-	m.Slot.Day = r.String()
-	r.Lit(`,"hour":`)
-	m.Slot.Hour = r.Int()
-	r.Lit(`},"status":`)
-	m.Status = r.String()
-	r.Lit(`,"priority":`)
-	m.Priority = r.Int()
-	if r.Opt(`,"must":`) {
-		names, m.Must = r.Strings(names)
+// meetingRow is the row that stores m over was (nil: none, an insert):
+// the columns that differ from was, an unset column reading as its zero
+// value. The row keeps m's lists: nothing writes an element of one.
+func (c *Calendar) meetingRow(m, was *Meeting) store.Row {
+	r := c.meetings.NewRow()
+	if was == nil {
+		was = new(Meeting)
+		r.SetStr("id", m.ID)
 	}
-	if r.Opt(`,"supervisors":`) {
-		names, m.Supervisors = r.Strings(names)
-	}
-	if r.Opt(`,"orGroups":`) && !r.Null() {
-		r.Lit("[")
-		m.OrGroups = []OrGroup{}
-		for r.More(']') {
-			var g OrGroup
-			r.Lit("{")
-			if r.Opt(`"name":`) {
-				g.Name = r.String()
-				r.Lit(",")
-			}
-			r.Lit(`"members":`)
-			names, g.Members = r.Strings(names)
-			r.Lit(`,"k":`)
-			g.K = r.Int()
-			r.Lit("}")
-			m.OrGroups = append(m.OrGroups, g)
+	for _, s := range [...][3]string{{"title", m.Title, was.Title}, {"initiator", m.Initiator, was.Initiator},
+		{"day", m.Slot.Day, was.Slot.Day}, {"status", m.Status, was.Status}, {"link_id", m.LinkID, was.LinkID}} {
+		if s[1] != s[2] {
+			r.SetStr(s[0], s[1])
 		}
 	}
-	if r.Opt(`,"delegates":`) {
-		names, m.Delegates = r.Strings(names)
+	if m.Slot.Hour != was.Slot.Hour {
+		r.SetInt("hour", int64(m.Slot.Hour))
 	}
-	if r.Opt(`,"reserved":`) {
-		names, m.Reserved = r.Strings(names)
+	if m.Priority != was.Priority {
+		r.SetInt("priority", int64(m.Priority))
 	}
-	if r.Opt(`,"missing":`) {
-		names, m.Missing = r.Strings(names)
+	old := was.userLists()
+	for i, l := range m.userLists() {
+		if !slices.Equal(*l, *old[i]) {
+			r.SetStrs(recordLists[i], *l)
+		}
 	}
-	if r.Opt(`,"linkID":`) {
-		m.LinkID = r.String()
+	if !sameGroups(m.OrGroups, was.OrGroups) {
+		raw, _ := json.Marshal(m.OrGroups) // a []OrGroup always has its JSON form
+		r.SetStr("or_groups", string(raw))
 	}
-	r.Lit("}")
-	return m, r.Done()
+	return r
 }
 
-// putMeeting upserts a meeting record in u.
+// equal reports whether m and o are the same record. An empty list is
+// the same as none.
+func (m *Meeting) equal(o *Meeting) bool {
+	ml, ol := m.userLists(), o.userLists()
+	return m.ID == o.ID && m.Title == o.Title && m.Initiator == o.Initiator && m.Slot == o.Slot && m.Status == o.Status &&
+		m.Priority == o.Priority && m.LinkID == o.LinkID && sameGroups(m.OrGroups, o.OrGroups) &&
+		slices.EqualFunc(ml[:], ol[:], func(a, b *[]string) bool { return slices.Equal(*a, *b) })
+}
+
+// sameGroups reports whether a and b are the same or-groups; no members
+// and none are not the same (JSON writes null and []).
+func sameGroups(a, b []OrGroup) bool {
+	return slices.EqualFunc(a, b, func(x, y OrGroup) bool {
+		return x.Name == y.Name && x.K == y.K && (x.Members == nil) == (y.Members == nil) && slices.Equal(x.Members, y.Members)
+	})
+}
+
+// putMeeting stores m in u: an insert, or an update of the columns that
+// differ from the stored record. A record stored already (a push of what
+// a Commit carried, a delegation granted twice) is left alone: no row, no
+// version bump.
 func (c *Calendar) putMeeting(u *store.Tx, m *Meeting) error {
-	return c.storeMeeting(u, m.ID, encodeMeeting(m))
-}
-
-// storeMeeting upserts an encoded meeting record in u. A record that
-// already reads doc is left alone (a push of what a Commit carried, a
-// delegation granted twice): no row, no version bump.
-func (c *Calendar) storeMeeting(u *store.Tx, id, doc string) error {
-	var cur string
+	var was Meeting
 	var err error
-	has := u.View(meetingTable, func(r store.Row) { cur = r.Str("doc") }, id)
-	if has && cur == doc {
+	switch has := u.View(meetingTable, func(r store.Row) { was = meetingOf(r) }, m.ID); {
+	case !has:
+		err = u.Insert(meetingTable, c.meetingRow(m, nil))
+	case m.equal(&was):
 		return nil
+	default:
+		err = u.Update(meetingTable, c.meetingRow(m, &was), m.ID)
 	}
-	r := c.meetings.NewRow()
-	r.SetStr("doc", doc)
-	if has {
-		err = u.Update(meetingTable, r, id)
-	} else {
-		r.SetStr("id", id)
-		err = u.Insert(meetingTable, r)
-	}
-	if err == nil && c.syncVers != nil {
+	if id := m.ID; err == nil && c.syncVers != nil {
 		u.AfterCommit(func(context.Context) { c.syncVers.Bump(meetingEntity(id)) })
 	}
 	return err
@@ -488,30 +449,28 @@ func (c *Calendar) storeMeeting(u *store.Tx, id, doc string) error {
 
 // Meeting fetches a meeting record by id.
 func (c *Calendar) Meeting(id string) (*Meeting, bool) {
-	r, ok := c.meetings.Get(id)
-	if !ok {
+	var m Meeting
+	if !c.meetings.View(func(r store.Row) { m = meetingOf(r) }, id) {
 		return nil, false
 	}
-	return meetingFromDoc(r.Str("doc"))
+	return &m, true
 }
 
 // meetingIn is Meeting as the step's unit u sees the record.
-func (c *Calendar) meetingIn(u *store.Tx, id string) (m *Meeting, ok bool) {
-	u.View(meetingTable, func(r store.Row) { m, ok = meetingFromDoc(r.Str("doc")) }, id)
+func (c *Calendar) meetingIn(u *store.Tx, id string) (m Meeting, ok bool) {
+	ok = u.View(meetingTable, func(r store.Row) { m = meetingOf(r) }, id)
 	return m, ok
 }
 
 // Meetings lists all locally known meetings sorted by id.
 func (c *Calendar) Meetings() []*Meeting {
 	rows := c.meetings.Select(nil)
-	out := make([]*Meeting, 0, len(rows))
-	for _, r := range rows {
-		if m, ok := meetingFromDoc(r.Str("doc")); ok {
-			out = append(out, m)
-		}
+	out := make([]*Meeting, len(rows))
+	for i, r := range rows {
+		m := meetingOf(r)
+		out[i] = &m
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out // Select's key order is id order
 }
 
 // --- entity actions -------------------------------------------------------------
@@ -605,10 +564,10 @@ func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args
 	// The retraction of the meeting's link is the cancellation (§4.4):
 	// write the record the initiator writes, no message follows. A link
 	// the record has moved on from (ChangeMeetingSlot) cancels nothing.
+	// Its update sets status and reserved alone.
 	if m, ok := c.meetingIn(u, meetingID); ok && m.Status != StatusCancelled && (m.LinkID == "" || m.LinkID == l.ID) {
-		m.Status = StatusCancelled
-		m.Reserved = nil
-		return c.putMeeting(u, m)
+		m.Status, m.Reserved = StatusCancelled, nil
+		return c.putMeeting(u, &m)
 	}
 	return nil
 }
@@ -616,7 +575,8 @@ func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args
 // acceptDecided finishes a reservation whose Commit carried the meeting
 // record, in the Commit's unit u: the permanent back link to the
 // initiator on entity, the slot reserved, goes in (a tentative row queued
-// here earlier is promoted instead) and the record is stored. It runs
+// here earlier is promoted instead, and takes the Commit's expiry) and the
+// record is stored, its lists carved from the Commit's frame. It runs
 // under the slot's entity lock; running it again (a redriven Commit, a
 // retried reserve) leaves one link row, one record.
 func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wire.Args) error {
@@ -625,7 +585,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wi
 		// forward link turns permanent again, the caller stores the
 		// record. ChangeMeetingSlot comes this way too, before its new
 		// forward link exists, and has nothing to promote.
-		if err := c.lm.PromoteLink(u, m.LinkID); err != nil && wire.CodeOf(err) != wire.CodeNoService {
+		if err := c.lm.PromoteLink(u, m.LinkID, time.Time{}); err != nil && wire.CodeOf(err) != wire.CodeNoService {
 			return err
 		}
 		return nil
@@ -638,7 +598,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wi
 	}
 	err := c.lm.AddLink(u, &back)
 	if wire.ReasonOf(err) == wire.ReasonLinkExists {
-		err = c.lm.PromoteLink(u, m.LinkID)
+		err = c.lm.PromoteLink(u, m.LinkID, back.Expires)
 	}
 	if err != nil {
 		return err
@@ -723,7 +683,7 @@ func (c *Calendar) handleBumpedMeeting(u *store.Tx, bumpedMeeting string, s Slot
 	// meeting is only bumped, so restore it to tentative.
 	if m, ok := c.meetingIn(u, bumpedMeeting); ok && m.Status == StatusCancelled {
 		m.Status = StatusTentative
-		if err := c.putMeeting(u, m); err != nil {
+		if err := c.putMeeting(u, &m); err != nil {
 			return err
 		}
 	}

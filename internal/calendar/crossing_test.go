@@ -24,8 +24,11 @@ import (
 // what they decide before they send), and y's a little longer, until the
 // vote x's call produces has reached y: the order in which both ops would
 // wait on the other initiator's meeting mark, if a vote waited on one.
-// With late, x's held call also answers only once the vote y's call
-// produces has reached x, so x's op is still under way when it does.
+// With late, y's held call waits until y has answered that vote rather
+// than until it arrived, and x's held call answers only once x has
+// answered the vote y's call produces, so each op is still under way
+// while the other's vote is decided: an op that returned first would let
+// the vote find its meeting free, a legal order but not this input.
 type crossing struct {
 	mu      sync.Mutex
 	armed   bool
@@ -41,10 +44,13 @@ func (g *crossing) wrap(next transport.HandlerFunc) transport.HandlerFunc {
 	return func(ctx context.Context, call *transport.Request) transport.Response {
 		g.mu.Lock()
 		hold := false
+		var answered chan struct{} // closed once this vote is answered
 		switch {
 		case !g.armed:
 		case call.Method == "SlotAvailable" && call.Service == "cal.x":
-			closeOnce(g.voteAtX)
+			answered = g.voteAtX
+		case call.Method == "SlotAvailable" && call.Service == "cal.y" && g.late:
+			answered = g.voteAtY
 		case call.Method == "SlotAvailable" && call.Service == "cal.y":
 			closeOnce(g.voteAtY)
 		case slices.Contains(g.holds, call.Method) &&
@@ -62,6 +68,11 @@ func (g *crossing) wrap(next transport.HandlerFunc) transport.HandlerFunc {
 			}
 		}
 		resp := next(ctx, call)
+		if answered != nil {
+			g.mu.Lock()
+			closeOnce(answered)
+			g.mu.Unlock()
+		}
 		if hold && g.late && call.Caller == "x" {
 			<-g.voteAtX
 		}

@@ -3,11 +3,15 @@ package calendar
 import (
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // RecordArgs is the record m as a Commit and a MeetingUpdate carry it.
 func RecordArgs(m *Meeting) wire.Args { return recordArgs(m) }
+
+// MeetingOfRow is the record a row of the meetings table holds.
+func MeetingOfRow(r store.Row) Meeting { return meetingOf(r) }
 
 // DaysBetween enumerates the days from fromDay to toDay inclusive
 // (both YYYY-MM-DD). Returns nil if the range is malformed or inverted.

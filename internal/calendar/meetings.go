@@ -154,13 +154,11 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	m.Reserved = []string{c.user}
 
 	// Reserve musts and supervisors: try them all, keep whoever can
-	// be reserved (failures make the meeting tentative, §5). doc is the
-	// record's encoding while the last reserve knows it.
-	var doc string
-	sent := map[string]string{}
+	// be reserved (failures make the meeting tentative, §5).
+	sent := map[string]*Meeting{}
 	m.Missing = append(append([]string(nil), m.Must...), m.Supervisors...)
 	if len(m.Missing) > 0 {
-		m, doc, _ = c.reserve(ctx, m, links.Spec{
+		m, _ = c.reserve(ctx, m, links.Spec{
 			Args: args, Targets: slotRefs(m.Missing, entity), Constraint: links.Or, K: 1,
 		}, req.Expires, sent)
 	}
@@ -169,14 +167,14 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 	// meet its quorum reserves nobody (atomic k-of-n, §4.3).
 	for _, g := range m.OrGroups {
 		if members := excludeReserved(g.Members, m); len(members) > 0 {
-			m, doc, _ = c.reserve(ctx, m, links.Spec{
+			m, _ = c.reserve(ctx, m, links.Spec{
 				Args: args, Targets: slotRefs(members, entity), Constraint: links.Or, K: g.K,
 			}, req.Expires, sent)
 		}
 	}
 	m.Status = m.standing() // as a reserve's record has it already
 
-	if err := c.linkAndPublish(ctx, m, entity, doc, req.Expires, sentExactly(sent)); err != nil {
+	if err := c.linkAndPublish(ctx, m, entity, req.Expires, sent); err != nil {
 		return nil, err
 	}
 	c.notifyParticipants(ctx, notice{m: m})
@@ -188,21 +186,18 @@ func (c *Calendar) SetupMeeting(ctx context.Context, req Request) (*Meeting, err
 // (the marked targets reserved too) as "rec", and the link expiry; the
 // participant's ActionReserve Apply installs its back link and stores
 // that record, so Mark and Commit are all a reserved participant is sent.
-// sent notes the encoding of the record each acknowledged Commit carried.
-// When every marked target accepted, the record returned is the one
-// decided, with its encoding; otherwise the encoding is "". An in-doubt
-// outcome is not a rejection: the accepted targets did commit (only
-// stragglers are still being re-driven), so they count as reserved
+// sent notes the record each acknowledged Commit carried. When every
+// marked target accepted, the record returned is the one decided. An
+// in-doubt outcome is not a rejection: the accepted targets did commit
+// (only stragglers are still being re-driven), so they count as reserved
 // either way; any other failure leaves the record as it was and is
 // returned with it.
-func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]string) (*Meeting, string, error) {
+func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, expires time.Time, sent map[string]*Meeting) (*Meeting, error) {
 	var decided *Meeting
 	var marked []links.EntityRef
-	var doc string
 	spec.Action = ActionReserve
 	spec.Decide = func(refs []links.EntityRef) wire.Args {
 		decided, marked = m.holding(refs), refs
-		doc = encodeMeeting(decided)
 		rec := wire.Sub("rec", recordArgs(decided))
 		if expires.IsZero() {
 			return wire.Args{rec}
@@ -214,15 +209,15 @@ func (c *Calendar) reserve(ctx context.Context, m *Meeting, spec links.Spec, exp
 	}
 	res, err := c.lm.Negotiate(ctx, spec)
 	if err != nil && !links.IsInDoubt(err) {
-		return m, "", err
+		return m, err
 	}
 	for _, ref := range res.Accepted {
-		sent[ref.User] = doc
+		sent[ref.User] = decided
 	}
 	if decided != nil && slices.Equal(res.Accepted, marked) {
-		return decided, doc, nil
+		return decided, nil
 	}
-	return m.holding(res.Accepted), "", nil
+	return m.holding(res.Accepted), nil
 }
 
 // slotRefs maps users to their refs of the slot entity.
@@ -264,14 +259,14 @@ func backLink(m *Meeting, user, entity string) links.Link {
 
 // linkAndPublish is the step that makes a negotiated meeting stand at
 // its initiator: the forward negotiation-and link on entity, m's slot, and
-// the meeting record (encoded as doc, or "" for not yet) are one commit
-// unit. Once it is logged the record is pushed to whoever has(user, doc)
-// does not report as holding it, and that push is all of the §5 link
-// topology the negotiation did not install: a reserved participant
-// installed its back link when its Commit applied (acceptDecided), an
-// unreserved one queues its tentative back link when the record reaches
-// it (acceptRecord), by push now or by pull once it is back.
-func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, entity, doc string, expires time.Time, has func(user, doc string) bool) error {
+// the meeting record are one commit unit. Once it is logged the record is
+// pushed to everyone sent does not show holding it, and that push is all
+// of the §5 link topology the negotiation did not install: a reserved
+// participant installed its back link when its Commit applied
+// (acceptDecided), an unreserved one queues its tentative back link when
+// the record reaches it (acceptRecord), by push now or by pull once it is
+// back.
+func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, entity string, expires time.Time, sent map[string]*Meeting) error {
 	// The forward link targets *every* participant (reserved or still
 	// missing) so the §4.4 cancel cascade reaches users who joined after
 	// setup (a tentative participant who confirmed later) and clears
@@ -296,30 +291,28 @@ func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, entity, doc s
 		if err := c.lm.AddLink(u, &fwd); err != nil {
 			return err
 		}
-		return c.publishIn(u, m, doc, has)
+		return c.publishIn(u, m, sent)
 	})
 }
 
 // publish stores the meeting record, as a step of its own, and
-// best-effort sends it to every participant but those has(user, doc)
-// reports as holding it already (nil: nobody does).
-func (c *Calendar) publish(ctx context.Context, m *Meeting, has func(user, doc string) bool) error {
-	return c.db.Unit(ctx, func(u *store.Tx) error { return c.publishIn(u, m, "", has) })
+// best-effort sends it to every participant but those sent shows holding
+// it already (nil: nobody does).
+func (c *Calendar) publish(ctx context.Context, m *Meeting, sent map[string]*Meeting) error {
+	return c.db.Unit(ctx, func(u *store.Tx) error { return c.publishIn(u, m, sent) })
 }
 
-// publishIn is publish inside the step's unit u: the record, encoded as
-// doc ("": not yet), is written with the step's other rows and the sends
-// follow its commit.
-func (c *Calendar) publishIn(u *store.Tx, m *Meeting, doc string, has func(user, doc string) bool) error {
-	if doc == "" {
-		doc = encodeMeeting(m)
-	}
-	if err := c.storeMeeting(u, m.ID, doc); err != nil {
+// publishIn is publish inside the step's unit u: the record is written
+// with the step's other rows and the sends follow its commit. A
+// participant whose acknowledged Commit carried exactly m (sent) is
+// skipped; one whose commit-time record has gone stale is not.
+func (c *Calendar) publishIn(u *store.Tx, m *Meeting, sent map[string]*Meeting) error {
+	if err := c.putMeeting(u, m); err != nil {
 		return err
 	}
 	var to []string
 	for _, p := range m.Participants() {
-		if p != c.user && (has == nil || !has(p, doc)) {
+		if had := sent[p]; p != c.user && (had == nil || !had.equal(m)) {
 			to = append(to, p)
 		}
 	}
@@ -336,14 +329,6 @@ func (c *Calendar) push(ctx context.Context, m *Meeting, to []string) {
 	for _, p := range to {
 		_ = c.eng.Invoke(ctx, ServiceFor(p), "MeetingUpdate", args, nil)
 	}
-}
-
-// sentExactly is the publish filter after a negotiation: a participant
-// whose acknowledged Commit carried exactly the final record is skipped;
-// one whose commit-time record has gone stale since (a later or-group
-// changed Reserved, another participant's Commit was rejected) is not.
-func sentExactly(sent map[string]string) func(user, doc string) bool {
-	return func(user, doc string) bool { return sent[user] == doc }
 }
 
 // CancelMeeting cancels a meeting this user administers (§4.4): the
@@ -447,24 +432,23 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 		return nil, err
 	}
 	defer release()
-	var stored string
-	c.meetings.View(func(r store.Row) { stored = r.Str("doc") }, meetingID)
-	m, ok := meetingFromDoc(stored)
+	m, ok := c.Meeting(meetingID)
 	if !ok {
 		return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("calendar: unknown meeting %s", meetingID)}
 	}
+	stored := *m
 	if m.Status == StatusCancelled {
 		return m, wire.Refuse(wire.ReasonMeetingCancelled, "calendar: meeting is cancelled")
 	}
 	args := reserveArgs(m, false)
 	prev := m.Status
-	sent := map[string]string{}
+	sent := map[string]*Meeting{}
 
 	switch {
 	case vote != nil:
 		spec, err := m.voteSpec(vote, args)
 		if err == nil {
-			m, _, err = c.reserve(ctx, m, spec, time.Time{}, sent)
+			m, err = c.reserve(ctx, m, spec, time.Time{}, sent)
 		}
 		if err != nil {
 			return m, err
@@ -480,7 +464,7 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 		// landed acks). The Commit that reserves u also promotes its
 		// tentative back link.
 		for _, u := range append([]string(nil), m.Missing...) {
-			m, _, _ = c.reserve(ctx, m, links.Spec{
+			m, _ = c.reserve(ctx, m, links.Spec{
 				Args: args, Targets: slotRefs([]string{u}, m.Slot.Entity()), Constraint: links.And,
 			}, time.Time{}, sent)
 		}
@@ -492,7 +476,7 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 			if short == 0 || len(members) < short {
 				continue
 			}
-			m, _, _ = c.reserve(ctx, m, links.Spec{
+			m, _ = c.reserve(ctx, m, links.Spec{
 				Args: args, Targets: slotRefs(members, m.Slot.Entity()), Constraint: links.Or, K: short,
 			}, time.Time{}, sent)
 		}
@@ -500,10 +484,10 @@ func (c *Calendar) tryConfirm(ctx context.Context, meetingID string, vote *links
 	m.Status = m.standing()
 
 	// A round that changed nothing has nothing to store and nobody to tell.
-	if encodeMeeting(m) == stored {
+	if m.equal(&stored) {
 		return m, nil
 	}
-	if err := c.publish(ctx, m, sentExactly(sent)); err != nil {
+	if err := c.publish(ctx, m, sent); err != nil {
 		return m, err
 	}
 	if prev != m.Status && m.Status == StatusConfirmed {
@@ -655,14 +639,13 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 	m.LinkID = links.NewLinkID()
 	m.Status = m.standing()
 	args, entity := reserveArgs(m, false), newSlot.Entity()
-	doc := encodeMeeting(m)
 
 	var others []string
-	sent := map[string]string{}
+	sent := map[string]*Meeting{}
 	for _, u := range was.Reserved {
 		if u != m.Initiator {
 			others = append(others, u)
-			sent[u] = doc
+			sent[u] = m
 		}
 	}
 	sort.Strings(others)
@@ -676,7 +659,7 @@ func (c *Calendar) decideMove(ctx context.Context, meetingID string, newSlot Slo
 	if err != nil {
 		return nil, nil, fmt.Errorf("calendar: change to %s rejected: %w", newSlot, err)
 	}
-	return &was, m, c.linkAndPublish(ctx, m, entity, doc, time.Time{}, sentExactly(sent))
+	return &was, m, c.linkAndPublish(ctx, m, entity, time.Time{}, sent)
 }
 
 // meetingBumpedLocally records a bump at the initiator: the bumped

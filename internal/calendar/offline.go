@@ -223,17 +223,19 @@ func (a *syncAdapter) Relevant(requester, entity string) bool {
 	return containsString(m.Participants(), requester)
 }
 
-// Snapshot returns the meeting's current document.
+// Snapshot returns the meeting's current document: json.Marshal of the
+// record.
 func (a *syncAdapter) Snapshot(entity string) (json.RawMessage, bool) {
 	id, ok := strings.CutPrefix(entity, "meeting:")
 	if !ok {
 		return nil, false
 	}
-	r, ok := a.c.meetings.Get(id)
+	m, ok := a.c.Meeting(id)
 	if !ok {
 		return nil, false
 	}
-	return json.RawMessage(r.Str("doc")), true
+	doc, err := json.Marshal(m)
+	return doc, err == nil
 }
 
 // Apply lands a pulled meeting doc. The initiator's record is
@@ -245,8 +247,8 @@ func (a *syncAdapter) Apply(entity string, _ int64, doc json.RawMessage) error {
 	if !ok {
 		return fmt.Errorf("calendar: bad sync entity %q", entity)
 	}
-	m, ok := meetingFromDoc(string(doc))
-	if !ok || m.ID == "" || m.ID != id {
+	m := new(Meeting)
+	if err := json.Unmarshal(doc, m); err != nil || m.ID == "" || m.ID != id {
 		return fmt.Errorf("calendar: bad meeting doc for %q", entity)
 	}
 	if m.Initiator == a.c.user {

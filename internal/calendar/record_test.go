@@ -1,13 +1,19 @@
 package calendar
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/jsonrec"
+	"repro/internal/links"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -43,25 +49,110 @@ func meetingOfShape(id, title, u1, u2, day string, hour, prio int, shape uint16)
 	return m
 }
 
-// sameMeetingDecode: the record decodes to what json.Unmarshal gives for
-// doc, and fails where Unmarshal fails.
-func sameMeetingDecode(t *testing.T, doc string) {
+// normal is m as its JSON text reads back: json.Marshal of what
+// json.Unmarshal gives for json.Marshal(m). JSON carries no invalid
+// UTF-8, so a string that is not valid UTF-8 comes back holding U+FFFD,
+// as it does from every JSON form the record takes.
+func normal(t *testing.T, m *Meeting) string {
 	t.Helper()
-	var want Meeting
-	wantErr := json.Unmarshal([]byte(doc), &want)
-	got, ok := meetingFromDoc(doc)
-	if ok != (wantErr == nil) || ok && !reflect.DeepEqual(*got, want) {
-		t.Fatalf("record %q decodes to %+v (ok %v), json.Unmarshal to %+v (%v)", doc, got, ok, want, wantErr)
+	text, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Meeting
+	if err := json.Unmarshal(text, &back); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(again)
+}
+
+// sameRecord holds got, m after a trip, to m: equal where every string
+// of m is valid UTF-8 (json.Marshal wrote no U+FFFD for it), else equal
+// to what m's JSON text reads back as.
+func sameRecord(t *testing.T, how string, got, m *Meeting) {
+	t.Helper()
+	text, _ := json.Marshal(m)
+	switch {
+	case got.equal(m):
+	case strings.Contains(string(text), `\ufffd`) && normal(t, got) == normal(t, m):
+	default:
+		t.Fatalf("%s: record reads back as %+v\nwant %+v", how, got, m)
 	}
 }
 
-// FuzzMeetingRecord: the meeting record is encoding/json's text. The
-// writer appends what json.Marshal writes for the Meeting, and the record
-// decodes to what json.Unmarshal gives, for the writer's output and for
-// any other text. The typed form a Commit and a MeetingUpdate carry reads
-// back, through a v3 frame and through the JSON form a journal row and a
-// QueryOutcome answer hold, as a record whose encoding is the text (see
-// sameThroughArgs); one with no id is bad arguments.
+// newMeetingTable is a calendar with nothing but its meetings table.
+func newMeetingTable(t *testing.T) *Calendar {
+	t.Helper()
+	db := store.NewDB()
+	tab, err := db.CreateTable(meetingSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Calendar{db: db, meetings: tab}
+}
+
+// throughRow stores m, over stored unless that is nil, and reads it back
+// twice: from the live row, and from the row's JSON form through SetJSON,
+// as a WAL replay and a checkpoint restore read it, and holds the sync
+// Pull's snapshot of the row to json.Marshal of the record.
+func throughRow(t *testing.T, m, stored *Meeting) {
+	t.Helper()
+	c := newMeetingTable(t)
+	for _, rec := range []*Meeting{stored, m} {
+		if rec == nil {
+			continue
+		}
+		if err := c.db.Unit(context.Background(), func(u *store.Tx) error { return c.putMeeting(u, rec) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row, ok := c.meetings.Get(m.ID)
+	if !ok {
+		t.Fatalf("no row for %q", m.ID)
+	}
+	live := meetingOf(row)
+	sameRecord(t, "live row", &live, m)
+	text, err := row.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols map[string]json.RawMessage
+	if err := json.Unmarshal(text, &cols); err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	back := c.meetings.NewRow()
+	for col, raw := range cols {
+		if err := back.SetJSON(col, raw); err != nil {
+			t.Fatalf("SetJSON(%s, %s): %v", col, raw, err)
+		}
+	}
+	read := meetingOf(back)
+	sameRecord(t, "row JSON", &read, m)
+	// The snapshot is json.Marshal of the record, the text the record's
+	// JSON column held; a string that is not valid UTF-8 inside the
+	// or-groups, whose column is JSON text, reads back as U+FFFD.
+	want, _ := json.Marshal(m)
+	if strings.Contains(string(want), `\ufffd`) {
+		want, _ = json.Marshal(&live)
+	}
+	if snap, ok := (&syncAdapter{c}).Snapshot(meetingEntity(m.ID)); !ok || string(snap) != string(want) {
+		t.Fatalf("snapshot %s (%v), want %s", snap, ok, want)
+	}
+}
+
+// FuzzMeetingRecord: the meeting record is stored as typed columns and
+// reads back from them as it was written, from the live row and from the
+// row's JSON form (a WAL record, a checkpoint), by an insert and by an
+// update over another record; the sync Pull's snapshot is json.Marshal of
+// the record. Any text json.Unmarshal reads as a record round trips the
+// same way. The typed form a Commit and a MeetingUpdate carry reads back,
+// through a v3 frame and through the JSON form a journal row and a
+// QueryOutcome answer hold, as the same record (see sameThroughArgs); one
+// with no id is bad arguments.
 func FuzzMeetingRecord(f *testing.F) {
 	f.Add("M-1", "standup", "phil", "andy", "2003-04-22", 9, 0, uint16(0x40c3), `{"id":"M","title":"t","initiator":"a","slot":{"day":"d","hour":1},"status":"s","priority":0,"must":[]}`)
 	f.Add("M-<2>", "q&a \"x\" \\ \n\t\xe2\x80\xa8", "\xff", "\x00\x1f\x7f", "", -3, -1<<40, uint16(0xffff), `{"id":"M","title":"t","initiator":"a","slot":{"day":"d","hour":01},"status":"s","priority":0}`)
@@ -71,28 +162,20 @@ func FuzzMeetingRecord(f *testing.F) {
 	f.Add("M-5", "t", "a", "b", "d", 1, 1, uint16(0x1c00), `{"ID":"M","title":"tA","initiator":"a","slot":{"day":"d","hour":1},"status":"s","priority":0} `)
 	f.Fuzz(func(t *testing.T, id, title, u1, u2, day string, hour, prio int, shape uint16, text string) {
 		m := meetingOfShape(id, title, u1, u2, day, hour, prio, shape)
-		want, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
+		throughRow(t, m, nil)
+		throughRow(t, m, meetingOfShape(id, u2, u2, u1, day+"x", hour+1, prio-1, shape^0x7fff))
+		var parsed Meeting
+		if json.Unmarshal([]byte(text), &parsed) == nil {
+			throughRow(t, &parsed, nil)
 		}
-		doc := encodeMeeting(m)
-		if doc != string(want) {
-			t.Fatalf("encodeMeeting differs from json.Marshal\n got %s\nwant %s", doc, want)
-		}
-		sameMeetingDecode(t, doc)
-		sameMeetingDecode(t, text)
-		sameThroughArgs(t, m, doc)
+		sameThroughArgs(t, m)
 	})
 }
 
 // sameThroughArgs reads m back from recordArgs after each trip it takes:
 // a v3 frame, and the JSON form read by UnmarshalJSON and, where the text
-// is in its subset, by ReadArgs. The record it reads encodes to doc, the
-// text m's initiator stores. JSON carries no invalid UTF-8, so a string
-// that is not valid UTF-8 comes back as U+FFFD from the JSON form (and
-// from an or-group, which travels as JSON text), as it does from doc:
-// there the record must decode as doc decodes instead.
-func sameThroughArgs(t *testing.T, m *Meeting, doc string) {
+// is in its subset, by ReadArgs.
+func sameThroughArgs(t *testing.T, m *Meeting) {
 	t.Helper()
 	rec := wire.Args{wire.Sub("rec", recordArgs(m))}
 	f, err := wire.EncodeFrameV3(&wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{
@@ -100,7 +183,7 @@ func sameThroughArgs(t *testing.T, m *Meeting, doc string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.ReadFrame(bytes.NewReader(f.Bytes()))
+	env, err := wire.DecodeFrame(f.Bytes())
 	f.Release()
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +201,6 @@ func sameThroughArgs(t *testing.T, m *Meeting, doc string) {
 	if a := wire.ReadArgs(&r); r.Done() {
 		trips["ReadArgs"] = a
 	}
-	want, _ := meetingFromDoc(doc)
 	for how, a := range trips {
 		got, err := meetingFromArgs(a.Sub("rec"))
 		switch {
@@ -128,41 +210,77 @@ func sameThroughArgs(t *testing.T, m *Meeting, doc string) {
 			}
 		case err != nil:
 			t.Fatalf("%s: %v", how, err)
-		case encodeMeeting(&got) == doc:
-		case strings.Contains(doc, `\ufffd`): // how doc holds a byte that is not UTF-8
-			if back, _ := meetingFromDoc(encodeMeeting(&got)); !reflect.DeepEqual(back, want) {
-				t.Fatalf("%s: record decodes as %+v, doc as %+v", how, back, want)
-			}
 		default:
-			t.Fatalf("%s: record encodes as %s\nwant %s", how, encodeMeeting(&got), doc)
+			sameRecord(t, how, &got, m)
 		}
 	}
 }
 
 var (
-	docSink     string
-	meetingSink *Meeting
+	rowSink     store.Row
+	meetingSink Meeting
 )
 
-// TestMeetingRecordAllocs pins what the record codec costs for a
-// three-participant meeting. A decode is the record and one slice its
-// lists are carved from (3 while each list had its own).
+// TestMeetingRecordAllocs pins what storing and reading a
+// three-participant record costs: the row, whose lists are the record's
+// own, and nothing at all to read one back or to compare two. Its JSON
+// text cost 1 to encode and 2 to decode (encoding/json: 2 and 24).
 func TestMeetingRecordAllocs(t *testing.T) {
 	m := &Meeting{ID: "M-0001f00dcafe0001", Title: "design review", Initiator: "phil",
 		Slot: Slot{Day: "2026-08-07", Hour: 14}, Status: StatusConfirmed, Priority: 2,
 		Must: []string{"andy", "beth"}, Reserved: []string{"phil", "andy", "beth"}, LinkID: "L-0001f00dcafe0002"}
-	doc := encodeMeeting(m)
+	c := newMeetingTable(t)
+	row := c.meetingRow(m, nil)
+	stored := meetingOf(row)
 	for _, tc := range []struct {
 		name string
 		most float64
 		run  func()
 	}{
-		{"encode", 1, func() { docSink = encodeMeeting(m) }},           // encoding/json: 2
-		{"decode", 2, func() { meetingSink, _ = meetingFromDoc(doc) }}, // encoding/json: 24
+		{"write", 1, func() { rowSink = c.meetingRow(m, nil) }},
+		{"read", 0, func() { meetingSink = meetingOf(row) }},
+		{"compare", 0, func() { _ = m.equal(&stored) }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.run); got > tc.most {
 			t.Errorf("%s of a meeting record costs %.0f allocs, want at most %.0f", tc.name, got, tc.most)
 		}
+	}
+}
+
+// TestMeetingListsDoNotAliasTheRow: the lists of a record read from its
+// row may be appended to and overwritten, while other readers read the
+// row, and the stored record stays as it was written.
+func TestMeetingListsDoNotAliasTheRow(t *testing.T) {
+	c := newMeetingTable(t)
+	want := &Meeting{ID: "M-1", Initiator: "a", Status: StatusConfirmed, Must: []string{"b", "c"},
+		Supervisors: []string{"d"}, Delegates: []string{"e"}, Reserved: []string{"a", "b"}, Missing: []string{"c"}}
+	if err := c.db.Unit(context.Background(), func(u *store.Tx) error { return c.putMeeting(u, want) }); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				m, ok := c.Meeting("M-1")
+				if !ok {
+					t.Error("the record is gone")
+					return
+				}
+				for _, l := range m.userLists() {
+					grown := append(*l, "x")
+					grown[0] = "y"
+					*l = grown
+				}
+				m.Reserved = removeString(m.Reserved, "y")
+				m.Missing = nil
+			}
+		}()
+	}
+	wg.Wait()
+	if got, _ := c.Meeting("M-1"); !got.equal(want) {
+		t.Fatalf("the stored record reads %+v, want %+v", got, want)
 	}
 }
 
@@ -194,5 +312,22 @@ func TestParticipantsOrder(t *testing.T) {
 				t.Fatalf("Participants() costs %.0f allocs, want <= 1", got)
 			}
 		})
+	}
+}
+
+// TestOldMeetingSchemaRefused: a database whose meetings table holds the
+// record as one JSON text column is refused, not read.
+func TestOldMeetingSchemaRefused(t *testing.T) {
+	db := store.NewDB()
+	if _, err := db.CreateTable(store.Schema{Name: meetingTable, Key: []string{"id"},
+		Columns: []store.Column{{Name: "id", Type: store.String}, {Name: "doc", Type: store.String}}}); err != nil {
+		t.Fatal(err)
+	}
+	lm, err := links.NewManager("andy", db, nil, clock.NewFake(time.Date(2026, 8, 1, 9, 0, 0, 0, time.UTC)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDetached("andy", db, lm, nil); !errors.Is(err, ErrMeetingSchema) {
+		t.Fatalf("a calendar over the doc schema: %v, want ErrMeetingSchema", err)
 	}
 }

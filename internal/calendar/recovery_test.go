@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -53,7 +54,19 @@ func rawRecord(t *testing.T, w *world, user, id string) string {
 	if !ok {
 		return ""
 	}
-	return row.Str("doc")
+	return recordText(t, row)
+}
+
+// recordText is json.Marshal of the record a meetings row holds: the
+// text the row held while the record was stored as one JSON column.
+func recordText(t *testing.T, row store.Row) string {
+	t.Helper()
+	m := calendar.MeetingOfRow(row)
+	raw, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // wantInstalled holds user's device to the three things a Commit leaves:
@@ -145,7 +158,8 @@ func setupOrGroup(t *testing.T, w *world) *calendar.Meeting {
 	return m
 }
 
-// wantExpiry holds user's link of m to the expiry setupOrGroup gave it.
+// wantExpiry holds user's link of m to the expiry setupOrGroup and
+// setupBCExpiring give it.
 func wantExpiry(t *testing.T, w *world, user string, m *calendar.Meeting, setup time.Time) {
 	t.Helper()
 	if l, ok := w.cals[user].Links().GetLink(m.LinkID); !ok || !l.Expires.Equal(setup.Add(24*time.Hour)) {
@@ -191,24 +205,40 @@ func TestLostCommitAckInstallsOnce(t *testing.T) {
 	})
 }
 
+// setupBCExpiring is setupBC with the meeting's links expiring in a day.
+func setupBCExpiring(t *testing.T, w *world) *calendar.Meeting {
+	t.Helper()
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Expires: w.clk.Now().Add(24 * time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestSilentCoordinatorInstallsFromOutcome: the Commit never reaches b.
 // b's own sweep asks a, hears "commit" with the journaled arguments, and
 // installs slot, link (promoting the tentative row a queued) and record
 // from them, the record the initiator decided byte for byte; a's late
-// Commit is a duplicate. b is a must, or an or-group's member with an
-// expiry on the links.
+// Commit is a duplicate. b is a must, or an or-group's member, the links
+// expiring or not; the link b promotes takes the expiry the Commit
+// carried, as c's, installed by its Commit, does.
 func TestSilentCoordinatorInstallsFromOutcome(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		setup    func(*testing.T, *world) *calendar.Meeting
 		reserved []string // as b's Commit decided it
+		expiring bool
 	}{
-		{"musts", setupBC, []string{"a", "b", "c"}},
-		{"or-group with expiry", setupOrGroup, []string{"a", "c", "b"}},
+		{"musts", setupBC, []string{"a", "b", "c"}, false},
+		{"musts with expiry", setupBCExpiring, []string{"a", "b", "c"}, true},
+		{"or-group with expiry", setupOrGroup, []string{"a", "c", "b"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newWorld(t, "a", "b", "c")
 			commitsLostTo(w, "b")
+			setup := w.clk.Now()
 			m := tc.setup(t, w)
 			if got := w.slotMeeting("b", m.Slot); got != "" {
 				t.Fatalf("b slot = %q before any Commit", got)
@@ -222,6 +252,11 @@ func TestSilentCoordinatorInstallsFromOutcome(t *testing.T) {
 			retryCommits(t, w)
 			wantInstalled(t, w, "b", m, decided)
 			confirmAndCompare(t, w, m)
+			if tc.expiring {
+				for _, u := range []string{"b", "c"} {
+					wantExpiry(t, w, u, m, setup)
+				}
+			}
 		})
 	}
 }

@@ -61,7 +61,9 @@ func newCensusWorld(t *testing.T, users ...string) (*world, *rpcCensus) {
 
 // deviceState renders what users' devices hold: every row of the slot,
 // meeting, link and waiting-link tables, keys sorted, with the run's
-// random meeting and link ids replaced by ids[id].
+// random meeting and link ids replaced by ids[id]. A meeting row renders
+// as the row it was while the record was one JSON column: its id, and
+// json.Marshal of the record read from its typed columns as doc.
 func deviceState(t *testing.T, w *world, ids map[string]string, users ...string) string {
 	t.Helper()
 	var b strings.Builder
@@ -75,6 +77,9 @@ func deviceState(t *testing.T, w *world, ids map[string]string, users ...string)
 			var rows []string
 			for _, r := range tab.Select(nil) {
 				raw, err := json.Marshal(r)
+				if name == "cal_meetings" {
+					raw, err = json.Marshal(map[string]string{"doc": recordText(t, r), "id": r.Str("id")})
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,11 +1,14 @@
 package links
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -347,12 +350,10 @@ func (m *Manager) LinksOnIn(u *store.Tx, entity string) []*Link {
 	return linksByPriority(decodeLinks(u.SelectEq(LinkTable, "owner_entity", entity)))
 }
 
+// linksByPriority sorts out highest priority first, then by id.
 func linksByPriority(out []*Link) []*Link {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(a, b *Link) int {
+		return cmp.Or(cmp.Compare(b.Priority, a.Priority), strings.Compare(a.ID, b.ID))
 	})
 	return out
 }
@@ -370,13 +371,17 @@ func decodeLinks(rows []store.Row) []*Link {
 
 // --- §4.2 op 3: tentative → permanent promotion -----------------------------
 
-// promote turns the tentative link l permanent, row in u and value
-// alike, runs the application hook on the result and makes it the link
-// the entity's other waiters wait on.
-func (m *Manager) promote(u *store.Tx, l *Link) error {
+// promote turns the tentative link l permanent (expiring at a non-zero
+// expires), row in u and value alike, runs the application hook on the
+// result and makes it the link the entity's other waiters wait on.
+func (m *Manager) promote(u *store.Tx, l *Link, expires time.Time) error {
 	ch := m.linksT.NewRow()
 	ch.SetStr("subtype", string(Permanent))
 	ch.SetStr("waiting_on", "")
+	if !expires.IsZero() {
+		ch.SetTime("expires", expires)
+		l.Expires = expires
+	}
 	if err := u.Update(LinkTable, ch, l.ID); err != nil {
 		return err
 	}
@@ -453,7 +458,7 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
 		if _, votes := l.voteTrigger(); votes {
 			continue
 		}
-		if err := m.promote(u, l); err != nil {
+		if err := m.promote(u, l, time.Time{}); err != nil {
 			return err
 		}
 		u.AfterCommit(func(ctx context.Context) { m.fireTriggers(ctx, l, "promote", nil) })
@@ -465,8 +470,9 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
 // step's unit u, outside a deletion (used when a tentative participant
 // becomes available and the renegotiation succeeds, §5). Unlike
 // waiting-table promotion this does not fire "promote" triggers — the
-// caller just completed the work those triggers would start.
-func (m *Manager) PromoteLink(u *store.Tx, id string) error {
+// caller just completed the work those triggers would start. A
+// non-zero expires is the promoted link's expiry.
+func (m *Manager) PromoteLink(u *store.Tx, id string, expires time.Time) error {
 	l, ok := m.getLink(u, id)
 	if !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("links: no link %q on %s", id, m.self)}
@@ -474,7 +480,7 @@ func (m *Manager) PromoteLink(u *store.Tx, id string) error {
 	if l.Subtype == Permanent {
 		return nil
 	}
-	return m.promote(u, l)
+	return m.promote(u, l, expires)
 }
 
 // --- §4.2 op 4 / §4.4: cascading deletion ------------------------------------

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -360,7 +359,7 @@ func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: encode: %v", err)}
 	}
-	out, err := wire.ReadFrame(bytes.NewReader(f.Bytes()))
+	out, err := wire.DecodeFrame(f.Bytes())
 	f.Release()
 	if err != nil {
 		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: decode: %v", err)}

@@ -21,13 +21,23 @@ const noType ColType = -1
 
 // Value is one column value. The column's type says which field holds
 // it: s for String, n for Int, for Bool (0 or 1) and for Float (its
-// IEEE 754 bits), t for Time. Being comparable, a Value is also what a
-// secondary index keys on.
+// IEEE 754 bits), t for Time, l for Strings.
 type Value struct {
 	s string
 	n int64
 	t time.Time
+	l []string
 }
+
+// scalar is a Value less its list, comparable: what an index keys on
+// and an equality probe compares. No indexed or probed column is a list.
+type scalar struct {
+	s string
+	n int64
+	t time.Time
+}
+
+func (v Value) scalar() scalar { return scalar{s: v.s, n: v.n, t: v.t} }
 
 // layout is the shape of a row: a table's columns, how to find one by
 // name, and where its primary key sits. Every row of a table shares the
@@ -153,6 +163,16 @@ func (r Row) Time(col string) time.Time {
 	return time.Time{}
 }
 
+// Strs returns the Strings column col: the stored list, capped so that
+// an append to it copies. Write no element of it.
+func (r Row) Strs(col string) []string {
+	if p, ok := r.typed(col, Strings); ok {
+		l := r.vals[p].l
+		return l[:len(l):len(l)]
+	}
+	return nil
+}
+
 // put sets col to v, a value of type ct, or keeps why it cannot: the
 // first such error is the row's.
 func (r *Row) put(col string, ct ColType, v Value) {
@@ -190,12 +210,16 @@ func (r *Row) SetFloat(col string, v float64) {
 // SetTime sets the Time column col.
 func (r *Row) SetTime(col string, v time.Time) { r.put(col, Time, Value{t: v}) }
 
+// SetStrs sets the Strings column col to v, which the row keeps: a stored
+// list is immutable, so the caller writes no element of v afterwards.
+func (r *Row) SetStrs(col string, v []string) { r.put(col, Strings, Value{l: v}) }
+
 // Set sets column col from a dynamically typed value: a string, an
-// int64, a bool, a float64 or a time.Time, as the column's type wants.
-// It is for code that holds its values as any; the typed setters box
-// nothing.
+// int64, a bool, a float64, a time.Time or a []string, as the column's
+// type wants. It is for code that holds its values as any; the typed
+// setters box nothing.
 func (r *Row) Set(col string, v any) {
-	for _, ct := range [...]ColType{String, Int, Bool, Float, Time} {
+	for _, ct := range [...]ColType{String, Int, Bool, Float, Time, Strings} {
 		if val, ok := valueOf(ct, v); ok {
 			r.put(col, ct, val)
 			return
@@ -230,11 +254,15 @@ func valueOf(ct ColType, v any) (Value, bool) {
 	case Time:
 		t, ok := v.(time.Time)
 		return Value{t: t}, ok
+	case Strings:
+		l, ok := v.([]string)
+		return Value{l: l}, ok
 	}
 	return Value{}, false
 }
 
-// Clone returns a copy of r that shares nothing with it.
+// Clone returns a copy of r that shares nothing with it but its lists,
+// which are immutable.
 func (r Row) Clone() Row {
 	if r.vals != nil {
 		r.vals = append([]Value(nil), r.vals...)
@@ -307,9 +335,14 @@ func (r Row) SizeHint() int {
 	for m := r.set; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
 		n += len(r.l.cols[p].Name) + 28
-		if r.l.cols[p].Type == String {
+		switch r.l.cols[p].Type {
+		case String:
 			s := r.vals[p].s
 			n += len(s) + len(s)/8
+		case Strings:
+			for _, s := range r.vals[p].l {
+				n += len(s) + len(s)/8 + 3
+			}
 		}
 	}
 	return n
@@ -387,6 +420,8 @@ func appendJSONValue(b []byte, ct ColType, v Value) ([]byte, error) {
 		return jsonrec.AppendFloat(b, math.Float64frombits(uint64(v.n)))
 	case Time:
 		return append(v.t.AppendFormat(append(b, '"'), time.RFC3339Nano), '"'), nil
+	case Strings:
+		return jsonrec.AppendStrings(b, v.l), nil
 	}
 	return b, fmt.Errorf("%w: column type %s", ErrBadType, ct)
 }
@@ -434,6 +469,11 @@ func decodeJSONValue(ct ColType, raw []byte) (Value, error) {
 	case Bool:
 		if text == "true" || text == "false" {
 			return boolValue(text == "true"), nil
+		}
+	case Strings:
+		var l []string
+		if json.Unmarshal(raw, &l) == nil {
+			return Value{l: l}, nil
 		}
 	case Int, Float:
 		if text == "" || text[0] != '-' && (text[0] < '0' || text[0] > '9') {

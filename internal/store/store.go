@@ -31,6 +31,7 @@ const (
 	Bool
 	Float
 	Time
+	Strings // a []string; no key or indexed column is one
 )
 
 // String implements fmt.Stringer for diagnostics.
@@ -46,6 +47,8 @@ func (t ColType) String() string {
 		return "float"
 	case Time:
 		return "time"
+	case Strings:
+		return "strings"
 	}
 	return fmt.Sprintf("ColType(%d)", int(t))
 }
@@ -187,22 +190,25 @@ func validateSchema(s Schema) error {
 	if len(s.Columns) > maxColumns {
 		return fmt.Errorf("store: %d columns, at most %d", len(s.Columns), maxColumns)
 	}
-	cols := make(map[string]bool, len(s.Columns))
+	cols := make(map[string]ColType, len(s.Columns))
 	for _, c := range s.Columns {
 		if c.Name == "" {
 			return errors.New("store: empty column name")
 		}
-		if cols[c.Name] {
+		if _, dup := cols[c.Name]; dup {
 			return fmt.Errorf("store: duplicate column %q", c.Name)
 		}
-		cols[c.Name] = true
+		cols[c.Name] = c.Type
 	}
 	if len(s.Key) == 0 {
 		return errors.New("store: schema needs a primary key")
 	}
 	for _, k := range s.Key {
-		if !cols[k] {
+		switch ct, ok := cols[k]; {
+		case !ok:
 			return fmt.Errorf("%w: key column %q", ErrBadColumn, k)
+		case ct == Strings:
+			return fmt.Errorf("%w: key column %q is a list", ErrBadType, k)
 		}
 	}
 	return nil
@@ -224,7 +230,7 @@ type Table struct {
 // of one column. A row that leaves the column unset is in no entry.
 type index struct {
 	col int
-	m   map[Value]posting
+	m   map[scalar]posting
 }
 
 // posting is the keys of the rows holding one value: the key itself
@@ -392,12 +398,15 @@ func (t *Table) addIndex(col string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w: %q", ErrBadColumn, col)
 	}
+	if t.l.cols[p].Type == Strings {
+		return false, fmt.Errorf("%w: index on %s.%s, a list", ErrBadType, t.schema.Name, col)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.indexOf(p) != nil {
 		return false, nil
 	}
-	t.indexes = append(t.indexes, index{col: p, m: make(map[Value]posting)})
+	t.indexes = append(t.indexes, index{col: p, m: make(map[scalar]posting)})
 	idx := &t.indexes[len(t.indexes)-1]
 	for k, r := range t.rows {
 		idx.add(k, r)
@@ -420,7 +429,7 @@ func (idx *index) add(k rowKey, r Row) {
 	if r.set&(1<<idx.col) == 0 {
 		return
 	}
-	v := r.vals[idx.col]
+	v := r.vals[idx.col].scalar()
 	switch p, ok := idx.m[v]; {
 	case !ok:
 		idx.m[v] = posting{one: k}
@@ -435,7 +444,7 @@ func (idx *index) remove(k rowKey, r Row) {
 	if r.set&(1<<idx.col) == 0 {
 		return
 	}
-	v := r.vals[idx.col]
+	v := r.vals[idx.col].scalar()
 	switch p, ok := idx.m[v]; {
 	case ok && p.more == nil && p.one == k:
 		delete(idx.m, v)
@@ -541,15 +550,15 @@ func (t *Table) Select(pred func(Row) bool) []Row {
 }
 
 // probe converts the value v a caller looks for in column col to the
-// column's type, reporting false when the table has no such column or v
-// is not of its type: then no row matches.
-func (t *Table) probe(col string, v any) (int, Value, bool) {
+// column's type, reporting false when the table has no such column, it
+// is a list or v is not of its type: then no row matches.
+func (t *Table) probe(col string, v any) (int, scalar, bool) {
 	p, ok := t.l.index[col]
-	if !ok {
-		return 0, Value{}, false
+	if !ok || t.l.cols[p].Type == Strings {
+		return 0, scalar{}, false
 	}
 	val, ok := valueOf(t.l.cols[p].Type, v)
-	return p, val, ok
+	return p, val.scalar(), ok
 }
 
 // SelectEq returns all rows with row[col] == v in primary-key order,
@@ -578,9 +587,9 @@ func (t *Table) SelectEq(col string, v any) []Row {
 	return t.Select(func(r Row) bool { return r.holds(p, val) })
 }
 
-// holds reports whether r sets the column at position p to v.
-func (r Row) holds(p int, v Value) bool {
-	return r.set&(1<<p) != 0 && r.vals[p] == v
+// holds reports whether r sets the scalar column at position p to v.
+func (r Row) holds(p int, v scalar) bool {
+	return r.set&(1<<p) != 0 && r.vals[p].scalar() == v
 }
 
 // ViewEq calls fn with every stored row with row[col] == v, in no

@@ -563,7 +563,7 @@ func TestIndexPostingsGrowAndShrink(t *testing.T) {
 				}
 			}
 			indexed.mu.RLock()
-			post, ok := indexed.indexes[0].m[Value{s: busy}]
+			post, ok := indexed.indexes[0].m[scalar{s: busy}]
 			got := 0
 			if ok {
 				post.each(func(rowKey) { got++ })

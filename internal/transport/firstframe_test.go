@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"io"
@@ -28,7 +27,7 @@ func readRawFrame(t *testing.T, r io.Reader) (body []byte, env *wire.Envelope) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.ReadFrame(bytes.NewReader(append(hdr[:], body...)))
+	env, err := wire.DecodeFrame(append(hdr[:], body...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -78,7 +77,7 @@ func TestServedRequestAllocs(t *testing.T) {
 		return answer[:n]
 	}
 	for _, frame := range [][]byte{first, warm} {
-		env, err := wire.ReadFrame(bytes.NewReader(serve(frame)))
+		env, err := wire.DecodeFrame(serve(frame))
 		if err != nil || !env.Response.OK || string(env.Response.Result) != "true" {
 			t.Fatalf("answer %+v, %v", env.Response, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -66,6 +67,71 @@ func TestIntKeepsEveryDigit(t *testing.T) {
 		t.Fatalf("reopen replayed %d txs over checkpoint %d, want none over one", st.ReplayedTxs, st.CheckpointLSN)
 	}
 	want("checkpoint restore", d.DB)
+}
+
+// TestStringsColumnSurvivesDisk: a list column comes back from a log
+// replay, a DB.Restore of the snapshot and a checkpoint restore as it was
+// written, by an insert and by an update, the empty list still set and
+// an unset list still unset.
+func TestStringsColumnSurvivesDisk(t *testing.T) {
+	schema := store.Schema{Name: "t", Columns: []store.Column{
+		{Name: "id", Type: store.String}, {Name: "tags", Type: store.Strings}, {Name: "more", Type: store.Strings},
+	}, Key: []string{"id"}}
+	dir := t.TempDir()
+	d := mustOpen(t, dir, Options{Sync: SyncGroup})
+	tab, err := d.DB.CreateTable(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []store.Row{
+		rowOf(tab, map[string]any{"id": "a", "tags": []string{"x", `q"<&>`, ""}}),
+		rowOf(tab, map[string]any{"id": "b", "tags": []string{"y"}, "more": []string{"z"}}),
+	} {
+		if err := tab.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Update(rowOf(tab, map[string]any{"tags": []string{"p", "q"}, "more": []string{}}), "b"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2][]string{"a": {{"x", `q"<&>`, ""}, nil}, "b": {{"p", "q"}, {}}}
+	check := func(how string, db *store.DB) {
+		t.Helper()
+		tab, err := db.Table("t")
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		for id, w := range want {
+			r, _ := tab.Get(id)
+			if !slices.Equal(r.Strs("tags"), w[0]) || !slices.Equal(r.Strs("more"), w[1]) || r.Has("more") != (w[1] != nil) {
+				t.Fatalf("%s: %s reads tags %q more %q (set %v), want %q %q", how, id, r.Strs("tags"), r.Strs("more"), r.Has("more"), w[0], w[1])
+			}
+		}
+	}
+	check("written", d.DB)
+	crash(t, d)
+
+	d = mustOpen(t, dir, Options{Sync: SyncGroup})
+	if st := d.Stats(); st.ReplayedTxs != 3 {
+		t.Fatalf("reopen replayed %d txs, want 3", st.ReplayedTxs)
+	}
+	check("log replay", d.DB)
+	restored := store.NewDB()
+	if err := restored.Restore(strings.NewReader(string(snapshotOf(t, d.DB)))); err != nil {
+		t.Fatal(err)
+	}
+	check("DB.Restore", restored)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, d)
+
+	d = mustOpen(t, dir, Options{Sync: SyncGroup})
+	defer d.Close()
+	if st := d.Stats(); st.ReplayedTxs != 0 || st.CheckpointLSN == 0 {
+		t.Fatalf("reopen replayed %d txs over checkpoint %d, want none over one", st.ReplayedTxs, st.CheckpointLSN)
+	}
+	check("checkpoint restore", d.DB)
 }
 
 // TestOpensNodeDataDirWrittenWithMapRows opens a node's data dir written

@@ -13,3 +13,14 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 	f.Release()
 	return err
 }
+
+// ReadFrame reads one length-prefixed frame and decodes it, with no name
+// table.
+func ReadFrame(r io.Reader) (*Envelope, error) {
+	fr := FrameReader{r: r}
+	body, err := fr.next()
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(body, nil)
+}

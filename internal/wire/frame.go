@@ -162,6 +162,16 @@ func (fr *FrameReader) next() ([]byte, error) {
 	return body, nil
 }
 
+// DecodeFrame decodes a whole frame held in memory, prefix and body, as
+// a FrameReader with no name table decodes one it has read. The envelope
+// does not alias frame.
+func DecodeFrame(frame []byte) (*Envelope, error) {
+	if len(frame) < 4 || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
+		return nil, ErrShortFrame
+	}
+	return decodeBody(frame[4:], nil)
+}
+
 // decodeBody decodes one frame body: v3 when it starts with the version
 // byte, the JSON reference codec otherwise. names is the reader's name
 // table, nil for none.

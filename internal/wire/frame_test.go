@@ -163,3 +163,35 @@ func BenchmarkFrameReader(b *testing.B) {
 		}
 	}
 }
+
+// TestDecodeFrame: a whole frame in memory decodes as a FrameReader
+// decodes it, v3 and JSON alike, and the envelope does not alias the
+// frame; a frame whose prefix is not its length is ErrShortFrame.
+func TestDecodeFrame(t *testing.T) {
+	for _, encode := range []func(*Envelope) (*FrameBuffer, error){EncodeFrameV3, EncodeFrame} {
+		f, err := encode(testEnvelope(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := append([]byte(nil), f.Bytes()...)
+		f.Release()
+		got, err := DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewFrameReader(bytes.NewReader(frame)).Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]byte{nil, frame[:3], frame[:len(frame)-1], append(frame[:len(frame):len(frame)], 0)} {
+			if _, err := DecodeFrame(bad); !errors.Is(err, ErrShortFrame) {
+				t.Errorf("a frame of %d bytes: %v, want ErrShortFrame", len(bad), err)
+			}
+		}
+		clear(frame)
+		if got.Request.Service != "cal.phil" || got.Request.Args.Int("hour") != 7 || got.Request.Caller != want.Request.Caller ||
+			got.Request.Meta["trace-id"] != want.Request.Meta["trace-id"] {
+			t.Fatalf("DecodeFrame read %+v, a FrameReader %+v", got.Request, want.Request)
+		}
+	}
+}

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"strconv"
 
@@ -199,17 +198,6 @@ func ReasonOf(err error) Reason {
 		return Reason(coded.Code())
 	}
 	return Reason(CodeOf(err))
-}
-
-// ReadFrame reads one length-prefixed frame and decodes it, with no name
-// table.
-func ReadFrame(r io.Reader) (*Envelope, error) {
-	fr := FrameReader{r: r}
-	body, err := fr.next()
-	if err != nil {
-		return nil, err
-	}
-	return decodeBody(body, nil)
 }
 
 // The results of a bool: shared, and full to capacity, so that an append

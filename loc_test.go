@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18589
-	allTreeLines   = 21398
+	cmdLineCeiling = 18587
+	allTreeLines   = 21395
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
