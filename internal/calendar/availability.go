@@ -2,13 +2,11 @@ package calendar
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/bits"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/jsonrec"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -25,9 +23,10 @@ const dayLayout = "2006-01-02"
 // (i%len(hours))-th hour in ascending order; every Availability over the
 // window numbers its bits that way.
 type Window struct {
-	first time.Time
-	days  int
-	hours uint32 // bit h set = hour h is a candidate
+	first    time.Time
+	days     int
+	hours    uint32 // bit h set = hour h is a candidate
+	from, to string // the first and last day: text dayLayout parsed, so as it formats
 }
 
 func badWindow(format string, a ...any) error {
@@ -59,7 +58,7 @@ func newWindow(fromDay, toDay string, hours uint32) (Window, error) {
 	case last.Before(first):
 		return Window{}, badWindow("window %s..%s is inverted", fromDay, toDay)
 	}
-	w := Window{first: first, days: int(last.Sub(first)/(24*time.Hour)) + 1, hours: hours}
+	w := Window{first: first, days: int(last.Sub(first)/(24*time.Hour)) + 1, hours: hours, from: fromDay, to: toDay}
 	if w.Slots() > MaxWindowSlots {
 		return Window{}, badWindow("window %s..%s spans more than %d slots", fromDay, toDay, MaxWindowSlots)
 	}
@@ -87,10 +86,11 @@ func windowFromArgs(args wire.Args) (Window, error) {
 	return newWindow(args.String("from"), args.String("to"), uint32(hours))
 }
 
-// args is the window as a GetFreeSlots request names it: the hour set
-// travels as one int, and not at all when it is the default.
+// args is the window as a GetFreeSlots request names it: the days as the
+// text they were parsed from, the hour set as one int, and not at all
+// when it is the default.
 func (w Window) args() wire.Args {
-	a := wire.Args{wire.Str("from", w.day(0)), wire.Str("to", w.day(w.days-1))}
+	a := wire.Args{wire.Str("from", w.from), wire.Str("to", w.to)}
 	if w.hours != hourMask(DefaultHours) {
 		a = append(a, wire.Int("hours", int(w.hours)))
 	}
@@ -113,26 +113,15 @@ type Availability struct {
 	words []uint64
 }
 
-// decodeAvailability reads the reply to a GetFreeSlots over w: the words
-// as wire.Marshal writes them, any other text as json.Unmarshal reads it.
-// A reply of the wrong length, or with a bit set beyond the window, is
-// refused.
-func decodeAvailability(w Window, reply json.RawMessage) (Availability, error) {
+// decodeAvailability reads the reply to a GetFreeSlots over w: a word
+// list, which the reply's frame decoded into words of its own. Any other
+// value, a list of the wrong length, and one with a bit set beyond the
+// window are refused.
+func decodeAvailability(w Window, reply wire.Value) (Availability, error) {
 	n := w.Slots()
-	words, err := jsonrec.Decode(string(reply), func(s string) ([]uint64, bool) {
-		r := jsonrec.NewReader(s)
-		if r.Null() {
-			return nil, r.Done()
-		}
-		r.Lit("[")
-		ws := make([]uint64, 0, (n+63)/64)
-		for r.More(']') {
-			ws = append(ws, r.Uint64())
-		}
-		return ws, r.Done()
-	})
-	if err != nil {
-		return Availability{}, fmt.Errorf("calendar: availability reply: %w", err)
+	words, ok := reply.Words()
+	if !ok {
+		return Availability{}, fmt.Errorf("calendar: availability reply is not a word list")
 	}
 	a := Availability{win: w, words: words}
 	if len(a.words) != (n+63)/64 {
@@ -231,7 +220,7 @@ func QueryAvailability(ctx context.Context, eng *engine.Engine, w Window, users 
 	avail, errs := make([]Availability, len(users)), make([]error, len(users))
 	for i, r := range eng.GroupInvoke(ctx, services, "GetFreeSlots", w.args()) {
 		if errs[i] = r.Err; r.Err == nil {
-			avail[i], errs[i] = decodeAvailability(w, r.Raw)
+			avail[i], errs[i] = decodeAvailability(w, r.Result)
 		}
 	}
 	return avail, errs

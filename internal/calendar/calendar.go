@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -575,8 +574,9 @@ func (c *Calendar) linkHook(u *store.Tx, kind string, l *links.Link, _ wire.Args
 // acceptDecided finishes a reservation whose Commit carried the meeting
 // record, in the Commit's unit u: the permanent back link to the
 // initiator on entity, the slot reserved, goes in (a tentative row queued
-// here earlier is promoted instead, and takes the Commit's expiry) and the
-// record is stored, its lists carved from the Commit's frame. It runs
+// here earlier is promoted to it instead: its triggers, type and the
+// Commit's expiry) and the record is stored, its lists carved from the
+// Commit's frame. It runs
 // under the slot's entity lock; running it again (a redriven Commit, a
 // retried reserve) leaves one link row, one record.
 func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wire.Args) error {
@@ -585,7 +585,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wi
 		// forward link turns permanent again, the caller stores the
 		// record. ChangeMeetingSlot comes this way too, before its new
 		// forward link exists, and has nothing to promote.
-		if err := c.lm.PromoteLink(u, m.LinkID, time.Time{}); err != nil && wire.CodeOf(err) != wire.CodeNoService {
+		if err := c.lm.PromoteLink(u, m.LinkID, nil); err != nil && wire.CodeOf(err) != wire.CodeNoService {
 			return err
 		}
 		return nil
@@ -598,7 +598,7 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wi
 	}
 	err := c.lm.AddLink(u, &back)
 	if wire.ReasonOf(err) == wire.ReasonLinkExists {
-		err = c.lm.PromoteLink(u, m.LinkID, back.Expires)
+		err = c.lm.PromoteLink(u, m.LinkID, &back)
 	}
 	if err != nil {
 		return err

@@ -705,6 +705,50 @@ func TestE3DropOutAndVeto(t *testing.T) {
 	}
 }
 
+// TestE3PromotedParticipantVeto: a participant busy at setup and
+// confirmed later through its vote, its tentative back link promoted, is
+// held to what a participant reserved at setup is: a must's change at
+// the slot consults the initiator and is vetoed, a supervisor's link is a
+// subscription and its change goes through.
+func TestE3PromotedParticipantVeto(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		req    calendar.Request
+		typ    links.Type
+		vetoed bool
+	}{
+		{"must", calendar.Request{Must: []string{"b", "c"}}, links.Negotiation, true},
+		{"supervisor", calendar.Request{Must: []string{"c"}, Supervisors: []string{"b"}}, links.Subscription, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, "a", "b", "c")
+			if err := w.cals["b"].MarkBusy(slot(day1, 10), "dentist", 0); err != nil {
+				t.Fatal(err)
+			}
+			req := tc.req
+			req.Title, req.Day, req.Hour, req.PinSlot = "m", day1, 10, true
+			m, err := w.cals["a"].SetupMeeting(ctxBg(), req)
+			if err != nil || m.Status != calendar.StatusTentative {
+				t.Fatalf("setup: %v, %+v", err, m)
+			}
+			if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := w.cals["a"].Meeting(m.ID); got.Status != calendar.StatusConfirmed {
+				t.Fatalf("after b's vote: %s, missing %v", got.Status, got.Missing)
+			}
+			bl, ok := w.cals["b"].Links().GetLink(m.LinkID)
+			if !ok || bl.Subtype != links.Permanent || bl.Type != tc.typ || len(bl.Triggers) != 1 || bl.Triggers[0].Event != "change" {
+				t.Fatalf("b's promoted back link: %+v", bl)
+			}
+			_, err = w.cals["b"].Links().TriggerEntity(ctxBg(), m.Slot.Entity(), "change", nil)
+			if (err != nil) != tc.vetoed {
+				t.Fatalf("b's change at the slot: %v, want vetoed %v", err, tc.vetoed)
+			}
+		})
+	}
+}
+
 // TestE4SupervisorSubscriptionLink reproduces the §5 supervisor
 // scenario: B is a supervisor with only a subscription back link — B's
 // change is never vetoed, the meeting goes tentative and heals when it

@@ -130,12 +130,14 @@ func newTCPWorld(t *testing.T, wrap func(transport.HandlerFunc) transport.Handle
 // sydnode and sydload build it, all counting into one WireStats. Once
 // every pooled connection has carried a call, a 3-party schedule +
 // cancel is one Mark, one Commit and one DeleteLink per participant —
-// 12 frames — in v3: 1148-1152 B (the ids' varints vary), the names in
-// them being references into each connection's name table and each
-// Commit's meeting record typed arguments. While the record rode as its
-// JSON text it was 1354 B, about 100 B more a Commit; spelling every name
-// out, with the request id and hop count each request once carried,
-// 1958 B; JSON frames cost 3270 B.
+// 12 frames — in format v4: 1060 B, the names in them being references
+// into each connection's name table, each Commit's meeting record typed
+// arguments, each length prefix a byte or two and each reply its typed
+// result. With 4-byte prefixes and results as JSON text it was 1148-1152
+// B (the ids' varints vary); while the record rode as its JSON text,
+// 1354 B, about 100 B more a Commit; spelling every name out, with the
+// request id and hop count each request once carried, 1958 B; JSON
+// frames cost 3270 B.
 func TestTCPDefaultWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -171,8 +173,8 @@ func TestTCPDefaultWireCost(t *testing.T) {
 	meet(13)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 12 || bytes > 1170 {
-		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= 1170 B", frames, bytes)
+	if frames != 12 || bytes > 1080 {
+		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= 1080 B", frames, bytes)
 	}
 	t.Logf("schedule + cancel: %d frames, %d B", frames, bytes)
 }
@@ -181,14 +183,15 @@ func TestTCPDefaultWireCost(t *testing.T) {
 // on the same deployment: a must that cannot give its slot is sent its
 // refused Mark and one record push, on which it queues its own link, so a
 // 3-party schedule with one busy must is 2 Marks, 1 Commit and 1
-// MeetingUpdate — 8 frames, 919 B on connections whose name tables are
+// MeetingUpdate — 8 frames, 869 B on connections whose name tables are
 // warm, the Commit and the push each carrying the record as typed
-// arguments (1145 B as JSON text) — where asking the busy device for its
-// links and sending it one to add made it 12 frames and 2500 B. When the
-// busy must's slot frees, its vote, the Commit and the record pushed to
-// the third party are 6 frames and 700 B (918 B as JSON text); the Mark
-// the initiator used to send the device that had just told it made them
-// 8.
+// arguments (919 B with 4-byte length prefixes and results as JSON text,
+// 1145 B with the record as JSON text too) — where asking the busy
+// device for its links and sending it one to add made it 12 frames and
+// 2500 B. When the busy must's slot frees, its vote, the Commit and the
+// record pushed to the third party are 6 frames and 669 B (700 B, and
+// 918 B, as before); the Mark the initiator used to send the device that
+// had just told it made them 8.
 func TestTCPTentativeWireCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -235,8 +238,8 @@ func TestTCPTentativeWireCost(t *testing.T) {
 	m := schedule(13)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 8 || bytes > 940 {
-		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= 940 B", frames, bytes)
+	if frames != 8 || bytes > 890 {
+		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= 890 B", frames, bytes)
 	}
 	t.Logf("tentative schedule: %d frames, %d B", frames, bytes)
 
@@ -244,8 +247,8 @@ func TestTCPTentativeWireCost(t *testing.T) {
 	confirm(m)
 	after = stats.Snapshot()
 	frames, bytes = after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 6 || bytes > 720 {
-		t.Fatalf("confirm on warm default transports: %d frames, %d B; want 6 frames, <= 720 B", frames, bytes)
+	if frames != 6 || bytes > 690 {
+		t.Fatalf("confirm on warm default transports: %d frames, %d B; want 6 frames, <= 690 B", frames, bytes)
 	}
 	t.Logf("confirm: %d frames, %d B", frames, bytes)
 }

@@ -101,7 +101,9 @@ func deviceState(t *testing.T, w *world, ids map[string]string, users ...string)
 // wantState holds got to testdata/<name>.golden. The golden files were
 // written by this same rendering on the commit before reserved
 // participants were installed by their Commit (PR 14): the devices must
-// end up holding byte for byte what the message-per-step flow left.
+// end up holding byte for byte what the message-per-step flow left, but
+// for b's back link in confirmed.golden, which b's vote promoted: it is
+// the back link a Commit installs, its triggers ParticipantChange's.
 func wantState(t *testing.T, name, got string) {
 	t.Helper()
 	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
@@ -146,9 +148,11 @@ func TestWireCostSetupAndCancel(t *testing.T) {
 // TestWireCostFind: a find over the benchmark's 5 × 9 window asks each
 // of its three participants once, at the same time, and each answers
 // with one word: 3 GetFreeSlots, 6 frames, and on warm default
-// transports 220 B at most (201 B measured: the requests' names are
-// references into each connection's name table), where the replies
-// alone used to spell 1200 B of slots.
+// transports 170 B at most (153 B measured: the requests' names are
+// references into each connection's name table, each reply a 14 B frame
+// whose word is a uvarint). With 4-byte length prefixes and the word as
+// JSON text it was 204 B; the replies alone used to spell 1200 B of
+// slots.
 func TestWireCostFind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -183,8 +187,8 @@ func TestWireCostFind(t *testing.T) {
 	after := stats.Snapshot()
 	census.take(t, "find", map[string]int{"cal.GetFreeSlots": 3})
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if frames != 6 || bytes > 220 {
-		t.Fatalf("find on warm default transports: %d frames, %d B; want 6 frames, <= 220 B", frames, bytes)
+	if frames != 6 || bytes > 170 {
+		t.Fatalf("find on warm default transports: %d frames, %d B; want 6 frames, <= 170 B", frames, bytes)
 	}
 	t.Logf("find: %d frames, %d B", frames, bytes)
 }

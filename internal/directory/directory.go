@@ -321,11 +321,11 @@ func (s *Server) Handler() transport.Handler {
 
 func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport.Response {
 	ok := func(v any) transport.Response {
-		raw, err := wire.Marshal(v)
+		res, err := wire.Marshal(v)
 		if err != nil {
 			return transport.ErrorResponse(req, wire.CodeInternal, "encode: %v", err)
 		}
-		return transport.Response{ID: req.ID, OK: true, Result: raw}
+		return transport.Response{ID: req.ID, OK: true, Result: res}
 	}
 	fail := func(err error) transport.Response { return transport.ErrorFor(req, err) }
 

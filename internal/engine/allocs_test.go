@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -15,12 +14,13 @@ import (
 // TestRPCRoundTripAllocs holds one warm RPC over real sockets to its
 // allocation count, both ends counted: engine.Invoke under a deadline,
 // through the route cache and the TCP transport to the listener and its
-// handler and back, the result kept as raw JSON as a group fan-out keeps
-// it. What is left is the client's request, response and result (3) and
-// the server's one object per request (request, hint context and
-// response), the body's one string copy, the argument slice and the
-// handler goroutine (4): no deadline timer, no metadata map, no copy of
-// the route, the request or the result (10 before the served object).
+// handler and back, the Commit's ack read as the bool it is. What is
+// left is the client's request and response (2) and the server's one
+// object per request (request, hint context and response), the body's
+// one string copy, the argument slice and the handler goroutine (4): no
+// deadline timer, no metadata map, no copy of the route, the request or
+// the result (10 before the served object, 7 while a result was JSON
+// text the client copied).
 func TestRPCRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -55,17 +55,17 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 
 	e := New(net, dir, "andy", WithDirCache(NewDirCache(time.Hour)))
 	args := wire.Args{wire.Str("entity", "slot/2003-04-22/10"), wire.Str("token", "T-phil-1")}
-	var raw json.RawMessage
+	var ok bool
 	call := func() {
-		raw = nil
-		if err := e.Invoke(ctx, "links.phil", "Commit", args, &raw); err != nil || string(raw) != "true" {
-			t.Fatalf("Commit = %s, %v", raw, err)
+		ok = false
+		if err := e.Invoke(ctx, "links.phil", "Commit", args, &ok); err != nil || !ok {
+			t.Fatalf("Commit = %v, %v", ok, err)
 		}
 	}
 	for i := 0; i < 10*transport.DefaultPoolSize(); i++ {
 		call() // the route cache, every pooled connection and its name tables
 	}
-	want := 7.0
+	want := 6.0
 	if raceEnabled {
 		want += 6
 	}
@@ -101,7 +101,7 @@ func (n *answerNet) Call(ctx context.Context, addr string, req *transport.Reques
 func TestGroupInvokeAllocs(t *testing.T) {
 	net := &answerNet{
 		dir:  directory.NewServer(directory.WithTTL(time.Hour)).Handler(),
-		resp: transport.Response{OK: true, Result: json.RawMessage("true")},
+		resp: transport.Response{OK: true, Result: wire.Bool("", true).Val},
 	}
 	dir := directory.NewClient(net, "dir")
 	ctx := context.Background()
@@ -116,10 +116,12 @@ func TestGroupInvokeAllocs(t *testing.T) {
 		services = append(services, "cal."+u)
 	}
 	e := New(net, dir, "andy", WithDirCache(NewDirCache(time.Hour)))
+	var ok bool
 	group := func() {
 		for _, r := range e.GroupInvoke(ctx, services, "Free", nil) {
-			if r.Err != nil || string(r.Raw) != "true" {
-				t.Fatalf("%s: %s, %v", r.Service, r.Raw, r.Err)
+			ok = false
+			if r.Err != nil || r.Decode(&ok) != nil || !ok {
+				t.Fatalf("%s: %+v, %v", r.Service, r.Result, r.Err)
 			}
 		}
 	}

@@ -21,7 +21,6 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -118,7 +117,8 @@ func (e *Engine) getCredential() string {
 }
 
 // Invoke calls method on the named service, decoding the result into
-// out (out may be nil).
+// out (out may be nil) as wire.Unmarshal does: a typed result lands in
+// an out of its type, a Raw one goes to json.Unmarshal.
 func (e *Engine) Invoke(ctx context.Context, service, method string, args wire.Args, out any) error {
 	return e.invoke(ctx, &call{service: service, method: method, args: args}, out)
 }
@@ -279,11 +279,12 @@ func IsTransient(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || IsUnavailable(err)
 }
 
-// GroupResult is one member's outcome in a group invocation.
+// GroupResult is one member's outcome in a group invocation: its
+// error, or the result value its response carried.
 type GroupResult struct {
 	Service string
 	Err     error
-	Raw     json.RawMessage
+	Result  wire.Value
 }
 
 // Decode unmarshals the member's result into v.
@@ -291,7 +292,7 @@ func (g *GroupResult) Decode(v any) error {
 	if g.Err != nil {
 		return g.Err
 	}
-	return wire.Unmarshal(g.Raw, v)
+	return wire.Unmarshal(g.Result, v)
 }
 
 // FanOut calls f(0), …, f(n-1) concurrently and returns once every
@@ -346,12 +347,12 @@ func (e *Engine) GroupInvoke(ctx context.Context, services []string, method stri
 		r := &results[i] // the result is read into its place
 		r.Service = services[i]
 		if info, ok := routes[r.Service]; ok && e.dirCache == nil {
-			r.Err = e.invokeRouted(ctx, info, r.Service, method, args, &r.Raw)
+			r.Err = e.invokeRouted(ctx, info, r.Service, method, args, &r.Result)
 		} else {
 			// With a route cache the batch results were stored there, so
 			// the plain path hits the cache and keeps its invalidation
 			// semantics (unreachable / failover drop the entry).
-			r.Err = e.Invoke(ctx, r.Service, method, args, &r.Raw)
+			r.Err = e.Invoke(ctx, r.Service, method, args, &r.Result)
 		}
 	})
 	if span != nil {

@@ -205,7 +205,7 @@ func TestCollectAndQuorum(t *testing.T) {
 	collect := func(results []GroupResult) (sums []int, failed []string) {
 		for _, r := range results {
 			var v int
-			if r.Err != nil || wire.Unmarshal(r.Raw, &v) != nil {
+			if r.Err != nil || wire.Unmarshal(r.Result, &v) != nil {
 				failed = append(failed, r.Service)
 				continue
 			}

@@ -234,15 +234,6 @@ func (r *Reader) Int() int {
 	return n
 }
 
-// Uint64 reads an integer literal that fits a uint64.
-func (r *Reader) Uint64() uint64 {
-	n, err := strconv.ParseUint(r.integer(), 10, 64)
-	if err != nil {
-		r.miss = true
-	}
-	return n
-}
-
 // Peek returns the next byte without consuming it, 0 after a miss or at
 // the end of the text.
 func (r *Reader) Peek() byte {

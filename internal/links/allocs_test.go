@@ -14,7 +14,9 @@ import (
 // build nothing when no span records them: 215 allocations while they
 // were kept on the Result as well, 201 before commit units were
 // recycled, 192 while the sim read each frame through a reader of its
-// own and sorted the links on an entity with sort.Slice.
+// own and sorted the links on an entity with sort.Slice, 144 while each
+// Mark's reply was a map written and read as JSON text and each
+// Commit's ack JSON text the coordinator copied.
 func TestNegotiateAllocs(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	spec := links.Spec{
@@ -22,7 +24,7 @@ func TestNegotiateAllocs(t *testing.T) {
 		Targets: refs("b", "s", "c", "s"), Constraint: links.Or,
 	}
 	ctx := ctxBg()
-	want := 144.0
+	want := 136.0
 	if raceEnabled {
 		want += 40
 	}

@@ -371,16 +371,27 @@ func decodeLinks(rows []store.Row) []*Link {
 
 // --- §4.2 op 3: tentative → permanent promotion -----------------------------
 
-// promote turns the tentative link l permanent (expiring at a non-zero
-// expires), row in u and value alike, runs the application hook on the
-// result and makes it the link the entity's other waiters wait on.
-func (m *Manager) promote(u *store.Tx, l *Link, expires time.Time) error {
+// promote turns the tentative link l permanent, row in u and value
+// alike, as the link as when there is one (see PromoteLink), runs the
+// application hook on the result and makes it the link the entity's
+// other waiters wait on.
+func (m *Manager) promote(u *store.Tx, l, as *Link) error {
 	ch := m.linksT.NewRow()
 	ch.SetStr("subtype", string(Permanent))
 	ch.SetStr("waiting_on", "")
-	if !expires.IsZero() {
-		ch.SetTime("expires", expires)
-		l.Expires = expires
+	if as != nil {
+		triggers, err := appendTriggers(nil, as.Triggers)
+		if err != nil {
+			return fmt.Errorf("links: encode triggers: %w", err)
+		}
+		ch.SetStr("type", string(as.Type))
+		ch.SetStr("constraint", string(as.Constraint))
+		ch.SetStr("triggers", string(triggers))
+		l.Type, l.Constraint, l.Triggers = as.Type, as.Constraint, as.Triggers
+		if !as.Expires.IsZero() {
+			ch.SetTime("expires", as.Expires)
+			l.Expires = as.Expires
+		}
 	}
 	if err := u.Update(LinkTable, ch, l.ID); err != nil {
 		return err
@@ -458,7 +469,7 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
 		if _, votes := l.voteTrigger(); votes {
 			continue
 		}
-		if err := m.promote(u, l, time.Time{}); err != nil {
+		if err := m.promote(u, l, nil); err != nil {
 			return err
 		}
 		u.AfterCommit(func(ctx context.Context) { m.fireTriggers(ctx, l, "promote", nil) })
@@ -470,9 +481,11 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
 // step's unit u, outside a deletion (used when a tentative participant
 // becomes available and the renegotiation succeeds, §5). Unlike
 // waiting-table promotion this does not fire "promote" triggers — the
-// caller just completed the work those triggers would start. A
-// non-zero expires is the promoted link's expiry.
-func (m *Manager) PromoteLink(u *store.Tx, id string, expires time.Time) error {
+// caller just completed the work those triggers would start. A non-nil
+// as is the permanent link the row becomes, the one an AddLink of as
+// would have installed: its type, constraint and triggers replace the
+// tentative link's, and a non-zero as.Expires is its expiry.
+func (m *Manager) PromoteLink(u *store.Tx, id string, as *Link) error {
 	l, ok := m.getLink(u, id)
 	if !ok {
 		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("links: no link %q on %s", id, m.self)}
@@ -480,7 +493,7 @@ func (m *Manager) PromoteLink(u *store.Tx, id string, expires time.Time) error {
 	if l.Subtype == Permanent {
 		return nil
 	}
-	return m.promote(u, l, expires)
+	return m.promote(u, l, as)
 }
 
 // --- §4.2 op 4 / §4.4: cascading deletion ------------------------------------
@@ -604,7 +617,8 @@ func (m *Manager) RemoveLink(u *store.Tx, id string) error {
 // visited. One that is out of reach, or whose answer did not come, is
 // tombstoned for the periodic sweep and returned.
 func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) (unreached []string, firstErr error) {
-	for _, p := range l.participants() {
+	var buf [8]string
+	for _, p := range l.participants(buf[:0]) {
 		if contains(visited, p) {
 			continue
 		}
@@ -693,19 +707,15 @@ func (m *Manager) DeleteLinkLocal(ctx context.Context, id string) error {
 	return err
 }
 
-// participants lists the distinct users referenced by the link
-// (owner + targets), sorted.
-func (l *Link) participants() []string {
-	seen := map[string]bool{l.Owner.User: true}
+// participants appends to buf the distinct users referenced by the link
+// (owner + targets), sorted: a caller's stack buffer holds a meeting's.
+func (l *Link) participants(buf []string) []string {
+	out := append(buf, l.Owner.User)
 	for _, t := range l.Targets {
-		seen[t.User] = true
+		out = append(out, t.User)
 	}
-	out := make([]string, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func contains(list []string, s string) bool {

@@ -2,13 +2,11 @@ package links
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/engine"
-	"repro/internal/jsonrec"
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -522,41 +520,12 @@ func (m *Manager) markTargetInner(ctx context.Context, nid string, ref EntityRef
 	if ref.User == m.self {
 		return m.markLocal(ref.Entity, action, args)
 	}
-	var raw json.RawMessage
+	var tok string
 	err := m.eng.Invoke(ctx, m.service(ref.User), "Mark", wire.Args{
 		wire.Str("entity", ref.Entity), wire.Str("action", action), wire.Sub("args", args),
 		wire.Str("nid", nid),
-	}, &raw)
-	if err != nil {
-		return "", err
-	}
-	tok, err := markToken(raw)
-	if err != nil {
-		return "", fmt.Errorf("links: decode the Mark reply of %s: %w", ref.User, err)
-	}
-	return tok, nil
-}
-
-// markReply is what the Mark handler answers: the token of the lock it
-// took.
-type markReply struct {
-	Token string `json:"token"`
-}
-
-// markToken reads the token out of a Mark reply; a reply not in the form
-// wire.Marshal writes goes to json.Unmarshal.
-func markToken(raw json.RawMessage) (string, error) {
-	if len(raw) == 0 {
-		return "", nil
-	}
-	reply, err := jsonrec.Decode(string(raw), func(s string) (markReply, bool) {
-		r := jsonrec.NewReader(s)
-		r.Lit(`{"token":`)
-		tok := r.String()
-		r.Lit("}")
-		return markReply{Token: tok}, r.Done()
-	})
-	return reply.Token, err
+	}, &tok)
+	return tok, err
 }
 
 // commitTarget applies the change at a marked target and releases its

@@ -18,9 +18,7 @@ func TestDuplicateCommitIdempotent(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	ctx := context.Background()
 
-	var tok struct {
-		Token string `json:"token"`
-	}
+	var tok string // the token of the lock the Mark took
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
 		wire.Str("entity", "s"),
 		wire.Str("action", "note"),
@@ -32,7 +30,7 @@ func TestDuplicateCommitIdempotent(t *testing.T) {
 	}
 	commit := wire.Args{
 		wire.Str("entity", "s"),
-		wire.Str("token", tok.Token),
+		wire.Str("token", tok),
 		wire.Str("action", "note"),
 		wire.Sub("args", wire.Args{wire.Str("text", "hi")}),
 		wire.Str("nid", "N-dup"),
@@ -61,9 +59,7 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	ctx := context.Background()
 
-	var tok struct {
-		Token string `json:"token"`
-	}
+	var tok string // the token of the lock the Mark took
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
 		wire.Str("entity", "s"),
 		wire.Str("action", "reserve"),
@@ -88,7 +84,7 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 	// The stale Commit finally arrives. It must not apply.
 	err = h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", wire.Args{
 		wire.Str("entity", "s"),
-		wire.Str("token", tok.Token),
+		wire.Str("token", tok),
 		wire.Str("action", "reserve"),
 		wire.Sub("args", wire.Args{wire.Str("meeting", "OLD")}),
 		wire.Str("nid", "N-old"),
@@ -211,9 +207,7 @@ func TestDecidedOutcomeSurvivesRestart(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	ctx := context.Background()
 
-	var tok struct {
-		Token string `json:"token"`
-	}
+	var tok string // the token of the lock the Mark took
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
 		wire.Str("entity", "s"),
 		wire.Str("action", "note"),
@@ -225,7 +219,7 @@ func TestDecidedOutcomeSurvivesRestart(t *testing.T) {
 	}
 	commit := wire.Args{
 		wire.Str("entity", "s"),
-		wire.Str("token", tok.Token),
+		wire.Str("token", tok),
 		wire.Str("action", "note"),
 		wire.Sub("args", wire.Args{wire.Str("text", "hi")}),
 		wire.Str("nid", "N-restart"),
@@ -316,9 +310,7 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	ctx := context.Background()
 	h.nodes["b"].Links.SetTuning(links.Tuning{PresumeAbortAfter: time.Minute})
 
-	var tok struct {
-		Token string `json:"token"`
-	}
+	var tok string // the token of the lock the Mark took
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
 		wire.Str("entity", "s"),
 		wire.Str("action", "reserve"),
@@ -370,7 +362,7 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	h.net.SetDown("node-a", false)
 	err = h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Commit", wire.Args{
 		wire.Str("entity", "s"),
-		wire.Str("token", tok.Token),
+		wire.Str("token", tok),
 		wire.Str("action", "reserve"),
 		wire.Sub("args", wire.Args{wire.Str("meeting", "GHOST")}),
 		wire.Str("nid", "N-ghost"),

@@ -123,7 +123,7 @@ func (m *Manager) Object() *listener.Object {
 			}
 			m.notePendingMark(p)
 		}
-		return map[string]string{"token": tok}, nil
+		return tok, nil
 	})
 
 	// Commit: phase-2 apply + unlock, safe to re-deliver (see

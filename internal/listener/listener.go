@@ -159,8 +159,10 @@ func (l *Listener) PublishGlobal(ctx context.Context, dir *directory.Client, ser
 }
 
 // HandleRequest implements transport.Handler: find the service, serve
-// the request, and encode the result. The response carries no
-// metadata: the caller correlates it on the frame ID.
+// the request, and make the result its response's value: a bool, a
+// string, a []uint64 or a wire.Args typed, anything else as its JSON
+// text (wire.Marshal). The caller correlates the response on the frame
+// ID.
 func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) transport.Response {
 	l.mu.RLock()
 	obj, ok := l.services[req.Service]
@@ -173,11 +175,11 @@ func (l *Listener) HandleRequest(ctx context.Context, req *transport.Request) tr
 	if err != nil {
 		return transport.ErrorFor(req, err)
 	}
-	raw, err := wire.Marshal(result)
+	res, err := wire.Marshal(result)
 	if err != nil {
 		return transport.ErrorResponse(req, wire.CodeInternal, "encode result: %v", err)
 	}
-	return transport.Response{ID: req.ID, OK: true, Result: raw}
+	return transport.Response{ID: req.ID, OK: true, Result: res}
 }
 
 // serve is the server's request path. It observes the request, one

@@ -3,6 +3,7 @@ package listener
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -116,10 +117,10 @@ func TestMetricsMiddlewareRecordsServerSeries(t *testing.T) {
 	}
 }
 
-// TestResponseCarriesNoMetadata: a method cannot set response metadata,
-// so no response carries any, on the success path or an error path,
-// whatever metadata the request brought. A caller correlates a reply on
-// its frame ID.
+// TestResponseCarriesNoMetadata: a response has no metadata field, so
+// nothing a request brings comes back; an OK response carries its result
+// and none of a refusal's fields, and a refused one no result, on every
+// error path. A caller correlates a reply on its frame ID.
 func TestResponseCarriesNoMetadata(t *testing.T) {
 	l := New("phil", nil)
 	l.Register("cal.phil", echoObject())
@@ -130,8 +131,10 @@ func TestResponseCarriesNoMetadata(t *testing.T) {
 		req := &transport.Request{Service: target[0], Method: target[1], Meta: wire.Metadata{"tenant": "acme"}}
 		req.SetDeadline(time.Second)
 		resp := l.HandleRequest(context.Background(), req)
-		if resp.OK != (target[1] == "Echo" && target[0] == "cal.phil") || resp.Meta != nil {
-			t.Errorf("%s.%s: ok=%v meta=%v; want no metadata", target[0], target[1], resp.OK, resp.Meta)
+		noResult := reflect.DeepEqual(resp.Result, wire.Value{})
+		if ok := target[1] == "Echo" && target[0] == "cal.phil"; resp.OK != ok ||
+			ok && (noResult || resp.Error != "" || resp.Code != "" || resp.Reason != "") || !ok && !noResult {
+			t.Errorf("%s.%s: %+v", target[0], target[1], resp)
 		}
 	}
 }

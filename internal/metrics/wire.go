@@ -22,7 +22,7 @@ var defaultWire = &WireStats{}
 func Wire() *WireStats { return defaultWire }
 
 // RecordSend accounts frames queued for the wire (bytes include the
-// 4-byte length prefixes).
+// length prefixes).
 func (w *WireStats) RecordSend(frames, bytes int) {
 	if w == nil {
 		return

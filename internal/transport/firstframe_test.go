@@ -12,22 +12,28 @@ import (
 	"repro/internal/wire"
 )
 
-// v3Version is the first body byte of every frame a transport sends.
-const v3Version = 0xB5
+// formatVersion is the first body byte of every frame a transport sends:
+// format v4's version byte.
+const formatVersion = 0xB6
 
 // readRawFrame reads one length-prefixed frame off r as it came off the
 // socket and decodes it, so a test sees both the bytes and the envelope.
 func readRawFrame(t *testing.T, r io.Reader) (body []byte, env *wire.Envelope) {
 	t.Helper()
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		t.Fatal(err)
+	var prefix []byte // a uvarint: read up to its last byte, none past it
+	for len(prefix) == 0 || prefix[len(prefix)-1] >= 0x80 {
+		var c [1]byte
+		if _, err := io.ReadFull(r, c[:]); err != nil {
+			t.Fatal(err)
+		}
+		prefix = append(prefix, c[0])
 	}
-	body = make([]byte, binary.BigEndian.Uint32(hdr[:]))
+	n, _ := binary.Uvarint(prefix)
+	body = make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.DecodeFrame(append(hdr[:], body...))
+	env, err := wire.DecodeFrame(append(prefix, body...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +83,8 @@ func TestTCPSpeaksV3FromFirstFrame(t *testing.T) {
 		}
 		defer conn.Close()
 		body, env := readRawFrame(t, conn)
-		if body[0] != v3Version {
-			t.Errorf("first frame body starts with %#x, want the v3 version byte %#x", body[0], v3Version)
+		if body[0] != formatVersion {
+			t.Errorf("first frame body starts with %#x, want the version byte %#x", body[0], formatVersion)
 		}
 		req := env.Request
 		if req == nil {
@@ -104,8 +110,8 @@ func TestTCPSpeaksV3FromFirstFrame(t *testing.T) {
 			ID: 1, Service: "echo", Method: "ping", Args: wire.Args{wire.Str("x", "y")},
 		}})
 		body, env := readRawFrame(t, conn)
-		if body[0] != v3Version {
-			t.Fatalf("first response body starts with %#x, want the v3 version byte %#x", body[0], v3Version)
+		if body[0] != formatVersion {
+			t.Fatalf("first response body starts with %#x, want the version byte %#x", body[0], formatVersion)
 		}
 		if resp := env.Response; resp == nil || resp.ID != 1 || !resp.OK {
 			t.Fatalf("response: %+v", env)

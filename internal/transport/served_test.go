@@ -2,11 +2,10 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +23,7 @@ func TestServedRequestAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	result := json.RawMessage("true")
+	result := wire.Bool("", true).Val
 	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
 		if _, ok := ctx.Deadline(); !ok || req.Args.String("token") == "" {
 			return ErrorResponse(req, wire.CodeBadArgs, "no deadline or no token")
@@ -64,21 +63,21 @@ func TestServedRequestAllocs(t *testing.T) {
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := io.ReadFull(conn, answer[:4]); err != nil {
+		if _, err := io.ReadFull(conn, answer[:1]); err != nil {
 			t.Fatal(err)
 		}
-		n := 4 + int(binary.BigEndian.Uint32(answer[:4]))
+		n := 1 + int(answer[0]) // a one-byte prefix: a short answer
 		if n > len(answer) {
 			t.Fatalf("a %d B answer", n)
 		}
-		if _, err := io.ReadFull(conn, answer[4:n]); err != nil {
+		if _, err := io.ReadFull(conn, answer[1:n]); err != nil {
 			t.Fatal(err)
 		}
 		return answer[:n]
 	}
 	for _, frame := range [][]byte{first, warm} {
 		env, err := wire.DecodeFrame(serve(frame))
-		if err != nil || !env.Response.OK || string(env.Response.Result) != "true" {
+		if err != nil || !env.Response.OK || !reflect.DeepEqual(env.Response.Result, result) {
 			t.Fatalf("answer %+v, %v", env.Response, err)
 		}
 	}

@@ -227,7 +227,7 @@ func TestTCPRecycledReplyChannels(t *testing.T) {
 				case err == nil:
 					var out map[string]int
 					if wire.Unmarshal(resp.Result, &out) != nil || out["n"] != n {
-						t.Errorf("call %d got the reply %s", n, resp.Result)
+						t.Errorf("call %d got the reply %+v", n, resp.Result)
 						return
 					}
 					acked.Add(1)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -229,6 +230,10 @@ func TestTCPMetadataRoundTrip(t *testing.T) {
 // table dropped them again. A response that cannot be encoded is
 // answered with an internal error in its place.
 func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
+	resultJSON := func(v wire.Value) string {
+		b, _ := json.Marshal(v)
+		return string(b)
+	}
 	started, release := make(chan struct{}, 1), make(chan struct{})
 	var slowRuns atomic.Int64
 	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
@@ -238,7 +243,7 @@ func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 			started <- struct{}{}
 			<-release
 		case "huge":
-			return Response{ID: req.ID, OK: true, Result: make([]byte, wire.MaxFrameSize)}
+			return Response{ID: req.ID, OK: true, Result: wire.Str("", strings.Repeat("x", wire.MaxFrameSize)).Val}
 		}
 		res, _ := wire.Marshal(req.Args)
 		return Response{ID: req.ID, OK: true, Result: res}
@@ -258,8 +263,8 @@ func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 	slow := make(chan error, 1)
 	go func() {
 		resp, err := cli.Call(ctx, addr, &Request{Service: "echo", Method: "slow", Args: wire.Args{wire.Str("who", "slow")}})
-		if err == nil && string(resp.Result) != `{"who":"slow"}` {
-			err = fmt.Errorf("answered %s", resp.Result)
+		if err == nil && resultJSON(resp.Result) != `{"who":"slow"}` {
+			err = fmt.Errorf("answered %s", resultJSON(resp.Result))
 		}
 		slow <- err
 	}()
@@ -275,7 +280,7 @@ func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 		t.Fatalf("unencodable request: err = %v, want bad-args", err)
 	}
 	req.Args = wire.Args{wire.Str("bad", "no longer")}
-	if resp, err := cli.Call(ctx, addr, req); err != nil || string(resp.Result) != `{"bad":"no longer"}` {
+	if resp, err := cli.Call(ctx, addr, req); err != nil || resultJSON(resp.Result) != `{"bad":"no longer"}` {
 		t.Fatalf("the next request with the failed one's names: %+v, %v", resp, err)
 	}
 	if pooled() != conn {

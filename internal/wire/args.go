@@ -26,13 +26,15 @@ type Arg struct {
 	Val Value
 }
 
-// Value is one argument value. The zero Value is JSON's null.
+// Value is one argument value, or a response's result. The zero Value
+// is JSON's null.
 type Value struct {
 	kind valueKind
 	n    uint64   // an int's bits, a float's bits, a bool as 0 or 1
 	s    string   // a string, or the text of a raw JSON value
 	ss   []string // a string list
 	sub  Args     // nested args
+	ws   []uint64 // a word list: a result only (Marshal)
 }
 
 type valueKind uint8
@@ -46,6 +48,7 @@ const (
 	kindStrings
 	kindArgs
 	kindJSON
+	kindWords
 )
 
 // Str is a string argument.
@@ -129,6 +132,9 @@ func (a Args) Sub(key string) Args {
 	v, _ := a.get(key)
 	return v.sub
 }
+
+// Words returns the word list v holds and whether it holds one.
+func (v Value) Words() ([]uint64, bool) { return v.ws, v.kind == kindWords }
 
 // Decode unmarshals the JSON form of the value at key into dst: the
 // structured values a Raw argument carries.
@@ -229,13 +235,17 @@ func (v Value) appendJSON(b []byte) ([]byte, error) {
 		return strconv.AppendBool(b, v.n != 0), nil
 	case kindStrings:
 		return jsonrec.AppendStrings(b, v.ss), nil
-	case kindArgs, kindJSON:
+	case kindArgs, kindJSON, kindWords:
 		// Nested args (Decode's) through json.Marshal, not by recursion
 		// here (see Args.appendJSON); a raw value compacted and escaped
-		// as Marshal treats a json.RawMessage.
+		// as Marshal treats a json.RawMessage; words, the JSON reference
+		// codec's, as Marshal writes a []uint64.
 		var x any = v.sub
-		if v.kind == kindJSON {
+		switch v.kind {
+		case kindJSON:
 			x = json.RawMessage(v.s)
+		case kindWords:
+			x = v.ws
 		}
 		raw, err := json.Marshal(x)
 		return append(b, raw...), err
@@ -246,6 +256,17 @@ func (v Value) appendJSON(b []byte) ([]byte, error) {
 // MarshalJSON writes AppendJSON's text; json.Marshal wraps its error as
 // AppendJSON does.
 func (a Args) MarshalJSON() ([]byte, error) { return a.appendJSON(nil) }
+
+// MarshalJSON writes v as json.Marshal writes what it holds: the JSON
+// reference codec's form of a result.
+func (v Value) MarshalJSON() ([]byte, error) { return v.appendJSON(nil) }
+
+// UnmarshalJSON reads one JSON value into v as UnmarshalJSON reads the
+// value of an argument.
+func (v *Value) UnmarshalJSON(data []byte) (err error) {
+	*v, err = valueOfJSON(data)
+	return err
+}
 
 // UnmarshalJSON reads a JSON object, or null, into a: keys sorted, a
 // repeated key's last value kept, as json.Unmarshal fills a map. An

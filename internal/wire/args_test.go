@@ -175,7 +175,7 @@ func TestDecodeV3RefusesRepeatedKey(t *testing.T) {
 	}
 	// id 1, empty service, method, caller, credential, no deadline or
 	// metadata, one arg: the empty name and tag 7 with no entries.
-	if _, err := decodeV3([]byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 0, 1, 0, 7, 0}, nil); err != ErrBadV3Frame {
+	if _, err := decodeV3([]byte{magicV4, v3KindRequest, 1, 0, 0, 0, 0, 0, 0, 1, 0, 7, 0}, nil); err != ErrBadV3Frame {
 		t.Fatalf("tag 7: err = %v, want ErrBadV3Frame", err)
 	}
 }

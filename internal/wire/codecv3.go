@@ -8,12 +8,15 @@ import (
 	"strings"
 )
 
-// Wire format v3 (see DESIGN.md §9): the one frame format every
-// transport sends. The frame layout is a 4-byte big-endian length
-// prefix, then a body that starts with the format's version byte, 0xB5,
-// followed by a length-delimited binary encoding of the envelope. A
-// request's deadline hint is a uvarint of milliseconds after its
-// credential, 0 for none.
+// Wire format v4 (see DESIGN.md §9): the one frame format every
+// transport sends, written by the binary codec, CodecV3, named for the
+// format it was first. A frame is its body's length as a uvarint (see
+// frame.go), then a body that starts with the format's version byte,
+// 0xB6, followed by a length-delimited binary encoding of the envelope.
+// A request's deadline hint is a uvarint of milliseconds after its
+// credential, 0 for none. An OK response is its id, the byte 1 and its
+// result, one value; a refused one its id, the byte 0, its error, code
+// and reason.
 //
 // A name — a request's service, method and caller, and every Args and
 // Metadata key at any depth — is one uvarint x: an odd x is entry x>>1
@@ -24,23 +27,25 @@ import (
 // a table (EncodeFrameV3, ReadFrame) every name is a literal.
 //
 // Args go out in their order, each value under the tag of its kind; a
-// Raw value is its JSON text, embedded as a blob. A list that repeats a
-// key is refused, as a map could never send one.
+// Raw value is its JSON text, embedded as a blob. A result is one value
+// in the same encoding. A list that repeats a key is refused, as a map
+// could never send one. No other version is read: both ends run one
+// binary and nothing stores a frame, so a v3 body (0xB5) is refused.
 
-// magicV3 is the first body byte of a v3 frame: the format's version
+// magicV4 is the first body byte of a binary frame: the format's version
 // byte. A JSON body always starts with '{' (0x7B), so the two are
 // unambiguous.
-const magicV3 = 0xB5
+const magicV4 = 0xB6
 
 // Codec names a frame body encoding. No transport sends JSON: CodecJSON
 // is kept as the reference the fuzzers and the benchmark's wire probe
-// measure v3 against.
+// measure the binary codec against.
 type Codec uint8
 
 // Codecs.
 const (
 	CodecJSON Codec = iota + 1 // JSON body: the reference encoding
-	CodecV3                    // binary v3 body: what every transport sends
+	CodecV3                    // binary body, format v4: what every transport sends
 )
 
 // String returns the codec name.
@@ -51,7 +56,8 @@ func (c Codec) String() string {
 	return "json"
 }
 
-// ErrBadV3Frame reports a structurally invalid v3 body.
+// ErrBadV3Frame reports a structurally invalid binary body, or one of
+// another version.
 var ErrBadV3Frame = errors.New("wire: malformed v3 frame")
 
 // v3 kind bytes.
@@ -60,7 +66,7 @@ const (
 	v3KindResponse = 2
 )
 
-// v3 value tags for the Args encoding.
+// v3 value tags for the Args and result encoding.
 const (
 	v3ValNil     = 0
 	v3ValString  = 1
@@ -71,8 +77,9 @@ const (
 	v3ValStrings = 6 // string list
 	// 7 carried a list of any values; nothing sends one, and a frame
 	// holding one is refused.
-	v3ValMap  = 8 // nested Args
-	v3ValJSON = 9 // embedded JSON text: a Raw value
+	v3ValMap   = 8  // nested Args
+	v3ValJSON  = 9  // embedded JSON text: a Raw value
+	v3ValWords = 10 // word list: a count, then each word as a uvarint
 )
 
 // EncodeFrameCodec encodes env with the requested codec into a pooled
@@ -86,8 +93,8 @@ func EncodeFrameCodec(env *Envelope, c Codec) (*FrameBuffer, error) {
 	return EncodeFrame(env)
 }
 
-// EncodeFrameV3 encodes env as a v3 binary frame: 4-byte length prefix
-// then the version-tagged body, appended into one pooled buffer so a
+// EncodeFrameV3 encodes env as a binary frame: the length prefix then
+// the version-tagged body, appended into one pooled buffer so a
 // warm pool encodes a frame with zero intermediate allocations and the
 // transport issues a single Write. Every name is a literal, so any
 // FrameReader, or ReadFrame, reads the frame.
@@ -149,29 +156,17 @@ func (t *NameTable) appendName(b []byte, s string) []byte {
 }
 
 func encodeV3(env *Envelope, t *NameTable) (*FrameBuffer, error) {
-	f := framePool.Get().(*FrameBuffer)
-	b := append(f.buf[:0], 0, 0, 0, 0) // length backpatched below
-	var err error
+	f := newFrame()
 	switch {
 	case env.Kind == KindRequest && env.Request != nil:
-		b = append(b, magicV3, v3KindRequest)
-		b = t.appendRequest(b, env.Request)
+		f.buf = t.appendRequest(append(f.buf, magicV4, v3KindRequest), env.Request)
 	case env.Kind == KindResponse && env.Response != nil:
-		b = append(b, magicV3, v3KindResponse)
-		b = t.appendResponse(b, env.Response)
+		f.buf = t.appendResponse(append(f.buf, magicV4, v3KindResponse), env.Response)
 	default:
-		err = fmt.Errorf("wire: v3 encode: empty or inconsistent envelope kind %q", env.Kind)
-	}
-	f.buf = b
-	if err == nil && len(b)-4 > MaxFrameSize {
-		err = ErrFrameTooLarge
-	}
-	if err != nil {
 		f.Release()
-		return nil, err
+		return nil, fmt.Errorf("wire: v3 encode: empty or inconsistent envelope kind %q", env.Kind)
 	}
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-	return f, nil
+	return f.seal()
 }
 
 func (t *NameTable) appendRequest(b []byte, r *Request) []byte {
@@ -185,30 +180,21 @@ func (t *NameTable) appendRequest(b []byte, r *Request) []byte {
 	return t.appendArgs(b, r.Args)
 }
 
+// appendResponse writes an OK response's result, and a refused one's
+// error, code and reason: neither carries the other's fields.
 func (t *NameTable) appendResponse(b []byte, r *Response) []byte {
 	b = binary.AppendUvarint(b, r.ID)
 	if r.OK {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		return t.appendValue(append(b, 1), &r.Result)
 	}
-	b = appendV3String(b, r.Error)
+	b = appendV3String(append(b, 0), r.Error)
 	b = appendV3String(b, string(r.Code))
-	if !r.OK {
-		b = appendV3String(b, string(r.Reason)) // an OK frame has no reason field
-	}
-	b = appendV3Bytes(b, r.Result)
-	return t.appendMeta(b, r.Meta)
+	return appendV3String(b, string(r.Reason))
 }
 
 func appendV3String(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-func appendV3Bytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
 }
 
 func (t *NameTable) appendMeta(b []byte, m Metadata) []byte {
@@ -253,6 +239,12 @@ func (t *NameTable) appendValue(b []byte, v *Value) []byte {
 		return t.appendArgs(append(b, v3ValMap), v.sub)
 	case kindJSON:
 		return appendV3String(append(b, v3ValJSON), v.s)
+	case kindWords:
+		b = binary.AppendUvarint(append(b, v3ValWords), uint64(len(v.ws)))
+		for _, w := range v.ws {
+			b = binary.AppendUvarint(b, w)
+		}
+		return b
 	}
 	return append(b, v3ValNil)
 }
@@ -263,8 +255,9 @@ func appendV3Zigzag(b []byte, v int64) []byte {
 
 // --- decode ---------------------------------------------------------------
 
-// v3dec is a bounds-checked cursor over one v3 body. Nothing it returns
-// aliases the body (the caller reuses it as scratch for the next frame):
+// v3dec is a bounds-checked cursor over one binary body. Nothing it
+// returns aliases the body (the caller reuses it as scratch for the next
+// frame), a result's strings and lists no more than a request's:
 // the strings of a body of at most poolBufCap bytes are substrings of one
 // copy of the body, made at its first non-empty string, and above that
 // each string is its own copy, so a small string that outlives the frame
@@ -290,6 +283,10 @@ const (
 // from the count a peer sends. A larger one grows as its entries
 // decode, and each entry takes frame bytes.
 const maxSizeHint = 16
+
+// maxWordsHint is the size hint a word list's count is trusted for: the
+// 64 words of a GetFreeSlots reply over calendar.MaxWindowSlots.
+const maxWordsHint = 64
 
 // maxArgsDepth bounds how deep argument lists nest, so a peer cannot
 // recurse the decoder off its stack.
@@ -348,10 +345,7 @@ func (d *v3dec) string() (string, error) {
 }
 
 // reason decodes a failed response's reason, a known one without allocating.
-func (d *v3dec) reason(ok bool) (Reason, error) {
-	if ok {
-		return "", nil
-	}
+func (d *v3dec) reason() (Reason, error) {
 	p, err := d.field()
 	for _, r := range reasons {
 		if string(r) == string(p) {
@@ -393,16 +387,6 @@ func (d *v3dec) name() (string, error) {
 	s := string(p)
 	*d.names = append(*d.names, s)
 	return s, nil
-}
-
-func (d *v3dec) bytes() ([]byte, error) {
-	p, err := d.field()
-	if err != nil || len(p) == 0 {
-		return nil, err
-	}
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out, nil
 }
 
 func (d *v3dec) meta() (Metadata, error) {
@@ -540,6 +524,23 @@ func (d *v3dec) value(v *Value, depth int) (err error) {
 		}
 		v.kind, v.s = kindJSON, d.str(p)
 		return nil
+	case v3ValWords:
+		n, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(d.b)-d.pos) { // a word takes a byte at least
+			return d.fail()
+		}
+		v.kind, v.ws = kindWords, make([]uint64, 0, min(n, maxWordsHint))
+		for i := uint64(0); i < n; i++ {
+			w, err := d.uvarint()
+			if err != nil {
+				return err
+			}
+			v.ws = append(v.ws, w)
+		}
+		return nil
 	}
 	return d.fail()
 }
@@ -551,12 +552,12 @@ type envelopeOf[T any] struct {
 	msg T
 }
 
-// decodeV3 decodes a v3 body (including the leading magic byte) into a
+// decodeV3 decodes a binary body (including the leading version byte) into a
 // fresh Envelope that does not alias body; the envelope and its request
 // or response are one allocation. names is the receiving half of
 // the connection's name table (see v3dec.names), nil for none.
 func decodeV3(body []byte, names *[]string) (*Envelope, error) {
-	if len(body) < 2 || body[0] != magicV3 {
+	if len(body) < 2 || body[0] != magicV4 {
 		return nil, ErrBadV3Frame
 	}
 	d := &v3dec{b: body, pos: 2, names: names}
@@ -613,11 +614,15 @@ func (d *v3dec) response(r *Response) (err error) {
 	if r.ID, err = d.uvarint(); err != nil {
 		return err
 	}
-	ok, err := d.byte()
-	if err != nil {
+	switch ok, err := d.byte(); {
+	case err != nil:
 		return err
+	case ok == 1:
+		r.OK = true
+		return d.value(&r.Result, 0)
+	case ok != 0:
+		return d.fail()
 	}
-	r.OK = ok != 0
 	if r.Error, err = d.string(); err != nil {
 		return err
 	}
@@ -626,12 +631,6 @@ func (d *v3dec) response(r *Response) (err error) {
 		return err
 	}
 	r.Code = ErrCode(code)
-	if r.Reason, err = d.reason(r.OK); err != nil {
-		return err
-	}
-	if r.Result, err = d.bytes(); err != nil {
-		return err
-	}
-	r.Meta, err = d.meta()
+	r.Reason, err = d.reason()
 	return err
 }

@@ -61,6 +61,17 @@ func canonical(t testing.TB, env *Envelope) []byte {
 	return b
 }
 
+// bodyOf is frame without its length prefix.
+func bodyOf(frame []byte) []byte {
+	_, n := binary.Uvarint(frame)
+	return frame[n:]
+}
+
+// frameOf is body behind the length prefix that names n bytes.
+func frameOf(n int, body []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(n)), body...)
+}
+
 func decodeOneFrame(t testing.TB, frame []byte) *Envelope {
 	t.Helper()
 	env, err := NewFrameReader(bytes.NewReader(frame)).Read()
@@ -78,8 +89,8 @@ func TestCodecV3RoundTripRequest(t *testing.T) {
 	}
 	frame := append([]byte(nil), f.Bytes()...)
 	f.Release()
-	if frame[4] != magicV3 {
-		t.Fatalf("body starts with %#x, want magic %#x", frame[4], magicV3)
+	if b := bodyOf(frame); b[0] != magicV4 {
+		t.Fatalf("body starts with %#x, want magic %#x", b[0], magicV4)
 	}
 	got := decodeOneFrame(t, frame)
 	r := got.Request
@@ -102,29 +113,42 @@ func TestCodecV3RoundTripRequest(t *testing.T) {
 	}
 }
 
+// TestCodecV3RoundTripResponse: an OK response's result and a refused
+// one's error, code and reason come back as sent; neither frame carries
+// the other's fields.
 func TestCodecV3RoundTripResponse(t *testing.T) {
-	env := &Envelope{Kind: KindResponse, Response: &Response{
-		ID: 99, OK: false, Error: "locked by someone", Code: CodeConflict,
-		Result: json.RawMessage(`{"holder":"andy"}`),
-		Meta:   Metadata{"epoch": "4"},
-	}}
-	f, err := EncodeFrameV3(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := append([]byte(nil), f.Bytes()...)
-	f.Release()
-	got := decodeOneFrame(t, frame).Response
-	if got == nil || got.ID != 99 || got.OK || got.Code != CodeConflict ||
-		got.Error != "locked by someone" || string(got.Result) != `{"holder":"andy"}` ||
-		got.Meta.Get("epoch") != "4" {
-		t.Fatalf("round trip: %+v", got)
+	holder, _ := Marshal(Args{Str("holder", "andy"), Strs("queue", []string{"suzy"})})
+	for _, sent := range []Response{
+		{ID: 99, OK: true, Result: holder},
+		{ID: 100, Error: "locked by someone", Code: CodeConflict, Reason: ReasonLockHeld},
+	} {
+		f, err := EncodeFrameV3(&Envelope{Kind: KindResponse, Response: &sent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := append([]byte(nil), f.Bytes()...)
+		f.Release()
+		if got := decodeOneFrame(t, frame).Response; !reflect.DeepEqual(got, &sent) {
+			t.Fatalf("round trip: %+v, sent %+v", got, sent)
+		}
+		if sent.OK {
+			continue
+		}
+		sent.Result = holder
+		f, err = EncodeFrameV3(&Envelope{Kind: KindResponse, Response: &sent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.Bytes(), frame) {
+			t.Fatalf("a refused response's result rode its frame: %x, without %x", f.Bytes(), frame)
+		}
+		f.Release()
 	}
 }
 
-// TestCodecV3ReasonOnlyOnRefusals: an OK response's frame has no reason
-// field, so it is what it was before reasons existed, and a refused one
-// grows by its reason's length prefix and bytes alone.
+// TestCodecV3ReasonOnlyOnRefusals: an OK response's frame is its id and
+// its result, with no error, code, reason or metadata field, and a
+// refused one grows by its reason's bytes alone.
 func TestCodecV3ReasonOnlyOnRefusals(t *testing.T) {
 	frame := func(r Response) []byte {
 		f, err := EncodeFrameV3(&Envelope{Kind: KindResponse, Response: &r})
@@ -134,11 +158,12 @@ func TestCodecV3ReasonOnlyOnRefusals(t *testing.T) {
 		defer f.Release()
 		return append([]byte(nil), f.Bytes()...)
 	}
-	ok := Response{ID: 7, OK: true, Result: json.RawMessage(`{"token":"T-andy-31"}`)}
-	// length, magic, kind, id, ok, empty error, empty code, result, no meta
-	want := append([]byte{0, 0, 0, 29, magicV3, v3KindResponse, 7, 1, 0, 0, 21}, `{"token":"T-andy-31"}`...)
-	if got := frame(ok); !bytes.Equal(got, append(want, 0)) {
-		t.Fatalf("OK frame = %x, want %x", got, append(want, 0))
+	tok, _ := Marshal("T-andy-31")
+	ok := Response{ID: 7, OK: true, Result: tok}
+	// length, magic, kind, id, ok, the result: a string of 9 bytes
+	want := append([]byte{15, magicV4, v3KindResponse, 7, 1, v3ValString, 9}, "T-andy-31"...)
+	if got := frame(ok); !bytes.Equal(got, want) {
+		t.Fatalf("OK frame = %x, want %x", got, want)
 	}
 	refused := Response{ID: 8, Error: "held", Code: CodeConflict}
 	plain := frame(refused)
@@ -158,7 +183,10 @@ func TestCodecV3ReasonOnlyOnRefusals(t *testing.T) {
 func TestCodecV3EquivalentToJSON(t *testing.T) {
 	envs := []*Envelope{
 		testEnvelopeV3(3),
-		{Kind: KindResponse, Response: &Response{ID: 1, OK: true, Result: json.RawMessage(`[1,2,3]`)}},
+		{Kind: KindResponse, Response: &Response{ID: 1, OK: true, Result: Value{kind: kindWords, ws: []uint64{1, 2, math.MaxUint64}}}},
+		{Kind: KindResponse, Response: &Response{ID: 7, OK: true, Result: Value{kind: kindJSON, s: `{"slots":[1,2,3]}`}}},
+		{Kind: KindResponse, Response: &Response{ID: 8, OK: true, Result: Value{kind: kindString, s: "T-andy-31"}}},
+		{Kind: KindResponse, Response: &Response{ID: 9, OK: true}},
 		{Kind: KindResponse, Response: &Response{ID: 2, Error: "x", Code: CodeUnavailable}},
 		{Kind: KindResponse, Response: &Response{ID: 3, Error: "B holds personal:class", Code: CodeConflict, Reason: ReasonSlotPersonal}},
 		{Kind: KindResponse, Response: &Response{ID: 4, Error: "y", Code: CodeConflict, Reason: "from-a-newer-peer"}},
@@ -258,7 +286,7 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := append([]byte(nil), f.Bytes()[4:]...)
+	body := append([]byte(nil), bodyOf(f.Bytes())...)
 	f.Release()
 	for n := 0; n < len(body); n++ {
 		if _, err := decodeV3(body[:n], nil); err == nil {
@@ -275,11 +303,11 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 	// other.
 	var tab NameTable
 	var names []string
-	if _, err := decodeV3(encodeThrough(t, &tab, testEnvelopeV3(1))[4:], &names); err != nil {
+	if _, err := decodeV3(bodyOf(encodeThrough(t, &tab, testEnvelopeV3(1))), &names); err != nil {
 		t.Fatal(err)
 	}
 	frame := encodeThrough(t, &tab, testEnvelopeV3(2))
-	body = frame[4:]
+	body = bodyOf(frame)
 	if _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrBadV3Frame) {
 		t.Fatalf("a reference read without a table: err = %v, want ErrBadV3Frame", err)
 	}
@@ -297,18 +325,21 @@ func TestDecodeV3RejectsTruncated(t *testing.T) {
 	}
 }
 
-// FuzzCodecV3Roundtrip builds a request and a response from each input:
-// the response is refused, with the reason method names, when b is false
-// (an OK response carries no reason on the wire), and both must decode
-// from v3 as they do from JSON. ReadRequest must decode the request as
-// Read does, and refuse the response and whatever Read refuses.
+// FuzzCodecV3Roundtrip builds a request, an OK response whose result is
+// of the kind the input picks, and a refused response, with the reason
+// method names, from each input. Each must decode from its binary frame
+// equal to what was sent, and from its JSON frame to what renders as the
+// same JSON. ReadRequest must decode the request as Read does, and
+// refuse the responses and whatever Read refuses.
 func FuzzCodecV3Roundtrip(f *testing.F) {
-	f.Add("cal.phil", "Book", "andy", "k", "v", int64(42), 1.5, true, uint64(7), uint64(5000))
-	f.Add("", "", "", "", "", int64(-1), -0.0, false, uint64(0), uint64(0))
-	f.Add("links.u\x80ser", "M\xffark", "a", "\x00", "\xfe\xfd", int64(1<<40), 3.14159, true, uint64(1<<63), uint64(math.MaxUint64))
+	f.Add("cal.phil", "Book", "andy", "k", "v", int64(42), 1.5, true, uint64(7), uint64(5000), uint8(1))
+	f.Add("", "", "", "", "", int64(-1), -0.0, false, uint64(0), uint64(0), uint8(0))
+	f.Add("links.u\x80ser", "M\xffark", "a", "\x00", "\xfe\xfd", int64(1<<40), 3.14159, true, uint64(1<<63), uint64(math.MaxUint64), uint8(5))
 	f.Add("links.B", string(ReasonSlotPersonal), "A", "conflict", "calendar: B/2003-04-21 14:00 holds personal:class (prio 0)",
-		int64(0), 0.0, false, uint64(9), uint64(math.MaxInt64/int64(time.Millisecond)+1))
-	f.Fuzz(func(t *testing.T, service, method, caller, key, sval string, ival int64, fval float64, bval bool, id, deadlineMs uint64) {
+		int64(0), 0.0, false, uint64(9), uint64(math.MaxInt64/int64(time.Millisecond)+1), uint8(8))
+	f.Add("cal.andy", "GetFreeSlots", "phil", "from", "2003-04-21", int64(35184372088831), 2.5, true, uint64(3), uint64(29998), uint8(8))
+	f.Add("links.andy", "Mark", "phil", "args", "T-andy-31", int64(-7), -1e300, false, uint64(1<<20), uint64(1), uint8(6))
+	f.Fuzz(func(t *testing.T, service, method, caller, key, sval string, ival int64, fval float64, bval bool, id, deadlineMs uint64, kind uint8) {
 		req := &Envelope{Kind: KindRequest, Request: &Request{
 			ID: id, Service: service, Method: method, Caller: caller,
 			Args: Args(nil).With(
@@ -322,11 +353,39 @@ func FuzzCodecV3Roundtrip(f *testing.F) {
 			DeadlineMs: deadlineMs,
 			Meta:       Metadata{key: caller},
 		}}
-		resp := &Response{ID: id, OK: bval, Result: json.RawMessage("true")}
-		if !bval {
-			resp.Error, resp.Code, resp.Reason, resp.Result = sval, ErrCode(key), Reason(method), nil
+		var result Value
+		switch kind % 9 {
+		case 1:
+			result = Str("", sval).Val
+		case 2:
+			result = Int64("", ival).Val
+		case 3:
+			result = Float("", fval).Val
+		case 4:
+			result = Bool("", bval).Val
+		case 5:
+			result = Strs("", []string{sval, key}).Val
+		case 6:
+			result = Sub("", Args(nil).With(Str(key, sval), Int64("i", ival), Strs("ss", []string{key}))).Val
+		case 7:
+			result = Raw("", mustJSON(t, map[string]any{key: sval, "n": ival})).Val
+		case 8:
+			result, _ = Marshal([]uint64{uint64(ival), id, deadlineMs}[:kind%4])
 		}
-		for _, env := range []*Envelope{req, {Kind: KindResponse, Response: resp}} {
+		ok := &Envelope{Kind: KindResponse, Response: &Response{ID: id, OK: true, Result: result}}
+		refused := &Envelope{Kind: KindResponse, Response: &Response{ID: id, Error: sval, Code: ErrCode(key), Reason: Reason(method)}}
+		for _, env := range []*Envelope{req, ok, refused} {
+			f, err := EncodeFrameV3(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := decodeOneFrame(t, f.Bytes())
+			f.Release()
+			if !reflect.DeepEqual(got, env) {
+				t.Fatalf("sent %+v %+v, decoded %+v %+v", env.Request, env.Response, got.Request, got.Response)
+			}
+		}
+		for _, env := range []*Envelope{req, ok, refused} {
 			checkV3Roundtrip(t, env)
 		}
 	})
@@ -382,13 +441,12 @@ func checkV3Roundtrip(t *testing.T, env *Envelope) {
 
 	// Every truncation of the v3 body must fail cleanly, never
 	// panic: a torn frame is a decode error, not a crash.
-	body := vframe[4:]
+	body := bodyOf(vframe)
 	for n := 0; n < len(body); n++ {
 		if _, err := decodeV3(body[:n], nil); err == nil {
 			t.Fatalf("truncated v3 body (%d/%d bytes) decoded without error", n, len(body))
 		}
-		torn := binary.BigEndian.AppendUint32(nil, uint32(n))
-		readRequestBoth(t, append(torn, body[:n]...))
+		readRequestBoth(t, frameOf(n, body[:n]))
 	}
 	readRequestBoth(t, vframe)
 }
@@ -598,7 +656,7 @@ func TestDecodeV3StringListsDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := decodeV3(append([]byte(nil), f.Bytes()[4:]...), nil)
+	env, err := decodeV3(append([]byte(nil), bodyOf(f.Bytes())...), nil)
 	f.Release()
 	if err != nil {
 		t.Fatal(err)
@@ -617,12 +675,14 @@ func TestDecodeV3StringListsDoNotAlias(t *testing.T) {
 
 // TestFrameReaderV3ResponseAllocs holds the decode of the replies a
 // Mark gets to their allocation count: an accepted one is the envelope
-// with its response and the copy of its result; a refused one is the
-// envelope and the one copy of the frame its error and code are
-// substrings of, and a known reason adds nothing.
+// with its response and the copy of the frame its token is a substring
+// of; a refused one is the envelope and the one copy of the frame its
+// error and code are substrings of, and a known reason adds nothing. A
+// Commit's ack is the envelope alone.
 func TestFrameReaderV3ResponseAllocs(t *testing.T) {
 	for _, resp := range []*Response{
-		{ID: 7, OK: true, Result: json.RawMessage(`{"token":"T-andy-31","holder":""}`)},
+		{ID: 6, OK: true, Result: Bool("", true).Val},
+		{ID: 7, OK: true, Result: Str("", "T-andy-31").Val},
 		{ID: 8, Error: "slot/2003-04-22/10 is held by M-suzy-3", Code: CodeConflict},
 		{ID: 9, Error: "slot/2003-04-22/10 is held by M-suzy-3", Code: CodeConflict, Reason: ReasonSlotMeeting},
 	} {
@@ -634,13 +694,16 @@ func TestFrameReaderV3ResponseAllocs(t *testing.T) {
 		f.Release()
 		read := func() {
 			env, err := fr.Read()
-			if err != nil || env.Response.ID != resp.ID || env.Response.Error != resp.Error ||
-				env.Response.Reason != resp.Reason || string(env.Response.Result) != string(resp.Result) {
+			if err != nil || !reflect.DeepEqual(env.Response, resp) {
 				t.Fatalf("read: %+v, %v", env, err)
 			}
 		}
-		if got := testing.AllocsPerRun(200, read); got > 2 {
-			t.Fatalf("steady-state v3 decode of response %d: %.0f allocs/frame, want <= 2", resp.ID, got)
+		want := 2.0
+		if resp.Result.kind == kindBool {
+			want = 1
+		}
+		if got := testing.AllocsPerRun(200, read); got > want {
+			t.Fatalf("steady-state v3 decode of response %d: %.0f allocs/frame, want <= %.0f", resp.ID, got, want)
 		}
 	}
 }
@@ -661,7 +724,7 @@ func TestDecodeV3StringsShareOneCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := append([]byte(nil), f.Bytes()[4:]...)
+		body := append([]byte(nil), bodyOf(f.Bytes())...)
 		f.Release()
 		env, err := decodeV3(body, nil)
 		if err != nil {
@@ -689,7 +752,7 @@ func TestDecodeV3StringsShareOneCopy(t *testing.T) {
 func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 	const size = 1 << 20
 	// id 1, empty service, method, caller and credential, no deadline
-	args := []byte{magicV3, v3KindRequest, 1, 0, 0, 0, 0, 0, 0}
+	args := []byte{magicV4, v3KindRequest, 1, 0, 0, 0, 0, 0, 0}
 	for _, tc := range []struct {
 		name   string
 		prefix []byte    // the body up to the count
@@ -700,11 +763,12 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 		{"args", args, 0xFF, nil},
 		{"strings", slices.Concat(args, []byte{1, 0, v3ValStrings}), 0xFF, nil},
 		{"nested", slices.Concat(args, []byte{1, 0, v3ValMap}), 0xFF, nil},
+		{"words", []byte{magicV4, v3KindResponse, 1, 1, v3ValWords}, 0xFF, nil},
 		{"reference-without-table", args, 1, nil},
 		{"reference-past-end", args, 3, &[]string{"k"}},
 		// Kind 3 is no message. It was a one-way event once, and this
 		// body an event whose one arg was a list of 2^20 empty strings.
-		{"kind-3", []byte{magicV3, 3, 0, 0, 1, 0, v3ValStrings}, 0, nil},
+		{"kind-3", []byte{magicV4, 3, 0, 0, 1, 0, v3ValStrings}, 0, nil},
 	} {
 		body := binary.AppendUvarint(tc.prefix, size)
 		body = append(body, bytes.Repeat([]byte{tc.entry}, size)...)
@@ -722,7 +786,8 @@ func TestDecodeV3MalformedCountAllocatesLittle(t *testing.T) {
 }
 
 // streamEnvelope is frame i of FuzzNameTableStream's stream: a request
-// with metadata, a response, or a bare request with a and b swapped,
+// with metadata, a response whose result is args, or a bare request
+// with a and b swapped,
 // each with a name new to the stream, a and b as names and values, args
 // nested in args, a string list and a raw value.
 func streamEnvelope(a, b string, i int) *Envelope {
@@ -736,9 +801,7 @@ func streamEnvelope(a, b string, i int) *Envelope {
 			Meta: Metadata{b: a, k: "m"}, Args: args,
 		}}
 	case 1:
-		return &Envelope{Kind: KindResponse, Response: &Response{
-			ID: uint64(i), OK: true, Result: json.RawMessage(`{"ok":true}`), Meta: Metadata{k: b, a: "x"},
-		}}
+		return &Envelope{Kind: KindResponse, Response: &Response{ID: uint64(i), OK: true, Result: Sub("", deep).Val}}
 	}
 	return &Envelope{Kind: KindRequest, Request: &Request{ID: uint64(i), Service: b, Method: a, Args: args}}
 }
@@ -767,7 +830,7 @@ func FuzzNameTableStream(f *testing.F) {
 				t.Fatalf("plain encode: %v", err)
 			}
 			defer plain.Release()
-			w, err := decodeV3(plain.Bytes()[4:], nil)
+			w, err := decodeV3(bodyOf(plain.Bytes()), nil)
 			if err != nil {
 				t.Fatalf("plain decode: %v", err)
 			}

@@ -1,6 +1,9 @@
 package wire
 
-import "io"
+import (
+	"bufio"
+	"io"
+)
 
 // WriteFrame encodes env with the JSON reference codec and writes it as
 // one length-prefixed frame in a single Write.
@@ -15,9 +18,14 @@ func WriteFrame(w io.Writer, env *Envelope) error {
 }
 
 // ReadFrame reads one length-prefixed frame and decodes it, with no name
-// table.
+// table. It reads no further than the frame from a reader that reads a
+// byte at a time (a bytes.Reader, a bytes.Buffer).
 func ReadFrame(r io.Reader) (*Envelope, error) {
-	fr := FrameReader{r: r}
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	fr := FrameReader{r: br}
 	body, err := fr.next()
 	if err != nil {
 		return nil, err

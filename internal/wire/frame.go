@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,7 +13,15 @@ import (
 
 // Frame buffers: an encoder writes the length prefix and the body into
 // one pooled buffer, so a frame is a single Write, and a per-connection
-// FrameReader reuses its scratch buffer between reads.
+// FrameReader reuses its scratch buffer between reads. The prefix is the
+// body's length as a uvarint, at most maxPrefix bytes: an encoder leaves
+// that room in front of the body and writes the prefix right before it
+// once the body is done, so nothing is moved.
+
+// maxPrefix is the longest length prefix: the uvarint of MaxFrameSize.
+const maxPrefix = 4
+
+var errLongPrefix = errors.New("wire: frame length prefix longer than MaxFrameSize's")
 
 // poolBufCap caps the capacity of buffers returned to the pools so a
 // single huge frame (a bulk snapshot, a big group result) does not pin
@@ -24,13 +33,14 @@ const poolBufCap = 64 << 10
 // encoder (NameTable.EncodeFrame), hand Bytes to the socket, then Release.
 type FrameBuffer struct {
 	buf []byte
+	off int // where the prefix starts in buf
 }
 
 // Bytes returns the full encoded frame (prefix + body).
-func (f *FrameBuffer) Bytes() []byte { return f.buf }
+func (f *FrameBuffer) Bytes() []byte { return f.buf[f.off:] }
 
 // Len returns the encoded frame size in bytes.
-func (f *FrameBuffer) Len() int { return len(f.buf) }
+func (f *FrameBuffer) Len() int { return len(f.buf) - f.off }
 
 // Release returns the buffer to the encode pool. The caller must not
 // touch Bytes afterwards.
@@ -40,11 +50,34 @@ func (f *FrameBuffer) Release() {
 		// the pool.
 		f.buf = nil
 	}
-	f.buf = f.buf[:0]
+	f.buf, f.off = f.buf[:0], 0
 	framePool.Put(f)
 }
 
 var framePool = sync.Pool{New: func() any { return new(FrameBuffer) }}
+
+// newFrame takes a FrameBuffer from the pool with room for the prefix
+// in front of the body the caller appends.
+func newFrame() *FrameBuffer {
+	f := framePool.Get().(*FrameBuffer)
+	f.buf = append(f.buf[:0], make([]byte, maxPrefix)...)
+	return f
+}
+
+// seal writes the prefix of the body after newFrame's room, or releases
+// f and fails if the body is too large for a frame.
+func (f *FrameBuffer) seal() (*FrameBuffer, error) {
+	n := uint64(len(f.buf) - maxPrefix)
+	if n > MaxFrameSize {
+		f.Release()
+		return nil, ErrFrameTooLarge
+	}
+	var p [maxPrefix]byte
+	k := binary.PutUvarint(p[:], n)
+	f.off = maxPrefix - k
+	copy(f.buf[f.off:], p[:k])
+	return f, nil
+}
 
 // frameWriter adapts a FrameBuffer to io.Writer for json.Encoder.
 type frameWriter FrameBuffer
@@ -54,36 +87,53 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// EncodeFrame marshals env into a pooled FrameBuffer: the 4-byte
-// length prefix followed by a JSON body, as one contiguous slice. It is
-// the reference encoding v3 is measured against (see Codec); no
-// transport sends it.
+// EncodeFrame marshals env into a pooled FrameBuffer: the length prefix
+// followed by a JSON body, as one contiguous slice. It is the reference
+// encoding the binary one is measured against (see Codec); no transport
+// sends it.
 func EncodeFrame(env *Envelope) (*FrameBuffer, error) {
-	f := framePool.Get().(*FrameBuffer)
-	f.buf = append(f.buf[:0], 0, 0, 0, 0) // length backpatched below
+	f := newFrame()
 	enc := json.NewEncoder((*frameWriter)(f))
 	if err := enc.Encode(env); err != nil {
 		f.Release()
 		return nil, fmt.Errorf("wire: marshal: %w", err)
 	}
-	n := len(f.buf) - 4
-	if n > MaxFrameSize {
-		f.Release()
-		return nil, ErrFrameTooLarge
+	return f.seal()
+}
+
+// readPrefix reads a frame's length prefix, and returns the body's
+// length and the prefix's. It refuses one that names more than
+// MaxFrameSize at the byte that makes it, one longer than maxPrefix
+// bytes, and one the end cuts (ErrShortFrame).
+func readPrefix(next func() (byte, error)) (n uint64, size int, err error) {
+	for size < maxPrefix {
+		c, err := next()
+		if err != nil {
+			if size > 0 && errors.Is(err, io.EOF) {
+				err = ErrShortFrame
+			}
+			return 0, 0, err
+		}
+		n |= uint64(c&0x7f) << (7 * size)
+		size++
+		if n > MaxFrameSize {
+			return 0, 0, ErrFrameTooLarge
+		}
+		if c < 0x80 {
+			return n, size, nil
+		}
 	}
-	binary.BigEndian.PutUint32(f.buf[:4], uint32(n))
-	return f, nil
+	return 0, 0, errLongPrefix
 }
 
 // FrameReader decodes length-prefixed frames from one connection,
-// reusing an internal scratch buffer between reads. It decodes v3
+// reusing an internal scratch buffer between reads. It decodes binary
 // bodies and, for the reference codec's sake, JSON ones, and it holds
 // the receiving half of the connection's name table, so it reads the
 // frames of one NameTable, or of none. Bind one FrameReader per
 // connection; it is not safe for concurrent use.
 type FrameReader struct {
-	r       io.Reader // a bufio.Reader, but in ReadFrame's reader of one frame
-	hdr     [4]byte   // here rather than on next's stack, which io.ReadFull would move to the heap
+	r       byteReader // a bufio.Reader, but in ReadFrame's reader of one frame
 	scratch []byte
 	names   []string // receiving half of the connection's name table, see NameTable
 
@@ -102,6 +152,11 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: br}
 }
 
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // Read decodes the next frame. The returned Envelope does not alias
 // the scratch buffer (JSON decoding copies what it keeps), so it
 // remains valid across subsequent Reads.
@@ -113,12 +168,12 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 	return decodeBody(body, &fr.names)
 }
 
-// ReadRequest decodes the next frame, a v3 request or else refused, into
-// the caller's r, as Read would: a server, sent nothing but requests,
-// decodes each into the object that serves it.
+// ReadRequest decodes the next frame, a binary request or else refused,
+// into the caller's r, as Read would: a server, sent nothing but
+// requests, decodes each into the object that serves it.
 func (fr *FrameReader) ReadRequest(r *Request) error {
 	body, err := fr.next()
-	if err == nil && (len(body) < 2 || body[0] != magicV3 || body[1] != v3KindRequest) {
+	if err == nil && (len(body) < 2 || body[0] != magicV4 || body[1] != v3KindRequest) {
 		err = ErrBadV3Frame
 	}
 	if err != nil {
@@ -131,15 +186,14 @@ func (fr *FrameReader) ReadRequest(r *Request) error {
 	return ErrBadV3Frame
 }
 
-// next reads the next frame's body into the scratch buffer.
+// next reads the next frame's body into the scratch buffer, once its
+// prefix is read and checked.
 func (fr *FrameReader) next() ([]byte, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+	size, prefix, err := readPrefix(fr.r.ReadByte)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
+	n := int(size)
 	if cap(fr.scratch) < n {
 		fr.scratch = make([]byte, n)
 	}
@@ -158,25 +212,31 @@ func (fr *FrameReader) next() ([]byte, error) {
 		// what it needs.
 		fr.scratch = make([]byte, poolBufCap)
 	}
-	fr.Bytes += int64(4 + n)
+	fr.Bytes += int64(prefix + n)
 	return body, nil
 }
 
 // DecodeFrame decodes a whole frame held in memory, prefix and body, as
 // a FrameReader with no name table decodes one it has read. The envelope
-// does not alias frame.
+// does not alias frame. A frame whose prefix is not its body's length is
+// ErrShortFrame.
 func DecodeFrame(frame []byte) (*Envelope, error) {
-	if len(frame) < 4 || int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
+	r := bytes.NewReader(frame)
+	n, _, err := readPrefix(r.ReadByte)
+	if err == io.EOF || err == nil && n != uint64(r.Len()) {
 		return nil, ErrShortFrame
+	} else if err != nil {
+		return nil, err
 	}
-	return decodeBody(frame[4:], nil)
+	return decodeBody(frame[len(frame)-r.Len():], nil)
 }
 
-// decodeBody decodes one frame body: v3 when it starts with the version
-// byte, the JSON reference codec otherwise. names is the reader's name
+// decodeBody decodes one frame body: the JSON reference codec's when it
+// starts with '{', and otherwise binary, which decodeV3 refuses unless
+// it starts with this format's version byte. names is the reader's name
 // table, nil for none.
 func decodeBody(body []byte, names *[]string) (*Envelope, error) {
-	if len(body) > 0 && body[0] == magicV3 {
+	if len(body) == 0 || body[0] != '{' {
 		return decodeV3(body, names)
 	}
 	env := new(Envelope)

@@ -5,7 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
+	"unsafe"
 )
 
 func testEnvelope(i int) *Envelope {
@@ -27,12 +32,9 @@ func TestEncodeFrameMatchesWriteFrame(t *testing.T) {
 	defer f.Release()
 
 	b := f.Bytes()
-	if len(b) < 4 {
-		t.Fatalf("frame too short: %d", len(b))
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	if int(n) != len(b)-4 {
-		t.Fatalf("length prefix %d, body %d", n, len(b)-4)
+	n, k := binary.Uvarint(b)
+	if k <= 0 || int(n) != len(b)-k {
+		t.Fatalf("length prefix %d in %d bytes, body %d", n, k, len(b)-k)
 	}
 	// The body must decode through the v1 reader: same wire format.
 	got, err := ReadFrame(bytes.NewReader(b))
@@ -95,9 +97,7 @@ func TestFrameReaderEnvelopeSurvivesNextRead(t *testing.T) {
 }
 
 func TestFrameReaderRejectsOversizedFrame(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	fr := NewFrameReader(bytes.NewReader(hdr[:]))
+	fr := NewFrameReader(bytes.NewReader(binary.AppendUvarint(nil, MaxFrameSize+1)))
 	if _, err := fr.Read(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -105,9 +105,7 @@ func TestFrameReaderRejectsOversizedFrame(t *testing.T) {
 
 func TestFrameReaderShortBody(t *testing.T) {
 	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 100)
-	buf.Write(hdr[:])
+	buf.WriteByte(100)
 	buf.WriteString("{}") // far fewer than 100 bytes
 	fr := NewFrameReader(&buf)
 	if _, err := fr.Read(); !errors.Is(err, ErrShortFrame) {
@@ -193,5 +191,131 @@ func TestDecodeFrame(t *testing.T) {
 			got.Request.Meta["trace-id"] != want.Request.Meta["trace-id"] {
 			t.Fatalf("DecodeFrame read %+v, a FrameReader %+v", got.Request, want.Request)
 		}
+	}
+}
+
+// TestFramePrefix: a reader and DecodeFrame refuse the same prefixes. One
+// that names more than MaxFrameSize is refused at the byte that makes it
+// do so, with no room made for a body and no byte after it read; one
+// longer than MaxFrameSize's uvarint is refused at its last byte allowed;
+// one torn by the end of the stream is ErrShortFrame. A prefix that
+// arrives a byte per read decodes.
+func TestFramePrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		want   error
+		read   int // the bytes a reader takes before it refuses
+	}{
+		{"over the limit", binary.AppendUvarint(nil, MaxFrameSize+1), ErrFrameTooLarge, 4},
+		{"over the limit before its end", []byte{0x80, 0x80, 0x80, 0x89, 0x01}, ErrFrameTooLarge, 4},
+		{"far over the limit", binary.AppendUvarint(nil, math.MaxUint64), ErrFrameTooLarge, 4},
+		{"longer than a prefix", []byte{0x80, 0x80, 0x80, 0x80, 0x00}, errLongPrefix, 4},
+		{"torn", []byte{0x80, 0x80}, ErrShortFrame, 2},
+	} {
+		r := bytes.NewReader(append(tc.prefix, bytes.Repeat([]byte{'{'}, 64)...))
+		if tc.want == ErrShortFrame {
+			r = bytes.NewReader(tc.prefix)
+		}
+		fr := &FrameReader{r: r}
+		var err error
+		allocs := testing.AllocsPerRun(1, func() {
+			r.Seek(0, io.SeekStart)
+			_, err = fr.Read()
+		})
+		if !errors.Is(err, tc.want) || allocs != 0 || fr.scratch != nil {
+			t.Errorf("%s: Read: %v with %.0f allocs and %d bytes of scratch, want %v and none", tc.name, err, allocs, cap(fr.scratch), tc.want)
+		}
+		if read := int(r.Size()) - r.Len(); read != tc.read {
+			t.Errorf("%s: the reader took %d bytes, want %d", tc.name, read, tc.read)
+		}
+		if _, err := DecodeFrame(append(tc.prefix, '{', '}')); !errors.Is(err, tc.want) && tc.want != ErrShortFrame {
+			t.Errorf("%s: DecodeFrame: %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
+	// A frame of 300 bytes has a prefix of two; a byte per read still
+	// delivers both, and the frame.
+	env := &Envelope{Kind: KindRequest, Request: &Request{ID: 9, Service: "s", Method: "m", Args: Args{Str("x", strings.Repeat("y", 300))}}}
+	f, err := EncodeFrameV3(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), f.Bytes()...)
+	f.Release()
+	if n, k := binary.Uvarint(frame); k != 2 || int(n) != len(frame)-2 {
+		t.Fatalf("a %d-byte frame has a prefix of %d bytes naming %d", len(frame), k, n)
+	}
+	fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(frame)))
+	got, err := fr.Read()
+	if err != nil || got.Request.Args.String("x") != env.Request.Args.String("x") || fr.Bytes != int64(len(frame)) {
+		t.Fatalf("a byte per read: %v, %d bytes counted of %d", err, fr.Bytes, len(frame))
+	}
+}
+
+// TestOldVersionRefused: a body of format v3 (version byte 0xB5) is
+// refused whole, by a reader, by ReadRequest and by DecodeFrame: there
+// is no converter.
+func TestOldVersionRefused(t *testing.T) {
+	f, err := EncodeFrameV3(testEnvelope(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), f.Bytes()...)
+	f.Release()
+	body := bodyOf(frame)
+	body[0] = 0xB5
+	if _, err := DecodeFrame(frame); !errors.Is(err, ErrBadV3Frame) {
+		t.Errorf("DecodeFrame: %v, want ErrBadV3Frame", err)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); !errors.Is(err, ErrBadV3Frame) {
+		t.Errorf("Read: %v, want ErrBadV3Frame", err)
+	}
+	var req Request
+	if err := NewFrameReader(bytes.NewReader(frame)).ReadRequest(&req); !errors.Is(err, ErrBadV3Frame) {
+		t.Errorf("ReadRequest: %v, want ErrBadV3Frame", err)
+	}
+}
+
+// TestResultDoesNotAliasFrameBuffer: the string, string-list and word
+// results a reader decodes stay as they were once the reader's scratch
+// buffer holds the next frame, and point into none of it.
+func TestResultDoesNotAliasFrameBuffer(t *testing.T) {
+	results := []Value{
+		Str("", "T-andy-31").Val,
+		Strs("", []string{"andy", "suzy"}).Val,
+		Sub("", Args{Str("holder", "andy")}).Val,
+		{kind: kindWords, ws: []uint64{35184372088831}},
+	}
+	var stream bytes.Buffer
+	for i, res := range results {
+		f, err := EncodeFrameV3(&Envelope{Kind: KindResponse, Response: &Response{ID: uint64(i), OK: true, Result: res}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(f.Bytes())
+		f.Release()
+	}
+	fr := NewFrameReader(&stream)
+	var got []Value
+	for range results {
+		env, err := fr.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, env.Response.Result)
+		scratch := fr.scratch[:cap(fr.scratch)]
+		lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(scratch))), uintptr(unsafe.Pointer(unsafe.SliceData(scratch)))+uintptr(len(scratch))
+		in := func(p unsafe.Pointer) bool { return uintptr(p) >= lo && uintptr(p) < hi }
+		v := env.Response.Result
+		if in(unsafe.Pointer(unsafe.StringData(v.s))) || in(unsafe.Pointer(unsafe.SliceData(v.ws))) ||
+			len(v.ss) > 0 && in(unsafe.Pointer(unsafe.StringData(v.ss[0]))) ||
+			len(v.sub) > 0 && in(unsafe.Pointer(unsafe.StringData(v.sub[0].Val.s))) {
+			t.Fatalf("result %d points into the reader's scratch buffer", len(got)-1)
+		}
+		clear(scratch)
+	}
+	if !reflect.DeepEqual(got, results) {
+		t.Fatalf("after the reads: %+v, sent %+v", got, results)
 	}
 }

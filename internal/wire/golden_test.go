@@ -14,10 +14,12 @@ var goldenFrames = filepath.Join("testdata", "mark_commit.hex")
 // TestFrameGolden pins the bytes of a calendar reservation's Mark and
 // Commit requests, as a coordinator's links manager sends them over
 // calendar.reserveArgs, encoded in that order through one fresh
-// NameTable: argument lists go out in their order, so the frames are
-// reproducible, and a format change shows as a diff to the file, one
-// frame a line in hex. After an intended change, the failing test writes
-// the new file and prints the cp that refreshes it.
+// NameTable, then of the replies the participant sends back through
+// its own: the Mark's token, and a GetFreeSlots reply's words. Argument
+// lists go out in their order, so the frames are reproducible, and a
+// format change shows as a diff to the file, one frame a line in hex.
+// After an intended change, the failing test writes the new file and
+// prints the cp that refreshes it.
 func TestFrameGolden(t *testing.T) {
 	reserve := Args{
 		Str("meeting", "M-0001f00dcafe-000000000001"), Int("priority", 0), Bool("allowBump", false),
@@ -42,6 +44,12 @@ func TestFrameGolden(t *testing.T) {
 		}),
 	} {
 		got.WriteString(hex.EncodeToString(encodeThrough(t, &tab, env)) + "\n")
+	}
+	var replies NameTable
+	token, _ := Marshal("0001f00dcafe0003-1")
+	words, _ := Marshal([]uint64{35184372088831})
+	for _, resp := range []*Response{{ID: 1, OK: true, Result: token}, {ID: 3, OK: true, Result: words}} {
+		got.WriteString(hex.EncodeToString(encodeThrough(t, &replies, &Envelope{Kind: KindResponse, Response: resp})) + "\n")
 	}
 	want, err := os.ReadFile(goldenFrames)
 	if err == nil && got.String() == string(want) {

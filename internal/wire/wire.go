@@ -3,21 +3,18 @@
 // over any transport.
 //
 // The paper's prototype used "TCP Sockets for small foot-print and
-// maximum flexibility" (§3.1). We keep the same spirit: a frame is a
-// 4-byte big-endian length followed by the message body in one format,
-// binary v3 (codecv3.go), whose first byte is its version. A JSON body
+// maximum flexibility" (§3.1). We keep the same spirit: a frame is its
+// body's length as a uvarint followed by the body in one binary format
+// (codecv3.go, format v4), whose first byte is its version. A JSON body
 // codec is kept only as the reference that tests and the benchmark's
-// wire probe compare v3 against.
+// wire probe compare the binary one against.
 package wire
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
-
-	"repro/internal/jsonrec"
+	"unsafe"
 )
 
 // MaxFrameSize bounds a single frame to keep a malicious or corrupted
@@ -75,18 +72,16 @@ type Request struct {
 	Meta Metadata `json:"meta,omitempty"`
 }
 
-// Response answers a Request.
+// Response answers a Request. An OK one carries its Result, a refused
+// one its Error, Code and Reason; a frame carries nothing else. A
+// caller correlates a response on ID.
 type Response struct {
-	ID     uint64          `json:"id"`
-	OK     bool            `json:"ok"`
-	Error  string          `json:"error,omitempty"`
-	Code   ErrCode         `json:"code,omitempty"`
-	Reason Reason          `json:"reason,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	// Meta carries what the responding handler chose to tell the
-	// caller; no handler writes it today. A caller correlates a
-	// response on ID, not on metadata.
-	Meta Metadata `json:"meta,omitempty"`
+	ID     uint64  `json:"id"`
+	OK     bool    `json:"ok"`
+	Error  string  `json:"error,omitempty"`
+	Code   ErrCode `json:"code,omitempty"`
+	Reason Reason  `json:"reason,omitempty"`
+	Result Value   `json:"result"`
 }
 
 // ErrCode classifies remote failures so callers can make retry /
@@ -200,89 +195,65 @@ func ReasonOf(err error) Reason {
 	return Reason(CodeOf(err))
 }
 
-// The results of a bool: shared, and full to capacity, so that an append
-// to one copies it. Nothing writes into a Response.Result.
-var (
-	resultTrue  = json.RawMessage("true")[:4:4]
-	resultFalse = json.RawMessage("false")[:5:5]
-)
-
-// Marshal encodes v into a json.RawMessage for a Response result: the
-// bytes json.Marshal writes for v. A bool (Commit's and DeleteLink's ack),
-// a map[string]string (Mark's token) and a []uint64 (GetFreeSlots' words)
-// are written without reflection.
-func Marshal(v any) (json.RawMessage, error) {
+// Marshal is the result value of a handler's v: a bool, a string, a
+// []uint64 (GetFreeSlots' words) or an Args is its typed value and nil
+// the empty one, which the frame carries as the argument encoding
+// carries them; anything else rides as a Raw value, its json.Marshal
+// text.
+func Marshal(v any) (Value, error) {
 	switch x := v.(type) {
+	case nil:
+		return Value{}, nil
 	case bool:
-		if x {
-			return resultTrue, nil
-		}
-		return resultFalse, nil
-	case map[string]string:
-		return marshalStringMap(x), nil
+		return Bool("", x).Val, nil
+	case string:
+		return Value{kind: kindString, s: x}, nil
 	case []uint64:
-		return marshalWords(x), nil
+		return Value{kind: kindWords, ws: x}, nil
+	case Args:
+		return Value{kind: kindArgs, sub: x}, nil
 	}
 	b, err := json.Marshal(v)
 	if err != nil {
-		return nil, fmt.Errorf("wire: marshal result: %w", err)
+		return Value{}, fmt.Errorf("wire: marshal result: %w", err)
 	}
-	return b, nil
+	// b is json.Marshal's own copy, never written again: the value's
+	// text without a second copy.
+	return Value{kind: kindJSON, s: unsafe.String(unsafe.SliceData(b), len(b))}, nil
 }
 
-// marshalWords writes ws as json.Marshal does, null when ws is nil, into
-// one allocation.
-func marshalWords(ws []uint64) []byte {
-	if ws == nil {
-		return []byte("null")
-	}
-	b := append(make([]byte, 0, 2+21*len(ws)), '[')
-	for i, w := range ws {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, w, 10)
-	}
-	return append(b, ']')
-}
-
-// marshalStringMap writes m as json.Marshal does: null when m is nil,
-// the keys in order. The buffer is sized for a map with nothing to
-// escape, so a result takes one allocation.
-func marshalStringMap(m map[string]string) []byte {
-	if m == nil {
-		return []byte("null")
-	}
-	n := 2
-	var keyBuf [8]string
-	keys := keyBuf[:0]
-	for k, v := range m {
-		keys = append(keys, k)
-		n += len(k) + len(v) + 6
-	}
-	slices.Sort(keys)
-	b := append(make([]byte, 0, n), '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = jsonrec.AppendString(append(jsonrec.AppendString(b, k), ':'), m[k])
-	}
-	return append(b, '}')
-}
-
-// Unmarshal decodes a Response result into v. Decoding into a
-// *json.RawMessage hands raw itself over, with no copy and no validity
-// scan: results come from our own encoder, a transport decodes each for
-// its call alone, and nothing writes into one. GroupInvoke takes this
-// path once per member.
-func Unmarshal(raw json.RawMessage, v any) error {
-	if len(raw) == 0 {
+// Unmarshal decodes a Response result into out. A *Value takes any
+// result as it is, a *bool or *string the typed value of its kind, and
+// otherwise json.Unmarshal reads a Raw value's text, or the text a typed
+// one renders as. A result string is the frame's, shared with nothing
+// written: a transport decodes each response for its call alone.
+func Unmarshal(v Value, out any) error {
+	switch o := out.(type) {
+	case nil:
 		return nil
-	}
-	if rm, ok := v.(*json.RawMessage); ok {
-		*rm = raw
+	case *Value:
+		*o = v
 		return nil
+	case *bool:
+		if v.kind == kindBool {
+			*o = v.n != 0
+			return nil
+		}
+	case *string:
+		if v.kind == kindString {
+			*o = v.s
+			return nil
+		}
 	}
-	return json.Unmarshal(raw, v)
+	switch v.kind {
+	case kindNil:
+		return nil
+	case kindJSON: // json.Unmarshal writes nothing into its input and copies what it keeps
+		return json.Unmarshal(unsafe.Slice(unsafe.StringData(v.s), len(v.s)), out)
+	}
+	b, err := v.appendJSON(nil)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, out)
 }

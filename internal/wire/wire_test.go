@@ -89,9 +89,8 @@ func TestMultipleFramesSequential(t *testing.T) {
 }
 
 func TestReadFrameTooLarge(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	hdr := binary.AppendUvarint(nil, MaxFrameSize+1)
+	_, err := ReadFrame(bytes.NewReader(hdr))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -113,9 +112,7 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 func TestReadFrameGarbageJSON(t *testing.T) {
 	body := []byte("{not json")
 	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
+	buf.Write(binary.AppendUvarint(nil, uint64(len(body))))
 	buf.Write(body)
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("expected decode error")
@@ -328,41 +325,68 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	}
 }
 
-// TestMarshalWritesJSONMarshalBytes: the non-reflective results are the
-// bytes json.Marshal writes, escapes and key order included.
+// TestMarshalWritesJSONMarshalBytes: the JSON reference codec renders
+// a result as json.Marshal writes the handler's value, escapes and key
+// order included, typed or Raw.
 func TestMarshalWritesJSONMarshalBytes(t *testing.T) {
 	for _, v := range []any{
-		true, false,
+		true, false, "T-0001f00dcafe0001", "q \"x\" \\ \n\t\x01<&>\xff",
 		map[string]string{"token": "T-0001f00dcafe0001"},
-		map[string]string{"z": "1", "a": "<&>", "m": "q \"x\" \\ \n\t\x01", "é": "\xff "},
+		map[string]string{"z": "1", "a": "<&>", "m": "q \"x\" \\ \n\t\x01", "é": "\xff "},
 		map[string]string{}, map[string]string(nil),
 		[]uint64{0, 1, math.MaxUint64}, []uint64{}, []uint64(nil),
 		map[string]any{"n": 1}, []string{"x"}, // through json.Marshal
 	} {
-		got, err := Marshal(v)
+		res, err := Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(res)
 		want, wantErr := json.Marshal(v)
 		if err != nil || wantErr != nil || !bytes.Equal(got, want) {
-			t.Errorf("Marshal(%#v) = %s (%v), json.Marshal = %s (%v)", v, got, err, want, wantErr)
+			t.Errorf("Marshal(%#v) renders %s (%v), json.Marshal = %s (%v)", v, got, err, want, wantErr)
 		}
+	}
+	if res, _ := Marshal(Args{Str("b", "1"), Int("a", 2)}); string(mustJSON(t, res)) != `{"a":2,"b":"1"}` {
+		t.Errorf("an Args result renders %s", mustJSON(t, res))
 	}
 }
 
-// TestMarshalBoolAllocs: Commit's and DeleteLink's ack costs no
-// allocation, and the shared result is full to capacity, so that an
-// append to a Response.Result copies it rather than write into it.
+// TestMarshalBoolAllocs: a typed result costs no allocation: Commit's
+// and DeleteLink's ack, Mark's token and GetFreeSlots' words. Unmarshal
+// hands each to an out of its type as it is.
 func TestMarshalBoolAllocs(t *testing.T) {
-	var raw json.RawMessage
-	if allocs := testing.AllocsPerRun(100, func() { raw, _ = Marshal(true) }); allocs != 0 {
-		t.Fatalf("Marshal(true) costs %.0f allocs, want 0", allocs)
+	words := []uint64{1, 2}
+	for _, v := range []any{true, "T-andy-31", words, Args{Str("k", "v")}} {
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = Marshal(v) }); allocs != 0 {
+			t.Errorf("Marshal(%v) costs %.0f allocs, want 0", v, allocs)
+		}
 	}
-	for _, v := range []bool{true, false} {
-		raw, _ = Marshal(v)
-		if cap(raw) != len(raw) {
-			t.Fatalf("Marshal(%v) has room to append into: len %d cap %d", v, len(raw), cap(raw))
+	var ok bool
+	var tok string
+	var res Value
+	for _, c := range []struct {
+		v   any
+		out any
+	}{{true, &ok}, {"T-andy-31", &tok}, {words, &res}} {
+		v, _ := Marshal(c.v)
+		if allocs := testing.AllocsPerRun(100, func() { _ = Unmarshal(v, c.out) }); allocs != 0 {
+			t.Errorf("Unmarshal of %v costs %.0f allocs, want 0", c.v, allocs)
 		}
-		_ = append(raw, '!')
-		if again, _ := Marshal(v); string(again) != fmt.Sprint(v) {
-			t.Fatalf("an append to Marshal(%v) changed the next result: %s", v, again)
-		}
+	}
+	if ws, isWords := res.Words(); !ok || tok != "T-andy-31" || !isWords || &ws[0] != &words[0] {
+		t.Fatalf("read back %v %q %+v", ok, tok, res)
+	}
+	// A typed value bound for another type goes through its JSON text.
+	var n int
+	var m map[string]string
+	if err := Unmarshal(Value{kind: kindInt, n: 7}, &n); err != nil || n != 7 {
+		t.Fatalf("an int result: %d, %v", n, err)
+	}
+	if res, _ := Marshal(Args{Str("k", "v")}); Unmarshal(res, &m) != nil || m["k"] != "v" {
+		t.Fatalf("an Args result into a map: %v", m)
+	}
+	if err := Unmarshal(Str("", "x").Val, &n); err == nil {
+		t.Fatal("a string result read into an int")
 	}
 }
