@@ -13,11 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// TestMeetingIDAndSlotLabel pins the meeting id's format, the process
-// prefix and the counter zero-padded to 12 digits, so ids sort in mint
-// order; and a slot's label, which is what fmt wrote for it.
+// TestMeetingIDAndSlotLabel pins the meeting id's format, links' ordered
+// id under "M-" (the process prefix, then the counter's length digit and
+// the counter in base 36), so ids sort in mint order; and a slot's
+// label, which is what fmt wrote for it.
 func TestMeetingIDAndSlotLabel(t *testing.T) {
-	shape := regexp.MustCompile(`^M-[0-9a-f]{12}-[0-9]{12}$`)
+	shape := regexp.MustCompile(`^M-[0-9a-z]{13}-[1-9a-d][0-9a-z]{1,13}$`)
 	prev := newMeetingID()
 	for i := 0; i < 100; i++ {
 		id := newMeetingID()

@@ -2,13 +2,10 @@ package calendar
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -143,29 +140,10 @@ func (c *Calendar) User() string { return c.user }
 // Links exposes the underlying link manager (tests, diagnostics).
 func (c *Calendar) Links() *links.Manager { return c.lm }
 
-// Meeting ids follow the links id scheme: a random per-process prefix
-// for cross-device uniqueness plus a zero-padded counter so ids sort
-// in mint order — meeting ids are store keys, and deterministic
-// iteration order keeps same-seed simulation runs reproducible.
-var (
-	meetingPrefix  = newMeetingPrefix()
-	meetingCounter atomic.Uint64
-)
-
-func newMeetingPrefix() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("calendar: rand: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// newMeetingID mints a meeting id.
-func newMeetingID() string {
-	var buf [32]byte
-	b := append(append(append(buf[:0], "M-"...), meetingPrefix...), '-')
-	return string(links.AppendPadded(b, meetingCounter.Add(1), 12))
-}
+// newMeetingID mints a meeting id in the links id scheme: ids are
+// unique across devices and sort in mint order, which keeps a meeting
+// table's iteration, and so a same-seed simulation run, reproducible.
+func newMeetingID() string { return links.MintOrdered("M-") }
 
 // --- slot state --------------------------------------------------------------
 

@@ -33,12 +33,11 @@ type Slot struct {
 func (s Slot) String() string {
 	var buf [24]byte
 	b := append(buf[:0], s.Day...)
-	if s.Hour >= 0 {
-		b = links.AppendPadded(append(b, ' '), uint64(s.Hour), 2)
-	} else {
-		b = strconv.AppendInt(append(b, ' '), int64(s.Hour), 10)
+	b = append(b, ' ')
+	if 0 <= s.Hour && s.Hour < 10 {
+		b = append(b, '0')
 	}
-	return string(append(b, ":00"...))
+	return string(append(strconv.AppendInt(b, int64(s.Hour), 10), ":00"...))
 }
 
 // Entity returns the SyD entity id for the slot (the unit the

@@ -110,10 +110,6 @@ func (m *Manager) tune() Tuning {
 	return m.tuning
 }
 
-// NewNegotiationID mints a globally unique negotiation id (see ids.go
-// for the uniqueness scheme).
-func NewNegotiationID() string { return mintOrdered("N-") }
-
 // journalTarget is one marked target awaiting its Commit ack.
 type journalTarget struct {
 	Ref   EntityRef `json:"ref"`

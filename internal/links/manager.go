@@ -234,13 +234,6 @@ func (m *Manager) isInflight(nid string) bool {
 	return ok
 }
 
-// NewLinkID mints a globally unique link id. Ids sort in mint order:
-// link ids are store keys, and deterministic iteration order is what
-// makes same-seed simulation runs replay identically.
-func NewLinkID() string {
-	return mintOrdered("L-")
-}
-
 // RegisterAction registers (or replaces) an entity action.
 func (m *Manager) RegisterAction(name string, a Action) {
 	m.mu.Lock()

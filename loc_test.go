@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18600
-	allTreeLines   = 21408
+	cmdLineCeiling = 18585
+	allTreeLines   = 21393
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
