@@ -10,20 +10,21 @@ import (
 )
 
 // TestScheduleCancelAllocs pins what a two-attendee schedule and its
-// cancel cost the process on a calendar with no notifier, every protocol
-// step a round trip over the sim network, which decodes a frame's bytes
-// in place as a socket's reader does: no notice is built, an untraced
-// negotiation keeps no steps, a commit unit allocates only the rows and
-// keys it keeps, the Commit carries the record as typed arguments, which
-// the participant reads without a parse, and every device stores the
-// record as typed columns, which it writes and reads without a codec. It
-// cost 234 allocations while notices and steps were built for nobody,
-// 194 before units were recycled, 157 while the record rode as JSON text,
-// 154 while it was stored as JSON text and the sim read each frame
-// through a reader of its own, and 123 while every reply was JSON text
-// (the Mark's token a map) and the cancel cascade built a set of the
-// link's participants, and 116 while a lock token was a concatenation
-// of the prefix and a formatted counter.
+// cancel cost the process on a calendar with no notifier, every
+// protocol step a round trip over the sim network, which sends a frame
+// through its connection's name tables and decodes it as a socket's end
+// does: no notice is built, an untraced negotiation keeps no steps, a
+// commit unit allocates only the rows and keys it keeps, the Commit
+// carries the record as typed arguments, which the participant reads
+// without a parse, and every device stores the record as typed columns,
+// which it writes and reads without a codec. It cost 234 allocations
+// while notices and steps were built for nobody, 194 before units were
+// recycled, 157 while the record rode as JSON text, 154 while it was
+// stored as JSON text and the sim read each frame through a reader of
+// its own, and 123 while every reply was JSON text (the Mark's token a
+// map) and the cancel cascade built a set of the link's participants,
+// and 116 while a lock token was a concatenation of the prefix and a
+// formatted counter.
 func TestScheduleCancelAllocs(t *testing.T) {
 	w := newWorld(t)
 	w.routeTTL = time.Hour

@@ -104,8 +104,8 @@ func TestWindowArgsAreItsText(t *testing.T) {
 }
 
 // replyFrame frames the encoding of a result value as the OK response
-// to call 1 of a connection with no name table, and valueBytes is that
-// encoding of v.
+// to call 1, a connection's first frame, and valueBytes is that encoding
+// of v.
 func replyFrame(value []byte) []byte {
 	body := append([]byte{0xB6, 2, 1, 1}, value...) // version, response, id 1, ok
 	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
@@ -116,7 +116,7 @@ func valueBytes(t testing.TB, v any) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.EncodeFrameV3(&wire.Envelope{Kind: wire.KindResponse, Response: &wire.Response{ID: 1, OK: true, Result: res}})
+	f, err := new(wire.NameTable).EncodeFrame(&wire.Envelope{Kind: wire.KindResponse, Response: &wire.Response{ID: 1, OK: true, Result: res}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func FuzzAvailabilityDecode(f *testing.F) {
 		if err != nil || hours%(1<<24) == 0 {
 			t.Skip() // over the cap, or no hour at all: no such window is ever asked about
 		}
-		env, err := wire.DecodeFrame(replyFrame(value))
+		env, err := new(wire.Decoder).Decode(replyFrame(value))
 		if err != nil {
 			return // the frame refused it: no reply reaches the calendar
 		}
@@ -179,7 +179,7 @@ func FuzzAvailabilityDecode(f *testing.F) {
 			t.Fatalf("%d slots from a window of %d", len(slots), w.Slots())
 		}
 		again := valueBytes(t, a.words)
-		env, err = wire.DecodeFrame(replyFrame(again))
+		env, err = new(wire.Decoder).Decode(replyFrame(again))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -178,12 +178,12 @@ func FuzzMeetingRecord(f *testing.F) {
 func sameThroughArgs(t *testing.T, m *Meeting) {
 	t.Helper()
 	rec := wire.Args{wire.Sub("rec", recordArgs(m))}
-	f, err := wire.EncodeFrameV3(&wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{
+	f, err := new(wire.NameTable).EncodeFrame(&wire.Envelope{Kind: wire.KindRequest, Request: &wire.Request{
 		Service: "cal.andy", Method: "MeetingUpdate", Args: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.DecodeFrame(f.Bytes())
+	env, err := new(wire.Decoder).Decode(f.Bytes())
 	f.Release()
 	if err != nil {
 		t.Fatal(err)

@@ -128,7 +128,7 @@ func newTCPWorld(t *testing.T, wrap func(transport.HandlerFunc) transport.Handle
 // TestTCPDefaultWireCost holds the deployment default to its measured
 // cost: three nodes, each on its own default-constructed transport as
 // sydnode and sydload build it, all counting into one WireStats. Once
-// every pooled connection has carried a call, a 3-party schedule +
+// each connection to a peer has carried a call, a 3-party schedule +
 // cancel is one Mark, one Commit and one DeleteLink per participant —
 // 12 frames — in format v4: 888 B, the names in them being references
 // into each connection's name table, each Commit's meeting record typed
@@ -170,15 +170,13 @@ func TestTCPDefaultWireCost(t *testing.T) {
 		}
 		return m.ID
 	}
-	// A meeting is three calls to each participant, round-robin over a
-	// pool of at most four connections: four meetings put each call
-	// behind every connection once — the dial, the route lookup, and the
-	// names the call sends, which cross a connection once.
-	for hour := 9; hour < 13; hour++ {
-		meet(hour)
-	}
+	// A meeting is three calls to each participant, over one connection
+	// to each: one meeting puts each call behind its connection once —
+	// the dial, the route lookup, and the names the call sends, which
+	// cross a connection once.
+	meet(9)
 	before := stats.Snapshot()
-	digits := counterDigits(meet(13))
+	digits := counterDigits(meet(10))
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
 	if limit := 908 + 18*(digits-1); frames != 12 || bytes > limit {
@@ -237,16 +235,14 @@ func TestTCPTentativeWireCost(t *testing.T) {
 			t.Fatalf("status after andy's release = %s", got.Status)
 		}
 	}
-	// As in TestTCPDefaultWireCost: four meetings warm every pooled connection.
-	for hour := 9; hour < 13; hour++ {
-		m := schedule(hour)
-		confirm(m)
-		if err := cals["phil"].CancelMeeting(ctx, m.ID); err != nil {
-			t.Fatal(err)
-		}
+	// As in TestTCPDefaultWireCost: one meeting warms each connection.
+	m := schedule(9)
+	confirm(m)
+	if err := cals["phil"].CancelMeeting(ctx, m.ID); err != nil {
+		t.Fatal(err)
 	}
 	before := stats.Snapshot()
-	m := schedule(13)
+	m = schedule(10)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
 	digits := counterDigits(m.ID)
@@ -263,6 +259,78 @@ func TestTCPTentativeWireCost(t *testing.T) {
 		t.Fatalf("confirm on warm default transports: %d frames, %d B; want 6 frames, <= %d B", frames, bytes, limit)
 	}
 	t.Logf("confirm: %d frames, %d B", frames, bytes)
+}
+
+// TestSimFramesEqualTCP: the sim network sends what a socket sends. A
+// warm two-party schedule + cancel and a warm three-participant find,
+// their calls carrying no deadline, cost the same frames and the same
+// bytes over the sim as over loopback TCP: both number each request of a
+// connection, both send every name through the connection's name tables,
+// so a figure that differs means the sim ran another path. Ids the two
+// worlds mint come from one process-wide counter, and a counter that
+// gains a digit between the two runs of an op makes them differ by that
+// digit; a counter gains one at most once in a few ops, so of three
+// tries, one must match exactly.
+func TestSimFramesEqualTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets")
+	}
+	users := []string{"a", "b", "c", "d"}
+	w := newWorld(t)
+	w.routeTTL = time.Hour
+	for _, u := range users {
+		w.addUser(u, 0)
+	}
+	tcp, stats := newTCPWorld(t, nil, users...)
+
+	type cost struct{ frames, bytes int64 }
+	simCost := func(op func(map[string]*calendar.Calendar)) cost {
+		before := w.net.Stats()
+		op(w.cals)
+		after := w.net.Stats()
+		return cost{after.Requests + after.Responses - before.Requests - before.Responses, after.Bytes - before.Bytes}
+	}
+	tcpCost := func(op func(map[string]*calendar.Calendar)) cost {
+		before := stats.Snapshot()
+		op(tcp)
+		after := stats.Snapshot()
+		return cost{after.FramesSent - before.FramesSent, after.BytesSent - before.BytesSent}
+	}
+	hour := 9
+	meet := func(cals map[string]*calendar.Calendar) {
+		m, err := cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+			Title: "same", Day: "2003-04-22", Hour: hour, PinSlot: true, Must: []string{"b"},
+		})
+		if err != nil || m.Status != calendar.StatusConfirmed {
+			t.Fatalf("schedule: %+v, %v", m, err)
+		}
+		if err := cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	find := func(cals map[string]*calendar.Calendar) {
+		got, err := cals["a"].FindCommonSlots(ctxBg(), calendar.Request{
+			FromDay: "2003-04-21", ToDay: "2003-04-25", Must: []string{"b", "c", "d"},
+		})
+		if err != nil || len(got) != 5*9 {
+			t.Fatalf("find: %d slots, %v", len(got), err)
+		}
+	}
+	for name, op := range map[string]func(map[string]*calendar.Calendar){"schedule + cancel": meet, "find": find} {
+		simCost(op) // the dials, the route lookups, the names
+		tcpCost(op)
+		var sim, sock cost
+		for try := 0; try < 3; try++ {
+			hour++
+			if sim, sock = simCost(op), tcpCost(op); sim == sock {
+				break
+			}
+		}
+		if sim != sock || sim.frames == 0 {
+			t.Fatalf("%s: the sim sent %d frames, %d B; TCP %d frames, %d B", name, sim.frames, sim.bytes, sock.frames, sock.bytes)
+		}
+		t.Logf("%s: %d frames, %d B on both", name, sim.frames, sim.bytes)
+	}
 }
 
 // counterDigits is how many base-36 digits the counter of an ordered id

@@ -175,13 +175,11 @@ func TestWireCostFind(t *testing.T) {
 			t.Fatalf("find: %d slots, %v", len(got), err)
 		}
 	}
-	// One call per participant and find, round-robin over a pool of at
-	// most four connections: four finds put the first exchange — the
-	// route lookup — behind every one.
-	for i := 0; i < 4; i++ {
-		find()
-	}
-	census.take(t, "warm-up", map[string]int{"cal.GetFreeSlots": 12})
+	// One call per participant and find, over one connection to each:
+	// one find puts the first exchange — the dial, the route lookup —
+	// behind it.
+	find()
+	census.take(t, "warm-up", map[string]int{"cal.GetFreeSlots": 3})
 	before := stats.Snapshot()
 	find()
 	after := stats.Snapshot()

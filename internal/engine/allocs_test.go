@@ -62,8 +62,8 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 			t.Fatalf("Commit = %v, %v", ok, err)
 		}
 	}
-	for i := 0; i < 10*transport.DefaultPoolSize(); i++ {
-		call() // the route cache, every pooled connection and its name tables
+	for i := 0; i < 10; i++ {
+		call() // the route cache, the connection and its name tables
 	}
 	want := 6.0
 	if raceEnabled {

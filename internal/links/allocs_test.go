@@ -10,7 +10,8 @@ import (
 // TestNegotiateAllocs pins what an untraced negotiation costs the
 // process: an Or over two remote targets, both of which mark and commit,
 // with every Mark and Commit a round trip over the sim network, which
-// decodes a frame's bytes in place as a socket's reader does. Its steps
+// sends a frame through its connection's name tables and decodes it as a
+// socket's end does. Its steps
 // build nothing when no span records them: 215 allocations while they
 // were kept on the Result as well, 201 before commit units were
 // recycled, 192 while the sim read each frame through a reader of its

@@ -8,6 +8,15 @@
 // frames in memory, adding configurable latency/jitter, message loss,
 // link partitions, and device up/down state, while counting every
 // message for the experiment harness (DESIGN.md T1/T2).
+//
+// Each (caller, address) pair is one simulated connection, as a TCP
+// client's connection to a peer address is: it numbers its requests and
+// sends every frame through a wire.NameTable, one per direction, and the
+// wire.Decoder that mirrors it, so a handler receives a request decoded
+// as a socket's server decodes it, and a frame costs the bytes it costs
+// on a socket. No bytes are buffered: a frame is decoded as soon as it
+// is encoded, and the handler runs in the caller's goroutine, under the
+// caller's context.
 package sim
 
 import (
@@ -50,6 +59,7 @@ type Stats struct {
 	Requests  int64 // requests delivered
 	Responses int64 // responses delivered
 	Dropped   int64 // messages lost to LossProb, partitions, or down devices
+	Bytes     int64 // bytes of the frames delivered, length prefixes included
 }
 
 // Net is an in-memory Network. Create with New; safe for concurrent use.
@@ -75,6 +85,7 @@ type Net struct {
 	requests  atomic.Int64
 	responses atomic.Int64
 	dropped   atomic.Int64
+	bytes     atomic.Int64
 
 	nextAuto atomic.Int64
 }
@@ -84,6 +95,22 @@ type endpoint struct {
 	handler transport.Handler
 	net     *Net
 	closed  atomic.Bool
+
+	mu    sync.Mutex
+	conns map[string]*conn // by caller: the connections this endpoint serves
+}
+
+// conn is one simulated connection, a caller's to an endpoint. Like a
+// socket it numbers its requests, and each direction has the sender's
+// NameTable and the receiver's Decoder. A frame is encoded and decoded
+// in one step under mu, so the two halves of a table take their entries
+// in the same order however the calls over the connection interleave.
+type conn struct {
+	mu         sync.Mutex
+	nextID     uint64
+	reqs, resp wire.NameTable
+	reqsIn     wire.Decoder
+	respIn     wire.Decoder
 }
 
 // New creates a simulated network with the given config.
@@ -134,13 +161,16 @@ func (n *Net) Listen(addr string, h transport.Handler) (transport.Listener, erro
 	if _, exists := n.endpoints[addr]; exists {
 		return nil, fmt.Errorf("sim: address %s already bound", addr)
 	}
-	ep := &endpoint{addr: addr, handler: h, net: n}
+	ep := &endpoint{addr: addr, handler: h, net: n, conns: make(map[string]*conn)}
 	n.endpoints[addr] = ep
 	return ep, nil
 }
 
 func (e *endpoint) Addr() string { return e.addr }
 
+// Close unbinds the address. The connections it served go with it, as
+// a closed listener's do: an endpoint bound there later has its own, so
+// its callers start fresh ones.
 func (e *endpoint) Close() error {
 	if e.closed.CompareAndSwap(false, true) {
 		e.net.mu.Lock()
@@ -150,6 +180,18 @@ func (e *endpoint) Close() error {
 		e.net.mu.Unlock()
 	}
 	return nil
+}
+
+// conn returns caller's connection to e, opening it on first use.
+func (e *endpoint) conn(caller string) *conn {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	c := e.conns[caller]
+	if c == nil {
+		c = new(conn)
+		e.conns[caller] = c
+	}
+	return c
 }
 
 // pairKey normalizes an unordered address pair.
@@ -275,7 +317,7 @@ func unavailable(format string, args ...any) error {
 	return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: fmt.Sprintf(format, args...)}
 }
 
-// lose decides whether to drop a message and draws latency.
+// lose decides whether to drop a message.
 func (n *Net) lose() bool {
 	n.rngMu.Lock()
 	defer n.rngMu.Unlock()
@@ -329,15 +371,18 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 	}
 	n.requests.Add(1)
 
-	env, err := n.roundTrip(&wire.Envelope{Kind: wire.KindRequest, Request: req})
+	c := ep.conn(src)
+	in, size, err := c.request(req)
 	if err != nil {
 		return nil, err
 	}
-	answer := ep.handler.HandleRequest(ctx, env.Request)
-	if env, err = n.roundTrip(&wire.Envelope{Kind: wire.KindResponse, Response: &answer}); err != nil {
+	n.bytes.Add(int64(size))
+	answer := ep.handler.HandleRequest(ctx, in)
+	answer.ID = in.ID
+	resp, size, err := c.response(&answer)
+	if err != nil {
 		return nil, err
 	}
-	resp := env.Response
 
 	if n.lose() {
 		n.dropped.Add(1)
@@ -347,24 +392,60 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 		return nil, err
 	}
 	n.responses.Add(1)
+	n.bytes.Add(int64(size))
 	return resp, nil
 }
 
-// roundTrip encodes env as a v3 frame and decodes it back, yielding the
-// envelope a real socket peer would have received: every request and
-// response is delivered this way, so a receiver never shares a map with
-// its sender and sees v3's tagged scalars, as over a socket.
-func (n *Net) roundTrip(env *wire.Envelope) (*wire.Envelope, error) {
-	f, err := wire.EncodeFrameV3(env)
+// request numbers req, encodes it and decodes it into a fresh Request,
+// as a socket's server decodes it, and returns that and the frame's
+// size. A request that cannot be encoded is the caller's bad-args, as
+// over a socket.
+func (c *conn) request(req *transport.Request) (*transport.Request, int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.nextID++
+	req.ID = c.nextID // the request is this call's alone (Network.Call)
+	f, err := c.reqs.EncodeFrame(&wire.Envelope{Kind: wire.KindRequest, Request: req})
 	if err != nil {
-		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: encode: %v", err)}
+		return nil, 0, &wire.RemoteError{Code: wire.CodeBadArgs, Service: req.Service, Method: req.Method, Msg: "sim: encode: " + err.Error()}
 	}
-	out, err := wire.DecodeFrame(f.Bytes())
-	f.Release()
+	defer f.Release()
+	in := new(transport.Request)
+	if err := c.reqsIn.DecodeRequest(f.Bytes(), in); err != nil {
+		return nil, 0, c.reset(err)
+	}
+	return in, f.Len(), nil
+}
+
+// response encodes answer and decodes it as the caller's end of a
+// socket does, and returns that and the frame's size. An answer that
+// cannot be encoded is answered with an internal error in its place, as
+// a socket's server answers it.
+func (c *conn) response(answer *transport.Response) (*transport.Response, int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, err := c.resp.EncodeFrame(&wire.Envelope{Kind: wire.KindResponse, Response: answer})
 	if err != nil {
-		return nil, &wire.RemoteError{Code: wire.CodeInternal, Msg: fmt.Sprintf("sim: decode: %v", err)}
+		*answer = transport.Response{ID: answer.ID, Code: wire.CodeInternal, Error: "sim: encode: " + err.Error()}
+		if f, err = c.resp.EncodeFrame(&wire.Envelope{Kind: wire.KindResponse, Response: answer}); err != nil {
+			return nil, 0, c.reset(err)
+		}
 	}
-	return out, nil
+	defer f.Release()
+	env, err := c.respIn.Decode(f.Bytes())
+	if err != nil {
+		return nil, 0, c.reset(err)
+	}
+	return env.Response, f.Len(), nil
+}
+
+// reset starts c afresh after a frame that did not decode, whose names
+// one half of a table may have entered and the other not, as a socket's
+// end closes the connection such a frame came on and the next call
+// redials; the call fails as unreachable. c.mu is held.
+func (c *conn) reset(err error) error {
+	c.reqs, c.resp, c.reqsIn, c.respIn = wire.NameTable{}, wire.NameTable{}, wire.Decoder{}, wire.Decoder{}
+	return fmt.Errorf("sim: connection closed: %w: %w", transport.ErrUnreachable, err)
 }
 
 // Stats returns a snapshot of traffic counters.
@@ -373,6 +454,7 @@ func (n *Net) Stats() Stats {
 		Requests:  n.requests.Load(),
 		Responses: n.responses.Load(),
 		Dropped:   n.dropped.Load(),
+		Bytes:     n.bytes.Load(),
 	}
 }
 
@@ -382,4 +464,5 @@ func (n *Net) ResetStats() {
 	n.requests.Store(0)
 	n.responses.Store(0)
 	n.dropped.Store(0)
+	n.bytes.Store(0)
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -300,6 +302,143 @@ func TestEndpointCloseUnbinds(t *testing.T) {
 	// Address can be rebound.
 	if _, err := n.Listen("phil", &okHandler{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// echoHandler answers a call with the id it was delivered under and the
+// arguments it carried.
+func echoHandler(ctx context.Context, req *transport.Request) transport.Response {
+	return transport.Response{OK: true, Result: wire.Sub("", wire.Args{
+		wire.Int("id", int(req.ID)), wire.Sub("args", req.Args),
+	}).Val}
+}
+
+// TestConnCallsInterleave: 8 goroutines make 200 calls each over one
+// (caller, address) connection, every call with argument keys of its
+// own and of its goroutine, so both directions' name tables grow while
+// calls interleave and later calls refer to what they entered, and
+// a fifth of the messages are lost in the middle third of the run. Every
+// answered call gets back its own request's id and arguments, and a
+// lost one fails as unavailable, never as a frame that did not decode
+// (which would close the connection).
+func TestConnCallsInterleave(t *testing.T) {
+	n := New(Config{Seed: 3})
+	if _, err := n.Listen("phil", transport.HandlerFunc(echoHandler)); err != nil {
+		t.Fatal(err)
+	}
+	const workers, calls = 8, 200
+	var started, answered, lost atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				switch started.Add(1) {
+				case workers * calls / 3:
+					n.SetLoss(0.2)
+				case 2 * workers * calls / 3:
+					n.SetLoss(0)
+				}
+				// Keys this goroutine sends on every call, which its
+				// first call enters, and one of this call's own.
+				args := wire.Args{wire.Int("n", i)}
+				for k := 0; k < 3; k++ {
+					args = append(args, wire.Str(fmt.Sprintf("g%d-%d", g, k), fmt.Sprint(i)))
+				}
+				args = append(args, wire.Str(fmt.Sprintf("g%d-i%d", g, i), fmt.Sprint(i)))
+				req := &transport.Request{Service: "echo", Method: "ping", Caller: "andy", Args: args}
+				resp, err := n.Call(context.Background(), "phil", req)
+				if err != nil {
+					if errors.Is(err, wire.ErrBadV3Frame) || wire.CodeOf(err) != wire.CodeUnavailable {
+						t.Errorf("call %d.%d: %v", g, i, err)
+						return
+					}
+					lost.Add(1)
+					continue
+				}
+				var got struct {
+					ID   uint64         `json:"id"`
+					Args map[string]any `json:"args"`
+				}
+				if err := wire.Unmarshal(resp.Result, &got); err != nil {
+					t.Errorf("call %d.%d: %v", g, i, err)
+					return
+				}
+				same := len(got.Args) == len(args)
+				for _, a := range args[1:] {
+					same = same && got.Args[a.Key] == fmt.Sprint(i)
+				}
+				if resp.ID != req.ID || got.ID != req.ID || !same {
+					t.Errorf("call %d.%d, id %d: answered id %d, delivered as %d with %v", g, i, req.ID, resp.ID, got.ID, got.Args)
+					return
+				}
+				answered.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if lost.Load() == 0 || answered.Load() < workers*calls/2 {
+		t.Fatalf("%d calls answered, %d lost: the loss window did not run", answered.Load(), lost.Load())
+	}
+}
+
+// TestCloseDropsConns: an endpoint's Close drops the connections it
+// served, as a closed listener's peers must redial, so the first call to
+// the address bound again costs what the first call ever made to it did,
+// its names spelled out, and not what a warm call costs.
+func TestCloseDropsConns(t *testing.T) {
+	n := New(Config{})
+	ln, err := n.Listen("phil", transport.HandlerFunc(echoHandler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() int64 {
+		t.Helper()
+		before := n.Stats().Bytes
+		req := &transport.Request{Service: "echo", Method: "ping", Caller: "andy", Args: wire.Args{wire.Str("who", "andy")}}
+		if _, err := n.Call(context.Background(), "phil", req); err != nil {
+			t.Fatal(err)
+		}
+		return n.Stats().Bytes - before
+	}
+	first, warm := call(), call()
+	if warm >= first {
+		t.Fatalf("a warm call cost %d B, the first %d B", warm, first)
+	}
+	ln.Close()
+	if _, err := n.Listen("phil", transport.HandlerFunc(echoHandler)); err != nil {
+		t.Fatal(err)
+	}
+	if again := call(); again != first {
+		t.Fatalf("the first call after a rebind cost %d B, the first ever %d B (a warm one %d B)", again, first, warm)
+	}
+}
+
+// TestUndecodableFrameResetsConn: a request whose frame does not decode
+// (its arguments repeat a key, which the encoder sends and the decoder
+// refuses) fails as unreachable, as the socket its server closes would,
+// and the connection starts afresh: the next call costs what a first
+// call does.
+func TestUndecodableFrameResetsConn(t *testing.T) {
+	n := New(Config{})
+	if _, err := n.Listen("phil", transport.HandlerFunc(echoHandler)); err != nil {
+		t.Fatal(err)
+	}
+	call := func(args wire.Args) (int64, error) {
+		before := n.Stats().Bytes
+		_, err := n.Call(context.Background(), "phil", &transport.Request{Service: "echo", Method: "ping", Caller: "andy", Args: args})
+		return n.Stats().Bytes - before, err
+	}
+	first, err := call(wire.Args{wire.Str("who", "andy")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call(wire.Args{wire.Str("k", "a"), wire.Str("k", "b")}); !errors.Is(err, transport.ErrUnreachable) || !errors.Is(err, wire.ErrBadV3Frame) {
+		t.Fatalf("a request repeating a key: %v, want unreachable over a bad frame", err)
+	}
+	if again, err := call(wire.Args{wire.Str("who", "andy")}); err != nil || again != first {
+		t.Fatalf("the next call: %d B, %v; want the first call's %d B", again, err, first)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // format v4's version byte.
 const formatVersion = 0xB6
 
-// readRawFrame reads one length-prefixed frame off r as it came off the
-// socket and decodes it, so a test sees both the bytes and the envelope.
+// readRawFrame reads a connection's first length-prefixed frame off r as
+// it came off the socket and decodes it, so a test sees both the bytes
+// and the envelope.
 func readRawFrame(t *testing.T, r io.Reader) (body []byte, env *wire.Envelope) {
 	t.Helper()
 	var prefix []byte // a uvarint: read up to its last byte, none past it
@@ -33,17 +34,17 @@ func readRawFrame(t *testing.T, r io.Reader) (body []byte, env *wire.Envelope) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		t.Fatal(err)
 	}
-	env, err := wire.DecodeFrame(append(prefix, body...))
+	env, err := new(wire.Decoder).Decode(append(prefix, body...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return body, env
 }
 
-// writeV3 writes env to w as one v3 frame.
+// writeV3 writes env to w as a connection's first v3 frame.
 func writeV3(t *testing.T, w io.Writer, env *wire.Envelope) {
 	t.Helper()
-	f, err := wire.EncodeFrameV3(env)
+	f, err := new(wire.NameTable).EncodeFrame(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,9 @@ func TestServedRequestAllocs(t *testing.T) {
 		}
 		return answer[:n]
 	}
+	var answers wire.Decoder
 	for _, frame := range [][]byte{first, warm} {
-		env, err := wire.DecodeFrame(serve(frame))
+		env, err := answers.Decode(serve(frame))
 		if err != nil || !env.Response.OK || !reflect.DeepEqual(env.Response.Result, result) {
 			t.Fatalf("answer %+v, %v", env.Response, err)
 		}
@@ -169,7 +170,7 @@ func TestServeConnStartsNothingAfterClose(t *testing.T) {
 		l.serveConn(server)
 		close(returned)
 	}()
-	f, err := wire.EncodeFrameV3(&wire.Envelope{Kind: wire.KindRequest, Request: &Request{ID: 1, Service: "cal.phil", Method: "Block"}})
+	f, err := new(wire.NameTable).EncodeFrame(&wire.Envelope{Kind: wire.KindRequest, Request: &Request{ID: 1, Service: "cal.phil", Method: "Block"}})
 	if err != nil {
 		t.Fatal(err)
 	}

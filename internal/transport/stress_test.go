@@ -14,35 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-// TestTCPPoolSpreadsConnections verifies that the per-peer pool
-// actually opens multiple connections and spreads calls across them.
-func TestTCPPoolSpreadsConnections(t *testing.T) {
-	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
-		return Response{ID: req.ID, OK: true}
-	})
-	net := NewTCP(WithPoolSize(3))
-	defer net.Close()
-	ln, err := net.Listen("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	tl := ln.(*tcpListener)
-	ctx := context.Background()
-	for i := 0; i < 12; i++ {
-		if _, err := net.Call(ctx, ln.Addr(), &Request{Service: "s", Method: "m"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tl.mu.Lock()
-	serverConns := len(tl.conns)
-	tl.mu.Unlock()
-	if serverConns != 3 {
-		t.Fatalf("server sees %d connections, want 3 (pool size)", serverConns)
-	}
-}
-
 // TestTCPCancelledCallDoesNotLoseLateResponse drives the cancel/deliver
 // race: a caller whose context fires while the response is already in
 // readLoop's hands must receive that response (the entry left pending)
@@ -91,7 +62,7 @@ func TestTCPStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	h := &echoHandler{}
-	cli := NewTCP(WithPoolSize(2), WithWireStats(&metrics.WireStats{}))
+	cli := NewTCP(WithWireStats(&metrics.WireStats{}))
 	srv := NewTCP(WithWireStats(&metrics.WireStats{}))
 	ln, err := srv.Listen("127.0.0.1:0", h)
 	if err != nil {
@@ -203,7 +174,7 @@ func TestTCPRecycledReplyChannels(t *testing.T) {
 		res, _ := wire.Marshal(req.Args)
 		return Response{ID: req.ID, OK: true, Result: res}
 	})
-	cli := NewTCP(WithPoolSize(1), WithWireStats(&metrics.WireStats{}))
+	cli := NewTCP(WithWireStats(&metrics.WireStats{}))
 	defer cli.Close()
 	ln, err := NewTCP(WithWireStats(&metrics.WireStats{})).Listen("127.0.0.1:0", h)
 	if err != nil {

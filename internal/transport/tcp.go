@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -15,37 +13,21 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultPoolSize is the per-peer connection pool size when none is
-// configured: min(4, GOMAXPROCS). A single multiplexed connection
-// serializes every concurrent caller behind one write path and one
-// in-order response stream; a small pool removes that head-of-line
-// blocking without the per-call dial cost of connection-per-request.
-func DefaultPoolSize() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // TCP is the real-socket Network implementation. Each (client,
-// server-address) pair gets a small pool of TCP connections;
-// concurrent Calls are multiplexed across them using wire request IDs
-// with round-robin pick; each frame is one socket write (see
-// frameWriter). Every frame, in both directions and from a connection's
-// first byte, is a v3 frame, and each direction of a connection has its
-// own name table (wire.NameTable), so a repeated name crosses it once.
+// server-address) pair gets one TCP connection; concurrent Calls are
+// multiplexed on it by wire request IDs, and the server answers each
+// request as its handler returns, so a slow one holds up no other. Each
+// frame is one socket write (see frameWriter). Every frame, in both
+// directions and from a connection's first byte, is a v3 frame, and each
+// direction of a connection has its own name table (wire.NameTable), so
+// a repeated name crosses it once.
 //
 // Use NewTCP; TCP is safe for concurrent use.
 type TCP struct {
-	poolSize int
-	stats    *metrics.WireStats
+	stats *metrics.WireStats
 
 	mu     sync.Mutex
-	pools  map[string]*connPool
+	conns  map[string]*tcpClientConn
 	closed bool
 }
 
@@ -61,9 +43,8 @@ func WithWireStats(s *metrics.WireStats) TCPOption {
 // NewTCP returns a ready TCP network.
 func NewTCP(opts ...TCPOption) *TCP {
 	t := &TCP{
-		poolSize: DefaultPoolSize(),
-		stats:    metrics.Wire(),
-		pools:    make(map[string]*connPool),
+		stats: metrics.Wire(),
+		conns: make(map[string]*tcpClientConn),
 	}
 	for _, o := range opts {
 		o(t)
@@ -207,16 +188,6 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 
 // --- client side ----------------------------------------------------------
 
-// connPool is the bounded set of multiplexed connections to one peer
-// address. Slots dial lazily; pick is round-robin so one slow
-// response stream (a long negotiation) cannot head-of-line-block
-// unrelated calls on the other slots.
-type connPool struct {
-	next  atomic.Uint32
-	mu    sync.Mutex
-	slots []*tcpClientConn
-}
-
 type tcpClientConn struct {
 	conn  net.Conn
 	w     *frameWriter
@@ -234,66 +205,44 @@ func (c *tcpClientConn) isDead() bool {
 	return c.dead
 }
 
-func (t *TCP) pool(addr string) (*connPool, error) {
+// getConn returns the live connection to addr, dialing one if there is
+// none or it has died.
+func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
+	c := t.conns[addr]
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if t.pools == nil {
-		t.pools = make(map[string]*connPool)
-	}
-	p, ok := t.pools[addr]
-	if !ok {
-		p = &connPool{slots: make([]*tcpClientConn, t.poolSize)}
-		t.pools[addr] = p
-	}
-	return p, nil
-}
-
-// getConn returns a live pooled connection to addr, dialing the
-// picked slot if it is empty or its connection has died.
-func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
-	p, err := t.pool(addr)
-	if err != nil {
-		return nil, err
-	}
-	slot := int(p.next.Add(1)-1) % len(p.slots)
-
-	p.mu.Lock()
-	if c := p.slots[slot]; c != nil && !c.isDead() {
-		p.mu.Unlock()
+	if c != nil && !c.isDead() {
 		return c, nil
 	}
-	p.mu.Unlock()
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 	}
-	c := &tcpClientConn{
+	c = &tcpClientConn{
 		conn:    nc,
 		w:       &frameWriter{w: nc, stats: t.stats},
 		stats:   t.stats,
 		pending: make(map[uint64]chan *Response),
 	}
 
-	p.mu.Lock()
-	if existing := p.slots[slot]; existing != nil && !existing.isDead() {
-		// Lost the dial race for this slot; use the winner.
-		p.mu.Unlock()
-		nc.Close()
-		return existing, nil
-	}
-	p.slots[slot] = c
-	p.mu.Unlock()
-
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		c.fail()
+		nc.Close()
 		return nil, ErrClosed
 	}
+	if existing := t.conns[addr]; existing != nil && !existing.isDead() {
+		// Another call dialed addr meanwhile; use its connection.
+		t.mu.Unlock()
+		nc.Close()
+		return existing, nil
+	}
+	t.conns[addr] = c
 	t.mu.Unlock()
 
 	go func() {
@@ -303,22 +252,13 @@ func (t *TCP) getConn(addr string) (*tcpClientConn, error) {
 	return c, nil
 }
 
-// dropConn clears c from its pool slot (reconnect-on-next-use
-// semantics, per pooled connection).
+// dropConn forgets c as addr's connection, so the next call redials.
 func (t *TCP) dropConn(addr string, c *tcpClientConn) {
 	t.mu.Lock()
-	p := t.pools[addr]
+	if t.conns[addr] == c {
+		delete(t.conns, addr)
+	}
 	t.mu.Unlock()
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	for i, s := range p.slots {
-		if s == c {
-			p.slots[i] = nil
-		}
-	}
-	p.mu.Unlock()
 }
 
 func (c *tcpClientConn) readLoop() {
@@ -448,7 +388,7 @@ func (t *TCP) doCall(ctx context.Context, addr string, req *Request) (*Response,
 	}
 	resp, written, err := c.call(ctx, req)
 	if errors.Is(err, ErrUnreachable) && !written {
-		// One reconnect attempt: the pooled connection died idle (server
+		// One reconnect attempt: the connection died idle (server
 		// restart). One that left may have been served: at most once.
 		trace.FromContext(ctx).AddEvent("transport.reconnect", trace.String("addr", addr))
 		t.dropConn(addr, c)
@@ -466,18 +406,11 @@ func (t *TCP) doCall(ctx context.Context, addr string, req *Request) (*Response,
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	t.closed = true
-	pools := t.pools
-	t.pools = map[string]*connPool{}
+	conns := t.conns
+	t.conns = nil
 	t.mu.Unlock()
-	for _, p := range pools {
-		p.mu.Lock()
-		slots := append([]*tcpClientConn(nil), p.slots...)
-		p.mu.Unlock()
-		for _, c := range slots {
-			if c != nil {
-				c.fail()
-			}
-		}
+	for _, c := range conns {
+		c.fail()
 	}
 	return nil
 }

@@ -135,6 +135,7 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Close()
+	awaitDead(t, net, addr)
 	// Rebind the same address.
 	ln2, err := net.Listen(addr, h)
 	if err != nil {
@@ -148,6 +149,25 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 	defer cancel()
 	if _, err := net.Call(ctx, addr, &Request{Service: "s", Method: "m"}); err != nil {
 		t.Fatalf("call after restart: %v", err)
+	}
+}
+
+// awaitDead returns once net has seen its connection to addr close. A
+// call must find it dead before it writes to be sent on a new one: a
+// request written to a connection whose server has closed it is not sent
+// again (at most once).
+func awaitDead(t *testing.T, net *TCP, addr string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		net.mu.Lock()
+		c := net.conns[addr]
+		net.mu.Unlock()
+		if c == nil || c.isDead() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client never saw its connection close")
+		}
 	}
 }
 
@@ -203,7 +223,7 @@ func (metaHandler) HandleRequest(ctx context.Context, req *Request) Response {
 // next, whose names are references into the connection's name table.
 func TestTCPMetadataRoundTrip(t *testing.T) {
 	_, addr := newTCPPair(t, metaHandler{})
-	net := NewTCP(WithPoolSize(1))
+	net := NewTCP()
 	defer net.Close()
 	for i := 0; i < 2; i++ {
 		req := &Request{Service: "echo", Method: "meta", Caller: "andy", Meta: wire.Metadata{"tenant": "acme"}}
@@ -249,15 +269,14 @@ func TestTCPEncodeFailureBelongsToTheFrame(t *testing.T) {
 		return Response{ID: req.ID, OK: true, Result: res}
 	})
 	_, addr := newTCPPair(t, h)
-	cli := NewTCP(WithPoolSize(1))
+	cli := NewTCP()
 	defer cli.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	pooled := func() *tcpClientConn {
-		p, _ := cli.pool(addr)
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.slots[0]
+		cli.mu.Lock()
+		defer cli.mu.Unlock()
+		return cli.conns[addr]
 	}
 
 	slow := make(chan error, 1)

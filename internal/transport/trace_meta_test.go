@@ -70,8 +70,9 @@ func testTraceMetaConcurrent(t *testing.T) {
 }
 
 // TestTraceMetadataSurvivesReconnect restarts the server so the cached
-// client connection dies, then asserts the transparent reconnect path
-// carries the trace context byte-identically too.
+// client connection dies, waits for the client to see it die, then
+// asserts the transparent reconnect path carries the trace context
+// byte-identically too.
 func TestTraceMetadataSurvivesReconnect(t *testing.T) {
 	t.Run("v3", testTraceMetaReconnect)
 }
@@ -108,6 +109,7 @@ func testTraceMetaReconnect(t *testing.T) {
 
 	check(0)
 	ln.Close()
+	awaitDead(t, net, addr)
 	ln2, err := net.Listen(addr, h)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)

@@ -24,7 +24,7 @@ import (
 // Both ends of a connection enter every literal name of 1..internMaxLen
 // bytes while the table holds fewer than internMaxEntries, so the two
 // tables stay equal with no define flag, eviction or handshake. Without
-// a table (EncodeFrameV3, ReadFrame) every name is a literal.
+// a table (EncodeFrameCodec) every name is a literal.
 //
 // Args go out in their order, each value under the tag of its kind; a
 // Raw value is its JSON text, embedded as a blob. A result is one value
@@ -88,22 +88,13 @@ const (
 // no transport sends JSON.
 func EncodeFrameCodec(env *Envelope, c Codec) (*FrameBuffer, error) {
 	if c == CodecV3 {
-		return EncodeFrameV3(env)
+		return encodeV3(env, nil)
 	}
 	return EncodeFrame(env)
 }
 
-// EncodeFrameV3 encodes env as a binary frame: the length prefix then
-// the version-tagged body, appended into one pooled buffer so a
-// warm pool encodes a frame with zero intermediate allocations and the
-// transport issues a single Write. Every name is a literal, so any
-// FrameReader, or ReadFrame, reads the frame.
-func EncodeFrameV3(env *Envelope) (*FrameBuffer, error) {
-	return encodeV3(env, nil)
-}
-
 // NameTable is the sending half of one direction of a connection's name
-// table: a name it holds goes out as its index. The peer's FrameReader
+// table: a name it holds goes out as its index. The peer's Decoder
 // holds the receiving half and enters the same names in the same order,
 // as long as the frames EncodeFrame returns reach it in the order they
 // were encoded. Not safe for concurrent use.
@@ -112,10 +103,13 @@ type NameTable struct {
 	names []string // in entry order, so a failed frame's entries come off the end
 }
 
-// EncodeFrame encodes env as EncodeFrameV3 does, except that a name in
-// t is sent as a reference and a new one is entered in t. If env cannot
-// be encoded, the entries it added are removed again, so the frame the
-// peer never sees leaves no trace in t.
+// EncodeFrame encodes env as a binary frame: the length prefix then the
+// version-tagged body, appended into one pooled buffer so a warm pool
+// encodes a frame with zero intermediate allocations and the transport
+// issues a single Write. A name in t is sent as a reference and a new
+// one is entered in t. If env cannot be encoded, the entries it added
+// are removed again, so the frame the peer never sees leaves no trace
+// in t.
 func (t *NameTable) EncodeFrame(env *Envelope) (*FrameBuffer, error) {
 	mark := len(t.names)
 	f, err := encodeV3(env, t)

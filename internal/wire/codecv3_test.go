@@ -581,7 +581,7 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 	// The table is bounded: a peer cannot grow it with ever-new keys.
 	var literal *NameTable // a nil table writes every name as a literal
 	name := func(s string) (string, error) {
-		d := &v3dec{b: literal.appendName(nil, s), names: &fr.names}
+		d := &v3dec{b: literal.appendName(nil, s), names: &fr.dec.names}
 		return d.name()
 	}
 	for i := 0; i < 4*internMaxEntries; i++ {
@@ -589,14 +589,14 @@ func TestFrameReaderV3InternsRepeatedNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(fr.names) > internMaxEntries {
-		t.Fatalf("name table holds %d entries, cap is %d", len(fr.names), internMaxEntries)
+	if len(fr.dec.names) > internMaxEntries {
+		t.Fatalf("name table holds %d entries, cap is %d", len(fr.dec.names), internMaxEntries)
 	}
 	long := string(bytes.Repeat([]byte{'k'}, internMaxLen+1))
 	if s, err := name(long); err != nil || s != long {
 		t.Fatalf("long name: %q, %v", s, err)
 	}
-	if slices.Contains(fr.names, long) {
+	if slices.Contains(fr.dec.names, long) {
 		t.Fatal("a name longer than internMaxLen was entered")
 	}
 	read() // and a full table still decodes
@@ -812,7 +812,8 @@ func streamEnvelope(a, b string, i int) *Envelope {
 // the same envelope decodes to without a table, and cost no more bytes;
 // both tables must hold the same names after every frame. A second
 // reader of the same stream, reading each request with ReadRequest,
-// must decode it as Read does and keep the same table. At frame bad,
+// must decode it as Read does and keep the same table, and so must a
+// Decoder handed each whole frame held in memory. At frame bad,
 // a request whose new names precede a value too large for a frame
 // fails, leaves the table as it was, and the same request without that
 // value then decodes.
@@ -824,6 +825,8 @@ func FuzzNameTableStream(f *testing.F) {
 		var tab NameTable
 		var stream, again bytes.Buffer
 		var want []*Envelope
+		var frames [][]byte
+		var whole Decoder
 		send := func(env *Envelope) {
 			plain, err := EncodeFrameV3(env)
 			if err != nil {
@@ -841,6 +844,7 @@ func FuzzNameTableStream(f *testing.F) {
 			stream.Write(frame)
 			again.Write(frame)
 			want = append(want, w)
+			frames = append(frames, frame)
 		}
 		fr, inPlace := NewFrameReader(&stream), NewFrameReader(&again)
 		for i := 0; i < int(n); i++ {
@@ -874,13 +878,16 @@ func FuzzNameTableStream(f *testing.F) {
 				} else if _, err := inPlace.Read(); err != nil {
 					t.Fatalf("read: %v", err)
 				}
-				want = want[1:]
+				if w, err := whole.Decode(frames[0]); err != nil || !reflect.DeepEqual(w, got) {
+					t.Fatalf("Decode %+v, %v; Read %+v", w, err, got)
+				}
+				want, frames = want[1:], frames[1:]
 			}
-			if !slices.Equal(tab.names, fr.names) || len(fr.names) > internMaxEntries {
-				t.Fatalf("tables differ after frame %d:\n send %q\n read %q", i, tab.names, fr.names)
+			if !slices.Equal(tab.names, fr.dec.names) || len(fr.dec.names) > internMaxEntries {
+				t.Fatalf("tables differ after frame %d:\n send %q\n read %q", i, tab.names, fr.dec.names)
 			}
-			if !slices.Equal(fr.names, inPlace.names) {
-				t.Fatalf("readers' tables differ after frame %d:\n Read %q\n ReadRequest %q", i, fr.names, inPlace.names)
+			if !slices.Equal(fr.dec.names, inPlace.dec.names) || !slices.Equal(fr.dec.names, whole.names) {
+				t.Fatalf("readers' tables differ after frame %d:\n Read %q\n ReadRequest %q\n Decode %q", i, fr.dec.names, inPlace.dec.names, whole.names)
 			}
 		}
 	})

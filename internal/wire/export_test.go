@@ -32,3 +32,21 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	}
 	return decodeBody(body, nil)
 }
+
+// EncodeFrameV3 encodes env as a binary frame with no name table: every
+// name is a literal, so any Decoder, or ReadFrame, reads the frame. It is
+// the no-table reference the name-table tests compare against.
+func EncodeFrameV3(env *Envelope) (*FrameBuffer, error) {
+	return encodeV3(env, nil)
+}
+
+// DecodeFrame decodes a whole frame held in memory, prefix and body, with
+// no name table, as ReadFrame decodes one it has read. The envelope does
+// not alias frame.
+func DecodeFrame(frame []byte) (*Envelope, error) {
+	body, err := unframe(frame)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(body, nil)
+}

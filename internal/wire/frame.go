@@ -126,16 +126,15 @@ func readPrefix(next func() (byte, error)) (n uint64, size int, err error) {
 	return 0, 0, errLongPrefix
 }
 
-// FrameReader decodes length-prefixed frames from one connection,
-// reusing an internal scratch buffer between reads. It decodes binary
-// bodies and, for the reference codec's sake, JSON ones, and it holds
-// the receiving half of the connection's name table, so it reads the
-// frames of one NameTable, or of none. Bind one FrameReader per
-// connection; it is not safe for concurrent use.
+// FrameReader reads length-prefixed frames off one connection, reusing
+// an internal scratch buffer between reads, and decodes each through the
+// connection's Decoder, so it reads the frames of one NameTable, or of
+// none. Bind one FrameReader per connection; it is not safe for
+// concurrent use.
 type FrameReader struct {
 	r       byteReader // a bufio.Reader, but in ReadFrame's reader of one frame
 	scratch []byte
-	names   []string // receiving half of the connection's name table, see NameTable
+	dec     Decoder
 
 	// Bytes counts every frame read whole; the transport feeds it
 	// into metrics.
@@ -157,33 +156,23 @@ type byteReader interface {
 	io.ByteReader
 }
 
-// Read decodes the next frame. The returned Envelope does not alias
-// the scratch buffer (JSON decoding copies what it keeps), so it
-// remains valid across subsequent Reads.
+// Read reads the next frame and decodes it as Decoder.Decode does.
 func (fr *FrameReader) Read() (*Envelope, error) {
 	body, err := fr.next()
 	if err != nil {
 		return nil, err
 	}
-	return decodeBody(body, &fr.names)
+	return decodeBody(body, &fr.dec.names)
 }
 
-// ReadRequest decodes the next frame, a binary request or else refused,
-// into the caller's r, as Read would: a server, sent nothing but
-// requests, decodes each into the object that serves it.
+// ReadRequest reads the next frame and decodes it into r as
+// Decoder.DecodeRequest does.
 func (fr *FrameReader) ReadRequest(r *Request) error {
 	body, err := fr.next()
-	if err == nil && (len(body) < 2 || body[0] != magicV4 || body[1] != v3KindRequest) {
-		err = ErrBadV3Frame
-	}
 	if err != nil {
 		return err
 	}
-	d := &v3dec{b: body, pos: 2, names: &fr.names}
-	if err := d.request(r); err != nil || d.pos == len(d.b) {
-		return err
-	}
-	return ErrBadV3Frame
+	return fr.dec.request(body, r)
 }
 
 // next reads the next frame's body into the scratch buffer, once its
@@ -216,11 +205,53 @@ func (fr *FrameReader) next() ([]byte, error) {
 	return body, nil
 }
 
-// DecodeFrame decodes a whole frame held in memory, prefix and body, as
-// a FrameReader with no name table decodes one it has read. The envelope
-// does not alias frame. A frame whose prefix is not its body's length is
-// ErrShortFrame.
-func DecodeFrame(frame []byte) (*Envelope, error) {
+// Decoder is the receiving half of one direction of a connection's name
+// table: it enters the literal names of the frames it decodes by the
+// rule the peer's NameTable enters them, so it decodes the frames of one
+// NameTable, in the order they were encoded. A FrameReader decodes
+// through one; a connection held in memory calls it on whole frames. Not
+// safe for concurrent use.
+type Decoder struct {
+	names []string
+}
+
+// Decode decodes a whole frame held in memory, prefix and body: a binary
+// frame, or the JSON reference codec's. The envelope does not alias
+// frame (JSON decoding copies what it keeps). A frame whose prefix is not
+// its body's length is ErrShortFrame.
+func (d *Decoder) Decode(frame []byte) (*Envelope, error) {
+	body, err := unframe(frame)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBody(body, &d.names)
+}
+
+// DecodeRequest decodes a whole frame held in memory, a binary request
+// or else refused, into the caller's r, as Decode would: a server
+// decodes each request into the object that serves it.
+func (d *Decoder) DecodeRequest(frame []byte, r *Request) error {
+	body, err := unframe(frame)
+	if err != nil {
+		return err
+	}
+	return d.request(body, r)
+}
+
+func (d *Decoder) request(body []byte, r *Request) error {
+	if len(body) < 2 || body[0] != magicV4 || body[1] != v3KindRequest {
+		return ErrBadV3Frame
+	}
+	dec := &v3dec{b: body, pos: 2, names: &d.names}
+	if err := dec.request(r); err != nil || dec.pos == len(dec.b) {
+		return err
+	}
+	return ErrBadV3Frame
+}
+
+// unframe returns the body of a whole frame, once its prefix is read and
+// checked against the body's length.
+func unframe(frame []byte) ([]byte, error) {
 	r := bytes.NewReader(frame)
 	n, _, err := readPrefix(r.ReadByte)
 	if err == io.EOF || err == nil && n != uint64(r.Len()) {
@@ -228,7 +259,7 @@ func DecodeFrame(frame []byte) (*Envelope, error) {
 	} else if err != nil {
 		return nil, err
 	}
-	return decodeBody(frame[len(frame)-r.Len():], nil)
+	return frame[len(frame)-r.Len():], nil
 }
 
 // decodeBody decodes one frame body: the JSON reference codec's when it

@@ -162,18 +162,19 @@ func BenchmarkFrameReader(b *testing.B) {
 	}
 }
 
-// TestDecodeFrame: a whole frame in memory decodes as a FrameReader
-// decodes it, v3 and JSON alike, and the envelope does not alias the
-// frame; a frame whose prefix is not its length is ErrShortFrame.
+// TestDecodeFrame: a whole frame in memory decodes through a Decoder as
+// a FrameReader decodes it, v3 and JSON alike, a request into the
+// caller's object too, and the envelope does not alias the frame; a
+// frame whose prefix is not its length is ErrShortFrame.
 func TestDecodeFrame(t *testing.T) {
-	for _, encode := range []func(*Envelope) (*FrameBuffer, error){EncodeFrameV3, EncodeFrame} {
+	for i, encode := range []func(*Envelope) (*FrameBuffer, error){EncodeFrameV3, EncodeFrame} {
 		f, err := encode(testEnvelope(7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		frame := append([]byte(nil), f.Bytes()...)
 		f.Release()
-		got, err := DecodeFrame(frame)
+		got, err := new(Decoder).Decode(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,20 +182,30 @@ func TestDecodeFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var req Request
+		switch err := new(Decoder).DecodeRequest(frame, &req); {
+		case i == 0 && (err != nil || !reflect.DeepEqual(&req, want.Request)):
+			t.Fatalf("DecodeRequest read %+v, %v; a FrameReader %+v", req, err, want.Request)
+		case i == 1 && !errors.Is(err, ErrBadV3Frame): // a JSON body is no request
+			t.Fatalf("DecodeRequest of a JSON frame: %v, want ErrBadV3Frame", err)
+		}
 		for _, bad := range [][]byte{nil, frame[:3], frame[:len(frame)-1], append(frame[:len(frame):len(frame)], 0)} {
-			if _, err := DecodeFrame(bad); !errors.Is(err, ErrShortFrame) {
+			if _, err := new(Decoder).Decode(bad); !errors.Is(err, ErrShortFrame) {
 				t.Errorf("a frame of %d bytes: %v, want ErrShortFrame", len(bad), err)
+			}
+			if err := new(Decoder).DecodeRequest(bad, &req); !errors.Is(err, ErrShortFrame) {
+				t.Errorf("a request frame of %d bytes: %v, want ErrShortFrame", len(bad), err)
 			}
 		}
 		clear(frame)
 		if got.Request.Service != "cal.phil" || got.Request.Args.Int("hour") != 7 || got.Request.Caller != want.Request.Caller ||
 			got.Request.Meta["trace-id"] != want.Request.Meta["trace-id"] {
-			t.Fatalf("DecodeFrame read %+v, a FrameReader %+v", got.Request, want.Request)
+			t.Fatalf("Decode read %+v, a FrameReader %+v", got.Request, want.Request)
 		}
 	}
 }
 
-// TestFramePrefix: a reader and DecodeFrame refuse the same prefixes. One
+// TestFramePrefix: a reader and a Decoder refuse the same prefixes. One
 // that names more than MaxFrameSize is refused at the byte that makes it
 // do so, with no room made for a body and no byte after it read; one
 // longer than MaxFrameSize's uvarint is refused at its last byte allowed;
@@ -229,8 +240,8 @@ func TestFramePrefix(t *testing.T) {
 		if read := int(r.Size()) - r.Len(); read != tc.read {
 			t.Errorf("%s: the reader took %d bytes, want %d", tc.name, read, tc.read)
 		}
-		if _, err := DecodeFrame(append(tc.prefix, '{', '}')); !errors.Is(err, tc.want) && tc.want != ErrShortFrame {
-			t.Errorf("%s: DecodeFrame: %v, want %v", tc.name, err, tc.want)
+		if _, err := new(Decoder).Decode(append(tc.prefix, '{', '}')); !errors.Is(err, tc.want) && tc.want != ErrShortFrame {
+			t.Errorf("%s: Decode: %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
@@ -254,7 +265,7 @@ func TestFramePrefix(t *testing.T) {
 }
 
 // TestOldVersionRefused: a body of format v3 (version byte 0xB5) is
-// refused whole, by a reader, by ReadRequest and by DecodeFrame: there
+// refused whole, by a reader, by ReadRequest and by a Decoder: there
 // is no converter.
 func TestOldVersionRefused(t *testing.T) {
 	f, err := EncodeFrameV3(testEnvelope(1))
@@ -265,8 +276,11 @@ func TestOldVersionRefused(t *testing.T) {
 	f.Release()
 	body := bodyOf(frame)
 	body[0] = 0xB5
-	if _, err := DecodeFrame(frame); !errors.Is(err, ErrBadV3Frame) {
-		t.Errorf("DecodeFrame: %v, want ErrBadV3Frame", err)
+	if _, err := new(Decoder).Decode(frame); !errors.Is(err, ErrBadV3Frame) {
+		t.Errorf("Decode: %v, want ErrBadV3Frame", err)
+	}
+	if err := new(Decoder).DecodeRequest(frame, new(Request)); !errors.Is(err, ErrBadV3Frame) {
+		t.Errorf("DecodeRequest: %v, want ErrBadV3Frame", err)
 	}
 	if _, err := NewFrameReader(bytes.NewReader(frame)).Read(); !errors.Is(err, ErrBadV3Frame) {
 		t.Errorf("Read: %v, want ErrBadV3Frame", err)

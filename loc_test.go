@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18585
-	allTreeLines   = 21393
+	cmdLineCeiling = 18543
+	allTreeLines   = 21434
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
