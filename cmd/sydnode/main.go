@@ -51,7 +51,6 @@ import (
 	"repro/internal/directory"
 	"repro/internal/metrics"
 	"repro/internal/notify"
-	"repro/internal/offline"
 	"repro/internal/replication"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -133,8 +132,7 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	replicaOf := fs.String("replica-of", "", "run as a WAL-shipping follower for this user (requires -data-dir and -lease-ttl; promotes to primary when the lease expires)")
 	replicasFlag := fs.String("replicas", "", "comma-separated follower addresses advertised on every lease renewal (the promotion candidate set)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "replication lease TTL; with -data-dir the node serves as a lease-holding primary (0 = replication off)")
-	offlineQueue := fs.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; 0 disables)")
-	offlineOverflow := fs.String("offline-overflow", "drop-oldest", "with -offline-queue: at-capacity policy — drop-oldest or reject-new")
+	offlineQueue := fs.Int("offline-queue", 0, "enable disconnected operation with an op queue of this capacity (writes queue locally while partitioned and sync on reconnect; a full queue refuses the write; 0 disables)")
 	_ = fs.Parse(args) // ExitOnError
 
 	sync, err := wal.ParseSyncPolicy(*fsyncPolicy)
@@ -170,13 +168,7 @@ func parseFlags(args []string) (cfg core.Config, follower bool, debugAddr string
 	if cfg.User == "" {
 		return cfg, false, "", fmt.Errorf("-user is required")
 	}
-	if *offlineQueue > 0 {
-		cfg.OfflineQueueCap = *offlineQueue
-		cfg.OfflineOverflow = offline.Overflow(*offlineOverflow)
-		if cfg.OfflineOverflow != offline.DropOldest && cfg.OfflineOverflow != offline.RejectNew {
-			return cfg, false, "", fmt.Errorf("bad -offline-overflow %q (want drop-oldest or reject-new)", *offlineOverflow)
-		}
-	}
+	cfg.OfflineQueueCap = *offlineQueue
 	if *traceSample > 0 || *traceSlow > 0 {
 		cfg.Tracer = trace.New(cfg.User,
 			trace.WithSampleRate(*traceSample), trace.WithSlowThreshold(*traceSlow))

@@ -22,7 +22,7 @@ func TestPromotedFollowerKeepsItsFlags(t *testing.T) {
 	cfg, follower, _, err := parseFlags([]string{
 		"-replica-of", "phil", "-dir", "dir", "-addr", "node-phil-r1",
 		"-data-dir", t.TempDir(), "-lease-ttl", "10s", "-replicas", "node-phil-r2",
-		"-offline-queue", "8", "-offline-overflow", "reject-new",
+		"-offline-queue", "8",
 		"-fsync", "none", "-trace-slow", "1s",
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestPromotedFollowerKeepsItsFlags(t *testing.T) {
 	for i := 1; i <= 9; i++ {
 		_, err := node.Offline.Queue().Enqueue(offline.Op{ID: strconv.Itoa(i), Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()})
 		if (err != nil) != (i == 9) {
-			t.Fatalf("op %d into a reject-new offline queue of 8: %v", i, err)
+			t.Fatalf("op %d into an offline queue of 8: %v", i, err)
 		}
 	}
 	if _, err := node.Dir.LookupService(ctx, offline.ServiceFor("phil")); err != nil {

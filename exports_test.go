@@ -37,10 +37,6 @@ var shippedWithoutCaller = map[string]string{
 	"calendar.Calendar.Delegate":                          "paper §5: scheduling-authority transfer",
 	"calendar.Calendar.DropOut":                           "paper §1: remove oneself from a meeting",
 	"calendar.Calendar.CancelOrQueue":                     "paper §5.2: cancel while disconnected",
-	"links.Manager.CreateNegotiatedLink":                  "paper §4.2 op 2: availability-negotiated link creation",
-	"links.Manager.AddMethodLink":                         "paper §4.2 op 5: SyD_LinkMethod mapping",
-	"links.Manager.RemoveMethodLink":                      "paper §4.2 op 5: SyD_LinkMethod mapping",
-	"links.Manager.ForwardMethod":                         "paper §4.2 op 5: method invocation forwarding",
 	"auth.NewAuthenticator":                               "paper §5.4: TEA credentials (no command sets core.Config.Auth)",
 	"auth.Table.Add":                                      "paper §5.4: the device's table of authorized users",
 	"auth.Table.Remove":                                   "paper §5.4: the device's table of authorized users",

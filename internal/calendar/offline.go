@@ -95,7 +95,7 @@ func (c *Calendar) ScheduleOrQueue(ctx context.Context, req Request) (m *Meeting
 		return nil, false, err
 	}
 	if _, err := c.offline.EnqueueOp(opSchedule, req.ID, payload); err != nil {
-		return nil, false, err // queue full under RejectNew
+		return nil, false, err // queue full: refused, nothing written
 	}
 	// Record the intent locally: tentative, no LinkID (the replay that
 	// runs SetupMeeting stamps one — that is the idempotency marker).

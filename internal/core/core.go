@@ -94,13 +94,11 @@ type Config struct {
 	LeaseHolder string
 	// OfflineQueueCap, when > 0, enables disconnected operation with an
 	// op queue of that capacity: an offline.Manager with a durable
-	// bounded op queue, the engine's offline gate, which fast-fails
-	// remote calls in local mode and feeds partition detection, the
-	// published sync.<User> service, and heartbeat-driven reconnect
-	// sessions.
+	// bounded op queue, which refuses an op when full, the engine's
+	// offline gate, which fast-fails remote calls in local mode and
+	// feeds partition detection, the published sync.<User> service, and
+	// heartbeat-driven reconnect sessions.
 	OfflineQueueCap int
-	// OfflineOverflow selects the queue's at-capacity policy.
-	OfflineOverflow offline.Overflow
 }
 
 // Node is a running SyD device node.
@@ -208,7 +206,6 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 			Dir:      dir,
 			Clock:    clk,
 			QueueCap: cfg.OfflineQueueCap,
-			Overflow: cfg.OfflineOverflow,
 			Metrics:  cfg.Metrics,
 			Tracer:   tracer,
 		})

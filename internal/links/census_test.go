@@ -183,3 +183,24 @@ func TestRPCCensusOr(t *testing.T) {
 		t.Fatalf("mark steps = %v, want target order %v", marked, want)
 	}
 }
+
+// TestServiceMethods pins the links service's RPC surface. A method is
+// registered by name, so the export census cannot see one that lost its
+// caller; this list can, because each entry names who sends it.
+func TestServiceMethods(t *testing.T) {
+	want := []string{
+		"Abort",           // negotiate.go abortTarget: phase 1 failed, release the mark
+		"AddLink",         // manager.go InstallAt at a remote user
+		"Apply",           // manager.go applyRemote: a subscription trigger's action
+		"Commit",          // negotiate.go commitTargetInner and the journal redrive
+		"DeleteLink",      // manager.go cascadeDelete and RetryPendingDeletes
+		"DeleteLinkLocal", // calendar meetings.go: a dropped user's own row
+		"LinksOn",         // remote inspection: the fence probes of core and replication tests
+		"Mark",            // negotiate.go markTargetInner: phase 1
+		"QueryOutcome",    // participant.go: an in-doubt participant asks the coordinator
+	}
+	h := newHarness(t, "a")
+	if got := h.nodes["a"].Links.Object().Methods(); !slices.Equal(got, want) {
+		t.Fatalf("links service methods = %v, want %v", got, want)
+	}
+}

@@ -147,11 +147,7 @@ func TestStrandedLockExpires(t *testing.T) {
 func TestCascadeDeleteToleratesDownNode(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	ctx := context.Background()
-	tpl := newLink("LD", links.Negotiation, links.Permanent,
-		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s", "c", "s"))
-	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{wire.Str("meeting", "M")}); err != nil {
-		t.Fatal(err)
-	}
+	installEverywhere(t, h, "LD", refs("a", "s", "b", "s", "c", "s"))
 	h.net.SetDown("node-c", true)
 	if err := h.nodes["a"].Links.DeleteLink(ctx, "LD", nil); err != nil {
 		t.Fatalf("cascade with down node errored: %v", err)
@@ -211,11 +207,7 @@ func TestCascadeDeleteTombstonesClosedTCPNode(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	tpl := newLink("LD", links.Negotiation, links.Permanent,
-		links.EntityRef{User: "a", Entity: "s"}, refs("b", "s", "c", "s"))
-	if _, err := h.nodes["a"].Links.CreateNegotiatedLink(ctx, tpl, "reserve", wire.Args{wire.Str("meeting", "M")}); err != nil {
-		t.Fatal(err)
-	}
+	installEverywhere(t, h, "LD", refs("a", "s", "b", "s", "c", "s"))
 	if err := h.nodes["c"].Close(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,16 @@ func (n *tnode) setStatus(entity, v string) {
 	n.slots[entity] = v
 }
 
+// checkFree is reserve's Check: entity is free, or already the
+// meeting's.
+func (n *tnode) checkFree(entity string, args wire.Args) error {
+	meeting := args.String("meeting")
+	if cur := n.status(entity); cur != "" && cur != meeting {
+		return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("%s/%s already reserved for %s", n.User, entity, cur)}
+	}
+	return nil
+}
+
 func (n *tnode) noteCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -123,14 +133,7 @@ func (h *harness) addNode(user string, with ...func(*core.Config)) *tnode {
 	}
 	tn := &tnode{Node: n, slots: make(map[string]string)}
 	n.Links.RegisterAction("reserve", links.Action{
-		Check: func(entity string, args wire.Args) error {
-			meeting := args.String("meeting")
-			cur := tn.status(entity)
-			if cur != "" && cur != meeting {
-				return &wire.RemoteError{Code: wire.CodeConflict, Msg: fmt.Sprintf("%s/%s already reserved for %s", user, entity, cur)}
-			}
-			return nil
-		},
+		Check: tn.checkFree,
 		Apply: func(_ *store.Tx, entity string, args wire.Args) error {
 			tn.setStatus(entity, args.String("meeting"))
 			return nil
@@ -597,18 +600,103 @@ func TestPromotionPicksHighestPriorityGroup(t *testing.T) {
 	}
 }
 
+// participantRow is the row of link id that own holds: own as the
+// owner, every other entity of all as a target.
+func participantRow(id string, own links.EntityRef, all []links.EntityRef) *links.Link {
+	var others []links.EntityRef
+	for _, r := range all {
+		if r != own {
+			others = append(others, r)
+		}
+	}
+	return newLink(id, links.Negotiation, links.Permanent, own, others)
+}
+
+// installEverywhere installs each participant's row of link id with
+// InstallAt from all[0]'s device, with no availability check.
+func installEverywhere(t *testing.T, h *harness, id string, all []links.EntityRef) {
+	t.Helper()
+	lm := h.nodes[all[0].User].Links
+	for _, ref := range all {
+		if err := lm.InstallAt(ctxBg(), ref.User, participantRow(id, ref, all)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// negotiateLink is §4.2 op 2, availability-negotiated link creation,
+// through the §4.3 negotiation the calendar's reserve runs: every
+// participant is marked (lock + reserve's Check), and only if all of
+// them are available does each one's Commit reserve its entity and
+// install its row of the link, in one unit, under the id the Commit
+// carries. all[0] is the activator.
+func negotiateLink(h *harness, id, meeting string, all []links.EntityRef) (*links.Result, error) {
+	for _, ref := range all {
+		n := h.nodes[ref.User]
+		n.Links.RegisterAction("link", links.Action{
+			Check: n.checkFree,
+			Apply: func(u *store.Tx, entity string, args wire.Args) error {
+				n.setStatus(entity, args.String("meeting"))
+				own := links.EntityRef{User: n.User, Entity: entity}
+				return n.Links.AddLink(u, participantRow(args.String("link"), own, all))
+			},
+		})
+	}
+	args := wire.Args{wire.Str("meeting", meeting), wire.Str("link", id)}
+	return h.nodes[all[0].User].Links.Negotiate(ctxBg(), links.Spec{
+		Action: "link", Args: args, Targets: all[1:], Constraint: links.And,
+		Local: &links.LocalChange{Entity: all[0].Entity, Action: "link", Args: args},
+	})
+}
+
+func TestNegotiatedLinkAllAvailable(t *testing.T) {
+	h := newHarness(t, "a", "b", "c")
+	all := refs("a", "slot9", "b", "slot9", "c", "slot9")
+	id := links.NewLinkID()
+	if res, err := negotiateLink(h, id, "M1", all); err != nil || !res.OK {
+		t.Fatalf("negotiate = %+v, %v", res, err)
+	}
+	for _, ref := range all {
+		l, ok := h.nodes[ref.User].Links.GetLink(id)
+		if !ok {
+			t.Fatalf("link %s missing at %s", id, ref.User)
+		}
+		if l.Owner != ref || len(l.Targets) != 2 || l.Targets[0] == ref || l.Targets[1] == ref {
+			t.Fatalf("row at %s = owner %v targets %v", ref.User, l.Owner, l.Targets)
+		}
+		if got := h.nodes[ref.User].status("slot9"); got != "M1" {
+			t.Fatalf("%s/slot9 = %q, want M1", ref.User, got)
+		}
+		if n := len(h.nodes[ref.User].Links.AllLinks()); n != 1 {
+			t.Fatalf("%s holds %d links, want 1", ref.User, n)
+		}
+	}
+}
+
+func TestNegotiatedLinkFailsWhenUnavailable(t *testing.T) {
+	h := newHarness(t, "a", "b", "c")
+	h.nodes["c"].setStatus("slot9", "BUSY")
+	all := refs("a", "slot9", "b", "slot9", "c", "slot9")
+	if res, err := negotiateLink(h, links.NewLinkID(), "M2", all); err == nil || res.OK {
+		t.Fatalf("link created despite unavailable participant: %+v, %v", res, err)
+	}
+	for _, ref := range all {
+		if ls := h.nodes[ref.User].Links.AllLinks(); len(ls) != 0 {
+			t.Fatalf("partial link row left at %s: %+v", ref.User, ls)
+		}
+	}
+	for _, u := range []string{"a", "b"} {
+		if got := h.nodes[u].status("slot9"); got != "" {
+			t.Fatalf("%s/slot9 = %q, want free", u, got)
+		}
+	}
+}
+
 func TestDeleteCascadesAcrossUsers(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
-	// Install the same logical link (ID "LX") at all three users via
-	// CreateNegotiatedLink.
-	tpl := newLink("LX", links.Negotiation, links.Permanent,
-		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9", "c", "slot9"))
-	id, err := h.nodes["a"].Links.CreateNegotiatedLink(ctxBg(), tpl, "reserve", wire.Args{wire.Str("meeting", "M1")})
-	if err != nil {
+	all := refs("a", "slot9", "b", "slot9", "c", "slot9")
+	if _, err := negotiateLink(h, "LX", "M1", all); err != nil {
 		t.Fatal(err)
-	}
-	if id != "LX" {
-		t.Fatalf("id = %q", id)
 	}
 	for _, u := range []string{"a", "b", "c"} {
 		if _, ok := h.nodes[u].Links.GetLink("LX"); !ok {
@@ -621,22 +709,6 @@ func TestDeleteCascadesAcrossUsers(t *testing.T) {
 	for _, u := range []string{"a", "b", "c"} {
 		if _, ok := h.nodes[u].Links.GetLink("LX"); ok {
 			t.Fatalf("link survived at %s", u)
-		}
-	}
-}
-
-func TestCreateNegotiatedLinkFailsWhenUnavailable(t *testing.T) {
-	h := newHarness(t, "a", "b", "c")
-	h.nodes["c"].setStatus("slot9", "BUSY")
-	tpl := newLink("LY", links.Negotiation, links.Permanent,
-		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9", "c", "slot9"))
-	_, err := h.nodes["a"].Links.CreateNegotiatedLink(ctxBg(), tpl, "reserve", wire.Args{wire.Str("meeting", "M2")})
-	if err == nil {
-		t.Fatal("link created despite unavailable participant")
-	}
-	for _, u := range []string{"a", "b"} {
-		if _, ok := h.nodes[u].Links.GetLink("LY"); ok {
-			t.Fatalf("partial link row left at %s", u)
 		}
 	}
 }
@@ -789,8 +861,12 @@ func TestTentativeOnlyHighestPriorityFires(t *testing.T) {
 	}
 }
 
-// --- method forwarding (op 5) ---------------------------------------------------
+// --- method invocation mapping (op 5) -----------------------------------------
 
+// TestMethodForwarding: §4.2 op 5 maps a method on one entity to a
+// method elsewhere. That mapping is a subscription link's invoke
+// trigger: TriggerEntity calls the destination with the caller's args,
+// and once the link is gone the same event calls nothing.
 func TestMethodForwarding(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	var mu sync.Mutex
@@ -803,33 +879,40 @@ func TestMethodForwarding(t *testing.T) {
 	if err := h.nodes["b"].RegisterService(ctxBg(), "cal.b", obj); err != nil {
 		t.Fatal(err)
 	}
+	calls := func() []wire.Args {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]wire.Args(nil), got...)
+	}
 	lm := h.nodes["a"].Links
-	if err := lm.AddMethodLink("cal.a", "ReserveSlot", "b", "cal.b", "Notify"); err != nil {
+	l := newLink("LM", links.Subscription, links.Permanent,
+		links.EntityRef{User: "a", Entity: "slot9"}, refs("b", "slot9"))
+	l.Triggers = []links.Trigger{{Event: "invoke", Service: "cal.b", Method: "Notify"}}
+	if err := lm.InstallAt(ctxBg(), lm.Self(), l); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate registration is idempotent.
-	if err := lm.AddMethodLink("cal.a", "ReserveSlot", "b", "cal.b", "Notify"); err != nil {
-		t.Fatal(err)
+	res, err := lm.TriggerEntity(ctxBg(), "slot9", "invoke", wire.Args{wire.Str("slot", "mon-9")})
+	if err != nil || len(res) != 1 || res[0].Err != nil {
+		t.Fatalf("trigger = %+v, %v", res, err)
 	}
-	res := lm.ForwardMethod(ctxBg(), "cal.a", "ReserveSlot", wire.Args{wire.Str("slot", "mon-9")})
-	if len(res) != 1 || res[0].Err != nil {
-		t.Fatalf("res = %+v", res)
+	if c := calls(); len(c) != 1 || c[0].String("slot") != "mon-9" || c[0].String("link") != "LM" {
+		t.Fatalf("forwarded calls = %v", c)
 	}
-	mu.Lock()
-	n := len(got)
-	mu.Unlock()
-	if n != 1 {
-		t.Fatalf("forwarded %d times", n)
-	}
-	// Unrelated methods do not forward.
-	if res := lm.ForwardMethod(ctxBg(), "cal.a", "Other", nil); len(res) != 0 {
+	// Other events and other entities forward nothing.
+	if res, _ := lm.TriggerEntity(ctxBg(), "slot9", "other", nil); len(res) != 0 {
 		t.Fatalf("unexpected forward: %+v", res)
 	}
-	if err := lm.RemoveMethodLink("cal.a", "ReserveSlot", "b", "Notify"); err != nil {
+	if res, _ := lm.TriggerEntity(ctxBg(), "slot10", "invoke", nil); len(res) != 0 {
+		t.Fatalf("unexpected forward: %+v", res)
+	}
+	if err := lm.DeleteLinkLocal(ctxBg(), "LM"); err != nil {
 		t.Fatal(err)
 	}
-	if res := lm.ForwardMethod(ctxBg(), "cal.a", "ReserveSlot", nil); len(res) != 0 {
+	if res, _ := lm.TriggerEntity(ctxBg(), "slot9", "invoke", nil); len(res) != 0 {
 		t.Fatalf("forward after removal: %+v", res)
+	}
+	if c := calls(); len(c) != 1 {
+		t.Fatalf("forwarded %d times, want 1", len(c))
 	}
 }
 

@@ -61,7 +61,6 @@ type Manager struct {
 
 	linksT   *store.Table
 	waitingT *store.Table
-	methodsT *store.Table
 	pendingT *store.Table
 	journalT *store.Table
 
@@ -99,7 +98,7 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 	if clk == nil {
 		clk = clock.System
 	}
-	lt, wt, mt, pt, jt, dt, err := createLinkDB(db)
+	lt, wt, pt, jt, dt, err := createLinkDB(db)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +110,6 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 		Locks:    NewLockTable(clk, 0),
 		linksT:   lt,
 		waitingT: wt,
-		methodsT: mt,
 		pendingT: pt,
 		journalT: jt,
 		decidedT: dt,
@@ -740,62 +738,6 @@ func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
 	}
 	sort.Strings(expired)
 	return expired
-}
-
-// --- §4.2 op 5: method invocation forwarding ----------------------------------
-
-// AddMethodLink records that executing srcMethod on the local service
-// must also execute destMethod on destService at targetUser.
-func (m *Manager) AddMethodLink(service, srcMethod, targetUser, destService, destMethod string) error {
-	return m.db.Unit(context.TODO(), func(u *store.Tx) error {
-		if u.Has(LinkMethodTable, service, srcMethod, targetUser, destMethod) {
-			return nil
-		}
-		r := m.methodsT.NewRow()
-		r.SetStr("service", service)
-		r.SetStr("src_method", srcMethod)
-		r.SetStr("target_user", targetUser)
-		r.SetStr("dest_service", destService)
-		r.SetStr("dest_method", destMethod)
-		return u.Insert(LinkMethodTable, r)
-	})
-}
-
-// RemoveMethodLink removes a method forwarding entry, if there is one.
-func (m *Manager) RemoveMethodLink(service, srcMethod, targetUser, destMethod string) error {
-	return m.db.Unit(context.TODO(), func(u *store.Tx) error {
-		return u.Remove(LinkMethodTable, service, srcMethod, targetUser, destMethod)
-	})
-}
-
-// ForwardResult is one method-forwarding outcome.
-type ForwardResult struct {
-	TargetUser string
-	Service    string
-	Method     string
-	Err        error
-}
-
-// ForwardMethod implements the op-5 contract: the application calls it
-// after executing (service, method) locally; the manager looks the
-// pair up in SyD_LinkMethod and invokes the mapped remote methods.
-func (m *Manager) ForwardMethod(ctx context.Context, service, method string, args wire.Args) []ForwardResult {
-	rows := m.methodsT.SelectEq("src_method", method)
-	var out []ForwardResult
-	for _, r := range rows {
-		if r.Str("service") != service {
-			continue
-		}
-		fr := ForwardResult{
-			TargetUser: r.Str("target_user"),
-			Service:    r.Str("dest_service"),
-			Method:     r.Str("dest_method"),
-		}
-		fr.Err = m.eng.Invoke(ctx, fr.Service, fr.Method, args, nil)
-		out = append(out, fr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TargetUser < out[j].TargetUser })
-	return out
 }
 
 // --- trigger firing -----------------------------------------------------------

@@ -583,55 +583,3 @@ func (m *Manager) abortTarget(ctx context.Context, nid string, ref EntityRef, to
 		wire.Str("entity", ref.Entity), wire.Str("token", token), wire.Str("nid", nid),
 	}, nil)
 }
-
-// CheckAvailable runs the action's Check (no lock, no change) against
-// a possibly-remote entity — the availability probe of §4.2 op 2.
-func (m *Manager) CheckAvailable(ctx context.Context, ref EntityRef, action string, args wire.Args) error {
-	ctx, span := trace.Start(ctx, "links.Check")
-	if span != nil {
-		span.Annotate(trace.String("target", ref.String()), trace.String("action", action))
-	}
-	err := m.checkAvailableInner(ctx, ref, action, args)
-	span.FinishErr(err)
-	return err
-}
-
-func (m *Manager) checkAvailableInner(ctx context.Context, ref EntityRef, action string, args wire.Args) error {
-	if ref.User == m.self {
-		return m.check(ref.Entity, action, args)
-	}
-	return m.eng.Invoke(ctx, m.service(ref.User), "IsAvailable", wire.Args{
-		wire.Str("entity", ref.Entity), wire.Str("action", action), wire.Sub("args", args),
-	}, nil)
-}
-
-// CreateNegotiatedLink implements §4.2 op 2: negotiate availability
-// with every participant and create the link rows (same ID at every
-// participant) only if all are available. The link row installed at
-// each participant has that participant's entity as owner and the
-// remaining entities as targets.
-func (m *Manager) CreateNegotiatedLink(ctx context.Context, template *Link, action string, args wire.Args) (string, error) {
-	if template.ID == "" {
-		template.ID = NewLinkID()
-	}
-	all := append([]EntityRef{template.Owner}, template.Targets...)
-	for _, ref := range all {
-		if err := m.CheckAvailable(ctx, ref, action, args); err != nil {
-			return "", fmt.Errorf("links: %s not available: %w", ref, err)
-		}
-	}
-	for i, ref := range all {
-		row := *template
-		row.Owner = ref
-		row.Targets = nil
-		for j, other := range all {
-			if j != i {
-				row.Targets = append(row.Targets, other)
-			}
-		}
-		if err := m.InstallAt(ctx, ref.User, &row); err != nil {
-			return "", fmt.Errorf("links: install at %s: %w", ref.User, err)
-		}
-	}
-	return template.ID, nil
-}

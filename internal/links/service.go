@@ -178,15 +178,6 @@ func (m *Manager) Object() *listener.Object {
 		return true, nil
 	})
 
-	// IsAvailable: condition check only (§4.2 op 2 availability
-	// negotiation).
-	obj.Handle("IsAvailable", func(ctx context.Context, call *listener.Call) (any, error) {
-		if err := m.check(call.Args.String("entity"), call.Args.String("action"), call.Args.Sub("args")); err != nil {
-			return nil, err
-		}
-		return true, nil
-	})
-
 	// AddLink: install a link row in this node's link database. The row
 	// travels as the JSON text InstallAt encoded, decoded here once.
 	obj.Handle("AddLink", func(ctx context.Context, call *listener.Call) (any, error) {
@@ -210,14 +201,7 @@ func (m *Manager) Object() *listener.Object {
 		return true, m.DeleteLinkLocal(ctx, call.Args.String("id"))
 	})
 
-	// GetLink / LinksOn: remote inspection.
-	obj.Handle("GetLink", func(ctx context.Context, call *listener.Call) (any, error) {
-		l, ok := m.GetLink(call.Args.String("id"))
-		if !ok {
-			return nil, &wire.RemoteError{Code: wire.CodeNoService, Msg: "no such link"}
-		}
-		return l, nil
-	})
+	// LinksOn: remote inspection.
 	obj.Handle("LinksOn", func(ctx context.Context, call *listener.Call) (any, error) {
 		return m.LinksOn(call.Args.String("entity")), nil
 	})

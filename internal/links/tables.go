@@ -26,7 +26,6 @@ import (
 const (
 	LinkTable          = "SyD_Link"
 	WaitingLinkTable   = "SyD_WaitingLink"
-	LinkMethodTable    = "SyD_LinkMethod"
 	PendingDeleteTable = "SyD_PendingDelete"
 	NegotiationJournal = "SyD_NegotiationJournal"
 	NegotiationDecided = "SyD_NegotiationDecided"
@@ -36,9 +35,9 @@ const (
 // maintained in a link database that is stored locally by the user...
 // created when he/she installs a SyD application with link-enabled
 // features". Idempotent.
-func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, decided *store.Table, err error) {
-	fail := func(err error) (_, _, _, _, _, _ *store.Table, _ error) {
-		return nil, nil, nil, nil, nil, nil, err
+func createLinkDB(db *store.DB) (links, waiting, pending, journal, decided *store.Table, err error) {
+	fail := func(err error) (_, _, _, _, _ *store.Table, _ error) {
+		return nil, nil, nil, nil, nil, err
 	}
 	links, err = db.EnsureTable(store.Schema{
 		Name: LinkTable,
@@ -82,23 +81,6 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err = waiting.CreateIndex("waiting_on"); err != nil {
 		return fail(err)
 	}
-	methods, err = db.EnsureTable(store.Schema{
-		Name: LinkMethodTable,
-		Columns: []store.Column{
-			{Name: "service", Type: store.String},     // local service
-			{Name: "src_method", Type: store.String},  // local method executed
-			{Name: "target_user", Type: store.String}, // where to forward
-			{Name: "dest_service", Type: store.String},
-			{Name: "dest_method", Type: store.String},
-		},
-		Key: []string{"service", "src_method", "target_user", "dest_method"},
-	})
-	if err != nil {
-		return fail(err)
-	}
-	if err = methods.CreateIndex("src_method"); err != nil {
-		return fail(err)
-	}
 	pending, err = db.EnsureTable(store.Schema{
 		Name: PendingDeleteTable,
 		Columns: []store.Column{
@@ -140,7 +122,7 @@ func createLinkDB(db *store.DB) (links, waiting, methods, pending, journal, deci
 	if err != nil {
 		return fail(err)
 	}
-	return links, waiting, methods, pending, journal, decided, nil
+	return links, waiting, pending, journal, decided, nil
 }
 
 // linkToRow encodes a Link as a row of the link table t. The targets

@@ -9,14 +9,17 @@
 // rules), a priority, a constraint (and, or, xor), a link creation
 // time and a link expiry time" (§4.1). This package provides:
 //
-//   - the link database (SyD_Link, SyD_WaitingLink, SyD_LinkMethod
-//     tables, §4.2 ops 1, 3, 5) stored in the node's embedded store;
+//   - the link database (SyD_Link and SyD_WaitingLink tables, §4.2
+//     ops 1 and 3) stored in the node's embedded store;
 //   - the two-phase mark-and-lock negotiation protocol with
-//     and / or / xor / k-of-n constraints (§4.3);
+//     and / or / xor / k-of-n constraints (§4.3), which is also §4.2
+//     op 2's availability-negotiated link creation: the action a
+//     Commit applies installs each participant's row;
 //   - automatic tentative→permanent promotion by priority when a
 //     blocking link is deleted (§4.2 op 3);
 //   - cascading link deletion across users (§4.2 op 4, §4.4);
-//   - subscription propagation and method forwarding (§4.2 op 5);
+//   - subscription propagation, whose triggers that name a method are
+//     §4.2 op 5's method-invocation mapping;
 //   - periodic link expiry (§4.2 op 6).
 package links
 

@@ -116,7 +116,26 @@ func TestMergedArgsRuntimeWins(t *testing.T) {
 
 // codecLinks and codecJournal are tables of a link database no manager
 // uses: the row codecs' tests build their rows for them.
-var codecLinks, _, _, _, codecJournal, _, _ = createLinkDB(store.NewDB())
+var codecLinks, _, _, codecJournal, _, _ = createLinkDB(store.NewDB())
+
+// TestLinkDatabaseTables: a device boots with the five link tables the
+// manager reads and writes. SyD_LinkMethod, which no operation wrote, is
+// not among them; an old data directory that still holds it recovers
+// with it unused.
+func TestLinkDatabaseTables(t *testing.T) {
+	db := store.NewDB()
+	if _, _, _, _, _, err := createLinkDB(db); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{LinkTable, WaitingLinkTable, PendingDeleteTable, NegotiationJournal, NegotiationDecided} {
+		if _, err := db.Table(name); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if _, err := db.Table("SyD_LinkMethod"); err == nil {
+		t.Error("a fresh link database has SyD_LinkMethod")
+	}
+}
 
 func TestLinkRowCodecRoundTrip(t *testing.T) {
 	created := time.Date(2003, 4, 22, 10, 0, 0, 0, time.UTC)

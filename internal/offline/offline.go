@@ -50,8 +50,6 @@ type Config struct {
 	Clock clock.Clock
 	// QueueCap bounds the op queue (default 1024).
 	QueueCap int
-	// Overflow selects the at-capacity policy (default DropOldest).
-	Overflow Overflow
 	// FailureThreshold is how many consecutive unavailable sends flip
 	// the device to local mode (default 3).
 	FailureThreshold int
@@ -101,7 +99,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.FailureThreshold <= 0 {
 		cfg.FailureThreshold = 3
 	}
-	q, err := NewQueue(cfg.DB, cfg.User, cfg.QueueCap, cfg.Overflow, cfg.Metrics)
+	q, err := NewQueue(cfg.DB, cfg.User, cfg.QueueCap, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -20,20 +20,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Overflow selects what Enqueue does when the queue is at capacity.
-type Overflow string
-
-// Overflow policies.
-const (
-	// DropOldest evicts the oldest queued op to admit the new one.
-	// The device stays writable at the cost of shedding stale intent —
-	// the right trade for a PDA that may be gone for days.
-	DropOldest Overflow = "drop-oldest"
-	// RejectNew refuses the new op with CodeUnavailable, preserving
-	// everything already acknowledged into the queue.
-	RejectNew Overflow = "reject-new"
-)
-
 // opsSchema is the durable op-queue table. It lives in the node's own
 // store DB, so with core.Config.DataDir every enqueue/ack is logged to
 // the WAL and the queue survives a crash mid-disconnect.
@@ -75,29 +61,20 @@ type Queue struct {
 	mu      sync.Mutex
 	nextSeq int64
 	cap     int
-	policy  Overflow
 }
 
 // NewQueue opens (or creates) the op-queue table in db. capacity <= 0
-// defaults to 1024; an empty policy defaults to DropOldest. Reopening
-// over a recovered DB resumes the sequence after the highest surviving
-// op.
-func NewQueue(db *store.DB, user string, capacity int, policy Overflow, met *metrics.Registry) (*Queue, error) {
+// defaults to 1024. Reopening over a recovered DB resumes the sequence
+// after the highest surviving op.
+func NewQueue(db *store.DB, user string, capacity int, met *metrics.Registry) (*Queue, error) {
 	if capacity <= 0 {
 		capacity = 1024
-	}
-	switch policy {
-	case "":
-		policy = DropOldest
-	case DropOldest, RejectNew:
-	default:
-		return nil, fmt.Errorf("offline: unknown overflow policy %q", policy)
 	}
 	t, err := db.EnsureTable(opsSchema)
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue{user: user, t: t, met: met, cap: capacity, policy: policy}
+	q := &Queue{user: user, t: t, met: met, cap: capacity}
 	for _, r := range t.Select(nil) {
 		if s := r.Int("seq"); s >= q.nextSeq {
 			q.nextSeq = s + 1
@@ -106,30 +83,16 @@ func NewQueue(db *store.DB, user string, capacity int, policy Overflow, met *met
 	return q, nil
 }
 
-// Enqueue accepts an op, applying the overflow policy at capacity, and
-// returns the assigned sequence number.
+// Enqueue accepts an op and returns the assigned sequence number. A
+// full queue refuses the op with CodeUnavailable: every op already in
+// it was acknowledged to its caller, so none is given up for a new one.
 func (q *Queue) Enqueue(op Op) (int64, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.t.Count() >= q.cap {
-		if q.policy == RejectNew {
-			q.observe("queue.reject")
-			return 0, &wire.RemoteError{Code: wire.CodeUnavailable,
-				Msg: fmt.Sprintf("offline: %s op queue full (%d ops)", q.user, q.cap)}
-		}
-		// DropOldest: evict the lowest sequence number.
-		oldest := int64(-1)
-		for _, r := range q.t.Select(nil) {
-			if s := r.Int("seq"); oldest < 0 || s < oldest {
-				oldest = s
-			}
-		}
-		if oldest >= 0 {
-			if err := q.t.Delete(oldest); err != nil {
-				return 0, err
-			}
-			q.observe("queue.drop")
-		}
+		q.observe("queue.reject")
+		return 0, &wire.RemoteError{Code: wire.CodeUnavailable,
+			Msg: fmt.Sprintf("offline: %s op queue full (%d ops)", q.user, q.cap)}
 	}
 	seq := q.nextSeq
 	q.nextSeq++

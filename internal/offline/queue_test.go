@@ -11,7 +11,7 @@ import (
 )
 
 func TestQueueEnqueueOrderAndAck(t *testing.T) {
-	q, err := NewQueue(store.NewDB(), "phil", 10, "", nil)
+	q, err := NewQueue(store.NewDB(), "phil", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,34 +43,9 @@ func TestQueueEnqueueOrderAndAck(t *testing.T) {
 	}
 }
 
-func TestQueueDropOldestAtCapacity(t *testing.T) {
-	met := metrics.NewRegistry()
-	q, err := NewQueue(store.NewDB(), "phil", 3, DropOldest, met)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"a", "b", "c", "d", "e"} {
-		if _, err := q.Enqueue(Op{ID: id, Kind: "schedule"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ops := q.Ops()
-	if len(ops) != 3 {
-		t.Fatalf("len = %d, want 3", len(ops))
-	}
-	for i, want := range []string{"c", "d", "e"} {
-		if ops[i].ID != want {
-			t.Fatalf("ops[%d].ID = %s, want %s (oldest should be evicted)", i, ops[i].ID, want)
-		}
-	}
-	e := met.Snapshot().Find(metrics.LayerSync, ServiceFor("phil"), "queue.drop", "")
-	if e == nil || e.Count != 2 {
-		t.Fatalf("queue.drop metric = %+v, want count 2", e)
-	}
-}
-
 func TestQueueRejectNewAtCapacity(t *testing.T) {
-	q, err := NewQueue(store.NewDB(), "phil", 2, RejectNew, nil)
+	met := metrics.NewRegistry()
+	q, err := NewQueue(store.NewDB(), "phil", 2, met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +57,14 @@ func TestQueueRejectNewAtCapacity(t *testing.T) {
 	if q.Len() != 2 || q.Ops()[0].ID != "a" {
 		t.Fatalf("queue mutated by rejected enqueue: %+v", q.Ops())
 	}
-}
-
-func TestQueueUnknownPolicyRejected(t *testing.T) {
-	if _, err := NewQueue(store.NewDB(), "phil", 2, Overflow("bogus"), nil); err == nil {
-		t.Fatal("want error for unknown overflow policy")
+	if e := met.Snapshot().Find(metrics.LayerSync, ServiceFor("phil"), "queue.reject", ""); e == nil || e.Count != 1 {
+		t.Fatalf("queue.reject metric = %+v, want count 1", e)
 	}
 }
 
 func TestQueueReopenResumesSequence(t *testing.T) {
 	db := store.NewDB()
-	q1, err := NewQueue(db, "phil", 10, "", nil)
+	q1, err := NewQueue(db, "phil", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +72,7 @@ func TestQueueReopenResumesSequence(t *testing.T) {
 	q1.Enqueue(Op{ID: "b"})
 	q1.Ack(0)
 
-	q2, err := NewQueue(db, "phil", 10, "", nil)
+	q2, err := NewQueue(db, "phil", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +91,7 @@ func TestQueueSurvivesWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewQueue(d.DB, "phil", 10, "", nil)
+	q, err := NewQueue(d.DB, "phil", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +106,7 @@ func TestQueueSurvivesWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	q2, err := NewQueue(d2.DB, "phil", 10, "", nil)
+	q2, err := NewQueue(d2.DB, "phil", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,9 @@ type world struct {
 	met   *metrics.Registry
 	nodes map[string]*core.Node
 	cals  map[string]*calendar.Calendar
+	// queueCap is the op-queue capacity of the devices added next
+	// (default 128).
+	queueCap int
 }
 
 func newWorld(t *testing.T, users ...string) *world {
@@ -55,9 +58,12 @@ func newWorld(t *testing.T, users ...string) *world {
 func (w *world) addUser(t *testing.T, user string) {
 	t.Helper()
 	ctx := context.Background()
+	if w.queueCap == 0 {
+		w.queueCap = 128
+	}
 	n, err := core.Start(ctx, core.Config{
 		User: user, Net: w.net, DirAddr: "dir", Clock: w.clk,
-		OfflineQueueCap: 128,
+		OfflineQueueCap: w.queueCap,
 		Metrics:         w.met,
 	})
 	if err != nil {
@@ -193,6 +199,58 @@ func TestReconnectSessionPushesQueuedOpsAndPulls(t *testing.T) {
 	}
 	if e := snap.Find(metrics.LayerSync, offline.ServiceFor("mob"), "Pull", ""); e == nil {
 		t.Fatal("missing Pull metric")
+	}
+}
+
+// TestFullQueueKeepsEveryAckedOp: an op ScheduleOrQueue answered
+// queued=true for stays queued. When the queue is full the next op is
+// refused with CodeUnavailable and leaves no trace: no tentative meeting
+// and no held slot that nothing would replay.
+func TestFullQueueKeepsEveryAckedOp(t *testing.T) {
+	w := newWorld(t, "phil")
+	w.queueCap = 2
+	w.addUser(t, "mob")
+	ctx := context.Background()
+	mob, node := w.cals["mob"], w.nodes["mob"]
+	w.cut("mob")
+	node.Offline.GoOffline(ctx)
+
+	var acked []string
+	for _, hour := range []int{9, 10} {
+		m, queued, err := mob.ScheduleOrQueue(ctx, pinned("standup", "2003-04-24", hour, 1, "phil"))
+		if err != nil || !queued {
+			t.Fatalf("ScheduleOrQueue at %d: queued=%v err=%v", hour, queued, err)
+		}
+		acked = append(acked, m.ID)
+	}
+	rows := func() (meetings, slots int) {
+		for name, n := range map[string]*int{"cal_meetings": &meetings, "cal_slots": &slots} {
+			tab, err := node.DB.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*n = tab.Count()
+		}
+		return meetings, slots
+	}
+	meetings, slots := rows()
+
+	m, queued, err := mob.ScheduleOrQueue(ctx, pinned("retro", "2003-04-24", 11, 1, "phil"))
+	if wire.CodeOf(err) != wire.CodeUnavailable || queued || m != nil {
+		t.Fatalf("ScheduleOrQueue on a full queue = %+v, queued=%v, err=%v; want refused (unavailable)", m, queued, err)
+	}
+	var got []string
+	for _, op := range node.Offline.Queue().Ops() {
+		got = append(got, op.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(acked) {
+		t.Fatalf("queued ops = %v, want the acked %v", got, acked)
+	}
+	if gm, gs := rows(); gm != meetings || gs != slots {
+		t.Fatalf("refused op wrote rows: cal_meetings %d -> %d, cal_slots %d -> %d", meetings, gm, slots, gs)
+	}
+	if info := mob.Slot(calendar.Slot{Day: "2003-04-24", Hour: 11}); info.Meeting != "" {
+		t.Fatalf("refused op holds the slot: %+v", info)
 	}
 }
 

@@ -439,7 +439,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	}
 
 	// Serving normally while the lease is good.
-	if resp := rawCall(links.ServiceFor("x"), "IsAvailable", wire.Args{wire.Str("entity", "s0"), wire.Str("action", "reserve")}); !resp.OK {
+	if resp := rawCall(links.ServiceFor("x"), "LinksOn", wire.Args{wire.Str("entity", "s0")}); !resp.OK {
 		t.Fatalf("pre-expiry call: %+v", resp)
 	}
 
@@ -451,7 +451,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	if x.Repl.LeaseValid() {
 		t.Fatal("lease should have lapsed locally")
 	}
-	if resp := rawCall(links.ServiceFor("x"), "IsAvailable", wire.Args{wire.Str("entity", "s0"), wire.Str("action", "reserve")}); resp.OK || resp.Code != wire.CodeUnavailable {
+	if resp := rawCall(links.ServiceFor("x"), "LinksOn", wire.Args{wire.Str("entity", "s0")}); resp.OK || resp.Code != wire.CodeUnavailable {
 		t.Fatalf("post-expiry call = %+v, want fenced (unavailable)", resp)
 	}
 	// Replication traffic still flows: a promoter drains the fenced
@@ -490,11 +490,10 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 	promoted := make(chan *core.Node, 1)
 	f := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
 
-	available := func() error {
-		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "IsAvailable",
-			wire.Args{wire.Str("entity", "s0"), wire.Str("action", "reserve")}, nil)
+	linksOn := func() error {
+		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "LinksOn", wire.Args{wire.Str("entity", "s0")}, nil)
 	}
-	if err := available(); err != nil {
+	if err := linksOn(); err != nil {
 		t.Fatal(err)
 	}
 	drainFollowers(t, x, f)
@@ -506,7 +505,7 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 		t.Fatalf("CheckLease = %v, %v; want a promotion", did, err)
 	}
 	x2 := <-promoted
-	if err := available(); err != nil {
+	if err := linksOn(); err != nil {
 		t.Fatalf("first call after the promotion: %v", err)
 	}
 	if got := caller.Engine.DirCache().Stats(); got.Invalidations != 0 {

@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18543
-	allTreeLines   = 21434
+	cmdLineCeiling = 18352
+	allTreeLines   = 21243
 )
 
 func TestNonTestLineCeiling(t *testing.T) {
@@ -67,10 +67,10 @@ func TestNonTestLineCeiling(t *testing.T) {
 // cmdLineCeiling: the top-level flags each command defines (a
 // subcommand's flags, sydcal's -user and the rest, are not counted), the
 // fields of core.Config, and the exported func With* under internal/.
-var flagCeiling = map[string]int{"sydcal": 1, "syddirectory": 3, "sydnode": 15}
+var flagCeiling = map[string]int{"sydcal": 1, "syddirectory": 3, "sydnode": 14}
 
 const (
-	configFieldCeiling = 21
+	configFieldCeiling = 20
 	withOptionCeiling  = 13
 )
 
