@@ -62,7 +62,7 @@ func TestMeetingMarkOutlivesLockTTL(t *testing.T) {
 		confirmed <- err
 	}()
 	<-commitAtB
-	w.clk.Advance(links.DefaultLockTTL + time.Second)
+	w.clk.Advance(markTTL + time.Second)
 	if n := w.nodes["a"].Links.Locks.Len(); n != 1 {
 		t.Errorf("a holds %d locks past the TTL, want the meeting's mark", n)
 	}

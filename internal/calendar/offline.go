@@ -31,11 +31,7 @@ func meetingEntity(meetingID string) string { return "meeting:" + meetingID }
 func (c *Calendar) EnableSync(om *offline.Manager) {
 	c.offline = om
 	c.syncVers = om.Versions()
-	ad := &syncAdapter{c: c}
-	om.SetSource(ad)
-	om.SetApplier(ad)
-	om.SetReplayer(c.ReplayOp)
-	om.SetPeers(c.syncPeers)
+	om.Attach(&syncAdapter{c: c})
 	// Seed versions for meetings created before sync was enabled, so
 	// the first Pull against this device sees them.
 	for _, m := range c.Meetings() {
@@ -45,12 +41,15 @@ func (c *Calendar) EnableSync(om *offline.Manager) {
 	}
 }
 
-// syncPeers lists every other user this calendar shares a meeting with
-// — the set worth pulling from after a disconnect.
-func (c *Calendar) syncPeers() []string {
-	seen := map[string]bool{c.user: true}
+// syncAdapter adapts the calendar to the offline package's App.
+type syncAdapter struct{ c *Calendar }
+
+// Peers lists every other user this calendar shares a meeting with: the
+// set worth pulling from after a disconnect.
+func (a *syncAdapter) Peers() []string {
+	seen := map[string]bool{a.c.user: true}
 	var out []string
-	for _, m := range c.Meetings() {
+	for _, m := range a.c.Meetings() {
 		for _, u := range m.Participants() {
 			if !seen[u] {
 				seen[u] = true
@@ -204,9 +203,8 @@ func (c *Calendar) ReplayOp(ctx context.Context, op offline.Op) error {
 	}
 }
 
-// syncAdapter adapts the calendar's meeting table to the offline
-// package's Source/Applier interfaces.
-type syncAdapter struct{ c *Calendar }
+// Replay drains one queued op (ReplayOp).
+func (a *syncAdapter) Replay(ctx context.Context, op offline.Op) error { return a.c.ReplayOp(ctx, op) }
 
 // Relevant implements the relevance predicate: a meeting concerns the
 // requester iff they participate in it (initiator, must, supervisor, or

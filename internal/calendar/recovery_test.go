@@ -35,6 +35,9 @@ func loseFirstAck() func(transport.HandlerFunc) transport.HandlerFunc {
 }
 
 // commitsLostTo makes a's Commits to user fail before they are sent.
+// markTTL is how long a links mark outlives its negotiation.
+const markTTL = 30 * time.Second
+
 func commitsLostTo(w *world, user string) {
 	w.nodes["a"].Links.SetCommitFault(func(_ string, ref links.EntityRef) error {
 		if ref.User == user {
@@ -270,7 +273,7 @@ func TestLateCommitInstallsAllOrNone(t *testing.T) {
 		w := newWorld(t, "a", "b", "c")
 		commitsLostTo(w, "b")
 		m := setupBC(t, w)
-		w.clk.Advance(links.DefaultLockTTL + time.Second)
+		w.clk.Advance(markTTL + time.Second)
 		w.nodes["a"].Links.SetCommitFault(nil)
 		retryCommits(t, w)
 		wantInstalled(t, w, "b", m, decidedRecord(t, m))
@@ -279,7 +282,7 @@ func TestLateCommitInstallsAllOrNone(t *testing.T) {
 		w := newWorld(t, "a", "b", "c")
 		commitsLostTo(w, "b")
 		m := setupBC(t, w)
-		w.clk.Advance(links.DefaultLockTTL + time.Second)
+		w.clk.Advance(markTTL + time.Second)
 		if err := w.cals["b"].MarkBusy(m.Slot, "dentist", 0); err != nil {
 			t.Fatal(err)
 		}

@@ -217,7 +217,7 @@ func TestCloseMarksOffline(t *testing.T) {
 	// The node's address no longer answers.
 	e := directory.NewClient(net, "dir")
 	_ = e
-	if _, err := net.Call(ctx, n.Addr(), &wire.Request{Service: links.ServiceFor("phil"), Method: "LinksOn", Args: wire.Args{wire.Str("entity", "x")}}); wire.CodeOf(err) != wire.CodeUnavailable {
+	if _, err := net.Call(ctx, n.Addr(), &wire.Request{Service: links.ServiceFor("phil"), Method: "QueryOutcome", Args: wire.Args{wire.Str("nid", "none")}}); wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("closed node still answering: %v", err)
 	}
 }

@@ -195,7 +195,6 @@ func TestServiceMethods(t *testing.T) {
 		"Commit",          // negotiate.go commitTargetInner and the journal redrive
 		"DeleteLink",      // manager.go cascadeDelete and RetryPendingDeletes
 		"DeleteLinkLocal", // calendar meetings.go: a dropped user's own row
-		"LinksOn",         // remote inspection: the fence probes of core and replication tests
 		"Mark",            // negotiate.go markTargetInner: phase 1
 		"QueryOutcome",    // participant.go: an in-doubt participant asks the coordinator
 	}

@@ -53,10 +53,6 @@ func TestChaosNegotiations(t *testing.T) {
 
 func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 	ctx := context.Background()
-	tun := links.Tuning{RetryBase: 100 * time.Millisecond, PresumeAbortAfter: 30 * time.Second}
-	for _, n := range h.nodes {
-		n.Links.SetTuning(tun)
-	}
 	rng := rand.New(rand.NewSource(seed))
 	parts := []string{"x", "y"}
 
@@ -175,7 +171,7 @@ func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 				time.Sleep(time.Millisecond)
 			}
 		}()
-		h.releasingBackoffs(tun.RetryBase/8, func() {
+		h.releasingBackoffs(links.RetryBase/8, func() {
 			wg.Wait()
 			close(sweepStop)
 			sweepWG.Wait()
@@ -209,7 +205,7 @@ func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 		// Free the slot for the next round and let stray locks lapse.
 		h.nodes["x"].setStatus(r.entity, "")
 		h.nodes["y"].setStatus(r.entity, "")
-		h.clk.Advance(links.DefaultLockTTL + time.Second)
+		h.clk.Advance(links.LockTTL + time.Second)
 	}
 	t.Logf("seed %d: %d committed, %d aborted, %d negotiation errors over %d negotiations",
 		seed, committed, aborted, errored, rounds*2)

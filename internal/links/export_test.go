@@ -1,5 +1,15 @@
 package links
 
+// The recovery schedule and the mark TTL, for tests that advance a fake
+// clock past them.
+const (
+	LockTTL           = lockTTL
+	RetryBase         = retryBase
+	RetryCap          = retryCap
+	MaxAttempts       = maxAttempts
+	PresumeAbortAfter = presumeAbortAfter
+)
+
 // Self returns the owning user id.
 func (m *Manager) Self() string { return m.self }
 

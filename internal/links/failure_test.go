@@ -39,11 +39,6 @@ func TestNegotiationRecoversAfterLoss(t *testing.T) {
 		h.addNode(u)
 	}
 	ctx := context.Background()
-	// Fast recovery schedule so the drain loop converges quickly.
-	tun := links.Tuning{RetryBase: 100 * time.Millisecond, PresumeAbortAfter: 30 * time.Second}
-	for _, n := range h.nodes {
-		n.Links.SetTuning(tun)
-	}
 	// drain heals the network and runs the periodic fault sweeps (with
 	// the clock advancing past each retry backoff) until every journal
 	// row and pending mark is resolved.
@@ -88,7 +83,7 @@ func TestNegotiationRecoversAfterLoss(t *testing.T) {
 		h.nodes["x"].setStatus("s", "")
 		h.nodes["y"].setStatus("s", "")
 		// Expire any stranded locks.
-		h.clk.Advance(links.DefaultLockTTL + time.Second)
+		h.clk.Advance(links.LockTTL + time.Second)
 	}
 	if failures == 0 {
 		t.Fatal("chaos produced no failures — the test is not exercising anything")
@@ -128,7 +123,7 @@ func TestStrandedLockExpires(t *testing.T) {
 		t.Fatalf("live lock not respected: %v", err)
 	}
 	// ...and succeeds after the TTL.
-	h.clk.Advance(links.DefaultLockTTL + time.Second)
+	h.clk.Advance(links.LockTTL + time.Second)
 	if _, err := h.nodes["a"].Links.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M2")},
 		Targets: refs("b", "s"), Constraint: links.And,

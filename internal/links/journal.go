@@ -27,87 +27,36 @@ import (
 // pending set drains is the row retired; a row that exhausts its
 // attempts is expired to a loud, metrics-counted failure.
 
-// Tuning bounds the recovery machinery. Zero fields take defaults.
-type Tuning struct {
-	// RetryBase is the sweeper's first backoff after a failed or
-	// partial commit round; it doubles each round.
-	RetryBase time.Duration
-	// RetryCap caps the exponential backoff.
-	RetryCap time.Duration
-	// MaxAttempts is the number of sweeper rounds before a journal
-	// row is expired as a permanent (loud) failure.
-	MaxAttempts int
-	// PresumeAbortAfter is how long an in-doubt participant keeps a
-	// mark alive while the coordinator is unreachable before it
-	// presumes abort and releases the lock. It should comfortably
-	// exceed the coordinator's retry horizon.
-	PresumeAbortAfter time.Duration
-	// DecidedTTL is how long a participant remembers decided tokens
-	// so duplicate Commit/Abort deliveries are recognized.
-	DecidedTTL time.Duration
-}
-
-// Default tuning values.
+// The recovery schedule. The ordering that matters: an in-doubt
+// participant presumes abort only once the coordinator's last redrive
+// has had its chance. A journal row is redriven at most once per sweep,
+// so its rounds after the inline one take maxAttempts-1 sweeps (5.5 min
+// at sydnode's 30 s period, though the backoffs sum to 211.5 s), and a
+// participant sees presumeAbortAfter pass only at its own next sweep:
+// 10 min is above both together.
 const (
-	DefaultRetryBase         = 500 * time.Millisecond
-	DefaultRetryCap          = 30 * time.Second
-	DefaultMaxAttempts       = 12
-	DefaultPresumeAbortAfter = 5 * time.Minute
-	DefaultDecidedTTL        = 10 * time.Minute
+	// retryBase is the sweeper's first backoff after a failed or
+	// partial commit round; it doubles each round up to retryCap.
+	retryBase = 500 * time.Millisecond
+	retryCap  = 30 * time.Second
+	// maxAttempts is the number of sweeper rounds before a journal row
+	// is expired as a permanent (loud) failure.
+	maxAttempts = 12
+	// presumeAbortAfter is how long an in-doubt participant keeps a
+	// mark alive while the coordinator is unreachable before it
+	// presumes abort and releases the lock.
+	presumeAbortAfter = 10 * time.Minute
+	// decidedTTL is how long a participant remembers decided tokens so
+	// duplicate Commit/Abort deliveries are recognized.
+	decidedTTL = 10 * time.Minute
 )
-
-// DefaultTuning returns the stock recovery schedule.
-func DefaultTuning() Tuning {
-	return Tuning{
-		RetryBase:         DefaultRetryBase,
-		RetryCap:          DefaultRetryCap,
-		MaxAttempts:       DefaultMaxAttempts,
-		PresumeAbortAfter: DefaultPresumeAbortAfter,
-		DecidedTTL:        DefaultDecidedTTL,
-	}
-}
-
-// normalize fills zero fields with defaults.
-func (t Tuning) normalize() Tuning {
-	d := DefaultTuning()
-	if t.RetryBase <= 0 {
-		t.RetryBase = d.RetryBase
-	}
-	if t.RetryCap <= 0 {
-		t.RetryCap = d.RetryCap
-	}
-	if t.MaxAttempts <= 0 {
-		t.MaxAttempts = d.MaxAttempts
-	}
-	if t.PresumeAbortAfter <= 0 {
-		t.PresumeAbortAfter = d.PresumeAbortAfter
-	}
-	if t.DecidedTTL <= 0 {
-		t.DecidedTTL = d.DecidedTTL
-	}
-	return t
-}
-
-// SetTuning installs a recovery schedule (zero fields keep defaults).
-func (m *Manager) SetTuning(t Tuning) {
-	t = t.normalize()
-	m.mu.Lock()
-	m.tuning = t
-	m.mu.Unlock()
-}
 
 // invokeRetry is eng.Invoke for the recovery sweeps: commitQoS's quick
 // in-attempt retry, its backoff waiting on the manager's clock.
 func (m *Manager) invokeRetry(ctx context.Context, service, method string, args wire.Args, out any) error {
-	return engine.Retry(ctx, commitQoS(m.tune()), m.clk, func(ctx context.Context) error {
+	return engine.Retry(ctx, commitQoS, m.clk, func(ctx context.Context) error {
 		return m.eng.Invoke(ctx, service, method, args, out)
 	})
-}
-
-func (m *Manager) tune() Tuning {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.tuning
 }
 
 // journalTarget is one marked target awaiting its Commit ack.
@@ -359,22 +308,17 @@ func (m *Manager) Outcome(nid, token string) (string, wire.Args) {
 // commitQoS is the per-attempt QoS the sweeps use when re-sending
 // Commit or asking for an outcome: one quick in-attempt retry; the
 // sweep's own exponential backoff paces the rounds.
-func commitQoS(t Tuning) engine.QoS {
-	return engine.QoS{Retries: 1, Backoff: t.RetryBase / 8, AttemptTimeout: 5 * time.Second}
-}
+var commitQoS = engine.QoS{Retries: 1, Backoff: retryBase / 8, AttemptTimeout: 5 * time.Second}
 
 // backoffAfter computes the sweeper's next-retry delay for a row that
 // has been attempted n times (n >= 1).
-func backoffAfter(t Tuning, n int) time.Duration {
-	d := t.RetryBase
+func backoffAfter(n int) time.Duration {
+	d := retryBase
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= t.RetryCap {
-			return t.RetryCap
+		if d >= retryCap {
+			return retryCap
 		}
-	}
-	if d > t.RetryCap {
-		d = t.RetryCap
 	}
 	return d
 }
@@ -388,7 +332,7 @@ const maxRetryRowsPerSweep = 32
 // RetryCommits drives phase-2 recovery: every journal row whose
 // next_retry has passed gets one more round of Commit sends via the
 // engine's QoS machinery. Rows whose pending set drains are retired;
-// rows that exhaust MaxAttempts (or no longer decode) are expired as
+// rows that exhaust maxAttempts (or no longer decode) are expired as
 // loud failures before any Commit is sent. The rest are redriven through
 // engine.FanOut (and each row fans its Commits out the same way), so one
 // sweep's wall clock is roughly a single QoS round trip, not the sum over
@@ -396,7 +340,6 @@ const maxRetryRowsPerSweep = 32
 // or expired) this sweep. Called from the same periodic schedule as
 // ExpireSweep.
 func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
-	tun := m.tune()
 	rows := m.journalT.Select(func(r store.Row) bool {
 		return !r.Time("next_retry").After(now)
 	})
@@ -421,8 +364,8 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 			continue
 		}
 		rec.Attempts++
-		rec.NextRetry = now.Add(backoffAfter(tun, rec.Attempts))
-		if rec.Attempts > tun.MaxAttempts {
+		rec.NextRetry = now.Add(backoffAfter(rec.Attempts))
+		if rec.Attempts > maxAttempts {
 			// Give up: the negotiation stays divergent. Count it where
 			// operators will see it; the row itself is dropped so the
 			// sweep does not grind on a dead deployment forever.

@@ -44,7 +44,7 @@ func storedJournal(t *testing.T, h *harness) (attempts int, pending []string, ne
 // attempt count, the backed-off next retry, the targets still owed a
 // Commit — so an acknowledged target is not sent Commit again, the
 // backoff grows, and a row whose target never returns expires after
-// MaxAttempts instead of being re-driven every sweep for ever. (The
+// maxAttempts instead of being re-driven every sweep for ever. (The
 // update used to carry the key column among its changes; the store
 // refused it and the error was dropped, so the row never changed.)
 func TestJournalRowRecordsSweepProgress(t *testing.T) {
@@ -52,7 +52,6 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 	lm := h.nodes["a"].Links
 	reg := metrics.NewRegistry()
 	lm.SetMetrics(reg)
-	lm.SetTuning(links.Tuning{RetryBase: time.Second, RetryCap: time.Minute, MaxAttempts: 3})
 
 	// The fault runs on the goroutine of each Commit send.
 	var mu sync.Mutex
@@ -83,7 +82,7 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 
 	// Sweep 1: x is back and acknowledges; y is still away.
 	setDown("x", false)
-	h.clk.Advance(2 * time.Second)
+	h.clk.Advance(links.RetryBase)
 	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
 		t.Fatalf("sweep 1 resolved %d rows, want 0", n)
 	}
@@ -91,7 +90,7 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 	if attempts != 2 || len(pending) != 1 || pending[0] != "y" {
 		t.Fatalf("after sweep 1: attempts %d, pending %v; want 2, [y]", attempts, pending)
 	}
-	if !retry2.After(retry1) || retry2.Sub(h.clk.Now()) != 2*time.Second {
+	if !retry2.After(retry1) || retry2.Sub(h.clk.Now()) != 2*links.RetryBase {
 		t.Fatalf("next retry went from %s to %s at %s, want now + the doubled backoff", retry1, retry2, h.clk.Now())
 	}
 	if h.nodes["x"].status("s") != "M" {
@@ -100,7 +99,7 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 
 	// Sweep 2: only y is owed a Commit, so only y is sent one.
 	xSends := sentTo("x")
-	h.clk.Advance(3 * time.Second)
+	h.clk.Advance(2 * links.RetryBase)
 	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
 		t.Fatalf("sweep 2 resolved %d rows, want 0", n)
 	}
@@ -108,14 +107,24 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 		t.Fatalf("x acknowledged in sweep 1 and was sent Commit again in sweep 2")
 	}
 	attempts, _, retry3 := storedJournal(t, h)
-	if attempts != 3 || retry3.Sub(h.clk.Now()) != 4*time.Second {
-		t.Fatalf("after sweep 2: attempts %d, next retry in %s; want 3, 4s", attempts, retry3.Sub(h.clk.Now()))
+	if attempts != 3 || retry3.Sub(h.clk.Now()) != 4*links.RetryBase {
+		t.Fatalf("after sweep 2: attempts %d, next retry in %s; want 3, %s", attempts, retry3.Sub(h.clk.Now()), 4*links.RetryBase)
 	}
 
-	// Sweep 3 is the fourth attempt: over MaxAttempts, the row expires.
-	h.clk.Advance(5 * time.Second)
+	// The backoff stops growing at the cap, and the sweep after the
+	// maxAttempts-th attempt expires the row.
+	for a := 4; a <= links.MaxAttempts; a++ {
+		h.clk.Advance(links.RetryCap)
+		if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 0 {
+			t.Fatalf("attempt %d resolved %d rows, want 0", a, n)
+		}
+	}
+	if _, _, retry := storedJournal(t, h); retry.Sub(h.clk.Now()) != links.RetryCap {
+		t.Fatalf("last backoff = %s, want the cap %s", retry.Sub(h.clk.Now()), links.RetryCap)
+	}
+	h.clk.Advance(links.RetryCap)
 	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 1 {
-		t.Fatalf("sweep 3 resolved %d rows, want the expired one", n)
+		t.Fatalf("attempt %d resolved %d rows, want the expired one", links.MaxAttempts+1, n)
 	}
 	if p := lm.JournalPending(); len(p) != 0 {
 		t.Fatalf("journal after expiry = %v", p)
@@ -129,12 +138,11 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 // TestRedriveBackoffWaitsOnManagerClock: the wait between a redrive's
 // two Commit attempts is a timer on the manager's clock. A sweep whose
 // first attempt finds the target unreachable parks on the fake clock
-// and finishes only once the clock is advanced past RetryBase/8: a node
+// and finishes only once the clock is advanced past retryBase/8: a node
 // on a fake clock has no wall-clock wait left in its sweeps.
 func TestRedriveBackoffWaitsOnManagerClock(t *testing.T) {
 	h := newHarness(t, "a", "x")
 	lm := h.nodes["a"].Links
-	lm.SetTuning(links.Tuning{RetryBase: 800 * time.Millisecond})
 
 	// The inline Commit is lost, leaving a journal row to redrive.
 	lm.SetCommitFault(func(string, links.EntityRef) error {
@@ -212,7 +220,6 @@ func TestRetrySweepBound(t *testing.T) {
 	const rows, bound = 40, 32
 	h := newHarness(t, "a", "x")
 	lm := h.nodes["a"].Links
-	lm.SetTuning(links.Tuning{RetryBase: time.Second, RetryCap: time.Minute, MaxAttempts: 5})
 	lm.SetCommitFault(func(string, links.EntityRef) error {
 		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
 	})

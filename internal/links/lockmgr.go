@@ -22,7 +22,6 @@ import (
 // its holder is a goroutine of this device, not a peer that may be gone.
 type LockTable struct {
 	clk clock.Clock
-	ttl time.Duration
 
 	mu    sync.Mutex
 	locks map[string]lockEntry
@@ -79,18 +78,15 @@ const (
 	HoldVote
 )
 
-// DefaultLockTTL bounds how long a mark can outlive its negotiation.
-const DefaultLockTTL = 30 * time.Second
+// lockTTL bounds how long a mark can outlive its negotiation.
+const lockTTL = 30 * time.Second
 
-// NewLockTable creates a lock table. ttl <= 0 uses DefaultLockTTL.
-func NewLockTable(clk clock.Clock, ttl time.Duration) *LockTable {
+// NewLockTable creates a lock table.
+func NewLockTable(clk clock.Clock) *LockTable {
 	if clk == nil {
 		clk = clock.System
 	}
-	if ttl <= 0 {
-		ttl = DefaultLockTTL
-	}
-	return &LockTable{clk: clk, ttl: ttl, locks: make(map[string]lockEntry)}
+	return &LockTable{clk: clk, locks: make(map[string]lockEntry)}
 }
 
 // newToken returns a fresh opaque lock token (see ids.go for the
@@ -110,7 +106,7 @@ func (lt *LockTable) TryLock(entity, holder string) (string, bool) {
 		lt.conflicts++
 		return "", false
 	}
-	return lt.grant(entity, lockEntry{holder: holder, deadline: now.Add(lt.ttl)}), true
+	return lt.grant(entity, lockEntry{holder: holder, deadline: now.Add(lockTTL)}), true
 }
 
 // Hold marks entity for holder, a goroutine of this device, as how, and
@@ -225,7 +221,7 @@ func (lt *LockTable) Extend(entity, token string) bool {
 	if !ok || e.token != token {
 		return false
 	}
-	e.deadline = lt.clk.Now().Add(lt.ttl)
+	e.deadline = lt.clk.Now().Add(lockTTL)
 	lt.locks[entity] = e
 	return true
 }

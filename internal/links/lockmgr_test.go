@@ -14,7 +14,7 @@ import (
 )
 
 func TestTryLockExcludes(t *testing.T) {
-	lt := NewLockTable(nil, time.Minute)
+	lt := NewLockTable(nil)
 	tok, ok := lt.TryLock("slot9", "a")
 	if !ok || tok == "" {
 		t.Fatal("first lock failed")
@@ -35,7 +35,7 @@ func TestTryLockExcludes(t *testing.T) {
 }
 
 func TestUnlock(t *testing.T) {
-	lt := NewLockTable(nil, time.Minute)
+	lt := NewLockTable(nil)
 	tok, _ := lt.TryLock("slot9", "a")
 	if lt.Unlock("slot9", "wrong") {
 		t.Fatal("unlock with wrong token succeeded")
@@ -56,16 +56,16 @@ func TestUnlock(t *testing.T) {
 
 func TestLockExpiryAndSteal(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lt := NewLockTable(fake, 10*time.Second)
+	lt := NewLockTable(fake)
 	tok1, ok := lt.TryLock("slot9", "a")
 	if !ok {
 		t.Fatal("lock failed")
 	}
-	fake.Advance(5 * time.Second)
+	fake.Advance(lockTTL / 2)
 	if _, ok := lt.TryLock("slot9", "b"); ok {
 		t.Fatal("live lock stolen")
 	}
-	fake.Advance(6 * time.Second) // past TTL
+	fake.Advance(lockTTL/2 + time.Second) // past TTL
 	tok2, ok := lt.TryLock("slot9", "b")
 	if !ok {
 		t.Fatal("expired lock not stolen")
@@ -81,9 +81,9 @@ func TestLockExpiryAndSteal(t *testing.T) {
 
 func TestHoldsRespectsExpiry(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lt := NewLockTable(fake, 10*time.Second)
+	lt := NewLockTable(fake)
 	tok, _ := lt.TryLock("slot9", "a")
-	fake.Advance(11 * time.Second)
+	fake.Advance(lockTTL + time.Second)
 	if lt.Holds("slot9", tok) {
 		t.Fatal("expired lock still held")
 	}
@@ -94,13 +94,13 @@ func TestHoldsRespectsExpiry(t *testing.T) {
 
 func TestLenAndSweep(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lt := NewLockTable(fake, 10*time.Second)
+	lt := NewLockTable(fake)
 	lt.TryLock("a", "x")
 	lt.TryLock("b", "x")
 	if lt.Len() != 2 {
 		t.Fatalf("Len = %d", lt.Len())
 	}
-	fake.Advance(11 * time.Second)
+	fake.Advance(lockTTL + time.Second)
 	lt.TryLock("c", "x")
 	if lt.Len() != 1 {
 		t.Fatalf("Len after expiry = %d", lt.Len())
@@ -119,13 +119,13 @@ func TestLenAndSweep(t *testing.T) {
 // TryLock; the table then holds only live entries.
 func TestGrantSweepsExpiredEntries(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lt := NewLockTable(fake, 10*time.Second)
+	lt := NewLockTable(fake)
 	for i := 0; i < 1024; i++ {
 		if _, ok := lt.TryLock(fmt.Sprintf("e%d", i), "x"); !ok {
 			t.Fatalf("mark %d refused", i)
 		}
 	}
-	fake.Advance(11 * time.Second)
+	fake.Advance(lockTTL + time.Second)
 	if _, ok := lt.TryLock("one-more", "x"); !ok {
 		t.Fatal("mark refused")
 	}
@@ -140,7 +140,7 @@ func TestGrantSweepsExpiredEntries(t *testing.T) {
 }
 
 func TestConcurrentTryLockOneWinner(t *testing.T) {
-	lt := NewLockTable(nil, time.Minute)
+	lt := NewLockTable(nil)
 	const n = 32
 	var wg sync.WaitGroup
 	wins := make([]bool, n)
@@ -163,15 +163,23 @@ func TestConcurrentTryLockOneWinner(t *testing.T) {
 	}
 }
 
+// TestDefaultTTLApplied: a mark excludes others for exactly lockTTL.
 func TestDefaultTTLApplied(t *testing.T) {
-	lt := NewLockTable(nil, 0)
-	if lt.ttl != DefaultLockTTL {
-		t.Fatalf("ttl = %v", lt.ttl)
+	fake := clock.NewFake(time.Unix(0, 0))
+	lt := NewLockTable(fake)
+	lt.TryLock("slot9", "a")
+	fake.Advance(lockTTL - time.Nanosecond)
+	if !lt.Locked("slot9") {
+		t.Fatal("mark lapsed before lockTTL")
+	}
+	fake.Advance(time.Nanosecond)
+	if lt.Locked("slot9") {
+		t.Fatal("mark outlived lockTTL")
 	}
 }
 
 func TestTokensUnique(t *testing.T) {
-	lt := NewLockTable(nil, time.Minute)
+	lt := NewLockTable(nil)
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		tok, ok := lt.TryLock("e", "h")
@@ -191,7 +199,7 @@ func TestTokensUnique(t *testing.T) {
 // its ctx or is woken by the release.
 func TestHoldWaitsOrRefuses(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lt := NewLockTable(fake, 10*time.Second)
+	lt := NewLockTable(fake)
 	ctx := context.Background()
 	neg, err := lt.Hold(ctx, "m", "x", HoldNegotiation)
 	if err != nil {
@@ -254,14 +262,14 @@ func TestHoldWaitsOrRefuses(t *testing.T) {
 // steals are each counted exactly once per TryLock outcome.
 func TestLockStatsCounters(t *testing.T) {
 	fake := clock.NewFake(time.Unix(0, 0))
-	lt := NewLockTable(fake, 10*time.Second)
+	lt := NewLockTable(fake)
 	if _, ok := lt.TryLock("cal.a", "phil"); !ok {
 		t.Fatal("first lock failed")
 	}
 	if _, ok := lt.TryLock("cal.a", "andy"); ok {
 		t.Fatal("conflicting lock granted")
 	}
-	fake.Advance(11 * time.Second)
+	fake.Advance(lockTTL + time.Second)
 	if _, ok := lt.TryLock("cal.a", "andy"); !ok {
 		t.Fatal("expired lock not stolen")
 	}

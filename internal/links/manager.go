@@ -70,7 +70,6 @@ type Manager struct {
 	met     *metrics.Registry
 	tracer  *trace.Tracer
 	lsnSrc  func() uint64 // WAL position source for journal trace events
-	tuning  Tuning
 
 	// Participant-side fault-tolerance state (see participant.go).
 	partMu   sync.Mutex
@@ -107,7 +106,7 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 		db:       db,
 		eng:      eng,
 		clk:      clk,
-		Locks:    NewLockTable(clk, 0),
+		Locks:    NewLockTable(clk),
 		linksT:   lt,
 		waitingT: wt,
 		pendingT: pt,
@@ -118,7 +117,6 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 		decided:  make(map[string]decision),
 		inflight: make(map[string]struct{}),
 	}
-	m.SetTuning(DefaultTuning())
 	return m, nil
 }
 
@@ -327,7 +325,7 @@ func (m *Manager) getLink(u *store.Tx, id string) (l *Link, ok bool) {
 // priority descending then id (so "highest priority" selections are
 // deterministic).
 func (m *Manager) LinksOn(entity string) []*Link {
-	out := []*Link{} // the LinksOn reply of no link is [], not null
+	var out []*Link
 	m.linksT.ViewEq("owner_entity", entity, func(r store.Row) {
 		if l, err := rowToLink(r); err == nil {
 			out = append(out, l)

@@ -280,7 +280,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		// row concurrently with it.
 		rec = &journalRec{
 			ID: res.NID, Action: spec.Action, Args: commitArgs, Created: m.clk.Now(),
-			NextRetry: m.clk.Now().Add(backoffAfter(m.tune(), 1)),
+			NextRetry: m.clk.Now().Add(backoffAfter(1)),
 			Pending:   marked,
 		}
 		if span != nil {
@@ -356,7 +356,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		rec.Failed = failedRefs
 		rec.Pending = stillPending
 		rec.Attempts = 1
-		rec.NextRetry = m.clk.Now().Add(backoffAfter(m.tune(), 1))
+		rec.NextRetry = m.clk.Now().Add(backoffAfter(1))
 		if m.journalSettle(ctx, rec) {
 			span.AddEvent("journal.retire")
 		} else {

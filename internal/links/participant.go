@@ -26,7 +26,7 @@ import (
 //     are extended (a decided-but-undelivered Commit must not lose its
 //     lock to a TTL steal) and the coordinator is asked via the
 //     QueryOutcome RPC; presumed-abort applies when the coordinator is
-//     gone past the PresumeAbortAfter horizon or disclaims the
+//     gone past the presumeAbortAfter horizon or disclaims the
 //     negotiation.
 
 // QueryOutcome answers. OutcomeUnknown means the coordinator is alive
@@ -188,18 +188,18 @@ func (m *Manager) PendingMarks() int {
 	return len(m.pendMark)
 }
 
-// gcDecided drops decided entries older than the tuning's DecidedTTL,
-// from the cache and from the durable table.
-func (m *Manager) gcDecided(ctx context.Context, now time.Time, ttl time.Duration) {
+// gcDecided drops decided entries older than decidedTTL, from the cache
+// and from the durable table.
+func (m *Manager) gcDecided(ctx context.Context, now time.Time) {
 	m.partMu.Lock()
 	for tok, d := range m.decided {
-		if now.Sub(d.at) > ttl {
+		if now.Sub(d.at) > decidedTTL {
 			delete(m.decided, tok)
 		}
 	}
 	m.partMu.Unlock()
 	old := m.decidedT.Select(func(r store.Row) bool {
-		return now.Sub(r.Time("at")) > ttl
+		return now.Sub(r.Time("at")) > decidedTTL
 	})
 	if len(old) == 0 {
 		return
@@ -250,12 +250,11 @@ func (m *Manager) queryOutcome(ctx context.Context, coordinator, nid, token stri
 // decided abort, or one that restarted and does not know the
 // negotiation) releases the lock; an "unknown" answer (the negotiation
 // is still in flight) keeps the mark pinned. If the coordinator stays
-// unreachable past PresumeAbortAfter, abort is presumed: the lock is
+// unreachable past presumeAbortAfter, abort is presumed: the lock is
 // released and later Commits for the token are rejected. Returns the
 // number of marks resolved.
 func (m *Manager) ResolvePendingMarks(ctx context.Context, now time.Time) int {
-	tun := m.tune()
-	m.gcDecided(ctx, now, tun.DecidedTTL)
+	m.gcDecided(ctx, now)
 
 	m.partMu.Lock()
 	marks := make([]*pendingMark, 0, len(m.pendMark))
@@ -271,7 +270,7 @@ func (m *Manager) ResolvePendingMarks(ctx context.Context, now time.Time) int {
 			m.dropPendingMark(p.Token)
 			continue
 		}
-		if m.resolveMark(ctx, p, now, tun) {
+		if m.resolveMark(ctx, p, now) {
 			resolved++
 		}
 	}
@@ -291,7 +290,7 @@ func (m *Manager) letGo(ctx context.Context, p *pendingMark) {
 // the negotiation's trace (always retained — resolution only runs when
 // an outcome went undelivered) so the post-mortem shows how the doubt
 // ended.
-func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time, tun Tuning) bool {
+func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time) bool {
 	span := m.tracerRef().JoinTrace(p.TraceID, p.SpanID, "links.Resolve")
 	if span != nil {
 		span.Annotate(trace.String("nid", p.NID), trace.String("entity", p.Entity))
@@ -309,7 +308,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 	}
 	outcome, args, err := m.queryOutcome(ctx, p.Coordinator, p.NID, p.Token)
 	if err != nil {
-		if now.Sub(p.Created) > tun.PresumeAbortAfter {
+		if now.Sub(p.Created) > presumeAbortAfter {
 			m.letGo(ctx, p)
 			m.count("presume-abort", wire.CodeUnavailable)
 			span.Annotate(trace.String("outcome", "presume-abort"))
@@ -337,10 +336,10 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		// (e.g. this sweep landed between the Mark grant and the
 		// coordinator's journal write): its fate is not decided yet,
 		// so keep the mark pinned and ask again next sweep. The
-		// PresumeAbortAfter horizon still applies as a backstop so a
+		// presumeAbortAfter horizon still applies as a backstop so a
 		// wedged coordinator cannot pin the entity forever — it
 		// comfortably exceeds any live negotiation's duration.
-		if now.Sub(p.Created) > tun.PresumeAbortAfter {
+		if now.Sub(p.Created) > presumeAbortAfter {
 			m.letGo(ctx, p)
 			m.count("presume-abort", wire.CodeConflict)
 			span.Annotate(trace.String("outcome", "presume-abort"))

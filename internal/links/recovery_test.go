@@ -2,11 +2,13 @@ package links_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/links"
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -71,7 +73,7 @@ func TestStaleTokenCommitRejected(t *testing.T) {
 	}
 	// The coordinator stalls past the lock TTL; another negotiation
 	// steals the lock and reserves the slot.
-	h.clk.Advance(links.DefaultLockTTL + time.Second)
+	h.clk.Advance(links.LockTTL + time.Second)
 	if _, err := h.nodes["a"].Links.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "NEW")},
 		Targets: refs("b", "s"), Constraint: links.And,
@@ -303,12 +305,11 @@ func TestInDoubtDoesNotMaskVeto(t *testing.T) {
 
 // TestQueryOutcomePresumedAbort: a participant whose coordinator dies
 // after Mark pins the lock while in doubt, then presumes abort once
-// the coordinator stays unreachable past PresumeAbortAfter — and a
+// the coordinator stays unreachable past presumeAbortAfter — and a
 // Commit arriving after the presumed abort is rejected.
 func TestQueryOutcomePresumedAbort(t *testing.T) {
 	h := newHarness(t, "a", "b")
 	ctx := context.Background()
-	h.nodes["b"].Links.SetTuning(links.Tuning{PresumeAbortAfter: time.Minute})
 
 	var tok string // the token of the lock the Mark took
 	err := h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "Mark", wire.Args{
@@ -330,7 +331,7 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	// in-attempt retry backoff on the clock.
 	sweep := func() {
 		now := h.clk.Now()
-		h.releasingBackoffs(links.DefaultRetryBase/8, func() { h.nodes["b"].Links.ResolvePendingMarks(ctx, now) })
+		h.releasingBackoffs(links.RetryBase/8, func() { h.nodes["b"].Links.ResolvePendingMarks(ctx, now) })
 	}
 
 	// Inside the horizon the mark stays pinned: the sweep keeps the
@@ -348,7 +349,7 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 	}
 
 	// Past the horizon: presume abort, release the lock.
-	h.clk.Advance(time.Minute)
+	h.clk.Advance(links.PresumeAbortAfter)
 	sweep()
 	if n := h.nodes["b"].Links.PendingMarks(); n != 0 {
 		t.Fatalf("mark not resolved past horizon: pending = %d", n)
@@ -376,5 +377,76 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 		Targets: refs("b", "s"), Constraint: links.And,
 	}); err != nil {
 		t.Fatalf("slot still wedged after presumed abort: %v", err)
+	}
+}
+
+// TestPresumeAbortOutlastsRedrive: a participant cut off from its
+// coordinator keeps its mark until the coordinator's last redrive has had
+// its chance. Both devices sweep every 30 s, as sydnode does, and a
+// journal row is redriven at most once per sweep, so the coordinator's
+// rounds span five and a half minutes, not the sum of their backoffs.
+// The participant sweeps just before each of the coordinator's sweeps,
+// so it is the first to see any horizon pass. The network heals at 5:10;
+// the next redrive must land, and the participant must hold the change.
+func TestPresumeAbortOutlastsRedrive(t *testing.T) {
+	h := newHarness(t, "a", "x")
+	ctx := context.Background()
+	a, x := h.nodes["a"], h.nodes["x"]
+	reg := metrics.NewRegistry()
+	a.Links.SetMetrics(reg)
+
+	// x's Mark is granted; the network between a and x fails before
+	// a's Commit reaches x.
+	var cut atomic.Bool
+	a.Links.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		if ref.User == "x" && cut.CompareAndSwap(false, true) {
+			// The sim keys a partition by caller name and address.
+			h.net.Partition("a", "node-x")
+			h.net.Partition("x", "node-a")
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: cut"}
+		}
+		return nil
+	})
+	_, err := a.Links.Negotiate(ctx, links.Spec{
+		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
+		Targets: refs("x", "s"), Constraint: links.And,
+	})
+	if !links.IsInDoubt(err) {
+		t.Fatalf("err = %v, want in-doubt", err)
+	}
+
+	start := h.clk.Now()
+	healAt := start.Add(5*time.Minute + 10*time.Second)
+	healed := false
+	sweepAt := func(n *tnode, d time.Duration) {
+		h.clk.Advance(start.Add(d).Sub(h.clk.Now()))
+		if !healed && !h.clk.Now().Before(healAt) {
+			h.net.Heal("a", "node-x")
+			h.net.Heal("x", "node-a")
+			healed = true
+		}
+		now := h.clk.Now()
+		h.releasingBackoffs(links.RetryBase/8, func() { n.Links.FaultSweep(ctx, now) })
+	}
+	for k := time.Duration(0); k < 30 && len(a.Links.JournalPending()) > 0; k++ {
+		sweepAt(x, 30*time.Second*k+time.Second)
+		sweepAt(a, 30*time.Second*k+29*time.Second)
+	}
+	if p := a.Links.JournalPending(); len(p) != 0 {
+		t.Fatalf("journal still holds %v", p)
+	}
+	snap := reg.Snapshot()
+	if e := snap.Find(metrics.LayerLinks, "negotiate", "outcome", wire.CodeConflict); e != nil {
+		t.Fatalf("the row retired with a Failed target (%d): the participant presumed abort first", e.Count)
+	}
+	if e := snap.Find(metrics.LayerLinks, "negotiate", "outcome-recovered", wire.CodeOK); e == nil || e.Count != 1 {
+		t.Fatalf("outcome-recovered = %+v, want 1", e)
+	}
+	if got := x.status("s"); got != "M" {
+		t.Fatalf("x/s = %q, want M", got)
+	}
+	sweepAt(x, h.clk.Now().Sub(start)+30*time.Second)
+	if n := x.Links.PendingMarks(); n != 0 {
+		t.Fatalf("x still holds %d pending marks", n)
 	}
 }

@@ -201,10 +201,5 @@ func (m *Manager) Object() *listener.Object {
 		return true, m.DeleteLinkLocal(ctx, call.Args.String("id"))
 	})
 
-	// LinksOn: remote inspection.
-	obj.Handle("LinksOn", func(ctx context.Context, call *listener.Call) (any, error) {
-		return m.LinksOn(call.Args.String("entity")), nil
-	})
-
 	return obj
 }

@@ -61,7 +61,7 @@ func TestGroupInvokeStitchedTrace(t *testing.T) {
 	ctx := context.Background()
 
 	results := h.nodes["a"].Engine.GroupInvoke(ctx,
-		[]string{links.ServiceFor("x"), links.ServiceFor("y")}, "LinksOn", wire.Args{wire.Str("entity", "s0")})
+		[]string{links.ServiceFor("x"), links.ServiceFor("y")}, "QueryOutcome", wire.Args{wire.Str("nid", "none")})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("group member %s: %v", r.Service, r.Err)
@@ -117,10 +117,6 @@ func TestInDoubtNegotiationTraceRetained(t *testing.T) {
 	col := trace.NewCollector()
 	h := newTracedHarness(t, col, 0, "a", "x", "y")
 	ctx := context.Background()
-	tun := links.Tuning{RetryBase: 50 * time.Millisecond, PresumeAbortAfter: time.Hour}
-	for _, n := range h.nodes {
-		n.Links.SetTuning(tun)
-	}
 
 	// Commits from a to x fail at the coordinator (a "crash" between
 	// the two phase-2 sends).

@@ -67,33 +67,35 @@ func TestIsLocalModeRejectsOtherUnavailable(t *testing.T) {
 	}
 }
 
-func TestFailureThresholdFlipsOffline(t *testing.T) {
-	var transitions []State
-	m := newTestManager(t, Config{
-		FailureThreshold: 3,
-		OnState:          func(s State) { transitions = append(transitions, s) },
-	})
+func TestConsecutiveFailuresFlipOffline(t *testing.T) {
+	met := metrics.NewRegistry()
+	m := newTestManager(t, Config{Metrics: met})
 	unavailable := &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "gone"}
-	for i := 0; i < 2; i++ {
+	for i := 1; i < failureThreshold; i++ {
 		m.NoteResult(unavailable)
 	}
 	if m.State() != StateOnline {
-		t.Fatalf("state after 2 failures = %s, want online", m.State())
+		t.Fatalf("state after %d failures = %s, want online", failureThreshold-1, m.State())
 	}
 	m.NoteResult(unavailable)
 	if m.State() != StateOffline {
-		t.Fatalf("state after 3 failures = %s, want offline", m.State())
+		t.Fatalf("state after %d failures = %s, want offline", failureThreshold, m.State())
 	}
-	if len(transitions) != 1 || transitions[0] != StateOffline {
-		t.Fatalf("transitions = %v, want [offline]", transitions)
+	m.NoteResult(unavailable)
+	if e := met.Snapshot().Find(metrics.LayerSync, ServiceFor("phil"), "state.offline", ""); e == nil || e.Count != 1 {
+		t.Fatalf("state.offline transitions = %+v, want 1", e)
 	}
 }
 
 func TestNoteSuccessResetsFailureCount(t *testing.T) {
-	m := newTestManager(t, Config{FailureThreshold: 2})
-	m.NoteFailure()
+	m := newTestManager(t, Config{})
+	for i := 1; i < failureThreshold; i++ {
+		m.NoteFailure()
+	}
 	m.NoteSuccess()
-	m.NoteFailure()
+	for i := 1; i < failureThreshold; i++ {
+		m.NoteFailure()
+	}
 	if m.State() != StateOnline {
 		t.Fatalf("state = %s, want online (success between failures resets the count)", m.State())
 	}
@@ -103,23 +105,26 @@ func TestNoteSuccessResetsFailureCount(t *testing.T) {
 	}
 }
 
-// mapSource is a fake application adapter: docs keyed by entity, with
-// an explicit relevance set per requester.
-type mapSource struct {
+// mapApp is a fake application: docs keyed by entity, with an explicit
+// relevance set per requester; it applies, replays and pulls nothing.
+type mapApp struct {
 	docs     map[string]string
 	relevant map[string]map[string]bool
 }
 
-func (s *mapSource) Relevant(requester, entity string) bool { return s.relevant[requester][entity] }
-func (s *mapSource) Snapshot(entity string) (json.RawMessage, bool) {
+func (s *mapApp) Relevant(requester, entity string) bool { return s.relevant[requester][entity] }
+func (s *mapApp) Snapshot(entity string) (json.RawMessage, bool) {
 	d, ok := s.docs[entity]
 	return json.RawMessage(d), ok
 }
+func (s *mapApp) Apply(string, int64, json.RawMessage) error { return nil }
+func (s *mapApp) Replay(context.Context, Op) error           { return nil }
+func (s *mapApp) Peers() []string                            { return nil }
 
 func TestServePullFiltersByRelevanceAndVersion(t *testing.T) {
 	met := metrics.NewRegistry()
 	m := newTestManager(t, Config{Metrics: met})
-	src := &mapSource{
+	app := &mapApp{
 		docs: map[string]string{
 			"meeting:m1": `{"id":"m1"}`,
 			"meeting:m2": `{"id":"m2"}`,
@@ -129,7 +134,7 @@ func TestServePullFiltersByRelevanceAndVersion(t *testing.T) {
 			"andy": {"meeting:m1": true, "meeting:m2": true},
 		},
 	}
-	m.SetSource(src)
+	m.Attach(app)
 	m.Versions().Bump("meeting:m1")
 	m.Versions().Bump("meeting:m2")
 	m.Versions().Bump("meeting:m2") // m2 at version 2

@@ -50,28 +50,25 @@ type Config struct {
 	Clock clock.Clock
 	// QueueCap bounds the op queue (default 1024).
 	QueueCap int
-	// FailureThreshold is how many consecutive unavailable sends flip
-	// the device to local mode (default 3).
-	FailureThreshold int
 	// Metrics and Tracer are optional observability sinks.
 	Metrics *metrics.Registry
 	Tracer  *trace.Tracer
-	// OnState is invoked (synchronously) after every state change.
-	OnState func(State)
 }
+
+// failureThreshold is how many consecutive unavailable sends flip the
+// device to local mode.
+const failureThreshold = 3
 
 // Manager owns a device's disconnected-operation machinery: the state
 // machine, the durable op queue, the version tables, and both halves
 // of the sync session. Safe for concurrent use.
 type Manager struct {
-	user      string
-	eng       *engine.Engine
-	dir       *directory.Client
-	clock     clock.Clock
-	met       *metrics.Registry
-	tracer    *trace.Tracer
-	threshold int32
-	onState   func(State)
+	user   string
+	eng    *engine.Engine
+	dir    *directory.Client
+	clock  clock.Clock
+	met    *metrics.Registry
+	tracer *trace.Tracer
 
 	q        *Queue
 	versions *Versions
@@ -81,11 +78,8 @@ type Manager struct {
 	failures     atomic.Int32
 	reconnecting atomic.Bool
 
-	mu      sync.Mutex
-	source  Source
-	applier Applier
-	replay  func(ctx context.Context, op Op) error
-	peers   func() []string
+	mu  sync.Mutex
+	app App
 }
 
 // NewManager builds a Manager over the node's store.
@@ -95,9 +89,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
 	}
 	q, err := NewQueue(cfg.DB, cfg.User, cfg.QueueCap, cfg.Metrics)
 	if err != nil {
@@ -112,17 +103,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		user:      cfg.User,
-		eng:       cfg.Engine,
-		dir:       cfg.Dir,
-		clock:     cfg.Clock,
-		met:       cfg.Metrics,
-		tracer:    cfg.Tracer,
-		threshold: int32(cfg.FailureThreshold),
-		onState:   cfg.OnState,
-		q:         q,
-		versions:  vers,
-		peerVers:  pv,
+		user:     cfg.User,
+		eng:      cfg.Engine,
+		dir:      cfg.Dir,
+		clock:    cfg.Clock,
+		met:      cfg.Metrics,
+		tracer:   cfg.Tracer,
+		q:        q,
+		versions: vers,
+		peerVers: pv,
 	}
 	m.state.Store(StateOnline)
 	return m, nil
@@ -138,58 +127,17 @@ func (m *Manager) Queue() *Queue { return m.q }
 // bumps an entity's version on every local mutation.
 func (m *Manager) Versions() *Versions { return m.versions }
 
-// SetSource wires the application adapter the sync server reads from.
-func (m *Manager) SetSource(s Source) {
+// Attach wires the application the sync sessions run on.
+func (m *Manager) Attach(app App) {
 	m.mu.Lock()
-	m.source = s
+	m.app = app
 	m.mu.Unlock()
 }
 
-// SetApplier wires the adapter that applies pulled entities.
-func (m *Manager) SetApplier(a Applier) {
-	m.mu.Lock()
-	m.applier = a
-	m.mu.Unlock()
-}
-
-// SetReplayer wires the function that replays one queued op during the
-// push phase.
-func (m *Manager) SetReplayer(f func(ctx context.Context, op Op) error) {
-	m.mu.Lock()
-	m.replay = f
-	m.mu.Unlock()
-}
-
-// SetPeers wires the function listing the peers a reconnect session
-// pulls from (the users this device shares meetings or links with).
-func (m *Manager) SetPeers(f func() []string) {
-	m.mu.Lock()
-	m.peers = f
-	m.mu.Unlock()
-}
-
-func (m *Manager) getSource() Source {
+func (m *Manager) attached() App {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.source
-}
-
-func (m *Manager) getApplier() Applier {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.applier
-}
-
-func (m *Manager) getReplayer() func(ctx context.Context, op Op) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.replay
-}
-
-func (m *Manager) getPeers() func() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.peers
+	return m.app
 }
 
 func (m *Manager) setState(s State) {
@@ -197,9 +145,6 @@ func (m *Manager) setState(s State) {
 		return
 	}
 	m.observe("state."+string(s), "", 0)
-	if m.onState != nil {
-		m.onState(s)
-	}
 }
 
 // EnqueueOp parks an outbound op in the durable queue.
@@ -215,10 +160,10 @@ func (m *Manager) GoOffline(ctx context.Context) {
 	_ = m.dir.SetOffline(ctx, m.user, true)
 }
 
-// NoteFailure records one unavailable send. After FailureThreshold
+// NoteFailure records one unavailable send. After failureThreshold
 // consecutive failures the device flips to local mode.
 func (m *Manager) NoteFailure() {
-	if m.failures.Add(1) >= m.threshold && m.State() == StateOnline {
+	if m.failures.Add(1) >= failureThreshold && m.State() == StateOnline {
 		m.setState(StateOffline)
 	}
 }
@@ -301,13 +246,13 @@ func (m *Manager) abortSync(ctx context.Context, span *trace.Span, err error) {
 func (m *Manager) push(ctx context.Context) error {
 	start := m.clock.Now()
 	ctx, span := trace.Start(ctx, "sync.push")
-	replay := m.getReplayer()
+	app := m.attached()
 	ops := m.q.Ops()
 	span.Annotate(trace.Int("ops", len(ops)))
 	rejected := 0
 	for _, op := range ops {
-		if replay != nil {
-			if err := replay(ctx, op); err != nil {
+		if app != nil {
+			if err := app.Replay(ctx, op); err != nil {
 				if engine.IsUnavailable(err) {
 					span.FinishErr(err)
 					m.observe("Push", wire.CodeUnavailable, m.clock.Now().Sub(start))
@@ -338,10 +283,10 @@ func (m *Manager) pull(ctx context.Context) error {
 	ctx, span := trace.Start(ctx, "sync.pull")
 	defer span.Finish()
 	var peers []string
-	if f := m.getPeers(); f != nil {
-		peers = f()
+	app := m.attached()
+	if app != nil {
+		peers = app.Peers()
 	}
-	applier := m.getApplier()
 	applied := 0
 	for _, p := range peers {
 		if p == m.user {
@@ -356,10 +301,7 @@ func (m *Manager) pull(ctx context.Context) error {
 			continue
 		}
 		for _, e := range res.Entities {
-			if applier == nil {
-				break
-			}
-			if err := applier.Apply(e.Entity, e.Version, e.Doc); err != nil {
+			if err := app.Apply(e.Entity, e.Version, e.Doc); err != nil {
 				continue
 			}
 			m.setKnownVersion(p, e.Entity, e.Version)

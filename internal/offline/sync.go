@@ -38,20 +38,22 @@ type PullResult struct {
 	Irrelevant int `json:"irrelevant"`
 }
 
-// Source is the application adapter the sync server reads from — the
-// calendar implements it over its meeting records.
-type Source interface {
+// App is the application a device's sync sessions run on: the calendar
+// implements it over its meeting records.
+type App interface {
 	// Relevant reports whether entity concerns requester (the
 	// relevance predicate: entities the requester owns, participates
 	// in, or subscribes to).
 	Relevant(requester, entity string) bool
-	// Snapshot returns entity's current document.
+	// Snapshot returns entity's current document, for the sync server.
 	Snapshot(entity string) (json.RawMessage, bool)
-}
-
-// Applier applies pulled entity documents on the reconnecting device.
-type Applier interface {
+	// Apply lands an entity document pulled on reconnect.
 	Apply(entity string, version int64, doc json.RawMessage) error
+	// Replay replays one queued op during the push phase.
+	Replay(ctx context.Context, op Op) error
+	// Peers lists the users a reconnect session pulls from (those this
+	// device shares meetings or links with).
+	Peers() []string
 }
 
 // SyncObject builds the sync.<user> RPC object: the server half of a
@@ -89,10 +91,10 @@ func (m *Manager) servePull(ctx context.Context, subscriber string, have map[str
 	start := m.clock.Now()
 	_, span := trace.Start(ctx, "sync.pull.serve")
 	res := &PullResult{}
-	src := m.getSource()
+	app := m.attached()
 	for entity, ver := range m.versions.All() {
 		res.Total++
-		if !all && (src == nil || !src.Relevant(subscriber, entity)) {
+		if !all && (app == nil || !app.Relevant(subscriber, entity)) {
 			res.Irrelevant++
 			continue
 		}
@@ -100,10 +102,10 @@ func (m *Manager) servePull(ctx context.Context, subscriber string, have map[str
 			res.Unchanged++
 			continue
 		}
-		if src == nil {
+		if app == nil {
 			continue
 		}
-		doc, ok := src.Snapshot(entity)
+		doc, ok := app.Snapshot(entity)
 		if !ok {
 			continue
 		}

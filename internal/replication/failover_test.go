@@ -152,18 +152,17 @@ func slotOn(t *testing.T, n *core.Node, entity string) string {
 
 // startFollower boots a standby for x at addr whose PromoteFunc boots
 // a full node over the follower's directory and reports it on the
-// promoted channel. pullMax is the per-pull byte budget (0: default).
-func (fx *fixture) startFollower(addr, dataDir string, pullMax int, promoted chan *core.Node) *replication.Follower {
+// promoted channel.
+func (fx *fixture) startFollower(addr, dataDir string, promoted chan *core.Node) *replication.Follower {
 	fx.t.Helper()
 	f, err := replication.StartFollower(context.Background(), replication.FollowerConfig{
-		User:         "x",
-		Net:          fx.net,
-		Dir:          fx.dirClient(),
-		DataDir:      dataDir,
-		ListenAddr:   addr,
-		LeaseTTL:     leaseTTL,
-		Clock:        fx.clk,
-		PullMaxBytes: pullMax,
+		User:       "x",
+		Net:        fx.net,
+		Dir:        fx.dirClient(),
+		DataDir:    dataDir,
+		ListenAddr: addr,
+		LeaseTTL:   leaseTTL,
+		Clock:      fx.clk,
 		Promote: func(ctx context.Context, holder string) (string, error) {
 			n := fx.start(core.Config{User: "x", DataDir: dataDir, LeaseTTL: leaseTTL, LeaseHolder: holder})
 			promoted <- n
@@ -201,17 +200,11 @@ func TestFailoverRecoversAckedCommits(t *testing.T) {
 	a := fx.addNode("a", 0)
 	b := fx.addNode("b", 0)
 	y := fx.addNode("y", 0)
-	tun := links.Tuning{RetryBase: 100 * time.Millisecond, PresumeAbortAfter: 30 * time.Second}
-	for _, n := range []*core.Node{a, b, y} {
-		n.Links.SetTuning(tun)
-	}
-
 	x := fx.addNode("x", leaseTTL, "repl-x-1", "repl-x-2")
-	x.Links.SetTuning(tun)
 
 	promoted := make(chan *core.Node, 2)
-	f1 := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
-	f2 := fx.startFollower("repl-x-2", t.TempDir(), 0, promoted)
+	f1 := fx.startFollower("repl-x-1", t.TempDir(), promoted)
+	f2 := fx.startFollower("repl-x-2", t.TempDir(), promoted)
 
 	// Acked baseline: a clean negotiation through x and y, replicated
 	// to both followers before the fault.
@@ -363,8 +356,8 @@ func TestFailoverCaughtUpFollowerOutranksLowerAddress(t *testing.T) {
 	x := fx.addNode("x", leaseTTL, "repl-x-1", "repl-x-2")
 
 	promoted := make(chan *core.Node, 2)
-	f1 := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
-	f2 := fx.startFollower("repl-x-2", t.TempDir(), 0, promoted)
+	f1 := fx.startFollower("repl-x-1", t.TempDir(), promoted)
+	f2 := fx.startFollower("repl-x-2", t.TempDir(), promoted)
 
 	if _, err := x.Links.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M1")},
@@ -439,7 +432,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	}
 
 	// Serving normally while the lease is good.
-	if resp := rawCall(links.ServiceFor("x"), "LinksOn", wire.Args{wire.Str("entity", "s0")}); !resp.OK {
+	if resp := rawCall(links.ServiceFor("x"), "QueryOutcome", wire.Args{wire.Str("nid", "none")}); !resp.OK {
 		t.Fatalf("pre-expiry call: %+v", resp)
 	}
 
@@ -451,7 +444,7 @@ func TestFenceRejectsWritesAfterLeaseLoss(t *testing.T) {
 	if x.Repl.LeaseValid() {
 		t.Fatal("lease should have lapsed locally")
 	}
-	if resp := rawCall(links.ServiceFor("x"), "LinksOn", wire.Args{wire.Str("entity", "s0")}); resp.OK || resp.Code != wire.CodeUnavailable {
+	if resp := rawCall(links.ServiceFor("x"), "QueryOutcome", wire.Args{wire.Str("nid", "none")}); resp.OK || resp.Code != wire.CodeUnavailable {
 		t.Fatalf("post-expiry call = %+v, want fenced (unavailable)", resp)
 	}
 	// Replication traffic still flows: a promoter drains the fenced
@@ -488,12 +481,12 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 	caller := fx.start(core.Config{User: "a", RouteCacheTTL: time.Hour})
 	x := fx.addNode("x", leaseTTL, "repl-x-1")
 	promoted := make(chan *core.Node, 1)
-	f := fx.startFollower("repl-x-1", t.TempDir(), 0, promoted)
+	f := fx.startFollower("repl-x-1", t.TempDir(), promoted)
 
-	linksOn := func() error {
-		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "LinksOn", wire.Args{wire.Str("entity", "s0")}, nil)
+	probe := func() error {
+		return caller.Engine.Invoke(ctx, links.ServiceFor("x"), "QueryOutcome", wire.Args{wire.Str("nid", "none")}, nil)
 	}
-	if err := linksOn(); err != nil {
+	if err := probe(); err != nil {
 		t.Fatal(err)
 	}
 	drainFollowers(t, x, f)
@@ -505,7 +498,7 @@ func TestFailoverFirstCallOnWarmRoute(t *testing.T) {
 		t.Fatalf("CheckLease = %v, %v; want a promotion", did, err)
 	}
 	x2 := <-promoted
-	if err := linksOn(); err != nil {
+	if err := probe(); err != nil {
 		t.Fatalf("first call after the promotion: %v", err)
 	}
 	if got := caller.Engine.DirCache().Stats(); got.Invalidations != 0 {
@@ -524,15 +517,17 @@ func TestHandoffDrainsLaggingFollower(t *testing.T) {
 	fx := newFixture(t)
 	x := fx.addNode("x", leaseTTL)
 	promoted := make(chan *core.Node, 1)
-	f := fx.startFollower("repl-x-1", t.TempDir(), 512, promoted)
+	f := fx.startFollower("repl-x-1", t.TempDir(), promoted)
 
 	slots, err := x.DB.Table("slots")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 40 rows of 32 KiB: more log than one pull carries.
 	const n = 40
+	holder := strings.Repeat("M", 32<<10)
 	for i := 0; i < n; i++ {
-		if err := slots.Insert(rowOf(slots, "entity", fmt.Sprintf("s%02d", i), "holder", "M")); err != nil {
+		if err := slots.Insert(rowOf(slots, "entity", fmt.Sprintf("s%02d", i), "holder", holder)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -548,9 +543,14 @@ func TestHandoffDrainsLaggingFollower(t *testing.T) {
 	}
 	x2 := <-promoted
 	defer x2.Close(ctx)
+	// At least two pulls that carry frames, and the one that finds the
+	// tail.
+	if pulls := f.Status().Pulls; pulls < 3 {
+		t.Fatalf("the follower drained the log in %d pulls, want at least 3", pulls)
+	}
 	for i := 0; i < n; i++ {
-		if got := slotOn(t, x2, fmt.Sprintf("s%02d", i)); got != "M" {
-			t.Fatalf("slot s%02d on the promoted node = %q, want M", i, got)
+		if got := slotOn(t, x2, fmt.Sprintf("s%02d", i)); got != holder {
+			t.Fatalf("slot s%02d on the promoted node holds %d bytes, want the %d-byte holder", i, len(got), len(holder))
 		}
 	}
 	dir := fx.dirClient()

@@ -52,9 +52,6 @@ type FollowerConfig struct {
 	Clock clock.Clock
 	// Metrics, when set, records shipping observations under LayerRepl.
 	Metrics *metrics.Registry
-	// PullMaxBytes is the per-pull byte budget (DefaultPullMaxBytes
-	// when 0).
-	PullMaxBytes int
 	// PullEvery and LeaseCheckEvery, when > 0, run the pull and
 	// lease-watch loops, timed through Clock. Tests leave them 0 and
 	// drive PullOnce/CheckLease by hand.
@@ -106,9 +103,6 @@ func StartFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 		return nil, fmt.Errorf("replication: FollowerConfig.LeaseTTL must be positive")
 	case cfg.Promote == nil:
 		return nil, fmt.Errorf("replication: FollowerConfig.Promote is required")
-	}
-	if cfg.PullMaxBytes <= 0 {
-		cfg.PullMaxBytes = DefaultPullMaxBytes
 	}
 	clk := cfg.Clock
 	if clk == nil {
@@ -214,7 +208,7 @@ func (f *Follower) PullOnce(ctx context.Context) error {
 	start := time.Now()
 	var reply pullReply
 	err = call(ctx, f.cfg.Net, primaryAddr, f.cfg.User, "Pull",
-		wire.Args{wire.Int64("from", int64(from)), wire.Int("max", f.cfg.PullMaxBytes)}, &reply)
+		wire.Args{wire.Int64("from", int64(from))}, &reply)
 	if err != nil {
 		f.observe("pull", wire.CodeOf(err), time.Since(start))
 		return err
@@ -368,7 +362,7 @@ func (f *Follower) PromoteNow(ctx context.Context) error {
 	// Best-effort final drain: the old primary (now fenced by our
 	// lease) still serves Pull, so any acked frames it wrote reach us
 	// before we seal the directory. Pull until a pull fails or brings
-	// nothing (one pull carries at most PullMaxBytes): errors are
+	// nothing (one pull carries at most pullMaxBytes): errors are
 	// expected — it may simply be dead.
 	for {
 		before := f.d.LastLSN()

@@ -16,8 +16,8 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultPullMaxBytes bounds the frame bytes served per Pull.
-const DefaultPullMaxBytes = 1 << 20
+// pullMaxBytes bounds the frame bytes served per Pull.
+const pullMaxBytes = 1 << 20
 
 // PrimaryConfig describes the replication role of a serving node.
 type PrimaryConfig struct {
@@ -43,9 +43,6 @@ type PrimaryConfig struct {
 	// Metrics, when set, records lease and shipping observations under
 	// LayerRepl.
 	Metrics *metrics.Registry
-	// OnFenced, when set, runs once when the primary loses its lease
-	// for good (a rival holds it).
-	OnFenced func()
 }
 
 // Primary is the serving side of a replica set: it ships WAL frames
@@ -139,15 +136,11 @@ func (p *Primary) Release(ctx context.Context) error {
 	return err
 }
 
-// fence marks the primary permanently invalid and fires OnFenced once.
+// fence marks the primary permanently invalid.
 func (p *Primary) fence() {
 	p.mu.Lock()
-	already := p.fenced
 	p.fenced = true
 	p.mu.Unlock()
-	if !already && p.cfg.OnFenced != nil {
-		p.cfg.OnFenced()
-	}
 }
 
 // LeaseValid reports whether this node may serve as primary right
@@ -190,12 +183,8 @@ func (p *Primary) Object() *listener.Object {
 	obj := listener.NewObject()
 	obj.Handle("Pull", func(ctx context.Context, call *listener.Call) (any, error) {
 		from := uint64(call.Args.Int64("from"))
-		max := call.Args.Int("max")
-		if max <= 0 || max > DefaultPullMaxBytes {
-			max = DefaultPullMaxBytes
-		}
 		start := time.Now()
-		batch, err := p.cfg.Durable.ReadFrames(from, max)
+		batch, err := p.cfg.Durable.ReadFrames(from, pullMaxBytes)
 		p.mu.Lock()
 		p.pulls++
 		p.mu.Unlock()
