@@ -11,10 +11,11 @@ import (
 )
 
 // longLivedGoroutines are the directories whose go statements start a
-// loop that outlives any one request: accept and connection loops,
-// fake-clock timers and clock.LoopGo, the log flusher and the commands'
-// servers. The sim network starts none: it answers a call on the
-// caller's goroutine.
+// loop that outlives any one request: accept and connection loops, a
+// connection's handler workers (each serves request after request until
+// its connection closes), fake-clock timers and clock.LoopGo, the log
+// flusher and the commands' servers. The sim network starts none: it
+// answers a call on the caller's goroutine.
 var longLivedGoroutines = []string{"internal/transport", "internal/clock", "internal/wal", "cmd"}
 
 // TestGoroutineCensus: on the request path, engine.FanOut is the only

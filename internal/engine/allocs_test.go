@@ -15,12 +15,13 @@ import (
 // allocation count, both ends counted: engine.Invoke under a deadline,
 // through the route cache and the TCP transport to the listener and its
 // handler and back, the Commit's ack read as the bool it is. What is
-// left is the client's request and response (2) and the server's one
-// object per request (request, hint context and response), the body's
-// one string copy, the argument slice and the handler goroutine (4): no
-// deadline timer, no metadata map, no copy of the route, the request or
-// the result (10 before the served object, 7 while a result was JSON
-// text the client copied).
+// left is the client's request and response (2) and the server's copy
+// of the body's strings (1): the server recycles its served object
+// (request, hint context and response) and argument slice and answers
+// on an idle worker, so no deadline timer, no metadata map, no handler
+// goroutine and no copy of the route, the request or the result (10
+// before the served object, 7 while a result was JSON text the client
+// copied, 6 while each request had a new object, slice and goroutine).
 func TestRPCRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -65,7 +66,7 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		call() // the route cache, the connection and its name tables
 	}
-	want := 6.0
+	want := 3.0
 	if raceEnabled {
 		want += 6
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/links"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -33,9 +35,9 @@ import (
 // never touch the (non-thread-safe) rng.
 type chaosRound struct {
 	loss      float64
-	partition [2]string // pair to partition ("" = none)
-	down      string    // participant taken down ("" = none)
-	crashUser string    // commits to this user fail at coordinator a
+	partition string // participant cut off from coordinator a ("" = none)
+	down      string // participant taken down ("" = none)
+	crashUser string // commits to this user fail at coordinator a
 	entity    string
 	latBase   time.Duration
 	latJitter time.Duration
@@ -59,8 +61,9 @@ func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 	heal := func(r chaosRound) {
 		h.net.SetLoss(0)
 		h.net.SetLatency(0, 0)
-		if r.partition[0] != "" {
-			h.net.Heal(r.partition[0], r.partition[1])
+		if p := r.partition; p != "" {
+			h.net.Heal("a", "node-"+p)
+			h.net.Heal(p, "node-a")
 		}
 		if r.down != "" {
 			h.net.SetDown(r.down, false)
@@ -95,7 +98,7 @@ func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 			r.loss = 0.1 + 0.5*rng.Float64()
 		}
 		if rng.Float64() < 0.25 {
-			r.partition = [2]string{"node-a", "node-" + parts[rng.Intn(len(parts))]}
+			r.partition = parts[rng.Intn(len(parts))]
 		}
 		if rng.Float64() < 0.2 {
 			r.down = "node-" + parts[rng.Intn(len(parts))]
@@ -108,12 +111,22 @@ func runChaos(t *testing.T, h *harness, seed int64, rounds int) {
 			r.latJitter = time.Duration(rng.Intn(2)) * time.Millisecond
 		}
 
-		// Arm the faults on the live network.
+		// Arm the faults on the live network. The sim keys a partition
+		// by the caller's name and the callee's address, so a cut takes
+		// both directions' pairs; a probe each way, sent before any loss
+		// is armed, must find it.
+		if p := r.partition; p != "" {
+			h.net.Partition("a", "node-"+p)
+			h.net.Partition(p, "node-a")
+			for _, from := range [][2]string{{"a", p}, {p, "a"}} {
+				_, err := h.net.Call(ctx, "node-"+from[1], &transport.Request{Caller: from[0], Service: "sys." + from[1], Method: "Services"})
+				if wire.CodeOf(err) != wire.CodeUnavailable || !strings.Contains(fmt.Sprint(err), "partition") {
+					t.Fatalf("seed %d round %d: a probe from %s to %s across the cut answered %v", seed, i, from[0], from[1], err)
+				}
+			}
+		}
 		h.net.SetLoss(r.loss)
 		h.net.SetLatency(r.latBase, r.latJitter)
-		if r.partition[0] != "" {
-			h.net.Partition(r.partition[0], r.partition[1])
-		}
 		if r.down != "" {
 			h.net.SetDown(r.down, true)
 		}

@@ -40,8 +40,9 @@ import (
 // (the trace context, nil when none came) is read-only.
 type Call = wire.Request
 
-// Method is a service method implementation. The returned value is
-// JSON-encoded into the response.
+// Method is a service method implementation. The returned value is the
+// response's result (wire.Marshal). As a transport.Handler, a method
+// may not keep call, its top-level Args slice or ctx once it returns.
 type Method func(ctx context.Context, call *Call) (any, error)
 
 // Object is a set of named methods published as one SyD device object.

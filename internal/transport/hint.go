@@ -12,7 +12,8 @@ import (
 // once; the timer behind Done, a context.WithDeadline of the parent, is
 // armed only when Done is first called, or Err after the deadline or the
 // parent's end. Most handlers never wait (a lock wait or an onward Invoke
-// does), so most requests cost nothing beyond their served object.
+// does), so most requests allocate nothing here. An armed one's served
+// object is not recycled: a context package goroutine may still watch it.
 type hintCtx struct {
 	context.Context // the parent
 	deadline        time.Time

@@ -3,9 +3,13 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +20,10 @@ import (
 
 // TestServedRequestAllocs holds serving one warm request over a real
 // socket to its allocation count: a raw v3 frame in, a static result
-// out. What is left is the served object (request, hint context and
-// response in one), the body's one string copy, the argument slice and
-// the handler goroutine.
+// out. What is left is the body's one string copy: the served object
+// (request, hint context and response in one) and its argument slice
+// are recycled, and the connection's idle worker serves it (4 while each
+// request had a new object, slice and goroutine).
 func TestServedRequestAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -82,7 +87,7 @@ func TestServedRequestAllocs(t *testing.T) {
 			t.Fatalf("answer %+v, %v", env.Response, err)
 		}
 	}
-	want := 4.0
+	want := 1.0
 	if raceEnabled {
 		want += 2
 	}
@@ -186,5 +191,161 @@ func TestServeConnStartsNothingAfterClose(t *testing.T) {
 	case <-ran:
 		t.Fatal("a handler ran for a request read after Close began")
 	default:
+	}
+}
+
+// TestServedObjectsDoNotCrossTalk: many calls in flight on one
+// connection, each handler sleeping a random while, each answer echoing
+// its request's arguments, id and deadline hint. The served objects,
+// their argument slices and hint contexts go round the listener's pool
+// and its workers; every answer must still be its own request's.
+func TestServedObjectsDoNotCrossTalk(t *testing.T) {
+	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
+		time.Sleep(time.Duration(rand.Intn(2000)) * time.Microsecond)
+		var minutes int64
+		if d, ok := ctx.Deadline(); ok {
+			minutes = int64(math.Ceil(time.Until(d).Minutes()))
+		}
+		res, err := wire.Marshal(wire.Args{wire.Sub("args", req.Args), wire.Int64("id", int64(req.ID)), wire.Int64("min", minutes)})
+		if err != nil {
+			return ErrorFor(req, err)
+		}
+		return Response{OK: true, Result: res}
+	})
+	tcp := NewTCP()
+	defer tcp.Close()
+	ln, err := tcp.Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < 40; c++ {
+				args := wire.Args{wire.Int("g", g)}
+				for i := 0; i < c%5; i++ {
+					args = append(args, wire.Str(fmt.Sprintf("a%d", i), fmt.Sprintf("%d-%d", g, c)))
+				}
+				minutes := int64(c % 3) // 0: no hint
+				req := &Request{Service: "cal.phil", Method: "Echo", Args: args}
+				req.SetDeadline(time.Duration(minutes) * time.Minute)
+				resp, err := tcp.Call(ctx, ln.Addr(), req)
+				if err != nil || !resp.OK {
+					t.Errorf("call %d of %d: %+v, %v", c, g, resp, err)
+					return
+				}
+				want, _ := wire.Marshal(wire.Args{wire.Sub("args", args), wire.Int64("id", int64(req.ID)), wire.Int64("min", minutes)})
+				got, _ := resp.Result.MarshalJSON()
+				if w, _ := want.MarshalJSON(); string(got) != string(w) {
+					t.Errorf("call %d of %d answered %s, want %s", c, g, got, w)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestIdleWorkersExitOnClose: after bursts of concurrent requests on
+// several connections, each connection keeps its idle workers until
+// Close, which returns with every one of them gone.
+func TestIdleWorkersExitOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	h := HandlerFunc(func(ctx context.Context, req *Request) Response {
+		time.Sleep(5 * time.Millisecond)
+		return Response{OK: true}
+	})
+	ln, err := NewTCP().Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns, burst = 3, 16
+	var clients []*TCP
+	for i := 0; i < conns; i++ {
+		tcp := NewTCP()
+		defer tcp.Close()
+		clients = append(clients, tcp)
+	}
+	for round := 0; round < 3; round++ {
+		var wg sync.WaitGroup
+		for _, tcp := range clients {
+			for i := 0; i < burst; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req := &Request{Service: "cal.phil", Method: "Nap"}
+					req.SetDeadline(time.Minute)
+					if resp, err := tcp.Call(context.Background(), ln.Addr(), req); err != nil || !resp.OK {
+						t.Errorf("Call = %+v, %v", resp, err)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	// Each connection: the client's read loop, the server's and at least
+	// one idle worker; and the accept loop.
+	if n := runtime.NumGoroutine(); n < before+3*conns+1 {
+		t.Fatalf("%d goroutines between bursts, %d before Listen: no idle worker waits", n, before)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- ln.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	for _, tcp := range clients {
+		tcp.Close()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before Listen", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWatchedHintContextsAreNotRecycled: a handler that derives a
+// cancelable context from its hint context makes the context package
+// watch the hint from a goroutine of its own, which may call Done and
+// Err after the handler has returned. Its served object must not serve
+// another request, or that goroutine reads the next request's context
+// (a nil Err after its Done closed, which panics). Every request, each
+// answered from the pool as a worker answers it, still sees its own
+// deadline, open, and a request without a hint none.
+func TestWatchedHintContextsAreNotRecycled(t *testing.T) {
+	type key struct{}
+	l := &tcpListener{
+		handler: HandlerFunc(func(ctx context.Context, req *Request) Response {
+			d, ok := ctx.Deadline()
+			if want := req.Deadline(); ok != (want > 0) || ok && time.Until(d) > want || ctx.Err() != nil {
+				t.Fatalf("request %d: deadline %v, %v, err %v; hint %v", req.ID, d, ok, ctx.Err(), want)
+			}
+			if req.Args.Bool("watch") {
+				_, cancel := context.WithCancel(context.WithValue(ctx, key{}, req.ID))
+				cancel()
+			}
+			return Response{OK: true}
+		}),
+		stats: &metrics.WireStats{},
+	}
+	l.ctx, l.cancel = context.WithCancel(context.Background())
+	defer l.cancel()
+	fw := &frameWriter{w: io.Discard, stats: l.stats}
+	none := make(chan *served) // a worker handed no request after the first
+	close(none)
+	for i := 0; i < 2000; i++ {
+		s := servedPool.Get().(*served)
+		s.req = Request{ID: uint64(i), Service: "cal.phil", Method: "Watch", Args: append(s.req.Args, wire.Bool("watch", i%2 == 0))}
+		s.req.SetDeadline(time.Duration(i%3) * time.Hour)
+		l.wg.Add(1)
+		l.work(s, none, fw)
 	}
 }

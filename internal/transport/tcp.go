@@ -60,7 +60,7 @@ type tcpListener struct {
 	stats   *metrics.WireStats
 	ctx     context.Context // every request's parent; Close cancels it
 	cancel  context.CancelFunc
-	wg      sync.WaitGroup // the accept loop, the read loops, the handlers
+	wg      sync.WaitGroup // the accept loop, the read loops, the workers
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closed  bool
@@ -121,19 +121,22 @@ func (l *tcpListener) acceptLoop() {
 }
 
 // served is one inbound request and all that serving it takes, in one
-// allocation: the request decoded in place, its hint context, the answer.
+// object: the request decoded in place, its hint context, the answer.
 type served struct {
 	req  Request
 	hint hintCtx
 	resp Response
 }
 
-// run answers s.req through h under parent, or under a hint context of
+// servedPool recycles served objects (see tcpListener.work).
+var servedPool = sync.Pool{New: func() any { return new(served) }}
+
+// run answers s.req through h under parent, or under s's hint context of
 // parent when the caller sent a deadline hint.
 func (s *served) run(parent context.Context, h Handler) {
 	ctx := parent
 	if d := s.req.Deadline(); d > 0 {
-		s.hint.Context, s.hint.deadline = parent, time.Now().Add(d)
+		s.hint = hintCtx{Context: parent, deadline: time.Now().Add(d)}
 		defer s.hint.release()
 		ctx = &s.hint
 	}
@@ -143,19 +146,21 @@ func (s *served) run(parent context.Context, h Handler) {
 
 func (l *tcpListener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
+	work := make(chan *served) // a send succeeds only to an idle worker
 	defer func() {
+		close(work) // idle workers return, busy ones once they have answered
 		l.mu.Lock()
 		delete(l.conns, conn)
 		l.mu.Unlock()
 		conn.Close()
 	}()
 	// One frame reader and one writer per connection,
-	// shared by the handler goroutines answering on it.
+	// shared by the workers answering on it.
 	fr := wire.NewFrameReader(conn)
 	fw := &frameWriter{w: conn, stats: l.stats}
 	var readBytes int64
 	for {
-		s := new(served)
+		s := servedPool.Get().(*served)
 		if err := fr.ReadRequest(&s.req); err != nil {
 			return
 		}
@@ -167,22 +172,37 @@ func (l *tcpListener) serveConn(conn net.Conn) {
 		}
 		l.stats.RecordRecv(1, int(fr.Bytes-readBytes))
 		readBytes = fr.Bytes
-		// Each request gets its own goroutine so a slow handler (e.g. a
-		// negotiation holding locks) cannot stall unrelated traffic on
-		// the same connection. This loop's own count keeps the Add from
-		// racing Close's Wait.
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			s.run(l.ctx, l.handler)
-			err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: &s.resp})
-			if errors.Is(err, errEncode) {
-				// Answer in its place rather than leave the caller
-				// waiting out its deadline.
-				s.resp = ErrorResponse(&s.req, wire.CodeInternal, "%v", err)
-				_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: &s.resp})
-			}
-		}()
+		// A request no idle worker takes gets a new one, so a slow handler
+		// (a negotiation holding locks) stalls no other. This loop's own
+		// count keeps the Add from racing Close's Wait.
+		select {
+		case work <- s:
+		default:
+			l.wg.Add(1)
+			go l.work(s, work, fw)
+		}
+	}
+}
+
+// work answers s, then each request handed to it, until work closes.
+// Each answered object goes back to the pool, argument slice and all,
+// unless its hint context was armed (see hintCtx).
+func (l *tcpListener) work(s *served, work <-chan *served, fw *frameWriter) {
+	defer l.wg.Done()
+	for ; s != nil; s = <-work {
+		s.run(l.ctx, l.handler)
+		err := fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: &s.resp})
+		if errors.Is(err, errEncode) {
+			// Answer in its place rather than leave the caller
+			// waiting out its deadline.
+			s.resp = ErrorResponse(&s.req, wire.CodeInternal, "%v", err)
+			_ = fw.writeEnvelope(&wire.Envelope{Kind: wire.KindResponse, Response: &s.resp})
+		}
+		if s.hint.armed == nil {
+			clear(s.req.Args)
+			s.req, s.resp = Request{Args: s.req.Args[:0]}, Response{}
+			servedPool.Put(s)
+		}
 	}
 }
 

@@ -24,6 +24,8 @@ var (
 
 // Handler is the server-side dispatch surface. HandleRequest must be
 // safe for concurrent calls; req is its call's alone, to write in place.
+// Once it returns, the TCP listener recycles req, its top-level Args slice
+// and ctx, so it keeps none of them (nested lists and strings it may).
 type Handler interface {
 	HandleRequest(ctx context.Context, req *Request) Response
 }

@@ -409,21 +409,25 @@ func (d *v3dec) meta() (Metadata, error) {
 	return m, nil
 }
 
-// args decodes an argument list into one slice. Its strings are
-// substrings of the body's one copy (see v3dec), so what allocates is
-// the slice, a nested list's own and the string lists' one backing.
-func (d *v3dec) args(depth int) (Args, error) {
+// args decodes an argument list into one slice: into's, when it has
+// room, else a new one. Its strings are substrings of the body's one
+// copy (see v3dec), so what allocates is that slice, a nested list's own
+// and the string lists' one backing.
+func (d *v3dec) args(depth int, into Args) (Args, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
-		return nil, nil
+		return into[:0], nil
 	}
 	if n > uint64(len(d.b)-d.pos) || depth > maxArgsDepth {
 		return nil, d.fail()
 	}
-	a := make(Args, 0, min(n, maxSizeHint))
+	a := into[:0]
+	if uint64(cap(a)) < min(n, maxSizeHint) {
+		a = make(Args, 0, min(n, maxSizeHint))
+	}
 	var seen map[string]bool // from maxSizeHint keys on: a long list is checked in linear time
 	for i := uint64(0); i < n; i++ {
 		k, err := d.name()
@@ -506,7 +510,7 @@ func (d *v3dec) value(v *Value, depth int) (err error) {
 		return nil
 	case v3ValMap:
 		v.kind = kindArgs
-		v.sub, err = d.args(depth + 1)
+		v.sub, err = d.args(depth+1, nil)
 		return err
 	case v3ValJSON:
 		p, err := d.field()
@@ -600,7 +604,7 @@ func (d *v3dec) request(r *Request) (err error) {
 	if r.Meta, err = d.meta(); err != nil {
 		return err
 	}
-	r.Args, err = d.args(0)
+	r.Args, err = d.args(0, r.Args)
 	return err
 }
 

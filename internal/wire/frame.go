@@ -229,7 +229,8 @@ func (d *Decoder) Decode(frame []byte) (*Envelope, error) {
 
 // DecodeRequest decodes a whole frame held in memory, a binary request
 // or else refused, into the caller's r, as Decode would: a server
-// decodes each request into the object that serves it.
+// decodes each request into the object that serves it. r's top-level
+// Args slice is reused when it has room, so nothing may still hold it.
 func (d *Decoder) DecodeRequest(frame []byte, r *Request) error {
 	body, err := unframe(frame)
 	if err != nil {
