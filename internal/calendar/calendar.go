@@ -599,7 +599,7 @@ func (c *Calendar) acceptRecord(u *store.Tx, m *Meeting) error {
 		return err
 	}
 	if m.Status == StatusCancelled || m.LinkID == "" || m.Initiator == c.user || m.isReserved(c.user) ||
-		u.Has(links.LinkTable, m.LinkID) || !containsString(m.Participants(), c.user) {
+		u.Has(links.LinkTable, m.LinkID) || !m.involves(c.user) {
 		return nil
 	}
 	l := links.Link{

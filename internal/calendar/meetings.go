@@ -282,9 +282,13 @@ func (c *Calendar) linkAndPublish(ctx context.Context, m *Meeting, entity string
 		Owner:      links.EntityRef{User: m.Initiator, Entity: entity},
 		Triggers:   []links.Trigger{{Event: "change", Action: ActionReserve, Args: reserveArgs(m, false)}},
 	}
-	for _, p := range m.Participants() {
-		if p != m.Initiator {
-			fwd.Targets = append(fwd.Targets, links.EntityRef{User: p, Entity: entity})
+	var buf [8]string
+	if ps := m.appendParticipants(buf[:0]); len(ps) > 1 {
+		fwd.Targets = make([]links.EntityRef, 0, len(ps)-1)
+		for _, p := range ps {
+			if p != m.Initiator {
+				fwd.Targets = append(fwd.Targets, links.EntityRef{User: p, Entity: entity})
+			}
 		}
 	}
 	return c.db.Unit(ctx, func(u *store.Tx) error {
@@ -311,7 +315,8 @@ func (c *Calendar) publishIn(u *store.Tx, m *Meeting, sent map[string]*Meeting) 
 		return err
 	}
 	var to []string
-	for _, p := range m.Participants() {
+	var buf [8]string
+	for _, p := range m.appendParticipants(buf[:0]) {
 		if had := sent[p]; p != c.user && (had == nil || !had.equal(m)) {
 			to = append(to, p)
 		}

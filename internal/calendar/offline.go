@@ -218,7 +218,7 @@ func (a *syncAdapter) Relevant(requester, entity string) bool {
 	if !ok {
 		return false
 	}
-	return containsString(m.Participants(), requester)
+	return m.involves(requester)
 }
 
 // Snapshot returns the meeting's current document: json.Marshal of the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -286,7 +287,8 @@ func TestMeetingListsDoNotAliasTheRow(t *testing.T) {
 
 // TestParticipantsOrder: the initiator, the musts, the supervisors and the
 // or-groups' members, each user once where first seen, none empty, in one
-// allocation.
+// allocation, or none appended to a buffer with room after what it holds;
+// involves is membership of that list, with no allocation.
 func TestParticipantsOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -310,6 +312,22 @@ func TestParticipantsOrder(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(10, func() { tc.m.Participants() }); got > 1 {
 				t.Fatalf("Participants() costs %.0f allocs, want <= 1", got)
+			}
+			var buf [8]string
+			buf[0] = "a" // held already: appended again if a participant
+			if got := tc.m.appendParticipants(buf[:1]); !slices.Equal(got[1:], tc.want) || &got[0] != &buf[0] {
+				t.Fatalf("appendParticipants after %q = %q, want %q in the buffer", buf[0], got[1:], tc.want)
+			}
+			if got := testing.AllocsPerRun(10, func() { tc.m.appendParticipants(buf[:0]) }); got != 0 {
+				t.Fatalf("appendParticipants into a buffer with room costs %.0f allocs", got)
+			}
+			for _, u := range []string{"", "a", "b", "c", "d", "e", "f", "g", "z"} {
+				if got, want := tc.m.involves(u), slices.Contains(tc.want, u); got != want {
+					t.Fatalf("involves(%q) = %v, want %v", u, got, want)
+				}
+			}
+			if got := testing.AllocsPerRun(10, func() { tc.m.involves("g") }); got != 0 {
+				t.Fatalf("involves costs %.0f allocs", got)
 			}
 		})
 	}

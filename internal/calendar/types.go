@@ -144,18 +144,23 @@ type Meeting struct {
 
 // Participants returns every user involved (initiator, musts,
 // supervisors, or-group members), deduplicated, in first-seen order.
-// The lists are a handful of names, so one slice sized for all of them
-// is deduplicated by a linear scan.
 func (m *Meeting) Participants() []string {
 	n := 1 + len(m.Must) + len(m.Supervisors)
 	for _, g := range m.OrGroups {
 		n += len(g.Members)
 	}
-	out := make([]string, 0, n)
+	return m.appendParticipants(make([]string, 0, n))
+}
+
+// appendParticipants appends Participants to buf: a caller's stack
+// buffer holds a meeting's. The lists are a handful of names, so they
+// are deduplicated by a linear scan.
+func (m *Meeting) appendParticipants(buf []string) []string {
+	from := len(buf)
 	add := func(users ...string) {
 		for _, u := range users {
-			if u != "" && !containsString(out, u) {
-				out = append(out, u)
+			if u != "" && !containsString(buf[from:], u) {
+				buf = append(buf, u)
 			}
 		}
 	}
@@ -165,7 +170,23 @@ func (m *Meeting) Participants() []string {
 	for _, g := range m.OrGroups {
 		add(g.Members...)
 	}
-	return out
+	return buf
+}
+
+// involves reports whether user is one of m's Participants.
+func (m *Meeting) involves(user string) bool {
+	if user == "" {
+		return false
+	}
+	if user == m.Initiator || containsString(m.Must, user) || containsString(m.Supervisors, user) {
+		return true
+	}
+	for _, g := range m.OrGroups {
+		if containsString(g.Members, user) {
+			return true
+		}
+	}
+	return false
 }
 
 // isReserved reports whether user currently holds the meeting slot.
@@ -222,7 +243,7 @@ func (m *Meeting) standing() string {
 // as well: they join Reserved, leave Missing, and the status follows.
 func (m *Meeting) holding(refs []links.EntityRef) *Meeting {
 	d := *m
-	d.Reserved = append([]string(nil), m.Reserved...)
+	d.Reserved = append(slices.Grow([]string(nil), len(m.Reserved)+len(refs)), m.Reserved...)
 	for _, r := range refs {
 		d.Reserved = append(d.Reserved, r.User)
 	}

@@ -300,9 +300,11 @@ func (g *GroupResult) Decode(v any) error {
 // parallel and joins them. At most DefaultGroupLimit calls run at once,
 // each worker taking the next index until none is left; the calling
 // goroutine is one of the workers, so a fan-out of one or none starts
-// no goroutine.
+// no goroutine. Its state comes from fanOuts and goes back once every
+// worker is done with it.
 func FanOut(n int, f func(i int)) {
-	s := &fanOut{n: n, f: f}
+	s := fanOuts.Get().(*fanOut)
+	s.n, s.f = n, f
 	for w := 1; w < min(n, DefaultGroupLimit); w++ {
 		s.wg.Add(1)
 		go func() {
@@ -312,9 +314,15 @@ func FanOut(n int, f func(i int)) {
 	}
 	s.work()
 	s.wg.Wait()
+	s.next.Store(0)
+	s.f = nil
+	fanOuts.Put(s)
 }
 
-// fanOut is one FanOut call's state, in one allocation.
+// fanOuts holds the state of finished FanOut calls.
+var fanOuts = sync.Pool{New: func() any { return new(fanOut) }}
+
+// fanOut is one FanOut call's state.
 type fanOut struct {
 	next atomic.Int64 // the next index to claim
 	wg   sync.WaitGroup
@@ -374,9 +382,12 @@ func (e *Engine) groupRoutes(ctx context.Context, services []string) map[string]
 	}
 	need := services
 	if e.dirCache != nil {
-		need = make([]string, 0, len(services))
-		for _, s := range services {
+		need = nil // built at the first member the cache misses
+		for i, s := range services {
 			if e.dirCache.lookup(s) == nil {
+				if need == nil {
+					need = make([]string, 0, len(services)-i)
+				}
 				need = append(need, s)
 			}
 		}

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestFanOut: every index runs exactly once, min(n, DefaultGroupLimit)
-// of them at once and never more.
+// of them at once and never more, and fan-outs running at once keep to
+// their own indices.
 func TestFanOut(t *testing.T) {
 	for _, n := range []int{0, 1, DefaultGroupLimit, DefaultGroupLimit + 5} {
 		runs := make([]atomic.Int64, n)
@@ -38,6 +41,35 @@ func TestFanOut(t *testing.T) {
 			t.Fatalf("n=%d: peak concurrency %d, want %d", n, p, width)
 		}
 	}
+
+	// Concurrent fan-outs share the pool of FanOut states: each calls
+	// its own f with its own indices only, each once.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 200; r++ {
+				n := (g + r) % 9
+				runs := make([]atomic.Int64, n)
+				FanOut(n, func(i int) {
+					if i < 0 || i >= n {
+						t.Errorf("a fan-out of %d ran index %d", n, i)
+						return
+					}
+					runtime.Gosched()
+					runs[i].Add(1)
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Errorf("a fan-out of %d ran index %d %d times, want once", n, i, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFanOutOfNoneOrOneStartsNoGoroutine: each go statement FanOut runs

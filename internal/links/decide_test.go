@@ -88,7 +88,7 @@ func TestDecideArgsRideCommitNotMark(t *testing.T) {
 		h.addNode(u, func(c *core.Config) { c.Net = inboundNet{Network: c.Net, wrap: marks.wrap} })
 	}
 	// d cannot be marked: its entity lock is held.
-	if _, ok := h.nodes["d"].Links.Locks.TryLock("entity:s", "someone"); !ok {
+	if _, ok := h.nodes["d"].Links.Locks.TryLock("s", "someone"); !ok {
 		t.Fatal("lock d")
 	}
 	res, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{

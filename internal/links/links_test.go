@@ -3,6 +3,8 @@ package links_test
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -710,6 +712,62 @@ func TestDeleteCascadesAcrossUsers(t *testing.T) {
 		if _, ok := h.nodes[u].Links.GetLink("LX"); ok {
 			t.Fatalf("link survived at %s", u)
 		}
+	}
+}
+
+// TestCascadeCarriesVisited: the §4.4 cascade sends each participant
+// not yet visited one DeleteLink, in participant order, carrying the
+// users visited and the sender. A participant whose row names only users
+// visited already (the star of a calendar meeting's back links) sends
+// none; one whose row names a user not yet visited forwards to it.
+func TestCascadeCarriesVisited(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mesh bool // each participant's row names every other participant
+		want []string
+	}{
+		{"star", false, []string{"a->b [a]", "a->c [a]"}},
+		{"mesh", true, []string{"a->b [a]", "b->c [a b]", "a->c [a]"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			var mu sync.Mutex
+			var sent []string
+			for _, u := range []string{"a", "b", "c"} {
+				h.addNode(u, func(c *core.Config) {
+					c.Net = outboundNet{Network: c.Net, before: func(req *transport.Request) {
+						if req.Method == "DeleteLink" {
+							to := strings.TrimPrefix(req.Service, links.ServicePrefix)
+							mu.Lock()
+							sent = append(sent, fmt.Sprintf("%s->%s %v", u, to, req.Args.Strings("visited")))
+							mu.Unlock()
+						}
+					}}
+				})
+			}
+			all := refs("a", "slot9", "b", "slot9", "c", "slot9")
+			lm := h.nodes["a"].Links
+			for _, ref := range all {
+				row := participantRow("LX", ref, all)
+				if ref.User != "a" && !tc.mesh {
+					row = newLink("LX", links.Negotiation, links.Permanent, ref, all[:1])
+				}
+				if err := lm.InstallAt(ctxBg(), ref.User, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lm.DeleteLink(ctxBg(), "LX", nil); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sent, tc.want) {
+				t.Fatalf("DeleteLinks sent %q, want %q", sent, tc.want)
+			}
+			for _, u := range []string{"a", "b", "c"} {
+				if _, ok := h.nodes[u].Links.GetLink("LX"); ok {
+					t.Fatalf("link survived at %s", u)
+				}
+			}
+		})
 	}
 }
 

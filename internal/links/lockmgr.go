@@ -168,12 +168,11 @@ func (lt *LockTable) grant(entity string, e lockEntry) string {
 // application's own steps on a record that is no negotiated entity are
 // serialised in the same table as the marks.
 func (m *Manager) Hold(ctx context.Context, entity string, how Hold) (release func(), err error) {
-	key := lockKey(entity)
-	tok, err := m.Locks.Hold(ctx, key, m.self, how)
+	tok, err := m.Locks.Hold(ctx, entity, m.self, how)
 	if err != nil {
 		return nil, err
 	}
-	return func() { m.Locks.Unlock(key, tok) }, nil
+	return func() { m.Locks.Unlock(entity, tok) }, nil
 }
 
 // Stats returns a snapshot of the table's contention counters.

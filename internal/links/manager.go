@@ -533,14 +533,14 @@ func (m *Manager) Unlink(ctx context.Context, id string) (Unlinked, error) {
 	var d Unlinked
 	m.linksT.View(func(r store.Row) { d.entity = r.Str("owner_entity") }, id)
 	if d.entity != "" && m.queuedOn(d.entity, id) {
-		d.tok, _ = m.Locks.TryLock(lockKey(d.entity), m.self)
+		d.tok, _ = m.Locks.TryLock(d.entity, m.self)
 	}
 	err := m.db.Unit(ctx, func(u *store.Tx) (err error) {
 		d.Link, err = m.unlink(u, id)
 		return err
 	})
 	if err != nil {
-		m.Locks.Unlock(lockKey(d.entity), d.tok)
+		m.Locks.Unlock(d.entity, d.tok)
 	}
 	return d, err
 }
@@ -572,7 +572,7 @@ func (m *Manager) Retract(ctx context.Context, d Unlinked, visited []string) ([]
 	if d.Link == nil {
 		return nil, nil
 	}
-	return m.cascadeDelete(ctx, d.Link, append(visited, m.self))
+	return m.cascadeDelete(ctx, d.Link, visited)
 }
 
 // removeLink deletes l's local row (and any waiting entry) in u, queues
@@ -602,14 +602,19 @@ func (m *Manager) RemoveLink(u *store.Tx, id string) error {
 	return err
 }
 
-// cascadeDelete sends the deletion of l to every participant not yet
-// visited. One that is out of reach, or whose answer did not come, is
-// tombstoned for the periodic sweep and returned.
+// cascadeDelete sends the deletion of l to every participant but this
+// device not yet visited, each with visited and this device. One that
+// is out of reach, or whose answer did not come, is tombstoned for the
+// periodic sweep and returned.
 func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) (unreached []string, firstErr error) {
 	var buf [8]string
+	n := len(visited)
 	for _, p := range l.participants(buf[:0]) {
-		if contains(visited, p) {
+		if p == m.self || contains(visited, p) {
 			continue
+		}
+		if len(visited) == n { // the first deletion: only now is there one to carry
+			visited = append(visited, m.self)
 		}
 		err := m.eng.Invoke(ctx, m.service(p), "DeleteLink", wire.Args{
 			wire.Str("id", l.ID), wire.Strs("visited", visited),

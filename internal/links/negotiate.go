@@ -200,13 +200,14 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		defer func() {
 			// Whatever happens, A's lock is released at the end
 			// ("Unlock A" is the last line of every §4.3 semantic).
-			m.Locks.Unlock(lockKey(spec.Local.Entity), localToken)
+			m.Locks.Unlock(spec.Local.Entity, localToken)
 		}()
 	}
 
-	targets := append([]EntityRef(nil), spec.Targets...)
+	targets := spec.Targets
 	var marks []markResult
 	if spec.Constraint == And {
+		targets = append([]EntityRef(nil), targets...) // sorted in a copy: the caller's is theirs
 		sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
 		marks = m.markSequential(ctx, span, res.NID, targets, spec.Action, spec.Args)
 	} else {
@@ -430,6 +431,9 @@ func (m *Manager) markSequential(ctx context.Context, span *trace.Span, nid stri
 // markParallel marks all targets concurrently (Or/Xor semantics) and
 // records the marks in target order once all have returned.
 func (m *Manager) markParallel(ctx context.Context, span *trace.Span, nid string, targets []EntityRef, action string, args wire.Args) []markResult {
+	if len(targets) == 0 {
+		return nil
+	}
 	marks := make([]markResult, len(targets))
 	engine.FanOut(len(targets), func(i int) {
 		tok, err := m.markTarget(ctx, nid, targets[i], action, args)
@@ -444,6 +448,9 @@ func (m *Manager) markParallel(ctx context.Context, span *trace.Span, nid string
 // commitTargets runs the commit phase for tgts concurrently, one
 // Commit per target. The returned errors align with tgts.
 func (m *Manager) commitTargets(ctx context.Context, nid string, tgts []journalTarget, action string, args wire.Args, qos bool) []error {
+	if len(tgts) == 0 {
+		return nil
+	}
 	errs := make([]error, len(tgts))
 	engine.FanOut(len(tgts), func(i int) {
 		errs[i] = m.commitTarget(ctx, nid, tgts[i].Ref, tgts[i].Token, action, args, qos)
@@ -462,9 +469,6 @@ func (m *Manager) abortMarked(ctx context.Context, nid string, marks []markResul
 	}
 }
 
-// lockKey namespaces entity locks.
-func lockKey(entity string) string { return "entity:" + entity }
-
 // errLockHeld refuses a mark or a vote of an entity marked already.
 func errLockHeld(entity string) error {
 	return wire.Refuse(wire.ReasonLockHeld, "links: %s is locked", entity)
@@ -476,13 +480,13 @@ func (m *Manager) markLocal(entity, action string, args wire.Args) (string, erro
 	if err != nil {
 		return "", err
 	}
-	tok, ok := m.Locks.TryLock(lockKey(entity), m.self)
+	tok, ok := m.Locks.TryLock(entity, m.self)
 	if !ok {
 		return "", errLockHeld(entity)
 	}
 	if a.Check != nil {
 		if err := a.Check(entity, args); err != nil {
-			m.Locks.Unlock(lockKey(entity), tok)
+			m.Locks.Unlock(entity, tok)
 			return "", err
 		}
 	}
@@ -576,7 +580,7 @@ func (m *Manager) abortTarget(ctx context.Context, nid string, ref EntityRef, to
 		defer span.Finish()
 	}
 	if ref.User == m.self {
-		m.Locks.Unlock(lockKey(ref.Entity), token)
+		m.Locks.Unlock(ref.Entity, token)
 		return
 	}
 	_ = m.eng.Invoke(ctx, m.service(ref.User), "Abort", wire.Args{

@@ -40,7 +40,7 @@ func (m *Manager) offer(ctx context.Context, entity, tok, notTo string) {
 			}
 		}
 		if best == nil {
-			m.Locks.Unlock(lockKey(entity), tok)
+			m.Locks.Unlock(entity, tok)
 			return
 		}
 		if !m.vote(ctx, best, t, tok) {
@@ -81,7 +81,7 @@ func (m *Manager) vote(ctx context.Context, l *Link, t Trigger, tok string) (dec
 	if tok == "" {
 		tok, err = m.markLocal(entity, t.Action, args)
 	} else if err = m.check(entity, t.Action, args); err != nil {
-		m.Locks.Unlock(lockKey(entity), tok)
+		m.Locks.Unlock(entity, tok)
 	}
 	if err != nil {
 		return false
@@ -99,7 +99,7 @@ func (m *Manager) vote(ctx context.Context, l *Link, t Trigger, tok string) (dec
 		return false
 	}
 	span.SetError(err)
-	m.Locks.Unlock(lockKey(entity), tok)
+	m.Locks.Unlock(entity, tok)
 	m.noteAborted(ctx, tok, p.NID)
 	return !engine.IsTransient(err)
 }

@@ -280,7 +280,7 @@ func (m *Manager) ResolvePendingMarks(ctx context.Context, now time.Time) int {
 // letGo resolves the pending mark p to abort: lock released, token
 // decided, and the entity offered to whoever is queued on it.
 func (m *Manager) letGo(ctx context.Context, p *pendingMark) {
-	m.Locks.Unlock(lockKey(p.Entity), p.Token)
+	m.Locks.Unlock(p.Entity, p.Token)
 	m.noteAborted(ctx, p.Token, p.NID)
 	m.offer(ctx, p.Entity, "", p.Coordinator)
 }
@@ -297,7 +297,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		ctx = trace.ContextWithSpan(ctx, span)
 		defer span.Finish()
 	}
-	if !m.Locks.Extend(lockKey(p.Entity), p.Token) {
+	if !m.Locks.Extend(p.Entity, p.Token) {
 		// The lock is gone (stolen after a real expiry): the
 		// entity may already belong to another negotiation, so
 		// this mark can only resolve to abort.
@@ -325,7 +325,7 @@ func (m *Manager) resolveMark(ctx context.Context, p *pendingMark, now time.Time
 		// the coordinator journaled with it.
 		// A change that fails decides the token aborted (applyDecided).
 		err := m.applyDecided(ctx, p.Entity, p.Token, p.NID, p.Action, args)
-		m.Locks.Unlock(lockKey(p.Entity), p.Token)
+		m.Locks.Unlock(p.Entity, p.Token)
 		if err != nil {
 			m.offer(ctx, p.Entity, "", p.Coordinator)
 		}

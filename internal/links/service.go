@@ -30,9 +30,9 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 	if committed, known := m.decidedOutcome(token); known {
 		return m.alreadyDecided(ctx, entity, committed)
 	}
-	if m.Locks.Holds(lockKey(entity), token) {
+	if m.Locks.Holds(entity, token) {
 		err := m.applyDecided(ctx, entity, token, nid, action, args)
-		m.Locks.Unlock(lockKey(entity), token)
+		m.Locks.Unlock(entity, token)
 		trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "commit"), trace.Bool("ok", err == nil))
 		if err != nil {
 			// The entity is as it was: whoever is queued on it is next.
@@ -40,7 +40,7 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		}
 		return err
 	}
-	if holder, live := m.Locks.Holder(lockKey(entity)); live && holder != token {
+	if holder, live := m.Locks.Holder(entity); live && holder != token {
 		// The mark's TTL lapsed and another negotiation took the
 		// entity: the stale token must not clobber it.
 		m.noteAborted(ctx, token, nid)
@@ -50,18 +50,18 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 	}
 	// Late commit: no live lock. Re-acquire and re-check before
 	// applying, since the entity may have changed since the mark.
-	tok, ok := m.Locks.TryLock(lockKey(entity), caller)
+	tok, ok := m.Locks.TryLock(entity, caller)
 	if !ok {
 		return errLockHeld(entity)
 	}
 	a, err := m.action(action)
 	if err != nil {
-		m.Locks.Unlock(lockKey(entity), tok)
+		m.Locks.Unlock(entity, tok)
 		return err
 	}
 	if a.Check != nil {
 		if err := a.Check(entity, args); err != nil {
-			m.Locks.Unlock(lockKey(entity), tok)
+			m.Locks.Unlock(entity, tok)
 			m.noteAborted(ctx, token, nid)
 			m.count("commit-late", wire.CodeConflict)
 			trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "late-commit-rejected"))
@@ -69,7 +69,7 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		}
 	}
 	err = m.applyDecided(ctx, entity, token, nid, action, args)
-	m.Locks.Unlock(lockKey(entity), tok)
+	m.Locks.Unlock(entity, tok)
 	trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "late-commit"), trace.Bool("ok", err == nil))
 	if err != nil {
 		return err
@@ -144,7 +144,7 @@ func (m *Manager) Object() *listener.Object {
 	obj.Handle("Abort", func(ctx context.Context, call *listener.Call) (any, error) {
 		entity := call.Args.String("entity")
 		token := call.Args.String("token")
-		released := m.Locks.Unlock(lockKey(entity), token)
+		released := m.Locks.Unlock(entity, token)
 		if token != "" {
 			m.noteAborted(ctx, token, call.Args.String("nid"))
 			trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "abort"))

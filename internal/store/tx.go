@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -52,6 +53,10 @@ type Tx struct {
 	ops   []LoggedOp
 	at    []txAt
 	after []func(context.Context)
+	// probe builds a delete's key, and keys holds the composite ones
+	// the unit keeps in at until reuse.
+	probe [64]byte
+	keys  []byte
 }
 
 type txAt struct {
@@ -84,12 +89,17 @@ func (db *DB) Unit(ctx context.Context, step func(u *Tx) error) error {
 		u.reuse(nil)
 		txPool.Put(u)
 	}()
+	return u.unit(ctx, db, step)
+}
+
+// unit is Unit on tx, which each run of step starts from empty.
+func (tx *Tx) unit(ctx context.Context, db *DB, step func(u *Tx) error) error {
 	for attempt := 1; ; attempt++ {
-		u.reuse(db)
-		if err := step(u); err != nil {
+		tx.reuse(db)
+		if err := step(tx); err != nil {
 			return err
 		}
-		err := u.Commit(ctx)
+		err := tx.Commit(ctx)
 		if attempt == unitAttempts || !errors.Is(err, ErrConflict) {
 			return err
 		}
@@ -103,7 +113,20 @@ func (tx *Tx) reuse(db *DB) {
 	clear(tx.at)
 	clear(tx.after)
 	tx.db, tx.done = db, false
-	tx.ops, tx.at, tx.after = tx.ops[:0], tx.at[:0], tx.after[:0]
+	tx.ops, tx.at, tx.after, tx.keys = tx.ops[:0], tx.at[:0], tx.after[:0], tx.keys[:0]
+}
+
+// keep returns k, a key built in tx.probe, as a copy in tx.keys, which
+// stays valid until reuse: a unit's keys are only compared and looked
+// up, and nothing holds one once the unit has returned. Any other key is
+// returned as it is.
+func (tx *Tx) keep(k rowKey) rowKey {
+	if len(k) == 0 || unsafe.StringData(string(k)) != &tx.probe[0] {
+		return k
+	}
+	from := len(tx.keys)
+	tx.keys = append(tx.keys, k...)
+	return rowKey(unsafe.String(&tx.keys[from], len(k)))
 }
 
 // last returns the index of the newest of the first n buffered ops that
@@ -289,7 +312,7 @@ func (tx *Tx) Remove(table string, keyVals ...any) error {
 func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	t, k, err := tx.locate(table, keyVals, nil)
+	t, k, err := tx.locate(table, keyVals, tx.probe[:])
 	if err != nil {
 		return err
 	}
@@ -299,7 +322,7 @@ func (tx *Tx) delete(table string, keyVals []any, must bool) error {
 		}
 		return fmt.Errorf("%w: %s[%s]", ErrNoRow, table, k)
 	}
-	tx.record(t, k, LoggedOp{Table: table, Op: OpDelete})
+	tx.record(t, tx.keep(k), LoggedOp{Table: table, Op: OpDelete})
 	return nil
 }
 

@@ -519,6 +519,111 @@ func TestCommitSpan(t *testing.T) {
 	}
 }
 
+// TestRecycledTxDeletesAsFreshOnes: a delete's key lives in its Tx's
+// key arena until the Tx is recycled. A unit that deletes composite-key
+// rows, loses a commit conflict and runs again, and the units that
+// follow it on the same recycled Tx leave the table, its index and the
+// log exactly as the same steps leave them on a fresh Tx each run; and
+// every run starts with the arena empty.
+func TestRecycledTxDeletesAsFreshOnes(t *testing.T) {
+	const day = "2003-04-22"
+	recycled, fresh := newDriven(), newDriven()
+	for _, d := range []*driven{recycled, fresh} {
+		for h := int64(0); h < 8; h++ {
+			if err := d.tab.Insert(slotRow(d.tab, day, h, fmt.Sprintf("s%d", h%4))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// steps[i] is unit i's step on d; run counts its runs.
+	steps := []func(d *driven, u *Tx, run int) error{
+		func(d *driven, u *Tx, run int) error {
+			if run == 1 {
+				for _, h := range []int64{0, 1} {
+					if err := u.Delete("calendar", day, h); err != nil {
+						return err
+					}
+				}
+				if err := u.Remove("calendar", day, int64(2)); err != nil {
+					return err
+				}
+				// A rival deletes a row this run deletes, before its commit.
+				return d.tab.Delete(day, int64(1))
+			}
+			for _, h := range []int64{0, 1, 2} {
+				if err := u.Remove("calendar", day, h); err != nil {
+					return err
+				}
+			}
+			return u.Insert("calendar", slotRow(d.tab, day, 1, "s3"))
+		},
+		func(d *driven, u *Tx, _ int) error {
+			for _, h := range []int64{3, 4} {
+				if err := u.Delete("calendar", day, h); err != nil {
+					return err
+				}
+			}
+			if err := u.Update("calendar", row(d.tab, "status", "s0"), day, int64(5)); err != nil {
+				return err
+			}
+			return u.Remove("calendar", day, int64(9))
+		},
+		func(d *driven, u *Tx, _ int) error {
+			if err := u.Delete("calendar", day, int64(1)); err != nil {
+				return err
+			}
+			if err := u.Insert("calendar", slotRow(d.tab, day, 3, "s2")); err != nil {
+				return err
+			}
+			return u.Delete("calendar", day, int64(5))
+		},
+		func(d *driven, u *Tx, _ int) error {
+			for _, h := range []int64{7, 3} {
+				if err := u.Delete("calendar", day, h); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	ctx := context.Background()
+	tx := new(Tx)
+	for i, step := range steps {
+		runs := 0
+		err := tx.unit(ctx, recycled.db, func(u *Tx) error {
+			if len(u.keys) != 0 {
+				t.Fatalf("unit %d run %d starts with %d bytes of keys", i, runs+1, len(u.keys))
+			}
+			runs++
+			return step(recycled, u, runs)
+		})
+		if err != nil {
+			t.Fatalf("unit %d on a recycled Tx: %v", i, err)
+		}
+		for run := 1; ; run++ {
+			u := fresh.db.Begin()
+			if err := step(fresh, u, run); err != nil {
+				t.Fatalf("unit %d run %d on a fresh Tx: %v", i, run, err)
+			}
+			if err = u.Commit(ctx); !errors.Is(err, ErrConflict) {
+				if err != nil || run != runs {
+					t.Fatalf("unit %d: %d runs on fresh Txs (last %v), %d on a recycled one", i, run, err, runs)
+				}
+				break
+			}
+		}
+	}
+	if !reflect.DeepEqual(recycled.state(), fresh.state()) {
+		t.Fatalf("state: recycled Tx %v, fresh Txs %v", recycled.state(), fresh.state())
+	}
+	if !reflect.DeepEqual(recycled.log.units, fresh.log.units) {
+		t.Fatalf("log: recycled Tx %v, fresh Txs %v", recycled.log.units, fresh.log.units)
+	}
+	if _, ok := recycled.tab.Get(day, int64(6)); !ok || recycled.tab.Count() != 1 {
+		t.Fatalf("%d rows left, want the one at hour 6", recycled.tab.Count())
+	}
+}
+
 // TestUnitStartsEmpty: Unit recycles its Tx, and a step always starts
 // from an empty one: no op and no AfterCommit function of a step that
 // failed, of a run that lost a commit conflict and was run again, or of a
