@@ -608,12 +608,7 @@ func (c *Calendar) acceptRecord(u *store.Tx, m *Meeting) error {
 		Targets: []links.EntityRef{{User: m.Initiator, Entity: m.Slot.Entity()}},
 		Type:    links.Negotiation, Constraint: links.And, Triggers: tentativeTriggers(m.ID, c.user),
 	}
-	for _, on := range c.lm.LinksOnIn(u, l.Owner.Entity) {
-		if on.Subtype == links.Permanent && on.Group != m.ID && on.Group != "" {
-			l.WaitingOn = on.ID
-			break
-		}
-	}
+	l.WaitingOn = c.lm.BlockerIn(u, l.Owner.Entity, m.ID)
 	return c.lm.AddLink(u, &l)
 }
 

@@ -103,7 +103,7 @@ func (c *Calendar) ServiceObject() *listener.Object {
 		if err != nil {
 			return nil, err
 		}
-		return map[string]string{"status": m.Status}, nil
+		return m.Status, nil
 	})
 
 	// ParticipantChange: a reserved must-attendee attempts to change

@@ -1,5 +1,7 @@
 package links
 
+import "context"
+
 // The recovery schedule and the mark TTL, for tests that advance a fake
 // clock past them.
 const (
@@ -15,7 +17,15 @@ func (m *Manager) Self() string { return m.self }
 
 // AllLinks returns every local link in id order, the link table's key
 // order (diagnostics and tests).
-func (m *Manager) AllLinks() []*Link { return decodeLinks(m.linksT.Select(nil)) }
+func (m *Manager) AllLinks() []*Link {
+	var out []*Link
+	for _, r := range m.linksT.Select(nil) {
+		if l, err := rowToLink(r); err == nil {
+			out = append(out, l)
+		}
+	}
+	return out
+}
 
 // Locked reports whether entity is currently locked by anyone.
 func (lt *LockTable) Locked(entity string) bool {
@@ -39,4 +49,10 @@ func (lt *LockTable) Sweep() int {
 		}
 	}
 	return n
+}
+
+// OfferExcept offers entity as the deletion of a link whose target is
+// notTo does: notTo's waiters are passed over.
+func (m *Manager) OfferExcept(ctx context.Context, entity, notTo string) {
+	m.offer(ctx, entity, "", notTo)
 }

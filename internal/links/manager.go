@@ -336,7 +336,38 @@ func (m *Manager) LinksOn(entity string) []*Link {
 
 // LinksOnIn is LinksOn as the step's unit u sees the link table.
 func (m *Manager) LinksOnIn(u *store.Tx, entity string) []*Link {
-	return linksByPriority(decodeLinks(u.SelectEq(LinkTable, "owner_entity", entity)))
+	var out []*Link
+	u.ViewEq(LinkTable, "owner_entity", entity, func(r store.Row) {
+		if l, err := rowToLink(r); err == nil {
+			out = append(out, l)
+		}
+	})
+	return linksByPriority(out)
+}
+
+// BlockerIn returns, from the columns of the link rows on entity as the
+// step's unit u sees them, the link a meeting of group queued there waits
+// on: the permanent link of another meeting of the highest priority, then
+// the lowest id; "" when no other meeting's link holds entity.
+func (m *Manager) BlockerIn(u *store.Tx, entity, group string) string {
+	var id string
+	var prio int64
+	u.ViewEq(LinkTable, "owner_entity", entity, func(r store.Row) {
+		if g := r.Str("grp"); g == "" || g == group || r.Str("subtype") != string(Permanent) {
+			return
+		}
+		// Rows come in id order, so a tie keeps the lower id.
+		if p := r.Int("priority"); id == "" || p > prio {
+			id, prio = r.Str("id"), p
+		}
+	})
+	return id
+}
+
+// waiter is a queued link as the columns of its row rank it.
+type waiter struct {
+	id, grp string
+	prio    int64
 }
 
 // linksByPriority sorts out highest priority first, then by id.
@@ -344,17 +375,6 @@ func linksByPriority(out []*Link) []*Link {
 	slices.SortFunc(out, func(a, b *Link) int {
 		return cmp.Or(cmp.Compare(b.Priority, a.Priority), strings.Compare(a.ID, b.ID))
 	})
-	return out
-}
-
-// decodeLinks decodes link rows, in the order given.
-func decodeLinks(rows []store.Row) []*Link {
-	out := make([]*Link, 0, len(rows))
-	for _, r := range rows {
-		if l, err := rowToLink(r); err == nil {
-			out = append(out, l)
-		}
-	}
 	return out
 }
 
@@ -369,7 +389,8 @@ func (m *Manager) promote(u *store.Tx, l, as *Link) error {
 	ch.SetStr("subtype", string(Permanent))
 	ch.SetStr("waiting_on", "")
 	if as != nil {
-		triggers, err := appendTriggers(nil, as.Triggers)
+		var buf [256]byte
+		triggers, err := appendTriggers(buf[:0], as.Triggers)
 		if err != nil {
 			return fmt.Errorf("links: encode triggers: %w", err)
 		}
@@ -401,11 +422,15 @@ func (m *Manager) promote(u *store.Tx, l, as *Link) error {
 // re-queued under its own id), so every tentative link there that names
 // one names l from here on. One queued without a blocker stays as it is.
 func (m *Manager) repoint(u *store.Tx, l *Link) error {
-	for _, r := range u.SelectEq(LinkTable, "owner_entity", l.Owner.Entity) {
-		id, on := r.Str("id"), r.Str("waiting_on")
-		if on == "" || id == l.ID {
-			continue
+	var buf [8][2]string // a waiter's id and the link it waits on
+	waiters := buf[:0]
+	u.ViewEq(LinkTable, "owner_entity", l.Owner.Entity, func(r store.Row) {
+		if id, on := r.Str("id"), r.Str("waiting_on"); on != "" && id != l.ID {
+			waiters = append(waiters, [2]string{id, on})
 		}
+	})
+	for _, w := range waiters {
+		id, on := w[0], w[1]
 		held := false
 		u.View(LinkTable, func(b store.Row) { held = b.Str("subtype") == string(Permanent) }, on)
 		if held {
@@ -435,23 +460,27 @@ func (m *Manager) promoteWaiters(u *store.Tx, blockerID string) error {
 	if m.waitingT.Count() == 0 {
 		return nil
 	}
-	rows := u.SelectEq(WaitingLinkTable, "waiting_on", blockerID)
+	var buf [8]waiter
+	rows := buf[:0]
+	u.ViewEq(WaitingLinkTable, "waiting_on", blockerID, func(r store.Row) {
+		rows = append(rows, waiter{r.Str("id"), r.Str("grp"), r.Int("priority")})
+	})
 	if len(rows) == 0 {
 		return nil
 	}
-	// Highest priority wins; its whole group converts together.
+	// Highest priority wins (the lowest id of a tie); its whole group
+	// converts together.
 	best := rows[0]
 	for _, r := range rows[1:] {
-		if r.Int("priority") > best.Int("priority") {
+		if r.prio > best.prio {
 			best = r
 		}
 	}
-	bestGroup := best.Str("grp")
 	for _, r := range rows {
-		if r.Str("id") != best.Str("id") && (bestGroup == "" || r.Str("grp") != bestGroup) {
+		if r.id != best.id && (best.grp == "" || r.grp != best.grp) {
 			continue
 		}
-		l, ok := m.getLink(u, r.Str("id"))
+		l, ok := m.getLink(u, r.id)
 		if !ok {
 			continue // a waiting entry whose link row is gone
 		}

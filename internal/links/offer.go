@@ -1,7 +1,9 @@
 package links
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/store"
@@ -29,16 +31,10 @@ func (m *Manager) Offer(ctx context.Context, entity string) { m.offer(ctx, entit
 // the entity's next release. Links whose target is notTo are passed
 // over: whoever has just let go is not offered it back.
 func (m *Manager) offer(ctx context.Context, entity, tok, notTo string) {
-	var declined []string
+	var buf [4]string
+	declined := buf[:0]
 	for {
-		var best *Link
-		var t Trigger
-		for _, l := range m.LinksOn(entity) {
-			if vt, votes := l.voteTrigger(); votes && l.Targets[0].User != notTo && !contains(declined, l.ID) {
-				best, t = l, vt
-				break
-			}
-		}
+		best, t := m.bestVoter(entity, notTo, declined)
 		if best == nil {
 			m.Locks.Unlock(entity, tok)
 			return
@@ -48,6 +44,31 @@ func (m *Manager) offer(ctx context.Context, entity, tok, notTo string) {
 		}
 		tok, declined = "", append(declined, best.ID)
 	}
+}
+
+// bestVoter ranks the tentative rows on entity that have not declined
+// from their columns, and decodes them best first until one votes whose
+// target is not notTo: the link and its vote trigger, or nil.
+func (m *Manager) bestVoter(entity, notTo string, declined []string) (*Link, Trigger) {
+	var buf [8]waiter
+	ws := buf[:0]
+	m.linksT.ViewEq("owner_entity", entity, func(r store.Row) {
+		if id := r.Str("id"); r.Str("subtype") == string(Tentative) && !contains(declined, id) {
+			ws = append(ws, waiter{id: id, prio: r.Int("priority")})
+		}
+	})
+	slices.SortFunc(ws, func(a, b waiter) int { return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.id, b.id)) })
+	for _, w := range ws {
+		var l *Link
+		m.linksT.View(func(r store.Row) { l, _ = rowToLink(r) }, w.id)
+		if l == nil {
+			continue // gone since the ranking, or a row that does not decode (LinksOn skips one too)
+		}
+		if t, votes := l.voteTrigger(); votes && l.Targets[0].User != notTo {
+			return l, t
+		}
+	}
+	return nil, Trigger{}
 }
 
 // queuedOn reports whether a tentative link other than id is attached

@@ -2,6 +2,7 @@ package links_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -236,4 +237,135 @@ func TestUndeliverableVoteOnlyLetsGo(t *testing.T) {
 		t.Fatalf("after a is back: %d votes, slot %q; want one and MA", boxA.count(), u.status("slot9"))
 	}
 	h.wantQuiet("u", "a")
+}
+
+// scanPick is the offer's choice as a scan of every decoded link on the
+// entity makes it: in LinksOn's order (priority descending, then id), the
+// first tentative link with a vote trigger whose target is not notTo and
+// that has not declined.
+func scanPick(on []*links.Link, notTo string, declined []string) *links.Link {
+	for _, l := range on {
+		if l.Subtype != links.Tentative || len(l.Targets) == 0 || l.Targets[0].User == notTo || slices.Contains(declined, l.ID) {
+			continue
+		}
+		for _, tr := range l.Triggers {
+			if tr.Event == "avail" && tr.Action != "" && tr.Method != "" {
+				return l
+			}
+		}
+	}
+	return nil
+}
+
+// TestOfferPicksWhatTheScanPicks: the offer ranks the tentative rows on
+// the entity by their columns and decodes them best first. The waiters it
+// votes for are the ones a scan of every decoded link picks: here the
+// best-ranked tentative link does not vote, the next is the one whose
+// target let go, the next declines, and the vote goes to the waiter of
+// the same priority and a higher id; a permanent link of higher priority
+// and the worst waiter are never offered the slot.
+func TestOfferPicksWhatTheScanPicks(t *testing.T) {
+	h := newHarness(t, "u", "a", "b", "c", "d", "e")
+	u, slot := h.nodes["u"], links.EntityRef{User: "u", Entity: "slot9"}
+	boxes := map[string]*voteBox{}
+	for _, user := range []string{"a", "c", "d", "e"} {
+		boxes[user] = h.addVoteBox(user)
+	}
+	boxes["a"].decline = true
+	held := newLink("LH", links.Negotiation, links.Permanent, slot, refs("b", "slot9"))
+	held.Priority, held.Group = 10, "MB"
+	quiet := newLink("L0", links.Negotiation, links.Tentative, slot, refs("b", "slot9"))
+	quiet.Priority, quiet.Group = 9, "MQ"
+	quiet.Triggers = []links.Trigger{{Event: "promote", Service: "meetings.%s", Method: "Freed"}}
+	for _, l := range []*links.Link{held, quiet} {
+		if err := u.Links.InstallAt(ctxBg(), "u", l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.queueVoter("L7", slot, "c", "MC", 7, "")
+	h.queueVoter("L9", slot, "d", "MD", 5, "")
+	h.queueVoter("L5", slot, "a", "MA", 5, "")
+	h.queueVoter("L2", slot, "e", "ME", 2, "")
+
+	first := scanPick(u.Links.LinksOn("slot9"), "c", nil)
+	second := scanPick(u.Links.LinksOn("slot9"), "c", []string{first.ID})
+	if first.ID != "L5" || second.ID != "L9" {
+		t.Fatalf("the scan picks %s then %s, want L5 then L9", first.ID, second.ID)
+	}
+	u.Links.OfferExcept(ctxBg(), "slot9", "c")
+	for user, want := range map[string]int{"a": 1, "c": 0, "d": 1, "e": 0} {
+		if got := boxes[user].count(); got != want {
+			t.Errorf("%s heard %d votes, want %d", user, got, want)
+		}
+	}
+	if got := u.status("slot9"); got != "MD" {
+		t.Fatalf("u's slot = %q, want MD (%s's meeting)", got, second.ID)
+	}
+	h.wantQuiet("u", "a", "d")
+}
+
+// TestBlockerIsWhatTheScanPicks: BlockerIn reads the blocker a meeting
+// queued on an entity waits on from the link rows' columns, as the unit
+// sees them; it is the link a scan of every decoded link picks (LinksOnIn's
+// order, the first permanent one of another meeting with a group). Here
+// the best-ranked links are the meeting's own, one of no meeting, a
+// tentative one and one on another entity; two of the rest tie on
+// priority. Links the unit adds and promotes count as they leave them.
+func TestBlockerIsWhatTheScanPicks(t *testing.T) {
+	h := newHarness(t, "u")
+	u := h.nodes["u"]
+	install := func(id, entity, group string, sub links.Subtype, prio int) *links.Link {
+		l := newLink(id, links.Negotiation, sub, links.EntityRef{User: "u", Entity: entity}, refs("b", entity))
+		l.Group, l.Priority = group, prio
+		return l
+	}
+	for _, l := range []*links.Link{
+		install("LA", "slot9", "M1", links.Permanent, 9),
+		install("LB", "slot9", "", links.Permanent, 9),
+		install("LE", "slot9", "M4", links.Tentative, 8),
+		install("LF", "slot8", "M5", links.Permanent, 9),
+		install("LD", "slot9", "M3", links.Permanent, 3),
+		install("LC", "slot9", "M2", links.Permanent, 3),
+	} {
+		if err := u.Links.InstallAt(ctxBg(), "u", l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(tx *store.Tx, entity, group string) string {
+		for _, l := range u.Links.LinksOnIn(tx, entity) {
+			if l.Subtype == links.Permanent && l.Group != group && l.Group != "" {
+				return l.ID
+			}
+		}
+		return ""
+	}
+	err := u.DB.Unit(ctxBg(), func(tx *store.Tx) error {
+		check := func(entity, group, want string) {
+			t.Helper()
+			if got, scanned := u.Links.BlockerIn(tx, entity, group), scan(tx, entity, group); got != want || scanned != want {
+				t.Errorf("blocker of %s on %s = %q, the scan picks %q, want %q", group, entity, got, scanned, want)
+			}
+		}
+		check("slot9", "M1", "LC")
+		check("slot9", "M2", "LA")
+		check("slot9", "", "LA")
+		check("slot8", "M5", "")
+		check("slot7", "M1", "")
+		if err := u.Links.AddLink(tx, install("LG", "slot9", "M6", links.Permanent, 4)); err != nil {
+			return err
+		}
+		check("slot9", "M1", "LG")
+		if err := u.Links.PromoteLink(tx, "LE", nil); err != nil {
+			return err
+		}
+		check("slot9", "M1", "LE")
+		if err := u.Links.RemoveLink(tx, "LE"); err != nil {
+			return err
+		}
+		check("slot9", "M1", "LG")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

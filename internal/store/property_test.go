@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -108,3 +110,105 @@ func TestSnapshotRestorePropertyIdentity(t *testing.T) {
 
 // writerBuffer aliases bytes.Buffer for the property closures.
 type writerBuffer = bytes.Buffer
+
+// TestTxViewEqProperty: after every op of a random sequence of buffered
+// inserts, updates and deletes, ViewEq visits, in key order, the rows a
+// brute-force reference lists: the committed rows overlaid with the tx's
+// effective rows, those holding the value. It probes an indexed column
+// (status, when indexed) and an unindexed one (meeting), with values set,
+// set to "" and left unset.
+func TestTxViewEqProperty(t *testing.T) {
+	pick := func(rng *rand.Rand, prefix string) string {
+		if n := rng.Intn(4); n < 3 {
+			return fmt.Sprint(prefix, n)
+		}
+		return ""
+	}
+	f := func(seed int64, indexed bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDB()
+		tab := db.MustCreateTable(calendarSchema())
+		if indexed {
+			if err := tab.CreateIndex("status"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		model := map[rowKey]Row{} // every row as the tx should see it
+		keyOf := func(r Row) rowKey { k, _ := r.key(); return k }
+		for h := int64(0); h < 8; h++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			r := row(tab, "day", "d", "hour", h, "status", pick(rng, "s"), "meeting", pick(rng, "m"))
+			if err := tab.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+			model[keyOf(r)] = r
+		}
+		tx := db.Begin()
+		defer tx.Rollback()
+		for i := 0; i < 30; i++ {
+			h := rng.Int63n(10)
+			probe := row(tab, "day", "d", "hour", h)
+			k := keyOf(probe)
+			_, had := model[k]
+			var err error
+			var want error // what the model says the op answers
+			switch rng.Intn(3) {
+			case 0:
+				r := row(tab, "day", "d", "hour", h, "status", pick(rng, "s"))
+				if rng.Intn(2) == 0 {
+					r.SetStr("meeting", pick(rng, "m"))
+				}
+				if err = tx.Insert("calendar", r); !had {
+					model[k] = r
+				} else {
+					want = ErrDupKey
+				}
+			case 1:
+				ch := tab.NewRow()
+				if rng.Intn(2) == 0 {
+					ch.SetStr("status", pick(rng, "s"))
+				} else {
+					ch.SetStr("meeting", pick(rng, "m"))
+				}
+				if err = tx.Update("calendar", ch, "d", h); had {
+					model[k] = merged(model[k], ch)
+				} else {
+					want = ErrNoRow
+				}
+			case 2:
+				err = tx.Remove("calendar", "d", h)
+				delete(model, k)
+			}
+			if !errors.Is(err, want) || (want == nil) != (err == nil) {
+				t.Errorf("op %d at hour %d: %v, want %v", i, h, err, want)
+				return false
+			}
+			for _, col := range []string{"status", "meeting"} {
+				for _, v := range []string{"s0", "s1", "m0", "m2", ""} {
+					var want []rowKey
+					for k, r := range model {
+						if p := tab.l.index[col]; r.holds(p, scalar{s: v}) {
+							want = append(want, k)
+						}
+					}
+					slices.Sort(want)
+					var wantRows, gotRows []string
+					for _, k := range want {
+						wantRows = append(wantRows, model[k].String())
+					}
+					tx.ViewEq("calendar", col, v, func(r Row) { gotRows = append(gotRows, r.String()) })
+					if !reflect.DeepEqual(gotRows, wantRows) {
+						t.Errorf("indexed=%v, after op %d: ViewEq(%s = %q) visits %v, want %v", indexed, i, col, v, gotRows, wantRows)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(41))}); err != nil {
+		t.Fatal(err)
+	}
+}

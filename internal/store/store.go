@@ -603,15 +603,22 @@ func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	t.eachEq(p, val, func(_ rowKey, r Row) { fn(r) })
+}
+
+// eachEq calls fn with the key and the row of every stored row that sets
+// the column at position p to val, through the column's index when it
+// has one; the caller holds t.mu.
+func (t *Table) eachEq(p int, val scalar, fn func(rowKey, Row)) {
 	if idx := t.indexOf(p); idx != nil {
 		if post, ok := idx.m[val]; ok {
-			post.each(func(k rowKey) { fn(t.rows[k]) })
+			post.each(func(k rowKey) { fn(k, t.rows[k]) })
 		}
 		return
 	}
-	for _, r := range t.rows {
+	for k, r := range t.rows {
 		if r.holds(p, val) {
-			fn(r)
+			fn(k, r)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -23,7 +23,7 @@ import (
 // A Tx buffers its mutations: nothing touches the database until
 // Commit. Each op validates at call time against the table state
 // combined with the tx's own buffered ops (read-your-writes, also
-// offered to the caller as Get/Has/View), so an insert-then-update of
+// offered to the caller as Has/View/ViewEq), so an insert-then-update of
 // the same row inside one tx works and a duplicate insert fails
 // immediately. Commit locks every involved table (in sorted name
 // order), re-validates the buffer against the then-current state,
@@ -215,36 +215,48 @@ func (tx *Tx) Has(table string, keyVals ...any) bool {
 	return err == nil && tx.exists(t, k)
 }
 
-// SelectEq returns copies of the rows with row[col] == v as the tx sees
-// them, in primary-key order: the committed rows, with every key the tx
-// touched taken out and put back as the tx leaves it if it still matches.
-func (tx *Tx) SelectEq(table, col string, v any) []Row {
+// ViewEq calls fn with every row with row[col] == v as the tx sees it,
+// its own buffered writes included, in primary-key order: the committed
+// rows the tx did not touch, and the ones it did as it leaves them. It is
+// View's rule for an equality select, and copies no row. fn must not
+// modify or keep a row, and must not call the tx, whose lock the visit
+// holds.
+func (tx *Tx) ViewEq(table, col string, v any, fn func(Row)) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	t, err := tx.db.Table(table)
 	if err != nil || tx.done {
-		return nil
+		return
 	}
 	p, val, ok := t.probe(col, v)
 	if !ok {
-		return nil
+		return
 	}
-	rows := t.SelectEq(col, v)
-	keyOf := func(r Row) rowKey { k, _ := r.key(); return k }
-	resort := false
+	type keyed struct {
+		k rowKey
+		r Row
+	}
+	var buf [8]keyed
+	rows, n := buf[:0], len(tx.ops)
+	t.mu.RLock()
+	t.eachEq(p, val, func(k rowKey, r Row) {
+		if tx.last(t, k, n) < 0 {
+			rows = append(rows, keyed{k, r})
+		}
+	})
+	t.mu.RUnlock()
 	for i, a := range tx.at {
-		if a.t != t || tx.last(t, a.k, len(tx.ops)) != i {
+		if a.t != t || tx.last(t, a.k, n) != i {
 			continue // another table's op, or not the newest on its key
 		}
-		rows = slices.DeleteFunc(rows, func(r Row) bool { return keyOf(r) == a.k })
-		if r, ok := tx.effective(t, a.k, len(tx.ops)); ok && r.holds(p, val) {
-			rows, resort = append(rows, r.Clone()), true
+		if r, ok := tx.effective(t, a.k, n); ok && r.holds(p, val) {
+			rows = append(rows, keyed{a.k, r})
 		}
 	}
-	if resort {
-		sort.Slice(rows, func(i, j int) bool { return keyOf(rows[i]) < keyOf(rows[j]) })
+	slices.SortFunc(rows, func(a, b keyed) int { return cmp.Compare(a.k, b.k) })
+	for _, kr := range rows {
+		fn(kr.r)
 	}
-	return rows
 }
 
 // record buffers one validated op.

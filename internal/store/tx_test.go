@@ -336,7 +336,7 @@ func TestTxUnitAllocs(t *testing.T) {
 	}
 }
 
-// TestTxReadsSeeTheBuffer: Get, Has, View and SelectEq answer as the tx
+// TestTxReadsSeeTheBuffer: Get, Has, View and ViewEq answer as the tx
 // leaves the rows, not as the table still holds them.
 func TestTxReadsSeeTheBuffer(t *testing.T) {
 	db, cal, _ := twoTableDB(t)
@@ -380,10 +380,14 @@ func TestTxReadsSeeTheBuffer(t *testing.T) {
 		}
 		return out
 	}
-	if got := hours(tx.SelectEq("calendar", "status", "busy")); !reflect.DeepEqual(got, []int64{7}) {
+	txHours := func(status string) (out []int64) {
+		tx.ViewEq("calendar", "status", status, func(r Row) { out = append(out, r.Int("hour")) })
+		return out
+	}
+	if got := txHours("busy"); !reflect.DeepEqual(got, []int64{7}) {
 		t.Fatalf("busy hours in the tx = %v, want [7]", got)
 	}
-	if got := hours(tx.SelectEq("calendar", "status", "free")); !reflect.DeepEqual(got, []int64{10, 8}) {
+	if got := txHours("free"); !reflect.DeepEqual(got, []int64{10, 8}) {
 		t.Fatalf("free hours in the tx = %v, want [10 8] (key order)", got)
 	}
 	if got := hours(cal.SelectEq("status", "busy")); !reflect.DeepEqual(got, []int64{8, 9}) {
@@ -394,6 +398,22 @@ func TestTxReadsSeeTheBuffer(t *testing.T) {
 	}
 	if got := hours(cal.SelectEq("status", "busy")); !reflect.DeepEqual(got, []int64{7}) {
 		t.Fatalf("busy hours after commit = %v", got)
+	}
+	// Only a row the tx updated is built to be read: inserted, deleted and
+	// committed rows are visited where they are.
+	tx = db.Begin()
+	defer tx.Rollback()
+	if err := tx.Insert("calendar", slotRow(cal, "d", 11, "busy")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Delete("calendar", "d", int64(10)); err != nil {
+		t.Fatal(err)
+	}
+	if got := txHours("busy"); !reflect.DeepEqual(got, []int64{11, 7}) {
+		t.Fatalf("busy hours in the second tx = %v, want [11 7] (key order)", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tx.ViewEq("calendar", "status", "free", func(Row) {}) }); allocs != 0 {
+		t.Fatalf("ViewEq costs %.0f allocs, want 0", allocs)
 	}
 }
 

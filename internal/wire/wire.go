@@ -171,8 +171,7 @@ func CodeOf(err error) ErrCode {
 	if err == nil {
 		return CodeOK
 	}
-	var re *RemoteError
-	if errors.As(err, &re) {
+	if re, ok := as[*RemoteError](err); ok {
 		return re.Code
 	}
 	return CodeInternal
@@ -181,18 +180,38 @@ func CodeOf(err error) ErrCode {
 // ReasonOf is the Reason of the RemoteError in err's chain, else the name
 // of err's ErrCode: its Code method's (links.InDoubtError), or CodeOf's.
 func ReasonOf(err error) Reason {
-	if err == nil {
-		return "" // before the two escaping locals: ReasonOf(nil) allocates nothing
-	}
-	var re *RemoteError
-	if errors.As(err, &re) && re.Reason != "" {
+	if re, ok := as[*RemoteError](err); ok && re.Reason != "" {
 		return re.Reason
 	}
-	var coded interface{ Code() ErrCode }
-	if errors.As(err, &coded) {
+	if coded, ok := as[interface{ Code() ErrCode }](err); ok {
 		return Reason(coded.Code())
 	}
 	return Reason(CodeOf(err))
+}
+
+// as is errors.As(err, &target) for a target of type T, which it finds
+// by walking the Unwrap chain with type assertions: errors.As moves its
+// target to the heap, and CodeOf and ReasonOf read every failed call's
+// error. A node that unwraps to several errors (errors.Join, a double
+// %w) or has an As method is handed to errors.As.
+func as[T any](err error) (T, bool) {
+	for err != nil {
+		if t, ok := err.(T); ok {
+			return t, true
+		}
+		switch x := err.(type) {
+		case interface{ As(any) bool }, interface{ Unwrap() []error }:
+			var t T
+			ok := errors.As(err, &t)
+			return t, ok
+		case interface{ Unwrap() error }:
+			err = x.Unwrap()
+		default:
+			err = nil
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 // Marshal is the result value of a handler's v: a bool, a string, a

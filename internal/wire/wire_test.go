@@ -188,6 +188,65 @@ func TestReasonOf(t *testing.T) {
 	}
 }
 
+// asErr answers errors.As for the RemoteError it holds through an As
+// method, as no error of the chain is one.
+type asErr struct{ re *RemoteError }
+
+func (e asErr) Error() string { return "as" }
+func (e asErr) As(target any) bool {
+	p, ok := target.(**RemoteError)
+	if ok {
+		*p = e.re
+	}
+	return ok
+}
+
+// TestCodeAndReasonAsErrorsAs: CodeOf and ReasonOf answer what errors.As
+// finds, on plain, wrapped, double-%w and joined errors and behind an As
+// method, and a wrapped RemoteError costs them no allocation.
+func TestCodeAndReasonAsErrorsAs(t *testing.T) {
+	refused := Refuse(ReasonLockHeld, "links: x is locked")
+	down := &RemoteError{Code: CodeUnavailable, Msg: "down"}
+	plain := errors.New("plain")
+	for _, err := range []error{
+		plain, refused, down, codedErr{},
+		fmt.Errorf("w: %w", refused),
+		fmt.Errorf("w: %w", fmt.Errorf("v: %w", down)),
+		fmt.Errorf("w: %v", refused),
+		fmt.Errorf("%w: %w", plain, refused),
+		fmt.Errorf("%w: %w", codedErr{}, down),
+		fmt.Errorf("w: %w", fmt.Errorf("%w: %w", down, refused)),
+		errors.Join(plain, down, refused),
+		errors.Join(plain, codedErr{}),
+		fmt.Errorf("w: %w", errors.Join(plain, fmt.Errorf("v: %w", refused))),
+		asErr{refused},
+		fmt.Errorf("w: %w", asErr{down}),
+	} {
+		wantCode, wantReason := CodeInternal, Reason("")
+		var re *RemoteError
+		var coded interface{ Code() ErrCode }
+		if errors.As(err, &re) {
+			wantCode, wantReason = re.Code, re.Reason
+		}
+		if wantReason == "" && errors.As(err, &coded) {
+			wantReason = Reason(coded.Code())
+		}
+		if wantReason == "" {
+			wantReason = Reason(wantCode)
+		}
+		if got := CodeOf(err); got != wantCode {
+			t.Errorf("CodeOf(%v) = %q, errors.As finds %q", err, got, wantCode)
+		}
+		if got := ReasonOf(err); got != wantReason {
+			t.Errorf("ReasonOf(%v) = %q, errors.As finds %q", err, got, wantReason)
+		}
+	}
+	wrapped := fmt.Errorf("links: mark: %w", fmt.Errorf("engine: %w", refused))
+	if n := testing.AllocsPerRun(100, func() { CodeOf(wrapped); ReasonOf(wrapped) }); n != 0 {
+		t.Fatalf("CodeOf and ReasonOf of a wrapped RemoteError allocate %.0f times", n)
+	}
+}
+
 func TestCodeOf(t *testing.T) {
 	if got := CodeOf(nil); got != CodeOK {
 		t.Fatalf("CodeOf(nil) = %q", got)

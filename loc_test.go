@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18305
-	allTreeLines   = 21196
+	cmdLineCeiling = 18388
+	allTreeLines   = 21279
 )
 
 // cmdDeps runs `go list -deps ./cmd/...` with format over the non-standard
