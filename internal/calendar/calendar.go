@@ -574,9 +574,11 @@ func (c *Calendar) acceptDecided(u *store.Tx, m *Meeting, entity string, args wi
 			return &wire.RemoteError{Code: wire.CodeBadArgs, Msg: "calendar: bad link expiry in reserve"}
 		}
 	}
-	err := c.lm.AddLink(u, &back)
-	if wire.ReasonOf(err) == wire.ReasonLinkExists {
+	var err error
+	if u.Has(links.LinkTable, m.LinkID) {
 		err = c.lm.PromoteLink(u, m.LinkID, &back)
+	} else {
+		err = c.lm.AddLink(u, &back)
 	}
 	if err != nil {
 		return err

@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/calendar"
 	"repro/internal/core"
@@ -187,7 +188,8 @@ func TestCrashAtEveryLogRecord(t *testing.T) {
 				{slot: true, journal: 1}, // COMMIT decided for b, c and d
 				{slot: true},             // all three acknowledged, decision retired
 				{slot: true, link: true, record: calendar.StatusConfirmed},
-				{record: calendar.StatusCancelled},
+				{record: calendar.StatusCancelled, journal: 1}, // the cascade owed to b, c and d
+				{record: calendar.StatusCancelled},             // all three answered, row retired
 			}
 		} else {
 			want = []recovered{
@@ -209,10 +211,10 @@ func TestCrashAtEveryLogRecord(t *testing.T) {
 
 // TestRedeliveryAfterCrashConverges: b crashes without having seen its
 // Commit, and again without having seen the cancel cascade; each time it
-// comes back from its log alone and the initiator's re-delivery (the
-// journal sweep, the tombstone sweep) brings it level. After the cancel
-// every device holds the rows of testdata/cancel.golden, as if nothing
-// had been lost.
+// comes back from its log alone and the initiator's outbox sweep (a
+// commit row, then a delete row) brings it level. After the cancel every
+// device holds the rows of testdata/cancel.golden, as if nothing had been
+// lost.
 func TestRedeliveryAfterCrashConverges(t *testing.T) {
 	w := newWorld(t, "a", "c", "d")
 	dir := t.TempDir()
@@ -246,7 +248,7 @@ func TestRedeliveryAfterCrashConverges(t *testing.T) {
 		}
 	}
 
-	// The cancel reaches c and d; b is down and is tombstoned.
+	// The cancel reaches c and d; b is down and is still owed it.
 	survived := copyLog(t, dir)
 	if err := w.nodes["b"].Close(ctxBg()); err != nil {
 		t.Fatal(err)
@@ -254,16 +256,87 @@ func TestRedeliveryAfterCrashConverges(t *testing.T) {
 	if err := w.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
 		t.Fatal(err)
 	}
-	if pd := w.nodes["a"].Links.PendingDeletes(); len(pd) != 1 || pd[0] != [2]string{m.LinkID, "b"} {
-		t.Fatalf("tombstones = %v, want b's", pd)
-	}
+	wantOwed(t, w, links.Owed{Kind: "delete", ID: m.LinkID, Peers: []string{"b"}})
 	w.addDurable("b", survived)
 	if got := w.slotMeeting("b", m.Slot); got != m.ID {
 		t.Fatalf("b slot after a restart without the cascade = %q", got)
 	}
-	if n := w.nodes["a"].Links.RetryPendingDeletes(ctxBg()); n != 1 {
-		t.Fatalf("RetryPendingDeletes delivered %d, want 1", n)
+	if n := sweep(w); n != 1 {
+		t.Fatalf("the sweep resolved %d rows, want 1", n)
 	}
+	wantOwed(t, w)
+	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
+}
+
+// wantOwed holds what a's outbox owes to want, in id order.
+func wantOwed(t *testing.T, w *world, want ...links.Owed) {
+	t.Helper()
+	if got := w.nodes["a"].Links.JournalPending(); !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+		t.Fatalf("a owes %+v, want %+v", got, want)
+	}
+}
+
+// sweep runs a's outbox sweep once every row it holds is due, and returns
+// the rows it resolved.
+func sweep(w *world) int {
+	w.clk.Advance(time.Minute)
+	return w.nodes["a"].Links.RetryCommits(ctxBg(), w.clk.Now())
+}
+
+// crashAtFirst is the network of a device that loses power as its first
+// request for method leaves: the log it recovers from is the one copied
+// then, and nothing it sends from then on arrives.
+type crashAtFirst struct {
+	transport.Network
+	method string
+	crash  func()
+	down   *atomic.Bool
+}
+
+func (n crashAtFirst) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	if req.Method == n.method && n.down.CompareAndSwap(false, true) {
+		n.crash()
+	}
+	if n.down.Load() {
+		return nil, transport.ErrUnreachable
+	}
+	return n.Network.Call(ctx, addr, req)
+}
+
+// TestCancelCascadeSurvivesInitiatorCrash: the initiator loses power
+// between the cancel's unit and its first DeleteLink. The unit that took
+// the forward link out also wrote the delete row owed to b, c and d, so
+// the restarted initiator's first sweep delivers the cascade and every
+// device holds the rows of testdata/cancel.golden.
+func TestCancelCascadeSurvivesInitiatorCrash(t *testing.T) {
+	w := newWorld(t, "b", "c", "d")
+	dir, survived := t.TempDir(), ""
+	var down atomic.Bool
+	w.wrapNet = func(n transport.Network) transport.Network {
+		return crashAtFirst{Network: n, method: "DeleteLink", down: &down,
+			crash: func() { survived = copyLog(t, dir) }}
+	}
+	w.addDurable("a", dir)
+	w.wrapNet = nil
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Supervisors: []string{"d"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = w.cals["a"].CancelMeeting(ctxBg(), m.ID) // the power goes mid-cancel
+	if survived == "" {
+		t.Fatal("the cancel sent no DeleteLink")
+	}
+	if err := w.nodes["a"].Close(ctxBg()); err != nil {
+		t.Fatal(err)
+	}
+	w.addDurable("a", survived)
+	wantOwed(t, w, links.Owed{Kind: "delete", ID: m.LinkID, Peers: []string{"b", "c", "d"}})
+	if n := sweep(w); n != 1 {
+		t.Fatalf("the sweep resolved %d rows, want 1", n)
+	}
+	wantOwed(t, w)
 	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
 }
 
@@ -286,9 +359,9 @@ func (n answerLost) Call(ctx context.Context, addr string, req *transport.Reques
 }
 
 // TestCascadeAnswerLostIsRetried: the cancel cascade reaches b and b's
-// answer is lost. The cancel stands, b is tombstoned like a participant
-// that was out of reach, the sweep keeps the tombstone for as long as
-// answers are lost and clears it with the first one that arrives (the
+// answer is lost. The cancel stands, b stays owed the deletion like a
+// participant that was out of reach, the sweep keeps the row for as long
+// as answers are lost and retires it with the first one that arrives (the
 // deletion it re-sends finds nothing left to do), and every device holds
 // the rows of testdata/cancel.golden.
 func TestCascadeAnswerLostIsRetried(t *testing.T) {
@@ -308,21 +381,16 @@ func TestCascadeAnswerLostIsRetried(t *testing.T) {
 	if err := w.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
 		t.Fatalf("cancel with b's answer lost: %v", err)
 	}
-	tombstones := func(want ...[2]string) {
-		t.Helper()
-		if pd := w.nodes["a"].Links.PendingDeletes(); !slices.Equal(pd, want) {
-			t.Fatalf("tombstones = %v, want %v", pd, want)
-		}
+	owedB := links.Owed{Kind: "delete", ID: m.LinkID, Peers: []string{"b"}}
+	wantOwed(t, w, owedB)
+	if n := sweep(w); n != 0 {
+		t.Fatalf("the sweep resolved %d rows with the answer still lost", n)
 	}
-	tombstones([2]string{m.LinkID, "b"})
-	if n := w.nodes["a"].Links.RetryPendingDeletes(ctxBg()); n != 0 {
-		t.Fatalf("RetryPendingDeletes delivered %d with the answer still lost", n)
-	}
-	tombstones([2]string{m.LinkID, "b"})
+	wantOwed(t, w, owedB)
 	lost.Store(false)
-	if n := w.nodes["a"].Links.RetryPendingDeletes(ctxBg()); n != 1 {
-		t.Fatalf("RetryPendingDeletes delivered %d, want 1", n)
+	if n := sweep(w); n != 1 {
+		t.Fatalf("the sweep resolved %d rows, want 1", n)
 	}
-	tombstones()
+	wantOwed(t, w)
 	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
 }

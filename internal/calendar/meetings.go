@@ -398,10 +398,10 @@ func (m *Meeting) mayCancel(user string) error {
 // when its queued op drains. The slot the forward link held is offered to
 // its waiters and the deletion cascades; a participant the cascade reached
 // wrote the cancelled record m itself when its link row went (linkHook),
-// one it could not reach is tombstoned and still gets the best-effort
-// push; a device that was away pulls the record when it reconnects.
+// one it could not reach is owed it in the outbox and still gets the
+// best-effort push; a device that was away pulls the record on reconnect.
 func (c *Calendar) retract(ctx context.Context, m *Meeting, d links.Unlinked, byUser string) error {
-	unreached, err := c.lm.Retract(ctx, d, nil)
+	unreached, err := c.lm.Retract(ctx, d)
 	if len(unreached) > 0 {
 		c.push(ctx, m, unreached)
 	}

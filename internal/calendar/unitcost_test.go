@@ -86,9 +86,11 @@ func (c *unitCensus) lastOf(user string) string {
 // A conflict-free schedule is four units at the initiator (own slot |
 // COMMIT decision | decision retired | forward link + record) and one at
 // each participant (slot + back link + record + decided token); its
-// cancel is one unit everywhere (link row + slot + record). That is the
-// 9 units and 22 rows per schedule + cancel of the sched_* workloads,
-// where every row used to be a record of its own (23).
+// cancel is one unit at each participant (link row + slot + record) and
+// two at the initiator (link row + slot + record + the delete row owed to
+// the participants | the row retired once they answered). That is the 10
+// units and 24 rows per schedule + cancel of the sched_* workloads, where
+// every row used to be a record of its own.
 func TestUnitCostSetupAndCancel(t *testing.T) {
 	w, units := newUnitWorld(t, "a", "b", "c")
 	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
@@ -101,7 +103,7 @@ func TestUnitCostSetupAndCancel(t *testing.T) {
 	if err := w.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
 		t.Fatal(err)
 	}
-	units.take(t, "cancel", map[string]string{"a": "1/3", "b": "1/3", "c": "1/3"})
+	units.take(t, "cancel", map[string]string{"a": "2/5", "b": "1/3", "c": "1/3"})
 }
 
 // TestUnitCostScenarios pins the units of the other flows and holds the
@@ -155,10 +157,11 @@ func TestUnitCostScenarios(t *testing.T) {
 		// b: the blocker's link, slot and record go | the Commit of its vote is
 		// the whole promotion: token, slot, link row permanent, waiting row
 		// gone, record. a: decision | retired | record. c: the stale record.
+		// x: link, slot, record and the delete row owed to b | row retired.
 		if got := units.lastOf("b"); got != "SyD_NegotiationDecided+cal_slots+SyD_Link+SyD_WaitingLink+cal_meetings" {
 			t.Errorf("b's promotion was logged as %q", got)
 		}
-		units.take(t, "cancel", map[string]string{"a": "3/3", "b": "2/8", "c": "1/1", "x": "1/3"})
+		units.take(t, "cancel", map[string]string{"a": "3/3", "b": "2/8", "c": "1/1", "x": "2/5"})
 	})
 
 	t.Run("or-group", func(t *testing.T) {
@@ -189,10 +192,11 @@ func TestUnitCostScenarios(t *testing.T) {
 			t.Fatal(err)
 		}
 		// a: decision + own new slot (one unit, the journal row written once) |
-		// retired | new link + record | old link and slot (the record has
-		// moved on from the old link: its deletion writes no cancelled one).
+		// retired | new link + record | old link and slot with the delete row
+		// owed to b and c (the record has moved on from the old link: its
+		// deletion writes no cancelled one) | that row retired.
 		// b, c: the Commit on the new slot | the old link and slot.
-		units.take(t, "change", map[string]string{"a": "4/7", "b": "2/6", "c": "2/6"})
+		units.take(t, "change", map[string]string{"a": "5/9", "b": "2/6", "c": "2/6"})
 		moved, _ := w.cals["a"].Meeting(m.ID)
 		wantState(t, "changeslot", deviceState(t, w, meetingIDs(moved), "a", "b", "c"))
 	})
@@ -233,7 +237,8 @@ func TestUnitCostScenarios(t *testing.T) {
 		if ids := w.nodes["b"].Links.ExpireSweep(ctxBg(), w.clk.Now()); len(ids) != 1 {
 			t.Fatalf("expired %v, want the back link", ids)
 		}
-		// b: slot, record and link row go together; the cascade does the same at a.
-		units.take(t, "expire", map[string]string{"a": "1/3", "b": "1/3"})
+		// b: slot, record and link row go together with the delete row owed to
+		// a | that row retired; the cascade does the same at a, owing nobody.
+		units.take(t, "expire", map[string]string{"a": "1/3", "b": "2/5"})
 	})
 }

@@ -342,9 +342,8 @@ func Start(ctx context.Context, cfg Config) (*Node, error) {
 			swCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			_ = lm.ExpireSweep(swCtx, now)
-			_ = lm.RetryPendingDeletes(swCtx)
-			// Negotiation fault recovery rides the same schedule: re-send
-			// journaled commits and resolve in-doubt participant marks.
+			// Fault recovery rides the same schedule: pay what the outbox
+			// still owes and resolve in-doubt participant marks.
 			_ = lm.FaultSweep(swCtx, now)
 		})
 	}

@@ -22,7 +22,7 @@ import (
 // `"`, `\`, newline, return and tab escaped short, `<`, `>`, `&`, U+2028
 // and U+2029 as \u escapes, invalid UTF-8 as \ufffd. The other control
 // characters, which Go releases have spelled differently, go through
-// json.Marshal itself.
+// json.Marshal itself, on a copy: s does not escape.
 func AppendString(b []byte, s string) []byte {
 	mark := len(b)
 	b = append(b, '"')
@@ -53,7 +53,7 @@ func AppendString(b []byte, s string) []byte {
 		case c == '&':
 			esc = `\u0026`
 		case c < 0x20:
-			raw, _ := json.Marshal(s) // a string cannot fail to marshal
+			raw, _ := json.Marshal(strings.Clone(s)) // a string cannot fail to marshal
 			return append(b[:mark], raw...)
 		default:
 			var r rune
@@ -118,11 +118,11 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 // AppendTime appends t as json.Marshal writes a time.Time: RFC 3339 with
 // the nanoseconds it has, quoted. A time RFC 3339 cannot write (a year
 // outside [0,9999], a zone of a day or more) goes through json.Marshal
-// for its error.
+// for its error, asked of a copy of t: t does not escape.
 func AppendTime(b []byte, t time.Time) ([]byte, error) {
 	if _, off := t.Zone(); t.Year() < 0 || t.Year() > 9999 || off <= -24*3600 || off >= 24*3600 {
-		raw, err := json.Marshal(t)
-		return append(b, raw...), err
+		_, err := json.Marshal(time.Unix(t.Unix(), int64(t.Nanosecond())).In(time.FixedZone("", off)))
+		return b, err
 	}
 	return append(t.AppendFormat(append(b, '"'), time.RFC3339Nano), '"'), nil
 }

@@ -193,7 +193,7 @@ func TestServiceMethods(t *testing.T) {
 		"AddLink",         // manager.go InstallAt at a remote user
 		"Apply",           // manager.go applyRemote: a subscription trigger's action
 		"Commit",          // negotiate.go commitTargetInner and the journal redrive
-		"DeleteLink",      // manager.go cascadeDelete and RetryPendingDeletes
+		"DeleteLink",      // manager.go deliverDelete
 		"DeleteLinkLocal", // calendar meetings.go: a dropped user's own row
 		"Mark",            // negotiate.go markTargetInner: phase 1
 		"QueryOutcome",    // participant.go: an in-doubt participant asks the coordinator

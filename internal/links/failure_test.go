@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -135,16 +136,25 @@ func TestStrandedLockExpires(t *testing.T) {
 	}
 }
 
+// wantOwed holds what lm's outbox owes to want, in id order.
+func wantOwed(t *testing.T, lm *links.Manager, want ...links.Owed) {
+	t.Helper()
+	if got := lm.JournalPending(); !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+		t.Fatalf("owed = %+v, want %+v", got, want)
+	}
+}
+
 // TestCascadeDeleteToleratesDownNode: the §4.4 cascade skips
 // unreachable participants (their device may be off) instead of
-// failing; the local deletion still happens, and re-issuing the delete
-// after the node returns cleans up the remainder.
+// failing; the local deletion still happens, and the outbox sweep
+// delivers the delete once the node returns.
 func TestCascadeDeleteToleratesDownNode(t *testing.T) {
 	h := newHarness(t, "a", "b", "c")
 	ctx := context.Background()
 	installEverywhere(t, h, "LD", refs("a", "s", "b", "s", "c", "s"))
 	h.net.SetDown("node-c", true)
-	if err := h.nodes["a"].Links.DeleteLink(ctx, "LD", nil); err != nil {
+	lm := h.nodes["a"].Links
+	if err := lm.DeleteLink(ctx, "LD", nil); err != nil {
 		t.Fatalf("cascade with down node errored: %v", err)
 	}
 	if _, ok := h.nodes["a"].Links.GetLink("LD"); ok {
@@ -157,33 +167,33 @@ func TestCascadeDeleteToleratesDownNode(t *testing.T) {
 	if _, ok := h.nodes["c"].Links.GetLink("LD"); !ok {
 		t.Fatal("c's row vanished while down?")
 	}
-	// The unreachable participant is tombstoned for retry.
-	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 1 || pd[0] != [2]string{"LD", "c"} {
-		t.Fatalf("pending deletes = %v", pd)
+	// The unreachable participant is still owed the deletion.
+	owedC := links.Owed{Kind: "delete", ID: "LD", Peers: []string{"c"}}
+	wantOwed(t, lm, owedC)
+	// While c is still down, a sweep changes nothing.
+	h.clk.Advance(links.RetryCap)
+	if n := lm.RetryCommits(ctx, h.clk.Now()); n != 0 {
+		t.Fatalf("sweep against down node resolved %d rows", n)
 	}
-	// While c is still down, a retry changes nothing.
-	if n := h.nodes["a"].Links.RetryPendingDeletes(ctx); n != 0 {
-		t.Fatalf("retry against down node removed %d tombstones", n)
-	}
+	wantOwed(t, lm, owedC)
 	h.net.SetDown("node-c", false)
-	// The periodic retry now reaches c.
-	if n := h.nodes["a"].Links.RetryPendingDeletes(ctx); n != 1 {
-		t.Fatalf("retry removed %d tombstones, want 1", n)
+	// The next sweep reaches c.
+	h.clk.Advance(links.RetryCap)
+	if n := lm.RetryCommits(ctx, h.clk.Now()); n != 1 {
+		t.Fatalf("sweep resolved %d rows, want 1", n)
 	}
 	if _, ok := h.nodes["c"].Links.GetLink("LD"); ok {
-		t.Fatal("c's row survived the retry")
+		t.Fatal("c's row survived the sweep")
 	}
-	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 0 {
-		t.Fatalf("tombstones remain: %v", pd)
-	}
+	wantOwed(t, lm)
 }
 
 // TestCascadeDeleteTombstonesClosedTCPNode is the cascade over real
 // sockets, where a participant whose node has closed does not answer
 // CodeUnavailable: its refused connection reaches the links manager as
 // transport.ErrUnreachable, wrapped by the engine. That is as transient
-// as the sim's answer. The cascade tombstones the participant, and the
-// retry sweep keeps the tombstone while the node stays down.
+// as the sim's answer. The outbox keeps owing the participant the
+// deletion, and the sweep keeps the row while the node stays down.
 func TestCascadeDeleteTombstonesClosedTCPNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
@@ -212,15 +222,13 @@ func TestCascadeDeleteTombstonesClosedTCPNode(t *testing.T) {
 	if _, ok := h.nodes["b"].Links.GetLink("LD"); ok {
 		t.Fatal("b's row survived")
 	}
-	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 1 || pd[0] != [2]string{"LD", "c"} {
-		t.Fatalf("pending deletes = %v, want c tombstoned", pd)
+	owedC := links.Owed{Kind: "delete", ID: "LD", Peers: []string{"c"}}
+	wantOwed(t, h.nodes["a"].Links, owedC)
+	h.clk.Advance(links.RetryCap)
+	if n := h.nodes["a"].Links.RetryCommits(ctx, h.clk.Now()); n != 0 {
+		t.Fatalf("sweep against the closed node resolved %d rows", n)
 	}
-	if n := h.nodes["a"].Links.RetryPendingDeletes(ctx); n != 0 {
-		t.Fatalf("retry against the closed node removed %d tombstones", n)
-	}
-	if pd := h.nodes["a"].Links.PendingDeletes(); len(pd) != 1 {
-		t.Fatalf("pending deletes after the retry = %v, want c still tombstoned", pd)
-	}
+	wantOwed(t, h.nodes["a"].Links, owedC)
 }
 
 // TestPromotionPropertyHighestGroupWins: for random waiting-link

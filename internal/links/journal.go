@@ -1,10 +1,12 @@
 package links
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -15,17 +17,17 @@ import (
 	"repro/internal/wire"
 )
 
-// The commit journal makes phase 2 of the §4.3 negotiation protocol
-// crash- and loss-tolerant. Once the constraint is satisfied the
-// coordinator has decided COMMIT; it persists that decision (the
-// negotiation id, action, args, and every marked target with its lock
-// token) in SyD_NegotiationJournal *before* changing anything. A lost
-// Commit, a partitioned target, or a coordinator crash then leaves a
-// journal row behind, and the periodic sweep (the same schedule the
-// paper uses for link expiry, §4.2 op 6) re-sends Commit with
-// exponential backoff until every target acknowledges. Only when the
-// pending set drains is the row retired; a row that exhausts its
-// attempts is expired to a loud, metrics-counted failure.
+// The journal is the device's durable outbox (tables.go lists its two
+// kinds). A commit row makes phase 2 of the §4.3 negotiation protocol
+// crash- and loss-tolerant: the coordinator persists its COMMIT decision
+// (the negotiation id, action, args, and every marked target with its
+// lock token) *before* changing anything. A delete row does the same for
+// the §4.4 cascade: the unit that takes a link's row out owes its other
+// participants the DeleteLink. A lost message, a partitioned peer, or a
+// crash then leaves the row behind, and the periodic sweep (the same
+// schedule the paper uses for link expiry, §4.2 op 6) re-sends it with
+// exponential backoff until no peer is owed, and the row is retired, or
+// the row's end rule (expired) gives it up.
 
 // The recovery schedule. The ordering that matters: an in-doubt
 // participant presumes abort only once the coordinator's last redrive
@@ -65,9 +67,13 @@ type journalTarget struct {
 	Token string    `json:"token"`
 }
 
+// Outbox row kinds; a row without one (as all were, once) is a commit row.
+const kindCommit, kindDelete = "", "delete"
+
 // journalRec is the decoded form of one SyD_NegotiationJournal row.
 type journalRec struct {
 	ID        string
+	Kind      string `json:",omitempty"`
 	Action    string
 	Args      wire.Args
 	Pending   []journalTarget
@@ -83,13 +89,14 @@ type journalRec struct {
 	SpanID  string
 }
 
-// body is the row's non-key columns, as a row of the journal table t:
-// what an update rewrites. The rec
-// column is the text json.Marshal writes for r, appended field by field
-// (FuzzJournalRecord holds the two equal). It fails where Marshal fails:
-// on an argument with no JSON form (a NaN, an infinity, a func), which a
-// decision computed by Spec.Decide can hold.
-func (r *journalRec) body(t *store.Table) (store.Row, error) {
+// body is the row's non-key columns, as a row of the journal table t
+// due at next: what an update rewrites. The rec column is the text
+// json.Marshal writes for r, appended field by field (FuzzJournalRecord
+// holds the two equal). It fails where Marshal fails: on an argument with
+// no JSON form (a NaN, an infinity, a func), which a decision computed by
+// Spec.Decide can hold. The row keeps nothing of r's, so r may hold a
+// caller's stack.
+func (r *journalRec) body(t *store.Table, next time.Time) (store.Row, error) {
 	var buf [1024]byte // room for a reservation's, which holds the decided record
 	b, err := r.appendJSON(buf[:0])
 	if err != nil {
@@ -97,12 +104,15 @@ func (r *journalRec) body(t *store.Table) (store.Row, error) {
 	}
 	row := t.NewRow()
 	row.SetStr("rec", string(b))
-	row.SetTime("next_retry", r.NextRetry)
+	row.SetTime("next_retry", next)
 	return row, nil
 }
 
 func (r *journalRec) appendJSON(b []byte) ([]byte, error) {
 	b = jsonrec.AppendString(append(b, `{"ID":`...), r.ID)
+	if r.Kind != "" {
+		b = jsonrec.AppendString(append(b, `,"Kind":`...), r.Kind)
+	}
 	b = jsonrec.AppendString(append(b, `,"Action":`...), r.Action)
 	b, err := r.Args.AppendJSON(append(b, `,"Args":`...))
 	if err != nil {
@@ -142,6 +152,9 @@ func readJournal(s string) (journalRec, bool) {
 	r := jsonrec.NewReader(s)
 	r.Lit(`{"ID":`)
 	rec.ID = r.String()
+	if r.Opt(`,"Kind":`) {
+		rec.Kind = r.String()
+	}
 	r.Lit(`,"Action":`)
 	rec.Action = r.String()
 	r.Lit(`,"Args":`)
@@ -179,37 +192,31 @@ func readJournal(s string) (journalRec, bool) {
 }
 
 func journalFromRow(row store.Row) (*journalRec, error) {
-	id := row.Str("id")
-	s := row.Str("rec")
-	if s == "" {
-		return nil, fmt.Errorf("links: journal %s has no record body", id)
-	}
-	r, err := jsonrec.Decode(s, readJournal)
+	r, err := jsonrec.Decode(row.Str("rec"), readJournal)
 	if err != nil {
-		return nil, fmt.Errorf("links: journal %s: %w", id, err)
+		return nil, fmt.Errorf("links: journal %s: %w", row.Str("id"), err)
 	}
-	r.ID = id
+	r.ID = row.Str("id")
 	// The column is what the sweeper selected on; keep it authoritative
 	// over the blob's copy.
 	r.NextRetry = row.Time("next_retry")
 	return &r, nil
 }
 
-// journalBegin persists the COMMIT decision, in the unit u that also
-// holds the coordinator's own change if it has one, before phase 2
-// touches anything else. The row lands in the store (and therefore the
-// WAL when durability is on) before the first Commit leaves the
-// coordinator.
-func (m *Manager) journalBegin(u *store.Tx, rec *journalRec) error {
-	row, err := rec.body(m.journalT)
+// journalBegin writes rec's row, keyed id and due at next, in u, the unit
+// that creates the debt (the COMMIT decision with the coordinator's own
+// change, or a link's removal): in the store, and the WAL behind it,
+// before the first message leaves the device.
+func (m *Manager) journalBegin(u *store.Tx, id string, next time.Time, rec *journalRec) error {
+	row, err := rec.body(m.journalT, next)
 	if err != nil {
 		return err
 	}
-	row.SetStr("id", rec.ID)
+	row.SetStr("id", id)
 	return u.Insert(NegotiationJournal, row)
 }
 
-// journalSettle records how a commit round left rec, as one unit: the
+// journalSettle records how a round left rec, as one unit: the
 // row is retired once no target is outstanding, and rewritten with the
 // round's progress otherwise. A row that cannot
 // be written stays as it was; the next sweep re-drives it, and targets
@@ -221,7 +228,7 @@ func (m *Manager) journalSettle(ctx context.Context, rec *journalRec) (retired b
 		return true
 	}
 	err := m.db.Unit(ctx, func(u *store.Tx) error {
-		row, err := rec.body(m.journalT)
+		row, err := rec.body(m.journalT, rec.NextRetry)
 		if err != nil {
 			return err
 		}
@@ -242,29 +249,33 @@ func (m *Manager) journalRetire(ctx context.Context, id string) {
 	}
 }
 
-// journalGet fetches and decodes one journal row.
-func (m *Manager) journalGet(id string) (*journalRec, bool) {
-	row, ok := m.journalT.Get(id)
-	if !ok {
-		return nil, false
-	}
-	rec, err := journalFromRow(row)
-	if err != nil {
-		return nil, false
-	}
-	return rec, true
+// Owed is one outbox row: its kind ("commit" or "delete"), the
+// negotiation or link id, and the peers still owed.
+type Owed struct {
+	Kind, ID string
+	Peers    []string
 }
 
-// JournalPending lists the negotiation ids with unresolved journal
-// rows, sorted (diagnostics and tests).
-func (m *Manager) JournalPending() []string {
-	rows := m.journalT.Select(nil)
-	out := make([]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, r.Str("id"))
-	}
-	sort.Strings(out)
+// JournalPending reads what this device owes, by id (diagnostics, tests).
+func (m *Manager) JournalPending() []Owed {
+	var out []Owed
+	m.journalT.ViewAll(func(r store.Row) {
+		o := Owed{Kind: "commit", ID: r.Str("id")}
+		if rec, err := journalFromRow(r); err == nil {
+			o.Kind, o.Peers = cmp.Or(rec.Kind, o.Kind), rec.peers()
+		}
+		out = append(out, o)
+	})
+	slices.SortFunc(out, func(a, b Owed) int { return strings.Compare(a.ID, b.ID) })
 	return out
+}
+
+// peers lists the users r still owes, in its order.
+func (r *journalRec) peers() (users []string) {
+	for _, t := range r.Pending {
+		users = append(users, t.Ref.User)
+	}
+	return users
 }
 
 // Outcome reports the coordinator-side decision for a negotiation id:
@@ -287,8 +298,9 @@ func (m *Manager) Outcome(nid, token string) (string, wire.Args) {
 	if m.isInflight(nid) {
 		return OutcomeUnknown, nil
 	}
-	rec, ok := m.journalGet(nid)
-	if !ok {
+	var rec *journalRec
+	m.journalT.View(func(r store.Row) { rec, _ = journalFromRow(r) }, nid) // undecodable: no decision
+	if rec == nil || rec.Kind != kindCommit {
 		return OutcomeAbort, nil
 	}
 	if token == "" {
@@ -303,6 +315,12 @@ func (m *Manager) Outcome(nid, token string) (string, wire.Args) {
 	// set (e.g. the Mark response was lost and the coordinator gave up
 	// on that target) — presume abort for it.
 	return OutcomeAbort, nil
+}
+
+// expired is the end rule, per kind: a commit row gives up after
+// maxAttempts rounds; a delete row never does (retried at retryCap).
+func (r *journalRec) expired() bool {
+	return r.Kind == kindCommit && r.Attempts > maxAttempts
 }
 
 // commitQoS is the per-attempt QoS the sweeps use when re-sending
@@ -323,28 +341,28 @@ func backoffAfter(n int) time.Duration {
 	return d
 }
 
-// maxRetryRowsPerSweep bounds one sweep's journal work so a backlog of
-// rows with unreachable targets cannot exhaust the sweep context and
+// maxRetryRowsPerSweep bounds one sweep's outbox work so a backlog of
+// rows with unreachable peers cannot exhaust the sweep context and
 // starve the participant-side mark resolution on the same tick; the
 // overflow (oldest rows go first) waits for the next tick.
 const maxRetryRowsPerSweep = 32
 
-// RetryCommits drives phase-2 recovery: every journal row whose
-// next_retry has passed gets one more round of Commit sends via the
-// engine's QoS machinery. Rows whose pending set drains are retired;
-// rows that exhaust maxAttempts (or no longer decode) are expired as
-// loud failures before any Commit is sent. The rest are redriven through
-// engine.FanOut (and each row fans its Commits out the same way), so one
-// sweep's wall clock is roughly a single QoS round trip, not the sum over
-// every unreachable target. Returns the number of rows resolved (retired
-// or expired) this sweep. Called from the same periodic schedule as
-// ExpireSweep.
+// RetryCommits is the outbox sweep: every row of either kind whose
+// next_retry has passed gets one more round of sends. Rows no peer is
+// owed any more are retired; rows the end rule gives up (or that no
+// longer decode) are expired as loud failures before anything is sent.
+// The rest are redriven through engine.FanOut, so one sweep takes about
+// one round trip. Returns the number of rows resolved (retired or
+// expired). Called from the same periodic schedule as ExpireSweep.
 func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
-	rows := m.journalT.Select(func(r store.Row) bool {
-		return !r.Time("next_retry").After(now)
+	var rows []store.Row // stored rows, which are replaced, never changed
+	m.journalT.ViewAll(func(r store.Row) {
+		if !r.Time("next_retry").After(now) {
+			rows = append(rows, r)
+		}
 	})
-	sort.Slice(rows, func(i, j int) bool {
-		return rows[i].Time("next_retry").Before(rows[j].Time("next_retry"))
+	slices.SortFunc(rows, func(a, b store.Row) int {
+		return cmp.Or(a.Time("next_retry").Compare(b.Time("next_retry")), strings.Compare(a.Str("id"), b.Str("id")))
 	})
 	if len(rows) > maxRetryRowsPerSweep {
 		rows = rows[:maxRetryRowsPerSweep]
@@ -365,7 +383,7 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 		}
 		rec.Attempts++
 		rec.NextRetry = now.Add(backoffAfter(rec.Attempts))
-		if rec.Attempts > maxAttempts {
+		if rec.expired() {
 			// Give up: the negotiation stays divergent. Count it where
 			// operators will see it; the row itself is dropped so the
 			// sweep does not grind on a dead deployment forever.
@@ -394,11 +412,15 @@ func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
 	return int(resolved.Load())
 }
 
-// redriveJournal re-runs the commit phase for one journal row: every
-// pending target, fanned out concurrently, then writes the row back
-// once. The coordinator's own change needs no redrive: it was applied
-// in the unit that wrote the row. Reports true when the row was retired.
+// redriveJournal re-sends one outbox row to every peer it still owes (a
+// delete row's in turn, a commit row's fanned out), then writes the row
+// back once; the coordinator's own change was applied in the unit that
+// wrote the row. Reports true when the row was retired.
 func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
+	if rec.Kind == kindDelete {
+		rec.Pending, _ = m.deliverDelete(ctx, rec.ID, rec.Args, rec.Pending) // a refusal settles its peer
+		return m.journalSettle(ctx, rec)
+	}
 	errs := m.commitTargets(ctx, rec.ID, rec.Pending, rec.Action, rec.Args, true)
 	var still []journalTarget
 	for i, tgt := range rec.Pending {
@@ -430,8 +452,8 @@ func (m *Manager) redriveJournal(ctx context.Context, rec *journalRec) bool {
 }
 
 // FaultSweep runs every periodic recovery duty in one call: link
-// expiry retries left to the caller; this covers commit re-delivery
-// and participant-side in-doubt resolution. Returns resolved journal
+// expiry is left to the caller; this covers the outbox's re-delivery
+// and participant-side in-doubt resolution. Returns resolved outbox
 // rows + resolved pending marks.
 func (m *Manager) FaultSweep(ctx context.Context, now time.Time) int {
 	n := m.RetryCommits(ctx, now)

@@ -213,41 +213,68 @@ func journalAttempts(t *testing.T, h *harness) map[string]int {
 
 // TestRetrySweepBound: one sweep redrives at most maxRetryRowsPerSweep
 // (32) due rows, the oldest-due first, and leaves the rest exactly as
-// they were for the next sweep. 40 rows owe a Commit to an unreachable target: the first
-// sweep advances the attempts of the 32 that fell due first, the second
-// those of the other 8 (the 32 are then backed off, not due).
+// they were for the next sweep. 40 rows owe x a message x never gets: the
+// first sweep advances the attempts of the 32 that fell due first, the
+// second those of the other 8 (the 32 are then backed off, not due). The
+// rows are commit rows (x's Commits are lost), or commit and delete rows
+// in turn (x is also down for the deletion of a link it shares with a):
+// the sweep takes both kinds by age alike.
 func TestRetrySweepBound(t *testing.T) {
+	for _, mixed := range []bool{false, true} {
+		name := "commit rows"
+		if mixed {
+			name = "commit and delete rows"
+		}
+		t.Run(name, func(t *testing.T) { retrySweepBound(t, mixed) })
+	}
+}
+
+func retrySweepBound(t *testing.T, mixed bool) {
 	const rows, bound = 40, 32
 	h := newHarness(t, "a", "x")
 	lm := h.nodes["a"].Links
 	lm.SetCommitFault(func(string, links.EntityRef) error {
 		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
 	})
-	nids := make([]string, rows)
-	for i := range nids {
-		res, err := lm.Negotiate(ctxBg(), links.Spec{
-			Action: "reserve", Args: wire.Args{wire.Str("meeting", fmt.Sprintf("M%02d", i))},
-			Targets: refs("x", fmt.Sprintf("s%02d", i)), Constraint: links.And,
-		})
-		if !links.IsInDoubt(err) {
-			t.Fatalf("negotiation %d: err = %v, want in-doubt", i, err)
+	ids := make([]string, rows)
+	for i := range ids {
+		if mixed && i%2 == 1 {
+			ids[i] = fmt.Sprintf("LX%02d", i)
+			l := participantRow(ids[i], links.EntityRef{User: "a", Entity: "s"}, refs("a", "s", "x", "s"))
+			if err := lm.InstallAt(ctxBg(), "a", l); err != nil {
+				t.Fatal(err)
+			}
+			h.net.SetDown("node-x", true)
+			if err := lm.DeleteLink(ctxBg(), ids[i], nil); err != nil {
+				t.Fatalf("deletion %d: %v", i, err)
+			}
+		} else {
+			res, err := lm.Negotiate(ctxBg(), links.Spec{
+				Action: "reserve", Args: wire.Args{wire.Str("meeting", fmt.Sprintf("M%02d", i))},
+				Targets: refs("x", fmt.Sprintf("s%02d", i)), Constraint: links.And,
+			})
+			if !links.IsInDoubt(err) {
+				t.Fatalf("negotiation %d: err = %v, want in-doubt", i, err)
+			}
+			ids[i] = res.NID
 		}
-		nids[i] = res.NID
+		h.net.SetDown("node-x", false)
 		h.clk.Advance(time.Millisecond) // row i falls due before row i+1
 	}
+	h.net.SetDown("node-x", true)
 	wantAttempts := func(sweep string, first, rest int) {
 		t.Helper()
 		got := journalAttempts(t, h)
 		if len(got) != rows {
 			t.Fatalf("%s: journal holds %d rows, want %d", sweep, len(got), rows)
 		}
-		for i, nid := range nids {
+		for i, id := range ids {
 			want := rest
 			if i < bound {
 				want = first
 			}
-			if got[nid] != want {
-				t.Fatalf("%s: row %d (%s) has attempts %d, want %d", sweep, i, nid, got[nid], want)
+			if got[id] != want {
+				t.Fatalf("%s: row %d (%s) has attempts %d, want %d", sweep, i, id, got[id], want)
 			}
 		}
 	}

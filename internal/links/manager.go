@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -61,8 +60,8 @@ type Manager struct {
 
 	linksT   *store.Table
 	waitingT *store.Table
-	pendingT *store.Table
 	journalT *store.Table
+	selfOnly []string // the visited list of a deletion that starts here
 
 	mu      sync.RWMutex
 	actions map[string]Action
@@ -97,7 +96,7 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 	if clk == nil {
 		clk = clock.System
 	}
-	lt, wt, pt, jt, dt, err := createLinkDB(db)
+	lt, wt, jt, dt, err := createLinkDB(db)
 	if err != nil {
 		return nil, err
 	}
@@ -109,8 +108,8 @@ func NewManager(self string, db *store.DB, eng *engine.Engine, clk clock.Clock) 
 		Locks:    NewLockTable(clk),
 		linksT:   lt,
 		waitingT: wt,
-		pendingT: pt,
 		journalT: jt,
+		selfOnly: []string{self},
 		decidedT: dt,
 		actions:  make(map[string]Action),
 		pendMark: make(map[string]*pendingMark),
@@ -538,24 +537,31 @@ func (m *Manager) DeleteLink(ctx context.Context, id string, visited []string) e
 	if contains(visited, m.self) {
 		return nil
 	}
-	d, err := m.Unlink(ctx, id)
+	d, err := m.unlink(ctx, id, visited, true)
 	if err != nil {
 		return err
 	}
-	_, err = m.Retract(ctx, d, visited)
+	_, err = m.Retract(ctx, d)
 	return err
 }
 
 // Unlinked is a deletion between its two steps.
 type Unlinked struct {
-	Link   *Link  // the row Unlink took out; nil when this device held none
-	entity string // what it was attached to
-	tok    string // entity's lock, when Unlink took it for the offer
+	Link   *Link      // the row Unlink took out; nil when this device held none
+	entity string     // what it was attached to
+	tok    string     // entity's lock, when Unlink took it for the offer
+	owed   journalRec // the delete row Unlink wrote, less its peers; no Args: none
 }
 
 // Unlink removes this device's row of link id, the hook releasing what
-// it held, and converts the waiters that convert at once, as one unit.
+// it held, converts the waiters that convert at once and owes the link's
+// other participants the cascade (oweDelete), as one unit.
 func (m *Manager) Unlink(ctx context.Context, id string) (Unlinked, error) {
+	return m.unlink(ctx, id, nil, true)
+}
+
+// unlink is Unlink after visited; without cascade it owes nobody.
+func (m *Manager) unlink(ctx context.Context, id string, visited []string, cascade bool) (Unlinked, error) {
 	// With someone queued on the entity, take its lock before the unit
 	// that frees it, if it can be had: no newcomer's Mark comes between
 	// "freed" and "offered". A negotiation that holds it offers on release.
@@ -565,8 +571,11 @@ func (m *Manager) Unlink(ctx context.Context, id string) (Unlinked, error) {
 		d.tok, _ = m.Locks.TryLock(d.entity, m.self)
 	}
 	err := m.db.Unit(ctx, func(u *store.Tx) (err error) {
-		d.Link, err = m.unlink(u, id)
-		return err
+		d.owed = journalRec{}
+		if d.Link, err = m.unlinkIn(u, id); err != nil || d.Link == nil || !cascade {
+			return err
+		}
+		return m.oweDelete(u, &d, visited)
 	})
 	if err != nil {
 		m.Locks.Unlock(d.entity, d.tok)
@@ -574,9 +583,49 @@ func (m *Manager) Unlink(ctx context.Context, id string) (Unlinked, error) {
 	return d, err
 }
 
-// unlink is Unlink's unit. Without a local row local waiters may still
+// oweDelete writes in u, and keeps in d, the delete row owing d.Link's
+// participants outside visited and this device its cascade, if it has
+// any, due one backoff out: Retract runs its first round.
+func (m *Manager) oweDelete(u *store.Tx, d *Unlinked, visited []string) error {
+	var buf [8]journalTarget
+	peers := owedPeers(d.Link, m.self, visited, buf[:0])
+	if len(peers) == 0 {
+		return nil
+	}
+	if len(visited) == 0 {
+		visited = m.selfOnly
+	} else {
+		visited = append(visited[:len(visited):len(visited)], m.self)
+	}
+	id, now := d.Link.ID, m.clk.Now()
+	next := now.Add(backoffAfter(1))
+	d.owed = journalRec{ID: id, Kind: kindDelete, Created: now, NextRetry: next,
+		Args: wire.Args{wire.Str("id", id), wire.Strs("visited", visited)}}
+	rec := d.owed
+	rec.Pending = peers
+	return m.journalBegin(u, id, next, &rec)
+}
+
+// owedPeers appends to buf, as outbox targets, the distinct users l
+// references (owner and targets), sorted, but self and those in visited.
+func owedPeers(l *Link, self string, visited []string, buf []journalTarget) []journalTarget {
+	var users [8]string
+	all := append(users[:0], l.Owner.User)
+	for _, t := range l.Targets {
+		all = append(all, t.User)
+	}
+	slices.Sort(all)
+	for _, p := range slices.Compact(all) {
+		if p != self && !contains(visited, p) {
+			buf = append(buf, journalTarget{Ref: EntityRef{User: p}})
+		}
+	}
+	return buf
+}
+
+// unlinkIn is Unlink's unit. Without a local row local waiters may still
 // reference the id (the blocker lived elsewhere).
-func (m *Manager) unlink(u *store.Tx, id string) (*Link, error) {
+func (m *Manager) unlinkIn(u *store.Tx, id string) (*Link, error) {
 	l, ok := m.getLink(u, id)
 	if ok {
 		if err := m.removeLink(u, l); err != nil {
@@ -586,22 +635,23 @@ func (m *Manager) unlink(u *store.Tx, id string) (*Link, error) {
 	return l, m.promoteWaiters(u, id)
 }
 
-// offerFreed hands the entity d freed to the waiters that vote.
-func (m *Manager) offerFreed(ctx context.Context, d Unlinked) {
+// Retract sends what Unlink left to send: the freed entity offered to the
+// waiters that vote, then the cascade the deletion owes (§4.4 steps
+// 4/6-7). It returns the participants still owed, out of reach.
+func (m *Manager) Retract(ctx context.Context, d Unlinked) ([]string, error) {
 	if d.entity != "" {
 		m.offer(ctx, d.entity, d.tok, "")
 	}
-}
-
-// Retract sends what Unlink left to send: the offer, then the cascade to
-// the participants not in visited (§4.4 steps 4/6-7). It returns the
-// participants it could not reach and tombstoned for the sweep.
-func (m *Manager) Retract(ctx context.Context, d Unlinked, visited []string) ([]string, error) {
-	m.offerFreed(ctx, d)
-	if d.Link == nil {
+	if d.owed.Args == nil {
 		return nil, nil
 	}
-	return m.cascadeDelete(ctx, d.Link, visited)
+	var buf [8]journalTarget
+	rec := d.owed
+	still, err := m.deliverDelete(ctx, rec.ID, rec.Args, owedPeers(d.Link, m.self, rec.Args.Strings("visited"), buf[:0]))
+	rec.Pending = append([]journalTarget(nil), still...) // the row's, not buf's: settled once
+	rec.Attempts, rec.NextRetry = 1, m.clk.Now().Add(backoffAfter(1))
+	m.journalSettle(ctx, &rec)
+	return rec.peers(), err
 }
 
 // removeLink deletes l's local row (and any waiting entry) in u, queues
@@ -627,118 +677,39 @@ func (m *Manager) removeLink(u *store.Tx, l *Link) error {
 // passes to that step, which holds its lock, so nobody is offered it and
 // the link's voting waiters wait on the link the step installs (AddLink).
 func (m *Manager) RemoveLink(u *store.Tx, id string) error {
-	_, err := m.unlink(u, id)
+	_, err := m.unlinkIn(u, id)
 	return err
 }
 
-// cascadeDelete sends the deletion of l to every participant but this
-// device not yet visited, each with visited and this device. One that
-// is out of reach, or whose answer did not come, is tombstoned for the
-// periodic sweep and returned.
-func (m *Manager) cascadeDelete(ctx context.Context, l *Link, visited []string) (unreached []string, firstErr error) {
-	var buf [8]string
-	n := len(visited)
-	for _, p := range l.participants(buf[:0]) {
-		if p == m.self || contains(visited, p) {
-			continue
-		}
-		if len(visited) == n { // the first deletion: only now is there one to carry
-			visited = append(visited, m.self)
-		}
-		err := m.eng.Invoke(ctx, m.service(p), "DeleteLink", wire.Args{
-			wire.Str("id", l.ID), wire.Strs("visited", visited),
-		}, nil)
+// deliverDelete sends link id's DeleteLink with args to each peer owed, in
+// turn, and returns, in owed, those a transient failure left in doubt,
+// and the first refusal (which, like an answer, settles its peer).
+func (m *Manager) deliverDelete(ctx context.Context, id string, args wire.Args, owed []journalTarget) (still []journalTarget, firstErr error) {
+	still = owed[:0]
+	for _, t := range owed {
+		err := m.eng.Invoke(ctx, m.service(t.Ref.User), "DeleteLink", args, nil)
 		if engine.IsTransient(err) {
-			// Written whatever became of ctx: the deadline that failed the
-			// call must not fail the tombstone too.
-			if err = m.recordPendingDelete(context.WithoutCancel(ctx), l.ID, p); err == nil {
-				unreached = append(unreached, p)
-			}
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("links: cascade delete %s at %s: %w", l.ID, p, err)
+			still = append(still, t)
+		} else if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("links: cascade delete %s at %s: %w", id, t.Ref.User, err)
 		}
 	}
-	return unreached, firstErr
-}
-
-// recordPendingDelete remembers an undeliverable cascade deletion.
-func (m *Manager) recordPendingDelete(ctx context.Context, id, user string) error {
-	return m.db.Unit(ctx, func(u *store.Tx) error {
-		if u.Has(PendingDeleteTable, id, user) {
-			return nil
-		}
-		r := m.pendingT.NewRow()
-		r.SetStr("id", id)
-		r.SetStr("user", user)
-		return u.Insert(PendingDeleteTable, r)
-	})
-}
-
-// PendingDeletes lists tombstoned (link id, user) pairs, sorted.
-func (m *Manager) PendingDeletes() [][2]string {
-	rows := m.pendingT.Select(nil)
-	out := make([][2]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, [2]string{r.Str("id"), r.Str("user")})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
-// RetryPendingDeletes re-issues tombstoned cascade deletions; called
-// by the same periodic schedule as the expiry sweep. Still-unreachable
-// participants stay tombstoned, and so does one whose tombstone could
-// not be cleared (the re-sent deletion is a no-op where it landed).
-func (m *Manager) RetryPendingDeletes(ctx context.Context) int {
-	done := 0
-	for _, pd := range m.PendingDeletes() {
-		id, user := pd[0], pd[1]
-		err := m.eng.Invoke(ctx, m.service(user), "DeleteLink", wire.Args{
-			wire.Str("id", id), wire.Strs("visited", []string{m.self}),
-		}, nil)
-		if engine.IsTransient(err) {
-			continue
-		}
-		// Success or a permanent error (e.g. the row is already
-		// gone): drop the tombstone either way.
-		err = m.db.Unit(ctx, func(u *store.Tx) error { return u.Delete(PendingDeleteTable, id, user) })
-		if err == nil {
-			done++
-		}
-	}
-	return done
+	return still, firstErr
 }
 
 // DeleteLinkLocal removes only this node's row of a link — the offer to
 // local waiters and local "delete" triggers still run, but the deletion
-// does not cascade to other participants. Used when a single participant
-// leaves a link (dropout) while the logical link lives on elsewhere.
+// does not cascade (nor is it owed). Used when a single participant leaves
+// a link (dropout) while the logical link lives on elsewhere.
 func (m *Manager) DeleteLinkLocal(ctx context.Context, id string) error {
 	if !m.linksT.Has(id) {
 		return nil
 	}
-	d, err := m.Unlink(ctx, id)
+	d, err := m.unlink(ctx, id, nil, false)
 	if err == nil {
-		m.offerFreed(ctx, d)
+		_, err = m.Retract(ctx, d)
 	}
 	return err
-}
-
-// participants appends to buf the distinct users referenced by the link
-// (owner + targets), sorted: a caller's stack buffer holds a meeting's.
-func (l *Link) participants(buf []string) []string {
-	out := append(buf, l.Owner.User)
-	for _, t := range l.Targets {
-		out = append(out, t.User)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }
 
 func contains(list []string, s string) bool {
@@ -755,20 +726,18 @@ func contains(list []string, s string) bool {
 // ExpireSweep deletes every local link whose expiry time has passed
 // (cascading, like any other deletion) and returns the expired ids.
 func (m *Manager) ExpireSweep(ctx context.Context, now time.Time) []string {
-	rows := m.linksT.Select(func(r store.Row) bool {
-		exp := r.Time("expires")
-		return !exp.IsZero() && exp.Before(now)
-	})
 	var expired []string
-	for _, r := range rows {
-		id := r.Str("id")
-		// Best effort: a participant the cascade could not reach is
-		// tombstoned, and a link that failed to go is found again by
-		// the next sweep.
+	m.linksT.ViewAll(func(r store.Row) {
+		if exp := r.Time("expires"); !exp.IsZero() && exp.Before(now) {
+			expired = append(expired, r.Str("id"))
+		}
+	})
+	slices.Sort(expired)
+	for _, id := range expired {
+		// Best effort: the outbox owes whom the cascade missed, and a link
+		// that failed to go is found again by the next sweep.
 		_ = m.DeleteLink(ctx, id, nil)
-		expired = append(expired, id)
 	}
-	sort.Strings(expired)
 	return expired
 }
 

@@ -294,7 +294,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		var localErr error
 		err := m.db.Unit(ctx, func(u *store.Tx) error {
 			if rec != nil {
-				if err := m.journalBegin(u, rec); err != nil {
+				if err := m.journalBegin(u, rec.ID, rec.NextRetry, rec); err != nil {
 					return err
 				}
 			}

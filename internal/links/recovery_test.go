@@ -144,7 +144,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	pending := lm2.JournalPending()
-	if len(pending) != 1 || pending[0] != res.NID {
+	if len(pending) != 1 || pending[0].ID != res.NID {
 		t.Fatalf("journal after restart = %v, want [%s]", pending, res.NID)
 	}
 	// The periodic sweep on the restarted coordinator re-sends the

@@ -9,15 +9,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Table names, matching the paper's nomenclature. SyD_PendingDelete is
-// our addition: tombstones for cascade deletions that could not reach a
-// disconnected participant (retried by the periodic sweep).
-// SyD_NegotiationJournal is the coordinator's commit journal: one row
-// per negotiation that decided COMMIT but has targets still awaiting
-// phase-2 delivery. Because it lives in the node's store it flows
-// through the mutation-logger hooks, so with durability on the journal
-// survives coordinator crashes and the retry sweeper finishes phase 2
-// after recovery.
+// Table names, matching the paper's nomenclature.
+// SyD_NegotiationJournal is our addition: the device's outbox, one row
+// per message it still owes a peer (see journal.go). Because it lives in
+// the node's store it flows through the mutation-logger hooks, so with
+// durability on a debt survives a crash of the device and the sweep pays
+// it after recovery:
+//
+//	kind    written in the unit of       retired when           end rule
+//	commit  the COMMIT decision (§4.3)   every target answered  expired after maxAttempts
+//	delete  Unlink's link removal (§4.4) every peer answered    none: retried at retryCap
+//
 // SyD_NegotiationDecided is the participant's durable memory of decided
 // lock tokens: a participant that applied a Commit, lost the ack, and
 // crashed must still recognize the re-sent Commit as a duplicate after
@@ -26,7 +28,6 @@ import (
 const (
 	LinkTable          = "SyD_Link"
 	WaitingLinkTable   = "SyD_WaitingLink"
-	PendingDeleteTable = "SyD_PendingDelete"
 	NegotiationJournal = "SyD_NegotiationJournal"
 	NegotiationDecided = "SyD_NegotiationDecided"
 )
@@ -35,9 +36,9 @@ const (
 // maintained in a link database that is stored locally by the user...
 // created when he/she installs a SyD application with link-enabled
 // features". Idempotent.
-func createLinkDB(db *store.DB) (links, waiting, pending, journal, decided *store.Table, err error) {
-	fail := func(err error) (_, _, _, _, _ *store.Table, _ error) {
-		return nil, nil, nil, nil, nil, err
+func createLinkDB(db *store.DB) (links, waiting, journal, decided *store.Table, err error) {
+	fail := func(err error) (_, _, _, _ *store.Table, _ error) {
+		return nil, nil, nil, nil, err
 	}
 	links, err = db.EnsureTable(store.Schema{
 		Name: LinkTable,
@@ -81,26 +82,16 @@ func createLinkDB(db *store.DB) (links, waiting, pending, journal, decided *stor
 	if err = waiting.CreateIndex("waiting_on"); err != nil {
 		return fail(err)
 	}
-	pending, err = db.EnsureTable(store.Schema{
-		Name: PendingDeleteTable,
-		Columns: []store.Column{
-			{Name: "id", Type: store.String},   // link id to delete
-			{Name: "user", Type: store.String}, // unreachable participant
-		},
-		Key: []string{"id", "user"},
-	})
-	if err != nil {
-		return fail(err)
-	}
 	journal, err = db.EnsureTable(store.Schema{
 		Name: NegotiationJournal,
 		Columns: []store.Column{
-			{Name: "id", Type: store.String}, // negotiation id
-			// The record body (action, args, targets, trace identity,
-			// attempt count) rides one JSON blob: the journal is written
-			// on every negotiation's hot path, and one encode beats the
-			// six per-column encodes the row used to take. next_retry
-			// stays a real column because the sweeper selects on it.
+			{Name: "id", Type: store.String}, // negotiation or link id
+			// The record body (kind, method args, peers owed, trace
+			// identity, attempt count) rides one JSON blob: the outbox is
+			// written on every negotiation's and every cancel's hot path,
+			// and one encode beats the per-column encodes the row used to
+			// take. next_retry stays a real column because the sweep
+			// selects on it.
 			{Name: "rec", Type: store.String},      // JSON journalRec
 			{Name: "next_retry", Type: store.Time}, // earliest next sweeper attempt
 		},
@@ -122,7 +113,7 @@ func createLinkDB(db *store.DB) (links, waiting, pending, journal, decided *stor
 	if err != nil {
 		return fail(err)
 	}
-	return links, waiting, pending, journal, decided, nil
+	return links, waiting, journal, decided, nil
 }
 
 // linkToRow encodes a Link as a row of the link table t. The targets

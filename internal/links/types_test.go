@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,18 +117,18 @@ func TestMergedArgsRuntimeWins(t *testing.T) {
 
 // codecLinks and codecJournal are tables of a link database no manager
 // uses: the row codecs' tests build their rows for them.
-var codecLinks, _, _, codecJournal, _, _ = createLinkDB(store.NewDB())
+var codecLinks, _, codecJournal, _, _ = createLinkDB(store.NewDB())
 
-// TestLinkDatabaseTables: a device boots with the five link tables the
+// TestLinkDatabaseTables: a device boots with the four link tables the
 // manager reads and writes. SyD_LinkMethod, which no operation wrote, is
-// not among them; an old data directory that still holds it recovers
-// with it unused.
+// not among them; an old data directory that still holds it, or the
+// cascade tombstones' table the outbox replaced, recovers with it unused.
 func TestLinkDatabaseTables(t *testing.T) {
 	db := store.NewDB()
-	if _, _, _, _, _, err := createLinkDB(db); err != nil {
+	if _, _, _, _, err := createLinkDB(db); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{LinkTable, WaitingLinkTable, PendingDeleteTable, NegotiationJournal, NegotiationDecided} {
+	for _, name := range []string{LinkTable, WaitingLinkTable, NegotiationJournal, NegotiationDecided} {
 		if _, err := db.Table(name); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -308,15 +309,21 @@ func TestParticipantsDeduplicated(t *testing.T) {
 			{User: "b", Entity: "e3"},
 		},
 	}
-	got := l.participants(nil)
-	want := []string{"a", "b", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("participants = %v", got)
+	users := func(ts []journalTarget) (out []string) {
+		for _, t := range ts {
+			out = append(out, t.Ref.User)
+		}
+		return out
 	}
-	// Into a caller's buffer with room, the set costs nothing.
-	var buf [8]string
-	if allocs := testing.AllocsPerRun(100, func() { got = l.participants(buf[:0]) }); allocs != 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("participants into a buffer: %v, %.0f allocs", got, allocs)
+	if got, want := users(owedPeers(l, "", nil, nil)), []string{"a", "b", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("participants = %v, want %v", got, want)
+	}
+	// The peers a deletion owes leave out this device and the visited, and
+	// into a caller's buffer with room they cost nothing.
+	var buf [8]journalTarget
+	var got []journalTarget
+	if allocs := testing.AllocsPerRun(100, func() { got = owedPeers(l, "a", []string{"c"}, buf[:0]) }); allocs != 0 || !reflect.DeepEqual(users(got), []string{"b"}) {
+		t.Fatalf("owed peers into a buffer: %v, %.0f allocs", users(got), allocs)
 	}
 }
 
@@ -337,7 +344,8 @@ func TestNewLinkIDUnique(t *testing.T) {
 // journalOfShape builds a journal record whose parts shape picks: the
 // args nil, empty, of every scalar kind or with a float and a list too;
 // the pending, committed and failed lists each nil, empty or one or two
-// long; and the creation time zero or not.
+// long; the creation time zero or not; and a commit row or a delete row
+// (a DeleteLink's args, peers owed without tokens).
 func journalOfShape(id, user, entity, token, key, s string, b bool, n int, fl float64, shape uint16, sec int64, zone int) *journalRec {
 	ref, other := EntityRef{User: user, Entity: entity}, EntityRef{User: s, Entity: key}
 	rec := &journalRec{
@@ -372,23 +380,35 @@ func journalOfShape(id, user, entity, token, key, s string, b bool, n int, fl fl
 		}
 		rec.Args = rec.Args.With(wire.Sub("rec", m))
 	}
+	if shape&(1<<10) != 0 {
+		rec.Kind, rec.Action = kindDelete, ""
+		rec.Args = wire.Args{wire.Str("id", id), wire.Strs("visited", []string{user, s})}
+		for i := range rec.Pending {
+			rec.Pending[i].Token = ""
+		}
+	}
 	return rec
 }
 
-// FuzzJournalRecord: a journal row's rec column is encoding/json's text.
-// The writer appends what json.Marshal writes for the record and fails
-// where it fails, and the column decodes to what json.Unmarshal gives,
-// for the writer's output and for any other text.
+// FuzzJournalRecord: an outbox row's rec column is encoding/json's text,
+// for commit and delete rows alike. The writer appends what json.Marshal
+// writes for the record and fails where it fails, and the column decodes
+// to what json.Unmarshal gives, for the writer's output and for any other
+// text. A commit row names no kind, and a text with its kind taken out
+// reads as the same record of kind commit: a row written before deletions
+// were owed decodes unchanged.
 func FuzzJournalRecord(f *testing.F) {
 	f.Add("N-1", "phil", "slot:2026-08-07:14", "T-1", "meeting", "M-1", true, 3, 1.5, uint16(0x1ff), int64(1786000000), 0, `{"ID":"N-1"}`)
 	f.Add("<a&b>", "\xff\x00\x1f\x7f", "\xe2\x80\xa8", "q \"x\" \\ \n\t", "héllo ✓", "", false, -1<<40, math.NaN(), uint16(0x0ab), int64(-62135596800), 3600, `{"ID":"a","Action":"","Args":{"n":-0,"s":"x","t":true,"z":null},"Pending":[],"Committed":null,"Failed":[{"user":"u","entity":"e"}],"Attempts":2,"NextRetry":"2026-08-07T14:00:00.5+02:00","Created":"0001-01-01T00:00:00Z","TraceID":"","SpanID":""}`)
 	f.Add("", "", "", "", "", "", false, 0, math.Inf(1), uint16(0x003), int64(0), -5*3600-30*60, `{"id":"N","attempts":1e3}`)
 	f.Add("N-2", "andy", "slot:2026-08-07:14", "T-2", "k", "M-2", true, 14, 0.5, uint16(0x3ff), int64(1786000000), 0, `{"ID":"N-2","Action":"cal.reserve","Args":{"rec":{"id":"M-2","must":["andy"]}},"Pending":null,"Committed":null,"Failed":null,"Attempts":0,"NextRetry":"2026-08-07T14:00:00Z","Created":"2026-08-07T14:00:00Z","TraceID":"","SpanID":""}`)
 	f.Add("N", "u", "e", "t", "k", "v", true, 1<<62, -0.0, uint16(0x156), int64(253402300800), 24*3600, `{"ID":"N","Action":"a","Args":{"n":99999999999999999999999999999999999999,"n":2},"Pending":null,"Committed":null,"Failed":null,"Attempts":0,"NextRetry":"2026-08-07T14:00:00Z","Created":"2026-13-07T14:00:00Z","TraceID":"","SpanID":""}`)
+	f.Add("L-1", "andy", "slot:2026-08-07:14", "", "", "phil", false, 1, 0.0, uint16(0x504), int64(1786000000), 0, `{"ID":"L-1","Kind":"delete","Action":"","Args":{"id":"L-1","visited":["phil"]},"Pending":[{"ref":{"user":"andy","entity":""},"token":""}],"Committed":null,"Failed":null,"Attempts":1,"NextRetry":"2026-08-07T14:00:00.5Z","Created":"2026-08-07T14:00:00Z","TraceID":"","SpanID":""}`)
+	f.Add("L-2", "c", "", "", "", "a", true, 30, 0.0, uint16(0x408), int64(1786000000), 3600, `{"ID":"L-2","Kind":"","Action":"","Args":null,"Pending":[],"Committed":null,"Failed":null,"Attempts":30,"NextRetry":"2026-08-07T14:00:00Z","Created":"0001-01-01T00:00:00Z","TraceID":"","SpanID":""}`)
 	f.Fuzz(func(t *testing.T, id, user, entity, token, key, s string, b bool, n int, fl float64, shape uint16, sec int64, zone int, text string) {
 		rec := journalOfShape(id, user, entity, token, key, s, b, n, fl, shape, sec, zone)
 		want, wantErr := json.Marshal(rec)
-		row, err := rec.body(codecJournal)
+		row, err := rec.body(codecJournal, rec.NextRetry)
 		if wantErr != nil {
 			if want := "links: journal encode: " + wantErr.Error(); fmt.Sprint(err) != want {
 				t.Fatalf("body error = %v, json.Marshal says %v", err, want)
@@ -400,6 +420,15 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 		if row.Str("rec") != string(want) {
 			t.Fatalf("body writes %s\njson.Marshal writes %s", row.Str("rec"), want)
+		}
+		if rec.Kind != kindCommit {
+			noKind := strings.Replace(row.Str("rec"), `,"Kind":"delete"`, "", 1)
+			got, err := jsonrec.Decode(noKind, readJournal)
+			want, _ := jsonrec.Decode(row.Str("rec"), readJournal)
+			want.Kind = kindCommit
+			if err != nil || !reflect.DeepEqual(got, want) || strings.Contains(noKind, `"Kind"`) {
+				t.Fatalf("%s without its kind decodes to %#v (%v), want %#v", noKind, got, err, want)
+			}
 		}
 		for _, doc := range []string{row.Str("rec"), text} {
 			got, err := jsonrec.Decode(doc, readJournal)
@@ -422,7 +451,7 @@ func TestJournalRecordReadInPlace(t *testing.T) {
 		Committed: []EntityRef{},
 		NextRetry: time.Date(2026, 8, 7, 14, 0, 0, 500, time.UTC), Created: time.Date(2026, 8, 7, 13, 59, 0, 0, time.UTC),
 	}
-	row, err := rec.body(codecJournal)
+	row, err := rec.body(codecJournal, rec.NextRetry)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -534,18 +534,23 @@ func (t *Table) Delete(keyVals ...any) error {
 // must not modify or keep them.
 func (t *Table) Select(pred func(Row) bool) []Row {
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	keys := make([]rowKey, 0, len(t.rows))
 	for k, r := range t.rows {
 		if pred == nil || pred(r) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Row, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, t.rows[k].Clone())
+	return t.clones(keys)
+}
+
+// clones returns copies of the rows at keys in key order; t.mu is held.
+func (t *Table) clones(keys []rowKey) []Row {
+	slices.Sort(keys)
+	out := make([]Row, len(keys))
+	for i, k := range keys {
+		out[i] = t.rows[k].Clone()
 	}
-	t.mu.RUnlock()
 	return out
 }
 
@@ -569,22 +574,10 @@ func (t *Table) SelectEq(col string, v any) []Row {
 		return nil
 	}
 	t.mu.RLock()
-	if idx := t.indexOf(p); idx != nil {
-		var keys []rowKey
-		if post, ok := idx.m[val]; ok {
-			keys = make([]rowKey, 0, 1+len(post.more))
-			post.each(func(k rowKey) { keys = append(keys, k) })
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		out := make([]Row, 0, len(keys))
-		for _, k := range keys {
-			out = append(out, t.rows[k].Clone())
-		}
-		t.mu.RUnlock()
-		return out
-	}
-	t.mu.RUnlock()
-	return t.Select(func(r Row) bool { return r.holds(p, val) })
+	defer t.mu.RUnlock()
+	var keys []rowKey
+	t.eachEq(p, val, func(k rowKey, _ Row) { keys = append(keys, k) })
+	return t.clones(keys)
 }
 
 // holds reports whether r sets the scalar column at position p to v.
@@ -604,6 +597,16 @@ func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.eachEq(p, val, func(_ rowKey, r Row) { fn(r) })
+}
+
+// ViewAll calls fn with every stored row, in no order, under the table's
+// read lock: fn must not modify or keep a row, nor write to the table.
+func (t *Table) ViewAll(fn func(Row)) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, r := range t.rows {
+		fn(r)
+	}
 }
 
 // eachEq calls fn with the key and the row of every stored row that sets

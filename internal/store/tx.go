@@ -174,6 +174,21 @@ func (tx *Tx) effective(t *Table, k rowKey, n int) (Row, bool) {
 	return Row{}, false
 }
 
+// holds reports whether the row at (t, k), as the first n buffered ops
+// leave it, sets the column at p to val, without building it.
+func (tx *Tx) holds(t *Table, k rowKey, n, p int, val scalar) bool {
+	switch i := tx.last(t, k, n); {
+	case i < 0:
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		return t.rows[k].holds(p, val)
+	case tx.ops[i].Op == OpUpdate && tx.ops[i].Row.set&(1<<p) == 0:
+		return tx.holds(t, k, i, p, val) // the column is the base row's
+	default:
+		return tx.ops[i].Row.holds(p, val) // a delete's is no row
+	}
+}
+
 // locate resolves a read or keyed write: the table and the encoded key,
 // a read's built in probe (see keyFromVals).
 func (tx *Tx) locate(table string, keyVals []any, probe []byte) (*Table, rowKey, error) {
@@ -246,12 +261,11 @@ func (tx *Tx) ViewEq(table, col string, v any, fn func(Row)) {
 	})
 	t.mu.RUnlock()
 	for i, a := range tx.at {
-		if a.t != t || tx.last(t, a.k, n) != i {
-			continue // another table's op, or not the newest on its key
+		if a.t != t || tx.last(t, a.k, n) != i || !tx.holds(t, a.k, n, p, val) {
+			continue // another table's op, not the newest on its key, or no match
 		}
-		if r, ok := tx.effective(t, a.k, n); ok && r.holds(p, val) {
-			rows = append(rows, keyed{a.k, r})
-		}
+		r, _ := tx.effective(t, a.k, n)
+		rows = append(rows, keyed{a.k, r})
 	}
 	slices.SortFunc(rows, func(a, b keyed) int { return cmp.Compare(a.k, b.k) })
 	for _, kr := range rows {

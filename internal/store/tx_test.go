@@ -415,6 +415,17 @@ func TestTxReadsSeeTheBuffer(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { tx.ViewEq("calendar", "status", "free", func(Row) {}) }); allocs != 0 {
 		t.Fatalf("ViewEq costs %.0f allocs, want 0", allocs)
 	}
+	// An updated row is built only when it matches: the update's own
+	// column rules it out here, before any copy.
+	moved := db.Begin()
+	defer moved.Rollback()
+	if err := moved.Update("calendar", row(cal, "status", "free"), "d", int64(7)); err != nil {
+		t.Fatal(err)
+	}
+	busy := 0
+	if allocs := testing.AllocsPerRun(100, func() { moved.ViewEq("calendar", "status", "busy", func(Row) { busy++ }) }); allocs != 0 || busy != 0 {
+		t.Fatalf("ViewEq past an update that no longer matches costs %.0f allocs and visits %d rows, want 0 and 0", allocs, busy)
+	}
 }
 
 // TestTxAfterCommit: what a unit queued runs in order once the unit is
