@@ -164,7 +164,7 @@ func RunA2() (*Result, error) {
 			r := tab.NewRow()
 			r.SetInt("id", int64(i))
 			r.SetStr("status", "reserved")
-			if err := tab.Insert(r); err != nil {
+			if err := insertRow(db, tab, r); err != nil {
 				return nil, err
 			}
 		}

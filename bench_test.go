@@ -57,7 +57,7 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tbl.Insert(slotOf(tbl, "s0", "M0")); err != nil {
+		if err := insertRow(x.DB, tbl, slotOf(tbl, "s0", "M0")); err != nil {
 			b.Fatal(err)
 		}
 		promoted := make(chan *core.Node, 1)
@@ -100,7 +100,7 @@ func BenchmarkF4_FailoverRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, ok := t2.Get("s0"); !ok || r.Str("holder") != "M0" {
+		if r, ok := getRow(t2, "s0"); !ok || r.Str("holder") != "M0" {
 			b.Fatalf("replicated slot lost: %v", r)
 		}
 		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -223,7 +223,7 @@ func BenchmarkMicro_WALShip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tbl.Insert(slotOf(tbl, fmt.Sprintf("e%d", i), "bench")); err != nil {
+		if err := insertRow(prim.DB, tbl, slotOf(tbl, fmt.Sprintf("e%d", i), "bench")); err != nil {
 			b.Fatal(err)
 		}
 		ship()
@@ -388,7 +388,7 @@ func BenchmarkWALCommit(b *testing.B) {
 			r := tab.NewRow()
 			r.SetInt("id", id)
 			r.SetStr("val", "x")
-			if err := tab.Insert(r); err != nil {
+			if err := insertRow(d.DB, tab, r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -406,4 +406,17 @@ func slotOf(t *store.Table, entity, holder string) store.Row {
 	r.SetStr("entity", entity)
 	r.SetStr("holder", holder)
 	return r
+}
+
+// insertRow, updateRow and deleteRow write one row of tab in a unit of
+// its own, and getRow copies one out of a visit: the one-row writes and
+// point read of these tests. The writes copy what they are given, so a
+// caller may reuse its rows.
+func insertRow(db *store.DB, tab *store.Table, r store.Row) error {
+	return db.Unit(context.Background(), func(u *store.Tx) error { return u.Insert(tab.Schema().Name, r.Clone()) })
+}
+
+func getRow(tab *store.Table, key ...any) (row store.Row, ok bool) {
+	ok = tab.View(func(r store.Row) { row = r.Clone() }, key...)
+	return row, ok
 }

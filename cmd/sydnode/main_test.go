@@ -50,7 +50,7 @@ func TestPromotedFollowerKeepsItsFlags(t *testing.T) {
 		t.Fatal("promoted follower started with -offline-queue 8 has no offline manager")
 	}
 	for i := 1; i <= 9; i++ {
-		_, err := node.Offline.Queue().Enqueue(offline.Op{ID: strconv.Itoa(i), Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()})
+		_, err := node.Offline.Queue().Enqueue(ctx, offline.Op{ID: strconv.Itoa(i), Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()})
 		if (err != nil) != (i == 9) {
 			t.Fatalf("op %d into an offline queue of 8: %v", i, err)
 		}

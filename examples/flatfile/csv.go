@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/store"
@@ -17,26 +20,42 @@ import (
 // in SyD coordination; the deviceware hides the difference from remote
 // callers.
 
-// exportCSV writes the table as CSV.
+// exportCSV writes the table as CSV, its rows in the order of their key
+// cells' text (the order the store encodes keys in).
 func exportCSV(t *store.Table, w io.Writer) error {
-	cols := t.Schema().Columns
-	cw := csv.NewWriter(w)
+	schema := t.Schema()
+	cols := schema.Columns
+	keyAt := make([]int, len(schema.Key))
 	rec := make([]string, len(cols))
 	for i, c := range cols {
 		rec[i] = c.Name
+		if k := slices.Index(schema.Key, c.Name); k >= 0 {
+			keyAt[k] = i
+		}
 	}
-	if err := cw.Write(rec); err != nil {
-		return err
-	}
-	for _, r := range t.Select(nil) {
+	var recs [][]string
+	t.ViewAll(func(r store.Row) {
+		rec := make([]string, len(cols))
 		for i, c := range cols {
 			rec[i] = encodeCSVValue(r, c)
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		recs = append(recs, rec)
+	})
+	slices.SortFunc(recs, func(a, b []string) int {
+		for _, i := range keyAt {
+			if c := strings.Compare(a[i], b[i]); c != 0 {
+				return c
+			}
 		}
+		return 0
+	})
+	cw := csv.NewWriter(w)
+	if err := cw.Write(rec); err != nil {
+		return err
 	}
-	cw.Flush()
+	if err := cw.WriteAll(recs); err != nil {
+		return err
+	}
 	return cw.Error()
 }
 
@@ -61,17 +80,18 @@ func encodeCSVValue(r store.Row, c store.Column) string {
 }
 
 // importCSV reads CSV written by exportCSV (or by hand with the same
-// header) into the table, converting each cell to its column's type.
-// A row whose key already exists is updated.
-func importCSV(t *store.Table, r io.Reader) error {
+// header) into the named table of db, converting each cell to its
+// column's type. A row whose key already exists is updated. The file is
+// one unit: a bad line leaves the table as it was.
+func importCSV(ctx context.Context, db *store.DB, table string, r io.Reader) error {
+	t, err := db.Table(table)
+	if err != nil {
+		return err
+	}
 	schema := t.Schema()
 	types := make(map[string]store.ColType, len(schema.Columns))
 	for _, c := range schema.Columns {
 		types[c.Name] = c.Type
-	}
-	keyAt := make(map[string]int, len(schema.Key))
-	for i, k := range schema.Key {
-		keyAt[k] = i
 	}
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -83,49 +103,47 @@ func importCSV(t *store.Table, r io.Reader) error {
 			return fmt.Errorf("%w: csv column %q", store.ErrBadColumn, h)
 		}
 	}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("csv line %d: %w", line, err)
-		}
-		// The key columns name the row; the others are what an update
-		// of an existing row changes.
-		row := t.NewRow()
-		key := make([]any, len(schema.Key))
-		for i, h := range header {
-			if i >= len(rec) {
-				break
-			}
-			v, err := decodeCSVValue(types[h], rec[i])
-			if err != nil {
-				return fmt.Errorf("csv line %d column %s: %w", line, h, err)
-			}
-			if k, ok := keyAt[h]; ok {
-				key[k] = v
-			} else {
-				row.Set(h, v)
-			}
-		}
-		for i, k := range schema.Key {
-			if key[i] == nil {
-				return fmt.Errorf("csv line %d: no value for key column %q", line, k)
-			}
-		}
-		if !t.Has(key...) {
-			for i, k := range schema.Key {
-				row.Set(k, key[i])
-			}
-			err = t.Insert(row)
-		} else if row.Len() > 0 {
-			err = t.Update(row, key...)
-		}
-		if err != nil {
-			return fmt.Errorf("csv line %d: %w", line, err)
-		}
+	recs, err := cr.ReadAll()
+	if err != nil {
+		return fmt.Errorf("csv: %w", err)
 	}
+	return db.Unit(ctx, func(u *store.Tx) error {
+		for n, rec := range recs {
+			// The key columns name the row; the others are what an
+			// update of an existing row changes.
+			row := t.NewRow()
+			key := make([]any, len(schema.Key))
+			for i, h := range header[:min(len(header), len(rec))] {
+				v, err := decodeCSVValue(types[h], rec[i])
+				if err != nil {
+					return fmt.Errorf("csv line %d column %s: %w", n+2, h, err)
+				}
+				if k := slices.Index(schema.Key, h); k >= 0 {
+					key[k] = v
+				} else {
+					row.Set(h, v)
+				}
+			}
+			for i, k := range schema.Key {
+				if key[i] == nil {
+					return fmt.Errorf("csv line %d: no value for key column %q", n+2, k)
+				}
+			}
+			var err error
+			if !u.Has(table, key...) {
+				for i, k := range schema.Key {
+					row.Set(k, key[i])
+				}
+				err = u.Insert(table, row)
+			} else if row.Len() > 0 {
+				err = u.Update(table, row, key...)
+			}
+			if err != nil {
+				return fmt.Errorf("csv line %d: %w", n+2, err)
+			}
+		}
+		return nil
+	})
 }
 
 func decodeCSVValue(ct store.ColType, s string) (any, error) {
@@ -176,9 +194,9 @@ func saveCSVFile(t *store.Table, path string) error {
 	return os.Rename(tmp, path)
 }
 
-// loadCSVFile reads path into the table; a missing file is not an
-// error (a fresh device).
-func loadCSVFile(t *store.Table, path string) error {
+// loadCSVFile reads path into the named table of db; a missing file is
+// not an error (a fresh device).
+func loadCSVFile(ctx context.Context, db *store.DB, table, path string) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -187,5 +205,5 @@ func loadCSVFile(t *store.Table, path string) error {
 		return err
 	}
 	defer f.Close()
-	return importCSV(t, f)
+	return importCSV(ctx, db, table, f)
 }

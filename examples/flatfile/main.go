@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := loadCSVFile(slotsTable, csvPath); err != nil {
+	if err := loadCSVFile(ctx, nodes["andy"].DB, "cal_slots", csvPath); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded %d slots from the flat file\n", slotsTable.Count())

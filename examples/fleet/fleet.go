@@ -33,6 +33,9 @@ func ServiceFor(id string) string { return ServicePrefix + id }
 // on.
 const PositionEntity = "position"
 
+// stateTable holds a vehicle's one row, keyed "now".
+const stateTable = "fleet_state"
+
 // alertAction is the depot-side entity action geofence alerts invoke.
 const alertAction = "fleet.geofenceAlert"
 
@@ -65,7 +68,7 @@ type Vehicle struct {
 // given starting position.
 func NewVehicle(ctx context.Context, node *core.Node, startLat, startLon float64) (*Vehicle, error) {
 	tab, err := node.DB.CreateTable(store.Schema{
-		Name: "fleet_state",
+		Name: stateTable,
 		Columns: []store.Column{
 			{Name: "key", Type: store.String},
 			{Name: "lat", Type: store.Float},
@@ -82,7 +85,7 @@ func NewVehicle(ctx context.Context, node *core.Node, startLat, startLon float64
 	r.SetFloat("lat", startLat)
 	r.SetFloat("lon", startLon)
 	r.SetStr("cargo", "")
-	if err := tab.Insert(r); err != nil {
+	if err := node.DB.Unit(ctx, func(u *store.Tx) error { return u.Insert(stateTable, r) }); err != nil {
 		return nil, err
 	}
 	v := &Vehicle{ID: node.User, node: node, tab: tab}
@@ -98,12 +101,17 @@ func NewVehicle(ctx context.Context, node *core.Node, startLat, startLon float64
 		}
 		ch := v.tab.NewRow()
 		ch.SetStr("cargo", cargo)
-		return true, v.tab.Update(ch, "now")
+		return true, v.update(ctx, ch)
 	})
 	if err := node.RegisterService(ctx, ServiceFor(v.ID), obj); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// update writes ch to the vehicle's state row in one unit.
+func (v *Vehicle) update(ctx context.Context, ch store.Row) error {
+	return v.node.DB.Unit(ctx, func(u *store.Tx) error { return u.Update(stateTable, ch, "now") })
 }
 
 // Position returns the current state.
@@ -138,7 +146,7 @@ func (v *Vehicle) MoveTo(ctx context.Context, lat, lon float64) error {
 	ch := v.tab.NewRow()
 	ch.SetFloat("lat", lat)
 	ch.SetFloat("lon", lon)
-	if err := v.tab.Update(ch, "now"); err != nil {
+	if err := v.update(ctx, ch); err != nil {
 		return err
 	}
 	if v.depot == "" {

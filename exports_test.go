@@ -106,52 +106,17 @@ type listedPackage struct {
 	GoFiles         []string
 }
 
-// unusedExports type-checks the non-test files of every package `go list
-// ./...` names in each of dirs, and returns, sorted, each exported func or
-// method of the shipped packages whose object no checked file uses. A
-// method that implements an interface method (a named interface of any
-// checked or imported package, or an interface type written in a checked
-// file), or that the standard library calls by convention, counts as used.
+// unusedExports type-checks the packages of dirs (checkPackages), and
+// returns, sorted, each exported func or method of the shipped packages
+// whose object no checked file uses. A method that implements an
+// interface method (a named interface of any checked or imported
+// package, or an interface type written in a checked file), or that the
+// standard library calls by convention, counts as used.
 func unusedExports(dirs []string, shipped map[string]bool) ([]string, error) {
-	listed := map[string]*listedPackage{}
-	for _, dir := range dirs {
-		cmd := exec.Command("go", "list", "-json", "./...")
-		cmd.Dir = dir
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list ./... in %s: %v", dir, err)
-		}
-		for dec := json.NewDecoder(strings.NewReader(string(out))); dec.More(); {
-			var p listedPackage
-			if err := dec.Decode(&p); err != nil {
-				return nil, err
-			}
-			listed[p.ImportPath] = &p
-		}
+	c, paths, err := checkPackages(dirs)
+	if err != nil {
+		return nil, err
 	}
-	c := &census{
-		fset:          token.NewFileSet(),
-		listed:        listed,
-		checked:       map[string]*types.Package{},
-		exportedFuncs: map[string][]*types.Func{},
-		std:           importer.Default(),
-		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
-		},
-	}
-	paths := make([]string, 0, len(listed))
-	for path := range listed {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, err := c.Import(path); err != nil {
-			return nil, err
-		}
-	}
-
 	used := map[types.Object]bool{}
 	for _, obj := range c.info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
@@ -185,6 +150,52 @@ func unusedExports(dirs []string, shipped map[string]bool) ([]string, error) {
 	return unused, nil
 }
 
+// checkPackages type-checks the non-test files of every package `go list
+// ./...` names in each of dirs, and returns the census that holds them
+// and their import paths, sorted.
+func checkPackages(dirs []string) (*census, []string, error) {
+	listed := map[string]*listedPackage{}
+	for _, dir := range dirs {
+		cmd := exec.Command("go", "list", "-json", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, nil, fmt.Errorf("go list ./... in %s: %v", dir, err)
+		}
+		for dec := json.NewDecoder(strings.NewReader(string(out))); dec.More(); {
+			var p listedPackage
+			if err := dec.Decode(&p); err != nil {
+				return nil, nil, err
+			}
+			listed[p.ImportPath] = &p
+		}
+	}
+	c := &census{
+		fset:          token.NewFileSet(),
+		listed:        listed,
+		checked:       map[string]*types.Package{},
+		exportedFuncs: map[string][]*types.Func{},
+		files:         map[string][]*ast.File{},
+		std:           importer.Default(),
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	paths := make([]string, 0, len(listed))
+	for path := range listed {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := c.Import(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	return c, paths, nil
+}
+
 // census type-checks listed packages on demand, each once, with one
 // types.Info for all of them, and the standard library from export data.
 type census struct {
@@ -192,6 +203,7 @@ type census struct {
 	listed        map[string]*listedPackage
 	checked       map[string]*types.Package
 	exportedFuncs map[string][]*types.Func
+	files         map[string][]*ast.File // each checked package's, by path
 	std           types.Importer
 	info          *types.Info
 }
@@ -218,6 +230,7 @@ func (c *census) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("type-check %s: %v", path, err)
 	}
 	c.checked[path] = pkg
+	c.files[path] = files
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {

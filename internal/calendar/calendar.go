@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -419,7 +420,7 @@ func (c *Calendar) putMeeting(u *store.Tx, m *Meeting) error {
 		err = u.Update(meetingTable, c.meetingRow(m, &was), m.ID)
 	}
 	if id := m.ID; err == nil && c.syncVers != nil {
-		u.AfterCommit(func(context.Context) { c.syncVers.Bump(meetingEntity(id)) })
+		u.AfterCommit(func(ctx context.Context) { c.syncVers.Bump(ctx, meetingEntity(id)) })
 	}
 	return err
 }
@@ -441,13 +442,13 @@ func (c *Calendar) meetingIn(u *store.Tx, id string) (m Meeting, ok bool) {
 
 // Meetings lists all locally known meetings sorted by id.
 func (c *Calendar) Meetings() []*Meeting {
-	rows := c.meetings.Select(nil)
-	out := make([]*Meeting, len(rows))
-	for i, r := range rows {
+	out := make([]*Meeting, 0, c.meetings.Count())
+	c.meetings.ViewAll(func(r store.Row) {
 		m := meetingOf(r)
-		out[i] = &m
-	}
-	return out // Select's key order is id order
+		out = append(out, &m)
+	})
+	slices.SortFunc(out, func(a, b *Meeting) int { return strings.Compare(a.ID, b.ID) })
+	return out
 }
 
 // --- entity actions -------------------------------------------------------------

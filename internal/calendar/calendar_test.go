@@ -15,6 +15,7 @@ import (
 	"repro/internal/links"
 	"repro/internal/notify"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -66,9 +67,12 @@ func (w *world) linkRows(user string) []*links.Link {
 	if err != nil {
 		w.t.Fatal(err)
 	}
+	var ids []string
+	tab.ViewAll(func(r store.Row) { ids = append(ids, r.Str("id")) })
+	slices.Sort(ids)
 	var out []*links.Link
-	for _, r := range tab.Select(nil) {
-		if l, ok := w.nodes[user].Links.GetLink(r.Str("id")); ok {
+	for _, id := range ids {
+		if l, ok := w.nodes[user].Links.GetLink(id); ok {
 			out = append(out, l)
 		}
 	}

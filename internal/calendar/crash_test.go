@@ -124,16 +124,13 @@ func recoverAt(t *testing.T, log []byte, cut int, m *calendar.Meeting) recovered
 	}
 	var got recovered
 	if tab := table("cal_slots"); tab != nil {
-		row, ok := tab.Get(m.Slot.Day, int64(m.Slot.Hour))
-		got.slot = ok && row.Str("meeting") == m.ID
+		tab.View(func(r store.Row) { got.slot = r.Str("meeting") == m.ID }, m.Slot.Day, int64(m.Slot.Hour))
 	}
 	if tab := table(links.LinkTable); tab != nil {
 		got.link = tab.Has(m.LinkID)
 	}
 	if tab := table("cal_meetings"); tab != nil {
-		if row, ok := tab.Get(m.ID); ok {
-			got.record = row.Str("status")
-		}
+		tab.View(func(r store.Row) { got.record = r.Str("status") }, m.ID)
 	}
 	if tab := table(links.NegotiationDecided); tab != nil {
 		got.decided = tab.Count()

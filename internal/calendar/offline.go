@@ -36,7 +36,7 @@ func (c *Calendar) EnableSync(om *offline.Manager) {
 	// the first Pull against this device sees them.
 	for _, m := range c.Meetings() {
 		if c.syncVers.Get(meetingEntity(m.ID)) == 0 {
-			c.syncVers.Bump(meetingEntity(m.ID))
+			c.syncVers.Bump(context.Background(), meetingEntity(m.ID))
 		}
 	}
 }
@@ -93,7 +93,7 @@ func (c *Calendar) ScheduleOrQueue(ctx context.Context, req Request) (m *Meeting
 	if err != nil {
 		return nil, false, err
 	}
-	if _, err := c.offline.EnqueueOp(opSchedule, req.ID, payload); err != nil {
+	if _, err := c.offline.EnqueueOp(ctx, opSchedule, req.ID, payload); err != nil {
 		return nil, false, err // queue full: refused, nothing written
 	}
 	// Record the intent locally: tentative, no LinkID (the replay that
@@ -150,7 +150,7 @@ func (c *Calendar) cancelOrQueueAs(ctx context.Context, meetingID, byUser string
 	if err := m.mayCancel(byUser); err != nil {
 		return false, err
 	}
-	if _, err := c.offline.EnqueueOp(opCancel, meetingID, nil); err != nil {
+	if _, err := c.offline.EnqueueOp(ctx, opCancel, meetingID, nil); err != nil {
 		return false, err
 	}
 	m.Status = StatusCancelled

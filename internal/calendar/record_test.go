@@ -111,8 +111,8 @@ func throughRow(t *testing.T, m, stored *Meeting) {
 			t.Fatal(err)
 		}
 	}
-	row, ok := c.meetings.Get(m.ID)
-	if !ok {
+	var row store.Row
+	if !c.meetings.View(func(r store.Row) { row = r.Clone() }, m.ID) {
 		t.Fatalf("no row for %q", m.ID)
 	}
 	live := meetingOf(row)

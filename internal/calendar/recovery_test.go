@@ -53,11 +53,9 @@ func rawRecord(t *testing.T, w *world, user, id string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok := tab.Get(id)
-	if !ok {
-		return ""
-	}
-	return recordText(t, row)
+	var text string
+	tab.View(func(r store.Row) { text = recordText(t, r) }, id)
+	return text
 }
 
 // recordText is json.Marshal of the record a meetings row holds: the

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/calendar"
 	"repro/internal/links"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -75,7 +76,7 @@ func deviceState(t *testing.T, w *world, ids map[string]string, users ...string)
 				t.Fatal(err)
 			}
 			var rows []string
-			for _, r := range tab.Select(nil) {
+			tab.ViewAll(func(r store.Row) {
 				raw, err := json.Marshal(r)
 				if name == "cal_meetings" {
 					raw, err = json.Marshal(map[string]string{"doc": recordText(t, r), "id": r.Str("id")})
@@ -84,7 +85,7 @@ func deviceState(t *testing.T, w *world, ids map[string]string, users ...string)
 					t.Fatal(err)
 				}
 				rows = append(rows, string(raw))
-			}
+			})
 			sort.Strings(rows)
 			for _, r := range rows {
 				fmt.Fprintf(&b, "%s %s\n", name, r)
@@ -261,8 +262,9 @@ func TestWireCostTentativeBehindMeeting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := waiting.Get(m.LinkID); !ok || r.Str("waiting_on") != blocker.LinkID {
-		t.Fatalf("b's waiting row = %v, want one on %s", r, blocker.LinkID)
+	var on string
+	if !waiting.View(func(r store.Row) { on = r.Str("waiting_on") }, m.LinkID) || on != blocker.LinkID {
+		t.Fatalf("b's link waits on %q, want %s", on, blocker.LinkID)
 	}
 
 	if err := w.cals["x"].CancelMeeting(ctxBg(), blocker.ID); err != nil {

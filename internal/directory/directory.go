@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -156,28 +157,48 @@ func NewServerOn(db *store.DB, opts ...Option) (*Server, error) {
 
 // --- server-side operations ------------------------------------------------
 
-func (s *Server) registerUser(id, addr string, priority int) error {
+// Each write below is one unit (store.DB.Unit) on the RPC's ctx: one log
+// record, and all or nothing.
+
+// errUnknownUser is the refusal of a write to a user not registered.
+func errUnknownUser(id string) error {
+	return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
+}
+
+// upsert buffers an insert of row with keyCol set to key or, when the
+// key is taken, an update of that row to row's columns. The insert is
+// the one existence check: a rival's insert that commits first makes
+// this unit's commit conflict, and its re-run updates.
+func upsert(u *store.Tx, table, keyCol, key string, row store.Row) error {
+	ins := row.Clone()
+	ins.SetStr(keyCol, key)
+	if err := u.Insert(table, ins); !errors.Is(err, store.ErrDupKey) {
+		return err
+	}
+	return u.Update(table, row, key)
+}
+
+func (s *Server) registerUser(ctx context.Context, id, addr string, priority int) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("directory: user id and addr are required")
 	}
-	row := s.users.NewRow()
-	row.SetStr("addr", addr)
-	row.SetInt("priority", int64(priority))
-	row.SetBool("offline", false)
-	row.SetTime("lastSeen", s.clock.Now())
-	if s.users.Has(id) {
-		return s.users.Update(row, id) // re-registration: the device moved or came back
-	}
-	row.SetStr("id", id)
-	return s.users.Insert(row)
+	now := s.clock.Now()
+	return s.db.Unit(ctx, func(u *store.Tx) error {
+		row := s.users.NewRow()
+		row.SetStr("addr", addr)
+		row.SetInt("priority", int64(priority))
+		row.SetBool("offline", false)
+		row.SetTime("lastSeen", now)
+		return upsert(u, "users", "id", id, row) // re-registration updates: the device moved or came back
+	})
 }
 
 func (s *Server) lookupUser(id string) (UserInfo, error) {
-	r, ok := s.users.Get(id)
-	if !ok {
-		return UserInfo{}, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
+	var info UserInfo
+	if !s.users.View(func(r store.Row) { info = s.userInfo(r) }, id) {
+		return UserInfo{}, errUnknownUser(id)
 	}
-	return s.userInfo(r), nil
+	return info, nil
 }
 
 func (s *Server) userInfo(r store.Row) UserInfo {
@@ -192,48 +213,35 @@ func (s *Server) userInfo(r store.Row) UserInfo {
 	}
 }
 
-func (s *Server) heartbeat(id string) error {
-	if !s.users.Has(id) {
-		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
-	}
-	ch := s.users.NewRow()
-	ch.SetTime("lastSeen", s.clock.Now())
-	ch.SetBool("offline", false)
-	return s.users.Update(ch, id)
+// setOffline marks id offline, or back online as of now: a heartbeat is
+// setOffline(false).
+func (s *Server) setOffline(ctx context.Context, id string, offline bool) error {
+	now := s.clock.Now()
+	return s.db.Unit(ctx, func(u *store.Tx) error {
+		if !u.Has("users", id) {
+			return errUnknownUser(id)
+		}
+		ch := s.users.NewRow()
+		ch.SetBool("offline", offline)
+		if !offline {
+			ch.SetTime("lastSeen", now)
+		}
+		return u.Update("users", ch, id)
+	})
 }
 
-func (s *Server) setOffline(id string, offline bool) error {
-	if !s.users.Has(id) {
-		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
-	}
-	ch := s.users.NewRow()
-	ch.SetBool("offline", offline)
-	if !offline {
-		ch.SetTime("lastSeen", s.clock.Now())
-	}
-	return s.users.Update(ch, id)
-}
-
-func (s *Server) registerService(name, owner, addr string, methods []string) error {
+func (s *Server) registerService(ctx context.Context, name, owner, addr string, methods []string) error {
 	if name == "" || addr == "" {
 		return fmt.Errorf("directory: service name and addr are required")
 	}
-	joined := ""
-	for i, m := range methods {
-		if i > 0 {
-			joined += ","
-		}
-		joined += m
-	}
-	row := s.services.NewRow()
-	row.SetStr("owner", owner)
-	row.SetStr("addr", addr)
-	row.SetStr("methods", joined)
-	if s.services.Has(name) {
-		return s.services.Update(row, name)
-	}
-	row.SetStr("name", name)
-	return s.services.Insert(row)
+	joined := strings.Join(methods, ",")
+	return s.db.Unit(ctx, func(u *store.Tx) error {
+		row := s.services.NewRow()
+		row.SetStr("owner", owner)
+		row.SetStr("addr", addr)
+		row.SetStr("methods", joined)
+		return upsert(u, "services", "name", name, row)
+	})
 }
 
 func (s *Server) lookupService(name string) (ServiceInfo, error) {
@@ -279,35 +287,30 @@ func splitComma(s string) []string {
 	return out
 }
 
-func (s *Server) createGroup(name string, members []string) error {
+// createGroup adds members to group in one unit: a member it already
+// has is kept, and an empty name refuses the whole call.
+func (s *Server) createGroup(ctx context.Context, group string, members []string) error {
 	for _, m := range members {
-		if err := s.addMember(name, m); err != nil {
-			return err
+		if group == "" || m == "" {
+			return fmt.Errorf("directory: group and member are required")
 		}
 	}
-	return nil
-}
-
-func (s *Server) addMember(group, member string) error {
-	if group == "" || member == "" {
-		return fmt.Errorf("directory: group and member are required")
-	}
-	row := s.members.NewRow()
-	row.SetStr("group", group)
-	row.SetStr("member", member)
-	err := s.members.Insert(row)
-	if err != nil && !errors.Is(err, store.ErrDupKey) { // adding twice is fine
-		return err
-	}
-	return nil
+	return s.db.Unit(ctx, func(u *store.Tx) error {
+		for _, m := range members {
+			row := s.members.NewRow()
+			row.SetStr("group", group)
+			row.SetStr("member", m)
+			if err := u.Insert("members", row); err != nil && !errors.Is(err, store.ErrDupKey) { // adding twice is fine
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 func (s *Server) groupMembers(group string) []string {
-	rows := s.members.SelectEq("group", group)
-	out := make([]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, r.Str("member"))
-	}
+	out := []string{}
+	s.members.ViewEq("group", group, func(r store.Row) { out = append(out, r.Str("member")) })
 	sort.Strings(out)
 	return out
 }
@@ -332,7 +335,7 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport
 	a := req.Args
 	switch req.Method {
 	case "RegisterUser":
-		if err := s.registerUser(a.String("id"), a.String("addr"), a.Int("priority")); err != nil {
+		if err := s.registerUser(ctx, a.String("id"), a.String("addr"), a.Int("priority")); err != nil {
 			return fail(err)
 		}
 		return ok(true)
@@ -343,25 +346,22 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport
 		}
 		return ok(info)
 	case "ListUsers":
-		rows := s.users.Select(nil)
-		infos := make([]UserInfo, 0, len(rows))
-		for _, r := range rows {
-			infos = append(infos, s.userInfo(r))
-		}
+		infos := make([]UserInfo, 0, s.users.Count())
+		s.users.ViewAll(func(r store.Row) { infos = append(infos, s.userInfo(r)) })
 		sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 		return ok(infos)
 	case "Heartbeat":
-		if err := s.heartbeat(a.String("id")); err != nil {
+		if err := s.setOffline(ctx, a.String("id"), false); err != nil {
 			return fail(err)
 		}
 		return ok(true)
 	case "SetOffline":
-		if err := s.setOffline(a.String("id"), a.Bool("offline")); err != nil {
+		if err := s.setOffline(ctx, a.String("id"), a.Bool("offline")); err != nil {
 			return fail(err)
 		}
 		return ok(true)
 	case "RegisterService":
-		if err := s.registerService(a.String("name"), a.String("owner"), a.String("addr"), a.Strings("methods")); err != nil {
+		if err := s.registerService(ctx, a.String("name"), a.String("owner"), a.String("addr"), a.Strings("methods")); err != nil {
 			return fail(err)
 		}
 		return ok(true)
@@ -393,28 +393,25 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport
 		}
 		return ok(infos)
 	case "ServicesOf":
-		rows := s.services.SelectEq("owner", a.String("owner"))
-		names := make([]string, 0, len(rows))
-		for _, r := range rows {
-			names = append(names, r.Str("name"))
-		}
+		names := []string{}
+		s.services.ViewEq("owner", a.String("owner"), func(r store.Row) { names = append(names, r.Str("name")) })
 		sort.Strings(names)
 		return ok(names)
 	case "CreateGroup":
-		if err := s.createGroup(a.String("group"), a.Strings("members")); err != nil {
+		if err := s.createGroup(ctx, a.String("group"), a.Strings("members")); err != nil {
 			return fail(err)
 		}
 		return ok(true)
 	case "GroupMembers":
 		return ok(s.groupMembers(a.String("group")))
 	case "RenewLease":
-		info, err := s.renewLease(a.String("id"), a.String("holder"), time.Duration(a.Int64("ttl")), a.Strings("replicas"))
+		info, err := s.renewLease(ctx, a.String("id"), a.String("holder"), time.Duration(a.Int64("ttl")), a.Strings("replicas"))
 		if err != nil {
 			return fail(err)
 		}
 		return ok(info)
 	case "ReleaseLease":
-		if err := s.releaseLease(a.String("id"), a.String("holder")); err != nil {
+		if err := s.releaseLease(ctx, a.String("id"), a.String("holder")); err != nil {
 			return fail(err)
 		}
 		return ok(true)
@@ -425,7 +422,7 @@ func (s *Server) dispatch(ctx context.Context, req *transport.Request) transport
 		}
 		return ok(info)
 	case "Repoint":
-		if err := s.repoint(a.String("id"), a.String("addr")); err != nil {
+		if err := s.repoint(ctx, a.String("id"), a.String("addr")); err != nil {
 			return fail(err)
 		}
 		return ok(true)

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -189,21 +190,22 @@ func TestRegistrySurvivesRestart(t *testing.T) {
 // the directory dies before anything but the log has it, and the next
 // life must still refuse the rival.
 func TestLeaseFencesRivalAcrossCrash(t *testing.T) {
+	ctx := context.Background()
 	fake := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	dataDir := t.TempDir()
 
 	first := startLife(t, dataDir, WithClock(fake))
-	if _, err := first.srv.renewLease("phil", "node-1", 30*time.Second, []string{"r1"}); err != nil {
+	if _, err := first.srv.renewLease(ctx, "phil", "node-1", 30*time.Second, []string{"r1"}); err != nil {
 		t.Fatal(err)
 	}
 	first.end(t, false)
 
 	second := startLife(t, dataDir, WithClock(fake))
 	fake.Advance(20 * time.Second)
-	if _, err := second.srv.renewLease("phil", "node-2", 30*time.Second, nil); wire.CodeOf(err) != wire.CodeConflict {
+	if _, err := second.srv.renewLease(ctx, "phil", "node-2", 30*time.Second, nil); wire.CodeOf(err) != wire.CodeConflict {
 		t.Fatalf("rival renew after crash: err = %v, want CodeConflict", err)
 	}
-	got, err := second.srv.renewLease("phil", "node-1", 30*time.Second, nil)
+	got, err := second.srv.renewLease(ctx, "phil", "node-1", 30*time.Second, nil)
 	if err != nil {
 		t.Fatalf("holder renew after crash: %v", err)
 	}
@@ -212,7 +214,7 @@ func TestLeaseFencesRivalAcrossCrash(t *testing.T) {
 	}
 	// Only once the renewed lease runs out does the rival get in.
 	fake.Advance(30 * time.Second)
-	if _, err := second.srv.renewLease("phil", "node-2", 30*time.Second, nil); err != nil {
+	if _, err := second.srv.renewLease(ctx, "phil", "node-2", 30*time.Second, nil); err != nil {
 		t.Fatalf("takeover of the expired lease: %v", err)
 	}
 }
@@ -222,6 +224,7 @@ func TestLeaseFencesRivalAcrossCrash(t *testing.T) {
 // without it; the server creates it, and logs that, so the life after
 // has the table and its rows.
 func TestRecoveredRegistryGainsMissingTable(t *testing.T) {
+	ctx := context.Background()
 	fake := clock.NewFake(time.Date(2003, 4, 22, 9, 0, 0, 0, time.UTC))
 	dataDir := t.TempDir()
 
@@ -240,7 +243,7 @@ func TestRecoveredRegistryGainsMissingTable(t *testing.T) {
 	}
 
 	second := startLife(t, dataDir, WithClock(fake))
-	if _, err := second.srv.renewLease("zoe", "n", time.Minute, nil); err != nil {
+	if _, err := second.srv.renewLease(ctx, "zoe", "n", time.Minute, nil); err != nil {
 		t.Fatal(err)
 	}
 	second.end(t, false)

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -51,7 +52,7 @@ type LeaseInfo struct {
 // an expired lease is taken over (leaseMu makes the check-and-set
 // indivisible when two followers race to promote). replicas, when
 // non-nil, replaces the stored candidate set.
-func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []string) (LeaseInfo, error) {
+func (s *Server) renewLease(ctx context.Context, id, holder string, ttl time.Duration, replicas []string) (LeaseInfo, error) {
 	if id == "" || holder == "" {
 		return LeaseInfo{}, fmt.Errorf("directory: lease id and holder are required")
 	}
@@ -62,10 +63,19 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 	defer s.leaseMu.Unlock()
 	now := s.clock.Now()
 	deadline := now.Add(ttl)
-	if r, ok := s.leases.Get(id); ok {
-		if cur := r.Str("holder"); cur != holder && r.Time("deadline").After(now) {
-			until := r.Time("deadline").Format(time.RFC3339)
-			return LeaseInfo{}, wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q held by %q until %s", id, cur, until)
+	err := s.db.Unit(ctx, func(u *store.Tx) error {
+		var cur string
+		var until time.Time
+		if !u.View(leaseSchema.Name, func(r store.Row) { cur, until = r.Str("holder"), r.Time("deadline") }, id) {
+			row := s.leases.NewRow()
+			row.SetStr("id", id)
+			row.SetStr("holder", holder)
+			row.SetTime("deadline", deadline)
+			row.SetStr("replicas", strings.Join(replicas, ","))
+			return u.Insert(leaseSchema.Name, row)
+		}
+		if cur != holder && until.After(now) {
+			return wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q held by %q until %s", id, cur, until.Format(time.RFC3339))
 		}
 		ch := s.leases.NewRow()
 		ch.SetStr("holder", holder)
@@ -73,18 +83,10 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 		if replicas != nil {
 			ch.SetStr("replicas", strings.Join(replicas, ","))
 		}
-		if err := s.leases.Update(ch, id); err != nil {
-			return LeaseInfo{}, err
-		}
-	} else {
-		row := s.leases.NewRow()
-		row.SetStr("id", id)
-		row.SetStr("holder", holder)
-		row.SetTime("deadline", deadline)
-		row.SetStr("replicas", strings.Join(replicas, ","))
-		if err := s.leases.Insert(row); err != nil {
-			return LeaseInfo{}, err
-		}
+		return u.Update(leaseSchema.Name, ch, id)
+	})
+	if err != nil {
+		return LeaseInfo{}, err
 	}
 	return LeaseInfo{User: id, Holder: holder, Deadline: deadline, Replicas: replicas}, nil
 }
@@ -94,31 +96,39 @@ func (s *Server) renewLease(id, holder string, ttl time.Duration, replicas []str
 // row stays, expired, with its replica set. It is refused as lease-held
 // unless holder holds the lease (expired or not), and with
 // CodeNoService when there is no lease on id.
-func (s *Server) releaseLease(id, holder string) error {
+func (s *Server) releaseLease(ctx context.Context, id, holder string) error {
 	if id == "" || holder == "" {
 		return fmt.Errorf("directory: lease id and holder are required")
 	}
 	s.leaseMu.Lock()
 	defer s.leaseMu.Unlock()
-	r, ok := s.leases.Get(id)
-	if !ok {
-		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
-	}
-	if cur := r.Str("holder"); cur != holder {
-		return wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q is held by %q, not %q", id, cur, holder)
-	}
-	ch := s.leases.NewRow()
-	ch.SetTime("deadline", s.clock.Now())
-	return s.leases.Update(ch, id)
+	now := s.clock.Now()
+	return s.db.Unit(ctx, func(u *store.Tx) error {
+		var cur string
+		if !u.View(leaseSchema.Name, func(r store.Row) { cur = r.Str("holder") }, id) {
+			return errNoLease(id)
+		}
+		if cur != holder {
+			return wire.Refuse(wire.ReasonLeaseHeld, "directory: lease on %q is held by %q, not %q", id, cur, holder)
+		}
+		ch := s.leases.NewRow()
+		ch.SetTime("deadline", now)
+		return u.Update(leaseSchema.Name, ch, id)
+	})
+}
+
+func errNoLease(id string) error {
+	return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
 }
 
 // getLease reads the lease on id. CodeNoService when no lease exists.
 func (s *Server) getLease(id string) (LeaseInfo, error) {
-	r, ok := s.leases.Get(id)
-	if !ok {
-		return LeaseInfo{}, &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("no lease on %q", id)}
+	var info LeaseInfo
+	now := s.clock.Now()
+	if !s.leases.View(func(r store.Row) { info = leaseInfo(r, now) }, id) {
+		return LeaseInfo{}, errNoLease(id)
 	}
-	return leaseInfo(r, s.clock.Now()), nil
+	return info, nil
 }
 
 func leaseInfo(r store.Row, now time.Time) LeaseInfo {
@@ -136,30 +146,35 @@ func leaseInfo(r store.Row, now time.Time) LeaseInfo {
 	}
 }
 
-// repoint rebinds a promoted node in one RPC: the user record's
-// address flips to the new node, as on re-registration, and every
-// service the user owns follows, so one call re-points everything a
-// client can resolve.
-func (s *Server) repoint(id, addr string) error {
+// repoint rebinds a promoted node in one RPC and one unit: the user
+// record's address flips to the new node, as on re-registration, and
+// every service the user owns follows, so one call re-points everything
+// a client can resolve and a crash leaves all of it or none.
+func (s *Server) repoint(ctx context.Context, id, addr string) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("directory: repoint id and addr are required")
 	}
-	if !s.users.Has(id) {
-		return &wire.RemoteError{Code: wire.CodeNoService, Msg: fmt.Sprintf("unknown user %q", id)}
-	}
-	ch := s.users.NewRow()
-	ch.SetStr("addr", addr)
-	ch.SetBool("offline", false)
-	ch.SetTime("lastSeen", s.clock.Now())
-	if err := s.users.Update(ch, id); err != nil {
-		return err
-	}
-	svc := s.services.NewRow()
-	svc.SetStr("addr", addr)
-	for _, r := range s.services.SelectEq("owner", id) {
-		if err := s.services.Update(svc, r.Str("name")); err != nil {
+	now := s.clock.Now()
+	return s.db.Unit(ctx, func(u *store.Tx) error {
+		if !u.Has("users", id) {
+			return errUnknownUser(id)
+		}
+		ch := s.users.NewRow()
+		ch.SetStr("addr", addr)
+		ch.SetBool("offline", false)
+		ch.SetTime("lastSeen", now)
+		if err := u.Update("users", ch, id); err != nil {
 			return err
 		}
-	}
-	return nil
+		var names []string // ViewEq's key order; written after the visit
+		u.ViewEq("services", "owner", id, func(r store.Row) { names = append(names, r.Str("name")) })
+		svc := s.services.NewRow()
+		svc.SetStr("addr", addr)
+		for _, name := range names {
+			if err := u.Update("services", svc, name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

@@ -1,6 +1,12 @@
 package links
 
-import "context"
+import (
+	"context"
+	"slices"
+	"strings"
+
+	"repro/internal/store"
+)
 
 // The recovery schedule and the mark TTL, for tests that advance a fake
 // clock past them.
@@ -19,11 +25,12 @@ func (m *Manager) Self() string { return m.self }
 // order (diagnostics and tests).
 func (m *Manager) AllLinks() []*Link {
 	var out []*Link
-	for _, r := range m.linksT.Select(nil) {
+	m.linksT.ViewAll(func(r store.Row) {
 		if l, err := rowToLink(r); err == nil {
 			out = append(out, l)
 		}
-	}
+	})
+	slices.SortFunc(out, func(a, b *Link) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -355,10 +355,10 @@ const maxRetryRowsPerSweep = 32
 // one round trip. Returns the number of rows resolved (retired or
 // expired). Called from the same periodic schedule as ExpireSweep.
 func (m *Manager) RetryCommits(ctx context.Context, now time.Time) int {
-	var rows []store.Row // stored rows, which are replaced, never changed
+	var rows []store.Row
 	m.journalT.ViewAll(func(r store.Row) {
 		if !r.Time("next_retry").After(now) {
-			rows = append(rows, r)
+			rows = append(rows, r.Clone())
 		}
 	})
 	slices.SortFunc(rows, func(a, b store.Row) int {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/links"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -20,7 +21,8 @@ func storedJournal(t *testing.T, h *harness) (attempts int, pending []string, ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tab.Select(nil)
+	var rows []store.Row
+	tab.ViewAll(func(r store.Row) { rows = append(rows, r.Clone()) })
 	if len(rows) != 1 {
 		t.Fatalf("journal holds %d rows, want 1", len(rows))
 	}
@@ -201,13 +203,13 @@ func journalAttempts(t *testing.T, h *harness) map[string]int {
 		t.Fatal(err)
 	}
 	out := make(map[string]int)
-	for _, row := range tab.Select(nil) {
+	tab.ViewAll(func(row store.Row) {
 		var rec struct{ Attempts int }
 		if err := json.Unmarshal([]byte(row.Str("rec")), &rec); err != nil {
 			t.Fatal(err)
 		}
 		out[row.Str("id")] = rec.Attempts
-	}
+	})
 	return out
 }
 

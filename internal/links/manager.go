@@ -301,13 +301,13 @@ func (m *Manager) AddLink(u *store.Tx, l *Link) error {
 }
 
 // GetLink fetches a local link by id.
-func (m *Manager) GetLink(id string) (*Link, bool) {
-	r, ok := m.linksT.Get(id)
-	if !ok {
-		return nil, false
-	}
-	l, err := rowToLink(r)
-	return l, err == nil
+func (m *Manager) GetLink(id string) (l *Link, ok bool) {
+	m.linksT.View(func(r store.Row) {
+		var err error
+		l, err = rowToLink(r)
+		ok = err == nil
+	}, id)
+	return l, ok
 }
 
 // getLink is GetLink as the unit u sees the link table.

@@ -3,6 +3,7 @@ package links
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/store"
@@ -167,14 +168,13 @@ func (m *Manager) decidedOutcome(token string) (committed, known bool) {
 	if ok {
 		return d.committed, true
 	}
-	row, ok := m.decidedT.Get(token)
-	if !ok {
+	var at time.Time
+	if !m.decidedT.View(func(r store.Row) { committed, at = r.Int("committed") != 0, r.Time("at") }, token) {
 		return false, false
 	}
-	committed = row.Int("committed") != 0
 	m.partMu.Lock()
 	if _, exists := m.decided[token]; !exists {
-		m.decided[token] = decision{committed: committed, at: row.Time("at")}
+		m.decided[token] = decision{committed: committed, at: at}
 	}
 	m.partMu.Unlock()
 	return committed, true
@@ -198,17 +198,21 @@ func (m *Manager) gcDecided(ctx context.Context, now time.Time) {
 		}
 	}
 	m.partMu.Unlock()
-	old := m.decidedT.Select(func(r store.Row) bool {
-		return now.Sub(r.Time("at")) > decidedTTL
+	var old []string
+	m.decidedT.ViewAll(func(r store.Row) {
+		if now.Sub(r.Time("at")) > decidedTTL {
+			old = append(old, r.Str("token"))
+		}
 	})
 	if len(old) == 0 {
 		return
 	}
+	slices.Sort(old) // the unit's log record lists the deletes in token order
 	// One unit for the sweep; a row that is already gone fails it, and
 	// the next sweep finds what is left.
 	err := m.db.Unit(ctx, func(u *store.Tx) error {
-		for _, r := range old {
-			if err := u.Delete(NegotiationDecided, r.Str("token")); err != nil {
+		for _, token := range old {
+			if err := u.Delete(NegotiationDecided, token); err != nil {
 				return err
 			}
 		}

@@ -54,6 +54,53 @@ func TestDuplicateCommitIdempotent(t *testing.T) {
 	}
 }
 
+// unitCount counts the units a DB hands its logger.
+type unitCount struct{ n atomic.Int64 }
+
+func (c *unitCount) LogDDLTable(store.Schema) store.Ack   { return acked }
+func (c *unitCount) LogDDLIndex(string, string) store.Ack { return acked }
+func (c *unitCount) LogTx([]store.LoggedOp) store.Ack {
+	c.n.Add(1)
+	return acked
+}
+
+func acked() error { return nil }
+
+// TestDuplicateDeleteLinkIdempotent: a re-delivered DeleteLink (the
+// first answer was lost), and one for a link the receiver never held,
+// answer OK, log nothing and owe nobody the cascade.
+func TestDuplicateDeleteLinkIdempotent(t *testing.T) {
+	h := newHarness(t, "a", "b")
+	ctx := context.Background()
+	if _, err := negotiateLink(h, "LX", "M1", refs("a", "slot9", "b", "slot9")); err != nil {
+		t.Fatal(err)
+	}
+	b := h.nodes["b"]
+	del := func(id string) error {
+		return h.nodes["a"].Engine.Invoke(ctx, links.ServiceFor("b"), "DeleteLink",
+			wire.Args{wire.Str("id", id), wire.Strs("visited", []string{"a"})}, nil)
+	}
+	if err := del("LX"); err != nil {
+		t.Fatalf("first DeleteLink: %v", err)
+	}
+	if _, ok := b.Links.GetLink("LX"); ok {
+		t.Fatal("the link survived its DeleteLink")
+	}
+	units := &unitCount{}
+	b.DB.SetLogger(units)
+	for _, id := range []string{"LX", "NEVER"} {
+		if err := del(id); err != nil {
+			t.Fatalf("DeleteLink of %s, which b does not hold: %v", id, err)
+		}
+	}
+	if n := units.n.Load(); n != 0 {
+		t.Fatalf("DeleteLinks of links b does not hold logged %d units", n)
+	}
+	if owed := b.Links.JournalPending(); len(owed) != 0 {
+		t.Fatalf("b owes %v after DeleteLinks of links it does not hold", owed)
+	}
+}
+
 // TestStaleTokenCommitRejected: a Commit whose mark TTL lapsed and
 // whose lock was re-granted to another negotiation must be rejected —
 // applying it would clobber the new holder's claim.

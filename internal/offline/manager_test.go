@@ -135,10 +135,10 @@ func TestServePullFiltersByRelevanceAndVersion(t *testing.T) {
 		},
 	}
 	m.Attach(app)
-	m.Versions().Bump("meeting:m1")
-	m.Versions().Bump("meeting:m2")
-	m.Versions().Bump("meeting:m2") // m2 at version 2
-	m.Versions().Bump("meeting:m3")
+	m.Versions().Bump(context.Background(), "meeting:m1")
+	m.Versions().Bump(context.Background(), "meeting:m2")
+	m.Versions().Bump(context.Background(), "meeting:m2") // m2 at version 2
+	m.Versions().Bump(context.Background(), "meeting:m3")
 
 	// First pull: andy has nothing; m3 is not relevant to andy.
 	res := m.servePull(context.Background(), "andy", nil, false)
@@ -176,7 +176,7 @@ func TestSyncObjectPullValidatesArgs(t *testing.T) {
 		t.Fatal("nil sync object")
 	}
 	// EnqueueOp feeds the durable queue through the manager.
-	if _, err := m.EnqueueOp("schedule", "m1", []byte("{}")); err != nil {
+	if _, err := m.EnqueueOp(context.Background(), "schedule", "m1", []byte("{}")); err != nil {
 		t.Fatal(err)
 	}
 	if m.Queue().Len() != 1 {

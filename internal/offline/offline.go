@@ -70,6 +70,7 @@ type Manager struct {
 	met    *metrics.Registry
 	tracer *trace.Tracer
 
+	db       *store.DB
 	q        *Queue
 	versions *Versions
 	peerVers *store.Table
@@ -109,6 +110,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		clock:    cfg.Clock,
 		met:      cfg.Metrics,
 		tracer:   cfg.Tracer,
+		db:       cfg.DB,
 		q:        q,
 		versions: vers,
 		peerVers: pv,
@@ -148,8 +150,8 @@ func (m *Manager) setState(s State) {
 }
 
 // EnqueueOp parks an outbound op in the durable queue.
-func (m *Manager) EnqueueOp(kind, id string, payload []byte) (int64, error) {
-	return m.q.Enqueue(Op{ID: id, Kind: kind, Payload: payload, Queued: m.clock.Now()})
+func (m *Manager) EnqueueOp(ctx context.Context, kind, id string, payload []byte) (int64, error) {
+	return m.q.Enqueue(ctx, Op{ID: id, Kind: kind, Payload: payload, Queued: m.clock.Now()})
 }
 
 // GoOffline flips the device to local mode explicitly (the deliberate
@@ -264,7 +266,7 @@ func (m *Manager) push(ctx context.Context) error {
 				m.observe("queue.rejected", wire.CodeOf(err), 0)
 			}
 		}
-		if err := m.q.Ack(op.Seq); err != nil {
+		if err := m.q.Ack(ctx, op.Seq); err != nil {
 			span.FinishErr(err)
 			return err
 		}
@@ -304,7 +306,7 @@ func (m *Manager) pull(ctx context.Context) error {
 			if err := app.Apply(e.Entity, e.Version, e.Doc); err != nil {
 				continue
 			}
-			m.setKnownVersion(p, e.Entity, e.Version)
+			m.setKnownVersion(ctx, p, e.Entity, e.Version)
 			applied++
 		}
 	}
@@ -317,20 +319,19 @@ func (m *Manager) pull(ctx context.Context) error {
 // peer's entities.
 func (m *Manager) knownVersions(peer string) map[string]int64 {
 	out := map[string]int64{}
-	for _, r := range m.peerVers.SelectEq("peer", peer) {
-		out[r.Str("entity")] = r.Int("ver")
-	}
+	m.peerVers.ViewEq("peer", peer, func(r store.Row) { out[r.Str("entity")] = r.Int("ver") })
 	return out
 }
 
-func (m *Manager) setKnownVersion(peer, entity string, ver int64) {
-	r := m.peerVers.NewRow()
-	r.SetInt("ver", ver)
-	if m.peerVers.Has(peer, entity) {
-		_ = m.peerVers.Update(r, peer, entity)
-		return
-	}
-	r.SetStr("peer", peer)
-	r.SetStr("entity", entity)
-	_ = m.peerVers.Insert(r)
+func (m *Manager) setKnownVersion(ctx context.Context, peer, entity string, ver int64) {
+	_ = m.db.Unit(ctx, func(u *store.Tx) error {
+		r := m.peerVers.NewRow()
+		r.SetInt("ver", ver)
+		if u.Has(peerVersionsSchema.Name, peer, entity) {
+			return u.Update(peerVersionsSchema.Name, r, peer, entity)
+		}
+		r.SetStr("peer", peer)
+		r.SetStr("entity", entity)
+		return u.Insert(peerVersionsSchema.Name, r)
+	})
 }

@@ -11,7 +11,10 @@
 package offline
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +58,7 @@ type Op struct {
 // use.
 type Queue struct {
 	user string
+	db   *store.DB
 	t    *store.Table
 	met  *metrics.Registry
 
@@ -74,19 +78,15 @@ func NewQueue(db *store.DB, user string, capacity int, met *metrics.Registry) (*
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue{user: user, t: t, met: met, cap: capacity}
-	for _, r := range t.Select(nil) {
-		if s := r.Int("seq"); s >= q.nextSeq {
-			q.nextSeq = s + 1
-		}
-	}
+	q := &Queue{user: user, db: db, t: t, met: met, cap: capacity}
+	t.ViewAll(func(r store.Row) { q.nextSeq = max(q.nextSeq, r.Int("seq")+1) })
 	return q, nil
 }
 
 // Enqueue accepts an op and returns the assigned sequence number. A
 // full queue refuses the op with CodeUnavailable: every op already in
 // it was acknowledged to its caller, so none is given up for a new one.
-func (q *Queue) Enqueue(op Op) (int64, error) {
+func (q *Queue) Enqueue(ctx context.Context, op Op) (int64, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.t.Count() >= q.cap {
@@ -96,13 +96,15 @@ func (q *Queue) Enqueue(op Op) (int64, error) {
 	}
 	seq := q.nextSeq
 	q.nextSeq++
-	r := q.t.NewRow()
-	r.SetInt("seq", seq)
-	r.SetStr("id", op.ID)
-	r.SetStr("kind", op.Kind)
-	r.SetStr("payload", string(op.Payload))
-	r.SetTime("queued", op.Queued)
-	err := q.t.Insert(r)
+	err := q.db.Unit(ctx, func(u *store.Tx) error {
+		r := q.t.NewRow()
+		r.SetInt("seq", seq)
+		r.SetStr("id", op.ID)
+		r.SetStr("kind", op.Kind)
+		r.SetStr("payload", string(op.Payload))
+		r.SetTime("queued", op.Queued)
+		return u.Insert(opsSchema.Name, r)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -112,9 +114,8 @@ func (q *Queue) Enqueue(op Op) (int64, error) {
 
 // Ops returns all queued ops in sequence order.
 func (q *Queue) Ops() []Op {
-	rows := q.t.Select(nil)
-	out := make([]Op, 0, len(rows))
-	for _, r := range rows {
+	out := make([]Op, 0, q.t.Count())
+	q.t.ViewAll(func(r store.Row) {
 		out = append(out, Op{
 			Seq:     r.Int("seq"),
 			ID:      r.Str("id"),
@@ -122,22 +123,14 @@ func (q *Queue) Ops() []Op {
 			Payload: []byte(r.Str("payload")),
 			Queued:  r.Time("queued"),
 		})
-	}
-	sortOps(out)
+	})
+	slices.SortFunc(out, func(a, b Op) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
-func sortOps(ops []Op) {
-	for i := 1; i < len(ops); i++ {
-		for j := i; j > 0 && ops[j].Seq < ops[j-1].Seq; j-- {
-			ops[j], ops[j-1] = ops[j-1], ops[j]
-		}
-	}
-}
-
 // Ack removes a drained op.
-func (q *Queue) Ack(seq int64) error {
-	if err := q.t.Delete(seq); err != nil {
+func (q *Queue) Ack(ctx context.Context, seq int64) error {
+	if err := q.db.Unit(ctx, func(u *store.Tx) error { return u.Delete(opsSchema.Name, seq) }); err != nil {
 		return err
 	}
 	q.observe("queue.drain")

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,6 +10,8 @@ import (
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
+
+var bg = context.Background()
 
 func TestQueueEnqueueOrderAndAck(t *testing.T) {
 	q, err := NewQueue(store.NewDB(), "phil", 10, nil)
@@ -19,7 +22,7 @@ func TestQueueEnqueueOrderAndAck(t *testing.T) {
 		t.Fatalf("cap = %d, want 10", q.cap)
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		if _, err := q.Enqueue(Op{ID: id, Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()}); err != nil {
+		if _, err := q.Enqueue(bg, Op{ID: id, Kind: "schedule", Payload: []byte("{}"), Queued: time.Now()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,7 +35,7 @@ func TestQueueEnqueueOrderAndAck(t *testing.T) {
 			t.Fatalf("ops[%d] = %+v, want id %s seq %d", i, ops[i], want, i)
 		}
 	}
-	if err := q.Ack(ops[0].Seq); err != nil {
+	if err := q.Ack(bg, ops[0].Seq); err != nil {
 		t.Fatal(err)
 	}
 	if q.Len() != 2 {
@@ -49,9 +52,9 @@ func TestQueueRejectNewAtCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Enqueue(Op{ID: "a"})
-	q.Enqueue(Op{ID: "b"})
-	if _, err := q.Enqueue(Op{ID: "c"}); wire.CodeOf(err) != wire.CodeUnavailable {
+	q.Enqueue(bg, Op{ID: "a"})
+	q.Enqueue(bg, Op{ID: "b"})
+	if _, err := q.Enqueue(bg, Op{ID: "c"}); wire.CodeOf(err) != wire.CodeUnavailable {
 		t.Fatalf("overflow error = %v, want CodeUnavailable", err)
 	}
 	if q.Len() != 2 || q.Ops()[0].ID != "a" {
@@ -68,15 +71,15 @@ func TestQueueReopenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1.Enqueue(Op{ID: "a"})
-	q1.Enqueue(Op{ID: "b"})
-	q1.Ack(0)
+	q1.Enqueue(bg, Op{ID: "a"})
+	q1.Enqueue(bg, Op{ID: "b"})
+	q1.Ack(bg, 0)
 
 	q2, err := NewQueue(db, "phil", 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := q2.Enqueue(Op{ID: "c"})
+	seq, err := q2.Enqueue(bg, Op{ID: "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +98,8 @@ func TestQueueSurvivesWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Enqueue(Op{ID: "a", Kind: "schedule", Payload: []byte(`{"title":"x"}`), Queued: time.Now()})
-	q.Enqueue(Op{ID: "b", Kind: "cancel"})
+	q.Enqueue(bg, Op{ID: "a", Kind: "schedule", Payload: []byte(`{"title":"x"}`), Queued: time.Now()})
+	q.Enqueue(bg, Op{ID: "b", Kind: "cancel"})
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestQueueSurvivesWALRecovery(t *testing.T) {
 	if string(ops[0].Payload) != `{"title":"x"}` {
 		t.Fatalf("payload lost in recovery: %q", ops[0].Payload)
 	}
-	if seq, _ := q2.Enqueue(Op{ID: "c"}); seq != 2 {
+	if seq, _ := q2.Enqueue(bg, Op{ID: "c"}); seq != 2 {
 		t.Fatalf("seq after recovery = %d, want 2", seq)
 	}
 }
@@ -131,13 +134,13 @@ func TestVersions(t *testing.T) {
 	if got := v.Get("meeting:m1"); got != 0 {
 		t.Fatalf("unbumped version = %d, want 0", got)
 	}
-	if got := v.Bump("meeting:m1"); got != 1 {
+	if got := v.Bump(bg, "meeting:m1"); got != 1 {
 		t.Fatalf("first bump = %d, want 1", got)
 	}
-	if got := v.Bump("meeting:m1"); got != 2 {
+	if got := v.Bump(bg, "meeting:m1"); got != 2 {
 		t.Fatalf("second bump = %d, want 2", got)
 	}
-	v.Bump("meeting:m2")
+	v.Bump(bg, "meeting:m2")
 	all := v.All()
 	if len(all) != 2 || all["meeting:m1"] != 2 || all["meeting:m2"] != 1 {
 		t.Fatalf("All() = %v", all)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/offline"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -375,8 +376,9 @@ func TestPulledTentativeRecordQueuesItsLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := waiting.Get(review.LinkID); !ok || r.Str("waiting_on") != offsite.LinkID {
-		t.Fatalf("mob's waiting row = %v, want one on %s", r, offsite.LinkID)
+	var on string
+	if !waiting.View(func(r store.Row) { on = r.Str("waiting_on") }, review.LinkID) || on != offsite.LinkID {
+		t.Fatalf("mob's link waits on %q, want %s", on, offsite.LinkID)
 	}
 
 	if err := phil.CancelMeeting(ctx, offsite.ID); err != nil {

@@ -1,6 +1,7 @@
 package offline
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/store"
@@ -35,7 +36,8 @@ var peerVersionsSchema = store.Schema{
 // Versions is the per-entity version table. Safe for concurrent use;
 // durable when the DB is WAL-backed.
 type Versions struct {
-	mu sync.Mutex
+	mu sync.Mutex // a unit checks that a row exists, not what it read
+	db *store.DB
 	t  *store.Table
 }
 
@@ -45,24 +47,26 @@ func NewVersions(db *store.DB) (*Versions, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Versions{t: t}, nil
+	return &Versions{db: db, t: t}, nil
 }
 
 // Bump increments entity's version and returns the new value.
-func (v *Versions) Bump(entity string) int64 {
+func (v *Versions) Bump(ctx context.Context, entity string) int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	r := v.t.NewRow()
-	var cur int64
-	if v.t.View(func(s store.Row) { cur = s.Int("ver") }, entity) {
-		r.SetInt("ver", cur+1)
-		_ = v.t.Update(r, entity)
-		return cur + 1
-	}
-	r.SetStr("entity", entity)
-	r.SetInt("ver", 1)
-	_ = v.t.Insert(r)
-	return 1
+	var next int64
+	_ = v.db.Unit(ctx, func(u *store.Tx) error {
+		r := v.t.NewRow()
+		if u.View(versionsSchema.Name, func(s store.Row) { next = s.Int("ver") + 1 }, entity) {
+			r.SetInt("ver", next)
+			return u.Update(versionsSchema.Name, r, entity)
+		}
+		next = 1
+		r.SetStr("entity", entity)
+		r.SetInt("ver", next)
+		return u.Insert(versionsSchema.Name, r)
+	})
+	return next
 }
 
 // Get returns entity's current version (0 when never bumped).
@@ -74,10 +78,7 @@ func (v *Versions) Get(entity string) int64 {
 
 // All returns a copy of the full entity→version map.
 func (v *Versions) All() map[string]int64 {
-	rows := v.t.Select(nil)
-	out := make(map[string]int64, len(rows))
-	for _, r := range rows {
-		out[r.Str("entity")] = r.Int("ver")
-	}
+	out := make(map[string]int64, v.t.Count())
+	v.t.ViewAll(func(r store.Row) { out[r.Str("entity")] = r.Int("ver") })
 	return out
 }

@@ -103,7 +103,7 @@ func registerSlotActions(n *core.Node) {
 		if err != nil {
 			return ""
 		}
-		if r, ok := t.Get(entity); ok {
+		if r, ok := getRow(t, entity); ok {
 			return r.Str("holder")
 		}
 		return ""
@@ -113,10 +113,10 @@ func registerSlotActions(n *core.Node) {
 		if err != nil {
 			return err
 		}
-		if _, ok := t.Get(entity); ok {
-			return t.Update(rowOf(t, "holder", holder), entity)
+		if _, ok := getRow(t, entity); ok {
+			return updateRow(n.DB, t, rowOf(t, "holder", holder), entity)
 		}
-		return t.Insert(rowOf(t, "entity", entity, "holder", holder))
+		return insertRow(n.DB, t, rowOf(t, "entity", entity, "holder", holder))
 	}
 	n.Links.RegisterAction("reserve", links.Action{
 		Check: func(entity string, args wire.Args) error {
@@ -144,7 +144,7 @@ func slotOn(t *testing.T, n *core.Node, entity string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := tab.Get(entity); ok {
+	if r, ok := getRow(tab, entity); ok {
 		return r.Str("holder")
 	}
 	return ""
@@ -527,7 +527,7 @@ func TestHandoffDrainsLaggingFollower(t *testing.T) {
 	const n = 40
 	holder := strings.Repeat("M", 32<<10)
 	for i := 0; i < n; i++ {
-		if err := slots.Insert(rowOf(slots, "entity", fmt.Sprintf("s%02d", i), "holder", holder)); err != nil {
+		if err := insertRow(x.DB, slots, rowOf(slots, "entity", fmt.Sprintf("s%02d", i), "holder", holder)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -560,4 +560,21 @@ func TestHandoffDrainsLaggingFollower(t *testing.T) {
 	if lease, err := dir.GetLease(ctx, "x"); err != nil || lease.Holder != "repl-x-1" || lease.Expired {
 		t.Fatalf("lease = %+v, %v; want held by repl-x-1", lease, err)
 	}
+}
+
+// insertRow, updateRow and deleteRow write one row of tab in a unit of
+// its own, and getRow copies one out of a visit: the one-row writes and
+// point read of these tests. The writes copy what they are given, so a
+// caller may reuse its rows.
+func insertRow(db *store.DB, tab *store.Table, r store.Row) error {
+	return db.Unit(context.Background(), func(u *store.Tx) error { return u.Insert(tab.Schema().Name, r.Clone()) })
+}
+
+func updateRow(db *store.DB, tab *store.Table, ch store.Row, key ...any) error {
+	return db.Unit(context.Background(), func(u *store.Tx) error { return u.Update(tab.Schema().Name, ch.Clone(), key...) })
+}
+
+func getRow(tab *store.Table, key ...any) (row store.Row, ok bool) {
+	ok = tab.View(func(r store.Row) { row = r.Clone() }, key...)
+	return row, ok
 }

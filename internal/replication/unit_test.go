@@ -64,7 +64,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	insert := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if err := tbl.Insert(rowOf(tbl, "entity", fmt.Sprintf("e%d-%d", d.LastLSN(), i), "holder", "m")); err != nil {
+			if err := insertRow(d.DB, tbl, rowOf(tbl, "entity", fmt.Sprintf("e%d-%d", d.LastLSN(), i), "holder", "m")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -149,7 +149,7 @@ func TestFollowerSelfDrivenLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(rowOf(tbl, "entity", "s0", "holder", "m")); err != nil {
+	if err := insertRow(d.DB, tbl, rowOf(tbl, "entity", "s0", "holder", "m")); err != nil {
 		t.Fatal(err)
 	}
 	rawPrimary(t, fx, "p", d)

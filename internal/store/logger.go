@@ -7,13 +7,13 @@ package store
 // the store importing any I/O code.
 //
 // Framing rules:
-//   - A Tx buffers its ops and logs them as a single atomic unit at
-//     Commit, applied and enqueued while every involved table's lock
-//     is held; a Tx never committed applies and logs nothing.
-//   - A direct Table.Insert/Update/Delete is a Tx of that one op.
+//   - A Tx, the only row write, buffers its ops and logs them as a
+//     single atomic unit at Commit, applied and enqueued while every
+//     involved table's lock is held; a Tx never committed applies and
+//     logs nothing.
 //   - DDL (CreateTable, CreateIndex) is logged as it commits.
-//   - Replay via ApplyLogged/ApplyDDL* bypasses the logger, so recovery
-//     never re-logs.
+//   - Replay via ApplyLogged/ApplyDDL*, and Restore, bypass the logger,
+//     so recovery never re-logs.
 //
 // Logging is two-phase so a write-ahead log can group-commit: the
 // LogTx CALL runs while the mutated table's lock is still held, which
@@ -54,8 +54,8 @@ type MutationLogger interface {
 	LogDDLTable(s Schema) Ack
 	// LogDDLIndex records a committed CreateIndex.
 	LogDDLIndex(table, col string) Ack
-	// LogTx records one atomic unit of row mutations (a single direct
-	// mutation, or every op of a committed Tx, in application order).
+	// LogTx records one atomic unit of row mutations: every op of a
+	// committed Tx, in application order.
 	LogTx(ops []LoggedOp) Ack
 }
 

@@ -15,7 +15,7 @@ import (
 // snapshotRows captures a table's content keyed by primary key.
 func snapshotRows(t *Table) map[string]Row {
 	out := map[string]Row{}
-	for _, r := range t.Select(nil) {
+	for _, r := range t.selectWhere(nil) {
 		_, k, _ := t.insertable(r)
 		out[string(k)] = r
 	}
@@ -35,7 +35,7 @@ func TestTxRollbackPropertyRestoresExactState(t *testing.T) {
 		tab := db.MustCreateTable(calendarSchema())
 		// Seed some committed rows.
 		for h := int64(0); h < 6; h++ {
-			if err := tab.Insert(slotRow(tab, "d", h, fmt.Sprintf("s%d", rng.Intn(3)))); err != nil {
+			if err := tab.insert(slotRow(tab, "d", h, fmt.Sprintf("s%d", rng.Intn(3)))); err != nil {
 				return false
 			}
 		}
@@ -84,7 +84,7 @@ func TestSnapshotRestorePropertyIdentity(t *testing.T) {
 			}
 			r := slotRow(tab, "d", k, st)
 			r.SetTime("updated", time.Date(2003, 4, int(h%27)+1, 0, 0, 0, 0, time.UTC))
-			if err := tab.Insert(r); err != nil {
+			if err := tab.insert(r); err != nil {
 				return false
 			}
 		}
@@ -140,7 +140,7 @@ func TestTxViewEqProperty(t *testing.T) {
 				continue
 			}
 			r := row(tab, "day", "d", "hour", h, "status", pick(rng, "s"), "meeting", pick(rng, "m"))
-			if err := tab.Insert(r); err != nil {
+			if err := tab.insert(r); err != nil {
 				t.Fatal(err)
 			}
 			model[keyOf(r)] = r

@@ -85,9 +85,10 @@ func (db *DB) Snapshot(w io.Writer) error {
 }
 
 // Restore loads a Snapshot into a fresh DB. Tables in the snapshot must
-// not already exist. On error, every table this call created is dropped
-// again, so a failed restore leaves the DB as it found it instead of
-// half-populated.
+// not already exist. Like log replay it applies what it reads without
+// logging it: a checkpoint is restored before a log is attached. On
+// error, every table this call created is dropped again, so a failed
+// restore leaves the DB as it found it instead of half-populated.
 func (db *DB) Restore(r io.Reader) (err error) {
 	var doc snapshotDoc[map[string]json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -107,7 +108,7 @@ func (db *DB) Restore(r io.Reader) (err error) {
 		for _, c := range st.Schema.Columns {
 			s.Columns = append(s.Columns, Column{Name: c.Name, Type: ColType(c.Type)})
 		}
-		t, err := db.CreateTable(s)
+		t, err := db.addTable(s)
 		if err != nil {
 			return err
 		}
@@ -119,12 +120,12 @@ func (db *DB) Restore(r io.Reader) (err error) {
 					return fmt.Errorf("store: restore %s.%s: %w", s.Name, c, err)
 				}
 			}
-			if err := t.Insert(row); err != nil {
+			if err := t.replay(LoggedOp{Table: s.Name, Op: OpInsert, Row: row}); err != nil {
 				return err
 			}
 		}
 		for _, col := range st.Indexes {
-			if err := t.CreateIndex(col); err != nil {
+			if _, err := t.addIndex(col); err != nil {
 				return err
 			}
 		}

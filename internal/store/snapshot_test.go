@@ -32,7 +32,7 @@ func mapSnapshot(db *DB) ([]byte, error) {
 			st.Indexes = append(st.Indexes, t.schema.Columns[idx.col].Name)
 		}
 		sort.Strings(st.Indexes)
-		for _, r := range t.Select(nil) {
+		for _, r := range t.selectWhere(nil) {
 			m := map[string]any{}
 			for _, c := range t.schema.Columns {
 				if !r.Has(c.Name) {
@@ -91,7 +91,7 @@ func FuzzSnapshotEncoding(f *testing.F) {
 			}
 		}
 		for _, r := range []Row{full, part} {
-			if err := tab.Insert(r); err != nil {
+			if err := tab.insert(r); err != nil {
 				t.Fatal(err)
 			}
 		}

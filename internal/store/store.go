@@ -12,10 +12,8 @@
 package store
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -215,7 +213,13 @@ func validateSchema(s Schema) error {
 }
 
 // Table is a single typed table with primary key and secondary
-// indexes. All methods are safe for concurrent use.
+// indexes. A Table is read through visits: View, ViewEq and ViewAll
+// call fn with the stored rows under the table's read lock and copy
+// nothing, so fn must not modify a row, keep it past the call or write
+// to the database; what a write needs is collected in the visit and
+// written after it. A visit's order is unspecified: a caller whose
+// order reaches a log, a reply or a file sorts. Every write is a unit
+// (DB.Unit). All methods are safe for concurrent use.
 type Table struct {
 	db     *DB
 	schema Schema
@@ -470,31 +474,9 @@ func (t *Table) indexRemove(k rowKey, r Row) {
 	}
 }
 
-// Insert adds a new row. Like Update and Delete it is a commit unit of
-// that one op: Tx says what a unit checks, fires and logs. The caller
-// keeps r: the unit stores a copy.
-func (t *Table) Insert(r Row) error {
-	return t.db.Unit(context.TODO(), func(u *Tx) error { return u.Insert(t.schema.Name, r.Clone()) })
-}
-
-// Get fetches the row whose primary-key columns equal keyVals (in
-// schema key order).
-func (t *Table) Get(keyVals ...any) (Row, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.lookup(keyVals)
-	if !ok {
-		return Row{}, false
-	}
-	return r.Clone(), true
-}
-
 // View calls fn with the stored row for keyVals while holding the
 // table's read lock, returning false when no row matches. fn sees the
-// live row, not a clone — it must not mutate it or retain a reference
-// past the call. Read-heavy infrastructure (directory lookups on the
-// invocation hot path, the calendar's free-slot scan) uses View to skip
-// Get's defensive copy.
+// live row, not a copy: it must not modify it or keep it past the call.
 func (t *Table) View(fn func(Row), keyVals ...any) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -505,53 +487,12 @@ func (t *Table) View(fn func(Row), keyVals ...any) bool {
 	return ok
 }
 
-// Has reports whether a row exists for keyVals, without cloning it the
-// way Get would.
+// Has reports whether a row exists for keyVals.
 func (t *Table) Has(keyVals ...any) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	_, ok := t.lookup(keyVals)
 	return ok
-}
-
-// Update applies changes to the row identified by keyVals. Primary-key
-// columns cannot change.
-func (t *Table) Update(changes Row, keyVals ...any) error {
-	return t.db.Unit(context.TODO(), func(u *Tx) error {
-		return u.Update(t.schema.Name, changes.Clone(), keyVals...) // the unit keeps what it is given
-	})
-}
-
-// Delete removes the row identified by keyVals.
-func (t *Table) Delete(keyVals ...any) error {
-	return t.db.Unit(context.TODO(), func(u *Tx) error { return u.Delete(t.schema.Name, keyVals...) })
-}
-
-// Select returns clones of all rows matching pred (nil pred = all),
-// in primary-key order. The deterministic order matters: sweeps and
-// cascade deletes iterate Select results, and simulation runs must
-// replay identically for a given seed. pred sees the stored rows and
-// must not modify or keep them.
-func (t *Table) Select(pred func(Row) bool) []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	keys := make([]rowKey, 0, len(t.rows))
-	for k, r := range t.rows {
-		if pred == nil || pred(r) {
-			keys = append(keys, k)
-		}
-	}
-	return t.clones(keys)
-}
-
-// clones returns copies of the rows at keys in key order; t.mu is held.
-func (t *Table) clones(keys []rowKey) []Row {
-	slices.Sort(keys)
-	out := make([]Row, len(keys))
-	for i, k := range keys {
-		out[i] = t.rows[k].Clone()
-	}
-	return out
 }
 
 // probe converts the value v a caller looks for in column col to the
@@ -566,29 +507,14 @@ func (t *Table) probe(col string, v any) (int, scalar, bool) {
 	return p, val.scalar(), ok
 }
 
-// SelectEq returns all rows with row[col] == v in primary-key order,
-// using a secondary index when one exists and a scan otherwise.
-func (t *Table) SelectEq(col string, v any) []Row {
-	p, val, ok := t.probe(col, v)
-	if !ok {
-		return nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var keys []rowKey
-	t.eachEq(p, val, func(k rowKey, _ Row) { keys = append(keys, k) })
-	return t.clones(keys)
-}
-
 // holds reports whether r sets the scalar column at position p to v.
 func (r Row) holds(p int, v scalar) bool {
 	return r.set&(1<<p) != 0 && r.vals[p].scalar() == v
 }
 
 // ViewEq calls fn with every stored row with row[col] == v, in no
-// particular order, while holding the table's read lock: SelectEq with
-// View's rule and no copies. fn must not modify a row, keep it past the
-// call, or write to the table.
+// particular order, through the column's index when it has one, under
+// View's rule.
 func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 	p, val, ok := t.probe(col, v)
 	if !ok {
@@ -599,8 +525,8 @@ func (t *Table) ViewEq(col string, v any, fn func(Row)) {
 	t.eachEq(p, val, func(_ rowKey, r Row) { fn(r) })
 }
 
-// ViewAll calls fn with every stored row, in no order, under the table's
-// read lock: fn must not modify or keep a row, nor write to the table.
+// ViewAll calls fn with every stored row, in no particular order, under
+// View's rule.
 func (t *Table) ViewAll(fn func(Row)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -123,7 +123,7 @@ func TestStringsUnsetVsEmpty(t *testing.T) {
 	wrong := tab.NewRow()
 	wrong.SetStr("id", "w")
 	wrong.SetStr("tags", "a")
-	if err := tab.Insert(wrong); !errors.Is(err, ErrBadType) {
+	if err := tab.insert(wrong); !errors.Is(err, ErrBadType) {
 		t.Errorf("a string set in a list column: %v, want ErrBadType", err)
 	}
 }
@@ -148,11 +148,11 @@ func TestStringsRefusedAsKeyAndIndex(t *testing.T) {
 	r := tab.NewRow()
 	r.SetStr("id", "k")
 	r.SetStrs("tags", []string{"a"})
-	if err := tab.Insert(r); err != nil {
+	if err := tab.insert(r); err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.SelectEq("tags", []string{"a"}); len(got) != 0 {
-		t.Fatalf("SelectEq on a list matched %v", got)
+	if got := tab.selectEq("tags", []string{"a"}); len(got) != 0 {
+		t.Fatalf("an equality visit on a list matched %v", got)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestStringsListIsImmutable(t *testing.T) {
 		t.Fatalf("SetStrs costs %.0f allocs, want 0", got)
 	}
 	r.SetStr("id", "k")
-	if err := tab.Insert(r); err != nil {
+	if err := tab.insert(r); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -183,14 +183,14 @@ func TestStringsListIsImmutable(t *testing.T) {
 					errs <- errors.New("a reader saw " + strings.Join(saw, ","))
 					return
 				}
-				got, _ := tab.Get("k")
+				got, _ := tab.get("k")
 				l := append(got.Strs("tags"), "x")
 				l[0] = "y"
 			}
 		}()
 	}
 	for range 200 {
-		got, _ := tab.Get("k")
+		got, _ := tab.get("k")
 		l := got.Strs("tags")
 		if cap(l) != len(l) {
 			t.Fatalf("Strs returned cap %d for len %d", cap(l), len(l))
@@ -202,7 +202,7 @@ func TestStringsListIsImmutable(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if stored, _ := tab.Get("k"); !slices.Equal(stored.Strs("tags"), []string{"a", "b"}) || tags[:3][2] != "c" {
+	if stored, _ := tab.get("k"); !slices.Equal(stored.Strs("tags"), []string{"a", "b"}) || tags[:3][2] != "c" {
 		t.Fatalf("stored %q, caller's backing %q", stored.Strs("tags"), tags[:4])
 	}
 }

@@ -12,12 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Tx is a device-local multi-table commit unit. internal/links and
-// internal/calendar write every protocol step through one — the paper's
-// device ran such a step as one stored procedure (§5.3) — so "update my
-// calendar + update my link table + remember the decision" is atomic on
-// one device and one record in its log; the directory uses one for its
-// reconnect handshake. Cross-device atomicity is the job of negotiation
+// Tx is a device-local multi-table commit unit, and the only way to
+// write a table. internal/links and internal/calendar write every
+// protocol step through one — the paper's device ran such a step as one
+// stored procedure (§5.3) — so "update my calendar + update my link
+// table + remember the decision" is atomic on one device and one record
+// in its log; the directory writes each registration, lease, group and
+// repoint as one. Cross-device atomicity is the job of negotiation
 // links, not of this type.
 //
 // A Tx buffers its mutations: nothing touches the database until
@@ -282,8 +283,7 @@ func (tx *Tx) record(t *Table, k rowKey, op LoggedOp) {
 // Insert buffers an insert of r into the named table. r belongs to the
 // tx from here on, as Update's changes do: it is the row Commit stores
 // and logs, so the caller hands over a row it built for the insert and
-// neither modifies nor reuses it. Table.Insert, whose callers may reuse
-// their rows, hands over a copy.
+// neither modifies nor reuses it.
 func (tx *Tx) Insert(table string, r Row) error {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()

@@ -279,7 +279,7 @@ func TestReplayLogWrittenByMarshal(t *testing.T) {
 		t.Fatalf("replayed %d records, %d txs, torn %v; want 4, 3, false", st.ReplayedRecords, st.ReplayedTxs, st.TornTail)
 	}
 	got, _ := d.DB.Table("t")
-	row, ok := got.Get("a", int64(1))
+	row, ok := getRow(got, "a", int64(1))
 	if !ok || row.Str("doc") != "moved" || !row.Time("at").Equal(ts) || got.Count() != 1 {
 		t.Fatalf("recovered table holds %v (%d rows)", row, got.Count())
 	}
@@ -326,7 +326,7 @@ func readSegment(t *testing.T, dir string) []byte {
 }
 
 // TestKeyedRecordsUnchanged: the update and delete records of a table
-// with a two-column key, written by units and by direct writes, are the
+// with a two-column key, written by units of one op and of several, are the
 // bytes an earlier build wrote, which logged a key row built from the
 // key values; a unit now logs the row it replaces, of which only the key
 // columns are written.
@@ -345,10 +345,10 @@ func TestKeyedRecordsUnchanged(t *testing.T) {
 	}
 	doc := func(s string) store.Row { return rowOf(tab, map[string]any{"doc": s}) }
 	for _, write := range []func() error{
-		func() error { return tab.Insert(ins("a", 1)) },
-		func() error { return tab.Insert(ins("b", -2)) },
-		func() error { return tab.Update(doc("moved"), "a", int64(1)) },
-		func() error { return tab.Delete("b", int64(-2)) },
+		func() error { return insertRow(d.DB, tab, ins("a", 1)) },
+		func() error { return insertRow(d.DB, tab, ins("b", -2)) },
+		func() error { return updateRow(d.DB, tab, doc("moved"), "a", int64(1)) },
+		func() error { return deleteRow(d.DB, tab, "b", int64(-2)) },
 		func() error {
 			return d.DB.Unit(context.Background(), func(u *store.Tx) error {
 				if err := u.Insert("t", ins("c", 3)); err != nil {

@@ -35,14 +35,14 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	for i := int64(0); i < 4; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "seed", "ts": ts})); err != nil {
+		if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "seed", "ts": ts})); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := tab.Update(rowOf(tab, map[string]any{"val": "u"}), int64(1)); err != nil {
+	if err := updateRow(d.DB, tab, rowOf(tab, map[string]any{"val": "u"}), int64(1)); err != nil {
 		f.Fatal(err)
 	}
-	if err := tab.Delete(int64(2)); err != nil {
+	if err := deleteRow(d.DB, tab, int64(2)); err != nil {
 		f.Fatal(err)
 	}
 	_ = d.DB.Unit(context.Background(), func(u *store.Tx) error {
@@ -106,11 +106,11 @@ func FuzzAppendFrames(f *testing.F) {
 	}
 	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	for i := int64(0); i < 8; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "seed", "ts": ts})); err != nil {
+		if err := insertRow(prim.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "seed", "ts": ts})); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := tab.Update(rowOf(tab, map[string]any{"val": "u"}), int64(1)); err != nil {
+	if err := updateRow(prim.DB, tab, rowOf(tab, map[string]any{"val": "u"}), int64(1)); err != nil {
 		f.Fatal(err)
 	}
 	// The follower holds prefix before each input. It outgrows the

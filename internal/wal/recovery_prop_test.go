@@ -111,32 +111,32 @@ func genScript(rng *rand.Rand, nops int) []scriptUnit {
 				return via.Insert("t1", row1(o))
 			}
 			t, _ := db.Table("t1")
-			return t.Insert(row1(o))
+			return insertRow(db, t, row1(o))
 		case o.table == "t1" && o.kind == store.OpUpdate:
 			if via != nil {
 				return via.Update("t1", rowIn(db, "t1", map[string]any{"val": o.val}), o.id)
 			}
 			t, _ := db.Table("t1")
-			return t.Update(rowIn(db, "t1", map[string]any{"val": o.val}), o.id)
+			return updateRow(db, t, rowIn(db, "t1", map[string]any{"val": o.val}), o.id)
 		case o.table == "t1" && o.kind == store.OpDelete:
 			if via != nil {
 				return via.Delete("t1", o.id)
 			}
 			t, _ := db.Table("t1")
-			return t.Delete(o.id)
+			return deleteRow(db, t, o.id)
 		case o.table == "t2" && o.kind == store.OpInsert:
 			r := rowIn(db, "t2", map[string]any{"k": o.key, "n": o.n, "on": o.n%2 == 0})
 			if via != nil {
 				return via.Insert("t2", r)
 			}
 			t, _ := db.Table("t2")
-			return t.Insert(r)
+			return insertRow(db, t, r)
 		default:
 			if via != nil {
 				return via.Update("t2", rowIn(db, "t2", map[string]any{"n": o.n}), o.key)
 			}
 			t, _ := db.Table("t2")
-			return t.Update(rowIn(db, "t2", map[string]any{"n": o.n}), o.key)
+			return updateRow(db, t, rowIn(db, "t2", map[string]any{"n": o.n}), o.key)
 		}
 	}
 
@@ -200,7 +200,7 @@ func secondCycleUnits(rng *rand.Rand) []scriptUnit {
 					if err != nil {
 						return err
 					}
-					return t.Insert(row(db, id, "c2"))
+					return insertRow(db, t, row(db, id, "c2"))
 				},
 			})
 			continue

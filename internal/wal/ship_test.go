@@ -34,7 +34,7 @@ func (s *shipSrc) commit(rows int) {
 	}
 	for i := 0; i < rows; i++ {
 		s.n++
-		if err := tbl.Insert(rowOf(tbl, map[string]any{"id": int64(s.n), "val": fmt.Sprintf("v%04d", s.n), "ts": shipTime})); err != nil {
+		if err := insertRow(s.d.DB, tbl, rowOf(tbl, map[string]any{"id": int64(s.n), "val": fmt.Sprintf("v%04d", s.n), "ts": shipTime})); err != nil {
 			s.t.Fatal(err)
 		}
 	}
@@ -285,7 +285,7 @@ func TestShipPromotionOpensFollowerDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(rowOf(tbl, map[string]any{"id": int64(9999), "val": "post-promotion", "ts": shipTime})); err != nil {
+	if err := insertRow(promoted.DB, tbl, rowOf(tbl, map[string]any{"id": int64(9999), "val": "post-promotion", "ts": shipTime})); err != nil {
 		t.Fatal(err)
 	}
 	if promoted.LastLSN() != lastLSN+1 {

@@ -27,10 +27,10 @@ func TestIntKeepsEveryDigit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(rowOf(tab, map[string]any{"id": big, "val": "v", "ts": ts})); err != nil {
+	if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": big, "val": "v", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Update(rowOf(tab, map[string]any{"val": "updated"}), big); err != nil {
+	if err := updateRow(d.DB, tab, rowOf(tab, map[string]any{"val": "updated"}), big); err != nil {
 		t.Fatal(err)
 	}
 	want := func(how string, db *store.DB) {
@@ -39,7 +39,7 @@ func TestIntKeepsEveryDigit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", how, err)
 		}
-		r, ok := tab.Get(big)
+		r, ok := getRow(tab, big)
 		if !ok || r.Int("id") != big || r.Str("val") != "updated" || tab.Count() != 1 {
 			t.Fatalf("%s: row %v (found %v, %d rows), want id %d updated", how, r, ok, tab.Count(), big)
 		}
@@ -87,11 +87,11 @@ func TestStringsColumnSurvivesDisk(t *testing.T) {
 		rowOf(tab, map[string]any{"id": "a", "tags": []string{"x", `q"<&>`, ""}}),
 		rowOf(tab, map[string]any{"id": "b", "tags": []string{"y"}, "more": []string{"z"}}),
 	} {
-		if err := tab.Insert(r); err != nil {
+		if err := insertRow(d.DB, tab, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.Update(rowOf(tab, map[string]any{"tags": []string{"p", "q"}, "more": []string{}}), "b"); err != nil {
+	if err := updateRow(d.DB, tab, rowOf(tab, map[string]any{"tags": []string{"p", "q"}, "more": []string{}}), "b"); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string][2][]string{"a": {{"x", `q"<&>`, ""}, nil}, "b": {{"p", "q"}, {}}}
@@ -102,7 +102,7 @@ func TestStringsColumnSurvivesDisk(t *testing.T) {
 			t.Fatalf("%s: %v", how, err)
 		}
 		for id, w := range want {
-			r, _ := tab.Get(id)
+			r, _ := getRow(tab, id)
 			if !slices.Equal(r.Strs("tags"), w[0]) || !slices.Equal(r.Strs("more"), w[1]) || r.Has("more") != (w[1] != nil) {
 				t.Fatalf("%s: %s reads tags %q more %q (set %v), want %q %q", how, id, r.Strs("tags"), r.Strs("more"), r.Has("more"), w[0], w[1])
 			}
@@ -174,7 +174,7 @@ func TestOpensNodeDataDirWrittenWithMapRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rows []string
-		for _, r := range tab.Select(nil) {
+		for _, r := range allRows(tab) {
 			raw, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -112,14 +113,14 @@ func TestDurableRestartCleanAndCrash(t *testing.T) {
 	}
 	ts := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	for i := int64(0); i < 10; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
+		if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.Update(rowOf(tab, map[string]any{"val": "updated"}), int64(3)); err != nil {
+	if err := updateRow(d.DB, tab, rowOf(tab, map[string]any{"val": "updated"}), int64(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Delete(int64(7)); err != nil {
+	if err := deleteRow(d.DB, tab, int64(7)); err != nil {
 		t.Fatal(err)
 	}
 	want := snapshotOf(t, d.DB)
@@ -142,7 +143,7 @@ func TestDurableRestartCleanAndCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab2.Insert(rowOf(tab2, map[string]any{"id": int64(100), "val": "post-checkpoint", "ts": ts})); err != nil {
+	if err := insertRow(d2.DB, tab2, rowOf(tab2, map[string]any{"id": int64(100), "val": "post-checkpoint", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
 	want2 := snapshotOf(t, d2.DB)
@@ -242,7 +243,7 @@ func TestDoubleCrashKeepsAckedCommits(t *testing.T) {
 	}
 	ts := time.Unix(0, 0).UTC()
 	for i := int64(0); i < 5; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "first", "ts": ts})); err != nil {
+		if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "first", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -270,7 +271,7 @@ func TestDoubleCrashKeepsAckedCommits(t *testing.T) {
 	}
 	// New acked commits after the first recovery.
 	for i := int64(10); i < 13; i++ {
-		if err := tab2.Insert(rowOf(tab2, map[string]any{"id": i, "val": "second", "ts": ts})); err != nil {
+		if err := insertRow(d2.DB, tab2, rowOf(tab2, map[string]any{"id": i, "val": "second", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +314,7 @@ func TestHealedTearInEarlierSegment(t *testing.T) {
 	}
 	ts := time.Unix(0, 0).UTC()
 	for i := int64(0); i < 5; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
+		if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -372,7 +373,7 @@ func TestCheckpointFallbackKeepsLogTail(t *testing.T) {
 	insert := func(lo, hi int64) {
 		t.Helper()
 		for i := lo; i < hi; i++ {
-			if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
+			if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "v", "ts": ts})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -418,7 +419,7 @@ func TestOpenFailsLoudOnMissingSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(rowOf(tab, map[string]any{"id": int64(1), "val": "v", "ts": time.Unix(0, 0).UTC()})); err != nil {
+	if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": int64(1), "val": "v", "ts": time.Unix(0, 0).UTC()})); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil { // checkpoint at LSN 2
@@ -449,7 +450,7 @@ func TestCheckpointExcludesOpenTxState(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := time.Unix(0, 0).UTC()
-	if err := tab.Insert(rowOf(tab, map[string]any{"id": int64(1), "val": "committed", "ts": ts})); err != nil {
+	if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": int64(1), "val": "committed", "ts": ts})); err != nil {
 		t.Fatal(err)
 	}
 	want := snapshotOf(t, d.DB)
@@ -493,7 +494,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := int64(wr*perWriter + i)
-				if err := tab.Insert(rowOf(tab, map[string]any{"id": id, "val": "v", "ts": time.Unix(0, 0).UTC()})); err != nil {
+				if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": id, "val": "v", "ts": time.Unix(0, 0).UTC()})); err != nil {
 					t.Errorf("insert %d: %v", id, err)
 				}
 			}
@@ -543,7 +544,7 @@ func TestGroupCommitRecyclesAcrossAWriteFailure(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range perWriter {
-				err := tab.Insert(rowOf(tab, map[string]any{"id": int64(wr*perWriter + i), "val": "v", "ts": ts}))
+				err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": int64(wr*perWriter + i), "val": "v", "ts": ts}))
 				switch {
 				case err == nil:
 					acked[wr][i] = true
@@ -592,7 +593,7 @@ func TestGroupCommitRecyclesAcrossAWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := range want {
-		if _, ok := tab2.Get(id); !ok {
+		if _, ok := getRow(tab2, id); !ok {
 			t.Fatalf("acked unit %d not replayed", id)
 		}
 	}
@@ -636,7 +637,7 @@ func TestSegmentRotationAndCheckpointTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 200; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
+		if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -678,7 +679,7 @@ func TestSyncNoneSyncsNoDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := int64(0); d.Stats().Rotations == 0; i++ {
-			if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
+			if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -700,7 +701,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.Insert(rowOf(tab, map[string]any{"id": int64(1), "val": "keep", "ts": time.Unix(0, 0).UTC()})); err != nil {
+	if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": int64(1), "val": "keep", "ts": time.Unix(0, 0).UTC()})); err != nil {
 		t.Fatal(err)
 	}
 	want := snapshotOf(t, d.DB)
@@ -751,7 +752,7 @@ func TestTornClosedSegmentRefusesOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); d.Stats().Rotations == 0 || i%4 != 0; i++ {
-		if err := tab.Insert(rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
+		if err := insertRow(d.DB, tab, rowOf(tab, map[string]any{"id": i, "val": "rotate-me-please", "ts": time.Unix(0, 0).UTC()})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -773,4 +774,33 @@ func TestTornClosedSegmentRefusesOpen(t *testing.T) {
 	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "log gap") {
 		t.Fatalf("Open over a torn closed segment: %v, want a log gap refused", err)
 	}
+}
+
+// insertRow, updateRow and deleteRow write one row of tab in a unit of
+// its own, and getRow copies one out of a visit: the one-row writes and
+// point read of these tests. The writes copy what they are given, so a
+// caller may reuse its rows.
+func insertRow(db *store.DB, tab *store.Table, r store.Row) error {
+	return db.Unit(context.Background(), func(u *store.Tx) error { return u.Insert(tab.Schema().Name, r.Clone()) })
+}
+
+func updateRow(db *store.DB, tab *store.Table, ch store.Row, key ...any) error {
+	return db.Unit(context.Background(), func(u *store.Tx) error { return u.Update(tab.Schema().Name, ch.Clone(), key...) })
+}
+
+func deleteRow(db *store.DB, tab *store.Table, key ...any) error {
+	return db.Unit(context.Background(), func(u *store.Tx) error { return u.Delete(tab.Schema().Name, key...) })
+}
+
+func getRow(tab *store.Table, key ...any) (row store.Row, ok bool) {
+	ok = tab.View(func(r store.Row) { row = r.Clone() }, key...)
+	return row, ok
+}
+
+// allRows copies every row of tab out of a visit, ordered by their text.
+func allRows(tab *store.Table) []store.Row {
+	var rows []store.Row
+	tab.ViewAll(func(r store.Row) { rows = append(rows, r.Clone()) })
+	slices.SortFunc(rows, func(a, b store.Row) int { return strings.Compare(a.String(), b.String()) })
+	return rows
 }

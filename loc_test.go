@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18388
-	allTreeLines   = 21279
+	cmdLineCeiling = 18327
+	allTreeLines   = 21244
 )
 
 // cmdDeps runs `go list -deps ./cmd/...` with format over the non-standard
