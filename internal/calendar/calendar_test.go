@@ -36,8 +36,8 @@ type world struct {
 	routeTTL time.Duration
 	// wrapNet, when set before addUser, stands between the user's node and net.
 	wrapNet func(transport.Network) transport.Network
-	// lost holds, by sender, the users a sender's links.Mark is lost to
-	// (loseMarks).
+	// lost holds, by sender, the users a sender's reservation requests
+	// are lost to (loseMarks).
 	lost sync.Map
 }
 
@@ -119,12 +119,16 @@ func (w *world) network(user string) transport.Network {
 	return markLoser{Network: n, w: w, from: user}
 }
 
-// loseMarks makes every links.Mark from's node sends to one of to fail
-// as unavailable before it leaves; with no to, from's marks go out again.
+// loseMarks makes every links.Mark and links.Commit from's node sends to
+// one of to fail as unavailable before it leaves (transport.NotSent);
+// with no to, they go out again. A two-phase negotiation sends no Commit
+// where its Mark was lost, so the Commits this loses are a one-phase
+// reserve's, which has no Mark to lose: either way the target is never
+// asked, and ends up missing.
 func (w *world) loseMarks(from string, to ...string) { w.lost.Store(from, to) }
 
 // markLoser is a world node's network: it loses the node's links.Mark
-// requests as loseMarks says.
+// and links.Commit requests as loseMarks says.
 type markLoser struct {
 	transport.Network
 	w    *world
@@ -132,9 +136,9 @@ type markLoser struct {
 }
 
 func (n markLoser) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
-	if to, ok := n.w.lost.Load(n.from); ok && req.Method == "Mark" &&
+	if to, ok := n.w.lost.Load(n.from); ok && (req.Method == "Mark" || req.Method == "Commit") &&
 		slices.ContainsFunc(to.([]string), func(u string) bool { return req.Service == links.ServiceFor(u) }) {
-		return nil, &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: mark lost"}
+		return nil, transport.NotSent(&wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: " + req.Method + " lost"})
 	}
 	return n.Network.Call(ctx, addr, req)
 }

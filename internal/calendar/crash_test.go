@@ -213,14 +213,47 @@ func TestCrashAtEveryLogRecord(t *testing.T) {
 // device holds the rows of testdata/cancel.golden, as if nothing had been
 // lost.
 func TestRedeliveryAfterCrashConverges(t *testing.T) {
+	redeliveryAfterCrash(t, calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Supervisors: []string{"d"},
+	}, func(t *testing.T, got string) { wantState(t, "cancel", got) })
+}
+
+// TestRedeliveryAfterCrashConvergesTwoPhase: the same crashes when b and
+// c are a pair that must both come (an or-group with k = 2), reserved in
+// two phases: b crashes with its mark granted and its Commit lost. After
+// the cancel every device holds the rows the same meeting leaves with
+// nothing lost.
+func TestRedeliveryAfterCrashConvergesTwoPhase(t *testing.T) {
+	req := calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true,
+		OrGroups: []calendar.OrGroup{{Members: []string{"b", "c"}, K: 2}}, Supervisors: []string{"d"},
+	}
+	clean := newWorld(t, "a", "b", "c", "d")
+	m, err := clean.cals["a"].SetupMeeting(ctxBg(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clean.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
+		t.Fatal(err)
+	}
+	want := deviceState(t, clean, meetingIDs(m), "a", "b", "c", "d")
+	redeliveryAfterCrash(t, req, func(t *testing.T, got string) {
+		if got != want {
+			t.Errorf("device state differs from a run that lost nothing\n--- got\n%s--- want\n%s", got, want)
+		}
+	})
+}
+
+// redeliveryAfterCrash runs TestRedeliveryAfterCrashConverges's crashes
+// for req, a's meeting with b, and hands the rows every device holds
+// after the cancel to check.
+func redeliveryAfterCrash(t *testing.T, req calendar.Request, check func(t *testing.T, state string)) {
 	w := newWorld(t, "a", "c", "d")
 	dir := t.TempDir()
 	w.addDurable("b", dir)
 
 	commitsLostTo(w, "b")
-	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
-		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Supervisors: []string{"d"},
-	})
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +295,7 @@ func TestRedeliveryAfterCrashConverges(t *testing.T) {
 		t.Fatalf("the sweep resolved %d rows, want 1", n)
 	}
 	wantOwed(t, w)
-	wantState(t, "cancel", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
+	check(t, deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
 }
 
 // wantOwed holds what a's outbox owes to want, in id order.

@@ -3,6 +3,7 @@ package calendar_test
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -143,15 +144,38 @@ func confirmAndCompare(t *testing.T, w *world, m *calendar.Meeting) {
 	}
 }
 
-// setupOrGroup schedules a's meeting at day1 10:00 with c as a must and b
-// as the one member of an or-group, its links expiring in a day: b's
-// Commit carries or-groups, which travel as JSON text inside the typed
-// record, and the expiry beside it.
-func setupOrGroup(t *testing.T, w *world) *calendar.Meeting {
+// setupOrGroup schedules a's meeting at day1 10:00 with c as a must and
+// members as an or-group that wants them all, its links expiring in a
+// day: b's Commit carries or-groups, which travel as JSON text inside the
+// typed record, and the expiry beside it. A group of two or more is
+// reserved in two phases, a group of one in one.
+func setupOrGroup(t *testing.T, w *world, members ...string) *calendar.Meeting {
 	t.Helper()
 	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
 		Title: "review <q&a>", Day: day1, Hour: 10, PinSlot: true, Must: []string{"c"},
-		OrGroups: []calendar.OrGroup{{Name: "g<&>", Members: []string{"b"}, K: 1}}, Expires: w.clk.Now().Add(24 * time.Hour),
+		OrGroups: []calendar.OrGroup{{Name: "g<&>", Members: members, K: len(members)}}, Expires: w.clk.Now().Add(24 * time.Hour),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// setupPair schedules a's meeting at day1 10:00 with b and c as an
+// or-group that wants both, so their reserve marks them both (each must
+// is reserved on its own Check, in one phase, with no mark).
+func setupPair(t *testing.T, w *world) *calendar.Meeting {
+	t.Helper()
+	return setupPairExpiring(t, w, time.Time{})
+}
+
+// setupPairExpiring is setupPair with the meeting's links expiring at
+// expires (zero: never).
+func setupPairExpiring(t *testing.T, w *world, expires time.Time) *calendar.Meeting {
+	t.Helper()
+	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
+		Title: "review", Day: day1, Hour: 10, PinSlot: true,
+		OrGroups: []calendar.OrGroup{{Members: []string{"b", "c"}, K: 2}}, Expires: expires,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +184,7 @@ func setupOrGroup(t *testing.T, w *world) *calendar.Meeting {
 }
 
 // wantExpiry holds user's link of m to the expiry setupOrGroup and
-// setupBCExpiring give it.
+// setupPairExpiring give it.
 func wantExpiry(t *testing.T, w *world, user string, m *calendar.Meeting, setup time.Time) {
 	t.Helper()
 	if l, ok := w.cals[user].Links().GetLink(m.LinkID); !ok || !l.Expires.Equal(setup.Add(24*time.Hour)) {
@@ -194,7 +218,7 @@ func TestLostCommitAckInstallsOnce(t *testing.T) {
 		w.wrapNet = onRequests(loseFirstAck())
 		w.addUser("b", 0)
 		setup := w.clk.Now()
-		m := setupOrGroup(t, w)
+		m := setupOrGroup(t, w, "b")
 		if m.Status != calendar.StatusTentative || m.Satisfied() {
 			t.Fatalf("meeting = %+v, want tentative short of the or-group", m)
 		}
@@ -206,25 +230,15 @@ func TestLostCommitAckInstallsOnce(t *testing.T) {
 	})
 }
 
-// setupBCExpiring is setupBC with the meeting's links expiring in a day.
-func setupBCExpiring(t *testing.T, w *world) *calendar.Meeting {
-	t.Helper()
-	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
-		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"}, Expires: w.clk.Now().Add(24 * time.Hour),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // TestSilentCoordinatorInstallsFromOutcome: the Commit never reaches b.
 // b's own sweep asks a, hears "commit" with the journaled arguments, and
 // installs slot, link (promoting the tentative row a queued) and record
 // from them, the record the initiator decided byte for byte; a's late
-// Commit is a duplicate. b is a must, or an or-group's member, the links
-// expiring or not; the link b promotes takes the expiry the Commit
-// carried, as c's, installed by its Commit, does.
+// Commit is a duplicate. b holds a mark to ask about, so its reserve is
+// two-phase: b is one of a pair that must both come (an or-group with
+// k = 2), or one of such a pair beside a must, the links expiring or
+// not; the link b promotes takes the expiry the Commit carried, as c's,
+// installed by its Commit, does.
 func TestSilentCoordinatorInstallsFromOutcome(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -232,12 +246,16 @@ func TestSilentCoordinatorInstallsFromOutcome(t *testing.T) {
 		reserved []string // as b's Commit decided it
 		expiring bool
 	}{
-		{"musts", setupBC, []string{"a", "b", "c"}, false},
-		{"musts with expiry", setupBCExpiring, []string{"a", "b", "c"}, true},
-		{"or-group with expiry", setupOrGroup, []string{"a", "c", "b"}, true},
+		{"musts", setupPair, []string{"a", "b", "c"}, false},
+		{"musts with expiry", func(t *testing.T, w *world) *calendar.Meeting {
+			return setupPairExpiring(t, w, w.clk.Now().Add(24*time.Hour))
+		}, []string{"a", "b", "c"}, true},
+		{"or-group with expiry", func(t *testing.T, w *world) *calendar.Meeting {
+			return setupOrGroup(t, w, "b", "d")
+		}, []string{"a", "c", "b", "d"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := newWorld(t, "a", "b", "c")
+			w := newWorld(t, "a", "b", "c", "d")
 			commitsLostTo(w, "b")
 			setup := w.clk.Now()
 			m := tc.setup(t, w)
@@ -265,12 +283,24 @@ func TestSilentCoordinatorInstallsFromOutcome(t *testing.T) {
 // TestLateCommitInstallsAllOrNone: b's mark lapses (lock expired, not
 // stolen) before the Commit arrives. The late commit re-checks the slot:
 // still free, and slot, link and record all land; taken meanwhile, and
-// none of them does.
+// none of them does. b and c are a pair that must both come, which is
+// reserved in two phases.
 func TestLateCommitInstallsAllOrNone(t *testing.T) {
+	lateCommitInstallsAllOrNone(t, setupPair)
+}
+
+// TestLateCommitInstallsAllOrNoneOnePhase: the same delay when b and c
+// are musts, reserved in one phase: b's Commit left and was lost, and the
+// redriven one locks, checks and applies all or nothing.
+func TestLateCommitInstallsAllOrNoneOnePhase(t *testing.T) {
+	lateCommitInstallsAllOrNone(t, setupBC)
+}
+
+func lateCommitInstallsAllOrNone(t *testing.T, setup func(*testing.T, *world) *calendar.Meeting) {
 	t.Run("all", func(t *testing.T) {
 		w := newWorld(t, "a", "b", "c")
 		commitsLostTo(w, "b")
-		m := setupBC(t, w)
+		m := setup(t, w)
 		w.clk.Advance(markTTL + time.Second)
 		w.nodes["a"].Links.SetCommitFault(nil)
 		retryCommits(t, w)
@@ -279,7 +309,7 @@ func TestLateCommitInstallsAllOrNone(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		w := newWorld(t, "a", "b", "c")
 		commitsLostTo(w, "b")
-		m := setupBC(t, w)
+		m := setup(t, w)
 		w.clk.Advance(markTTL + time.Second)
 		if err := w.cals["b"].MarkBusy(m.Slot, "dentist", 0); err != nil {
 			t.Fatal(err)
@@ -304,10 +334,23 @@ func TestLateCommitInstallsAllOrNone(t *testing.T) {
 // TestParticipantRestartBetweenMarkAndCommit: b restarts after granting
 // its mark — lock table and pending marks are gone. The redriven Commit
 // takes the late-commit path on the new process and installs all three.
+// b and c are a pair that must both come, which is reserved in two
+// phases.
 func TestParticipantRestartBetweenMarkAndCommit(t *testing.T) {
+	participantRestartBeforeCommit(t, setupPair)
+}
+
+// TestParticipantRestartBeforeOnePhaseCommit: b restarts while its
+// one-phase Commit is lost; the redriven one locks, checks and applies on
+// the new process and installs all three.
+func TestParticipantRestartBeforeOnePhaseCommit(t *testing.T) {
+	participantRestartBeforeCommit(t, setupBC)
+}
+
+func participantRestartBeforeCommit(t *testing.T, setup func(*testing.T, *world) *calendar.Meeting) {
 	w := newWorld(t, "a", "b", "c")
 	commitsLostTo(w, "b")
-	m := setupBC(t, w)
+	m := setup(t, w)
 
 	node := w.nodes["b"]
 	lm2, err := links.NewManager("b", node.DB, node.Engine, w.clk)
@@ -325,4 +368,70 @@ func TestParticipantRestartBetweenMarkAndCommit(t *testing.T) {
 		t.Fatalf("%d locks left at restarted b", n)
 	}
 	wantInstalled(t, w, "b", m, decidedRecord(t, m))
+}
+
+// beforeSend is a wrapNet that hands every request a node sends to
+// before, before it leaves.
+type beforeSend struct {
+	transport.Network
+	before func(req *transport.Request)
+}
+
+func (n beforeSend) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
+	n.before(req)
+	return n.Network.Call(ctx, addr, req)
+}
+
+// TestPartitionedMustEndsMissingAndQueued: b is cut off from a while a
+// reserves it, so b's one-phase Commit never leaves a, and the cut heals
+// before a publishes the record. b ends as a refused Mark left it: a
+// lists it missing, b queues its own tentative link on the record, and
+// a owes nothing. Sweeps on every device after the heal change none of
+// it: no Commit is left that could still apply at b.
+func TestPartitionedMustEndsMissingAndQueued(t *testing.T) {
+	w := newWorld(t)
+	w.wrapNet = func(n transport.Network) transport.Network {
+		return beforeSend{Network: n, before: func(req *transport.Request) {
+			if req.Caller == "a" && req.Method == "MeetingUpdate" {
+				w.net.Heal("a", "node-b")
+			}
+		}}
+	}
+	for _, u := range []string{"a", "b", "c"} {
+		w.addUser(u, 0)
+	}
+	w.net.Partition("a", "node-b") // the sim keys a cut by caller and address
+	m := setupBC(t, w)
+	if m.Status != calendar.StatusTentative || !slices.Equal(m.Missing, []string{"b"}) {
+		t.Fatalf("meeting = %+v, want tentative with b missing", m)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := w.slotMeeting("b", m.Slot); got != "" {
+			t.Errorf("%s: b slot = %q, want it free", when, got)
+		}
+		all := w.linkRows("b")
+		if len(all) != 1 || all[0].ID != m.LinkID || all[0].Subtype != links.Tentative {
+			t.Errorf("%s: b link rows = %+v, want one tentative %s", when, all, m.LinkID)
+		}
+		if got, want := rawRecord(t, w, "b", m.ID), rawRecord(t, w, "a", m.ID); got != want {
+			t.Errorf("%s: b record = %s\nwant the initiator's %s", when, got, want)
+		}
+		for u, n := range w.nodes {
+			if l, p, j := n.Links.Locks.Len(), n.Links.PendingMarks(), n.Links.JournalPending(); l != 0 || p != 0 || len(j) != 0 {
+				t.Errorf("%s: %s has %d locks, %d pending marks, journal %v", when, u, l, p, j)
+			}
+		}
+	}
+	check("after setup")
+	for i := 0; i < 3; i++ {
+		w.clk.Advance(time.Minute)
+		for _, u := range []string{"a", "b", "c"} {
+			w.nodes[u].Links.FaultSweep(ctxBg(), w.clk.Now())
+		}
+	}
+	check("after the sweeps")
+	if rec, _ := w.cals["a"].Meeting(m.ID); rec.Status != calendar.StatusTentative || !slices.Equal(rec.Missing, []string{"b"}) {
+		t.Errorf("a's record after the sweeps = %+v, want b still missing", rec)
+	}
 }

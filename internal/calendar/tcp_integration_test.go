@@ -129,16 +129,18 @@ func newTCPWorld(t *testing.T, wrap func(transport.HandlerFunc) transport.Handle
 // cost: three nodes, each on its own default-constructed transport as
 // sydnode and sydload build it, all counting into one WireStats. Once
 // each connection to a peer has carried a call, a 3-party schedule +
-// cancel is one Mark, one Commit and one DeleteLink per participant —
-// 12 frames — in format v4: 888 B, the names in them being references
-// into each connection's name table, each Commit's meeting record typed
+// cancel is one Commit and one DeleteLink per participant — 8 frames —
+// in format v4: 616 B, the names in them being references into each
+// connection's name table, each Commit's meeting record typed
 // arguments, each length prefix a byte or two, each reply its typed
 // result and each id its tag, the 13-character prefix and the counter
 // in base 36 after its length digit. The counter is the one every
 // ordered id of the process shares, so the figure is that of 1-digit
-// counters, as a run of this test alone has them, and each of the 18
-// ids the op sends is a byte longer per further digit (906, 924 and
-// 938 B with 2, 3 and 4). With 31-byte link and negotiation ids and
+// counters, as a run of this test alone has them, and each of the 10
+// ids the op sends is a byte longer per further digit, as each of its 2
+// lock tokens is per further digit of the token counter (628 B with 2
+// and 2, 640 B with 3 and 3). With a Mark before each Commit it was 12
+// frames and 888 B (18 ids: 906, 924 and 938 B with 2, 3 and 4 digits). With 31-byte link and negotiation ids and
 // 27-byte meeting ids, counters zero-padded to 12 digits, it was 1060 B;
 // with 4-byte prefixes and results as JSON text too, 1148-1152 B (the
 // ids' varints vary); while the record rode as its JSON text, 1354 B,
@@ -178,22 +180,26 @@ func TestTCPDefaultWireCost(t *testing.T) {
 	before := stats.Snapshot()
 	digits := counterDigits(meet(10))
 	after := stats.Snapshot()
+	toks := tokenDigits(t, cals["phil"])
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	if limit := 908 + 18*(digits-1); frames != 12 || bytes > limit {
-		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 12 frames, <= %d B", frames, bytes, limit)
+	if limit := 616 + 10*(digits-1) + 2*(toks-1); frames != 8 || bytes > limit {
+		t.Fatalf("schedule + cancel on warm default transports: %d frames, %d B; want 8 frames, <= %d B", frames, bytes, limit)
 	}
-	t.Logf("schedule + cancel: %d frames, %d B (ids' counters %d digits)", frames, bytes, digits)
+	t.Logf("schedule + cancel: %d frames, %d B (ids' counters %d digits, tokens' %d)", frames, bytes, digits, toks)
 }
 
 // TestTCPTentativeWireCost holds the tentative path to its measured cost
 // on the same deployment: a must that cannot give its slot is sent its
-// refused Mark and one record push, on which it queues its own link, so a
-// 3-party schedule with one busy must is 2 Marks, 1 Commit and 1
-// MeetingUpdate — 8 frames, 761 B with 2-digit id counters on
-// connections whose name tables are warm, the Commit and the push each
-// carrying the record as typed arguments, and a byte more for each of
-// its 12 ids per further counter digit (as in TestTCPDefaultWireCost).
-// It was 869 B with padded ids, 919 B with 4-byte length prefixes and
+// refused Commit and one record push, on which it queues its own link,
+// and the must that could is pushed the final record over the one its
+// Commit carried (as if both accepted), so a 3-party schedule with one
+// busy must is 2 Commits and 2 MeetingUpdates — 8 frames, 894 B with
+// 1-digit id and token counters on connections whose name tables are
+// warm, each Commit and push carrying the record as typed arguments,
+// and a byte more for each of its 12 ids and 2 tokens per further digit
+// of their counters (as in TestTCPDefaultWireCost; 922 B with 3 and 3). With 2 Marks, 1 Commit and 1 MeetingUpdate
+// it was 8 frames and 761 B with 2-digit counters (12 ids), 869 B with
+// padded ids, 919 B with 4-byte length prefixes and
 // results as JSON text too, and 1145 B with the record as JSON text as
 // well, where asking the busy device for its links and sending it one to
 // add made it 12 frames and 2500 B. When the busy must's slot frees, its
@@ -245,11 +251,11 @@ func TestTCPTentativeWireCost(t *testing.T) {
 	m = schedule(10)
 	after := stats.Snapshot()
 	frames, bytes := after.FramesSent-before.FramesSent, after.BytesSent-before.BytesSent
-	digits := counterDigits(m.ID)
-	if limit := 780 + 12*(digits-2); frames != 8 || bytes > limit {
+	digits, toks := counterDigits(m.ID), tokenDigits(t, cals["phil"])
+	if limit := 894 + 12*(digits-1) + 2*(toks-1); frames != 8 || bytes > limit {
 		t.Fatalf("tentative schedule on warm default transports: %d frames, %d B; want 8 frames, <= %d B", frames, bytes, limit)
 	}
-	t.Logf("tentative schedule: %d frames, %d B (ids' counters %d digits)", frames, bytes, digits)
+	t.Logf("tentative schedule: %d frames, %d B (ids' counters %d digits, tokens' %d)", frames, bytes, digits, toks)
 
 	before = after
 	confirm(m)
@@ -337,6 +343,19 @@ func TestSimFramesEqualTCP(t *testing.T) {
 // (links.MintOrdered) has. Every ordered id minted near it has as many:
 // they share one counter.
 func counterDigits(id string) int64 { return int64(len(id) - len("M-0000000000000-0")) }
+
+// tokenDigits is how many base-36 digits the process's lock-token
+// counter has: the length, less its prefix, of a token c's lock table
+// mints now, after the op measured, whose tokens are no longer.
+func tokenDigits(t *testing.T, c *calendar.Calendar) int64 {
+	t.Helper()
+	tok, ok := c.Links().Locks.TryLock("token-probe", "test")
+	if !ok {
+		t.Fatal("token probe: locked")
+	}
+	c.Links().Locks.Unlock("token-probe", tok)
+	return int64(len(tok) - len("0000000000000-"))
+}
 
 // TestTCPAuthenticatedService exercises the §5.4 auth path over real
 // sockets.

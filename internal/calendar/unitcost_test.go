@@ -122,9 +122,11 @@ func TestUnitCostScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// b: the record a pushed and the tentative link b queues on it, one
-		// unit (nothing link-managed blocks the slot, so no waiting row).
-		units.take(t, "setup", map[string]string{"a": "4/5", "b": "1/2", "c": "1/4"})
+		// b: its refused Commit's token decided aborted | the record a pushed
+		// and the tentative link b queues on it, one unit (nothing
+		// link-managed blocks the slot, so no waiting row). c: its Commit |
+		// the final record pushed over the one the Commit carried.
+		units.take(t, "setup", map[string]string{"a": "4/5", "b": "2/3", "c": "2/5"})
 		wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 
 		if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {
@@ -149,8 +151,10 @@ func TestUnitCostScenarios(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		// b: the record and the tentative link waiting on the blocker's.
-		units.take(t, "setup", map[string]string{"a": "4/5", "b": "2/7", "c": "1/4", "x": "4/5"})
+		// b: the blocker's Commit | the refused Commit's token | the record
+		// and the tentative link waiting on the blocker's. c: its Commit |
+		// the final record.
+		units.take(t, "setup", map[string]string{"a": "4/5", "b": "3/8", "c": "2/5", "x": "4/5"})
 		if err := w.cals["x"].CancelMeeting(ctxBg(), blocker.ID); err != nil {
 			t.Fatal(err)
 		}

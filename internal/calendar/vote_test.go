@@ -40,132 +40,197 @@ func (l windowLog) LogTx(ops []store.LoggedOp) store.Ack {
 // behind it, and C's schedule wants u at 10:00 just as B is cancelled.
 // Whoever gets the slot's lock first gets the slot, whole: one meeting
 // in cal_slots, only that one listing u reserved, one permanent back
-// link, the loser queued behind it.
+// link, the loser queued behind it. C wants u and w as an or-group that
+// wants both, so its reserve marks them.
 func TestDoubleBookingPromoteVsMark(t *testing.T) {
-	type order struct {
-		name string
-		// C's request on top of "u and w at 10:00", and whether it is sent
-		// before the cancel or in the window its deletion opens at u.
-		prio      int
-		bump      bool
-		inWindow  bool
-		wantAtU   string // "A" or "C"
-		wantMarkC bool   // C's mark is granted at u
-	}
-	for _, o := range []order{
+	both := []calendar.OrGroup{{Members: []string{"u", "w"}, K: 2}}
+	for _, o := range []bookingOrder{
 		// C's Mark lands once B's link is gone and the slot is free, before
 		// anything is promoted: it finds the slot locked for A.
-		{name: "the offer's lock first", inWindow: true, wantAtU: "A"},
+		{name: "the offer's lock first", groups: both, inWindow: true, wantAtU: "A"},
 		// C holds u's slot lock before the cancel arrives (it may bump B), so
 		// the deletion can lock the slot for nobody.
-		{name: "C's Mark first", prio: 9, bump: true, wantAtU: "C", wantMarkC: true},
+		{name: "C's Mark first", groups: both, prio: 9, bump: true, wantAtU: "C", wantMarkC: true},
 	} {
-		t.Run(o.name, func(t *testing.T) {
-			w := newWorld(t, "a", "b", "c", "u", "w")
-			at := slot(day1, 10)
-			schedule := func(init, title string, req calendar.Request) *calendar.Meeting {
-				t.Helper()
-				req.Title, req.Day, req.Hour, req.PinSlot = title, at.Day, at.Hour, true
-				m, err := w.cals[init].SetupMeeting(ctxBg(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			mb := schedule("b", "B", calendar.Request{Must: []string{"u"}})
-			ma := schedule("a", "A", calendar.Request{Must: []string{"u"}})
-			if l, ok := w.nodes["u"].Links.GetLink(ma.LinkID); !ok || l.WaitingOn != mb.LinkID {
-				t.Fatalf("A's link at u = %+v, want it waiting on B's", l)
-			}
-
-			// C is parked before its Commits, its marks granted or refused.
-			parked, release := make(chan struct{}), make(chan struct{})
-			var once sync.Once
-			w.nodes["c"].Links.SetCommitFault(func(string, links.EntityRef) error {
-				once.Do(func() { close(parked) })
-				<-release
-				return nil
-			})
-			var mc *calendar.Meeting
-			done := make(chan struct{})
-			startC := func() {
-				go func() {
-					defer close(done)
-					var err error
-					mc, err = w.cals["c"].SetupMeeting(ctxBg(), calendar.Request{
-						Title: "C", Day: at.Day, Hour: at.Hour, PinSlot: true,
-						Must: []string{"u", "w"}, Priority: o.prio, AllowBump: o.bump,
-					})
-					if err != nil {
-						t.Errorf("C: %v", err)
-					}
-				}()
-				<-parked
-			}
-			if o.inWindow {
-				w.nodes["u"].DB.SetLogger(windowLog{open: sync.OnceFunc(startC)})
-			} else {
-				startC()
-			}
-
-			if err := w.cals["b"].CancelMeeting(ctxBg(), mb.ID); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-parked:
-			default:
-				t.Fatal("B's cancel never deleted a link row at u")
-			}
-			// The promotion has run, and the only lock that can be left at u
-			// is C's mark. While it holds the slot's lock, nobody else may
-			// have written the slot.
-			held := w.nodes["u"].Links.Locks.Len() == 1
-			if got := w.slotMeeting("u", at); held && got != "" {
-				t.Errorf("u's slot reads %q while C's mark holds its lock: written without the lock", got)
-			}
-			if held != o.wantMarkC {
-				t.Errorf("C's mark at u granted = %v, want %v", held, o.wantMarkC)
-			}
-			close(release)
-			<-done
-			if mc == nil {
-				t.FailNow()
-			}
-
-			win, lose := ma, mc
-			if o.wantAtU == "C" {
-				win, lose = mc, ma
-			}
-			if got := w.slotMeeting("u", at); got != win.ID {
-				t.Errorf("u's slot = %q, want %s's %s", got, o.wantAtU, win.ID)
-			}
-			for _, m := range []*calendar.Meeting{win, lose} {
-				rec, _ := w.cals[m.Initiator].Meeting(m.ID)
-				if got, want := containsStr(rec.Reserved, "u"), m == win; got != want {
-					t.Errorf("%s lists u reserved = %v, want %v (%+v)", m.Title, got, want, rec)
-				}
-				if m == lose && (rec.Status != calendar.StatusTentative || !containsStr(rec.Missing, "u")) {
-					t.Errorf("the loser %s = %+v, want it tentative with u missing", m.Title, rec)
-				}
-			}
-			for _, l := range w.linkRows("u") {
-				switch {
-				case l.ID == win.LinkID && l.Subtype == links.Permanent:
-				case l.ID == lose.LinkID && l.Subtype == links.Tentative && l.WaitingOn == win.LinkID:
-				default:
-					t.Errorf("u's link row %+v: want %s's permanent and %s's tentative, waiting on it", l, win.Title, lose.Title)
-				}
-			}
-			if n := len(w.linkRows("u")); n != 2 {
-				t.Errorf("u holds %d link rows, want 2", n)
-			}
-			for u, n := range w.nodes {
-				if l, p, j := n.Links.Locks.Len(), n.Links.PendingMarks(), n.Links.JournalPending(); l != 0 || p != 0 || len(j) != 0 {
-					t.Errorf("%s: %d locks, %d pending marks, journal %v left", u, l, p, j)
-				}
-			}
-		})
+		t.Run(o.name, func(t *testing.T) { doubleBooking(t, o) })
 	}
+}
+
+// TestDoubleBookingPromoteVsOnePhaseCommit: the same race when C wants u
+// and w as musts, each reserved in one phase by a Commit alone. A Commit
+// that lands at u in the window B's deletion opens finds the slot locked
+// for A and is refused; one applied before the cancel bumps B, and A
+// stays queued behind C.
+func TestDoubleBookingPromoteVsOnePhaseCommit(t *testing.T) {
+	musts := []string{"u", "w"}
+	for _, o := range []bookingOrder{
+		{name: "the offer's lock first", must: musts, inWindow: true, wantAtU: "A"},
+		{name: "C's Commit first", must: musts, prio: 9, bump: true, wantAtU: "C"},
+	} {
+		t.Run(o.name, func(t *testing.T) { doubleBooking(t, o) })
+	}
+}
+
+// bookingOrder is one input of doubleBooking: C's request on top of "at
+// 10:00", and whether it is sent before the cancel or in the window its
+// deletion opens at u.
+type bookingOrder struct {
+	name      string
+	must      []string
+	groups    []calendar.OrGroup
+	prio      int
+	bump      bool
+	inWindow  bool
+	wantAtU   string // "A" or "C"
+	wantMarkC bool   // C's mark is granted at u
+}
+
+func doubleBooking(t *testing.T, o bookingOrder) {
+	// parked is closed once u has answered C's first request (a Mark, or a
+	// one-phase Commit). C's record reaches u only once release is closed.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w := newWorld(t)
+	w.wrapNet = onRequests(func(next transport.HandlerFunc) transport.HandlerFunc {
+		return func(ctx context.Context, req *transport.Request) transport.Response {
+			if req.Caller == "c" && req.Service == calendar.ServiceFor("u") && req.Method == "MeetingUpdate" {
+				<-release
+			}
+			resp := next(ctx, req)
+			if req.Caller == "c" && req.Service == links.ServiceFor("u") && (req.Method == "Mark" || req.Method == "Commit") {
+				once.Do(func() { close(parked) })
+			}
+			return resp
+		}
+	})
+	for _, u := range []string{"a", "b", "c", "u", "w"} {
+		w.addUser(u, 0)
+	}
+	at := slot(day1, 10)
+	schedule := func(init, title string, req calendar.Request) *calendar.Meeting {
+		t.Helper()
+		req.Title, req.Day, req.Hour, req.PinSlot = title, at.Day, at.Hour, true
+		m, err := w.cals[init].SetupMeeting(ctxBg(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	mb := schedule("b", "B", calendar.Request{Must: []string{"u"}})
+	ma := schedule("a", "A", calendar.Request{Must: []string{"u"}})
+	if l, ok := w.nodes["u"].Links.GetLink(ma.LinkID); !ok || l.WaitingOn != mb.LinkID {
+		t.Fatalf("A's link at u = %+v, want it waiting on B's", l)
+	}
+
+	// A two-phase C is held before its Commits, its marks granted or
+	// refused; a one-phase C, which has no marks, runs on, and one sent
+	// before the cancel runs to its end first.
+	switch {
+	case o.groups != nil:
+		w.nodes["c"].Links.SetCommitFault(func(string, links.EntityRef) error {
+			<-release
+			return nil
+		})
+	case !o.inWindow:
+		close(release)
+	}
+	var mc *calendar.Meeting
+	done := make(chan struct{})
+	startC := func() {
+		go func() {
+			defer close(done)
+			var err error
+			mc, err = w.cals["c"].SetupMeeting(ctxBg(), calendar.Request{
+				Title: "C", Day: at.Day, Hour: at.Hour, PinSlot: true,
+				Must: o.must, OrGroups: o.groups, Priority: o.prio, AllowBump: o.bump,
+			})
+			if err != nil {
+				t.Errorf("C: %v", err)
+			}
+		}()
+		<-parked
+		if o.groups == nil && !o.inWindow {
+			<-done
+		}
+	}
+	if o.inWindow {
+		w.nodes["u"].DB.SetLogger(windowLog{open: sync.OnceFunc(startC)})
+	} else {
+		startC()
+	}
+
+	if err := w.cals["b"].CancelMeeting(ctxBg(), mb.ID); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	default:
+		t.Fatal("B's cancel never deleted a link row at u")
+	}
+	// The promotion has run, and the only lock that can be left at u
+	// is C's mark. While it holds the slot's lock, nobody else may
+	// have written the slot.
+	held := w.nodes["u"].Links.Locks.Len() == 1
+	if got := w.slotMeeting("u", at); held && got != "" {
+		t.Errorf("u's slot reads %q while C's mark holds its lock: written without the lock", got)
+	}
+	if held != o.wantMarkC {
+		t.Errorf("C's mark at u granted = %v, want %v", held, o.wantMarkC)
+	}
+	if o.groups != nil || o.inWindow {
+		close(release)
+	}
+	<-done
+	if mc == nil {
+		t.FailNow()
+	}
+
+	win, lose := ma, mc
+	if o.wantAtU == "C" {
+		win, lose = mc, ma
+	}
+	if got := w.slotMeeting("u", at); got != win.ID {
+		t.Errorf("u's slot = %q, want %s's %s", got, o.wantAtU, win.ID)
+	}
+	for _, m := range []*calendar.Meeting{win, lose} {
+		rec, _ := w.cals[m.Initiator].Meeting(m.ID)
+		if got, want := containsStr(rec.Reserved, "u"), m == win; got != want {
+			t.Errorf("%s lists u reserved = %v, want %v (%+v)", m.Title, got, want, rec)
+		}
+		if m == lose && (rec.Status != calendar.StatusTentative || !wantsUser(rec, "u")) {
+			t.Errorf("the loser %s = %+v, want it tentative with u missing", m.Title, rec)
+		}
+	}
+	for _, l := range w.linkRows("u") {
+		switch {
+		case l.ID == win.LinkID && l.Subtype == links.Permanent:
+		case l.ID == lose.LinkID && l.Subtype == links.Tentative && l.WaitingOn == win.LinkID:
+		default:
+			t.Errorf("u's link row %+v: want %s's permanent and %s's tentative, waiting on it", l, win.Title, lose.Title)
+		}
+	}
+	if n := len(w.linkRows("u")); n != 2 {
+		t.Errorf("u holds %d link rows, want 2", n)
+	}
+	for u, n := range w.nodes {
+		if l, p, j := n.Links.Locks.Len(), n.Links.PendingMarks(), n.Links.JournalPending(); l != 0 || p != 0 || len(j) != 0 {
+			t.Errorf("%s: %d locks, %d pending marks, journal %v left", u, l, p, j)
+		}
+	}
+}
+
+// wantsUser reports whether m still wants user: as a missing must or
+// supervisor, or as a member of an or-group (one m does not hold).
+func wantsUser(m *calendar.Meeting, user string) bool {
+	if containsStr(m.Missing, user) {
+		return true
+	}
+	for _, g := range m.OrGroups {
+		if containsStr(g.Members, user) && !containsStr(m.Reserved, user) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestPromotionRacesSchedules: one canceller, then two at once, against

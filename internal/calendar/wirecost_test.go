@@ -67,6 +67,13 @@ func newCensusWorld(t *testing.T, users ...string) (*world, *rpcCensus) {
 // json.Marshal of the record read from its typed columns as doc.
 func deviceState(t *testing.T, w *world, ids map[string]string, users ...string) string {
 	t.Helper()
+	return renderState(t, w, ids, func(r store.Row) string { return recordText(t, r) }, users...)
+}
+
+// renderState is deviceState with doc, a meeting row's record, rendered
+// by record.
+func renderState(t *testing.T, w *world, ids map[string]string, record func(store.Row) string, users ...string) string {
+	t.Helper()
 	var b strings.Builder
 	for _, u := range users {
 		fmt.Fprintf(&b, "== %s\n", u)
@@ -79,7 +86,7 @@ func deviceState(t *testing.T, w *world, ids map[string]string, users ...string)
 			tab.ViewAll(func(r store.Row) {
 				raw, err := json.Marshal(r)
 				if name == "cal_meetings" {
-					raw, err = json.Marshal(map[string]string{"doc": recordText(t, r), "id": r.Str("id")})
+					raw, err = json.Marshal(map[string]string{"doc": record(r), "id": r.Str("id")})
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -126,8 +133,9 @@ func meetingIDs(ms ...*calendar.Meeting) map[string]string {
 }
 
 // TestWireCostSetupAndCancel: a conflict-free schedule costs each
-// reserved participant one Mark and one Commit, its cancel one
-// DeleteLink — no link install, record push or promotion follows.
+// reserved participant one Commit (each must and supervisor decides
+// alone, so no Mark precedes it), its cancel one DeleteLink — no link
+// install, record push or promotion follows.
 func TestWireCostSetupAndCancel(t *testing.T) {
 	w, census := newCensusWorld(t, "a", "b", "c", "d")
 	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
@@ -136,7 +144,7 @@ func TestWireCostSetupAndCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census.take(t, "setup", map[string]int{"links.Mark": 3, "links.Commit": 3})
+	census.take(t, "setup", map[string]int{"links.Commit": 3})
 	wantState(t, "setup", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d"))
 
 	if err := w.cals["a"].CancelMeeting(ctxBg(), m.ID); err != nil {
@@ -192,9 +200,11 @@ func TestWireCostFind(t *testing.T) {
 	t.Logf("find: %d frames, %d B", frames, bytes)
 }
 
-// TestWireCostTentative: an unreserved participant has no Commit to
-// ride, so it is pushed the record, and that one MeetingUpdate is all it
-// costs: it queues its tentative link itself. When its slot frees up it
+// TestWireCostTentative: an unreserved participant refuses its Commit,
+// so it is pushed the record, and that one MeetingUpdate is all it costs
+// beyond the Commit: it queues its tentative link itself. The reserved
+// one, whose Commit carried the record as if both accepted, is pushed
+// the final record too. When its slot frees up it
 // locks it and says so (SlotAvailable is its vote), the initiator goes
 // straight to the Commit, which promotes that link, and only the
 // participant whose record went stale is pushed one.
@@ -212,7 +222,7 @@ func TestWireCostTentative(t *testing.T) {
 	if m.Status != calendar.StatusTentative {
 		t.Fatalf("status = %s", m.Status)
 	}
-	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 1, "cal.MeetingUpdate": 1})
+	census.take(t, "setup", map[string]int{"links.Commit": 2, "cal.MeetingUpdate": 2})
 	wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 
 	// A round of negotiations while b is still busy asks b, is refused and
@@ -220,7 +230,7 @@ func TestWireCostTentative(t *testing.T) {
 	if got, err := w.cals["a"].TryConfirm(ctxBg(), m.ID); err != nil || got.Status != calendar.StatusTentative {
 		t.Fatalf("TryConfirm with b busy: %+v, %v", got, err)
 	}
-	census.take(t, "try while busy", map[string]int{"links.Mark": 1})
+	census.take(t, "try while busy", map[string]int{"links.Commit": 1})
 	wantState(t, "tentative", deviceState(t, w, meetingIDs(m), "a", "b", "c"))
 
 	if err := w.cals["b"].ReleaseSlot(ctxBg(), slot(day1, 10)); err != nil {
@@ -246,14 +256,14 @@ func TestWireCostTentativeBehindMeeting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census.take(t, "blocker", map[string]int{"links.Mark": 1, "links.Commit": 1})
+	census.take(t, "blocker", map[string]int{"links.Commit": 1})
 	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
 		Title: "review", Day: day1, Hour: 10, PinSlot: true, Must: []string{"b", "c"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 1, "cal.MeetingUpdate": 1})
+	census.take(t, "setup", map[string]int{"links.Commit": 2, "cal.MeetingUpdate": 2})
 	l, ok := w.nodes["b"].Links.GetLink(m.LinkID)
 	if !ok || l.Subtype != links.Tentative || l.WaitingOn != blocker.LinkID {
 		t.Fatalf("b's link = %+v, want tentative waiting on %s", l, blocker.LinkID)
@@ -283,9 +293,10 @@ func TestWireCostTentativeBehindMeeting(t *testing.T) {
 
 // TestTentativeScheduleIsThreeRoundTrips puts TestWireCostTentative's
 // schedule on a clock: with a fixed one-way latency the initiator is back
-// after the Mark wave, the Commit wave and the push — three round trips of
-// simulated time. Looking up the busy must's links and sending it one,
-// each in turn before the push, made it five.
+// after the Commit wave and the two pushes, which go one after the other
+// (b's, and c's, whose Commit carried the record as if b accepted) —
+// three round trips of simulated time. Looking up the busy must's links
+// and sending it one, each in turn before the push, made it five.
 func TestTentativeScheduleIsThreeRoundTrips(t *testing.T) {
 	const oneWay = 20 * time.Millisecond
 	w := newWorld(t)
@@ -304,7 +315,7 @@ func TestTentativeScheduleIsThreeRoundTrips(t *testing.T) {
 		}
 	}
 	// Fill a's route cache, which keeps a route once a call on it succeeds:
-	// b's link service by a Mark b accepts, b's calendar by a record push.
+	// b's link service by a Commit b accepts, b's calendar by a record push.
 	for _, hour := range []int{9, 11} {
 		if _, err := schedule(hour); err != nil {
 			t.Fatal(err)
@@ -321,8 +332,8 @@ func TestTentativeScheduleIsThreeRoundTrips(t *testing.T) {
 		m, err := schedule(10)
 		done <- outcome{m, err}
 	}()
-	// Messages in flight per one-way trip: both Marks and their replies,
-	// c's Commit and its ack, b's record and its ack.
+	// Messages in flight per one-way trip: both Commits and their replies,
+	// b's record and its ack, c's record and its ack.
 	w.flyLegs(idle, oneWay, 2, 2, 1, 1, 1, 1)
 	select {
 	case got := <-done:
@@ -340,9 +351,10 @@ func TestTentativeScheduleIsThreeRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWireCostOrGroup: the must's Commit is decided before the or-group
-// is reserved, so its record is stale and it alone gets a follow-up
-// MeetingUpdate; the group's Commits carry the final record.
+// TestWireCostOrGroup: the must's one-phase Commit is decided before the
+// or-group is reserved, so its record is stale and it alone gets a
+// follow-up MeetingUpdate; the group (k = 2) is marked, and its Commits
+// carry the final record.
 func TestWireCostOrGroup(t *testing.T) {
 	w, census := newCensusWorld(t, "a", "b", "c", "d", "e")
 	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
@@ -352,14 +364,14 @@ func TestWireCostOrGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census.take(t, "setup", map[string]int{"links.Mark": 4, "links.Commit": 4, "cal.MeetingUpdate": 1})
+	census.take(t, "setup", map[string]int{"links.Mark": 3, "links.Commit": 4, "cal.MeetingUpdate": 1})
 	wantState(t, "orgroup", deviceState(t, w, meetingIDs(m), "a", "b", "c", "d", "e"))
 }
 
 // TestWireCostChangeSlot: moving a meeting reserves the new slot with a
-// Mark and a Commit per participant — the Commit installs the new back
-// link and the moved record — and tears the old graph down with one
-// DeleteLink each.
+// Mark and a Commit per participant (all must agree, so each is marked
+// first) — the Commit installs the new back link and the moved record —
+// and tears the old graph down with one DeleteLink each.
 func TestWireCostChangeSlot(t *testing.T) {
 	w, census := newCensusWorld(t, "a", "b", "c")
 	m, err := w.cals["a"].SetupMeeting(ctxBg(), calendar.Request{
@@ -368,7 +380,7 @@ func TestWireCostChangeSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census.take(t, "setup", map[string]int{"links.Mark": 2, "links.Commit": 2})
+	census.take(t, "setup", map[string]int{"links.Commit": 2})
 	if err := w.cals["a"].ChangeMeetingSlot(ctxBg(), m.ID, slot(day1, 14)); err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func (e *Engine) invoke(ctx context.Context, c *call, out any) error {
 func (e *Engine) send(ctx context.Context, c *call, out any) error {
 	if e.admit != nil {
 		if err := e.admit(c.service, c.method); err != nil {
-			return err
+			return transport.NotSent(err)
 		}
 	}
 	var hit *directory.ServiceInfo
@@ -203,7 +203,9 @@ func (e *Engine) send(ctx context.Context, c *call, out any) error {
 // has a route, and sends it. When a call on a route it did not just
 // resolve finds the device unavailable, it asks the directory once
 // more; if the service has moved (a stand-in took the user over, or the
-// device took the user back, §5.2) it sends the call there, once.
+// device took the user back, §5.2) it sends the call there, once. A
+// call that fails unresolved never left (transport.NotSent); one whose
+// first send left fails as that send did when the second never leaves.
 func (e *Engine) resolved(ctx context.Context, c *call, out any) error {
 	known := c.route != nil
 	if !known {
@@ -211,7 +213,7 @@ func (e *Engine) resolved(ctx context.Context, c *call, out any) error {
 		// list, so it skips fetching and decoding it.
 		info, err := e.dir.ResolveService(ctx, c.service)
 		if err != nil {
-			return err
+			return transport.NotSent(err)
 		}
 		c.route = &info
 	}
@@ -225,7 +227,11 @@ func (e *Engine) resolved(ctx context.Context, c *call, out any) error {
 		return err
 	}
 	c.route, c.dest = &info, info.Addr
-	return e.exchange(ctx, c, out)
+	err2 := e.exchange(ctx, c, out)
+	if errors.Is(err2, transport.ErrNotSent) && !errors.Is(err, transport.ErrNotSent) {
+		return err
+	}
+	return err2
 }
 
 // exchange is the transport stage: the credential goes on the request,

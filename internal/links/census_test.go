@@ -152,35 +152,53 @@ func TestRPCCensusAndFailure(t *testing.T) {
 	}
 }
 
-// TestRPCCensusOr pins the parallel mark path's wire cost: an Or over N
-// remote targets that all mark is exactly N Mark + N Commit requests and
-// spans, and its span's step events list the marks in target order,
-// however the concurrent marks finished.
+// TestRPCCensusOr pins the Or paths' wire cost over N remote targets
+// that all accept. With k = 1 each target decides alone, so the reserve
+// is one-phase: exactly N Commit requests and spans and no Mark, its
+// change events in target order. With k = 2 the parallel mark path runs:
+// exactly N Mark + N Commit requests and spans, and the span's mark
+// events list the marks in target order, however the concurrent marks
+// finished.
 func TestRPCCensusOr(t *testing.T) {
-	h, census, col := newCensusHarness(t, "a", "b", "c", "d", "e")
-	targets := refs("e", "s", "b", "s", "d", "s", "c", "s")
-	n := len(targets)
-	if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
-		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
-		Targets: targets, Constraint: links.Or,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	census.want(t, map[string]int{"Mark": n, "Commit": n})
-	if got, want := negotiationSpans(t, col), map[string]int{"links.Mark": n, "links.Commit": n}; !maps.Equal(got, want) {
-		t.Fatalf("spans = %v, want %v", got, want)
-	}
-	var marked, want []string
-	for _, e := range negotiationSteps(t, col) {
-		if e.Name == "mark" {
-			marked = append(marked, attr(e, "entity"))
-		}
-	}
-	for _, ref := range targets {
-		want = append(want, ref.String())
-	}
-	if !slices.Equal(marked, want) {
-		t.Fatalf("mark steps = %v, want target order %v", marked, want)
+	for _, tc := range []struct {
+		name  string
+		k     int
+		phase string
+		want  map[string]int // requests per target, by method
+	}{
+		{"k=1", 1, "change", map[string]int{"Commit": 1}},
+		{"k=2", 2, "mark", map[string]int{"Mark": 1, "Commit": 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, census, col := newCensusHarness(t, "a", "b", "c", "d", "e")
+			targets := refs("e", "s", "b", "s", "d", "s", "c", "s")
+			if _, err := h.nodes["a"].Links.Negotiate(ctxBg(), links.Spec{
+				Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
+				Targets: targets, Constraint: links.Or, K: tc.k,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want, spans := map[string]int{}, map[string]int{}
+			for method, per := range tc.want {
+				want[method], spans["links."+method] = per*len(targets), per*len(targets)
+			}
+			census.want(t, want)
+			if got := negotiationSpans(t, col); !maps.Equal(got, spans) {
+				t.Fatalf("spans = %v, want %v", got, spans)
+			}
+			var stepped, order []string
+			for _, e := range negotiationSteps(t, col) {
+				if e.Name == tc.phase {
+					stepped = append(stepped, attr(e, "entity"))
+				}
+			}
+			for _, ref := range targets {
+				order = append(order, ref.String())
+			}
+			if !slices.Equal(stepped, order) {
+				t.Fatalf("%s steps = %v, want target order %v", tc.phase, stepped, order)
+			}
+		})
 	}
 }
 
@@ -192,7 +210,7 @@ func TestServiceMethods(t *testing.T) {
 		"Abort",           // negotiate.go abortTarget: phase 1 failed, release the mark
 		"AddLink",         // manager.go InstallAt at a remote user
 		"Apply",           // manager.go applyRemote: a subscription trigger's action
-		"Commit",          // negotiate.go commitTargetInner and the journal redrive
+		"Commit",          // negotiate.go commitTargetInner (phase 2, or a one-phase reserve's only request) and the journal redrive
 		"DeleteLink",      // manager.go deliverDelete
 		"DeleteLinkLocal", // calendar meetings.go: a dropped user's own row
 		"Mark",            // negotiate.go markTargetInner: phase 1

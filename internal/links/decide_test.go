@@ -143,23 +143,35 @@ func TestDecideArgsWithoutJSONFormAbort(t *testing.T) {
 // TestDecideArgsLostAckRedrive: the participant applies the Commit, the
 // ack is lost, the sweeper re-sends from the journal. The re-sent Commit
 // is acked as a duplicate: the decision's arguments were applied once.
+// b and c are both marked (an And over two); b's ack is the one lost.
 func TestDecideArgsLostAckRedrive(t *testing.T) {
-	h := newHarness(t, "a")
+	decideArgsLostAckRedrive(t, refs("b", "s", "c", "s"), "s:decided b,c")
+}
+
+// TestDecideArgsLostAckRedriveOnePhase: the same loss when b is the one
+// target and so is sent no Mark: its Commit was written and answered
+// nowhere, stays pending, and its redrive acks as a duplicate.
+func TestDecideArgsLostAckRedriveOnePhase(t *testing.T) {
+	decideArgsLostAckRedrive(t, refs("b", "s"), "s:decided b")
+}
+
+func decideArgsLostAckRedrive(t *testing.T, targets []links.EntityRef, want string) {
+	h := newHarness(t, "a", "c")
 	h.addNode("b", func(c *core.Config) { c.Net = inboundNet{Network: c.Net, wrap: loseFirstAck()} })
 	lm := h.nodes["a"].Links
 	res, err := lm.Negotiate(ctxBg(), links.Spec{
 		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
-		Targets: refs("b", "s"), Constraint: links.And, Decide: decideWho,
+		Targets: targets, Constraint: links.And, Decide: decideWho,
 	})
 	if !links.IsInDoubt(err) || len(res.InDoubt) != 1 {
 		t.Fatalf("err = %v, res = %+v, want b in doubt", err, res)
 	}
-	wantNotes(t, h.nodes["b"], "s:decided b")
+	wantNotes(t, h.nodes["b"], want)
 	h.clk.Advance(time.Second)
 	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 1 {
 		t.Fatalf("RetryCommits resolved %d rows, want 1", n)
 	}
-	wantNotes(t, h.nodes["b"], "s:decided b")
+	wantNotes(t, h.nodes["b"], want)
 	if p := lm.JournalPending(); len(p) != 0 {
 		t.Fatalf("journal not retired: %v", p)
 	}
@@ -167,16 +179,31 @@ func TestDecideArgsLostAckRedrive(t *testing.T) {
 
 // TestDecideArgsSurviveCoordinatorRestart: the Commit never left the
 // coordinator; a fresh manager over the same database redrives it from
-// the journal with the decision's arguments, not the Mark-time ones.
+// the journal with the decision's arguments, not the Mark-time ones. b
+// and c are both marked (an And over two); b's Commit is the one lost.
 func TestDecideArgsSurviveCoordinatorRestart(t *testing.T) {
-	h := newHarness(t, "a", "b")
+	decideArgsSurviveCoordinatorRestart(t, refs("b", "s", "c", "s"), "s:decided b,c")
+}
+
+// TestDecideArgsSurviveCoordinatorRestartOnePhase: the same crash when b
+// is the one target, sent no Mark: the row journaled before any Commit
+// left redrives it.
+func TestDecideArgsSurviveCoordinatorRestartOnePhase(t *testing.T) {
+	decideArgsSurviveCoordinatorRestart(t, refs("b", "s"), "s:decided b")
+}
+
+func decideArgsSurviveCoordinatorRestart(t *testing.T, targets []links.EntityRef, want string) {
+	h := newHarness(t, "a", "b", "c")
 	lm := h.nodes["a"].Links
-	lm.SetCommitFault(func(string, links.EntityRef) error {
-		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected crash"}
+	lm.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		if ref.User == "b" {
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected crash"}
+		}
+		return nil
 	})
 	if _, err := lm.Negotiate(ctxBg(), links.Spec{
 		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
-		Targets: refs("b", "s"), Constraint: links.And, Decide: decideWho,
+		Targets: targets, Constraint: links.And, Decide: decideWho,
 	}); !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)
 	}
@@ -189,29 +216,34 @@ func TestDecideArgsSurviveCoordinatorRestart(t *testing.T) {
 	if n := lm2.RetryCommits(ctxBg(), h.clk.Now()); n != 1 {
 		t.Fatalf("RetryCommits resolved %d rows, want 1", n)
 	}
-	wantNotes(t, h.nodes["b"], "s:decided b")
+	wantNotes(t, h.nodes["b"], want)
 }
 
 // TestDecideArgsFromQueryOutcome: the coordinator stays silent after
 // deciding COMMIT; the participant's own sweep asks, hears "commit" with
 // the journaled arguments and applies those. The coordinator's late
-// Commit is then a duplicate.
+// Commit is then a duplicate. b and c are both marked (an And over two;
+// a one-phase target holds no mark to ask about); b's Commit is the one
+// withheld.
 func TestDecideArgsFromQueryOutcome(t *testing.T) {
-	h := newHarness(t, "a", "b")
+	h := newHarness(t, "a", "b", "c")
 	lm := h.nodes["a"].Links
-	lm.SetCommitFault(func(string, links.EntityRef) error {
-		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected silence"}
+	lm.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		if ref.User == "b" {
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected silence"}
+		}
+		return nil
 	})
 	if _, err := lm.Negotiate(ctxBg(), links.Spec{
 		Action: "note", Args: wire.Args{wire.Str("text", "marked")},
-		Targets: refs("b", "s"), Constraint: links.And, Decide: decideWho,
+		Targets: refs("b", "s", "c", "s"), Constraint: links.And, Decide: decideWho,
 	}); !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)
 	}
 	if n := h.nodes["b"].Links.ResolvePendingMarks(ctxBg(), h.clk.Now()); n != 1 {
 		t.Fatalf("resolved %d marks, want 1", n)
 	}
-	wantNotes(t, h.nodes["b"], "s:decided b")
+	wantNotes(t, h.nodes["b"], "s:decided b,c")
 	if n := h.nodes["b"].Links.Locks.Len(); n != 0 {
 		t.Fatalf("%d locks left at b", n)
 	}
@@ -220,16 +252,17 @@ func TestDecideArgsFromQueryOutcome(t *testing.T) {
 	if n := lm.RetryCommits(ctxBg(), h.clk.Now()); n != 1 {
 		t.Fatalf("RetryCommits resolved %d rows, want 1", n)
 	}
-	wantNotes(t, h.nodes["b"], "s:decided b")
+	wantNotes(t, h.nodes["b"], "s:decided b,c")
 }
 
 // TestArgIntKeepsEveryDigit: an integer argument read back from the log
 // is the integer that was written, not the float nearest it: from a
 // journal record, from a link row's trigger, and on the participant that
-// a Commit redriven from the journal reaches.
+// a Commit redriven from the journal reaches. b and c are both marked
+// (an And over two); b's Commit is the one lost.
 func TestArgIntKeepsEveryDigit(t *testing.T) {
 	const n = 1<<62 + 1 // no float64 holds it
-	h := newHarness(t, "a", "b")
+	h := newHarness(t, "a", "b", "c")
 	var applied []int64
 	h.nodes["b"].Links.RegisterAction("digits", links.Action{
 		Apply: func(_ *store.Tx, _ string, args wire.Args) error {
@@ -237,12 +270,16 @@ func TestArgIntKeepsEveryDigit(t *testing.T) {
 			return nil
 		},
 	})
+	h.nodes["c"].Links.RegisterAction("digits", links.Action{})
 	lm := h.nodes["a"].Links
-	lm.SetCommitFault(func(string, links.EntityRef) error {
-		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected crash"}
+	lm.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		if ref.User == "b" {
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected crash"}
+		}
+		return nil
 	})
 	res, err := lm.Negotiate(ctxBg(), links.Spec{
-		Action: "digits", Args: wire.Args{wire.Int64("n", n)}, Targets: refs("b", "s"), Constraint: links.And,
+		Action: "digits", Args: wire.Args{wire.Int64("n", n)}, Targets: refs("b", "s", "c", "s"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)

@@ -141,18 +141,22 @@ func TestJournalRowRecordsSweepProgress(t *testing.T) {
 // two Commit attempts is a timer on the manager's clock. A sweep whose
 // first attempt finds the target unreachable parks on the fake clock
 // and finishes only once the clock is advanced past retryBase/8: a node
-// on a fake clock has no wall-clock wait left in its sweeps.
+// on a fake clock has no wall-clock wait left in its sweeps. x and y are
+// both marked (an And over two); x's Commit is the one lost.
 func TestRedriveBackoffWaitsOnManagerClock(t *testing.T) {
-	h := newHarness(t, "a", "x")
+	h := newHarness(t, "a", "x", "y")
 	lm := h.nodes["a"].Links
 
-	// The inline Commit is lost, leaving a journal row to redrive.
-	lm.SetCommitFault(func(string, links.EntityRef) error {
-		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+	// The inline Commit to x is lost, leaving a journal row to redrive.
+	lm.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		if ref.User == "x" {
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+		}
+		return nil
 	})
 	_, err := lm.Negotiate(ctxBg(), links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
-		Targets: refs("x", "s"), Constraint: links.And,
+		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)
@@ -218,25 +222,37 @@ func journalAttempts(t *testing.T, h *harness) map[string]int {
 // they were for the next sweep. 40 rows owe x a message x never gets: the
 // first sweep advances the attempts of the 32 that fell due first, the
 // second those of the other 8 (the 32 are then backed off, not due). The
-// rows are commit rows (x's Commits are lost), or commit and delete rows
-// in turn (x is also down for the deletion of a link it shares with a):
-// the sweep takes both kinds by age alike.
+// rows are commit rows (x's Commits are lost; y, marked with x by an And
+// over two, gets its own), or commit and delete rows in turn (x is also
+// down for the deletion of a link it shares with a): the sweep takes both
+// kinds by age alike. A one-phase reserve of x alone journals the same
+// commit rows.
 func TestRetrySweepBound(t *testing.T) {
-	for _, mixed := range []bool{false, true} {
-		name := "commit rows"
-		if mixed {
-			name = "commit and delete rows"
-		}
-		t.Run(name, func(t *testing.T) { retrySweepBound(t, mixed) })
+	for _, tc := range []struct {
+		name    string
+		mixed   bool
+		targets func(entity string) []links.EntityRef
+	}{
+		{"commit rows", false, markedPair},
+		{"commit and delete rows", true, markedPair},
+		{"one-phase commit rows", false, func(entity string) []links.EntityRef { return refs("x", entity) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { retrySweepBound(t, tc.mixed, tc.targets) })
 	}
 }
 
-func retrySweepBound(t *testing.T, mixed bool) {
+// markedPair is x's and y's entity, an And over which is marked.
+func markedPair(entity string) []links.EntityRef { return refs("x", entity, "y", entity) }
+
+func retrySweepBound(t *testing.T, mixed bool, targets func(entity string) []links.EntityRef) {
 	const rows, bound = 40, 32
-	h := newHarness(t, "a", "x")
+	h := newHarness(t, "a", "x", "y")
 	lm := h.nodes["a"].Links
-	lm.SetCommitFault(func(string, links.EntityRef) error {
-		return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+	lm.SetCommitFault(func(_ string, ref links.EntityRef) error {
+		if ref.User == "x" {
+			return &wire.RemoteError{Code: wire.CodeUnavailable, Msg: "injected: unreachable"}
+		}
+		return nil
 	})
 	ids := make([]string, rows)
 	for i := range ids {
@@ -253,7 +269,7 @@ func retrySweepBound(t *testing.T, mixed bool) {
 		} else {
 			res, err := lm.Negotiate(ctxBg(), links.Spec{
 				Action: "reserve", Args: wire.Args{wire.Str("meeting", fmt.Sprintf("M%02d", i))},
-				Targets: refs("x", fmt.Sprintf("s%02d", i)), Constraint: links.And,
+				Targets: targets(fmt.Sprintf("s%02d", i)), Constraint: links.And,
 			})
 			if !links.IsInDoubt(err) {
 				t.Fatalf("negotiation %d: err = %v, want in-doubt", i, err)

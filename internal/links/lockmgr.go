@@ -225,19 +225,6 @@ func (lt *LockTable) Extend(entity, token string) bool {
 	return true
 }
 
-// Holder returns the token recorded for entity's lock and whether that
-// lock is still live. A (token, false) return means the entry expired
-// but has not been re-granted yet.
-func (lt *LockTable) Holder(entity string) (token string, live bool) {
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	e, ok := lt.locks[entity]
-	if !ok {
-		return "", false
-	}
-	return e.token, e.live(lt.clk.Now())
-}
-
 // Len reports the number of live locks. An expired entry is not one,
 // though it stays in the table until it is stolen or a grant sweeps it.
 func (lt *LockTable) Len() int {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -27,8 +28,9 @@ type Spec struct {
 	K          int // k for k-of-n (0 means 1)
 
 	// Decide, if set, runs once the constraint holds, with the marked
-	// targets in mark order. What it returns is merged over Args for the
-	// change at every marked target, so the Commit carries what only the
+	// targets in mark order (a one-phase reserve: with every target, as
+	// if all accept). What it returns is merged over Args for the change
+	// at every marked target, so the Commit carries what only the
 	// decision knows. It is journaled with the COMMIT decision: a redriven
 	// Commit and a QueryOutcome answer apply exactly the same thing. Mark
 	// sees Args alone, and so does Local.
@@ -135,9 +137,17 @@ type markResult struct {
 	voted bool
 }
 
-// Negotiate runs the two-phase mark-and-lock protocol of §4.3.
+// Negotiate runs the mark-and-lock protocol of §4.3.
 //
-// Phase 1 marks (try-locks + condition-checks) the targets:
+// A Spec whose targets each decide alone (no Local, no Vote, and Or with
+// k = 1 or exactly one target) is a one-phase reserve: no Mark is sent,
+// since no target's fate hangs on another's. Its decision is COMMIT for
+// every target, journaled before any Commit leaves; a target that
+// refuses its Commit, or whose Commit never left (transport.ErrNotSent),
+// is Rejected as a refused Mark is, and the reserve fails as a
+// constraint refusal when none accepted and none is pending.
+//
+// Otherwise phase 1 marks (try-locks + condition-checks) the targets:
 // sequentially in global entity order for And (every target must lock,
 // and ordering prevents deadlock between overlapping negotiations),
 // concurrently for Or/Xor (try-locks cannot deadlock and the paper's
@@ -183,7 +193,6 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	if spec.Constraint == "" {
 		spec.Constraint = And
 	}
-
 	// Mark A for change and lock A.
 	var localToken string
 	var local EntityRef
@@ -205,12 +214,24 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	}
 
 	targets := spec.Targets
+	onePhase := spec.Local == nil && spec.Vote == nil && len(targets) > 0 &&
+		(spec.Constraint == Or && k == 1 || len(targets) == 1 && (spec.Constraint == And || k == 1))
 	var marks []markResult
-	if spec.Constraint == And {
+	switch {
+	case onePhase:
+		// Each target decides alone, so a Mark would buy no atomicity and
+		// none is sent: every target counts as marked under a token minted
+		// here, and its Commit locks, checks and applies in one step
+		// (commitLocalToken).
+		marks = make([]markResult, len(targets))
+		for i, ref := range targets {
+			marks[i] = markResult{ref: ref, token: newToken()}
+		}
+	case spec.Constraint == And:
 		targets = append([]EntityRef(nil), targets...) // sorted in a copy: the caller's is theirs
 		sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
 		marks = m.markSequential(ctx, span, res.NID, targets, spec.Action, spec.Args)
-	} else {
+	default:
 		marks = m.markParallel(ctx, span, res.NID, targets, spec.Action, spec.Args)
 	}
 	n := len(targets)
@@ -243,7 +264,7 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 	case Xor:
 		satisfied = locked == k
 	}
-	if span != nil {
+	if span != nil && !onePhase {
 		span.AddEvent("constraint", trace.String("constraint", string(spec.Constraint)),
 			trace.Int("k", k), trace.Int("locked", locked), trace.Int("n", n), trace.Bool("ok", satisfied))
 	}
@@ -339,11 +360,18 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		case err == nil:
 			res.Accepted = append(res.Accepted, tgt.Ref)
 			m.step(span, "unlock", tgt.Ref, nil)
-		case engine.IsTransient(err):
+		case engine.IsTransient(err) && !(onePhase && errors.Is(err, transport.ErrNotSent)):
 			// The Commit (or its ack) was lost: the target may or may
 			// not have applied. The sweeper re-sends until it answers.
 			pendingRefs = append(pendingRefs, tgt.Ref)
 			stillPending = append(stillPending, tgt)
+		case onePhase:
+			// Refused (the token is decided aborted there) or never sent:
+			// the target is left as a refused Mark leaves it, owed nothing.
+			if len(res.Rejected) == 0 {
+				refusal = wire.ReasonOf(err)
+			}
+			res.Rejected = append(res.Rejected, tgt.Ref)
 		default:
 			// Definitive rejection (stale/stolen token, decided
 			// abort): re-sending cannot change it.
@@ -365,6 +393,10 @@ func (m *Manager) negotiate(ctx context.Context, span *trace.Span, spec Spec) (*
 		}
 	}
 
+	if onePhase && len(res.Accepted) == 0 && len(pendingRefs) == 0 {
+		m.count("outcome", wire.CodeConflict)
+		return res, errConstraint(refusal, spec.Constraint, k, 0, n)
+	}
 	if len(pendingRefs) > 0 || len(failedRefs) > 0 {
 		// Phase 2 diverged: never report a clean success.
 		res.InDoubt = pendingRefs
@@ -556,10 +588,10 @@ func (m *Manager) commitTargetInner(ctx context.Context, nid string, ref EntityR
 	}
 	if ref.User == m.self {
 		// Same protocol as the remote Commit handler: duplicate ack,
-		// stale-token rejection, and — crucial after a coordinator
-		// restart wiped the in-memory lock table — the late-commit
-		// path that re-locks and re-runs Check instead of applying
-		// blindly over whatever booked the entity since.
+		// decided-abort rejection, and — for a one-phase reserve, and
+		// crucial after a coordinator restart wiped the in-memory lock
+		// table — the path that locks and runs Check instead of
+		// applying blindly over whatever booked the entity since.
 		return m.commitLocalToken(ctx, ref.Entity, token, nid, action, args, m.self)
 	}
 	callArgs := wire.Args{

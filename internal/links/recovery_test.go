@@ -435,8 +435,10 @@ func TestQueryOutcomePresumedAbort(t *testing.T) {
 // The participant sweeps just before each of the coordinator's sweeps,
 // so it is the first to see any horizon pass. The network heals at 5:10;
 // the next redrive must land, and the participant must hold the change.
+// x and y are both marked (an And over two: a one-phase target holds no
+// mark to presume anything of); only x is cut off.
 func TestPresumeAbortOutlastsRedrive(t *testing.T) {
-	h := newHarness(t, "a", "x")
+	h := newHarness(t, "a", "x", "y")
 	ctx := context.Background()
 	a, x := h.nodes["a"], h.nodes["x"]
 	reg := metrics.NewRegistry()
@@ -456,7 +458,7 @@ func TestPresumeAbortOutlastsRedrive(t *testing.T) {
 	})
 	_, err := a.Links.Negotiate(ctx, links.Spec{
 		Action: "reserve", Args: wire.Args{wire.Str("meeting", "M")},
-		Targets: refs("x", "s"), Constraint: links.And,
+		Targets: refs("x", "s", "y", "s"), Constraint: links.And,
 	})
 	if !links.IsInDoubt(err) {
 		t.Fatalf("err = %v, want in-doubt", err)

@@ -17,15 +17,17 @@ import (
 //   - A token already decided committed acks again (duplicate
 //     delivery — the first Commit's response was lost) without
 //     double-applying.
-//   - A token already decided aborted (explicit Abort or presumed
-//     abort) is rejected.
+//   - A token already decided aborted (explicit Abort, presumed abort,
+//     or a refusal of this very Commit) is rejected.
 //   - A live lock held by the token applies normally.
-//   - An expired lock that was re-granted to another negotiation
-//     is REJECTED — applying would overwrite the thief's claim.
-//   - An expired-but-unstolen (or crash-cleared) lock becomes a
-//     late commit: the entity is re-locked and the action's Check
-//     re-run, so a commit delayed past the TTL still lands when —
-//     and only when — the entity is still compatible with it.
+//   - Any other token holds no lock here: a one-phase reserve's, sent
+//     with no Mark, or a late commit's, whose mark lapsed or was
+//     cleared by a crash. Either locks the entity, runs the action's
+//     Check and applies, in one step, so a commit delayed past the TTL
+//     still lands when — and only when — the entity is compatible with
+//     it. An entity locked by another (a mark's lapsed lock re-granted
+//     included) is refused as lock-held, and a refusal decides the token
+//     aborted: no redrive applies it later.
 func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, action string, args wire.Args, caller string) error {
 	if committed, known := m.decidedOutcome(token); known {
 		return m.alreadyDecided(ctx, entity, committed)
@@ -40,18 +42,10 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		}
 		return err
 	}
-	if holder, live := m.Locks.Holder(entity); live && holder != token {
-		// The mark's TTL lapsed and another negotiation took the
-		// entity: the stale token must not clobber it.
-		m.noteAborted(ctx, token, nid)
-		m.count("commit-stale", wire.CodeConflict)
-		trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "stale-token"))
-		return wire.Refuse(wire.ReasonStaleToken, "links: stale token: lock on %s was re-granted", entity)
-	}
-	// Late commit: no live lock. Re-acquire and re-check before
-	// applying, since the entity may have changed since the mark.
 	tok, ok := m.Locks.TryLock(entity, caller)
 	if !ok {
+		m.noteAborted(ctx, token, nid)
+		trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "unmarked-rejected"))
 		return errLockHeld(entity)
 	}
 	a, err := m.action(action)
@@ -63,19 +57,14 @@ func (m *Manager) commitLocalToken(ctx context.Context, entity, token, nid, acti
 		if err := a.Check(entity, args); err != nil {
 			m.Locks.Unlock(entity, tok)
 			m.noteAborted(ctx, token, nid)
-			m.count("commit-late", wire.CodeConflict)
-			trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "late-commit-rejected"))
+			trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "unmarked-rejected"))
 			return err
 		}
 	}
 	err = m.applyDecided(ctx, entity, token, nid, action, args)
 	m.Locks.Unlock(entity, tok)
-	trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "late-commit"), trace.Bool("ok", err == nil))
-	if err != nil {
-		return err
-	}
-	m.count("commit-late", wire.CodeOK)
-	return nil
+	trace.FromContext(ctx).AddEvent("links.decided", trace.String("kind", "unmarked"), trace.Bool("ok", err == nil))
+	return err
 }
 
 // alreadyDecided answers a Commit for a decided token: a duplicate of
@@ -126,8 +115,9 @@ func (m *Manager) Object() *listener.Object {
 		return tok, nil
 	})
 
-	// Commit: phase-2 apply + unlock, safe to re-deliver (see
-	// commitLocalToken for the full decision table).
+	// Commit: phase-2 apply + unlock, or a one-phase reserve's lock,
+	// check, apply and unlock; safe to re-deliver (see commitLocalToken
+	// for the full decision table).
 	obj.Handle("Commit", func(ctx context.Context, call *listener.Call) (any, error) {
 		entity := call.Args.String("entity")
 		token := call.Args.String("token")

@@ -3,7 +3,10 @@ package offline
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/directory"
@@ -181,5 +184,58 @@ func TestSyncObjectPullValidatesArgs(t *testing.T) {
 	}
 	if m.Queue().Len() != 1 {
 		t.Fatalf("queue len = %d, want 1", m.Queue().Len())
+	}
+}
+
+// versionLog counts the rows of SyD_SyncPeerVersions the units a store
+// logs write.
+type versionLog struct{ writes atomic.Int64 }
+
+func (*versionLog) LogDDLTable(store.Schema) store.Ack   { return nil }
+func (*versionLog) LogDDLIndex(string, string) store.Ack { return nil }
+func (l *versionLog) LogTx(ops []store.LoggedOp) store.Ack {
+	for _, op := range ops {
+		if op.Table == peerVersionsSchema.Name {
+			l.writes.Add(1)
+		}
+	}
+	return nil
+}
+
+// TestConcurrentKnownVersionsAllLand: pulls that record a peer entity's
+// version at once, for an entity none of them has seen, all land: each
+// is one logged write (the first an insert, the rest updates), and none
+// fails for a rival's insert committed between its look and its write.
+func TestConcurrentKnownVersionsAllLand(t *testing.T) {
+	const writers, entities = 8, 50
+	m := newTestManager(t, Config{})
+	log := &versionLog{}
+	m.db.SetLogger(log)
+	errs := make(chan error, writers*entities)
+	for e := 0; e < entities; e++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := m.setKnownVersion(context.Background(), "andy", fmt.Sprintf("e%d", e), int64(w)); err != nil {
+					errs <- err
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	close(errs)
+	for err := range errs {
+		t.Errorf("setKnownVersion: %v", err)
+	}
+	if got := log.writes.Load(); got != writers*entities {
+		t.Fatalf("%d version writes logged, want %d: a racing write was lost", got, writers*entities)
+	}
+	if n := m.peerVers.Count(); n != entities {
+		t.Fatalf("%d version rows, want %d", n, entities)
 	}
 }

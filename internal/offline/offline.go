@@ -3,6 +3,7 @@ package offline
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -306,7 +307,10 @@ func (m *Manager) pull(ctx context.Context) error {
 			if err := app.Apply(e.Entity, e.Version, e.Doc); err != nil {
 				continue
 			}
-			m.setKnownVersion(ctx, p, e.Entity, e.Version)
+			if err := m.setKnownVersion(ctx, p, e.Entity, e.Version); err != nil {
+				// Applied, but unrecorded: the next pull fetches it again.
+				m.observe("versions.write", wire.CodeInternal, 0)
+			}
 			applied++
 		}
 	}
@@ -323,15 +327,20 @@ func (m *Manager) knownVersions(peer string) map[string]int64 {
 	return out
 }
 
-func (m *Manager) setKnownVersion(ctx context.Context, peer, entity string, ver int64) {
-	_ = m.db.Unit(ctx, func(u *store.Tx) error {
+// setKnownVersion records, in one unit, that this device holds peer's
+// entity at ver: the row goes in, or its version is updated when one is
+// there. A rival insert committed after the Insert fails the commit as
+// a conflict, and the re-run updates the row it then finds.
+func (m *Manager) setKnownVersion(ctx context.Context, peer, entity string, ver int64) error {
+	return m.db.Unit(ctx, func(u *store.Tx) error {
 		r := m.peerVers.NewRow()
 		r.SetInt("ver", ver)
-		if u.Has(peerVersionsSchema.Name, peer, entity) {
-			return u.Update(peerVersionsSchema.Name, r, peer, entity)
+		ins := r.Clone()
+		ins.SetStr("peer", peer)
+		ins.SetStr("entity", entity)
+		if err := u.Insert(peerVersionsSchema.Name, ins); !errors.Is(err, store.ErrDupKey) {
+			return err
 		}
-		r.SetStr("peer", peer)
-		r.SetStr("entity", entity)
-		return u.Insert(peerVersionsSchema.Name, r)
+		return u.Update(peerVersionsSchema.Name, r, peer, entity)
 	})
 }

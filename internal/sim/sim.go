@@ -351,7 +351,10 @@ func (n *Net) sleep(ctx context.Context, d time.Duration) error {
 
 // Call implements transport.Network. The caller's "source address" for
 // partition purposes is taken from req.Caller when it matches a bound
-// endpoint; infrastructure calls without a caller bypass partitions.
+// endpoint; infrastructure calls without a caller bypass partitions. A
+// call refused before it leaves (a down, isolated or partitioned peer,
+// no endpoint) is transport.NotSent; a lost request or response is not:
+// the request left, as a socket's written one did.
 func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*transport.Response, error) {
 	src := ""
 	if req != nil {
@@ -360,7 +363,7 @@ func (n *Net) Call(ctx context.Context, addr string, req *transport.Request) (*t
 	ep, err := n.reachable(src, addr)
 	if err != nil {
 		n.dropped.Add(1)
-		return nil, err
+		return nil, transport.NotSent(err)
 	}
 	if n.lose() {
 		n.dropped.Add(1)

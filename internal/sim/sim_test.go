@@ -617,3 +617,63 @@ func TestFlapPartitionOnFakeClock(t *testing.T) {
 	await(true)
 	await(false)
 }
+
+// TestNotSentClassification: a call the network refuses before delivery
+// (a down endpoint, a partition, an isolated device, no endpoint) is
+// transport.NotSent, beside its unavailable code; a call whose request
+// was delivered and whose response was dropped is not, and neither is one
+// whose request was lost on the way (it left).
+func TestNotSentClassification(t *testing.T) {
+	n := New(Config{LossProb: 0.5, Seed: 3})
+	h := &okHandler{}
+	addr, err := n.Listen("peer", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Listen("self", &okHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	call := func() error {
+		_, err := n.Call(ctx, addr.Addr(), &transport.Request{Caller: "self", Service: "s", Method: "m"})
+		return err
+	}
+	n.SetLoss(0)
+	for _, cut := range []struct {
+		name      string
+		cut, heal func()
+	}{
+		{"down", func() { n.SetDown("peer", true) }, func() { n.SetDown("peer", false) }},
+		{"partitioned", func() { n.Partition("self", "peer") }, func() { n.Heal("self", "peer") }},
+		{"isolated", func() { n.Isolate("peer", true) }, func() { n.Isolate("peer", false) }},
+	} {
+		cut.cut()
+		err := call()
+		cut.heal()
+		if !errors.Is(err, transport.ErrNotSent) || wire.CodeOf(err) != wire.CodeUnavailable {
+			t.Errorf("%s peer: %v, want not-sent and unavailable", cut.name, err)
+		}
+	}
+	if _, err := n.Call(ctx, "nowhere", &transport.Request{Caller: "self"}); !errors.Is(err, transport.ErrNotSent) {
+		t.Errorf("no endpoint: %v, want not-sent", err)
+	}
+
+	n.SetLoss(0.5)
+	served := 0
+	for i := 0; i < 200 && served < 3; i++ {
+		before := h.calls.Load()
+		err := call()
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, transport.ErrNotSent) {
+			t.Fatalf("lost message: %v, want it written", err)
+		}
+		if h.calls.Load() > before {
+			served++ // the request was served and its response dropped
+		}
+	}
+	if served == 0 {
+		t.Fatal("no response was dropped in 200 lossy calls")
+	}
+}

@@ -401,10 +401,12 @@ func (t *TCP) Call(ctx context.Context, addr string, req *Request) (*Response, e
 	return resp, err
 }
 
+// doCall sends req on the connection to addr. A failure before the
+// request was written, the dial's included, is NotSent.
 func (t *TCP) doCall(ctx context.Context, addr string, req *Request) (*Response, error) {
 	c, err := t.getConn(addr)
 	if err != nil {
-		return nil, err
+		return nil, NotSent(err)
 	}
 	resp, written, err := c.call(ctx, req)
 	if errors.Is(err, ErrUnreachable) && !written {
@@ -414,9 +416,12 @@ func (t *TCP) doCall(ctx context.Context, addr string, req *Request) (*Response,
 		t.dropConn(addr, c)
 		c, err2 := t.getConn(addr)
 		if err2 != nil {
-			return nil, err2
+			return nil, NotSent(err2)
 		}
-		resp, _, err = c.call(ctx, req)
+		resp, written, err = c.call(ctx, req)
+	}
+	if err != nil && !written {
+		return nil, NotSent(err)
 	}
 	return resp, err
 }

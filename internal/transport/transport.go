@@ -20,7 +20,16 @@ import (
 var (
 	ErrClosed      = errors.New("transport: closed")
 	ErrUnreachable = errors.New("transport: address unreachable")
+	// ErrNotSent is in the chain of a failed call whose request never
+	// left this device, so no peer can have served it (NotSent). A call
+	// that failed without it may have been served.
+	ErrNotSent = errors.New("transport: request not sent")
 )
+
+// NotSent wraps err, the failure of a call whose request never left
+// this device: errors.Is finds ErrNotSent in it, and everything err's
+// own chain holds (ErrUnreachable, a *wire.RemoteError).
+func NotSent(err error) error { return fmt.Errorf("%w: %w", ErrNotSent, err) }
 
 // Handler is the server-side dispatch surface. HandleRequest must be
 // safe for concurrent calls; req is its call's alone, to write in place.

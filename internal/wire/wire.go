@@ -110,7 +110,6 @@ const (
 	ReasonSlotMeeting      Reason = "slot-meeting"      // the slot is held by another meeting
 	ReasonSlotPersonal     Reason = "slot-personal"     // the slot is held by a personal appointment
 	ReasonLockHeld         Reason = "lock-held"         // another negotiation or step has the entity marked
-	ReasonStaleToken       Reason = "stale-token"       // the mark lapsed and its lock was granted again
 	ReasonDecidedAbort     Reason = "decided-abort"     // the negotiation was already aborted here
 	ReasonLinkExists       Reason = "link-exists"       // a link row is already stored under the id
 	ReasonNoCommonSlot     Reason = "no-common-slot"    // no slot in the window is free for everyone needed
@@ -124,7 +123,7 @@ const (
 )
 
 // reasons lists every Reason constant, for the decoder.
-var reasons = [...]Reason{ReasonSlotMeeting, ReasonSlotPersonal, ReasonLockHeld, ReasonStaleToken, ReasonDecidedAbort,
+var reasons = [...]Reason{ReasonSlotMeeting, ReasonSlotPersonal, ReasonLockHeld, ReasonDecidedAbort,
 	ReasonLinkExists, ReasonNoCommonSlot, ReasonMeetingCancelled, ReasonVoteDeclined, ReasonNotAllowed,
 	ReasonLeaseHeld, ReasonConstraint, ReasonSkipped, ReasonLocalMode}
 

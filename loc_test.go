@@ -20,8 +20,8 @@ import (
 // gated: lines of *.go that are not *_test.go and not under benchmarks/
 // or a testdata directory.
 const (
-	cmdLineCeiling = 18327
-	allTreeLines   = 21244
+	cmdLineCeiling = 18364
+	allTreeLines   = 21284
 )
 
 // cmdDeps runs `go list -deps ./cmd/...` with format over the non-standard
